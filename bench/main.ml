@@ -383,8 +383,8 @@ let e6_collisions () =
     [ (12, 16); (14, 16); (12, 14); (14, 17) ];
   Printf.printf "\npaper's point (2^20 in 2^22): analytic %.3f\n"
     (Keymap.new_key_collision_probability ~n_keys:(1 lsl 20) ~domain_bits:22);
-  (* cuckoo: same load, publish failures vs stash. 2-choice cuckoo is
-     reliable below its 50% load threshold, so compare at 45%. *)
+  (* cuckoo: same load, publish failures. 2-choice cuckoo is reliable
+     below its 50% load threshold, so compare at 45%. *)
   let domain_bits = 12 in
   let n = 45 * (1 lsl domain_bits) / 100 in
   let single = Store.create ~domain_bits ~bucket_size:64 () in
@@ -395,16 +395,19 @@ let e6_collisions () =
     | Error _ -> incr rejected
   done;
   let cuckoo = Cuckoo.create ~domain_bits ~bucket_size:64 () in
+  let full = ref 0 in
   for i = 0 to n - 1 do
-    ignore (Cuckoo.insert cuckoo ~key:(Printf.sprintf "k%d" i) ~value:"v")
+    match Cuckoo.insert cuckoo ~key:(Printf.sprintf "k%d" i) ~value:"v" with
+    | Ok () -> ()
+    | Error _ -> incr full
   done;
   Printf.printf
     "\nat 45%% load (2^%d domain, %d keys):\n\
     \  single-hash store: %d publish failures (%.1f%%) -> renames\n\
-    \  cuckoo (2 probes/query): %d stored, stash=%d, 0 failures\n"
+    \  cuckoo (2 probes/query): %d stored, %d publish failures\n"
     domain_bits n !rejected
     (100. *. float_of_int !rejected /. float_of_int n)
-    (Cuckoo.count cuckoo) (Cuckoo.stash_size cuckoo)
+    (Cuckoo.count cuckoo) !full
 
 (* ------------------------------------------------------------------ *)
 (* E7: distributed DPF evaluation (§5.2)                               *)

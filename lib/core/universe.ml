@@ -145,6 +145,15 @@ let push_data t ~publisher ~path ~value =
               | Ok () ->
                   Hashtbl.replace t.data_paths path ();
                   Ok ()
+              | Error `Full ->
+                  (* fail closed: undo the data-index write, so nothing is
+                     published that the keyword verb cannot serve. Both
+                     indexes hold the same paths and an overwrite never
+                     fails, so the path is new to the data index too. *)
+                  ignore (Lw_pir.Store.remove t.data_store path);
+                  Error
+                    (Printf.sprintf
+                       "path %s finds no place in the keyword index; pick another name" path)
               | Error `Too_large ->
                   (* unreachable: the keyword store shares the data
                      store's bucket geometry, so anything the data insert
@@ -298,7 +307,6 @@ let stats t =
     ("code blobs", code_count t);
     ("data blobs", page_count t);
     ("keyword entries", Lw_pir.Kw_store.count t.kw_store);
-    ("keyword stash", Lw_pir.Kw_store.stash_size t.kw_store);
     ("code blob size", t.geometry.code_blob_size);
     ("data blob size", t.geometry.data_blob_size);
     ("fetches per page", t.geometry.fetches_per_page);

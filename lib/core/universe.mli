@@ -57,7 +57,9 @@ val push_data :
   t -> publisher:string -> path:string -> value:Lw_json.Json.t -> (unit, string) result
 (** Store a data blob at [path] (full path including domain). Fails on
     ownership mismatch, size overflow, or an index collision with a
-    different key (the publisher must then rename, §5.1). *)
+    different key (the publisher must then rename, §5.1), or when the
+    keyword index finds no place for a new path; a failed push leaves
+    both indexes as they were. *)
 
 val remove_data : t -> publisher:string -> path:string -> (bool, string) result
 (** Removes the page from both the data store and the keyword index. *)
@@ -74,7 +76,7 @@ val keyword_epoch : t -> int
 (** The keyword store's current sealed epoch. *)
 
 val keyword_store : t -> Lw_pir.Kw_store.t
-(** The cuckoo-backed keyword index itself (tests, stash accounting). *)
+(** The cuckoo-backed keyword index itself (tests, load accounting). *)
 
 val page_count : t -> int
 val code_count : t -> int

@@ -109,8 +109,7 @@ val get_batch : t -> string list -> (string option list, string) result
 
 val keyword_get : t -> string -> (string option, string) result
 (** [keyword_get t key] resolves [key] against the keyword store this
-    session is connected to. [Ok None] when the key is unpublished (or
-    stash-resident on the publisher, which a sized deployment avoids). *)
+    session is connected to. [Ok None] when the key is unpublished. *)
 
 val keyword_get_batch : t -> string list -> (string option list, string) result
 (** k correlated keyword lookups in one round trip: the 2k candidate

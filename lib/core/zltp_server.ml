@@ -63,7 +63,7 @@ let err ?(qid = 0) code message = Some (Zltp_wire.Err { qid; code; message })
 
 let deserialize_key t dpf_key =
   match Lw_dpf.Dpf.deserialize dpf_key with
-  | Error e -> Error (Zltp_wire.err_bad_request, Printf.sprintf "bad DPF key: %s" e)
+  | Error e -> Error (Zltp_wire.err_bad_request, "bad DPF key: " ^ Lw_dpf.Dpf.decode_error_message e)
   | Ok k ->
       if Lw_dpf.Dpf.domain_bits k <> domain_bits t then
         Error (Zltp_wire.err_bad_request, "domain mismatch")

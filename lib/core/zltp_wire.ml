@@ -30,7 +30,7 @@ type server_msg =
   | Sync_reply of { qid : int; epoch : int; oldest : int }
   | Err of { qid : int; code : int; message : string }
 
-let protocol_version = 5
+let protocol_version = 6
 let err_not_negotiated = 1
 let err_bad_request = 2
 let err_wrong_mode = 3

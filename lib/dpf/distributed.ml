@@ -4,7 +4,7 @@ let split k ~shard_bits =
   let shards = Array.make (1 lsl shard_bits) None in
   Dpf.eval_prefixes k ~levels:shard_bits (fun prefix t seed_buf pos ->
       shards.(prefix) <-
-        Some (Dpf.make_subkey k ~root_seed:seed_buf ~root_pos:pos ~root_t:t ~levels:shard_bits));
+        Some (Dpf.make_subkey k ~prefix ~root_seed:seed_buf ~root_pos:pos ~root_t:t ~levels:shard_bits));
   Array.map
     (function
       | Some sub -> sub

@@ -1,6 +1,6 @@
 type key = {
   party : int;
-  domain_bits : int; (* depth of the remaining tree *)
+  domain_bits : int; (* width of the index range this key covers *)
   value_len : int; (* 0 = selection-bit DPF *)
   prg : Prg.t;
   root_seed : Bytes.t; (* 16 bytes *)
@@ -9,7 +9,13 @@ type key = {
   cw_bits : Bytes.t; (* 1 byte per level: tl lor (tr lsl 1) *)
   cw_offset : int; (* first level of cw_seeds/cw_bits that applies: sub-keys
                       produced by [make_subkey] share the parent arrays *)
-  cw_leaf : string; (* value_len bytes, "" for selection-bit keys *)
+  term_bits : int; (* selection keys: a terminal seed yields 2^term_bits
+                      leaf bits (min 7 of the full key's domain); 0 for
+                      value keys, whose tree runs down to every leaf *)
+  leaf_lo : int; (* first leaf bit of each terminal block this key covers:
+                    nonzero only for sub-keys below the terminal level *)
+  cw_leaf : string; (* value keys: value_len bytes; selection keys: the
+                       16-byte leaf correction word *)
 }
 
 let party k = k.party
@@ -18,6 +24,19 @@ let value_len k = k.value_len
 let prg k = k.prg
 
 let max_domain_bits = 30
+let max_value_len = 0xffff
+
+(* Early termination: a selection-bit key stops its tree [max_term_bits]
+   levels above the leaves, and one PRG call on each terminal seed yields
+   the [Prg.terminal_len * 8 = 128] selection bits below it. *)
+let max_term_bits = 7
+
+let () = assert (1 lsl max_term_bits = 8 * Prg.terminal_len)
+
+(* Tree levels this key still expands, and the log-width of the leaf run
+   each of its terminal nodes covers. *)
+let tree_levels k = max 0 (k.domain_bits - k.term_bits)
+let leaf_width k = k.domain_bits - tree_levels k
 
 let cw_seed_pos k level = 16 * (k.cw_offset + level)
 let cw_bit k level = Char.code (Bytes.get k.cw_bits (k.cw_offset + level))
@@ -29,12 +48,36 @@ let cw_bit k level = Char.code (Bytes.get k.cw_bits (k.cw_offset + level))
 (* Keygen runs on the client, whose own query index [alpha] is the
    secret; it still must not branch on it, or a co-resident observer
    times the key out of the client. lw-lint's secret-branch rule keeps
-   the per-level selects below arithmetic. *)
-(* lw-lint: secret alpha alpha_bit *)
+   the per-level selects and the leaf one-hot below arithmetic. *)
+(* lw-lint: secret alpha alpha_bit alpha_lo *)
 
 (* [pick_int bit a b] is [a] when bit = 0, [b] when bit = 1, branch-free
    for bit in {0,1}. *)
 let pick_int bit a b = ((1 - bit) * a) + (bit * b)
+
+(* [eq_bit a b] is 1 when a = b, else 0, without a comparison branch: the
+   top bit of [x lor (-x)] is set exactly when x <> 0. *)
+let eq_bit a b =
+  let x = a lxor b in
+  1 - (((x lor (0 - x)) lsr (Sys.int_size - 1)) land 1)
+
+(* The leaf correction word of a selection key:
+   [Convert(s0) xor Convert(s1) xor e_{alpha_lo}]. The one-hot term is
+   built by visiting all 128 bit positions and comparing each with
+   [alpha_lo] arithmetically, so neither the bytes written nor the work
+   done depend on where the point sits. *)
+let leaf_correction prg ~s0 ~s1 ~alpha_lo =
+  let n = Prg.terminal_len in
+  let c0 = Bytes.create n and c1 = Bytes.create n in
+  Prg.terminal_into prg ~src:s0 ~src_pos:0 ~dst:c0 ~dst_pos:0;
+  Prg.terminal_into prg ~src:s1 ~src_pos:0 ~dst:c1 ~dst_pos:0;
+  String.init n (fun i ->
+      let onehot = ref 0 in
+      for j = 0 to 7 do
+        onehot := !onehot lor (eq_bit ((8 * i) + j) alpha_lo lsl j)
+      done;
+      Char.unsafe_chr
+        (Char.code (Bytes.get c0 i) lxor Char.code (Bytes.get c1 i) lxor !onehot))
 
 let gen ?(prg = Prg.default) ?value ~domain_bits ~alpha rng =
   if domain_bits < 1 || domain_bits > max_domain_bits then
@@ -43,7 +86,10 @@ let gen ?(prg = Prg.default) ?value ~domain_bits ~alpha rng =
   if alpha < 0 || alpha >= 1 lsl domain_bits then (* lw-lint: allow secret-branch taint *)
     invalid_arg "Dpf.gen: alpha out of domain";
   let value_len = match value with None -> 0 | Some v -> String.length v in
+  if value_len > max_value_len then invalid_arg "Dpf.gen: value too long";
   let d = domain_bits in
+  let term_bits = if value_len = 0 then min max_term_bits d else 0 in
+  let levels = d - term_bits in
   let s0 = Bytes.of_string (Lw_crypto.Drbg.generate rng 16) in
   let s1 = Bytes.of_string (Lw_crypto.Drbg.generate rng 16) in
   (* seeds keep their low bit of byte 15 clear, matching PRG outputs *)
@@ -52,10 +98,10 @@ let gen ?(prg = Prg.default) ?value ~domain_bits ~alpha rng =
   clear_low s1;
   let root0 = Bytes.copy s0 and root1 = Bytes.copy s1 in
   let t0 = ref 0 and t1 = ref 1 in
-  let cw_seeds = Bytes.create (16 * d) in
-  let cw_bits = Bytes.create d in
+  let cw_seeds = Bytes.create (16 * levels) in
+  let cw_bits = Bytes.create levels in
   let c0 = Bytes.create 32 and c1 = Bytes.create 32 in
-  for level = 0 to d - 1 do
+  for level = 0 to levels - 1 do
     let bits0 = Prg.expand_into prg ~src:s0 ~src_pos:0 ~dst:c0 ~dst_pos:0 in
     let bits1 = Prg.expand_into prg ~src:s1 ~src_pos:0 ~dst:c1 ~dst_pos:0 in
     let tl0 = bits0 land 1 and tr0 = bits0 lsr 1 in
@@ -102,7 +148,9 @@ let gen ?(prg = Prg.default) ?value ~domain_bits ~alpha rng =
   done;
   let cw_leaf =
     match value with
-    | None -> ""
+    | None ->
+        let alpha_lo = alpha land ((1 lsl term_bits) - 1) in
+        leaf_correction prg ~s0 ~s1 ~alpha_lo
     | Some v ->
         let conv s = Prg.convert prg ~seed:s ~pos:0 ~len:value_len in
         Lw_util.Xorbuf.xor (Lw_util.Xorbuf.xor v (conv s0)) (conv s1)
@@ -118,6 +166,8 @@ let gen ?(prg = Prg.default) ?value ~domain_bits ~alpha rng =
       cw_seeds;
       cw_bits;
       cw_offset = 0;
+      term_bits;
+      leaf_lo = 0;
       cw_leaf;
     }
   in
@@ -139,12 +189,37 @@ let expand_node k ~level ~seed ~seed_pos ~t ~children =
   end
   else bits
 
-let eval_leaf_state k x =
+(* The leaf bits below one terminal node, into [out] (16 bytes; leaf [j]
+   of the block is bit [j land 7] of byte [j lsr 3]). A selection key's
+   terminal pays one PRG call and one correction masked by the control
+   bit, the same work whatever that bit is. A value key's terminal is a
+   single leaf whose selection share is its control bit. *)
+let terminal_block k ~seed ~seed_pos ~t ~out =
+  if k.value_len > 0 then Bytes.unsafe_set out 0 (Char.unsafe_chr t)
+  else begin
+    Prg.terminal_into k.prg ~src:seed ~src_pos:seed_pos ~dst:out ~dst_pos:0;
+    Lw_util.Xorbuf.xor_into_masked
+      ~mask:((0 - (t land 1)) land 0xff)
+      ~src:(Bytes.unsafe_of_string k.cw_leaf) ~src_pos:0 ~dst:out ~dst_pos:0
+      ~len:Prg.terminal_len
+  end
+
+let leaf_bit out j = (Char.code (Bytes.unsafe_get out (j lsr 3)) lsr (j land 7)) land 1
+
+(* [count] leaf bits of a terminal block from bit [from], as 0/1 bytes
+   at [dst_pos]. *)
+let unpack_bits out ~from ~count dst ~dst_pos =
+  for j = 0 to count - 1 do
+    Bytes.unsafe_set dst (dst_pos + j) (Char.unsafe_chr (leaf_bit out (from + j)))
+  done
+
+(* The terminal node on [x]'s path: its seed and control bit. *)
+let walk k x =
   if x < 0 || x >= 1 lsl k.domain_bits then invalid_arg "Dpf.eval: index out of domain";
   let seed = Bytes.copy k.root_seed in
   let children = Bytes.create 32 in
   let t = ref k.root_t in
-  for level = 0 to k.domain_bits - 1 do
+  for level = 0 to tree_levels k - 1 do
     let bits = expand_node k ~level ~seed ~seed_pos:0 ~t:!t ~children in
     let b = Lw_util.Bitops.bit_msb x ~width:k.domain_bits level in
     Bytes.blit children (16 * b) seed 0 16;
@@ -153,17 +228,20 @@ let eval_leaf_state k x =
   (seed, !t)
 
 let eval_bit k x =
-  let _, t = eval_leaf_state k x in
-  t
+  let seed, t = walk k x in
+  let out = Bytes.create Prg.terminal_len in
+  terminal_block k ~seed ~seed_pos:0 ~t ~out;
+  leaf_bit out (k.leaf_lo + (x land ((1 lsl leaf_width k) - 1)))
 
 let eval_value k x =
   if k.value_len = 0 then invalid_arg "Dpf.eval_value: selection-bit key";
-  let seed, t = eval_leaf_state k x in
+  let seed, t = walk k x in
   let share = Prg.convert k.prg ~seed ~pos:0 ~len:k.value_len in
   if t = 1 then Lw_util.Xorbuf.xor share k.cw_leaf else share
 
-(* Depth-first full expansion. Each recursion level owns a preallocated
-   32-byte children buffer, so no allocation happens per node. *)
+(* Depth-first expansion of the top [depth] levels. Each recursion level
+   owns a preallocated 32-byte children buffer, so no allocation happens
+   per node. *)
 let eval_depth k ~depth f =
   let bufs = Array.init (depth + 1) (fun _ -> Bytes.create 32) in
   let rec go level seed_buf seed_pos index t =
@@ -177,34 +255,52 @@ let eval_depth k ~depth f =
   in
   go 0 (Bytes.copy k.root_seed) 0 0 k.root_t
 
-let eval_all_seeds k f = eval_depth k ~depth:k.domain_bits f
-let eval_all_bits k f = eval_depth k ~depth:k.domain_bits (fun x t _ _ -> f x t)
+(* [f node out] for every terminal node in domain order, [out] holding
+   its leaf block (valid only during the callback). *)
+let eval_terminals k f =
+  let out = Bytes.create Prg.terminal_len in
+  eval_depth k ~depth:(tree_levels k) (fun node t seed seed_pos ->
+      terminal_block k ~seed ~seed_pos ~t ~out;
+      f node out)
 
-(* Blocked leaf-bit streaming: expand the top of the tree depth-first,
-   and for each internal node [block_bits] above the leaves fill one
-   reusable [2^block_bits]-byte buffer with that sub-tree's selection
-   bits. The scratch stays cache-resident instead of the full-domain
-   buffer an [eval_all_bits] caller would materialise — the traversal
-   half of the PIR server's fused eval↔scan kernel. *)
+let eval_all_seeds k f =
+  if k.value_len = 0 then invalid_arg "Dpf.eval_all_seeds: selection-bit key";
+  eval_depth k ~depth:k.domain_bits f
+
+let eval_all_bits k f =
+  let w = leaf_width k in
+  eval_terminals k (fun node out ->
+      let base = node lsl w in
+      for j = 0 to (1 lsl w) - 1 do
+        f (base + j) (leaf_bit out (k.leaf_lo + j))
+      done)
+
+(* Blocked leaf-bit streaming into one reusable [2^block_bits]-byte
+   buffer: a block either gathers the leaf runs of several consecutive
+   terminal nodes, or is one slice of a single node's run. The scratch
+   stays cache-resident instead of the full-domain buffer an
+   [eval_all_bits] caller would materialise — the traversal half of the
+   PIR server's fused eval↔scan kernel. *)
 let eval_bits_blocked k ~block_bits f =
   if block_bits < 0 || block_bits > k.domain_bits then
     invalid_arg "Dpf.eval_bits_blocked: block_bits out of range";
-  let top = k.domain_bits - block_bits in
+  let w = leaf_width k in
   let block = 1 lsl block_bits in
   let buf = Bytes.create block in
-  let bufs = Array.init (max 1 block_bits) (fun _ -> Bytes.create 32) in
-  let rec fill level seed_buf seed_pos index t =
-    if level = k.domain_bits then Bytes.unsafe_set buf index (Char.unsafe_chr t)
-    else begin
-      let children = bufs.(level - top) in
-      let bits = expand_node k ~level ~seed:seed_buf ~seed_pos ~t ~children in
-      fill (level + 1) children 0 (2 * index) (bits land 1);
-      fill (level + 1) children 16 ((2 * index) + 1) (bits lsr 1)
-    end
-  in
-  eval_depth k ~depth:top (fun prefix t seed_buf pos ->
-      fill top seed_buf pos 0 t;
-      f (prefix lsl block_bits) buf block)
+  if block_bits >= w then begin
+    let per_block = 1 lsl (block_bits - w) in
+    eval_terminals k (fun node out ->
+        let slot = node land (per_block - 1) in
+        unpack_bits out ~from:k.leaf_lo ~count:(1 lsl w) buf ~dst_pos:(slot lsl w);
+        if slot = per_block - 1 then f ((node - slot) lsl w) buf block)
+  end
+  else
+    eval_terminals k (fun node out ->
+        for b = 0 to (1 lsl (w - block_bits)) - 1 do
+          let off = b lsl block_bits in
+          unpack_bits out ~from:(k.leaf_lo + off) ~count:block buf ~dst_pos:0;
+          f ((node lsl w) + off) buf block
+        done)
 
 (* Diagnostic only: recovering the selected support from the leaf bits
    is inherently selection-dependent control flow, and this helper never
@@ -220,79 +316,120 @@ let selected_indices k =
 (* Distributed-evaluation hooks                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* Prefixes below the terminal level share their terminal node: each of
+   the [2^(levels - tree)] prefixes under it gets that node's seed and
+   control bit, and [make_subkey] narrows the leaf range instead. *)
 let eval_prefixes k ~levels f =
   if levels < 0 || levels > k.domain_bits then invalid_arg "Dpf.eval_prefixes: bad level count";
-  eval_depth k ~depth:levels f
+  let used = min levels (tree_levels k) in
+  let below = levels - used in
+  eval_depth k ~depth:used (fun node t seed pos ->
+      for r = 0 to (1 lsl below) - 1 do
+        f ((node lsl below) lor r) t seed pos
+      done)
 
-let make_subkey k ~root_seed ~root_pos ~root_t ~levels =
+let make_subkey k ~prefix ~root_seed ~root_pos ~root_t ~levels =
   if levels < 0 || levels >= k.domain_bits then invalid_arg "Dpf.make_subkey: bad level count";
+  let used = min levels (tree_levels k) in
+  let below = levels - used in
+  let domain_bits = k.domain_bits - levels in
   let seed = Bytes.create 16 in
   Bytes.blit root_seed root_pos seed 0 16;
   {
     k with
-    domain_bits = k.domain_bits - levels;
+    domain_bits;
     root_seed = seed;
     root_t;
-    cw_offset = k.cw_offset + levels;
+    cw_offset = k.cw_offset + used;
+    leaf_lo = k.leaf_lo + ((prefix land ((1 lsl below) - 1)) lsl domain_bits);
   }
 
 (* ------------------------------------------------------------------ *)
 (* Serialisation                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let magic = 'D'
-let version = 1
+(* Layout (version 2): 'D', version, party, root_t, prg tag, domain_bits,
+   term_bits, leaf_lo, value_len (u16 BE); root seed (16); per tree level
+   a 16-byte seed correction word, then one control-bit byte per level;
+   the leaf correction word (16 bytes for selection keys, value_len for
+   value keys). *)
 
-let serialized_size ~domain_bits ~value_len = 10 + 16 + (17 * domain_bits) + value_len
+let magic = 'D'
+let version = 2
+let header_len = 10
+
+type decode_error = Unsupported_version of int | Malformed of string
+
+let decode_error_message = function
+  | Unsupported_version v -> Printf.sprintf "unsupported key version %d (want %d)" v version
+  | Malformed msg -> msg
+
+let serialized_size ~domain_bits ~value_len =
+  if value_len = 0 then
+    header_len + 16 + (17 * (domain_bits - min max_term_bits domain_bits)) + Prg.terminal_len
+  else header_len + 16 + (17 * domain_bits) + value_len
 
 let paper_key_size ~domain_bits = (128 + 2) * domain_bits
 
 let serialize k =
-  let d = k.domain_bits in
-  let buf = Buffer.create (serialized_size ~domain_bits:d ~value_len:k.value_len) in
+  let levels = tree_levels k in
+  let buf = Buffer.create (serialized_size ~domain_bits:k.domain_bits ~value_len:k.value_len) in
   Buffer.add_char buf magic;
   Buffer.add_char buf (Char.chr version);
   Buffer.add_char buf (Char.chr k.party);
   Buffer.add_char buf (Char.chr k.root_t);
   Buffer.add_char buf (Char.chr (Prg.to_tag k.prg));
-  Buffer.add_char buf (Char.chr d);
-  Buffer.add_int32_be buf (Int32.of_int k.value_len);
+  Buffer.add_char buf (Char.chr k.domain_bits);
+  Buffer.add_char buf (Char.chr k.term_bits);
+  Buffer.add_char buf (Char.chr k.leaf_lo);
+  Buffer.add_uint16_be buf k.value_len;
   Buffer.add_subbytes buf k.root_seed 0 16;
-  Buffer.add_subbytes buf k.cw_seeds (16 * k.cw_offset) (16 * d);
-  Buffer.add_subbytes buf k.cw_bits k.cw_offset d;
+  Buffer.add_subbytes buf k.cw_seeds (16 * k.cw_offset) (16 * levels);
+  Buffer.add_subbytes buf k.cw_bits k.cw_offset levels;
   Buffer.add_string buf k.cw_leaf;
   Buffer.contents buf
 
 let deserialize s =
-  let err msg = Error msg in
-  if String.length s < 10 then err "short header"
+  let err msg = Error (Malformed msg) in
+  if String.length s < header_len then err "short header"
   else if s.[0] <> magic then err "bad magic"
-  else if Char.code s.[1] <> version then err "unsupported version"
+  else if Char.code s.[1] <> version then Error (Unsupported_version (Char.code s.[1]))
   else begin
     let party = Char.code s.[2] and root_t = Char.code s.[3] in
     let prg_tag = Char.code s.[4] and d = Char.code s.[5] in
-    let value_len = Int32.to_int (String.get_int32_be s 6) in
+    let term_bits = Char.code s.[6] and leaf_lo = Char.code s.[7] in
+    let value_len = String.get_uint16_be s 8 in
+    let width = min term_bits d in
     if party > 1 then err "bad party"
     else if root_t > 1 then err "bad root bit"
     else if d < 1 || d > max_domain_bits then err "bad domain_bits"
-    else if value_len < 0 || value_len > 1 lsl 24 then err "bad value_len"
+    else if
+      (value_len > 0 && term_bits <> 0)
+      (* a selection key terminates 7 levels early, or at the root of a
+         domain narrower than that *)
+      || value_len = 0
+         && term_bits <> max_term_bits
+         && not (1 <= term_bits && term_bits < max_term_bits && d <= term_bits)
+    then err "bad term_bits"
+    else if leaf_lo >= 1 lsl term_bits || leaf_lo land ((1 lsl width) - 1) <> 0 then
+      err "bad leaf_lo"
     else begin
       match Prg.of_tag prg_tag with
       | None -> err "unknown prg"
       | Some prg ->
-          let expect = serialized_size ~domain_bits:d ~value_len in
-          if String.length s <> expect then err "length mismatch"
+          let levels = d - width in
+          if String.length s <> serialized_size ~domain_bits:d ~value_len then err "length mismatch"
           else begin
-            let pos = ref 10 in
+            let pos = ref header_len in
             let take n =
               let sub = String.sub s !pos n in
               pos := !pos + n;
               sub
             in
             let root_seed = Bytes.of_string (take 16) in
-            let cw_seeds = Bytes.of_string (take (16 * d)) in
-            let cw_bits = Bytes.of_string (take d) in
-            let cw_leaf = take value_len in
+            let cw_seeds = Bytes.of_string (take (16 * levels)) in
+            let cw_bits = Bytes.of_string (take levels) in
+            let cw_leaf = take (String.length s - !pos) in
             let bits_ok = ref true in
             Bytes.iter (fun c -> if Char.code c > 3 then bits_ok := false) cw_bits;
             if not !bits_ok then err "bad control bits"
@@ -308,6 +445,8 @@ let deserialize s =
                   cw_seeds;
                   cw_bits;
                   cw_offset = 0;
+                  term_bits;
+                  leaf_lo;
                   cw_leaf;
                 }
           end

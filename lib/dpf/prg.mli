@@ -30,6 +30,17 @@ val expand_into :
     and returns the control bits packed as [tl lor (tr lsl 1)]. The [src]
     and [dst] regions must not overlap. *)
 
+val terminal_len : int
+(** 16: the bytes one {!terminal_into} call yields. *)
+
+val terminal_into : t -> src:Bytes.t -> src_pos:int -> dst:Bytes.t -> dst_pos:int -> unit
+(** [terminal_into prg ~src ~src_pos ~dst ~dst_pos] maps the 16-byte seed
+    at [src_pos] through one more PRG call (AES-MMO under tweak 3, or a
+    ChaCha block under its own nonce) to [terminal_len] pseudorandom
+    bytes at [dst_pos]: the 128 leaf bits below an early-terminated DPF
+    tree node, before correction. All 128 bits are PRG output, including
+    the control-bit position the seed itself keeps clear. *)
+
 val convert : t -> seed:Bytes.t -> pos:int -> len:int -> string
 (** [convert prg ~seed ~pos ~len] expands the 16-byte seed at [pos] into a
     [len]-byte leaf value share (BGI16's Convert for value-carrying

@@ -3,7 +3,6 @@ type t = {
   h0 : Keymap.t;
   h1 : Keymap.t;
   max_kicks : int;
-  stash : (string, string) Hashtbl.t;
   on_change : int -> unit;
   mutable count : int;
 }
@@ -20,14 +19,12 @@ let create ?(hash_key = default_hash_key) ?(max_kicks = 512) ?(on_change = fun _
     h0 = Keymap.derive base ~salt:0;
     h1 = Keymap.derive base ~salt:1;
     max_kicks;
-    stash = Hashtbl.create 8;
     on_change;
     count = 0;
   }
 
 let db t = t.db
 let count t = t.count
-let stash_size t = Hashtbl.length t.stash
 
 let candidates t key = (Keymap.index_of_key t.h0 key, Keymap.index_of_key t.h1 key)
 
@@ -46,46 +43,16 @@ let slot_of t key =
   let check i = Record.decode_for_key ~key (Bucket_db.get t.db i) |> Option.map (fun v -> (i, v)) in
   match check i0 with Some r -> Some r | None -> if i1 = i0 then None else check i1
 
-let find t key =
-  match slot_of t key with
-  | Some (_, v) -> Some v
-  | None -> Hashtbl.find_opt t.stash key
-
+let find t key = Option.map snd (slot_of t key)
 let bucket_empty t i = Option.is_none (Record.decode (Bucket_db.get t.db i))
-
-(* Opportunistically re-place stashed records whose candidate bucket is
-   now empty — called after a removal frees a bucket, so the stash drains
-   back to ~0 instead of ratcheting up for the table's lifetime. *)
-let drain_stash t =
-  if Hashtbl.length t.stash > 0 then begin
-    let bucket_size = Bucket_db.bucket_size t.db in
-    let entries = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.stash [] in
-    List.iter
-      (fun (key, value) ->
-        let i0, i1 = candidates t key in
-        let target = if bucket_empty t i0 then Some i0 else if bucket_empty t i1 then Some i1 else None in
-        match target with
-        | Some i ->
-            set_bucket t i (Record.encode ~bucket_size ~key ~value);
-            Hashtbl.remove t.stash key
-        | None -> ())
-      entries
-  end
 
 let remove t key =
   match slot_of t key with
   | Some (i, _) ->
       clear_bucket t i;
       t.count <- t.count - 1;
-      drain_stash t;
       true
-  | None ->
-      if Hashtbl.mem t.stash key then begin
-        Hashtbl.remove t.stash key;
-        t.count <- t.count - 1;
-        true
-      end
-      else false
+  | None -> false
 
 let other_candidate t key current =
   let i0, i1 = candidates t key in
@@ -101,35 +68,57 @@ let insert t ~key ~value =
     let i0, i1 = candidates t key in
     let held i = Option.is_some (Record.decode_for_key ~key (Bucket_db.get t.db i)) in
     let slot = if held i0 then Some i0 else if i1 <> i0 && held i1 then Some i1 else None in
-    (match slot with
-    | Some i -> set_bucket t i (Record.encode ~bucket_size ~key ~value)
-    | None when Hashtbl.mem t.stash key -> Hashtbl.replace t.stash key value
+    match slot with
+    | Some i ->
+        set_bucket t i (Record.encode ~bucket_size ~key ~value);
+        Ok ()
     | None ->
-        t.count <- t.count + 1;
-        (* displacement loop: place the pending record at [target]; a full
-           slot evicts its occupant to that occupant's alternate bucket.
-           A victim whose two candidates coincide cannot move anywhere —
-           evicting it would swap the slot with itself until max_kicks —
-           so the pending record goes straight to the stash instead.
-           After max_kicks the pending record goes to the stash too, so
-           nothing is ever dropped. *)
+        (* Displacement chain, all or nothing: every bucket it writes is
+           logged with the record it held (or none), and a chain that
+           fails restores them all, so a rejected insert leaves the table
+           as it found it. The pending record goes to [target]; a full
+           slot evicts its occupant to that occupant's other candidate.
+           An occupant whose two candidates coincide cannot move, so the
+           pending record tries its own other candidate instead. *)
+        let undo = ref [] in
+        let write i old ~key ~value =
+          undo := (i, old) :: !undo;
+          set_bucket t i (Record.encode ~bucket_size ~key ~value)
+        in
         let rec place key value target kicks =
-          if kicks > t.max_kicks then Hashtbl.replace t.stash key value
-          else begin
-            match Record.decode (Bucket_db.get t.db target) with
-            | None -> set_bucket t target (Record.encode ~bucket_size ~key ~value)
-            | Some (victim_key, victim_value) ->
-                let alt = other_candidate t victim_key target in
-                if alt = target then Hashtbl.replace t.stash key value
-                else begin
-                  set_bucket t target (Record.encode ~bucket_size ~key ~value);
-                  place victim_key victim_value alt (kicks + 1)
-                end
-          end
+          kicks <= t.max_kicks
+          &&
+          match Record.decode (Bucket_db.get t.db target) with
+          | None ->
+              write target None ~key ~value;
+              true
+          | Some (victim_key, victim_value) as old ->
+              let alt = other_candidate t victim_key target in
+              if alt <> target then begin
+                write target old ~key ~value;
+                place victim_key victim_value alt (kicks + 1)
+              end
+              else begin
+                let other = other_candidate t key target in
+                other <> target && place key value other (kicks + 1)
+              end
         in
         let start = if bucket_empty t i0 then i0 else i1 in
-        place key value start 0);
-    Ok ()
+        if place key value start 0 then begin
+          t.count <- t.count + 1;
+          Ok ()
+        end
+        else begin
+          (* newest write first, so a bucket written twice ends at its
+             original contents *)
+          List.iter
+            (fun (i, old) ->
+              match old with
+              | None -> clear_bucket t i
+              | Some (key, value) -> set_bucket t i (Record.encode ~bucket_size ~key ~value))
+            !undo;
+          Error `Full
+        end
   end
 
 let load_factor t = float_of_int t.count /. float_of_int (Bucket_db.size t.db)

@@ -5,9 +5,10 @@
     costs two private-GETs here versus one for {!Store}, in exchange for
     near-zero publish failures at much higher load factors.
 
-    Records whose eviction chain exceeds [max_kicks] land in a small
-    stash, so no record is ever dropped; a healthy table keeps the stash
-    at (or very near) zero. *)
+    Every stored record sits in one of its two candidate buckets, so a
+    client's two probes always find it. An insert whose eviction chain
+    cannot place it within [max_kicks] fails closed and leaves the table
+    unchanged; there is no stash a client could not see. *)
 
 type t
 
@@ -21,7 +22,7 @@ val create :
   t
 (** [max_kicks] bounds the eviction chain (default 512). [on_change i]
     fires after every mutation of bucket [i] (set or clear, including
-    displacement writes and stash re-placement) — how {!Kw_store} tracks
+    displacement writes and their rollback) — how {!Kw_store} tracks
     the dirty set it must copy into the next sealed epoch. *)
 
 val db : t -> Bucket_db.t
@@ -31,18 +32,14 @@ val candidates : t -> string -> int * int
 (** The two buckets a key may live in (distinct hash functions; may
     coincide by chance). *)
 
-val insert : t -> key:string -> value:string -> (unit, [ `Too_large ]) result
+val insert : t -> key:string -> value:string -> (unit, [ `Too_large | `Full ]) result
+(** Stores or overwrites [key]. [`Full] when no eviction chain of at most
+    [max_kicks] moves places a new key; every bucket the failed chain
+    wrote is then restored, so the table is unchanged. *)
+
 val find : t -> string -> string option
 val remove : t -> string -> bool
-(** Removing a bucket-resident key also opportunistically re-places any
-    stashed record whose candidate bucket is now empty, so the stash
-    drains back toward 0 as capacity frees up instead of ratcheting. *)
-
 val load_factor : t -> float
-
-val stash_size : t -> int
-(** Records displaced past [max_kicks]. A deployment sizes the table so
-    this stays ~0; the tests and the E6 bench report it. *)
 
 val probes_per_query : int
 (** 2: privacy requires clients to always probe both candidates. *)

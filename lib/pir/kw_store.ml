@@ -26,7 +26,7 @@ let create ?(hash_key = default_hash_key) ?max_kicks ~domain_bits ~bucket_size (
 let engine t = t.engine
 let table t = t.table
 let count t = Cuckoo.count t.table
-let stash_size t = Cuckoo.stash_size t.table
+let stash_size _ = 0
 let load_factor t = Cuckoo.load_factor t.table
 let candidates t key = Cuckoo.candidates t.table key
 let bucket_size t = Lw_store.bucket_size t.engine

@@ -6,10 +6,9 @@
     snapshot, so servers never observe a half-finished eviction chain and
     both probes are guaranteed to land on the same epoch.
 
-    Stashed records (eviction chains past [max_kicks]) live outside the
-    bucket array and are therefore {e invisible to PIR clients} until a
-    removal lets the stash drain back into a bucket; deployments size the
-    table so the stash stays at 0 (the invariant E6/E26 report). *)
+    Every stored record sits in one of its two candidate buckets: an
+    insert the cuckoo cannot place fails closed ([`Full]) instead of
+    parking the record where PIR clients cannot see it. *)
 
 type t
 
@@ -25,7 +24,9 @@ val engine : t -> Lw_store.t
 val table : t -> Cuckoo.t
 (** The live publisher-side table (uncommitted mutations included). *)
 
-val insert : t -> key:string -> value:string -> (unit, [ `Too_large ]) result
+val insert : t -> key:string -> value:string -> (unit, [ `Too_large | `Full ]) result
+(** See {!Cuckoo.insert}: a [`Full] insert leaves the table unchanged. *)
+
 val remove : t -> string -> bool
 
 val find : t -> string -> string option
@@ -36,7 +37,11 @@ val candidates : t -> string -> int * int
 (** The two buckets a client must probe for a key (may coincide). *)
 
 val count : t -> int
+
 val stash_size : t -> int
+(** Always 0: no record lives outside its candidate buckets. Kept for
+    the reports that print it. *)
+
 val load_factor : t -> float
 val bucket_size : t -> int
 

@@ -396,7 +396,7 @@ let answer_batch_domains ?(cutoff_bytes = parallel_cutoff_bytes) ?domains t keys
 
 let answer_serialized t key_bytes =
   match Lw_dpf.Dpf.deserialize key_bytes with
-  | Error e -> Error (Printf.sprintf "bad DPF key: %s" e)
+  | Error e -> Error ("bad DPF key: " ^ Lw_dpf.Dpf.decode_error_message e)
   | Ok k ->
       if Lw_dpf.Dpf.domain_bits k <> domain_bits t then Error "domain mismatch"
       else Ok (answer t k)

@@ -383,6 +383,39 @@ let test_taint_dpf_source_to_index () =
   Alcotest.(check bool) "dpf key indexing caught" true
     (count_rule "taint" (findings_for ~path:"lib/pir/fixture.ml" dirty) >= 1)
 
+let test_taint_leaf_onehot () =
+  (* the early-terminated DPF's leaf correction word is one-hot at
+     [alpha mod 128]: setting that bit by an indexed write puts the
+     client's secret on the address bus *)
+  let dirty =
+    "(* lw-lint: secret alpha_lo *)\n\
+     let onehot alpha_lo =\n\
+    \  let cw = Bytes.make 16 '\\000' in\n\
+    \  Bytes.set cw (alpha_lo lsr 3) (Char.chr (1 lsl (alpha_lo land 7)));\n\
+    \  cw\n"
+  in
+  Alcotest.(check bool) "indexed one-hot write caught" true
+    (count_rule "taint" (findings_for ~path:"lib/dpf/fixture.ml" dirty) >= 1);
+  (* [Dpf.gen]'s shape: visit every bit position and compare with
+     [alpha_lo] arithmetically; only public loop indices address memory *)
+  let clean =
+    "(* lw-lint: secret alpha_lo *)\n\
+     let eq_bit a b =\n\
+    \  let x = a lxor b in\n\
+    \  1 - (((x lor (0 - x)) lsr (Sys.int_size - 1)) land 1)\n\
+     let onehot alpha_lo =\n\
+    \  String.init 16 (fun i ->\n\
+    \      let b = ref 0 in\n\
+    \      for j = 0 to 7 do\n\
+    \        b := !b lor (eq_bit ((8 * i) + j) alpha_lo lsl j)\n\
+    \      done;\n\
+    \      Char.unsafe_chr !b)\n"
+  in
+  let rules = findings_for ~path:"lib/dpf/fixture.ml" clean in
+  Alcotest.(check int) "arithmetic one-hot clean (taint)" 0 (count_rule "taint" rules);
+  Alcotest.(check int) "arithmetic one-hot clean (secret-branch)" 0
+    (count_rule "secret-branch" rules)
+
 let test_taint_spir_secret_source () =
   (* the single-server PIR client secret (and the masked query derived
      from it) is secret by construction: branching on it leaks; no
@@ -807,6 +840,7 @@ let () =
             test_taint_spir_secret_source;
           Alcotest.test_case "taint from DPF source" `Quick
             test_taint_dpf_source_to_index;
+          Alcotest.test_case "taint: DPF leaf one-hot" `Quick test_taint_leaf_onehot;
           Alcotest.test_case "taint across loop iterations" `Quick
             test_taint_loop_carried_ref;
           Alcotest.test_case "race on spawned ref" `Quick test_race_spawned_ref;

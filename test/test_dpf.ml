@@ -204,7 +204,7 @@ let test_serialize_roundtrip () =
                 (Dpf.serialized_size ~domain_bits:d ~value_len:(Dpf.value_len k))
                 (String.length s);
               match Dpf.deserialize s with
-              | Error e -> Alcotest.fail e
+              | Error e -> Alcotest.fail (Dpf.decode_error_message e)
               | Ok k' ->
                   Alcotest.(check int) "party" (Dpf.party k) (Dpf.party k');
                   Alcotest.(check int) "domain" (Dpf.domain_bits k) (Dpf.domain_bits k');
@@ -220,7 +220,7 @@ let test_serialize_subkey_roundtrip () =
   Array.iteri
     (fun shard sub ->
       match Dpf.deserialize (Dpf.serialize sub) with
-      | Error e -> Alcotest.fail e
+      | Error e -> Alcotest.fail (Dpf.decode_error_message e)
       | Ok sub' ->
           for j = 0 to 31 do
             Alcotest.(check int)
@@ -244,12 +244,62 @@ let test_deserialize_rejects () =
   Alcotest.(check bool) "bad party" true (is_err (Dpf.deserialize (mutate 2 '\x05')));
   Alcotest.(check bool) "bad prg" true (is_err (Dpf.deserialize (mutate 4 '\x7f')));
   Alcotest.(check bool) "truncated" true (is_err (Dpf.deserialize (String.sub s 0 (String.length s - 1))));
-  Alcotest.(check bool) "extended" true (is_err (Dpf.deserialize (s ^ "\x00")))
+  Alcotest.(check bool) "extended" true (is_err (Dpf.deserialize (s ^ "\x00")));
+  Alcotest.(check bool) "bad term_bits" true (is_err (Dpf.deserialize (mutate 6 '\x08')));
+  Alcotest.(check bool) "misaligned leaf_lo" true (is_err (Dpf.deserialize (mutate 7 '\x01')))
 
 let test_key_sizes () =
   Alcotest.(check int) "paper formula d=22" 2860 (Dpf.paper_key_size ~domain_bits:22);
-  (* real key for d=22, bit-only: 10 + 16 + 17*22 = 400 bytes *)
-  Alcotest.(check int) "real size d=22" 400 (Dpf.serialized_size ~domain_bits:22 ~value_len:0)
+  (* bit-only keys stop the tree 7 levels early:
+     10 + 16 + 17*(d - min 7 d) + 16 bytes *)
+  Alcotest.(check int) "real size d=22" 297 (Dpf.serialized_size ~domain_bits:22 ~value_len:0);
+  Alcotest.(check int) "real size d=12" 127 (Dpf.serialized_size ~domain_bits:12 ~value_len:0);
+  Alcotest.(check int) "real size d=5" 42 (Dpf.serialized_size ~domain_bits:5 ~value_len:0);
+  for d = 1 to 30 do
+    Alcotest.(check int) (Printf.sprintf "formula d=%d" d)
+      (10 + 16 + (17 * (d - min 7 d)) + 16)
+      (Dpf.serialized_size ~domain_bits:d ~value_len:0)
+  done;
+  (* value keys keep the full tree *)
+  Alcotest.(check int) "value key d=6" (10 + 16 + (17 * 6) + 5)
+    (Dpf.serialized_size ~domain_bits:6 ~value_len:5)
+
+let test_rejects_version_1 () =
+  let k0, _ = Dpf.gen ~domain_bits:12 ~alpha:1234 (rng ()) in
+  let b = Bytes.of_string (Dpf.serialize k0) in
+  Bytes.set b 1 '\x01';
+  match Dpf.deserialize (Bytes.to_string b) with
+  | Error (Dpf.Unsupported_version 1) -> ()
+  | Error e -> Alcotest.fail ("wrong error: " ^ Dpf.decode_error_message e)
+  | Ok _ -> Alcotest.fail "version-1 key accepted"
+
+(* The leaf correction word is the last 16 bytes of a serialised
+   selection key. Were the terminal conversion the raw seed, bit 120 of
+   it (byte 15, bit 0, where every seed keeps its control bit clear)
+   would equal [alpha mod 128 = 120] in every key. A PRG call leaves no
+   bit constant over fresh keys. *)
+let test_leaf_correction_not_constant () =
+  List.iter
+    (fun prg ->
+      let r = rng () in
+      let n = 2000 and alpha = (5 * 128) + 120 in
+      let ones = Array.make 128 0 in
+      for _ = 1 to n do
+        let k0, _ = Dpf.gen ~prg ~domain_bits:12 ~alpha r in
+        let s = Dpf.serialize k0 in
+        let cw = String.sub s (String.length s - 16) 16 in
+        for j = 0 to 127 do
+          ones.(j) <- ones.(j) + ((Char.code cw.[j lsr 3] lsr (j land 7)) land 1)
+        done
+      done;
+      Array.iteri
+        (fun j c ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s leaf cw bit %d varies" (Prg.name prg) j)
+            true
+            (c > 0 && c < n))
+        ones)
+    [ Prg.Aes_mmo; Prg.Chacha 8 ]
 
 (* ---------------- privacy sanity ---------------- *)
 
@@ -318,9 +368,118 @@ let prop_distributed_split =
         subs;
       !ok)
 
+(* Early termination across its boundary: domains below, at and above
+   the 7 levels a terminal node covers, under both PRG families. *)
+let gen_boundary =
+  QCheck.(triple (int_range 1 14) bool (int_range 0 (1 lsl 14)))
+
+let boundary_key (d, aes, a) =
+  let prg = if aes then Prg.Aes_mmo else Prg.Chacha 8 in
+  let alpha = a mod (1 lsl d) in
+  let k0, k1 = Dpf.gen ~prg ~domain_bits:d ~alpha (rng ()) in
+  (alpha, k0, k1)
+
+let all_bits k =
+  let bits = Bytes.make (1 lsl Dpf.domain_bits k) '\x09' in
+  Dpf.eval_all_bits k (fun x b -> Bytes.set bits x (Char.chr b));
+  bits
+
+let prop_boundary_one_hot =
+  QCheck.Test.make ~name:"early termination: shares XOR to one-hot" ~count:40 gen_boundary
+    (fun case ->
+      let alpha, k0, k1 = boundary_key case in
+      let b0 = all_bits k0 and b1 = all_bits k1 in
+      let ok = ref true in
+      Bytes.iteri
+        (fun x c ->
+          let v = Char.code c lxor Char.code (Bytes.get b1 x) in
+          if v <> if x = alpha then 1 else 0 then ok := false)
+        b0;
+      !ok)
+
+let prop_boundary_blocked =
+  QCheck.Test.make ~name:"early termination: every block size = eval_all_bits" ~count:25
+    gen_boundary (fun case ->
+      let _, k0, _ = boundary_key case in
+      let d = Dpf.domain_bits k0 in
+      let want = all_bits k0 in
+      List.for_all
+        (fun block_bits ->
+          let got = Bytes.make (1 lsl d) '\x09' in
+          let next = ref 0 in
+          Dpf.eval_bits_blocked k0 ~block_bits (fun base buf count ->
+              if base <> !next || count <> 1 lsl block_bits then
+                QCheck.Test.fail_reportf "block at %d (want %d), %d leaves" base !next count;
+              Bytes.blit buf 0 got base count;
+              next := base + count);
+          !next = 1 lsl d && Bytes.equal got want)
+        (List.init (d + 1) Fun.id))
+
+let prop_boundary_pointwise =
+  QCheck.Test.make ~name:"early termination: eval_bit = eval_all_bits" ~count:25 gen_boundary
+    (fun case ->
+      let alpha, k0, k1 = boundary_key case in
+      let size = 1 lsl Dpf.domain_bits k0 in
+      let b0 = all_bits k0 and b1 = all_bits k1 in
+      (* every leaf up to 2^10, a stride beyond, and always alpha *)
+      let xs = alpha :: List.filter (fun x -> x < size) (List.init 1024 (fun i -> i * max 1 (size / 1024))) in
+      List.for_all
+        (fun x ->
+          Dpf.eval_bit k0 x = Char.code (Bytes.get b0 x)
+          && Dpf.eval_bit k1 x = Char.code (Bytes.get b1 x))
+        xs)
+
+let prop_boundary_split =
+  QCheck.Test.make ~name:"early termination: split at every level = direct eval" ~count:25
+    gen_boundary (fun case ->
+      let _, k0, _ = boundary_key case in
+      let d = Dpf.domain_bits k0 in
+      let want = all_bits k0 in
+      List.for_all
+        (fun shard_bits ->
+          let rem = d - shard_bits in
+          let subs = Distributed.split k0 ~shard_bits in
+          let ok = ref (Array.length subs = 1 lsl shard_bits) in
+          Array.iteri
+            (fun shard sub ->
+              if Dpf.domain_bits sub <> rem then ok := false;
+              Dpf.eval_all_bits sub (fun j b ->
+                  let x = Distributed.global_index ~rem_bits:rem ~shard j in
+                  if b <> Char.code (Bytes.get want x) then ok := false))
+            subs;
+          !ok)
+        (List.init (max 0 (d - 1)) (fun i -> i + 1)))
+
+let prop_boundary_serialize =
+  QCheck.Test.make ~name:"early termination: keys and sub-keys round-trip" ~count:25
+    gen_boundary (fun case ->
+      let _, k0, _ = boundary_key case in
+      let d = Dpf.domain_bits k0 in
+      let roundtrip k =
+        let s = Dpf.serialize k in
+        String.length s = Dpf.serialized_size ~domain_bits:(Dpf.domain_bits k) ~value_len:0
+        &&
+        match Dpf.deserialize s with
+        | Error e -> QCheck.Test.fail_report (Dpf.decode_error_message e)
+        | Ok k' -> String.equal (Dpf.serialize k') s && Bytes.equal (all_bits k') (all_bits k)
+      in
+      roundtrip k0
+      && List.for_all
+           (fun shard_bits -> Array.for_all roundtrip (Distributed.split k0 ~shard_bits))
+           (List.init (max 0 (d - 1)) (fun i -> i + 1)))
+
 let props =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_correctness; prop_value_roundtrip; prop_distributed_split ]
+    [
+      prop_correctness;
+      prop_value_roundtrip;
+      prop_distributed_split;
+      prop_boundary_one_hot;
+      prop_boundary_blocked;
+      prop_boundary_pointwise;
+      prop_boundary_split;
+      prop_boundary_serialize;
+    ]
 
 let () =
   Alcotest.run "lw_dpf"
@@ -354,11 +513,14 @@ let () =
           Alcotest.test_case "subkey roundtrip" `Quick test_serialize_subkey_roundtrip;
           Alcotest.test_case "rejects malformed" `Quick test_deserialize_rejects;
           Alcotest.test_case "key sizes" `Quick test_key_sizes;
+          Alcotest.test_case "rejects version 1" `Quick test_rejects_version_1;
         ] );
       ( "privacy",
         [
           Alcotest.test_case "single share balanced" `Quick test_single_share_balanced_bits;
           Alcotest.test_case "fresh randomness" `Quick test_keys_differ_between_gens;
+          Alcotest.test_case "leaf correction word varies" `Quick
+            test_leaf_correction_not_constant;
         ] );
       ("properties", props);
     ]

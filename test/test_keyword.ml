@@ -2,12 +2,15 @@
    it stands on.
 
    - model property: Cuckoo vs a plain Hashtbl reference over arbitrary
-     insert/remove interleavings (1000 cases) — find/count/stash always
-     agree with the model, nothing is ever lost or resurrected.
-   - regressions for the three cuckoo fixes: a victim whose two
-     candidates coincide is never ping-ponged (zero bucket writes, the
-     pending record stashes), the stash drains back to 0 when removals
-     free capacity, and insert probes each candidate bucket once.
+     insert/remove interleavings (1000 cases) — find/count always agree
+     with the model, nothing is ever lost or resurrected, and a refused
+     insert leaves every bucket as it was.
+   - cuckoo regressions: a victim whose two candidates coincide is never
+     ping-ponged (the pending record takes its other candidate), an
+     overfull table fails closed instead of stashing, insert probes each
+     candidate bucket once, and at the perfbench get-small geometry
+     every path a universe accepts sits in one of its two candidate
+     buckets, over 300 seeds.
    - wire v4: Keyword_query/Keyword_answer roundtrips and CRC rejection.
    - kernels: Server.answer_pair and the batch-of-two dispatch agree
      byte-for-byte with two scalar answers, and two-server shares
@@ -42,10 +45,15 @@ let gen_ops =
         (frequency
            [ (3, map2 (fun k v -> Insert (k, v)) (0 -- 23) (0 -- 9)); (1, map (fun k -> Remove k) (0 -- 23)) ]))
 
+let buckets c =
+  let db = Cuckoo.db c in
+  List.init (Bucket_db.size db) (Bucket_db.get db)
+
 let prop_cuckoo_matches_model =
   (* 16 buckets under a 24-key pool: removals of absent keys, overwrites,
-     displacement chains and stash pressure all occur naturally. *)
-  QCheck.Test.make ~name:"cuckoo = Hashtbl model (find/count/stash)" ~count:1000 gen_ops
+     displacement chains and refused inserts all occur naturally. *)
+  QCheck.Test.make ~name:"cuckoo = Hashtbl model (find/count/state, fail-closed)" ~count:1000
+    gen_ops
     (fun ops ->
       let c = Cuckoo.create ~domain_bits:4 ~bucket_size:64 () in
       let model = Hashtbl.create 16 in
@@ -54,8 +62,12 @@ let prop_cuckoo_matches_model =
           match op with
           | Insert (k, v) ->
               let key = pool_key k and value = Printf.sprintf "v%d" v in
+              let before = buckets c in
               (match Cuckoo.insert c ~key ~value with
               | Ok () -> Hashtbl.replace model key value
+              | Error `Full ->
+                  if Hashtbl.mem model key then QCheck.Test.fail_report "overwrite refused";
+                  if buckets c <> before then QCheck.Test.fail_report "refused insert left writes"
               | Error `Too_large -> QCheck.Test.fail_report "tiny record rejected")
           | Remove k ->
               let key = pool_key k in
@@ -66,8 +78,7 @@ let prop_cuckoo_matches_model =
         ops;
       Array.for_all (fun key -> Cuckoo.find c key = Hashtbl.find_opt model key) pool
       && Cuckoo.count c = Hashtbl.length model
-      && Cuckoo.stash_size c <= Cuckoo.count c
-      && Bucket_db.occupied (Cuckoo.db c) = Cuckoo.count c - Cuckoo.stash_size c
+      && Bucket_db.occupied (Cuckoo.db c) = Cuckoo.count c
       && Cuckoo.load_factor c
          = float_of_int (Cuckoo.count c) /. float_of_int (Bucket_db.size (Cuckoo.db c)))
 
@@ -95,58 +106,123 @@ let test_coincident_victim_not_ping_ponged () =
   in
   let a, _ = Cuckoo.candidates c p in
   (* F: occupies a directly (its first candidate is a, inserted while a
-     is empty), so P's displacement has to start at j. *)
+     is empty), so P's displacement has to start at j; F's other
+     candidate b is free. *)
   let f =
     scan_keys ~limit:4096 (fun k ->
-        let i0, _ = Cuckoo.candidates c k in i0 = a && k <> p && k <> v)
+        let i0, i1 = Cuckoo.candidates c k in
+        i0 = a && i1 <> a && i1 <> j && k <> p && k <> v)
   in
+  let _, b = Cuckoo.candidates c f in
   Alcotest.(check (result unit reject)) "insert V" (Ok ()) (Cuckoo.insert c ~key:v ~value:"vv");
   Alcotest.(check (result unit reject)) "insert F" (Ok ()) (Cuckoo.insert c ~key:f ~value:"vf");
-  Alcotest.(check int) "stash empty before the collision" 0 (Cuckoo.stash_size c);
   writes := 0;
-  (* Both of P's candidates are occupied and the victim at j cannot move:
-     the fix sends P straight to the stash with ZERO bucket writes. The
-     old code swapped the slot with itself until max_kicks — hundreds of
-     writes (every one a dirtied epoch bucket) before stashing anyway. *)
+  (* Both of P's candidates are occupied and the victim at j cannot move.
+     The old code swapped the slot with itself until max_kicks (hundreds
+     of dirtied epoch buckets), and later stashed P where no client
+     probe could see it. P now continues from its other candidate a:
+     F moves on to b, and P takes a — two writes. *)
   Alcotest.(check (result unit reject)) "insert P" (Ok ()) (Cuckoo.insert c ~key:p ~value:"vp");
-  Alcotest.(check int) "no bucket writes for an immovable victim" 0 !writes;
-  Alcotest.(check int) "pending record stashed" 1 (Cuckoo.stash_size c);
-  Alcotest.(check (option string)) "victim untouched" (Some "vv") (Cuckoo.find c v);
-  Alcotest.(check (option string)) "filler untouched" (Some "vf") (Cuckoo.find c f);
-  Alcotest.(check (option string)) "pending findable via stash" (Some "vp") (Cuckoo.find c p);
+  Alcotest.(check int) "two bucket writes" 2 !writes;
+  let at i = Record.decode (Bucket_db.get (Cuckoo.db c) i) |> Option.map fst in
+  Alcotest.(check (option string)) "victim stays at j" (Some v) (at j);
+  Alcotest.(check (option string)) "pending record in its other candidate" (Some p) (at a);
+  Alcotest.(check (option string)) "filler moved to its other candidate" (Some f) (at b);
+  Alcotest.(check (option string)) "pending findable" (Some "vp") (Cuckoo.find c p);
   Alcotest.(check int) "all three counted" 3 (Cuckoo.count c)
 
-let test_stash_drains_to_zero () =
+let test_full_table_fails_closed () =
   let c = Cuckoo.create ~domain_bits:3 ~bucket_size:64 () in
   let keys = List.init 12 (Printf.sprintf "drain-key-%02d") in
+  (* 12 records for 8 buckets: at least 4 inserts must be refused, each
+     leaving every bucket exactly as it found it *)
+  let stored =
+    List.filter
+      (fun k ->
+        let before = buckets c in
+        match Cuckoo.insert c ~key:k ~value:(String.uppercase_ascii k) with
+        | Ok () -> true
+        | Error `Full ->
+            Alcotest.(check bool) ("no trace of refused " ^ k) true (buckets c = before);
+            false
+        | Error `Too_large -> Alcotest.fail "tiny record rejected")
+      keys
+  in
+  Alcotest.(check bool) "some refused" true (List.length stored <= 8);
+  Alcotest.(check int) "count = stored" (List.length stored) (Cuckoo.count c);
+  Alcotest.(check int) "every record in a bucket" (Cuckoo.count c)
+    (Bucket_db.occupied (Cuckoo.db c));
   List.iter
     (fun k ->
-      match Cuckoo.insert c ~key:k ~value:(String.uppercase_ascii k) with
-      | Ok () -> ()
-      | Error `Too_large -> Alcotest.fail "tiny record rejected")
+      let found = Cuckoo.find c k in
+      if List.mem k stored then
+        Alcotest.(check (option string)) ("stored " ^ k) (Some (String.uppercase_ascii k)) found
+      else Alcotest.(check (option string)) ("refused " ^ k) None found)
     keys;
-  (* 12 records in 8 buckets: at least 4 must be stash-resident. *)
-  Alcotest.(check bool) "stash under pressure" true (Cuckoo.stash_size c >= 4);
-  Alcotest.(check int) "nothing lost" 12 (Cuckoo.count c);
-  (* Remove in insertion order until the stash drains; it must reach 0
-     while records remain (the old stash ratcheted up for the table's
-     lifetime), and every survivor must stay findable throughout. *)
-  let rec drain = function
-    | [] -> Alcotest.fail "stash never drained"
-    | k :: rest ->
-        Alcotest.(check bool) "remove" true (Cuckoo.remove c k);
-        List.iter
-          (fun k' ->
-            Alcotest.(check (option string))
-              ("survivor " ^ k')
-              (Some (String.uppercase_ascii k'))
-              (Cuckoo.find c k'))
-          rest;
-        if Cuckoo.stash_size c > 0 then drain rest
+  (* a removal frees a bucket; the next insert can use it *)
+  Alcotest.(check bool) "remove" true (Cuckoo.remove c (List.hd stored));
+  Alcotest.(check int) "count after remove" (List.length stored - 1) (Cuckoo.count c)
+
+(* Every path a universe accepts must be readable through its two
+   candidate buckets alone: that is all the keyword verb probes. The
+   geometry and inputs are perfbench's get-small ones (2^10 x 256 B
+   data, 600 generated pages over 16 sites, universe seed
+   "perfbench/<seed>/0"); seeds 11, 201, 206 and 309 used to leave a
+   record in the cuckoo stash, invisible to clients. *)
+let test_accepted_paths_in_candidate_buckets () =
+  let geometry =
+    {
+      Lightweb.Universe.code_blob_size = 1024;
+      data_blob_size = 256;
+      fetches_per_page = 5;
+      code_domain_bits = 6;
+      data_domain_bits = 10;
+    }
   in
-  drain keys;
-  Alcotest.(check bool) "drained before empty" true (Cuckoo.count c > 0);
-  Alcotest.(check int) "stash at zero" 0 (Cuckoo.stash_size c)
+  let profile =
+    { Lw_sim.Corpus.name = "small-pages"; total_bytes = 0.; pages = 0.; avg_page_bytes = 100. }
+  in
+  for seed = 10 to 309 do
+    let rng = Lw_util.Det_rng.create (Int64.of_int seed) in
+    let corpus = Lw_sim.Corpus.generate ~sites:16 ~sigma:0.4 profile ~n_pages:600 rng in
+    let u =
+      Lightweb.Universe.create ~seed:(Printf.sprintf "perfbench/%d/0" seed) ~name:"perfbench"
+        geometry
+    in
+    Array.iter
+      (fun domain ->
+        match Lightweb.Universe.claim_domain u ~publisher:"p" ~domain with
+        | Ok () -> ()
+        | Error e -> Alcotest.fail e)
+      corpus.Lw_sim.Corpus.sites;
+    let accepted =
+      Array.to_list corpus.Lw_sim.Corpus.pages
+      |> List.filter_map (fun (pg : Lw_sim.Corpus.page) ->
+             let value = Lw_json.Json.Obj [ ("body", Lw_json.Json.String pg.body) ] in
+             match Lightweb.Universe.push_data u ~publisher:"p" ~path:pg.path ~value with
+             | Ok () -> Some (pg.path, Lw_json.Json.to_string value)
+             | Error _ -> None)
+    in
+    (* a refused push leaves no trace in the data index either *)
+    Alcotest.(check (list string))
+      (Printf.sprintf "seed %d: data paths = accepted paths" seed)
+      (List.sort String.compare (List.map fst accepted))
+      (Lightweb.Universe.data_paths u);
+    ignore (Lightweb.Universe.publish_updates u);
+    let kw = Lightweb.Universe.keyword_store u in
+    let snap = Kw_store.snapshot kw in
+    Alcotest.(check int) (Printf.sprintf "seed %d: stash" seed) 0 (Kw_store.stash_size kw);
+    Alcotest.(check int)
+      (Printf.sprintf "seed %d: keyword entries = accepted paths" seed)
+      (List.length accepted) (Kw_store.count kw);
+    List.iter
+      (fun (path, text) ->
+        let i0, i1 = Kw_store.candidates kw path in
+        let probe i = Record.decode_for_key ~key:path (Lw_store.Snapshot.get snap i) in
+        let got = match probe i0 with Some v -> Some v | None -> probe i1 in
+        Alcotest.(check (option string)) (Printf.sprintf "seed %d: %s" seed path) (Some text) got)
+      accepted
+  done
 
 let test_insert_overwrites_in_place () =
   let writes = ref 0 in
@@ -162,7 +238,7 @@ let test_insert_overwrites_in_place () =
 (* ---------------- wire v4 ---------------- *)
 
 let test_wire_v4_roundtrip () =
-  Alcotest.(check int) "protocol version" 5 Wire.protocol_version;
+  Alcotest.(check int) "protocol version" 6 Wire.protocol_version;
   let q = Wire.Keyword_query { qid = 42; epoch = 7; dpf_key0 = "KEY-ZERO\x00\xff"; dpf_key1 = "key-one" } in
   (match Wire.decode_client (Wire.encode_client q) with
   | Ok (Wire.Keyword_query { qid; epoch; dpf_key0; dpf_key1 }) ->
@@ -465,7 +541,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_cuckoo_matches_model;
           Alcotest.test_case "coincident victim not ping-ponged" `Quick
             test_coincident_victim_not_ping_ponged;
-          Alcotest.test_case "stash drains to zero" `Quick test_stash_drains_to_zero;
+          Alcotest.test_case "full table fails closed" `Quick test_full_table_fails_closed;
+          Alcotest.test_case "accepted paths in candidate buckets" `Slow
+            test_accepted_paths_in_candidate_buckets;
           Alcotest.test_case "overwrite writes once" `Quick test_insert_overwrites_in_place;
         ] );
       ( "wire-v4",
