@@ -116,17 +116,18 @@ let check_bucket_scan ?(domain_bits = 6) ?(bucket_size = 32) ?(alphas = [ 3; 47 
   end
 
 (* ------------------------------------------------------------------ *)
-(* Bit-packed batch scan (PIR mode)                                    *)
+(* Lane-group batch scan (PIR mode)                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* The batched kernel streams the database in blocks, revisiting each
-   block once per 8-query pack; the observable per-bucket trace is the
-   same deterministic block walk whatever the secret indices are. Drive
-   [answer_batch] with several distinct batches of secrets (both key
-   shares of each) and assert (1) the traces are identical across
+(* The batched kernel streams the database in blocks and passes over
+   each block once per lane group ([Xorbuf.lane_passes] of the width, a
+   public function of the width alone); the observable per-bucket trace
+   is the same deterministic block walk whatever the secret indices are.
+   Drive [answer_batch] with several distinct batches of secrets (both
+   key shares of each) and assert (1) the traces are identical across
    batches and parties, and (2) every bucket appears exactly once per
-   pack — i.e. coverage is full and no bucket's visit count correlates
-   with any query's target. *)
+   pass — i.e. coverage is full and no bucket's visit count correlates
+   with any query's target. [Ok visits] reports that per-bucket count. *)
 let batch_scan_traces ~domain_bits ~bucket_size alphas =
   let db = Lw_pir.Bucket_db.create ~domain_bits ~bucket_size in
   Lw_pir.Bucket_db.fill_random db (Lw_util.Det_rng.of_string_seed "trace-check-db");
@@ -157,7 +158,7 @@ let check_batch_scan ?(domain_bits = 5) ?(bucket_size = 24)
   | [ width ] when width < 2 || List.length batches < 2 ->
       err "check_batch_scan: need >= 2 batches of >= 2 queries"
   | [ width ] -> (
-      let n_packs = (width + 7) / 8 in
+      let passes = Lw_util.Xorbuf.lane_passes width in
       let size = 1 lsl domain_bits in
       let traces =
         List.concat_map (batch_scan_traces ~domain_bits ~bucket_size) batches
@@ -178,13 +179,15 @@ let check_batch_scan ?(domain_bits = 5) ?(bucket_size = 24)
             | Some i -> err "batch scan trace left the bucket range: %d" i
             | None ->
                 let bad = ref None in
-                Array.iteri (fun i c -> if c <> n_packs && !bad = None then bad := Some (i, c)) counts;
+                Array.iteri
+                  (fun i c -> if c <> passes && !bad = None then bad := Some (i, c))
+                  counts;
                 (match !bad with
                 | Some (i, c) ->
                     err
-                      "batch scan visited bucket %d %d times (expected once per pack, %d)"
-                      i c n_packs
-                | None -> Ok ())
+                      "batch scan visited bucket %d %d times (expected once per pass, %d)"
+                      i c passes
+                | None -> Ok passes)
           end)
 
 (* ------------------------------------------------------------------ *)
@@ -524,7 +527,7 @@ let check_all () =
       | Ok () -> (
           match check_batch_scan () with
           | Error _ as e -> e
-          | Ok () -> (
+          | Ok _ -> (
               match check_partitioned_scan () with
               | Error _ as e -> e
               | Ok () -> (

@@ -69,8 +69,8 @@ module type S = sig
   (** Two-server PIR: one XOR-share scan for one DPF key. *)
 
   val answer_batch : view -> Lw_dpf.Dpf.key array -> (string array, int * string) result
-  (** Batch entry (also the width-2 keyword probe pair): the bit-packed
-      kernel's one-pass-per-8-queries path. *)
+  (** Batch entry (also the width-2 keyword probe pair): the lane-group
+      kernel's one streamed traversal per batch. *)
 
   val spir_hint : view -> (string, int * string) result
   (** Single-server PIR: the pinned epoch's serialized public hint. *)

@@ -101,7 +101,7 @@ val get_batch : t -> string list -> (string option list, string) result
     A keyword GET privately probes {e both} cuckoo candidate buckets of
     the key (salts 0/1 of the Welcome hash key) as one wire-v4
     [Keyword_query]: two fresh DPF key shares per server, answered as a
-    single width-2 entry into the server's bit-packed batch scan — one
+    single width-2 entry into the server's lane-group batch scan — one
     round trip, ~one scan pass. The shape is fixed and query-independent
     (always two probes, even when the candidates coincide), so the verb
     leaks nothing about the key; retries regenerate all DPF keys as
@@ -113,8 +113,8 @@ val keyword_get : t -> string -> (string option, string) result
 
 val keyword_get_batch : t -> string list -> (string option list, string) result
 (** k correlated keyword lookups in one round trip: the 2k candidate
-    probes ride a single [Pir_batch] (bit-packed, one scan pass per 8
-    probes) and are re-paired per keyword on decode — how a cluster
+    probes ride a single [Pir_batch] (one streamed traversal of the data
+    for the batch) and are re-paired per keyword on decode — how a cluster
     retrieval fetches its members. *)
 
 val keyword_candidates : t -> string -> int * int

@@ -131,9 +131,9 @@ val answer : t -> Lw_dpf.Dpf.key -> string
 
 val answer_batch : t -> Lw_dpf.Dpf.key array -> string array
 (** Batched private-GET: each shard receives the whole batch of its
-    sub-keys and answers them through the bit-packed scan kernel
-    ({!Lw_pir.Server.answer_batch}), so a batch pays one streamed pass
-    over each shard's slice per 8 queries. When a fan-out tree is active
+    sub-keys and answers them through the lane-group scan kernel
+    ({!Lw_pir.Server.answer_batch}), so a batch pays one streamed
+    traversal of each shard's slice. When a fan-out tree is active
     ({!set_tree_fanout}), each key's sub-keys are derived through the
     hierarchical walk instead of the flat split — bit-identical leaves,
     so the shard batches are unchanged. [answer_batch t [|k|]] and

@@ -50,26 +50,22 @@ val xor_block_into_masked :
     one bounds gate). Tracing records every bucket individually, exactly
     as the scalar path would. *)
 
-val xor_block_into_masked2 :
+val xor_block_into_lanes :
   t ->
   base:int ->
   count:int ->
-  bits0:Bytes.t ->
-  bits0_pos:int ->
-  bits1:Bytes.t ->
-  bits1_pos:int ->
-  dst0:Bytes.t ->
-  dst1:Bytes.t ->
+  bits:Bytes.t ->
+  bits_pos:int ->
+  stride:int ->
+  dsts:Bytes.t array ->
   unit
-(** Width-2 fused block step ({!Lw_util.Xorbuf.xor_buckets_masked2}): one
-    streamed pass over the block feeds both accumulators — the two-probe
-    keyword scan. Each bucket is traced once, like a packed pass. *)
-
-val xor_bucket_into_packed : t -> int -> pack:int -> dsts:Bytes.t array -> unit
-(** [xor_bucket_into_packed db i ~pack ~dsts] streams bucket [i] once into
-    the 1–8 accumulators of [dsts], lane [q] masked by bit [q] of [pack] —
-    the bit-packed batch scan's step. The bucket is recorded once in the
-    access trace regardless of how many lanes ride the pass. *)
+(** [xor_block_into_lanes db ~base ~count ~bits ~bits_pos ~stride ~dsts]
+    is the batch scan's block step ({!Lw_util.Xorbuf.xor_buckets_lanes}):
+    the [count] buckets from [base] feed every accumulator of [dsts], lane
+    [q] selecting bucket [base + j] by bit [q land 7] of
+    [bits.[bits_pos + (q lsr 3) * stride + j]]. Tracing records every
+    bucket once per pass the kernel makes
+    ({!Lw_util.Xorbuf.lane_passes} of the width). *)
 
 val set_tracing : t -> bool -> unit
 (** Enable/disable access tracing; either way the trace is reset. Tracing

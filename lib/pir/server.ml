@@ -3,7 +3,7 @@
    pinned [Lw_store] snapshot (the production path, where the database
    keeps moving underneath and each answer must come from exactly the
    epoch the client queried). The scan kernels are identical either way
-   — the snapshot exposes the same masked/packed/blocked XOR entry
+   — the snapshot exposes the same masked and lane-group block entry
    points as the flat database, with the same per-bucket tracing. *)
 
 type source = Flat of Bucket_db.t | Snapshot of Lw_store.Snapshot.t
@@ -47,24 +47,16 @@ let xor_bucket_into_masked t i ~mask ~dst =
   | Flat db -> Bucket_db.xor_bucket_into_masked db i ~mask ~dst
   | Snapshot s -> Lw_store.Snapshot.xor_bucket_into_masked s i ~mask ~dst
 
-let xor_bucket_into_packed t i ~pack ~dsts =
-  match t.src with
-  | Flat db -> Bucket_db.xor_bucket_into_packed db i ~pack ~dsts
-  | Snapshot s -> Lw_store.Snapshot.xor_bucket_into_packed s i ~pack ~dsts
-
 let xor_block_into_masked t ~base ~count ~bits ~bits_pos ~dst =
   match t.src with
   | Flat db -> Bucket_db.xor_block_into_masked db ~base ~count ~bits ~bits_pos ~dst
   | Snapshot s -> Lw_store.Snapshot.xor_block_into_masked s ~base ~count ~bits ~bits_pos ~dst
 
-let xor_block_into_masked2 t ~base ~count ~bits0 ~bits0_pos ~bits1 ~bits1_pos ~dst0 ~dst1 =
+let xor_block_into_lanes t ~base ~count ~bits ~bits_pos ~stride ~dsts =
   match t.src with
-  | Flat db ->
-      Bucket_db.xor_block_into_masked2 db ~base ~count ~bits0 ~bits0_pos ~bits1 ~bits1_pos ~dst0
-        ~dst1
+  | Flat db -> Bucket_db.xor_block_into_lanes db ~base ~count ~bits ~bits_pos ~stride ~dsts
   | Snapshot s ->
-      Lw_store.Snapshot.xor_block_into_masked2 s ~base ~count ~bits0 ~bits0_pos ~bits1 ~bits1_pos
-        ~dst0 ~dst1
+      Lw_store.Snapshot.xor_block_into_lanes s ~base ~count ~bits ~bits_pos ~stride ~dsts
 
 let check_domain t k =
   if Lw_dpf.Dpf.domain_bits k <> domain_bits t then
@@ -103,9 +95,9 @@ let scan t bits =
 
 (* Cache budget for one streamed block of database: big enough to
    amortise per-block overheads, small enough that a block and the
-   accumulators it feeds stay resident while a batch's packs revisit it.
-   Matches [Lw_store]'s CoW block budget, so a fused-scan block never
-   spans more than two CoW blocks of a snapshot. *)
+   accumulators it feeds stay resident while a batch's later lane groups
+   re-read it. Matches [Lw_store]'s CoW block budget, so a fused-scan
+   block never spans more than two CoW blocks of a snapshot. *)
 let block_bytes = 1 lsl 18
 
 let block_bits_for t =
@@ -133,75 +125,47 @@ let answer t k =
   Lw_obs.Metrics.add m_scan_bytes (total_bytes t);
   Bytes.unsafe_to_string acc
 
-(* Width-2 fusion — the keyword verb's two-probe shape and every batch of
-   exactly two queries: key 1's bits are materialised blockwise into a
-   full-domain buffer (blit, no per-leaf closure), then key 0's blocked
-   traversal drives ONE pass over the data feeding both accumulators
-   ([xor_block_into_masked2] loads each source word once). The pair costs
-   two DPF evaluations plus a single memory traversal, instead of the
-   generic packed kernel's per-bucket, per-lane dispatch. *)
-let answer_pair t k0 k1 =
-  check_domain t k0;
-  check_domain t k1;
-  let block_bits = block_bits_for t in
-  let bits1 = Bytes.create (size t) in
-  Lw_dpf.Dpf.eval_bits_blocked k1 ~block_bits (fun base buf count ->
-      Bytes.blit buf 0 bits1 base count);
-  let acc0 = Bytes.make (bucket_size t) '\x00' in
-  let acc1 = Bytes.make (bucket_size t) '\x00' in
-  Lw_dpf.Dpf.eval_bits_blocked k0 ~block_bits (fun base bits count ->
-      xor_block_into_masked2 t ~base ~count ~bits0:bits ~bits0_pos:0 ~bits1 ~bits1_pos:base
-        ~dst0:acc0 ~dst1:acc1);
-  Lw_obs.Metrics.incr m_batches;
-  Lw_obs.Metrics.add m_answers 2;
-  Lw_obs.Metrics.add m_scan_bytes (total_bytes t);
-  (Bytes.unsafe_to_string acc0, Bytes.unsafe_to_string acc1)
+(* The lane-group batch scan over the [2^rem] buckets from [lo]: [keys]
+   are rebased to that range (the full domain when [lo = 0]). Each key's
+   blocked traversal ORs its 0/1 leaf bytes into bit [q land 7] of plane
+   [q lsr 3] of [bits] (at least [ceil(k/8) * 2^rem] bytes), then every
+   fused block feeds all [k] accumulators in [Xorbuf.lane_passes k]
+   straight-line passes: the first pass streams the block from memory,
+   the later ones re-read it from cache. *)
+let scan_lanes t ~keys ~lo ~rem ~bits ~accs =
+  let span = 1 lsl rem in
+  let block_bits = min rem (block_bits_for t) in
+  Bytes.fill bits 0 (((Array.length keys + 7) / 8) * span) '\x00';
+  Array.iteri
+    (fun q k ->
+      let plane = (q lsr 3) * span and lane = q land 7 in
+      Lw_dpf.Dpf.eval_bits_blocked k ~block_bits (fun base buf count ->
+          Lw_util.Xorbuf.set_lane_bits ~src:buf ~src_pos:0 ~dst:bits ~dst_pos:(plane + base)
+            ~len:count ~lane))
+    keys;
+  let block = 1 lsl block_bits in
+  for b = 0 to (span / block) - 1 do
+    xor_block_into_lanes t ~base:(lo + (b * block)) ~count:block ~bits ~bits_pos:(b * block)
+      ~stride:span ~dsts:accs
+  done
 
-(* Bit-packed batching: up to 8 queries' selection bits share one byte
-   per bucket, and the scan streams each database block once per pack,
-   feeding all of the pack's accumulators from the same resident bytes.
-   A batch therefore costs one DB traversal (plus register-masked XOR
-   work per lane) instead of [n] re-entries of the scalar scan. *)
+(* A batch of one is the fused single answer; wider batches share one
+   streamed traversal of the database through the lane-group kernel. *)
 let answer_batch t keys =
   Array.iter (check_domain t) keys;
   let n = Array.length keys in
   if n = 0 then [||]
   else if n = 1 then [| answer t keys.(0) |]
-  else if n = 2 then begin
-    let a0, a1 = answer_pair t keys.(0) keys.(1) in
-    [| a0; a1 |]
-  end
   else begin
-    let size = size t in
-    let bucket = bucket_size t in
-    let n_packs = (n + 7) / 8 in
-    (* pack p's byte for bucket i carries query [8p+q]'s bit at bit q *)
-    let packed = Array.init n_packs (fun _ -> Bytes.make size '\x00') in
-    Array.iteri
-      (fun q k ->
-        let p = packed.(q lsr 3) and bit = q land 7 in
-        Lw_dpf.Dpf.eval_all_bits k (fun i b ->
-            let cur = Char.code (Bytes.unsafe_get p i) in
-            Bytes.unsafe_set p i (Char.unsafe_chr (cur lor ((b land 1) lsl bit)))))
-      keys;
-    let accs = Array.init n (fun _ -> Bytes.make bucket '\x00') in
-    let lanes = Array.init n_packs (fun p -> Array.sub accs (8 * p) (min 8 (n - (8 * p)))) in
-    let block = max 1 (block_bytes / bucket) in
-    let base = ref 0 in
-    while !base < size do
-      let stop = min size (!base + block) in
-      for p = 0 to n_packs - 1 do
-        let bits = packed.(p) and dsts = lanes.(p) in
-        for i = !base to stop - 1 do
-          xor_bucket_into_packed t i ~pack:(Char.code (Bytes.unsafe_get bits i)) ~dsts
-        done
-      done;
-      base := stop
-    done;
+    let d = domain_bits t in
+    let bits = Bytes.create (((n + 7) / 8) lsl d) in
+    let accs = Array.init n (fun _ -> Bytes.make (bucket_size t) '\x00') in
+    scan_lanes t ~keys ~lo:0 ~rem:d ~bits ~accs;
     Lw_obs.Metrics.incr m_batches;
     Lw_obs.Metrics.add m_answers n;
-    (* the batch streams the database once per pack, not once per query *)
-    Lw_obs.Metrics.add m_scan_bytes (n_packs * total_bytes t);
+    (* later lane groups re-read cache-resident blocks: the batch streams
+       the database once, whatever its width *)
+    Lw_obs.Metrics.add m_scan_bytes (total_bytes t);
     Array.map Bytes.unsafe_to_string accs
   end
 
@@ -318,30 +282,6 @@ let answer_domains ?(cutoff_bytes = parallel_cutoff_bytes) ?domains t k =
     Bytes.unsafe_to_string out
   end
 
-(* One partition of the bit-packed batch kernel: [subs] are the batch's
-   keys rebased at this partition, [lane_accs] groups the caller's
-   accumulators into packs of <= 8, [bits] is a reusable partition-sized
-   scratch of packed selection bytes. *)
-let scan_partition_packed t ~subs ~lane_accs ~prefix ~rem ~bits =
-  let part = 1 lsl rem in
-  let base = prefix lsl rem in
-  let n = Array.length subs in
-  let n_packs = (n + 7) / 8 in
-  for p = 0 to n_packs - 1 do
-    Bytes.fill bits 0 part '\x00';
-    let lane_lo = 8 * p in
-    let lanes = min 8 (n - lane_lo) in
-    for q = 0 to lanes - 1 do
-      Lw_dpf.Dpf.eval_all_bits subs.(lane_lo + q) (fun j b ->
-          let cur = Char.code (Bytes.unsafe_get bits j) in
-          Bytes.unsafe_set bits j (Char.unsafe_chr (cur lor ((b land 1) lsl q))))
-    done;
-    let dsts = lane_accs.(p) in
-    for j = 0 to part - 1 do
-      xor_bucket_into_packed t (base + j) ~pack:(Char.code (Bytes.unsafe_get bits j)) ~dsts
-    done
-  done
-
 let answer_batch_domains ?(cutoff_bytes = parallel_cutoff_bytes) ?domains t keys =
   Array.iter (check_domain t) keys;
   let n = Array.length keys in
@@ -358,23 +298,17 @@ let answer_batch_domains ?(cutoff_bytes = parallel_cutoff_bytes) ?domains t keys
     let by_part = Array.init parts (fun p -> Array.map (fun s -> s.(p)) subs) in
     let nw = min workers parts in
     let bucket = bucket_size t in
-    let n_packs = (n + 7) / 8 in
     let accs = Array.init nw (fun _ -> Array.init n (fun _ -> Bytes.make bucket '\x00')) in
-    let lane_groups =
-      Array.init nw (fun w ->
-          Array.init n_packs (fun p -> Array.sub accs.(w) (8 * p) (min 8 (n - (8 * p)))))
-    in
     let next = Atomic.make 0 in
     (* Same discipline as [answer_domains]: claimed partitions, per-worker
        accumulators, join-then-reduce. *)
-    (* lw-lint: allow race lines=12 *)
+    (* lw-lint: allow race lines=11 *)
     let worker w () =
-      let bits = Bytes.create (1 lsl rem) in
-      let lane_accs = lane_groups.(w) in
+      let bits = Bytes.create (((n + 7) / 8) lsl rem) in
       let rec go () =
         let prefix = Atomic.fetch_and_add next 1 in
         if prefix < parts then begin
-          scan_partition_packed t ~subs:by_part.(prefix) ~lane_accs ~prefix ~rem ~bits;
+          scan_lanes t ~keys:by_part.(prefix) ~lo:(prefix lsl rem) ~rem ~bits ~accs:accs.(w);
           go ()
         end
       in
@@ -390,7 +324,7 @@ let answer_batch_domains ?(cutoff_bytes = parallel_cutoff_bytes) ?domains t keys
     Lw_obs.Metrics.incr m_batches;
     Lw_obs.Metrics.incr m_parallel;
     Lw_obs.Metrics.add m_answers n;
-    Lw_obs.Metrics.add m_scan_bytes (n_packs * total_bytes t);
+    Lw_obs.Metrics.add m_scan_bytes (total_bytes t);
     Array.map Bytes.unsafe_to_string out
   end
 

@@ -4,9 +4,9 @@
 
     The production path is the fused, blocked kernel: {!answer} consumes
     DPF leaf bits block-by-block against the matching database block as
-    the traversal produces them, and {!answer_batch} packs up to 8
-    queries' selection bits into one byte per bucket so a batch pays one
-    streamed pass over the data ({!Lw_util.Xorbuf.xor_into_packed}).
+    the traversal produces them, and {!answer_batch} feeds a batch's
+    accumulators from one streamed traversal of the data, lanes in
+    straight-line groups of three ({!Lw_util.Xorbuf.xor_buckets_lanes}).
 
     {!eval_bits} and {!scan} remain the seed's two-pass reference
     implementation: benchmarks (E1, E19) time its phases separately and
@@ -48,17 +48,17 @@ val scan : t -> Bytes.t -> string
 val answer : t -> Lw_dpf.Dpf.key -> string
 (** One private-GET response share, via the fused single-pass kernel. *)
 
-val answer_pair : t -> Lw_dpf.Dpf.key -> Lw_dpf.Dpf.key -> string * string
-(** Both responses from ONE streamed pass over the data — the width-2
-    fused kernel the keyword verb's two cuckoo probes ride: two DPF
-    evaluations, a single memory traversal, each source word loaded once
-    and masked into both accumulators. *)
-
 val answer_batch : t -> Lw_dpf.Dpf.key array -> string array
-(** All responses from one streamed pass over the data, selection bits
-    bit-packed 8 queries to the byte; a partial final pack (batch size
-    not a multiple of 8) runs the same kernel on fewer lanes. A batch of
-    exactly two rides {!answer_pair}. *)
+(** All responses from one streamed traversal of the data. A batch of
+    one is {!answer}. Wider batches evaluate each key blockwise into
+    packed selection bits ([ceil(k/8) * size] bytes of scratch), then
+    run every fused block through {!Lw_util.Xorbuf.xor_buckets_lanes}:
+    [Lw_util.Xorbuf.lane_passes k] word-major passes, each loading every
+    source word once for up to three accumulators. The first pass
+    streams the block from memory and the later ones re-read it from
+    cache, so [pir.server.scan_bytes] grows by one database size per
+    call, whatever the width. Width 2 is the keyword verb's two-probe
+    shape. *)
 
 (** {2 Domain-partitioned parallel scan}
 
@@ -87,8 +87,9 @@ val answer_domains : ?cutoff_bytes:int -> ?domains:int -> t -> Lw_dpf.Dpf.key ->
 
 val answer_batch_domains :
   ?cutoff_bytes:int -> ?domains:int -> t -> Lw_dpf.Dpf.key array -> string array
-(** {!answer_batch} (bit-packed lanes) with the partition-claiming worker
-    scheme of {!answer_domains}; byte-identical to {!answer_batch}. *)
+(** {!answer_batch} (lane-group kernel per partition) with the
+    partition-claiming worker scheme of {!answer_domains}; byte-identical
+    to {!answer_batch}. *)
 
 val answer_partitioned : ?partitions:int -> t -> Lw_dpf.Dpf.key -> string
 (** The partitioned kernels on a serial schedule (ascending partition

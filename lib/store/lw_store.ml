@@ -195,56 +195,43 @@ module Snapshot = struct
     Lw_util.Xorbuf.xor_into_masked ~mask ~src:s.blocks.(b)
       ~src_pos:(local * s.store.bucket_size) ~dst ~dst_pos:0 ~len:s.store.bucket_size
 
-  let xor_bucket_into_packed s i ~pack ~dsts =
-    check_index s i;
-    record s i;
-    let b, local = locate s i in
-    Lw_util.Xorbuf.xor_into_packed ~pack ~src:s.blocks.(b)
-      ~src_pos:(local * s.store.bucket_size) ~dsts ~dst_pos:0 ~len:s.store.bucket_size
+  (* Block entries: the requested [base, base+count) run may span several
+     CoW blocks; split it into per-block runs and hand each to the Xorbuf
+     kernel. Tracing stays bucket-granular, once per pass the kernel makes
+     over each run, exactly as in [Bucket_db], so the obliviousness
+     checker observes the same access sequence over a snapshot as over a
+     flat database. *)
+  let iter_runs s ~base ~count ~passes f =
+    if count < 0 || base < 0 || base > size s - count then
+      invalid_arg "Lw_store.Snapshot: block out of range";
+    let bb = 1 lsl s.store.block_bits in
+    let off = ref 0 in
+    while !off < count do
+      let i = base + !off in
+      let b = i lsr s.store.block_bits and local = i land (bb - 1) in
+      let run = min (count - !off) (bb - local) in
+      if s.store.trace.on then
+        for _ = 1 to passes do
+          for j = i to i + run - 1 do
+            s.store.trace.rev <- j :: s.store.trace.rev
+          done
+        done;
+      f ~off:!off ~run ~src:s.blocks.(b) ~src_pos:(local * s.store.bucket_size);
+      off := !off + run
+    done
 
-  (* Fused-scan block entry: the requested [base, base+count) run may
-     span several CoW blocks; split it into per-block runs and hand each
-     to the Xorbuf block kernel. Tracing stays bucket-granular, exactly
-     as in [Bucket_db], so the obliviousness checker observes the same
-     access sequence over a snapshot as over a flat database. *)
   let xor_block_into_masked s ~base ~count ~bits ~bits_pos ~dst =
-    if count < 0 || base < 0 || base > size s - count then
-      invalid_arg "Lw_store.Snapshot: block out of range";
-    if s.store.trace.on then
-      for j = 0 to count - 1 do
-        s.store.trace.rev <- (base + j) :: s.store.trace.rev
-      done;
-    let bb = 1 lsl s.store.block_bits in
-    let bsz = s.store.bucket_size in
-    let off = ref 0 in
-    while !off < count do
-      let i = base + !off in
-      let b = i lsr s.store.block_bits and local = i land (bb - 1) in
-      let run = min (count - !off) (bb - local) in
-      Lw_util.Xorbuf.xor_buckets_masked ~bits ~bits_pos:(bits_pos + !off) ~count:run
-        ~src:s.blocks.(b) ~src_pos:(local * bsz) ~bucket:bsz ~dst;
-      off := !off + run
-    done
+    let bucket = s.store.bucket_size in
+    iter_runs s ~base ~count ~passes:1 (fun ~off ~run ~src ~src_pos ->
+        Lw_util.Xorbuf.xor_buckets_masked ~bits ~bits_pos:(bits_pos + off) ~count:run ~src
+          ~src_pos ~bucket ~dst)
 
-  let xor_block_into_masked2 s ~base ~count ~bits0 ~bits0_pos ~bits1 ~bits1_pos ~dst0 ~dst1 =
-    if count < 0 || base < 0 || base > size s - count then
-      invalid_arg "Lw_store.Snapshot: block out of range";
-    if s.store.trace.on then
-      for j = 0 to count - 1 do
-        s.store.trace.rev <- (base + j) :: s.store.trace.rev
-      done;
-    let bb = 1 lsl s.store.block_bits in
-    let bsz = s.store.bucket_size in
-    let off = ref 0 in
-    while !off < count do
-      let i = base + !off in
-      let b = i lsr s.store.block_bits and local = i land (bb - 1) in
-      let run = min (count - !off) (bb - local) in
-      Lw_util.Xorbuf.xor_buckets_masked2 ~bits0 ~bits0_pos:(bits0_pos + !off) ~bits1
-        ~bits1_pos:(bits1_pos + !off) ~count:run ~src:s.blocks.(b) ~src_pos:(local * bsz)
-        ~bucket:bsz ~dst0 ~dst1;
-      off := !off + run
-    done
+  let xor_block_into_lanes s ~base ~count ~bits ~bits_pos ~stride ~dsts =
+    let bucket = s.store.bucket_size in
+    let passes = Lw_util.Xorbuf.lane_passes (Array.length dsts) in
+    iter_runs s ~base ~count ~passes (fun ~off ~run ~src ~src_pos ->
+        Lw_util.Xorbuf.xor_buckets_lanes ~bits ~bits_pos:(bits_pos + off) ~stride ~count:run
+          ~src ~src_pos ~bucket ~dsts)
 
   let set_tracing s on = set_tracing s.store on
   let access_trace s = access_trace s.store

@@ -133,33 +133,30 @@ module Snapshot : sig
   val is_empty : t -> int -> bool
   val occupied : t -> int
 
-  (** Scan kernels, mirroring [Bucket_db]: every bucket the kernel
-      streams is traced individually, so the obliviousness checker sees
-      the same per-bucket sequence over a snapshot as over a flat
+  (** Scan kernels, mirroring [Bucket_db]: every bucket is traced once
+      per pass the kernel makes over it, so the obliviousness checker
+      sees the same per-bucket sequence over a snapshot as over a flat
       database. *)
 
   val xor_bucket_into_masked : t -> int -> mask:int -> dst:Bytes.t -> unit
-  val xor_bucket_into_packed : t -> int -> pack:int -> dsts:Bytes.t array -> unit
 
   val xor_block_into_masked :
     t -> base:int -> count:int -> bits:Bytes.t -> bits_pos:int -> dst:Bytes.t -> unit
   (** Fused-scan block entry; the run may span CoW block boundaries and
       is split internally. *)
 
-  val xor_block_into_masked2 :
+  val xor_block_into_lanes :
     t ->
     base:int ->
     count:int ->
-    bits0:Bytes.t ->
-    bits0_pos:int ->
-    bits1:Bytes.t ->
-    bits1_pos:int ->
-    dst0:Bytes.t ->
-    dst1:Bytes.t ->
+    bits:Bytes.t ->
+    bits_pos:int ->
+    stride:int ->
+    dsts:Bytes.t array ->
     unit
-  (** Width-2 fused block entry (the two-probe keyword scan): one pass
-      over the run feeds both accumulators; spans CoW blocks like
-      {!xor_block_into_masked}. Each bucket is traced once. *)
+  (** Batch block entry ({!Lw_util.Xorbuf.xor_buckets_lanes}); spans CoW
+      blocks like {!xor_block_into_masked}. Each bucket is traced once
+      per pass the kernel makes over it. *)
 
   val set_tracing : t -> bool -> unit
   val access_trace : t -> int list

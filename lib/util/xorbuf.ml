@@ -52,25 +52,46 @@ let xor_into_masked ~mask ~src ~src_pos ~dst ~dst_pos ~len =
     Bytes.unsafe_set dst (dst_pos + i) (Char.unsafe_chr ((s land mask) lxor d))
   done
 
-(* Fused-scan block kernel: XOR [count] consecutive [bucket]-byte records
-   of [src] into [dst], record [j] masked by the selection byte
-   [bits.[bits_pos + j]] (0 or 1). One bounds gate for the whole block,
-   then unchecked words; every record costs the same read-modify-write of
-   [dst] whether selected or not, preserving the constant-trace
-   discipline of [xor_into_masked] at block granularity. *)
-let xor_buckets_masked ~bits ~bits_pos ~count ~src ~src_pos ~bucket ~dst =
-  if bucket <= 0 || count < 0 then invalid_arg "Xorbuf.xor_buckets_masked: bad geometry";
-  check_bounds "xor_buckets_masked(bits)" bits_pos count (Bytes.length bits);
-  check_bounds "xor_buckets_masked(src)" src_pos (count * bucket) (Bytes.length src);
-  check_bounds "xor_buckets_masked(dst)" 0 bucket (Bytes.length dst);
+(* ------------------------------------------------------------------ *)
+(* Lane-group batch kernels                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* A batch of k queries shares one scan: lane [q]'s selection bit for
+   record [j] is bit [q land 7] of [bits.[bits_pos + (q lsr 3) * stride + j]]
+   (8 lanes packed per byte, one [stride]-byte plane per 8 lanes). The
+   lanes are cut into groups of [lane_group]; each group makes one
+   straight-line, word-major pass over the block, loading every source
+   word once and masking it into each of the group's accumulators. A
+   generic loop over lanes inside the word loop costs several times
+   more, and a 4-lane group spills registers; three lanes cost the least
+   per lane-word of the widths tried (EXPERIMENTS.md E19), so the width
+   is fixed here rather than tuned per call. The first group streams the
+   block from memory; later groups re-read it from cache. *)
+let lane_group = 3
+let lane_passes lanes = (lanes + lane_group - 1) / lane_group
+
+(* Splat lane bit [shift] of a selection byte to a full word mask. The
+   masks are the query's selection bits: lint keeps every use of them
+   arithmetic, never a branch or an address. *)
+(* lw-lint: secret ma mb mc mask *)
+let[@inline] lane_mask bits pos shift =
+  Int64.neg (Int64.of_int ((Char.code (Bytes.unsafe_get bits pos) lsr shift) land 1))
+
+let[@inline] xor_tail ~src ~i ~dst ~pos mask =
+  let m = Int64.to_int mask land 0xff in
+  let s = Char.code (Bytes.unsafe_get src i) in
+  Bytes.unsafe_set dst pos (Char.unsafe_chr ((s land m) lxor Char.code (Bytes.unsafe_get dst pos)))
+
+(* The group kernels run unchecked: [xor_buckets_masked] and
+   [xor_buckets_lanes] validate every range once before dispatching.
+   Every record costs the same read-modify-write of each accumulator
+   whether its lane's bit is set or not, so the memory trace is
+   independent of the selection bits. *)
+let group1 ~bits ~p0 ~s0 ~count ~src ~src_pos ~bucket ~d0 =
   let words = bucket / 8 in
   let words4 = words land lnot 3 in
-  let tail = 8 * words in
   for j = 0 to count - 1 do
-    let b = Char.code (Bytes.unsafe_get bits (bits_pos + j)) land 1 in
-    (* splat the selection bit to a full word: 0x00..00 or 0xff..ff *)
-    let m64 = Int64.neg (Int64.of_int b) in
-    let m = (0 - b) land 0xff in
+    let ma = lane_mask bits (p0 + j) s0 in
     let base = src_pos + (j * bucket) in
     (* 4-way unrolled: buckets are word-multiples in practice, and the
        loop-carried overhead is what separates this kernel from memory
@@ -78,51 +99,42 @@ let xor_buckets_masked ~bits ~bits_pos ~count ~src ~src_pos ~bucket ~dst =
     let o = ref 0 in
     while !o < 8 * words4 do
       let o0 = !o in
-      let s0 = unsafe_get64 src (base + o0) and d0 = unsafe_get64 dst o0 in
-      let s1 = unsafe_get64 src (base + o0 + 8) and d1 = unsafe_get64 dst (o0 + 8) in
-      let s2 = unsafe_get64 src (base + o0 + 16) and d2 = unsafe_get64 dst (o0 + 16) in
-      let s3 = unsafe_get64 src (base + o0 + 24) and d3 = unsafe_get64 dst (o0 + 24) in
-      unsafe_set64 dst o0 (Int64.logxor (Int64.logand s0 m64) d0);
-      unsafe_set64 dst (o0 + 8) (Int64.logxor (Int64.logand s1 m64) d1);
-      unsafe_set64 dst (o0 + 16) (Int64.logxor (Int64.logand s2 m64) d2);
-      unsafe_set64 dst (o0 + 24) (Int64.logxor (Int64.logand s3 m64) d3);
+      let s0 = unsafe_get64 src (base + o0) and x0 = unsafe_get64 d0 o0 in
+      let s1 = unsafe_get64 src (base + o0 + 8) and x1 = unsafe_get64 d0 (o0 + 8) in
+      let s2 = unsafe_get64 src (base + o0 + 16) and x2 = unsafe_get64 d0 (o0 + 16) in
+      let s3 = unsafe_get64 src (base + o0 + 24) and x3 = unsafe_get64 d0 (o0 + 24) in
+      unsafe_set64 d0 o0 (Int64.logxor (Int64.logand s0 ma) x0);
+      unsafe_set64 d0 (o0 + 8) (Int64.logxor (Int64.logand s1 ma) x1);
+      unsafe_set64 d0 (o0 + 16) (Int64.logxor (Int64.logand s2 ma) x2);
+      unsafe_set64 d0 (o0 + 24) (Int64.logxor (Int64.logand s3 ma) x3);
       o := o0 + 32
     done;
     for w = words4 to words - 1 do
-      let s = unsafe_get64 src (base + (8 * w)) in
-      let d = unsafe_get64 dst (8 * w) in
-      unsafe_set64 dst (8 * w) (Int64.logxor (Int64.logand s m64) d)
+      let o = 8 * w in
+      let s = unsafe_get64 src (base + o) in
+      unsafe_set64 d0 o (Int64.logxor (Int64.logand s ma) (unsafe_get64 d0 o))
     done;
-    for i = tail to bucket - 1 do
-      let s = Char.code (Bytes.unsafe_get src (base + i)) in
-      let d = Char.code (Bytes.unsafe_get dst i) in
-      Bytes.unsafe_set dst i (Char.unsafe_chr ((s land m) lxor d))
+    for i = 8 * words to bucket - 1 do
+      xor_tail ~src ~i:(base + i) ~dst:d0 ~pos:i ma
     done
   done
 
-(* Width-2 fused-scan block kernel: the two-probe keyword shape. One
-   streamed pass over [count] records feeds BOTH accumulators — each
-   source word is loaded once and masked-XORed into [dst0] and [dst1],
-   so the pair pays one memory traversal plus a second register-masked
-   accumulation instead of two scans (or the per-lane indexing of the
-   generic packed kernel). Both lanes do identical memory work whatever
-   their bits. *)
-let xor_buckets_masked2 ~bits0 ~bits0_pos ~bits1 ~bits1_pos ~count ~src ~src_pos ~bucket ~dst0
-    ~dst1 =
-  if bucket <= 0 || count < 0 then invalid_arg "Xorbuf.xor_buckets_masked2: bad geometry";
-  check_bounds "xor_buckets_masked2(bits0)" bits0_pos count (Bytes.length bits0);
-  check_bounds "xor_buckets_masked2(bits1)" bits1_pos count (Bytes.length bits1);
-  check_bounds "xor_buckets_masked2(src)" src_pos (count * bucket) (Bytes.length src);
-  check_bounds "xor_buckets_masked2(dst0)" 0 bucket (Bytes.length dst0);
-  check_bounds "xor_buckets_masked2(dst1)" 0 bucket (Bytes.length dst1);
+(* Fused-scan block kernel: XOR [count] consecutive [bucket]-byte records
+   of [src] into [dst], record [j] masked by the selection byte
+   [bits.[bits_pos + j]] (0 or 1) — the one-lane group with the
+   selection bit in bit 0. One bounds gate for the whole block. *)
+let xor_buckets_masked ~bits ~bits_pos ~count ~src ~src_pos ~bucket ~dst =
+  if bucket <= 0 || count < 0 then invalid_arg "Xorbuf.xor_buckets_masked: bad geometry";
+  check_bounds "xor_buckets_masked(bits)" bits_pos count (Bytes.length bits);
+  check_bounds "xor_buckets_masked(src)" src_pos (count * bucket) (Bytes.length src);
+  check_bounds "xor_buckets_masked(dst)" 0 bucket (Bytes.length dst);
+  group1 ~bits ~p0:bits_pos ~s0:0 ~count ~src ~src_pos ~bucket ~d0:dst
+
+let group2 ~bits ~p0 ~s0 ~p1 ~s1 ~count ~src ~src_pos ~bucket ~d0 ~d1 =
   let words = bucket / 8 in
   let words4 = words land lnot 3 in
-  let tail = 8 * words in
   for j = 0 to count - 1 do
-    let b0 = Char.code (Bytes.unsafe_get bits0 (bits0_pos + j)) land 1 in
-    let b1 = Char.code (Bytes.unsafe_get bits1 (bits1_pos + j)) land 1 in
-    let ma = Int64.neg (Int64.of_int b0) and mb = Int64.neg (Int64.of_int b1) in
-    let m0 = (0 - b0) land 0xff and m1 = (0 - b1) land 0xff in
+    let ma = lane_mask bits (p0 + j) s0 and mb = lane_mask bits (p1 + j) s1 in
     let base = src_pos + (j * bucket) in
     (* 4-way unrolled: four source loads feed eight masked accumulations
        per iteration without spilling the two masks *)
@@ -133,87 +145,104 @@ let xor_buckets_masked2 ~bits0 ~bits0_pos ~bits1 ~bits1_pos ~count ~src ~src_pos
       let s1 = unsafe_get64 src (base + o0 + 8) in
       let s2 = unsafe_get64 src (base + o0 + 16) in
       let s3 = unsafe_get64 src (base + o0 + 24) in
-      unsafe_set64 dst0 o0 (Int64.logxor (Int64.logand s0 ma) (unsafe_get64 dst0 o0));
-      unsafe_set64 dst0 (o0 + 8) (Int64.logxor (Int64.logand s1 ma) (unsafe_get64 dst0 (o0 + 8)));
-      unsafe_set64 dst0 (o0 + 16) (Int64.logxor (Int64.logand s2 ma) (unsafe_get64 dst0 (o0 + 16)));
-      unsafe_set64 dst0 (o0 + 24) (Int64.logxor (Int64.logand s3 ma) (unsafe_get64 dst0 (o0 + 24)));
-      unsafe_set64 dst1 o0 (Int64.logxor (Int64.logand s0 mb) (unsafe_get64 dst1 o0));
-      unsafe_set64 dst1 (o0 + 8) (Int64.logxor (Int64.logand s1 mb) (unsafe_get64 dst1 (o0 + 8)));
-      unsafe_set64 dst1 (o0 + 16) (Int64.logxor (Int64.logand s2 mb) (unsafe_get64 dst1 (o0 + 16)));
-      unsafe_set64 dst1 (o0 + 24) (Int64.logxor (Int64.logand s3 mb) (unsafe_get64 dst1 (o0 + 24)));
+      unsafe_set64 d0 o0 (Int64.logxor (Int64.logand s0 ma) (unsafe_get64 d0 o0));
+      unsafe_set64 d0 (o0 + 8) (Int64.logxor (Int64.logand s1 ma) (unsafe_get64 d0 (o0 + 8)));
+      unsafe_set64 d0 (o0 + 16) (Int64.logxor (Int64.logand s2 ma) (unsafe_get64 d0 (o0 + 16)));
+      unsafe_set64 d0 (o0 + 24) (Int64.logxor (Int64.logand s3 ma) (unsafe_get64 d0 (o0 + 24)));
+      unsafe_set64 d1 o0 (Int64.logxor (Int64.logand s0 mb) (unsafe_get64 d1 o0));
+      unsafe_set64 d1 (o0 + 8) (Int64.logxor (Int64.logand s1 mb) (unsafe_get64 d1 (o0 + 8)));
+      unsafe_set64 d1 (o0 + 16) (Int64.logxor (Int64.logand s2 mb) (unsafe_get64 d1 (o0 + 16)));
+      unsafe_set64 d1 (o0 + 24) (Int64.logxor (Int64.logand s3 mb) (unsafe_get64 d1 (o0 + 24)));
       o := o0 + 32
     done;
     for w = words4 to words - 1 do
-      let s = unsafe_get64 src (base + (8 * w)) in
-      unsafe_set64 dst0 (8 * w) (Int64.logxor (Int64.logand s ma) (unsafe_get64 dst0 (8 * w)));
-      unsafe_set64 dst1 (8 * w) (Int64.logxor (Int64.logand s mb) (unsafe_get64 dst1 (8 * w)))
+      let o = 8 * w in
+      let s = unsafe_get64 src (base + o) in
+      unsafe_set64 d0 o (Int64.logxor (Int64.logand s ma) (unsafe_get64 d0 o));
+      unsafe_set64 d1 o (Int64.logxor (Int64.logand s mb) (unsafe_get64 d1 o))
     done;
-    for i = tail to bucket - 1 do
-      let s = Char.code (Bytes.unsafe_get src (base + i)) in
-      let d0 = Char.code (Bytes.unsafe_get dst0 i) in
-      Bytes.unsafe_set dst0 i (Char.unsafe_chr ((s land m0) lxor d0));
-      let d1 = Char.code (Bytes.unsafe_get dst1 i) in
-      Bytes.unsafe_set dst1 i (Char.unsafe_chr ((s land m1) lxor d1))
+    for i = 8 * words to bucket - 1 do
+      xor_tail ~src ~i:(base + i) ~dst:d0 ~pos:i ma;
+      xor_tail ~src ~i:(base + i) ~dst:d1 ~pos:i mb
     done
   done
 
-(* Bit-packed batch kernel: one streamed pass over the source feeds up to
-   8 accumulators. [pack] carries lane q's selection bit at bit q; each
-   source word is loaded once and XORed into every lane under that lane's
-   splatted mask, so a batch of 8 queries costs one traversal of the data
-   plus 8 register-masked accumulations instead of 8 separate scans. All
-   lanes perform identical memory work regardless of their bits. *)
-let xor_into_packed ~pack ~src ~src_pos ~dsts ~dst_pos ~len =
-  let lanes = Array.length dsts in
-  if lanes < 1 || lanes > 8 then invalid_arg "Xorbuf.xor_into_packed: need 1..8 lanes";
-  check_bounds "xor_into_packed(src)" src_pos len (Bytes.length src);
-  Array.iter
-    (fun dst -> check_bounds "xor_into_packed(dst)" dst_pos len (Bytes.length dst))
-    dsts;
-  let pack = pack land 0xff in
-  let words = len / 8 in
-  let tail = 8 * words in
-  if lanes = 8 then begin
-    (* the full-pack fast path: lanes and masks pinned in locals, the
-       inner loop is straight-line with no per-lane indexing *)
-    let d0 = Array.unsafe_get dsts 0 and d1 = Array.unsafe_get dsts 1 in
-    let d2 = Array.unsafe_get dsts 2 and d3 = Array.unsafe_get dsts 3 in
-    let d4 = Array.unsafe_get dsts 4 and d5 = Array.unsafe_get dsts 5 in
-    let d6 = Array.unsafe_get dsts 6 and d7 = Array.unsafe_get dsts 7 in
-    let m q = Int64.neg (Int64.of_int ((pack lsr q) land 1)) in
-    let m0 = m 0 and m1 = m 1 and m2 = m 2 and m3 = m 3 in
-    let m4 = m 4 and m5 = m 5 and m6 = m 6 and m7 = m 7 in
-    for w = 0 to words - 1 do
-      let o = dst_pos + (8 * w) in
-      let s = unsafe_get64 src (src_pos + (8 * w)) in
-      unsafe_set64 d0 o (Int64.logxor (Int64.logand s m0) (unsafe_get64 d0 o));
-      unsafe_set64 d1 o (Int64.logxor (Int64.logand s m1) (unsafe_get64 d1 o));
-      unsafe_set64 d2 o (Int64.logxor (Int64.logand s m2) (unsafe_get64 d2 o));
-      unsafe_set64 d3 o (Int64.logxor (Int64.logand s m3) (unsafe_get64 d3 o));
-      unsafe_set64 d4 o (Int64.logxor (Int64.logand s m4) (unsafe_get64 d4 o));
-      unsafe_set64 d5 o (Int64.logxor (Int64.logand s m5) (unsafe_get64 d5 o));
-      unsafe_set64 d6 o (Int64.logxor (Int64.logand s m6) (unsafe_get64 d6 o));
-      unsafe_set64 d7 o (Int64.logxor (Int64.logand s m7) (unsafe_get64 d7 o))
-    done
-  end
-  else
-    for w = 0 to words - 1 do
-      let o = dst_pos + (8 * w) in
-      let s = unsafe_get64 src (src_pos + (8 * w)) in
-      for q = 0 to lanes - 1 do
-        let m64 = Int64.neg (Int64.of_int ((pack lsr q) land 1)) in
-        let dst = Array.unsafe_get dsts q in
-        unsafe_set64 dst o (Int64.logxor (Int64.logand s m64) (unsafe_get64 dst o))
-      done
+let group3 ~bits ~p0 ~s0 ~p1 ~s1 ~p2 ~s2 ~count ~src ~src_pos ~bucket ~d0 ~d1 ~d2 =
+  let words = bucket / 8 in
+  let words2 = words land lnot 1 in
+  for j = 0 to count - 1 do
+    let ma = lane_mask bits (p0 + j) s0 and mb = lane_mask bits (p1 + j) s1 in
+    let mc = lane_mask bits (p2 + j) s2 in
+    let base = src_pos + (j * bucket) in
+    (* 2-way unrolled: three masks and three accumulators leave room for
+       only two source words in registers *)
+    let o = ref 0 in
+    while !o < 8 * words2 do
+      let o0 = !o in
+      let s0 = unsafe_get64 src (base + o0) in
+      let s1 = unsafe_get64 src (base + o0 + 8) in
+      unsafe_set64 d0 o0 (Int64.logxor (Int64.logand s0 ma) (unsafe_get64 d0 o0));
+      unsafe_set64 d0 (o0 + 8) (Int64.logxor (Int64.logand s1 ma) (unsafe_get64 d0 (o0 + 8)));
+      unsafe_set64 d1 o0 (Int64.logxor (Int64.logand s0 mb) (unsafe_get64 d1 o0));
+      unsafe_set64 d1 (o0 + 8) (Int64.logxor (Int64.logand s1 mb) (unsafe_get64 d1 (o0 + 8)));
+      unsafe_set64 d2 o0 (Int64.logxor (Int64.logand s0 mc) (unsafe_get64 d2 o0));
+      unsafe_set64 d2 (o0 + 8) (Int64.logxor (Int64.logand s1 mc) (unsafe_get64 d2 (o0 + 8)));
+      o := o0 + 16
     done;
-  for i = tail to len - 1 do
-    let s = Char.code (Bytes.unsafe_get src (src_pos + i)) in
-    for q = 0 to lanes - 1 do
-      let mask = (0 - ((pack lsr q) land 1)) land 0xff in
-      let dst = Array.unsafe_get dsts q in
-      let d = Char.code (Bytes.unsafe_get dst (dst_pos + i)) in
-      Bytes.unsafe_set dst (dst_pos + i) (Char.unsafe_chr ((s land mask) lxor d))
+    for w = words2 to words - 1 do
+      let o = 8 * w in
+      let s = unsafe_get64 src (base + o) in
+      unsafe_set64 d0 o (Int64.logxor (Int64.logand s ma) (unsafe_get64 d0 o));
+      unsafe_set64 d1 o (Int64.logxor (Int64.logand s mb) (unsafe_get64 d1 o));
+      unsafe_set64 d2 o (Int64.logxor (Int64.logand s mc) (unsafe_get64 d2 o))
+    done;
+    for i = 8 * words to bucket - 1 do
+      xor_tail ~src ~i:(base + i) ~dst:d0 ~pos:i ma;
+      xor_tail ~src ~i:(base + i) ~dst:d1 ~pos:i mb;
+      xor_tail ~src ~i:(base + i) ~dst:d2 ~pos:i mc
     done
+  done
+
+let xor_buckets_lanes ~bits ~bits_pos ~stride ~count ~src ~src_pos ~bucket ~dsts =
+  let lanes = Array.length dsts in
+  if bucket <= 0 || count < 0 || stride < count || lanes = 0 then
+    invalid_arg "Xorbuf.xor_buckets_lanes: bad geometry";
+  let planes = (lanes + 7) / 8 in
+  check_bounds "xor_buckets_lanes(bits)" bits_pos (((planes - 1) * stride) + count)
+    (Bytes.length bits);
+  check_bounds "xor_buckets_lanes(src)" src_pos (count * bucket) (Bytes.length src);
+  Array.iter (fun d -> check_bounds "xor_buckets_lanes(dst)" 0 bucket (Bytes.length d)) dsts;
+  let pos q = bits_pos + ((q lsr 3) * stride) and sh q = q land 7 in
+  for g = 0 to lane_passes lanes - 1 do
+    let q = g * lane_group in
+    match lanes - q with
+    | 1 -> group1 ~bits ~p0:(pos q) ~s0:(sh q) ~count ~src ~src_pos ~bucket ~d0:dsts.(q)
+    | 2 ->
+        group2 ~bits ~p0:(pos q) ~s0:(sh q) ~p1:(pos (q + 1)) ~s1:(sh (q + 1)) ~count ~src
+          ~src_pos ~bucket ~d0:dsts.(q) ~d1:dsts.(q + 1)
+    | _ ->
+        group3 ~bits ~p0:(pos q) ~s0:(sh q) ~p1:(pos (q + 1)) ~s1:(sh (q + 1)) ~p2:(pos (q + 2))
+          ~s2:(sh (q + 2)) ~count ~src ~src_pos ~bucket ~d0:dsts.(q) ~d1:dsts.(q + 1)
+          ~d2:dsts.(q + 2)
+  done
+
+let set_lane_bits ~src ~src_pos ~dst ~dst_pos ~len ~lane =
+  if lane < 0 || lane > 7 then invalid_arg "Xorbuf.set_lane_bits: lane out of range";
+  check_bounds "set_lane_bits(src)" src_pos len (Bytes.length src);
+  check_bounds "set_lane_bits(dst)" dst_pos len (Bytes.length dst);
+  (* the low bit of each source byte moves to bit [lane] of its own
+     byte: a shift by at most 7 never carries into the next byte *)
+  let words = len / 8 in
+  for w = 0 to words - 1 do
+    let o = 8 * w in
+    let b = Int64.logand (unsafe_get64 src (src_pos + o)) 0x0101010101010101L in
+    let d = unsafe_get64 dst (dst_pos + o) in
+    unsafe_set64 dst (dst_pos + o) (Int64.logor d (Int64.shift_left b lane))
+  done;
+  for i = 8 * words to len - 1 do
+    let b = Char.code (Bytes.unsafe_get src (src_pos + i)) land 1 in
+    let d = Char.code (Bytes.unsafe_get dst (dst_pos + i)) in
+    Bytes.unsafe_set dst (dst_pos + i) (Char.unsafe_chr (d lor (b lsl lane)))
   done
 
 let xor_string_into ~src ~src_pos ~dst ~dst_pos ~len =

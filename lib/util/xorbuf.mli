@@ -5,7 +5,7 @@
     functions validate their ranges once up front and then run unchecked
     word loops; [xor_into_masked] deliberately keeps the checked accessors
     of the seed implementation — it is the reference kernel the fused and
-    packed scan paths are benchmarked (E19) and property-tested against. *)
+    batched scan paths are benchmarked (E19) and property-tested against. *)
 
 val xor_into : src:Bytes.t -> src_pos:int -> dst:Bytes.t -> dst_pos:int -> len:int -> unit
 (** [xor_into ~src ~src_pos ~dst ~dst_pos ~len] XORs [len] bytes of [src]
@@ -36,34 +36,44 @@ val xor_buckets_masked :
     bounds gate covers the whole block; every record performs the identical
     read-modify-write of [dst] whether its bit is set or not. *)
 
-val xor_buckets_masked2 :
-  bits0:Bytes.t ->
-  bits0_pos:int ->
-  bits1:Bytes.t ->
-  bits1_pos:int ->
+val lane_passes : int -> int
+(** [lane_passes k] is how many passes {!xor_buckets_lanes} makes over
+    its block for [k] lanes: [ceil (k / 3)]. The lanes run in
+    straight-line groups of three (a remainder group of one or two), and
+    each group is one pass. A public function of the width alone, so
+    the scan's memory trace says nothing the batch width does not. *)
+
+val xor_buckets_lanes :
+  bits:Bytes.t ->
+  bits_pos:int ->
+  stride:int ->
   count:int ->
   src:Bytes.t ->
   src_pos:int ->
   bucket:int ->
-  dst0:Bytes.t ->
-  dst1:Bytes.t ->
+  dsts:Bytes.t array ->
   unit
-(** Width-2 variant of {!xor_buckets_masked} — the two-probe keyword
-    shape: one streamed pass over the block feeds both accumulators,
-    record [j] masked into [dst0] by [bits0.[bits0_pos + j]] and into
-    [dst1] by [bits1.[bits1_pos + j]]. Each source word is loaded once;
-    both lanes perform identical memory work whatever their bits. *)
-
-val xor_into_packed :
-  pack:int -> src:Bytes.t -> src_pos:int -> dsts:Bytes.t array -> dst_pos:int -> len:int -> unit
-(** [xor_into_packed ~pack ~src ~src_pos ~dsts ~dst_pos ~len] is the
-    bit-packed batch kernel: each source word is loaded once and XORed into
-    every accumulator in [dsts] under that lane's mask, lane [q]'s
-    selection bit taken from bit [q] of [pack]. [dsts] must hold 1–8
-    buffers (a partial final pack uses fewer than 8); all lanes do
-    identical memory work regardless of their bits. Raises
-    [Invalid_argument] on an empty or oversized [dsts] or any
+(** [xor_buckets_lanes ~bits ~bits_pos ~stride ~count ~src ~src_pos
+    ~bucket ~dsts] is the batch kernel: for each lane [q] and record
+    [j < count], XOR the [bucket]-byte record at [src_pos + j*bucket]
+    into [dsts.(q)] under the mask splatted from bit [q land 7] of
+    [bits.[bits_pos + (q lsr 3) * stride + j]] — eight lanes packed per
+    selection byte, one [stride]-byte plane per eight lanes. The lanes
+    go in groups of three; each group makes one word-major pass that
+    loads every source word once and masks it into each of the group's
+    accumulators, so {!lane_passes} [(Array.length dsts)] passes cover
+    the block. Every lane does identical memory work whatever its bits.
+    Raises [Invalid_argument] on an empty [dsts], a non-positive
+    [bucket], a negative [count], [stride < count], or any
     out-of-bounds range. *)
+
+val set_lane_bits :
+  src:Bytes.t -> src_pos:int -> dst:Bytes.t -> dst_pos:int -> len:int -> lane:int -> unit
+(** [set_lane_bits ~src ~src_pos ~dst ~dst_pos ~len ~lane] ORs the low
+    bit of each of [len] source bytes into bit [lane] (0–7) of the
+    matching [dst] byte: it packs one lane's 0/1 selection bytes into
+    the layout {!xor_buckets_lanes} reads. Raises [Invalid_argument] on
+    a lane outside 0–7 or an out-of-bounds range. *)
 
 val xor_string_into : src:string -> src_pos:int -> dst:Bytes.t -> dst_pos:int -> len:int -> unit
 (** Same as {!xor_into} with an immutable source. *)

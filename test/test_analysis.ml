@@ -136,6 +136,32 @@ let test_rule_secret_branch () =
   Alcotest.(check int) "unflagged silent" 0
     (count_rule "secret-branch" (findings_for unflagged))
 
+(* The lane-group batch kernel's shape: a lane's selection bit must
+   become a word mask arithmetically. A kernel that skips unselected
+   records with a branch makes the scan's timing and trace depend on the
+   query. *)
+let test_rule_secret_branch_lane_kernel () =
+  let path = "lib/util/fixture.ml" in
+  let dirty =
+    "(* lw-lint: secret ma *)\n\
+     let lane ~bits ~p0 ~s0 ~src ~dst =\n\
+    \  let ma = (Char.code (Bytes.unsafe_get bits p0) lsr s0) land 1 in\n\
+    \  if ma = 1 then Xorbuf.xor_into ~src ~src_pos:0 ~dst ~dst_pos:0 ~len:8\n"
+  in
+  Alcotest.(check int) "branch on a lane bit caught" 1
+    (count_rule "secret-branch" (findings_for ~path dirty));
+  let clean =
+    "(* lw-lint: secret ma *)\n\
+     let lane ~bits ~p0 ~s0 ~src ~dst =\n\
+    \  let b = (Char.code (Bytes.unsafe_get bits p0) lsr s0) land 1 in\n\
+    \  let ma = Int64.neg (Int64.of_int b) in\n\
+    \  let s = Bytes.get_int64_ne src 0 in\n\
+    \  Bytes.set_int64_ne dst 0 (Int64.logxor (Int64.logand s ma) (Bytes.get_int64_ne dst 0))\n"
+  in
+  let rules = findings_for ~path clean in
+  Alcotest.(check int) "masked lane clean (secret-branch)" 0 (count_rule "secret-branch" rules);
+  Alcotest.(check int) "masked lane clean (taint)" 0 (count_rule "taint" rules)
+
 let test_rule_poly_compare () =
   (* the Store.insert bug shape: option tested with polymorphic = *)
   let bad_opt = "let fresh t key = find t key = None" in
@@ -742,22 +768,24 @@ let test_trace_bucket_scan () =
        ~alphas:[ 0; 17; 255 ] ())
 
 let test_trace_batch_scan () =
-  check_ok "batch defaults" (Trace_check.check_batch_scan ());
-  (* width 8 (one full pack) and width 9 (full pack + 1-lane pack) *)
-  check_ok "batch full pack"
+  (* lane groups of three: width 5 makes 2 passes over every bucket,
+     widths 8 and 9 (across the 8-lane plane boundary) make 3 *)
+  let visits = Alcotest.(check (result int string)) in
+  visits "batch defaults" (Ok 2) (Trace_check.check_batch_scan ());
+  visits "batch full pack" (Ok 3)
     (Trace_check.check_batch_scan ~domain_bits:6 ~bucket_size:48
        ~batches:[ [ 0; 1; 2; 3; 60; 61; 62; 63 ]; [ 7; 9; 11; 13; 17; 19; 23; 29 ] ] ());
-  check_ok "batch two packs"
+  visits "batch two packs" (Ok 3)
     (Trace_check.check_batch_scan ~domain_bits:6 ~bucket_size:48
        ~batches:
          [ [ 0; 1; 2; 3; 60; 61; 62; 63; 32 ]; [ 7; 9; 11; 13; 17; 19; 23; 29; 31 ] ]
        ());
   (* the checker itself must reject malformed probes *)
   (match Trace_check.check_batch_scan ~batches:[ [ 1; 2 ]; [ 3; 4; 5 ] ] () with
-  | Ok () -> Alcotest.fail "mixed-width batches accepted"
+  | Ok _ -> Alcotest.fail "mixed-width batches accepted"
   | Error _ -> ());
   match Trace_check.check_batch_scan ~batches:[ [ 1; 2 ] ] () with
-  | Ok () -> Alcotest.fail "single batch accepted"
+  | Ok _ -> Alcotest.fail "single batch accepted"
   | Error _ -> ()
 
 let test_trace_retry () =
@@ -824,6 +852,7 @@ let () =
           Alcotest.test_case "ct-equality" `Quick test_rule_ct_equality;
           Alcotest.test_case "poly-compare" `Quick test_rule_poly_compare;
           Alcotest.test_case "secret-branch" `Quick test_rule_secret_branch;
+          Alcotest.test_case "secret-branch lane kernel" `Quick test_rule_secret_branch_lane_kernel;
           Alcotest.test_case "nondeterminism" `Quick test_rule_nondeterminism;
           Alcotest.test_case "raw-timestamp" `Quick test_rule_raw_timestamp;
           Alcotest.test_case "key-print" `Quick test_rule_key_print;

@@ -12,7 +12,7 @@
      every path a universe accepts sits in one of its two candidate
      buckets, over 300 seeds.
    - wire v4: Keyword_query/Keyword_answer roundtrips and CRC rejection.
-   - kernels: Server.answer_pair and the batch-of-two dispatch agree
+   - kernels: the width-2 Server.answer_batch (the two-probe shape) agrees
      byte-for-byte with two scalar answers, and two-server shares
      reconstruct the bucket.
    - end to end: every published path resolves byte-identical via
@@ -275,6 +275,13 @@ let test_wire_v4_crc_rejects_corruption () =
 
 (* ---------------- answer_pair kernel ---------------- *)
 
+(* The keyword verb's two probes are a width-2 [Server.answer_batch]:
+   one lane group, one streamed pass feeding both accumulators. *)
+let answer_pair s k0 k1 =
+  match Server.answer_batch s [| k0; k1 |] with
+  | [| a; b |] -> (a, b)
+  | _ -> Alcotest.fail "batch of two returned wrong arity"
+
 let test_answer_pair_matches_scalar () =
   (* 33-byte buckets: the width-2 kernel's word loop leaves a byte tail *)
   let db = Bucket_db.create ~domain_bits:5 ~bucket_size:33 in
@@ -283,22 +290,17 @@ let test_answer_pair_matches_scalar () =
   let drbg = Lw_crypto.Drbg.create ~seed:"pair-keys" in
   let k0a, k1a = Lw_dpf.Dpf.gen ~domain_bits:5 ~alpha:3 drbg in
   let k0b, k1b = Lw_dpf.Dpf.gen ~domain_bits:5 ~alpha:17 drbg in
-  let pa, pb = Server.answer_pair s k0a k0b in
+  let pa, pb = answer_pair s k0a k0b in
   Alcotest.(check string) "lane0 = scalar" (Server.answer s k0a) pa;
   Alcotest.(check string) "lane1 = scalar" (Server.answer s k0b) pb;
-  (match Server.answer_batch s [| k0a; k0b |] with
-  | [| ba; bb |] ->
-      Alcotest.(check string) "batch-2 lane0" pa ba;
-      Alcotest.(check string) "batch-2 lane1" pb bb
-  | _ -> Alcotest.fail "batch of two returned wrong arity");
   (* two-server reconstruction: this server's shares XOR the other key
      half's shares back to the exact bucket bytes *)
-  let qa, qb = Server.answer_pair s k1a k1b in
+  let qa, qb = answer_pair s k1a k1b in
   let xor x y = String.init (String.length x) (fun i -> Char.chr (Char.code x.[i] lxor Char.code y.[i])) in
   Alcotest.(check string) "reconstruct alpha=3" (Bucket_db.get db 3) (xor pa qa);
   Alcotest.(check string) "reconstruct alpha=17" (Bucket_db.get db 17) (xor pb qb);
   (* coincident probes (the same alpha twice) are a legal pair *)
-  let ca, cb = Server.answer_pair s k0a k0a in
+  let ca, cb = answer_pair s k0a k0a in
   Alcotest.(check string) "coincident pair lanes agree" ca cb
 
 (* ---------------- end to end across epochs ---------------- *)

@@ -405,11 +405,12 @@ let prop_cuckoo_find_after_inserts =
       List.for_all (fun k -> Cuckoo.find c k = Some (String.uppercase_ascii k)) stored)
 
 (* Kernel-equivalence properties: the fused single-pass kernel behind
-   [Server.answer] and the bit-packed batch kernel behind
+   [Server.answer] and the lane-group batch kernel behind
    [Server.answer_batch] must agree byte-for-byte with the two-pass
    reference ([eval_bits] + [scan]) on arbitrary geometry — domain sizes
    that don't divide the scan block, bucket sizes that aren't word
-   multiples, batch widths across the 8-lane pack boundary. *)
+   multiples, batch widths 1-17 (every remainder group, across the
+   8-lane plane boundary). *)
 
 let scan_geometry =
   QCheck.make
@@ -459,6 +460,48 @@ let prop_batch_matches_naive =
       && Array.for_all2
            (fun share k -> String.equal share (reference_answer server k))
            batched keys)
+
+(* The same equivalence over a pinned [Lw_store] snapshot whose CoW
+   blocks hold one to four buckets, so every fused scan block straddles
+   several of them and the lane-group kernel runs on split block runs.
+   The served epoch rewrites every third bucket of the one before, so
+   it mixes blocks shared with the older epoch and its own copies. *)
+let prop_snapshot_batch_matches_naive =
+  QCheck.Test.make ~name:"snapshot batch = naive per-query loop" ~count:40 scan_geometry
+    (fun (domain_bits, bucket_size, alphas) ->
+      let size = 1 lsl domain_bits in
+      let block_bytes = bucket_size * (1 + (List.length alphas mod 4)) in
+      let store = Lw_store.create ~block_bytes ~domain_bits ~bucket_size () in
+      let fill ~every =
+        let r = det (Printf.sprintf "snapshot-batch-prop/%d" every) in
+        let w = Lw_store.writer store in
+        for i = 0 to size - 1 do
+          if i mod every = 0 then Lw_store.Writer.set w i (Lw_util.Det_rng.bytes r bucket_size)
+        done;
+        ignore (Lw_store.Writer.seal w)
+      in
+      fill ~every:1;
+      fill ~every:3;
+      let snap = Lw_store.pin_latest store in
+      let server = Server.of_snapshot snap in
+      let drbg = rng () in
+      let keys =
+        Array.of_list
+          (List.mapi
+             (fun i alpha ->
+               let k0, k1 = Lw_dpf.Dpf.gen ~domain_bits ~alpha drbg in
+               if i land 1 = 0 then k0 else k1)
+             alphas)
+      in
+      let batched = Server.answer_batch server keys in
+      let ok =
+        Array.length batched = Array.length keys
+        && Array.for_all2
+             (fun share k -> String.equal share (reference_answer server k))
+             batched keys
+      in
+      Lw_store.unpin store snap;
+      ok)
 
 (* The domain-parallel paths must be bit-identical to the serial kernels
    whatever the worker count: counts below, at and above the machine's
@@ -522,6 +565,33 @@ let prop_batch_domains_matches_batch =
       Array.length parallel = Array.length serial
       && Array.for_all2 String.equal parallel serial)
 
+(* [pir.server.scan_bytes] counts the database bytes a call streams from
+   memory: one traversal per batch, whatever its width (the later lane
+   groups re-read cache-resident blocks), serial or partitioned. *)
+let test_batch_scan_bytes () =
+  let db = Bucket_db.create ~domain_bits:6 ~bucket_size:40 in
+  Bucket_db.fill_random db (det "scan-bytes");
+  let server = Server.create db in
+  let scan_bytes = Lw_obs.Metrics.counter "pir.server.scan_bytes" in
+  let drbg = rng () in
+  List.iter
+    (fun width ->
+      let keys =
+        Array.init width (fun i -> fst (Lw_dpf.Dpf.gen ~domain_bits:6 ~alpha:(7 * i) drbg))
+      in
+      let delta label f =
+        let before = Lw_obs.Metrics.counter_value scan_bytes in
+        ignore (f ());
+        Alcotest.(check int)
+          (Printf.sprintf "%s width %d" label width)
+          (Server.total_bytes server)
+          (Lw_obs.Metrics.counter_value scan_bytes - before)
+      in
+      delta "serial" (fun () -> Server.answer_batch server keys);
+      delta "domains" (fun () ->
+          Server.answer_batch_domains ~cutoff_bytes:0 ~domains:2 server keys))
+    [ 5; 9 ]
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -530,6 +600,7 @@ let props =
       prop_cuckoo_find_after_inserts;
       prop_fused_matches_reference;
       prop_batch_matches_naive;
+      prop_snapshot_batch_matches_naive;
       prop_domains_matches_serial;
       prop_batch_domains_matches_batch;
     ]
@@ -573,6 +644,7 @@ let () =
           Alcotest.test_case "store round trip" `Quick test_pir_end_to_end;
           Alcotest.test_case "absent key" `Quick test_pir_absent_key;
           Alcotest.test_case "batch matches single" `Quick test_pir_batch_matches_single;
+          Alcotest.test_case "batch scan bytes" `Quick test_batch_scan_bytes;
           Alcotest.test_case "uniform response size" `Quick test_pir_server_response_uniform_size;
           Alcotest.test_case "serialized entry point" `Quick test_pir_serialized_entry_point;
           Alcotest.test_case "cuckoo end-to-end" `Quick test_pir_cuckoo_end_to_end;

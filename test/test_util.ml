@@ -77,7 +77,7 @@ let test_is_zero () =
     (Invalid_argument "Xorbuf.is_zero_range: range out of bounds") (fun () ->
       ignore (Lw_util.Xorbuf.is_zero_range (Bytes.make 4 '\x00') ~pos:2 ~len:max_int))
 
-(* reference implementation for the masked/packed kernels *)
+(* reference implementation for the masked and lane-group kernels *)
 let naive_masked ~mask ~src ~dst =
   Bytes.mapi
     (fun i d -> Char.chr (Char.code d lxor (Char.code (Bytes.get src i) land mask)))
@@ -109,34 +109,94 @@ let test_xor_buckets_masked () =
       Lw_util.Xorbuf.xor_buckets_masked ~bits:(Bytes.make 4 '\x00') ~bits_pos:0 ~count:4
         ~src:(Bytes.make 16 '\x00') ~src_pos:0 ~bucket:8 ~dst:(Bytes.make 8 '\x00'))
 
-let test_xor_into_packed () =
-  let rng = Lw_util.Det_rng.of_string_seed "packed" in
+(* The batch kernel against a naive per-lane masked XOR: every width
+   from 1 to 17 (both 8-lane planes, every remainder group), buckets
+   with and without word and byte tails, a non-zero [bits_pos] and
+   [src_pos], and a plane stride wider than the block. *)
+let test_xor_buckets_lanes () =
+  let rng = Lw_util.Det_rng.of_string_seed "buckets-lanes" in
+  let count = 5 and bits_pos = 3 and src_pos = 2 in
+  let stride = count + bits_pos + 4 in
   List.iter
-    (fun (lanes, len) ->
-      let src = Bytes.of_string (Lw_util.Det_rng.bytes rng len) in
-      let pack = Lw_util.Det_rng.int rng 256 in
-      let dsts =
-        Array.init lanes (fun _ -> Bytes.of_string (Lw_util.Det_rng.bytes rng len))
-      in
-      let expected =
-        Array.mapi
+    (fun bucket ->
+      for lanes = 1 to 17 do
+        let planes = (lanes + 7) / 8 in
+        let bits = Bytes.of_string (Lw_util.Det_rng.bytes rng (bits_pos + (planes * stride))) in
+        let src = Bytes.of_string (Lw_util.Det_rng.bytes rng (src_pos + (count * bucket))) in
+        let dsts = Array.init lanes (fun _ -> Bytes.of_string (Lw_util.Det_rng.bytes rng bucket)) in
+        let expected =
+          Array.mapi
+            (fun q dst ->
+              let acc = ref (Bytes.copy dst) in
+              for j = 0 to count - 1 do
+                let byte = Char.code (Bytes.get bits (bits_pos + ((q lsr 3) * stride) + j)) in
+                let mask = -((byte lsr (q land 7)) land 1) land 0xff in
+                let b = Bytes.sub src (src_pos + (j * bucket)) bucket in
+                acc := naive_masked ~mask ~src:b ~dst:!acc
+              done;
+              !acc)
+            dsts
+        in
+        Lw_util.Xorbuf.xor_buckets_lanes ~bits ~bits_pos ~stride ~count ~src ~src_pos ~bucket
+          ~dsts;
+        Array.iteri
           (fun q dst ->
-            naive_masked ~mask:(-((pack lsr q) land 1) land 0xff) ~src ~dst)
+            Alcotest.(check string)
+              (Printf.sprintf "lanes=%d bucket=%d lane=%d" lanes bucket q)
+              (Bytes.to_string expected.(q)) (Bytes.to_string dst))
           dsts
+      done)
+    [ 1; 7; 8; 16; 24; 33; 40; 67 ];
+  Alcotest.(check (list int)) "passes" [ 1; 1; 1; 2; 2; 3; 3; 3; 6 ]
+    (List.map Lw_util.Xorbuf.lane_passes [ 1; 2; 3; 4; 6; 7; 8; 9; 16 ]);
+  let run ?(bits = Bytes.make 16 '\x00') ?(stride = 4) ?(count = 4) ?(bucket = 8)
+      ?(src = Bytes.make 32 '\x00') ?(dsts = [| Bytes.make 8 '\x00' |]) () =
+    Lw_util.Xorbuf.xor_buckets_lanes ~bits ~bits_pos:0 ~stride ~count ~src ~src_pos:0 ~bucket
+      ~dsts
+  in
+  let geometry = Invalid_argument "Xorbuf.xor_buckets_lanes: bad geometry" in
+  Alcotest.check_raises "no lanes" geometry (fun () -> run ~dsts:[||] ());
+  Alcotest.check_raises "empty bucket" geometry (fun () -> run ~bucket:0 ());
+  Alcotest.check_raises "negative count" geometry (fun () -> run ~count:(-1) ());
+  Alcotest.check_raises "planes overlap" geometry (fun () -> run ~stride:3 ());
+  Alcotest.check_raises "bits range"
+    (Invalid_argument "Xorbuf.xor_buckets_lanes(bits): range out of bounds") (fun () ->
+      run ~bits:(Bytes.make 5 '\x00') ~dsts:(Array.init 9 (fun _ -> Bytes.make 8 '\x00')) ());
+  Alcotest.check_raises "src range"
+    (Invalid_argument "Xorbuf.xor_buckets_lanes(src): range out of bounds") (fun () ->
+      run ~src:(Bytes.make 31 '\x00') ());
+  Alcotest.check_raises "dst range"
+    (Invalid_argument "Xorbuf.xor_buckets_lanes(dst): range out of bounds") (fun () ->
+      run ~dsts:[| Bytes.make 8 '\x00'; Bytes.make 7 '\x00' |] ())
+
+(* Packing 0/1 selection bytes into lane bits: each lane's bit lands in
+   its own position and leaves the other seven alone, across word and
+   byte tails and a non-zero destination offset. *)
+let test_set_lane_bits () =
+  let rng = Lw_util.Det_rng.of_string_seed "lane-bits" in
+  List.iter
+    (fun len ->
+      let dst = Bytes.make (len + 3) '\x00' in
+      let lanes =
+        Array.init 8 (fun _ -> Bytes.init len (fun _ -> Char.chr (Lw_util.Det_rng.int rng 2)))
       in
-      Lw_util.Xorbuf.xor_into_packed ~pack ~src ~src_pos:0 ~dsts ~dst_pos:0 ~len;
       Array.iteri
-        (fun q dst ->
-          Alcotest.(check string)
-            (Printf.sprintf "lanes=%d len=%d lane=%d" lanes len q)
-            (Bytes.to_string expected.(q))
-            (Bytes.to_string dst))
-        dsts)
-    [ (1, 5); (2, 16); (3, 17); (8, 8); (8, 64); (8, 67); (5, 33); (8, 1) ];
-  Alcotest.check_raises "lane count"
-    (Invalid_argument "Xorbuf.xor_into_packed: need 1..8 lanes") (fun () ->
-      Lw_util.Xorbuf.xor_into_packed ~pack:0 ~src:(Bytes.make 8 '\x00') ~src_pos:0
-        ~dsts:[||] ~dst_pos:0 ~len:8)
+        (fun lane src ->
+          Lw_util.Xorbuf.set_lane_bits ~src ~src_pos:0 ~dst ~dst_pos:3 ~len ~lane)
+        lanes;
+      for j = 0 to len - 1 do
+        let expected = ref 0 in
+        Array.iteri
+          (fun q src -> expected := !expected lor (Char.code (Bytes.get src j) lsl q))
+          lanes;
+        Alcotest.(check int) (Printf.sprintf "len=%d byte=%d" len j) !expected
+          (Char.code (Bytes.get dst (3 + j)))
+      done)
+    [ 1; 8; 13; 64 ];
+  Alcotest.check_raises "lane range"
+    (Invalid_argument "Xorbuf.set_lane_bits: lane out of range") (fun () ->
+      Lw_util.Xorbuf.set_lane_bits ~src:(Bytes.make 1 '\x00') ~src_pos:0
+        ~dst:(Bytes.make 1 '\x00') ~dst_pos:0 ~len:1 ~lane:8)
 
 let test_bitops () =
   Alcotest.(check int32) "rotl32" 0x00000001l (Lw_util.Bitops.rotl32 0x80000000l 1);
@@ -280,7 +340,8 @@ let () =
           Alcotest.test_case "bounds overflow" `Quick test_xor_bounds_overflow;
           Alcotest.test_case "is_zero" `Quick test_is_zero;
           Alcotest.test_case "buckets masked" `Quick test_xor_buckets_masked;
-          Alcotest.test_case "packed lanes" `Quick test_xor_into_packed;
+          Alcotest.test_case "lane-group kernel" `Quick test_xor_buckets_lanes;
+          Alcotest.test_case "lane bit packing" `Quick test_set_lane_bits;
         ] );
       ("bitops", [ Alcotest.test_case "all" `Quick test_bitops ]);
       ( "det_rng",
