@@ -104,17 +104,14 @@ let unseal_if_subscribed t domain ~path v =
     | None -> v (* script renders the sealed envelope, e.g. a subscribe prompt *)
     | Some sub -> ( match Access_control.open_ sub ~path v with Ok pt -> pt | Error _ -> v)
 
-let fetch_data t domain key ~dummy =
-  let* value_opt = Zltp_client.get t.data key in
-  t.events <- Data_fetch :: t.events;
-  if dummy then Ok Json.Null
-  else
-    match value_opt with
-    | None -> Ok Json.Null
-    | Some text -> (
-        match Json.of_string_opt text with
-        | None -> Ok Json.Null
-        | Some v -> Ok (unseal_if_subscribed t domain ~path:key v))
+(* A slot's value as [render] sees it: a missing or non-JSON record is
+   [null], a sealed one is opened when the user holds a subscription. *)
+let decode_slot t domain key = function
+  | None -> Json.Null
+  | Some text -> (
+      match Json.of_string_opt text with
+      | None -> Json.Null
+      | Some v -> unseal_if_subscribed t domain ~path:key v)
 
 let browse t path_str =
   let* path = Lw_path.parse path_str in
@@ -138,21 +135,13 @@ let browse t path_str =
   let k = t.fetches_per_page in
   let rec take n = function [] -> [] | x :: rest -> if n = 0 then [] else x :: take (n - 1) rest in
   let real = take k planned_keys in
-  let slots =
-    List.map (fun key -> (key, false)) real
-    @ List.init (k - List.length real) (fun _ -> (dummy_key t domain, true))
-  in
-  let* data =
-    List.fold_left
-      (fun acc (key, dummy) ->
-        let* values = acc in
-        let* v = fetch_data t domain key ~dummy in
-        Ok (v :: values))
-      (Ok []) slots
-  in
-  let data = List.rev data in
+  let dummies = List.init (k - List.length real) (fun _ -> dummy_key t domain) in
+  (* all k slots are one batch: one exchange per data server in Pir2, and
+     one epoch for the page's data in both PIR modes *)
+  let* values = Zltp_client.get_batch t.data (real @ dummies) in
+  t.events <- List.init k (fun _ -> Data_fetch) @ t.events;
   (* only the genuinely planned values are handed to render *)
-  let real_data = take (List.length real) data in
+  let real_data = List.map2 (decode_slot t domain) real (take (List.length real) values) in
   let state = state_object t domain in
   let* text =
     match

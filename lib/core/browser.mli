@@ -5,12 +5,14 @@
     (cache miss on a new domain) and {e exactly}
     [fetches_per_page] data-blob fetches — the plan returned by the
     domain's code is truncated or padded with dummy fetches to the fixed
-    count. Domain separation is enforced twice: code may only plan fetches
-    inside its own domain, and local storage is partitioned per domain.
+    count. The k data fetches go out as one {!Zltp_client.get_batch}, so
+    in the PIR modes the page's data names one epoch. Domain separation is enforced twice:
+    code may only plan fetches inside its own domain, and local storage is
+    partitioned per domain.
 
     {!events} is the traffic shape an on-path attacker sees: which session
-    (code/data) carried an exchange, and nothing else. The invariance
-    tests assert it is identical for any two pages in a universe. *)
+    (code/data) carried a fetch, and nothing else. The invariance tests
+    assert it is identical for any two pages in a universe. *)
 
 type event = Code_fetch | Data_fetch
 
@@ -56,5 +58,10 @@ val add_subscription : t -> domain:string -> Access_control.subscription -> unit
 (** {2 Observability} *)
 
 val events : t -> event list
+(** One event per fetch slot: [Code_fetch] for a code-blob miss, then one
+    [Data_fetch] per data slot, k per page. The data slots of a page are
+    one batch: in Pir2 mode all k ride a single [Pir_batch] exchange per
+    data server; in Single and Enclave modes they are k exchanges. *)
+
 val clear_events : t -> unit
 val pages_visited : t -> int

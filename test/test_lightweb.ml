@@ -587,10 +587,64 @@ let test_browser_traffic_shape_invariant () =
   let s3 = shape "news.example/" in
   Alcotest.(check bool) "padded to same shape" true (s1 = s3)
 
+(* A site whose plan always asks for its [n] pages [domain/k0.json] ..;
+   render joins the bodies it got ("-" for a missing one), so any slot
+   decoded from the wrong share shows in the text. *)
+let push_fanout_site u domain ~n =
+  let code =
+    Printf.sprintf
+      {|fn plan(p, s) {
+          let keys = [];
+          for (i in range(%d)) { keys = push(keys, %S + "/k" + i + ".json"); }
+          return keys;
+        }
+        fn render(p, s, d) {
+          let out = "";
+          for (v in d) {
+            if (v == null) { out = out + "-"; } else { out = out + get(v, "body", "?"); }
+          }
+          return out;
+        }|}
+      n domain
+  in
+  let pages =
+    List.init n (fun i ->
+        (Printf.sprintf "/k%d.json" i, Json.Obj [ ("body", Json.String (Printf.sprintf "b%d" i)) ]))
+  in
+  match Publisher.push u ~publisher:("pub-of-" ^ domain) { Publisher.domain; code; pages } with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e
+
+(* [make_universe] plus a site whose plan is exactly k = 5 keys long and
+   one whose plan (20 keys) the browser must truncate. *)
+let make_plan_universe () =
+  let u = make_universe () in
+  push_fanout_site u "exact.example" ~n:5;
+  push_fanout_site u "greedy.example" ~n:20;
+  u
+
+let code_client u =
+  let c0, c1 = Universe.code_servers u in
+  Result.get_ok
+    (Zltp_client.connect ~rng:(rng ()) [ Zltp_server.endpoint c0; Zltp_server.endpoint c1 ])
+
+(* Every client frame sent through [ep], decoded and logged under [label]. *)
+let record_frames log label (ep : Lw_net.Endpoint.t) =
+  {
+    ep with
+    Lw_net.Endpoint.send =
+      (fun frame ->
+        (match Zltp_wire.decode_client frame with
+        | Ok msg -> log := (label, msg) :: !log
+        | Error e -> Alcotest.failf "undecodable client frame to %s: %s" label e);
+        ep.Lw_net.Endpoint.send frame);
+  }
+
 let test_browser_bytes_on_wire_invariant () =
-  (* stronger: byte-for-byte equal traffic volumes via WAN accounting *)
-  let bytes_for path =
-    let u = make_universe () in
+  (* stronger: the same message sequence on the wire (direction, size and
+     flow of every message) whatever the plan length *)
+  let trace_for path =
+    let u = make_plan_universe () in
     let link = Lw_net.Wan.link () in
     let c0, c1 = Universe.code_servers u and d0, d1 = Universe.data_servers u in
     let wrap label s = Lw_net.Wan.attach link ~label (Zltp_server.endpoint s) in
@@ -602,13 +656,105 @@ let test_browser_bytes_on_wire_invariant () =
     in
     let b = Browser.create ~rng:(rng ()) ~code:code_client ~data:data_client () in
     ignore (Browser.browse b path);
-    (Lw_net.Wan.total_bytes link Lw_net.Wan.Up, Lw_net.Wan.total_bytes link Lw_net.Wan.Down)
+    let untimed =
+      List.map
+        (fun (e : Lw_net.Wan.event) -> (e.direction = Lw_net.Wan.Up, e.bytes, e.label))
+        (Lw_net.Wan.events link)
+    in
+    (Lw_net.Wan.total_bytes link Lw_net.Wan.Up, Lw_net.Wan.total_bytes link Lw_net.Wan.Down, untimed)
   in
-  let u1, d1 = bytes_for "news.example/world/uganda" in
-  let u2, d2 = bytes_for "wiki.example/front" in
-  Alcotest.(check int) "upload bytes equal" u1 u2;
-  Alcotest.(check int) "download bytes equal" d1 d2;
-  Alcotest.(check bool) "nonzero" true (u1 > 0 && d1 > 0)
+  let u1, d1, e1 = trace_for "news.example/world/uganda" in
+  Alcotest.(check bool) "nonzero" true (u1 > 0 && d1 > 0);
+  List.iter
+    (fun path ->
+      let u2, d2, e2 = trace_for path in
+      Alcotest.(check int) (path ^ ": upload bytes equal") u1 u2;
+      Alcotest.(check int) (path ^ ": download bytes equal") d1 d2;
+      Alcotest.(check (list (triple bool int string))) (path ^ ": message sequence equal") e1 e2)
+    [ "wiki.example/front"; "news.example/"; "exact.example/x"; "greedy.example/x" ]
+
+let test_browser_page_is_one_batch () =
+  (* Pir2: each data server sees exactly one k-wide Pir_batch per page, and
+     both servers are asked about the same epoch *)
+  let u = make_plan_universe () in
+  let log = ref [] in
+  let d0, d1 = Universe.data_servers u in
+  let data_client =
+    Result.get_ok
+      (Zltp_client.connect ~rng:(rng ())
+         [
+           record_frames log "data0" (Zltp_server.endpoint d0);
+           record_frames log "data1" (Zltp_server.endpoint d1);
+         ])
+  in
+  let k = 5 in
+  let b =
+    Browser.create ~fetches_per_page:k ~rng:(rng ()) ~code:(code_client u) ~data:data_client ()
+  in
+  let page name path expected =
+    log := [];
+    (match Browser.browse b path with
+    | Ok p -> Alcotest.(check string) (name ^ ": text") expected p.Browser.text
+    | Error e -> Alcotest.failf "%s: %s" name e);
+    let epoch_at label =
+      match List.filter (fun (l, _) -> l = label) !log with
+      | [ (_, Zltp_wire.Pir_batch { epoch; dpf_keys; _ }) ] ->
+          Alcotest.(check int) (Printf.sprintf "%s: %s batch width" name label) k
+            (List.length dpf_keys);
+          epoch
+      | msgs ->
+          Alcotest.failf "%s: %s saw %d frames, wanted one Pir_batch (Pir_query: %d)" name label
+            (List.length msgs)
+            (List.length
+               (List.filter (function _, Zltp_wire.Pir_query _ -> true | _ -> false) msgs))
+    in
+    Alcotest.(check int) (name ^ ": one epoch") (epoch_at "data0") (epoch_at "data1")
+  in
+  page "short plan, padded" "news.example/world/uganda" "Uganda story";
+  page "exact plan" "exact.example/x" "b0b1b2b3b4";
+  page "greedy plan, truncated" "greedy.example/x" "b0b1b2b3b4";
+  page "warm cache" "news.example/tech/ocaml" "OCaml 5 ships"
+
+let test_browser_batch_retry_regenerates_keys () =
+  (* role 0 has two replicas; the first drops the page's batch answer, so
+     the client fails over and retries the whole batch *)
+  let u = make_plan_universe () in
+  let log = ref [] in
+  let clock = Lw_obs.Clock.virtual_ () in
+  let d0, d1 = Universe.data_servers u in
+  let replica name ?(schedule = Lw_net.Faulty.none) server =
+    Zltp_client.replica ~name (fun () ->
+        let ep, _ = Lw_net.Faulty.wrap ~clock schedule (Zltp_server.endpoint server) in
+        Ok (record_frames log name ep))
+  in
+  (* recv 0 = Health_reply, 1 = Welcome, 2 = the page's Batch_answer *)
+  let drop_batch_answer = Lw_net.Faulty.of_plan ~recv:[ (2, Lw_net.Faulty.Drop) ] () in
+  let data_client =
+    Result.get_ok
+      (Zltp_client.connect_replicated ~clock ~rng:(rng ())
+         [ [ replica "a" ~schedule:drop_batch_answer d0; replica "b" d0 ]; [ replica "c" d1 ] ])
+  in
+  let b = Browser.create ~rng:(rng ()) ~code:(code_client u) ~data:data_client () in
+  (match Browser.browse b "exact.example/x" with
+  | Ok p -> Alcotest.(check string) "oracle text" "b0b1b2b3b4" p.Browser.text
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check int) "one failover" 1 (Zltp_client.failovers data_client);
+  let batches name =
+    List.rev
+      (List.filter_map
+         (function
+           | l, Zltp_wire.Pir_batch { dpf_keys; _ } when l = name -> Some dpf_keys | _ -> None)
+         !log)
+  in
+  match (batches "a", batches "b", batches "c") with
+  | [ failed0 ], [ retry0 ], [ failed1; retry1 ] ->
+      let failed = failed0 @ failed1 and retry = retry0 @ retry1 in
+      Alcotest.(check int) "retry is k-wide per server" 10 (List.length retry);
+      Alcotest.(check bool) "no DPF key reused by the retry" true
+        (List.for_all (fun key -> not (List.mem key failed)) retry)
+  | a, b, c ->
+      Alcotest.failf "batches per replica a/b/c = %d/%d/%d, wanted 1/1/2" (List.length a)
+        (List.length b) (List.length c)
 
 let test_browser_domain_separation () =
   (* a malicious site trying to fetch another domain's data is stopped *)
@@ -1122,6 +1268,9 @@ let () =
           Alcotest.test_case "unknown domain" `Quick test_browser_unknown_domain_errors;
           Alcotest.test_case "traffic shape invariant" `Quick test_browser_traffic_shape_invariant;
           Alcotest.test_case "wire bytes invariant" `Quick test_browser_bytes_on_wire_invariant;
+          Alcotest.test_case "page is one batch" `Quick test_browser_page_is_one_batch;
+          Alcotest.test_case "batch retry regenerates keys" `Quick
+            test_browser_batch_retry_regenerates_keys;
           Alcotest.test_case "domain separation" `Quick test_browser_domain_separation;
           Alcotest.test_case "weather personalization" `Quick test_browser_local_storage_personalization;
           Alcotest.test_case "store effect" `Quick test_browser_script_store_effect;
