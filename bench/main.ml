@@ -848,7 +848,7 @@ let e18_lint_cost () =
         (Lw_json.Json.to_string (Lw_analysis.Report.to_json r))
 
 (* ------------------------------------------------------------------ *)
-(* E19: fused single-pass answer kernel + lane-group batching           *)
+(* E19: fused single-pass answer kernel + batched C scan kernel         *)
 (* ------------------------------------------------------------------ *)
 
 (* Machine noise on shared hardware swings memory bandwidth between
@@ -857,7 +857,7 @@ let e18_lint_cost () =
    is reported. The comparison is the seed's two-pass path (eval_bits
    into a full-domain buffer, then the masked scalar scan) against the
    production kernels: the fused blocked single pass behind
-   [Server.answer] and the lane-group batch scan behind
+   [Server.answer] and the batch scan behind
    [Server.answer_batch], which a batch of k is also weighed against k
    single answers. *)
 let best_interleaved reps fs =
@@ -872,7 +872,7 @@ let best_interleaved reps fs =
   best
 
 let e19_scan_kernels ?(write_json = true) ?geometry () =
-  section "E19" "fused single-pass answer kernel + lane-group batching";
+  section "E19" "fused single-pass answer kernel + batched C scan kernel";
   let d, bucket_size, reps =
     match geometry with
     | Some g -> g
@@ -904,7 +904,7 @@ let e19_scan_kernels ?(write_json = true) ?geometry () =
     (db_mb /. fused_s) (old_s /. fused_s);
 
   (* batches: naive per-query two-pass loop and k fused single answers vs
-     the lane-group batched scan *)
+     the batched scan *)
   row "\n%-8s %-14s %-14s %-14s %-18s %-10s %-10s\n" "width" "naive loop" "k singles" "batched"
     "effective rate" "speedup" "x single";
   let batch_rows =
@@ -927,10 +927,10 @@ let e19_scan_kernels ?(write_json = true) ?geometry () =
   in
   Printf.printf
     "\nthe fused kernel streams each database block as its DPF leaf bits are produced\n\
-     (no full-domain bits buffer); batching runs the lanes in straight-line groups of\n\
-     three, one pass over each block per group, the first from memory and the rest\n\
-     from cache. Effective rate = width x DB size / time; x single = batched time\n\
-     over one single answer (k singles / k).\n";
+     (no full-domain bits buffer); single and batched answers run one C kernel that\n\
+     makes one pass over each block, masking every record into all k accumulators.\n\
+     Effective rate = width x DB size / time; x single = batched time over one single\n\
+     answer (k singles / k).\n";
   if write_json then begin
     let open Json in
     let j =
@@ -1221,7 +1221,7 @@ let e21_obs_overhead ?(write_json = true) ?geometry () =
   let single_off, single_on = pair single in
   report "fused single query" 1 single_off single_on;
   let batch_off, batch_on = pair batch in
-  report "lane-group batch (w=8)" 8 batch_off batch_on;
+  report "batch scan (w=8)" 8 batch_off batch_on;
   Lw_obs.Metrics.set_enabled true;
   let answers =
     Lw_obs.Metrics.counter_value (Lw_obs.Metrics.counter "pir.server.answers")
@@ -1693,7 +1693,7 @@ let e24_fleet ?(write_json = true) ?(smoke = false) () =
       fleets
   in
   Printf.printf
-    "\na floor ratio < 1 means the lane-group batch kernel amortises the scan across\n\
+    "\na floor ratio < 1 means the batch scan kernel amortises the scan across\n\
      the batch, beating the Table-2 batch x request floor; the Little's-law column\n\
      (L = λW vs time-average N) is a bookkeeping cross-check on the event loop.\n";
   if write_json then begin
@@ -2177,7 +2177,7 @@ let e26_keyword ?(write_json = true) ?(smoke = false) () =
   in
   Format.printf "%a\n" Lw_sim.Cost_model.pp_keyword kwe;
   Printf.printf
-    "\nthe two cuckoo probes ride ONE batched lane-group scan, so keyword GET pays two\n\
+    "\nthe two cuckoo probes ride ONE batched scan, so keyword GET pays two\n\
      DPF evaluations but a single memory pass — compute overhead %.2fx, not 2x — and\n\
      communication doubles exactly (the two-probe shape is query-independent).\n"
     kwe.Lw_sim.Cost_model.compute_overhead;

@@ -116,18 +116,17 @@ let check_bucket_scan ?(domain_bits = 6) ?(bucket_size = 32) ?(alphas = [ 3; 47 
   end
 
 (* ------------------------------------------------------------------ *)
-(* Lane-group batch scan (PIR mode)                                    *)
+(* Batch scan (PIR mode)                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* The batched kernel streams the database in blocks and passes over
-   each block once per lane group ([Xorbuf.lane_passes] of the width, a
-   public function of the width alone); the observable per-bucket trace
-   is the same deterministic block walk whatever the secret indices are.
-   Drive [answer_batch] with several distinct batches of secrets (both
-   key shares of each) and assert (1) the traces are identical across
-   batches and parties, and (2) every bucket appears exactly once per
-   pass — i.e. coverage is full and no bucket's visit count correlates
-   with any query's target. [Ok visits] reports that per-bucket count. *)
+(* The batched kernel streams the database in blocks and makes one pass
+   over each block whatever the width, so the observable per-bucket
+   trace is the same in-order walk a single answer makes. Drive
+   [answer_batch] with several distinct batches of secrets (both key
+   shares of each) and assert (1) the traces are identical across
+   batches and parties, and (2) the trace is exactly buckets [0..size)
+   in order — full coverage, one visit each, so no bucket's visit count
+   or position correlates with any query's target. *)
 let batch_scan_traces ~domain_bits ~bucket_size alphas =
   let db = Lw_pir.Bucket_db.create ~domain_bits ~bucket_size in
   Lw_pir.Bucket_db.fill_random db (Lw_util.Det_rng.of_string_seed "trace-check-db");
@@ -152,14 +151,12 @@ let check_batch_scan ?(domain_bits = 5) ?(bucket_size = 24)
   match widths with
   | [] -> err "check_batch_scan: need at least one batch"
   | _ :: _ :: _ ->
-      (* trace shape legitimately depends on the (public) batch width, so
-         probing obliviousness requires same-width batches *)
+      (* the width is public: probing obliviousness compares batches
+         that differ only in their secrets *)
       err "check_batch_scan: batches must share one width"
   | [ width ] when width < 2 || List.length batches < 2 ->
       err "check_batch_scan: need >= 2 batches of >= 2 queries"
-  | [ width ] -> (
-      let passes = Lw_util.Xorbuf.lane_passes width in
-      let size = 1 lsl domain_bits in
+  | [ _ ] -> (
       let traces =
         List.concat_map (batch_scan_traces ~domain_bits ~bucket_size) batches
       in
@@ -169,25 +166,13 @@ let check_batch_scan ?(domain_bits = 5) ?(bucket_size = 24)
           if List.exists (fun t -> t <> first) rest then
             err "batch scan trace depends on the secret indices"
           else begin
-            let counts = Array.make size 0 in
-            let oob = ref None in
-            List.iter
-              (fun i ->
-                if i < 0 || i >= size then oob := Some i else counts.(i) <- counts.(i) + 1)
-              first;
-            match !oob with
-            | Some i -> err "batch scan trace left the bucket range: %d" i
-            | None ->
-                let bad = ref None in
-                Array.iteri
-                  (fun i c -> if c <> passes && !bad = None then bad := Some (i, c))
-                  counts;
-                (match !bad with
-                | Some (i, c) ->
-                    err
-                      "batch scan visited bucket %d %d times (expected once per pass, %d)"
-                      i c passes
-                | None -> Ok passes)
+            let rec first_gap i = function
+              | [] -> if i = 1 lsl domain_bits then None else Some i
+              | b :: tl -> if b <> i then Some i else first_gap (i + 1) tl
+            in
+            match first_gap 0 first with
+            | None -> Ok ()
+            | Some i -> err "batch scan trace is not the in-order walk at position %d" i
           end)
 
 (* ------------------------------------------------------------------ *)
@@ -527,7 +512,7 @@ let check_all () =
       | Ok () -> (
           match check_batch_scan () with
           | Error _ as e -> e
-          | Ok _ -> (
+          | Ok () -> (
               match check_partitioned_scan () with
               | Error _ as e -> e
               | Ok () -> (

@@ -69,7 +69,7 @@ module type S = sig
   (** Two-server PIR: one XOR-share scan for one DPF key. *)
 
   val answer_batch : view -> Lw_dpf.Dpf.key array -> (string array, int * string) result
-  (** Batch entry (also the width-2 keyword probe pair): the lane-group
+  (** Batch entry (also the width-2 keyword probe pair): the batch scan
       kernel's one streamed traversal per batch. *)
 
   val spir_hint : view -> (string, int * string) result

@@ -777,7 +777,7 @@ let pir_batch_attempt t indexed_keys =
 
    A keyword lookup privately probes BOTH cuckoo candidate buckets of the
    key as one [Keyword_query] — two DPF key shares per server, answered as
-   a single width-2 entry into the lane-group batch scan, so the whole
+   a single width-2 entry into the batch scan, so the whole
    lookup is one round trip and ~one scan pass. The wire shape is fixed
    and query-independent: always two keys out, always two shares back,
    even when the candidates coincide (a second real probe of the same
@@ -857,7 +857,7 @@ let keyword_get t key =
       with_retry t (fun () -> keyword_attempt t key)
 
 (* Correlated multi-keyword fetch: 2k DPF keys ride one [Pir_batch] (the
-   servers' lane-group kernel streams the data once per batch), and the shares
+   servers' batch kernel streams the data once per batch), and the shares
    are re-paired per keyword on decode — how a cluster retrieval fetches
    its k members in one round trip. *)
 let keyword_batch_attempt t keyed =

@@ -101,7 +101,7 @@ val get_batch : t -> string list -> (string option list, string) result
     A keyword GET privately probes {e both} cuckoo candidate buckets of
     the key (salts 0/1 of the Welcome hash key) as one wire-v4
     [Keyword_query]: two fresh DPF key shares per server, answered as a
-    single width-2 entry into the server's lane-group batch scan — one
+    single width-2 entry into the server's batch scan — one
     round trip, ~one scan pass. The shape is fixed and query-independent
     (always two probes, even when the candidates coincide), so the verb
     leaks nothing about the key; retries regenerate all DPF keys as

@@ -341,7 +341,7 @@ let answer_via_tree t rep k =
    Re-basing composes exactly as in [answer_via_tree], so [out.(s)] is
    bit-identical to the flat [Distributed.split] sub-key for shard [s] —
    which is what lets batches (and the keyword verb riding them) use the
-   hierarchical fan-out and still feed the shards' lane-group kernel. *)
+   hierarchical fan-out and still feed the shards' batch scan kernel. *)
 let leaf_subkeys t rep k =
   let out = Array.make (Array.length t.shards) k in
   let rec go node key =
@@ -387,7 +387,7 @@ let answer_result t k =
 
 (* Batched private-GET across the shard fleet: split every query's key
    once, then hand each shard the whole batch of its sub-keys so it runs
-   the lane-group scan kernel ([Lw_pir.Server.answer_batch]) — one
+   the batch scan kernel ([Lw_pir.Server.answer_batch]) — one
    streamed traversal of the shard's slice for the whole batch instead of
    one per query. Query [q]'s answer is the XOR of its per-shard shares,
    exactly as in [answer]. *)

@@ -131,7 +131,7 @@ val answer : t -> Lw_dpf.Dpf.key -> string
 
 val answer_batch : t -> Lw_dpf.Dpf.key array -> string array
 (** Batched private-GET: each shard receives the whole batch of its
-    sub-keys and answers them through the lane-group scan kernel
+    sub-keys and answers them through the batch scan kernel
     ({!Lw_pir.Server.answer_batch}), so a batch pays one streamed
     traversal of each shard's slice. When a fan-out tree is active
     ({!set_tree_fanout}), each key's sub-keys are derived through the

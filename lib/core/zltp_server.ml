@@ -85,7 +85,7 @@ let answer_pir t ~epoch dpf_key =
 (* A batch deserialises and validates every key before any evaluation, so
    a malformed key rejects the whole request rather than wasting a
    partial scan; the accepted keys then ride the backend's batch entry —
-   the lane-group kernel's one streamed traversal of the data for the
+   the batch kernel's one streamed traversal of the data for the
    whole batch — instead of re-entering the single-query path per key. *)
 let answer_pir_batch t ~epoch dpf_keys =
   let rec deserialize_all acc = function
@@ -200,7 +200,7 @@ let handle c msg =
               err ~qid code e))
   | Zltp_wire.Keyword_query { qid; epoch; dpf_key0; dpf_key1 } -> (
       (* keyword GET = both cuckoo candidate probes as one width-2 entry
-         into the lane-group batch kernel (a single two-lane group): one
+         into the batch scan kernel (a two-lane call): one
          streamed scan pass, one round trip, and the same epoch pinning /
          degraded refusal as any other PIR batch *)
       match c.mode with

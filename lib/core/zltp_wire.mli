@@ -31,7 +31,7 @@
     Protocol version 4 makes keyword search a first-class verb:
     [Keyword_query] carries {e two} DPF key shares — one per cuckoo
     candidate bucket of the (hidden) search key — that the server answers
-    as a single width-2 entry into its lane-group batch scan, so a
+    as a single width-2 entry into its batch scan, so a
     keyword GET costs ~one scan pass, not two round trips. The two-probe
     shape is fixed and query-independent: every keyword query ships
     exactly two keys and receives exactly two shares, whether or not the

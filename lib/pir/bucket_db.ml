@@ -70,32 +70,22 @@ let xor_bucket_into_masked t i ~mask ~dst =
   Lw_util.Xorbuf.xor_into_masked ~mask ~src:t.data ~src_pos:(i * t.bucket_size) ~dst
     ~dst_pos:0 ~len:t.bucket_size
 
-(* The fused and batched kernels enter here at block granularity, but
-   tracing stays bucket-granular: every bucket is recorded once per pass
-   the kernel makes over it, so [Lw_analysis.Trace_check] observes the
-   per-bucket access sequence the kernel really performs. *)
+(* The scan kernel enters here at block granularity, but tracing stays
+   bucket-granular: the kernel makes one pass over the block whatever
+   the lane count, so every bucket is recorded once, in order, and
+   [Lw_analysis.Trace_check] observes the per-bucket access sequence the
+   kernel really performs. *)
 
 let check_block t ~base ~count =
   if count < 0 || base < 0 || base > size t - count then
     invalid_arg "Bucket_db: block out of range"
 
-let record_passes t ~base ~count passes =
-  if t.tracing then
-    for _ = 1 to passes do
-      for j = 0 to count - 1 do
-        t.trace_rev <- (base + j) :: t.trace_rev
-      done
-    done
-
-let xor_block_into_masked t ~base ~count ~bits ~bits_pos ~dst =
-  check_block t ~base ~count;
-  record_passes t ~base ~count 1;
-  Lw_util.Xorbuf.xor_buckets_masked ~bits ~bits_pos ~count ~src:t.data
-    ~src_pos:(base * t.bucket_size) ~bucket:t.bucket_size ~dst
-
 let xor_block_into_lanes t ~base ~count ~bits ~bits_pos ~stride ~dsts =
   check_block t ~base ~count;
-  record_passes t ~base ~count (Lw_util.Xorbuf.lane_passes (Array.length dsts));
+  if t.tracing then
+    for j = 0 to count - 1 do
+      t.trace_rev <- (base + j) :: t.trace_rev
+    done;
   Lw_util.Xorbuf.xor_buckets_lanes ~bits ~bits_pos ~stride ~count ~src:t.data
     ~src_pos:(base * t.bucket_size) ~bucket:t.bucket_size ~dsts
 

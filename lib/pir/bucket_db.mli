@@ -41,15 +41,6 @@ val xor_bucket_into_masked : t -> int -> mask:int -> dst:Bytes.t -> unit
     mask derived from its selection bit has an access trace independent of
     the selection — the constant-trace scan step. *)
 
-val xor_block_into_masked :
-  t -> base:int -> count:int -> bits:Bytes.t -> bits_pos:int -> dst:Bytes.t -> unit
-(** [xor_block_into_masked db ~base ~count ~bits ~bits_pos ~dst] XORs the
-    [count] consecutive buckets starting at [base] into [dst], bucket
-    [base + j] masked by the selection byte [bits.[bits_pos + j]] — the
-    fused scan's block step ({!Lw_util.Xorbuf.xor_buckets_masked} under
-    one bounds gate). Tracing records every bucket individually, exactly
-    as the scalar path would. *)
-
 val xor_block_into_lanes :
   t ->
   base:int ->
@@ -60,12 +51,13 @@ val xor_block_into_lanes :
   dsts:Bytes.t array ->
   unit
 (** [xor_block_into_lanes db ~base ~count ~bits ~bits_pos ~stride ~dsts]
-    is the batch scan's block step ({!Lw_util.Xorbuf.xor_buckets_lanes}):
-    the [count] buckets from [base] feed every accumulator of [dsts], lane
+    is the scan's block step ({!Lw_util.Xorbuf.xor_buckets_lanes}), for a
+    single answer (one lane, [stride = count]) and a batch alike: the
+    [count] buckets from [base] feed every accumulator of [dsts], lane
     [q] selecting bucket [base + j] by bit [q land 7] of
-    [bits.[bits_pos + (q lsr 3) * stride + j]]. Tracing records every
-    bucket once per pass the kernel makes
-    ({!Lw_util.Xorbuf.lane_passes} of the width). *)
+    [bits.[bits_pos + (q lsr 3) * stride + j]]. The kernel makes one
+    pass whatever the width, and tracing records every bucket once, in
+    order. *)
 
 val set_tracing : t -> bool -> unit
 (** Enable/disable access tracing; either way the trace is reset. Tracing

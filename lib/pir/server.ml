@@ -2,9 +2,9 @@
    flat [Bucket_db] (tests, microbenchmarks, single-epoch worlds) or a
    pinned [Lw_store] snapshot (the production path, where the database
    keeps moving underneath and each answer must come from exactly the
-   epoch the client queried). The scan kernels are identical either way
-   — the snapshot exposes the same masked and lane-group block entry
-   points as the flat database, with the same per-bucket tracing. *)
+   epoch the client queried). The scan kernel is identical either way
+   — the snapshot exposes the same lane block entry point as the flat
+   database, with the same per-bucket tracing. *)
 
 type source = Flat of Bucket_db.t | Snapshot of Lw_store.Snapshot.t
 type t = { src : source }
@@ -46,11 +46,6 @@ let xor_bucket_into_masked t i ~mask ~dst =
   match t.src with
   | Flat db -> Bucket_db.xor_bucket_into_masked db i ~mask ~dst
   | Snapshot s -> Lw_store.Snapshot.xor_bucket_into_masked s i ~mask ~dst
-
-let xor_block_into_masked t ~base ~count ~bits ~bits_pos ~dst =
-  match t.src with
-  | Flat db -> Bucket_db.xor_block_into_masked db ~base ~count ~bits ~bits_pos ~dst
-  | Snapshot s -> Lw_store.Snapshot.xor_block_into_masked s ~base ~count ~bits ~bits_pos ~dst
 
 let xor_block_into_lanes t ~base ~count ~bits ~bits_pos ~stride ~dsts =
   match t.src with
@@ -94,10 +89,10 @@ let scan t bits =
 (* ------------------------------------------------------------------ *)
 
 (* Cache budget for one streamed block of database: big enough to
-   amortise per-block overheads, small enough that a block and the
-   accumulators it feeds stay resident while a batch's later lane groups
-   re-read it. Matches [Lw_store]'s CoW block budget, so a fused-scan
-   block never spans more than two CoW blocks of a snapshot. *)
+   amortise per-block overheads, small enough that a single answer's
+   block of DPF leaf bytes is still in cache when the kernel reads it.
+   Matches [Lw_store]'s CoW block budget, so a fused-scan block never
+   spans more than two CoW blocks of a snapshot. *)
 let block_bytes = 1 lsl 18
 
 let block_bits_for t =
@@ -115,23 +110,22 @@ let m_scan_bytes = Lw_obs.Metrics.counter "pir.server.scan_bytes"
 (* Eval↔scan fusion: each block of DPF leaf bits is XOR-consumed against
    the matching database block the moment the traversal produces it — no
    full-domain bits buffer, one pass over the data, per-block bounds
-   checks instead of per-bucket ones. *)
+   checks instead of per-bucket ones. The leaf bytes are 0/1, so they
+   are plane 0 of a one-lane call to the batch kernel. *)
 let answer t k =
   check_domain t k;
   let acc = Bytes.make (bucket_size t) '\x00' in
   Lw_dpf.Dpf.eval_bits_blocked k ~block_bits:(block_bits_for t) (fun base bits count ->
-      xor_block_into_masked t ~base ~count ~bits ~bits_pos:0 ~dst:acc);
+      xor_block_into_lanes t ~base ~count ~bits ~bits_pos:0 ~stride:count ~dsts:[| acc |]);
   Lw_obs.Metrics.incr m_answers;
   Lw_obs.Metrics.add m_scan_bytes (total_bytes t);
   Bytes.unsafe_to_string acc
 
-(* The lane-group batch scan over the [2^rem] buckets from [lo]: [keys]
-   are rebased to that range (the full domain when [lo = 0]). Each key's
-   blocked traversal ORs its 0/1 leaf bytes into bit [q land 7] of plane
+(* The batch scan over the [2^rem] buckets from [lo]: [keys] are rebased
+   to that range (the full domain when [lo = 0]). Each key's blocked
+   traversal ORs its 0/1 leaf bytes into bit [q land 7] of plane
    [q lsr 3] of [bits] (at least [ceil(k/8) * 2^rem] bytes), then every
-   fused block feeds all [k] accumulators in [Xorbuf.lane_passes k]
-   straight-line passes: the first pass streams the block from memory,
-   the later ones re-read it from cache. *)
+   fused block feeds all [k] accumulators in one pass of the kernel. *)
 let scan_lanes t ~keys ~lo ~rem ~bits ~accs =
   let span = 1 lsl rem in
   let block_bits = min rem (block_bits_for t) in
@@ -150,7 +144,7 @@ let scan_lanes t ~keys ~lo ~rem ~bits ~accs =
   done
 
 (* A batch of one is the fused single answer; wider batches share one
-   streamed traversal of the database through the lane-group kernel. *)
+   streamed traversal of the database through the same kernel. *)
 let answer_batch t keys =
   Array.iter (check_domain t) keys;
   let n = Array.length keys in
@@ -163,8 +157,8 @@ let answer_batch t keys =
     scan_lanes t ~keys ~lo:0 ~rem:d ~bits ~accs;
     Lw_obs.Metrics.incr m_batches;
     Lw_obs.Metrics.add m_answers n;
-    (* later lane groups re-read cache-resident blocks: the batch streams
-       the database once, whatever its width *)
+    (* one pass per block: the batch streams the database once, whatever
+       its width *)
     Lw_obs.Metrics.add m_scan_bytes (total_bytes t);
     Array.map Bytes.unsafe_to_string accs
   end
@@ -200,7 +194,9 @@ let scan_partition t ~sub ~prefix ~rem ~acc =
   let base = prefix lsl rem in
   Lw_dpf.Dpf.eval_bits_blocked sub
     ~block_bits:(min rem (block_bits_for t))
-    (fun b bits count -> xor_block_into_masked t ~base:(base + b) ~count ~bits ~bits_pos:0 ~dst:acc)
+    (fun b bits count ->
+      xor_block_into_lanes t ~base:(base + b) ~count ~bits ~bits_pos:0 ~stride:count
+        ~dsts:[| acc |])
 
 (* Serial schedule over the exact per-partition kernels the parallel path
    runs: the deterministic twin [Trace_check.check_partitioned_scan]

@@ -5,8 +5,9 @@
     The production path is the fused, blocked kernel: {!answer} consumes
     DPF leaf bits block-by-block against the matching database block as
     the traversal produces them, and {!answer_batch} feeds a batch's
-    accumulators from one streamed traversal of the data, lanes in
-    straight-line groups of three ({!Lw_util.Xorbuf.xor_buckets_lanes}).
+    accumulators from one streamed traversal of the data. Both run the
+    one C scan kernel, {!Lw_util.Xorbuf.xor_buckets_lanes}; a single
+    answer is its one-lane call.
 
     {!eval_bits} and {!scan} remain the seed's two-pass reference
     implementation: benchmarks (E1, E19) time its phases separately and
@@ -52,13 +53,11 @@ val answer_batch : t -> Lw_dpf.Dpf.key array -> string array
 (** All responses from one streamed traversal of the data. A batch of
     one is {!answer}. Wider batches evaluate each key blockwise into
     packed selection bits ([ceil(k/8) * size] bytes of scratch), then
-    run every fused block through {!Lw_util.Xorbuf.xor_buckets_lanes}:
-    [Lw_util.Xorbuf.lane_passes k] word-major passes, each loading every
-    source word once for up to three accumulators. The first pass
-    streams the block from memory and the later ones re-read it from
-    cache, so [pir.server.scan_bytes] grows by one database size per
-    call, whatever the width. Width 2 is the keyword verb's two-probe
-    shape. *)
+    run every fused block through {!Lw_util.Xorbuf.xor_buckets_lanes}
+    in one pass that masks each loaded record into all [k]
+    accumulators, so [pir.server.scan_bytes] grows by one database size
+    per call, whatever the width. Width 2 is the keyword verb's
+    two-probe shape. *)
 
 (** {2 Domain-partitioned parallel scan}
 
@@ -87,7 +86,7 @@ val answer_domains : ?cutoff_bytes:int -> ?domains:int -> t -> Lw_dpf.Dpf.key ->
 
 val answer_batch_domains :
   ?cutoff_bytes:int -> ?domains:int -> t -> Lw_dpf.Dpf.key array -> string array
-(** {!answer_batch} (lane-group kernel per partition) with the
+(** {!answer_batch} (the batch kernel per partition) with the
     partition-claiming worker scheme of {!answer_domains}; byte-identical
     to {!answer_batch}. *)
 

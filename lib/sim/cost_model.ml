@@ -101,7 +101,7 @@ type keyword_estimate = {
 let keyword_estimate ?policy ?bucket_bytes ?batch ds shard inst =
   let base = estimate ?policy ?bucket_bytes ?batch ds shard inst in
   (* A keyword GET is two DPF probes riding ONE batched scan pass
-     (Server.answer_batch runs both as one two-lane group): per shard it
+     (Server.answer_batch runs both as one two-lane scan): per shard it
      costs 2×dpf_seconds of key evaluation but only 1×scan_seconds of
      memory traffic, versus dpf + scan for the plain index GET. *)
   let kw_request_seconds = (2. *. shard.dpf_seconds) +. shard.scan_seconds in

@@ -4,7 +4,7 @@
     stream through {!Queue_sim}'s batch-service discipline — but where
     {!Queue_sim} plugs an analytic service law into the event loop, this
     driver {e measures} each batch's service time by running the scan
-    kernels (fused, lane-group batched, optionally domain-parallel, optionally
+    kernels (fused, batched, optionally domain-parallel, optionally
     through the fan-out tree). Arrivals and waits live on a virtual
     timeline; service durations are wall-clock truth; Little's law
     (L = λW) is reported per operating point as a bookkeeping
@@ -71,7 +71,7 @@ type model_line = {
   measured_batch_service_s : float;
   measured_capacity_rps : float;
   floor_ratio : float;
-      (** measured batch service / model floor: < 1 means the lane-group
+      (** measured batch service / model floor: < 1 means the
           batch kernel beats the naive batch × request arithmetic (scan
           amortization the Table-2 floor does not credit) *)
 }

@@ -195,15 +195,15 @@ module Snapshot = struct
     Lw_util.Xorbuf.xor_into_masked ~mask ~src:s.blocks.(b)
       ~src_pos:(local * s.store.bucket_size) ~dst ~dst_pos:0 ~len:s.store.bucket_size
 
-  (* Block entries: the requested [base, base+count) run may span several
+  (* Block entry: the requested [base, base+count) run may span several
      CoW blocks; split it into per-block runs and hand each to the Xorbuf
-     kernel. Tracing stays bucket-granular, once per pass the kernel makes
-     over each run, exactly as in [Bucket_db], so the obliviousness
-     checker observes the same access sequence over a snapshot as over a
-     flat database. *)
-  let iter_runs s ~base ~count ~passes f =
+     kernel. Tracing stays bucket-granular, once per bucket, exactly as
+     in [Bucket_db], so the obliviousness checker observes the same
+     access sequence over a snapshot as over a flat database. *)
+  let xor_block_into_lanes s ~base ~count ~bits ~bits_pos ~stride ~dsts =
     if count < 0 || base < 0 || base > size s - count then
       invalid_arg "Lw_store.Snapshot: block out of range";
+    let bucket = s.store.bucket_size in
     let bb = 1 lsl s.store.block_bits in
     let off = ref 0 in
     while !off < count do
@@ -211,27 +211,13 @@ module Snapshot = struct
       let b = i lsr s.store.block_bits and local = i land (bb - 1) in
       let run = min (count - !off) (bb - local) in
       if s.store.trace.on then
-        for _ = 1 to passes do
-          for j = i to i + run - 1 do
-            s.store.trace.rev <- j :: s.store.trace.rev
-          done
+        for j = i to i + run - 1 do
+          s.store.trace.rev <- j :: s.store.trace.rev
         done;
-      f ~off:!off ~run ~src:s.blocks.(b) ~src_pos:(local * s.store.bucket_size);
+      Lw_util.Xorbuf.xor_buckets_lanes ~bits ~bits_pos:(bits_pos + !off) ~stride ~count:run
+        ~src:s.blocks.(b) ~src_pos:(local * bucket) ~bucket ~dsts;
       off := !off + run
     done
-
-  let xor_block_into_masked s ~base ~count ~bits ~bits_pos ~dst =
-    let bucket = s.store.bucket_size in
-    iter_runs s ~base ~count ~passes:1 (fun ~off ~run ~src ~src_pos ->
-        Lw_util.Xorbuf.xor_buckets_masked ~bits ~bits_pos:(bits_pos + off) ~count:run ~src
-          ~src_pos ~bucket ~dst)
-
-  let xor_block_into_lanes s ~base ~count ~bits ~bits_pos ~stride ~dsts =
-    let bucket = s.store.bucket_size in
-    let passes = Lw_util.Xorbuf.lane_passes (Array.length dsts) in
-    iter_runs s ~base ~count ~passes (fun ~off ~run ~src ~src_pos ->
-        Lw_util.Xorbuf.xor_buckets_lanes ~bits ~bits_pos:(bits_pos + off) ~stride ~count:run
-          ~src ~src_pos ~bucket ~dsts)
 
   let set_tracing s on = set_tracing s.store on
   let access_trace s = access_trace s.store

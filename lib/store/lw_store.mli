@@ -134,16 +134,10 @@ module Snapshot : sig
   val occupied : t -> int
 
   (** Scan kernels, mirroring [Bucket_db]: every bucket is traced once
-      per pass the kernel makes over it, so the obliviousness checker
-      sees the same per-bucket sequence over a snapshot as over a flat
-      database. *)
+      per scan, in order, so the obliviousness checker sees the same
+      per-bucket sequence over a snapshot as over a flat database. *)
 
   val xor_bucket_into_masked : t -> int -> mask:int -> dst:Bytes.t -> unit
-
-  val xor_block_into_masked :
-    t -> base:int -> count:int -> bits:Bytes.t -> bits_pos:int -> dst:Bytes.t -> unit
-  (** Fused-scan block entry; the run may span CoW block boundaries and
-      is split internally. *)
 
   val xor_block_into_lanes :
     t ->
@@ -154,9 +148,9 @@ module Snapshot : sig
     stride:int ->
     dsts:Bytes.t array ->
     unit
-  (** Batch block entry ({!Lw_util.Xorbuf.xor_buckets_lanes}); spans CoW
-      blocks like {!xor_block_into_masked}. Each bucket is traced once
-      per pass the kernel makes over it. *)
+  (** Scan block entry ({!Lw_util.Xorbuf.xor_buckets_lanes}) for single
+      answers (one lane) and batches alike; the run may span CoW block
+      boundaries and is split internally. Each bucket is traced once. *)
 
   val set_tracing : t -> bool -> unit
   val access_trace : t -> int list

@@ -4,8 +4,9 @@
     into a response buffer, so these loops work 64 bits at a time. All
     functions validate their ranges once up front and then run unchecked
     word loops; [xor_into_masked] deliberately keeps the checked accessors
-    of the seed implementation — it is the reference kernel the fused and
-    batched scan paths are benchmarked (E19) and property-tested against. *)
+    of the seed implementation — it is the reference kernel the scan
+    kernel {!xor_buckets_lanes} is benchmarked (E19) and property-tested
+    against. *)
 
 val xor_into : src:Bytes.t -> src_pos:int -> dst:Bytes.t -> dst_pos:int -> len:int -> unit
 (** [xor_into ~src ~src_pos ~dst ~dst_pos ~len] XORs [len] bytes of [src]
@@ -20,29 +21,6 @@ val xor_into_masked :
     so selecting buckets by mask (instead of skipping them with a branch)
     keeps a scan's memory trace independent of the selection bits. *)
 
-val xor_buckets_masked :
-  bits:Bytes.t ->
-  bits_pos:int ->
-  count:int ->
-  src:Bytes.t ->
-  src_pos:int ->
-  bucket:int ->
-  dst:Bytes.t ->
-  unit
-(** [xor_buckets_masked ~bits ~bits_pos ~count ~src ~src_pos ~bucket ~dst]
-    is the fused-scan block kernel: for each [j < count], XOR the
-    [bucket]-byte record at [src_pos + j*bucket] into [dst] under the mask
-    splatted from selection byte [bits.[bits_pos + j]] (low bit used). One
-    bounds gate covers the whole block; every record performs the identical
-    read-modify-write of [dst] whether its bit is set or not. *)
-
-val lane_passes : int -> int
-(** [lane_passes k] is how many passes {!xor_buckets_lanes} makes over
-    its block for [k] lanes: [ceil (k / 3)]. The lanes run in
-    straight-line groups of three (a remainder group of one or two), and
-    each group is one pass. A public function of the width alone, so
-    the scan's memory trace says nothing the batch width does not. *)
-
 val xor_buckets_lanes :
   bits:Bytes.t ->
   bits_pos:int ->
@@ -54,18 +32,21 @@ val xor_buckets_lanes :
   dsts:Bytes.t array ->
   unit
 (** [xor_buckets_lanes ~bits ~bits_pos ~stride ~count ~src ~src_pos
-    ~bucket ~dsts] is the batch kernel: for each lane [q] and record
-    [j < count], XOR the [bucket]-byte record at [src_pos + j*bucket]
-    into [dsts.(q)] under the mask splatted from bit [q land 7] of
+    ~bucket ~dsts] is the scan kernel behind every PIR answer, single or
+    batched: for each lane [q] and record [j < count], XOR the
+    [bucket]-byte record at [src_pos + j*bucket] into [dsts.(q)] under
+    the mask splatted from bit [q land 7] of
     [bits.[bits_pos + (q lsr 3) * stride + j]] — eight lanes packed per
-    selection byte, one [stride]-byte plane per eight lanes. The lanes
-    go in groups of three; each group makes one word-major pass that
-    loads every source word once and masks it into each of the group's
-    accumulators, so {!lane_passes} [(Array.length dsts)] passes cover
-    the block. Every lane does identical memory work whatever its bits.
-    Raises [Invalid_argument] on an empty [dsts], a non-positive
-    [bucket], a negative [count], [stride < count], or any
-    out-of-bounds range. *)
+    selection byte, one [stride]-byte plane per eight lanes. A single
+    answer is the one-lane call with its 0/1 selection bytes as plane 0.
+    After the range checks it runs a C kernel (128-bit vectors) that
+    makes one pass over the records, four at a time, masking each into
+    every lane's accumulator. Every record is loaded and every
+    accumulator rewritten whatever the bits, and the kernel has no
+    branch but its loop bounds, so its memory trace is a function of
+    the geometry and the lane count alone. Raises [Invalid_argument] on
+    an empty [dsts], a non-positive [bucket], a negative [count],
+    [stride < count], or any out-of-bounds range. *)
 
 val set_lane_bits :
   src:Bytes.t -> src_pos:int -> dst:Bytes.t -> dst_pos:int -> len:int -> lane:int -> unit

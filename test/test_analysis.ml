@@ -136,7 +136,7 @@ let test_rule_secret_branch () =
   Alcotest.(check int) "unflagged silent" 0
     (count_rule "secret-branch" (findings_for unflagged))
 
-(* The lane-group batch kernel's shape: a lane's selection bit must
+(* The batch kernel's shape in OCaml: a lane's selection bit must
    become a word mask arithmetically. A kernel that skips unselected
    records with a branch makes the scan's timing and trace depend on the
    query. *)
@@ -161,6 +161,95 @@ let test_rule_secret_branch_lane_kernel () =
   let rules = findings_for ~path clean in
   Alcotest.(check int) "masked lane clean (secret-branch)" 0 (count_rule "secret-branch" rules);
   Alcotest.(check int) "masked lane clean (taint)" 0 (count_rule "taint" rules)
+
+(* The scan kernel's masks live in C, which lw_lint does not parse, so
+   its no-branch rule is kept here on tokens: with comments and literals
+   stripped, the kernel may contain no conditional keyword, no ternary
+   and no short-circuit operator. Its only control flow is [for] loops
+   over public bounds. *)
+let c_branch_keywords = [ "if"; "else"; "switch"; "case"; "goto"; "while" ]
+
+let c_branch_tokens src =
+  let n = String.length src in
+  let found = ref [] and line = ref 1 in
+  let add tok = found := (!line, tok) :: !found in
+  let next i = if i + 1 < n then Some src.[i + 1] else None in
+  let is_word c =
+    c = '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
+  in
+  (* skip past the end of a block comment, counting newlines *)
+  let rec skip_comment i =
+    if i + 1 >= n then n
+    else if src.[i] = '*' && src.[i + 1] = '/' then i + 2
+    else begin
+      if src.[i] = '\n' then incr line;
+      skip_comment (i + 1)
+    end
+  in
+  let rec skip_literal q i =
+    if i >= n then n
+    else if src.[i] = '\\' then skip_literal q (i + 2)
+    else if src.[i] = q then i + 1
+    else skip_literal q (i + 1)
+  in
+  let rec go i =
+    if i < n then
+      match (src.[i], next i) with
+      | '\n', _ ->
+          incr line;
+          go (i + 1)
+      | '/', Some '*' -> go (skip_comment (i + 2))
+      | '/', Some '/' ->
+          go (Option.value (String.index_from_opt src i '\n') ~default:n)
+      | (('"' | '\'') as q), _ -> go (skip_literal q (i + 1))
+      | '?', _ ->
+          add "?";
+          go (i + 1)
+      | '&', Some '&' ->
+          add "&&";
+          go (i + 2)
+      | '|', Some '|' ->
+          add "||";
+          go (i + 2)
+      | c, _ when is_word c ->
+          let j = ref i in
+          while !j < n && is_word src.[!j] do incr j done;
+          let w = String.sub src i (!j - i) in
+          if List.mem w c_branch_keywords then add w;
+          go !j
+      | _ -> go (i + 1)
+  in
+  go 0;
+  List.rev !found
+
+let rec c_files dir =
+  Array.to_list (Sys.readdir dir)
+  |> List.concat_map (fun f ->
+         let p = Filename.concat dir f in
+         if Sys.is_directory p then c_files p
+         else if Filename.check_suffix f ".c" then [ p ]
+         else [])
+
+let test_c_kernel_no_branch () =
+  let tokens = Alcotest.(check (list (pair int string))) in
+  tokens "branches caught"
+    [ (1, "if"); (1, "&&"); (2, "?"); (3, "while"); (3, "||"); (4, "switch"); (4, "case");
+      (5, "else"); (5, "goto") ]
+    (c_branch_tokens
+       "if (m && x) d ^= s;\nd = m ? s : 0;\nwhile (a || b) ;\nswitch (q) { case 1: ; }\nelse goto out;");
+  tokens "comments, literals and bit operators clean" []
+    (c_branch_tokens
+       "/* if (m) else\n while */ d ^= s & m; // goto ?\nconst char *t = \"if ? &&\"; c = '?';\nx = a | b;\nfor (o = 0; o < n; o++) ifx = elsewhere;");
+  let lib =
+    match Analyzer.resolve_dir "lib" with
+    | Some d -> d
+    | None -> Alcotest.fail "could not locate lib/ from the test runner"
+  in
+  let kernel = Filename.concat (Filename.concat lib "util") "xorbuf_stubs.c" in
+  Alcotest.(check (list string)) "the scan kernel is the only C file under lib/" [ kernel ]
+    (c_files lib);
+  let src = In_channel.with_open_bin kernel In_channel.input_all in
+  tokens "no branch in the scan kernel" [] (c_branch_tokens src)
 
 let test_rule_poly_compare () =
   (* the Store.insert bug shape: option tested with polymorphic = *)
@@ -768,24 +857,23 @@ let test_trace_bucket_scan () =
        ~alphas:[ 0; 17; 255 ] ())
 
 let test_trace_batch_scan () =
-  (* lane groups of three: width 5 makes 2 passes over every bucket,
-     widths 8 and 9 (across the 8-lane plane boundary) make 3 *)
-  let visits = Alcotest.(check (result int string)) in
-  visits "batch defaults" (Ok 2) (Trace_check.check_batch_scan ());
-  visits "batch full pack" (Ok 3)
+  (* one in-order visit per bucket at every width, including widths 8
+     and 9 (across the 8-lane plane boundary) *)
+  check_ok "batch defaults" (Trace_check.check_batch_scan ());
+  check_ok "batch full pack"
     (Trace_check.check_batch_scan ~domain_bits:6 ~bucket_size:48
        ~batches:[ [ 0; 1; 2; 3; 60; 61; 62; 63 ]; [ 7; 9; 11; 13; 17; 19; 23; 29 ] ] ());
-  visits "batch two packs" (Ok 3)
+  check_ok "batch two packs"
     (Trace_check.check_batch_scan ~domain_bits:6 ~bucket_size:48
        ~batches:
          [ [ 0; 1; 2; 3; 60; 61; 62; 63; 32 ]; [ 7; 9; 11; 13; 17; 19; 23; 29; 31 ] ]
        ());
   (* the checker itself must reject malformed probes *)
   (match Trace_check.check_batch_scan ~batches:[ [ 1; 2 ]; [ 3; 4; 5 ] ] () with
-  | Ok _ -> Alcotest.fail "mixed-width batches accepted"
+  | Ok () -> Alcotest.fail "mixed-width batches accepted"
   | Error _ -> ());
   match Trace_check.check_batch_scan ~batches:[ [ 1; 2 ] ] () with
-  | Ok _ -> Alcotest.fail "single batch accepted"
+  | Ok () -> Alcotest.fail "single batch accepted"
   | Error _ -> ()
 
 let test_trace_retry () =
@@ -853,6 +941,7 @@ let () =
           Alcotest.test_case "poly-compare" `Quick test_rule_poly_compare;
           Alcotest.test_case "secret-branch" `Quick test_rule_secret_branch;
           Alcotest.test_case "secret-branch lane kernel" `Quick test_rule_secret_branch_lane_kernel;
+          Alcotest.test_case "C scan kernel has no branch" `Quick test_c_kernel_no_branch;
           Alcotest.test_case "nondeterminism" `Quick test_rule_nondeterminism;
           Alcotest.test_case "raw-timestamp" `Quick test_rule_raw_timestamp;
           Alcotest.test_case "key-print" `Quick test_rule_key_print;

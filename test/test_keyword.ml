@@ -276,7 +276,7 @@ let test_wire_v4_crc_rejects_corruption () =
 (* ---------------- answer_pair kernel ---------------- *)
 
 (* The keyword verb's two probes are a width-2 [Server.answer_batch]:
-   one lane group, one streamed pass feeding both accumulators. *)
+   one two-lane kernel call, one streamed pass feeding both accumulators. *)
 let answer_pair s k0 k1 =
   match Server.answer_batch s [| k0; k1 |] with
   | [| a; b |] -> (a, b)

@@ -405,12 +405,11 @@ let prop_cuckoo_find_after_inserts =
       List.for_all (fun k -> Cuckoo.find c k = Some (String.uppercase_ascii k)) stored)
 
 (* Kernel-equivalence properties: the fused single-pass kernel behind
-   [Server.answer] and the lane-group batch kernel behind
+   [Server.answer] and the batch kernel behind
    [Server.answer_batch] must agree byte-for-byte with the two-pass
    reference ([eval_bits] + [scan]) on arbitrary geometry — domain sizes
-   that don't divide the scan block, bucket sizes that aren't word
-   multiples, batch widths 1-17 (every remainder group, across the
-   8-lane plane boundary). *)
+   that don't divide the scan block, bucket sizes that aren't vector
+   multiples, batch widths 1-17 (across the 8-lane plane boundary). *)
 
 let scan_geometry =
   QCheck.make
@@ -463,7 +462,7 @@ let prop_batch_matches_naive =
 
 (* The same equivalence over a pinned [Lw_store] snapshot whose CoW
    blocks hold one to four buckets, so every fused scan block straddles
-   several of them and the lane-group kernel runs on split block runs.
+   several of them and the scan kernel runs on split block runs.
    The served epoch rewrites every third bucket of the one before, so
    it mixes blocks shared with the older epoch and its own copies. *)
 let prop_snapshot_batch_matches_naive =

@@ -77,78 +77,55 @@ let test_is_zero () =
     (Invalid_argument "Xorbuf.is_zero_range: range out of bounds") (fun () ->
       ignore (Lw_util.Xorbuf.is_zero_range (Bytes.make 4 '\x00') ~pos:2 ~len:max_int))
 
-(* reference implementation for the masked and lane-group kernels *)
-let naive_masked ~mask ~src ~dst =
-  Bytes.mapi
-    (fun i d -> Char.chr (Char.code d lxor (Char.code (Bytes.get src i) land mask)))
-    dst
-
-let test_xor_buckets_masked () =
-  let rng = Lw_util.Det_rng.of_string_seed "buckets-masked" in
-  List.iter
-    (fun (count, bucket) ->
-      let src = Bytes.of_string (Lw_util.Det_rng.bytes rng (count * bucket)) in
-      let bits =
-        Bytes.init count (fun _ -> Char.chr (Lw_util.Det_rng.int rng 2))
-      in
-      let dst = Bytes.of_string (Lw_util.Det_rng.bytes rng bucket) in
-      let expected = ref (Bytes.copy dst) in
+(* The C scan kernel against the byte-wise [xor_into_masked] reference,
+   one lane at a time. Widths 1-17 cross into a second and third bit
+   plane; buckets 1, 15, 16, 17, 24 and 4096 take the 16-byte vector
+   loop, its byte tail, or both; counts 0-9 and 64 take the 4-record
+   tiles, the remainder loop, or both. Positions are non-zero and odd,
+   the plane stride is sometimes equal to [count] (a single answer's
+   shape) and sometimes wider, and every accumulator starts full of
+   random bytes. *)
+let lanes_reference ~bits ~bits_pos ~stride ~count ~src ~src_pos ~bucket ~dsts =
+  Array.mapi
+    (fun q dst ->
+      let acc = Bytes.copy dst in
       for j = 0 to count - 1 do
-        let mask = -Char.code (Bytes.get bits j) land 0xff in
-        let b = Bytes.sub src (j * bucket) bucket in
-        expected := naive_masked ~mask ~src:b ~dst:!expected
+        let byte = Char.code (Bytes.get bits (bits_pos + ((q lsr 3) * stride) + j)) in
+        let mask = -((byte lsr (q land 7)) land 1) land 0xff in
+        Lw_util.Xorbuf.xor_into_masked ~mask ~src ~src_pos:(src_pos + (j * bucket)) ~dst:acc
+          ~dst_pos:0 ~len:bucket
       done;
-      Lw_util.Xorbuf.xor_buckets_masked ~bits ~bits_pos:0 ~count ~src ~src_pos:0 ~bucket
-        ~dst;
-      Alcotest.(check string)
-        (Printf.sprintf "count=%d bucket=%d" count bucket)
-        (Bytes.to_string !expected) (Bytes.to_string dst))
-    [ (1, 1); (3, 7); (4, 8); (5, 32); (2, 33); (7, 40); (1, 100) ];
-  Alcotest.check_raises "src range"
-    (Invalid_argument "Xorbuf.xor_buckets_masked(src): range out of bounds") (fun () ->
-      Lw_util.Xorbuf.xor_buckets_masked ~bits:(Bytes.make 4 '\x00') ~bits_pos:0 ~count:4
-        ~src:(Bytes.make 16 '\x00') ~src_pos:0 ~bucket:8 ~dst:(Bytes.make 8 '\x00'))
+      acc)
+    dsts
 
-(* The batch kernel against a naive per-lane masked XOR: every width
-   from 1 to 17 (both 8-lane planes, every remainder group), buckets
-   with and without word and byte tails, a non-zero [bits_pos] and
-   [src_pos], and a plane stride wider than the block. *)
+let check_lanes rng ~lanes ~bits_pos ~stride ~count ~src_pos ~bucket =
+  let planes = (lanes + 7) / 8 in
+  let bits = Bytes.of_string (Lw_util.Det_rng.bytes rng (bits_pos + (planes * stride) + 1)) in
+  let src = Bytes.of_string (Lw_util.Det_rng.bytes rng (src_pos + (count * bucket) + 1)) in
+  let dsts = Array.init lanes (fun _ -> Bytes.of_string (Lw_util.Det_rng.bytes rng bucket)) in
+  let expected = lanes_reference ~bits ~bits_pos ~stride ~count ~src ~src_pos ~bucket ~dsts in
+  Lw_util.Xorbuf.xor_buckets_lanes ~bits ~bits_pos ~stride ~count ~src ~src_pos ~bucket ~dsts;
+  Alcotest.(check (array string))
+    (Printf.sprintf "lanes=%d count=%d bucket=%d stride=%d" lanes count bucket stride)
+    (Array.map Bytes.to_string expected) (Array.map Bytes.to_string dsts)
+
 let test_xor_buckets_lanes () =
   let rng = Lw_util.Det_rng.of_string_seed "buckets-lanes" in
-  let count = 5 and bits_pos = 3 and src_pos = 2 in
-  let stride = count + bits_pos + 4 in
   List.iter
     (fun bucket ->
-      for lanes = 1 to 17 do
-        let planes = (lanes + 7) / 8 in
-        let bits = Bytes.of_string (Lw_util.Det_rng.bytes rng (bits_pos + (planes * stride))) in
-        let src = Bytes.of_string (Lw_util.Det_rng.bytes rng (src_pos + (count * bucket))) in
-        let dsts = Array.init lanes (fun _ -> Bytes.of_string (Lw_util.Det_rng.bytes rng bucket)) in
-        let expected =
-          Array.mapi
-            (fun q dst ->
-              let acc = ref (Bytes.copy dst) in
-              for j = 0 to count - 1 do
-                let byte = Char.code (Bytes.get bits (bits_pos + ((q lsr 3) * stride) + j)) in
-                let mask = -((byte lsr (q land 7)) land 1) land 0xff in
-                let b = Bytes.sub src (src_pos + (j * bucket)) bucket in
-                acc := naive_masked ~mask ~src:b ~dst:!acc
-              done;
-              !acc)
-            dsts
-        in
-        Lw_util.Xorbuf.xor_buckets_lanes ~bits ~bits_pos ~stride ~count ~src ~src_pos ~bucket
-          ~dsts;
-        Array.iteri
-          (fun q dst ->
-            Alcotest.(check string)
-              (Printf.sprintf "lanes=%d bucket=%d lane=%d" lanes bucket q)
-              (Bytes.to_string expected.(q)) (Bytes.to_string dst))
-          dsts
-      done)
-    [ 1; 7; 8; 16; 24; 33; 40; 67 ];
-  Alcotest.(check (list int)) "passes" [ 1; 1; 1; 2; 2; 3; 3; 3; 6 ]
-    (List.map Lw_util.Xorbuf.lane_passes [ 1; 2; 3; 4; 6; 7; 8; 9; 16 ]);
+      List.iter
+        (fun count ->
+          for lanes = 1 to 17 do
+            check_lanes rng ~lanes ~bits_pos:3 ~stride:(count + (lanes mod 3)) ~count ~src_pos:5
+              ~bucket
+          done)
+        [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9; 64 ])
+    [ 1; 15; 16; 17; 24; 4096 ];
+  (* a single answer's block: one lane, plane 0 at offset 0 *)
+  List.iter
+    (fun (count, bucket) ->
+      check_lanes rng ~lanes:1 ~bits_pos:0 ~stride:count ~count ~src_pos:0 ~bucket)
+    [ (1, 1); (3, 7); (4, 8); (5, 32); (2, 33); (7, 40); (1, 100) ];
   let run ?(bits = Bytes.make 16 '\x00') ?(stride = 4) ?(count = 4) ?(bucket = 8)
       ?(src = Bytes.make 32 '\x00') ?(dsts = [| Bytes.make 8 '\x00' |]) () =
     Lw_util.Xorbuf.xor_buckets_lanes ~bits ~bits_pos:0 ~stride ~count ~src ~src_pos:0 ~bucket
@@ -159,12 +136,20 @@ let test_xor_buckets_lanes () =
   Alcotest.check_raises "empty bucket" geometry (fun () -> run ~bucket:0 ());
   Alcotest.check_raises "negative count" geometry (fun () -> run ~count:(-1) ());
   Alcotest.check_raises "planes overlap" geometry (fun () -> run ~stride:3 ());
-  Alcotest.check_raises "bits range"
-    (Invalid_argument "Xorbuf.xor_buckets_lanes(bits): range out of bounds") (fun () ->
+  let bits_range = Invalid_argument "Xorbuf.xor_buckets_lanes(bits): range out of bounds" in
+  Alcotest.check_raises "bits range" bits_range (fun () ->
       run ~bits:(Bytes.make 5 '\x00') ~dsts:(Array.init 9 (fun _ -> Bytes.make 8 '\x00')) ());
-  Alcotest.check_raises "src range"
-    (Invalid_argument "Xorbuf.xor_buckets_lanes(src): range out of bounds") (fun () ->
-      run ~src:(Bytes.make 31 '\x00') ());
+  (* [(planes - 1) * stride] would wrap round to a small length *)
+  Alcotest.check_raises "bits range overflow" bits_range (fun () ->
+      run ~stride:max_int ~count:4
+        ~dsts:(Array.init 17 (fun _ -> Bytes.make 8 '\x00')) ());
+  let src_range = Invalid_argument "Xorbuf.xor_buckets_lanes(src): range out of bounds" in
+  Alcotest.check_raises "src range" src_range (fun () -> run ~src:(Bytes.make 31 '\x00') ());
+  Alcotest.check_raises "src range, one lane" src_range (fun () ->
+      run ~bits:(Bytes.make 4 '\x00') ~src:(Bytes.make 16 '\x00') ());
+  (* [count * bucket] would wrap round to a small length *)
+  Alcotest.check_raises "src range overflow" src_range (fun () ->
+      run ~bucket:(1 lsl 61) ());
   Alcotest.check_raises "dst range"
     (Invalid_argument "Xorbuf.xor_buckets_lanes(dst): range out of bounds") (fun () ->
       run ~dsts:[| Bytes.make 8 '\x00'; Bytes.make 7 '\x00' |] ())
@@ -339,8 +324,7 @@ let () =
           Alcotest.test_case "bounds" `Quick test_xor_bounds;
           Alcotest.test_case "bounds overflow" `Quick test_xor_bounds_overflow;
           Alcotest.test_case "is_zero" `Quick test_is_zero;
-          Alcotest.test_case "buckets masked" `Quick test_xor_buckets_masked;
-          Alcotest.test_case "lane-group kernel" `Quick test_xor_buckets_lanes;
+          Alcotest.test_case "lane kernel" `Quick test_xor_buckets_lanes;
           Alcotest.test_case "lane bit packing" `Quick test_set_lane_bits;
         ] );
       ("bitops", [ Alcotest.test_case "all" `Quick test_bitops ]);
