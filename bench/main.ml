@@ -22,6 +22,17 @@ let fast = Array.exists (fun a -> a = "--fast") Sys.argv
 let rng () = Lw_crypto.Drbg.create ~seed:"bench"
 let det = Lw_util.Det_rng.of_string_seed
 
+(* One sealed epoch of pseudorandom buckets: the store every scan
+   benchmark serves. *)
+let random_store ~domain_bits ~bucket_size seed =
+  let st = Lw_store.create ~domain_bits ~bucket_size () in
+  let w = Lw_store.writer st in
+  Lw_store.Writer.fill_random w (det seed);
+  ignore (Lw_store.Writer.seal w);
+  st
+
+let whole_server st = Lw_pir.Server.of_snapshot (Lw_store.current st)
+
 let section id title =
   Printf.printf "\n%s\n%s — %s\n%s\n" (String.make 78 '=') id title (String.make 78 '=')
 
@@ -67,9 +78,8 @@ let bechamel_kernels () =
   let out32 = Bytes.create 32 in
   let drbg = rng () in
   let dpf22_0, _ = Lw_dpf.Dpf.gen ~domain_bits:22 ~alpha:123456 drbg in
-  let small_db = Lw_pir.Bucket_db.create ~domain_bits:10 ~bucket_size:4096 in
-  Lw_pir.Bucket_db.fill_random small_db (det "kern-db");
-  let small_server = Lw_pir.Server.create small_db in
+  let small_store = random_store ~domain_bits:10 ~bucket_size:4096 "kern-db" in
+  let small_server = whole_server small_store in
   let dpf10_0, _ = Lw_dpf.Dpf.gen ~domain_bits:10 ~alpha:77 drbg in
   let tests =
     [
@@ -129,9 +139,8 @@ let e1_server_computation () =
   let last = ref (0., 0., 0., 0) in
   List.iter
     (fun d ->
-      let db = Lw_pir.Bucket_db.create ~domain_bits:d ~bucket_size in
-      Lw_pir.Bucket_db.fill_random db (det "e1");
-      let server = Lw_pir.Server.create db in
+      let st = random_store ~domain_bits:d ~bucket_size "e1" in
+      let server = whole_server st in
       let key, _ = Lw_dpf.Dpf.gen ~domain_bits:d ~alpha:(1 lsl (d - 1)) (rng ()) in
       let reps = if fast then 3 else 5 in
       let eval_s = time_median ~reps (fun () -> ignore (Lw_pir.Server.eval_bits server key)) in
@@ -139,7 +148,7 @@ let e1_server_computation () =
       let scan_s = time_median ~reps (fun () -> ignore (Lw_pir.Server.scan server bits)) in
       (* the production path: eval and scan fused into one blocked pass *)
       let fused_s = time_median ~reps (fun () -> ignore (Lw_pir.Server.answer server key)) in
-      let db_bytes = float_of_int (Lw_pir.Bucket_db.total_bytes db) in
+      let db_bytes = float_of_int (Lw_store.total_bytes st) in
       let scan_rate = db_bytes /. scan_s /. 1e9 in
       row "2^%-6d %-12s %9.2f ms %9.2f ms %9.2f ms %11.2f ms %10.2f GB/s\n" d
         (Printf.sprintf "%.0f MiB" (db_bytes /. 1048576.))
@@ -186,11 +195,10 @@ let e2_batching () =
      stream over the data, so the database must exceed the cache for the
      effect to be visible (the paper's shard is 1 GiB) *)
   let d = if fast then 13 else 15 in
-  let db = Lw_pir.Bucket_db.create ~domain_bits:d ~bucket_size:4096 in
-  Lw_pir.Bucket_db.fill_random db (det "e2");
-  let server = Lw_pir.Server.create db in
+  let st = random_store ~domain_bits:d ~bucket_size:4096 "e2" in
+  let server = whole_server st in
   Printf.printf "database: 2^%d buckets x 4 KiB = %d MiB\n\n" d
-    (Lw_pir.Bucket_db.total_bytes db / 1048576);
+    (Lw_store.total_bytes st / 1048576);
   let batches = [ 1; 2; 4; 8; 16; 32 ] in
   row "%-8s %-14s %-16s %-16s %-12s\n" "batch" "latency" "per-request" "throughput" "speedup";
   let base = ref 0. in
@@ -394,10 +402,10 @@ let e6_collisions () =
     | Ok () -> ()
     | Error _ -> incr rejected
   done;
-  let cuckoo = Cuckoo.create ~domain_bits ~bucket_size:64 () in
+  let cuckoo = Lw_pir.Kw_store.create ~domain_bits ~bucket_size:64 () in
   let full = ref 0 in
   for i = 0 to n - 1 do
-    match Cuckoo.insert cuckoo ~key:(Printf.sprintf "k%d" i) ~value:"v" with
+    match Lw_pir.Kw_store.insert cuckoo ~key:(Printf.sprintf "k%d" i) ~value:"v" with
     | Ok () -> ()
     | Error _ -> incr full
   done;
@@ -407,7 +415,7 @@ let e6_collisions () =
     \  cuckoo (2 probes/query): %d stored, %d publish failures\n"
     domain_bits n !rejected
     (100. *. float_of_int !rejected /. float_of_int n)
-    (Cuckoo.count cuckoo) !full
+    (Lw_pir.Kw_store.count cuckoo) !full
 
 (* ------------------------------------------------------------------ *)
 (* E7: distributed DPF evaluation (§5.2)                               *)
@@ -420,9 +428,8 @@ let e7_distributed () =
      small-domain evaluation cost, so per-shard time is flat as the fleet grows.\n\n";
   let d = if fast then 12 else 14 in
   let bucket_size = 1024 in
-  let db = Lw_pir.Bucket_db.create ~domain_bits:d ~bucket_size in
-  Lw_pir.Bucket_db.fill_random db (det "e7");
-  let flat = Lw_pir.Server.create db in
+  let st = random_store ~domain_bits:d ~bucket_size "e7" in
+  let flat = whole_server st in
   let key, _ = Lw_dpf.Dpf.gen ~domain_bits:d ~alpha:((1 lsl d) - 3) (rng ()) in
   let flat_s = time_median (fun () -> ignore (Lw_pir.Server.answer flat key)) in
   let flat_answer = Lw_pir.Server.answer flat key in
@@ -431,7 +438,7 @@ let e7_distributed () =
     "ref";
   List.iter
     (fun shard_bits ->
-      let fe = Lightweb.Zltp_frontend.of_db db ~shard_bits in
+      let fe = Lightweb.Zltp_frontend.of_store st ~shard_bits in
       let answer, timings = Lightweb.Zltp_frontend.answer_timed fe key in
       let per_shard =
         List.map
@@ -461,9 +468,8 @@ let e8_mode_ablation () =
     (fun d ->
       let n = 1 lsl d in
       let bucket_size = 256 in
-      let db = Lw_pir.Bucket_db.create ~domain_bits:d ~bucket_size in
-      Lw_pir.Bucket_db.fill_random db (det "e8");
-      let server = Lw_pir.Server.create db in
+      let st = random_store ~domain_bits:d ~bucket_size "e8" in
+      let server = whole_server st in
       let key, _ = Lw_dpf.Dpf.gen ~domain_bits:d ~alpha:(n / 2) (rng ()) in
       let pir_s = time_median ~reps:3 (fun () -> ignore (Lw_pir.Server.answer server key)) in
       let enclave = Lw_oram.Enclave.create ~capacity:n ~value_size:64 () in
@@ -556,15 +562,15 @@ let e11_scheme_ablation () =
      [12] over earlier 2-server schemes.)\n\n";
   let d = if fast then 10 else 12 in
   let bucket_size = 4096 in
-  let db = Lw_pir.Bucket_db.create ~domain_bits:d ~bucket_size in
-  Lw_pir.Bucket_db.fill_random db (det "e11");
-  let server = Lw_pir.Server.create db in
+  let st = random_store ~domain_bits:d ~bucket_size "e11" in
+  let server = whole_server st in
   let index = (1 lsl d) / 3 in
   let dpf_key, _ = Lw_dpf.Dpf.gen ~domain_bits:d ~alpha:index (rng ()) in
   let bv = Lw_pir.Bitvec_pir.query ~domain_bits:d ~index (rng ()) in
   let t_dpf = time_median (fun () -> ignore (Lw_pir.Server.answer server dpf_key)) in
-  let t_bv = time_median (fun () -> ignore (Lw_pir.Bitvec_pir.answer db bv.Lw_pir.Bitvec_pir.q0)) in
-  let t_triv = time_median (fun () -> ignore (Lw_pir.Baselines.trivial_fetch db index)) in
+  let snap = Lw_store.current st in
+  let t_bv = time_median (fun () -> ignore (Lw_pir.Bitvec_pir.answer snap bv.Lw_pir.Bitvec_pir.q0)) in
+  let t_triv = time_median (fun () -> ignore (Lw_pir.Baselines.trivial_fetch snap index)) in
   let n = 1 lsl d in
   row "%-22s %-14s %-16s %-16s %-10s\n" "scheme" "server time" "upload" "download" "private";
   row "%-22s %9.2f ms %12d B %12d B %-10s\n" "two-server DPF" (1000. *. t_dpf)
@@ -879,9 +885,8 @@ let e19_scan_kernels ?(write_json = true) ?geometry () =
     | None -> if fast then (10, 1024, 3) else (12, 8192, 5)
   in
   let widths = [ 1; 2; 3; 5; 8; 9; 16 ] in
-  let db = Lw_pir.Bucket_db.create ~domain_bits:d ~bucket_size in
-  Lw_pir.Bucket_db.fill_random db (det "e19");
-  let server = Lw_pir.Server.create db in
+  let st = random_store ~domain_bits:d ~bucket_size "e19" in
+  let server = whole_server st in
   let drbg = rng () in
   let keys =
     Array.init (List.fold_left max 1 widths) (fun i ->
@@ -889,7 +894,7 @@ let e19_scan_kernels ?(write_json = true) ?geometry () =
         let k0, k1 = Lw_dpf.Dpf.gen ~domain_bits:d ~alpha drbg in
         if i land 1 = 0 then k0 else k1)
   in
-  let db_mb = float_of_int (Lw_pir.Bucket_db.total_bytes db) /. 1048576. in
+  let db_mb = float_of_int (Lw_store.total_bytes st) /. 1048576. in
   let two_pass k = ignore (Lw_pir.Server.scan server (Lw_pir.Server.eval_bits server k)) in
   row "geometry: 2^%d buckets x %d B = %.0f MiB, best of %d interleaved reps\n\n" d
     bucket_size db_mb reps;
@@ -990,8 +995,7 @@ let e20_chaos_tail_latency ?(write_json = true) () =
   let domain_bits = 8 and bucket_size = 256 and shard_bits = 2 in
   let ops = if fast then 200 else 1000 in
   let rtt_s = 0.030 and timeout_s = 0.250 in
-  let db = Lw_pir.Bucket_db.create ~domain_bits ~bucket_size in
-  Lw_pir.Bucket_db.fill_random db (det "e20-db");
+  let st = random_store ~domain_bits ~bucket_size "e20-st" in
   let policy =
     {
       Lightweb.Zltp_client.attempts = 4;
@@ -1025,7 +1029,7 @@ let e20_chaos_tail_latency ?(write_json = true) () =
         (fun () ->
           let d = dials.(role).(i) in
           dials.(role).(i) <- d + 1;
-          let fe = Lightweb.Zltp_frontend.of_db db ~shard_bits in
+          let fe = Lightweb.Zltp_frontend.of_store st ~shard_bits in
           let srv =
             Lightweb.Zltp_server.create ~blob_size:bucket_size
               (Lightweb.Zltp_backend.sharded fe)
@@ -1058,7 +1062,7 @@ let e20_chaos_tail_latency ?(write_json = true) () =
           let idx = (i * 37 + 11) mod (1 lsl domain_bits) in
           let t0 = Lw_obs.Clock.now clock in
           (match Lightweb.Zltp_client.get_raw_index client idx with
-          | Ok b -> assert (String.equal b (Lw_pir.Bucket_db.get db idx))
+          | Ok b -> assert (String.equal b (Lw_store.Snapshot.get (Lw_store.current st) idx))
           | Error _ -> incr errors);
           lat.(i) <- (Lw_obs.Clock.now clock -. t0) *. 1000.
         done;
@@ -1134,9 +1138,8 @@ let e21_obs_overhead ?(write_json = true) ?geometry () =
     | Some g -> g
     | None -> if fast then (10, 1024, 3) else (12, 8192, 5)
   in
-  let db = Lw_pir.Bucket_db.create ~domain_bits:d ~bucket_size in
-  Lw_pir.Bucket_db.fill_random db (det "e21");
-  let server = Lw_pir.Server.create db in
+  let st = random_store ~domain_bits:d ~bucket_size "e21" in
+  let server = whole_server st in
   let drbg = rng () in
   let keys =
     Array.init 8 (fun i ->
@@ -1144,7 +1147,7 @@ let e21_obs_overhead ?(write_json = true) ?geometry () =
         let k0, k1 = Lw_dpf.Dpf.gen ~domain_bits:d ~alpha drbg in
         if i land 1 = 0 then k0 else k1)
   in
-  let db_mb = float_of_int (Lw_pir.Bucket_db.total_bytes db) /. 1048576. in
+  let db_mb = float_of_int (Lw_store.total_bytes st) /. 1048576. in
   let off f () =
     Lw_obs.Metrics.set_enabled false;
     f ();
@@ -1569,11 +1572,10 @@ let e24_fleet ?(write_json = true) ?(smoke = false) () =
   let d, bucket_size, reps =
     if smoke then (9, 64, 1) else if fast then (11, 512, 3) else (12, 1024, 5)
   in
-  let db = Lw_pir.Bucket_db.create ~domain_bits:d ~bucket_size in
-  Lw_pir.Bucket_db.fill_random db (det "e24-db");
-  let server = Lw_pir.Server.create db in
+  let st = random_store ~domain_bits:d ~bucket_size "e24-st" in
+  let server = whole_server st in
   let key, _ = Lw_dpf.Dpf.gen ~domain_bits:d ~alpha:(1 lsl (d - 1)) (rng ()) in
-  let db_mb = float_of_int (Lw_pir.Bucket_db.total_bytes db) /. 1048576. in
+  let db_mb = float_of_int (Lw_store.total_bytes st) /. 1048576. in
   let expect = Lw_pir.Server.answer server key in
   let serial_s = time_median ~reps (fun () -> ignore (Lw_pir.Server.answer server key)) in
   row "scan shard: 2^%d buckets x %d B = %.2f MiB; %d core(s) on this machine\n" d

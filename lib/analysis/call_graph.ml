@@ -2,8 +2,8 @@
    definition across the parsed files, keyed so call sites can resolve
    through the two qualification styles the repo uses — same-file bare
    names ([scan t bits] inside server.ml) and dotted paths whose last
-   two segments name the defining module ([Lw_store.Snapshot.pin] or
-   [Bucket_db.xor_bucket_into_masked]). Ambiguous keys resolve to
+   two segments name the defining module ([Lw_store.Snapshot.get] or
+   [Snapshot.xor_bucket_into_masked]). Ambiguous keys resolve to
    nothing: the taint analysis treats unknown callees conservatively,
    so a collision costs precision, never soundness of the report. *)
 

@@ -71,26 +71,35 @@ let check_enclave ?(capacity = 32) ?(value_size = 64) ?(fill = 10) ?(gets = 6)
   end
 
 (* ------------------------------------------------------------------ *)
-(* Bucket_db linear scan (PIR mode)                                    *)
+(* Linear scan over a one-epoch store (PIR mode)                       *)
 (* ------------------------------------------------------------------ *)
+
+(* Every scan check below serves a sealed snapshot of a store filled
+   with the same fixed pseudorandom bytes. *)
+let random_snapshot ~domain_bits ~bucket_size =
+  let st = Lw_store.create ~domain_bits ~bucket_size () in
+  let w = Lw_store.writer st in
+  Lw_store.Writer.fill_random w (Lw_util.Det_rng.of_string_seed "trace-check-db");
+  Lw_store.Writer.seal w
+
+(* Run [f] with the snapshot's store tracing, returning its result and
+   the buckets it touched, in order. *)
+let traced snap f =
+  Lw_store.Snapshot.set_tracing snap true;
+  let r = f () in
+  let t = Lw_store.Snapshot.access_trace snap in
+  Lw_store.Snapshot.set_tracing snap false;
+  (r, t)
 
 (* For each secret index, generate the DPF share pair and run both
    servers' scans with tracing on. The masked scan must touch buckets
    [0..size) in order for every key and both parties. *)
 let scan_traces ~domain_bits ~bucket_size alpha =
-  let db = Lw_pir.Bucket_db.create ~domain_bits ~bucket_size in
-  Lw_pir.Bucket_db.fill_random db (Lw_util.Det_rng.of_string_seed "trace-check-db");
-  let server = Lw_pir.Server.create db in
+  let snap = random_snapshot ~domain_bits ~bucket_size in
+  let server = Lw_pir.Server.of_snapshot snap in
   let rng = Lw_crypto.Drbg.create ~seed:"trace-check-dpf" in
   let k0, k1 = Lw_dpf.Dpf.gen ~domain_bits ~alpha rng in
-  List.map
-    (fun k ->
-      Lw_pir.Bucket_db.set_tracing db true;
-      ignore (Lw_pir.Server.answer server k);
-      let t = Lw_pir.Bucket_db.access_trace db in
-      Lw_pir.Bucket_db.set_tracing db false;
-      t)
-    [ k0; k1 ]
+  List.map (fun k -> snd (traced snap (fun () -> Lw_pir.Server.answer server k))) [ k0; k1 ]
 
 let check_bucket_scan ?(domain_bits = 6) ?(bucket_size = 32) ?(alphas = [ 3; 47 ]) () =
   if List.length alphas < 2 then err "check_bucket_scan: need at least 2 distinct keys"
@@ -128,9 +137,8 @@ let check_bucket_scan ?(domain_bits = 6) ?(bucket_size = 32) ?(alphas = [ 3; 47 
    in order — full coverage, one visit each, so no bucket's visit count
    or position correlates with any query's target. *)
 let batch_scan_traces ~domain_bits ~bucket_size alphas =
-  let db = Lw_pir.Bucket_db.create ~domain_bits ~bucket_size in
-  Lw_pir.Bucket_db.fill_random db (Lw_util.Det_rng.of_string_seed "trace-check-db");
-  let server = Lw_pir.Server.create db in
+  let snap = random_snapshot ~domain_bits ~bucket_size in
+  let server = Lw_pir.Server.of_snapshot snap in
   let rng = Lw_crypto.Drbg.create ~seed:"trace-check-dpf" in
   let pairs = List.map (fun alpha -> Lw_dpf.Dpf.gen ~domain_bits ~alpha rng) alphas in
   List.map
@@ -138,11 +146,7 @@ let batch_scan_traces ~domain_bits ~bucket_size alphas =
       let keys =
         Array.of_list (List.map (fun (k0, k1) -> if party = 0 then k0 else k1) pairs)
       in
-      Lw_pir.Bucket_db.set_tracing db true;
-      ignore (Lw_pir.Server.answer_batch server keys);
-      let t = Lw_pir.Bucket_db.access_trace db in
-      Lw_pir.Bucket_db.set_tracing db false;
-      t)
+      snd (traced snap (fun () -> Lw_pir.Server.answer_batch server keys)))
     [ 0; 1 ]
 
 let check_batch_scan ?(domain_bits = 5) ?(bucket_size = 24)
@@ -191,18 +195,16 @@ let check_batch_scan ?(domain_bits = 5) ?(bucket_size = 24)
    scheduler, so per-worker traces inherit this shape. The answer must
    also stay bit-identical to the serial scan. *)
 let partitioned_scan_traces ~domain_bits ~bucket_size ~partitions alpha =
-  let db = Lw_pir.Bucket_db.create ~domain_bits ~bucket_size in
-  Lw_pir.Bucket_db.fill_random db (Lw_util.Det_rng.of_string_seed "trace-check-db");
-  let server = Lw_pir.Server.create db in
+  let snap = random_snapshot ~domain_bits ~bucket_size in
+  let server = Lw_pir.Server.of_snapshot snap in
   let rng = Lw_crypto.Drbg.create ~seed:"trace-check-dpf" in
   let k0, k1 = Lw_dpf.Dpf.gen ~domain_bits ~alpha rng in
   List.map
     (fun k ->
       let serial = Lw_pir.Server.answer server k in
-      Lw_pir.Bucket_db.set_tracing db true;
-      let share = Lw_pir.Server.answer_partitioned ~partitions server k in
-      let t = Lw_pir.Bucket_db.access_trace db in
-      Lw_pir.Bucket_db.set_tracing db false;
+      let share, t =
+        traced snap (fun () -> Lw_pir.Server.answer_partitioned ~partitions server k)
+      in
       (t, String.equal share serial))
     [ k0; k1 ]
 
@@ -238,27 +240,25 @@ let check_partitioned_scan ?(domain_bits = 6) ?(bucket_size = 32)
   end
 
 (* ------------------------------------------------------------------ *)
-(* CoW snapshot scan vs. flat Bucket_db                                *)
+(* CoW snapshot and shard-view scans                                   *)
 (* ------------------------------------------------------------------ *)
 
 (* The epoch engine must be invisible to a trace adversary: a scan over
    a snapshot assembled from several copy-on-write epochs (some blocks
    freshly copied, some shared with older epochs) has to touch exactly
-   the same buckets in exactly the same order as a scan over a flat
-   database with the same bytes — and return the same share. Build both
-   representations of one logical database, mutating across two sealed
-   epochs so the snapshot genuinely mixes shared and copied blocks, and
-   compare traces and answers for both DPF parties. *)
-let check_snapshot_scan ?(domain_bits = 6) ?(bucket_size = 32) ?(alphas = [ 5; 42 ]) () =
+   buckets [0..size) in order, and both parties' shares must XOR to the
+   queried bucket. Each of [shard_bits] then cuts the same snapshot into
+   [2^shard_bits] range views, as a sharded front-end serves it: each
+   view answers its [Distributed.split] sub-key, its trace must be
+   exactly its own range once each in order, and the shard shares must
+   XOR to the whole-snapshot share. Small CoW blocks make the views span
+   several blocks, fill one, or sit inside one. *)
+let check_snapshot_scan ?(domain_bits = 6) ?(bucket_size = 32) ?(alphas = [ 5; 42 ])
+    ?(shard_bits = [ 1; 3; 4 ]) () =
   let size = 1 lsl domain_bits in
   let bucket i gen = Printf.sprintf "bucket-%d-gen%d" i gen in
-  (* flat reference *)
-  let db = Lw_pir.Bucket_db.create ~domain_bits ~bucket_size in
-  for i = 0 to size - 1 do
-    Lw_pir.Bucket_db.set db i (bucket i 0)
-  done;
-  (* epoch 1: same full fill; small blocks so the domain spans many CoW
-     blocks and the second epoch leaves most of them shared *)
+  (* epoch 1: full fill; small blocks so the domain spans many CoW blocks
+     and the second epoch leaves most of them shared *)
   let st =
     Lw_store.create ~block_bytes:(8 * bucket_size) ~domain_bits ~bucket_size ()
   in
@@ -267,48 +267,66 @@ let check_snapshot_scan ?(domain_bits = 6) ?(bucket_size = 32) ?(alphas = [ 5; 4
     Lw_store.Writer.set w1 i (bucket i 0)
   done;
   ignore (Lw_store.Writer.seal w1);
-  (* epoch 2: sparse churn, mirrored into the flat db *)
+  (* epoch 2: sparse churn *)
   let w2 = Lw_store.writer st in
   let rec churn i =
     if i < size then begin
-      Lw_pir.Bucket_db.set db i (bucket i 1);
       Lw_store.Writer.set w2 i (bucket i 1);
       churn (i + 9)
     end
   in
   churn 3;
   let snap = Lw_store.Writer.seal w2 in
-  let flat_server = Lw_pir.Server.create db in
-  let snap_server = Lw_pir.Server.of_snapshot snap in
+  let server = Lw_pir.Server.of_snapshot snap in
   let rng = Lw_crypto.Drbg.create ~seed:"trace-check-snapshot" in
-  let expected_trace = List.init size Fun.id in
+  let walk base n = List.init n (fun j -> base + j) in
+  (* one party's key over each shard width: the shard views' traces and
+     the XOR of their shares against the whole-snapshot answer *)
+  let rec check_views alpha k whole = function
+    | [] -> Ok ()
+    | sb :: more ->
+        let rem = domain_bits - sb in
+        let subs = Lw_dpf.Distributed.split k ~shard_bits:sb in
+        let acc = Bytes.make bucket_size '\x00' in
+        let bad = ref None in
+        Array.iteri
+          (fun i sub ->
+            let view = Lw_store.Snapshot.sub snap ~base:(i lsl rem) ~domain_bits:rem in
+            let share, trace =
+              traced snap (fun () -> Lw_pir.Server.answer (Lw_pir.Server.of_snapshot view) sub)
+            in
+            Lw_util.Xorbuf.xor_string_into ~src:share ~src_pos:0 ~dst:acc ~dst_pos:0
+              ~len:bucket_size;
+            if trace <> walk (i lsl rem) (1 lsl rem) && !bad = None then bad := Some i)
+          subs;
+        match !bad with
+        | Some i ->
+            err "shard view %d of %d: scan trace for alpha=%d is not its own in-order range"
+              i (1 lsl sb) alpha
+        | None when not (String.equal (Bytes.unsafe_to_string acc) whole) ->
+            err "shard views (shard_bits=%d) XOR to a different share for alpha=%d" sb alpha
+        | None -> check_views alpha k whole more
+  in
   let rec check_alphas = function
     | [] -> Ok ()
-    | alpha :: rest ->
+    | alpha :: rest -> (
         let k0, k1 = Lw_dpf.Dpf.gen ~domain_bits ~alpha rng in
-        let rec check_keys = function
-          | [] -> check_alphas rest
-          | k :: more ->
-              Lw_pir.Bucket_db.set_tracing db true;
-              let flat_share = Lw_pir.Server.answer flat_server k in
-              let flat_trace = Lw_pir.Bucket_db.access_trace db in
-              Lw_pir.Bucket_db.set_tracing db false;
-              Lw_store.Snapshot.set_tracing snap true;
-              let snap_share = Lw_pir.Server.answer snap_server k in
-              let snap_trace = Lw_store.Snapshot.access_trace snap in
-              Lw_store.Snapshot.set_tracing snap false;
-              if not (String.equal flat_share snap_share) then
-                err "snapshot share differs from flat share for alpha=%d" alpha
-              else if flat_trace <> expected_trace then
-                err "flat scan trace for alpha=%d is not the full in-order walk" alpha
-              else if snap_trace <> expected_trace then
-                err
-                  "CoW snapshot scan trace for alpha=%d differs from the flat walk: \
-                   the epoch engine leaks"
-                  alpha
-              else check_keys more
-        in
-        check_keys [ k0; k1 ]
+        let s0, t0 = traced snap (fun () -> Lw_pir.Server.answer server k0) in
+        let s1, t1 = traced snap (fun () -> Lw_pir.Server.answer server k1) in
+        let expected = Lw_store.Snapshot.get snap alpha in
+        if t0 <> walk 0 size || t1 <> walk 0 size then
+          err "CoW snapshot scan trace for alpha=%d is not the full in-order walk: the epoch \
+               engine leaks"
+            alpha
+        else if not (String.equal (Lw_util.Xorbuf.xor s0 s1) expected) then
+          err "CoW snapshot shares for alpha=%d do not reconstruct the bucket" alpha
+        else
+          match check_views alpha k0 s0 shard_bits with
+          | Error _ as e -> e
+          | Ok () -> (
+              match check_views alpha k1 s1 shard_bits with
+              | Error _ as e -> e
+              | Ok () -> check_alphas rest))
   in
   check_alphas alphas
 
@@ -419,13 +437,15 @@ let sent_pir_queries log =
 
 let check_retry ?(domain_bits = 6) ?(bucket_size = 32) ?(alpha = 13) () =
   let open Lightweb in
-  let seed_db = "trace-check-retry-db" in
-  let make_db () =
-    let db = Lw_pir.Bucket_db.create ~domain_bits ~bucket_size in
-    Lw_pir.Bucket_db.fill_random db (Lw_util.Det_rng.of_string_seed seed_db);
-    db
+  (* every replica serves its own one-epoch store of the same bytes *)
+  let make_store () =
+    let st = Lw_store.create ~domain_bits ~bucket_size () in
+    let w = Lw_store.writer st in
+    Lw_store.Writer.fill_random w (Lw_util.Det_rng.of_string_seed "trace-check-retry-db");
+    ignore (Lw_store.Writer.seal w);
+    st
   in
-  let expected = Lw_pir.Bucket_db.get (make_db ()) alpha in
+  let expected = Lw_store.Snapshot.get (Lw_store.current (make_store ())) alpha in
   let run ~faulted =
     let log0 = ref [] and log1 = ref [] in
     let clock = Lw_obs.Clock.virtual_ () in
@@ -433,7 +453,7 @@ let check_retry ?(domain_bits = 6) ?(bucket_size = 32) ?(alpha = 13) () =
       Zltp_client.replica ~name (fun () ->
           let srv =
             Zltp_server.create ~server_id:name ~blob_size:bucket_size
-              (Zltp_backend.flat (Lw_pir.Server.create (make_db ())))
+              (Zltp_backend.versioned (make_store ()))
           in
           let ep, _ = Lw_net.Faulty.wrap ~clock schedule (Zltp_server.endpoint srv) in
           Ok (tap log ep))

@@ -110,7 +110,7 @@ val sharded_keyword_servers : t -> shard_bits:int -> Zltp_server.t * Zltp_server
 val sharded_data_servers : t -> shard_bits:int -> Zltp_server.t * Zltp_server.t
 (** The same two logical data servers, each deployed as a front-end over
     [2^shard_bits] data shards (§5.2) — answers are byte-identical to the
-    flat deployment; the shards split the scan. *)
+    unsharded deployment; each shard scans a zero-copy view of its slice. *)
 
 val enclave_data_server : t -> Zltp_server.t
 (** Build an enclave-mode server over a copy of the data store (E8 and the

@@ -56,33 +56,6 @@ let advertised () =
   let current own = match !cell with Some e -> e | None -> own () in
   (set, get, current)
 
-let flat server : t =
-  let set_adv, get_adv, current = advertised () in
-  let domains = ref 1 in
-  (module struct
-    type view = unit
-
-    let kind = "flat"
-    let modes = [ Zltp_mode.Pir2 ]
-    let domain_bits = Lw_pir.Server.domain_bits server
-    let health () = (1, 0)
-    let current_epoch () = current (fun () -> 0)
-    let oldest_epoch () = 0
-    let set_advertised_epoch = set_adv
-    let advertised_epoch = get_adv
-    let set_scan_domains d = domains := d
-
-    let pin ~epoch =
-      match check_epoch_exact ~have:0 ~queried:epoch with Ok () -> Ok () | Error _ as e -> e
-
-    let unpin () = ()
-    let answer () k = Ok (scan_one ~domains:!domains server k)
-    let answer_batch () keys = Ok (scan_many ~domains:!domains server keys)
-    let spir_hint () = wrong_mode "spir_hint" kind
-    let spir_answer () _ = wrong_mode "spir_answer" kind
-    let enclave_get _ = wrong_mode "enclave_get" kind
-  end)
-
 let versioned store : t =
   let set_adv, get_adv, current = advertised () in
   let domains = ref 1 in
@@ -121,7 +94,7 @@ let versioned store : t =
 let sharded fe : t =
   let set_adv, get_adv, current = advertised () in
   (module struct
-    type view = unit
+    type view = Zltp_frontend.views
 
     let kind = "sharded"
     let modes = [ Zltp_mode.Pir2 ]
@@ -133,26 +106,24 @@ let sharded fe : t =
     let advertised_epoch = get_adv
     let set_scan_domains _ = () (* the front-end carries its own knob *)
 
+    (* The view set read here is the one every answer on this pin scans,
+       whatever refreshes happen meanwhile. *)
     let pin ~epoch =
-      match Zltp_frontend.epoch_agreed fe with
-      | None -> Error (Zltp_wire.err_degraded, "epoch mismatch across shards")
-      | Some have -> (
-          match check_epoch_exact ~have ~queried:epoch with Ok () -> Ok () | Error _ as e -> e)
+      let vs = Zltp_frontend.current fe in
+      Result.map (fun () -> vs) (check_epoch_exact ~have:(Zltp_frontend.epoch vs) ~queried:epoch)
 
-    let unpin () = ()
+    let unpin _ = ()
 
-    let answer () k =
-      match Zltp_frontend.answer_result fe k with
-      | Ok share -> Ok share
-      | Error e -> Error (Zltp_wire.err_degraded, e)
+    let answer vs k =
+      Result.map_error (fun e -> (Zltp_wire.err_degraded, e)) (Zltp_frontend.answer_result fe vs k)
 
-    let answer_batch () keys =
-      match Zltp_frontend.answer_batch_result fe keys with
-      | Ok shares -> Ok shares
-      | Error e -> Error (Zltp_wire.err_degraded, e)
+    let answer_batch vs keys =
+      Result.map_error
+        (fun e -> (Zltp_wire.err_degraded, e))
+        (Zltp_frontend.answer_batch_result fe vs keys)
 
-    let spir_hint () = wrong_mode "spir_hint" kind
-    let spir_answer () _ = wrong_mode "spir_answer" kind
+    let spir_hint _ = wrong_mode "spir_hint" kind
+    let spir_answer _ _ = wrong_mode "spir_answer" kind
     let enclave_get _ = wrong_mode "enclave_get" kind
   end)
 

@@ -23,8 +23,8 @@ module type S = sig
       path — a concurrent seal can never retire an epoch mid-answer. *)
 
   val kind : string
-  (** Short human label for logs ("flat", "versioned", "sharded",
-      "enclave", "single"). *)
+  (** Short human label for logs ("versioned", "sharded", "enclave",
+      "single"). *)
 
   val modes : Zltp_mode.t list
   (** The modes this backend can serve — what the server offers during
@@ -60,8 +60,7 @@ module type S = sig
   val pin : epoch:int -> (view, int * string) result
   (** Pin the named epoch. An epoch this replica no longer / does not
       yet hold is the structured [err_epoch_retired] / [err_epoch_ahead]
-      the client's re-sync understands; a sharded backend with
-      disagreeing shards is [err_degraded]. *)
+      the client's re-sync understands. *)
 
   val unpin : view -> unit
 
@@ -88,17 +87,16 @@ type t = (module S)
 
 (** {2 Constructors} *)
 
-val flat : Lw_pir.Server.t -> t
-(** Single unversioned data array (microbenchmark scale); forever at
-    epoch 0, [Pir2] only. *)
-
 val versioned : Lw_store.t -> t
 (** Epoch-versioned engine: each query answered against the epoch it
     names, pinned for the duration of the scan. [Pir2] only. *)
 
 val sharded : Zltp_frontend.t -> t
-(** Front-end + shards (§5.2); epoch agreement across shards checked per
-    pin, shard loss surfaces as [err_degraded]. [Pir2] only. *)
+(** Front-end + shards (§5.2). A pin is the front-end's current view
+    set ({!Zltp_frontend.current}) when it serves the queried epoch, so
+    every shard share of that pin comes from one epoch even if the
+    front-end refreshes mid-answer; shard loss surfaces as
+    [err_degraded]. [Pir2] only. *)
 
 val enclave : Lw_oram.Enclave.t -> t
 (** Enclave + ORAM; [Enclave] only. *)

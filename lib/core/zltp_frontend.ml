@@ -8,17 +8,20 @@ type tree_node = Leaf of int | Inner of { levels : int; children : tree_node arr
 
 type tree_rep = { root : tree_node; tdepth : int; tnodes : int }
 
+(* One immutable view set: a pinned snapshot and, per shard, a server over
+   the zero-copy range view of that snapshot the shard owns. Every shard
+   of a view set therefore serves the same epoch by construction. *)
+type views = { snap : Lw_store.Snapshot.t; shards : Lw_pir.Server.t array }
+
 type t = {
+  store : Lw_store.t;
   domain_bits : int;
   shard_bits : int;
   bucket_size : int;
-  shards : Lw_pir.Server.t array;
+  views : views Atomic.t;
+      (* swapped whole by [refresh]; an answer reads it once and uses that
+         view set throughout, so it can never mix two epochs *)
   down : bool array;
-  epochs : int array;
-      (* which store epoch each shard's copy reflects: answers may only be
-         combined while every shard sits at the same epoch *)
-  mutable pinned : (Lw_store.t * Lw_store.Snapshot.t) option;
-      (* the engine snapshot the shard copies were refreshed from last *)
   shard_hist : Lw_obs.Metrics.histogram array;
       (* per-shard answer latency; shared by name across front-ends of the
          same width, which is what an operator wants from a process dump *)
@@ -34,156 +37,72 @@ let m_answers = Lw_obs.Metrics.counter "zltp.frontend.answers"
 let m_tree_answers = Lw_obs.Metrics.counter "zltp.frontend.tree_answers"
 let m_batch_queries = Lw_obs.Metrics.counter "zltp.frontend.batch_queries"
 let m_refusals = Lw_obs.Metrics.counter "zltp.frontend.degraded_refusals"
-let m_epoch_refusals = Lw_obs.Metrics.counter "zltp.frontend.epoch_refusals"
 let g_shards_down = Lw_obs.Metrics.gauge "zltp.frontend.shards_down"
 let g_epoch = Lw_obs.Metrics.gauge "zltp.frontend.epoch"
 
 let shard_histogram i =
   Lw_obs.Metrics.histogram (Printf.sprintf "zltp.frontend.shard%02d.answer_seconds" i)
 
-let create ~domain_bits ~shard_bits ~bucket_size =
-  if shard_bits <= 0 || shard_bits >= domain_bits then
-    invalid_arg "Zltp_frontend.create: shard_bits must be in (0, domain_bits)";
-  let rem = domain_bits - shard_bits in
-  let shards =
-    Array.init (1 lsl shard_bits) (fun _ ->
-        Lw_pir.Server.create (Lw_pir.Bucket_db.create ~domain_bits:rem ~bucket_size))
-  in
+let views_of snap ~shard_bits =
+  let rem = Lw_store.Snapshot.domain_bits snap - shard_bits in
   {
+    snap;
+    shards =
+      Array.init (1 lsl shard_bits) (fun i ->
+          Lw_pir.Server.of_snapshot
+            (Lw_store.Snapshot.sub snap ~base:(i lsl rem) ~domain_bits:rem));
+  }
+
+let epoch vs = Lw_store.Snapshot.epoch vs.snap
+
+let of_store st ~shard_bits =
+  let domain_bits = Lw_store.domain_bits st in
+  if shard_bits <= 0 || shard_bits >= domain_bits then
+    invalid_arg "Zltp_frontend.of_store: shard_bits must be in (0, domain_bits)";
+  let views = views_of (Lw_store.pin_latest st) ~shard_bits in
+  Lw_obs.Metrics.set g_epoch (float_of_int (epoch views));
+  {
+    store = st;
     domain_bits;
     shard_bits;
-    bucket_size;
-    shards;
+    bucket_size = Lw_store.bucket_size st;
+    views = Atomic.make views;
     down = Array.make (1 lsl shard_bits) false;
-    epochs = Array.make (1 lsl shard_bits) 0;
-    pinned = None;
     shard_hist = Array.init (1 lsl shard_bits) shard_histogram;
     scan_domains = 1;
     tree = None;
   }
 
-let of_db db ~shard_bits =
-  let domain_bits = Lw_pir.Bucket_db.domain_bits db in
-  let t = create ~domain_bits ~shard_bits ~bucket_size:(Lw_pir.Bucket_db.bucket_size db) in
-  let rem = domain_bits - shard_bits in
-  for i = 0 to Lw_pir.Bucket_db.size db - 1 do
-    if not (Lw_pir.Bucket_db.is_empty db i) then begin
-      let shard = i lsr rem and local = i land ((1 lsl rem) - 1) in
-      Lw_pir.Bucket_db.set (Lw_pir.Server.db t.shards.(shard)) local (Lw_pir.Bucket_db.get db i)
-    end
-  done;
-  t
-
 let domain_bits t = t.domain_bits
 let shard_bits t = t.shard_bits
-let shard_count t = Array.length t.shards
+let shard_count t = 1 lsl t.shard_bits
 let bucket_size t = t.bucket_size
 let shard_histograms t = Array.copy t.shard_hist
+let current t = Atomic.get t.views
+let announced_epoch t = epoch (current t)
 
-(* ---- epoch bookkeeping over the versioned engine ---- *)
-
-let announced_epoch t = Array.fold_left max 0 t.epochs
-
-let epoch_agreed t =
-  let e = t.epochs.(0) in
-  if Array.for_all (fun x -> x = e) t.epochs then Some e else None
-
-let set_shard_epoch t i epoch =
-  if i < 0 || i >= Array.length t.shards then invalid_arg "Zltp_frontend.set_shard_epoch";
-  t.epochs.(i) <- epoch;
-  Lw_obs.Metrics.set g_epoch (float_of_int (announced_epoch t))
-
-(* Copy one shard's slice of a snapshot into the shard's flat database:
-   either the whole slice, or only the [ranges] (global bucket runs)
-   intersecting it. *)
-let copy_slice t snap shard ranges =
-  let rem = t.domain_bits - t.shard_bits in
-  let db = Lw_pir.Server.db t.shards.(shard) in
-  let lo = shard lsl rem and hi = (shard + 1) lsl rem in
-  let copy_range base count =
-    let from = max base lo and upto = min (base + count) hi in
-    for global = from to upto - 1 do
-      let local = global land ((1 lsl rem) - 1) in
-      if Lw_store.Snapshot.is_empty snap global then Lw_pir.Bucket_db.clear db local
-      else Lw_pir.Bucket_db.set db local (Lw_store.Snapshot.get snap global)
-    done
-  in
-  (match ranges with
-  | None -> copy_range lo (hi - lo)
-  | Some rs -> List.iter (fun (base, count) -> copy_range base count) rs);
-  t.epochs.(shard) <- Lw_store.Snapshot.epoch snap
-
-let of_store st ~shard_bits =
-  let snap = Lw_store.pin_latest st in
-  (* the pin is only recorded in [t.pinned] once the copies are done; if
-     anything in between raises, release it instead of leaking the epoch *)
-  let t =
-    try
-      let t =
-        create ~domain_bits:(Lw_store.domain_bits st) ~shard_bits
-          ~bucket_size:(Lw_store.bucket_size st)
-      in
-      for shard = 0 to Array.length t.shards - 1 do
-        copy_slice t snap shard None
-      done;
-      t
-    with e ->
-      Lw_store.unpin st snap;
-      raise e
-  in
-  t.pinned <- Some (st, snap);
-  Lw_obs.Metrics.set g_epoch (float_of_int (announced_epoch t));
-  t
-
-(* Bring every shard up to the engine's current epoch, copying only the
-   bucket ranges whose CoW blocks actually changed since the epoch the
-   shard last copied ([Snapshot.diff_ranges]); a shard at any other epoch
-   (operator intervention, aborted refresh) is re-copied in full.
-
-   [?abort_after] is a test/chaos hook: stop after updating that many
-   shards, leaving the rest at their old epoch — the mixed-epoch state
-   the answer paths must refuse. The new snapshot replaces the pin either
-   way, so a later refresh full-copies the stragglers (their recorded
-   epoch no longer matches the pinned one). *)
-let refresh ?abort_after t =
-  let st, old_snap =
-    match t.pinned with
-    | Some p -> p
-    | None -> invalid_arg "Zltp_frontend.refresh: front-end not backed by a store"
-  in
-  let snap = Lw_store.pin_latest st in
-  (* the new pin replaces the old one only after the copies; if a copy
-     raises, release the new pin and leave the old state in place *)
-  let updated =
-    try
-      let new_epoch = Lw_store.Snapshot.epoch snap in
-      let old_epoch = Lw_store.Snapshot.epoch old_snap in
-      let diff = lazy (Lw_store.Snapshot.diff_ranges old_snap snap) in
-      let updated = ref 0 in
-      let budget = Option.value abort_after ~default:max_int in
-      for shard = 0 to Array.length t.shards - 1 do
-        if t.epochs.(shard) <> new_epoch && !updated < budget then begin
-          if t.epochs.(shard) = old_epoch then
-            copy_slice t snap shard (Some (Lazy.force diff))
-          else copy_slice t snap shard None;
-          incr updated
-        end
-      done;
-      !updated
-    with e ->
-      Lw_store.unpin st snap;
-      raise e
-  in
-  t.pinned <- Some (st, snap);
-  Lw_obs.Metrics.set g_epoch (float_of_int (announced_epoch t));
-  Lw_store.unpin st old_snap;
-  updated
+(* Pin the engine's latest epoch, build its view set and swap it in with
+   one write; the pin the replaced view set held is released. Answers
+   already running keep the view set they read, whose blocks the GC
+   keeps alive, so they finish on their own epoch. Nothing is copied. *)
+let refresh t =
+  let next = views_of (Lw_store.pin_latest t.store) ~shard_bits:t.shard_bits in
+  if epoch next = announced_epoch t then begin
+    Lw_store.unpin t.store next.snap;
+    0
+  end
+  else begin
+    let old = Atomic.exchange t.views next in
+    Lw_store.unpin t.store old.snap;
+    Lw_obs.Metrics.set g_epoch (float_of_int (epoch next));
+    shard_count t
+  end
 
 let shards_down t =
   Array.fold_left (fun n d -> if d then n + 1 else n) 0 t.down
 
 let set_shard_down t i down =
-  if i < 0 || i >= Array.length t.shards then invalid_arg "Zltp_frontend.set_shard_down";
+  if i < 0 || i >= shard_count t then invalid_arg "Zltp_frontend.set_shard_down";
   t.down.(i) <- down;
   Lw_obs.Metrics.set g_shards_down (float_of_int (shards_down t))
 
@@ -202,34 +121,6 @@ let check_down t =
       (Printf.sprintf "shards down: %s"
          (String.concat "," (List.rev_map string_of_int !downs)))
   end
-
-(* The never-partial-XOR invariant, extended to epochs: shares computed
-   against different epochs XOR into silent garbage exactly like shares
-   with a shard missing, so a mixed-epoch shard fleet refuses with a
-   structured error instead of combining. *)
-let check_epochs t =
-  match epoch_agreed t with
-  | Some _ -> Ok ()
-  | None ->
-      let l =
-        String.concat ","
-          (Array.to_list (Array.mapi (fun i e -> Printf.sprintf "%d:%d" i e) t.epochs))
-      in
-      Error (Printf.sprintf "epoch mismatch across shards: %s" l)
-
-let route t global =
-  if global < 0 || global >= 1 lsl t.domain_bits then
-    invalid_arg "Zltp_frontend: index out of domain";
-  let rem = t.domain_bits - t.shard_bits in
-  (global lsr rem, global land ((1 lsl rem) - 1))
-
-let set_bucket t global data =
-  let shard, local = route t global in
-  Lw_pir.Bucket_db.set (Lw_pir.Server.db t.shards.(shard)) local data
-
-let get_bucket t global =
-  let shard, local = route t global in
-  Lw_pir.Bucket_db.get (Lw_pir.Server.db t.shards.(shard)) local
 
 let check_key t k =
   if Lw_dpf.Dpf.domain_bits k <> t.domain_bits then
@@ -266,15 +157,15 @@ let scan_domains t = t.scan_domains
 (* One shard's contribution, through the parallel scan kernel when the
    knob asks for it (Server.answer_domains applies its own work-size
    cutoff, so small shards stay on the serial kernel either way). *)
-let answer_shard t i sub =
+let answer_shard t vs i sub =
   if t.scan_domains > 1 then
-    Lw_pir.Server.answer_domains ~domains:t.scan_domains t.shards.(i) sub
-  else Lw_pir.Server.answer t.shards.(i) sub
+    Lw_pir.Server.answer_domains ~domains:t.scan_domains vs.shards.(i) sub
+  else Lw_pir.Server.answer vs.shards.(i) sub
 
-let answer_batch_shard t i subs =
+let answer_batch_shard t vs i subs =
   if t.scan_domains > 1 then
-    Lw_pir.Server.answer_batch_domains ~domains:t.scan_domains t.shards.(i) subs
-  else Lw_pir.Server.answer_batch t.shards.(i) subs
+    Lw_pir.Server.answer_batch_domains ~domains:t.scan_domains vs.shards.(i) subs
+  else Lw_pir.Server.answer_batch vs.shards.(i) subs
 
 (* ---- hierarchical fan-out tree ---- *)
 
@@ -314,10 +205,10 @@ let tree_nodes t = match t.tree with Some (_, r) -> r.tnodes | None -> 0
    evaluations at the root. Sub-key re-basing composes (the child key of
    a child key shares the original correction words), so the shares this
    walk XORs are bit-identical to the flat fan-out's. *)
-let answer_via_tree t rep k =
+let answer_via_tree t vs rep k =
   let rec go node key =
     match node with
-    | Leaf s -> timed_shard t s (fun () -> answer_shard t s key)
+    | Leaf s -> timed_shard t s (fun () -> answer_shard t vs s key)
     | Inner { levels; children } ->
         let subs = Lw_dpf.Distributed.split key ~shard_bits:levels in
         let acc = Bytes.make t.bucket_size '\x00' in
@@ -343,7 +234,7 @@ let answer_via_tree t rep k =
    which is what lets batches (and the keyword verb riding them) use the
    hierarchical fan-out and still feed the shards' batch scan kernel. *)
 let leaf_subkeys t rep k =
-  let out = Array.make (Array.length t.shards) k in
+  let out = Array.make (shard_count t) k in
   let rec go node key =
     match node with
     | Leaf s -> out.(s) <- key
@@ -357,33 +248,33 @@ let leaf_subkeys t rep k =
   go rep.root k;
   out
 
-let answer t k =
+(* Every answer path reads one view set and scans only its shards. *)
+let answer_views t vs k =
   check_key t k;
   Lw_obs.Span.with_ ~name:"zltp.frontend.answer" (fun () ->
       let share =
         match t.tree with
-        | Some (_, rep) -> answer_via_tree t rep k
+        | Some (_, rep) -> answer_via_tree t vs rep k
         | None ->
             let subs = Lw_dpf.Distributed.split k ~shard_bits:t.shard_bits in
             let shares =
-              Array.mapi (fun i sub -> timed_shard t i (fun () -> answer_shard t i sub)) subs
+              Array.mapi (fun i sub -> timed_shard t i (fun () -> answer_shard t vs i sub)) subs
             in
             combine_shares t shares
       in
       Lw_obs.Metrics.incr m_answers;
       share)
 
-let answer_result t k =
+let answer t k = answer_views t (current t) k
+
+let when_up t f =
   match check_down t with
   | Error _ as e ->
       Lw_obs.Metrics.incr m_refusals;
       e
-  | Ok () -> (
-      match check_epochs t with
-      | Error _ as e ->
-          Lw_obs.Metrics.incr m_epoch_refusals;
-          e
-      | Ok () -> Ok (answer t k))
+  | Ok () -> Ok (f ())
+
+let answer_result t vs k = when_up t (fun () -> answer_views t vs k)
 
 (* Batched private-GET across the shard fleet: split every query's key
    once, then hand each shard the whole batch of its sub-keys so it runs
@@ -391,7 +282,7 @@ let answer_result t k =
    streamed traversal of the shard's slice for the whole batch instead of
    one per query. Query [q]'s answer is the XOR of its per-shard shares,
    exactly as in [answer]. *)
-let answer_batch t keys =
+let answer_batch_views t vs keys =
   Array.iter (check_key t) keys;
   let n = Array.length keys in
   if n = 0 then [||]
@@ -405,34 +296,24 @@ let answer_batch t keys =
           | None -> Array.map (fun k -> Lw_dpf.Distributed.split k ~shard_bits:t.shard_bits) keys
         in
         let by_shard =
-          Array.mapi
-            (fun s _shard ->
+          Array.init (shard_count t) (fun s ->
               (* [answer_batch_shard] branches only on [t.scan_domains],
                  public serving config — not on the sub-keys *)
               (* lw-lint: allow taint lines=2 *)
               timed_shard t s (fun () ->
-                  answer_batch_shard t s (Array.map (fun sub -> sub.(s)) subs)))
-            t.shards
+                  answer_batch_shard t vs s (Array.map (fun sub -> sub.(s)) subs)))
         in
         Lw_obs.Metrics.add m_batch_queries n;
         Array.init n (fun q -> combine_shares t (Array.map (fun shares -> shares.(q)) by_shard)))
 
-let answer_batch_result t keys =
-  match check_down t with
-  | Error _ as e ->
-      Lw_obs.Metrics.incr m_refusals;
-      e
-  | Ok () -> (
-      match check_epochs t with
-      | Error _ as e ->
-          Lw_obs.Metrics.incr m_epoch_refusals;
-          e
-      | Ok () -> Ok (answer_batch t keys))
+let answer_batch t keys = answer_batch_views t (current t) keys
+let answer_batch_result t vs keys = when_up t (fun () -> answer_batch_views t vs keys)
 
 type shard_timing = { shard : int; eval_s : float; scan_s : float }
 
 let answer_timed t k =
   check_key t k;
+  let vs = current t in
   let subs = Lw_dpf.Distributed.split k ~shard_bits:t.shard_bits in
   let clock = Lw_obs.Span.clock () in
   let timings = ref [] in
@@ -440,9 +321,9 @@ let answer_timed t k =
     Array.mapi
       (fun i sub ->
         let t0 = Lw_obs.Clock.now clock in
-        let bits = Lw_pir.Server.eval_bits t.shards.(i) sub in
+        let bits = Lw_pir.Server.eval_bits vs.shards.(i) sub in
         let t1 = Lw_obs.Clock.now clock in
-        let share = Lw_pir.Server.scan t.shards.(i) bits in
+        let share = Lw_pir.Server.scan vs.shards.(i) bits in
         let t2 = Lw_obs.Clock.now clock in
         timings := { shard = i; eval_s = t1 -. t0; scan_s = t2 -. t1 } :: !timings;
         Lw_obs.Metrics.observe t.shard_hist.(i) (t2 -. t0);
@@ -455,6 +336,7 @@ type shard_span = { span_shard : int; elapsed_s : float }
 
 let answer_parallel_timed ?num_domains ?fault t k =
   check_key t k;
+  let vs = current t in
   let workers =
     match num_domains with
     | Some n -> max 1 n
@@ -477,7 +359,7 @@ let answer_parallel_timed ?num_domains ?fault t k =
       if i < n then begin
         (match fault with Some f -> f i | None -> ());
         let t0 = Lw_obs.Clock.now clock in
-        let share = Lw_pir.Server.answer t.shards.(i) subs.(i) in
+        let share = Lw_pir.Server.answer vs.shards.(i) subs.(i) in
         elapsed.(i) <- Lw_obs.Clock.now clock -. t0;
         Lw_obs.Metrics.observe t.shard_hist.(i) elapsed.(i);
         shares.(i) <- Some share;

@@ -1,6 +1,7 @@
-(** Sharded ZLTP data plane (§5.2): a front-end owns [2^shard_bits] data
-    shards, each holding the slice of the bucket domain whose top bits
-    equal its shard index. Per query, the front-end expands the top of the
+(** Sharded ZLTP data plane (§5.2): a front-end over an epoch-versioned
+    store owns [2^shard_bits] data shards, each serving the slice of the
+    bucket domain whose top bits equal its shard index, as a zero-copy
+    view of one pinned snapshot. Per query, the front-end expands the top of the
     client's DPF tree, hands every shard its sub-tree root, and XORs the
     shard answers — so each shard pays only the small-domain evaluation
     cost, exactly the distribution argument the paper's Table 2 scale-up
@@ -8,26 +9,36 @@
 
 type t
 
-val create : domain_bits:int -> shard_bits:int -> bucket_size:int -> t
-(** Empty sharded store over a [2^domain_bits] global bucket domain. *)
-
-val of_db : Lw_pir.Bucket_db.t -> shard_bits:int -> t
-(** Split an existing monolithic database into shards (copies buckets). *)
-
 val of_store : Lw_store.t -> shard_bits:int -> t
-(** Shard the current epoch of the versioned engine. The front-end keeps
-    the copied snapshot pinned so {!refresh} can later diff against it. *)
+(** Pin the engine's current epoch and serve it: shard [i] answers from
+    the zero-copy range view ({!Lw_store.Snapshot.sub}) of the buckets
+    whose top [shard_bits] bits equal [i]. Raises [Invalid_argument]
+    unless [0 < shard_bits < domain_bits]. *)
 
-val refresh : ?abort_after:int -> t -> int
-(** Bring every shard up to the engine's current epoch and return how
-    many shards were updated. A shard still at the previously copied
-    epoch pays only the changed bucket ranges
-    ({!Lw_store.Snapshot.diff_ranges}); a shard at any other epoch is
-    re-copied in full. [?abort_after n] (test/chaos hook) stops after
-    updating [n] shards, leaving the rest behind — the mixed-epoch state
-    the [_result] answer paths refuse; the following [refresh] catches
-    the stragglers up. Raises [Invalid_argument] when the front-end was
-    not built by {!of_store}. *)
+val refresh : t -> int
+(** Pin the engine's latest epoch, build its view set and swap it in
+    with one write, then release the pin the replaced view set held.
+    Returns how many shards' views moved: every shard when the epoch
+    changed, 0 when it had not. No bucket is copied, and answers already
+    running finish on the view set they started with. *)
+
+(** {2 View sets}
+
+    A view set is immutable: one pinned snapshot plus the
+    [2^shard_bits] shard servers over its range views. Every shard of a
+    view set serves the same epoch, so shares from different epochs can
+    never be XORed together. *)
+
+type views
+
+val current : t -> views
+(** The view set answers are served from now. *)
+
+val epoch : views -> int
+
+val announced_epoch : t -> int
+(** The current view set's epoch — what the server announces in
+    [Welcome] / [Health_reply] (also the [zltp.frontend.epoch] gauge). *)
 
 val domain_bits : t -> int
 val shard_bits : t -> int
@@ -61,9 +72,8 @@ val scan_domains : t -> int
     shard. A query thus reaches [N] shards with [O(log N)]-deep splits
     plus per-shard small-domain work instead of [N] full-domain
     evaluations, and the XOR of the leaf shares is bit-identical to the
-    flat fan-out. Down-shard and mixed-epoch refusals are checked in the
-    [_result] entry points before any walk, so they survive the tree
-    unchanged. *)
+    flat fan-out. Down-shard refusals are checked in the [_result]
+    entry points before any walk, so they survive the tree unchanged. *)
 
 val set_tree_fanout : t -> int option -> unit
 (** [Some fanout_bits] builds (and routes answers through) the tree;
@@ -78,29 +88,6 @@ val tree_depth : t -> int
 
 val tree_nodes : t -> int
 (** Total tree nodes including leaves; 0 without a tree. *)
-
-(** {2 Shard epochs}
-
-    Shares computed against different epochs XOR into silent garbage
-    exactly like shares with a shard missing, so the [_result] answer
-    paths refuse (structured error, [zltp.frontend.epoch_refusals]
-    counter) unless every shard sits at the same epoch. *)
-
-val epoch_agreed : t -> int option
-(** [Some e] iff every shard's copy reflects epoch [e]. *)
-
-val announced_epoch : t -> int
-(** The highest shard epoch — what the server announces in [Welcome] /
-    [Health_reply] (also the [zltp.frontend.epoch] gauge). *)
-
-val set_shard_epoch : t -> int -> int -> unit
-(** [set_shard_epoch t i e] overrides shard [i]'s recorded epoch — a
-    test/chaos hook for forcing the mixed-epoch refusal path. *)
-
-val set_bucket : t -> int -> string -> unit
-(** [set_bucket t global_index data] routes to the owning shard. *)
-
-val get_bucket : t -> int -> string
 
 (** {2 Shard health}
 
@@ -119,15 +106,16 @@ val shard_down : t -> int -> bool
 val shards_down : t -> int
 (** Number of shards currently marked down. *)
 
-val answer_result : t -> Lw_dpf.Dpf.key -> (string, string) result
-(** Like {!answer} but refuses with [Error] naming the down shards when
-    any shard is unavailable. *)
+val answer_result : t -> views -> Lw_dpf.Dpf.key -> (string, string) result
+(** {!answer} against the given view set, refusing with [Error] naming
+    the down shards when any shard is unavailable. *)
 
 val answer_batch_result :
-  t -> Lw_dpf.Dpf.key array -> (string array, string) result
+  t -> views -> Lw_dpf.Dpf.key array -> (string array, string) result
 
 val answer : t -> Lw_dpf.Dpf.key -> string
-(** Full private-GET answer share for a full-domain DPF key. *)
+(** Full private-GET answer share for a full-domain DPF key, from the
+    {!current} view set (read once). *)
 
 val answer_batch : t -> Lw_dpf.Dpf.key array -> string array
 (** Batched private-GET: each shard receives the whole batch of its

@@ -2,7 +2,7 @@
     answers private-GETs in its configured modes.
 
     The server is backend-agnostic: it is constructed over any
-    {!Zltp_backend.t} (flat, versioned, sharded, enclave, single-server
+    {!Zltp_backend.t} (versioned, sharded, enclave, single-server
     PIR — or anything else implementing the signature) and drives every
     request through the [BACKEND] contract: pin the queried epoch, call
     the verb, unpin on every exit path. It never pattern-matches on what
@@ -26,7 +26,7 @@ val create :
     must match the store the backend was populated from.
 
     [scan_domains] (default 1) is forwarded to the backend
-    ({!Zltp_backend.S.set_scan_domains}): flat/versioned backends answer
+    ({!Zltp_backend.S.set_scan_domains}): versioned backends answer
     through the domain-partitioned scan kernel
     ({!Lw_pir.Server.answer_domains}); backends with their own knob (the
     sharded front-end) or no scan kernel ignore it. *)
@@ -37,12 +37,12 @@ val modes : t -> Zltp_mode.t list
 val queries_served : t -> int
 
 val health : t -> int * int
-(** [(shards_total, shards_down)] — what a [Health] probe reports. A flat
-    or enclave backend counts as a single always-up shard. *)
+(** [(shards_total, shards_down)] — what a [Health] probe reports. A
+    monolithic backend counts as a single always-up shard. *)
 
 val current_epoch : t -> int
 (** The epoch announced in [Welcome]/[Health_reply]/[Sync_reply].
-    Unversioned backends are forever at epoch 0. *)
+    The unversioned enclave backend is forever at epoch 0. *)
 
 val oldest_epoch : t -> int
 (** Oldest epoch still answerable here (equals {!current_epoch} for

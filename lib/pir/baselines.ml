@@ -1,15 +1,16 @@
-let trivial_fetch db i =
-  let out = Bytes.create (Bucket_db.bucket_size db) in
-  let acc = Bytes.make (Bucket_db.bucket_size db) '\x00' in
-  for j = 0 to Bucket_db.size db - 1 do
+let trivial_fetch snap i =
+  let bucket = Lw_store.Snapshot.bucket_size snap in
+  let out = Bytes.create bucket in
+  let acc = Bytes.make bucket '\x00' in
+  for j = 0 to Lw_store.Snapshot.size snap - 1 do
     (* the client receives every bucket; we model the transfer by touching
        each one *)
-    Bucket_db.xor_bucket_into db j ~dst:acc;
-    if j = i then Bytes.blit_string (Bucket_db.get db j) 0 out 0 (Bytes.length out)
+    Lw_store.Snapshot.xor_bucket_into_masked snap j ~mask:0xff ~dst:acc;
+    if j = i then Bytes.blit_string (Lw_store.Snapshot.get snap j) 0 out 0 bucket
   done;
   Bytes.unsafe_to_string out
 
-let direct_fetch db i = Bucket_db.get db i
+let direct_fetch snap i = Lw_store.Snapshot.get snap i
 
 module Cost = struct
   type scheme = Two_server_pir | Trivial_pir | Direct

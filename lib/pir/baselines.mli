@@ -6,11 +6,11 @@
     - {!Cost} summarises the asymmetric trade-offs so benches can print
       comparison rows. *)
 
-val trivial_fetch : Bucket_db.t -> int -> string
-(** [trivial_fetch db i] simulates a download-everything client: touches
+val trivial_fetch : Lw_store.Snapshot.t -> int -> string
+(** [trivial_fetch snap i] simulates a download-everything client: touches
     every bucket (so timing is honest) and returns bucket [i]. *)
 
-val direct_fetch : Bucket_db.t -> int -> string
+val direct_fetch : Lw_store.Snapshot.t -> int -> string
 (** Non-private read of bucket [i]. *)
 
 module Cost : sig

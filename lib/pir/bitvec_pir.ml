@@ -12,18 +12,18 @@ let query ~domain_bits ~index rng =
   Bytes.set q1 byte (Char.chr (Char.code (Bytes.get q1 byte) lxor (1 lsl bit)));
   { q0; q1 }
 
-let answer db packed =
-  let n = Bucket_db.size db in
+let answer snap packed =
+  let n = Lw_store.Snapshot.size snap in
   if Bytes.length packed < (n + 7) / 8 then invalid_arg "Bitvec_pir.answer: vector too short";
-  let acc = Bytes.make (Bucket_db.bucket_size db) '\x00' in
+  let acc = Bytes.make (Lw_store.Snapshot.bucket_size snap) '\x00' in
   for i = 0 to n - 1 do
     if Char.code (Bytes.unsafe_get packed (i / 8)) lsr (i mod 8) land 1 = 1 then
-      Bucket_db.xor_bucket_into db i ~dst:acc
+      Lw_store.Snapshot.xor_bucket_into_masked snap i ~mask:0xff ~dst:acc
   done;
   Bytes.unsafe_to_string acc
 
 let combine ~resp0 ~resp1 = Lw_util.Xorbuf.xor resp0 resp1
 
-let fetch db ~index rng =
-  let q = query ~domain_bits:(Bucket_db.domain_bits db) ~index rng in
-  combine ~resp0:(answer db q.q0) ~resp1:(answer db q.q1)
+let fetch snap ~index rng =
+  let q = query ~domain_bits:(Lw_store.Snapshot.domain_bits snap) ~index rng in
+  combine ~resp0:(answer snap q.q0) ~resp1:(answer snap q.q1)

@@ -17,11 +17,11 @@ val query : domain_bits:int -> index:int -> Lw_crypto.Drbg.t -> query
 val upload_bytes : domain_bits:int -> int
 (** Per server. *)
 
-val answer : Bucket_db.t -> Bytes.t -> string
+val answer : Lw_store.Snapshot.t -> Bytes.t -> string
 (** XOR of the buckets selected by the packed vector. *)
 
 val combine : resp0:string -> resp1:string -> string
 
-val fetch : Bucket_db.t -> index:int -> Lw_crypto.Drbg.t -> string
-(** Convenience: full protocol round against one database playing both
+val fetch : Lw_store.Snapshot.t -> index:int -> Lw_crypto.Drbg.t -> string
+(** Convenience: full protocol round against one snapshot playing both
     (honest) servers. *)

@@ -1,57 +1,17 @@
-(* A server answers over one immutable view of the database: either a
-   flat [Bucket_db] (tests, microbenchmarks, single-epoch worlds) or a
-   pinned [Lw_store] snapshot (the production path, where the database
-   keeps moving underneath and each answer must come from exactly the
-   epoch the client queried). The scan kernel is identical either way
-   — the snapshot exposes the same lane block entry point as the flat
-   database, with the same per-bucket tracing. *)
+(* A server answers over one pinned [Lw_store] snapshot, or a range view
+   of one: the database keeps moving underneath, and each answer must come
+   from exactly the epoch the client queried. A sharded front-end serves
+   each shard from a view of the same pinned snapshot, so the scan below
+   never learns whether it walks a whole database or one slice of it. *)
 
-type source = Flat of Bucket_db.t | Snapshot of Lw_store.Snapshot.t
-type t = { src : source }
+type t = Lw_store.Snapshot.t
 
-let create db = { src = Flat db }
-let of_snapshot snap = { src = Snapshot snap }
-
-let db t =
-  match t.src with
-  | Flat db -> db
-  | Snapshot _ -> invalid_arg "Server.db: snapshot-backed server has no flat database"
-
-let epoch t =
-  match t.src with
-  | Flat _ -> None
-  | Snapshot s -> Some (Lw_store.Snapshot.epoch s)
-
-let domain_bits t =
-  match t.src with
-  | Flat db -> Bucket_db.domain_bits db
-  | Snapshot s -> Lw_store.Snapshot.domain_bits s
-
-let size t =
-  match t.src with
-  | Flat db -> Bucket_db.size db
-  | Snapshot s -> Lw_store.Snapshot.size s
-
-let bucket_size t =
-  match t.src with
-  | Flat db -> Bucket_db.bucket_size db
-  | Snapshot s -> Lw_store.Snapshot.bucket_size s
-
-let total_bytes t =
-  match t.src with
-  | Flat db -> Bucket_db.total_bytes db
-  | Snapshot s -> Lw_store.Snapshot.total_bytes s
-
-let xor_bucket_into_masked t i ~mask ~dst =
-  match t.src with
-  | Flat db -> Bucket_db.xor_bucket_into_masked db i ~mask ~dst
-  | Snapshot s -> Lw_store.Snapshot.xor_bucket_into_masked s i ~mask ~dst
-
-let xor_block_into_lanes t ~base ~count ~bits ~bits_pos ~stride ~dsts =
-  match t.src with
-  | Flat db -> Bucket_db.xor_block_into_lanes db ~base ~count ~bits ~bits_pos ~stride ~dsts
-  | Snapshot s ->
-      Lw_store.Snapshot.xor_block_into_lanes s ~base ~count ~bits ~bits_pos ~stride ~dsts
+let of_snapshot snap = snap
+let epoch = Lw_store.Snapshot.epoch
+let domain_bits = Lw_store.Snapshot.domain_bits
+let size = Lw_store.Snapshot.size
+let bucket_size = Lw_store.Snapshot.bucket_size
+let total_bytes = Lw_store.Snapshot.total_bytes
 
 let check_domain t k =
   if Lw_dpf.Dpf.domain_bits k <> domain_bits t then
@@ -80,7 +40,7 @@ let scan t bits =
   let acc = Bytes.make (bucket_size t) '\x00' in
   for i = 0 to size t - 1 do
     let mask = mask_of_bit (Char.code (Bytes.unsafe_get bits i)) in
-    xor_bucket_into_masked t i ~mask ~dst:acc
+    Lw_store.Snapshot.xor_bucket_into_masked t i ~mask ~dst:acc
   done;
   Bytes.unsafe_to_string acc
 
@@ -116,7 +76,8 @@ let answer t k =
   check_domain t k;
   let acc = Bytes.make (bucket_size t) '\x00' in
   Lw_dpf.Dpf.eval_bits_blocked k ~block_bits:(block_bits_for t) (fun base bits count ->
-      xor_block_into_lanes t ~base ~count ~bits ~bits_pos:0 ~stride:count ~dsts:[| acc |]);
+      Lw_store.Snapshot.xor_block_into_lanes t ~base ~count ~bits ~bits_pos:0 ~stride:count
+        ~dsts:[| acc |]);
   Lw_obs.Metrics.incr m_answers;
   Lw_obs.Metrics.add m_scan_bytes (total_bytes t);
   Bytes.unsafe_to_string acc
@@ -139,8 +100,8 @@ let scan_lanes t ~keys ~lo ~rem ~bits ~accs =
     keys;
   let block = 1 lsl block_bits in
   for b = 0 to (span / block) - 1 do
-    xor_block_into_lanes t ~base:(lo + (b * block)) ~count:block ~bits ~bits_pos:(b * block)
-      ~stride:span ~dsts:accs
+    Lw_store.Snapshot.xor_block_into_lanes t ~base:(lo + (b * block)) ~count:block ~bits
+      ~bits_pos:(b * block) ~stride:span ~dsts:accs
   done
 
 (* A batch of one is the fused single answer; wider batches share one
@@ -195,8 +156,8 @@ let scan_partition t ~sub ~prefix ~rem ~acc =
   Lw_dpf.Dpf.eval_bits_blocked sub
     ~block_bits:(min rem (block_bits_for t))
     (fun b bits count ->
-      xor_block_into_lanes t ~base:(base + b) ~count ~bits ~bits_pos:0 ~stride:count
-        ~dsts:[| acc |])
+      Lw_store.Snapshot.xor_block_into_lanes t ~base:(base + b) ~count ~bits ~bits_pos:0
+        ~stride:count ~dsts:[| acc |])
 
 (* Serial schedule over the exact per-partition kernels the parallel path
    runs: the deterministic twin [Trace_check.check_partitioned_scan]

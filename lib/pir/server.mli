@@ -16,20 +16,14 @@
 
 type t
 
-val create : Bucket_db.t -> t
-(** Serve a flat mutable database — tests, microbenchmarks, and worlds
-    that never change epoch. *)
-
 val of_snapshot : Lw_store.Snapshot.t -> t
-(** Serve one pinned epoch of the versioned engine — the production
-    path. The caller owns the pin: keep the snapshot pinned for as long
-    as the server answers from it. *)
+(** Serve one pinned epoch of the versioned engine, or a range view of
+    one ({!Lw_store.Snapshot.sub}, how a shard serves its slice). No
+    bytes are copied. The caller owns the pin: keep the snapshot pinned
+    for as long as the server answers from it. *)
 
-val db : t -> Bucket_db.t
-(** Raises [Invalid_argument] on a snapshot-backed server. *)
-
-val epoch : t -> int option
-(** The served epoch; [None] for a flat (unversioned) server. *)
+val epoch : t -> int
+(** The served epoch. *)
 
 val domain_bits : t -> int
 val size : t -> int

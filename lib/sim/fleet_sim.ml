@@ -1,5 +1,5 @@
 (* Closed-loop fleet simulation over the real serving stack: stand up a
-   sharded front-end (Zltp_frontend over 2^shard_bits Lw_pir servers),
+   sharded front-end (Zltp_frontend over 2^shard_bits views of one store),
    replay a Zipf page mix (Workload/Zipf) as Poisson arrivals through the
    batch-service queueing discipline of Queue_sim, and *measure* every
    batch's service time by actually running the scan kernels — the
@@ -253,10 +253,13 @@ let run ?(progress = fun (_ : string) -> ()) p =
   let clock = Lw_obs.Span.clock () in
   let rng = Lw_util.Det_rng.of_string_seed p.seed in
   let drbg = Lw_crypto.Drbg.create ~seed:("fleet-sim-keys:" ^ p.seed) in
-  (* the fleet: a real sharded front-end over a randomized database *)
-  let db = Lw_pir.Bucket_db.create ~domain_bits:p.domain_bits ~bucket_size:p.bucket_size in
-  Lw_pir.Bucket_db.fill_random db rng;
-  let fe = Lightweb.Zltp_frontend.of_db db ~shard_bits:p.shard_bits in
+  (* the fleet: a real sharded front-end over the views of one randomized
+     store epoch *)
+  let store = Lw_store.create ~domain_bits:p.domain_bits ~bucket_size:p.bucket_size () in
+  let w = Lw_store.writer store in
+  Lw_store.Writer.fill_random w rng;
+  let snap = Lw_store.Writer.seal w in
+  let fe = Lightweb.Zltp_frontend.of_store store ~shard_bits:p.shard_bits in
   Lightweb.Zltp_frontend.set_scan_domains fe p.scan_domains;
   let shards = Lightweb.Zltp_frontend.shard_count fe in
   let db_bytes = (1 lsl p.domain_bits) * p.bucket_size in
@@ -281,7 +284,7 @@ let run ?(progress = fun (_ : string) -> ()) p =
     let share0 = Lightweb.Zltp_frontend.answer fe k0 in
     let share1 = Lightweb.Zltp_frontend.answer fe k1 in
     let got = Lw_util.Xorbuf.xor share0 share1 in
-    if got <> Lightweb.Zltp_frontend.get_bucket fe indices.(i) then
+    if got <> Lw_store.Snapshot.get snap indices.(i) then
       failwith "Fleet_sim: share XOR does not reconstruct the bucket"
   in
   check_at 0;
@@ -387,12 +390,8 @@ let run ?(progress = fun (_ : string) -> ()) p =
   let rem = p.domain_bits - p.shard_bits in
   let shard0_alpha = indices.(0) land ((1 lsl rem) - 1) in
   let sk, _ = Lw_dpf.Dpf.gen ~domain_bits:rem ~alpha:shard0_alpha drbg in
-  (* time eval and scan phases separately on one shard-sized server *)
-  let shard0 =
-    let sdb = Lw_pir.Bucket_db.create ~domain_bits:rem ~bucket_size:p.bucket_size in
-    Lw_pir.Bucket_db.fill_random sdb rng;
-    Lw_pir.Server.create sdb
-  in
+  (* time eval and scan phases separately on shard 0's view *)
+  let shard0 = Lw_pir.Server.of_snapshot (Lw_store.Snapshot.sub snap ~base:0 ~domain_bits:rem) in
   let bits, dpf_seconds = time clock (fun () -> Lw_pir.Server.eval_bits shard0 sk) in
   let _, scan_seconds = time clock (fun () -> Lw_pir.Server.scan shard0 bits) in
   let per_shard_bytes = float_of_int ((1 lsl rem) * p.bucket_size) in

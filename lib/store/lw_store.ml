@@ -27,7 +27,10 @@ let default_hash_key = String.sub (Lw_crypto.Sha256.digest "lw-pir-store-default
 
 type trace = { mutable on : bool; mutable rev : int list }
 
-type snapshot = { epoch : int; blocks : Bytes.t array; store : t }
+(* A snapshot is a window onto one epoch's blocks: the whole domain, or a
+   range view ([Snapshot.sub]) that starts [base] buckets in and spans
+   [2^bits] buckets. Views share the parent's blocks and copy nothing. *)
+type snapshot = { epoch : int; blocks : Bytes.t array; store : t; base : int; bits : int }
 
 and entry = { snap : snapshot; mutable pins : int }
 
@@ -99,7 +102,8 @@ let create ?(hash_key = default_hash_key) ?(keep = 2) ?(block_bytes = default_bl
     Array.init (size lsr block_bits) (fun _ ->
         Bytes.make ((1 lsl block_bits) * bucket_size) '\x00')
   in
-  t.entries <- [ { snap = { epoch = initial_epoch; blocks; store = t }; pins = 0 } ];
+  let snap = { epoch = initial_epoch; blocks; store = t; base = 0; bits = domain_bits } in
+  t.entries <- [ { snap; pins = 0 } ];
   t
 
 let current_entry t = match t.entries with e :: _ -> e | [] -> assert false
@@ -143,7 +147,11 @@ let pin t ~epoch =
           Ok e.snap
       | None -> if epoch > (current_entry t).snap.epoch then Error Ahead else Error Retired)
 
+let check_whole fn s =
+  if s.bits <> s.store.domain_bits then invalid_arg (fn ^ ": snapshot is a range view")
+
 let unpin t snap =
+  check_whole "Lw_store.unpin" snap;
   with_lock t (fun () ->
       match List.find_opt (fun e -> e.snap.epoch = snap.epoch) t.entries with
       | None -> () (* epoch already retired; double-unpin is harmless *)
@@ -163,18 +171,28 @@ module Snapshot = struct
 
   let epoch s = s.epoch
   let store s = s.store
-  let domain_bits s = s.store.domain_bits
-  let size s = 1 lsl s.store.domain_bits
+  let domain_bits s = s.bits
+  let size s = 1 lsl s.bits
   let bucket_size s = s.store.bucket_size
   let total_bytes s = size s * bucket_size s
   let hash_key s = s.store.hash_key
   let index_of_key s key = index_of_key s.store key
 
+  let sub s ~base ~domain_bits =
+    if domain_bits < 0 || domain_bits > s.bits || base < 0 || base > size s - (1 lsl domain_bits)
+    then invalid_arg "Lw_store.Snapshot.sub: range out of bounds";
+    if domain_bits = s.bits then s else { s with base = s.base + base; bits = domain_bits }
+
   let check_index s i =
     if i < 0 || i >= size s then invalid_arg "Lw_store.Snapshot: index out of range"
 
-  let record s i = if s.store.trace.on then s.store.trace.rev <- i :: s.store.trace.rev
-  let locate s i = (i lsr s.store.block_bits, i land ((1 lsl s.store.block_bits) - 1))
+  (* [i] is an index into the view; the trace and the blocks both speak
+     the store's global indices. *)
+  let record s i = if s.store.trace.on then s.store.trace.rev <- (s.base + i) :: s.store.trace.rev
+
+  let locate s i =
+    let g = s.base + i in
+    (g lsr s.store.block_bits, g land ((1 lsl s.store.block_bits) - 1))
 
   let get s i =
     check_index s i;
@@ -196,10 +214,10 @@ module Snapshot = struct
       ~src_pos:(local * s.store.bucket_size) ~dst ~dst_pos:0 ~len:s.store.bucket_size
 
   (* Block entry: the requested [base, base+count) run may span several
-     CoW blocks; split it into per-block runs and hand each to the Xorbuf
-     kernel. Tracing stays bucket-granular, once per bucket, exactly as
-     in [Bucket_db], so the obliviousness checker observes the same
-     access sequence over a snapshot as over a flat database. *)
+     CoW blocks (or sit inside one, for a small view); split it into
+     per-block runs and hand each to the Xorbuf kernel. Tracing stays
+     bucket-granular, once per bucket in order, so the obliviousness
+     checker observes the access sequence the kernel really performs. *)
   let xor_block_into_lanes s ~base ~count ~bits ~bits_pos ~stride ~dsts =
     if count < 0 || base < 0 || base > size s - count then
       invalid_arg "Lw_store.Snapshot: block out of range";
@@ -207,7 +225,7 @@ module Snapshot = struct
     let bb = 1 lsl s.store.block_bits in
     let off = ref 0 in
     while !off < count do
-      let i = base + !off in
+      let i = s.base + base + !off in
       let b = i lsr s.store.block_bits and local = i land (bb - 1) in
       let run = min (count - !off) (bb - local) in
       if s.store.trace.on then
@@ -228,6 +246,8 @@ module Snapshot = struct
      the two — retirement never resurrects a shared block. *)
   let diff_ranges a b =
     if a.store != b.store then invalid_arg "Lw_store.Snapshot.diff_ranges: different stores";
+    check_whole "Lw_store.Snapshot.diff_ranges" a;
+    check_whole "Lw_store.Snapshot.diff_ranges" b;
     let bb = 1 lsl a.store.block_bits in
     let ranges = ref [] in
     Array.iteri
@@ -308,6 +328,26 @@ module Writer = struct
     Bytes.fill w.blocks.(b) (local * w.store.bucket_size) w.store.bucket_size '\x00';
     w.mutations <- w.mutations + 1
 
+  (* Every block is replaced by fresh pseudorandom bytes, so nothing is
+     copied first; the stream is drawn in 64 KiB chunks. *)
+  let fill_random w rng =
+    check_open w;
+    Array.iteri
+      (fun b blk ->
+        let n = Bytes.length blk in
+        let fresh = Bytes.create n in
+        let pos = ref 0 in
+        while !pos < n do
+          let len = min 65536 (n - !pos) in
+          Bytes.blit_string (Lw_util.Det_rng.bytes rng len) 0 fresh !pos len;
+          pos := !pos + len
+        done;
+        w.blocks.(b) <- fresh;
+        w.dirty.(b) <- true;
+        w.cow_bytes <- w.cow_bytes + n)
+      w.blocks;
+    w.mutations <- w.mutations + size w.store
+
   (* Read-your-writes: publisher code validates against the in-progress
      batch (collision checks, overwrite detection) before sealing. *)
   let get w i =
@@ -334,7 +374,7 @@ module Writer = struct
         w.sealed <- true;
         (* the writer's block array becomes the new epoch verbatim:
            untouched slots still point at the previous epoch's blocks *)
-        let snap = { epoch = next; blocks = w.blocks; store = t } in
+        let snap = { epoch = next; blocks = w.blocks; store = t; base = 0; bits = t.domain_bits } in
         t.entries <- { snap; pins = 0 } :: t.entries;
         retire_locked t;
         Lw_obs.Metrics.incr m_sealed;

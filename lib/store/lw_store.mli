@@ -100,12 +100,18 @@ val pin : t -> epoch:int -> (snapshot, pin_error) result
 
 val unpin : t -> snapshot -> unit
 (** Release one pin. Dropping the last pin of an epoch outside the keep
-    window retires it. Unpinning an already-retired snapshot is a no-op. *)
+    window retires it. Unpinning an already-retired snapshot is a no-op.
+    Raises [Invalid_argument] on a range view ({!Snapshot.sub}): pins
+    belong to whole snapshots. *)
 
 val writer : t -> writer
 (** Open a copy-on-write mutation batch against the current epoch. *)
 
-(** {2 Tracing} (obliviousness-checker hook, mirrors [Bucket_db]) *)
+(** {2 Tracing}
+
+    The obliviousness checker's hook: when on, every bucket a snapshot
+    or view reads is recorded by its global index, in access order.
+    Enabling or disabling resets the trace. Leave it off on hot paths. *)
 
 val set_tracing : t -> bool -> unit
 val access_trace : t -> int list
@@ -115,10 +121,23 @@ val access_trace : t -> int list
 module Snapshot : sig
   type t = snapshot
   (** A frozen database at one epoch: bucket bytes + keyword placement.
-      All accessors are lock-free and safe from any domain. *)
+      All accessors are lock-free and safe from any domain. A snapshot is
+      either whole (what {!pin}, {!current} and {!Writer.seal} return) or
+      a range view of one ({!sub}); accessors index a view from 0. *)
 
   val epoch : t -> int
   val store : t -> store
+
+  val sub : t -> base:int -> domain_bits:int -> t
+  (** [sub s ~base ~domain_bits] is the zero-copy view of the
+      [2^domain_bits] buckets of [s] from [base]: it shares [s]'s blocks,
+      which may mean sitting inside one CoW block or spanning several,
+      and its bucket [i] is [s]'s bucket [base + i]. A sharded front-end
+      serves each shard from one such view of a single pinned snapshot.
+      The view lives as long as the caller holds it; it takes no pin.
+      Raises [Invalid_argument] unless the range lies inside [s]. A view
+      of the whole of [s] is [s]. *)
+
   val domain_bits : t -> int
   val size : t -> int
   val bucket_size : t -> int
@@ -128,16 +147,21 @@ module Snapshot : sig
 
   val get : t -> int -> string
   (** Bucket [i]'s bytes (zero-padded to [bucket_size]). Recorded in the
-      access trace when tracing is on. *)
+      access trace when tracing is on. Raises [Invalid_argument] outside
+      [0, size). *)
 
   val is_empty : t -> int -> bool
   val occupied : t -> int
 
-  (** Scan kernels, mirroring [Bucket_db]: every bucket is traced once
-      per scan, in order, so the obliviousness checker sees the same
-      per-bucket sequence over a snapshot as over a flat database. *)
+  (** Scan kernels: every bucket is traced once per scan, in order, so
+      the obliviousness checker sees the full in-order walk of the
+      snapshot, or of the view's own range. *)
 
   val xor_bucket_into_masked : t -> int -> mask:int -> dst:Bytes.t -> unit
+  (** XOR bucket [i], each byte ANDed with [mask land 0xff], into the
+      first [bucket_size] bytes of [dst]. With mask [0x00] the bucket is
+      still read, so a scan that derives the mask from its selection bit
+      leaves a trace independent of the selection. *)
 
   val xor_block_into_lanes :
     t ->
@@ -158,10 +182,10 @@ module Snapshot : sig
   val diff_ranges : t -> t -> (int * int) list
   (** [diff_ranges a b] is the [(base, count)] bucket ranges (ascending,
       coalesced) where the two epochs' block pointers differ — the exact
-      set of buckets an incremental consumer (sharded-frontend refresh,
-      replica push) must re-copy. Physical comparison, so it is correct
-      across any number of intervening epochs. Raises [Invalid_argument]
-      if the snapshots belong to different stores. *)
+      set of buckets an incremental consumer (a cluster replica push)
+      must re-copy. Physical comparison, so it is correct across any
+      number of intervening epochs. Raises [Invalid_argument] if the
+      snapshots belong to different stores or either is a range view. *)
 end
 
 (** {2 Writers} *)
@@ -180,6 +204,10 @@ module Writer : sig
       block are free. Raises once the writer is sealed. *)
 
   val clear : t -> int -> unit
+
+  val fill_random : t -> Lw_util.Det_rng.t -> unit
+  (** Overwrite every bucket with deterministic pseudorandom bytes, for
+      benchmarks and tests that care about scan geometry, not contents. *)
 
   val get : t -> int -> string
   (** Read-your-writes view of the batch (uncommitted). *)

@@ -107,7 +107,7 @@ let xor a b =
   Bytes.unsafe_to_string out
 
 (* Word-at-a-time OR-accumulate with a byte tail: this sits on the
-   [Bucket_db.is_empty]/[occupied] path, where the seed's [String.iter]
+   [Lw_store] [is_empty]/[occupied] path, where the seed's [String.iter]
    cost a closure call per byte. *)
 let is_zero_range b ~pos ~len =
   check_bounds "is_zero_range" pos len (Bytes.length b);

@@ -907,9 +907,11 @@ let test_trace_scan_really_answers () =
   (* the masked scan the checker relies on must still be a correct PIR
      answer: XOR of the two servers' responses is the queried bucket *)
   let domain_bits = 6 and bucket_size = 32 in
-  let db = Lw_pir.Bucket_db.create ~domain_bits ~bucket_size in
-  Lw_pir.Bucket_db.fill_random db (Lw_util.Det_rng.of_string_seed "answer-check");
-  let server = Lw_pir.Server.create db in
+  let st = Lw_store.create ~domain_bits ~bucket_size () in
+  let w = Lw_store.writer st in
+  Lw_store.Writer.fill_random w (Lw_util.Det_rng.of_string_seed "answer-check");
+  let snap = Lw_store.Writer.seal w in
+  let server = Lw_pir.Server.of_snapshot snap in
   let rng = Lw_crypto.Drbg.create ~seed:"answer-check" in
   List.iter
     (fun alpha ->
@@ -918,7 +920,7 @@ let test_trace_scan_really_answers () =
       let a1 = Lw_pir.Server.answer server k1 in
       Alcotest.(check string)
         (Printf.sprintf "alpha %d" alpha)
-        (Lw_pir.Bucket_db.get db alpha)
+        (Lw_store.Snapshot.get snap alpha)
         (Lw_util.Xorbuf.xor a0 a1))
     [ 0; 13; 63 ]
 

@@ -65,9 +65,10 @@ let test_aead_short_input () =
 (* ---------------- zltp details ---------------- *)
 
 let test_batch_delivery_order () =
-  let db = Lw_pir.Bucket_db.create ~domain_bits:5 ~bucket_size:32 in
-  Lw_pir.Bucket_db.fill_random db (det "order");
-  let b = Zltp_batch.create ~batch_size:3 (Lw_pir.Server.create db) in
+  let st = Lw_store.create ~domain_bits:5 ~bucket_size:32 () in
+  let w = Lw_store.writer st in
+  Lw_store.Writer.fill_random w (det "order");
+  let b = Zltp_batch.create ~batch_size:3 (Lw_pir.Server.of_snapshot (Lw_store.Writer.seal w)) in
   let order = ref [] in
   for i = 0 to 2 do
     let k, _ = Lw_dpf.Dpf.gen ~domain_bits:5 ~alpha:i (rng ()) in
@@ -76,8 +77,8 @@ let test_batch_delivery_order () =
   Alcotest.(check (list int)) "delivered in submit order" [ 0; 1; 2 ] (List.rev !order)
 
 let test_batch_flush_empty_noop () =
-  let db = Lw_pir.Bucket_db.create ~domain_bits:4 ~bucket_size:16 in
-  let b = Zltp_batch.create (Lw_pir.Server.create db) in
+  let st = Lw_store.create ~domain_bits:4 ~bucket_size:16 () in
+  let b = Zltp_batch.create (Lw_pir.Server.of_snapshot (Lw_store.current st)) in
   Zltp_batch.flush b;
   Alcotest.(check int) "no batch ran" 0 (Zltp_batch.batches_executed b)
 

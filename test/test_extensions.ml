@@ -10,14 +10,20 @@ let det = Lw_util.Det_rng.of_string_seed
 
 (* ---------------- Bitvec_pir ---------------- *)
 
+(* One sealed epoch of pseudorandom buckets. *)
+let random_snapshot ~domain_bits ~bucket_size seed =
+  let st = Lw_store.create ~domain_bits ~bucket_size () in
+  let w = Lw_store.writer st in
+  Lw_store.Writer.fill_random w (det seed);
+  Lw_store.Writer.seal w
+
 let test_bitvec_correctness () =
-  let db = Lw_pir.Bucket_db.create ~domain_bits:7 ~bucket_size:64 in
-  Lw_pir.Bucket_db.fill_random db (det "bv");
+  let snap = random_snapshot ~domain_bits:7 ~bucket_size:64 "bv" in
   for index = 0 to 127 do
     Alcotest.(check string)
       (Printf.sprintf "bucket %d" index)
-      (Lw_pir.Bucket_db.get db index)
-      (Lw_pir.Bitvec_pir.fetch db ~index (rng ()))
+      (Lw_store.Snapshot.get snap index)
+      (Lw_pir.Bitvec_pir.fetch snap ~index (rng ()))
   done
 
 let test_bitvec_query_shape () =
@@ -403,9 +409,8 @@ let prop_bitvec_correct =
     QCheck.(pair (int_range 1 8) (int_range 0 10000))
     (fun (d, i) ->
       let index = i mod (1 lsl d) in
-      let db = Lw_pir.Bucket_db.create ~domain_bits:d ~bucket_size:32 in
-      Lw_pir.Bucket_db.fill_random db (det (string_of_int (d + i)));
-      String.equal (Lw_pir.Bucket_db.get db index) (Lw_pir.Bitvec_pir.fetch db ~index (rng ())))
+      let snap = random_snapshot ~domain_bits:d ~bucket_size:32 (string_of_int (d + i)) in
+      String.equal (Lw_store.Snapshot.get snap index) (Lw_pir.Bitvec_pir.fetch snap ~index (rng ())))
 
 let prop_paginate_roundtrip =
   QCheck.Test.make ~name:"paginate split/reassemble" ~count:40

@@ -1,7 +1,7 @@
 (* Keyword-search suite: the wire-v4 two-probe verb and the cuckoo table
    it stands on.
 
-   - model property: Cuckoo vs a plain Hashtbl reference over arbitrary
+   - model property: the Kw_store cuckoo vs a plain Hashtbl reference over arbitrary
      insert/remove interleavings (1000 cases) — find/count always agree
      with the model, nothing is ever lost or resurrected, and a refused
      insert leaves every bucket as it was.
@@ -45,9 +45,10 @@ let gen_ops =
         (frequency
            [ (3, map2 (fun k v -> Insert (k, v)) (0 -- 23) (0 -- 9)); (1, map (fun k -> Remove k) (0 -- 23)) ]))
 
+(* Every bucket's bytes, read from a freshly sealed epoch. *)
 let buckets c =
-  let db = Cuckoo.db c in
-  List.init (Bucket_db.size db) (Bucket_db.get db)
+  let snap = Kw_store.publish c in
+  List.init (Lw_store.Snapshot.size snap) (Lw_store.Snapshot.get snap)
 
 let prop_cuckoo_matches_model =
   (* 16 buckets under a 24-key pool: removals of absent keys, overwrites,
@@ -55,7 +56,7 @@ let prop_cuckoo_matches_model =
   QCheck.Test.make ~name:"cuckoo = Hashtbl model (find/count/state, fail-closed)" ~count:1000
     gen_ops
     (fun ops ->
-      let c = Cuckoo.create ~domain_bits:4 ~bucket_size:64 () in
+      let c = Kw_store.create ~domain_bits:4 ~bucket_size:64 () in
       let model = Hashtbl.create 16 in
       List.iter
         (fun op ->
@@ -63,7 +64,7 @@ let prop_cuckoo_matches_model =
           | Insert (k, v) ->
               let key = pool_key k and value = Printf.sprintf "v%d" v in
               let before = buckets c in
-              (match Cuckoo.insert c ~key ~value with
+              (match Kw_store.insert c ~key ~value with
               | Ok () -> Hashtbl.replace model key value
               | Error `Full ->
                   if Hashtbl.mem model key then QCheck.Test.fail_report "overwrite refused";
@@ -71,16 +72,16 @@ let prop_cuckoo_matches_model =
               | Error `Too_large -> QCheck.Test.fail_report "tiny record rejected")
           | Remove k ->
               let key = pool_key k in
-              let removed = Cuckoo.remove c key in
+              let removed = Kw_store.remove c key in
               if removed <> Hashtbl.mem model key then
                 QCheck.Test.fail_report "remove result disagrees with model";
               Hashtbl.remove model key)
         ops;
-      Array.for_all (fun key -> Cuckoo.find c key = Hashtbl.find_opt model key) pool
-      && Cuckoo.count c = Hashtbl.length model
-      && Bucket_db.occupied (Cuckoo.db c) = Cuckoo.count c
-      && Cuckoo.load_factor c
-         = float_of_int (Cuckoo.count c) /. float_of_int (Bucket_db.size (Cuckoo.db c)))
+      Array.for_all (fun key -> Kw_store.find c key = Hashtbl.find_opt model key) pool
+      && Kw_store.count c = Hashtbl.length model
+      && Lw_store.Snapshot.occupied (Kw_store.publish c) = Kw_store.count c
+      && Kw_store.load_factor c
+         = float_of_int (Kw_store.count c) /. float_of_int (Lw_store.size (Kw_store.engine c)))
 
 (* ---------------- coincident-candidate regression ---------------- *)
 
@@ -94,45 +95,45 @@ let scan_keys ~limit pred =
   match go 0 with Some k -> k | None -> Alcotest.fail "key scan exhausted"
 
 let test_coincident_victim_not_ping_ponged () =
-  let writes = ref 0 in
-  let c = Cuckoo.create ~on_change:(fun _ -> incr writes) ~domain_bits:3 ~bucket_size:64 () in
+  let c = Kw_store.create ~domain_bits:3 ~bucket_size:64 () in
   (* V: both candidates coincide at bucket j — the immovable victim. *)
-  let v = scan_keys ~limit:4096 (fun k -> let i0, i1 = Cuckoo.candidates c k in i0 = i1) in
-  let j, _ = Cuckoo.candidates c v in
+  let v = scan_keys ~limit:4096 (fun k -> let i0, i1 = Kw_store.candidates c k in i0 = i1) in
+  let j, _ = Kw_store.candidates c v in
   (* P: second candidate is j, first is some other bucket a. *)
   let p =
     scan_keys ~limit:4096 (fun k ->
-        let i0, i1 = Cuckoo.candidates c k in i1 = j && i0 <> j)
+        let i0, i1 = Kw_store.candidates c k in i1 = j && i0 <> j)
   in
-  let a, _ = Cuckoo.candidates c p in
+  let a, _ = Kw_store.candidates c p in
   (* F: occupies a directly (its first candidate is a, inserted while a
      is empty), so P's displacement has to start at j; F's other
      candidate b is free. *)
   let f =
     scan_keys ~limit:4096 (fun k ->
-        let i0, i1 = Cuckoo.candidates c k in
+        let i0, i1 = Kw_store.candidates c k in
         i0 = a && i1 <> a && i1 <> j && k <> p && k <> v)
   in
-  let _, b = Cuckoo.candidates c f in
-  Alcotest.(check (result unit reject)) "insert V" (Ok ()) (Cuckoo.insert c ~key:v ~value:"vv");
-  Alcotest.(check (result unit reject)) "insert F" (Ok ()) (Cuckoo.insert c ~key:f ~value:"vf");
-  writes := 0;
+  let _, b = Kw_store.candidates c f in
+  Alcotest.(check (result unit reject)) "insert V" (Ok ()) (Kw_store.insert c ~key:v ~value:"vv");
+  Alcotest.(check (result unit reject)) "insert F" (Ok ()) (Kw_store.insert c ~key:f ~value:"vf");
+  ignore (Kw_store.publish c);
   (* Both of P's candidates are occupied and the victim at j cannot move.
      The old code swapped the slot with itself until max_kicks (hundreds
      of dirtied epoch buckets), and later stashed P where no client
      probe could see it. P now continues from its other candidate a:
      F moves on to b, and P takes a — two writes. *)
-  Alcotest.(check (result unit reject)) "insert P" (Ok ()) (Cuckoo.insert c ~key:p ~value:"vp");
-  Alcotest.(check int) "two bucket writes" 2 !writes;
-  let at i = Record.decode (Bucket_db.get (Cuckoo.db c) i) |> Option.map fst in
+  Alcotest.(check (result unit reject)) "insert P" (Ok ()) (Kw_store.insert c ~key:p ~value:"vp");
+  Alcotest.(check int) "two bucket writes" 2 (Kw_store.pending_mutations c);
+  let snap = Kw_store.publish c in
+  let at i = Record.decode (Lw_store.Snapshot.get snap i) |> Option.map fst in
   Alcotest.(check (option string)) "victim stays at j" (Some v) (at j);
   Alcotest.(check (option string)) "pending record in its other candidate" (Some p) (at a);
   Alcotest.(check (option string)) "filler moved to its other candidate" (Some f) (at b);
-  Alcotest.(check (option string)) "pending findable" (Some "vp") (Cuckoo.find c p);
-  Alcotest.(check int) "all three counted" 3 (Cuckoo.count c)
+  Alcotest.(check (option string)) "pending findable" (Some "vp") (Kw_store.find c p);
+  Alcotest.(check int) "all three counted" 3 (Kw_store.count c)
 
 let test_full_table_fails_closed () =
-  let c = Cuckoo.create ~domain_bits:3 ~bucket_size:64 () in
+  let c = Kw_store.create ~domain_bits:3 ~bucket_size:64 () in
   let keys = List.init 12 (Printf.sprintf "drain-key-%02d") in
   (* 12 records for 8 buckets: at least 4 inserts must be refused, each
      leaving every bucket exactly as it found it *)
@@ -140,7 +141,7 @@ let test_full_table_fails_closed () =
     List.filter
       (fun k ->
         let before = buckets c in
-        match Cuckoo.insert c ~key:k ~value:(String.uppercase_ascii k) with
+        match Kw_store.insert c ~key:k ~value:(String.uppercase_ascii k) with
         | Ok () -> true
         | Error `Full ->
             Alcotest.(check bool) ("no trace of refused " ^ k) true (buckets c = before);
@@ -149,19 +150,19 @@ let test_full_table_fails_closed () =
       keys
   in
   Alcotest.(check bool) "some refused" true (List.length stored <= 8);
-  Alcotest.(check int) "count = stored" (List.length stored) (Cuckoo.count c);
-  Alcotest.(check int) "every record in a bucket" (Cuckoo.count c)
-    (Bucket_db.occupied (Cuckoo.db c));
+  Alcotest.(check int) "count = stored" (List.length stored) (Kw_store.count c);
+  Alcotest.(check int) "every record in a bucket" (Kw_store.count c)
+    (Lw_store.Snapshot.occupied (Kw_store.publish c));
   List.iter
     (fun k ->
-      let found = Cuckoo.find c k in
+      let found = Kw_store.find c k in
       if List.mem k stored then
         Alcotest.(check (option string)) ("stored " ^ k) (Some (String.uppercase_ascii k)) found
       else Alcotest.(check (option string)) ("refused " ^ k) None found)
     keys;
   (* a removal frees a bucket; the next insert can use it *)
-  Alcotest.(check bool) "remove" true (Cuckoo.remove c (List.hd stored));
-  Alcotest.(check int) "count after remove" (List.length stored - 1) (Cuckoo.count c)
+  Alcotest.(check bool) "remove" true (Kw_store.remove c (List.hd stored));
+  Alcotest.(check int) "count after remove" (List.length stored - 1) (Kw_store.count c)
 
 (* Every path a universe accepts must be readable through its two
    candidate buckets alone: that is all the keyword verb probes. The
@@ -225,15 +226,14 @@ let test_accepted_paths_in_candidate_buckets () =
   done
 
 let test_insert_overwrites_in_place () =
-  let writes = ref 0 in
-  let c = Cuckoo.create ~on_change:(fun _ -> incr writes) ~domain_bits:4 ~bucket_size:64 () in
-  Alcotest.(check (result unit reject)) "first" (Ok ()) (Cuckoo.insert c ~key:"k" ~value:"v1");
-  Alcotest.(check int) "one write to place" 1 !writes;
-  writes := 0;
-  Alcotest.(check (result unit reject)) "overwrite" (Ok ()) (Cuckoo.insert c ~key:"k" ~value:"v2");
-  Alcotest.(check int) "one write to overwrite" 1 !writes;
-  Alcotest.(check int) "still one record" 1 (Cuckoo.count c);
-  Alcotest.(check (option string)) "new value" (Some "v2") (Cuckoo.find c "k")
+  let c = Kw_store.create ~domain_bits:4 ~bucket_size:64 () in
+  Alcotest.(check (result unit reject)) "first" (Ok ()) (Kw_store.insert c ~key:"k" ~value:"v1");
+  Alcotest.(check int) "one write to place" 1 (Kw_store.pending_mutations c);
+  ignore (Kw_store.publish c);
+  Alcotest.(check (result unit reject)) "overwrite" (Ok ()) (Kw_store.insert c ~key:"k" ~value:"v2");
+  Alcotest.(check int) "one write to overwrite" 1 (Kw_store.pending_mutations c);
+  Alcotest.(check int) "still one record" 1 (Kw_store.count c);
+  Alcotest.(check (option string)) "new value" (Some "v2") (Kw_store.find c "k")
 
 (* ---------------- wire v4 ---------------- *)
 
@@ -284,9 +284,11 @@ let answer_pair s k0 k1 =
 
 let test_answer_pair_matches_scalar () =
   (* 33-byte buckets: the width-2 kernel's word loop leaves a byte tail *)
-  let db = Bucket_db.create ~domain_bits:5 ~bucket_size:33 in
-  Bucket_db.fill_random db (Lw_util.Det_rng.of_string_seed "pair-kernel");
-  let s = Server.create db in
+  let st = Lw_store.create ~domain_bits:5 ~bucket_size:33 () in
+  let w = Lw_store.writer st in
+  Lw_store.Writer.fill_random w (Lw_util.Det_rng.of_string_seed "pair-kernel");
+  let snap = Lw_store.Writer.seal w in
+  let s = Server.of_snapshot snap in
   let drbg = Lw_crypto.Drbg.create ~seed:"pair-keys" in
   let k0a, k1a = Lw_dpf.Dpf.gen ~domain_bits:5 ~alpha:3 drbg in
   let k0b, k1b = Lw_dpf.Dpf.gen ~domain_bits:5 ~alpha:17 drbg in
@@ -297,8 +299,8 @@ let test_answer_pair_matches_scalar () =
      half's shares back to the exact bucket bytes *)
   let qa, qb = answer_pair s k1a k1b in
   let xor x y = String.init (String.length x) (fun i -> Char.chr (Char.code x.[i] lxor Char.code y.[i])) in
-  Alcotest.(check string) "reconstruct alpha=3" (Bucket_db.get db 3) (xor pa qa);
-  Alcotest.(check string) "reconstruct alpha=17" (Bucket_db.get db 17) (xor pb qb);
+  Alcotest.(check string) "reconstruct alpha=3" (Lw_store.Snapshot.get snap 3) (xor pa qa);
+  Alcotest.(check string) "reconstruct alpha=17" (Lw_store.Snapshot.get snap 17) (xor pb qb);
   (* coincident probes (the same alpha twice) are a legal pair *)
   let ca, cb = answer_pair s k0a k0a in
   Alcotest.(check string) "coincident pair lanes agree" ca cb

@@ -395,12 +395,25 @@ let test_zltp_over_tcp () =
 
 (* ---------------- Zltp_frontend (sharding) ---------------- *)
 
+(* A store whose one sealed epoch [fill] writes. *)
+let one_epoch_store ~domain_bits ~bucket_size fill =
+  let st = Lw_store.create ~domain_bits ~bucket_size () in
+  let w = Lw_store.writer st in
+  fill w;
+  ignore (Lw_store.Writer.seal w);
+  st
+
+let random_store ~domain_bits ~bucket_size seed =
+  one_epoch_store ~domain_bits ~bucket_size (fun w ->
+      Lw_store.Writer.fill_random w (Lw_util.Det_rng.of_string_seed seed))
+
+(* The unsharded reference: one server over the whole current epoch. *)
+let whole_server st = Lw_pir.Server.of_snapshot (Lw_store.current st)
+
 let test_frontend_matches_flat () =
-  let db = Lw_pir.Bucket_db.create ~domain_bits:8 ~bucket_size:64 in
-  let det = Lw_util.Det_rng.of_string_seed "frontend" in
-  Lw_pir.Bucket_db.fill_random db det;
-  let flat = Lw_pir.Server.create db in
-  let fe = Zltp_frontend.of_db db ~shard_bits:3 in
+  let st = random_store ~domain_bits:8 ~bucket_size:64 "frontend" in
+  let flat = whole_server st in
+  let fe = Zltp_frontend.of_store st ~shard_bits:3 in
   Alcotest.(check int) "shards" 8 (Zltp_frontend.shard_count fe);
   for alpha = 0 to 20 do
     let k0, _ = Lw_dpf.Dpf.gen ~domain_bits:8 ~alpha:(alpha * 11 mod 256) (rng ()) in
@@ -409,23 +422,34 @@ let test_frontend_matches_flat () =
       (Lw_pir.Server.answer flat k0) (Zltp_frontend.answer fe k0)
   done
 
+(* The first and last global buckets live in the first and last shard's
+   views; both parties' sharded shares reconstruct them. *)
 let test_frontend_bucket_routing () =
-  let fe = Zltp_frontend.create ~domain_bits:6 ~shard_bits:2 ~bucket_size:32 in
-  Zltp_frontend.set_bucket fe 0 "first";
-  Zltp_frontend.set_bucket fe 63 "last";
-  Alcotest.(check string) "read 0" "first" (String.sub (Zltp_frontend.get_bucket fe 0) 0 5);
-  Alcotest.(check string) "read 63" "last" (String.sub (Zltp_frontend.get_bucket fe 63) 0 4)
+  let st =
+    one_epoch_store ~domain_bits:6 ~bucket_size:32 (fun w ->
+        Lw_store.Writer.set w 0 "first";
+        Lw_store.Writer.set w 63 "last")
+  in
+  let fe = Zltp_frontend.of_store st ~shard_bits:2 in
+  let read alpha =
+    let k0, k1 = Lw_dpf.Dpf.gen ~domain_bits:6 ~alpha (rng ()) in
+    Lw_util.Xorbuf.xor (Zltp_frontend.answer fe k0) (Zltp_frontend.answer fe k1)
+  in
+  Alcotest.(check string) "read 0" "first" (String.sub (read 0) 0 5);
+  Alcotest.(check string) "read 63" "last" (String.sub (read 63) 0 4)
 
 let test_frontend_parallel_matches () =
-  let db = Lw_pir.Bucket_db.create ~domain_bits:8 ~bucket_size:64 in
-  Lw_pir.Bucket_db.fill_random db (Lw_util.Det_rng.of_string_seed "par");
-  let fe = Zltp_frontend.of_db db ~shard_bits:2 in
+  let st = random_store ~domain_bits:8 ~bucket_size:64 "par" in
+  let fe = Zltp_frontend.of_store st ~shard_bits:2 in
   let k0, _ = Lw_dpf.Dpf.gen ~domain_bits:8 ~alpha:77 (rng ()) in
   Alcotest.(check string) "parallel = sequential" (Zltp_frontend.answer fe k0)
     (Zltp_frontend.answer_parallel ~num_domains:3 fe k0)
 
+let empty_frontend ~domain_bits ~shard_bits ~bucket_size =
+  Zltp_frontend.of_store (Lw_store.create ~domain_bits ~bucket_size ()) ~shard_bits
+
 let test_frontend_timings () =
-  let fe = Zltp_frontend.create ~domain_bits:8 ~shard_bits:2 ~bucket_size:32 in
+  let fe = empty_frontend ~domain_bits:8 ~shard_bits:2 ~bucket_size:32 in
   let k0, _ = Lw_dpf.Dpf.gen ~domain_bits:8 ~alpha:3 (rng ()) in
   let _, timings = Zltp_frontend.answer_timed fe k0 in
   Alcotest.(check int) "per-shard timings" 4 (List.length timings);
@@ -436,7 +460,7 @@ let test_frontend_timings () =
     timings
 
 let test_frontend_tree_shape () =
-  let fe = Zltp_frontend.create ~domain_bits:8 ~shard_bits:6 ~bucket_size:32 in
+  let fe = empty_frontend ~domain_bits:8 ~shard_bits:6 ~bucket_size:32 in
   Alcotest.(check (option int)) "no tree by default" None (Zltp_frontend.tree_fanout fe);
   Zltp_frontend.set_tree_fanout fe (Some 2);
   Alcotest.(check (option int)) "fanout set" (Some 2) (Zltp_frontend.tree_fanout fe);
@@ -456,20 +480,20 @@ let test_frontend_tree_refusal () =
   (* degraded-shard refusal must survive the tree: the down-shard check
      runs before any tree walk, so a tree-routed [answer_result] refuses
      exactly like the flat path *)
-  let db = Lw_pir.Bucket_db.create ~domain_bits:8 ~bucket_size:64 in
-  Lw_pir.Bucket_db.fill_random db (Lw_util.Det_rng.of_string_seed "tree-refusal");
-  let fe = Zltp_frontend.of_db db ~shard_bits:4 in
+  let st = random_store ~domain_bits:8 ~bucket_size:64 "tree-refusal" in
+  let fe = Zltp_frontend.of_store st ~shard_bits:4 in
   Zltp_frontend.set_tree_fanout fe (Some 2);
   let k0, _ = Lw_dpf.Dpf.gen ~domain_bits:8 ~alpha:200 (rng ()) in
-  (match Zltp_frontend.answer_result fe k0 with
+  let answer () = Zltp_frontend.answer_result fe (Zltp_frontend.current fe) k0 in
+  (match answer () with
   | Ok _ -> ()
   | Error e -> Alcotest.fail ("healthy tree refused: " ^ e));
   Zltp_frontend.set_shard_down fe 5 true;
-  (match Zltp_frontend.answer_result fe k0 with
+  (match answer () with
   | Ok _ -> Alcotest.fail "tree answered with a shard down (partial XOR!)"
   | Error _ -> ());
   Zltp_frontend.set_shard_down fe 5 false;
-  match Zltp_frontend.answer_result fe k0 with
+  match answer () with
   | Ok share ->
       Alcotest.(check string) "recovers" (Zltp_frontend.answer fe k0) share
   | Error e -> Alcotest.fail ("recovered tree refused: " ^ e)
@@ -495,11 +519,10 @@ let prop_tree_matches_serial =
     tree_geometry
     (fun (shard_bits, fanout_bits, domains, alphas) ->
       let domain_bits = 8 in
-      let db = Lw_pir.Bucket_db.create ~domain_bits ~bucket_size:48 in
-      Lw_pir.Bucket_db.fill_random db (Lw_util.Det_rng.of_string_seed "tree-prop");
-      let flat = Lw_pir.Server.create db in
-      let plain_fe = Zltp_frontend.of_db db ~shard_bits in
-      let tree_fe = Zltp_frontend.of_db db ~shard_bits in
+      let st = random_store ~domain_bits ~bucket_size:48 "tree-prop" in
+      let flat = whole_server st in
+      let plain_fe = Zltp_frontend.of_store st ~shard_bits in
+      let tree_fe = Zltp_frontend.of_store st ~shard_bits in
       Zltp_frontend.set_scan_domains tree_fe domains;
       Zltp_frontend.set_tree_fanout tree_fe (Some fanout_bits);
       List.for_all
@@ -516,9 +539,7 @@ let prop_tree_matches_serial =
 (* ---------------- Zltp_batch ---------------- *)
 
 let test_batch_scheduler () =
-  let db = Lw_pir.Bucket_db.create ~domain_bits:6 ~bucket_size:32 in
-  Lw_pir.Bucket_db.fill_random db (Lw_util.Det_rng.of_string_seed "batch");
-  let server = Lw_pir.Server.create db in
+  let server = whole_server (random_store ~domain_bits:6 ~bucket_size:32 "batch") in
   let b = Zltp_batch.create ~batch_size:4 server in
   let results = Array.make 6 "" in
   for i = 0 to 5 do

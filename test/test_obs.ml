@@ -135,10 +135,16 @@ let test_counter_exact_under_domains () =
   List.iter Domain.join domains;
   Alcotest.(check int) "no lost increments" (4 * per_domain) (Lw_obs.Metrics.counter_value c)
 
+(* A 4-shard front-end over one random sealed epoch. *)
+let random_frontend seed =
+  let st = Lw_store.create ~domain_bits:8 ~bucket_size:64 () in
+  let w = Lw_store.writer st in
+  Lw_store.Writer.fill_random w (Lw_util.Det_rng.of_string_seed seed);
+  ignore (Lw_store.Writer.seal w);
+  Zltp_frontend.of_store st ~shard_bits:2
+
 let test_counter_exact_under_answer_parallel () =
-  let db = Lw_pir.Bucket_db.create ~domain_bits:8 ~bucket_size:64 in
-  Lw_pir.Bucket_db.fill_random db (Lw_util.Det_rng.of_string_seed "obs-par");
-  let fe = Zltp_frontend.of_db db ~shard_bits:2 in
+  let fe = random_frontend "obs-par" in
   let k0, _ = Lw_dpf.Dpf.gen ~domain_bits:8 ~alpha:42 (rng ()) in
   let c = Lw_obs.Metrics.counter "pir.server.answers" in
   let before = Lw_obs.Metrics.counter_value c in
@@ -225,9 +231,7 @@ let test_exporters () =
 exception Rigged of int
 
 let test_parallel_rigged_shard_raises () =
-  let db = Lw_pir.Bucket_db.create ~domain_bits:8 ~bucket_size:64 in
-  Lw_pir.Bucket_db.fill_random db (Lw_util.Det_rng.of_string_seed "obs-rig");
-  let fe = Zltp_frontend.of_db db ~shard_bits:2 in
+  let fe = random_frontend "obs-rig" in
   let k0, _ = Lw_dpf.Dpf.gen ~domain_bits:8 ~alpha:9 (rng ()) in
   let expected = Zltp_frontend.answer fe k0 in
   (* a shard rigged to raise must surface the exception, not a partial
@@ -248,9 +252,7 @@ let test_parallel_rigged_shard_raises () =
   done
 
 let test_parallel_timed_spans () =
-  let db = Lw_pir.Bucket_db.create ~domain_bits:8 ~bucket_size:64 in
-  Lw_pir.Bucket_db.fill_random db (Lw_util.Det_rng.of_string_seed "obs-spans");
-  let fe = Zltp_frontend.of_db db ~shard_bits:2 in
+  let fe = random_frontend "obs-spans" in
   let k0, _ = Lw_dpf.Dpf.gen ~domain_bits:8 ~alpha:5 (rng ()) in
   let share, spans = Zltp_frontend.answer_parallel_timed ~num_domains:2 fe k0 in
   Alcotest.(check string) "share matches sequential" (Zltp_frontend.answer fe k0) share;

@@ -3,38 +3,56 @@ open Lw_pir
 let rng () = Lw_crypto.Drbg.create ~seed:"pir-tests"
 let det = Lw_util.Det_rng.of_string_seed
 
-(* ---------------- Bucket_db ---------------- *)
+(* A sealed one-epoch snapshot whose buckets [fill] writes. *)
+let sealed ~domain_bits ~bucket_size fill =
+  let st = Lw_store.create ~domain_bits ~bucket_size () in
+  let w = Lw_store.writer st in
+  fill w;
+  Lw_store.Writer.seal w
 
-let test_db_basic () =
-  let db = Bucket_db.create ~domain_bits:4 ~bucket_size:32 in
-  Alcotest.(check int) "size" 16 (Bucket_db.size db);
-  Alcotest.(check int) "total" 512 (Bucket_db.total_bytes db);
-  Alcotest.(check bool) "fresh empty" true (Bucket_db.is_empty db 3);
-  Bucket_db.set db 3 "hello";
-  Alcotest.(check bool) "now occupied" false (Bucket_db.is_empty db 3);
-  Alcotest.(check string) "padded" ("hello" ^ String.make 27 '\x00') (Bucket_db.get db 3);
-  Alcotest.(check int) "occupied" 1 (Bucket_db.occupied db);
-  Bucket_db.clear db 3;
-  Alcotest.(check bool) "cleared" true (Bucket_db.is_empty db 3)
+let random_server ~domain_bits ~bucket_size seed =
+  Server.of_snapshot
+    (sealed ~domain_bits ~bucket_size (fun w -> Lw_store.Writer.fill_random w (det seed)))
 
-let test_db_validation () =
-  let db = Bucket_db.create ~domain_bits:3 ~bucket_size:8 in
-  Alcotest.check_raises "oob" (Invalid_argument "Bucket_db: index out of range") (fun () ->
-      ignore (Bucket_db.get db 8));
-  Alcotest.check_raises "neg" (Invalid_argument "Bucket_db: index out of range") (fun () ->
-      ignore (Bucket_db.get db (-1)));
-  Alcotest.check_raises "too big" (Invalid_argument "Bucket_db.set: data exceeds bucket")
-    (fun () -> Bucket_db.set db 0 (String.make 9 'x'));
-  Alcotest.check_raises "bad domain" (Invalid_argument "Bucket_db.create: domain_bits out of range")
-    (fun () -> ignore (Bucket_db.create ~domain_bits:0 ~bucket_size:8))
+(* ---------------- Snapshot ---------------- *)
 
-let test_db_xor_into () =
-  let db = Bucket_db.create ~domain_bits:2 ~bucket_size:4 in
-  Bucket_db.set db 1 "\x0f\x0f\x0f\x0f";
-  Bucket_db.set db 2 "\xf0\x00\x00\x00";
+let test_snapshot_basic () =
+  let st = Lw_store.create ~domain_bits:4 ~bucket_size:32 () in
+  let snap = Lw_store.current st in
+  Alcotest.(check int) "size" 16 (Lw_store.Snapshot.size snap);
+  Alcotest.(check int) "total" 512 (Lw_store.Snapshot.total_bytes snap);
+  Alcotest.(check bool) "fresh empty" true (Lw_store.Snapshot.is_empty snap 3);
+  let w = Lw_store.writer st in
+  Lw_store.Writer.set w 3 "hello";
+  let snap = Lw_store.Writer.seal w in
+  Alcotest.(check bool) "now occupied" false (Lw_store.Snapshot.is_empty snap 3);
+  Alcotest.(check string) "padded" ("hello" ^ String.make 27 '\x00') (Lw_store.Snapshot.get snap 3);
+  Alcotest.(check int) "occupied" 1 (Lw_store.Snapshot.occupied snap);
+  let w = Lw_store.writer st in
+  Lw_store.Writer.clear w 3;
+  Alcotest.(check bool) "cleared" true (Lw_store.Snapshot.is_empty (Lw_store.Writer.seal w) 3)
+
+let test_snapshot_validation () =
+  let st = Lw_store.create ~domain_bits:3 ~bucket_size:8 () in
+  let snap = Lw_store.current st in
+  let oob = Invalid_argument "Lw_store.Snapshot: index out of range" in
+  Alcotest.check_raises "oob" oob (fun () -> ignore (Lw_store.Snapshot.get snap 8));
+  Alcotest.check_raises "neg" oob (fun () -> ignore (Lw_store.Snapshot.get snap (-1)));
+  Alcotest.check_raises "too big" (Invalid_argument "Lw_store.Writer.set: data exceeds bucket")
+    (fun () -> Lw_store.Writer.set (Lw_store.writer st) 0 (String.make 9 'x'));
+  Alcotest.check_raises "bad domain" (Invalid_argument "Lw_store.create: domain_bits out of range")
+    (fun () -> ignore (Lw_store.create ~domain_bits:0 ~bucket_size:8 ()))
+
+let test_snapshot_xor_into () =
+  let snap =
+    sealed ~domain_bits:2 ~bucket_size:4 (fun w ->
+        Lw_store.Writer.set w 1 "\x0f\x0f\x0f\x0f";
+        Lw_store.Writer.set w 2 "\xf0\x00\x00\x00")
+  in
   let acc = Bytes.make 4 '\x00' in
-  Bucket_db.xor_bucket_into db 1 ~dst:acc;
-  Bucket_db.xor_bucket_into db 2 ~dst:acc;
+  Lw_store.Snapshot.xor_bucket_into_masked snap 1 ~mask:0xff ~dst:acc;
+  Lw_store.Snapshot.xor_bucket_into_masked snap 2 ~mask:0xff ~dst:acc;
+  Lw_store.Snapshot.xor_bucket_into_masked snap 3 ~mask:0x00 ~dst:acc;
   Alcotest.(check string) "xor" "\xff\x0f\x0f\x0f" (Bytes.to_string acc)
 
 (* ---------------- Record ---------------- *)
@@ -151,38 +169,38 @@ let test_store_collision_detected () =
 (* ---------------- Cuckoo ---------------- *)
 
 let test_cuckoo_insert_find () =
-  let c = Cuckoo.create ~domain_bits:8 ~bucket_size:128 () in
+  let c = Kw_store.create ~domain_bits:8 ~bucket_size:128 () in
   let n = 150 in
   (* ~59% load: displacement will be exercised *)
   let accepted =
     List.init n (fun i ->
         match
-          Cuckoo.insert c ~key:(Printf.sprintf "site-%d.com/p" i) ~value:(Printf.sprintf "v%d" i)
+          Kw_store.insert c ~key:(Printf.sprintf "site-%d.com/p" i) ~value:(Printf.sprintf "v%d" i)
         with
         | Ok () -> true
         | Error `Full -> false
         | Error `Too_large -> Alcotest.fail "unexpected too-large")
   in
   let stored = List.length (List.filter Fun.id accepted) in
-  Alcotest.(check int) "count" stored (Cuckoo.count c);
+  Alcotest.(check int) "count" stored (Kw_store.count c);
   Alcotest.(check bool) "few rejected" true (n - stored <= 2);
   List.iteri
     (fun i ok ->
       Alcotest.(check (option string))
         (Printf.sprintf "find %d" i)
         (if ok then Some (Printf.sprintf "v%d" i) else None)
-        (Cuckoo.find c (Printf.sprintf "site-%d.com/p" i)))
+        (Kw_store.find c (Printf.sprintf "site-%d.com/p" i)))
     accepted
 
 let test_cuckoo_overwrite_remove () =
-  let c = Cuckoo.create ~domain_bits:6 ~bucket_size:64 () in
-  ignore (Cuckoo.insert c ~key:"k" ~value:"v1");
-  ignore (Cuckoo.insert c ~key:"k" ~value:"v2");
-  Alcotest.(check (option string)) "overwrite" (Some "v2") (Cuckoo.find c "k");
-  Alcotest.(check int) "count 1" 1 (Cuckoo.count c);
-  Alcotest.(check bool) "remove" true (Cuckoo.remove c "k");
-  Alcotest.(check (option string)) "gone" None (Cuckoo.find c "k");
-  Alcotest.(check int) "count 0" 0 (Cuckoo.count c)
+  let c = Kw_store.create ~domain_bits:6 ~bucket_size:64 () in
+  ignore (Kw_store.insert c ~key:"k" ~value:"v1");
+  ignore (Kw_store.insert c ~key:"k" ~value:"v2");
+  Alcotest.(check (option string)) "overwrite" (Some "v2") (Kw_store.find c "k");
+  Alcotest.(check int) "count 1" 1 (Kw_store.count c);
+  Alcotest.(check bool) "remove" true (Kw_store.remove c "k");
+  Alcotest.(check (option string)) "gone" None (Kw_store.find c "k");
+  Alcotest.(check int) "count 0" 0 (Kw_store.count c)
 
 let test_cuckoo_beats_single_hash_at_load () =
   (* at ~60% load (past 2-choice cuckoo's 50% threshold), single-hash
@@ -195,34 +213,34 @@ let test_cuckoo_beats_single_hash_at_load () =
     | Ok () -> ()
     | Error _ -> incr rejected
   done;
-  let c = Cuckoo.create ~domain_bits ~bucket_size:64 () in
+  let c = Kw_store.create ~domain_bits ~bucket_size:64 () in
   for i = 0 to n - 1 do
-    ignore (Cuckoo.insert c ~key:(Printf.sprintf "k%d" i) ~value:"v")
+    ignore (Kw_store.insert c ~key:(Printf.sprintf "k%d" i) ~value:"v")
   done;
   Alcotest.(check bool) "single-hash rejects some" true (!rejected > 0);
   Alcotest.(check bool)
-    (Printf.sprintf "cuckoo keeps all but %d (single hash: %d)" (n - Cuckoo.count c) !rejected)
+    (Printf.sprintf "cuckoo keeps all but %d (single hash: %d)" (n - Kw_store.count c) !rejected)
     true
-    (n - Cuckoo.count c <= 2 && 10 * (n - Cuckoo.count c) < !rejected)
+    (n - Kw_store.count c <= 2 && 10 * (n - Kw_store.count c) < !rejected)
 
 let test_cuckoo_no_loss_under_pressure () =
   (* overfill vs capacity: an insert the table cannot place is refused,
      and no refusal ever dislodges a record stored before it *)
-  let c = Cuckoo.create ~max_kicks:16 ~domain_bits:4 ~bucket_size:64 () in
+  let c = Kw_store.create ~max_kicks:16 ~domain_bits:4 ~bucket_size:64 () in
   let accepted =
     List.init 14 (fun i ->
-        Result.is_ok (Cuckoo.insert c ~key:(Printf.sprintf "k%d" i) ~value:(string_of_int i)))
+        Result.is_ok (Kw_store.insert c ~key:(Printf.sprintf "k%d" i) ~value:(string_of_int i)))
   in
   List.iteri
     (fun i ok ->
       Alcotest.(check (option string))
         (Printf.sprintf "k%d %s" i (if ok then "survives" else "absent"))
         (if ok then Some (string_of_int i) else None)
-        (Cuckoo.find c (Printf.sprintf "k%d" i)))
+        (Kw_store.find c (Printf.sprintf "k%d" i)))
     accepted;
   Alcotest.(check int) "every stored record in a bucket"
-    (Bucket_db.occupied (Cuckoo.db c))
-    (Cuckoo.count c)
+    (Lw_store.Snapshot.occupied (Kw_store.publish c))
+    (Kw_store.count c)
 
 (* ---------------- end-to-end PIR ---------------- *)
 
@@ -310,16 +328,16 @@ let test_pir_serialized_entry_point () =
 let test_pir_cuckoo_end_to_end () =
   (* probing both candidate locations retrieves the record wherever
      displacement put it *)
-  let c = Cuckoo.create ~domain_bits:8 ~bucket_size:128 () in
+  let c = Kw_store.create ~domain_bits:8 ~bucket_size:128 () in
   let n = 140 in
   for i = 0 to n - 1 do
-    ignore (Cuckoo.insert c ~key:(Printf.sprintf "k%d" i) ~value:(Printf.sprintf "v%d" i))
+    ignore (Kw_store.insert c ~key:(Printf.sprintf "k%d" i) ~value:(Printf.sprintf "v%d" i))
   done;
-  let server = Server.create (Cuckoo.db c) in
+  let server = Server.of_snapshot (Kw_store.publish c) in
   let ok = ref 0 in
   for i = 0 to n - 1 do
     let key = Printf.sprintf "k%d" i in
-    let i0, i1 = Cuckoo.candidates c key in
+    let i0, i1 = Kw_store.candidates c key in
     let probe idx =
       let q = Client.query_index ~domain_bits:8 ~index:idx (rng ()) in
       let resp0 = Server.answer server q.Client.key0 in
@@ -331,9 +349,9 @@ let test_pir_cuckoo_end_to_end () =
         Alcotest.(check string) key (Printf.sprintf "v%d" i) v;
         incr ok
     | None, None ->
-        if Cuckoo.find c key <> None then Alcotest.fail (Printf.sprintf "lost %s" key)
+        if Kw_store.find c key <> None then Alcotest.fail (Printf.sprintf "lost %s" key)
   done;
-  Alcotest.(check int) "every stored key retrievable via 2 probes" (Cuckoo.count c) !ok
+  Alcotest.(check int) "every stored key retrievable via 2 probes" (Kw_store.count c) !ok
 
 (* ---------------- privacy ---------------- *)
 
@@ -354,10 +372,10 @@ let test_pir_single_server_view_independent () =
   Alcotest.(check bool) "balanced shares" true (abs (w1 - 512) < 150 && abs (w2 - 512) < 150)
 
 let test_baselines () =
-  let db = Bucket_db.create ~domain_bits:6 ~bucket_size:32 in
-  Bucket_db.set db 17 "payload";
-  Alcotest.(check string) "trivial" (Bucket_db.get db 17) (Baselines.trivial_fetch db 17);
-  Alcotest.(check string) "direct" (Bucket_db.get db 17) (Baselines.direct_fetch db 17);
+  let snap = sealed ~domain_bits:6 ~bucket_size:32 (fun w -> Lw_store.Writer.set w 17 "payload") in
+  let bucket = Lw_store.Snapshot.get snap 17 in
+  Alcotest.(check string) "trivial" bucket (Baselines.trivial_fetch snap 17);
+  Alcotest.(check string) "direct" bucket (Baselines.direct_fetch snap 17);
   let open Baselines.Cost in
   let pir = of_scheme Two_server_pir ~domain_bits:22 ~bucket_size:4096 in
   let triv = of_scheme Trivial_pir ~domain_bits:22 ~bucket_size:4096 in
@@ -396,13 +414,13 @@ let prop_cuckoo_find_after_inserts =
     QCheck.(list_of_size Gen.(1 -- 60) (string_of_size Gen.(1 -- 12)))
     (fun keys ->
       let keys = List.sort_uniq compare (List.filter (fun k -> k <> "") keys) in
-      let c = Cuckoo.create ~domain_bits:8 ~bucket_size:64 () in
+      let c = Kw_store.create ~domain_bits:8 ~bucket_size:64 () in
       let stored =
         List.filter
-          (fun k -> Result.is_ok (Cuckoo.insert c ~key:k ~value:(String.uppercase_ascii k)))
+          (fun k -> Result.is_ok (Kw_store.insert c ~key:k ~value:(String.uppercase_ascii k)))
           keys
       in
-      List.for_all (fun k -> Cuckoo.find c k = Some (String.uppercase_ascii k)) stored)
+      List.for_all (fun k -> Kw_store.find c k = Some (String.uppercase_ascii k)) stored)
 
 (* Kernel-equivalence properties: the fused single-pass kernel behind
    [Server.answer] and the batch kernel behind
@@ -427,9 +445,7 @@ let reference_answer server k = Server.scan server (Server.eval_bits server k)
 let prop_fused_matches_reference =
   QCheck.Test.make ~name:"fused answer = two-pass reference" ~count:60 scan_geometry
     (fun (domain_bits, bucket_size, alphas) ->
-      let db = Bucket_db.create ~domain_bits ~bucket_size in
-      Bucket_db.fill_random db (det "fused-prop");
-      let server = Server.create db in
+      let server = random_server ~domain_bits ~bucket_size "fused-prop" in
       let drbg = rng () in
       List.for_all
         (fun alpha ->
@@ -442,9 +458,7 @@ let prop_fused_matches_reference =
 let prop_batch_matches_naive =
   QCheck.Test.make ~name:"batched answers = naive per-query loop" ~count:40 scan_geometry
     (fun (domain_bits, bucket_size, alphas) ->
-      let db = Bucket_db.create ~domain_bits ~bucket_size in
-      Bucket_db.fill_random db (det "batch-prop");
-      let server = Server.create db in
+      let server = random_server ~domain_bits ~bucket_size "batch-prop" in
       let drbg = rng () in
       let keys =
         Array.of_list
@@ -527,9 +541,7 @@ let prop_domains_matches_serial =
   QCheck.Test.make ~name:"answer_domains/partitioned = serial answer" ~count:40
     parallel_geometry
     (fun (domain_bits, bucket_size, nd, alphas) ->
-      let db = Bucket_db.create ~domain_bits ~bucket_size in
-      Bucket_db.fill_random db (det "domains-prop");
-      let server = Server.create db in
+      let server = random_server ~domain_bits ~bucket_size "domains-prop" in
       let drbg = rng () in
       List.for_all
         (fun alpha ->
@@ -547,9 +559,7 @@ let prop_batch_domains_matches_batch =
   QCheck.Test.make ~name:"answer_batch_domains = answer_batch" ~count:30
     parallel_geometry
     (fun (domain_bits, bucket_size, nd, alphas) ->
-      let db = Bucket_db.create ~domain_bits ~bucket_size in
-      Bucket_db.fill_random db (det "batch-domains-prop");
-      let server = Server.create db in
+      let server = random_server ~domain_bits ~bucket_size "batch-domains-prop" in
       let drbg = rng () in
       let keys =
         Array.of_list
@@ -568,9 +578,7 @@ let prop_batch_domains_matches_batch =
    memory: one traversal per batch, whatever its width (the later lane
    groups re-read cache-resident blocks), serial or partitioned. *)
 let test_batch_scan_bytes () =
-  let db = Bucket_db.create ~domain_bits:6 ~bucket_size:40 in
-  Bucket_db.fill_random db (det "scan-bytes");
-  let server = Server.create db in
+  let server = random_server ~domain_bits:6 ~bucket_size:40 "scan-bytes" in
   let scan_bytes = Lw_obs.Metrics.counter "pir.server.scan_bytes" in
   let drbg = rng () in
   List.iter
@@ -607,11 +615,11 @@ let props =
 let () =
   Alcotest.run "lw_pir"
     [
-      ( "bucket_db",
+      ( "snapshot",
         [
-          Alcotest.test_case "basic" `Quick test_db_basic;
-          Alcotest.test_case "validation" `Quick test_db_validation;
-          Alcotest.test_case "xor into" `Quick test_db_xor_into;
+          Alcotest.test_case "basic" `Quick test_snapshot_basic;
+          Alcotest.test_case "validation" `Quick test_snapshot_validation;
+          Alcotest.test_case "xor into" `Quick test_snapshot_xor_into;
         ] );
       ( "record",
         [

@@ -1,8 +1,9 @@
 (* Epoch-versioned storage engine suite (`dune build @store`):
    Lw_store unit tests, the writer/seal-vs-naive-reference QCheck
    property, the layers that ride on the engine (Lw_pir.Store pending
-   batches, Universe_store round-trips, the sharded front-end's
-   epoch-mismatch refusal) and the client-side page-visit pinning. *)
+   batches, Universe_store round-trips, the sharded front-end's zero-copy
+   shard views and their epoch pinning), snapshot range views and the
+   client-side page-visit pinning. *)
 
 open Lightweb
 module Store = Lw_store
@@ -359,8 +360,12 @@ let test_universe_malformed () =
             "disk round-trip" (Universe.data_paths u) (Universe.data_paths u2)));
   Sys.remove path2
 
-(* ---------------- sharded front-end epoch refusal ---------------- *)
+(* ---------------- sharded front-end over snapshot views ---------------- *)
 
+let answer_of snap key = Lw_pir.Server.answer (Lw_pir.Server.of_snapshot snap) key
+
+(* A refresh moves every shard view to the new epoch at once; the sharded
+   backend refuses a pin on any epoch but the one its views serve. *)
 let test_frontend_epoch_refusal () =
   let domain_bits = 6 and bucket_size = 32 in
   let st = Store.create ~block_bytes:128 ~domain_bits ~bucket_size () in
@@ -370,40 +375,185 @@ let test_frontend_epoch_refusal () =
   done;
   ignore (Writer.seal w);
   let fe = Zltp_frontend.of_store st ~shard_bits:2 in
-  Alcotest.(check (option int)) "agreed at epoch 1" (Some 1) (Zltp_frontend.epoch_agreed fe);
+  Alcotest.(check int) "serves epoch 1" 1 (Zltp_frontend.announced_epoch fe);
   let rng = Lw_crypto.Drbg.create ~seed:"fe-epoch" in
-  let k0, k1 = Lw_dpf.Dpf.gen ~domain_bits ~alpha:11 rng in
-  let answer_of snap key =
-    Lw_pir.Server.answer (Lw_pir.Server.of_snapshot snap) key
-  in
-  (match Zltp_frontend.answer_result fe k0 with
+  let k0, _ = Lw_dpf.Dpf.gen ~domain_bits ~alpha:11 rng in
+  let answer () = Zltp_frontend.answer_result fe (Zltp_frontend.current fe) k0 in
+  (match answer () with
   | Ok share ->
       Alcotest.(check string) "epoch-1 share" (answer_of (Store.current st) k0) share
   | Error e -> Alcotest.fail e);
-  (* publisher seals epoch 2; a partial refresh leaves mixed shards *)
   let w2 = Store.writer st in
   Writer.set w2 11 "fe1-11";
   Writer.set w2 49 "fe1-49";
   ignore (Writer.seal w2);
-  let updated = Zltp_frontend.refresh ~abort_after:1 fe in
-  Alcotest.(check int) "aborted after one shard" 1 updated;
-  Alcotest.(check (option int)) "no agreed epoch" None (Zltp_frontend.epoch_agreed fe);
-  (match Zltp_frontend.answer_result fe k0 with
-  | Error e ->
-      Alcotest.(check bool) ("mentions epochs: " ^ e) true
-        (String.length e > 0)
-  | Ok _ -> Alcotest.fail "mixed-epoch front-end answered");
-  (match Zltp_frontend.answer_batch_result fe [| k0; k1 |] with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "mixed-epoch front-end answered a batch");
-  (* the next refresh catches the stragglers up and answers epoch 2 *)
-  let updated2 = Zltp_frontend.refresh fe in
-  Alcotest.(check int) "stragglers updated" 3 updated2;
-  Alcotest.(check (option int)) "agreed at epoch 2" (Some 2) (Zltp_frontend.epoch_agreed fe);
-  match Zltp_frontend.answer_result fe k0 with
+  Alcotest.(check int) "every view moved" 4 (Zltp_frontend.refresh fe);
+  Alcotest.(check int) "nothing left to move" 0 (Zltp_frontend.refresh fe);
+  Alcotest.(check int) "serves epoch 2" 2 (Zltp_frontend.announced_epoch fe);
+  (match answer () with
   | Ok share ->
       Alcotest.(check string) "epoch-2 share" (answer_of (Store.current st) k0) share
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail e);
+  let module B = (val Zltp_backend.sharded fe : Zltp_backend.S) in
+  let refused epoch code =
+    match B.pin ~epoch with
+    | Ok _ -> Alcotest.failf "pin on epoch %d accepted" epoch
+    | Error (c, _) -> Alcotest.(check int) (Printf.sprintf "epoch %d refused" epoch) code c
+  in
+  refused 1 Zltp_wire.err_epoch_retired;
+  refused 3 Zltp_wire.err_epoch_ahead
+
+(* Both roles pin their sharded views at epoch 1, the publisher seals
+   epoch 2 and both front-ends refresh, then the pinned views answer. The
+   shares must still reconstruct epoch 1's bucket, not epoch 2's: a
+   front-end that rewrites shard bytes in place on refresh fails here. *)
+let test_frontend_pinned_views_survive_refresh () =
+  let domain_bits = 6 and bucket_size = 32 and alpha = 37 in
+  let st = Store.create ~block_bytes:128 ~domain_bits ~bucket_size () in
+  let w = Store.writer st in
+  for i = 0 to 63 do
+    Writer.set w i (Printf.sprintf "e1-%d" i)
+  done;
+  ignore (Writer.seal w);
+  let role () =
+    let fe = Zltp_frontend.of_store st ~shard_bits:2 in
+    (fe, Zltp_backend.sharded fe)
+  in
+  let fe_a, backend_a = role () and fe_b, backend_b = role () in
+  let pin (backend : Zltp_backend.t) =
+    let module B = (val backend : Zltp_backend.S) in
+    match B.pin ~epoch:1 with
+    | Error (_, e) -> Alcotest.fail e
+    | Ok view -> fun k ->
+        (match B.answer view k with Ok share -> share | Error (_, e) -> Alcotest.fail e)
+  in
+  let answer_a = pin backend_a and answer_b = pin backend_b in
+  let w2 = Store.writer st in
+  Writer.set w2 alpha "e2-changed";
+  ignore (Writer.seal w2);
+  ignore (Zltp_frontend.refresh fe_a);
+  ignore (Zltp_frontend.refresh fe_b);
+  let k0, k1 = Lw_dpf.Dpf.gen ~domain_bits ~alpha (Lw_crypto.Drbg.create ~seed:"fe-race") in
+  Alcotest.(check string) "epoch-1 bytes"
+    (pad bucket_size (Printf.sprintf "e1-%d" alpha))
+    (Lw_util.Xorbuf.xor (answer_a k0) (answer_b k1))
+
+(* ---------------- snapshot range views ---------------- *)
+
+(* Geometry with views inside one CoW block, exactly one block, and
+   spanning several: [block_bits] ranges over the whole domain. *)
+let view_geometry =
+  QCheck.make
+    ~print:(fun (d, sb, bb, bucket, fanout, alphas) ->
+      Printf.sprintf "domain_bits=%d shard_bits=%d block_bits=%d bucket=%d fanout=%d alphas=[%s]"
+        d sb bb bucket fanout (String.concat ";" (List.map string_of_int alphas)))
+    QCheck.Gen.(
+      int_range 2 8 >>= fun d ->
+      int_range 1 (d - 1) >>= fun sb ->
+      int_range 0 d >>= fun bb ->
+      int_range 1 40 >>= fun bucket ->
+      int_range 1 sb >>= fun fanout ->
+      list_size (int_range 1 5) (int_range 0 ((1 lsl d) - 1)) >>= fun alphas ->
+      return (d, sb, bb, bucket, fanout, alphas))
+
+let xor_all shares =
+  match shares with
+  | [] -> ""
+  | first :: rest -> List.fold_left Lw_util.Xorbuf.xor first rest
+
+let prop_views_match_snapshot =
+  QCheck.Test.make ~name:"shard views = whole snapshot (get, answers, tree)" ~count:80
+    view_geometry
+    (fun (domain_bits, shard_bits, block_bits, bucket_size, fanout, alphas) ->
+      let st =
+        Store.create ~block_bytes:(bucket_size lsl block_bits) ~domain_bits ~bucket_size ()
+      in
+      let w = Store.writer st in
+      Writer.fill_random w (Lw_util.Det_rng.of_string_seed "views");
+      let snap = Writer.seal w in
+      let rem = domain_bits - shard_bits in
+      let views =
+        List.init (1 lsl shard_bits) (fun i -> Snapshot.sub snap ~base:(i lsl rem) ~domain_bits:rem)
+      in
+      let gets_agree =
+        List.for_all
+          (fun (i, v) ->
+            Snapshot.size v = 1 lsl rem
+            && List.for_all
+                 (fun j -> Snapshot.get v j = Snapshot.get snap ((i lsl rem) + j))
+                 (List.init (1 lsl rem) Fun.id))
+          (List.mapi (fun i v -> (i, v)) views)
+      in
+      let drbg = Lw_crypto.Drbg.create ~seed:"views-keys" in
+      let keys =
+        Array.of_list
+          (List.mapi
+             (fun q alpha ->
+               let k0, k1 = Lw_dpf.Dpf.gen ~domain_bits ~alpha drbg in
+               if q land 1 = 0 then k0 else k1)
+             alphas)
+      in
+      let whole = Lw_pir.Server.of_snapshot snap in
+      let servers = List.map Lw_pir.Server.of_snapshot views in
+      let subs = Array.map (fun k -> Lw_dpf.Distributed.split k ~shard_bits) keys in
+      let single_agree =
+        Array.for_all2
+          (fun k sub ->
+            Lw_pir.Server.answer whole k
+            = xor_all (List.mapi (fun i s -> Lw_pir.Server.answer s sub.(i)) servers))
+          keys subs
+      in
+      let batch_whole = Lw_pir.Server.answer_batch whole keys in
+      let batch_views =
+        List.mapi
+          (fun i s -> Lw_pir.Server.answer_batch s (Array.map (fun sub -> sub.(i)) subs))
+          servers
+      in
+      let batch_agree =
+        Array.for_all Fun.id
+          (Array.mapi (fun q w -> w = xor_all (List.map (fun b -> b.(q)) batch_views)) batch_whole)
+      in
+      let fe = Zltp_frontend.of_store st ~shard_bits in
+      let frontend_agrees () =
+        Array.for_all (fun k -> Zltp_frontend.answer fe k = Lw_pir.Server.answer whole k) keys
+        && Zltp_frontend.answer_batch fe keys = batch_whole
+      in
+      let flat_ok = frontend_agrees () in
+      Zltp_frontend.set_tree_fanout fe (Some fanout);
+      gets_agree && single_agree && batch_agree && flat_ok && frontend_agrees ())
+
+let test_view_bounds () =
+  let st = Store.create ~block_bytes:128 ~domain_bits:6 ~bucket_size:32 () in
+  let snap = Store.pin_latest st in
+  let view = Snapshot.sub snap ~base:16 ~domain_bits:4 in
+  Alcotest.(check int) "view size" 16 (Snapshot.size view);
+  Alcotest.(check bool) "whole view is the snapshot" true
+    (Snapshot.sub snap ~base:0 ~domain_bits:6 == snap);
+  let raises name msg f =
+    Alcotest.check_raises name (Invalid_argument msg) (fun () -> ignore (f ()))
+  in
+  let oob = "Lw_store.Snapshot: index out of range" in
+  raises "get past the view" oob (fun () -> Snapshot.get view 16);
+  raises "get below the view" oob (fun () -> Snapshot.get view (-1));
+  raises "is_empty past the view" oob (fun () -> Snapshot.is_empty view 16);
+  raises "block past the view" "Lw_store.Snapshot: block out of range" (fun () ->
+      Snapshot.xor_block_into_lanes view ~base:8 ~count:9 ~bits:(Bytes.make 9 '\001') ~bits_pos:0
+        ~stride:9 ~dsts:[| Bytes.make 32 '\000' |]);
+  let bad_sub = "Lw_store.Snapshot.sub: range out of bounds" in
+  raises "sub past the end" bad_sub (fun () -> Snapshot.sub snap ~base:56 ~domain_bits:4);
+  raises "sub wider than parent" bad_sub (fun () -> Snapshot.sub view ~base:0 ~domain_bits:5);
+  raises "negative base" bad_sub (fun () -> Snapshot.sub snap ~base:(-1) ~domain_bits:2);
+  raises "unpin a view" "Lw_store.unpin: snapshot is a range view" (fun () -> Store.unpin st view);
+  raises "diff a view" "Lw_store.Snapshot.diff_ranges: snapshot is a range view" (fun () ->
+      Snapshot.diff_ranges snap view);
+  (* [pin] names an epoch, so it cannot be handed a view; what it returns
+     is whole *)
+  (match Store.pin st ~epoch:0 with
+  | Ok pinned ->
+      Alcotest.(check int) "pin returns a whole snapshot" 64 (Snapshot.size pinned);
+      Store.unpin st pinned
+  | Error _ -> Alcotest.fail "pin failed");
+  Store.unpin st snap
 
 (* ---------------- client page-visit pinning ---------------- *)
 
@@ -498,7 +648,16 @@ let () =
           Alcotest.test_case "malformed documents" `Quick test_universe_malformed;
         ] );
       ( "frontend",
-        [ Alcotest.test_case "epoch-mismatch refusal" `Quick test_frontend_epoch_refusal ] );
+        [
+          Alcotest.test_case "epoch-mismatch refusal" `Quick test_frontend_epoch_refusal;
+          Alcotest.test_case "pinned views survive refresh" `Quick
+            test_frontend_pinned_views_survive_refresh;
+        ] );
+      ( "views",
+        [
+          Alcotest.test_case "bounds and whole-snapshot calls" `Quick test_view_bounds;
+          QCheck_alcotest.to_alcotest prop_views_match_snapshot;
+        ] );
       ( "client",
         [
           Alcotest.test_case "visit pins an epoch" `Quick test_client_visit_pins_epoch;
