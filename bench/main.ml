@@ -57,7 +57,8 @@ let time_median ?(reps = 5) f =
    from different checkouts are never compared blind: core count decides
    whether the domain-parallel results mean anything (on 1 core the
    wall-clock "speedup" is noise and only the critical-path figure is
-   informative), and the compiler/word size pin down the codegen. *)
+   informative), the compiler/word size pin down the codegen, and the
+   scan kernel names the vector build the CPU picked for every scan. *)
 let machine_meta () =
   Json.Obj
     [
@@ -65,6 +66,7 @@ let machine_meta () =
       ("ocaml_version", Json.String Sys.ocaml_version);
       ("word_size", Json.Number (float_of_int Sys.word_size));
       ("os_type", Json.String Sys.os_type);
+      ("scan_kernel", Json.String (Lw_util.Xorbuf.scan_kernel ()));
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -865,7 +867,11 @@ let e18_lint_cost () =
    production kernels: the fused blocked single pass behind
    [Server.answer] and the batch scan behind
    [Server.answer_batch], which a batch of k is also weighed against k
-   single answers. *)
+   single answers. Before any timing, every fused answer must equal the
+   two-pass reference and every batch the k single answers, byte for
+   byte, and every kernel build the CPU runs must agree with the others:
+   under @bench-smoke that makes E19 an identity gate on whichever build
+   the runner's CPU picks. *)
 let best_interleaved reps fs =
   let best = Array.make (Array.length fs) infinity in
   for _ = 1 to reps do
@@ -882,7 +888,7 @@ let e19_scan_kernels ?(write_json = true) ?geometry () =
   let d, bucket_size, reps =
     match geometry with
     | Some g -> g
-    | None -> if fast then (10, 1024, 3) else (12, 8192, 5)
+    | None -> if fast then (10, 1024, 3) else (12, 4096, 25)
   in
   let widths = [ 1; 2; 3; 5; 8; 9; 16 ] in
   let st = random_store ~domain_bits:d ~bucket_size "e19" in
@@ -895,7 +901,23 @@ let e19_scan_kernels ?(write_json = true) ?geometry () =
         if i land 1 = 0 then k0 else k1)
   in
   let db_mb = float_of_int (Lw_store.total_bytes st) /. 1048576. in
-  let two_pass k = ignore (Lw_pir.Server.scan server (Lw_pir.Server.eval_bits server k)) in
+  let reference k = Lw_pir.Server.scan server (Lw_pir.Server.eval_bits server k) in
+  let two_pass k = ignore (reference k) in
+  (* the harness holds both DPF shares by design, so comparing
+     key-derived answers is a check, not a leak *)
+  let singles = Array.map (Lw_pir.Server.answer server) keys in
+  (* lw-lint: allow taint lines=2 *)
+  if not (Array.for_all2 String.equal singles (Array.map reference keys)) then
+    failwith "E19: a fused answer differs from the two-pass reference";
+  List.iter
+    (fun w ->
+      let batch = Lw_pir.Server.answer_batch server (Array.sub keys 0 w) in
+      (* lw-lint: allow taint lines=2 *)
+      if not (Array.for_all2 String.equal batch (Array.sub singles 0 w)) then
+        failwith (Printf.sprintf "E19: a width-%d batch share differs from its single answer" w))
+    widths;
+  row "kernel build: %s; fused = two-pass and batch = k singles, byte for byte\n"
+    (Lw_util.Xorbuf.scan_kernel ());
   row "geometry: 2^%d buckets x %d B = %.0f MiB, best of %d interleaved reps\n\n" d
     bucket_size db_mb reps;
 
@@ -936,6 +958,47 @@ let e19_scan_kernels ?(write_json = true) ?geometry () =
      makes one pass over each block, masking every record into all k accumulators.\n\
      Effective rate = width x DB size / time; x single = batched time over one single\n\
      answer (k singles / k).\n";
+
+  (* The bare kernel on every build this CPU runs: one call over all 2^d
+     records per width, builds interleaved, each build's accumulators
+     checked against the first's. *)
+  let kernels = Lw_util.Xorbuf.scan_kernels () in
+  let n = 1 lsl d in
+  let records = Bytes.of_string (Lw_util.Det_rng.bytes (det "e19-records") (n * bucket_size)) in
+  let bits = Bytes.of_string (Lw_util.Det_rng.bytes (det "e19-bits") (2 * n)) in
+  row "\nkernel builds, one call over all %d records (ms)\n%-8s%s %15s\n" n "width"
+    (String.concat "" (List.map (Printf.sprintf " %10s") kernels))
+    "baseline/picked";
+  let build_rows =
+    List.init 16 (fun i ->
+        let w = i + 1 in
+        let dsts = Array.init w (fun _ -> Bytes.create bucket_size) in
+        let run kernel () =
+          Lw_util.Xorbuf.xor_buckets_lanes_on ~kernel ~bits ~bits_pos:0 ~stride:n ~count:n
+            ~src:records ~src_pos:0 ~bucket:bucket_size ~dsts
+        in
+        let outputs =
+          List.map
+            (fun kernel ->
+              Array.iter (fun d -> Bytes.fill d 0 bucket_size '\x00') dsts;
+              run kernel ();
+              Array.map Bytes.to_string dsts)
+            kernels
+        in
+        List.iteri
+          (fun j out ->
+            if not (Array.for_all2 String.equal out (List.hd outputs)) then
+              failwith
+                (Printf.sprintf "E19: kernel build %s differs from %s at width %d"
+                   (List.nth kernels j) (List.hd kernels) w))
+          outputs;
+        let t = best_interleaved reps (Array.of_list (List.map run kernels)) in
+        let cells = Array.map (fun s -> Printf.sprintf " %10.2f" (1000. *. s)) t in
+        row "%-8d%s %14.2fx\n" w
+          (String.concat "" (Array.to_list cells))
+          (t.(Array.length t - 1) /. t.(0));
+        (w, t))
+  in
   if write_json then begin
     let open Json in
     let j =
@@ -971,6 +1034,14 @@ let e19_scan_kernels ?(write_json = true) ?geometry () =
                        ("x_single", Number (batched_s *. float_of_int w /. singles_s));
                      ])
                  batch_rows) );
+          ( "kernel_builds",
+            List
+              (List.map
+                 (fun (w, t) ->
+                   Obj
+                     (("width", Number (float_of_int w))
+                     :: List.mapi (fun j k -> (k ^ "_ms", Number (1000. *. t.(j)))) kernels))
+                 build_rows) );
         ]
     in
     let oc = open_out "BENCH_scan.json" in
@@ -2465,6 +2536,9 @@ let dump_metrics_if_asked () =
    kernels execute, without the minutes-long full run. *)
 let smoke = Array.exists (fun a -> a = "--smoke") Sys.argv
 
+(* `--scan` runs only E19 and writes BENCH_scan.json *)
+let scan_only = Array.exists (fun a -> a = "--scan") Sys.argv
+
 (* `--chaos` runs only E20 and writes BENCH_chaos.json — the whole run is
    virtual-time, so it completes in well under a second *)
 let chaos_only = Array.exists (fun a -> a = "--chaos") Sys.argv
@@ -2517,6 +2591,10 @@ let () =
     Printf.printf "lightweb benchmark harness (--smoke: E19 only, tiny geometry)\n";
     e19_scan_kernels ~write_json:false ~geometry:(6, 96, 2) ();
     dump_metrics_if_asked ()
+  end
+  else if scan_only then begin
+    Printf.printf "lightweb benchmark harness (--scan: E19 only)\n";
+    e19_scan_kernels ()
   end
   else if chaos_only then begin
     Printf.printf "lightweb benchmark harness (--chaos: E20 only)\n";

@@ -52,15 +52,25 @@ let xor_into_masked ~mask ~src ~src_pos ~dst ~dst_pos ~len =
     Bytes.unsafe_set dst (dst_pos + i) (Char.unsafe_chr ((s land mask) lxor d))
   done
 
-(* The batch kernel, in C (xorbuf_stubs.c). It reads no OCaml value but
-   the arguments and allocates nothing; every range is checked here
-   first. *)
+(* The batch kernel, in C (xorbuf_stubs.c), compiled once per vector
+   width. It reads no OCaml value but the arguments and allocates
+   nothing; the build index and every range are checked here first. *)
 external xor_lanes :
-  Bytes.t -> int -> int -> int -> Bytes.t -> int -> int -> Bytes.t array -> unit
+  int -> Bytes.t -> int -> int -> int -> Bytes.t -> int -> int -> Bytes.t array -> unit
   = "lw_xor_buckets_lanes_byte" "lw_xor_buckets_lanes"
 [@@noalloc]
 
-let xor_buckets_lanes ~bits ~bits_pos ~stride ~count ~src ~src_pos ~bucket ~dsts =
+external kernel_builds : unit -> string array = "lw_scan_builds"
+external first_build : unit -> int = "lw_scan_first"
+
+(* Every build, widest first; the CPU runs those from [first] on, and
+   every scan runs [first]. *)
+let builds = kernel_builds ()
+let first = first_build ()
+let scan_kernel () = builds.(first)
+let scan_kernels () = Array.to_list (Array.sub builds first (Array.length builds - first))
+
+let lanes_on build ~bits ~bits_pos ~stride ~count ~src ~src_pos ~bucket ~dsts =
   let lanes = Array.length dsts in
   if bucket <= 0 || count < 0 || stride < count || lanes = 0 then
     invalid_arg "Xorbuf.xor_buckets_lanes: bad geometry";
@@ -75,7 +85,16 @@ let xor_buckets_lanes ~bits ~bits_pos ~stride ~count ~src ~src_pos ~bucket ~dsts
     invalid_arg "Xorbuf.xor_buckets_lanes(src): range out of bounds";
   check_bounds "xor_buckets_lanes(src)" src_pos (count * bucket) (Bytes.length src);
   Array.iter (fun d -> check_bounds "xor_buckets_lanes(dst)" 0 bucket (Bytes.length d)) dsts;
-  xor_lanes bits bits_pos stride count src src_pos bucket dsts
+  xor_lanes build bits bits_pos stride count src src_pos bucket dsts
+
+let xor_buckets_lanes ~bits ~bits_pos ~stride ~count ~src ~src_pos ~bucket ~dsts =
+  lanes_on first ~bits ~bits_pos ~stride ~count ~src ~src_pos ~bucket ~dsts
+
+let xor_buckets_lanes_on ~kernel ~bits ~bits_pos ~stride ~count ~src ~src_pos ~bucket ~dsts =
+  match Array.find_index (String.equal kernel) builds with
+  | Some build when build >= first ->
+      lanes_on build ~bits ~bits_pos ~stride ~count ~src ~src_pos ~bucket ~dsts
+  | _ -> invalid_arg "Xorbuf.xor_buckets_lanes_on: kernel not runnable on this CPU"
 
 let set_lane_bits ~src ~src_pos ~dst ~dst_pos ~len ~lane =
   if lane < 0 || lane > 7 then invalid_arg "Xorbuf.set_lane_bits: lane out of range";

@@ -39,14 +39,42 @@ val xor_buckets_lanes :
     [bits.[bits_pos + (q lsr 3) * stride + j]] — eight lanes packed per
     selection byte, one [stride]-byte plane per eight lanes. A single
     answer is the one-lane call with its 0/1 selection bytes as plane 0.
-    After the range checks it runs a C kernel (128-bit vectors) that
-    makes one pass over the records, four at a time, masking each into
-    every lane's accumulator. Every record is loaded and every
-    accumulator rewritten whatever the bits, and the kernel has no
+    After the range checks it runs the C kernel build {!scan_kernel},
+    which makes one pass over the records, four at a time, masking each
+    into every lane's accumulator 64 bytes at a time. Every record is
+    loaded and every accumulator rewritten whatever the bits, and the
+    kernel has no
     branch but its loop bounds, so its memory trace is a function of
     the geometry and the lane count alone. Raises [Invalid_argument] on
     an empty [dsts], a non-positive [bucket], a negative [count],
     [stride < count], or any out-of-bounds range. *)
+
+val scan_kernel : unit -> string
+(** The build of the C scan kernel every {!xor_buckets_lanes} call
+    runs: the widest this CPU supports, picked once when the program
+    loads, from CPUID alone — ["avx512"] or ["avx2"] on x86-64, else
+    ["baseline"] (SSE2 on x86-64, NEON on aarch64). Every build is the
+    same source; only the instructions its vectors lower to differ. *)
+
+val scan_kernels : unit -> string list
+(** Every build this CPU can run, widest first: [scan_kernel ()] then
+    the narrower ones, ending with ["baseline"]. *)
+
+val xor_buckets_lanes_on :
+  kernel:string ->
+  bits:Bytes.t ->
+  bits_pos:int ->
+  stride:int ->
+  count:int ->
+  src:Bytes.t ->
+  src_pos:int ->
+  bucket:int ->
+  dsts:Bytes.t array ->
+  unit
+(** {!xor_buckets_lanes} on the named build from {!scan_kernels}, so
+    tests and benchmarks can check and time every build the host runs.
+    Raises [Invalid_argument] on a build this CPU cannot run, and as
+    {!xor_buckets_lanes} does. *)
 
 val set_lane_bits :
   src:Bytes.t -> src_pos:int -> dst:Bytes.t -> dst_pos:int -> len:int -> lane:int -> unit

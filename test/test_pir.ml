@@ -436,7 +436,7 @@ let scan_geometry =
         (String.concat ";" (List.map string_of_int alphas)))
     QCheck.Gen.(
       int_range 1 9 >>= fun d ->
-      int_range 1 80 >>= fun b ->
+      int_range 1 160 >>= fun b ->
       list_size (int_range 1 17) (int_range 0 ((1 lsl d) - 1)) >>= fun alphas ->
       return (d, b, alphas))
 

@@ -77,14 +77,16 @@ let test_is_zero () =
     (Invalid_argument "Xorbuf.is_zero_range: range out of bounds") (fun () ->
       ignore (Lw_util.Xorbuf.is_zero_range (Bytes.make 4 '\x00') ~pos:2 ~len:max_int))
 
-(* The C scan kernel against the byte-wise [xor_into_masked] reference,
-   one lane at a time. Widths 1-17 cross into a second and third bit
-   plane; buckets 1, 15, 16, 17, 24 and 4096 take the 16-byte vector
-   loop, its byte tail, or both; counts 0-9 and 64 take the 4-record
-   tiles, the remainder loop, or both. Positions are non-zero and odd,
-   the plane stride is sometimes equal to [count] (a single answer's
-   shape) and sometimes wider, and every accumulator starts full of
-   random bytes. *)
+(* Every build of the C scan kernel this CPU runs, not only the one
+   the loader picked, against the byte-wise [xor_into_masked]
+   reference, one lane at a time. Widths 1-17 cross into a second and
+   third bit plane; buckets from 1 to 4096+48 sit below, on and just
+   past the 16-, 32- and 64-byte vector boundaries, so they take the
+   vector loop, its byte tail, or both; counts 0-9 and 64 take the
+   4-record tiles, the remainder loop, or both. Positions are non-zero
+   and odd, the plane stride is sometimes equal to [count] (a single
+   answer's shape) and sometimes wider, and every accumulator starts
+   full of random bytes. *)
 let lanes_reference ~bits ~bits_pos ~stride ~count ~src ~src_pos ~bucket ~dsts =
   Array.mapi
     (fun q dst ->
@@ -98,34 +100,68 @@ let lanes_reference ~bits ~bits_pos ~stride ~count ~src ~src_pos ~bucket ~dsts =
       acc)
     dsts
 
-let check_lanes rng ~lanes ~bits_pos ~stride ~count ~src_pos ~bucket =
+let check_lanes rng ~kernel ~lanes ~bits_pos ~stride ~count ~src_pos ~bucket =
   let planes = (lanes + 7) / 8 in
   let bits = Bytes.of_string (Lw_util.Det_rng.bytes rng (bits_pos + (planes * stride) + 1)) in
   let src = Bytes.of_string (Lw_util.Det_rng.bytes rng (src_pos + (count * bucket) + 1)) in
   let dsts = Array.init lanes (fun _ -> Bytes.of_string (Lw_util.Det_rng.bytes rng bucket)) in
   let expected = lanes_reference ~bits ~bits_pos ~stride ~count ~src ~src_pos ~bucket ~dsts in
-  Lw_util.Xorbuf.xor_buckets_lanes ~bits ~bits_pos ~stride ~count ~src ~src_pos ~bucket ~dsts;
+  Lw_util.Xorbuf.xor_buckets_lanes_on ~kernel ~bits ~bits_pos ~stride ~count ~src ~src_pos
+    ~bucket ~dsts;
   Alcotest.(check (array string))
-    (Printf.sprintf "lanes=%d count=%d bucket=%d stride=%d" lanes count bucket stride)
+    (Printf.sprintf "%s lanes=%d count=%d bucket=%d stride=%d" kernel lanes count bucket stride)
     (Array.map Bytes.to_string expected) (Array.map Bytes.to_string dsts)
+
+(* The CPU features the OS reports, where it reports them: the flags
+   line of /proc/cpuinfo on x86-64 Linux. *)
+let cpu_flags () =
+  match In_channel.with_open_text "/proc/cpuinfo" In_channel.input_all with
+  | exception Sys_error _ -> None
+  | info ->
+      String.split_on_char '\n' info
+      |> List.find_opt (String.starts_with ~prefix:"flags")
+      |> Option.map (String.split_on_char ' ')
 
 let test_xor_buckets_lanes () =
   let rng = Lw_util.Det_rng.of_string_seed "buckets-lanes" in
+  let kernels = Lw_util.Xorbuf.scan_kernels () in
+  Alcotest.(check string) "the picked build runs first" (Lw_util.Xorbuf.scan_kernel ())
+    (List.hd kernels);
+  Alcotest.(check string) "every CPU runs the baseline build" "baseline"
+    (List.nth kernels (List.length kernels - 1));
+  Option.iter
+    (fun flags ->
+      let widest =
+        if List.mem "avx512f" flags then "avx512"
+        else if List.mem "avx2" flags then "avx2"
+        else "baseline"
+      in
+      Alcotest.(check string) "the loader picks the widest build the CPU has" widest
+        (Lw_util.Xorbuf.scan_kernel ()))
+    (cpu_flags ());
   List.iter
-    (fun bucket ->
+    (fun kernel ->
       List.iter
-        (fun count ->
-          for lanes = 1 to 17 do
-            check_lanes rng ~lanes ~bits_pos:3 ~stride:(count + (lanes mod 3)) ~count ~src_pos:5
-              ~bucket
-          done)
-        [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9; 64 ])
-    [ 1; 15; 16; 17; 24; 4096 ];
-  (* a single answer's block: one lane, plane 0 at offset 0 *)
-  List.iter
-    (fun (count, bucket) ->
-      check_lanes rng ~lanes:1 ~bits_pos:0 ~stride:count ~count ~src_pos:0 ~bucket)
-    [ (1, 1); (3, 7); (4, 8); (5, 32); (2, 33); (7, 40); (1, 100) ];
+        (fun bucket ->
+          List.iter
+            (fun count ->
+              for lanes = 1 to 17 do
+                check_lanes rng ~kernel ~lanes ~bits_pos:3 ~stride:(count + (lanes mod 3)) ~count
+                  ~src_pos:5 ~bucket
+              done)
+            [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9; 64 ])
+        [ 1; 15; 16; 17; 24; 31; 32; 33; 63; 64; 65; 127; 129; 4096; 4096 + 48 ];
+      (* a single answer's block: one lane, plane 0 at offset 0 *)
+      List.iter
+        (fun (count, bucket) ->
+          check_lanes rng ~kernel ~lanes:1 ~bits_pos:0 ~stride:count ~count ~src_pos:0 ~bucket)
+        [ (1, 1); (3, 7); (4, 8); (5, 32); (2, 33); (7, 40); (1, 100); (6, 64); (5, 4096 + 48) ])
+    kernels;
+  Alcotest.check_raises "a build this CPU does not run"
+    (Invalid_argument "Xorbuf.xor_buckets_lanes_on: kernel not runnable on this CPU") (fun () ->
+      Lw_util.Xorbuf.xor_buckets_lanes_on ~kernel:"sse1" ~bits:(Bytes.make 4 '\x00') ~bits_pos:0
+        ~stride:4 ~count:4 ~src:(Bytes.make 32 '\x00') ~src_pos:0 ~bucket:8
+        ~dsts:[| Bytes.make 8 '\x00' |]);
   let run ?(bits = Bytes.make 16 '\x00') ?(stride = 4) ?(count = 4) ?(bucket = 8)
       ?(src = Bytes.make 32 '\x00') ?(dsts = [| Bytes.make 8 '\x00' |]) () =
     Lw_util.Xorbuf.xor_buckets_lanes ~bits ~bits_pos:0 ~stride ~count ~src ~src_pos:0 ~bucket
