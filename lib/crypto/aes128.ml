@@ -1,160 +1,129 @@
-(* GF(2^8) arithmetic with the AES polynomial x^8+x^4+x^3+x+1 (0x11b). *)
+(* AES-128 in C (aes_stubs.c): one body, one build per instruction set,
+   the build picked once from CPUID. A key is its 11 round keys, in
+   FIPS-197 byte order (176 bytes) and in the bitsliced build's
+   bit-plane form (704 bytes), computed in C in constant time. The
+   externals read no OCaml value but their arguments and allocate
+   nothing; the build index and every range are checked here first. *)
 
-let xtime b =
-  let b2 = b lsl 1 in
-  if b2 land 0x100 <> 0 then (b2 lxor 0x11b) land 0xff else b2
+type key = Bytes.t
 
-let gf_mul a b =
-  let rec go a b acc =
-    if b = 0 then acc
-    else begin
-      let acc = if b land 1 <> 0 then acc lxor a else acc in
-      go (xtime a) (b lsr 1) acc
-    end
-  in
-  go a b 0
+let key_bytes = 176 + (11 * 64)
 
-(* S-box: multiplicative inverse followed by the affine transform. *)
-let sbox =
-  let inv = Array.make 256 0 in
-  (* brute-force inverses; 256x256 is trivial at init time *)
-  for a = 1 to 255 do
-    for b = 1 to 255 do
-      if gf_mul a b = 1 then inv.(a) <- b
-    done
-  done;
-  let affine x =
-    let rot x k = ((x lsl k) lor (x lsr (8 - k))) land 0xff in
-    x lxor rot x 1 lxor rot x 2 lxor rot x 3 lxor rot x 4 lxor 0x63
-  in
-  Array.init 256 (fun i -> affine inv.(i))
+external c_builds : unit -> string array = "lw_aes_builds"
+external c_first : unit -> int = "lw_aes_first"
+external c_expand_key : string -> Bytes.t -> unit = "lw_aes_expand_key" [@@noalloc]
 
-(* All 32-bit words live in the low bits of native [int]s (OCaml's int is
-   at least 63 bits on every supported target). The boxed [Int32]
-   formulation this replaces allocated a box per temporary; at ~2 AES
-   calls per DPF tree node that was megabytes of minor-heap traffic per
-   full-domain evaluation, and the GC pressure leaked into the scan phase
-   sharing the loop. Immediate ints allocate nothing. *)
+external c_encrypt : int -> Bytes.t -> Bytes.t -> int -> int -> unit = "lw_aes_encrypt"
+[@@noalloc]
 
-(* T-tables: te0.(x) = [S(x)*2, S(x), S(x), S(x)*3] packed big-endian;
-   te1..te3 are byte rotations of te0. *)
-let pack a b c d = (a lsl 24) lor (b lsl 16) lor (c lsl 8) lor d
+external c_mmo : int -> Bytes.t -> int -> Bytes.t -> int -> Bytes.t -> int -> int -> unit
+  = "lw_aes_mmo_byte" "lw_aes_mmo"
+[@@noalloc]
 
-let te0 = Array.init 256 (fun i ->
-    let s = sbox.(i) in
-    pack (gf_mul s 2) s s (gf_mul s 3))
+external c_level :
+  int -> Bytes.t -> Bytes.t -> int -> Bytes.t -> int -> int -> Bytes.t -> int -> int -> Bytes.t ->
+  Bytes.t -> unit = "lw_aes_level_byte" "lw_aes_level"
+[@@noalloc]
 
-let rotr32_8 x = (x lsr 8) lor ((x lsl 24) land 0xffffffff)
+external c_leaves :
+  int -> Bytes.t -> Bytes.t -> int -> Bytes.t -> int -> int -> string -> int -> int -> Bytes.t ->
+  int -> unit = "lw_aes_leaves_byte" "lw_aes_leaves"
+[@@noalloc]
 
-let te1 = Array.map rotr32_8 te0
-let te2 = Array.map rotr32_8 te1
-let te3 = Array.map rotr32_8 te2
+(* Every build, preferred first; the CPU runs those from [first] on, and
+   every call runs [first]. *)
+let all_builds = c_builds ()
+let first = c_first ()
+let build () = all_builds.(first)
+let builds () = Array.to_list (Array.sub all_builds first (Array.length all_builds - first))
 
-type key = int array
-(* 44 round words for AES-128 (10 rounds + initial whitening). *)
+let build_index name =
+  match Array.find_index (Ct.equal name) all_builds with
+  | Some i when i >= first -> i
+  | _ -> invalid_arg "Aes128: build not runnable on this CPU"
 
-let sub_word w =
-  let b k = (w lsr k) land 0xff in
-  pack sbox.(b 24) sbox.(b 16) sbox.(b 8) sbox.(b 0)
-
-let rot_word w = ((w lsl 8) land 0xffffffff) lor (w lsr 24)
-
-let rcon =
-  let r = Array.make 11 0 in
-  r.(1) <- 1;
-  for i = 2 to 10 do
-    r.(i) <- xtime r.(i - 1)
-  done;
-  r
+let check name pos len total =
+  if pos < 0 || len < 0 || pos > total - len then
+    invalid_arg (Printf.sprintf "Aes128.%s: range out of bounds" name)
 
 let expand_key k =
   if String.length k <> 16 then invalid_arg "Aes128.expand_key: key must be 16 bytes";
-  let w = Array.make 44 0 in
-  for i = 0 to 3 do
-    w.(i) <- pack (Char.code k.[4 * i]) (Char.code k.[(4 * i) + 1])
-        (Char.code k.[(4 * i) + 2]) (Char.code k.[(4 * i) + 3])
-  done;
-  for i = 4 to 43 do
-    let temp = w.(i - 1) in
-    let temp =
-      if i mod 4 = 0 then sub_word (rot_word temp) lxor (rcon.(i / 4) lsl 24)
-      else temp
-    in
-    w.(i) <- w.(i - 4) lxor temp
-  done;
-  w
+  let rk = Bytes.create key_bytes in
+  c_expand_key k rk;
+  rk
 
-let byte32 x k = (x lsr k) land 0xff
+(* Each entry point is a [_with] function on a build index, run on
+   [first] and, for tests and benchmarks, on a named build. *)
+let encrypt_with b key ~src ~src_pos ~dst ~dst_pos ~blocks =
+  if blocks < 0 || blocks > Bytes.length src / 16 then
+    invalid_arg "Aes128.encrypt_blocks_on: range out of bounds";
+  check "encrypt_blocks_on(src)" src_pos (16 * blocks) (Bytes.length src);
+  check "encrypt_blocks_on(dst)" dst_pos (16 * blocks) (Bytes.length dst);
+  Bytes.blit src src_pos dst dst_pos (16 * blocks);
+  c_encrypt b key dst dst_pos blocks
 
-let get32_be b off =
-  (Char.code (Bytes.unsafe_get b off) lsl 24)
-  lor (Char.code (Bytes.unsafe_get b (off + 1)) lsl 16)
-  lor (Char.code (Bytes.unsafe_get b (off + 2)) lsl 8)
-  lor Char.code (Bytes.unsafe_get b (off + 3))
-
-let set32_be b off v =
-  Bytes.unsafe_set b off (Char.unsafe_chr (byte32 v 24));
-  Bytes.unsafe_set b (off + 1) (Char.unsafe_chr (byte32 v 16));
-  Bytes.unsafe_set b (off + 2) (Char.unsafe_chr (byte32 v 8));
-  Bytes.unsafe_set b (off + 3) (Char.unsafe_chr (byte32 v 0))
-
-(* final round: SubBytes + ShiftRows, no MixColumns *)
-let final_word a b c d rk =
-  pack sbox.(byte32 a 24) sbox.(byte32 b 16) sbox.(byte32 c 8) sbox.(byte32 d 0) lxor rk
-
-(* The round state travels as int arguments of a fully-applied top-level
-   tail-recursive loop: no ref cells, no closures — this path must not
-   allocate (~2 AES calls per DPF tree node, and a local [let rec] here
-   would cost a 7-word closure per block). *)
-let rec rounds w dst dst_pos round s0 s1 s2 s3 =
-  if round > 9 then begin
-    set32_be dst dst_pos (final_word s0 s1 s2 s3 (Array.unsafe_get w 40));
-    set32_be dst (dst_pos + 4) (final_word s1 s2 s3 s0 (Array.unsafe_get w 41));
-    set32_be dst (dst_pos + 8) (final_word s2 s3 s0 s1 (Array.unsafe_get w 42));
-    set32_be dst (dst_pos + 12) (final_word s3 s0 s1 s2 (Array.unsafe_get w 43))
-  end
-  else
-    let t0 =
-      te0.(byte32 s0 24) lxor te1.(byte32 s1 16) lxor te2.(byte32 s2 8)
-      lxor te3.(byte32 s3 0) lxor Array.unsafe_get w (4 * round)
-    and t1 =
-      te0.(byte32 s1 24) lxor te1.(byte32 s2 16) lxor te2.(byte32 s3 8)
-      lxor te3.(byte32 s0 0) lxor Array.unsafe_get w ((4 * round) + 1)
-    and t2 =
-      te0.(byte32 s2 24) lxor te1.(byte32 s3 16) lxor te2.(byte32 s0 8)
-      lxor te3.(byte32 s1 0) lxor Array.unsafe_get w ((4 * round) + 2)
-    and t3 =
-      te0.(byte32 s3 24) lxor te1.(byte32 s0 16) lxor te2.(byte32 s1 8)
-      lxor te3.(byte32 s2 0) lxor Array.unsafe_get w ((4 * round) + 3)
-    in
-    rounds w dst dst_pos (round + 1) t0 t1 t2 t3
-
-let encrypt_block_into w ~src ~src_pos ~dst ~dst_pos =
-  rounds w dst dst_pos 1
-    (get32_be src src_pos lxor Array.unsafe_get w 0)
-    (get32_be src (src_pos + 4) lxor Array.unsafe_get w 1)
-    (get32_be src (src_pos + 8) lxor Array.unsafe_get w 2)
-    (get32_be src (src_pos + 12) lxor Array.unsafe_get w 3)
+let encrypt_blocks_on ~build key ~src ~src_pos ~dst ~dst_pos ~blocks =
+  encrypt_with (build_index build) key ~src ~src_pos ~dst ~dst_pos ~blocks
 
 let encrypt_block w block =
   if String.length block <> 16 then invalid_arg "Aes128.encrypt_block: block must be 16 bytes";
   let dst = Bytes.create 16 in
-  encrypt_block_into w ~src:(Bytes.unsafe_of_string block) ~src_pos:0 ~dst ~dst_pos:0;
-  dst |> Bytes.unsafe_to_string
+  encrypt_with first w ~src:(Bytes.unsafe_of_string block) ~src_pos:0 ~dst ~dst_pos:0 ~blocks:1;
+  Bytes.unsafe_to_string dst
 
 let mmo_fixed_key = expand_key (String.sub "lightweb-mmo-key!" 0 16)
 
+let mmo_with b w ~tweak ~src ~src_pos ~dst ~dst_pos ~blocks =
+  if blocks < 0 || blocks > Bytes.length src / 16 then
+    invalid_arg "Aes128.mmo_blocks_on: range out of bounds";
+  check "mmo_blocks_on(src)" src_pos (16 * blocks) (Bytes.length src);
+  check "mmo_blocks_on(dst)" dst_pos (16 * blocks) (Bytes.length dst);
+  c_mmo b w tweak src src_pos dst dst_pos blocks
+
+let mmo_blocks_on ~build w ~tweak ~src ~src_pos ~dst ~dst_pos ~blocks =
+  mmo_with (build_index build) w ~tweak ~src ~src_pos ~dst ~dst_pos ~blocks
+
+(* One block: C reads all of [src] before it writes [dst], so the two
+   may be the same buffer. *)
 let mmo_hash_into w ~tweak ~src ~src_pos ~dst ~dst_pos =
-  (* dst := AES(src ^ tweak) ^ (src ^ tweak), tweak folded into byte 0 *)
-  let x0 = Bytes.get src src_pos in
-  Bytes.set src src_pos (Char.unsafe_chr (Char.code x0 lxor (tweak land 0xff)));
-  encrypt_block_into w ~src ~src_pos ~dst ~dst_pos;
-  Lw_util.Xorbuf.xor_into ~src ~src_pos ~dst ~dst_pos ~len:16;
-  Bytes.set src src_pos x0
+  check "mmo_hash_into(src)" src_pos 16 (Bytes.length src);
+  check "mmo_hash_into(dst)" dst_pos 16 (Bytes.length dst);
+  c_mmo first w tweak src src_pos dst dst_pos 1
 
 let mmo_hash w ~tweak s =
   if String.length s <> 16 then invalid_arg "Aes128.mmo_hash: input must be 16 bytes";
-  let x = Bytes.of_string s in
   let out = Bytes.create 16 in
-  mmo_hash_into w ~tweak ~src:x ~src_pos:0 ~dst:out ~dst_pos:0;
+  mmo_with first w ~tweak ~src:(Bytes.of_string s) ~src_pos:0 ~dst:out ~dst_pos:0 ~blocks:1;
   Bytes.unsafe_to_string out
+
+let level_with b w ~src ~src_pos ~ts ~ts_pos ~n ~cw ~cw_pos ~cw_bits ~dst ~t_out =
+  if n < 0 || n > Bytes.length src / 16 || n > Bytes.length dst / 32 then
+    invalid_arg "Aes128.mmo_level: range out of bounds";
+  check "mmo_level(src)" src_pos (16 * n) (Bytes.length src);
+  check "mmo_level(ts)" ts_pos n (Bytes.length ts);
+  check "mmo_level(cw)" cw_pos 16 (Bytes.length cw);
+  check "mmo_level(t_out)" 0 (2 * n) (Bytes.length t_out);
+  c_level b w src src_pos ts ts_pos n cw cw_pos cw_bits dst t_out
+
+let mmo_level w ~src ~src_pos ~ts ~ts_pos ~n ~cw ~cw_pos ~cw_bits ~dst ~t_out =
+  level_with first w ~src ~src_pos ~ts ~ts_pos ~n ~cw ~cw_pos ~cw_bits ~dst ~t_out
+
+let mmo_level_on ~build w ~src ~src_pos ~ts ~ts_pos ~n ~cw ~cw_pos ~cw_bits ~dst ~t_out =
+  level_with (build_index build) w ~src ~src_pos ~ts ~ts_pos ~n ~cw ~cw_pos ~cw_bits ~dst ~t_out
+
+let leaves_with b w ~src ~src_pos ~ts ~ts_pos ~n ~cw ~from ~count ~dst ~dst_pos =
+  if n < 0 || n > Bytes.length src / 16 then invalid_arg "Aes128.mmo_leaves: range out of bounds";
+  check "mmo_leaves(src)" src_pos (16 * n) (Bytes.length src);
+  check "mmo_leaves(ts)" ts_pos n (Bytes.length ts);
+  if String.length cw <> 16 then invalid_arg "Aes128.mmo_leaves: correction must be 16 bytes";
+  check "mmo_leaves(bits)" from count 128;
+  if count > 0 && n > Bytes.length dst / count then
+    invalid_arg "Aes128.mmo_leaves: range out of bounds";
+  check "mmo_leaves(dst)" dst_pos (n * count) (Bytes.length dst);
+  c_leaves b w src src_pos ts ts_pos n cw from count dst dst_pos
+
+let mmo_leaves w ~src ~src_pos ~ts ~ts_pos ~n ~cw ~from ~count ~dst ~dst_pos =
+  leaves_with first w ~src ~src_pos ~ts ~ts_pos ~n ~cw ~from ~count ~dst ~dst_pos
+
+let mmo_leaves_on ~build w ~src ~src_pos ~ts ~ts_pos ~n ~cw ~from ~count ~dst ~dst_pos =
+  leaves_with (build_index build) w ~src ~src_pos ~ts ~ts_pos ~n ~cw ~from ~count ~dst ~dst_pos

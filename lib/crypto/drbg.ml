@@ -1,17 +1,25 @@
 type t = { mutable key : string; mutable counter : int64 }
 
+exception No_entropy of string
+
 let create ~seed = { key = Sha256.digest ("lightweb-drbg-v1" ^ seed); counter = 0L }
 
-let system () =
+let entropy_len = 32
+
+let urandom () =
+  In_channel.with_open_bin "/dev/urandom" (fun ic -> really_input_string ic entropy_len)
+
+(* No fallback: a generator seeded from the clock and the pid would make
+   every DPF root seed guessable, so an unreadable source is an error. *)
+let system ?(source = urandom) () =
   let entropy =
-    try
-      let ic = open_in_bin "/dev/urandom" in
-      let buf = really_input_string ic 32 in
-      close_in ic;
-      buf
-    with Sys_error _ | End_of_file ->
-      Printf.sprintf "%f|%d|%d" (Unix.gettimeofday ()) (Unix.getpid ()) (Hashtbl.hash (Sys.argv))
+    try source () with
+    | Sys_error msg -> raise (No_entropy ("entropy source failed: " ^ msg))
+    | End_of_file -> raise (No_entropy "entropy source failed: end of file")
   in
+  let got = String.length entropy in
+  if got < entropy_len then
+    raise (No_entropy (Printf.sprintf "entropy source returned %d of %d bytes" got entropy_len));
   create ~seed:entropy
 
 let nonce_of_counter c =

@@ -11,9 +11,16 @@ val create : seed:string -> t
 (** [create ~seed] derives the initial key from [seed] with SHA-256; any
     seed length is accepted. *)
 
-val system : unit -> t
-(** [system ()] seeds from [/dev/urandom]; falls back to a time/pid mix if
-    the device is unavailable (e.g. exotic sandboxes). *)
+exception No_entropy of string
+(** The entropy source could not be read, or returned fewer than 32
+    bytes. *)
+
+val system : ?source:(unit -> string) -> unit -> t
+(** [system ()] seeds from 32 bytes of [/dev/urandom]. It fails closed:
+    if the source raises [Sys_error] or [End_of_file], or returns fewer
+    than 32 bytes, it raises {!No_entropy} rather than seed from
+    anything guessable. [source] replaces the OS source; tests use it to
+    exercise the failure. *)
 
 val generate : t -> int -> string
 (** [generate t n] produces [n] pseudorandom bytes and ratchets the key, so

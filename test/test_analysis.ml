@@ -162,11 +162,12 @@ let test_rule_secret_branch_lane_kernel () =
   Alcotest.(check int) "masked lane clean (secret-branch)" 0 (count_rule "secret-branch" rules);
   Alcotest.(check int) "masked lane clean (taint)" 0 (count_rule "taint" rules)
 
-(* The scan kernel's masks live in C, which lw_lint does not parse, so
-   its no-branch rule is kept here on tokens: with comments and literals
-   stripped, the kernel may contain no conditional keyword, no ternary
-   and no short-circuit operator. Its only control flow is [for] loops
-   over public bounds. *)
+(* The C kernels (the scan kernel and the AES-MMO tree steps) handle
+   selection bits, seeds and control bits, and lw_lint does not parse C,
+   so their no-branch rule is kept here on tokens: with comments and
+   literals stripped, a kernel may contain no conditional keyword, no
+   ternary and no short-circuit operator. Its only control flow is [for]
+   loops over public bounds. *)
 let c_branch_keywords = [ "if"; "else"; "switch"; "case"; "goto"; "while" ]
 
 let c_branch_tokens src =
@@ -245,11 +246,20 @@ let test_c_kernel_no_branch () =
     | Some d -> d
     | None -> Alcotest.fail "could not locate lib/ from the test runner"
   in
-  let kernel = Filename.concat (Filename.concat lib "util") "xorbuf_stubs.c" in
-  Alcotest.(check (list string)) "the scan kernel is the only C file under lib/" [ kernel ]
-    (c_files lib);
-  let src = In_channel.with_open_bin kernel In_channel.input_all in
-  tokens "no branch in the scan kernel" [] (c_branch_tokens src)
+  let kernels =
+    [
+      Filename.concat (Filename.concat lib "util") "xorbuf_stubs.c";
+      Filename.concat (Filename.concat lib "crypto") "aes_stubs.c";
+    ]
+  in
+  Alcotest.(check (list string)) "the scan and AES kernels are the only C files under lib/"
+    (List.sort String.compare kernels)
+    (List.sort String.compare (c_files lib));
+  List.iter
+    (fun kernel ->
+      let src = In_channel.with_open_bin kernel In_channel.input_all in
+      tokens ("no branch in " ^ Filename.basename kernel) [] (c_branch_tokens src))
+    kernels
 
 let test_rule_poly_compare () =
   (* the Store.insert bug shape: option tested with polymorphic = *)
@@ -529,6 +539,31 @@ let test_taint_leaf_onehot () =
   let rules = findings_for ~path:"lib/dpf/fixture.ml" clean in
   Alcotest.(check int) "arithmetic one-hot clean (taint)" 0 (count_rule "taint" rules);
   Alcotest.(check int) "arithmetic one-hot clean (secret-branch)" 0
+    (count_rule "secret-branch" rules)
+
+let test_taint_seed_table_lookup () =
+  (* the DPF's PRG seeds are named secret in prg.ml and dpf.ml: a
+     T-table AES round indexes its tables by seed bytes, which puts the
+     seed on the address bus for a cache-timing observer *)
+  let dirty =
+    "(* lw-lint: secret src *)\n\
+     let te0 = Array.make 256 0\n\
+     let round ~src ~src_pos =\n\
+    \  let b = Char.code (Bytes.get src src_pos) in\n\
+    \  te0.(b) lxor te0.(b lxor 0x63)\n"
+  in
+  Alcotest.(check bool) "seed-indexed table lookup caught" true
+    (count_rule "taint" (findings_for ~path:"lib/dpf/fixture.ml" dirty) >= 1);
+  (* the shape the PRG has now: the seeds go to the C AES-MMO as data *)
+  let clean =
+    "(* lw-lint: secret src ts *)\n\
+     let expand ~src ~ts ~dst ~t_out =\n\
+    \  Lw_crypto.Aes128.mmo_level Lw_crypto.Aes128.mmo_fixed_key ~src ~src_pos:0 ~ts ~ts_pos:0\n\
+    \    ~n:1 ~cw:(Bytes.make 16 '\\000') ~cw_pos:0 ~cw_bits:0 ~dst ~t_out\n"
+  in
+  let rules = findings_for ~path:"lib/dpf/fixture.ml" clean in
+  Alcotest.(check int) "seeds handed to the C call clean (taint)" 0 (count_rule "taint" rules);
+  Alcotest.(check int) "seeds handed to the C call clean (secret-branch)" 0
     (count_rule "secret-branch" rules)
 
 let test_taint_spir_secret_source () =
@@ -961,6 +996,7 @@ let () =
           Alcotest.test_case "taint from DPF source" `Quick
             test_taint_dpf_source_to_index;
           Alcotest.test_case "taint: DPF leaf one-hot" `Quick test_taint_leaf_onehot;
+          Alcotest.test_case "taint: seed-indexed table" `Quick test_taint_seed_table_lookup;
           Alcotest.test_case "taint across loop iterations" `Quick
             test_taint_loop_carried_ref;
           Alcotest.test_case "race on spawned ref" `Quick test_race_spawned_ref;
