@@ -16,7 +16,7 @@
 type key
 
 val gen :
-  ?prg:Prg.t -> domain_bits:int -> alpha:int -> values:string array -> Lw_crypto.Drbg.t -> key * key
+  domain_bits:int -> alpha:int -> values:string array -> Lw_crypto.Drbg.t -> key * key
 (** [values] has one entry per level (length [domain_bits]); entries may
     have different lengths but each must be non-empty. *)
 

@@ -8,11 +8,11 @@ type query = {
 }
 
 val query_index :
-  ?prg:Lw_dpf.Prg.t -> domain_bits:int -> index:int -> Lw_crypto.Drbg.t -> query
+  domain_bits:int -> index:int -> Lw_crypto.Drbg.t -> query
 (** Query a raw bucket index. *)
 
 val query_key :
-  ?prg:Lw_dpf.Prg.t -> keymap:Keymap.t -> key:string -> Lw_crypto.Drbg.t -> query
+  keymap:Keymap.t -> key:string -> Lw_crypto.Drbg.t -> query
 (** Query a keyword through the universe's {!Keymap}. *)
 
 val combine : resp0:string -> resp1:string -> string
