@@ -322,7 +322,7 @@ let e4_table2 () =
     "          Wikipedia:  21 GiB,  60M pages, 0.4 KiB,  10 vCPU-s, $0.0001, 14.9 KiB\n";
   print_table2 "paper's measured shard" Lw_sim.Cost_model.paper_shard;
   (match !measured with
-  | Some shard -> print_table2 "this repo's measured shard (E1, pure OCaml)" shard
+  | Some shard -> print_table2 "this repo's measured shard (E1)" shard
   | None -> ());
   Printf.printf
     "\nnote: the Wikipedia row matches the paper only under domain-driven sharding\n\
@@ -1023,44 +1023,54 @@ let e19_scan_kernels ?(write_json = true) ?geometry () =
      answer (k singles / k).\n";
 
   (* The bare kernel on every build this CPU runs: one call over all 2^d
-     records per width, builds interleaved, each build's accumulators
-     checked against the first's. *)
+     records per width and bucket size, builds interleaved, each build's
+     accumulators checked against the first's. Outside the smoke gate the
+     bucket sizes are the perfbench workloads' (256 B for get-small, 4 KiB
+     and 16 KiB for browse's data and code), on both sides of the kernel's
+     512-byte strip. *)
   let kernels = Lw_util.Xorbuf.scan_kernels () in
   let n = 1 lsl d in
-  let records = Bytes.of_string (Lw_util.Det_rng.bytes (det "e19-records") (n * bucket_size)) in
   let bits = Bytes.of_string (Lw_util.Det_rng.bytes (det "e19-bits") (2 * n)) in
-  row "\nkernel builds, one call over all %d records (ms)\n%-8s%s %15s\n" n "width"
-    (String.concat "" (List.map (Printf.sprintf " %10s") kernels))
-    "baseline/picked";
+  let kernel_buckets = if geometry = None then [ 256; 4096; 16384 ] else [ bucket_size ] in
   let build_rows =
-    List.init 16 (fun i ->
-        let w = i + 1 in
-        let dsts = Array.init w (fun _ -> Bytes.create bucket_size) in
-        let run kernel () =
-          Lw_util.Xorbuf.xor_buckets_lanes_on ~kernel ~bits ~bits_pos:0 ~stride:n ~count:n
-            ~src:records ~src_pos:0 ~bucket:bucket_size ~dsts
+    List.concat_map
+      (fun bucket ->
+        let records =
+          Bytes.of_string (Lw_util.Det_rng.bytes (det "e19-records") (n * bucket))
         in
-        let outputs =
-          List.map
-            (fun kernel ->
-              Array.iter (fun d -> Bytes.fill d 0 bucket_size '\x00') dsts;
-              run kernel ();
-              Array.map Bytes.to_string dsts)
-            kernels
-        in
-        List.iteri
-          (fun j out ->
-            if not (Array.for_all2 String.equal out (List.hd outputs)) then
-              failwith
-                (Printf.sprintf "E19: kernel build %s differs from %s at width %d"
-                   (List.nth kernels j) (List.hd kernels) w))
-          outputs;
-        let t = best_interleaved reps (Array.of_list (List.map run kernels)) in
-        let cells = Array.map (fun s -> Printf.sprintf " %10.2f" (1000. *. s)) t in
-        row "%-8d%s %14.2fx\n" w
-          (String.concat "" (Array.to_list cells))
-          (t.(Array.length t - 1) /. t.(0));
-        (w, t))
+        row "\nkernel builds, one call over all %d records of %d B (ms)\n%-8s%s %15s\n" n bucket
+          "width"
+          (String.concat "" (List.map (Printf.sprintf " %10s") kernels))
+          "baseline/picked";
+        List.init 16 (fun i ->
+            let w = i + 1 in
+            let dsts = Array.init w (fun _ -> Bytes.create bucket) in
+            let run kernel () =
+              Lw_util.Xorbuf.xor_buckets_lanes_on ~kernel ~bits ~bits_pos:0 ~stride:n ~count:n
+                ~src:records ~src_pos:0 ~bucket ~dsts
+            in
+            let outputs =
+              List.map
+                (fun kernel ->
+                  Array.iter (fun d -> Bytes.fill d 0 bucket '\x00') dsts;
+                  run kernel ();
+                  Array.map Bytes.to_string dsts)
+                kernels
+            in
+            List.iteri
+              (fun j out ->
+                if not (Array.for_all2 String.equal out (List.hd outputs)) then
+                  failwith
+                    (Printf.sprintf "E19: kernel build %s differs from %s at width %d"
+                       (List.nth kernels j) (List.hd kernels) w))
+              outputs;
+            let t = best_interleaved reps (Array.of_list (List.map run kernels)) in
+            let cells = Array.map (fun s -> Printf.sprintf " %10.2f" (1000. *. s)) t in
+            row "%-8d%s %14.2fx\n" w
+              (String.concat "" (Array.to_list cells))
+              (t.(Array.length t - 1) /. t.(0));
+            (bucket, w, t)))
+      kernel_buckets
   in
   if write_json then begin
     let open Json in
@@ -1100,9 +1110,10 @@ let e19_scan_kernels ?(write_json = true) ?geometry () =
           ( "kernel_builds",
             List
               (List.map
-                 (fun (w, t) ->
+                 (fun (bucket, w, t) ->
                    Obj
-                     (("width", Number (float_of_int w))
+                     (("bucket_size", Number (float_of_int bucket))
+                     :: ("width", Number (float_of_int w))
                      :: List.mapi (fun j k -> (k ^ "_ms", Number (1000. *. t.(j)))) kernels))
                  build_rows) );
         ]

@@ -419,8 +419,9 @@ let run ?(progress = fun (_ : string) -> ()) p =
   let spir_bits = min rem Lw_pir.Spir.max_domain_bits in
   let spir_snap =
     let st =
+      (* a 16-byte key from a seed of any length *)
       Lw_store.create
-        ~hash_key:(p.seed ^ "-spir")
+        ~hash_key:(String.sub (Lw_crypto.Sha256.digest (p.seed ^ "-spir")) 0 16)
         ~block_bytes:(8 * p.bucket_size) ~domain_bits:spir_bits ~bucket_size:p.bucket_size ()
     in
     let w = Lw_store.writer st in

@@ -5,4 +5,7 @@
 val digest : string -> int32
 
 val update : int32 -> string -> pos:int -> len:int -> int32
-(** Incremental: [update 0l s ~pos:0 ~len] = [digest (String.sub s pos len)]. *)
+(** Incremental: [update 0l s ~pos:0 ~len] = [digest (String.sub s pos len)],
+    and [update (digest a) b ~pos:0 ~len:(String.length b)] =
+    [digest (a ^ b)]. Raises [Invalid_argument] unless [pos] and [len]
+    give a range inside [s]. *)

@@ -40,14 +40,15 @@ val xor_buckets_lanes :
     selection byte, one [stride]-byte plane per eight lanes. A single
     answer is the one-lane call with its 0/1 selection bytes as plane 0.
     After the range checks it runs the C kernel build {!scan_kernel},
-    which makes one pass over the records, four at a time, masking each
-    into every lane's accumulator 64 bytes at a time. Every record is
-    loaded and every accumulator rewritten whatever the bits, and the
-    kernel has no
-    branch but its loop bounds, so its memory trace is a function of
-    the geometry and the lane count alone. Raises [Invalid_argument] on
-    an empty [dsts], a non-positive [bucket], a negative [count],
-    [stride < count], or any out-of-bounds range. *)
+    which makes one pass over the records, in tiles of eight walked in
+    512-byte strips (tiles of four walked whole when [bucket <= 512]),
+    masking each into every lane's accumulator 64 bytes at a time. Every
+    record is loaded and every accumulator rewritten whatever the bits,
+    and the kernel has no branch but its loop bounds, so its memory
+    trace is a function of the geometry and the lane count alone.
+    Raises [Invalid_argument] on an empty [dsts], a non-positive
+    [bucket], a negative [count], [stride < count], or any
+    out-of-bounds range. *)
 
 val scan_kernel : unit -> string
 (** The build of the C scan kernel every {!xor_buckets_lanes} call

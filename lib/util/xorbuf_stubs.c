@@ -6,7 +6,7 @@
    nothing here is bounds-checked. The selection bits are secret: they
    only ever become all-zero or all-one masks by arithmetic. The only
    control flow is [for] loops bounded by [count], [bucket] and the lane
-   count, every record is loaded once per tile and every accumulator
+   count, every record byte is read by every lane and every accumulator
    word is rewritten on every tile whatever the bits are, so the memory
    trace and the instruction stream are functions of the geometry
    alone. The analysis tests reject any branching keyword or
@@ -34,52 +34,89 @@
 typedef uint64_t vec __attribute__((vector_size(64), aligned(1), may_alias));
 #define AT(p) (*(vec *)(p))
 
-/* All ones when lane [q]'s bit for record [j] is set, else zero. */
-static inline __attribute__((always_inline)) uint64_t
-lane_mask(const unsigned char *bits, intnat stride, intnat q, intnat j)
+/* Records go in tiles, and the lanes go inside each tile: the first
+   lane streams a tile from memory and every further lane re-reads it
+   from L1, paying one accumulator read-modify-write per tile.
+   - A bucket wider than a strip takes tiles of [DEEP] records, walked
+     in column strips of [STRIP] bytes with every lane inside each
+     strip, so what the further lanes re-read is one strip of the tile,
+     not the whole tile.
+   - A bucket no wider than a strip takes tiles of [SHALLOW] records,
+     each walked whole: a deeper tile of such records streams worse.
+   The depths and the strip width are constants and [bucket] picks
+   between them through loop bounds, so every bound is a function of
+   [count], [bucket] and the lane count alone. */
+#define DEEP 8
+#define SHALLOW 4
+#define STRIP 512
+
+/* Bytes [lo, end) of records [j, j + depth) of [s] into every lane:
+   whole vectors up to [vec_end], single bytes from there. A lane's
+   [depth] selection bytes are read as one word, in which byte [r]
+   starts at bit [8 * (r ^ (7 * big))]. */
+static inline __attribute__((always_inline)) void
+xor_strip(const unsigned char *bits, intnat stride, intnat j, intnat depth,
+          const unsigned char *s, intnat bucket, value dsts, intnat lanes, intnat lo,
+          intnat vec_end, intnat end)
 {
-  return (uint64_t)0 - (uint64_t)((bits[(q >> 3) * stride + j] >> (q & 7)) & 1);
+  const intnat big = __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__;
+  for (intnat q = 0; q < lanes; q++) {
+    unsigned char *d = Bytes_val(Field(dsts, q));
+    uint64_t w = 0, m[DEEP];
+    __builtin_memcpy(&w, bits + (q >> 3) * stride + j, depth);
+    w = (w >> (q & 7)) & 0x0101010101010101ull;
+    /* all ones where lane [q]'s bit for record [j + r] is set, else zero */
+#pragma GCC unroll 8
+    for (intnat r = 0; r < depth; r++)
+      m[r] = (uint64_t)0 - ((w >> (8 * (r ^ (7 * big)))) & 1);
+    for (intnat o = lo; o < vec_end; o += sizeof(vec)) {
+      vec x = AT(s + o) & m[0];
+#pragma GCC unroll 8
+      for (intnat r = 1; r < depth; r++)
+        x ^= AT(s + r * bucket + o) & m[r];
+      AT(d + o) ^= x;
+    }
+    for (intnat o = vec_end; o < end; o++) {
+      uint64_t x = s[o] & m[0];
+#pragma GCC unroll 8
+      for (intnat r = 1; r < depth; r++)
+        x ^= s[r * bucket + o] & m[r];
+      d[o] ^= (unsigned char)x;
+    }
+  }
 }
 
-/* Records go in tiles of four with the lanes inside each tile, so a
-   tile is read from memory once and from L1 by every further lane, and
-   each lane pays one accumulator read-modify-write per four records. */
+/* Records [j, j + depth) of [s] into every lane, strip by strip; the
+   last strip takes what is left of the bucket. */
+static inline __attribute__((always_inline)) void
+xor_tile(const unsigned char *bits, intnat stride, intnat j, intnat depth,
+         const unsigned char *s, intnat bucket, value dsts, intnat lanes)
+{
+  intnat strips_end = bucket & ~(intnat)(STRIP - 1);
+  for (intnat lo = 0; lo < strips_end; lo += STRIP)
+    xor_strip(bits, stride, j, depth, s, bucket, dsts, lanes, lo, lo + STRIP, lo + STRIP);
+  xor_strip(bits, stride, j, depth, s, bucket, dsts, lanes, strips_end,
+            bucket & ~(intnat)(sizeof(vec) - 1), bucket);
+}
+
+/* Shallow tiles (narrow buckets only), then deep tiles (wide buckets
+   only), then the records left over, one at a time and each walked
+   whole. */
 static inline __attribute__((always_inline)) void
 xor_lanes(const unsigned char *bits, intnat stride, intnat count, const unsigned char *src,
           intnat bucket, value dsts)
 {
   intnat lanes = Wosize_val(dsts);
   intnat vec_end = bucket & ~(intnat)(sizeof(vec) - 1);
-  intnat tiles = count & ~(intnat)3;
-  for (intnat j = 0; j < tiles; j += 4) {
-    const unsigned char *s0 = src + j * bucket;
-    const unsigned char *s1 = s0 + bucket;
-    const unsigned char *s2 = s1 + bucket;
-    const unsigned char *s3 = s2 + bucket;
-    for (intnat q = 0; q < lanes; q++) {
-      unsigned char *d = Bytes_val(Field(dsts, q));
-      uint64_t m0 = lane_mask(bits, stride, q, j);
-      uint64_t m1 = lane_mask(bits, stride, q, j + 1);
-      uint64_t m2 = lane_mask(bits, stride, q, j + 2);
-      uint64_t m3 = lane_mask(bits, stride, q, j + 3);
-      for (intnat o = 0; o < vec_end; o += sizeof(vec))
-        AT(d + o) ^= ((AT(s0 + o) & m0) ^ (AT(s1 + o) & m1)) ^
-                     ((AT(s2 + o) & m2) ^ (AT(s3 + o) & m3));
-      for (intnat o = vec_end; o < bucket; o++)
-        d[o] ^= (unsigned char)(((s0[o] & m0) ^ (s1[o] & m1)) ^ ((s2[o] & m2) ^ (s3[o] & m3)));
-    }
-  }
-  for (intnat j = tiles; j < count; j++) {
-    const unsigned char *s = src + j * bucket;
-    for (intnat q = 0; q < lanes; q++) {
-      unsigned char *d = Bytes_val(Field(dsts, q));
-      uint64_t m = lane_mask(bits, stride, q, j);
-      for (intnat o = 0; o < vec_end; o += sizeof(vec))
-        AT(d + o) ^= AT(s + o) & m;
-      for (intnat o = vec_end; o < bucket; o++)
-        d[o] ^= (unsigned char)(s[o] & m);
-    }
-  }
+  intnat shallow_end = count & ~(intnat)(SHALLOW - 1) & -(intnat)(bucket <= STRIP);
+  intnat deep_end = shallow_end + ((count - shallow_end) & ~(intnat)(DEEP - 1));
+  for (intnat j = 0; j < shallow_end; j += SHALLOW)
+    xor_strip(bits, stride, j, SHALLOW, src + j * bucket, bucket, dsts, lanes, 0, vec_end,
+              bucket);
+  for (intnat j = shallow_end; j < deep_end; j += DEEP)
+    xor_tile(bits, stride, j, DEEP, src + j * bucket, bucket, dsts, lanes);
+  for (intnat j = deep_end; j < count; j++)
+    xor_strip(bits, stride, j, 1, src + j * bucket, bucket, dsts, lanes, 0, vec_end, bucket);
 }
 
 typedef void build_fn(const unsigned char *, intnat, intnat, const unsigned char *, intnat, value);

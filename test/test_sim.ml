@@ -442,6 +442,16 @@ let prop_estimate_monotone_in_data =
 let props =
   List.map QCheck_alcotest.to_alcotest [ prop_zipf_in_range; prop_estimate_monotone_in_data ]
 
+(* E24's SPIR probe keys its store from the run's seed, which may have
+   any length: the smoke geometry under seeds that do not make 16 bytes
+   with the probe's suffix runs end to end. *)
+let test_fleet_any_seed () =
+  List.iter
+    (fun seed ->
+      let r = Fleet_sim.run { Fleet_sim.smoke with seed } in
+      Alcotest.(check int) ("shards, seed " ^ seed) 16 r.Fleet_sim.shards)
+    [ "fleet-sim"; "fleet-256"; "a-seed-longer-than-sixteen-bytes"; "" ]
+
 let () =
   Alcotest.run "lw_sim"
     [
@@ -477,6 +487,7 @@ let () =
           Alcotest.test_case "pruning" `Quick test_heavy_hitters_pruning;
           Alcotest.test_case "single server blind" `Quick test_heavy_hitters_single_server_blind;
         ] );
+      ("fleet-sim", [ Alcotest.test_case "any seed length" `Quick test_fleet_any_seed ]);
       ( "queue-sim",
         [
           Alcotest.test_case "capacity formula" `Quick test_queue_capacity_formula;

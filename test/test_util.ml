@@ -82,8 +82,11 @@ let test_is_zero () =
    reference, one lane at a time. Widths 1-17 cross into a second and
    third bit plane; buckets from 1 to 4096+48 sit below, on and just
    past the 16-, 32- and 64-byte vector boundaries, so they take the
-   vector loop, its byte tail, or both; counts 0-9 and 64 take the
-   4-record tiles, the remainder loop, or both. Positions are non-zero
+   vector loop, its byte tail, or both, and 511, 512, 513 and 1024+64
+   sit below, on and past the 512-byte strip, so they take the 4-record
+   tiles walked whole or the 8-record tiles walked in strips, with or
+   without a short last strip; counts 0-9, 15-17 and 64 take the tiles,
+   the records left over, or both. Positions are non-zero
    and odd, the plane stride is sometimes equal to [count] (a single
    answer's shape) and sometimes wider, and every accumulator starts
    full of random bytes. *)
@@ -149,8 +152,9 @@ let test_xor_buckets_lanes () =
                 check_lanes rng ~kernel ~lanes ~bits_pos:3 ~stride:(count + (lanes mod 3)) ~count
                   ~src_pos:5 ~bucket
               done)
-            [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9; 64 ])
-        [ 1; 15; 16; 17; 24; 31; 32; 33; 63; 64; 65; 127; 129; 4096; 4096 + 48 ];
+            [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9; 15; 16; 17; 64 ])
+        [ 1; 15; 16; 17; 24; 31; 32; 33; 63; 64; 65; 127; 129; 511; 512; 513; 1024 + 64; 4096;
+          4096 + 48 ];
       (* a single answer's block: one lane, plane 0 at offset 0 *)
       List.iter
         (fun (count, bucket) ->
@@ -189,6 +193,47 @@ let test_xor_buckets_lanes () =
   Alcotest.check_raises "dst range"
     (Invalid_argument "Xorbuf.xor_buckets_lanes(dst): range out of bounds") (fun () ->
       run ~dsts:[| Bytes.make 8 '\x00'; Bytes.make 7 '\x00' |] ())
+
+(* CRC-32 against a bit-at-a-time reference over the same reflected
+   polynomial: the known answer, every length up to 64 and lengths
+   around 4 KiB (the table loop and its byte tail), each at offsets 0-7,
+   chaining one update into the next, and ranges outside the string. *)
+let crc_reference s ~pos ~len =
+  let c = ref 0xffffffff in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code s.[i];
+    for _ = 1 to 8 do
+      c := if !c land 1 = 1 then (!c lsr 1) lxor 0xEDB88320 else !c lsr 1
+    done
+  done;
+  Int32.of_int (lnot !c land 0xffffffff)
+
+let test_crc32 () =
+  let module Crc32 = Lw_util.Crc32 in
+  Alcotest.(check int32) "known answer" 0xCBF43926l (Crc32.digest "123456789");
+  let s = Lw_util.Det_rng.bytes (Lw_util.Det_rng.of_string_seed "crc32") (4100 + 8) in
+  List.iter
+    (fun len ->
+      for pos = 0 to 7 do
+        Alcotest.(check int32)
+          (Printf.sprintf "len=%d pos=%d" len pos)
+          (crc_reference s ~pos ~len) (Crc32.update 0l s ~pos ~len)
+      done)
+    (List.init 65 Fun.id @ [ 4093; 4094; 4095; 4096; 4097; 4098; 4099; 4100 ]);
+  List.iter
+    (fun (a, b) ->
+      let a = String.sub s 0 a and b = String.sub s 100 b in
+      Alcotest.(check int32)
+        (Printf.sprintf "chain %d+%d" (String.length a) (String.length b))
+        (Crc32.digest (a ^ b))
+        (Crc32.update (Crc32.digest a) b ~pos:0 ~len:(String.length b)))
+    [ (0, 0); (0, 9); (1, 7); (3, 8); (8, 8); (13, 4000); (4000, 13) ];
+  let range = Invalid_argument "Crc32.update: range out of bounds" in
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises (Printf.sprintf "pos=%d len=%d" pos len) range (fun () ->
+          ignore (Crc32.update 0l "0123456789" ~pos ~len)))
+    [ (-1, 1); (0, -1); (0, 11); (10, 1); (11, 0); (5, 6); (1, max_int) ]
 
 (* Packing 0/1 selection bytes into lane bits: each lane's bit lands in
    its own position and leaves the other seven alone, across word and
@@ -363,6 +408,7 @@ let () =
           Alcotest.test_case "lane kernel" `Quick test_xor_buckets_lanes;
           Alcotest.test_case "lane bit packing" `Quick test_set_lane_bits;
         ] );
+      ("crc32", [ Alcotest.test_case "against a bitwise reference" `Quick test_crc32 ]);
       ("bitops", [ Alcotest.test_case "all" `Quick test_bitops ]);
       ( "det_rng",
         [
