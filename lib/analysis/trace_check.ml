@@ -425,6 +425,9 @@ let tap log (ep : Lw_net.Endpoint.t) =
     close = ep.Lw_net.Endpoint.close;
   }
 
+(* Every query frame the client sent, as (qid, DPF keys, frame length):
+   [Pir_query] for [get_raw_index], [Pir_batch] for [get_batch] and
+   [keyword_get_batch], [Keyword_query] for [keyword_get]. *)
 let sent_pir_queries log =
   List.rev !log
   |> List.filter_map (function
@@ -432,28 +435,77 @@ let sent_pir_queries log =
        | `Send frame -> (
            match Lightweb.Zltp_wire.decode_client frame with
            | Ok (Lightweb.Zltp_wire.Pir_query { qid; epoch = _; dpf_key }) ->
-               Some (qid, dpf_key, String.length frame)
+               Some (qid, [ dpf_key ], String.length frame)
+           | Ok (Lightweb.Zltp_wire.Pir_batch { qid; epoch = _; dpf_keys }) ->
+               Some (qid, dpf_keys, String.length frame)
+           | Ok (Lightweb.Zltp_wire.Keyword_query { qid; epoch = _; dpf_key0; dpf_key1 }) ->
+               Some (qid, [ dpf_key0; dpf_key1 ], String.length frame)
            | _ -> None))
 
-let check_retry ?(domain_bits = 6) ?(bucket_size = 32) ?(alpha = 13) () =
+(* The keys [check_retry]'s keyed verbs fetch, each published with a
+   value of its own; results render as one string to compare. *)
+let retry_keys = [ "retry/a"; "retry/b"; "retry/c" ]
+let retry_value key = "v:" ^ key
+let show_values vs = String.concat ";" (List.map (function Some v -> v | None -> "<none>") vs)
+
+(* [verb] picks the client operation and so the query frame under test:
+   [`Get_raw_index] ([Pir_query], at bucket [alpha]), [`Get_batch]
+   ([Pir_batch]), [`Keyword_get] ([Keyword_query]) or [`Keyword_get_batch]
+   ([Pir_batch] of candidate pairs), the last three over [retry_keys]. *)
+let check_retry ?(verb = `Get_raw_index) ?(domain_bits = 6) ?(bucket_size = 32) ?(alpha = 13) ()
+    =
   let open Lightweb in
-  (* every replica serves its own one-epoch store of the same bytes *)
+  (* every replica serves its own one-epoch store of the same bytes; the
+     second component looks a key up in the plaintext store *)
   let make_store () =
-    let st = Lw_store.create ~domain_bits ~bucket_size () in
-    let w = Lw_store.writer st in
-    Lw_store.Writer.fill_random w (Lw_util.Det_rng.of_string_seed "trace-check-retry-db");
-    ignore (Lw_store.Writer.seal w);
-    st
+    match verb with
+    | `Get_raw_index | `Get_batch ->
+        let st = Lw_store.create ~domain_bits ~bucket_size () in
+        let w = Lw_store.writer st in
+        Lw_store.Writer.fill_random w (Lw_util.Det_rng.of_string_seed "trace-check-retry-db");
+        if verb = `Get_batch then
+          List.iter
+            (fun key ->
+              Lw_store.Writer.set w (Lw_store.index_of_key st key)
+                (Lw_pir.Record.encode ~bucket_size ~key ~value:(retry_value key)))
+            retry_keys;
+        ignore (Lw_store.Writer.seal w);
+        ( st,
+          fun key ->
+            Lw_pir.Record.decode_for_key ~key
+              (Lw_store.Snapshot.get (Lw_store.current st) (Lw_store.index_of_key st key)) )
+    | `Keyword_get | `Keyword_get_batch ->
+        let kw = Lw_pir.Kw_store.create ~domain_bits ~bucket_size () in
+        List.iter
+          (fun key -> ignore (Lw_pir.Kw_store.insert kw ~key ~value:(retry_value key)))
+          retry_keys;
+        ignore (Lw_pir.Kw_store.publish kw);
+        (Lw_pir.Kw_store.engine kw, Lw_pir.Kw_store.find kw)
   in
-  let expected = Lw_store.Snapshot.get (Lw_store.current (make_store ())) alpha in
+  let fetched = match verb with `Keyword_get -> [ List.hd retry_keys ] | _ -> retry_keys in
+  let expected =
+    let st, lookup = make_store () in
+    match verb with
+    | `Get_raw_index -> Lw_store.Snapshot.get (Lw_store.current st) alpha
+    | `Get_batch | `Keyword_get | `Keyword_get_batch -> show_values (List.map lookup fetched)
+  in
+  let op client =
+    match verb with
+    | `Get_raw_index -> Zltp_client.get_raw_index client alpha
+    | `Get_batch -> Result.map show_values (Zltp_client.get_batch client fetched)
+    | `Keyword_get ->
+        Result.map (fun v -> show_values [ v ]) (Zltp_client.keyword_get client (List.hd fetched))
+    | `Keyword_get_batch -> Result.map show_values (Zltp_client.keyword_get_batch client fetched)
+  in
   let run ~faulted =
     let log0 = ref [] and log1 = ref [] in
     let clock = Lw_obs.Clock.virtual_ () in
     let replica_of ~log ~schedule name =
       Zltp_client.replica ~name (fun () ->
+          let st, _ = make_store () in
           let srv =
-            Zltp_server.create ~server_id:name ~blob_size:bucket_size
-              (Zltp_backend.versioned (make_store ()))
+            Zltp_server.create ~server_id:name ~hash_key:(Lw_store.hash_key st)
+              ~blob_size:bucket_size (Zltp_backend.versioned st)
           in
           let ep, _ = Lw_net.Faulty.wrap ~clock schedule (Zltp_server.endpoint srv) in
           Ok (tap log ep))
@@ -480,11 +532,17 @@ let check_retry ?(domain_bits = 6) ?(bucket_size = 32) ?(alpha = 13) () =
     match Zltp_client.connect_replicated ~rng ~clock roles with
     | Error e -> Error (Printf.sprintf "connect failed: %s" e)
     | Ok client ->
-        let result = Zltp_client.get_raw_index client alpha in
+        let result = op client in
         let stats = (Zltp_client.retries client, Zltp_client.failovers client) in
         Zltp_client.close client;
         Ok (result, sent_pir_queries log0, sent_pir_queries log1, stats)
   in
+  (* a key lost to a bucket collision would leave [None] to compare *)
+  if
+    verb <> `Get_raw_index
+    && expected <> show_values (List.map (fun k -> Some (retry_value k)) fetched)
+  then err "retry fixture does not hold every key: the value check would be vacuous"
+  else
   match (run ~faulted:false, run ~faulted:true) with
   | Error e, _ -> err "control run: %s" e
   | _, Error e -> err "faulted run: %s" e
@@ -511,7 +569,7 @@ let check_retry ?(domain_bits = 6) ?(bucket_size = 32) ?(alpha = 13) () =
           else begin
             let all = q0_c @ q1_c @ q0_f @ q1_f in
             let sizes = List.sort_uniq compare (List.map (fun (_, _, n) -> n) all) in
-            let keys = List.map (fun (_, k, _) -> k) all in
+            let keys = List.concat_map (fun (_, k, _) -> k) all in
             let distinct_keys = List.sort_uniq compare keys in
             let qids run = List.sort_uniq compare (List.map (fun (q, _, _) -> q) run) in
             if List.length sizes <> 1 then
@@ -522,6 +580,8 @@ let check_retry ?(domain_bits = 6) ?(bucket_size = 32) ?(alpha = 13) () =
               err "faulted run reused a correlation id across attempts"
             else Ok ()
           end)
+
+let retry_verbs = [ `Get_raw_index; `Get_batch; `Keyword_get; `Keyword_get_batch ]
 
 let check_all () =
   match check_enclave () with
@@ -541,4 +601,8 @@ let check_all () =
                   | Ok () -> (
                       match check_spir_scan () with
                       | Error _ as e -> e
-                      | Ok () -> check_retry ())))))
+                      | Ok () ->
+                          List.fold_left
+                            (fun acc verb ->
+                              match acc with Error _ -> acc | Ok () -> check_retry ~verb ())
+                            (Ok ()) retry_verbs)))))

@@ -916,6 +916,21 @@ let test_trace_retry () =
   check_ok "retry other geometry"
     (Trace_check.check_retry ~domain_bits:5 ~bucket_size:48 ~alpha:30 ())
 
+(* the same control/faulted pair for the other three Pir2 verbs: fresh
+   DPF keys and qid per attempt, one frame size, for [Pir_batch] and
+   [Keyword_query] as for [Pir_query] *)
+let test_trace_retry_verbs () =
+  List.iter
+    (fun (label, verb) ->
+      check_ok label (Trace_check.check_retry ~verb ());
+      check_ok (label ^ " other geometry")
+        (Trace_check.check_retry ~verb ~domain_bits:5 ~bucket_size:48 ()))
+    [
+      ("retry get_batch", `Get_batch);
+      ("retry keyword_get", `Keyword_get);
+      ("retry keyword_get_batch", `Keyword_get_batch);
+    ]
+
 let test_trace_snapshot_scan () =
   check_ok "snapshot defaults" (Trace_check.check_snapshot_scan ());
   check_ok "snapshot other geometry"
@@ -1026,6 +1041,7 @@ let () =
           Alcotest.test_case "partitioned scan traces" `Quick
             test_trace_partitioned_scan;
           Alcotest.test_case "retry wire shape" `Quick test_trace_retry;
+          Alcotest.test_case "retry wire shape, every Pir2 verb" `Quick test_trace_retry_verbs;
           Alcotest.test_case "check_all" `Quick test_trace_check_all;
           Alcotest.test_case "masked scan answers" `Quick test_trace_scan_really_answers;
         ] );

@@ -2,8 +2,9 @@
    models (two-server PIR, single-server PIR, enclave), must hand every
    client byte-identical pages — across epochs, under stale-pinned
    visit reads, and in batches. Plus the ranked mode-negotiation matrix
-   over every non-empty client/server offer subset, and Single mode
-   end-to-end over real TCP (epoch pinning, resync, batch).
+   over every non-empty client/server offer subset, Single mode
+   end-to-end over real TCP (epoch pinning, resync, batch), and golden
+   digests of the client's wire transcripts per mode x verb.
    `dune build @modes` runs just this suite. *)
 
 open Lightweb
@@ -274,6 +275,228 @@ let test_single_resync_over_tcp () =
   Zltp_client.close client;
   Lw_net.Tcp.shutdown tcp
 
+(* ---------------- golden wire transcripts ---------------- *)
+
+(* Every frame the client sends, per role, under a fixed DRBG seed and a
+   virtual clock, digested, plus a digest of each op's result. The table
+   below was recorded from the client whose request path still had one
+   attempt function per mode x verb, and is never re-recorded: a client
+   change that moves a byte on the wire (RNG or qid order, frame layout,
+   retry, failover or resync behaviour) fails here. *)
+
+let hex s = Digest.to_hex (Digest.string s)
+
+let show_result = function
+  | Ok v -> "ok " ^ v
+  | Error e -> "error " ^ e
+
+let show_opt = function Some v -> "some " ^ v | None -> "none"
+
+let show_opts vs = String.concat "|" (List.map show_opt vs)
+let op_get key c = Result.map show_opt (Zltp_client.get c key)
+let op_raw i c = Zltp_client.get_raw_index c i
+let op_batch keys c = Result.map show_opts (Zltp_client.get_batch c keys)
+let op_kw key c = Result.map show_opt (Zltp_client.keyword_get c key)
+let op_kw_batch keys c = Result.map show_opts (Zltp_client.keyword_get_batch c keys)
+
+(* [roles]: per role, per replica, the fault schedule and the endpoint
+   to dial. Returns the per-role stream digests then the op digests. *)
+let golden_case ~prefer ~seed roles ops =
+  let clock = Lw_obs.Clock.virtual_ () in
+  let logs = List.map (fun _ -> ref []) roles in
+  let replicas =
+    List.mapi
+      (fun r replicas ->
+        let log = List.nth logs r in
+        List.mapi
+          (fun k (schedule, dial) ->
+            Zltp_client.replica ~name:(Printf.sprintf "r%d.%d" r k) (fun () ->
+                let ep, _ = Lw_net.Faulty.wrap ~clock schedule (dial ()) in
+                Ok
+                  {
+                    ep with
+                    Lw_net.Endpoint.send =
+                      (fun m ->
+                        log := m :: !log;
+                        ep.Lw_net.Endpoint.send m);
+                  }))
+          replicas)
+      roles
+  in
+  let client =
+    connected (Zltp_client.connect_replicated ~prefer ~rng:(rng seed) ~clock replicas)
+  in
+  let results = List.map (fun (label, op) -> (label, hex (show_result (op client)))) (ops client) in
+  Zltp_client.close client;
+  List.mapi
+    (fun r log -> (Printf.sprintf "role%d" r, hex (String.concat "" (List.rev !log))))
+    logs
+  @ results
+
+let clean dial = (Lw_net.Faulty.none, dial)
+let ep_of s () = Zltp_server.endpoint s
+
+(* keep:1 store of 2^6 32-byte buckets: sealing generation [g] retires
+   the epoch before it *)
+let keep1_store () =
+  let st = Lw_store.create ~keep:1 ~domain_bits:6 ~bucket_size:32 () in
+  let fill g =
+    let w = Lw_store.writer st in
+    for i = 0 to 63 do
+      Lw_store.Writer.set w i (Printf.sprintf "golden-%d-gen-%d" i g)
+    done;
+    ignore (Lw_store.Writer.seal w)
+  in
+  fill 0;
+  (st, fill)
+
+(* a visit pins epoch 1, then a seal retires it: the next op's first
+   attempt meets [err_epoch_retired], re-syncs and retries *)
+let resync_ops fill c =
+  Zltp_client.begin_visit c;
+  [
+    ("raw before seal", op_raw 3);
+    ( "raw after seal",
+      fun c ->
+        fill 1;
+        op_raw 3 c );
+    ("batch after seal", op_batch [ "k0"; "k1" ]);
+    ( "end visit",
+      fun c ->
+        Zltp_client.end_visit c;
+        Ok (string_of_int (Zltp_client.epoch_resyncs c)) );
+  ]
+
+let golden_cases () =
+  let u = Universe.create ~name:"modes-golden" Universe.default_geometry in
+  (match Universe.claim_domain u ~publisher:"pub" ~domain:site with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  push_generation u ~gen:0;
+  let p0 = List.nth page_paths 0 and p3 = List.nth page_paths 3 in
+  let ghost = site ^ "/no-such-page.json" in
+  let keyed = [ p3; ghost; p0; List.nth page_paths 4 ] in
+  let d0, d1 = Universe.data_servers u and k0, k1 = Universe.keyword_servers u in
+  let pir2 = [ Zltp_mode.Pir2; Zltp_mode.Enclave; Zltp_mode.Single ] in
+  let drop_first_answer = Lw_net.Faulty.of_plan ~recv:[ (2, Lw_net.Faulty.Drop) ] () in
+  [
+    ( "pir2",
+      golden_case ~prefer:pir2 ~seed:"golden-pir2"
+        [ [ clean (ep_of d0) ]; [ clean (ep_of d1) ] ]
+        (fun _ ->
+          [
+            ("get", op_get p0);
+            ("get miss", op_get ghost);
+            ("get_raw_index", op_raw 77);
+            ("get_batch", op_batch keyed);
+          ]) );
+    ( "pir2 keyword",
+      golden_case ~prefer:pir2 ~seed:"golden-keyword"
+        [ [ clean (ep_of k0) ]; [ clean (ep_of k1) ] ]
+        (fun _ ->
+          [
+            ("keyword_get", op_kw p3);
+            ("keyword_get miss", op_kw ghost);
+            ("keyword_get_batch", op_kw_batch keyed);
+          ]) );
+    ( "single",
+      golden_case ~prefer:[ Zltp_mode.Single ] ~seed:"golden-single"
+        [ [ clean (ep_of (Universe.single_data_server u)) ] ]
+        (fun _ ->
+          [
+            ("get", op_get p0);
+            ("get_raw_index", op_raw 77);
+            ("get_batch", op_batch keyed);
+          ]) );
+    ( "enclave",
+      golden_case ~prefer:[ Zltp_mode.Enclave ] ~seed:"golden-enclave"
+        [ [ clean (ep_of (Universe.enclave_data_server u)) ] ]
+        (fun _ -> [ ("get", op_get p0); ("get_batch", op_batch keyed) ]) );
+    ( "pir2 failover",
+      (* role 0's first replica swallows its first answer: timeout,
+         failover to the second replica, retry with fresh keys *)
+      golden_case ~prefer:pir2 ~seed:"golden-failover"
+        [ [ (drop_first_answer, ep_of d0); clean (ep_of d0) ]; [ clean (ep_of d1) ] ]
+        (fun c ->
+          [
+            ("get", op_get p3);
+            ("get_batch", op_batch keyed);
+            ( "counters",
+              fun _ ->
+                Ok (Printf.sprintf "%d/%d" (Zltp_client.retries c) (Zltp_client.failovers c)) );
+          ]) );
+    ( "pir2 resync",
+      let st, fill = keep1_store () in
+      let server id = Zltp_server.create ~server_id:id ~blob_size:32 (Zltp_backend.versioned st) in
+      let s0 = server "keep1-a" and s1 = server "keep1-b" in
+      golden_case ~prefer:pir2 ~seed:"golden-resync-pir2"
+        [ [ clean (ep_of s0) ]; [ clean (ep_of s1) ] ]
+        (resync_ops fill) );
+    ( "single resync",
+      (* the re-sync drops the cached hint: the retry re-fetches it *)
+      let st, fill = keep1_store () in
+      let s = Zltp_server.create ~server_id:"keep1-single" ~blob_size:32 (Zltp_backend.single st) in
+      golden_case ~prefer:[ Zltp_mode.Single ] ~seed:"golden-resync-single"
+        [ [ clean (ep_of s) ] ]
+        (resync_ops fill) );
+  ]
+
+let golden =
+  [
+    ("pir2: role0", "eebac3634dd1bf3e92754245b12a1e35");
+    ("pir2: role1", "868de485132ff4495cfd273ebe5b8d58");
+    ("pir2: get", "d11e65702227ad2d629f3ea19dbfb8a5");
+    ("pir2: get miss", "4c88b9403b6c837b527638c5b214f9e0");
+    ("pir2: get_raw_index", "5d0da0e605b52f0283bbcb8045daa219");
+    ("pir2: get_batch", "a3cbacdb701369849bd9cbff0a781372");
+    ("pir2 keyword: role0", "dd66d8ab72124993deaf83c893668516");
+    ("pir2 keyword: role1", "a12623eadb67d8d786c2d3cda4bac901");
+    ("pir2 keyword: keyword_get", "33b161ab1f7b5fcaf2e9c3b8379c96f6");
+    ("pir2 keyword: keyword_get miss", "4c88b9403b6c837b527638c5b214f9e0");
+    ("pir2 keyword: keyword_get_batch", "a3cbacdb701369849bd9cbff0a781372");
+    ("single: role0", "fc423b4ae3f59da5efea013ac4d1ad14");
+    ("single: get", "d11e65702227ad2d629f3ea19dbfb8a5");
+    ("single: get_raw_index", "5d0da0e605b52f0283bbcb8045daa219");
+    ("single: get_batch", "a3cbacdb701369849bd9cbff0a781372");
+    ("enclave: role0", "6ab3b818efddfc6982af2bf7ed22b966");
+    ("enclave: get", "d11e65702227ad2d629f3ea19dbfb8a5");
+    ("enclave: get_batch", "a3cbacdb701369849bd9cbff0a781372");
+    ("pir2 failover: role0", "45adbd5a16f570abff317f1c958cd10a");
+    ("pir2 failover: role1", "bf0e25181bf5b93935b23b9e822c3130");
+    ("pir2 failover: get", "33b161ab1f7b5fcaf2e9c3b8379c96f6");
+    ("pir2 failover: get_batch", "a3cbacdb701369849bd9cbff0a781372");
+    ("pir2 failover: counters", "b24cc30eab49609bc92a6e8987f2750d");
+    ("pir2 resync: role0", "b9c76da6e8141a945c36968603b020f0");
+    ("pir2 resync: role1", "08e290adcc731bab0ee976ce1905fd3e");
+    ("pir2 resync: raw before seal", "548632fb0343ec4a7e9128711412f8ba");
+    ("pir2 resync: raw after seal", "f27dde4fba8911086d5cf352c2515dbb");
+    ("pir2 resync: batch after seal", "8e3f530122b119b0669fcdfcc942f278");
+    ("pir2 resync: end visit", "7fdced18f9c37755516c0c77cfede9a3");
+    ("single resync: role0", "914dd5d6be8af333b5f9f58ea080f9c9");
+    ("single resync: raw before seal", "548632fb0343ec4a7e9128711412f8ba");
+    ("single resync: raw after seal", "f27dde4fba8911086d5cf352c2515dbb");
+    ("single resync: batch after seal", "8e3f530122b119b0669fcdfcc942f278");
+    ("single resync: end visit", "7fdced18f9c37755516c0c77cfede9a3");
+  ]
+
+let test_golden_transcripts () =
+  let got =
+    List.concat_map
+      (fun (case, entries) -> List.map (fun (label, d) -> (case ^ ": " ^ label, d)) entries)
+      (golden_cases ())
+  in
+  if got <> golden then
+    Alcotest.failf "wire transcripts differ from the recorded ones:\n%s\nthis tree gives:\n%s"
+      (String.concat "\n"
+         (List.filter_map
+            (fun (label, d) ->
+              match List.assoc_opt label golden with
+              | Some g when g = d -> None
+              | _ -> Some ("  " ^ label))
+            got))
+      (String.concat "\n"
+         (List.map (fun (label, d) -> Printf.sprintf "    (%S, %S);" label d) got))
+
 let () =
   Alcotest.run "lw_modes"
     [
@@ -289,5 +512,10 @@ let () =
         [
           Alcotest.test_case "single over TCP" `Quick test_single_over_tcp;
           Alcotest.test_case "single resync over TCP" `Quick test_single_resync_over_tcp;
+        ] );
+      ( "wire",
+        [
+          Alcotest.test_case "golden transcripts, every mode x verb" `Quick
+            test_golden_transcripts;
         ] );
     ]
