@@ -1,15 +1,25 @@
 (** The ZLTP client session (§2, §3.2), with self-healing.
 
-    In PIR mode the client holds connections to the {e two} non-colluding
-    logical servers, generates a fresh DPF key pair per private-GET, and
-    XORs the two response shares. In enclave mode a single connection
-    carries the request key (inside the simulated attested channel).
+    In two-server PIR mode the client holds connections to the {e two}
+    non-colluding logical servers, generates a fresh DPF key pair per
+    fetched index, and XORs the two response shares. In single-server PIR
+    mode one connection carries LWE-masked queries against the epoch's
+    public hint. In enclave mode one connection carries the request key
+    (inside the simulated attested channel).
 
-    Either way the application-facing operation is the paper's single
-    primitive: [GET(key) -> value] — now with the failure handling a real
-    deployment needs. Every operation runs under a {!policy}: a bounded
-    number of attempts with jittered exponential backoff under an overall
-    deadline. Each logical server {e role} can be backed by several
+    Whatever the mode, the application-facing operation is the paper's
+    single primitive: [GET(key) -> value], and each mode has one request
+    path. Two-server verbs differ only in their frame: a GET sends
+    [Pir_query], a keyword GET a [Keyword_query] of its two candidates, a
+    batch [Pir_batch]. A single-server GET is a batch of one. Every reply
+    passes one check (expected reply, queried epoch, and for PIR the share
+    count and each share's length), so a server answering with a share of
+    the wrong length costs a failover and, if it persists, an [Error] —
+    never an exception or wrong bytes.
+
+    Every operation runs under a {!policy}: a bounded number of attempts
+    with jittered exponential backoff under an overall deadline. Each
+    logical server {e role} can be backed by several
     replicas; when a connection fails (timeout, close, corrupted reply,
     degraded backend) the client tears it down and fails over to the
     role's next replica, probing it with the cheap [Health] message before
