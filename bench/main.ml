@@ -1022,19 +1022,24 @@ let e19_scan_kernels ?(write_json = true) ?geometry () =
      Effective rate = width x DB size / time; x single = batched time over one single\n\
      answer (k singles / k).\n";
 
-  (* The bare kernel on every build this CPU runs: one call over all 2^d
+  (* The bare kernel on every build this CPU runs: one call over all
      records per width and bucket size, builds interleaved, each build's
      accumulators checked against the first's. Outside the smoke gate the
      bucket sizes are the perfbench workloads' (256 B for get-small, 4 KiB
-     and 16 KiB for browse's data and code), on both sides of the kernel's
-     512-byte strip. *)
+     and 16 KiB for browse's data and code), each over the 2^d records;
+     256 B also runs over 2^16 records (16 MiB), a store that streams
+     from memory as the others do rather than sitting in cache. *)
   let kernels = Lw_util.Xorbuf.scan_kernels () in
-  let n = 1 lsl d in
-  let bits = Bytes.of_string (Lw_util.Det_rng.bytes (det "e19-bits") (2 * n)) in
-  let kernel_buckets = if geometry = None then [ 256; 4096; 16384 ] else [ bucket_size ] in
+  let kernel_geometries =
+    if geometry = None then
+      [ (1 lsl d, 256); (1 lsl 16, 256); (1 lsl d, 4096); (1 lsl d, 16384) ]
+    else [ (1 lsl d, bucket_size) ]
+  in
+  let max_records = List.fold_left (fun a (n, _) -> max a n) 0 kernel_geometries in
+  let bits = Bytes.of_string (Lw_util.Det_rng.bytes (det "e19-bits") (2 * max_records)) in
   let build_rows =
     List.concat_map
-      (fun bucket ->
+      (fun (n, bucket) ->
         let records =
           Bytes.of_string (Lw_util.Det_rng.bytes (det "e19-records") (n * bucket))
         in
@@ -1069,8 +1074,8 @@ let e19_scan_kernels ?(write_json = true) ?geometry () =
             row "%-8d%s %14.2fx\n" w
               (String.concat "" (Array.to_list cells))
               (t.(Array.length t - 1) /. t.(0));
-            (bucket, w, t)))
-      kernel_buckets
+            (n, bucket, w, t)))
+      kernel_geometries
   in
   if write_json then begin
     let open Json in
@@ -1110,9 +1115,10 @@ let e19_scan_kernels ?(write_json = true) ?geometry () =
           ( "kernel_builds",
             List
               (List.map
-                 (fun (bucket, w, t) ->
+                 (fun (n, bucket, w, t) ->
                    Obj
                      (("bucket_size", Number (float_of_int bucket))
+                     :: ("records", Number (float_of_int n))
                      :: ("width", Number (float_of_int w))
                      :: List.mapi (fun j k -> (k ^ "_ms", Number (1000. *. t.(j)))) kernels))
                  build_rows) );

@@ -42,7 +42,9 @@ type local_fn = {
   l_cap : int;  (* taint captured from the definition environment *)
 }
 
-type entry = Val of int | Fn of local_fn
+(* [Applied]: a let-bound application, which may be a partially applied
+   function; applying it gives its own taint along with the arguments'. *)
+type entry = Val of int | Fn of local_fn | Applied of int
 
 type ctx = {
   graph : Call_graph.t;
@@ -172,7 +174,7 @@ let with_binds env pairs f =
 
 let lookup_val (env : env) x =
   match Hashtbl.find_opt env x with
-  | Some (Val t) -> t
+  | Some (Val t | Applied t) -> t
   | Some (Fn f) -> f.l_cap
   | None -> 0
 
@@ -185,7 +187,13 @@ let upgrade ctx (env : env) x extra =
     | Some (Val old) when old lor extra <> old ->
         Hashtbl.replace env x (Val (old lor extra));
         incr ctx.mutated
+    | Some (Applied old) when old lor extra <> old ->
+        Hashtbl.replace env x (Applied (old lor extra));
+        incr ctx.mutated
     | _ -> ()
+
+let is_apply (e : Parsetree.expression) =
+  match e.pexp_desc with Pexp_apply _ -> true | _ -> false
 
 let ident_of (e : Parsetree.expression) =
   match e.pexp_desc with
@@ -421,6 +429,8 @@ and eval_let ctx env rf vbs body =
               else eval_fn ctx env vb.pvb_expr
             in
             [ (x, Fn lf) ]
+        | Ppat_var { txt = x; _ }, _ when is_apply vb.pvb_expr ->
+            [ (x, Applied (eval ctx env vb.pvb_expr)) ]
         | _ ->
             let t = eval ctx env vb.pvb_expr in
             List.map (fun v -> (v, Val t)) (Syntax.pattern_vars vb.pvb_pat))
@@ -528,7 +538,10 @@ and eval_apply ctx env e f args =
                       (List.mapi (fun i t -> (i, t)) taints)
                   in
                   ret lor const lor cap
-              | None -> all))
+              | None -> (
+                  match Option.bind (ident_of f) (Hashtbl.find_opt env) with
+                  | Some (Applied t) -> all lor t
+                  | _ -> all)))
   | None ->
       (* computed callee: evaluate it (walking closure bodies), then
          propagate everything *)

@@ -517,7 +517,10 @@ let fresh_op_epoch t = if not t.visit then t.epoch <- None
 let pir_sessions t =
   match t.roles with
   | [| r0; r1 |] -> (
-      match (role_session t r0, role_session t r1) with
+      (* role 0 dials first: a re-dial's Health qid is on the wire *)
+      let s0 = role_session t r0 in
+      let s1 = role_session t r1 in
+      match (s0, s1) with
       | Ok s0, Ok s1 -> Ok ((r0, s0), (r1, s1))
       | Error e, _ | _, Error e -> transient e)
   | _ -> fatal "not a PIR session"

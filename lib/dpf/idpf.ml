@@ -49,28 +49,37 @@ let gen ~domain_bits ~alpha ~values rng =
     let tbit i = Char.code (Bytes.get tb i) in
     let tl0 = tbit 0 and tr0 = tbit 1 and tl1 = tbit 2 and tr1 = tbit 3 in
     let alpha_bit = Lw_util.Bitops.bit_msb alpha ~width:d level in
-    let keep_off = if alpha_bit = 0 then 0 else 16 in
-    let lose_off = 16 - keep_off in
+    (* keep = the child alpha descends into; lose = the other. As in
+       [Dpf.gen], both halves of each expansion are read and combined
+       under a mask splatted from the secret bit, so neither the offsets
+       read nor the instructions run follow it. *)
+    let keep = (0 - alpha_bit) land 0xff in
+    let lose = lnot keep land 0xff in
+    (* byte [i] of the right half of the expansion at [c_pos] under
+       [mask], else of its left half *)
+    let half c_pos i mask =
+      (Char.code (Bytes.get c (c_pos + i)) land lnot mask)
+      lor (Char.code (Bytes.get c (c_pos + 16 + i)) land mask)
+    in
     for i = 0 to 15 do
       Bytes.set cw_seeds ((16 * level) + i)
-        (Char.unsafe_chr
-           (Char.code (Bytes.get c (lose_off + i))
-           lxor Char.code (Bytes.get c (32 + lose_off + i))))
+        (Char.unsafe_chr (half 0 i lose lxor half 32 i lose))
     done;
     let tl_cw = tl0 lxor tl1 lxor alpha_bit lxor 1 in
     let tr_cw = tr0 lxor tr1 lxor alpha_bit in
     Bytes.set cw_bits level (Char.chr (tl_cw lor (tr_cw lsl 1)));
-    let tkeep_cw = if alpha_bit = 0 then tl_cw else tr_cw in
+    let pick a b = ((1 - alpha_bit) * a) + (alpha_bit * b) in
+    let tkeep_cw = pick tl_cw tr_cw in
     let step s c_pos t tkeep =
-      Bytes.blit c (c_pos + keep_off) s 0 16;
-      if t = 1 then
-        Lw_util.Xorbuf.xor_into ~src:cw_seeds ~src_pos:(16 * level) ~dst:s ~dst_pos:0 ~len:16;
+      for i = 0 to 15 do
+        Bytes.set s i (Char.unsafe_chr (half c_pos i keep))
+      done;
+      Lw_util.Xorbuf.xor_into_masked ~mask:((0 - t) land 0xff) ~src:cw_seeds
+        ~src_pos:(16 * level) ~dst:s ~dst_pos:0 ~len:16;
       tkeep lxor (t land tkeep_cw)
     in
-    let tkeep0 = if alpha_bit = 0 then tl0 else tr0 in
-    let tkeep1 = if alpha_bit = 0 then tl1 else tr1 in
-    let t0' = step s0 0 !t0 tkeep0 in
-    let t1' = step s1 32 !t1 tkeep1 in
+    let t0' = step s0 0 !t0 (pick tl0 tr0) in
+    let t1' = step s1 32 !t1 (pick tl1 tr1) in
     t0 := t0';
     t1 := t1';
     (* per-level value correction word from the fresh on-path seeds *)
@@ -81,7 +90,9 @@ let gen ~domain_bits ~alpha ~values rng =
        and CW = (-1)^{t1} (1 - conv_int(s0) + conv_int(s1)), the shares sum
        to 1 on-path and 0 elsewhere (BGI16's group-output conversion) *)
     let ci = Int64.sub (Int64.sub 1L (conv_int s0)) (Int64.neg (conv_int s1)) in
-    cw_counts.(level) <- (if !t1 = 1 then Int64.neg ci else ci)
+    (* negated under a mask of all ones when t1 = 1 *)
+    let neg = Int64.of_int (0 - !t1) in
+    cw_counts.(level) <- Int64.sub (Int64.logxor ci neg) neg
   done;
   let mk party root_seed =
     {
@@ -117,8 +128,11 @@ let expand_node k sc ~level ~seed ~seed_pos ~t ~children =
 
 let share_of k ~level ~seed ~pos ~t =
   let len = String.length k.cw_values.(level - 1) in
-  let share = Prg.convert ~seed ~pos ~len in
-  if t = 1 then Lw_util.Xorbuf.xor share k.cw_values.(level - 1) else share
+  let share = Bytes.of_string (Prg.convert ~seed ~pos ~len) in
+  (* the correction goes in under a mask splatted from [t] *)
+  Lw_util.Xorbuf.xor_into_masked ~mask:((0 - t) land 0xff)
+    ~src:(Bytes.unsafe_of_string k.cw_values.(level - 1)) ~src_pos:0 ~dst:share ~dst_pos:0 ~len;
+  Bytes.unsafe_to_string share
 
 let eval_prefix k ~level p =
   if level < 1 || level > k.domain_bits then invalid_arg "Idpf.eval_prefix: level out of range";
@@ -139,9 +153,7 @@ let count_share_of k ~level ~seed ~pos ~t =
   let tmp = Bytes.create 16 in
   Bytes.blit seed pos tmp 0 16;
   let base = conv_int tmp in
-  let v =
-    if t = 1 then Int64.add base k.cw_counts.(level - 1) else base
-  in
+  let v = Int64.add base (Int64.logand k.cw_counts.(level - 1) (Int64.of_int (0 - t))) in
   if k.party = 1 then Int64.neg v else v
 
 let eval_prefix_count k ~level p =

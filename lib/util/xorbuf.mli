@@ -40,9 +40,11 @@ val xor_buckets_lanes :
     selection byte, one [stride]-byte plane per eight lanes. A single
     answer is the one-lane call with its 0/1 selection bytes as plane 0.
     After the range checks it runs the C kernel build {!scan_kernel},
-    which makes one pass over the records, in tiles of eight walked in
-    512-byte strips (tiles of four walked whole when [bucket <= 512]),
-    masking each into every lane's accumulator 64 bytes at a time. Every
+    which makes one pass over the records in tiles of the build's depth
+    (eight records on AVX-512): each 64-byte column of a tile is loaded
+    once into registers, and every lane of a group of up to eight masks
+    its XOR out of them, one accumulator read-modify-write per column;
+    wider batches take each tile once per group of eight lanes. Every
     record is loaded and every accumulator rewritten whatever the bits,
     and the kernel has no branch but its loop bounds, so its memory
     trace is a function of the geometry and the lane count alone.

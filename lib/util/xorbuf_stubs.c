@@ -2,28 +2,34 @@
    [src] into each lane's accumulator, record [j] masked for lane [q] by
    bit [q & 7] of [bits[bits_pos + (q >> 3) * stride + j]].
 
+   One loop order for every geometry. Records go in tiles of the build's
+   depth. Each 64-byte column of a tile is loaded once into that many
+   vectors, and every lane of a group of up to eight takes its masked
+   XOR from those registers, with one accumulator read-modify-write per
+   column. Wider batches take each tile once per group; leftover records
+   go as tiles of one, and a bucket's bytes past its last whole vector
+   one at a time.
+
    [Xorbuf] checks the build index and every range before calling in, so
    nothing here is bounds-checked. The selection bits are secret: they
    only ever become all-zero or all-one masks by arithmetic. The only
    control flow is [for] loops bounded by [count], [bucket] and the lane
-   count, every record byte is read by every lane and every accumulator
-   word is rewritten on every tile whatever the bits are, so the memory
-   trace and the instruction stream are functions of the geometry
-   alone. The analysis tests reject any branching keyword or
-   short-circuit operator in this file, so platform choices are made
-   with [#ifdef] alone.
+   count: every record byte is read for each group of lanes and every
+   accumulator word rewritten once per tile whatever the bits, so the
+   memory trace and the instruction stream are functions of the geometry
+   alone.
+   The analysis tests reject any branching keyword or short-circuit
+   operator in this file, so platform choices are made with [#ifdef].
 
-   One source, one build per vector width. [xor_lanes] works on 64-byte
-   GCC/Clang generic vectors at any byte address, and each build lowers
-   them for its own instruction set: one AVX-512 register ("avx512"),
-   two AVX2 registers ("avx2"), or on any other CPU four 16-byte
-   registers ("baseline": SSE2 on x86-64, NEON on aarch64). The builds
-   are the one inline body under different [target] attributes, so they
-   differ in instruction selection only and each keeps the argument
-   above. The CPU alone picks the build: [lw_scan_first] reads CPUID
-   once, when [Xorbuf] is initialised, and every scan runs the widest
-   build the CPU reports; no option or environment variable reaches
-   it. Tests and benchmarks may name any build the CPU runs. */
+   One source, one build per vector width: the body's 64-byte generic
+   vectors lower to one AVX-512 register ("avx512"), two AVX2 registers
+   ("avx2"), or on any other CPU four 16-byte registers ("baseline": SSE2
+   on x86-64, NEON on aarch64). The builds differ only in their [target]
+   attribute and tile depth, so each keeps the argument above. The CPU
+   alone picks the build: [lw_scan_first] reads CPUID once, when [Xorbuf]
+   is initialised, and every scan runs the widest build the CPU reports;
+   no option or environment variable reaches it. Tests and benchmarks may
+   name any build the CPU runs. */
 
 #include <stdint.h>
 #include <caml/alloc.h>
@@ -34,114 +40,107 @@
 typedef uint64_t vec __attribute__((vector_size(64), aligned(1), may_alias));
 #define AT(p) (*(vec *)(p))
 
-/* Records go in tiles, and the lanes go inside each tile: the first
-   lane streams a tile from memory and every further lane re-reads it
-   from L1, paying one accumulator read-modify-write per tile.
-   - A bucket wider than a strip takes tiles of [DEEP] records, walked
-     in column strips of [STRIP] bytes with every lane inside each
-     strip, so what the further lanes re-read is one strip of the tile,
-     not the whole tile.
-   - A bucket no wider than a strip takes tiles of [SHALLOW] records,
-     each walked whole: a deeper tile of such records streams worse.
-   The depths and the strip width are constants and [bucket] picks
-   between them through loop bounds, so every bound is a function of
-   [count], [bucket] and the lane count alone. */
-#define DEEP 8
-#define SHALLOW 4
-#define STRIP 512
+#define GROUP 8 /* lanes per group: one selection plane */
 
-/* Bytes [lo, end) of records [j, j + depth) of [s] into every lane:
-   whole vectors up to [vec_end], single bytes from there. A lane's
-   [depth] selection bytes are read as one word, in which byte [r]
-   starts at bit [8 * (r ^ (7 * big))]. */
+/* One lane's share of a column: the records of [v] its masks select,
+   XORed into [d]. */
 static inline __attribute__((always_inline)) void
-xor_strip(const unsigned char *bits, intnat stride, intnat j, intnat depth,
-          const unsigned char *s, intnat bucket, value dsts, intnat lanes, intnat lo,
-          intnat vec_end, intnat end)
+xor_column(const vec *v, const uint64_t *m, intnat depth, unsigned char *d)
 {
-  const intnat big = __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__;
-  for (intnat q = 0; q < lanes; q++) {
-    unsigned char *d = Bytes_val(Field(dsts, q));
-    uint64_t w = 0, m[DEEP];
-    __builtin_memcpy(&w, bits + (q >> 3) * stride + j, depth);
-    w = (w >> (q & 7)) & 0x0101010101010101ull;
-    /* all ones where lane [q]'s bit for record [j + r] is set, else zero */
+  vec x = v[0] & m[0];
 #pragma GCC unroll 8
-    for (intnat r = 0; r < depth; r++)
-      m[r] = (uint64_t)0 - ((w >> (8 * (r ^ (7 * big)))) & 1);
-    for (intnat o = lo; o < vec_end; o += sizeof(vec)) {
-      vec x = AT(s + o) & m[0];
-#pragma GCC unroll 8
-      for (intnat r = 1; r < depth; r++)
-        x ^= AT(s + r * bucket + o) & m[r];
-      AT(d + o) ^= x;
-    }
-    for (intnat o = vec_end; o < end; o++) {
-      uint64_t x = s[o] & m[0];
-#pragma GCC unroll 8
-      for (intnat r = 1; r < depth; r++)
-        x ^= s[r * bucket + o] & m[r];
-      d[o] ^= (unsigned char)x;
-    }
-  }
+  for (intnat r = 1; r < depth; r++)
+    x ^= v[r] & m[r];
+  AT(d) ^= x;
 }
 
-/* Records [j, j + depth) of [s] into every lane, strip by strip; the
-   last strip takes what is left of the bucket. */
+/* Bytes [0, end) of the [depth] records at [s] into lanes [g, g + n)
+   under masks [m], whole columns up to [vec_end]. The group's first
+   lane goes last, so its masks can take the registers the others
+   free. */
+static inline __attribute__((always_inline)) void
+xor_columns(const unsigned char *s, intnat bucket, intnat depth, intnat vec_end, intnat end,
+            uint64_t (*m)[GROUP], value dsts, intnat g, intnat n)
+{
+  for (intnat o = 0; o < vec_end; o += sizeof(vec)) {
+    vec v[GROUP];
+#pragma GCC unroll 8
+    for (intnat r = 0; r < depth; r++)
+      v[r] = AT(s + r * bucket + o);
+    for (intnat q = 1; q < n; q++)
+      xor_column(v, m[q], depth, Bytes_val(Field(dsts, g + q)) + o);
+    xor_column(v, m[0], depth, Bytes_val(Field(dsts, g)) + o);
+  }
+  for (intnat o = vec_end; o < end; o++)
+    for (intnat q = 0; q < n; q++) {
+      uint64_t x = s[o] & m[q][0];
+#pragma GCC unroll 8
+      for (intnat r = 1; r < depth; r++)
+        x ^= s[r * bucket + o] & m[q][r];
+      Bytes_val(Field(dsts, g + q))[o] ^= (unsigned char)x;
+    }
+}
+
+/* Records [j, j + depth) of [s] into every lane, a group at a time. A
+   group reads its [depth] selection bytes as one word. A lone lane
+   walks a copy of the columns made for one lane, which spends no
+   registers on a loop over the others. */
 static inline __attribute__((always_inline)) void
 xor_tile(const unsigned char *bits, intnat stride, intnat j, intnat depth,
          const unsigned char *s, intnat bucket, value dsts, intnat lanes)
 {
-  intnat strips_end = bucket & ~(intnat)(STRIP - 1);
-  for (intnat lo = 0; lo < strips_end; lo += STRIP)
-    xor_strip(bits, stride, j, depth, s, bucket, dsts, lanes, lo, lo + STRIP, lo + STRIP);
-  xor_strip(bits, stride, j, depth, s, bucket, dsts, lanes, strips_end,
-            bucket & ~(intnat)(sizeof(vec) - 1), bucket);
+  const intnat big = __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__;
+  intnat vec_end = bucket & ~(intnat)(sizeof(vec) - 1);
+  for (intnat g = 0; g < lanes; g += GROUP) {
+    intnat n = lanes - g;
+    n += (GROUP - n) & -(intnat)(n > GROUP);
+    uint64_t w = 0, m[GROUP][GROUP];
+    __builtin_memcpy(&w, bits + (g >> 3) * stride + j, depth);
+    /* all ones where lane [g + q]'s bit for record [j + r] is set */
+    for (intnat q = 0; q < n; q++)
+#pragma GCC unroll 8
+      for (intnat r = 0; r < depth; r++)
+        m[q][r] = (uint64_t)0 - ((w >> (8 * (r ^ (7 * big)) + q)) & 1);
+    intnat lone = -(intnat)(n == 1);
+    xor_columns(s, bucket, depth, vec_end & ~lone, bucket & ~lone, m, dsts, g, n);
+    xor_columns(s, bucket, depth, vec_end & lone, bucket & lone, m, dsts, g, 1);
+  }
 }
 
-/* Shallow tiles (narrow buckets only), then deep tiles (wide buckets
-   only), then the records left over, one at a time and each walked
-   whole. */
+/* Tiles of [depth] records, then the records left over as tiles of one. */
 static inline __attribute__((always_inline)) void
 xor_lanes(const unsigned char *bits, intnat stride, intnat count, const unsigned char *src,
-          intnat bucket, value dsts)
+          intnat bucket, value dsts, intnat depth)
 {
   intnat lanes = Wosize_val(dsts);
-  intnat vec_end = bucket & ~(intnat)(sizeof(vec) - 1);
-  intnat shallow_end = count & ~(intnat)(SHALLOW - 1) & -(intnat)(bucket <= STRIP);
-  intnat deep_end = shallow_end + ((count - shallow_end) & ~(intnat)(DEEP - 1));
-  for (intnat j = 0; j < shallow_end; j += SHALLOW)
-    xor_strip(bits, stride, j, SHALLOW, src + j * bucket, bucket, dsts, lanes, 0, vec_end,
-              bucket);
-  for (intnat j = shallow_end; j < deep_end; j += DEEP)
-    xor_tile(bits, stride, j, DEEP, src + j * bucket, bucket, dsts, lanes);
-  for (intnat j = deep_end; j < count; j++)
-    xor_strip(bits, stride, j, 1, src + j * bucket, bucket, dsts, lanes, 0, vec_end, bucket);
+  intnat tiles_end = count - count % depth;
+  for (intnat j = 0; j < tiles_end; j += depth)
+    xor_tile(bits, stride, j, depth, src + j * bucket, bucket, dsts, lanes);
+  for (intnat j = tiles_end; j < count; j++)
+    xor_tile(bits, stride, j, 1, src + j * bucket, bucket, dsts, lanes);
 }
 
-typedef void build_fn(const unsigned char *, intnat, intnat, const unsigned char *, intnat, value);
-
-static void xor_lanes_baseline(const unsigned char *bits, intnat stride, intnat count,
-                               const unsigned char *src, intnat bucket, value dsts)
-{
-  xor_lanes(bits, stride, count, src, bucket, dsts);
-}
+/* A build: the body under a [target] attribute, at its tile depth.
+   Eight records' columns take 8 of AVX-512's 32 registers; AVX2 holds
+   four in 8 of its 16, leaving the rest to the lone lane's masks and
+   accumulator. The baseline's 16 xmm registers hold two at most, and
+   so shallow a tile pays an accumulator pass per two records, so it
+   takes the depth that measured fastest and reads its tile back from
+   the stack. */
+#define BUILD(name, attr, depth)                                                            \
+  attr static void xor_lanes_##name(const unsigned char *bits, intnat stride, intnat count, \
+                                    const unsigned char *src, intnat bucket, value dsts)    \
+  {                                                                                         \
+    xor_lanes(bits, stride, count, src, bucket, dsts, depth);                               \
+  }
 
 #ifdef __x86_64__
-__attribute__((target("avx2"))) static void
-xor_lanes_avx2(const unsigned char *bits, intnat stride, intnat count, const unsigned char *src,
-               intnat bucket, value dsts)
-{
-  xor_lanes(bits, stride, count, src, bucket, dsts);
-}
-
-__attribute__((target("avx512f"))) static void
-xor_lanes_avx512(const unsigned char *bits, intnat stride, intnat count, const unsigned char *src,
-                 intnat bucket, value dsts)
-{
-  xor_lanes(bits, stride, count, src, bucket, dsts);
-}
+BUILD(avx512, __attribute__((target("avx512f"))), 8)
+BUILD(avx2, __attribute__((target("avx2"))), 4)
 #endif
+BUILD(baseline, , 8)
+
+typedef void build_fn(const unsigned char *, intnat, intnat, const unsigned char *, intnat, value);
 
 /* The builds, widest first; each needs a subset of the CPU features of
    the one before it. */

@@ -508,6 +508,18 @@ let test_taint_dpf_source_to_index () =
   Alcotest.(check bool) "dpf key indexing caught" true
     (count_rule "taint" (findings_for ~path:"lib/pir/fixture.ml" dirty) >= 1)
 
+let test_taint_partial_application () =
+  (* DPF keys drawn through a let-bound partial application keep their
+     taint when it is applied, as through a let-bound function *)
+  let dirty =
+    "let f rng buf indices =\n\
+    \  let draw = List.map (fun alpha -> Lw_dpf.Dpf.gen ~domain_bits:4 ~alpha rng) in\n\
+    \  let k0, _ = List.hd (draw indices) in\n\
+    \  Bytes.get buf (Stdlib.Char.code (Bytes.get k0 0))\n"
+  in
+  Alcotest.(check bool) "partial application caught" true
+    (count_rule "taint" (findings_for ~path:"lib/pir/fixture.ml" dirty) >= 1)
+
 let test_taint_leaf_onehot () =
   (* the early-terminated DPF's leaf correction word is one-hot at
      [alpha mod 128]: setting that bit by an indexed write puts the
@@ -1010,6 +1022,8 @@ let () =
             test_taint_spir_secret_source;
           Alcotest.test_case "taint from DPF source" `Quick
             test_taint_dpf_source_to_index;
+          Alcotest.test_case "taint through a partial application" `Quick
+            test_taint_partial_application;
           Alcotest.test_case "taint: DPF leaf one-hot" `Quick test_taint_leaf_onehot;
           Alcotest.test_case "taint: seed-indexed table" `Quick test_taint_seed_table_lookup;
           Alcotest.test_case "taint across loop iterations" `Quick

@@ -280,9 +280,11 @@ let test_single_resync_over_tcp () =
 (* Every frame the client sends, per role, under a fixed DRBG seed and a
    virtual clock, digested, plus a digest of each op's result. The table
    below was recorded from the client whose request path still had one
-   attempt function per mode x verb, and is never re-recorded: a client
-   change that moves a byte on the wire (RNG or qid order, frame layout,
-   retry, failover or resync behaviour) fails here. *)
+   attempt function per mode x verb (the double failover, from the
+   client that left its two re-dials to OCaml's evaluation order), and
+   is never re-recorded: a client change that moves a byte on the wire
+   (RNG or qid order, frame layout, retry, failover or resync behaviour)
+   fails here. *)
 
 let hex s = Digest.to_hex (Digest.string s)
 
@@ -425,6 +427,22 @@ let golden_cases () =
               fun _ ->
                 Ok (Printf.sprintf "%d/%d" (Zltp_client.retries c) (Zltp_client.failovers c)) );
           ]) );
+    ( "pir2 double failover",
+      (* both roles' first replicas swallow their first answer: both
+         fail over, and the retry re-dials the two roles, whose Health
+         qids record the order the client dials them in *)
+      golden_case ~prefer:pir2 ~seed:"golden-double-failover"
+        [
+          [ (drop_first_answer, ep_of d0); clean (ep_of d0) ];
+          [ (drop_first_answer, ep_of d1); clean (ep_of d1) ];
+        ]
+        (fun c ->
+          [
+            ("get", op_get p3);
+            ( "counters",
+              fun _ ->
+                Ok (Printf.sprintf "%d/%d" (Zltp_client.retries c) (Zltp_client.failovers c)) );
+          ]) );
     ( "pir2 resync",
       let st, fill = keep1_store () in
       let server id = Zltp_server.create ~server_id:id ~blob_size:32 (Zltp_backend.versioned st) in
@@ -466,6 +484,10 @@ let golden =
     ("pir2 failover: get", "33b161ab1f7b5fcaf2e9c3b8379c96f6");
     ("pir2 failover: get_batch", "a3cbacdb701369849bd9cbff0a781372");
     ("pir2 failover: counters", "b24cc30eab49609bc92a6e8987f2750d");
+    ("pir2 double failover: role0", "950fed1dc2fdeeec9e5b327e9df36c65");
+    ("pir2 double failover: role1", "d449056ee74b5afc61a1e500707253ac");
+    ("pir2 double failover: get", "33b161ab1f7b5fcaf2e9c3b8379c96f6");
+    ("pir2 double failover: counters", "65e417f0324c5302d2cf2fd2d0d34e76");
     ("pir2 resync: role0", "b9c76da6e8141a945c36968603b020f0");
     ("pir2 resync: role1", "08e290adcc731bab0ee976ce1905fd3e");
     ("pir2 resync: raw before seal", "548632fb0343ec4a7e9128711412f8ba");
