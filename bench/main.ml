@@ -446,20 +446,35 @@ let e7_distributed () =
   row "%-10s %-10s %-16s %-18s %-10s\n" "shards" "split" "max shard time" "sum shard time" "correct";
   row "%-10s %-10s %13.2f ms %15.2f ms %-10s\n" "1 (flat)" "-" (1000. *. flat_s) (1000. *. flat_s)
     "ref";
+  let snap = Lw_store.current st in
   List.iter
     (fun shard_bits ->
-      let fe = Lightweb.Zltp_frontend.of_store st ~shard_bits in
-      let answer, timings = Lightweb.Zltp_frontend.answer_timed fe key in
+      (* each shard evaluates its sub-key and scans its view, as the
+         front-end's shards do; the phases run on the two-pass reference
+         path so both are timed *)
+      let rem = d - shard_bits in
+      let acc = Bytes.make bucket_size '\x00' in
       let per_shard =
-        List.map
-          (fun t -> t.Lightweb.Zltp_frontend.eval_s +. t.Lightweb.Zltp_frontend.scan_s)
-          timings
+        Array.to_list
+          (Array.mapi
+             (fun i sub ->
+               let shard =
+                 Lw_pir.Server.of_snapshot
+                   (Lw_store.Snapshot.sub snap ~base:(i lsl rem) ~domain_bits:rem)
+               in
+               let share, s =
+                 time_once (fun () -> Lw_pir.Server.scan shard (Lw_pir.Server.eval_bits shard sub))
+               in
+               Lw_util.Xorbuf.xor_string_into ~src:share ~src_pos:0 ~dst:acc ~dst_pos:0
+                 ~len:bucket_size;
+               s)
+             (Lw_dpf.Distributed.split key ~shard_bits))
       in
       let mx = List.fold_left Float.max 0. per_shard in
       let sum = List.fold_left ( +. ) 0. per_shard in
       row "%-10d %-10d %13.2f ms %15.2f ms %-10s\n" (1 lsl shard_bits) shard_bits (1000. *. mx)
         (1000. *. sum)
-        (if String.equal answer flat_answer then "yes" else "NO!"))
+        (if String.equal (Bytes.to_string acc) flat_answer then "yes" else "NO!"))
     [ 1; 2; 3; 4 ];
   Printf.printf
     "\nmax-shard time (the fleet's critical path) drops ~2x per split level while the\n\
@@ -1706,8 +1721,8 @@ let e23_full_lint ?(write_json = true) () =
 
 (* Two claims, measured. (1) Scan scaling: partitioning one shard's fused
    scan across OCaml domains leaves the answer bit-identical while the
-   critical path — the slowest partition, timed on the deterministic
-   serial schedule [answer_partitioned_timed] — shrinks near-linearly.
+   critical path — the slowest partition, each answered on its own
+   sub-view with its sub-key — shrinks near-linearly.
    The wall clock only follows where the machine actually has cores, so
    both are reported and the JSON carries the core count; compare
    wall-clock numbers across checkouts only with matching "machine"
@@ -1738,28 +1753,48 @@ let e24_fleet ?(write_json = true) ?(smoke = false) () =
     List.map
       (fun nd ->
         let run_wall () =
-          Lw_pir.Server.answer_domains ~cutoff_bytes:0 ~domains:nd server key
+          if nd = 1 then Lw_pir.Server.answer server key
+          else (Lw_pir.Server.answer_partitioned ~partitions:nd ~domains:nd server [| key |]).(0)
         in
         if not (String.equal (run_wall ()) expect) then
-          failwith "E24: answer_domains disagrees with the serial answer";
+          failwith "E24: the partitioned answer disagrees with the serial answer";
         let wall_s = time_median ~reps (fun () -> ignore (run_wall ())) in
-        (* critical path = slowest partition of an [nd]-way split on the
-           deterministic serial schedule: the wall clock a machine with
-           [nd] free cores would show, minus spawn/join overhead *)
+        (* critical path = slowest partition of an [nd]-way split, each
+           answered on its own sub-view with its sub-key: the wall clock a
+           machine with [nd] free cores would show, minus spawn/join
+           overhead *)
         let cp_s =
           if nd = 1 then serial_s
           else begin
+            let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2) in
+            let levels = log2 nd in
+            let rem = d - levels in
+            let snap = Lw_store.current st in
+            let parts =
+              Array.mapi
+                (fun p sub ->
+                  ( Lw_pir.Server.of_snapshot
+                      (Lw_store.Snapshot.sub snap ~base:(p lsl rem) ~domain_bits:rem),
+                    sub ))
+                (Lw_dpf.Distributed.split key ~shard_bits:levels)
+            in
             let best = ref infinity in
             for _ = 1 to reps do
-              let out, times =
-                Lw_pir.Server.answer_partitioned_timed ~partitions:nd server key
+              let acc = Bytes.make bucket_size '\x00' in
+              let slowest =
+                Array.fold_left
+                  (fun m (view, sub) ->
+                    let share, s = time_once (fun () -> Lw_pir.Server.answer view sub) in
+                    Lw_util.Xorbuf.xor_string_into ~src:share ~src_pos:0 ~dst:acc ~dst_pos:0
+                      ~len:bucket_size;
+                    Float.max m s)
+                  0. parts
               in
               (* bench harness validates/times key-derived answers; the
                  driver holds both DPF shares by design *)
               (* lw-lint: allow taint lines=4 *)
-              if not (String.equal out expect) then
-                failwith "E24: answer_partitioned disagrees with the serial answer";
-              let slowest = Array.fold_left Float.max 0. times in
+              if not (String.equal (Bytes.to_string acc) expect) then
+                failwith "E24: the partitions' answers disagree with the serial answer";
               if slowest < !best then best := slowest
             done;
             !best

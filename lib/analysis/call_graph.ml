@@ -12,6 +12,7 @@ type def = {
   d_file : string;
   d_line : int;
   d_params : string list list;  (* one entry per parameter; tuple params bind several vars *)
+  d_labels : Asttypes.arg_label list;  (* each parameter's label, in [d_params] order *)
   d_body : Parsetree.expression;  (* innermost body after the fun chain *)
 }
 
@@ -44,6 +45,7 @@ let build (files : (string * Parsetree.structure) list) =
               d_file = path;
               d_line = Syntax.line vb.pvb_loc;
               d_params = params;
+              d_labels = Syntax.param_labels vb.pvb_expr;
               d_body = body;
             }
           in

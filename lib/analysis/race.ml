@@ -6,8 +6,9 @@
 
    Shape: collect the file's let-bound mutable carriers (refs, arrays,
    bytes, hash tables, buffers — classified by the RHS constructor) and
-   the file's let-bound closures, then for every [Domain.spawn f]
-   resolve [f] to a body and walk it. Any read/write of a captured
+   the file's let-bound closures, then for every [Domain.spawn f] (or
+   [Server.run_workers n f], the serving path's worker entry) resolve [f]
+   to a body and walk it. Any read/write of a captured
    mutable binding that is not under a [Mutex.protect]/[with_lock]
    region (or between [Mutex.lock]/[unlock] in a sequence) is a
    finding. [Atomic.t] and [Mutex.t] bindings are safe by
@@ -202,25 +203,33 @@ let analyze_file ~path (ast : Parsetree.structure) : Report.finding list =
     in
     walk false body
   in
+  (* The body a spawned closure runs: a lambda, a let-bound closure of
+     this file, or a partial application of one ([worker w]). *)
+  let rec spawned_body (arg : Parsetree.expression) =
+    match (Syntax.uncurry arg, arg.pexp_desc) with
+    | (_ :: _, body), _ -> Some body
+    | ([], _), Pexp_apply (f, _) -> spawned_body f
+    | ([], _), _ -> (
+        match Syntax.head_name arg with
+        | Some x -> Option.map (fun fn -> snd (Syntax.uncurry fn)) (Hashtbl.find_opt closures x)
+        | None -> None)
+  in
+  (* Spawn entries and the argument holding the closure they run on
+     other domains: [Domain.spawn f], and the serving path's worker entry
+     [Server.run_workers n f]. *)
+  let spawned_arg name args =
+    match (Syntax.last2 name, args) with
+    | "Domain.spawn", (_, arg) :: _ -> Some arg
+    | ("run_workers" | "Server.run_workers"), _ :: _ -> Some (snd (List.hd (List.rev args)))
+    | _ -> None
+  in
   Syntax.iter_structure_exprs
     (fun (e : Parsetree.expression) ->
       match e.pexp_desc with
-      | Pexp_apply (f, (_, arg) :: _) -> (
-          match Syntax.head_name f with
-          | Some n when Syntax.last2 n = "Domain.spawn" -> (
-              match Syntax.uncurry arg with
-              | _ :: _, body -> check_spawned_body body
-              | [], _ -> (
-                  (* spawn of a named closure defined in this file *)
-                  match Syntax.head_name arg with
-                  | Some x -> (
-                      match Hashtbl.find_opt closures x with
-                      | Some fn ->
-                          let _, body = Syntax.uncurry fn in
-                          check_spawned_body body
-                      | None -> ())
-                  | None -> ()))
-          | _ -> ())
+      | Pexp_apply (f, args) -> (
+          match Option.bind (Syntax.head_name f) (fun n -> spawned_arg n args) with
+          | Some arg -> Option.iter check_spawned_body (spawned_body arg)
+          | None -> ())
       | _ -> ())
     ast;
   List.sort_uniq compare !findings

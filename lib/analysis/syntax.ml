@@ -67,6 +67,13 @@ let rec uncurry (e : Parsetree.expression) =
   | Pexp_constraint (e, _) -> uncurry e
   | _ -> ([], e)
 
+(* The labels of [uncurry]'s parameters, in the same order. *)
+let rec param_labels (e : Parsetree.expression) =
+  match e.pexp_desc with
+  | Pexp_fun (label, _, _, body) -> label :: param_labels body
+  | Pexp_newtype (_, body) | Pexp_constraint (body, _) -> param_labels body
+  | _ -> []
+
 let head_name (e : Parsetree.expression) =
   match e.pexp_desc with
   | Pexp_ident l -> Some (name_of_lid l.txt)

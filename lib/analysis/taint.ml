@@ -36,6 +36,7 @@ type summary = {
 
 type local_fn = {
   l_params : string list list;
+  l_labels : Asttypes.arg_label list;  (* each parameter's label; [] when unknown *)
   l_ret : int;  (* 0-based param mask flowing to the result *)
   l_sink : int;
   l_kinds : (int * sink) list;
@@ -209,6 +210,36 @@ let nth_opt l n = try List.nth_opt l n with _ -> None
 (* The evaluator                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* The parameter index each call argument binds, paired with its taint.
+   With the callee's parameter labels known, positional arguments fill
+   the unlabelled parameters in order and a labelled argument binds the
+   parameter of its label, so an omitted optional argument shifts
+   nothing; without them, argument [i] binds parameter [i]. *)
+let bind_args labels args taints =
+  match labels with
+  | None -> List.mapi (fun i t -> (i, t)) taints
+  | Some labels ->
+      let name = function
+        | Asttypes.Nolabel -> None
+        | Asttypes.Labelled l | Asttypes.Optional l -> Some l
+      in
+      let indexed = List.mapi (fun i l -> (i, name l)) labels in
+      let rec go positional args taints =
+        match (args, taints) with
+        | (label, _) :: args, t :: taints -> (
+            match name label with
+            | None -> (
+                match positional with
+                | i :: rest -> (i, t) :: go rest args taints
+                | [] -> go [] args taints)
+            | Some n -> (
+                match List.find_opt (fun (_, l) -> l = Some n) indexed with
+                | Some (i, _) -> (i, t) :: go positional args taints
+                | None -> go positional args taints))
+        | _ -> []
+      in
+      go (List.filter_map (fun (i, l) -> if l = None then Some i else None) indexed) args taints
+
 let rec eval ctx (env : env) (e : Parsetree.expression) : int =
   let sink kind t detail =
     if t <> 0 then ctx.emit kind t ~line:(Syntax.line e.pexp_loc) detail
@@ -337,8 +368,8 @@ and eval_fn ctx env e =
   let params, body = Syntax.uncurry e in
   if params = [] then
     (* constraint/newtype chain with no actual fun: treat as value *)
-    { l_params = []; l_ret = 0; l_sink = 0; l_kinds = []; l_cap = eval ctx env body }
-  else summarize_fn ctx env params body
+    { l_params = []; l_labels = []; l_ret = 0; l_sink = 0; l_kinds = []; l_cap = eval ctx env body }
+  else { (summarize_fn ctx env params body) with l_labels = Syntax.param_labels e }
 
 and eval_function ctx env cases =
   (* one implicit parameter, matched immediately *)
@@ -363,7 +394,7 @@ and summarize_body ctx env params ~n_cases run =
   let l_cap = with_binds env zero_binds (fun () -> run ctx env 0) in
   (* pass 2: per-parameter bits, recording summaries only *)
   let depth = ctx.depth + 1 in
-  if depth > 3 then { l_params = params; l_ret = 0; l_sink = 0; l_kinds = []; l_cap }
+  if depth > 3 then { l_params = params; l_labels = []; l_ret = 0; l_sink = 0; l_kinds = []; l_cap }
   else begin
     let base = 16 * depth in
     let sink_bits = ref 0 and kinds = ref [] in
@@ -398,6 +429,7 @@ and summarize_body ctx env params ~n_cases run =
     in
     {
       l_params = params;
+      l_labels = [];
       l_ret = (ret lsr base) land param_mask;
       l_sink = sinks;
       l_kinds = !kinds;
@@ -417,7 +449,15 @@ and eval_let ctx env rf vbs body =
             let lf =
               if rf = Asttypes.Recursive then begin
                 let provisional =
-                  Fn { l_params = params; l_ret = 0; l_sink = 0; l_kinds = []; l_cap = 0 }
+                  Fn
+                    {
+                      l_params = params;
+                      l_labels = [];
+                      l_ret = 0;
+                      l_sink = 0;
+                      l_kinds = [];
+                      l_cap = 0;
+                    }
                 in
                 let saved = bind env x provisional in
                 let lf1 = eval_fn ctx env vb.pvb_expr in
@@ -513,11 +553,15 @@ and eval_apply ctx env e f args =
             else
               (* summary-based call *)
               match resolve_callee ctx env name with
-              | Some (params_n, ret_mask, const, sink_mask, kinds, cap, label) ->
-                  List.iteri
-                    (fun i t ->
-                      if i < params_n && t <> 0 && sink_mask land (1 lsl i) <> 0
-                      then
+              | Some (params_n, labels, ret_mask, const, sink_mask, kinds, cap, label) ->
+                  let bound =
+                    List.filter_map
+                      (fun (i, t) -> if i < params_n then Some (i, t) else None)
+                      (bind_args labels args taints)
+                  in
+                  List.iter
+                    (fun (i, t) ->
+                      if t <> 0 && sink_mask land (1 lsl i) <> 0 then
                         let kind =
                           match List.assoc_opt i kinds with
                           | Some k -> k
@@ -527,15 +571,12 @@ and eval_apply ctx env e f args =
                           (Printf.sprintf
                              "argument %d of %s, which feeds a %s inside it" i
                              label (sink_name kind)))
-                    taints;
+                    bound;
                   let ret =
                     List.fold_left
                       (fun acc (i, t) ->
-                        if i < params_n && ret_mask land (1 lsl i) <> 0 then
-                          acc lor t
-                        else acc)
-                      0
-                      (List.mapi (fun i t -> (i, t)) taints)
+                        if ret_mask land (1 lsl i) <> 0 then acc lor t else acc)
+                      0 bound
                   in
                   ret lor const lor cap
               | None -> (
@@ -575,7 +616,7 @@ and eval_hof ctx env ~line _name positions args =
           match Syntax.head_name cb with
           | Some cb_name -> (
               match resolve_callee ctx env cb_name with
-              | Some (params_n, _, _, sink_mask, kinds, _, label) ->
+              | Some (params_n, _, _, _, sink_mask, kinds, _, label) ->
                   List.iter
                     (fun p ->
                       if p < params_n && sink_mask land (1 lsl p) <> 0 then
@@ -593,11 +634,13 @@ and eval_hof ctx env ~line _name positions args =
           | None -> ignore (eval ctx env cb)));
       0
 
-(* Resolve a callee to (n_params, ret_mask, const, sink_mask, kinds,
-   captured, label): local let-bound functions first, then the global
-   table. *)
+(* Resolve a callee to (n_params, labels, ret_mask, const, sink_mask,
+   kinds, captured, label): local let-bound functions first, then the
+   global table. Arguments bind by label where the labels are known (see
+   [bind_args]). *)
 and resolve_callee ctx env name :
-    (int * int * int * int * (int * sink) list * int * string) option =
+    (int * Asttypes.arg_label list option * int * int * int * (int * sink) list * int * string)
+    option =
   let local =
     if String.contains name '.' then None
     else
@@ -605,6 +648,8 @@ and resolve_callee ctx env name :
       | Some (Fn lf) ->
           Some
             ( List.length lf.l_params,
+              (if List.length lf.l_labels = List.length lf.l_params then Some lf.l_labels
+               else None),
               lf.l_ret,
               0,
               lf.l_sink,
@@ -621,6 +666,7 @@ and resolve_callee ctx env name :
           let s = find_summary ctx d in
           Some
             ( List.length d.d_params,
+              Some d.d_labels,
               s.s_ret,
               s.s_const,
               s.s_sink,
@@ -761,6 +807,7 @@ let analyze (inputs : input list) : Report.finding list =
                               (Fn
                                  {
                                    l_params = params;
+                                   l_labels = [];
                                    l_ret = 0;
                                    l_sink = 0;
                                    l_kinds = [];

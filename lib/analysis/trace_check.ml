@@ -184,40 +184,49 @@ let check_batch_scan ?(domain_bits = 5) ?(bucket_size = 24)
 (* ------------------------------------------------------------------ *)
 
 (* The parallel scan splits the bucket range into 2^levels aligned
-   partitions and rebases the key per partition. Each partition's kernel
-   still walks its sub-range front to back, so on the deterministic
-   serial schedule ([answer_partitioned], ascending partition order) the
-   observable trace must be exactly the full in-order walk — the same
-   shape the single-threaded scan leaves. Anything else (a skipped
-   bucket, a partition whose walk depends on the secret index) would
-   hand a memory adversary a distinguisher; the real multi-domain path
-   runs the identical per-partition kernels, only interleaved by the
-   scheduler, so per-worker traces inherit this shape. The answer must
-   also stay bit-identical to the serial scan. *)
-let partitioned_scan_traces ~domain_bits ~bucket_size ~partitions alpha =
+   partitions and rebases the keys per partition. Each partition's lane
+   driver still walks its sub-range front to back, so on the serial
+   schedule ([answer_partitioned] with one worker, ascending partition
+   order) the observable trace must be exactly the full in-order walk —
+   the same shape the single-threaded scan leaves — for a lone key and
+   for a batch alike. Anything else (a skipped bucket, a partition whose
+   walk depends on a secret index) would hand a memory adversary a
+   distinguisher; with more workers the same driver runs the identical
+   per-partition code, only interleaved by the scheduler, so per-worker
+   traces inherit this shape. The shares must also stay bit-identical to
+   the serial scan. Each probe is one party's share of [alphas], run as
+   one batch. *)
+let partitioned_scan_traces ~domain_bits ~bucket_size ~partitions alphas =
   let snap = random_snapshot ~domain_bits ~bucket_size in
   let server = Lw_pir.Server.of_snapshot snap in
   let rng = Lw_crypto.Drbg.create ~seed:"trace-check-dpf" in
-  let k0, k1 = Lw_dpf.Dpf.gen ~domain_bits ~alpha rng in
+  let pairs =
+    Array.of_list (List.map (fun alpha -> Lw_dpf.Dpf.gen ~domain_bits ~alpha rng) alphas)
+  in
   List.map
-    (fun k ->
-      let serial = Lw_pir.Server.answer server k in
-      let share, t =
-        traced snap (fun () -> Lw_pir.Server.answer_partitioned ~partitions server k)
+    (fun keys ->
+      let serial = Lw_pir.Server.answer_batch server keys in
+      let shares, t =
+        traced snap (fun () -> Lw_pir.Server.answer_partitioned ~partitions server keys)
       in
-      (t, String.equal share serial))
-    [ k0; k1 ]
+      (t, Array.for_all2 String.equal shares serial))
+    [ Array.map fst pairs; Array.map snd pairs ]
 
 let check_partitioned_scan ?(domain_bits = 6) ?(bucket_size = 32)
-    ?(partition_counts = [ 2; 4; 8 ]) ?(alphas = [ 3; 47 ]) () =
+    ?(partition_counts = [ 2; 4; 8 ]) ?(alphas = [ 3; 47 ]) ?(batch = [ 5; 38; 60 ]) () =
   if List.length alphas < 2 then err "check_partitioned_scan: need >= 2 distinct keys"
+  else if List.length batch < 2 then err "check_partitioned_scan: need a batch of >= 2 keys"
   else begin
     let expected = List.init (1 lsl domain_bits) Fun.id in
+    let describe = function
+      | [ alpha ] -> Printf.sprintf "alpha=%d" alpha
+      | batch -> Printf.sprintf "batch=[%s]" (String.concat ";" (List.map string_of_int batch))
+    in
     let rec check = function
       | [] -> Ok ()
-      | (partitions, alpha) :: rest ->
+      | (partitions, input) :: rest ->
           let probes =
-            partitioned_scan_traces ~domain_bits ~bucket_size ~partitions alpha
+            partitioned_scan_traces ~domain_bits ~bucket_size ~partitions input
           in
           (* same taint-lint situation as [check_bucket_scan]: comparing a
              key-derived trace against the public walk is this checker's
@@ -227,16 +236,17 @@ let check_partitioned_scan ?(domain_bits = 6) ?(bucket_size = 32)
           let bad_share = List.exists (fun (_, ok) -> not ok) probes in
           if bad_trace then
             err
-              "partitioned scan trace (partitions=%d, alpha=%d) is not the full \
+              "partitioned scan trace (partitions=%d, %s) is not the full \
                in-order walk"
-              partitions alpha
+              partitions (describe input)
           else if bad_share then
-            err "partitioned answer (partitions=%d, alpha=%d) differs from serial"
-              partitions alpha
+            err "partitioned answer (partitions=%d, %s) differs from serial"
+              partitions (describe input)
           else check rest
     in
+    let inputs = List.map (fun a -> [ a ]) alphas @ [ batch ] in
     check
-      (List.concat_map (fun p -> List.map (fun a -> (p, a)) alphas) partition_counts)
+      (List.concat_map (fun p -> List.map (fun i -> (p, i)) inputs) partition_counts)
   end
 
 (* ------------------------------------------------------------------ *)

@@ -36,16 +36,6 @@ let pin_error_wire ~epoch = function
   | Lw_store.Ahead ->
       (Zltp_wire.err_epoch_ahead, Printf.sprintf "epoch %d not yet published" epoch)
 
-(* The single/batch scan entry points, through the parallel kernel when
-   the knob asks for it (the kernel's own work-size cutoff keeps small
-   databases serial either way). *)
-let scan_one ~domains s k =
-  if domains > 1 then Lw_pir.Server.answer_domains ~domains s k else Lw_pir.Server.answer s k
-
-let scan_many ~domains s keys =
-  if domains > 1 then Lw_pir.Server.answer_batch_domains ~domains s keys
-  else Lw_pir.Server.answer_batch s keys
-
 (* Advertised-epoch override, shared by every constructor: a mutable cell
    the control plane flips; [current] falls back to the backend's own
    epoch when unset. *)
@@ -81,10 +71,11 @@ let versioned store : t =
           Error (Zltp_wire.err_epoch_ahead, Printf.sprintf "epoch %d not yet published" epoch)
 
     let unpin snap = Lw_store.unpin store snap
-    let answer snap k = Ok (scan_one ~domains:!domains (Lw_pir.Server.of_snapshot snap) k)
+    let answer snap k =
+      Ok (Lw_pir.Server.answer ~domains:!domains (Lw_pir.Server.of_snapshot snap) k)
 
     let answer_batch snap keys =
-      Ok (scan_many ~domains:!domains (Lw_pir.Server.of_snapshot snap) keys)
+      Ok (Lw_pir.Server.answer_batch ~domains:!domains (Lw_pir.Server.of_snapshot snap) keys)
 
     let spir_hint _ = wrong_mode "spir_hint" kind
     let spir_answer _ _ = wrong_mode "spir_answer" kind
@@ -104,7 +95,7 @@ let sharded fe : t =
     let oldest_epoch () = Zltp_frontend.announced_epoch fe
     let set_advertised_epoch = set_adv
     let advertised_epoch = get_adv
-    let set_scan_domains _ = () (* the front-end carries its own knob *)
+    let set_scan_domains d = Zltp_frontend.set_scan_domains fe d
 
     (* The view set read here is the one every answer on this pin scans,
        whatever refreshes happen meanwhile. *)
@@ -114,13 +105,12 @@ let sharded fe : t =
 
     let unpin _ = ()
 
-    let answer vs k =
-      Result.map_error (fun e -> (Zltp_wire.err_degraded, e)) (Zltp_frontend.answer_result fe vs k)
-
     let answer_batch vs keys =
       Result.map_error
         (fun e -> (Zltp_wire.err_degraded, e))
         (Zltp_frontend.answer_batch_result fe vs keys)
+
+    let answer vs k = Result.map (fun shares -> shares.(0)) (answer_batch vs [| k |])
 
     let spir_hint _ = wrong_mode "spir_hint" kind
     let spir_answer _ _ = wrong_mode "spir_answer" kind

@@ -53,9 +53,10 @@ module type S = sig
   val advertised_epoch : unit -> int option
 
   val set_scan_domains : int -> unit
-  (** Workers the scan kernels may use ({!Lw_pir.Server.answer_domains}).
-      Backends without a local scan kernel ignore it (the sharded
-      front-end carries its own knob). *)
+  (** Workers each scan may use ([Lw_pir.Server.answer ~domains]); the
+      sharded backend sets its front-end's knob
+      ({!Zltp_frontend.set_scan_domains}). Backends without a PIR scan
+      kernel ignore it. *)
 
   val pin : epoch:int -> (view, int * string) result
   (** Pin the named epoch. An epoch this replica no longer / does not

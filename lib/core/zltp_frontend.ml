@@ -26,11 +26,11 @@ type t = {
       (* per-shard answer latency; shared by name across front-ends of the
          same width, which is what an operator wants from a process dump *)
   mutable scan_domains : int;
-      (* workers each shard's scan kernel may use (Server.answer_domains);
+      (* workers each shard's scan may use (Server.answer_batch ~domains);
          1 = the serial fused kernel *)
   mutable tree : (int * tree_rep) option;
-      (* (fanout_bits, tree): when set, single-key answers route through
-         the hierarchical fan-out instead of the flat split *)
+      (* (fanout_bits, tree): when set, keys reach the shards through the
+         hierarchical fan-out instead of the flat split *)
 }
 
 let m_answers = Lw_obs.Metrics.counter "zltp.frontend.answers"
@@ -154,19 +154,6 @@ let set_scan_domains t n =
 
 let scan_domains t = t.scan_domains
 
-(* One shard's contribution, through the parallel scan kernel when the
-   knob asks for it (Server.answer_domains applies its own work-size
-   cutoff, so small shards stay on the serial kernel either way). *)
-let answer_shard t vs i sub =
-  if t.scan_domains > 1 then
-    Lw_pir.Server.answer_domains ~domains:t.scan_domains vs.shards.(i) sub
-  else Lw_pir.Server.answer vs.shards.(i) sub
-
-let answer_batch_shard t vs i subs =
-  if t.scan_domains > 1 then
-    Lw_pir.Server.answer_batch_domains ~domains:t.scan_domains vs.shards.(i) subs
-  else Lw_pir.Server.answer_batch vs.shards.(i) subs
-
 (* ---- hierarchical fan-out tree ---- *)
 
 let build_tree t fanout_bits =
@@ -198,41 +185,15 @@ let tree_fanout t = Option.map fst t.tree
 let tree_depth t = match t.tree with Some (_, r) -> r.tdepth | None -> 0
 let tree_nodes t = match t.tree with Some (_, r) -> r.tnodes | None -> 0
 
-(* Walk the tree: an interior node pays one [2^levels]-way key split —
-   O(2^fanout) small-prefix DPF expansions — and each leaf pays only its
-   shard's small-domain evaluation, so one query reaches N shards with
-   O(N) interior splits of depth O(log N) instead of N full-domain
-   evaluations at the root. Sub-key re-basing composes (the child key of
-   a child key shares the original correction words), so the shares this
-   walk XORs are bit-identical to the flat fan-out's. *)
-let answer_via_tree t vs rep k =
-  let rec go node key =
-    match node with
-    | Leaf s -> timed_shard t s (fun () -> answer_shard t vs s key)
-    | Inner { levels; children } ->
-        let subs = Lw_dpf.Distributed.split key ~shard_bits:levels in
-        let acc = Bytes.make t.bucket_size '\x00' in
-        Array.iteri
-          (fun i child ->
-            (* the branches [go] takes are on the PUBLIC tree shape
-               (Leaf/Inner) and scan config, never on key bits — the
-               interprocedural taint over-approximates here *)
-            (* lw-lint: allow taint lines=1 *)
-            let share = go child subs.(i) in
-            Lw_util.Xorbuf.xor_string_into ~src:share ~src_pos:0 ~dst:acc ~dst_pos:0
-              ~len:t.bucket_size)
-          children;
-        Bytes.unsafe_to_string acc
-  in
-  Lw_obs.Metrics.incr m_tree_answers;
-  go rep.root k
-
-(* The batched tree walk: one pass over the tree per key, collecting the
-   sub-key each leaf would have received into a shard-indexed array.
-   Re-basing composes exactly as in [answer_via_tree], so [out.(s)] is
-   bit-identical to the flat [Distributed.split] sub-key for shard [s] —
-   which is what lets batches (and the keyword verb riding them) use the
-   hierarchical fan-out and still feed the shards' batch scan kernel. *)
+(* The tree walk: one pass over the tree per key, collecting the sub-key
+   each leaf receives into a shard-indexed array. An interior node pays
+   one [2^levels]-way key split — O(2^fanout) small-prefix DPF
+   expansions — so one key reaches N shards with O(N) interior splits of
+   depth O(log N) instead of N full-domain evaluations at the root.
+   Sub-key re-basing composes (the child key of a child key shares the
+   original correction words), so [out.(s)] is bit-identical to the flat
+   [Distributed.split] sub-key for shard [s], and the shards' batch scan
+   runs unchanged. *)
 let leaf_subkeys t rep k =
   let out = Array.make (shard_count t) k in
   let rec go node key =
@@ -248,46 +209,20 @@ let leaf_subkeys t rep k =
   go rep.root k;
   out
 
-(* Every answer path reads one view set and scans only its shards. *)
-let answer_views t vs k =
-  check_key t k;
-  Lw_obs.Span.with_ ~name:"zltp.frontend.answer" (fun () ->
-      let share =
-        match t.tree with
-        | Some (_, rep) -> answer_via_tree t vs rep k
-        | None ->
-            let subs = Lw_dpf.Distributed.split k ~shard_bits:t.shard_bits in
-            let shares =
-              Array.mapi (fun i sub -> timed_shard t i (fun () -> answer_shard t vs i sub)) subs
-            in
-            combine_shares t shares
-      in
-      Lw_obs.Metrics.incr m_answers;
-      share)
-
-let answer t k = answer_views t (current t) k
-
-let when_up t f =
-  match check_down t with
-  | Error _ as e ->
-      Lw_obs.Metrics.incr m_refusals;
-      e
-  | Ok () -> Ok (f ())
-
-let answer_result t vs k = when_up t (fun () -> answer_views t vs k)
-
-(* Batched private-GET across the shard fleet: split every query's key
-   once, then hand each shard the whole batch of its sub-keys so it runs
-   the batch scan kernel ([Lw_pir.Server.answer_batch]) — one
-   streamed traversal of the shard's slice for the whole batch instead of
-   one per query. Query [q]'s answer is the XOR of its per-shard shares,
-   exactly as in [answer]. *)
+(* The one answer path: split every key once (flat, or through the
+   tree), hand each shard the whole batch of its sub-keys so it runs the
+   batch scan kernel — one streamed traversal of the shard's slice for
+   the whole batch — and XOR query [q]'s per-shard shares. It reads one
+   view set and scans only its shards. A batch of one is a single answer,
+   counted and spanned as one. *)
 let answer_batch_views t vs keys =
   Array.iter (check_key t) keys;
   let n = Array.length keys in
   if n = 0 then [||]
   else
-    Lw_obs.Span.with_ ~name:"zltp.frontend.answer_batch" (fun () ->
+    Lw_obs.Span.with_
+      ~name:(if n = 1 then "zltp.frontend.answer" else "zltp.frontend.answer_batch")
+      (fun () ->
         let subs =
           match t.tree with
           | Some (_, rep) ->
@@ -297,96 +232,19 @@ let answer_batch_views t vs keys =
         in
         let by_shard =
           Array.init (shard_count t) (fun s ->
-              (* [answer_batch_shard] branches only on [t.scan_domains],
-                 public serving config — not on the sub-keys *)
-              (* lw-lint: allow taint lines=2 *)
               timed_shard t s (fun () ->
-                  answer_batch_shard t vs s (Array.map (fun sub -> sub.(s)) subs)))
+                  Lw_pir.Server.answer_batch ~domains:t.scan_domains vs.shards.(s)
+                    (Array.map (fun sub -> sub.(s)) subs)))
         in
-        Lw_obs.Metrics.add m_batch_queries n;
+        Lw_obs.Metrics.add (if n = 1 then m_answers else m_batch_queries) n;
         Array.init n (fun q -> combine_shares t (Array.map (fun shares -> shares.(q)) by_shard)))
 
 let answer_batch t keys = answer_batch_views t (current t) keys
-let answer_batch_result t vs keys = when_up t (fun () -> answer_batch_views t vs keys)
+let answer t k = (answer_batch t [| k |]).(0)
 
-type shard_timing = { shard : int; eval_s : float; scan_s : float }
-
-let answer_timed t k =
-  check_key t k;
-  let vs = current t in
-  let subs = Lw_dpf.Distributed.split k ~shard_bits:t.shard_bits in
-  let clock = Lw_obs.Span.clock () in
-  let timings = ref [] in
-  let shares =
-    Array.mapi
-      (fun i sub ->
-        let t0 = Lw_obs.Clock.now clock in
-        let bits = Lw_pir.Server.eval_bits vs.shards.(i) sub in
-        let t1 = Lw_obs.Clock.now clock in
-        let share = Lw_pir.Server.scan vs.shards.(i) bits in
-        let t2 = Lw_obs.Clock.now clock in
-        timings := { shard = i; eval_s = t1 -. t0; scan_s = t2 -. t1 } :: !timings;
-        Lw_obs.Metrics.observe t.shard_hist.(i) (t2 -. t0);
-        share)
-      subs
-  in
-  (combine_shares t shares, List.rev !timings)
-
-type shard_span = { span_shard : int; elapsed_s : float }
-
-let answer_parallel_timed ?num_domains ?fault t k =
-  check_key t k;
-  let vs = current t in
-  let workers =
-    match num_domains with
-    | Some n -> max 1 n
-    | None -> max 1 (Domain.recommended_domain_count () - 1)
-  in
-  let subs = Lw_dpf.Distributed.split k ~shard_bits:t.shard_bits in
-  let n = Array.length subs in
-  let shares = Array.make n None in
-  let elapsed = Array.make n 0. in
-  let next = Atomic.make 0 in
-  let clock = Lw_obs.Span.clock () in
-  (* Each worker claims distinct indices through [Atomic.fetch_and_add],
-     so the [shares] and [elapsed] writes below are disjoint by
-     construction, and the joins before the combine give this domain the
-     happens-before edge back; no lock is needed. *)
-  (* lw-lint: allow race lines=16 *)
-  let worker () =
-    let rec go () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
-        (match fault with Some f -> f i | None -> ());
-        let t0 = Lw_obs.Clock.now clock in
-        let share = Lw_pir.Server.answer vs.shards.(i) subs.(i) in
-        elapsed.(i) <- Lw_obs.Clock.now clock -. t0;
-        Lw_obs.Metrics.observe t.shard_hist.(i) elapsed.(i);
-        shares.(i) <- Some share;
-        go ()
-      end
-    in
-    go ()
-  in
-  let domains = List.init (min workers n) (fun _ -> Domain.spawn worker) in
-  (* Join every domain before acting on any failure, so a raising worker
-     can neither leak the other domains nor let a partially-filled share
-     array reach the XOR combine below. *)
-  let first_failure =
-    List.fold_left
-      (fun acc d ->
-        match Domain.join d with
-        | () -> acc
-        | exception e -> ( match acc with None -> Some e | Some _ -> acc))
-      None domains
-  in
-  (match first_failure with Some e -> raise e | None -> ());
-  (* unreachable when no worker raised: fetch_and_add hands out each
-     index exactly once and a non-raising worker always stores it *)
-  let all = Array.map (fun s -> Option.get s) shares in
-  Lw_obs.Metrics.incr m_answers;
-  ( combine_shares t all,
-    Array.mapi (fun i e -> { span_shard = i; elapsed_s = e }) elapsed )
-
-let answer_parallel ?num_domains ?fault t k =
-  fst (answer_parallel_timed ?num_domains ?fault t k)
+let answer_batch_result t vs keys =
+  match check_down t with
+  | Error _ as e ->
+      Lw_obs.Metrics.incr m_refusals;
+      e
+  | Ok () -> Ok (answer_batch_views t vs keys)

@@ -52,10 +52,9 @@ val shard_histograms : t -> Lw_obs.Metrics.histogram array
 
 (** {2 Scan parallelism}
 
-    Per-shard scans can run on OCaml domains
-    ({!Lw_pir.Server.answer_domains}); the knob applies to every answer
-    path, and {!Lw_pir.Server.parallel_cutoff_bytes} keeps small shards
-    on the serial kernel regardless. *)
+    Per-shard scans can run on OCaml domains ([Lw_pir.Server.answer_batch
+    ~domains]); {!Lw_pir.Server.parallel_cutoff_bytes} keeps small
+    shards on the serial kernel regardless. *)
 
 val set_scan_domains : t -> int -> unit
 (** Workers each shard's scan may use; 1 (the default) is the serial
@@ -65,15 +64,16 @@ val scan_domains : t -> int
 
 (** {2 Hierarchical fan-out tree}
 
-    With a fanout set, single-key answers route through a tree of
+    With a fanout set, keys reach the shards through a tree of
     interior nodes, each splitting its incoming key once into
     [2^fanout_bits] sub-keys ({!Lw_dpf.Dpf.eval_prefixes} +
     {!Lw_dpf.Dpf.make_subkey}); leaves hand their sub-key to one data
     shard. A query thus reaches [N] shards with [O(log N)]-deep splits
     plus per-shard small-domain work instead of [N] full-domain
     evaluations, and the XOR of the leaf shares is bit-identical to the
-    flat fan-out. Down-shard refusals are checked in the [_result]
-    entry points before any walk, so they survive the tree unchanged. *)
+    flat fan-out. Down-shard refusals are checked in
+    {!answer_batch_result} before any walk, so they survive the tree
+    unchanged. *)
 
 val set_tree_fanout : t -> int option -> unit
 (** [Some fanout_bits] builds (and routes answers through) the tree;
@@ -93,8 +93,8 @@ val tree_nodes : t -> int
 
     An answer share is the XOR over {e every} shard's contribution, so a
     single unreachable shard makes the whole share silently wrong. The
-    front-end therefore tracks per-shard availability and the
-    [_result] answer paths refuse — with a structured error naming the
+    front-end therefore tracks per-shard availability and
+    {!answer_batch_result} refuses — with a structured error naming the
     down shards — rather than return a partial XOR. *)
 
 val set_shard_down : t -> int -> bool -> unit
@@ -106,56 +106,24 @@ val shard_down : t -> int -> bool
 val shards_down : t -> int
 (** Number of shards currently marked down. *)
 
-val answer_result : t -> views -> Lw_dpf.Dpf.key -> (string, string) result
-(** {!answer} against the given view set, refusing with [Error] naming
-    the down shards when any shard is unavailable. *)
+val answer_batch : t -> Lw_dpf.Dpf.key array -> string array
+(** Private-GET answer shares for full-domain DPF keys, from the
+    {!current} view set (read once). The front-end splits each key once
+    (through the hierarchical walk when a fan-out tree is active,
+    {!set_tree_fanout}: bit-identical leaves), hands each shard the
+    whole batch of its sub-keys, which the shard answers through the
+    batch scan kernel ({!Lw_pir.Server.answer_batch}) in one streamed
+    traversal of its slice, and XORs each query's per-shard shares. A
+    batch of one is a single answer ([zltp.frontend.answers] and the
+    [zltp.frontend.answer] span); wider batches count in
+    [zltp.frontend.batch_queries]. Every shard feeds its
+    [zltp.frontend.shardNN.answer_seconds] histogram. *)
+
+val answer : t -> Lw_dpf.Dpf.key -> string
+(** [answer t k] is [(answer_batch t [|k|]).(0)]. *)
 
 val answer_batch_result :
   t -> views -> Lw_dpf.Dpf.key array -> (string array, string) result
-
-val answer : t -> Lw_dpf.Dpf.key -> string
-(** Full private-GET answer share for a full-domain DPF key, from the
-    {!current} view set (read once). *)
-
-val answer_batch : t -> Lw_dpf.Dpf.key array -> string array
-(** Batched private-GET: each shard receives the whole batch of its
-    sub-keys and answers them through the batch scan kernel
-    ({!Lw_pir.Server.answer_batch}), so a batch pays one streamed
-    traversal of each shard's slice. When a fan-out tree is active
-    ({!set_tree_fanout}), each key's sub-keys are derived through the
-    hierarchical walk instead of the flat split — bit-identical leaves,
-    so the shard batches are unchanged. [answer_batch t [|k|]] and
-    [[|answer t k|]] agree byte-for-byte. *)
-
-type shard_timing = { shard : int; eval_s : float; scan_s : float }
-
-val answer_timed : t -> Lw_dpf.Dpf.key -> string * shard_timing list
-(** Same, with per-shard eval/scan timings (read off the span clock, so
-    virtual clocks make them deterministic) for E7. The sequential
-    answer paths also feed the per-shard
-    [zltp.frontend.shardNN.answer_seconds] histograms in {!Lw_obs}. *)
-
-type shard_span = { span_shard : int; elapsed_s : float }
-(** One shard's total answer time inside a parallel answer. *)
-
-val answer_parallel :
-  ?num_domains:int -> ?fault:(int -> unit) -> t -> Lw_dpf.Dpf.key -> string
-(** Shard answers computed on OCaml domains ([num_domains] defaults to
-    [Domain.recommended_domain_count ()]), modelling the paper's fleet of
-    data servers working one request concurrently. All domains are
-    joined before any worker failure is re-raised — a raising shard can
-    neither leak domains nor let a partial share array be XOR-combined.
-
-    [?fault] is a fault-injection hook for tests and the chaos harness:
-    it runs in the worker just before shard [i] computes, so a rigged
-    shard can raise exactly where a real backend would fail. *)
-
-val answer_parallel_timed :
-  ?num_domains:int ->
-  ?fault:(int -> unit) ->
-  t ->
-  Lw_dpf.Dpf.key ->
-  string * shard_span array
-(** {!answer_parallel} plus per-shard elapsed times (span clock), the
-    parallel counterpart of {!answer_timed} — which the parallel path
-    used to silently lack. *)
+(** {!answer_batch} against the given view set, refusing with [Error]
+    naming the down shards, before any key is split, when any shard is
+    unavailable. *)

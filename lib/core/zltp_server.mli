@@ -26,10 +26,10 @@ val create :
     must match the store the backend was populated from.
 
     [scan_domains] (default 1) is forwarded to the backend
-    ({!Zltp_backend.S.set_scan_domains}): versioned backends answer
-    through the domain-partitioned scan kernel
-    ({!Lw_pir.Server.answer_domains}); backends with their own knob (the
-    sharded front-end) or no scan kernel ignore it. *)
+    ({!Zltp_backend.S.set_scan_domains}): versioned and sharded backends
+    answer through the domain-partitioned scan
+    ([Lw_pir.Server.answer ~domains]); backends with no PIR scan kernel
+    ignore it. *)
 
 val backend : t -> Zltp_backend.t
 val blob_size : t -> int

@@ -2,17 +2,19 @@
     linear data scan (the two cost components the paper's §5.1
     microbenchmark separates: 64 ms DPF evaluation + 103 ms scan per GiB).
 
-    The production path is the fused, blocked kernel: {!answer} consumes
-    DPF leaf bits block-by-block against the matching database block as
-    the traversal produces them, and {!answer_batch} feeds a batch's
-    accumulators from one streamed traversal of the data. Both run the
-    one C scan kernel, {!Lw_util.Xorbuf.xor_buckets_lanes}; a single
-    answer is its one-lane call.
+    There is one production path, a lane driver that fuses DPF
+    evaluation with the scan: each key's leaf bits are consumed
+    block-by-block against the matching database block as the traversal
+    produces them, and a batch's keys share one streamed traversal of the
+    data. It runs the one C scan kernel,
+    {!Lw_util.Xorbuf.xor_buckets_lanes}; a single answer is a batch of
+    one, the kernel's one-lane call. {!answer}, {!answer_batch} and
+    {!answer_partitioned} are its three entry points.
 
     {!eval_bits} and {!scan} remain the seed's two-pass reference
-    implementation: benchmarks (E1, E19) time its phases separately and
-    the property tests assert the fused and batched kernels agree with it
-    byte-for-byte. *)
+    implementation: benchmarks (E1, E7, E19) time its phases separately
+    and the property tests assert the fused and batched kernels agree
+    with it byte-for-byte. *)
 
 type t
 
@@ -40,10 +42,14 @@ val scan : t -> Bytes.t -> string
     accumulator of [bucket_size] bytes — the second pass of the reference
     path (scalar per-bucket masked kernel). *)
 
-val answer : t -> Lw_dpf.Dpf.key -> string
-(** One private-GET response share, via the fused single-pass kernel. *)
+val answer : ?domains:int -> t -> Lw_dpf.Dpf.key -> string
+(** One private-GET response share through the fused lane driver.
+    [domains] (default 1) is the worker count the scan may use: above 1,
+    and once the database reaches {!parallel_cutoff_bytes}, the scan is
+    partitioned as in {!answer_partitioned} and run on that many OCaml
+    domains; the share is byte-identical either way. *)
 
-val answer_batch : t -> Lw_dpf.Dpf.key array -> string array
+val answer_batch : ?domains:int -> t -> Lw_dpf.Dpf.key array -> string array
 (** All responses from one streamed traversal of the data. A batch of
     one is {!answer}. Wider batches evaluate each key blockwise into
     packed selection bits ([ceil(k/8) * size] bytes of scratch), then
@@ -51,51 +57,38 @@ val answer_batch : t -> Lw_dpf.Dpf.key array -> string array
     in one pass that masks each loaded record into all [k]
     accumulators, so [pir.server.scan_bytes] grows by one database size
     per call, whatever the width. Width 2 is the keyword verb's
-    two-probe shape. *)
+    two-probe shape. [domains] is as for {!answer}. *)
 
-(** {2 Domain-partitioned parallel scan}
+(** {2 Domain-partitioned scan}
 
     The bucket domain splits into [2^levels] aligned sub-ranges; each
-    worker rebases the client key at its sub-range's internal tree node
-    ({!Lw_dpf.Dpf.make_subkey}) and runs the same fused kernel over the
-    remaining bits, so no worker pays a full-domain DPF evaluation. The
-    partial accumulators XOR-reduce to exactly the serial answer. Every
-    partition is still walked in full with mask-selected XORs, so the
-    union of the per-worker memory traces is the serial scan's trace —
-    parallelism changes who touches a bucket, never whether. *)
+    partition rebases the client keys at its sub-range's internal tree
+    node ({!Lw_dpf.Dpf.make_subkey}) and runs the same lane driver over
+    the remaining bits, so no worker pays a full-domain DPF evaluation.
+    The partial accumulators XOR-reduce to exactly the serial answer.
+    Every partition is still walked in full with mask-selected XORs, so
+    the union of the per-worker memory traces is the serial scan's
+    trace — parallelism changes who touches a bucket, never whether. *)
 
 val parallel_cutoff_bytes : int
-(** Default work-size cutoff (1 MiB): below this the [_domains] entry
-    points fall back to the serial fused kernel, since a parallel answer
-    would be all spawn/join overhead. *)
+(** Work-size cutoff (1 MiB): below this {!answer} and {!answer_batch}
+    stay on one domain whatever [domains] asks for, since a parallel
+    answer would be all spawn/join overhead. *)
 
-val answer_domains : ?cutoff_bytes:int -> ?domains:int -> t -> Lw_dpf.Dpf.key -> string
-(** {!answer} computed by [domains] workers (default
-    [Domain.recommended_domain_count ()]) on OCaml domains, each scanning
-    claimed partitions into its own accumulator; byte-identical to
-    {!answer}. Falls back to the serial kernel when [domains <= 1] or the
-    database is smaller than [cutoff_bytes] (tests pass [~cutoff_bytes:0]
-    to force the parallel path on small databases). All domains are
-    joined before any worker failure is re-raised. *)
+val answer_partitioned :
+  ?partitions:int -> ?domains:int -> t -> Lw_dpf.Dpf.key array -> string array
+(** {!answer_batch} through the partitioned driver, with no work-size
+    cutoff. [partitions] (default 2) rounds up to a power of two, clamped
+    below the domain size. With [domains] at 1 (the default) the
+    partitions run inline in ascending order: the schedule the
+    obliviousness trace checker drives. With more, that many workers
+    (at most one per partition) claim partitions on OCaml domains, each
+    into its own accumulators; all are joined before any worker failure
+    is re-raised. Byte-identical to {!answer_batch} either way. *)
 
-val answer_batch_domains :
-  ?cutoff_bytes:int -> ?domains:int -> t -> Lw_dpf.Dpf.key array -> string array
-(** {!answer_batch} (the batch kernel per partition) with the
-    partition-claiming worker scheme of {!answer_domains}; byte-identical
-    to {!answer_batch}. *)
-
-val answer_partitioned : ?partitions:int -> t -> Lw_dpf.Dpf.key -> string
-(** The partitioned kernels on a serial schedule (ascending partition
-    order, no domains): the deterministic twin of {!answer_domains} that
-    the obliviousness trace checker drives. [partitions] (default 2)
-    rounds up to a power of two, clamped below the domain size. *)
-
-val answer_partitioned_timed : ?partitions:int -> t -> Lw_dpf.Dpf.key -> string * float array
-(** {!answer_partitioned} plus per-partition elapsed seconds (span
-    clock). [max times] is the critical path an idle [partitions]-core
-    machine would pay for the parallel answer — what bench E24 reports as
-    the achievable speedup independent of this machine's core count. *)
-
-val answer_serialized : t -> string -> (string, string) result
-(** Wire-level entry point: deserialises the key, validates the domain,
-    answers. *)
+val run_workers : int -> (int -> unit) -> unit
+(** [run_workers n work] runs [work 0] ... [work (n - 1)], each on its own
+    OCaml domain, and joins every domain before re-raising the first
+    failure, so a raising worker can neither leak the others nor let a
+    partial result escape. The serving path's one spawn site: the
+    partitioned driver runs its workers here. *)

@@ -23,7 +23,7 @@ type params = {
   load_fractions : float list; (* offered load as fraction of capacity *)
   batch_window_s : float option; (* None: one calibrated batch service *)
   page_exponent : float;
-  scan_domains : int; (* per-shard Server.answer_domains knob *)
+  scan_domains : int; (* per-shard scan workers (Zltp_frontend.set_scan_domains) *)
   tree_fanout_bits : int option; (* fan-out tree for single-key answers *)
   key_pool : int; (* distinct pre-generated queries, cycled *)
   burst_k : int; (* 1 = independent visits; >1 = correlated search bursts *)

@@ -26,7 +26,7 @@ type params = {
   load_fractions : float list;  (** offered load as fraction of measured capacity *)
   batch_window_s : float option;  (** [None]: one calibrated batch service time *)
   page_exponent : float;
-  scan_domains : int;  (** per-shard {!Lw_pir.Server.answer_domains} knob *)
+  scan_domains : int;  (** per-shard scan workers ({!Lightweb.Zltp_frontend.set_scan_domains}) *)
   tree_fanout_bits : int option;  (** fan-out tree for the single-key probe *)
   key_pool : int;  (** distinct pre-generated queries, cycled *)
   burst_k : int;

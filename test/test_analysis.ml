@@ -497,6 +497,28 @@ let test_taint_through_helper () =
   Alcotest.(check int) "declassified length clean" 0
     (count_rule "taint" (findings_for ~path:"lib/core/fixture.ml" declass))
 
+let test_taint_labelled_arguments () =
+  (* a call that omits an optional argument binds its positional
+     arguments to the unlabelled parameters: the secret reaches [c]'s
+     branch, not [n] *)
+  let helper =
+    "(* lw-lint: secret key *)\n\
+     let choose ?(n = 0) c a b = if c then a + n else b\n"
+  in
+  Alcotest.(check bool) "secret in the branching position caught" true
+    (count_rule "taint"
+       (findings_for ~path:"lib/core/fixture.ml" (helper ^ "let use key = choose key 1 2\n"))
+    >= 1);
+  Alcotest.(check int) "secret in data positions clean" 0
+    (count_rule "taint"
+       (findings_for ~path:"lib/core/fixture.ml" (helper ^ "let use key = choose 0 key key\n")));
+  Alcotest.(check int) "labelled arguments bind by label" 0
+    (count_rule "taint"
+       (findings_for ~path:"lib/core/fixture.ml"
+          "(* lw-lint: secret key *)\n\
+           let pick ~c ~a = if c then a else 0\n\
+           let use key = pick ~a:key ~c:true\n"))
+
 let test_taint_dpf_source_to_index () =
   (* a DPF key is secret by construction: using it to index a table
      leaks the query; no pragma needed *)
@@ -705,7 +727,25 @@ let test_race_partitioned_scan_fixtures () =
     \  accs\n"
   in
   Alcotest.(check int) "pragma-acknowledged worker slots clean" 0
-    (count_rule "race" (findings_for ~path pragma))
+    (count_rule "race" (findings_for ~path pragma));
+  (* a spawned partial application of a named worker is walked too *)
+  let partial =
+    "let scan_parallel () =\n\
+    \  let acc = Bytes.create 32 in\n\
+    \  let worker w () = Bytes.set acc w 'x' in\n\
+    \  let doms = List.init 4 (fun w -> Domain.spawn (worker w)) in\n\
+    \  List.iter Domain.join doms\n"
+  in
+  Alcotest.(check bool) "spawned partial application caught" true
+    (count_rule "race" (findings_for ~path partial) >= 1);
+  (* the serving path's worker entry runs its closure on other domains *)
+  let workers =
+    "let scan_parallel () =\n\
+    \  let acc = Bytes.create 32 in\n\
+    \  Server.run_workers 4 (fun w -> Bytes.set acc w 'x')\n"
+  in
+  Alcotest.(check bool) "run_workers closure caught" true
+    (count_rule "race" (findings_for ~path workers) >= 1)
 
 let test_balance_pin_lifecycle () =
   let path = "lib/core/fixture.ml" in
@@ -1018,6 +1058,8 @@ let () =
       ( "analyses",
         [
           Alcotest.test_case "taint through helper" `Quick test_taint_through_helper;
+          Alcotest.test_case "taint binds labelled arguments" `Quick
+            test_taint_labelled_arguments;
           Alcotest.test_case "taint from SPIR secret source" `Quick
             test_taint_spir_secret_source;
           Alcotest.test_case "taint from DPF source" `Quick

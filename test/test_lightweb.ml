@@ -438,26 +438,51 @@ let test_frontend_bucket_routing () =
   Alcotest.(check string) "read 0" "first" (String.sub (read 0) 0 5);
   Alcotest.(check string) "read 63" "last" (String.sub (read 63) 0 4)
 
+(* Shards of 2^10 x 1 KiB reach [Server.parallel_cutoff_bytes], so with
+   [scan_domains] above 1 every shard scan really runs partitioned on
+   domains. *)
 let test_frontend_parallel_matches () =
-  let st = random_store ~domain_bits:8 ~bucket_size:64 "par" in
+  let st = random_store ~domain_bits:12 ~bucket_size:1024 "par" in
+  let flat = whole_server st in
   let fe = Zltp_frontend.of_store st ~shard_bits:2 in
-  let k0, _ = Lw_dpf.Dpf.gen ~domain_bits:8 ~alpha:77 (rng ()) in
-  Alcotest.(check string) "parallel = sequential" (Zltp_frontend.answer fe k0)
-    (Zltp_frontend.answer_parallel ~num_domains:3 fe k0)
+  Zltp_frontend.set_scan_domains fe 3;
+  let parallel = Lw_obs.Metrics.counter "pir.server.parallel_answers" in
+  let before = Lw_obs.Metrics.counter_value parallel in
+  let keys =
+    Array.init 3 (fun i -> fst (Lw_dpf.Dpf.gen ~domain_bits:12 ~alpha:(77 + (901 * i)) (rng ())))
+  in
+  Alcotest.(check string) "parallel = sequential" (Lw_pir.Server.answer flat keys.(0))
+    (Zltp_frontend.answer fe keys.(0));
+  Alcotest.(check (array string)) "parallel batch = sequential"
+    (Lw_pir.Server.answer_batch flat keys) (Zltp_frontend.answer_batch fe keys);
+  Alcotest.(check int) "every shard scan ran on domains" 8
+    (Lw_obs.Metrics.counter_value parallel - before)
+
+(* [Zltp_server.create ~scan_domains] reaches the sharded front-end's
+   own knob. *)
+let test_sharded_server_scan_domains () =
+  let st = random_store ~domain_bits:6 ~bucket_size:32 "knob" in
+  let fe = Zltp_frontend.of_store st ~shard_bits:2 in
+  ignore (Zltp_server.create ~scan_domains:2 ~blob_size:32 (Zltp_backend.sharded fe));
+  Alcotest.(check int) "front-end scan domains" 2 (Zltp_frontend.scan_domains fe)
 
 let empty_frontend ~domain_bits ~shard_bits ~bucket_size =
   Zltp_frontend.of_store (Lw_store.create ~domain_bits ~bucket_size ()) ~shard_bits
 
+(* A batch feeds each shard's latency histogram once, with a
+   non-negative time. *)
 let test_frontend_timings () =
   let fe = empty_frontend ~domain_bits:8 ~shard_bits:2 ~bucket_size:32 in
-  let k0, _ = Lw_dpf.Dpf.gen ~domain_bits:8 ~alpha:3 (rng ()) in
-  let _, timings = Zltp_frontend.answer_timed fe k0 in
-  Alcotest.(check int) "per-shard timings" 4 (List.length timings);
-  List.iter
-    (fun t ->
-      Alcotest.(check bool) "non-negative" true
-        (t.Zltp_frontend.eval_s >= 0. && t.Zltp_frontend.scan_s >= 0.))
-    timings
+  let keys = Array.init 3 (fun i -> fst (Lw_dpf.Dpf.gen ~domain_bits:8 ~alpha:(3 + i) (rng ()))) in
+  let hists = Zltp_frontend.shard_histograms fe in
+  let before = Array.map Lw_obs.Metrics.hist_count hists in
+  ignore (Zltp_frontend.answer_batch fe keys);
+  Alcotest.(check int) "per-shard timings" 4 (Array.length hists);
+  Array.iteri
+    (fun i h ->
+      Alcotest.(check int) "one timing per shard" (before.(i) + 1) (Lw_obs.Metrics.hist_count h);
+      Alcotest.(check bool) "non-negative" true (Lw_obs.Metrics.hist_sum h >= 0.))
+    hists
 
 let test_frontend_tree_shape () =
   let fe = empty_frontend ~domain_bits:8 ~shard_bits:6 ~bucket_size:32 in
@@ -478,13 +503,17 @@ let test_frontend_tree_shape () =
 
 let test_frontend_tree_refusal () =
   (* degraded-shard refusal must survive the tree: the down-shard check
-     runs before any tree walk, so a tree-routed [answer_result] refuses
+     runs before any tree walk, so a tree-routed [answer_batch_result] refuses
      exactly like the flat path *)
   let st = random_store ~domain_bits:8 ~bucket_size:64 "tree-refusal" in
   let fe = Zltp_frontend.of_store st ~shard_bits:4 in
   Zltp_frontend.set_tree_fanout fe (Some 2);
   let k0, _ = Lw_dpf.Dpf.gen ~domain_bits:8 ~alpha:200 (rng ()) in
-  let answer () = Zltp_frontend.answer_result fe (Zltp_frontend.current fe) k0 in
+  let answer () =
+    Result.map
+      (fun shares -> shares.(0))
+      (Zltp_frontend.answer_batch_result fe (Zltp_frontend.current fe) [| k0 |])
+  in
   (match answer () with
   | Ok _ -> ()
   | Error e -> Alcotest.fail ("healthy tree refused: " ^ e));
@@ -1277,6 +1306,7 @@ let () =
           Alcotest.test_case "bucket routing" `Quick test_frontend_bucket_routing;
           Alcotest.test_case "parallel = sequential" `Quick test_frontend_parallel_matches;
           Alcotest.test_case "timings" `Quick test_frontend_timings;
+          Alcotest.test_case "sharded server scan domains" `Quick test_sharded_server_scan_domains;
           Alcotest.test_case "tree shape" `Quick test_frontend_tree_shape;
           Alcotest.test_case "tree refusal" `Quick test_frontend_tree_refusal;
           QCheck_alcotest.to_alcotest prop_tree_matches_serial;

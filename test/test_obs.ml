@@ -1,7 +1,7 @@
 (* The observability layer: histogram quantile accuracy, counter
    exactness under domain concurrency, span nesting on virtual clocks,
    the exporters, and the telemetry-adjacent bugfixes that shipped with
-   lw_obs (Pacer drops/pairing, answer_parallel failure handling,
+   lw_obs (Pacer drops/pairing, parallel scan failure handling,
    Query_stats.combine validation). *)
 
 open Lightweb
@@ -135,25 +135,34 @@ let test_counter_exact_under_domains () =
   List.iter Domain.join domains;
   Alcotest.(check int) "no lost increments" (4 * per_domain) (Lw_obs.Metrics.counter_value c)
 
-(* A 4-shard front-end over one random sealed epoch. *)
-let random_frontend seed =
+(* One random sealed epoch of 2^8 x 64 B buckets. *)
+let random_store seed =
   let st = Lw_store.create ~domain_bits:8 ~bucket_size:64 () in
   let w = Lw_store.writer st in
   Lw_store.Writer.fill_random w (Lw_util.Det_rng.of_string_seed seed);
   ignore (Lw_store.Writer.seal w);
-  Zltp_frontend.of_store st ~shard_bits:2
+  st
 
-let test_counter_exact_under_answer_parallel () =
-  let fe = random_frontend "obs-par" in
+let random_server seed = Lw_pir.Server.of_snapshot (Lw_store.current (random_store seed))
+
+(* A 4-shard front-end over one random sealed epoch. *)
+let random_frontend seed = Zltp_frontend.of_store (random_store seed) ~shard_bits:2
+
+let test_counter_exact_under_concurrent_answers () =
+  let server = random_server "obs-par" in
   let k0, _ = Lw_dpf.Dpf.gen ~domain_bits:8 ~alpha:42 (rng ()) in
   let c = Lw_obs.Metrics.counter "pir.server.answers" in
   let before = Lw_obs.Metrics.counter_value c in
   let calls = 10 in
-  for _ = 1 to calls do
-    ignore (Zltp_frontend.answer_parallel ~num_domains:4 fe k0)
-  done;
-  (* every call answers each of the 4 shards exactly once, from
-     concurrent domains *)
+  (* 4 domains answer concurrently, [calls] answers each *)
+  let doms =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            for _ = 1 to calls do
+              ignore (Lw_pir.Server.answer server k0)
+            done))
+  in
+  List.iter Domain.join doms;
   Alcotest.(check int) "pir.server.answers exact" (calls * 4)
     (Lw_obs.Metrics.counter_value c - before)
 
@@ -226,42 +235,56 @@ let test_exporters () =
     (has "test_obs_export_hist{quantile=\"0.5\"}");
   Alcotest.(check bool) "prom count line" true (has "test_obs_export_hist_count 1")
 
-(* ---------------- answer_parallel: failure handling ---------------- *)
+(* ---------------- parallel scan: failure handling ---------------- *)
 
 exception Rigged of int
 
+(* [Server.run_workers] is the one spawn site of the serving path: the
+   partitioned scan runs its workers there. *)
 let test_parallel_rigged_shard_raises () =
-  let fe = random_frontend "obs-rig" in
+  let server = random_server "obs-rig" in
   let k0, _ = Lw_dpf.Dpf.gen ~domain_bits:8 ~alpha:9 (rng ()) in
-  let expected = Zltp_frontend.answer fe k0 in
-  (* a shard rigged to raise must surface the exception, not a partial
-     XOR *)
+  let expected = Lw_pir.Server.answer server k0 in
+  let finished = Atomic.make 0 in
+  (* a worker rigged to raise must surface the exception, not a partial
+     XOR, and only after every other worker has finished *)
   (match
-     Zltp_frontend.answer_parallel ~num_domains:3
-       ~fault:(fun i -> if i = 1 then raise (Rigged i))
-       fe k0
+     Lw_pir.Server.run_workers 3 (fun w ->
+         if w = 1 then raise (Rigged w);
+         ignore (Lw_pir.Server.answer server k0);
+         Atomic.incr finished)
    with
-  | (_ : string) -> Alcotest.fail "rigged shard did not raise"
+  | () -> Alcotest.fail "rigged worker did not raise"
   | exception Rigged 1 -> ()
   | exception e -> Alcotest.fail ("unexpected exception: " ^ Printexc.to_string e));
-  (* all domains were joined: the frontend stays fully usable and
+  Alcotest.(check int) "every other worker joined before the raise" 2 (Atomic.get finished);
+  (* all domains were joined: the partitioned scan stays fully usable and
      correct afterwards, repeatedly *)
   for _ = 1 to 3 do
     Alcotest.(check string) "subsequent parallel answer correct" expected
-      (Zltp_frontend.answer_parallel ~num_domains:3 fe k0)
+      (Lw_pir.Server.answer_partitioned ~partitions:4 ~domains:3 server [| k0 |]).(0)
   done
 
+(* Every answer feeds each shard's latency histogram once, whatever the
+   fan-out and scan parallelism. *)
 let test_parallel_timed_spans () =
   let fe = random_frontend "obs-spans" in
+  Zltp_frontend.set_scan_domains fe 2;
+  Zltp_frontend.set_tree_fanout fe (Some 1);
   let k0, _ = Lw_dpf.Dpf.gen ~domain_bits:8 ~alpha:5 (rng ()) in
-  let share, spans = Zltp_frontend.answer_parallel_timed ~num_domains:2 fe k0 in
-  Alcotest.(check string) "share matches sequential" (Zltp_frontend.answer fe k0) share;
-  Alcotest.(check int) "one span per shard" 4 (Array.length spans);
+  let hists = Zltp_frontend.shard_histograms fe in
+  let before = Array.map Lw_obs.Metrics.hist_count hists in
+  let share = Zltp_frontend.answer fe k0 in
+  Alcotest.(check string) "share matches the whole database"
+    (Lw_pir.Server.answer (random_server "obs-spans") k0)
+    share;
+  Alcotest.(check int) "one histogram per shard" 4 (Array.length hists);
   Array.iteri
-    (fun i s ->
-      Alcotest.(check int) "span shard id" i s.Zltp_frontend.span_shard;
-      Alcotest.(check bool) "span non-negative" true (s.Zltp_frontend.elapsed_s >= 0.))
-    spans
+    (fun i h ->
+      Alcotest.(check int) "one observation per shard" (before.(i) + 1)
+        (Lw_obs.Metrics.hist_count h);
+      Alcotest.(check bool) "span non-negative" true (Lw_obs.Metrics.hist_max h >= 0.))
+    hists
 
 (* ---------------- Query_stats.combine validation ---------------- *)
 
@@ -344,8 +367,8 @@ let () =
           Alcotest.test_case "kind mismatch" `Quick test_metric_kind_mismatch;
           Alcotest.test_case "disabled recording" `Quick test_disabled_recording;
           Alcotest.test_case "counters exact under domains" `Quick test_counter_exact_under_domains;
-          Alcotest.test_case "counters exact under answer_parallel" `Quick
-            test_counter_exact_under_answer_parallel;
+          Alcotest.test_case "counters exact under concurrent answers" `Quick
+            test_counter_exact_under_concurrent_answers;
         ] );
       ( "spans",
         [

@@ -310,20 +310,60 @@ let test_pir_server_response_uniform_size () =
   in
   List.iter (fun n -> Alcotest.(check int) "uniform" 256 n) sizes
 
+(* The wire entry point: [Zltp_server.handle_frame] deserialises each
+   key and checks its domain before any scan. A [Pir_query] or a
+   [Pir_batch] with garbage key bytes or a key over the wrong domain is a
+   bad request; a valid key's share is [Server.answer]'s. *)
 let test_pir_serialized_entry_point () =
+  let open Lightweb in
   let s, keys = populated_store 5 in
-  let server = Server.of_snapshot (Store.snapshot s) in
-  let key = List.hd keys in
-  let q = Client.query_key ~keymap:(Store.keymap s) ~key (rng ()) in
-  (match Server.answer_serialized server (Lw_dpf.Dpf.serialize q.Client.key0) with
-  | Ok r -> Alcotest.(check string) "same as direct" (Server.answer server q.Client.key0) r
-  | Error e -> Alcotest.fail e);
-  Alcotest.(check bool) "rejects garbage" true
-    (Server.answer_serialized server "garbage" |> Result.is_error);
-  (* a key over the wrong domain is rejected *)
-  let wrong = Client.query_index ~domain_bits:5 ~index:0 (rng ()) in
-  Alcotest.(check bool) "rejects wrong domain" true
-    (Server.answer_serialized server (Lw_dpf.Dpf.serialize wrong.Client.key0) |> Result.is_error)
+  let snap = Store.snapshot s in
+  let server = Server.of_snapshot snap in
+  let epoch = Lw_store.Snapshot.epoch snap in
+  let zs = Zltp_server.create ~blob_size:256 (Zltp_backend.versioned (Store.engine s)) in
+  let c = Zltp_server.conn zs in
+  (match
+     Zltp_server.handle c
+       (Zltp_wire.Hello { version = Zltp_wire.protocol_version; modes = [ Zltp_mode.Pir2 ] })
+   with
+  | Some (Zltp_wire.Welcome _) -> ()
+  | _ -> Alcotest.fail "hello failed");
+  let send msg =
+    match Zltp_server.handle_frame c (Zltp_wire.encode_client msg) with
+    | None -> Alcotest.fail "no reply"
+    | Some frame -> (
+        match Zltp_wire.decode_server frame with
+        | Ok reply -> reply
+        | Error e -> Alcotest.fail ("undecodable reply: " ^ e))
+  in
+  let q = Client.query_key ~keymap:(Store.keymap s) ~key:(List.hd keys) (rng ()) in
+  let valid = Lw_dpf.Dpf.serialize q.Client.key0 in
+  (match send (Zltp_wire.Pir_query { qid = 1; epoch; dpf_key = valid }) with
+  | Zltp_wire.Answer { share; _ } ->
+      Alcotest.(check string) "same as direct" (Server.answer server q.Client.key0) share
+  | _ -> Alcotest.fail "valid query not answered");
+  (match send (Zltp_wire.Pir_batch { qid = 2; epoch; dpf_keys = [ valid; valid ] }) with
+  | Zltp_wire.Batch_answer { shares; _ } ->
+      Alcotest.(check (list string)) "batch same as direct"
+        (Array.to_list (Server.answer_batch server [| q.Client.key0; q.Client.key0 |]))
+        shares
+  | _ -> Alcotest.fail "valid batch not answered");
+  (* a key over the wrong domain *)
+  let wrong =
+    Lw_dpf.Dpf.serialize (Client.query_index ~domain_bits:5 ~index:0 (rng ())).Client.key0
+  in
+  List.iter
+    (fun (label, bad) ->
+      let rejected msg =
+        match send msg with
+        | Zltp_wire.Err { code; _ } -> code = Zltp_wire.err_bad_request
+        | _ -> false
+      in
+      Alcotest.(check bool) ("query rejects " ^ label) true
+        (rejected (Zltp_wire.Pir_query { qid = 3; epoch; dpf_key = bad }));
+      Alcotest.(check bool) ("batch rejects " ^ label) true
+        (rejected (Zltp_wire.Pir_batch { qid = 4; epoch; dpf_keys = [ valid; bad ] })))
+    [ ("garbage", "garbage"); ("wrong domain", wrong) ]
 
 let test_pir_cuckoo_end_to_end () =
   (* probing both candidate locations retrieves the record wherever
@@ -516,14 +556,14 @@ let prop_snapshot_batch_matches_naive =
       Lw_store.unpin store snap;
       ok)
 
-(* The domain-parallel paths must be bit-identical to the serial kernels
+(* The partitioned driver must be bit-identical to the serial kernels
    whatever the worker count: counts below, at and above the machine's
    core count, worker counts exceeding the partition count, and
-   geometries the cutoff would normally veto ([~cutoff_bytes:0] forces
-   the parallel path even on tiny databases). [answer_partitioned] is
-   the deterministic serial twin of the same partition kernels, so it
+   geometries the work-size cutoff would keep serial in [answer ~domains]
+   ([answer_partitioned] applies no cutoff). With one worker the same
+   driver runs its partitions inline, the deterministic schedule, so it
    rides the same property. Domain >= 2 bits: below that there is
-   nothing to partition and the entry points fall back to serial. *)
+   nothing to partition. *)
 
 let parallel_geometry =
   QCheck.make
@@ -538,7 +578,7 @@ let parallel_geometry =
       return (d, b, nd, alphas))
 
 let prop_domains_matches_serial =
-  QCheck.Test.make ~name:"answer_domains/partitioned = serial answer" ~count:40
+  QCheck.Test.make ~name:"partitioned (domains/inline) = serial answer" ~count:40
     parallel_geometry
     (fun (domain_bits, bucket_size, nd, alphas) ->
       let server = random_server ~domain_bits ~bucket_size "domains-prop" in
@@ -550,13 +590,14 @@ let prop_domains_matches_serial =
             (fun k ->
               let serial = Server.answer server k in
               String.equal serial
-                (Server.answer_domains ~cutoff_bytes:0 ~domains:nd server k)
-              && String.equal serial (Server.answer_partitioned ~partitions:nd server k))
+                (Server.answer_partitioned ~partitions:nd ~domains:nd server [| k |]).(0)
+              && String.equal serial (Server.answer_partitioned ~partitions:nd server [| k |]).(0)
+              && String.equal serial (Server.answer ~domains:nd server k))
             [ k0; k1 ])
         alphas)
 
 let prop_batch_domains_matches_batch =
-  QCheck.Test.make ~name:"answer_batch_domains = answer_batch" ~count:30
+  QCheck.Test.make ~name:"partitioned batch (domains) = answer_batch" ~count:30
     parallel_geometry
     (fun (domain_bits, bucket_size, nd, alphas) ->
       let server = random_server ~domain_bits ~bucket_size "batch-domains-prop" in
@@ -570,7 +611,7 @@ let prop_batch_domains_matches_batch =
              alphas)
       in
       let serial = Server.answer_batch server keys in
-      let parallel = Server.answer_batch_domains ~cutoff_bytes:0 ~domains:nd server keys in
+      let parallel = Server.answer_partitioned ~partitions:nd ~domains:nd server keys in
       Array.length parallel = Array.length serial
       && Array.for_all2 String.equal parallel serial)
 
@@ -595,8 +636,7 @@ let test_batch_scan_bytes () =
           (Lw_obs.Metrics.counter_value scan_bytes - before)
       in
       delta "serial" (fun () -> Server.answer_batch server keys);
-      delta "domains" (fun () ->
-          Server.answer_batch_domains ~cutoff_bytes:0 ~domains:2 server keys))
+      delta "domains" (fun () -> Server.answer_partitioned ~partitions:2 ~domains:2 server keys))
     [ 5; 9 ]
 
 let props =

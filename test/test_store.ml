@@ -378,7 +378,11 @@ let test_frontend_epoch_refusal () =
   Alcotest.(check int) "serves epoch 1" 1 (Zltp_frontend.announced_epoch fe);
   let rng = Lw_crypto.Drbg.create ~seed:"fe-epoch" in
   let k0, _ = Lw_dpf.Dpf.gen ~domain_bits ~alpha:11 rng in
-  let answer () = Zltp_frontend.answer_result fe (Zltp_frontend.current fe) k0 in
+  let answer () =
+    Result.map
+      (fun shares -> shares.(0))
+      (Zltp_frontend.answer_batch_result fe (Zltp_frontend.current fe) [| k0 |])
+  in
   (match answer () with
   | Ok share ->
       Alcotest.(check string) "epoch-1 share" (answer_of (Store.current st) k0) share
