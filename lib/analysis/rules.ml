@@ -327,7 +327,7 @@ let key_print =
 (* ------------------------------------------------------------------ *)
 
 let server_request_files =
-  [ "server.ml"; "zltp_server.ml"; "zltp_frontend.ml"; "zltp_batch.ml"; "endpoint.ml" ]
+  [ "server.ml"; "zltp_server.ml"; "zltp_frontend.ml"; "endpoint.ml" ]
 
 let server_abort =
   {

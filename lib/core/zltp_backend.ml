@@ -36,6 +36,9 @@ let pin_error_wire ~epoch = function
   | Lw_store.Ahead ->
       (Zltp_wire.err_epoch_ahead, Printf.sprintf "epoch %d not yet published" epoch)
 
+(* An epoch-versioned engine's pin, its refusals in wire terms. *)
+let pin_store store ~epoch = Result.map_error (pin_error_wire ~epoch) (Lw_store.pin store ~epoch)
+
 (* Advertised-epoch override, shared by every constructor: a mutable cell
    the control plane flips; [current] falls back to the backend's own
    epoch when unset. *)
@@ -62,13 +65,7 @@ let versioned store : t =
     let advertised_epoch = get_adv
     let set_scan_domains d = domains := d
 
-    let pin ~epoch =
-      match Lw_store.pin store ~epoch with
-      | Ok snap -> Ok snap
-      | Error Lw_store.Retired ->
-          Error (Zltp_wire.err_epoch_retired, Printf.sprintf "epoch %d retired" epoch)
-      | Error Lw_store.Ahead ->
-          Error (Zltp_wire.err_epoch_ahead, Printf.sprintf "epoch %d not yet published" epoch)
+    let pin = pin_store store
 
     let unpin snap = Lw_store.unpin store snap
     let answer snap k =
@@ -161,13 +158,7 @@ let single ?cache store : t =
     let advertised_epoch = get_adv
     let set_scan_domains _ = () (* the SPIR scan kernel is serial by design *)
 
-    let pin ~epoch =
-      match Lw_store.pin store ~epoch with
-      | Ok snap -> Ok snap
-      | Error Lw_store.Retired ->
-          Error (Zltp_wire.err_epoch_retired, Printf.sprintf "epoch %d retired" epoch)
-      | Error Lw_store.Ahead ->
-          Error (Zltp_wire.err_epoch_ahead, Printf.sprintf "epoch %d not yet published" epoch)
+    let pin = pin_store store
 
     let unpin snap = Lw_store.unpin store snap
     let answer _ _ = wrong_mode "answer" kind

@@ -72,15 +72,28 @@ let deserialize_key t dpf_key =
 (* Answer strictly against the queried epoch: pin it for the duration of
    the answer (so a concurrent seal cannot retire it mid-scan) and unpin
    on every exit path. What pinning means — store pin, shard epoch
-   agreement, the degenerate epoch-0 check — is the backend's business. *)
+   agreement, the degenerate epoch-0 check — is the backend's business.
+   The unpin is by hand, not [Fun.protect], which would cost a request
+   two more closures. *)
+let with_pin (type v) (module B : Zltp_backend.S with type view = v) ~epoch f =
+  match B.pin ~epoch with
+  | Error _ as e -> e
+  | Ok v -> (
+      match f v with
+      | r ->
+          B.unpin v;
+          r
+      | exception exn ->
+          let bt = Printexc.get_raw_backtrace () in
+          B.unpin v;
+          Printexc.raise_with_backtrace exn bt)
+
 let answer_pir t ~epoch dpf_key =
   match deserialize_key t dpf_key with
   | Error _ as e -> e
-  | Ok k -> (
+  | Ok k ->
       let (module B : Zltp_backend.S) = t.backend in
-      match B.pin ~epoch with
-      | Error _ as e -> e
-      | Ok v -> Fun.protect ~finally:(fun () -> B.unpin v) (fun () -> B.answer v k))
+      with_pin (module B) ~epoch (fun v -> B.answer v k)
 
 (* A batch deserialises and validates every key before any evaluation, so
    a malformed key rejects the whole request rather than wasting a
@@ -97,40 +110,30 @@ let answer_pir_batch t ~epoch dpf_keys =
   in
   match deserialize_all [] dpf_keys with
   | Error _ as e -> e
-  | Ok keys -> (
+  | Ok keys ->
       let (module B : Zltp_backend.S) = t.backend in
-      match B.pin ~epoch with
-      | Error _ as e -> e
-      | Ok v ->
-          Fun.protect
-            ~finally:(fun () -> B.unpin v)
-            (fun () ->
-              match B.answer_batch v keys with
-              | Ok shares -> Ok (Array.to_list shares)
-              | Error _ as e -> e))
+      with_pin (module B) ~epoch (fun v ->
+          match B.answer_batch v keys with
+          | Ok shares -> Ok (Array.to_list shares)
+          | Error _ as e -> e)
 
 let answer_spir_hint t ~epoch =
   let (module B : Zltp_backend.S) = t.backend in
-  match B.pin ~epoch with
-  | Error _ as e -> e
-  | Ok v -> Fun.protect ~finally:(fun () -> B.unpin v) (fun () -> B.spir_hint v)
+  with_pin (module B) ~epoch B.spir_hint
 
 let answer_spir t ~epoch query =
   let (module B : Zltp_backend.S) = t.backend in
-  match B.pin ~epoch with
-  | Error _ as e -> e
-  | Ok v -> Fun.protect ~finally:(fun () -> B.unpin v) (fun () -> B.spir_answer v query)
+  with_pin (module B) ~epoch (fun v -> B.spir_answer v query)
 
 let enclave_get t key =
   let (module B : Zltp_backend.S) = t.backend in
   B.enclave_get key
 
-(* A session speaks exactly one verb family after Hello; a verb from
-   another family is the structured wrong-mode error. *)
 let wrong_session_mode mode =
   Printf.sprintf "session is in %s mode" (Zltp_mode.name mode)
 
-let handle c msg =
+(* Every verb's answer, once [handle] has checked the session's mode. *)
+let dispatch c msg =
   let t = c.server in
   match msg with
   | Zltp_wire.Bye -> None
@@ -168,93 +171,84 @@ let handle c msg =
                  })
       end
   | Zltp_wire.Pir_query { qid; epoch; dpf_key } -> (
-      match c.mode with
-      | None -> err ~qid Zltp_wire.err_not_negotiated "hello first"
-      | Some ((Zltp_mode.Enclave | Zltp_mode.Single) as m) ->
-          err ~qid Zltp_wire.err_wrong_mode (wrong_session_mode m)
-      | Some Zltp_mode.Pir2 -> (
-          match answer_pir t ~epoch dpf_key with
-          | Ok share ->
-              t.queries <- t.queries + 1;
-              (* note: nothing about the query is loggable beyond its
-                 existence — the server never has the request key *)
-              Log.debug (fun m -> m "%s: private-GET #%d answered" t.server_id t.queries);
-              Some (Zltp_wire.Answer { qid; epoch; share })
-          | Error (code, e) ->
-              Log.info (fun m -> m "%s: rejected query: %s" t.server_id e);
-              err ~qid code e))
+      match answer_pir t ~epoch dpf_key with
+      | Ok share ->
+          t.queries <- t.queries + 1;
+          (* note: nothing about the query is loggable beyond its
+             existence — the server never has the request key *)
+          Log.debug (fun m -> m "%s: private-GET #%d answered" t.server_id t.queries);
+          Some (Zltp_wire.Answer { qid; epoch; share })
+      | Error (code, e) ->
+          Log.info (fun m -> m "%s: rejected query: %s" t.server_id e);
+          err ~qid code e)
   | Zltp_wire.Pir_batch { qid; epoch; dpf_keys } -> (
-      match c.mode with
-      | None -> err ~qid Zltp_wire.err_not_negotiated "hello first"
-      | Some ((Zltp_mode.Enclave | Zltp_mode.Single) as m) ->
-          err ~qid Zltp_wire.err_wrong_mode (wrong_session_mode m)
-      | Some Zltp_mode.Pir2 -> (
-          match answer_pir_batch t ~epoch dpf_keys with
-          | Ok shares ->
-              t.queries <- t.queries + List.length shares;
-              Log.debug (fun m ->
-                  m "%s: private-GET batch of %d answered" t.server_id (List.length shares));
-              Some (Zltp_wire.Batch_answer { qid; epoch; shares })
-          | Error (code, e) ->
-              Log.info (fun m -> m "%s: rejected batch: %s" t.server_id e);
-              err ~qid code e))
+      match answer_pir_batch t ~epoch dpf_keys with
+      | Ok shares ->
+          t.queries <- t.queries + List.length shares;
+          Log.debug (fun m ->
+              m "%s: private-GET batch of %d answered" t.server_id (List.length shares));
+          Some (Zltp_wire.Batch_answer { qid; epoch; shares })
+      | Error (code, e) ->
+          Log.info (fun m -> m "%s: rejected batch: %s" t.server_id e);
+          err ~qid code e)
   | Zltp_wire.Keyword_query { qid; epoch; dpf_key0; dpf_key1 } -> (
       (* keyword GET = both cuckoo candidate probes as one width-2 entry
          into the batch scan kernel (a two-lane call): one
          streamed scan pass, one round trip, and the same epoch pinning /
          degraded refusal as any other PIR batch *)
-      match c.mode with
-      | None -> err ~qid Zltp_wire.err_not_negotiated "hello first"
-      | Some ((Zltp_mode.Enclave | Zltp_mode.Single) as m) ->
-          err ~qid Zltp_wire.err_wrong_mode (wrong_session_mode m)
-      | Some Zltp_mode.Pir2 -> (
-          match answer_pir_batch t ~epoch [ dpf_key0; dpf_key1 ] with
-          | Ok [ share0; share1 ] ->
-              t.queries <- t.queries + 1;
-              Log.debug (fun m -> m "%s: keyword-GET #%d answered" t.server_id t.queries);
-              Some (Zltp_wire.Keyword_answer { qid; epoch; share0; share1 })
-          | Ok _ -> err ~qid Zltp_wire.err_internal "keyword answer arity"
-          | Error (code, e) ->
-              Log.info (fun m -> m "%s: rejected keyword query: %s" t.server_id e);
-              err ~qid code e))
+      match answer_pir_batch t ~epoch [ dpf_key0; dpf_key1 ] with
+      | Ok [ share0; share1 ] ->
+          t.queries <- t.queries + 1;
+          Log.debug (fun m -> m "%s: keyword-GET #%d answered" t.server_id t.queries);
+          Some (Zltp_wire.Keyword_answer { qid; epoch; share0; share1 })
+      | Ok _ -> err ~qid Zltp_wire.err_internal "keyword answer arity"
+      | Error (code, e) ->
+          Log.info (fun m -> m "%s: rejected keyword query: %s" t.server_id e);
+          err ~qid code e)
   | Zltp_wire.Spir_hint_req { qid; epoch } -> (
-      match c.mode with
-      | None -> err ~qid Zltp_wire.err_not_negotiated "hello first"
-      | Some ((Zltp_mode.Pir2 | Zltp_mode.Enclave) as m) ->
-          err ~qid Zltp_wire.err_wrong_mode (wrong_session_mode m)
-      | Some Zltp_mode.Single -> (
-          match answer_spir_hint t ~epoch with
-          | Ok hint ->
-              Log.debug (fun m -> m "%s: SPIR hint for epoch %d served" t.server_id epoch);
-              Some (Zltp_wire.Spir_hint { qid; epoch; hint })
-          | Error (code, e) ->
-              Log.info (fun m -> m "%s: rejected hint request: %s" t.server_id e);
-              err ~qid code e))
+      match answer_spir_hint t ~epoch with
+      | Ok hint ->
+          Log.debug (fun m -> m "%s: SPIR hint for epoch %d served" t.server_id epoch);
+          Some (Zltp_wire.Spir_hint { qid; epoch; hint })
+      | Error (code, e) ->
+          Log.info (fun m -> m "%s: rejected hint request: %s" t.server_id e);
+          err ~qid code e)
   | Zltp_wire.Spir_query { qid; epoch; query } -> (
-      match c.mode with
-      | None -> err ~qid Zltp_wire.err_not_negotiated "hello first"
-      | Some ((Zltp_mode.Pir2 | Zltp_mode.Enclave) as m) ->
-          err ~qid Zltp_wire.err_wrong_mode (wrong_session_mode m)
-      | Some Zltp_mode.Single -> (
-          match answer_spir t ~epoch query with
-          | Ok answer ->
-              t.queries <- t.queries + 1;
-              Log.debug (fun m -> m "%s: private-GET #%d answered" t.server_id t.queries);
-              Some (Zltp_wire.Spir_answer { qid; epoch; answer })
-          | Error (code, e) ->
-              Log.info (fun m -> m "%s: rejected SPIR query: %s" t.server_id e);
-              err ~qid code e))
+      match answer_spir t ~epoch query with
+      | Ok answer ->
+          t.queries <- t.queries + 1;
+          Log.debug (fun m -> m "%s: private-GET #%d answered" t.server_id t.queries);
+          Some (Zltp_wire.Spir_answer { qid; epoch; answer })
+      | Error (code, e) ->
+          Log.info (fun m -> m "%s: rejected SPIR query: %s" t.server_id e);
+          err ~qid code e)
   | Zltp_wire.Enclave_get { qid; key } -> (
-      match c.mode with
+      match enclave_get t key with
+      | Ok value ->
+          t.queries <- t.queries + 1;
+          Some (Zltp_wire.Enclave_answer { qid; value })
+      | Error (code, e) -> err ~qid code e)
+
+(* A session speaks exactly one verb family after Hello: each verb names
+   the mode it needs, and one guard answers a verb outside the session's
+   mode with the structured not-negotiated or wrong-mode error. Hello,
+   Bye and the Health/Sync probes need no mode. *)
+let verb_mode = function
+  | Zltp_wire.Pir_query _ | Zltp_wire.Pir_batch _ | Zltp_wire.Keyword_query _ ->
+      Some Zltp_mode.Pir2
+  | Zltp_wire.Spir_hint_req _ | Zltp_wire.Spir_query _ -> Some Zltp_mode.Single
+  | Zltp_wire.Enclave_get _ -> Some Zltp_mode.Enclave
+  | Zltp_wire.Hello _ | Zltp_wire.Bye | Zltp_wire.Health _ | Zltp_wire.Sync _ -> None
+
+let handle c msg =
+  match (verb_mode msg, c.mode) with
+  | None, _ -> dispatch c msg
+  | Some want, Some mode when mode = want -> dispatch c msg
+  | Some _, mode -> (
+      let qid = Option.value (Zltp_wire.request_qid msg) ~default:0 in
+      match mode with
       | None -> err ~qid Zltp_wire.err_not_negotiated "hello first"
-      | Some ((Zltp_mode.Pir2 | Zltp_mode.Single) as m) ->
-          err ~qid Zltp_wire.err_wrong_mode (wrong_session_mode m)
-      | Some Zltp_mode.Enclave -> (
-          match enclave_get t key with
-          | Ok value ->
-              t.queries <- t.queries + 1;
-              Some (Zltp_wire.Enclave_answer { qid; value })
-          | Error (code, e) -> err ~qid code e))
+      | Some m -> err ~qid Zltp_wire.err_wrong_mode (wrong_session_mode m))
 
 (* The request path must never let an exception escape and tear the whole
    connection (or, under a shared-process server, the process) down: any

@@ -67,7 +67,8 @@ val conn : t -> conn
 
 val handle : conn -> Zltp_wire.client_msg -> Zltp_wire.server_msg option
 (** State-machine step; [None] for [Bye]. Queries before a successful
-    [Hello] yield [Err]s; [Health] is answered even before [Hello]. *)
+    [Hello] yield [Err]s, and so does a verb outside the negotiated
+    mode; [Health] and [Sync] are answered even before [Hello]. *)
 
 val handle_frame : conn -> string -> string option
 (** Decode, {!handle}, encode. Undecodable input yields an encoded [Err];

@@ -2,8 +2,8 @@
 
     ZLTP's client and server speak through this interface, so the same
     protocol code runs over an in-memory pipe (unit/integration tests), a
-    request handler (in-process CDN simulation), a byte-counting or
-    simulated-WAN wrapper (cost experiments), or a real TCP socket. *)
+    request handler (in-process CDN simulation), a byte-counting wrapper
+    (cost experiments), or a real TCP socket. *)
 
 type t = {
   send : string -> unit; (** enqueue one message; raises [Closed] after close *)

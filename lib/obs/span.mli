@@ -3,9 +3,9 @@
     [with_ ~name f] runs [f], timing it against the process span clock,
     and records the elapsed seconds into the histogram
     ["span." ^ path] where [path] is the dot-joined nesting of active
-    span names in the current domain — e.g. a [Zltp_batch.run_batch]
-    span containing the frontend answer span records both
-    ["span.zltp.batch.run"] and ["span.zltp.batch.run.zltp.frontend.answer"].
+    span names in the current domain — e.g. an ["outer"] span containing
+    the frontend answer span records both ["span.outer"] and
+    ["span.outer.zltp.frontend.answer"].
     Durations are recorded even when [f] raises.
 
     The clock defaults to {!Clock.real}; tests and the chaos harness

@@ -1,3 +1,5 @@
+module Prg = Lw_dpf.Prg
+
 type key = {
   party : int;
   domain_bits : int;

@@ -2,6 +2,8 @@
    word storing (leaf + 1), so an all-zero (absent/padded) block decodes
    every slot as "no position yet" (-1). *)
 
+module Path_oram = Lw_oram.Path_oram
+
 type t = {
   data : Path_oram.t;
   maps : Path_oram.t list; (* innermost (largest) first *)

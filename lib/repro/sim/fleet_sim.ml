@@ -13,6 +13,9 @@
    arithmetic seeded from a 1-shard microbenchmark, so E24 can put
    measured numbers and the §4/§5.2 estimates side by side. *)
 
+module Cost_model = Lw_sim.Cost_model
+module Workload = Lw_sim.Workload
+
 type params = {
   shard_bits : int; (* fleet = 2^shard_bits data shards *)
   domain_bits : int; (* global bucket domain *)

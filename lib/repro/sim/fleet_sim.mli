@@ -101,7 +101,7 @@ type result = {
   spir_scan_ratio : float;
       (** per-byte SPIR multiply-accumulate vs XOR-scan slowdown — the
           measured number that seeds the three-way table's Single column *)
-  three_way : Cost_model.mode_cost list;
+  three_way : Lw_sim.Cost_model.mode_cost list;
       (** {!Cost_model.three_way} at the fleet geometry, [single_slowdown]
           seeded from [spir_scan_ratio] *)
 }

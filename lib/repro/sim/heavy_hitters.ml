@@ -1,8 +1,8 @@
-type contribution = { key0 : Lw_dpf.Idpf.key; key1 : Lw_dpf.Idpf.key }
+type contribution = { key0 : Idpf.key; key1 : Idpf.key }
 
 let contribute ~domain_bits ~alpha rng =
   let values = Array.make domain_bits "\x01" in
-  let key0, key1 = Lw_dpf.Idpf.gen ~domain_bits ~alpha ~values rng in
+  let key0, key1 = Idpf.gen ~domain_bits ~alpha ~values rng in
   { key0; key1 }
 
 type hitter = { prefix : int; level : int; count : int64 }
@@ -11,7 +11,7 @@ let server_sum ~party ~level ~prefix contributions =
   List.fold_left
     (fun acc c ->
       let k = if party = 0 then c.key0 else c.key1 in
-      Int64.add acc (Lw_dpf.Idpf.eval_prefix_count k ~level prefix))
+      Int64.add acc (Idpf.eval_prefix_count k ~level prefix))
     0L contributions
 
 let combined_count ~level ~prefix contributions =

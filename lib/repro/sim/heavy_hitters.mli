@@ -13,7 +13,7 @@
     Pruning keeps the work near-linear in the number of heavy prefixes
     instead of the domain size. *)
 
-type contribution = { key0 : Lw_dpf.Idpf.key; key1 : Lw_dpf.Idpf.key }
+type contribution = { key0 : Idpf.key; key1 : Idpf.key }
 
 val contribute : domain_bits:int -> alpha:int -> Lw_crypto.Drbg.t -> contribution
 (** What a client uploads (split between the servers). *)

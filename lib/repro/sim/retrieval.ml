@@ -12,6 +12,8 @@
    which is what lets tests and the bench agree on cluster membership
    across processes. *)
 
+module Corpus = Lw_sim.Corpus
+
 type t = {
   clusters : int;
   assignment : (string, int) Hashtbl.t; (* path -> cluster *)

@@ -12,7 +12,7 @@
 
 type t
 
-val build : clusters:int -> Corpus.t -> t
+val build : clusters:int -> Lw_sim.Corpus.t -> t
 (** Assign every corpus page to one of [clusters] buckets. Raises
     [Invalid_argument] when [clusters < 1]. *)
 

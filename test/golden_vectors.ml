@@ -5,6 +5,7 @@
    implementation, byte for byte. *)
 
 open Lw_dpf
+open Lw_repro
 
 let hex = Lw_util.Hex.encode
 let digest s = hex (Lw_crypto.Sha256.digest s)

@@ -924,6 +924,156 @@ let test_repo_is_clean () =
     (accepted >= List.length baseline);
   Alcotest.(check bool) "scanned a real tree" true (report.Report.files_scanned > 60)
 
+(* ------------------------- reachability gate ------------------------- *)
+
+(* The system libraries (every library under lib/ but lw_repro, at
+   lib/repro/) hold what the binaries link. A file names a system module
+   when a capitalised segment of one of its code identifiers is that
+   module's name; comments and strings never count. The walk starts from
+   every .ml file under bin/, examples/ and perfbench/, and follows the
+   modules each reached file names. A system module it never reaches must
+   be listed here with its reason, and a listed module must be unreached. *)
+let unreached_by_design =
+  [
+    ("Paginate", "§5.1's next link: chains pages larger than a bucket, for the planned packed index");
+    ("Pacer", "constant-rate cover traffic, for the planned paced browsing session");
+    ("Trace_check", "test oracle: the dynamic obliviousness checks");
+    ("Faulty", "chaos harness: fault-injecting endpoints for tests and the chaos bench");
+  ]
+
+module SS = Set.Make (String)
+
+let module_of_file path =
+  String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
+
+let named_modules src =
+  Array.fold_left
+    (fun acc { Lexer.kind; _ } ->
+      match kind with
+      | Lexer.Ident name ->
+          List.fold_left
+            (fun acc seg ->
+              if seg <> "" && seg.[0] >= 'A' && seg.[0] <= 'Z' then SS.add seg acc else acc)
+            acc (Lexer.segments name)
+      | _ -> acc)
+    SS.empty (Lexer.tokenize src)
+
+(* [system] and [seeds] are (path, source) pairs. Returns the unreached
+   system modules and the gate's complaints: unreached and unlisted, or
+   listed but reached, or listed but naming no system module. *)
+let reachability ~system ~seeds ~listed =
+  let files = Hashtbl.create 64 in
+  List.iter (fun (path, src) -> Hashtbl.add files (module_of_file path) src) system;
+  let reached = Hashtbl.create 64 in
+  let rec visit src =
+    SS.iter
+      (fun m ->
+        if Hashtbl.mem files m && not (Hashtbl.mem reached m) then begin
+          Hashtbl.replace reached m ();
+          List.iter visit (Hashtbl.find_all files m)
+        end)
+      (named_modules src)
+  in
+  List.iter (fun (_, src) -> visit src) seeds;
+  let unreached =
+    List.sort_uniq String.compare (List.map (fun (p, _) -> module_of_file p) system)
+    |> List.filter (fun m -> not (Hashtbl.mem reached m))
+  in
+  (* each unreached module, then each listed one: (listed, exists, reached) *)
+  let complaint m =
+    match (List.mem_assoc m listed, Hashtbl.mem files m, Hashtbl.mem reached m) with
+    | false, _, _ -> Some (m ^ ": reached from no binary, example or perfbench, and not listed")
+    | true, false, _ -> Some (m ^ ": listed, but names no system module")
+    | true, true, true -> Some (m ^ ": listed, but reached")
+    | true, true, false -> None
+  in
+  (unreached, List.filter_map complaint (unreached @ List.map fst listed))
+
+let test_reach_clean () =
+  let system =
+    [ ("lib/core/a.ml", "let x = B.y + Lw_util.C.z"); ("lib/core/b.ml", "let y = 1");
+      ("lib/util/c.ml", "let z = 2") ]
+  in
+  let seeds = [ ("bin/main.ml", "let () = ignore Lightweb.A.x") ] in
+  Alcotest.(check (pair (list string) (list string))) "every module reached, no complaint"
+    ([], []) (reachability ~system ~seeds ~listed:[])
+
+let test_reach_dirty () =
+  let system = [ ("lib/core/a.ml", "let x = 1"); ("lib/core/only_tested.ml", "let y = A.x") ] in
+  let seeds =
+    [ ("bin/main.ml", "(* Only_tested.y *) let () = print_string \"Only_tested.y\"; ignore A.x") ]
+  in
+  let unreached, problems = reachability ~system ~seeds ~listed:[] in
+  Alcotest.(check (list string)) "comments and strings reach nothing" [ "Only_tested" ] unreached;
+  Alcotest.(check (list string)) "the test-only module is reported"
+    [ "Only_tested: reached from no binary, example or perfbench, and not listed" ] problems;
+  let _, problems = reachability ~system ~seeds ~listed:[ ("Only_tested", "why") ] in
+  Alcotest.(check (list string)) "listing it clears the report" [] problems
+
+let test_reach_stale_list () =
+  let system = [ ("lib/core/a.ml", "let x = 1"); ("lib/core/b.ml", "let y = 2") ] in
+  let seeds = [ ("examples/demo.ml", "let () = ignore A.x") ] in
+  let _, problems =
+    reachability ~system ~seeds ~listed:[ ("A", "why"); ("B", "why"); ("Gone", "why") ]
+  in
+  Alcotest.(check (list string)) "stale entries are reported"
+    [ "A: listed, but reached"; "Gone: listed, but names no system module" ] problems
+
+let sources_under root =
+  List.map (fun f -> (f, Analyzer.read_file f)) (Analyzer.ml_files_under root)
+
+let test_repo_reachability () =
+  let dir name =
+    match Analyzer.resolve_dir name with
+    | Some d -> d
+    | None -> Alcotest.failf "could not locate %s/ from the test runner" name
+  in
+  let lib = dir "lib" in
+  let repro = Filename.concat lib "repro" in
+  let system =
+    List.filter
+      (fun (f, _) -> not (String.starts_with ~prefix:(repro ^ Filename.dir_sep) f))
+      (sources_under lib)
+  in
+  let seeds = List.concat_map (fun d -> sources_under (dir d)) [ "bin"; "examples"; "perfbench" ] in
+  let unreached, problems = reachability ~system ~seeds ~listed:unreached_by_design in
+  Printf.printf "unreached system modules: %s\n" (String.concat " " unreached);
+  List.iter (Printf.printf "REACH: %s\n") problems;
+  Alcotest.(check (list string)) "every system module reached or listed" [] problems;
+  Alcotest.(check bool) "walked a real tree" true (List.length system > 60 && List.length seeds > 5)
+
+(* Each module moved into lw_repro keeps its old subdirectory name, so
+   every path-keyed lint rule that applied at its old path still applies. *)
+let moved_to_repro =
+  [
+    "pir/bitvec_pir.ml"; "pir/baselines.ml"; "dpf/idpf.ml"; "sim/heavy_hitters.ml";
+    "sim/fleet_sim.ml"; "sim/queue_sim.ml"; "sim/latency_model.ml"; "sim/retrieval.ml";
+    "oram/recursive_oram.ml"; "util/ascii_chart.ml";
+  ]
+
+let test_moved_rules_apply () =
+  let applicable path =
+    let ctx =
+      {
+        Rules.path;
+        path_segments = Analyzer.path_segments path;
+        basename = Analyzer.basename path;
+        secrets = Hashtbl.create 1;
+      }
+    in
+    List.filter_map (fun r -> if r.Rules.applies ctx then Some r.Rules.name else None) Rules.all
+  in
+  let lib = Option.get (Analyzer.resolve_dir "lib") in
+  List.iter
+    (fun rel ->
+      let old_path = "lib/" ^ rel and new_path = "lib/repro/" ^ rel in
+      Alcotest.(check bool) (rel ^ " lives under lib/repro") true
+        (Sys.file_exists (Filename.concat (Filename.concat lib "repro") rel)
+        && not (Sys.file_exists (Filename.concat lib rel)));
+      Alcotest.(check (list string)) (rel ^ ": same rules") (applicable old_path)
+        (applicable new_path))
+    moved_to_repro
+
 (* ------------------------- dynamic obliviousness ------------------------- *)
 
 let check_ok label = function
@@ -1087,6 +1237,15 @@ let () =
       ( "ci-gate",
         [ Alcotest.test_case "repo lints clean vs baseline" `Quick
             test_repo_is_clean ] );
+      ( "reachability",
+        [
+          Alcotest.test_case "clean tree" `Quick test_reach_clean;
+          Alcotest.test_case "test-only module reported" `Quick test_reach_dirty;
+          Alcotest.test_case "stale list entries reported" `Quick test_reach_stale_list;
+          Alcotest.test_case "system libraries reached from the binaries" `Quick
+            test_repo_reachability;
+          Alcotest.test_case "moved files keep their lint rules" `Quick test_moved_rules_apply;
+        ] );
       ( "obliviousness",
         [
           Alcotest.test_case "enclave traces" `Quick test_trace_enclave;

@@ -64,24 +64,6 @@ let test_aead_short_input () =
 
 (* ---------------- zltp details ---------------- *)
 
-let test_batch_delivery_order () =
-  let st = Lw_store.create ~domain_bits:5 ~bucket_size:32 () in
-  let w = Lw_store.writer st in
-  Lw_store.Writer.fill_random w (det "order");
-  let b = Zltp_batch.create ~batch_size:3 (Lw_pir.Server.of_snapshot (Lw_store.Writer.seal w)) in
-  let order = ref [] in
-  for i = 0 to 2 do
-    let k, _ = Lw_dpf.Dpf.gen ~domain_bits:5 ~alpha:i (rng ()) in
-    Zltp_batch.submit b k (fun _ -> order := i :: !order)
-  done;
-  Alcotest.(check (list int)) "delivered in submit order" [ 0; 1; 2 ] (List.rev !order)
-
-let test_batch_flush_empty_noop () =
-  let st = Lw_store.create ~domain_bits:4 ~bucket_size:16 () in
-  let b = Zltp_batch.create (Lw_pir.Server.of_snapshot (Lw_store.current st)) in
-  Zltp_batch.flush b;
-  Alcotest.(check int) "no batch ran" 0 (Zltp_batch.batches_executed b)
-
 let test_server_stats_counter () =
   let u = Universe.create ~name:"stats" Universe.default_geometry in
   ignore (Universe.claim_domain u ~publisher:"p" ~domain:"s.example");
@@ -254,16 +236,7 @@ let test_browser_truncates_greedy_plan () =
       Alcotest.(check string) "render saw only 5" "got 5" page.Browser.text
   | Error e -> Alcotest.fail e
 
-(* ---------------- wan / endpoint corners ---------------- *)
-
-let test_wan_labels () =
-  let link = Lw_net.Wan.link () in
-  let ep = Lw_net.Wan.attach link ~label:"code0" (Lw_net.Endpoint.loopback (fun x -> x)) in
-  ep.Lw_net.Endpoint.send "m";
-  ignore (ep.Lw_net.Endpoint.recv ());
-  List.iter
-    (fun e -> Alcotest.(check string) "label carried" "code0" e.Lw_net.Wan.label)
-    (Lw_net.Wan.events link)
+(* ---------------- frame corners ---------------- *)
 
 let test_frame_encode_bounds () =
   Alcotest.check_raises "oversized" (Invalid_argument "Frame.encode: frame too large") (fun () ->
@@ -316,8 +289,6 @@ let () =
         ] );
       ( "zltp",
         [
-          Alcotest.test_case "batch delivery order" `Quick test_batch_delivery_order;
-          Alcotest.test_case "flush empty" `Quick test_batch_flush_empty_noop;
           Alcotest.test_case "stats counters" `Quick test_server_stats_counter;
           Alcotest.test_case "raw index fetch" `Quick test_client_get_raw_index;
           Alcotest.test_case "mode metadata" `Quick test_mode_metadata;
@@ -336,7 +307,6 @@ let () =
         ] );
       ( "net",
         [
-          Alcotest.test_case "wan labels" `Quick test_wan_labels;
           Alcotest.test_case "frame bounds" `Quick test_frame_encode_bounds;
         ] );
       ( "sim",

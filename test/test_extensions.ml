@@ -23,23 +23,23 @@ let test_bitvec_correctness () =
     Alcotest.(check string)
       (Printf.sprintf "bucket %d" index)
       (Lw_store.Snapshot.get snap index)
-      (Lw_pir.Bitvec_pir.fetch snap ~index (rng ()))
+      (Lw_repro.Bitvec_pir.fetch snap ~index (rng ()))
   done
 
 let test_bitvec_query_shape () =
-  let q = Lw_pir.Bitvec_pir.query ~domain_bits:10 ~index:511 (rng ()) in
-  Alcotest.(check int) "vector bytes" 128 (Bytes.length q.Lw_pir.Bitvec_pir.q0);
+  let q = Lw_repro.Bitvec_pir.query ~domain_bits:10 ~index:511 (rng ()) in
+  Alcotest.(check int) "vector bytes" 128 (Bytes.length q.Lw_repro.Bitvec_pir.q0);
   (* the two vectors differ in exactly one bit: the target index *)
   let diff = ref [] in
   for i = 0 to 1023 do
     let bit b = Char.code (Bytes.get b (i / 8)) lsr (i mod 8) land 1 in
-    if bit q.Lw_pir.Bitvec_pir.q0 <> bit q.Lw_pir.Bitvec_pir.q1 then diff := i :: !diff
+    if bit q.Lw_repro.Bitvec_pir.q0 <> bit q.Lw_repro.Bitvec_pir.q1 then diff := i :: !diff
   done;
   Alcotest.(check (list int)) "single differing bit" [ 511 ] !diff
 
 let test_bitvec_upload_vs_dpf () =
   (* the whole point: DPF upload is logarithmic, bit vectors linear *)
-  let bv22 = Lw_pir.Bitvec_pir.upload_bytes ~domain_bits:22 in
+  let bv22 = Lw_repro.Bitvec_pir.upload_bytes ~domain_bits:22 in
   let dpf22 = Lw_dpf.Dpf.serialized_size ~domain_bits:22 ~value_len:0 in
   Alcotest.(check int) "bitvec at d=22 is 512 KiB" (512 * 1024) bv22;
   Alcotest.(check bool) "dpf is ~1000x smaller" true (bv22 / dpf22 > 1000)
@@ -47,9 +47,9 @@ let test_bitvec_upload_vs_dpf () =
 let test_bitvec_single_view_random () =
   (* server 0's vector is uniform regardless of the index *)
   let weight index =
-    let q = Lw_pir.Bitvec_pir.query ~domain_bits:12 ~index (rng ()) in
+    let q = Lw_repro.Bitvec_pir.query ~domain_bits:12 ~index (rng ()) in
     let w = ref 0 in
-    Bytes.iter (fun c -> w := !w + Lw_util.Bitops.popcount (Char.code c)) q.Lw_pir.Bitvec_pir.q0;
+    Bytes.iter (fun c -> w := !w + Lw_util.Bitops.popcount (Char.code c)) q.Lw_repro.Bitvec_pir.q0;
     !w
   in
   let w0 = weight 0 and w1 = weight 4095 in
@@ -61,14 +61,14 @@ let test_idpf_all_levels () =
   let d = 6 in
   let alpha = 0b101101 in
   let values = Array.init d (fun l -> Printf.sprintf "level-%d-value" (l + 1)) in
-  let k0, k1 = Lw_dpf.Idpf.gen ~domain_bits:d ~alpha ~values (rng ()) in
+  let k0, k1 = Lw_repro.Idpf.gen ~domain_bits:d ~alpha ~values (rng ()) in
   for level = 1 to d do
     let target_prefix = alpha lsr (d - level) in
     for p = 0 to (1 lsl level) - 1 do
       let got =
         Lw_util.Xorbuf.xor
-          (Lw_dpf.Idpf.eval_prefix k0 ~level p)
-          (Lw_dpf.Idpf.eval_prefix k1 ~level p)
+          (Lw_repro.Idpf.eval_prefix k0 ~level p)
+          (Lw_repro.Idpf.eval_prefix k1 ~level p)
       in
       if p = target_prefix then
         Alcotest.(check string) (Printf.sprintf "l%d p%d" level p) values.(level - 1) got
@@ -83,15 +83,15 @@ let test_idpf_all_levels () =
 let test_idpf_eval_all_level_matches_point () =
   let d = 5 and alpha = 19 in
   let values = Array.init d (fun l -> String.make (8 + l) 'x') in
-  let k0, _ = Lw_dpf.Idpf.gen ~domain_bits:d ~alpha ~values (rng ()) in
+  let k0, _ = Lw_repro.Idpf.gen ~domain_bits:d ~alpha ~values (rng ()) in
   for level = 1 to d do
     let seen = ref 0 in
-    Lw_dpf.Idpf.eval_all_level k0 ~level (fun p share ->
+    Lw_repro.Idpf.eval_all_level k0 ~level (fun p share ->
         Alcotest.(check int) "visit order" !seen p;
         incr seen;
         Alcotest.(check string)
           (Printf.sprintf "l%d p%d" level p)
-          (Lw_dpf.Idpf.eval_prefix k0 ~level p)
+          (Lw_repro.Idpf.eval_prefix k0 ~level p)
           share);
     Alcotest.(check int) "full level" (1 lsl level) !seen
   done
@@ -103,14 +103,14 @@ let test_idpf_hierarchical_counting () =
   let one = "\x01" in
   let alpha = 0b1011 in
   let values = Array.make d one in
-  let k0, k1 = Lw_dpf.Idpf.gen ~domain_bits:d ~alpha ~values (rng ()) in
+  let k0, k1 = Lw_repro.Idpf.gen ~domain_bits:d ~alpha ~values (rng ()) in
   (* "count queries under prefix 10 (level 2)": servers evaluate the
      prefix and XOR; 1 iff the query falls under it *)
   let count level p =
     Char.code
       (Lw_util.Xorbuf.xor
-         (Lw_dpf.Idpf.eval_prefix k0 ~level p)
-         (Lw_dpf.Idpf.eval_prefix k1 ~level p)).[0]
+         (Lw_repro.Idpf.eval_prefix k0 ~level p)
+         (Lw_repro.Idpf.eval_prefix k1 ~level p)).[0]
   in
   Alcotest.(check int) "under 10" 1 (count 2 0b10);
   Alcotest.(check int) "not under 11" 0 (count 2 0b11);
@@ -120,14 +120,14 @@ let test_idpf_hierarchical_counting () =
 let test_idpf_counting_shares () =
   let d = 5 and alpha = 22 in
   let values = Array.make d "\x01" in
-  let k0, k1 = Lw_dpf.Idpf.gen ~domain_bits:d ~alpha ~values (rng ()) in
+  let k0, k1 = Lw_repro.Idpf.gen ~domain_bits:d ~alpha ~values (rng ()) in
   for level = 1 to d do
     let target = alpha lsr (d - level) in
     for p = 0 to (1 lsl level) - 1 do
       let total =
         Int64.add
-          (Lw_dpf.Idpf.eval_prefix_count k0 ~level p)
-          (Lw_dpf.Idpf.eval_prefix_count k1 ~level p)
+          (Lw_repro.Idpf.eval_prefix_count k0 ~level p)
+          (Lw_repro.Idpf.eval_prefix_count k1 ~level p)
       in
       Alcotest.(check int64)
         (Printf.sprintf "l%d p%d" level p)
@@ -141,14 +141,14 @@ let test_idpf_counts_sum_across_clients () =
      one prefix sum to the query count *)
   let d = 4 in
   let alphas = [ 0b1010; 0b1011; 0b1010; 0b0001; 0b1010 ] in
-  let keys = List.map (fun alpha -> Lw_dpf.Idpf.gen ~domain_bits:d ~alpha ~values:(Array.make d "\x01") (rng ())) alphas in
+  let keys = List.map (fun alpha -> Lw_repro.Idpf.gen ~domain_bits:d ~alpha ~values:(Array.make d "\x01") (rng ())) alphas in
   let total level p =
     List.fold_left
       (fun acc (k0, k1) ->
         Int64.add acc
           (Int64.add
-             (Lw_dpf.Idpf.eval_prefix_count k0 ~level p)
-             (Lw_dpf.Idpf.eval_prefix_count k1 ~level p)))
+             (Lw_repro.Idpf.eval_prefix_count k0 ~level p)
+             (Lw_repro.Idpf.eval_prefix_count k1 ~level p)))
       0L keys
   in
   Alcotest.(check int64) "leaf 1010 x3" 3L (total 4 0b1010);
@@ -159,13 +159,13 @@ let test_idpf_counts_sum_across_clients () =
 
 let test_idpf_eval_all_counts () =
   let d = 4 and alpha = 9 in
-  let k0, _ = Lw_dpf.Idpf.gen ~domain_bits:d ~alpha ~values:(Array.make d "\x01") (rng ()) in
+  let k0, _ = Lw_repro.Idpf.gen ~domain_bits:d ~alpha ~values:(Array.make d "\x01") (rng ()) in
   for level = 1 to d do
     let n = ref 0 in
-    Lw_dpf.Idpf.eval_all_level_counts k0 ~level (fun p share ->
+    Lw_repro.Idpf.eval_all_level_counts k0 ~level (fun p share ->
         Alcotest.(check int64)
           (Printf.sprintf "l%d p%d matches point" level p)
-          (Lw_dpf.Idpf.eval_prefix_count k0 ~level p)
+          (Lw_repro.Idpf.eval_prefix_count k0 ~level p)
           share;
         incr n);
     Alcotest.(check int) "all visited" (1 lsl level) !n
@@ -174,23 +174,23 @@ let test_idpf_eval_all_counts () =
 let test_idpf_validation () =
   Alcotest.check_raises "wrong value count"
     (Invalid_argument "Idpf.gen: need one value per level") (fun () ->
-      ignore (Lw_dpf.Idpf.gen ~domain_bits:3 ~alpha:0 ~values:[| "a" |] (rng ())));
+      ignore (Lw_repro.Idpf.gen ~domain_bits:3 ~alpha:0 ~values:[| "a" |] (rng ())));
   let values = Array.make 3 "v" in
-  let k0, _ = Lw_dpf.Idpf.gen ~domain_bits:3 ~alpha:0 ~values (rng ()) in
+  let k0, _ = Lw_repro.Idpf.gen ~domain_bits:3 ~alpha:0 ~values (rng ()) in
   Alcotest.check_raises "level range" (Invalid_argument "Idpf.eval_prefix: level out of range")
-    (fun () -> ignore (Lw_dpf.Idpf.eval_prefix k0 ~level:4 0));
-  Alcotest.(check int) "value_len" 1 (Lw_dpf.Idpf.value_len k0 ~level:2)
+    (fun () -> ignore (Lw_repro.Idpf.eval_prefix k0 ~level:4 0));
+  Alcotest.(check int) "value_len" 1 (Lw_repro.Idpf.value_len k0 ~level:2)
 
 (* ---------------- Recursive_oram ---------------- *)
 
 let test_recursive_roundtrip () =
-  let o = Lw_oram.Recursive_oram.create ~capacity:256 ~block_size:24 (rng ()) in
-  Alcotest.(check bool) "actually recursive" true (Lw_oram.Recursive_oram.levels o >= 2);
+  let o = Lw_repro.Recursive_oram.create ~capacity:256 ~block_size:24 (rng ()) in
+  Alcotest.(check bool) "actually recursive" true (Lw_repro.Recursive_oram.levels o >= 2);
   for i = 0 to 255 do
-    Lw_oram.Recursive_oram.write o i (Printf.sprintf "rec-%d" i)
+    Lw_repro.Recursive_oram.write o i (Printf.sprintf "rec-%d" i)
   done;
   for i = 0 to 255 do
-    match Lw_oram.Recursive_oram.read o i with
+    match Lw_repro.Recursive_oram.read o i with
     | Some v ->
         Alcotest.(check string) (Printf.sprintf "block %d" i) (Printf.sprintf "rec-%d" i)
           (String.sub v 0 (String.length (Printf.sprintf "rec-%d" i)))
@@ -198,28 +198,28 @@ let test_recursive_roundtrip () =
   done
 
 let test_recursive_unwritten () =
-  let o = Lw_oram.Recursive_oram.create ~capacity:128 ~block_size:16 (rng ()) in
-  Alcotest.(check (option string)) "absent" None (Lw_oram.Recursive_oram.read o 77);
-  Lw_oram.Recursive_oram.write o 77 "x";
-  Alcotest.(check bool) "present" true (Lw_oram.Recursive_oram.read o 77 <> None);
-  Alcotest.(check (option string)) "neighbour absent" None (Lw_oram.Recursive_oram.read o 78)
+  let o = Lw_repro.Recursive_oram.create ~capacity:128 ~block_size:16 (rng ()) in
+  Alcotest.(check (option string)) "absent" None (Lw_repro.Recursive_oram.read o 77);
+  Lw_repro.Recursive_oram.write o 77 "x";
+  Alcotest.(check bool) "present" true (Lw_repro.Recursive_oram.read o 77 <> None);
+  Alcotest.(check (option string)) "neighbour absent" None (Lw_repro.Recursive_oram.read o 78)
 
 let test_recursive_levels_geometry () =
   (* capacity 4096, pack 4, threshold 64: map ORAMs of 1024, 256 and 64
      blocks (the 256-block map still has > 64 entries to track, so it gets
      its own 64-block map whose 64 entries finally fit in private memory) *)
   let o =
-    Lw_oram.Recursive_oram.create ~pack:4 ~top_threshold:64 ~capacity:4096 ~block_size:8 (rng ())
+    Lw_repro.Recursive_oram.create ~pack:4 ~top_threshold:64 ~capacity:4096 ~block_size:8 (rng ())
   in
-  Alcotest.(check int) "levels" 4 (Lw_oram.Recursive_oram.levels o);
-  Alcotest.(check int) "paths per access" 4 (Lw_oram.Recursive_oram.paths_per_access o);
-  let small = Lw_oram.Recursive_oram.create ~capacity:32 ~block_size:8 (rng ()) in
-  Alcotest.(check int) "small is flat" 1 (Lw_oram.Recursive_oram.levels small)
+  Alcotest.(check int) "levels" 4 (Lw_repro.Recursive_oram.levels o);
+  Alcotest.(check int) "paths per access" 4 (Lw_repro.Recursive_oram.paths_per_access o);
+  let small = Lw_repro.Recursive_oram.create ~capacity:32 ~block_size:8 (rng ()) in
+  Alcotest.(check int) "small is flat" 1 (Lw_repro.Recursive_oram.levels small)
 
 let test_recursive_churn () =
   let n = 64 in
-  let o = Lw_oram.Recursive_oram.create ~top_threshold:8 ~capacity:n ~block_size:16 (rng ()) in
-  Alcotest.(check bool) "deep" true (Lw_oram.Recursive_oram.levels o >= 3);
+  let o = Lw_repro.Recursive_oram.create ~top_threshold:8 ~capacity:n ~block_size:16 (rng ()) in
+  Alcotest.(check bool) "deep" true (Lw_repro.Recursive_oram.levels o >= 3);
   let reference = Array.make n None in
   let r = det "rchurn" in
   for round = 1 to 800 do
@@ -227,10 +227,10 @@ let test_recursive_churn () =
     if Lw_util.Det_rng.bool r then begin
       let v = Printf.sprintf "%d-%d" round i in
       reference.(i) <- Some v;
-      Lw_oram.Recursive_oram.write o i v
+      Lw_repro.Recursive_oram.write o i v
     end
     else begin
-      match (Lw_oram.Recursive_oram.read o i, reference.(i)) with
+      match (Lw_repro.Recursive_oram.read o i, reference.(i)) with
       | None, None -> ()
       | Some got, Some want ->
           Alcotest.(check string) (Printf.sprintf "round %d" round) want
@@ -239,27 +239,27 @@ let test_recursive_churn () =
       | None, Some _ -> Alcotest.fail "lost block"
     end
   done;
-  Alcotest.(check bool) "stash bounded" true (Lw_oram.Recursive_oram.total_stash o < 120)
+  Alcotest.(check bool) "stash bounded" true (Lw_repro.Recursive_oram.total_stash o < 120)
 
 let test_recursive_trace_shape () =
-  let o = Lw_oram.Recursive_oram.create ~top_threshold:16 ~capacity:128 ~block_size:16 (rng ()) in
+  let o = Lw_repro.Recursive_oram.create ~top_threshold:16 ~capacity:128 ~block_size:16 (rng ()) in
   for i = 0 to 127 do
-    Lw_oram.Recursive_oram.write o i "x"
+    Lw_repro.Recursive_oram.write o i "x"
   done;
-  Lw_oram.Recursive_oram.clear_access_log o;
+  Lw_repro.Recursive_oram.clear_access_log o;
   let k = 40 in
   for _ = 1 to k do
-    ignore (Lw_oram.Recursive_oram.read o 5)
+    ignore (Lw_repro.Recursive_oram.read o 5)
   done;
-  let log_same = List.length (Lw_oram.Recursive_oram.access_log o) in
-  Lw_oram.Recursive_oram.clear_access_log o;
+  let log_same = List.length (Lw_repro.Recursive_oram.access_log o) in
+  Lw_repro.Recursive_oram.clear_access_log o;
   let r = det "rtrace" in
   for _ = 1 to k do
-    ignore (Lw_oram.Recursive_oram.read o (Lw_util.Det_rng.int r 128))
+    ignore (Lw_repro.Recursive_oram.read o (Lw_util.Det_rng.int r 128))
   done;
-  let log_mixed = List.length (Lw_oram.Recursive_oram.access_log o) in
+  let log_mixed = List.length (Lw_repro.Recursive_oram.access_log o) in
   Alcotest.(check int) "trace length input-independent" log_same log_mixed;
-  Alcotest.(check int) "paths per op" (k * Lw_oram.Recursive_oram.paths_per_access o) log_same
+  Alcotest.(check int) "paths per op" (k * Lw_repro.Recursive_oram.paths_per_access o) log_same
 
 (* ---------------- Pacer ---------------- *)
 
@@ -410,7 +410,7 @@ let prop_bitvec_correct =
     (fun (d, i) ->
       let index = i mod (1 lsl d) in
       let snap = random_snapshot ~domain_bits:d ~bucket_size:32 (string_of_int (d + i)) in
-      String.equal (Lw_store.Snapshot.get snap index) (Lw_pir.Bitvec_pir.fetch snap ~index (rng ())))
+      String.equal (Lw_store.Snapshot.get snap index) (Lw_repro.Bitvec_pir.fetch snap ~index (rng ())))
 
 let prop_paginate_roundtrip =
   QCheck.Test.make ~name:"paginate split/reassemble" ~count:40

@@ -1,6 +1,6 @@
 (* Cross-module integration tests: the full pipeline from a synthetic
    corpus through publishing, ZLTP, and the browser; protocol robustness
-   under fuzzing; enclave-mode browsing; and the private billing stack. *)
+   under fuzzing; and enclave-mode browsing. *)
 
 open Lightweb
 module Json = Lw_json.Json
@@ -235,65 +235,6 @@ let test_lightscript_fuzz_near_valid () =
     | exception e -> Alcotest.fail ("lightscript crashed: " ^ Printexc.to_string e)
   done
 
-(* ---------------- private billing (Query_stats, §4) ---------------- *)
-
-let test_query_stats_totals () =
-  let domains = 6 in
-  let a0 = Query_stats.aggregator ~domains and a1 = Query_stats.aggregator ~domains in
-  let r = rng () in
-  let truth = Array.make domains 0 in
-  let zipf = Lw_sim.Zipf.create ~n:domains () in
-  let dr = det "billing" in
-  for _ = 1 to 400 do
-    let d = Lw_sim.Zipf.sample zipf dr in
-    truth.(d) <- truth.(d) + 1;
-    let rep = Query_stats.report ~domains ~domain_index:d r in
-    Query_stats.absorb a0 rep.Query_stats.share0;
-    Query_stats.absorb a1 rep.Query_stats.share1
-  done;
-  (* a few dummy reports for cover *)
-  for _ = 1 to 25 do
-    let rep = Query_stats.dummy_report ~domains r in
-    Query_stats.absorb a0 rep.Query_stats.share0;
-    Query_stats.absorb a1 rep.Query_stats.share1
-  done;
-  match Query_stats.combine a0 a1 with
-  | Error e -> Alcotest.fail e
-  | Ok totals ->
-      Array.iteri
-        (fun i want ->
-          Alcotest.(check int64) (Printf.sprintf "domain %d" i) (Int64.of_int want) totals.(i))
-        truth
-
-let test_query_stats_single_share_uninformative () =
-  (* one aggregator's totals look uniformly random: compare the state
-     after very skewed traffic against the truth — they must be unrelated
-     (we check the share totals are astronomically large/ random-looking
-     rather than small counters) *)
-  let domains = 4 in
-  let a0 = Query_stats.aggregator ~domains in
-  let r = rng () in
-  for _ = 1 to 100 do
-    let rep = Query_stats.report ~domains ~domain_index:0 r in
-    Query_stats.absorb a0 rep.Query_stats.share0
-  done;
-  let share = Query_stats.share_totals a0 in
-  let looks_like_count v = Int64.compare (Int64.abs v) 100_000L <= 0 in
-  Alcotest.(check bool) "share totals are not plaintext counters" false
-    (Array.for_all looks_like_count share)
-
-let test_query_stats_validation () =
-  let a = Query_stats.aggregator ~domains:3 in
-  Alcotest.check_raises "length mismatch"
-    (Invalid_argument "Query_stats.absorb: share length mismatch") (fun () ->
-      Query_stats.absorb a [| 0L |]);
-  Alcotest.check_raises "bad index"
-    (Invalid_argument "Query_stats.report: domain index out of range") (fun () ->
-      ignore (Query_stats.report ~domains:3 ~domain_index:3 (rng ())));
-  let b = Query_stats.aggregator ~domains:3 in
-  Query_stats.absorb a [| 1L; 2L; 3L |];
-  Alcotest.(check bool) "count mismatch detected" true (Result.is_error (Query_stats.combine a b))
-
 (* ---------------- timing/count leakage is as documented ---------------- *)
 
 let test_leakage_is_exactly_counts_and_timing () =
@@ -350,12 +291,6 @@ let () =
           Alcotest.test_case "server survives mutations" `Quick test_server_rejects_mutated_valid_frames;
           Alcotest.test_case "client survives bad server" `Quick test_client_handles_malformed_server;
           Alcotest.test_case "lightscript fuzz" `Quick test_lightscript_fuzz_near_valid;
-        ] );
-      ( "billing",
-        [
-          Alcotest.test_case "totals reconstruct" `Quick test_query_stats_totals;
-          Alcotest.test_case "single share blind" `Quick test_query_stats_single_share_uninformative;
-          Alcotest.test_case "validation" `Quick test_query_stats_validation;
         ] );
       ( "leakage",
         [ Alcotest.test_case "counts and timing only" `Quick test_leakage_is_exactly_counts_and_timing ] );

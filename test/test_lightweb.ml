@@ -26,20 +26,6 @@ let test_path_domain_check () =
   Alcotest.(check bool) "out" false (Lw_path.in_domain p "b.com");
   Alcotest.(check string) "to_string" "a.com/x/y" (Lw_path.to_string p)
 
-(* ---------------- Blob ---------------- *)
-
-let test_blob_roundtrip () =
-  List.iter
-    (fun content ->
-      match Blob.pad ~size:64 content with
-      | Ok blob ->
-          Alcotest.(check int) "fixed size" 64 (String.length blob);
-          Alcotest.(check (option string)) "unpad" (Some content) (Blob.unpad blob)
-      | Error e -> Alcotest.fail e)
-    [ ""; "x"; String.make 60 'y' ];
-  Alcotest.(check bool) "overflow" true (Result.is_error (Blob.pad ~size:64 (String.make 61 'z')));
-  Alcotest.(check (option string)) "corrupt" None (Blob.unpad "\xff\xff\xff\xff rest")
-
 (* ---------------- Zltp_wire codec ---------------- *)
 
 let client_msgs : Zltp_wire.client_msg list =
@@ -565,25 +551,6 @@ let prop_tree_matches_serial =
             [ k0; k1 ])
         alphas)
 
-(* ---------------- Zltp_batch ---------------- *)
-
-let test_batch_scheduler () =
-  let server = whole_server (random_store ~domain_bits:6 ~bucket_size:32 "batch") in
-  let b = Zltp_batch.create ~batch_size:4 server in
-  let results = Array.make 6 "" in
-  for i = 0 to 5 do
-    let k0, _ = Lw_dpf.Dpf.gen ~domain_bits:6 ~alpha:(i * 7 mod 64) (rng ()) in
-    Zltp_batch.submit b k0 (fun share -> results.(i) <- share)
-  done;
-  (* 4 delivered by the full batch, 2 pending *)
-  Alcotest.(check int) "one batch" 1 (Zltp_batch.batches_executed b);
-  Alcotest.(check int) "pending" 2 (Zltp_batch.pending b);
-  Alcotest.(check bool) "first delivered" true (results.(0) <> "");
-  Alcotest.(check bool) "fifth not yet" true (results.(4) = "");
-  Zltp_batch.flush b;
-  Alcotest.(check int) "answered" 6 (Zltp_batch.queries_answered b);
-  Array.iteri (fun i r -> Alcotest.(check bool) (Printf.sprintf "r%d" i) true (r <> "")) results
-
 (* ---------------- Browser ---------------- *)
 
 let test_browser_renders_pages () =
@@ -690,14 +657,30 @@ let record_frames log label (ep : Lw_net.Endpoint.t) =
         ep.Lw_net.Endpoint.send frame);
   }
 
+(* Every message through [ep] logged as (upload?, bytes, label), newest
+   first: what an observer of the link sees. *)
+let record_sizes log label (ep : Lw_net.Endpoint.t) =
+  {
+    Lw_net.Endpoint.send =
+      (fun msg ->
+        log := (true, String.length msg, label) :: !log;
+        ep.Lw_net.Endpoint.send msg);
+    recv =
+      (fun () ->
+        let msg = ep.Lw_net.Endpoint.recv () in
+        log := (false, String.length msg, label) :: !log;
+        msg);
+    close = ep.Lw_net.Endpoint.close;
+  }
+
 let test_browser_bytes_on_wire_invariant () =
   (* stronger: the same message sequence on the wire (direction, size and
      flow of every message) whatever the plan length *)
   let trace_for path =
     let u = make_plan_universe () in
-    let link = Lw_net.Wan.link () in
+    let log = ref [] in
     let c0, c1 = Universe.code_servers u and d0, d1 = Universe.data_servers u in
-    let wrap label s = Lw_net.Wan.attach link ~label (Zltp_server.endpoint s) in
+    let wrap label s = record_sizes log label (Zltp_server.endpoint s) in
     let code_client =
       Result.get_ok (Zltp_client.connect ~rng:(rng ()) [ wrap "code0" c0; wrap "code1" c1 ])
     in
@@ -706,12 +689,9 @@ let test_browser_bytes_on_wire_invariant () =
     in
     let b = Browser.create ~rng:(rng ()) ~code:code_client ~data:data_client () in
     ignore (Browser.browse b path);
-    let untimed =
-      List.map
-        (fun (e : Lw_net.Wan.event) -> (e.direction = Lw_net.Wan.Up, e.bytes, e.label))
-        (Lw_net.Wan.events link)
-    in
-    (Lw_net.Wan.total_bytes link Lw_net.Wan.Up, Lw_net.Wan.total_bytes link Lw_net.Wan.Down, untimed)
+    let messages = List.rev !log in
+    let total up = List.fold_left (fun a (u, n, _) -> if u = up then a + n else a) 0 messages in
+    (total true, total false, messages)
   in
   let u1, d1, e1 = trace_for "news.example/world/uganda" in
   Alcotest.(check bool) "nonzero" true (u1 > 0 && d1 > 0);
@@ -1273,7 +1253,6 @@ let () =
         [
           Alcotest.test_case "path parse" `Quick test_path_parse;
           Alcotest.test_case "domain check" `Quick test_path_domain_check;
-          Alcotest.test_case "blob roundtrip" `Quick test_blob_roundtrip;
         ] );
       ( "wire",
         [
@@ -1310,7 +1289,6 @@ let () =
           Alcotest.test_case "tree shape" `Quick test_frontend_tree_shape;
           Alcotest.test_case "tree refusal" `Quick test_frontend_tree_refusal;
           QCheck_alcotest.to_alcotest prop_tree_matches_serial;
-          Alcotest.test_case "batch scheduler" `Quick test_batch_scheduler;
         ] );
       ( "browser",
         [

@@ -234,39 +234,6 @@ let test_counters () =
   Alcotest.(check int) "recv" 10 c.Endpoint.recv_bytes;
   Alcotest.(check int) "messages" 1 c.Endpoint.messages
 
-(* ---------------- WAN ---------------- *)
-
-let test_wan_accounting () =
-  let link = Wan.link ~latency_s:0.01 ~bandwidth_bps:8000. () in
-  (* 8000 bps = 1000 bytes/s *)
-  let ep = Endpoint.loopback (fun _ -> String.make 100 'r') in
-  let wrapped = Wan.attach link ~label:"data" ep in
-  wrapped.Endpoint.send (String.make 50 'q');
-  ignore (wrapped.Endpoint.recv ());
-  let events = Wan.events link in
-  Alcotest.(check int) "two events" 2 (List.length events);
-  (match events with
-  | [ up; down ] ->
-      Alcotest.(check bool) "up first" true (up.Wan.direction = Wan.Up);
-      Alcotest.(check int) "up bytes" 50 up.Wan.bytes;
-      Alcotest.(check int) "down bytes" 100 down.Wan.bytes;
-      Alcotest.(check (float 1e-9)) "up at t=0" 0.0 up.Wan.time;
-      (* up transfer: 0.01 + 50/1000 = 0.06 *)
-      Alcotest.(check (float 1e-9)) "down after up" 0.06 down.Wan.time
-  | _ -> Alcotest.fail "expected 2 events");
-  Alcotest.(check (float 1e-9)) "clock" (0.06 +. 0.01 +. 0.1) (Wan.now link);
-  Alcotest.(check int) "total up" 50 (Wan.total_bytes link Wan.Up);
-  Alcotest.(check int) "total down" 100 (Wan.total_bytes link Wan.Down);
-  Wan.reset link;
-  Alcotest.(check (float 1e-9)) "reset clock" 0.0 (Wan.now link);
-  Alcotest.(check int) "reset events" 0 (List.length (Wan.events link))
-
-let test_wan_transfer_time () =
-  let link = Wan.link ~latency_s:0.040 ~bandwidth_bps:100e6 () in
-  (* the paper's 13.6 KiB request at 100 Mbit/s *)
-  let t = Wan.transfer_time link 13927 in
-  Alcotest.(check bool) "dominated by latency" true (t > 0.040 && t < 0.045)
-
 (* ---------------- TCP ---------------- *)
 
 let test_tcp_echo () =
@@ -562,11 +529,6 @@ let () =
           Alcotest.test_case "cross thread" `Quick test_pipe_cross_thread;
           Alcotest.test_case "loopback" `Quick test_loopback;
           Alcotest.test_case "counters" `Quick test_counters;
-        ] );
-      ( "wan",
-        [
-          Alcotest.test_case "accounting" `Quick test_wan_accounting;
-          Alcotest.test_case "transfer time" `Quick test_wan_transfer_time;
         ] );
       ( "tcp",
         [

@@ -1,8 +1,7 @@
 (* The observability layer: histogram quantile accuracy, counter
    exactness under domain concurrency, span nesting on virtual clocks,
    the exporters, and the telemetry-adjacent bugfixes that shipped with
-   lw_obs (Pacer drops/pairing, parallel scan failure handling,
-   Query_stats.combine validation). *)
+   lw_obs (Pacer drops/pairing, parallel scan failure handling). *)
 
 open Lightweb
 
@@ -286,30 +285,6 @@ let test_parallel_timed_spans () =
       Alcotest.(check bool) "span non-negative" true (Lw_obs.Metrics.hist_max h >= 0.))
     hists
 
-(* ---------------- Query_stats.combine validation ---------------- *)
-
-let test_query_stats_combine_mismatches () =
-  let agg domains = Query_stats.aggregator ~domains in
-  (* domain count mismatch *)
-  (match Query_stats.combine (agg 4) (agg 8) with
-  | Error e -> Alcotest.(check string) "domain mismatch" "domain count mismatch" e
-  | Ok _ -> Alcotest.fail "combined aggregators of different widths");
-  (* report count mismatch *)
-  let a = agg 4 and b = agg 4 in
-  let r = Query_stats.report ~domains:4 ~domain_index:2 (rng ()) in
-  Query_stats.absorb a r.Query_stats.share0;
-  (match Query_stats.combine a b with
-  | Error e ->
-      Alcotest.(check string) "report count mismatch" "report count mismatch (1 vs 0)" e
-  | Ok _ -> Alcotest.fail "combined aggregators with different report counts");
-  (* matched aggregators still combine to the true totals *)
-  Query_stats.absorb b r.Query_stats.share1;
-  match Query_stats.combine a b with
-  | Error e -> Alcotest.fail e
-  | Ok totals ->
-      Alcotest.(check (list int)) "one-hot total" [ 0; 0; 1; 0 ]
-        (Array.to_list (Array.map Int64.to_int totals))
-
 (* ---------------- Pacer: drops, drain, exact pairing ---------------- *)
 
 let test_pacer_final_slot_and_beyond_horizon () =
@@ -381,8 +356,6 @@ let () =
           Alcotest.test_case "rigged shard raises cleanly" `Quick test_parallel_rigged_shard_raises;
           Alcotest.test_case "per-shard spans" `Quick test_parallel_timed_spans;
         ] );
-      ( "query-stats",
-        [ Alcotest.test_case "combine validation" `Quick test_query_stats_combine_mismatches ] );
       ( "pacer-regressions",
         [
           Alcotest.test_case "final slot + beyond horizon" `Quick

@@ -1,4 +1,5 @@
 open Lw_pir
+open Lw_repro
 
 let rng () = Lw_crypto.Drbg.create ~seed:"pir-tests"
 let det = Lw_util.Det_rng.of_string_seed

@@ -1,4 +1,5 @@
 open Lw_sim
+open Lw_repro
 
 let det = Lw_util.Det_rng.of_string_seed
 

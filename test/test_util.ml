@@ -339,7 +339,7 @@ let test_stats_histogram () =
   Alcotest.(check int) "total" 6 (Lw_util.Stats.hist_total h)
 
 let test_ascii_bar () =
-  let out = Lw_util.Ascii_chart.bar ~width:10 [ ("aa", 10.); ("b", 5.); ("c", 0.) ] in
+  let out = Lw_repro.Ascii_chart.bar ~width:10 [ ("aa", 10.); ("b", 5.); ("c", 0.) ] in
   let lines = String.split_on_char '\n' (String.trim out) in
   Alcotest.(check int) "three rows" 3 (List.length lines);
   (match lines with
@@ -351,20 +351,20 @@ let test_ascii_bar () =
          hashes = 5);
       Alcotest.(check bool) "empty bar" true (not (String.contains c '#'))
   | _ -> Alcotest.fail "unexpected shape");
-  Alcotest.(check string) "no data" "(no data)\n" (Lw_util.Ascii_chart.bar [])
+  Alcotest.(check string) "no data" "(no data)\n" (Lw_repro.Ascii_chart.bar [])
 
 let test_ascii_line_and_cdf () =
   let out =
-    Lw_util.Ascii_chart.line ~width:20 ~height:5 [ (0., 0.); (1., 1.); (2., 4.) ]
+    Lw_repro.Ascii_chart.line ~width:20 ~height:5 [ (0., 0.); (1., 1.); (2., 4.) ]
   in
   Alcotest.(check bool) "has stars" true (String.contains out '*');
   Alcotest.(check bool) "has axis" true (String.contains out '+');
   (* constant series doesn't divide by zero *)
-  let flat = Lw_util.Ascii_chart.line ~width:10 ~height:3 [ (1., 2.); (2., 2.) ] in
+  let flat = Lw_repro.Ascii_chart.line ~width:10 ~height:3 [ (1., 2.); (2., 2.) ] in
   Alcotest.(check bool) "flat ok" true (String.contains flat '*');
-  let cdf = Lw_util.Ascii_chart.cdf ~width:20 ~height:5 [| 1.; 2.; 3.; 4. |] in
+  let cdf = Lw_repro.Ascii_chart.cdf ~width:20 ~height:5 [| 1.; 2.; 3.; 4. |] in
   Alcotest.(check bool) "cdf renders" true (String.contains cdf '*');
-  Alcotest.(check string) "cdf empty" "(no data)\n" (Lw_util.Ascii_chart.cdf [||])
+  Alcotest.(check string) "cdf empty" "(no data)\n" (Lw_repro.Ascii_chart.cdf [||])
 
 let prop_rng_int_uniformish =
   QCheck.Test.make ~name:"det_rng int covers all residues" ~count:20
