@@ -963,6 +963,19 @@ let best_interleaved reps fs =
   done;
   best
 
+(* Sparse records at the reference corpus's load: perfbench's browse
+   corpus fills 38-39% of its 4 KiB buckets, and 9.0-9.5% of its bytes
+   lie below each bucket's last non-zero byte rounded up to 64 B. Record
+   [j] is filled with probability 0.385; a filled one holds random bytes
+   over a length uniform in [1, 2m], m the mean that puts 9.3% of the
+   bytes in records. [f j len] receives each filled record. *)
+let sparse_records rng ~count ~bucket f =
+  let mean = 0.093 /. 0.385 *. float_of_int bucket in
+  for j = 0 to count - 1 do
+    if Lw_util.Det_rng.int rng 1000 < 385 then
+      f j (min bucket (1 + Lw_util.Det_rng.int rng (max 1 (int_of_float (2. *. mean)))))
+  done
+
 let e19_scan_kernels ?(write_json = true) ?geometry () =
   section "E19" "fused single-pass answer kernel + batched C scan kernel";
   let d, bucket_size, reps =
@@ -1039,6 +1052,64 @@ let e19_scan_kernels ?(write_json = true) ?geometry () =
      Effective rate = width x DB size / time; x single = batched time over one single\n\
      answer (k singles / k).\n";
 
+  (* The same answers over a sparse store at the reference corpus's
+     load, each bucket read up to its extent, against a full store of
+     the same geometry, interleaved. Buckets under
+     [Lw_store.whole_scan_below] are read whole, so a smaller bucket
+     size takes the smallest that is not. Every sparse answer must equal
+     the two-pass reference (which reads whole buckets) and every batch
+     its single answers, byte for byte. *)
+  let sb = max bucket_size Lw_store.whole_scan_below in
+  let full_server =
+    if sb = bucket_size then server else whole_server (random_store ~domain_bits:d ~bucket_size:sb "e19")
+  in
+  let sparse_st = Lw_store.create ~domain_bits:d ~bucket_size:sb () in
+  let sw = Lw_store.writer sparse_st in
+  let srng = det "e19-sparse" in
+  sparse_records srng ~count:(1 lsl d) ~bucket:sb (fun j len ->
+      Lw_store.Writer.set sw j (Lw_util.Det_rng.bytes srng len));
+  ignore (Lw_store.Writer.seal sw);
+  let sparse_server = whole_server sparse_st in
+  let sparse_singles = Array.map (Lw_pir.Server.answer sparse_server) keys in
+  let sparse_reference k =
+    Lw_pir.Server.scan sparse_server (Lw_pir.Server.eval_bits sparse_server k)
+  in
+  (* lw-lint: allow taint lines=2 *)
+  if not (Array.for_all2 String.equal sparse_singles (Array.map sparse_reference keys)) then
+    failwith "E19: a sparse-store answer differs from the two-pass reference";
+  List.iter
+    (fun w ->
+      let batch = Lw_pir.Server.answer_batch sparse_server (Array.sub keys 0 w) in
+      (* lw-lint: allow taint lines=2 *)
+      if not (Array.for_all2 String.equal batch (Array.sub sparse_singles 0 w)) then
+        failwith
+          (Printf.sprintf "E19: a width-%d sparse-store batch share differs from its singles" w))
+    widths;
+  let scanned =
+    float_of_int (Lw_store.Snapshot.scan_bytes (Lw_store.current sparse_st))
+    /. float_of_int (Lw_store.total_bytes sparse_st)
+  in
+  row
+    "\nsparse store at the reference load: 2^%d x %d B, %.1f%% of buckets filled, %.1f%% of \
+     bytes scanned\n%-8s %12s %12s %10s\n"
+    d sb
+    (100. *. float_of_int (Lw_store.Snapshot.occupied (Lw_store.current sparse_st))
+    /. float_of_int (1 lsl d))
+    (100. *. scanned) "width" "full" "sparse" "sparse/full";
+  let sparse_rows =
+    List.map
+      (fun w ->
+        let ks = Array.sub keys 0 w in
+        let t =
+          best_interleaved reps
+            [| (fun () -> ignore (Lw_pir.Server.answer_batch full_server ks));
+               (fun () -> ignore (Lw_pir.Server.answer_batch sparse_server ks)) |]
+        in
+        row "%-8d %9.2f ms %9.2f ms %9.2fx\n" w (1000. *. t.(0)) (1000. *. t.(1)) (t.(1) /. t.(0));
+        (w, t.(0), t.(1)))
+      widths
+  in
+
   (* The bare kernel on every build this CPU runs: one call over all
      records per width and bucket size, builds interleaved, each build's
      accumulators checked against the first's. Outside the smoke gate the
@@ -1094,8 +1165,75 @@ let e19_scan_kernels ?(write_json = true) ?geometry () =
             (n, bucket, w, t)))
       kernel_geometries
   in
+  (* The bare kernel on the same geometries with sparse records at the
+     reference load and their extents, every build interleaved. Each
+     build's accumulators must equal the first build's and the
+     whole-record kernel's over the same records, whose bytes past each
+     extent are zero. *)
+  let sparse_widths = [ 1; 2; 5; 8; 9; 16 ] in
+  let sparse_build_rows =
+    List.concat_map
+      (fun (n, bucket) ->
+        let records = Bytes.make (n * bucket) '\x00' and extents = Bytes.make (4 * n) '\x00' in
+        let krng = det "e19-sparse-records" in
+        let filled = ref 0 in
+        sparse_records krng ~count:n ~bucket (fun j len ->
+            Bytes.blit_string (Lw_util.Det_rng.bytes krng len) 0 records (j * bucket) len;
+            let e = min bucket ((len + 63) land lnot 63) in
+            filled := !filled + e;
+            Bytes.set_int32_ne extents (4 * j) (Int32.of_int e));
+        row "\nsparse records (%.1f%% of bytes up to the extents), one call over %d records of %d B (ms)\n%-8s%s %15s\n"
+          (100. *. float_of_int !filled /. float_of_int (n * bucket))
+          n bucket "width"
+          (String.concat "" (List.map (Printf.sprintf " %10s") kernels))
+          "baseline/picked";
+        List.map
+          (fun w ->
+            let dsts = Array.init w (fun _ -> Bytes.create bucket) in
+            let run kernel () =
+              Lw_util.Xorbuf.xor_extents_lanes_on ~kernel ~extents ~extents_pos:0 ~bits ~bits_pos:0
+                ~stride:n ~count:n ~src:records ~src_pos:0 ~bucket ~dsts
+            in
+            let output f =
+              Array.iter (fun d -> Bytes.fill d 0 bucket '\x00') dsts;
+              f ();
+              Array.map Bytes.to_string dsts
+            in
+            let whole =
+              output (fun () ->
+                  Lw_util.Xorbuf.xor_buckets_lanes ~bits ~bits_pos:0 ~stride:n ~count:n
+                    ~src:records ~src_pos:0 ~bucket ~dsts)
+            in
+            List.iter
+              (fun kernel ->
+                if not (Array.for_all2 String.equal (output (run kernel)) whole) then
+                  failwith
+                    (Printf.sprintf
+                       "E19: kernel build %s over extents differs from whole records at width %d"
+                       kernel w))
+              kernels;
+            let t = best_interleaved reps (Array.of_list (List.map run kernels)) in
+            let cells = Array.map (fun s -> Printf.sprintf " %10.2f" (1000. *. s)) t in
+            row "%-8d%s %14.2fx\n" w
+              (String.concat "" (Array.to_list cells))
+              (t.(Array.length t - 1) /. t.(0));
+            (n, bucket, w, t))
+          sparse_widths)
+      kernel_geometries
+  in
   if write_json then begin
     let open Json in
+    let build_cells rows =
+      List
+        (List.map
+           (fun (n, bucket, w, t) ->
+             Obj
+               (("bucket_size", Number (float_of_int bucket))
+               :: ("records", Number (float_of_int n))
+               :: ("width", Number (float_of_int w))
+               :: List.mapi (fun j k -> (k ^ "_ms", Number (1000. *. t.(j)))) kernels))
+           rows)
+    in
     let j =
       Obj
         [
@@ -1129,16 +1267,25 @@ let e19_scan_kernels ?(write_json = true) ?geometry () =
                        ("x_single", Number (batched_s *. float_of_int w /. singles_s));
                      ])
                  batch_rows) );
-          ( "kernel_builds",
-            List
-              (List.map
-                 (fun (n, bucket, w, t) ->
-                   Obj
-                     (("bucket_size", Number (float_of_int bucket))
-                     :: ("records", Number (float_of_int n))
-                     :: ("width", Number (float_of_int w))
-                     :: List.mapi (fun j k -> (k ^ "_ms", Number (1000. *. t.(j)))) kernels))
-                 build_rows) );
+          ( "sparse_store",
+            Obj
+              [
+                ("bucket_size", Number (float_of_int sb));
+                ("scanned_share", Number scanned);
+                ( "batch",
+                  List
+                    (List.map
+                       (fun (w, full_s, sparse_s) ->
+                         Obj
+                           [
+                             ("width", Number (float_of_int w));
+                             ("full_ms", Number (1000. *. full_s));
+                             ("sparse_ms", Number (1000. *. sparse_s));
+                           ])
+                       sparse_rows) );
+              ] );
+          ("kernel_builds", build_cells build_rows);
+          ("sparse_kernel_builds", build_cells sparse_build_rows);
         ]
     in
     let oc = open_out "BENCH_scan.json" in

@@ -233,13 +233,17 @@ let analyze_file ~path (ast : Parsetree.structure) : Report.finding list =
               | _ -> ())
             vbs
       | Pexp_match (scrut, cases) when acquire_of scrut <> None ->
-          (* [match pin ... with Ok snap -> ... | Error _ -> ...] *)
+          (* [match pin ... with Ok snap -> ... | Error e -> ...]: only the
+             payload of [Ok] or [Some] is the resource; an [Error]'s is
+             the refusal *)
           let what = Option.get (acquire_of scrut) in
           let line = Syntax.line scrut.pexp_loc in
           List.iter
             (fun (c : Parsetree.case) ->
               match c.pc_lhs.ppat_desc with
-              | Ppat_construct (_, Some (_, { ppat_desc = Ppat_var v; _ })) ->
+              | Ppat_construct
+                  ( { txt = Longident.(Lident ("Ok" | "Some") | Ldot (_, ("Ok" | "Some"))); _ },
+                    Some (_, { ppat_desc = Ppat_var v; _ }) ) ->
                   let x = v.txt in
                   if not (Hashtbl.mem seen (x, line)) then begin
                     Hashtbl.replace seen (x, line) ();

@@ -341,6 +341,178 @@ let check_snapshot_scan ?(domain_bits = 6) ?(bucket_size = 32) ?(alphas = [ 5; 4
   check_alphas alphas
 
 (* ------------------------------------------------------------------ *)
+(* Extent-bounded scan over a sparse store                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Bucket [i]'s contents in [sparse_snapshot]'s second epoch and the
+   extent they give it, by [i mod 6]: empty, short, a multiple of 64 B,
+   odd-length, the whole bucket, and a value whose last 30 bytes are
+   zero (its extent stops at its last non-zero byte). Needs buckets of
+   at least [Lw_store.whole_scan_below] bytes, which are not read whole. *)
+let sparse_value ~bucket_size i =
+  let body n = String.init n (fun j -> Char.chr (1 + ((i * 7) + j) mod 255)) in
+  match i mod 6 with
+  | 0 -> None
+  | 1 -> Some (body 5)
+  | 2 -> Some (body 128)
+  | 3 -> Some (body 77)
+  | 4 -> Some (body bucket_size)
+  | _ -> Some (body 70 ^ String.make 30 '\x00')
+
+let sparse_extent ~bucket_size i =
+  match i mod 6 with 0 -> 0 | 1 -> 64 | 4 -> bucket_size | _ -> 128
+
+(* Two epochs: a full first one, then every bucket rewritten to its
+   [sparse_value] — shorter over longer, or cleared — so a stale extent
+   from the first epoch would show. Small CoW blocks make views span
+   blocks, fill one, or sit inside one. *)
+let sparse_snapshot ~domain_bits ~bucket_size =
+  let size = 1 lsl domain_bits in
+  let st = Lw_store.create ~block_bytes:(8 * bucket_size) ~domain_bits ~bucket_size () in
+  let w1 = Lw_store.writer st in
+  Lw_store.Writer.fill_random w1 (Lw_util.Det_rng.of_string_seed "trace-check-sparse");
+  ignore (Lw_store.Writer.seal w1);
+  let w2 = Lw_store.writer st in
+  for i = 0 to size - 1 do
+    match sparse_value ~bucket_size i with
+    | None -> Lw_store.Writer.clear w2 i
+    | Some v -> Lw_store.Writer.set w2 i v
+  done;
+  Lw_store.Writer.seal w2
+
+(* Run [f] traced; its result, the buckets it touched and the bytes it
+   read at each. *)
+let traced_bytes snap f =
+  Lw_store.Snapshot.set_tracing snap true;
+  let r = f () in
+  let t = Lw_store.Snapshot.access_trace snap and b = Lw_store.Snapshot.access_bytes snap in
+  Lw_store.Snapshot.set_tracing snap false;
+  (r, (t, b))
+
+(* The extent-bounded scan reads each bucket only up to its extent, so
+   what a memory observer sees is the bucket walk plus the bytes read at
+   each bucket. Both must be public: the in-order walk and the
+   snapshot's extent map, the same for every secret and both parties.
+   Over a sparse store (every bucket kind of [sparse_value]), for each
+   width, two batches of distinct secrets and both parties' shares run
+   (1) [answer_batch] on the whole snapshot, (2) every [Snapshot.sub]
+   view of each [shard_bits] on its [Distributed.split] sub-keys and
+   (3) [answer_partitioned] on one worker at each partition count. Every
+   trace must be the walk of its range with that range's extents; the
+   view shares must XOR to the whole share, the partitioned shares equal
+   the serial ones, and the two parties' whole shares XOR to the queried
+   buckets, so the check cannot pass on a scan that reads nothing. The
+   extent map itself must be each kind's, with only zero bytes past
+   each extent. *)
+let sparse_scan ~domain_bits ~bucket_size ~widths ~shard_bits ~partitions =
+  let size = 1 lsl domain_bits in
+  let snap = sparse_snapshot ~domain_bits ~bucket_size in
+  let extents = List.init size (Lw_store.Snapshot.extent snap) in
+  let expected base n =
+    (List.init n (fun j -> base + j), List.filteri (fun i _ -> i >= base && i < base + n) extents)
+  in
+  let zero_tails =
+    List.for_all
+      (fun i ->
+        let e = Lw_store.Snapshot.extent snap i and b = Lw_store.Snapshot.get snap i in
+        Lw_util.Xorbuf.is_zero (String.sub b e (bucket_size - e)))
+      (List.init size Fun.id)
+  in
+  let server = Lw_pir.Server.of_snapshot snap in
+  let rng = Lw_crypto.Drbg.create ~seed:"trace-check-sparse-dpf" in
+  let batch w seed = List.init w (fun q -> ((seed * 29) + (q * 13)) mod size) in
+  let probe alphas =
+    let pairs = Array.of_list (List.map (fun alpha -> Lw_dpf.Dpf.gen ~domain_bits ~alpha rng) alphas) in
+    [ Array.map fst pairs; Array.map snd pairs ]
+  in
+  (* one party's batch: its whole share and traces, or the first
+     failure among the views and partitions *)
+  let run keys =
+    let whole, tr = traced_bytes snap (fun () -> Lw_pir.Server.answer_batch server keys) in
+    (* comparing a key-derived trace against the public one is this
+       checker's purpose, as in every probe above *)
+    (* lw-lint: allow taint lines=40 *)
+    if tr <> expected 0 size then Error "whole-snapshot scan"
+    else
+      let rec views = function
+        | [] -> Ok ()
+        | sb :: more ->
+            let rem = domain_bits - sb in
+            let subs = Array.map (fun k -> Lw_dpf.Distributed.split k ~shard_bits:sb) keys in
+            let accs = Array.map (fun _ -> Bytes.make bucket_size '\x00') keys in
+            let bad = ref None in
+            for v = 0 to (1 lsl sb) - 1 do
+              let view = Lw_store.Snapshot.sub snap ~base:(v lsl rem) ~domain_bits:rem in
+              let shares, tr =
+                traced_bytes snap (fun () ->
+                    Lw_pir.Server.answer_batch (Lw_pir.Server.of_snapshot view)
+                      (Array.map (fun s -> s.(v)) subs))
+              in
+              Array.iteri
+                (fun q sh ->
+                  Lw_util.Xorbuf.xor_string_into ~src:sh ~src_pos:0 ~dst:accs.(q) ~dst_pos:0
+                    ~len:bucket_size)
+                shares;
+              if tr <> expected (v lsl rem) (1 lsl rem) && !bad = None then bad := Some v
+            done;
+            match !bad with
+            | Some v -> Error (Printf.sprintf "view %d of %d" v (1 lsl sb))
+            | None
+              when not (Array.for_all2 (fun a s -> String.equal (Bytes.to_string a) s) accs whole)
+              ->
+                Error (Printf.sprintf "views of shard_bits=%d XOR to another share" sb)
+            | None -> views more
+      in
+      let rec parts = function
+        | [] -> Ok ()
+        | p :: more ->
+            let shares, tr =
+              traced_bytes snap (fun () -> Lw_pir.Server.answer_partitioned ~partitions:p server keys)
+            in
+            if tr <> expected 0 size then Error (Printf.sprintf "partitions=%d" p)
+            else if not (Array.for_all2 String.equal shares whole) then
+              Error (Printf.sprintf "partitions=%d shares differ from serial" p)
+            else parts more
+      in
+      match views shard_bits with
+      | Error _ as e -> e
+      | Ok () -> ( match parts partitions with Error _ as e -> e | Ok () -> Ok whole)
+  in
+  let rec check_widths = function
+    | [] -> Ok ()
+    | w :: rest ->
+        let rec check_batches = function
+          | [] -> check_widths rest
+          (* both parties' shares and traces, checked as in [run] *)
+          (* lw-lint: allow taint lines=8 *)
+          | alphas :: more -> (
+              match List.map run (probe alphas) with
+              | [ Ok s0; Ok s1 ] ->
+                  let got = Array.map2 Lw_util.Xorbuf.xor s0 s1 in
+                  let want = Array.of_list (List.map (Lw_store.Snapshot.get snap) alphas) in
+                  if Array.for_all2 String.equal got want then check_batches more
+                  else err "sparse scan shares (width %d) do not reconstruct the buckets" w
+              | results ->
+                  let where =
+                    List.filter_map (function Error e -> Some e | Ok _ -> None) results
+                  in
+                  err "sparse scan trace (width %d, %s) is not the walk with the extent map" w
+                    (String.concat "; " where))
+        in
+        check_batches [ batch w 1; batch w 2 ]
+  in
+  if not zero_tails then err "a sparse bucket holds a non-zero byte past its extent"
+  else if extents <> List.init size (sparse_extent ~bucket_size) then
+    err "sparse store's extent map is not its buckets' kinds"
+  else check_widths widths
+
+let check_sparse_scan ?(domain_bits = 6) ?(bucket_size = 600) ?(widths = [ 1; 5; 9 ])
+    ?(shard_bits = [ 1; 3 ]) ?(partitions = [ 2; 4 ]) () =
+  if bucket_size < Lw_store.whole_scan_below then
+    err "check_sparse_scan: buckets under %d B are read whole" Lw_store.whole_scan_below
+  else sparse_scan ~domain_bits ~bucket_size ~widths ~shard_bits ~partitions
+
+(* ------------------------------------------------------------------ *)
 (* Single-server PIR scan (Single mode)                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -609,10 +781,13 @@ let check_all () =
                   match check_snapshot_scan () with
                   | Error _ as e -> e
                   | Ok () -> (
-                      match check_spir_scan () with
+                      match check_sparse_scan () with
                       | Error _ as e -> e
-                      | Ok () ->
-                          List.fold_left
-                            (fun acc verb ->
-                              match acc with Error _ -> acc | Ok () -> check_retry ~verb ())
-                            (Ok ()) retry_verbs)))))
+                      | Ok () -> (
+                          match check_spir_scan () with
+                          | Error _ as e -> e
+                          | Ok () ->
+                              List.fold_left
+                                (fun acc verb ->
+                                  match acc with Error _ -> acc | Ok () -> check_retry ~verb ())
+                                (Ok ()) retry_verbs))))))

@@ -36,8 +36,12 @@ let pin_error_wire ~epoch = function
   | Lw_store.Ahead ->
       (Zltp_wire.err_epoch_ahead, Printf.sprintf "epoch %d not yet published" epoch)
 
-(* An epoch-versioned engine's pin, its refusals in wire terms. *)
-let pin_store store ~epoch = Result.map_error (pin_error_wire ~epoch) (Lw_store.pin store ~epoch)
+(* An epoch-versioned engine's pin, its refusals in wire terms. The pin
+   is handed to the caller, which unpins it. *)
+let pin_store store ~epoch =
+  match Lw_store.pin store ~epoch with
+  | Ok snap -> Ok snap
+  | Error e -> Error (pin_error_wire ~epoch e)
 
 (* Advertised-epoch override, shared by every constructor: a mutable cell
    the control plane flips; [current] falls back to the backend's own

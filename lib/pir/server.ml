@@ -148,13 +148,13 @@ let join_all_reraise doms =
 let run_workers n work =
   join_all_reraise (List.init n (fun w -> Domain.spawn (fun () -> work w)))
 
-(* A call streams the database once whatever its width, and a batch of
-   one is an answer. *)
+(* A call streams the database once whatever its width, each bucket up
+   to its extent, and a batch of one is an answer. *)
 let count t n ~parallel =
   if n > 1 then Lw_obs.Metrics.incr m_batches;
   if parallel then Lw_obs.Metrics.incr m_parallel;
   Lw_obs.Metrics.add m_answers n;
-  Lw_obs.Metrics.add m_scan_bytes (total_bytes t)
+  Lw_obs.Metrics.add m_scan_bytes (Lw_store.Snapshot.scan_bytes t)
 
 (* The partitioned driver: split every key once at [levels], then scan
    the [2^levels] partitions, each with its keys rebased at its root.

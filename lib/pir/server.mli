@@ -7,8 +7,9 @@
     block-by-block against the matching database block as the traversal
     produces them, and a batch's keys share one streamed traversal of the
     data. It runs the one C scan kernel,
-    {!Lw_util.Xorbuf.xor_buckets_lanes}; a single answer is a batch of
-    one, the kernel's one-lane call. {!answer}, {!answer_batch} and
+    {!Lw_util.Xorbuf.xor_extents_lanes}, which reads each bucket up to
+    its extent ({!Lw_store}); a single answer is a batch of one, the
+    kernel's one-lane call. {!answer}, {!answer_batch} and
     {!answer_partitioned} are its three entry points.
 
     {!eval_bits} and {!scan} remain the seed's two-pass reference
@@ -53,10 +54,11 @@ val answer_batch : ?domains:int -> t -> Lw_dpf.Dpf.key array -> string array
 (** All responses from one streamed traversal of the data. A batch of
     one is {!answer}. Wider batches evaluate each key blockwise into
     packed selection bits ([ceil(k/8) * size] bytes of scratch), then
-    run every fused block through {!Lw_util.Xorbuf.xor_buckets_lanes}
+    run every fused block through {!Lw_util.Xorbuf.xor_extents_lanes}
     in one pass that masks each loaded record into all [k]
-    accumulators, so [pir.server.scan_bytes] grows by one database size
-    per call, whatever the width. Width 2 is the keyword verb's
+    accumulators, so [pir.server.scan_bytes] grows by the bytes up to
+    the extents ({!Lw_store.Snapshot.scan_bytes}) once per call,
+    whatever the width. Width 2 is the keyword verb's
     two-probe shape. [domains] is as for {!answer}. *)
 
 (** {2 Domain-partitioned scan}

@@ -13,6 +13,16 @@
    epoch that changed 1% of the buckets costs ~1% of a full copy — the
    block arrays differ only where publishers actually wrote.
 
+   Each bucket also has an extent: the offset just past its last
+   non-zero byte, rounded up to 64 B (the scan kernel's column) and
+   capped at the bucket size; an empty bucket's is 0. The writers
+   compute extents from the bytes they write, a block keeps its
+   buckets' extents next to its bytes, and the scan kernel reads each
+   bucket only up to its extent: the zero tail XORs nothing into an
+   answer. Extents describe the database, which each server holds in
+   the clear, so they are as public as the bucket geometry. Buckets of
+   fewer than [whole_scan_below] bytes are always read whole.
+
    Epoch lifetime is refcounted: [pin]/[pin_latest] take a reference,
    [unpin] releases it, and an epoch is retired (its private blocks
    dropped) once nobody pins it and it has aged out of the small keep
@@ -25,12 +35,27 @@ let default_block_bytes = 1 lsl 18
 let max_domain_bits = 26
 let default_hash_key = String.sub (Lw_crypto.Sha256.digest "lw-pir-store-default") 0 16
 
-type trace = { mutable on : bool; mutable rev : int list }
+(* Below eight of the kernel's 64-byte columns a bucket is read whole,
+   empty or not: there the per-record loop over a few columns, whose
+   length changes from record to record, cost more than the zero tail it
+   skipped (side-by-side at 256 B, 44% of buckets filled: 1.1-1.3x the
+   whole-bucket walk; at 512 B already 0.6-1.0x). *)
+let whole_scan_below = 512
+
+(* The access trace, newest first: the bucket each access touched and
+   the bytes it read there. *)
+type trace = { mutable on : bool; mutable rev : int list; mutable bytes_rev : int list }
+
+(* A CoW block: its buckets' bytes, their extents (native-endian 32-bit,
+   one per bucket, the layout the scan kernel reads) and the extents'
+   sum. Only the writer that copied a block changes it, and only until
+   it seals; a sealed block is shared as it stands. *)
+type block = { data : Bytes.t; ext : Bytes.t; mutable scanned : int }
 
 (* A snapshot is a window onto one epoch's blocks: the whole domain, or a
    range view ([Snapshot.sub]) that starts [base] buckets in and spans
    [2^bits] buckets. Views share the parent's blocks and copy nothing. *)
-type snapshot = { epoch : int; blocks : Bytes.t array; store : t; base : int; bits : int }
+type snapshot = { epoch : int; blocks : block array; store : t; base : int; bits : int }
 
 and entry = { snap : snapshot; mutable pins : int }
 
@@ -68,6 +93,20 @@ let block_bytes t = block_buckets t * t.bucket_size
 let index_of_key t key =
   Lw_crypto.Siphash.to_domain ~key:t.hash_key ~domain_bits:t.domain_bits key
 
+(* The bytes the scan kernel reads of a bucket whose last non-zero byte
+   ends [nz] bytes in. *)
+let extent_of t nz =
+  if t.bucket_size < whole_scan_below then t.bucket_size
+  else min t.bucket_size ((nz + 63) land lnot 63)
+
+(* An extent table of [2^bits] buckets, every entry [e]. *)
+let uniform_extents bits e =
+  let ext = Bytes.create (4 lsl bits) in
+  for j = 0 to (1 lsl bits) - 1 do
+    Bytes.set_int32_ne ext (4 * j) (Int32.of_int e)
+  done;
+  ext
+
 let create ?(hash_key = default_hash_key) ?(keep = 2) ?(block_bytes = default_block_bytes)
     ?(initial_epoch = 0) ~domain_bits ~bucket_size () =
   if domain_bits < 1 || domain_bits > max_domain_bits then
@@ -95,12 +134,19 @@ let create ?(hash_key = default_hash_key) ?(keep = 2) ?(block_bytes = default_bl
       keep;
       lock = Mutex.create ();
       entries = [];
-      trace = { on = false; rev = [] };
+      trace = { on = false; rev = []; bytes_rev = [] };
     }
   in
+  (* every empty block starts from one shared extent table: a writer
+     copies a block's table before it changes it *)
+  let ext = uniform_extents block_bits (extent_of t 0) in
   let blocks =
     Array.init (size lsr block_bits) (fun _ ->
-        Bytes.make ((1 lsl block_bits) * bucket_size) '\x00')
+        {
+          data = Bytes.make ((1 lsl block_bits) * bucket_size) '\x00';
+          ext;
+          scanned = extent_of t 0 lsl block_bits;
+        })
   in
   let snap = { epoch = initial_epoch; blocks; store = t; base = 0; bits = domain_bits } in
   t.entries <- [ { snap; pins = 0 } ];
@@ -162,9 +208,17 @@ let unpin t snap =
 
 let set_tracing t on =
   t.trace.on <- on;
-  t.trace.rev <- []
+  t.trace.rev <- [];
+  t.trace.bytes_rev <- []
 
 let access_trace t = List.rev t.trace.rev
+let access_bytes t = List.rev t.trace.bytes_rev
+
+let record_access t i bytes =
+  t.trace.rev <- i :: t.trace.rev;
+  t.trace.bytes_rev <- bytes :: t.trace.bytes_rev
+
+let get_extent blk local = Int32.to_int (Bytes.get_int32_ne blk.ext (4 * local))
 
 module Snapshot = struct
   type nonrec t = snapshot
@@ -187,8 +241,9 @@ module Snapshot = struct
     if i < 0 || i >= size s then invalid_arg "Lw_store.Snapshot: index out of range"
 
   (* [i] is an index into the view; the trace and the blocks both speak
-     the store's global indices. *)
-  let record s i = if s.store.trace.on then s.store.trace.rev <- (s.base + i) :: s.store.trace.rev
+     the store's global indices. [get] and the masked reference scan
+     read the whole bucket. *)
+  let record s i = if s.store.trace.on then record_access s.store (s.base + i) s.store.bucket_size
 
   let locate s i =
     let g = s.base + i in
@@ -198,26 +253,52 @@ module Snapshot = struct
     check_index s i;
     record s i;
     let b, local = locate s i in
-    Bytes.sub_string s.blocks.(b) (local * s.store.bucket_size) s.store.bucket_size
+    Bytes.sub_string s.blocks.(b).data (local * s.store.bucket_size) s.store.bucket_size
 
   let is_empty s i =
     check_index s i;
     let b, local = locate s i in
-    Lw_util.Xorbuf.is_zero_range s.blocks.(b) ~pos:(local * s.store.bucket_size)
+    Lw_util.Xorbuf.is_zero_range s.blocks.(b).data ~pos:(local * s.store.bucket_size)
       ~len:s.store.bucket_size
+
+  let extent s i =
+    check_index s i;
+    let b, local = locate s i in
+    get_extent s.blocks.(b) local
+
+  (* A whole block's extents are summed as the writer sets them; a view
+     inside one block sums its own range. *)
+  let scan_bytes s =
+    let bb = 1 lsl s.store.block_bits in
+    let first = s.base and last = s.base + size s in
+    let sum = ref 0 and i = ref first in
+    while !i < last do
+      let b = !i lsr s.store.block_bits and local = !i land (bb - 1) in
+      let run = min (last - !i) (bb - local) in
+      let blk = s.blocks.(b) in
+      if run = bb then sum := !sum + blk.scanned
+      else
+        for j = local to local + run - 1 do
+          sum := !sum + get_extent blk j
+        done;
+      i := !i + run
+    done;
+    !sum
 
   let xor_bucket_into_masked s i ~mask ~dst =
     check_index s i;
     record s i;
     let b, local = locate s i in
-    Lw_util.Xorbuf.xor_into_masked ~mask ~src:s.blocks.(b)
+    Lw_util.Xorbuf.xor_into_masked ~mask ~src:s.blocks.(b).data
       ~src_pos:(local * s.store.bucket_size) ~dst ~dst_pos:0 ~len:s.store.bucket_size
 
   (* Block entry: the requested [base, base+count) run may span several
      CoW blocks (or sit inside one, for a small view); split it into
-     per-block runs and hand each to the Xorbuf kernel. Tracing stays
-     bucket-granular, once per bucket in order, so the obliviousness
-     checker observes the access sequence the kernel really performs. *)
+     per-block runs and hand each, with its extents, to the Xorbuf
+     kernel. Tracing stays bucket-granular, once per bucket in order
+     with the bytes its extent lets the kernel read, so the
+     obliviousness checker observes the access sequence the kernel
+     really performs. *)
   let xor_block_into_lanes s ~base ~count ~bits ~bits_pos ~stride ~dsts =
     if count < 0 || base < 0 || base > size s - count then
       invalid_arg "Lw_store.Snapshot: block out of range";
@@ -228,17 +309,20 @@ module Snapshot = struct
       let i = s.base + base + !off in
       let b = i lsr s.store.block_bits and local = i land (bb - 1) in
       let run = min (count - !off) (bb - local) in
+      let blk = s.blocks.(b) in
       if s.store.trace.on then
-        for j = i to i + run - 1 do
-          s.store.trace.rev <- j :: s.store.trace.rev
+        for j = 0 to run - 1 do
+          record_access s.store (i + j) (get_extent blk (local + j))
         done;
-      Lw_util.Xorbuf.xor_buckets_lanes ~bits ~bits_pos:(bits_pos + !off) ~stride ~count:run
-        ~src:s.blocks.(b) ~src_pos:(local * bucket) ~bucket ~dsts;
+      Lw_util.Xorbuf.xor_extents_lanes ~extents:blk.ext ~extents_pos:(4 * local) ~bits
+        ~bits_pos:(bits_pos + !off) ~stride ~count:run ~src:blk.data ~src_pos:(local * bucket)
+        ~bucket ~dsts;
       off := !off + run
     done
 
   let set_tracing s on = set_tracing s.store on
   let access_trace s = access_trace s.store
+  let access_bytes s = access_bytes s.store
 
   (* Physical block diff: snapshots of one engine share untouched blocks,
      so two epochs differ exactly where the block pointers differ. Always
@@ -273,7 +357,7 @@ module Writer = struct
   type writer = {
     store : t;
     base_epoch : int;
-    blocks : Bytes.t array;
+    blocks : block array;
     dirty : bool array;
     mutable cow_bytes : int;
     mutable mutations : int;
@@ -297,17 +381,33 @@ module Writer = struct
   let check_index w i =
     if i < 0 || i >= size w.store then invalid_arg "Lw_store.Writer: index out of range"
 
-  (* First touch of a block pays the copy; every later write to the same
-     block is free. This is the entire CoW cost of an epoch. *)
+  (* A writer's own copy of an extent table. In a store read whole every
+     extent is the bucket for good, so its blocks keep sharing one table
+     ([set_extent] never writes an unchanged entry). *)
+  let own_extents w ext =
+    if w.store.bucket_size < whole_scan_below then ext else Bytes.copy ext
+
+  (* First touch of a block pays the copy, its extents with it; every
+     later write to the same block is free. This is the entire CoW cost
+     of an epoch ([cow_bytes] counts the bucket bytes). *)
   let touch w b =
     if not w.dirty.(b) then begin
-      w.blocks.(b) <- Bytes.copy w.blocks.(b);
+      let blk = w.blocks.(b) in
+      w.blocks.(b) <- { data = Bytes.copy blk.data; ext = own_extents w blk.ext; scanned = blk.scanned };
       w.dirty.(b) <- true;
-      w.cow_bytes <- w.cow_bytes + Bytes.length w.blocks.(b)
+      w.cow_bytes <- w.cow_bytes + Bytes.length blk.data
     end
 
   let locate w i = (i lsr w.store.block_bits, i land ((1 lsl w.store.block_bits) - 1))
 
+  let set_extent blk local e =
+    let old = get_extent blk local in
+    if e <> old then begin
+      blk.scanned <- blk.scanned + e - old;
+      Bytes.set_int32_ne blk.ext (4 * local) (Int32.of_int e)
+    end
+
+  (* The bucket is zeroed past [data], so its extent is [data]'s. *)
   let set w i data =
     check_open w;
     check_index w i;
@@ -315,9 +415,13 @@ module Writer = struct
       invalid_arg "Lw_store.Writer.set: data exceeds bucket";
     let b, local = locate w i in
     touch w b;
-    let off = local * w.store.bucket_size in
-    Bytes.fill w.blocks.(b) off w.store.bucket_size '\x00';
-    Bytes.blit_string data 0 w.blocks.(b) off (String.length data);
+    let blk = w.blocks.(b) and off = local * w.store.bucket_size in
+    Bytes.fill blk.data off w.store.bucket_size '\x00';
+    Bytes.blit_string data 0 blk.data off (String.length data);
+    let nz =
+      Lw_util.Xorbuf.nonzero_end (Bytes.unsafe_of_string data) ~pos:0 ~len:(String.length data)
+    in
+    set_extent blk local (extent_of w.store nz);
     w.mutations <- w.mutations + 1
 
   let clear w i =
@@ -325,16 +429,21 @@ module Writer = struct
     check_index w i;
     let b, local = locate w i in
     touch w b;
-    Bytes.fill w.blocks.(b) (local * w.store.bucket_size) w.store.bucket_size '\x00';
+    let blk = w.blocks.(b) in
+    Bytes.fill blk.data (local * w.store.bucket_size) w.store.bucket_size '\x00';
+    set_extent blk local (extent_of w.store 0);
     w.mutations <- w.mutations + 1
 
   (* Every block is replaced by fresh pseudorandom bytes, so nothing is
-     copied first; the stream is drawn in 64 KiB chunks. *)
+     copied first; the stream is drawn in 64 KiB chunks. Every extent is
+     the whole bucket. The writer owns each block it made, so each gets
+     its own table unless the store is read whole. *)
   let fill_random w rng =
     check_open w;
+    let ext = uniform_extents w.store.block_bits w.store.bucket_size in
     Array.iteri
       (fun b blk ->
-        let n = Bytes.length blk in
+        let n = Bytes.length blk.data in
         let fresh = Bytes.create n in
         let pos = ref 0 in
         while !pos < n do
@@ -342,7 +451,7 @@ module Writer = struct
           Bytes.blit_string (Lw_util.Det_rng.bytes rng len) 0 fresh !pos len;
           pos := !pos + len
         done;
-        w.blocks.(b) <- fresh;
+        w.blocks.(b) <- { data = fresh; ext = own_extents w ext; scanned = n };
         w.dirty.(b) <- true;
         w.cow_bytes <- w.cow_bytes + n)
       w.blocks;
@@ -353,12 +462,12 @@ module Writer = struct
   let get w i =
     check_index w i;
     let b, local = locate w i in
-    Bytes.sub_string w.blocks.(b) (local * w.store.bucket_size) w.store.bucket_size
+    Bytes.sub_string w.blocks.(b).data (local * w.store.bucket_size) w.store.bucket_size
 
   let is_empty w i =
     check_index w i;
     let b, local = locate w i in
-    Lw_util.Xorbuf.is_zero_range w.blocks.(b) ~pos:(local * w.store.bucket_size)
+    Lw_util.Xorbuf.is_zero_range w.blocks.(b).data ~pos:(local * w.store.bucket_size)
       ~len:w.store.bucket_size
 
   let seal ?epoch w =

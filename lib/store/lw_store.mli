@@ -18,6 +18,21 @@
     epoch, so a 1%-churn epoch costs ~1% of a full database copy — the
     property bench E22 measures.
 
+    Every bucket has an {e extent}: the offset just past its last
+    non-zero byte, rounded up to 64 B and capped at [bucket_size]; an
+    empty bucket's extent is 0. In a store of buckets under
+    {!whole_scan_below} bytes every extent is the whole bucket, empty or
+    not. {!Writer.set} and {!Writer.clear}
+    compute it from the bytes they write and {!Writer.fill_random} sets
+    every extent to the whole bucket. A block keeps its buckets'
+    extents next to its bytes, so seals and range views share them as
+    they share blocks. The scan reads each bucket only up to its extent,
+    since the zero tail past it XORs nothing into an answer. The extent
+    map is public: each server holds the database in the clear, and the
+    map is a function of the published contents, never of a query. A
+    scan's memory trace and its time therefore follow the epoch's
+    extent map, which is the same for every query on that epoch.
+
     Epoch lifetime is refcounted: an epoch is retired once no reader
     pins it {e and} it has aged out of the [keep] most recent epochs.
     The keep window (default 2: current + previous) is what lets a
@@ -53,6 +68,11 @@ val create :
     epoch [e] rebuilds as [create ~initial_epoch:(e - 1)] plus one seal,
     so its epoch counter rejoins the cluster's instead of restarting
     from zero. *)
+
+val whole_scan_below : int
+(** 512: buckets smaller than this are scanned whole. There the scan's
+    loop over one record's few columns, whose count changes from record
+    to record, costs more than the zero tail it would skip. *)
 
 val domain_bits : t -> int
 val size : t -> int
@@ -110,11 +130,17 @@ val writer : t -> writer
 (** {2 Tracing}
 
     The obliviousness checker's hook: when on, every bucket a snapshot
-    or view reads is recorded by its global index, in access order.
-    Enabling or disabling resets the trace. Leave it off on hot paths. *)
+    or view reads is recorded by its global index, in access order,
+    with the bytes read there. Enabling or disabling resets the trace.
+    Leave it off on hot paths. *)
 
 val set_tracing : t -> bool -> unit
 val access_trace : t -> int list
+
+val access_bytes : t -> int list
+(** The bytes each access of {!access_trace} read, in the same order: a
+    scan reads a bucket's extent, {!Snapshot.get} and
+    {!Snapshot.xor_bucket_into_masked} the whole bucket. *)
 
 (** {2 Snapshots} *)
 
@@ -153,6 +179,16 @@ module Snapshot : sig
   val is_empty : t -> int -> bool
   val occupied : t -> int
 
+  val extent : t -> int -> int
+  (** Bucket [i]'s extent: the bytes a scan reads of it. Every byte of
+      the bucket at or past it is zero. Raises [Invalid_argument]
+      outside [0, size). *)
+
+  val scan_bytes : t -> int
+  (** The sum of the snapshot's (or view's) extents: the bytes one pass
+      of {!xor_block_into_lanes} over it reads. [total_bytes] for a
+      store written by {!Writer.fill_random}. *)
+
   (** Scan kernels: every bucket is traced once per scan, in order, so
       the obliviousness checker sees the full in-order walk of the
       snapshot, or of the view's own range. *)
@@ -172,12 +208,15 @@ module Snapshot : sig
     stride:int ->
     dsts:Bytes.t array ->
     unit
-  (** Scan block entry ({!Lw_util.Xorbuf.xor_buckets_lanes}) for single
-      answers (one lane) and batches alike; the run may span CoW block
-      boundaries and is split internally. Each bucket is traced once. *)
+  (** Scan block entry ({!Lw_util.Xorbuf.xor_extents_lanes}) for single
+      answers (one lane) and batches alike: each bucket is read up to
+      its extent. The run may span CoW block boundaries and is split
+      internally. Each bucket is traced once, with its extent as the
+      bytes read. *)
 
   val set_tracing : t -> bool -> unit
   val access_trace : t -> int list
+  val access_bytes : t -> int list
 
   val diff_ranges : t -> t -> (int * int) list
   (** [diff_ranges a b] is the [(base, count)] bucket ranges (ascending,
@@ -199,15 +238,18 @@ module Writer : sig
   val base_epoch : t -> int
 
   val set : t -> int -> string -> unit
-  (** Write bucket [i] (zero-padding to [bucket_size]); the first write
-      into a CoW block pays that block's copy, later writes to the same
-      block are free. Raises once the writer is sealed. *)
+  (** Write bucket [i] (zero-padding to [bucket_size]) and set its
+      extent from [data]'s last non-zero byte; the first write into a
+      CoW block pays that block's copy, later writes to the same block
+      are free. Raises once the writer is sealed. *)
 
   val clear : t -> int -> unit
+  (** Zero bucket [i]; its extent becomes 0. *)
 
   val fill_random : t -> Lw_util.Det_rng.t -> unit
   (** Overwrite every bucket with deterministic pseudorandom bytes, for
-      benchmarks and tests that care about scan geometry, not contents. *)
+      benchmarks and tests that care about scan geometry, not contents.
+      Every extent becomes the whole bucket. *)
 
   val get : t -> int -> string
   (** Read-your-writes view of the batch (uncommitted). *)
@@ -218,8 +260,9 @@ module Writer : sig
   val dirty_blocks : t -> int
 
   val cow_bytes : t -> int
-  (** Bytes copied so far — the real cost of this epoch vs. the naive
-      full-database rewrite ([total_bytes]). *)
+  (** Bucket bytes copied so far — the real cost of this epoch vs. the
+      naive full-database rewrite ([total_bytes]). A copied block's
+      extents (4 B per bucket) are not counted. *)
 
   val seal : ?epoch:int -> t -> snapshot
   (** Atomically publish the batch as the next epoch and return its

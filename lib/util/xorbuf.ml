@@ -56,8 +56,19 @@ let xor_into_masked ~mask ~src ~src_pos ~dst ~dst_pos ~len =
    width. It reads no OCaml value but the arguments and allocates
    nothing; the build index and every range are checked here first. *)
 external xor_lanes :
-  int -> Bytes.t -> int -> int -> int -> Bytes.t -> int -> int -> Bytes.t array -> unit
-  = "lw_xor_buckets_lanes_byte" "lw_xor_buckets_lanes"
+  int ->
+  Bytes.t ->
+  int ->
+  int ->
+  int ->
+  Bytes.t ->
+  int ->
+  int ->
+  Bytes.t ->
+  int ->
+  int ->
+  Bytes.t array ->
+  unit = "lw_xor_buckets_lanes_byte" "lw_xor_buckets_lanes"
 [@@noalloc]
 
 external kernel_builds : unit -> string array = "lw_scan_builds"
@@ -70,7 +81,13 @@ let first = first_build ()
 let scan_kernel () = builds.(first)
 let scan_kernels () = Array.to_list (Array.sub builds first (Array.length builds - first))
 
-let lanes_on build ~bits ~bits_pos ~stride ~count ~src ~src_pos ~bucket ~dsts =
+(* Whole records: every record reads one shared entry (step 0) that the
+   kernel caps at the bucket; it reads a tile's extents in pairs, so the
+   entry is eight bytes. *)
+let whole = Bytes.make 8 '\xff'
+
+let lanes_on build ~ext ~ext_pos ~ext_step ~bits ~bits_pos ~stride ~count ~src ~src_pos ~bucket
+    ~dsts =
   let lanes = Array.length dsts in
   if bucket <= 0 || count < 0 || stride < count || lanes = 0 then
     invalid_arg "Xorbuf.xor_buckets_lanes: bad geometry";
@@ -85,16 +102,31 @@ let lanes_on build ~bits ~bits_pos ~stride ~count ~src ~src_pos ~bucket ~dsts =
     invalid_arg "Xorbuf.xor_buckets_lanes(src): range out of bounds";
   check_bounds "xor_buckets_lanes(src)" src_pos (count * bucket) (Bytes.length src);
   Array.iter (fun d -> check_bounds "xor_buckets_lanes(dst)" 0 bucket (Bytes.length d)) dsts;
-  xor_lanes build bits bits_pos stride count src src_pos bucket dsts
+  check_bounds "xor_buckets_lanes(extents)" ext_pos (ext_step * count) (Bytes.length ext);
+  xor_lanes build bits bits_pos stride count src src_pos bucket ext ext_pos ext_step dsts
+
+let build_of kernel =
+  match Array.find_index (String.equal kernel) builds with
+  | Some build when build >= first -> build
+  | _ -> invalid_arg "Xorbuf.xor_buckets_lanes_on: kernel not runnable on this CPU"
 
 let xor_buckets_lanes ~bits ~bits_pos ~stride ~count ~src ~src_pos ~bucket ~dsts =
-  lanes_on first ~bits ~bits_pos ~stride ~count ~src ~src_pos ~bucket ~dsts
+  lanes_on first ~ext:whole ~ext_pos:0 ~ext_step:0 ~bits ~bits_pos ~stride ~count ~src ~src_pos
+    ~bucket ~dsts
 
 let xor_buckets_lanes_on ~kernel ~bits ~bits_pos ~stride ~count ~src ~src_pos ~bucket ~dsts =
-  match Array.find_index (String.equal kernel) builds with
-  | Some build when build >= first ->
-      lanes_on build ~bits ~bits_pos ~stride ~count ~src ~src_pos ~bucket ~dsts
-  | _ -> invalid_arg "Xorbuf.xor_buckets_lanes_on: kernel not runnable on this CPU"
+  lanes_on (build_of kernel) ~ext:whole ~ext_pos:0 ~ext_step:0 ~bits ~bits_pos ~stride ~count
+    ~src ~src_pos ~bucket ~dsts
+
+let xor_extents_lanes ~extents ~extents_pos ~bits ~bits_pos ~stride ~count ~src ~src_pos ~bucket
+    ~dsts =
+  lanes_on first ~ext:extents ~ext_pos:extents_pos ~ext_step:4 ~bits ~bits_pos ~stride ~count
+    ~src ~src_pos ~bucket ~dsts
+
+let xor_extents_lanes_on ~kernel ~extents ~extents_pos ~bits ~bits_pos ~stride ~count ~src
+    ~src_pos ~bucket ~dsts =
+  lanes_on (build_of kernel) ~ext:extents ~ext_pos:extents_pos ~ext_step:4 ~bits ~bits_pos
+    ~stride ~count ~src ~src_pos ~bucket ~dsts
 
 let set_lane_bits ~src ~src_pos ~dst ~dst_pos ~len ~lane =
   if lane < 0 || lane > 7 then invalid_arg "Xorbuf.set_lane_bits: lane out of range";
@@ -140,5 +172,25 @@ let is_zero_range b ~pos ~len =
     acc := !acc lor Char.code (Bytes.unsafe_get b (pos + i))
   done;
   Int64.equal !acc64 0L && !acc = 0
+
+(* Backwards a word at a time from the end, then byte by byte inside
+   the last non-zero word: a record framed at the front of a
+   zero-padded bucket costs a few words past its last byte. *)
+let nonzero_end b ~pos ~len =
+  check_bounds "nonzero_end" pos len (Bytes.length b);
+  let words = len / 8 in
+  let e = ref len in
+  while !e > 8 * words && Bytes.unsafe_get b (pos + !e - 1) = '\x00' do
+    decr e
+  done;
+  if !e = 8 * words then begin
+    while !e > 0 && Int64.equal (unsafe_get64 b (pos + !e - 8)) 0L do
+      e := !e - 8
+    done;
+    while !e > 0 && Bytes.unsafe_get b (pos + !e - 1) = '\x00' do
+      decr e
+    done
+  end;
+  !e
 
 let is_zero s = is_zero_range (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)

@@ -32,13 +32,15 @@ val xor_buckets_lanes :
   dsts:Bytes.t array ->
   unit
 (** [xor_buckets_lanes ~bits ~bits_pos ~stride ~count ~src ~src_pos
-    ~bucket ~dsts] is the scan kernel behind every PIR answer, single or
-    batched: for each lane [q] and record [j < count], XOR the
-    [bucket]-byte record at [src_pos + j*bucket] into [dsts.(q)] under
-    the mask splatted from bit [q land 7] of
-    [bits.[bits_pos + (q lsr 3) * stride + j]] — eight lanes packed per
-    selection byte, one [stride]-byte plane per eight lanes. A single
-    answer is the one-lane call with its 0/1 selection bytes as plane 0.
+    ~bucket ~dsts] is the scan kernel over whole records: for each lane
+    [q] and record [j < count], XOR the [bucket]-byte record at
+    [src_pos + j*bucket] into [dsts.(q)] under the mask splatted from
+    bit [q land 7] of [bits.[bits_pos + (q lsr 3) * stride + j]] —
+    eight lanes packed per selection byte, one [stride]-byte plane per
+    eight lanes. A single answer is the one-lane call with its 0/1
+    selection bytes as plane 0. It is {!xor_extents_lanes} with every
+    record's extent at [bucket].
+
     After the range checks it runs the C kernel build {!scan_kernel},
     which makes one pass over the records in tiles of the build's depth
     (eight records on AVX-512): each 64-byte column of a tile is loaded
@@ -52,12 +54,48 @@ val xor_buckets_lanes :
     [bucket], a negative [count], [stride < count], or any
     out-of-bounds range. *)
 
+val xor_extents_lanes :
+  extents:Bytes.t ->
+  extents_pos:int ->
+  bits:Bytes.t ->
+  bits_pos:int ->
+  stride:int ->
+  count:int ->
+  src:Bytes.t ->
+  src_pos:int ->
+  bucket:int ->
+  dsts:Bytes.t array ->
+  unit
+(** {!xor_buckets_lanes}, reading record [j] only up to its extent: the
+    native-endian unsigned 32-bit entry at [extents_pos + 4*j] of
+    [extents], capped at [bucket] in the kernel. Every byte of a record
+    at or past its extent must be zero: the kernel skips those bytes,
+    and with that promise the answer is {!xor_buckets_lanes}'s. It is
+    the PIR answer path's kernel ([Lw_store.Snapshot.xor_block_into_lanes]),
+    where a record's extent is the offset past its last non-zero byte
+    rounded up to 64 B.
+
+    A tile of records goes through the registers up to a bound no larger
+    than any of its extents (their AND, rounded down to whole columns);
+    where its extents differ, each record's columns from there up to its
+    own extent go one record at a time under the same masks. When every
+    extent of the call is one value, no extent is read per tile, so a
+    run of whole records is exactly {!xor_buckets_lanes}'s walk. All
+    bounds are branch-free arithmetic on the extents. The bytes read,
+    and so the memory trace and the time, are a function of the
+    geometry, the lane count and the extents; the selection bits still
+    only ever become masks. The extents are public: they describe the
+    database, which each server holds in the clear, and never a query.
+    Raises as {!xor_buckets_lanes} does, and on an [extents] range out
+    of bounds. *)
+
 val scan_kernel : unit -> string
-(** The build of the C scan kernel every {!xor_buckets_lanes} call
-    runs: the widest this CPU supports, picked once when the program
-    loads, from CPUID alone — ["avx512"] or ["avx2"] on x86-64, else
-    ["baseline"] (SSE2 on x86-64, NEON on aarch64). Every build is the
-    same source; only the instructions its vectors lower to differ. *)
+(** The build of the C scan kernel every {!xor_buckets_lanes} and
+    {!xor_extents_lanes} call runs: the widest this CPU supports, picked
+    once when the program loads, from CPUID alone — ["avx512"] or
+    ["avx2"] on x86-64, else ["baseline"] (SSE2 on x86-64, NEON on
+    aarch64). Every build is the same source; only the instructions its
+    vectors lower to differ. *)
 
 val scan_kernels : unit -> string list
 (** Every build this CPU can run, widest first: [scan_kernel ()] then
@@ -79,6 +117,21 @@ val xor_buckets_lanes_on :
     Raises [Invalid_argument] on a build this CPU cannot run, and as
     {!xor_buckets_lanes} does. *)
 
+val xor_extents_lanes_on :
+  kernel:string ->
+  extents:Bytes.t ->
+  extents_pos:int ->
+  bits:Bytes.t ->
+  bits_pos:int ->
+  stride:int ->
+  count:int ->
+  src:Bytes.t ->
+  src_pos:int ->
+  bucket:int ->
+  dsts:Bytes.t array ->
+  unit
+(** {!xor_extents_lanes} on the named build, as {!xor_buckets_lanes_on}. *)
+
 val set_lane_bits :
   src:Bytes.t -> src_pos:int -> dst:Bytes.t -> dst_pos:int -> len:int -> lane:int -> unit
 (** [set_lane_bits ~src ~src_pos ~dst ~dst_pos ~len ~lane] ORs the low
@@ -97,6 +150,11 @@ val xor : string -> string -> string
 val is_zero_range : Bytes.t -> pos:int -> len:int -> bool
 (** [is_zero_range b ~pos ~len] is true iff bytes [pos..pos+len) of [b]
     are all ['\x00']. Scans 64-bit words with a byte tail. *)
+
+val nonzero_end : Bytes.t -> pos:int -> len:int -> int
+(** [nonzero_end b ~pos ~len] is the offset, from [pos], just past the
+    last non-['\x00'] byte of [b]'s bytes [pos..pos+len), or 0 when they
+    are all zero. Scans 64-bit words backwards from the end. *)
 
 val is_zero : string -> bool
 (** [is_zero s] is true iff every byte of [s] is ['\x00']. Scans 64-bit

@@ -1,6 +1,10 @@
 /* The PIR scan kernel: XOR [count] consecutive [bucket]-byte records of
    [src] into each lane's accumulator, record [j] masked for lane [q] by
-   bit [q & 7] of [bits[bits_pos + (q >> 3) * stride + j]].
+   bit [q & 7] of [bits[bits_pos + (q >> 3) * stride + j]], and read only
+   up to its extent: the 32-bit entry [j * step] of [ext], capped at
+   [bucket]. The caller promises every byte past an extent is zero, so
+   skipping it changes no accumulator. [step] 0 gives every record one
+   shared extent (the whole record, when it is past [bucket]).
 
    One loop order for every geometry. Records go in tiles of the build's
    depth. Each 64-byte column of a tile is loaded once into that many
@@ -8,16 +12,24 @@
    XOR from those registers, with one accumulator read-modify-write per
    column. Wider batches take each tile once per group; leftover records
    go as tiles of one, and a bucket's bytes past its last whole vector
-   one at a time.
+   one at a time. A tile goes through the registers up to a bound no
+   larger than any of its extents; where its extents differ, each
+   record's columns past that bound, up to its own extent, then go one
+   record at a time under the same masks. When every extent of the run
+   is one value, no extent is read per tile, and with whole records that
+   is the walk of the kernel without extents.
 
    [Xorbuf] checks the build index and every range before calling in, so
-   nothing here is bounds-checked. The selection bits are secret: they
-   only ever become all-zero or all-one masks by arithmetic. The only
-   control flow is [for] loops bounded by [count], [bucket] and the lane
-   count: every record byte is read for each group of lanes and every
-   accumulator word rewritten once per tile whatever the bits, so the
-   memory trace and the instruction stream are functions of the geometry
-   alone.
+   nothing here is bounds-checked but the extents, which are capped at
+   [bucket]. The selection bits are secret: they only ever become
+   all-zero or all-one masks by arithmetic. The only control flow is
+   [for] loops bounded by [count], [bucket], the lane count and the
+   extents: every byte up to a record's extent is read for each group of
+   lanes and every accumulator word it reaches rewritten whatever the
+   bits, so the memory trace and the instruction stream are functions of
+   the geometry, the lane count and the extents alone. The extents are
+   public: they describe the database, which each server holds in the
+   clear, never a query (see SECURITY.md).
    The analysis tests reject any branching keyword or short-circuit
    operator in this file, so platform choices are made with [#ifdef].
 
@@ -54,15 +66,16 @@ xor_column(const vec *v, const uint64_t *m, intnat depth, unsigned char *d)
   AT(d) ^= x;
 }
 
-/* Bytes [0, end) of the [depth] records at [s] into lanes [g, g + n)
-   under masks [m], whole columns up to [vec_end]. The group's first
-   lane goes last, so its masks can take the registers the others
-   free. */
+/* Bytes [lo, end) of the [depth] records at [s] into lanes [g, g + n)
+   under masks [m]: whole columns from [lo] up to [vec_end], then the
+   bytes up to [end] one at a time. [lo] is a multiple of the column
+   width no greater than [vec_end]. The group's first lane goes last, so
+   its masks can take the registers the others free. */
 static inline __attribute__((always_inline)) void
-xor_columns(const unsigned char *s, intnat bucket, intnat depth, intnat vec_end, intnat end,
-            uint64_t (*m)[GROUP], value dsts, intnat g, intnat n)
+xor_columns(const unsigned char *s, intnat bucket, intnat depth, intnat lo, intnat vec_end,
+            intnat end, uint64_t (*m)[GROUP], value dsts, intnat g, intnat n)
 {
-  for (intnat o = 0; o < vec_end; o += sizeof(vec)) {
+  for (intnat o = lo; o < vec_end; o += sizeof(vec)) {
     vec v[GROUP];
 #pragma GCC unroll 8
     for (intnat r = 0; r < depth; r++)
@@ -81,16 +94,41 @@ xor_columns(const unsigned char *s, intnat bucket, intnat depth, intnat vec_end,
     }
 }
 
-/* Records [j, j + depth) of [s] into every lane, a group at a time. A
-   group reads its [depth] selection bytes as one word. A lone lane
-   walks a copy of the columns made for one lane, which spends no
-   registers on a loop over the others. */
+/* [x] capped at [bucket]. */
+static inline __attribute__((always_inline)) intnat
+cap(uint64_t x, intnat bucket)
+{
+  intnat e = (intnat)(x & 0xffffffff);
+  return bucket + ((e - bucket) & -(intnat)(e < bucket));
+}
+
+/* Record [j]'s extent: the 32-bit entry [j * step] of [ext], capped at
+   [bucket]. */
+static inline __attribute__((always_inline)) intnat
+extent(const unsigned char *ext, intnat step, intnat j, intnat bucket)
+{
+  uint32_t e;
+  __builtin_memcpy(&e, ext + j * step, sizeof e);
+  return cap(e, bucket);
+}
+
+/* Records [j, j + depth) of [s] into every lane, a group at a time:
+   bytes [0, lo) of all of them through the registers, whole columns
+   then bytes, and then, for the first [ragged] records, each one's
+   bytes from [lo] up to its own extent, one record at a time under the
+   same masks. Where that extent is past [lo], [lo] is below [bucket]
+   and so a whole number of columns; elsewhere the record has nothing
+   left. A group reads its [depth] selection bytes as one word. A lone
+   lane walks a copy of the tile's columns made for one lane, which
+   spends no registers on a loop over the others. */
 static inline __attribute__((always_inline)) void
 xor_tile(const unsigned char *bits, intnat stride, intnat j, intnat depth,
-         const unsigned char *s, intnat bucket, value dsts, intnat lanes)
+         const unsigned char *s, intnat bucket, intnat lo, const unsigned char *ext,
+         intnat step, intnat ragged, value dsts, intnat lanes)
 {
   const intnat big = __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__;
-  intnat vec_end = bucket & ~(intnat)(sizeof(vec) - 1);
+  const intnat column = sizeof(vec);
+  intnat vec_lo = lo & -column;
   for (intnat g = 0; g < lanes; g += GROUP) {
     intnat n = lanes - g;
     n += (GROUP - n) & -(intnat)(n > GROUP);
@@ -102,22 +140,92 @@ xor_tile(const unsigned char *bits, intnat stride, intnat j, intnat depth,
       for (intnat r = 0; r < depth; r++)
         m[q][r] = (uint64_t)0 - ((w >> (8 * (r ^ (7 * big)) + q)) & 1);
     intnat lone = -(intnat)(n == 1);
-    xor_columns(s, bucket, depth, vec_end & ~lone, bucket & ~lone, m, dsts, g, n);
-    xor_columns(s, bucket, depth, vec_end & lone, bucket & lone, m, dsts, g, 1);
+    xor_columns(s, bucket, depth, 0, vec_lo & ~lone, lo & ~lone, m, dsts, g, n);
+    xor_columns(s, bucket, depth, 0, vec_lo & lone, lo & lone, m, dsts, g, 1);
+    for (intnat r = 0; r < ragged; r++) {
+      intnat e = extent(ext, step, j + r, bucket);
+      intnat past = -(intnat)(e > lo);
+      xor_columns(s + r * bucket, bucket, 1, lo & past, e & -column & past, e & past,
+                  (uint64_t(*)[GROUP]) & m[0][r], dsts, g, n);
+    }
   }
 }
 
-/* Tiles of [depth] records, then the records left over as tiles of one. */
+/* The AND and the OR of the run's [count] extents, in [x[0]] and
+   [x[1]]: one entry when [step] is 0, whole vectors of entries and then
+   the rest one at a time otherwise. */
+static inline __attribute__((always_inline)) void
+extents_and_or(const unsigned char *ext, intnat step, intnat count, uint32_t x[2])
+{
+  const intnat per = sizeof(vec) / sizeof(uint32_t);
+  intnat entries = count + (((intnat)(count > 0) - count) & -(intnat)(step == 0));
+  vec all = ~(vec){ 0 }, any = { 0 };
+  intnat i = 0;
+  for (; i + per <= entries; i += per) {
+    vec v = AT(ext + i * sizeof(uint32_t));
+    all &= v;
+    any |= v;
+  }
+  uint64_t a = ~(uint64_t)0, o = 0;
+#pragma GCC unroll 8
+  for (intnat k = 0; k < (intnat)(sizeof(vec) / sizeof(uint64_t)); k++) {
+    a &= all[k];
+    o |= any[k];
+  }
+  uint32_t a32 = (uint32_t)(a & (a >> 32)), o32 = (uint32_t)(o | (o >> 32));
+  for (; i < entries; i++) {
+    uint32_t e;
+    __builtin_memcpy(&e, ext + i * sizeof(uint32_t), sizeof e);
+    a32 &= e;
+    o32 |= e;
+  }
+  x[0] = a32;
+  x[1] = o32;
+}
+
+/* Tiles of [depth] records, then the records left over as tiles of one.
+   When the run's extents are all one value (a store of whole records,
+   or one without extents at all), every tile goes through the
+   registers up to it and no extent is read again. Otherwise a tile's
+   extents are read two at a time ([depth] is even) and the tile goes
+   through the registers up to [lo]: the AND of its extents, which is no
+   larger than any of them, capped at [bucket] and below it rounded down
+   to whole columns. Only where the OR of its extents, which is no
+   smaller than any of them, is capped past [lo] do its records' columns
+   past [lo] go one record at a time. The two tile loops are one loop
+   each over a share of the tiles that the extents alone decide. */
 static inline __attribute__((always_inline)) void
 xor_lanes(const unsigned char *bits, intnat stride, intnat count, const unsigned char *src,
-          intnat bucket, value dsts, intnat depth)
+          intnat bucket, const unsigned char *ext, intnat step, value dsts, intnat depth)
 {
   intnat lanes = Wosize_val(dsts);
   intnat tiles_end = count - count % depth;
-  for (intnat j = 0; j < tiles_end; j += depth)
-    xor_tile(bits, stride, j, depth, src + j * bucket, bucket, dsts, lanes);
+  uint32_t run[2];
+  extents_and_or(ext, step, count, run);
+  intnat uniform = -(intnat)(run[0] == run[1]);
+  intnat whole = cap(run[0], bucket);
+  for (intnat j = 0; j < (tiles_end & uniform); j += depth)
+    xor_tile(bits, stride, j, depth, src + j * bucket, bucket, whole, ext, step, 0, dsts, lanes);
+  for (intnat j = 0; j < (tiles_end & ~uniform); j += depth) {
+    uint64_t all = ~(uint64_t)0, any = 0;
+#pragma GCC unroll 4
+    for (intnat r = 0; r < depth; r += 2) {
+      uint64_t two;
+      __builtin_memcpy(&two, ext + (j + r) * step, sizeof two);
+      all &= two;
+      any |= two;
+    }
+    all &= all >> 32;
+    any |= any >> 32;
+    intnat c = cap(all, bucket);
+    intnat lo = c & ~((intnat)(sizeof(vec) - 1) & -(intnat)(c < bucket));
+    intnat ragged = depth & -(intnat)(lo < cap(any, bucket));
+    xor_tile(bits, stride, j, depth, src + j * bucket, bucket, lo, ext, step, ragged, dsts,
+             lanes);
+  }
   for (intnat j = tiles_end; j < count; j++)
-    xor_tile(bits, stride, j, 1, src + j * bucket, bucket, dsts, lanes);
+    xor_tile(bits, stride, j, 1, src + j * bucket, bucket, extent(ext, step, j, bucket), ext,
+             step, 0, dsts, lanes);
 }
 
 /* A build: the body under a [target] attribute, at its tile depth.
@@ -129,9 +237,10 @@ xor_lanes(const unsigned char *bits, intnat stride, intnat count, const unsigned
    the stack. */
 #define BUILD(name, attr, depth)                                                            \
   attr static void xor_lanes_##name(const unsigned char *bits, intnat stride, intnat count, \
-                                    const unsigned char *src, intnat bucket, value dsts)    \
+                                    const unsigned char *src, intnat bucket,                \
+                                    const unsigned char *ext, intnat step, value dsts)      \
   {                                                                                         \
-    xor_lanes(bits, stride, count, src, bucket, dsts, depth);                               \
+    xor_lanes(bits, stride, count, src, bucket, ext, step, dsts, depth);                    \
   }
 
 #ifdef __x86_64__
@@ -140,7 +249,8 @@ BUILD(avx2, __attribute__((target("avx2"))), 4)
 #endif
 BUILD(baseline, , 8)
 
-typedef void build_fn(const unsigned char *, intnat, intnat, const unsigned char *, intnat, value);
+typedef void build_fn(const unsigned char *, intnat, intnat, const unsigned char *, intnat,
+                      const unsigned char *, intnat, value);
 
 /* The builds, widest first; each needs a subset of the CPU features of
    the one before it. */
@@ -183,11 +293,13 @@ value lw_scan_first(value unit)
 }
 
 value lw_xor_buckets_lanes(value build, value bits, value bits_pos, value stride, value count,
-                           value src, value src_pos, value bucket, value dsts)
+                           value src, value src_pos, value bucket, value ext, value ext_pos,
+                           value ext_step, value dsts)
 {
   builds[Long_val(build)](Bytes_val(bits) + Long_val(bits_pos), Long_val(stride),
                           Long_val(count), Bytes_val(src) + Long_val(src_pos),
-                          Long_val(bucket), dsts);
+                          Long_val(bucket), Bytes_val(ext) + Long_val(ext_pos),
+                          Long_val(ext_step), dsts);
   return Val_unit;
 }
 
@@ -195,5 +307,5 @@ value lw_xor_buckets_lanes_byte(value *argv, int argn)
 {
   (void)argn;
   return lw_xor_buckets_lanes(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5], argv[6],
-                              argv[7], argv[8]);
+                              argv[7], argv[8], argv[9], argv[10], argv[11]);
 }

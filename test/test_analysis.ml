@@ -261,6 +261,112 @@ let test_c_kernel_no_branch () =
       tokens ("no branch in " ^ Filename.basename kernel) [] (c_branch_tokens src))
     kernels
 
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+(* The token gate above reads the C source; this reads what GCC made of
+   it. A masked select the compiler turned into a branch would add a
+   conditional jump, so each kernel function's count of them is pinned,
+   as GCC 12 -O2 compiles them on x86-64 (another compiler or target
+   prints why and skips). Every jump counted is a loop bound or
+   one of the entry guards and unroll exits GCC adds to a loop, and
+   every loop is over public bounds. *)
+let pinned_jumps =
+  [
+    (* xor_lanes_*: the run's extent AND/OR (vector loop and tail, over
+       the entry count); the uniform tile loop, the per-tile loop and the
+       leftover loop (over [count]); in each of their three inlined
+       tiles, the lane groups (lanes / 8), the mask loop (lanes in the
+       group), and the column loop (whole columns below the tile's
+       bound), its lane loop and the byte loop with its lane loop, once
+       for the group and once for a lone lane; in the per-tile loop's
+       tile, also the ragged records (the tile depth, or none) with
+       their own column, lane and byte loops (up to each extent) *)
+    ("xor_lanes_avx512", 74);
+    ("xor_lanes_avx2", 74);
+    ("xor_lanes_baseline", 74);
+    (* level_*: chunks of parents (n / CHUNK), the seed tweaks and the
+       cipher over the chunk's blocks, and the children of the chunk *)
+    ("level_aesni", 10);
+    ("level_bitsliced", 10);
+    (* leaves_*: chunks of terminal nodes, the tweaks and the cipher,
+       the nodes of the chunk, and the copy of [count] leaf bytes *)
+    ("leaves_aesni", 10);
+    ("leaves_bitsliced", 10);
+  ]
+
+(* Each function's conditional jumps in [objdump -d] text: every
+   [j<cc>] mnemonic but [jmp]. *)
+let conditional_jumps listing =
+  let counts = Hashtbl.create 16 and current = ref "" in
+  List.iter
+    (fun line ->
+      let n = String.length line in
+      if n > 2 && String.ends_with ~suffix:">:" line then
+        match String.index_opt line '<' with
+        | Some i -> current := String.sub line (i + 1) (n - i - 3)
+        | None -> ()
+      else
+        match String.split_on_char '\t' line with
+        | _ :: insn :: _ ->
+            let mnemonic = List.hd (String.split_on_char ' ' insn) in
+            if String.length mnemonic > 1 && mnemonic.[0] = 'j' && mnemonic <> "jmp" then
+              Hashtbl.replace counts !current
+                (1 + Option.value (Hashtbl.find_opt counts !current) ~default:0)
+        | _ -> ())
+    (String.split_on_char '\n' listing);
+  counts
+
+let run_to_string cmd =
+  let out = Filename.temp_file "lw_objdump" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove out)
+    (fun () ->
+      let code = Sys.command (cmd ^ " > " ^ Filename.quote out ^ " 2>/dev/null") in
+      (code, In_channel.with_open_bin out In_channel.input_all))
+
+let test_c_kernel_jumps_pinned () =
+  Alcotest.(check (list (pair string int))) "jumps counted per function"
+    [ ("f", 2); ("g", 1) ]
+    (List.sort compare
+       (List.of_seq
+          (Hashtbl.to_seq
+             (conditional_jumps
+                "0000000000000000 <f>:\n   0:\tjne    10 <f+0x10>\n   2:\tjmp    0 <f>\n   4:\tjae    0 <f>\n0000000000000010 <g>:\n  10:\tjb     10 <g>\n  12:\tret\n"))));
+  let objects =
+    List.filter_map Analyzer.resolve_file [ "lib/util/xorbuf_stubs.o"; "lib/crypto/aes_stubs.o" ]
+  in
+  Alcotest.(check int) "both kernel objects built" 2 (List.length objects);
+  (* the object's .comment section names its compiler, "GCC: (<vendor>) 12.x.y" *)
+  let gcc12 obj =
+    let bytes = In_channel.with_open_bin obj In_channel.input_all in
+    contains bytes "GCC: (" && contains bytes ") 12."
+  in
+  let listings =
+    List.map
+      (fun obj ->
+        (obj, run_to_string ("objdump -d --no-show-raw-insn " ^ Filename.quote obj)))
+      objects
+  in
+  let x86_64 (_, (_, listing)) = contains listing "file format elf64-x86-64" in
+  if List.exists (fun (_, (code, _)) -> code <> 0) listings then
+    print_endline "objdump did not run: conditional jumps not checked"
+  else if not (List.for_all x86_64 listings && List.for_all gcc12 objects) then
+    print_endline "counts are pinned for GCC 12 on x86-64: conditional jumps not checked"
+  else begin
+    let counts = Hashtbl.create 16 in
+    List.iter
+      (fun (_, (_, listing)) -> Hashtbl.iter (Hashtbl.replace counts) (conditional_jumps listing))
+      listings;
+    List.iter
+      (fun (fn, pinned) ->
+        Alcotest.(check (option int)) (fn ^ " conditional jumps") (Some pinned)
+          (Hashtbl.find_opt counts fn))
+      pinned_jumps
+  end
+
 let test_rule_poly_compare () =
   (* the Store.insert bug shape: option tested with polymorphic = *)
   let bad_opt = "let fresh t key = find t key = None" in
@@ -789,6 +895,34 @@ let test_balance_pin_lifecycle () =
   Alcotest.(check int) "handoff clean" 0
     (count_rule "balance" (findings_for ~path handoff))
 
+(* In [match <pin> with ...] only the [Ok] or [Some] payload is a pin:
+   mapping the [Error] payload to a wire refusal is clean, handing the
+   [Ok] one back is a handoff, and dropping it is still a leak *)
+let test_balance_pin_result_match () =
+  let path = "lib/core/fixture.ml" in
+  let clean =
+    "let pin_store store ~epoch =\n\
+    \  match Lw_store.pin store ~epoch with\n\
+    \  | Ok snap -> Ok snap\n\
+    \  | Error e -> Error (pin_error_wire ~epoch e)\n"
+  in
+  Alcotest.(check int) "error payload is not a pin" 0
+    (count_rule "balance" (findings_for ~path clean));
+  let dirty =
+    "let epoch_of store ~epoch =\n\
+    \  match Lw_store.pin store ~epoch with\n\
+    \  | Ok snap -> Lw_store.Snapshot.epoch snap\n\
+    \  | Error e -> refusal e\n"
+  in
+  let found =
+    List.filter
+      (fun f -> f.Report.rule = "balance")
+      (Analyzer.scan_source ~path dirty).Analyzer.findings
+  in
+  Alcotest.(check (list string)) "the dropped Ok payload, and only it"
+    [ "snap" ]
+    (List.map (fun f -> if contains f.Report.message "`snap`" then "snap" else f.Report.message) found)
+
 let test_pragma_lines_span () =
   (* one waiver, widened to cover a multi-line expression *)
   let src =
@@ -1139,6 +1273,18 @@ let test_trace_snapshot_scan () =
     (Trace_check.check_snapshot_scan ~domain_bits:7 ~bucket_size:48
        ~alphas:[ 0; 99; 127 ] ())
 
+(* empty, short, 64 B-multiple, odd-length and full buckets: traces are
+   the walk with the extent map at widths 1, 5 and 9, whole, through
+   views and partitioned; a bucket size past a power of two, too *)
+let test_trace_sparse_scan () =
+  check_ok "sparse defaults" (Trace_check.check_sparse_scan ());
+  check_ok "sparse other geometry"
+    (Trace_check.check_sparse_scan ~domain_bits:7 ~bucket_size:4100 ~shard_bits:[ 2; 4 ]
+       ~partitions:[ 8 ] ());
+  match Trace_check.check_sparse_scan ~bucket_size:256 () with
+  | Ok () -> Alcotest.fail "buckets read whole accepted"
+  | Error _ -> ()
+
 let test_trace_spir_scan () =
   check_ok "spir defaults" (Trace_check.check_spir_scan ());
   check_ok "spir other geometry"
@@ -1196,6 +1342,8 @@ let () =
           Alcotest.test_case "secret-branch" `Quick test_rule_secret_branch;
           Alcotest.test_case "secret-branch lane kernel" `Quick test_rule_secret_branch_lane_kernel;
           Alcotest.test_case "C scan kernel has no branch" `Quick test_c_kernel_no_branch;
+          Alcotest.test_case "C kernels' conditional jumps pinned" `Quick
+            test_c_kernel_jumps_pinned;
           Alcotest.test_case "nondeterminism" `Quick test_rule_nondeterminism;
           Alcotest.test_case "raw-timestamp" `Quick test_rule_raw_timestamp;
           Alcotest.test_case "key-print" `Quick test_rule_key_print;
@@ -1224,6 +1372,8 @@ let () =
           Alcotest.test_case "race: partitioned-scan fixtures" `Quick
             test_race_partitioned_scan_fixtures;
           Alcotest.test_case "pin/unpin balance" `Quick test_balance_pin_lifecycle;
+          Alcotest.test_case "pin result match binds Ok only" `Quick
+            test_balance_pin_result_match;
           Alcotest.test_case "allow lines=N pragma" `Quick test_pragma_lines_span;
           QCheck_alcotest.to_alcotest prop_taint_monotone;
         ] );
@@ -1252,6 +1402,7 @@ let () =
           Alcotest.test_case "bucket scan traces" `Quick test_trace_bucket_scan;
           Alcotest.test_case "batch scan traces" `Quick test_trace_batch_scan;
           Alcotest.test_case "CoW snapshot scan traces" `Quick test_trace_snapshot_scan;
+          Alcotest.test_case "sparse extent scan traces" `Quick test_trace_sparse_scan;
           Alcotest.test_case "SPIR scan traces" `Quick test_trace_spir_scan;
           Alcotest.test_case "partitioned scan traces" `Quick
             test_trace_partitioned_scan;

@@ -618,27 +618,56 @@ let prop_batch_domains_matches_batch =
 
 (* [pir.server.scan_bytes] counts the database bytes a call streams from
    memory: one traversal per batch, whatever its width (the later lane
-   groups re-read cache-resident blocks), serial or partitioned. *)
+   groups re-read cache-resident blocks), serial or partitioned, each
+   bucket up to its extent — the whole store when every bucket is full
+   or the buckets are under [Lw_store.whole_scan_below], the extents'
+   sum when it is sparse. *)
 let test_batch_scan_bytes () =
-  let server = random_server ~domain_bits:6 ~bucket_size:40 "scan-bytes" in
+  let full =
+    sealed ~domain_bits:6 ~bucket_size:40 (fun w -> Lw_store.Writer.fill_random w (det "scan-bytes"))
+  in
+  (* every third bucket holds [10 + i] bytes, the rest are empty: a
+     64-byte extent, or 128 once a value passes 64 B; buckets of 100 B
+     are read whole however little they hold *)
+  let sparse_in bucket_size =
+    sealed ~domain_bits:6 ~bucket_size (fun w ->
+        for i = 0 to 63 do
+          if i mod 3 = 0 then Lw_store.Writer.set w i (String.make (10 + i) 'x')
+        done)
+  in
+  let sparse = sparse_in 600 and small = sparse_in 100 in
+  let sparse_bytes =
+    List.fold_left ( + ) 0
+      (List.init 64 (fun i -> if i mod 3 <> 0 then 0 else if 10 + i > 64 then 128 else 64))
+  in
   let scan_bytes = Lw_obs.Metrics.counter "pir.server.scan_bytes" in
   let drbg = rng () in
   List.iter
-    (fun width ->
-      let keys =
-        Array.init width (fun i -> fst (Lw_dpf.Dpf.gen ~domain_bits:6 ~alpha:(7 * i) drbg))
-      in
-      let delta label f =
-        let before = Lw_obs.Metrics.counter_value scan_bytes in
-        ignore (f ());
-        Alcotest.(check int)
-          (Printf.sprintf "%s width %d" label width)
-          (Server.total_bytes server)
-          (Lw_obs.Metrics.counter_value scan_bytes - before)
-      in
-      delta "serial" (fun () -> Server.answer_batch server keys);
-      delta "domains" (fun () -> Server.answer_partitioned ~partitions:2 ~domains:2 server keys))
-    [ 5; 9 ]
+    (fun (label, snap, expected) ->
+      let server = Server.of_snapshot snap in
+      Alcotest.(check int) (label ^ " scan_bytes") expected (Lw_store.Snapshot.scan_bytes snap);
+      List.iter
+        (fun width ->
+          let keys =
+            Array.init width (fun i -> fst (Lw_dpf.Dpf.gen ~domain_bits:6 ~alpha:(7 * i) drbg))
+          in
+          let delta path f =
+            let before = Lw_obs.Metrics.counter_value scan_bytes in
+            ignore (f ());
+            Alcotest.(check int)
+              (Printf.sprintf "%s %s width %d" label path width)
+              expected
+              (Lw_obs.Metrics.counter_value scan_bytes - before)
+          in
+          delta "serial" (fun () -> Server.answer_batch server keys);
+          delta "domains" (fun () ->
+              Server.answer_partitioned ~partitions:2 ~domains:2 server keys))
+        [ 5; 9 ])
+    [
+      ("full", full, Lw_store.Snapshot.total_bytes full);
+      ("sparse", sparse, sparse_bytes);
+      ("small buckets", small, Lw_store.Snapshot.total_bytes small);
+    ]
 
 let props =
   List.map QCheck_alcotest.to_alcotest

@@ -195,6 +195,111 @@ let prop_engine_matches_reference =
       List.iter (fun (snap, _) -> Store.unpin st snap) !sealed;
       ok)
 
+(* ---------------- QCheck: extent-bounded answers ---------------- *)
+
+(* The scan reads each bucket only up to its extent, so an extent that
+   fell short of a bucket's last non-zero byte would drop bytes from an
+   answer. Across interleavings of inserts (some ending in zero bytes),
+   overwrites with a shorter value (where a stale extent would show),
+   clears and seals, every sealed snapshot must keep only zero bytes at
+   or past each extent, give each bucket the extent of its model bytes,
+   sum them in [scan_bytes], and answer lone keys, batches of 5 and 9
+   and a two-way partitioned batch byte for byte as the two-pass
+   [eval_bits] + [scan] reference does. Buckets of 520 B (past eight
+   64-byte columns, not a multiple of them) with 2-bucket CoW blocks. *)
+
+type xop = Insert of int * int * int | Shorten of int | Erase of int | Seal_x
+
+let xbucket = 520
+let xbits = 5
+
+let gen_xops =
+  let open QCheck.Gen in
+  let i = int_bound ((1 lsl xbits) - 1) in
+  let op =
+    frequency
+      [
+        (5, map3 (fun i len z -> Insert (i, len, z)) i (1 -- xbucket) (0 -- 140));
+        (3, map (fun i -> Shorten i) i);
+        (2, map (fun i -> Erase i) i);
+        (2, return Seal_x);
+      ]
+  in
+  list_size (1 -- 40) op
+
+let pp_xop = function
+  | Insert (i, len, z) -> Printf.sprintf "Insert(%d,%d,%d)" i len z
+  | Shorten i -> Printf.sprintf "Shorten %d" i
+  | Erase i -> Printf.sprintf "Erase %d" i
+  | Seal_x -> "Seal"
+
+(* [len] non-zero bytes, the last [z] of them zeroed *)
+let xvalue i len z =
+  String.init len (fun j -> if j >= len - z then '\000' else Char.chr (1 + ((i + j) mod 255)))
+
+let model_extent b =
+  let e = Lw_util.Xorbuf.nonzero_end (Bytes.of_string b) ~pos:0 ~len:(String.length b) in
+  min (String.length b) ((e + 63) land lnot 63)
+
+let check_extent_snapshot snap model drbg =
+  let server = Lw_pir.Server.of_snapshot snap in
+  let size = 1 lsl xbits in
+  let extents_ok =
+    List.for_all
+      (fun i ->
+        let e = Snapshot.extent snap i in
+        e = model_extent model.(i)
+        && Lw_util.Xorbuf.is_zero (String.sub (Snapshot.get snap i) e (xbucket - e)))
+      (List.init size Fun.id)
+  in
+  let sum = Array.fold_left (fun a b -> a + model_extent b) 0 model in
+  let keys =
+    Array.init 9 (fun q ->
+        let k0, k1 = Lw_dpf.Dpf.gen ~domain_bits:xbits ~alpha:((q * 11) mod size) drbg in
+        if q land 1 = 0 then k0 else k1)
+  in
+  let reference = Array.map (fun k -> Lw_pir.Server.scan server (Lw_pir.Server.eval_bits server k)) keys in
+  let agree got n = Array.for_all2 String.equal got (Array.sub reference 0 n) in
+  extents_ok
+  && Snapshot.scan_bytes snap = sum
+  && Array.for_all2 String.equal (Array.map (Lw_pir.Server.answer server) keys) reference
+  && agree (Lw_pir.Server.answer_batch server (Array.sub keys 0 5)) 5
+  && agree (Lw_pir.Server.answer_batch server keys) 9
+  && agree (Lw_pir.Server.answer_partitioned ~partitions:2 server keys) 9
+
+let prop_extent_answers_match_reference =
+  QCheck.Test.make ~name:"extent-bounded answers equal the two-pass reference" ~count:150
+    (QCheck.make ~print:(fun ops -> String.concat "; " (List.map pp_xop ops)) gen_xops)
+    (fun ops ->
+      let st = Store.create ~block_bytes:(2 * xbucket) ~domain_bits:xbits ~bucket_size:xbucket () in
+      let model = Array.make (1 lsl xbits) (zeros xbucket) in
+      let drbg = Lw_crypto.Drbg.create ~seed:"extent-prop" in
+      let w = ref (Store.writer st) in
+      let ok = ref true in
+      let seal () =
+        let snap = Writer.seal !w in
+        ok := !ok && check_extent_snapshot snap model drbg;
+        w := Store.writer st
+      in
+      List.iter
+        (function
+          | Insert (i, len, z) ->
+              let v = xvalue i len (min z len) in
+              Writer.set !w i v;
+              model.(i) <- pad xbucket v
+          | Shorten i ->
+              let cur = Lw_util.Xorbuf.nonzero_end (Bytes.of_string model.(i)) ~pos:0 ~len:xbucket in
+              let v = String.sub model.(i) 0 (cur / 2) in
+              Writer.set !w i v;
+              model.(i) <- pad xbucket v
+          | Erase i ->
+              Writer.clear !w i;
+              model.(i) <- zeros xbucket
+          | Seal_x -> seal ())
+        ops;
+      seal ();
+      !ok)
+
 (* ---------------- Lw_pir.Store on the engine ---------------- *)
 
 let test_pir_store_pending () =
@@ -643,7 +748,11 @@ let () =
           Alcotest.test_case "pin and retire" `Quick test_engine_pin_retire;
           Alcotest.test_case "stale writer" `Quick test_engine_stale_writer;
         ] );
-      ("property", [ QCheck_alcotest.to_alcotest prop_engine_matches_reference ]);
+      ( "property",
+        [
+          QCheck_alcotest.to_alcotest prop_engine_matches_reference;
+          QCheck_alcotest.to_alcotest prop_extent_answers_match_reference;
+        ] );
       ("pir store", [ Alcotest.test_case "pending batches" `Quick test_pir_store_pending ]);
       ( "universe",
         [

@@ -194,6 +194,95 @@ let test_xor_buckets_lanes () =
     (Invalid_argument "Xorbuf.xor_buckets_lanes(dst): range out of bounds") (fun () ->
       run ~dsts:[| Bytes.make 8 '\x00'; Bytes.make 7 '\x00' |] ())
 
+(* The extent-bounded kernel on every build against the whole-record
+   reference: each record is random up to its extent and zero past it,
+   so skipping the tail must change nothing. Extents are 0, whole
+   columns, odd lengths, the bucket and past it (capped); runs whose
+   extents are all one value take the uniform walk, the rest mix
+   extents inside a tile or between tiles. Buckets, counts and widths cross the same
+   vector, tile and plane boundaries as the lane cases above. *)
+let check_extents_lanes rng ~kernel ~lanes ~count ~bucket ~pick =
+  let stride = count + (lanes mod 2) in
+  let planes = (lanes + 7) / 8 in
+  let bits = Bytes.of_string (Lw_util.Det_rng.bytes rng ((planes * stride) + 1)) in
+  let extents = Bytes.create ((4 * count) + 4) in
+  let src = Bytes.make ((count * bucket) + 3) '\x00' in
+  for j = 0 to count - 1 do
+    let e = pick j in
+    Bytes.set_int32_ne extents (4 + (4 * j)) (Int32.of_int e);
+    let len = min e bucket in
+    Bytes.blit_string (Lw_util.Det_rng.bytes rng len) 0 src (3 + (j * bucket)) len
+  done;
+  let dsts = Array.init lanes (fun _ -> Bytes.of_string (Lw_util.Det_rng.bytes rng bucket)) in
+  let expected =
+    lanes_reference ~bits ~bits_pos:0 ~stride ~count ~src ~src_pos:3 ~bucket ~dsts
+  in
+  Lw_util.Xorbuf.xor_extents_lanes_on ~kernel ~extents ~extents_pos:4 ~bits ~bits_pos:0 ~stride
+    ~count ~src ~src_pos:3 ~bucket ~dsts;
+  Alcotest.(check (array string))
+    (Printf.sprintf "%s extents lanes=%d count=%d bucket=%d" kernel lanes count bucket)
+    (Array.map Bytes.to_string expected) (Array.map Bytes.to_string dsts)
+
+let test_xor_extents_lanes () =
+  let rng = Lw_util.Det_rng.of_string_seed "extents-lanes" in
+  let mixed bucket j =
+    match (j * 7) mod 9 with
+    | 0 -> 0
+    | 1 -> bucket
+    | 2 -> 64
+    | 3 -> min bucket 128
+    | 4 -> 1 + Lw_util.Det_rng.int rng bucket
+    | 5 -> bucket + 1
+    | 6 -> 0xffffffff
+    | 7 -> 64 * Lw_util.Det_rng.int rng ((bucket / 64) + 1)
+    | _ -> 0
+  in
+  List.iter
+    (fun kernel ->
+      List.iter
+        (fun bucket ->
+          List.iter
+            (fun count ->
+              List.iter
+                (fun lanes ->
+                  List.iter
+                    (fun pick -> check_extents_lanes rng ~kernel ~lanes ~count ~bucket ~pick)
+                    [
+                      mixed bucket;
+                      (fun _ -> 64);
+                      (fun _ -> 0);
+                      (fun _ -> bucket);
+                      (* a first tile of one odd extent, in a run of another *)
+                      (fun j -> if j < 8 then 100 else 37);
+                    ])
+                [ 1; 2; 5; 8; 9; 16; 17 ])
+            [ 0; 1; 3; 4; 7; 8; 9; 16; 17; 64 ])
+        [ 1; 63; 64; 65; 200; 513; 1024 + 64; 4096 + 48 ])
+    (Lw_util.Xorbuf.scan_kernels ());
+  Alcotest.check_raises "extents range"
+    (Invalid_argument "Xorbuf.xor_buckets_lanes(extents): range out of bounds") (fun () ->
+      Lw_util.Xorbuf.xor_extents_lanes ~extents:(Bytes.make 15 '\x00') ~extents_pos:0
+        ~bits:(Bytes.make 4 '\x00') ~bits_pos:0 ~stride:4 ~count:4 ~src:(Bytes.make 32 '\x00')
+        ~src_pos:0 ~bucket:8 ~dsts:[| Bytes.make 8 '\x00' |])
+
+(* [nonzero_end]: every last-non-zero position in lengths around a word
+   at several offsets, and the all-zero and empty ranges. *)
+let test_nonzero_end () =
+  for len = 0 to 27 do
+    for pos = 0 to 3 do
+      Alcotest.(check int) (Printf.sprintf "zero len=%d" len) 0
+        (Lw_util.Xorbuf.nonzero_end (Bytes.make (pos + len) '\x00') ~pos ~len);
+      for last = 0 to len - 1 do
+        let b = Bytes.make (pos + len + 2) '\x00' in
+        Bytes.set b (pos + last) '\x01';
+        Bytes.set b (pos + (last / 2)) '\x07';
+        Bytes.set b (pos + len) '\xff';
+        Alcotest.(check int) (Printf.sprintf "len=%d last=%d" len last) (last + 1)
+          (Lw_util.Xorbuf.nonzero_end b ~pos ~len)
+      done
+    done
+  done
+
 (* CRC-32 against a bit-at-a-time reference over the same reflected
    polynomial: the known answer, every length up to 64 and lengths
    around 4 KiB (the table loop and its byte tail), each at offsets 0-7,
@@ -406,6 +495,8 @@ let () =
           Alcotest.test_case "bounds overflow" `Quick test_xor_bounds_overflow;
           Alcotest.test_case "is_zero" `Quick test_is_zero;
           Alcotest.test_case "lane kernel" `Quick test_xor_buckets_lanes;
+          Alcotest.test_case "extent lane kernel" `Quick test_xor_extents_lanes;
+          Alcotest.test_case "nonzero_end" `Quick test_nonzero_end;
           Alcotest.test_case "lane bit packing" `Quick test_set_lane_bits;
         ] );
       ("crc32", [ Alcotest.test_case "against a bitwise reference" `Quick test_crc32 ]);
