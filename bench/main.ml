@@ -963,16 +963,17 @@ let best_interleaved reps fs =
   done;
   best
 
-(* Sparse records at the reference corpus's load: perfbench's browse
-   corpus fills 38-39% of its 4 KiB buckets, and 9.0-9.5% of its bytes
-   lie below each bucket's last non-zero byte rounded up to 64 B. Record
-   [j] is filled with probability 0.385; a filled one holds random bytes
-   over a length uniform in [1, 2m], m the mean that puts 9.3% of the
-   bytes in records. [f j len] receives each filled record. *)
-let sparse_records rng ~count ~bucket f =
-  let mean = 0.093 /. 0.385 *. float_of_int bucket in
+(* Sparse records, by default at the reference corpus's load: perfbench's
+   browse corpus fills 38-39% of its 4 KiB buckets, and 9.0-9.5% of its
+   bytes lie below each bucket's last non-zero byte rounded up to 64 B.
+   Record [j] is filled with probability [filled] (0.385); a filled one
+   holds random bytes over a length uniform in [1, 2m], capped at the
+   bucket, m the mean that puts a share [bytes] (0.093) of the bytes in
+   records. [f j len] receives each filled record. *)
+let sparse_records ?(filled = 0.385) ?(bytes = 0.093) rng ~count ~bucket f =
+  let mean = bytes /. filled *. float_of_int bucket in
   for j = 0 to count - 1 do
-    if Lw_util.Det_rng.int rng 1000 < 385 then
+    if Lw_util.Det_rng.int rng 1000 < int_of_float (1000. *. filled) then
       f j (min bucket (1 + Lw_util.Det_rng.int rng (max 1 (int_of_float (2. *. mean)))))
   done
 
@@ -1221,6 +1222,99 @@ let e19_scan_kernels ?(write_json = true) ?geometry () =
           sparse_widths)
       kernel_geometries
   in
+  (* The extent walk over two stores, each called in its [Lw_store]
+     blocks as an answer makes, on every build, interleaved with the
+     whole walk over the same records: the reference sparse store, and a
+     mostly-full store of mixed record lengths (2^8 x 1 KiB, 80% of
+     buckets filled, 44% of bytes up to the extents), where a walk that
+     took a tile's differing extents one record at a time was slower than
+     the whole walk. A timing repeats the walk until it has covered
+     16 MiB of buckets, so the small store's cells are not down at the
+     clock's microsecond, and reports one pass. Every build's extent walk
+     must equal the whole walk byte for byte. *)
+  let walk_stores =
+    [ ("reference sparse", d, sb, 0.385, 0.093); ("mixed, 80% filled", 8, 1024, 0.8, 0.44) ]
+  in
+  let walk_rows =
+    List.concat_map
+      (fun (name, bits_n, bucket, filled, byte_share) ->
+        let n = 1 lsl bits_n in
+        let run = Lw_store.block_buckets (Lw_store.create ~domain_bits:bits_n ~bucket_size:bucket ()) in
+        let records = Bytes.make (n * bucket) '\x00' and extents = Bytes.make (4 * n) '\x00' in
+        let wrng = det ("e19-walk-" ^ name) in
+        let bits = Bytes.of_string (Lw_util.Det_rng.bytes wrng (2 * n)) in
+        let scanned = ref 0 in
+        sparse_records ~filled ~bytes:byte_share wrng ~count:n ~bucket (fun j len ->
+            Bytes.blit_string (Lw_util.Det_rng.bytes wrng len) 0 records (j * bucket) len;
+            let e = min bucket ((len + 63) land lnot 63) in
+            scanned := !scanned + e;
+            Bytes.set_int32_ne extents (4 * j) (Int32.of_int e));
+        let share = float_of_int !scanned /. float_of_int (n * bucket) in
+        row "\n%s store, 2^%d x %d B in runs of %d, %.1f%% of bytes up to the extents: extent \
+             walk / whole walk (ms)\n%-8s%s\n"
+          name bits_n bucket run (100. *. share) "width"
+          (String.concat "" (List.map (Printf.sprintf " %19s") kernels));
+        List.map
+          (fun w ->
+            let dsts = Array.init w (fun _ -> Bytes.create bucket) in
+            let in_runs call () =
+              for b = 0 to (n / run) - 1 do
+                call ~count:run ~off:(b * run)
+              done
+            in
+            let passes = max 1 ((16 lsl 20) / (n * bucket)) in
+            let timed walk () =
+              for _ = 1 to passes do
+                walk ()
+              done
+            in
+            let extent_walk kernel =
+              in_runs (fun ~count ~off ->
+                  Lw_util.Xorbuf.xor_extents_lanes_on ~kernel ~extents ~extents_pos:(4 * off) ~bits
+                    ~bits_pos:off ~stride:n ~count ~src:records ~src_pos:(off * bucket) ~bucket
+                    ~dsts)
+            and whole_walk kernel =
+              in_runs (fun ~count ~off ->
+                  Lw_util.Xorbuf.xor_buckets_lanes_on ~kernel ~bits ~bits_pos:off ~stride:n ~count
+                    ~src:records ~src_pos:(off * bucket) ~bucket ~dsts)
+            in
+            let output f =
+              Array.iter (fun d -> Bytes.fill d 0 bucket '\x00') dsts;
+              f ();
+              Array.map Bytes.to_string dsts
+            in
+            let whole = output (whole_walk (List.hd kernels)) in
+            List.iter
+              (fun kernel ->
+                if
+                  not
+                    (Array.for_all2 String.equal (output (extent_walk kernel)) whole
+                    && Array.for_all2 String.equal (output (whole_walk kernel)) whole)
+                then
+                  failwith
+                    (Printf.sprintf "E19: kernel build %s's extent walk over the %s store differs \
+                                     from the whole walk at width %d"
+                       kernel name w))
+              kernels;
+            let t =
+              Array.map
+                (fun s -> s /. float_of_int passes)
+                (best_interleaved reps
+                   (Array.of_list
+                      (List.concat_map
+                         (fun k -> [ timed (extent_walk k); timed (whole_walk k) ])
+                         kernels)))
+            in
+            row "%-8d%s\n" w
+              (String.concat ""
+                 (List.mapi
+                    (fun i _ ->
+                      Printf.sprintf " %8.4f / %8.4f" (1000. *. t.(2 * i)) (1000. *. t.((2 * i) + 1)))
+                    kernels));
+            (name, n, bucket, share, w, t))
+          sparse_widths)
+      walk_stores
+  in
   if write_json then begin
     let open Json in
     let build_cells rows =
@@ -1286,6 +1380,25 @@ let e19_scan_kernels ?(write_json = true) ?geometry () =
               ] );
           ("kernel_builds", build_cells build_rows);
           ("sparse_kernel_builds", build_cells sparse_build_rows);
+          ( "extent_walks",
+            List
+              (List.map
+                 (fun (name, n, bucket, share, w, t) ->
+                   Obj
+                     (("store", String name)
+                     :: ("bucket_size", Number (float_of_int bucket))
+                     :: ("records", Number (float_of_int n))
+                     :: ("scanned_share", Number share)
+                     :: ("width", Number (float_of_int w))
+                     :: List.concat
+                          (List.mapi
+                             (fun j k ->
+                               [
+                                 (k ^ "_extent_ms", Number (1000. *. t.(2 * j)));
+                                 (k ^ "_whole_ms", Number (1000. *. t.((2 * j) + 1)));
+                               ])
+                             kernels)))
+                 walk_rows) );
         ]
     in
     let oc = open_out "BENCH_scan.json" in

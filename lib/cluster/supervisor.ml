@@ -416,20 +416,11 @@ let park t s ep =
         Condition.wait t.state_cv t.state_mu
       done)
 
-let handle_register t ep ~shard_id ~pid ~zltp_port ~epoch ~advertised =
-  let s = t.fleet.(shard_id) in
-  let down_since =
-    locked t (fun () ->
-        (match s.ctl with
-        | Some old when old != ep -> close_ctl s
-        | _ -> ());
-        s.ctl <- Some ep;
-        if s.spid <= 0 then s.spid <- pid;
-        s.port <- zltp_port;
-        s.sepoch <- epoch;
-        s.sadvertised <- advertised;
-        s.down_since)
-  in
+(* A registered shard joins: catch it up, mark it Up and hold its
+   connection open for RPCs until it is replaced or the fleet shuts
+   down; a failed catch-up drops the connection instead, which fails the
+   shard's next recv and sends it through the restart path. *)
+let join t s ep down_since =
   let ok = with_lock t.rollout_mu (fun () -> catch_up t s) in
   let keep =
     locked t (fun () ->
@@ -445,11 +436,32 @@ let handle_register t ep ~shard_id ~pid ~zltp_port ~epoch ~advertised =
         else same_ctl s ep)
   in
   Condition.broadcast t.state_cv;
-  (* hold the connection open for RPCs until replaced or shutdown; a
-     failed catch-up drops it instead, which fails the shard's next
-     recv and sends it through the restart path *)
   if ok && keep then park t s ep
   else locked t (fun () -> if same_ctl s ep then s.ctl <- None)
+
+(* A registration is taken only from the process the shard last
+   spawned, while it lives: [spawn] records the pid before the child can
+   dial in, and [handle_death] clears it. One that arrives after the
+   reaper has handled its sender's death is refused (the control server
+   then closes its connection): adopting the dead pid again would have
+   the reaper count that death twice. *)
+let handle_register t ep ~shard_id ~pid ~zltp_port ~epoch ~advertised =
+  let s = t.fleet.(shard_id) in
+  let adopted =
+    locked t (fun () ->
+        if s.spid <= 0 || s.spid <> pid then None
+        else begin
+          (match s.ctl with
+          | Some old when old != ep -> close_ctl s
+          | _ -> ());
+          s.ctl <- Some ep;
+          s.port <- zltp_port;
+          s.sepoch <- epoch;
+          s.sadvertised <- advertised;
+          Some s.down_since
+        end)
+  in
+  Option.iter (join t s ep) adopted
 
 let ctl_handler t ep =
   match Ctl.recv ep with
@@ -583,6 +595,7 @@ let send_signal t id sg =
 let kill t id = send_signal t id Sys.sigkill
 let sigstop t id = send_signal t id Sys.sigstop
 let sigcont t id = send_signal t id Sys.sigcont
+let ctl_port t = Tcp.port t.ctl_srv
 
 let await ?(deadline_s = 10.) t pred =
   let deadline = now t +. deadline_s in

@@ -128,6 +128,11 @@ val sigstop : t -> int -> unit
 
 val sigcont : t -> int -> unit
 
+val ctl_port : t -> int
+(** The control port shards register on. A registration is taken only
+    from the pid the shard last spawned, while it is alive: a late one
+    from a process whose death was already handled is refused. *)
+
 (** {2 Test synchronization} *)
 
 val await : ?deadline_s:float -> t -> (unit -> bool) -> bool

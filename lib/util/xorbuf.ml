@@ -71,6 +71,9 @@ external xor_lanes :
   unit = "lw_xor_buckets_lanes_byte" "lw_xor_buckets_lanes"
 [@@noalloc]
 
+external extent_order_into : Bytes.t -> int -> int -> int -> Bytes.t -> int = "lw_extent_order"
+[@@noalloc]
+
 external kernel_builds : unit -> string array = "lw_scan_builds"
 external first_build : unit -> int = "lw_scan_first"
 
@@ -127,6 +130,16 @@ let xor_extents_lanes_on ~kernel ~extents ~extents_pos ~bits ~bits_pos ~stride ~
     ~src_pos ~bucket ~dsts =
   lanes_on (build_of kernel) ~ext:extents ~ext_pos:extents_pos ~ext_step:4 ~bits ~bits_pos
     ~stride ~count ~src ~src_pos ~bucket ~dsts
+
+let extent_order ~extents ~extents_pos ~count ~bucket =
+  if bucket <= 0 || count < 0 then invalid_arg "Xorbuf.extent_order: bad geometry";
+  (* the division keeps [4 * count] from wrapping round *)
+  if count > Bytes.length extents / 4 then
+    invalid_arg "Xorbuf.extent_order(extents): range out of bounds";
+  check_bounds "extent_order(extents)" extents_pos (4 * count) (Bytes.length extents);
+  let out = Bytes.create (4 * count) in
+  let kept = extent_order_into extents extents_pos count bucket out in
+  Array.init kept (fun i -> Int32.to_int (Bytes.get_int32_ne out (4 * i)))
 
 let set_lane_bits ~src ~src_pos ~dst ~dst_pos ~len ~lane =
   if lane < 0 || lane > 7 then invalid_arg "Xorbuf.set_lane_bits: lane out of range";

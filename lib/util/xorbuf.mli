@@ -75,19 +75,23 @@ val xor_extents_lanes :
     where a record's extent is the offset past its last non-zero byte
     rounded up to 64 B.
 
-    A tile of records goes through the registers up to a bound no larger
-    than any of its extents (their AND, rounded down to whole columns);
-    where its extents differ, each record's columns from there up to its
-    own extent go one record at a time under the same masks. When every
-    extent of the call is one value, no extent is read per tile, so a
-    run of whole records is exactly {!xor_buckets_lanes}'s walk. All
-    bounds are branch-free arithmetic on the extents. The bytes read,
-    and so the memory trace and the time, are a function of the
-    geometry, the lane count and the extents; the selection bits still
-    only ever become masks. The extents are public: they describe the
-    database, which each server holds in the clear, and never a query.
-    Raises as {!xor_buckets_lanes} does, and on an [extents] range out
-    of bounds. *)
+    When every extent of the call is one value, the records go in
+    {!xor_buckets_lanes}'s stride walk, and no extent is read per tile,
+    so a run of whole records is exactly that walk. Otherwise the call
+    visits its records in {!extent_order}: a stable order by extent,
+    longest first, without the empty ones, a function of the public
+    extent map alone. The sorted records go in tiles of the build's
+    depth, each row addressed by its own index, and a tile goes through
+    the registers up to the least of its rows' extents, rounded down to
+    whole columns below the bucket; each row's columns past that go one
+    record at a time under the same masks. A row's selection bits are gathered
+    by its public index and become masks only through arithmetic. Every
+    record is still read exactly up to its extent, so the bytes read,
+    and with them the memory trace and the time, are a function of the
+    geometry, the lane count and the extents. The extents are public:
+    they describe the database, which each server holds in the clear,
+    and never a query. Raises as {!xor_buckets_lanes} does, and on an
+    [extents] range out of bounds. *)
 
 val scan_kernel : unit -> string
 (** The build of the C scan kernel every {!xor_buckets_lanes} and
@@ -131,6 +135,21 @@ val xor_extents_lanes_on :
   dsts:Bytes.t array ->
   unit
 (** {!xor_extents_lanes} on the named build, as {!xor_buckets_lanes_on}. *)
+
+val extent_order : extents:Bytes.t -> extents_pos:int -> count:int -> bucket:int -> int array
+(** [extent_order ~extents ~extents_pos ~count ~bucket] is the order in
+    which {!xor_extents_lanes} visits [count] records whose extents
+    differ, computed by the C function that kernel calls: the indices,
+    from 0, of the records whose extent (as {!xor_extents_lanes} reads
+    it, capped at [bucket]) is not 0. The records are sorted in chunks
+    of 512, in order; within a chunk they are sorted longest first by
+    their extents' whole 64-byte columns, an extent at [bucket] above
+    every other, and stably, so equal keys keep index order. When a
+    bucket has more than 125 whole columns (8,000 B), the columns count
+    in bins of [2^s], the least [s] that leaves at most 125. It reads the
+    extents alone; no selection bit goes in. Raises [Invalid_argument]
+    on a non-positive [bucket], a negative [count], or an [extents]
+    range out of bounds. *)
 
 val set_lane_bits :
   src:Bytes.t -> src_pos:int -> dst:Bytes.t -> dst_pos:int -> len:int -> lane:int -> unit

@@ -276,17 +276,30 @@ let contains s sub =
 let pinned_jumps =
   [
     (* xor_lanes_*: the run's extent AND/OR (vector loop and tail, over
-       the entry count); the uniform tile loop, the per-tile loop and the
-       leftover loop (over [count]); in each of their three inlined
-       tiles, the lane groups (lanes / 8), the mask loop (lanes in the
-       group), and the column loop (whole columns below the tile's
-       bound), its lane loop and the byte loop with its lane loop, once
-       for the group and once for a lone lane; in the per-tile loop's
-       tile, also the ragged records (the tile depth, or none) with
-       their own column, lane and byte loops (up to each extent) *)
-    ("xor_lanes_avx512", 74);
-    ("xor_lanes_avx2", 74);
-    ("xor_lanes_baseline", 74);
+       the entry count); the stride walk's tile loop and leftover loop
+       (over [count] when the extents are one value); in each of their
+       two inlined tiles, the lane groups (lanes / 8), the mask loop
+       (lanes in the group), and the column loop (whole columns below
+       the bound), its lane loop and the byte loop with its lane loop,
+       once for the group and once for a lone lane *)
+    ("xor_lanes_avx512", 46);
+    ("xor_lanes_avx2", 46);
+    ("xor_lanes_baseline", 46);
+    (* sorted_*, the sorted walk: its chunks (over [count] by 512), and
+       in each chunk the sorted tiles and the leftover rows (over the
+       records with a non-zero extent); in each of their two inlined
+       tiles the same loops as above; in a sorted tile, also its rows
+       (the tile depth) with their own column, lane and byte loops (from
+       the tile's bound up to each row's extent) *)
+    ("sorted_avx512", 51);
+    ("sorted_avx2", 51);
+    ("sorted_baseline", 51);
+    (* extent_order, the sorted walk's counting sort, one function for
+       every build: the bin width (halving the bucket's columns until
+       they fit), clearing the bins in use, the histogram and the
+       scatter (over the chunk's records) and the prefix sum (over the
+       bins in use, from the top) *)
+    ("extent_order", 10);
     (* level_*: chunks of parents (n / CHUNK), the seed tweaks and the
        cipher over the chunk's blocks, and the children of the chunk *)
     ("level_aesni", 10);

@@ -247,6 +247,37 @@ let test_crash_loop_breaker () =
   Unix.sleepf 0.5;
   Alcotest.(check int) "breaker latched" r (List.nth (Sup.info sup) 1).Sup.restarts
 
+(* A registration that arrives after the reaper handled its sender's
+   death: a die_after_register shard can die before the supervisor reads
+   its Register. Adopting the dead pid again made the reaper count that
+   one death twice (waitpid then fails with ECHILD), which trips the
+   breaker early. The late registration must be refused, and the death
+   counted once. *)
+let test_stale_registration () =
+  let c =
+    { (cfg ~shards:1 "staleregister") with Sup.restart_backoff_s = 2.; restart_backoff_max_s = 2. }
+  in
+  with_fleet c @@ fun sup ->
+  let i0 = List.hd (Sup.info sup) in
+  let pid = Option.get i0.Sup.pid and zltp_port = Option.get i0.Sup.zltp_port in
+  let deaths0 = counter "lw_cluster.deaths_total" in
+  Sup.kill sup 0;
+  Alcotest.(check bool) "death handled" true (Sup.await_states ~deadline_s:5. sup 0 [ Sup.Down ]);
+  let ep = Lw_net.Tcp.connect ~host:c.Sup.host ~port:(Sup.ctl_port sup) () in
+  Fun.protect ~finally:(fun () -> ep.Lw_net.Endpoint.close ()) @@ fun () ->
+  Lw_cluster.Ctl.send ep
+    (Lw_cluster.Ctl.Register
+       { shard_id = 0; pid; zltp_port; epoch = i0.Sup.epoch; advertised = i0.Sup.advertised });
+  Alcotest.(check bool) "registration refused" true
+    (match Lw_cluster.Ctl.recv ep with
+    | exception (Lw_net.Endpoint.Closed | Lw_net.Endpoint.Timeout) -> true
+    | _ -> false);
+  (* the reaper polls every 20 ms *)
+  Unix.sleepf 0.2;
+  Alcotest.(check int) "one death counted once" (deaths0 + 1) (counter "lw_cluster.deaths_total");
+  let i1 = List.hd (Sup.info sup) in
+  Alcotest.(check bool) "still down, no pid" true (i1.Sup.state = Sup.Down && i1.Sup.pid = None)
+
 (* ------------------------- warm restart + diff catch-up ---------------- *)
 
 let test_warm_restart_catchup () =
@@ -338,6 +369,8 @@ let () =
             test_crash_mid_rollout;
           Alcotest.test_case "SIGSTOP failover + rejoin" `Quick test_sigstop_failover;
           Alcotest.test_case "crash-loop breaker degrades" `Quick test_crash_loop_breaker;
+          Alcotest.test_case "late registration of a dead shard refused" `Quick
+            test_stale_registration;
           Alcotest.test_case "warm restart diff catch-up" `Quick test_warm_restart_catchup;
         ] );
     ]

@@ -259,11 +259,114 @@ let test_xor_extents_lanes () =
             [ 0; 1; 3; 4; 7; 8; 9; 16; 17; 64 ])
         [ 1; 63; 64; 65; 200; 513; 1024 + 64; 4096 + 48 ])
     (Lw_util.Xorbuf.scan_kernels ());
+  (* The sorted walk's edges: runs past a chunk of 512 records, a bucket
+     whose columns the sort bins sixteen at a time, runs of one extent
+     among others (the stable order keeps them in index order), and odd
+     extents that share a bin. *)
+  let big = 65536 + 48 in
+  List.iter
+    (fun kernel ->
+      List.iter
+        (fun (lanes, count, bucket, pick) ->
+          check_extents_lanes rng ~kernel ~lanes ~count ~bucket ~pick)
+        [
+          (5, 513, 200, mixed 200);
+          (1, 513, 1024 + 64, mixed (1024 + 64));
+          (9, 1100, 513, mixed 513);
+          (16, 1100, 64, mixed 64);
+          (5, 40, big, mixed big);
+          (1, 19, big, fun j -> 64 * (1 + (j * 5 mod 17)) + (j land 1));
+          (5, 64, 1024, fun j -> [| 0; 512; 1024; 512; 512; 1024 |].(j mod 6));
+          (9, 70, 1024, fun j -> if j < 20 then 256 else if j < 50 then 0 else 256);
+          (5, 48, 4096, fun j -> 64 + 1 + (j * 13 mod 63));
+          (2, 33, 4096 + 48, fun j -> 4096 + (j mod 3 * 17));
+        ])
+    (Lw_util.Xorbuf.scan_kernels ());
   Alcotest.check_raises "extents range"
     (Invalid_argument "Xorbuf.xor_buckets_lanes(extents): range out of bounds") (fun () ->
       Lw_util.Xorbuf.xor_extents_lanes ~extents:(Bytes.make 15 '\x00') ~extents_pos:0
         ~bits:(Bytes.make 4 '\x00') ~bits_pos:0 ~stride:4 ~count:4 ~src:(Bytes.make 32 '\x00')
         ~src_pos:0 ~bucket:8 ~dsts:[| Bytes.make 8 '\x00' |])
+
+(* The sorted walk's visit order against a model: per chunk of 512
+   records, a stable sort of the non-zero extents by key, descending,
+   the key an extent's whole columns (binned where a bucket has more
+   than 125 of them) with the bucket above all. The type pins that no
+   selection bit goes in. *)
+let extent_order_model ~extents ~count ~bucket =
+  let cols = bucket / 64 in
+  let rec shift s = if (cols lsr s) + 3 > 128 then shift (s + 1) else s in
+  let s = shift 0 in
+  let key e = ((e / 64) lsr s) + 1 + Bool.to_int (e = bucket) in
+  List.init ((count + 511) / 512) (fun c ->
+      List.init (min 512 (count - (512 * c))) (fun i -> (512 * c) + i)
+      |> List.filter_map (fun j ->
+             let e = Int32.to_int (Bytes.get_int32_ne extents (4 * j)) land 0xffffffff in
+             let e = min bucket e in
+             if e = 0 then None else Some (key e, j))
+      |> List.stable_sort (fun (a, _) (b, _) -> Int.compare b a)
+      |> List.map snd)
+  |> List.concat
+
+let test_extent_order () =
+  let (_ : extents:Bytes.t -> extents_pos:int -> count:int -> bucket:int -> int array) =
+    Lw_util.Xorbuf.extent_order
+  in
+  let order ?(pos = 0) bucket es =
+    let extents = Bytes.make ((4 * List.length es) + pos) '\x7f' in
+    List.iteri (fun j e -> Bytes.set_int32_ne extents (pos + (4 * j)) (Int32.of_int e)) es;
+    Array.to_list
+      (Lw_util.Xorbuf.extent_order ~extents ~extents_pos:pos ~count:(List.length es) ~bucket)
+  in
+  let check name expected got = Alcotest.(check (list int)) name expected got in
+  check "longest first, zero extents dropped" [ 5; 2; 1; 3 ]
+    (order 4096 [ 0; 64; 128; 64; 0; 4096 ]);
+  check "equal extents keep index order" [ 1; 4; 0; 2; 3 ]
+    (order ~pos:3 1024 [ 512; 1024; 512; 512; 1024 ]);
+  check "odd extents in one column's bin keep index order" [ 0; 1; 2; 3 ]
+    (order 4096 [ 100; 70; 127; 64 ]);
+  check "the bucket above its last whole column" [ 1; 0 ] (order 4100 [ 4096; 4100 ]);
+  check "capped past the bucket" [ 1; 0 ] (order 4096 [ 64; 0xffffffff ]);
+  check "under one column" [ 1; 0 ] (order 4096 [ 1; 64 ]);
+  check "all empty" [] (order 4096 [ 0; 0; 0 ]);
+  check "none" [] (order 4096 []);
+  (* past 125 columns two share a bin: 128 and 192 tie and keep index order *)
+  check "fine bins at 125 columns" [ 1; 0 ] (order (125 * 64) [ 128; 192 ]);
+  check "coarse bins at 126 columns" [ 0; 1 ] (order (126 * 64) [ 128; 192 ]);
+  check "coarse bins" [ 0; 1 ] (order (65536 + 48) [ 128; 192 ]);
+  check "bins of 16 columns past 64 KiB" [ 2; 0; 1 ]
+    (order (65536 + 48) [ 128; 1023; 1024 ]);
+  let rng = Lw_util.Det_rng.of_string_seed "extent-order" in
+  List.iter
+    (fun (count, bucket) ->
+      let extents = Bytes.create (4 * count) in
+      for j = 0 to count - 1 do
+        let e =
+          match Lw_util.Det_rng.int rng 5 with
+          | 0 -> 0
+          | 1 -> bucket
+          | 2 -> 64 * Lw_util.Det_rng.int rng ((bucket / 64) + 1)
+          | 3 -> 0xffffffff
+          | _ -> 1 + Lw_util.Det_rng.int rng bucket
+        in
+        Bytes.set_int32_ne extents (4 * j) (Int32.of_int e)
+      done;
+      Alcotest.(check (list int))
+        (Printf.sprintf "model count=%d bucket=%d" count bucket)
+        (extent_order_model ~extents ~count ~bucket)
+        (Array.to_list (Lw_util.Xorbuf.extent_order ~extents ~extents_pos:0 ~count ~bucket)))
+    [ (1, 1); (64, 63); (64, 4096); (513, 1024 + 64); (1100, 513); (1100, 65536 + 48);
+      (300, 125 * 64); (300, 126 * 64); (200, 16384); (700, (1 lsl 20) + 5) ];
+  Alcotest.check_raises "extents range"
+    (Invalid_argument "Xorbuf.extent_order(extents): range out of bounds") (fun () ->
+      ignore
+        (Lw_util.Xorbuf.extent_order ~extents:(Bytes.make 15 '\x00') ~extents_pos:0 ~count:4
+           ~bucket:64));
+  Alcotest.check_raises "bad geometry" (Invalid_argument "Xorbuf.extent_order: bad geometry")
+    (fun () ->
+      ignore
+        (Lw_util.Xorbuf.extent_order ~extents:(Bytes.make 16 '\x00') ~extents_pos:0 ~count:4
+           ~bucket:0))
 
 (* [nonzero_end]: every last-non-zero position in lengths around a word
    at several offsets, and the all-zero and empty ranges. *)
@@ -496,6 +599,7 @@ let () =
           Alcotest.test_case "is_zero" `Quick test_is_zero;
           Alcotest.test_case "lane kernel" `Quick test_xor_buckets_lanes;
           Alcotest.test_case "extent lane kernel" `Quick test_xor_extents_lanes;
+          Alcotest.test_case "extent visit order" `Quick test_extent_order;
           Alcotest.test_case "nonzero_end" `Quick test_nonzero_end;
           Alcotest.test_case "lane bit packing" `Quick test_set_lane_bits;
         ] );
