@@ -2097,10 +2097,7 @@ let e24_fleet ?(write_json = true) ?(smoke = false) () =
           (1000. *. r.Fleet_sim.service_batch_mean_s)
           (1000. *. r.Fleet_sim.service_batch_p99_s)
           r.Fleet_sim.capacity_rps;
-        row "  single key: flat fan-out %.2f ms, tree %.2f ms (depth %d, %d nodes)\n"
-          (1000. *. r.Fleet_sim.direct_single_s)
-          (1000. *. r.Fleet_sim.tree_single_s)
-          r.Fleet_sim.tree_depth r.Fleet_sim.tree_nodes;
+        row "  single key: %.2f ms\n" (1000. *. r.Fleet_sim.direct_single_s);
         row "  %-6s %10s %10s %10s %6s %7s %12s %12s\n" "load" "offered/s" "p50"
           "p99" "util" "L=λW" "qmodel p50" "qmodel p95";
         List.iter
@@ -2197,9 +2194,6 @@ let e24_fleet ?(write_json = true) ?(smoke = false) () =
           ("fitted_per_request_ms", Number (1000. *. r.Fleet_sim.fitted_per_request_s));
           ("capacity_rps", Number r.Fleet_sim.capacity_rps);
           ("direct_single_ms", Number (1000. *. r.Fleet_sim.direct_single_s));
-          ("tree_single_ms", Number (1000. *. r.Fleet_sim.tree_single_s));
-          ("tree_depth", Number (float_of_int r.Fleet_sim.tree_depth));
-          ("tree_nodes", Number (float_of_int r.Fleet_sim.tree_nodes));
           ("points", List (List.map point_json r.Fleet_sim.points));
           ( "shard_hist",
             Obj
@@ -2936,8 +2930,8 @@ let fleet_only = Array.exists (fun a -> a = "--fleet") Sys.argv
 
 (* `--fleet-smoke` (the @fleet alias, attached to `dune runtest`) runs
    E24 at a tiny deterministic geometry without writing JSON: the
-   domain-parallel scan, the fan-out tree and the closed-loop fleet
-   simulator all execute end to end in seconds *)
+   sharded front-end, the domain-parallel scan and the closed-loop
+   fleet simulator all execute end to end in seconds *)
 let fleet_smoke = Array.exists (fun a -> a = "--fleet-smoke") Sys.argv
 
 (* `--cluster` runs only E25 and writes BENCH_cluster.json *)

@@ -87,8 +87,3 @@ let load ~dir ~shard_id =
                     if String.length data = (1 lsl m.domain_bits) * m.bucket_size then
                       Some (m, data)
                     else None)))
-
-let wipe ~dir ~shard_id =
-  List.iter
-    (fun p -> try Sys.remove p with Sys_error _ -> ())
-    [ manifest_path dir shard_id; data_path dir shard_id ]

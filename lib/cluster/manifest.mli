@@ -35,7 +35,3 @@ val load : dir:string -> shard_id:int -> (t * string) option
 (** Read back manifest + data; [None] when either file is missing,
     unparsable, or the data size contradicts the manifest (a torn write
     loses warm restart, never correctness). *)
-
-val wipe : dir:string -> shard_id:int -> unit
-(** Delete both files (best-effort) — chaos tests use this to force a
-    cold rejoin. *)

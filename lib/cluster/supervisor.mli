@@ -124,7 +124,9 @@ val kill : t -> int -> unit  (** [SIGKILL] — the reaper restarts it *)
 val sigstop : t -> int -> unit
 (** Freeze the process: liveness probes start failing ({!Stalled}) but
     [waitpid] sees nothing — exactly the gray-failure case clients must
-    fail over around. *)
+    fail over around. Returns once the signal is sent; the kernel stops
+    the process asynchronously, and it may answer requests in between.
+    {!await_states} [[Stalled]] waits until it is frozen for sure. *)
 
 val sigcont : t -> int -> unit
 

@@ -42,7 +42,6 @@ let create ?(fetches_per_page = 5) ?(gas = 200_000) ?rng ~code ~data () =
 let events t = List.rev t.events
 let clear_events t = t.events <- []
 let pages_visited t = t.pages
-let cached_domains t = Hashtbl.fold (fun d _ acc -> d :: acc) t.code_cache []
 let evict_code t domain = Hashtbl.remove t.code_cache domain
 let add_subscription t ~domain sub = Hashtbl.replace t.subscriptions domain sub
 

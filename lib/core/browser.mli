@@ -45,7 +45,6 @@ val storage_get : t -> domain:string -> string -> Lw_json.Json.t option
 val storage_set : t -> domain:string -> string -> Lw_json.Json.t -> unit
 (** User-initiated writes (e.g. typing a postal code into weather.com). *)
 
-val cached_domains : t -> string list
 val evict_code : t -> string -> unit
 
 (** {2 Paywalls} *)

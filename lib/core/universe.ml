@@ -15,15 +15,6 @@ let default_geometry =
     data_domain_bits = 12;
   }
 
-let paper_geometry =
-  {
-    code_blob_size = 1024 * 1024;
-    data_blob_size = 4096;
-    fetches_per_page = 5;
-    code_domain_bits = 16;
-    data_domain_bits = 22;
-  }
-
 type t = {
   name : string;
   seed : string;
@@ -38,12 +29,11 @@ type t = {
   kw_hash_key : string;
   owners : (string, string) Hashtbl.t; (* domain -> publisher *)
   data_paths : (string, unit) Hashtbl.t;
-  (* single-server PIR: one hint cache per store, shared by every server
-     built over it, so the per-epoch hint is computed once and then
-     served to any number of clients. Publishing warms the data hint
+  (* single-server PIR: one hint cache for the data store, shared by
+     every server built over it, so the per-epoch hint is computed once
+     and then served to any number of clients. Publishing warms it
      (seals it "alongside the epoch") once single serving is in use. *)
   spir_data_cache : Lw_pir.Spir.Hint_cache.t;
-  spir_code_cache : Lw_pir.Spir.Hint_cache.t;
   mutable spir_serving : bool;
 }
 
@@ -73,7 +63,6 @@ let create ?(seed = "lightweb-universe") ~name geometry =
     owners = Hashtbl.create 64;
     data_paths = Hashtbl.create 1024;
     spir_data_cache = Lw_pir.Spir.Hint_cache.create Lw_pir.Spir.default_params;
-    spir_code_cache = Lw_pir.Spir.Hint_cache.create Lw_pir.Spir.default_params;
     spir_serving = false;
   }
 
@@ -195,10 +184,8 @@ let publish_updates t =
   in
   (* once a single-server deployment exists, every new epoch's hint is
      sealed with it, so no client ever pays the hint computation *)
-  if t.spir_serving then begin
+  if t.spir_serving then
     Lw_pir.Spir.Hint_cache.warm t.spir_data_cache (Lw_pir.Store.engine t.data_store);
-    Lw_pir.Spir.Hint_cache.warm t.spir_code_cache (Lw_pir.Store.engine t.code_store)
-  end;
   epochs
 
 let keyword_epoch t = Lw_store.current_epoch (Lw_pir.Kw_store.engine t.kw_store)
@@ -232,17 +219,6 @@ let keyword_servers t =
       (Zltp_backend.versioned (Lw_pir.Kw_store.engine t.kw_store))
   in
   (mk "keyword-0", mk "keyword-1")
-
-let sharded_keyword_servers t ~shard_bits =
-  ignore (Lw_pir.Kw_store.publish t.kw_store);
-  let mk which =
-    Zltp_server.create
-      ~server_id:(Printf.sprintf "%s/%s" t.name which)
-      ~hash_key:t.kw_hash_key ~blob_size:t.geometry.data_blob_size
-      (Zltp_backend.sharded
-         (Zltp_frontend.of_store (Lw_pir.Kw_store.engine t.kw_store) ~shard_bits))
-  in
-  (mk "keyword-sharded-0", mk "keyword-sharded-1")
 
 let sharded_data_servers t ~shard_bits =
   ignore (Lw_pir.Store.publish t.data_store);
@@ -288,18 +264,6 @@ let single_data_server t =
     ~server_id:(t.name ^ "/data-single")
     ~hash_key:t.data_hash_key ~blob_size:t.geometry.data_blob_size
     (Zltp_backend.single ~cache:t.spir_data_cache engine)
-
-let single_code_server t =
-  ignore (Lw_pir.Store.publish t.code_store);
-  t.spir_serving <- true;
-  let engine = Lw_pir.Store.engine t.code_store in
-  Lw_pir.Spir.Hint_cache.warm t.spir_code_cache engine;
-  Zltp_server.create
-    ~server_id:(t.name ^ "/code-single")
-    ~hash_key:t.code_hash_key ~blob_size:t.geometry.code_blob_size
-    (Zltp_backend.single ~cache:t.spir_code_cache engine)
-
-let spir_data_hint_cache t = t.spir_data_cache
 
 let stats t =
   [

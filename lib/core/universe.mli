@@ -20,11 +20,6 @@ val default_geometry : geometry
 (** Test-scale defaults: 16 KiB code blobs, 1 KiB data blobs, 5 fetches,
     2^10 / 2^12 domains. *)
 
-val paper_geometry : geometry
-(** The paper's deployment point: 1 MiB code blobs, 4 KiB data blobs, 5
-    fetches, 2^22 data domain. Too big to instantiate in tests; used by
-    the cost model. *)
-
 type t
 
 val create : ?seed:string -> name:string -> geometry -> t
@@ -102,11 +97,6 @@ val keyword_servers : t -> Zltp_server.t * Zltp_server.t
     Pending keyword mutations are sealed first, like every server
     constructor. *)
 
-val sharded_keyword_servers : t -> shard_bits:int -> Zltp_server.t * Zltp_server.t
-(** Keyword servers deployed as front-ends over [2^shard_bits] shards —
-    the keyword verb's width-2 batch rides the shard (or fan-out tree)
-    batching unchanged. *)
-
 val sharded_data_servers : t -> shard_bits:int -> Zltp_server.t * Zltp_server.t
 (** The same two logical data servers, each deployed as a front-end over
     [2^shard_bits] data shards (§5.2) — answers are byte-identical to the
@@ -122,12 +112,6 @@ val single_data_server : t -> Zltp_server.t
     universe as single-serving, so every subsequent {!publish_updates}
     warms (seals) the new epoch's SPIR hint alongside the epoch itself —
     clients only ever download hints, never wait on their computation. *)
-
-val single_code_server : t -> Zltp_server.t
-
-val spir_data_hint_cache : t -> Lw_pir.Spir.Hint_cache.t
-(** The shared per-epoch hint cache behind {!single_data_server}
-    (tests/benches: hint sizes, cached epochs). *)
 
 val stats : t -> (string * int) list
 (** Human-readable counters for the CLI. *)

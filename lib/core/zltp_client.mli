@@ -127,10 +127,6 @@ val keyword_get_batch : t -> string list -> (string option list, string) result
     for the batch) and are re-paired per keyword on decode — how a cluster
     retrieval fetches its members. *)
 
-val keyword_candidates : t -> string -> int * int
-(** The two buckets a keyword GET would probe (tests / cost accounting;
-    may coincide). *)
-
 (** {2 Epochs and page visits}
 
     Since wire v3, every PIR query names the database epoch it must be

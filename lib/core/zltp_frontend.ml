@@ -1,13 +1,3 @@
-(* Interior node of the hierarchical fan-out tree: an [Inner] node owns
-   [levels] bits of the shard index and splits an incoming key once into
-   [2^levels] sub-keys ([Distributed.split], i.e. [Dpf.eval_prefixes] +
-   [make_subkey]); a [Leaf] hands its sub-key to one data shard. Re-basing
-   composes, so the key a leaf receives is bit-identical to the one the
-   flat [Distributed.split] fan-out would have produced. *)
-type tree_node = Leaf of int | Inner of { levels : int; children : tree_node array }
-
-type tree_rep = { root : tree_node; tdepth : int; tnodes : int }
-
 (* One immutable view set: a pinned snapshot and, per shard, a server over
    the zero-copy range view of that snapshot the shard owns. Every shard
    of a view set therefore serves the same epoch by construction. *)
@@ -28,13 +18,9 @@ type t = {
   mutable scan_domains : int;
       (* workers each shard's scan may use (Server.answer_batch ~domains);
          1 = the serial fused kernel *)
-  mutable tree : (int * tree_rep) option;
-      (* (fanout_bits, tree): when set, keys reach the shards through the
-         hierarchical fan-out instead of the flat split *)
 }
 
 let m_answers = Lw_obs.Metrics.counter "zltp.frontend.answers"
-let m_tree_answers = Lw_obs.Metrics.counter "zltp.frontend.tree_answers"
 let m_batch_queries = Lw_obs.Metrics.counter "zltp.frontend.batch_queries"
 let m_refusals = Lw_obs.Metrics.counter "zltp.frontend.degraded_refusals"
 let g_shards_down = Lw_obs.Metrics.gauge "zltp.frontend.shards_down"
@@ -70,7 +56,6 @@ let of_store st ~shard_bits =
     down = Array.make (1 lsl shard_bits) false;
     shard_hist = Array.init (1 lsl shard_bits) shard_histogram;
     scan_domains = 1;
-    tree = None;
   }
 
 let domain_bits t = t.domain_bits
@@ -105,8 +90,6 @@ let set_shard_down t i down =
   if i < 0 || i >= shard_count t then invalid_arg "Zltp_frontend.set_shard_down";
   t.down.(i) <- down;
   Lw_obs.Metrics.set g_shards_down (float_of_int (shards_down t))
-
-let shard_down t i = t.down.(i)
 
 (* An answer share is the XOR over every shard's contribution, so a single
    unreachable shard makes the whole share wrong — the only safe reaction
@@ -154,63 +137,8 @@ let set_scan_domains t n =
 
 let scan_domains t = t.scan_domains
 
-(* ---- hierarchical fan-out tree ---- *)
-
-let build_tree t fanout_bits =
-  if fanout_bits < 1 then invalid_arg "Zltp_frontend.set_tree_fanout: fanout_bits must be >= 1";
-  let nodes = ref 0 and depth = ref 0 in
-  let rec mk level levels_left base =
-    incr nodes;
-    if level > !depth then depth := level;
-    if levels_left = 0 then Leaf base
-    else begin
-      let b = min fanout_bits levels_left in
-      let rem = levels_left - b in
-      Inner
-        {
-          levels = b;
-          children = Array.init (1 lsl b) (fun i -> mk (level + 1) rem (base lor (i lsl rem)));
-        }
-    end
-  in
-  let root = mk 0 t.shard_bits 0 in
-  { root; tdepth = !depth; tnodes = !nodes }
-
-let set_tree_fanout t fanout =
-  match fanout with
-  | None -> t.tree <- None
-  | Some b -> t.tree <- Some (b, build_tree t b)
-
-let tree_fanout t = Option.map fst t.tree
-let tree_depth t = match t.tree with Some (_, r) -> r.tdepth | None -> 0
-let tree_nodes t = match t.tree with Some (_, r) -> r.tnodes | None -> 0
-
-(* The tree walk: one pass over the tree per key, collecting the sub-key
-   each leaf receives into a shard-indexed array. An interior node pays
-   one [2^levels]-way key split — O(2^fanout) small-prefix DPF
-   expansions — so one key reaches N shards with O(N) interior splits of
-   depth O(log N) instead of N full-domain evaluations at the root.
-   Sub-key re-basing composes (the child key of a child key shares the
-   original correction words), so [out.(s)] is bit-identical to the flat
-   [Distributed.split] sub-key for shard [s], and the shards' batch scan
-   runs unchanged. *)
-let leaf_subkeys t rep k =
-  let out = Array.make (shard_count t) k in
-  let rec go node key =
-    match node with
-    | Leaf s -> out.(s) <- key
-    | Inner { levels; children } ->
-        let subs = Lw_dpf.Distributed.split key ~shard_bits:levels in
-        (* [go] branches on the PUBLIC tree shape (Leaf/Inner), never on
-           key bits — the interprocedural taint over-approximates here *)
-        (* lw-lint: allow taint lines=1 *)
-        Array.iteri (fun i child -> go child subs.(i)) children
-  in
-  go rep.root k;
-  out
-
-(* The one answer path: split every key once (flat, or through the
-   tree), hand each shard the whole batch of its sub-keys so it runs the
+(* The one answer path: split every key once into per-shard sub-keys,
+   hand each shard the whole batch of its sub-keys so it runs the
    batch scan kernel — one streamed traversal of the shard's slice for
    the whole batch — and XOR query [q]'s per-shard shares. It reads one
    view set and scans only its shards. A batch of one is a single answer,
@@ -223,13 +151,7 @@ let answer_batch_views t vs keys =
     Lw_obs.Span.with_
       ~name:(if n = 1 then "zltp.frontend.answer" else "zltp.frontend.answer_batch")
       (fun () ->
-        let subs =
-          match t.tree with
-          | Some (_, rep) ->
-              Lw_obs.Metrics.add m_tree_answers n;
-              Array.map (fun k -> leaf_subkeys t rep k) keys
-          | None -> Array.map (fun k -> Lw_dpf.Distributed.split k ~shard_bits:t.shard_bits) keys
-        in
+        let subs = Array.map (fun k -> Lw_dpf.Distributed.split k ~shard_bits:t.shard_bits) keys in
         let by_shard =
           Array.init (shard_count t) (fun s ->
               timed_shard t s (fun () ->

@@ -62,33 +62,6 @@ val set_scan_domains : t -> int -> unit
 
 val scan_domains : t -> int
 
-(** {2 Hierarchical fan-out tree}
-
-    With a fanout set, keys reach the shards through a tree of
-    interior nodes, each splitting its incoming key once into
-    [2^fanout_bits] sub-keys ({!Lw_dpf.Dpf.eval_prefixes} +
-    {!Lw_dpf.Dpf.make_subkey}); leaves hand their sub-key to one data
-    shard. A query thus reaches [N] shards with [O(log N)]-deep splits
-    plus per-shard small-domain work instead of [N] full-domain
-    evaluations, and the XOR of the leaf shares is bit-identical to the
-    flat fan-out. Down-shard refusals are checked in
-    {!answer_batch_result} before any walk, so they survive the tree
-    unchanged. *)
-
-val set_tree_fanout : t -> int option -> unit
-(** [Some fanout_bits] builds (and routes answers through) the tree;
-    [None] restores the flat split. Raises [Invalid_argument] when
-    [fanout_bits < 1]. *)
-
-val tree_fanout : t -> int option
-
-val tree_depth : t -> int
-(** Interior levels of the active tree ([ceil (shard_bits /
-    fanout_bits)]); 0 without a tree. *)
-
-val tree_nodes : t -> int
-(** Total tree nodes including leaves; 0 without a tree. *)
-
 (** {2 Shard health}
 
     An answer share is the XOR over {e every} shard's contribution, so a
@@ -101,21 +74,18 @@ val set_shard_down : t -> int -> bool -> unit
 (** Mark shard [i] unreachable (or back up). Used operationally and by the
     chaos harness to inject backend degradation. *)
 
-val shard_down : t -> int -> bool
-
 val shards_down : t -> int
 (** Number of shards currently marked down. *)
 
 val answer_batch : t -> Lw_dpf.Dpf.key array -> string array
 (** Private-GET answer shares for full-domain DPF keys, from the
     {!current} view set (read once). The front-end splits each key once
-    (through the hierarchical walk when a fan-out tree is active,
-    {!set_tree_fanout}: bit-identical leaves), hands each shard the
-    whole batch of its sub-keys, which the shard answers through the
-    batch scan kernel ({!Lw_pir.Server.answer_batch}) in one streamed
-    traversal of its slice, and XORs each query's per-shard shares. A
-    batch of one is a single answer ([zltp.frontend.answers] and the
-    [zltp.frontend.answer] span); wider batches count in
+    into per-shard sub-keys ({!Lw_dpf.Distributed.split}), hands each
+    shard the whole batch of its sub-keys, which the shard answers
+    through the batch scan kernel ({!Lw_pir.Server.answer_batch}) in one
+    streamed traversal of its slice, and XORs each query's per-shard
+    shares. A batch of one is a single answer ([zltp.frontend.answers]
+    and the [zltp.frontend.answer] span); wider batches count in
     [zltp.frontend.batch_queries]. Every shard feeds its
     [zltp.frontend.shardNN.answer_seconds] histogram. *)
 

@@ -101,12 +101,3 @@ let encrypt ?(rounds = 20) ~key ~nonce ?(counter = 0l) msg =
     Lw_util.Xorbuf.xor_into ~src:ks ~src_pos:0 ~dst:out ~dst_pos:off ~len
   done;
   Bytes.unsafe_to_string out
-
-let zero_nonce = String.make nonce_len '\x00'
-
-let expand_double ?(rounds = 20) seed =
-  if String.length seed <> key_len then
-    invalid_arg "Chacha20.expand_double: seed must be 32 bytes";
-  let out = Bytes.create block_len in
-  block ~rounds ~key:seed ~nonce:zero_nonce ~counter:0l out;
-  (Bytes.sub_string out 0 32, Bytes.sub_string out 32 32)

@@ -24,8 +24,3 @@ val encrypt : ?rounds:int -> key:string -> nonce:string -> ?counter:int32 -> str
 (** [encrypt ~key ~nonce msg] XORs [msg] with the keystream starting at
     block [counter] (default 0). Encryption and decryption are the same
     operation. *)
-
-val expand_double : ?rounds:int -> string -> string * string
-(** [expand_double seed] is the length-doubling PRG used by the GGM tree:
-    a 32-byte seed expands to two 32-byte seeds via a single keystream
-    block keyed by [seed] with a zero nonce. *)

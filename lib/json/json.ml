@@ -314,7 +314,6 @@ let get_int = function
 
 let get_bool = function Bool b -> b | _ -> invalid_arg "Json.get_bool"
 let get_list = function List l -> l | _ -> invalid_arg "Json.get_list"
-let get_obj = function Obj o -> o | _ -> invalid_arg "Json.get_obj"
 
 let rec equal a b =
   match a, b with

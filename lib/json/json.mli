@@ -38,7 +38,6 @@ val get_number : t -> float
 val get_int : t -> int
 val get_bool : t -> bool
 val get_list : t -> t list
-val get_obj : t -> (string * t) list
 
 val equal : t -> t -> bool
 (** Structural equality; object fields compare order-insensitively. *)

@@ -17,39 +17,13 @@ let decode_header h =
   if n < 0 || n > max_frame_size then raise (Malformed "bad frame length");
   n
 
-let write oc payload =
-  output_string oc (encode payload);
-  flush oc
-
 (* Loop until [n] bytes arrive. A short read is not an error — TCP
    delivers frames in arbitrary pieces — but EOF is: at the very start of
    a frame it is a clean close ([End_of_file]); anywhere past the first
    byte it means the peer died mid-frame and the stream can never resync,
-   so it is [Malformed], not a silent truncation. *)
-let really_read_channel ic buf ~len ~at_frame_start =
-  let rec go off =
-    if off < len then begin
-      let k = input ic buf off (len - off) in
-      if k = 0 then
-        if off = 0 && at_frame_start then raise End_of_file
-        else raise (Malformed "EOF mid-frame")
-      else go (off + k)
-    end
-  in
-  go 0
-
-let read ic =
-  let header = Bytes.create header_size in
-  really_read_channel ic header ~len:header_size ~at_frame_start:true;
-  let n = decode_header (Bytes.unsafe_to_string header) in
-  let payload = Bytes.create n in
-  really_read_channel ic payload ~len:n ~at_frame_start:false;
-  Bytes.unsafe_to_string payload
-
-(* Same discipline over a raw file descriptor. [Unix.read] (unlike
-   channel [input]) surfaces [EAGAIN]/[EWOULDBLOCK] when the socket has a
-   receive timeout configured — the caller maps that to a deadline
-   expiry — so the fd path is what deadline-carrying TCP endpoints use. *)
+   so it is [Malformed], not a silent truncation. [Unix.read] surfaces
+   [EAGAIN]/[EWOULDBLOCK] when the socket has a receive timeout
+   configured; the caller maps that to a deadline expiry. *)
 let really_read_fd fd buf ~len ~at_frame_start =
   let rec go off =
     if off < len then begin

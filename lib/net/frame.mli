@@ -16,20 +16,14 @@ val decode_header : string -> int
 
 val header_size : int
 
-val write : out_channel -> string -> unit
-(** Write one frame and flush. *)
-
-val read : in_channel -> string
-(** Read one frame, looping over short reads until the full header and
-    payload arrive. Raises [End_of_file] only on a cleanly closed channel
-    (EOF exactly at a frame boundary); an EOF {e inside} a frame — header
-    or payload — raises {!Malformed}, because the stream can never resync. *)
-
 val read_fd : Unix.file_descr -> string
-(** {!read} over a raw descriptor via [Unix.read]. Same EOF discipline;
-    additionally lets [Unix.Unix_error (EAGAIN | EWOULDBLOCK, _, _)] from a
-    receive-timeout socket propagate to the caller (the {!Tcp} endpoint
-    maps it to {!Endpoint.Timeout}). *)
+(** Read one frame via [Unix.read], looping over short reads until the
+    full header and payload arrive. Raises [End_of_file] only on a cleanly
+    closed descriptor (EOF exactly at a frame boundary); an EOF {e inside}
+    a frame — header or payload — raises {!Malformed}, because the stream
+    can never resync. Lets [Unix.Unix_error (EAGAIN | EWOULDBLOCK, _, _)]
+    from a receive-timeout socket propagate to the caller (the {!Tcp}
+    endpoint maps it to {!Endpoint.Timeout}). *)
 
 val write_fd : Unix.file_descr -> string -> unit
 (** Write one frame via [Unix.write], looping over partial writes. *)

@@ -264,5 +264,4 @@ module Hint_cache = struct
                 Ok h))
 
   let warm t store = ignore (get t store ~epoch:(Lw_store.current_epoch store))
-  let cached_epochs t = List.map fst t.entries
 end

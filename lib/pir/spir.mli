@@ -134,6 +134,4 @@ module Hint_cache : sig
 
   val warm : t -> Lw_store.t -> unit
   (** Precompute the current epoch's hint (ignores pin races). *)
-
-  val cached_epochs : t -> int list
 end

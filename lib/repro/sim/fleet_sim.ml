@@ -27,7 +27,6 @@ type params = {
   batch_window_s : float option; (* None: one calibrated batch service *)
   page_exponent : float;
   scan_domains : int; (* per-shard scan workers (Zltp_frontend.set_scan_domains) *)
-  tree_fanout_bits : int option; (* fan-out tree for single-key answers *)
   key_pool : int; (* distinct pre-generated queries, cycled *)
   burst_k : int; (* 1 = independent visits; >1 = correlated search bursts *)
   straggler_sigma : float; (* Latency_model tail dispersion *)
@@ -46,7 +45,6 @@ let default =
     batch_window_s = None;
     page_exponent = 1.0;
     scan_domains = 1;
-    tree_fanout_bits = Some 2;
     key_pool = 96;
     burst_k = 1;
     straggler_sigma = 0.25;
@@ -104,9 +102,6 @@ type result = {
   fitted_per_request_s : float;
   capacity_rps : float;
   direct_single_s : float; (* one key, flat fan-out *)
-  tree_single_s : float; (* one key through the fan-out tree *)
-  tree_depth : int;
-  tree_nodes : int;
   points : point list;
   fleet_hist : Lw_obs.Metrics.hist_snapshot; (* merged per-shard view *)
   tail_model : Latency_model.distribution;
@@ -273,17 +268,10 @@ let run ?(progress = fun (_ : string) -> ()) p =
     Array.map (fun alpha -> Lw_dpf.Dpf.gen ~domain_bits:p.domain_bits ~alpha drbg) indices
   in
   let keys = Array.map fst pairs in
-  (* The taint pragmas below acknowledge the same interprocedural
-     over-approximation [test_analysis] pins down for the frontend entry
-     points: a DPF key flowing into [answer]/[answer_batch] "feeds a
-     branch" only because those route on PUBLIC config (scan_domains,
-     tree fan-out) — and this driver is a measurement harness holding
-     both parties' keys by design. *)
   (* correctness spot-check: both parties' shares must XOR to the bucket,
-     through the full sharded (and possibly parallel/tree) stack *)
+     through the full sharded (and possibly parallel) stack *)
   let check_at i =
     let k0, k1 = pairs.(i) in
-    (* lw-lint: allow taint lines=3 *)
     let share0 = Lightweb.Zltp_frontend.answer fe k0 in
     let share1 = Lightweb.Zltp_frontend.answer fe k1 in
     let got = Lw_util.Xorbuf.xor share0 share1 in
@@ -296,7 +284,6 @@ let run ?(progress = fun (_ : string) -> ()) p =
   let calib_batch n =
     Array.init n (fun j -> keys.(j mod Array.length keys))
   in
-  (* lw-lint: allow taint lines=3 *)
   let batch_times =
     Array.init (max 1 p.calib_batches) (fun _ ->
         snd (time clock (fun () -> Lightweb.Zltp_frontend.answer_batch fe (calib_batch p.batch_size))))
@@ -305,7 +292,6 @@ let run ?(progress = fun (_ : string) -> ()) p =
   let service_batch_mean_s = bstats.Lw_util.Stats.mean in
   let single_batch_s =
     let ts =
-      (* lw-lint: allow taint lines=2 *)
       Array.init (max 1 p.calib_batches) (fun _ ->
           snd (time clock (fun () -> Lightweb.Zltp_frontend.answer_batch fe (calib_batch 1))))
     in
@@ -323,27 +309,15 @@ let run ?(progress = fun (_ : string) -> ()) p =
   progress
     (Printf.sprintf "calibrated: batch-%d service %.3f ms, capacity %.1f req/s" p.batch_size
        (service_batch_mean_s *. 1e3) capacity_rps);
-  (* single-query latency, flat vs tree fan-out *)
+  (* single-query latency *)
   let probe = keys.(0) in
-  (* lw-lint: allow taint lines=1 *)
   let direct_single_s = median3 clock (fun () -> ignore (Lightweb.Zltp_frontend.answer fe probe)) in
-  Lightweb.Zltp_frontend.set_tree_fanout fe p.tree_fanout_bits;
-  let tree_single_s =
-    match p.tree_fanout_bits with
-    | None -> direct_single_s
-    (* lw-lint: allow taint lines=1 *)
-    | Some _ -> median3 clock (fun () -> ignore (Lightweb.Zltp_frontend.answer fe probe))
-  in
-  let tree_depth = Lightweb.Zltp_frontend.tree_depth fe in
-  let tree_nodes = Lightweb.Zltp_frontend.tree_nodes fe in
-  Lightweb.Zltp_frontend.set_tree_fanout fe None;
   (* the operating points *)
   let points =
     List.map
       (fun fraction ->
         let lambda = Float.max 1e-6 (fraction *. capacity_rps) in
         progress (Printf.sprintf "load %.2f: %.1f req/s offered" fraction lambda);
-        (* lw-lint: allow taint lines=3 *)
         let pt, _horizon =
           run_point ~clock ~fe ~keys ~batch_size:p.batch_size ~window_s ~lambda
             ~queries:p.queries_per_point rng
@@ -484,9 +458,6 @@ let run ?(progress = fun (_ : string) -> ()) p =
     fitted_per_request_s;
     capacity_rps;
     direct_single_s;
-    tree_single_s;
-    tree_depth;
-    tree_nodes;
     points;
     fleet_hist;
     tail_model;

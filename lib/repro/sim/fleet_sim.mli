@@ -4,11 +4,10 @@
     stream through {!Queue_sim}'s batch-service discipline — but where
     {!Queue_sim} plugs an analytic service law into the event loop, this
     driver {e measures} each batch's service time by running the scan
-    kernels (fused, batched, optionally domain-parallel, optionally
-    through the fan-out tree). Arrivals and waits live on a virtual
-    timeline; service durations are wall-clock truth; Little's law
-    (L = λW) is reported per operating point as a bookkeeping
-    cross-check.
+    kernels (fused, batched, optionally domain-parallel). Arrivals and
+    waits live on a virtual timeline; service durations are wall-clock
+    truth; Little's law (L = λW) is reported per operating point as a
+    bookkeeping cross-check.
 
     The result also carries the three models this repo already has —
     {!Queue_sim} with a fitted service law, {!Latency_model}'s straggler
@@ -27,7 +26,6 @@ type params = {
   batch_window_s : float option;  (** [None]: one calibrated batch service time *)
   page_exponent : float;
   scan_domains : int;  (** per-shard scan workers ({!Lightweb.Zltp_frontend.set_scan_domains}) *)
-  tree_fanout_bits : int option;  (** fan-out tree for the single-key probe *)
   key_pool : int;  (** distinct pre-generated queries, cycled *)
   burst_k : int;
       (** [1]: independent Zipf visits (the historical mix). [> 1]: the
@@ -86,9 +84,6 @@ type result = {
   fitted_per_request_s : float;
   capacity_rps : float;
   direct_single_s : float;  (** one key, flat fan-out *)
-  tree_single_s : float;  (** one key through the fan-out tree *)
-  tree_depth : int;
-  tree_nodes : int;
   points : point list;
   fleet_hist : Lw_obs.Metrics.hist_snapshot;
       (** every shard's answer-latency histogram folded into one view via

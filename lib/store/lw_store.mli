@@ -127,21 +127,6 @@ val unpin : t -> snapshot -> unit
 val writer : t -> writer
 (** Open a copy-on-write mutation batch against the current epoch. *)
 
-(** {2 Tracing}
-
-    The obliviousness checker's hook: when on, every bucket a snapshot
-    or view reads is recorded by its global index, in access order,
-    with the bytes read there. Enabling or disabling resets the trace.
-    Leave it off on hot paths. *)
-
-val set_tracing : t -> bool -> unit
-val access_trace : t -> int list
-
-val access_bytes : t -> int list
-(** The bytes each access of {!access_trace} read, in the same order: a
-    scan reads a bucket's extent, {!Snapshot.get} and
-    {!Snapshot.xor_bucket_into_masked} the whole bucket. *)
-
 (** {2 Snapshots} *)
 
 module Snapshot : sig
@@ -214,9 +199,21 @@ module Snapshot : sig
       internally. Each bucket is traced once, with its extent as the
       bytes read. *)
 
+  (** {2 Tracing}
+
+      The obliviousness checker's hook: when on, every bucket a snapshot
+      or view of the store reads is recorded by its global index, in
+      access order, with the bytes read there. The trace belongs to the
+      store, so every snapshot of it shares one. Enabling or disabling
+      resets the trace. Leave it off on hot paths. *)
+
   val set_tracing : t -> bool -> unit
   val access_trace : t -> int list
+
   val access_bytes : t -> int list
+  (** The bytes each access of {!access_trace} read, in the same order: a
+      scan reads a bucket's extent, {!get} and {!xor_bucket_into_masked}
+      the whole bucket. *)
 
   val diff_ranges : t -> t -> (int * int) list
   (** [diff_ranges a b] is the [(base, count)] bucket ranges (ascending,

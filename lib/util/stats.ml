@@ -51,27 +51,3 @@ let summarize xs =
     p95 = percentile xs 95.;
     p99 = percentile xs 99.;
   }
-
-let pp_summary fmt s =
-  Format.fprintf fmt "n=%d mean=%.6g sd=%.6g min=%.6g p50=%.6g p95=%.6g p99=%.6g max=%.6g"
-    s.count s.mean s.stddev s.min s.p50 s.p95 s.p99 s.max
-
-type histogram = { lo : float; hi : float; counts : int array; mutable total : int }
-
-let histogram ~buckets ~lo ~hi =
-  if buckets <= 0 || hi <= lo then invalid_arg "Stats.histogram";
-  { lo; hi; counts = Array.make buckets 0; total = 0 }
-
-let hist_add h x =
-  let buckets = Array.length h.counts in
-  let idx =
-    if x <= h.lo then 0
-    else if x >= h.hi then buckets - 1
-    else int_of_float ((x -. h.lo) /. (h.hi -. h.lo) *. float_of_int buckets)
-  in
-  let idx = min (buckets - 1) (max 0 idx) in
-  h.counts.(idx) <- h.counts.(idx) + 1;
-  h.total <- h.total + 1
-
-let hist_counts h = Array.copy h.counts
-let hist_total h = h.total

@@ -21,12 +21,3 @@ val stddev : float array -> float
 val percentile : float array -> float -> float
 (** [percentile xs p] is the [p]-th percentile ([0. <= p <= 100.]) using
     linear interpolation on the sorted sample. *)
-
-val pp_summary : Format.formatter -> summary -> unit
-
-type histogram
-
-val histogram : buckets:int -> lo:float -> hi:float -> histogram
-val hist_add : histogram -> float -> unit
-val hist_counts : histogram -> int array
-val hist_total : histogram -> int

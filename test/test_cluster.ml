@@ -187,9 +187,16 @@ let test_sigstop_failover () =
   let client = connect sup in
   Fun.protect ~finally:(fun () -> Zc.close client) @@ fun () ->
   ignore (read_epoch ~max_epoch:e1 client 0);
+  (* role 0's session is on shard 0, so freezing shard 0 cuts it *)
+  Alcotest.(check (option string)) "role 0 on shard-0 before the freeze" (Some "shard-0")
+    (List.hd (Zc.current_replicas client));
   (* freeze shard 0 (a role-0 replica): alive for waitpid, dead for
-     clients — the classic gray failure *)
+     clients — the classic gray failure. The kernel stops the process
+     after [kill] returns, and under load it has answered several reads
+     in that gap, so wait until a Health probe has gone unanswered. *)
   Sup.sigstop sup 0;
+  Alcotest.(check bool) "probed as stalled" true
+    (Sup.await_states ~deadline_s:10. sup 0 [ Sup.Stalled ]);
   let t0 = Unix.gettimeofday () in
   (* reads must fail over to shard 2 within the health-probe deadline
      budget, and stay coherent *)
@@ -198,11 +205,11 @@ let test_sigstop_failover () =
   done;
   Alcotest.(check bool) "failover under the deadline budget" true
     (Unix.gettimeofday () -. t0 < 5.0);
-  Alcotest.(check bool) "client failed over" true (Zc.failovers client >= 1);
-  (* the prober downgrades the frozen shard; a rollout while it is
-     stalled proceeds without it *)
-  Alcotest.(check bool) "probed as stalled" true
-    (Sup.await_states ~deadline_s:10. sup 0 [ Sup.Stalled ]);
+  Alcotest.(check bool)
+    (Printf.sprintf "client failed over (sessions now: %s)"
+       (String.concat ", " (List.map (Option.value ~default:"none") (Zc.current_replicas client))))
+    true (Zc.failovers client >= 1);
+  (* a rollout while the frozen shard is stalled proceeds without it *)
   let e2, refreshed = publish_ok sup in
   Alcotest.(check int) "rollout skipped the frozen shard" 3 refreshed;
   (* thaw: the shard must rejoin cleanly AND be caught up to the epoch

@@ -106,15 +106,6 @@ let test_chacha20_reduced_rounds () =
   Alcotest.(check string) "roundtrip8" sunscreen
     (Lw_crypto.Chacha20.encrypt ~rounds:8 ~key:rfc8439_key ~nonce ct8)
 
-let test_chacha20_expand_double () =
-  let seed = Lw_crypto.Sha256.digest "seed" in
-  let l, r = Lw_crypto.Chacha20.expand_double seed in
-  Alcotest.(check int) "left len" 32 (String.length l);
-  Alcotest.(check int) "right len" 32 (String.length r);
-  Alcotest.(check bool) "halves differ" true (not (String.equal l r));
-  let l', r' = Lw_crypto.Chacha20.expand_double seed in
-  Alcotest.(check bool) "deterministic" true (String.equal l l' && String.equal r r')
-
 (* ------------------------- Poly1305 / AEAD ------------------------- *)
 
 let test_poly1305_rfc8439 () =
@@ -424,7 +415,6 @@ let () =
           Alcotest.test_case "rfc8439 block" `Quick test_chacha20_block;
           Alcotest.test_case "rfc8439 encrypt" `Quick test_chacha20_encrypt;
           Alcotest.test_case "reduced rounds" `Quick test_chacha20_reduced_rounds;
-          Alcotest.test_case "expand_double" `Quick test_chacha20_expand_double;
         ] );
       ( "poly1305-aead",
         [

@@ -450,7 +450,10 @@ let test_sharded_server_scan_domains () =
   let st = random_store ~domain_bits:6 ~bucket_size:32 "knob" in
   let fe = Zltp_frontend.of_store st ~shard_bits:2 in
   ignore (Zltp_server.create ~scan_domains:2 ~blob_size:32 (Zltp_backend.sharded fe));
-  Alcotest.(check int) "front-end scan domains" 2 (Zltp_frontend.scan_domains fe)
+  Alcotest.(check int) "front-end scan domains" 2 (Zltp_frontend.scan_domains fe);
+  Alcotest.check_raises "scan domains must be >= 1"
+    (Invalid_argument "Zltp_frontend.set_scan_domains: need at least one domain")
+    (fun () -> Zltp_frontend.set_scan_domains fe 0)
 
 let empty_frontend ~domain_bits ~shard_bits ~bucket_size =
   Zltp_frontend.of_store (Lw_store.create ~domain_bits ~bucket_size ()) ~shard_bits
@@ -470,30 +473,12 @@ let test_frontend_timings () =
       Alcotest.(check bool) "non-negative" true (Lw_obs.Metrics.hist_sum h >= 0.))
     hists
 
-let test_frontend_tree_shape () =
-  let fe = empty_frontend ~domain_bits:8 ~shard_bits:6 ~bucket_size:32 in
-  Alcotest.(check (option int)) "no tree by default" None (Zltp_frontend.tree_fanout fe);
-  Zltp_frontend.set_tree_fanout fe (Some 2);
-  Alcotest.(check (option int)) "fanout set" (Some 2) (Zltp_frontend.tree_fanout fe);
-  (* 6 shard levels at 2 bits/node: depth 3, 1 + 4 + 16 + 64 nodes *)
-  Alcotest.(check int) "depth" 3 (Zltp_frontend.tree_depth fe);
-  Alcotest.(check int) "nodes" 85 (Zltp_frontend.tree_nodes fe);
-  Zltp_frontend.set_tree_fanout fe None;
-  Alcotest.(check (option int)) "tree dropped" None (Zltp_frontend.tree_fanout fe);
-  Alcotest.check_raises "fanout must be >= 1"
-    (Invalid_argument "Zltp_frontend.set_tree_fanout: fanout_bits must be >= 1")
-    (fun () -> Zltp_frontend.set_tree_fanout fe (Some 0));
-  Alcotest.check_raises "scan domains must be >= 1"
-    (Invalid_argument "Zltp_frontend.set_scan_domains: need at least one domain")
-    (fun () -> Zltp_frontend.set_scan_domains fe 0)
-
-let test_frontend_tree_refusal () =
-  (* degraded-shard refusal must survive the tree: the down-shard check
-     runs before any tree walk, so a tree-routed [answer_batch_result] refuses
-     exactly like the flat path *)
-  let st = random_store ~domain_bits:8 ~bucket_size:64 "tree-refusal" in
+let test_frontend_refusal () =
+  (* the down-shard check runs before any key is split, so
+     [answer_batch_result] refuses rather than return a partial XOR, and
+     answers again once the shard is back *)
+  let st = random_store ~domain_bits:8 ~bucket_size:64 "frontend-refusal" in
   let fe = Zltp_frontend.of_store st ~shard_bits:4 in
-  Zltp_frontend.set_tree_fanout fe (Some 2);
   let k0, _ = Lw_dpf.Dpf.gen ~domain_bits:8 ~alpha:200 (rng ()) in
   let answer () =
     Result.map
@@ -502,52 +487,44 @@ let test_frontend_tree_refusal () =
   in
   (match answer () with
   | Ok _ -> ()
-  | Error e -> Alcotest.fail ("healthy tree refused: " ^ e));
+  | Error e -> Alcotest.fail ("healthy front-end refused: " ^ e));
   Zltp_frontend.set_shard_down fe 5 true;
   (match answer () with
-  | Ok _ -> Alcotest.fail "tree answered with a shard down (partial XOR!)"
+  | Ok _ -> Alcotest.fail "front-end answered with a shard down (partial XOR!)"
   | Error _ -> ());
   Zltp_frontend.set_shard_down fe 5 false;
   match answer () with
   | Ok share ->
       Alcotest.(check string) "recovers" (Zltp_frontend.answer fe k0) share
-  | Error e -> Alcotest.fail ("recovered tree refused: " ^ e)
+  | Error e -> Alcotest.fail ("recovered front-end refused: " ^ e)
 
-(* Tree-routed, domain-parallel answers vs the serial single-frontend
-   path: same database, same keys => bit-identical shares, across shard
-   counts 4/16/64 (the 1-shard case is the flat [Lw_pir.Server] reference
-   itself), fan-out widths 1/2/3 bits and scan-domain counts 1/2/4/8. *)
-let tree_geometry =
+(* Domain-parallel front-end answers vs the serial [Lw_pir.Server] over
+   the whole epoch: same database, same keys => bit-identical shares,
+   across shard counts 4/16/64 and scan-domain counts 1/2/4/8. *)
+let frontend_geometry =
   QCheck.make
-    ~print:(fun (sb, fb, nd, alphas) ->
-      Printf.sprintf "shard_bits=%d fanout_bits=%d domains=%d alphas=[%s]" sb fb nd
+    ~print:(fun (sb, nd, alphas) ->
+      Printf.sprintf "shard_bits=%d domains=%d alphas=[%s]" sb nd
         (String.concat ";" (List.map string_of_int alphas)))
     QCheck.Gen.(
       oneofl [ 2; 4; 6 ] >>= fun shard_bits ->
-      oneofl [ 1; 2; 3 ] >>= fun fanout_bits ->
       oneofl [ 1; 2; 4; 8 ] >>= fun domains ->
       list_size (int_range 1 9) (int_range 0 255) >>= fun alphas ->
-      return (shard_bits, fanout_bits, domains, alphas))
+      return (shard_bits, domains, alphas))
 
-let prop_tree_matches_serial =
-  QCheck.Test.make ~name:"tree fan-out + scan domains = serial answer" ~count:30
-    tree_geometry
-    (fun (shard_bits, fanout_bits, domains, alphas) ->
+let prop_frontend_matches_serial =
+  QCheck.Test.make ~name:"shards + scan domains = serial" ~count:30 frontend_geometry
+    (fun (shard_bits, domains, alphas) ->
       let domain_bits = 8 in
-      let st = random_store ~domain_bits ~bucket_size:48 "tree-prop" in
+      let st = random_store ~domain_bits ~bucket_size:48 "frontend-prop" in
       let flat = whole_server st in
-      let plain_fe = Zltp_frontend.of_store st ~shard_bits in
-      let tree_fe = Zltp_frontend.of_store st ~shard_bits in
-      Zltp_frontend.set_scan_domains tree_fe domains;
-      Zltp_frontend.set_tree_fanout tree_fe (Some fanout_bits);
+      let fe = Zltp_frontend.of_store st ~shard_bits in
+      Zltp_frontend.set_scan_domains fe domains;
       List.for_all
         (fun alpha ->
           let k0, k1 = Lw_dpf.Dpf.gen ~domain_bits ~alpha (rng ()) in
           List.for_all
-            (fun k ->
-              let serial = Lw_pir.Server.answer flat k in
-              String.equal serial (Zltp_frontend.answer plain_fe k)
-              && String.equal serial (Zltp_frontend.answer tree_fe k))
+            (fun k -> String.equal (Lw_pir.Server.answer flat k) (Zltp_frontend.answer fe k))
             [ k0; k1 ])
         alphas)
 
@@ -1286,9 +1263,8 @@ let () =
           Alcotest.test_case "parallel = sequential" `Quick test_frontend_parallel_matches;
           Alcotest.test_case "timings" `Quick test_frontend_timings;
           Alcotest.test_case "sharded server scan domains" `Quick test_sharded_server_scan_domains;
-          Alcotest.test_case "tree shape" `Quick test_frontend_tree_shape;
-          Alcotest.test_case "tree refusal" `Quick test_frontend_tree_refusal;
-          QCheck_alcotest.to_alcotest prop_tree_matches_serial;
+          Alcotest.test_case "frontend refusal" `Quick test_frontend_refusal;
+          QCheck_alcotest.to_alcotest prop_frontend_matches_serial;
         ] );
       ( "browser",
         [

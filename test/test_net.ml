@@ -20,51 +20,43 @@ let test_frame_rejects () =
   Alcotest.(check bool) "short header" true
     (match Frame.decode_header "ab" with exception Frame.Malformed _ -> true | _ -> false)
 
+(* [bytes] written into a pipe whose write end is then closed, so the
+   reader sees exactly those bytes followed by EOF. Payloads stay far
+   below the pipe buffer, so the write never blocks. *)
+let with_pipe_bytes bytes f =
+  let r, w = Unix.pipe () in
+  ignore (Unix.write_substring w bytes 0 (String.length bytes));
+  Unix.close w;
+  Fun.protect ~finally:(fun () -> Unix.close r) (fun () -> f r)
+
 let test_frame_channels () =
-  let path = Filename.temp_file "lw_frame" ".bin" in
-  let oc = open_out_bin path in
-  Frame.write oc "hello";
-  Frame.write oc "";
-  Frame.write oc "world!";
-  close_out oc;
-  let ic = open_in_bin path in
-  Alcotest.(check string) "first" "hello" (Frame.read ic);
-  Alcotest.(check string) "second" "" (Frame.read ic);
-  Alcotest.(check string) "third" "world!" (Frame.read ic);
-  Alcotest.(check bool) "eof" true (match Frame.read ic with exception End_of_file -> true | _ -> false);
-  close_in ic;
-  Sys.remove path
+  let r, w = Unix.pipe () in
+  Frame.write_fd w "hello";
+  Frame.write_fd w "";
+  Frame.write_fd w "world!";
+  Unix.close w;
+  Alcotest.(check string) "first" "hello" (Frame.read_fd r);
+  Alcotest.(check string) "second" "" (Frame.read_fd r);
+  Alcotest.(check string) "third" "world!" (Frame.read_fd r);
+  Alcotest.(check bool) "eof" true
+    (match Frame.read_fd r with exception End_of_file -> true | _ -> false);
+  Unix.close r
 
 let test_frame_mid_eof () =
   (* EOF inside a frame is Malformed (the stream can never resync), EOF at
      a frame boundary stays the clean End_of_file *)
-  let with_bytes bytes f =
-    let path = Filename.temp_file "lw_frame" ".bin" in
-    let oc = open_out_bin path in
-    output_string oc bytes;
-    close_out oc;
-    let ic = open_in_bin path in
-    let r = f ic in
-    close_in ic;
-    Sys.remove path;
-    r
-  in
+  let malformed fd = match Frame.read_fd fd with exception Frame.Malformed _ -> true | _ -> false in
   (* header promises 10 bytes, only 5 arrive *)
   let truncated_payload = "\x00\x00\x00\x0ahello" in
-  Alcotest.(check bool) "payload cut" true
-    (with_bytes truncated_payload (fun ic ->
-         match Frame.read ic with exception Frame.Malformed _ -> true | _ -> false));
+  Alcotest.(check bool) "payload cut" true (with_pipe_bytes truncated_payload malformed);
   (* EOF in the middle of the 4-byte header itself *)
-  Alcotest.(check bool) "header cut" true
-    (with_bytes "\x00\x00" (fun ic ->
-         match Frame.read ic with exception Frame.Malformed _ -> true | _ -> false));
+  Alcotest.(check bool) "header cut" true (with_pipe_bytes "\x00\x00" malformed);
   (* a complete frame followed by a truncated one: first reads fine *)
   let mixed = Frame.encode "ok" ^ "\x00\x00\x00\x05ab" in
   Alcotest.(check bool) "good then cut" true
-    (with_bytes mixed (fun ic ->
-         let first = Frame.read ic in
-         first = "ok"
-         && match Frame.read ic with exception Frame.Malformed _ -> true | _ -> false))
+    (with_pipe_bytes mixed (fun fd ->
+         let first = Frame.read_fd fd in
+         first = "ok" && malformed fd))
 
 let test_frame_short_reads_fd () =
   (* a peer that dribbles one byte at a time must still yield whole

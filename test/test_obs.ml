@@ -265,11 +265,10 @@ let test_parallel_rigged_shard_raises () =
   done
 
 (* Every answer feeds each shard's latency histogram once, whatever the
-   fan-out and scan parallelism. *)
+   scan parallelism. *)
 let test_parallel_timed_spans () =
   let fe = random_frontend "obs-spans" in
   Zltp_frontend.set_scan_domains fe 2;
-  Zltp_frontend.set_tree_fanout fe (Some 1);
   let k0, _ = Lw_dpf.Dpf.gen ~domain_bits:8 ~alpha:5 (rng ()) in
   let hists = Zltp_frontend.shard_histograms fe in
   let before = Array.map Lw_obs.Metrics.hist_count hists in

@@ -553,17 +553,16 @@ let test_frontend_pinned_views_survive_refresh () =
    spanning several: [block_bits] ranges over the whole domain. *)
 let view_geometry =
   QCheck.make
-    ~print:(fun (d, sb, bb, bucket, fanout, alphas) ->
-      Printf.sprintf "domain_bits=%d shard_bits=%d block_bits=%d bucket=%d fanout=%d alphas=[%s]"
-        d sb bb bucket fanout (String.concat ";" (List.map string_of_int alphas)))
+    ~print:(fun (d, sb, bb, bucket, alphas) ->
+      Printf.sprintf "domain_bits=%d shard_bits=%d block_bits=%d bucket=%d alphas=[%s]" d sb bb
+        bucket (String.concat ";" (List.map string_of_int alphas)))
     QCheck.Gen.(
       int_range 2 8 >>= fun d ->
       int_range 1 (d - 1) >>= fun sb ->
       int_range 0 d >>= fun bb ->
       int_range 1 40 >>= fun bucket ->
-      int_range 1 sb >>= fun fanout ->
       list_size (int_range 1 5) (int_range 0 ((1 lsl d) - 1)) >>= fun alphas ->
-      return (d, sb, bb, bucket, fanout, alphas))
+      return (d, sb, bb, bucket, alphas))
 
 let xor_all shares =
   match shares with
@@ -571,9 +570,9 @@ let xor_all shares =
   | first :: rest -> List.fold_left Lw_util.Xorbuf.xor first rest
 
 let prop_views_match_snapshot =
-  QCheck.Test.make ~name:"shard views = whole snapshot (get, answers, tree)" ~count:80
+  QCheck.Test.make ~name:"shard views = whole snapshot (get, answers)" ~count:80
     view_geometry
-    (fun (domain_bits, shard_bits, block_bits, bucket_size, fanout, alphas) ->
+    (fun (domain_bits, shard_bits, block_bits, bucket_size, alphas) ->
       let st =
         Store.create ~block_bytes:(bucket_size lsl block_bits) ~domain_bits ~bucket_size ()
       in
@@ -623,13 +622,11 @@ let prop_views_match_snapshot =
           (Array.mapi (fun q w -> w = xor_all (List.map (fun b -> b.(q)) batch_views)) batch_whole)
       in
       let fe = Zltp_frontend.of_store st ~shard_bits in
-      let frontend_agrees () =
+      let frontend_agrees =
         Array.for_all (fun k -> Zltp_frontend.answer fe k = Lw_pir.Server.answer whole k) keys
         && Zltp_frontend.answer_batch fe keys = batch_whole
       in
-      let flat_ok = frontend_agrees () in
-      Zltp_frontend.set_tree_fanout fe (Some fanout);
-      gets_agree && single_agree && batch_agree && flat_ok && frontend_agrees ())
+      gets_agree && single_agree && batch_agree && frontend_agrees)
 
 let test_view_bounds () =
   let st = Store.create ~block_bytes:128 ~domain_bits:6 ~bucket_size:32 () in

@@ -524,12 +524,6 @@ let test_stats_percentile_interpolation () =
   Alcotest.(check (float 1e-9)) "p0" 1.0 (Lw_util.Stats.percentile [| 3.; 1.; 2. |] 0.);
   Alcotest.(check (float 1e-9)) "p100" 3.0 (Lw_util.Stats.percentile [| 3.; 1.; 2. |] 100.)
 
-let test_stats_histogram () =
-  let h = Lw_util.Stats.histogram ~buckets:4 ~lo:0. ~hi:4. in
-  List.iter (Lw_util.Stats.hist_add h) [ 0.5; 1.5; 1.7; 3.9; -1.; 10. ];
-  Alcotest.(check (array int)) "counts" [| 2; 2; 0; 2 |] (Lw_util.Stats.hist_counts h);
-  Alcotest.(check int) "total" 6 (Lw_util.Stats.hist_total h)
-
 let test_ascii_bar () =
   let out = Lw_repro.Ascii_chart.bar ~width:10 [ ("aa", 10.); ("b", 5.); ("c", 0.) ] in
   let lines = String.split_on_char '\n' (String.trim out) in
@@ -617,7 +611,6 @@ let () =
         [
           Alcotest.test_case "summary" `Quick test_stats_summary;
           Alcotest.test_case "percentile interpolation" `Quick test_stats_percentile_interpolation;
-          Alcotest.test_case "histogram" `Quick test_stats_histogram;
         ] );
       ( "ascii-chart",
         [
