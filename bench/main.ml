@@ -1,14 +1,27 @@
 (* The lightweb benchmark harness: regenerates every quantitative result
-   in the paper's evaluation (§4, §5, Table 2).
+   in the paper's evaluation (§4, §5, Table 2), and runs the ablations,
+   extensions and byte-identity gates around it.
 
-     dune exec bench/main.exe            full run (a few minutes)
-     dune exec bench/main.exe -- --fast  reduced sizes for CI
+     dune exec bench/main.exe -- [--fast | --smoke] [--metrics] [E<n> ...]
 
-   Experiment ids follow DESIGN.md: E1 server computation, E2 batching,
-   E3 communication, E4 Table 2, E5 monthly user cost, E6 collisions,
-   E7 distributed DPF evaluation, E8 PIR vs enclave ablation, E9 cost
-   projection, E10 traffic-analysis attack. Paper numbers are printed
-   beside measurements; EXPERIMENTS.md records the comparison. *)
+   With no ids it runs every experiment (a few minutes at full size);
+   ids run just those, in the order given. --fast shrinks every
+   geometry; --smoke is the tiny size of the `dune runtest` gates, which
+   only the experiments marked so in [experiments] have. Only full-size
+   runs write BENCH_*.json. --metrics ends the run with a Prometheus dump
+   of the lw_obs registry. An unknown argument, or --smoke on an
+   experiment without that size, prints the usage and exits 64 before
+   anything runs.
+
+   Experiment ids follow DESIGN.md §3: E1 server computation, E2
+   batching, E3 communication, E4 Table 2, E5 monthly user cost, E6
+   collisions, E7 distributed DPF evaluation, E8 PIR vs enclave
+   ablation, E9 cost projection, E10 traffic-analysis attack; E11-E17
+   ablations and extensions; E19 scan kernels, E20 retry tail latency,
+   E21 observability overhead, E22 store updates, E23 lint cost, E24
+   fleet, E25 process cluster, E26 keyword GET, E27 Single mode. Paper
+   numbers are printed beside measurements; EXPERIMENTS.md records the
+   comparison. *)
 
 module Json = Lw_json.Json
 
@@ -17,7 +30,10 @@ module Json = Lw_json.Json
    benchmark machinery looks at argv. *)
 let () = Lw_cluster.Worker.run_if_worker ()
 
-let fast = Array.exists (fun a -> a = "--fast") Sys.argv
+(* Every experiment runs at one of three sizes: the full geometry, a
+   reduced one, and (for the experiments the runtest gates run) a tiny
+   one. *)
+type size = Full | Fast | Smoke
 
 let rng () = Lw_crypto.Drbg.create ~seed:"bench"
 let det = Lw_util.Det_rng.of_string_seed
@@ -71,11 +87,24 @@ let machine_meta () =
       ("aes_build", Json.String (Lw_crypto.Aes128.build ()));
     ]
 
+(* A full-size run writes its experiment's BENCH_*.json: the id, the
+   machine, then the experiment's own fields. The reduced sizes write
+   nothing, so every committed file holds full-size numbers. *)
+let write_bench size ~id file fields =
+  if size = Full then begin
+    let j = Json.Obj (("experiment", Json.String id) :: ("machine", machine_meta ()) :: fields) in
+    let oc = open_out file in
+    output_string oc (Json.to_string ~pretty:true j);
+    output_char oc '\n';
+    close_out oc;
+    Printf.printf "wrote %s\n" file
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Bechamel kernels                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let bechamel_kernels () =
+let bechamel_kernels size =
   let open Bechamel in
   let open Toolkit in
   let seed16 = Bytes.of_string (String.sub (Lw_crypto.Sha256.digest "kernel") 0 16) in
@@ -104,7 +133,7 @@ let bechamel_kernels () =
   let grouped = Test.make_grouped ~name:"kernels" ~fmt:"%s %s" tests in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |] in
   let instances = Instance.[ monotonic_clock ] in
-  let quota = if fast then 0.25 else 1.0 in
+  let quota = if size = Fast then 0.25 else 1.0 in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~stabilize:false () in
   let raw = Benchmark.all cfg instances grouped in
   let results =
@@ -126,11 +155,11 @@ let bechamel_kernels () =
 (* measured rates, reused by E4's "our hardware" variant *)
 let measured = ref None
 
-let e1_server_computation () =
+let e1_server_computation size =
   section "E1" "server computation per private-GET (§5.1 microbenchmark)";
   Printf.printf
     "paper (c5.large, AVX, 1 GiB shard, 2^22 domain): 167 ms/request = 64 ms DPF + 103 ms scan\n\n";
-  let domains = if fast then [ 10; 12 ] else [ 10; 12; 14 ] in
+  let domains = if size = Fast then [ 10; 12 ] else [ 10; 12; 14 ] in
   let bucket_size = 4096 in
   row "%-8s %-12s %-12s %-12s %-12s %-14s %-14s\n" "domain" "db size" "DPF eval" "scan"
     "fused" "total/request" "scan rate";
@@ -140,7 +169,7 @@ let e1_server_computation () =
       let st = random_store ~domain_bits:d ~bucket_size "e1" in
       let server = whole_server st in
       let key, _ = Lw_dpf.Dpf.gen ~domain_bits:d ~alpha:(1 lsl (d - 1)) (rng ()) in
-      let reps = if fast then 3 else 5 in
+      let reps = if size = Fast then 3 else 5 in
       let eval_s = time_median ~reps (fun () -> ignore (Lw_pir.Server.eval_bits server key)) in
       let bits = Lw_pir.Server.eval_bits server key in
       let scan_s = time_median ~reps (fun () -> ignore (Lw_pir.Server.scan server bits)) in
@@ -160,7 +189,7 @@ let e1_server_computation () =
      there (no store needed: the traversal does not read the data) *)
   let key22, _ = Lw_dpf.Dpf.gen ~domain_bits:22 ~alpha:123456 (rng ()) in
   let eval_2_22 =
-    time_median ~reps:(if fast then 3 else 5) (fun () ->
+    time_median ~reps:(if size = Fast then 3 else 5) (fun () ->
         Lw_dpf.Dpf.eval_bits_blocked key22 ~block_bits:10 (fun _ _ _ -> ()))
   in
   Printf.printf
@@ -197,14 +226,14 @@ let e1_server_computation () =
 (* E2: batching (§5.1)                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let e2_batching () =
+let e2_batching size =
   section "E2" "request batching: latency vs throughput (§5.1)";
   Printf.printf
     "paper: batch 1 -> 0.51 s latency, 2 req/s;  batch 16 -> 2.6 s latency, 6 req/s\n\n";
   (* the amortisation is a memory-bandwidth effect: the batch shares one
      stream over the data, so the database must exceed the cache for the
      effect to be visible (the paper's shard is 1 GiB) *)
-  let d = if fast then 13 else 15 in
+  let d = if size = Fast then 13 else 15 in
   let st = random_store ~domain_bits:d ~bucket_size:4096 "e2" in
   let server = whole_server st in
   Printf.printf "database: 2^%d buckets x 4 KiB = %d MiB\n\n" d
@@ -239,7 +268,7 @@ let e2_batching () =
 (* E3: communication (§5.1)                                            *)
 (* ------------------------------------------------------------------ *)
 
-let e3_communication () =
+let e3_communication (_ : size) =
   section "E3" "communication per private-GET (§5.1)";
   Printf.printf "paper at d=22, 4 KiB buckets: 5.6 KiB up + 8 KiB down = 13.6 KiB per request\n\n";
   let bucket = 4096 in
@@ -317,7 +346,7 @@ let print_three_way label shard =
       Format.print_flush ())
     [ (Corpus.c4, Cost_model.Storage_driven); (Corpus.wikipedia, Cost_model.Domain_driven) ]
 
-let e4_table2 () =
+let e4_table2 (_ : size) =
   section "E4" "Table 2: estimated costs of running ZLTP on C4 and Wikipedia";
   Printf.printf
     "paper:    C4:        305 GiB, 360M pages, 0.9 KiB, 204 vCPU-s, $0.002,  15.9 KiB\n";
@@ -343,7 +372,7 @@ let e4_table2 () =
 (* E5: §4 who pays                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let e5_monthly_cost () =
+let e5_monthly_cost (_ : size) =
   section "E5" "per-user monthly cost (§4)";
   let open Lw_sim in
   Printf.printf "paper: 50 pages/day x 5 GETs at 360M-page scale ~= $15/month\n\n";
@@ -386,7 +415,7 @@ let e5_monthly_cost () =
 (* E6: collisions and cuckoo hashing (§5.1)                            *)
 (* ------------------------------------------------------------------ *)
 
-let e6_collisions () =
+let e6_collisions size =
   section "E6" "keyword collisions at capacity (§5.1) and the cuckoo alternative";
   Printf.printf
     "paper: 2^20 keys in a 2^22 domain -> new-key collision probability <= 1/4\n\n";
@@ -397,7 +426,7 @@ let e6_collisions () =
       let n = 1 lsl keys_bits in
       let analytic = Keymap.new_key_collision_probability ~n_keys:n ~domain_bits in
       let km = Keymap.create ~hash_key:(String.make 16 'e') ~domain_bits in
-      let trials = if fast then 1500 else 6000 in
+      let trials = if size = Fast then 1500 else 6000 in
       let mc = Keymap.monte_carlo_new_key_collision km ~n_keys:n ~trials (det "e6") in
       row "2^%-2d in 2^%-11d %9.3f %12.3f %12.3f\n" keys_bits domain_bits analytic mc
         (Keymap.any_collision_probability ~n_keys:n ~domain_bits))
@@ -434,12 +463,12 @@ let e6_collisions () =
 (* E7: distributed DPF evaluation (§5.2)                               *)
 (* ------------------------------------------------------------------ *)
 
-let e7_distributed () =
+let e7_distributed size =
   section "E7" "distributing DPF evaluation across shards (§5.2)";
   Printf.printf
     "paper: the front-end expands the top of the tree; each shard pays only the\n\
      small-domain evaluation cost, so per-shard time is flat as the fleet grows.\n\n";
-  let d = if fast then 12 else 14 in
+  let d = if size = Fast then 12 else 14 in
   let bucket_size = 1024 in
   let st = random_store ~domain_bits:d ~bucket_size "e7" in
   let flat = whole_server st in
@@ -485,9 +514,9 @@ let e7_distributed () =
 (* E8: PIR vs enclave mode (§2.2 ablation)                             *)
 (* ------------------------------------------------------------------ *)
 
-let e8_mode_ablation () =
+let e8_mode_ablation size =
   section "E8" "modes of operation: PIR linear scan vs enclave+ORAM polylog (§2.2)";
-  let sizes = if fast then [ 8; 10; 12 ] else [ 8; 10; 12; 14 ] in
+  let sizes = if size = Fast then [ 8; 10; 12 ] else [ 8; 10; 12; 14 ] in
   row "%-10s %-18s %-18s %-16s %-14s\n" "N pairs" "PIR answer" "enclave get" "PIR buckets"
     "ORAM buckets";
   List.iter
@@ -520,7 +549,7 @@ let e8_mode_ablation () =
 (* E9: looking forward (§5.2)                                          *)
 (* ------------------------------------------------------------------ *)
 
-let e9_projection () =
+let e9_projection (_ : size) =
   section "E9" "cost projection: 16x per 5 years of compute deflation (§5.2)";
   let open Lw_sim in
   let e =
@@ -544,7 +573,7 @@ let e9_projection () =
 (* E10: traffic analysis (§1 motivation)                               *)
 (* ------------------------------------------------------------------ *)
 
-let e10_traffic_analysis () =
+let e10_traffic_analysis size =
   section "E10" "website fingerprinting: traditional web vs lightweb (§1)";
   let open Lw_sim in
   let labelled ~sites ~per_site ~seed ~traditional =
@@ -564,7 +593,7 @@ let e10_traffic_analysis () =
       List.iter
         (fun sites ->
           let train =
-            labelled ~sites ~per_site:(if fast then 20 else 40) ~seed:"tr" ~traditional
+            labelled ~sites ~per_site:(if size = Fast then 20 else 40) ~seed:"tr" ~traditional
           in
           let test = labelled ~sites ~per_site:10 ~seed:"te" ~traditional in
           let model = Fingerprint.train ~classes:sites train in
@@ -581,12 +610,12 @@ let e10_traffic_analysis () =
 (* E11: PIR scheme ablation — DPF vs bit-vector vs trivial             *)
 (* ------------------------------------------------------------------ *)
 
-let e11_scheme_ablation () =
+let e11_scheme_ablation size =
   section "E11" "ablation: DPF PIR vs bit-vector PIR vs trivial download";
   Printf.printf
     "why DPFs: same scan and download, logarithmic upload. (The paper's choice of\n\
      [12] over earlier 2-server schemes.)\n\n";
-  let d = if fast then 10 else 12 in
+  let d = if size = Fast then 10 else 12 in
   let bucket_size = 4096 in
   let st = random_store ~domain_bits:d ~bucket_size "e11" in
   let server = whole_server st in
@@ -624,11 +653,11 @@ let e11_scheme_ablation () =
    call, a leaves call and plain block encryption (the @bench-smoke run
    fails on any difference); then each is timed per node, and the
    picked build per DPF operation. *)
-let e12_prg_ablation ?(smoke = false) () =
+let e12_prg_ablation size =
   section "E12" "ablation: the DPF's AES-MMO PRG, build by build";
   let builds = Lw_crypto.Aes128.builds () in
   let key = Lw_crypto.Aes128.mmo_fixed_key in
-  let n = if smoke then 33 else 1024 in
+  let n = if size = Smoke then 33 else 1024 in
   let src = Bytes.of_string (Lw_util.Det_rng.bytes (det "e12-seeds") (16 * n)) in
   let ts = Bytes.of_string (Lw_util.Det_rng.bytes (det "e12-bits") n) in
   Bytes.iteri (fun i c -> Bytes.set ts i (Char.chr (Char.code c land 1))) ts;
@@ -659,8 +688,7 @@ let e12_prg_ablation ?(smoke = false) () =
     (fun build ->
       List.iter2
         (fun (what, w) (_, got) ->
-          (* public test vectors, not secrets *)
-          if not (String.equal w got) then (* lw-lint: allow taint *)
+          if not (String.equal w got) then
             failwith
               (Printf.sprintf "E12: AES build %s differs from %s (%s call)" build
                  (List.hd builds) what))
@@ -668,7 +696,7 @@ let e12_prg_ablation ?(smoke = false) () =
     builds;
   row "AES builds on this CPU: %s (picked: %s); level, leaves and block outputs identical\n\n"
     (String.concat ", " builds) (Lw_crypto.Aes128.build ());
-  let reps = if smoke then 1 else 5 in
+  let reps = if size = Smoke then 1 else 5 in
   row "%-12s %-18s %-18s %-18s\n" "aes build" "level (per parent)" "leaves (per node)"
     "block (per block)";
   List.iter
@@ -677,7 +705,7 @@ let e12_prg_ablation ?(smoke = false) () =
       row "%-12s %15.1f ns %15.1f ns %15.1f ns\n" build (per (level build)) (per (leaves build))
         (per (blocks build)))
     builds;
-  let d = if smoke then 8 else if fast then 10 else 12 in
+  let d = if size = Smoke then 8 else if size = Fast then 10 else 12 in
   row "\n%-12s %-16s %-18s %-16s\n" "prg" "expand (1 node)" "eval_all 2^\u{2009}d" "keygen d=22";
   let seed = Bytes.of_string (String.sub (Lw_crypto.Sha256.digest "e12") 0 16) in
   let out = Bytes.create 32 in
@@ -704,7 +732,7 @@ let e12_prg_ablation ?(smoke = false) () =
 (* E13: cover-traffic cost (closing the timing side channel)           *)
 (* ------------------------------------------------------------------ *)
 
-let e13_cover_traffic () =
+let e13_cover_traffic (_ : size) =
   section "E13" "extension: constant-rate cover traffic vs the timing leak (§2.1 non-goal)";
   Printf.printf
     "ZLTP leaves request count/timing visible; a pacer closes that channel for a\n\
@@ -749,7 +777,7 @@ let e13_cover_traffic () =
 (* E14: recursive ORAM overhead                                        *)
 (* ------------------------------------------------------------------ *)
 
-let e14_recursive_oram () =
+let e14_recursive_oram size =
   section "E14" "extension: recursive position map (real enclave memory budgets)";
   Printf.printf
     "flat Path ORAM needs O(N) private memory for the position map; recursion\n\
@@ -782,13 +810,13 @@ let e14_recursive_oram () =
         (Lw_repro.Recursive_oram.levels rec_o)
         (Lw_repro.Recursive_oram.paths_per_access rec_o)
         (1000. *. t_flat) (1000. *. t_rec))
-    (if fast then [ 8; 10 ] else [ 8; 10; 12 ])
+    (if size = Fast then [ 8; 10 ] else [ 8; 10; 12 ])
 
 (* ------------------------------------------------------------------ *)
 (* E15: page-load latency at fleet scale (§5.2's caveat, quantified)    *)
 (* ------------------------------------------------------------------ *)
 
-let e15_latency () =
+let e15_latency size =
   section "E15" "page-load latency with stragglers and queueing (§5.2)";
   Printf.printf
     "paper: \"request latency ... is lower-bounded by 2.6 s ... but would likely be\n\
@@ -797,7 +825,7 @@ let e15_latency () =
   let open Lw_repro in
   row "%-34s %-10s %-10s %-10s %-10s\n" "scenario" "mean" "p50" "p95" "p99";
   let show label p ~code_fetch =
-    let d = Latency_model.simulate ~samples:(if fast then 500 else 2000) p ~code_fetch (det "e15") in
+    let d = Latency_model.simulate ~samples:(if size = Fast then 500 else 2000) p ~code_fetch (det "e15") in
     row "%-34s %7.2f s %7.2f s %7.2f s %7.2f s\n" label d.Latency_model.mean_s
       d.Latency_model.p50_s d.Latency_model.p95_s d.Latency_model.p99_s
   in
@@ -818,7 +846,7 @@ let e15_latency () =
   (* the "figure": the warm-cache page-load CDF *)
   let rng' = det "e15-cdf" in
   let samples =
-    Array.init (if fast then 400 else 1500) (fun _ ->
+    Array.init (if size = Fast then 400 else 1500) (fun _ ->
         Latency_model.page_load Latency_model.paper_params ~code_fetch:false rng')
   in
   Printf.printf "\nwarm-cache page-load CDF (x in seconds):\n%s"
@@ -831,7 +859,7 @@ let e15_latency () =
 (* E16: private per-domain billing statistics (§4)                     *)
 (* ------------------------------------------------------------------ *)
 
-let e16_heavy_hitters () =
+let e16_heavy_hitters size =
   section "E16" "private aggregate statistics for billing (§4)";
   Printf.printf
     "the CDN bills publishers by query volume without seeing queries: clients\n\
@@ -839,12 +867,12 @@ let e16_heavy_hitters () =
      tree on combined counts only.\n\n";
   let open Lw_sim in
   let open Lw_repro in
-  let d = if fast then 8 else 10 in
+  let d = if size = Fast then 8 else 10 in
   let sites = 40 in
   let zipf = Zipf.create ~n:sites () in
   let hash = Lw_pir.Keymap.create ~hash_key:(String.make 16 'b') ~domain_bits:d in
   let r = det "e16" in
-  let n_clients = if fast then 120 else 300 in
+  let n_clients = if size = Fast then 120 else 300 in
   let queries =
     List.init n_clients (fun _ ->
         Lw_pir.Keymap.index_of_key hash (Printf.sprintf "site-%d.example" (Zipf.sample zipf r)))
@@ -882,7 +910,7 @@ let e16_heavy_hitters () =
 (* E17: the batch-queue operating curve (§5.1's batching, under load)  *)
 (* ------------------------------------------------------------------ *)
 
-let e17_queue () =
+let e17_queue (_ : size) =
   section "E17" "batch-service queue: the §5.1 server under offered load";
   let open Lw_repro in
   let cap = Queue_sim.capacity_rps (Queue_sim.paper_server ~arrival_rps:1.) in
@@ -909,31 +937,6 @@ let e17_queue () =
      low load, graceful filling up to the %.1f req/s ceiling, then saturation —\n\
      matching the paper's latency/throughput trade-off discussion.\n"
     cap
-
-(* ------------------------------------------------------------------ *)
-(* E18: cost of the lw_analysis lint pass over the repo's own sources  *)
-(* ------------------------------------------------------------------ *)
-
-let e18_lint_cost () =
-  section "E18" "lw_analysis lint pass: scan cost over the repo's own lib/";
-  match Lw_analysis.Analyzer.resolve_dir "lib" with
-  | None -> Printf.printf "lib/ sources not reachable from cwd; skipping.\n"
-  | Some lib ->
-      let reps = if fast then 1 else 3 in
-      let best = ref None in
-      for _ = 1 to reps do
-        let r = Lw_analysis.Analyzer.scan_paths [ lib ] in
-        match !best with
-        | Some (b : Lw_analysis.Report.t) when b.elapsed_s <= r.elapsed_s -> ()
-        | _ -> best := Some r
-      done;
-      let r = Option.get !best in
-      row "%-20s %8d\n" "files scanned" r.Lw_analysis.Report.files_scanned;
-      row "%-20s %8d\n" "findings" (List.length r.findings);
-      row "%-20s %8d\n" "suppressed" r.suppressed;
-      row "%-20s %8.1f ms (best of %d)\n" "wall-clock" (1000. *. r.elapsed_s) reps;
-      Printf.printf "\njson: %s\n"
-        (Lw_json.Json.to_string (Lw_analysis.Report.to_json r))
 
 (* ------------------------------------------------------------------ *)
 (* E19: fused single-pass answer kernel + batched C scan kernel         *)
@@ -977,12 +980,10 @@ let sparse_records ?(filled = 0.385) ?(bytes = 0.093) rng ~count ~bucket f =
       f j (min bucket (1 + Lw_util.Det_rng.int rng (max 1 (int_of_float (2. *. mean)))))
   done
 
-let e19_scan_kernels ?(write_json = true) ?geometry () =
+let e19_scan_kernels size =
   section "E19" "fused single-pass answer kernel + batched C scan kernel";
   let d, bucket_size, reps =
-    match geometry with
-    | Some g -> g
-    | None -> if fast then (10, 1024, 3) else (12, 4096, 25)
+    match size with Smoke -> (6, 96, 2) | Fast -> (10, 1024, 3) | Full -> (12, 4096, 25)
   in
   let widths = [ 1; 2; 3; 5; 8; 9; 16 ] in
   let st = random_store ~domain_bits:d ~bucket_size "e19" in
@@ -1120,9 +1121,8 @@ let e19_scan_kernels ?(write_json = true) ?geometry () =
      from memory as the others do rather than sitting in cache. *)
   let kernels = Lw_util.Xorbuf.scan_kernels () in
   let kernel_geometries =
-    if geometry = None then
-      [ (1 lsl d, 256); (1 lsl 16, 256); (1 lsl d, 4096); (1 lsl d, 16384) ]
-    else [ (1 lsl d, bucket_size) ]
+    if size = Smoke then [ (1 lsl d, bucket_size) ]
+    else [ (1 lsl d, 256); (1 lsl 16, 256); (1 lsl d, 4096); (1 lsl d, 16384) ]
   in
   let max_records = List.fold_left (fun a (n, _) -> max a n) 0 kernel_geometries in
   let bits = Bytes.of_string (Lw_util.Det_rng.bytes (det "e19-bits") (2 * max_records)) in
@@ -1315,98 +1315,87 @@ let e19_scan_kernels ?(write_json = true) ?geometry () =
           sparse_widths)
       walk_stores
   in
-  if write_json then begin
-    let open Json in
-    let build_cells rows =
-      List
-        (List.map
-           (fun (n, bucket, w, t) ->
-             Obj
-               (("bucket_size", Number (float_of_int bucket))
-               :: ("records", Number (float_of_int n))
-               :: ("width", Number (float_of_int w))
-               :: List.mapi (fun j k -> (k ^ "_ms", Number (1000. *. t.(j)))) kernels))
-           rows)
-    in
-    let j =
-      Obj
-        [
-          ("experiment", String "E19");
-          ("machine", machine_meta ());
-          ("domain_bits", Number (float_of_int d));
-          ("bucket_size", Number (float_of_int bucket_size));
-          ("db_mib", Number db_mb);
-          ("reps", Number (float_of_int reps));
-          ( "single",
-            Obj
-              [
-                ("two_pass_ms", Number (1000. *. old_s));
-                ("fused_ms", Number (1000. *. fused_s));
-                ("two_pass_mb_s", Number (db_mb /. old_s));
-                ("fused_mb_s", Number (db_mb /. fused_s));
-                ("fused_speedup", Number (old_s /. fused_s));
-              ] );
-          ( "batch",
-            List
-              (List.map
-                 (fun (w, naive_s, singles_s, batched_s, eff) ->
-                   Obj
-                     [
-                       ("width", Number (float_of_int w));
-                       ("naive_ms", Number (1000. *. naive_s));
-                       ("k_singles_ms", Number (1000. *. singles_s));
-                       ("batched_ms", Number (1000. *. batched_s));
-                       ("effective_mb_s", Number eff);
-                       ("speedup", Number (naive_s /. batched_s));
-                       ("x_single", Number (batched_s *. float_of_int w /. singles_s));
-                     ])
-                 batch_rows) );
-          ( "sparse_store",
-            Obj
-              [
-                ("bucket_size", Number (float_of_int sb));
-                ("scanned_share", Number scanned);
-                ( "batch",
-                  List
-                    (List.map
-                       (fun (w, full_s, sparse_s) ->
-                         Obj
+  let open Json in
+  let build_cells rows =
+    List
+      (List.map
+         (fun (n, bucket, w, t) ->
+           Obj
+             (("bucket_size", Number (float_of_int bucket))
+             :: ("records", Number (float_of_int n))
+             :: ("width", Number (float_of_int w))
+             :: List.mapi (fun j k -> (k ^ "_ms", Number (1000. *. t.(j)))) kernels))
+         rows)
+  in
+  write_bench size ~id:"E19" "BENCH_scan.json"
+    [
+      ("domain_bits", Number (float_of_int d));
+      ("bucket_size", Number (float_of_int bucket_size));
+      ("db_mib", Number db_mb);
+      ("reps", Number (float_of_int reps));
+      ( "single",
+        Obj
+          [
+            ("two_pass_ms", Number (1000. *. old_s));
+            ("fused_ms", Number (1000. *. fused_s));
+            ("two_pass_mb_s", Number (db_mb /. old_s));
+            ("fused_mb_s", Number (db_mb /. fused_s));
+            ("fused_speedup", Number (old_s /. fused_s));
+          ] );
+      ( "batch",
+        List
+          (List.map
+             (fun (w, naive_s, singles_s, batched_s, eff) ->
+               Obj
+                 [
+                   ("width", Number (float_of_int w));
+                   ("naive_ms", Number (1000. *. naive_s));
+                   ("k_singles_ms", Number (1000. *. singles_s));
+                   ("batched_ms", Number (1000. *. batched_s));
+                   ("effective_mb_s", Number eff);
+                   ("speedup", Number (naive_s /. batched_s));
+                   ("x_single", Number (batched_s *. float_of_int w /. singles_s));
+                 ])
+             batch_rows) );
+      ( "sparse_store",
+        Obj
+          [
+            ("bucket_size", Number (float_of_int sb));
+            ("scanned_share", Number scanned);
+            ( "batch",
+              List
+                (List.map
+                   (fun (w, full_s, sparse_s) ->
+                     Obj
+                       [
+                         ("width", Number (float_of_int w));
+                         ("full_ms", Number (1000. *. full_s));
+                         ("sparse_ms", Number (1000. *. sparse_s));
+                       ])
+                   sparse_rows) );
+          ] );
+      ("kernel_builds", build_cells build_rows);
+      ("sparse_kernel_builds", build_cells sparse_build_rows);
+      ( "extent_walks",
+        List
+          (List.map
+             (fun (name, n, bucket, share, w, t) ->
+               Obj
+                 (("store", String name)
+                 :: ("bucket_size", Number (float_of_int bucket))
+                 :: ("records", Number (float_of_int n))
+                 :: ("scanned_share", Number share)
+                 :: ("width", Number (float_of_int w))
+                 :: List.concat
+                      (List.mapi
+                         (fun j k ->
                            [
-                             ("width", Number (float_of_int w));
-                             ("full_ms", Number (1000. *. full_s));
-                             ("sparse_ms", Number (1000. *. sparse_s));
+                             (k ^ "_extent_ms", Number (1000. *. t.(2 * j)));
+                             (k ^ "_whole_ms", Number (1000. *. t.((2 * j) + 1)));
                            ])
-                       sparse_rows) );
-              ] );
-          ("kernel_builds", build_cells build_rows);
-          ("sparse_kernel_builds", build_cells sparse_build_rows);
-          ( "extent_walks",
-            List
-              (List.map
-                 (fun (name, n, bucket, share, w, t) ->
-                   Obj
-                     (("store", String name)
-                     :: ("bucket_size", Number (float_of_int bucket))
-                     :: ("records", Number (float_of_int n))
-                     :: ("scanned_share", Number share)
-                     :: ("width", Number (float_of_int w))
-                     :: List.concat
-                          (List.mapi
-                             (fun j k ->
-                               [
-                                 (k ^ "_extent_ms", Number (1000. *. t.(2 * j)));
-                                 (k ^ "_whole_ms", Number (1000. *. t.((2 * j) + 1)));
-                               ])
-                             kernels)))
-                 walk_rows) );
-        ]
-    in
-    let oc = open_out "BENCH_scan.json" in
-    output_string oc (to_string ~pretty:true j);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "wrote BENCH_scan.json\n"
-  end
+                         kernels)))
+             walk_rows) );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E20: retry-induced tail latency under fault injection (PR3)          *)
@@ -1418,10 +1407,10 @@ let e19_scan_kernels ?(write_json = true) ?geometry () =
    backoff sleeps. Per-op latency is then simply the clock delta around
    the private-GET — deterministic, seed-replayable, and finished in
    milliseconds of real time even for thousands of simulated seconds. *)
-let e20_chaos_tail_latency ?(write_json = true) () =
+let e20_chaos_tail_latency size =
   section "E20" "retry tail latency under injected faults (virtual time)";
   let domain_bits = 8 and bucket_size = 256 and shard_bits = 2 in
-  let ops = if fast then 200 else 1000 in
+  let ops = if size = Fast then 200 else 1000 in
   let rtt_s = 0.030 and timeout_s = 0.250 in
   let st = random_store ~domain_bits ~bucket_size "e20-st" in
   let policy =
@@ -1525,28 +1514,17 @@ let e20_chaos_tail_latency ?(write_json = true) () =
     "\nfault-free p99 is one RTT; each injected fault adds a timeout plus backoff, so\n\
      the p99/p50 gap is the paper's tail-latency cost of self-healing. kill-replica\n\
      shows failover past a dead replica completing every operation.\n";
-  if write_json then begin
-    let open Json in
-    let entry (label, _, fields) = (label, Obj fields) in
-    let j =
-      Obj
-        ([
-           ("experiment", String "E20");
-           ("machine", machine_meta ());
-           ("ops_per_run", Number (float_of_int ops));
-           ("rtt_ms", Number (1000. *. rtt_s));
-           ("recv_timeout_ms", Number (1000. *. timeout_s));
-           ("attempts", Number (float_of_int policy.Lightweb.Zltp_client.attempts));
-         ]
-        @ List.map entry rates
-        @ [ entry kill ])
-    in
-    let oc = open_out "BENCH_chaos.json" in
-    output_string oc (to_string ~pretty:true j);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "wrote BENCH_chaos.json\n"
-  end
+  let open Json in
+  let entry (label, _, fields) = (label, Obj fields) in
+  write_bench size ~id:"E20" "BENCH_chaos.json"
+    ([
+       ("ops_per_run", Number (float_of_int ops));
+       ("rtt_ms", Number (1000. *. rtt_s));
+       ("recv_timeout_ms", Number (1000. *. timeout_s));
+       ("attempts", Number (float_of_int policy.Lightweb.Zltp_client.attempts));
+     ]
+    @ List.map entry rates
+    @ [ entry kill ])
 
 (* ------------------------------------------------------------------ *)
 (* E21: observability overhead on the fused scan (lw_obs)              *)
@@ -1559,13 +1537,9 @@ let e20_chaos_tail_latency ?(write_json = true) () =
    (BENCH_scan.json) and the on/off delta is precisely what the
    instrumentation — two counter bumps per answer plus the per-shard
    histogram path — costs. The budget is <2%. *)
-let e21_obs_overhead ?(write_json = true) ?geometry () =
+let e21_obs_overhead size =
   section "E21" "observability overhead on the fused scan (lw_obs)";
-  let d, bucket_size, reps =
-    match geometry with
-    | Some g -> g
-    | None -> if fast then (10, 1024, 3) else (12, 8192, 5)
-  in
+  let d, bucket_size, reps = if size = Fast then (10, 1024, 3) else (12, 8192, 5) in
   let st = random_store ~domain_bits:d ~bucket_size "e21" in
   let server = whole_server st in
   let drbg = rng () in
@@ -1586,7 +1560,7 @@ let e21_obs_overhead ?(write_json = true) ?geometry () =
      amortises enough answers to span tens of milliseconds, calibrated
      per kernel, and we take more reps than E19 uses *)
   let reps = 2 * reps - 1 in
-  let sample_target_s = if fast then 0.05 else 0.08 in
+  let sample_target_s = if size = Fast then 0.05 else 0.08 in
   let repeat n f () =
     for _ = 1 to n do
       f ()
@@ -1666,45 +1640,34 @@ let e21_obs_overhead ?(write_json = true) ?geometry () =
   row "single-query overhead %+0.2f%% — %s the <2%% budget\n"
     (overhead single_off single_on)
     (if within then "within" else "OVER");
-  if write_json then begin
-    let open Json in
-    let entry w s_off s_on =
-      let mb = db_mb *. float_of_int w in
-      Obj
-        [
-          ("metrics_off_ms", Number (1000. *. s_off));
-          ("metrics_on_ms", Number (1000. *. s_on));
-          ("metrics_off_mb_s", Number (mb /. s_off));
-          ("metrics_on_mb_s", Number (mb /. s_on));
-          ("overhead_pct", Number (overhead s_off s_on));
-          ("within_2pct", Bool (overhead s_off s_on <= 2.0));
-        ]
-    in
-    let j =
-      Obj
-        [
-          ("experiment", String "E21");
-          ("machine", machine_meta ());
-          ("domain_bits", Number (float_of_int d));
-          ("bucket_size", Number (float_of_int bucket_size));
-          ("db_mib", Number db_mb);
-          ("reps", Number (float_of_int reps));
-          ("single", entry 1 single_off single_on);
-          ("batch8", entry 8 batch_off batch_on);
-          ("counters_after",
-           Obj
-             [
-               ("pir_server_answers", Number (float_of_int answers));
-               ("pir_server_scan_bytes", Number (float_of_int scan_bytes));
-             ]);
-        ]
-    in
-    let oc = open_out "BENCH_obs.json" in
-    output_string oc (to_string ~pretty:true j);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "wrote BENCH_obs.json\n"
-  end
+  let open Json in
+  let entry w s_off s_on =
+    let mb = db_mb *. float_of_int w in
+    Obj
+      [
+        ("metrics_off_ms", Number (1000. *. s_off));
+        ("metrics_on_ms", Number (1000. *. s_on));
+        ("metrics_off_mb_s", Number (mb /. s_off));
+        ("metrics_on_mb_s", Number (mb /. s_on));
+        ("overhead_pct", Number (overhead s_off s_on));
+        ("within_2pct", Bool (overhead s_off s_on <= 2.0));
+      ]
+  in
+  write_bench size ~id:"E21" "BENCH_obs.json"
+    [
+      ("domain_bits", Number (float_of_int d));
+      ("bucket_size", Number (float_of_int bucket_size));
+      ("db_mib", Number db_mb);
+      ("reps", Number (float_of_int reps));
+      ("single", entry 1 single_off single_on);
+      ("batch8", entry 8 batch_off batch_on);
+      ("counters_after",
+       Obj
+         [
+           ("pir_server_answers", Number (float_of_int answers));
+           ("pir_server_scan_bytes", Number (float_of_int scan_bytes));
+         ]);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E22: publisher updates while serving (epoch-versioned store)        *)
@@ -1719,10 +1682,10 @@ let e21_obs_overhead ?(write_json = true) ?geometry () =
    readers, because every answer pins an immutable snapshot instead of
    locking the store: p99 with a concurrent sealer must stay within
    1.5x the quiet baseline. *)
-let e22_store_updates ?(write_json = true) () =
+let e22_store_updates size =
   section "E22" "publisher updates while serving (epoch-versioned store)";
-  let domain_bits, bucket_size = if fast then (10, 1024) else (12, 4096) in
-  let size = 1 lsl domain_bits in
+  let domain_bits, bucket_size = if size = Fast then (10, 1024) else (12, 4096) in
+  let buckets = 1 lsl domain_bits in
   (* Block size is the CoW-granularity knob: with uniform churn c a
      block of b buckets is dirtied with probability 1-(1-c)^b, so the
      publish cost only stays proportional to churn while c·b << 1.
@@ -1733,7 +1696,7 @@ let e22_store_updates ?(write_json = true) () =
   let st = Lw_store.create ~block_bytes:(4 * bucket_size) ~domain_bits ~bucket_size () in
   let fill = Lw_store.writer st in
   let r0 = det "e22-fill" in
-  for i = 0 to size - 1 do
+  for i = 0 to buckets - 1 do
     Lw_store.Writer.set fill i (Lw_util.Det_rng.bytes r0 bucket_size)
   done;
   ignore (Lw_store.Writer.seal fill);
@@ -1746,7 +1709,7 @@ let e22_store_updates ?(write_json = true) () =
     {
       Lw_sim.Cost_model.name = "bench";
       total_bytes = float_of_int total;
-      pages = float_of_int size;
+      pages = float_of_int buckets;
       avg_page_bytes = float_of_int bucket_size;
     }
   in
@@ -1757,13 +1720,13 @@ let e22_store_updates ?(write_json = true) () =
     List.map
       (fun churn ->
         incr gen;
-        let n_mut = max 1 (int_of_float (Float.round (churn *. float_of_int size))) in
+        let n_mut = max 1 (int_of_float (Float.round (churn *. float_of_int buckets))) in
         let r = det (Printf.sprintf "e22-churn-%d" !gen) in
         let w = Lw_store.writer st in
         let (dirty, cow), seal_s =
           time_once (fun () ->
               for _ = 1 to n_mut do
-                let i = Lw_util.Det_rng.int r size in
+                let i = Lw_util.Det_rng.int r buckets in
                 Lw_store.Writer.set w i (Lw_util.Det_rng.bytes r bucket_size)
               done;
               let dirty = Lw_store.Writer.dirty_blocks w in
@@ -1792,11 +1755,11 @@ let e22_store_updates ?(write_json = true) () =
     (100. *. ratio_at_1pct)
     (if cow_ok then "within" else "OVER");
   (* --- serving latency under concurrent sealing --- *)
-  let answers = if fast then 400 else 600 in
+  let answers = if size = Fast then 400 else 600 in
   let drbg = rng () in
   let keys =
     Array.init 16 (fun i ->
-        let alpha = (i * 37) land (size - 1) in
+        let alpha = (i * 37) land (buckets - 1) in
         fst (Lw_dpf.Dpf.gen ~domain_bits ~alpha drbg))
   in
   let measure ~updating =
@@ -1808,7 +1771,7 @@ let e22_store_updates ?(write_json = true) () =
         Some
           (Domain.spawn (fun () ->
                let r = det "e22-sealer" in
-               let n_mut = max 1 (size / 100) in
+               let n_mut = max 1 (buckets / 100) in
                (* pre-generate payloads: the cost under test is the
                   engine's CoW + seal, not the RNG's allocation rate *)
                let payloads =
@@ -1819,7 +1782,7 @@ let e22_store_updates ?(write_json = true) () =
                  let w = Lw_store.writer st in
                  for _ = 1 to n_mut do
                    incr g;
-                   let i = Lw_util.Det_rng.int r size in
+                   let i = Lw_util.Det_rng.int r buckets in
                    Lw_store.Writer.set w i payloads.(!g land 7)
                  done;
                  ignore (Lw_store.Writer.seal w);
@@ -1861,54 +1824,43 @@ let e22_store_updates ?(write_json = true) () =
     (if lat_ok then "within" else "OVER");
   row "epochs now live: [%s] (keep window + pins)\n"
     (String.concat "; " (List.map string_of_int (Lw_store.live_epochs st)));
-  if write_json then begin
-    let open Json in
-    let j =
-      Obj
-        [
-          ("experiment", String "E22");
-          ("machine", machine_meta ());
-          ("domain_bits", Number (float_of_int domain_bits));
-          ("bucket_size", Number (float_of_int bucket_size));
-          ("db_mib", Number db_mb);
-          ("block_bytes", Number (float_of_int (Lw_store.block_bytes st)));
-          ( "churn",
-            List
-              (List.map
-                 (fun (churn, n_mut, dirty, cow, ratio, model_ratio, seal_s) ->
-                   Obj
-                     [
-                       ("churn", Number churn);
-                       ("mutations", Number (float_of_int n_mut));
-                       ("dirty_blocks", Number (float_of_int dirty));
-                       ("cow_bytes", Number (float_of_int cow));
-                       ("cow_ratio", Number ratio);
-                       ("model_ratio", Number model_ratio);
-                       ("seal_ms", Number (1000. *. seal_s));
-                     ])
-                 churn_rows) );
-          ("cow_ratio_at_1pct", Number ratio_at_1pct);
-          ("cow_within_5pct", Bool cow_ok);
-          ( "serving",
-            Obj
-              [
-                ("answers", Number (float_of_int answers));
-                ("baseline_p50_ms", Number base_p50);
-                ("baseline_p99_ms", Number base_p99);
-                ("updating_p50_ms", Number upd_p50);
-                ("updating_p99_ms", Number upd_p99);
-                ("epochs_sealed", Number (float_of_int sealed));
-                ("p99_ratio", Number p99_ratio);
-                ("within_1_5x", Bool lat_ok);
-              ] );
-        ]
-    in
-    let oc = open_out "BENCH_store.json" in
-    output_string oc (to_string ~pretty:true j);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "wrote BENCH_store.json\n"
-  end
+  let open Json in
+  write_bench size ~id:"E22" "BENCH_store.json"
+    [
+      ("domain_bits", Number (float_of_int domain_bits));
+      ("bucket_size", Number (float_of_int bucket_size));
+      ("db_mib", Number db_mb);
+      ("block_bytes", Number (float_of_int (Lw_store.block_bytes st)));
+      ( "churn",
+        List
+          (List.map
+             (fun (churn, n_mut, dirty, cow, ratio, model_ratio, seal_s) ->
+               Obj
+                 [
+                   ("churn", Number churn);
+                   ("mutations", Number (float_of_int n_mut));
+                   ("dirty_blocks", Number (float_of_int dirty));
+                   ("cow_bytes", Number (float_of_int cow));
+                   ("cow_ratio", Number ratio);
+                   ("model_ratio", Number model_ratio);
+                   ("seal_ms", Number (1000. *. seal_s));
+                 ])
+             churn_rows) );
+      ("cow_ratio_at_1pct", Number ratio_at_1pct);
+      ("cow_within_5pct", Bool cow_ok);
+      ( "serving",
+        Obj
+          [
+            ("answers", Number (float_of_int answers));
+            ("baseline_p50_ms", Number base_p50);
+            ("baseline_p99_ms", Number base_p99);
+            ("updating_p50_ms", Number upd_p50);
+            ("updating_p99_ms", Number upd_p99);
+            ("epochs_sealed", Number (float_of_int sealed));
+            ("p99_ratio", Number p99_ratio);
+            ("within_1_5x", Bool lat_ok);
+          ] );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E23: the full static pass — lexer rules plus the AST taint, race    *)
@@ -1917,14 +1869,14 @@ let e22_store_updates ?(write_json = true) () =
 (* every CI run and every `dune build @lint` pays.                     *)
 (* ------------------------------------------------------------------ *)
 
-let e23_full_lint ?(write_json = true) () =
+let e23_full_lint size =
   section "E23" "full AST lint (taint + race + balance) over lib/ bin/ bench/";
   let roots =
     List.filter_map Lw_analysis.Analyzer.resolve_dir [ "lib"; "bin"; "bench" ]
   in
   if roots = [] then Printf.printf "sources not reachable from cwd; skipping.\n"
   else begin
-    let reps = if fast then 1 else 3 in
+    let reps = if size = Fast then 1 else 3 in
     let best = ref None in
     for _ = 1 to reps do
       let r = Lw_analysis.Analyzer.scan_paths roots in
@@ -1952,29 +1904,18 @@ let e23_full_lint ?(write_json = true) () =
       elapsed_ms reps
       (if within then "within" else "OVER")
       (budget_ms /. 1000.);
-    if write_json then begin
-      let open Json in
-      let j =
-        Obj
-          [
-            ("experiment", String "E23");
-            ("machine", machine_meta ());
-            ("files", Number (float_of_int r.files_scanned));
-            ("findings", Number (float_of_int (List.length r.findings)));
-            ("fresh", Number (float_of_int (List.length fresh)));
-            ("baselined", Number (float_of_int accepted));
-            ("suppressed", Number (float_of_int r.suppressed));
-            ("elapsed_ms", Number elapsed_ms);
-            ("budget_ms", Number budget_ms);
-            ("within_budget", Bool within);
-          ]
-      in
-      let oc = open_out "BENCH_lint.json" in
-      output_string oc (to_string ~pretty:true j);
-      output_char oc '\n';
-      close_out oc;
-      Printf.printf "wrote BENCH_lint.json\n"
-    end
+    let open Json in
+    write_bench size ~id:"E23" "BENCH_lint.json"
+      [
+        ("files", Number (float_of_int r.files_scanned));
+        ("findings", Number (float_of_int (List.length r.findings)));
+        ("fresh", Number (float_of_int (List.length fresh)));
+        ("baselined", Number (float_of_int accepted));
+        ("suppressed", Number (float_of_int r.suppressed));
+        ("elapsed_ms", Number elapsed_ms);
+        ("budget_ms", Number budget_ms);
+        ("within_budget", Bool within);
+      ]
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1993,12 +1934,12 @@ let e23_full_lint ?(write_json = true) () =
    measured p50/p99 sojourn vs offered load next to the three models the
    repo already has (Queue_sim's fitted service law, Latency_model's
    straggler tail, Cost_model's Table-2 arithmetic). *)
-let e24_fleet ?(write_json = true) ?(smoke = false) () =
+let e24_fleet size =
   section "E24" "fleet-scale serving: domain-parallel scan + closed-loop shard fleet";
   let cores = Domain.recommended_domain_count () in
   (* ---- part 1: domain-partitioned scan scaling on one shard -------- *)
   let d, bucket_size, reps =
-    if smoke then (9, 64, 1) else if fast then (11, 512, 3) else (12, 1024, 5)
+    if size = Smoke then (9, 64, 1) else if size = Fast then (11, 512, 3) else (12, 1024, 5)
   in
   let st = random_store ~domain_bits:d ~bucket_size "e24-st" in
   let server = whole_server st in
@@ -2075,8 +2016,8 @@ let e24_fleet ?(write_json = true) ?(smoke = false) () =
   (* ---- part 2: closed-loop fleet simulation ------------------------ *)
   let open Lw_repro in
   let fleets =
-    if smoke then [ ("16-shard smoke", Fleet_sim.smoke) ]
-    else if fast then [ ("64-shard", Fleet_sim.default) ]
+    if size = Smoke then [ ("16-shard smoke", Fleet_sim.smoke) ]
+    else if size = Fast then [ ("64-shard", Fleet_sim.default) ]
     else
       [
         ("64-shard", Fleet_sim.default);
@@ -2143,138 +2084,130 @@ let e24_fleet ?(write_json = true) ?(smoke = false) () =
     "\na floor ratio < 1 means the batch scan kernel amortises the scan across\n\
      the batch, beating the Table-2 batch x request floor; the Little's-law column\n\
      (L = λW vs time-average N) is a bookkeeping cross-check on the event loop.\n";
-  if write_json then begin
-    let open Json in
-    let scaling_json =
-      List
-        (List.map
-           (fun (nd, wall_s, cp_s) ->
-             Obj
-               [
-                 ("domains", Number (float_of_int nd));
-                 ("wall_ms", Number (1000. *. wall_s));
-                 ("wall_speedup", Number (serial_s /. wall_s));
-                 ("critical_path_ms", Number (1000. *. cp_s));
-                 ("critical_path_speedup", Number (serial_s /. cp_s));
-               ])
-           scaling_rows)
-    in
-    let point_json (pt : Fleet_sim.point) =
-      Obj
-        [
-          ("load_fraction", Number pt.Fleet_sim.fraction);
-          ("offered_rps", Number pt.Fleet_sim.offered_rps);
-          ("offered", Number (float_of_int pt.Fleet_sim.offered));
-          ("served", Number (float_of_int pt.Fleet_sim.served));
-          ("mean_sojourn_ms", Number (1000. *. pt.Fleet_sim.mean_sojourn_s));
-          ("p50_ms", Number (1000. *. pt.Fleet_sim.p50_s));
-          ("p99_ms", Number (1000. *. pt.Fleet_sim.p99_s));
-          ("mean_batch_fill", Number pt.Fleet_sim.mean_batch_fill);
-          ("utilization", Number pt.Fleet_sim.utilization);
-          ("mean_in_system", Number pt.Fleet_sim.mean_in_system);
-          ("littles_lambda_w", Number pt.Fleet_sim.littles_lambda_w);
-          ("queue_model_p50_ms", Number (1000. *. pt.Fleet_sim.queue_model_p50_s));
-          ("queue_model_p95_ms", Number (1000. *. pt.Fleet_sim.queue_model_p95_s));
-        ]
-    in
-    let fleet_json (label, (p : Fleet_sim.params), (r : Fleet_sim.result)) =
-      let m = r.Fleet_sim.model in
-      let h = r.Fleet_sim.fleet_hist in
-      let tm = r.Fleet_sim.tail_model in
-      Obj
-        [
-          ("label", String label);
-          ("shards", Number (float_of_int r.Fleet_sim.shards));
-          ("scan_domains", Number (float_of_int p.Fleet_sim.scan_domains));
-          ("batch_size", Number (float_of_int p.Fleet_sim.batch_size));
-          ("db_bytes", Number (float_of_int r.Fleet_sim.db_bytes));
-          ("service_batch_mean_ms", Number (1000. *. r.Fleet_sim.service_batch_mean_s));
-          ("service_batch_p99_ms", Number (1000. *. r.Fleet_sim.service_batch_p99_s));
-          ("fitted_scan_ms", Number (1000. *. r.Fleet_sim.fitted_scan_s));
-          ("fitted_per_request_ms", Number (1000. *. r.Fleet_sim.fitted_per_request_s));
-          ("capacity_rps", Number r.Fleet_sim.capacity_rps);
-          ("direct_single_ms", Number (1000. *. r.Fleet_sim.direct_single_s));
-          ("points", List (List.map point_json r.Fleet_sim.points));
-          ( "shard_hist",
-            Obj
-              [
-                ("count", Number (float_of_int h.Lw_obs.Metrics.count));
-                ("p50_ms", Number (1000. *. h.Lw_obs.Metrics.p50));
-                ("p95_ms", Number (1000. *. h.Lw_obs.Metrics.p95));
-                ("p99_ms", Number (1000. *. h.Lw_obs.Metrics.p99));
-                ("max_ms", Number (1000. *. h.Lw_obs.Metrics.max));
-              ] );
-          ( "tail_model",
-            Obj
-              [
-                ("p50_ms", Number (1000. *. tm.Latency_model.p50_s));
-                ("p99_ms", Number (1000. *. tm.Latency_model.p99_s));
-              ] );
-          ( "cost_model",
-            Obj
-              [
-                ("model_shards", Number (float_of_int m.Fleet_sim.model_shards));
-                ("model_request_ms", Number (1000. *. m.Fleet_sim.model_request_s));
-                ( "model_latency_floor_ms",
-                  Number (1000. *. m.Fleet_sim.model_latency_floor_s) );
-                ("model_vcpu_s", Number m.Fleet_sim.model_vcpu_s);
-                ("model_request_cost_usd", Number m.Fleet_sim.model_request_cost_usd);
-                ( "measured_batch_service_ms",
-                  Number (1000. *. m.Fleet_sim.measured_batch_service_s) );
-                ("measured_capacity_rps", Number m.Fleet_sim.measured_capacity_rps);
-                ("floor_ratio", Number m.Fleet_sim.floor_ratio);
-              ] );
-          ( "spir_probe",
-            Obj
-              [
-                ("hint_ms", Number (1000. *. r.Fleet_sim.spir_hint_s));
-                ("answer_ms", Number (1000. *. r.Fleet_sim.spir_answer_s));
-                ("scan_ratio", Number r.Fleet_sim.spir_scan_ratio);
-              ] );
-          ( "three_way",
-            List
-              (List.map
-                 (fun mc ->
-                   Obj
-                     [
-                       ("mode", String (Lightweb.Zltp_mode.name mc.Lw_sim.Cost_model.mode));
-                       ("servers", Number (float_of_int mc.Lw_sim.Cost_model.mc_servers));
-                       ("shards", Number (float_of_int mc.Lw_sim.Cost_model.mc_shards));
-                       ("vcpu_seconds", Number mc.Lw_sim.Cost_model.mc_vcpu_seconds);
-                       ("request_cost_usd", Number mc.Lw_sim.Cost_model.mc_request_cost_usd);
-                       ("upload_kib", Number mc.Lw_sim.Cost_model.mc_upload_kib);
-                       ("download_kib", Number mc.Lw_sim.Cost_model.mc_download_kib);
-                       ("latency_floor_s", Number mc.Lw_sim.Cost_model.mc_latency_floor_s);
-                       ("hint_mib_per_epoch", Number mc.Lw_sim.Cost_model.mc_hint_mib_per_epoch);
-                     ])
-                 r.Fleet_sim.three_way) );
-        ]
-    in
-    let j =
-      Obj
-        [
-          ("experiment", String "E24");
-          ("machine", machine_meta ());
-          ( "scan_scaling",
-            Obj
-              [
-                ("domain_bits", Number (float_of_int d));
-                ("bucket_size", Number (float_of_int bucket_size));
-                ("db_mib", Number db_mb);
-                ("serial_fused_ms", Number (1000. *. serial_s));
-                ("rows", scaling_json);
-                ("critical_path_speedup_at_8", Number cp8_speedup);
-                ("meets_3x_target", Bool (cp8_speedup >= 3.0));
-              ] );
-          ("fleets", List (List.map fleet_json results));
-        ]
-    in
-    let oc = open_out "BENCH_fleet.json" in
-    output_string oc (to_string ~pretty:true j);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "wrote BENCH_fleet.json\n"
-  end
+  let open Json in
+  let scaling_json =
+    List
+      (List.map
+         (fun (nd, wall_s, cp_s) ->
+           Obj
+             [
+               ("domains", Number (float_of_int nd));
+               ("wall_ms", Number (1000. *. wall_s));
+               ("wall_speedup", Number (serial_s /. wall_s));
+               ("critical_path_ms", Number (1000. *. cp_s));
+               ("critical_path_speedup", Number (serial_s /. cp_s));
+             ])
+         scaling_rows)
+  in
+  let point_json (pt : Fleet_sim.point) =
+    Obj
+      [
+        ("load_fraction", Number pt.Fleet_sim.fraction);
+        ("offered_rps", Number pt.Fleet_sim.offered_rps);
+        ("offered", Number (float_of_int pt.Fleet_sim.offered));
+        ("served", Number (float_of_int pt.Fleet_sim.served));
+        ("mean_sojourn_ms", Number (1000. *. pt.Fleet_sim.mean_sojourn_s));
+        ("p50_ms", Number (1000. *. pt.Fleet_sim.p50_s));
+        ("p99_ms", Number (1000. *. pt.Fleet_sim.p99_s));
+        ("mean_batch_fill", Number pt.Fleet_sim.mean_batch_fill);
+        ("utilization", Number pt.Fleet_sim.utilization);
+        ("mean_in_system", Number pt.Fleet_sim.mean_in_system);
+        ("littles_lambda_w", Number pt.Fleet_sim.littles_lambda_w);
+        ("queue_model_p50_ms", Number (1000. *. pt.Fleet_sim.queue_model_p50_s));
+        ("queue_model_p95_ms", Number (1000. *. pt.Fleet_sim.queue_model_p95_s));
+      ]
+  in
+  let fleet_json (label, (p : Fleet_sim.params), (r : Fleet_sim.result)) =
+    let m = r.Fleet_sim.model in
+    let h = r.Fleet_sim.fleet_hist in
+    let tm = r.Fleet_sim.tail_model in
+    Obj
+      [
+        ("label", String label);
+        ("shards", Number (float_of_int r.Fleet_sim.shards));
+        ("scan_domains", Number (float_of_int p.Fleet_sim.scan_domains));
+        ("batch_size", Number (float_of_int p.Fleet_sim.batch_size));
+        ("db_bytes", Number (float_of_int r.Fleet_sim.db_bytes));
+        ("service_batch_mean_ms", Number (1000. *. r.Fleet_sim.service_batch_mean_s));
+        ("service_batch_p99_ms", Number (1000. *. r.Fleet_sim.service_batch_p99_s));
+        ("fitted_scan_ms", Number (1000. *. r.Fleet_sim.fitted_scan_s));
+        ("fitted_per_request_ms", Number (1000. *. r.Fleet_sim.fitted_per_request_s));
+        ("capacity_rps", Number r.Fleet_sim.capacity_rps);
+        ("direct_single_ms", Number (1000. *. r.Fleet_sim.direct_single_s));
+        ("points", List (List.map point_json r.Fleet_sim.points));
+        ( "shard_hist",
+          Obj
+            [
+              ("count", Number (float_of_int h.Lw_obs.Metrics.count));
+              ("p50_ms", Number (1000. *. h.Lw_obs.Metrics.p50));
+              ("p95_ms", Number (1000. *. h.Lw_obs.Metrics.p95));
+              ("p99_ms", Number (1000. *. h.Lw_obs.Metrics.p99));
+              ("max_ms", Number (1000. *. h.Lw_obs.Metrics.max));
+            ] );
+        ( "tail_model",
+          Obj
+            [
+              ("p50_ms", Number (1000. *. tm.Latency_model.p50_s));
+              ("p99_ms", Number (1000. *. tm.Latency_model.p99_s));
+            ] );
+        ( "cost_model",
+          Obj
+            [
+              ("model_shards", Number (float_of_int m.Fleet_sim.model_shards));
+              ("model_request_ms", Number (1000. *. m.Fleet_sim.model_request_s));
+              ( "model_latency_floor_ms",
+                Number (1000. *. m.Fleet_sim.model_latency_floor_s) );
+              ("model_vcpu_s", Number m.Fleet_sim.model_vcpu_s);
+              ("model_request_cost_usd", Number m.Fleet_sim.model_request_cost_usd);
+              ( "measured_batch_service_ms",
+                Number (1000. *. m.Fleet_sim.measured_batch_service_s) );
+              ("measured_capacity_rps", Number m.Fleet_sim.measured_capacity_rps);
+              ("floor_ratio", Number m.Fleet_sim.floor_ratio);
+            ] );
+        ( "spir_probe",
+          Obj
+            [
+              ("hint_ms", Number (1000. *. r.Fleet_sim.spir_hint_s));
+              ("answer_ms", Number (1000. *. r.Fleet_sim.spir_answer_s));
+              ("scan_ratio", Number r.Fleet_sim.spir_scan_ratio);
+            ] );
+        ( "three_way",
+          List
+            (List.map
+               (fun mc ->
+                 Obj
+                   [
+                     ("mode", String (Lightweb.Zltp_mode.name mc.Lw_sim.Cost_model.mode));
+                     ("servers", Number (float_of_int mc.Lw_sim.Cost_model.mc_servers));
+                     ("shards", Number (float_of_int mc.Lw_sim.Cost_model.mc_shards));
+                     ("vcpu_seconds", Number mc.Lw_sim.Cost_model.mc_vcpu_seconds);
+                     ("request_cost_usd", Number mc.Lw_sim.Cost_model.mc_request_cost_usd);
+                     ("upload_kib", Number mc.Lw_sim.Cost_model.mc_upload_kib);
+                     ("download_kib", Number mc.Lw_sim.Cost_model.mc_download_kib);
+                     ("latency_floor_s", Number mc.Lw_sim.Cost_model.mc_latency_floor_s);
+                     ("hint_mib_per_epoch", Number mc.Lw_sim.Cost_model.mc_hint_mib_per_epoch);
+                   ])
+               r.Fleet_sim.three_way) );
+      ]
+  in
+  (* the critical-path cells time each sub-key's answer, as the waivers
+     above say; writing a measurement out branches on it *)
+  (* lw-lint: allow taint *)
+  write_bench size ~id:"E24" "BENCH_fleet.json"
+    [
+      ( "scan_scaling",
+        Obj
+          [
+            ("domain_bits", Number (float_of_int d));
+            ("bucket_size", Number (float_of_int bucket_size));
+            ("db_mib", Number db_mb);
+            ("serial_fused_ms", Number (1000. *. serial_s));
+            ("rows", scaling_json);
+            ("critical_path_speedup_at_8", Number cp8_speedup);
+            ("meets_3x_target", Bool (cp8_speedup >= 3.0));
+          ] );
+      ("fleets", List (List.map fleet_json results));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E25: supervised multi-process fleet                                 *)
@@ -2288,13 +2221,13 @@ let e24_fleet ?(write_json = true) ?(smoke = false) () =
    death-detected to caught-up-and-activated, from the supervisor's
    [lw_cluster.mttr_seconds] histogram. Wall-clock, not virtual time:
    process spawn, waitpid and restart backoff are the phenomena. *)
-let e25_cluster ?(write_json = true) ?(smoke = false) () =
+let e25_cluster size =
   section "E25" "multi-process fleet: live rollout latency + kill -9 recovery";
   let module Sup = Lw_cluster.Supervisor in
   let module Metrics = Lw_obs.Metrics in
   let shards, domain_bits, bucket_size, rollouts, reads =
-    if smoke then (4, 6, 256, 1, 64)
-    else if fast then (4, 8, 512, 3, 200)
+    if size = Smoke then (4, 6, 256, 1, 64)
+    else if size = Fast then (4, 8, 512, 3, 200)
     else (8, 9, 1024, 5, 400)
   in
   let n_buckets = 1 lsl domain_bits in
@@ -2393,68 +2326,57 @@ let e25_cluster ?(write_json = true) ?(smoke = false) () =
      queries on the old snapshot), and a SIGKILLed shard rejoins from its manifest and\n\
      diff catch-up well inside the 2 s recovery budget.\n";
   if mttr_s >= 2.0 then Printf.printf "WARNING: MTTR %.2f s exceeds the 2 s budget\n" mttr_s;
-  if write_json then begin
-    let open Json in
-    let j =
-      Obj
-        [
-          ("experiment", String "E25");
-          ("machine", machine_meta ());
-          ("shards", Number (float_of_int shards));
-          ("domain_bits", Number (float_of_int domain_bits));
-          ("bucket_size", Number (float_of_int bucket_size));
-          ("rollouts", Number (float_of_int rollouts));
-          ("reads_per_phase", Number (float_of_int reads));
-          ( "quiet",
-            Obj [ ("p50_ms", Number (p quiet 50.)); ("p99_ms", Number (p quiet 99.)) ] );
-          ( "during_rollout",
-            Obj
-              [
-                ("p50_ms", Number (p busy 50.));
-                ("p99_ms", Number (p busy 99.));
-                ("p99_inflation", Number inflation);
-              ] );
-          ( "kill_recovery",
-            Obj
-              [
-                ("mttr_s", Number mttr_s);
-                ("wall_to_convergence_s", Number recovery_wall_s);
-                ("meets_2s_budget", Bool (mttr_s < 2.0));
-              ] );
-          ( "fleet_totals",
-            Obj
-              [
-                ( "restarts",
-                  Number
-                    (float_of_int (Lw_cluster.Fleet_view.counter view "lw_cluster.restarts_total"))
-                );
-                ( "rollouts",
-                  Number
-                    (float_of_int (Lw_cluster.Fleet_view.counter view "lw_cluster.rollouts_total"))
-                );
-                ( "shard_refreshes",
-                  Number
-                    (float_of_int
-                       (Lw_cluster.Fleet_view.counter view "lw_cluster.shard.refreshes_total")) );
-                ("processes_scraped", Number (float_of_int (Lw_cluster.Fleet_view.sources view)));
-              ] );
-          ("client_failovers", Number (float_of_int (Lightweb.Zltp_client.failovers client)));
-        ]
-    in
-    let oc = open_out "BENCH_cluster.json" in
-    output_string oc (to_string ~pretty:true j);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "wrote BENCH_cluster.json\n"
-  end
+  let open Json in
+  write_bench size ~id:"E25" "BENCH_cluster.json"
+    [
+      ("shards", Number (float_of_int shards));
+      ("domain_bits", Number (float_of_int domain_bits));
+      ("bucket_size", Number (float_of_int bucket_size));
+      ("rollouts", Number (float_of_int rollouts));
+      ("reads_per_phase", Number (float_of_int reads));
+      ( "quiet",
+        Obj [ ("p50_ms", Number (p quiet 50.)); ("p99_ms", Number (p quiet 99.)) ] );
+      ( "during_rollout",
+        Obj
+          [
+            ("p50_ms", Number (p busy 50.));
+            ("p99_ms", Number (p busy 99.));
+            ("p99_inflation", Number inflation);
+          ] );
+      ( "kill_recovery",
+        Obj
+          [
+            ("mttr_s", Number mttr_s);
+            ("wall_to_convergence_s", Number recovery_wall_s);
+            ("meets_2s_budget", Bool (mttr_s < 2.0));
+          ] );
+      ( "fleet_totals",
+        Obj
+          [
+            ( "restarts",
+              Number
+                (float_of_int (Lw_cluster.Fleet_view.counter view "lw_cluster.restarts_total"))
+            );
+            ( "rollouts",
+              Number
+                (float_of_int (Lw_cluster.Fleet_view.counter view "lw_cluster.rollouts_total"))
+            );
+            ( "shard_refreshes",
+              Number
+                (float_of_int
+                   (Lw_cluster.Fleet_view.counter view "lw_cluster.shard.refreshes_total")) );
+            ("processes_scraped", Number (float_of_int (Lw_cluster.Fleet_view.sources view)));
+          ] );
+      ("client_failovers", Number (float_of_int (Lightweb.Zltp_client.failovers client)));
+    ]
 
 (* ------------------------------------------------------------------ *)
 
-let e26_keyword ?(write_json = true) ?(smoke = false) () =
+let e26_keyword size =
   section "E26" "keyword GET vs index GET: the wire-v4 two-probe verb, end to end";
   let sites, n_pages, ops, clusters, k =
-    if smoke then (4, 48, 24, 8, 3)
-    else if fast then (8, 160, 96, 16, 4)
+    if size = Smoke then (4, 48, 24, 8, 3)
+    else if size = Fast then (8, 160, 96, 16, 4)
     else (12, 320, 192, 24, 5)
   in
   (* Deployment point: the paper's serving regime is scan-dominated
@@ -2466,8 +2388,8 @@ let e26_keyword ?(write_json = true) ?(smoke = false) () =
   let geometry =
     {
       Lightweb.Universe.default_geometry with
-      Lightweb.Universe.data_blob_size = (if smoke then 8192 else 16384);
-      data_domain_bits = (if smoke then 8 else 10);
+      Lightweb.Universe.data_blob_size = (if size = Smoke then 8192 else 16384);
+      data_domain_bits = (if size = Smoke then 8 else 10);
     }
   in
   (* a small-page synthetic corpus published through the real universe:
@@ -2580,12 +2502,12 @@ let e26_keyword ?(write_json = true) ?(smoke = false) () =
   (* the 1.5x budget describes the scan-dominated full geometry; the
      tiny smoke database is fixed-cost-dominated (two DPF evals + double
      wire framing against a near-free scan), so only the full run warns *)
-  if (not smoke) && p50_ratio > 1.5 then
+  if size <> Smoke && p50_ratio > 1.5 then
     Printf.printf "WARNING: keyword p50 exceeds the 1.5x single-GET budget\n";
   (* correlated cluster retrieval: Retrieval's feature-hash buckets served
      as one keyword_get_batch per query — the PIR-RAG traffic family *)
   let retr = Lw_repro.Retrieval.build ~clusters corpus in
-  let bursts = if smoke then 8 else 24 in
+  let bursts = if size = Smoke then 8 else 24 in
   let burst_lat = Array.make bursts 0.0 in
   let fetched = ref 0 in
   for i = 0 to bursts - 1 do
@@ -2625,63 +2547,52 @@ let e26_keyword ?(write_json = true) ?(smoke = false) () =
      DPF evaluations but a single memory pass — compute overhead %.2fx, not 2x — and\n\
      communication doubles exactly (the two-probe shape is query-independent).\n"
     kwe.Lw_sim.Cost_model.compute_overhead;
-  if write_json then begin
-    let open Json in
-    let j =
-      Obj
-        [
-          ("experiment", String "E26");
-          ("machine", machine_meta ());
-          ("pages_published", Number (float_of_int (Array.length paths)));
-          ("pages_skipped", Number (float_of_int !skipped));
-          ("cuckoo_load_factor", Number (Lw_pir.Kw_store.load_factor kw_store));
-          ("cuckoo_stash", Number (float_of_int (Lw_pir.Kw_store.stash_size kw_store)));
-          ("ops", Number (float_of_int ops));
-          ( "index_get",
-            Obj [ ("p50_ms", Number (p index_lat 50.)); ("p99_ms", Number (p index_lat 99.)) ] );
-          ( "keyword_get",
-            Obj
-              [
-                ("p50_ms", Number (p kw_lat 50.));
-                ("p99_ms", Number (p kw_lat 99.));
-                ("p50_ratio", Number p50_ratio);
-                ("meets_1_5x_budget", Bool (p50_ratio <= 1.5));
-              ] );
-          ( "cluster_retrieval",
-            Obj
-              [
-                ("bursts", Number (float_of_int bursts));
-                ("k", Number (float_of_int k));
-                ("members_fetched", Number (float_of_int !fetched));
-                ("clusters_non_empty", Number (float_of_int (Lw_repro.Retrieval.non_empty retr)));
-                ("p50_ms", Number (p burst_lat 50.));
-                ("p99_ms", Number (p burst_lat 99.));
-              ] );
-          ( "cost_model_c4",
-            Obj
-              [
-                ("kw_vcpu_seconds", Number kwe.Lw_sim.Cost_model.kw_vcpu_seconds);
-                ("kw_request_cost_usd", Number kwe.Lw_sim.Cost_model.kw_request_cost_usd);
-                ("kw_upload_kib", Number kwe.Lw_sim.Cost_model.kw_upload_kib);
-                ("kw_download_kib", Number kwe.Lw_sim.Cost_model.kw_download_kib);
-                ("compute_overhead", Number kwe.Lw_sim.Cost_model.compute_overhead);
-              ] );
-        ]
-    in
-    let oc = open_out "BENCH_keyword.json" in
-    output_string oc (to_string ~pretty:true j);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "wrote BENCH_keyword.json\n"
-  end
+  let open Json in
+  write_bench size ~id:"E26" "BENCH_keyword.json"
+    [
+      ("pages_published", Number (float_of_int (Array.length paths)));
+      ("pages_skipped", Number (float_of_int !skipped));
+      ("cuckoo_load_factor", Number (Lw_pir.Kw_store.load_factor kw_store));
+      ("cuckoo_stash", Number (float_of_int (Lw_pir.Kw_store.stash_size kw_store)));
+      ("ops", Number (float_of_int ops));
+      ( "index_get",
+        Obj [ ("p50_ms", Number (p index_lat 50.)); ("p99_ms", Number (p index_lat 99.)) ] );
+      ( "keyword_get",
+        Obj
+          [
+            ("p50_ms", Number (p kw_lat 50.));
+            ("p99_ms", Number (p kw_lat 99.));
+            ("p50_ratio", Number p50_ratio);
+            ("meets_1_5x_budget", Bool (p50_ratio <= 1.5));
+          ] );
+      ( "cluster_retrieval",
+        Obj
+          [
+            ("bursts", Number (float_of_int bursts));
+            ("k", Number (float_of_int k));
+            ("members_fetched", Number (float_of_int !fetched));
+            ("clusters_non_empty", Number (float_of_int (Lw_repro.Retrieval.non_empty retr)));
+            ("p50_ms", Number (p burst_lat 50.));
+            ("p99_ms", Number (p burst_lat 99.));
+          ] );
+      ( "cost_model_c4",
+        Obj
+          [
+            ("kw_vcpu_seconds", Number kwe.Lw_sim.Cost_model.kw_vcpu_seconds);
+            ("kw_request_cost_usd", Number kwe.Lw_sim.Cost_model.kw_request_cost_usd);
+            ("kw_upload_kib", Number kwe.Lw_sim.Cost_model.kw_upload_kib);
+            ("kw_download_kib", Number kwe.Lw_sim.Cost_model.kw_download_kib);
+            ("compute_overhead", Number kwe.Lw_sim.Cost_model.compute_overhead);
+          ] );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E27: single-server PIR (Single mode) vs two-server Pir2              *)
 (* ------------------------------------------------------------------ *)
 
-let e27_single ?(write_json = true) ?(smoke = false) () =
+let e27_single size =
   section "E27" "Single mode (LWE single-server PIR) vs Pir2: latency, hint, wire bytes";
-  let sites, n_pages, ops = if smoke then (4, 48, 24) else if fast then (8, 160, 96) else (12, 320, 192) in
+  let sites, n_pages, ops = if size = Smoke then (4, 48, 24) else if size = Fast then (8, 160, 96) else (12, 320, 192) in
   (* A Single answer is one multiply-accumulate pass over the whole
      store, and the per-epoch hint costs n passes — size the geometry so
      the full run measures a scan-dominated point without minutes of
@@ -2689,8 +2600,8 @@ let e27_single ?(write_json = true) ?(smoke = false) () =
   let geometry =
     {
       Lightweb.Universe.default_geometry with
-      Lightweb.Universe.data_blob_size = (if smoke then 1024 else 4096);
-      data_domain_bits = (if smoke then 8 else 10);
+      Lightweb.Universe.data_blob_size = (if size = Smoke then 1024 else 4096);
+      data_domain_bits = (if size = Smoke then 8 else 10);
     }
   in
   let profile =
@@ -2832,244 +2743,152 @@ let e27_single ?(write_json = true) ?(smoke = false) () =
   Printf.printf
     "\none cryptographic assumption (decision-LWE), one server, no client state beyond a\n\
      public per-epoch hint — paid for in upload bytes and a mul-acc (not XOR) scan.\n";
-  if write_json then begin
-    let open Json in
-    let mode_row mc =
-      Obj
-        [
-          ("mode", String (Lightweb.Zltp_mode.name mc.Lw_sim.Cost_model.mode));
-          ("servers", Number (float_of_int mc.Lw_sim.Cost_model.mc_servers));
-          ("shards", Number (float_of_int mc.Lw_sim.Cost_model.mc_shards));
-          ("vcpu_seconds", Number mc.Lw_sim.Cost_model.mc_vcpu_seconds);
-          ("request_cost_usd", Number mc.Lw_sim.Cost_model.mc_request_cost_usd);
-          ("upload_kib", Number mc.Lw_sim.Cost_model.mc_upload_kib);
-          ("download_kib", Number mc.Lw_sim.Cost_model.mc_download_kib);
-          ("latency_floor_s", Number mc.Lw_sim.Cost_model.mc_latency_floor_s);
-          ("hint_mib_per_epoch", Number mc.Lw_sim.Cost_model.mc_hint_mib_per_epoch);
-        ]
-    in
-    let j =
-      Obj
-        [
-          ("experiment", String "E27");
-          ("machine", machine_meta ());
-          ("pages_published", Number (float_of_int (Array.length paths)));
-          ("ops", Number (float_of_int ops));
-          ( "geometry",
-            Obj
-              [
-                ( "domain_bits",
-                  Number (float_of_int geometry.Lightweb.Universe.data_domain_bits) );
-                ("bucket_bytes", Number (float_of_int geometry.Lightweb.Universe.data_blob_size));
-              ] );
-          ("hint_bytes_per_epoch", Number (float_of_int hint_formula_bytes));
-          ( "pir2_get",
-            Obj
-              [
-                ("p50_ms", Number (p pir2_lat 50.));
-                ("p99_ms", Number (p pir2_lat 99.));
-                ("query_up_bytes", Number (float_of_int pir2_up));
-                ("query_down_bytes", Number (float_of_int pir2_down));
-              ] );
-          ( "single_get",
-            Obj
-              [
-                ("p50_ms", Number (p single_lat 50.));
-                ("p99_ms", Number (p single_lat 99.));
-                ("query_up_bytes", Number (float_of_int single_up));
-                ("query_down_bytes", Number (float_of_int single_down));
-                ("p50_ratio_vs_pir2", Number p50_ratio);
-              ] );
-          ("three_way_c4", List (List.map mode_row three_way));
-        ]
-    in
-    let oc = open_out "BENCH_single.json" in
-    output_string oc (to_string ~pretty:true j);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "wrote BENCH_single.json\n"
-  end
+  let open Json in
+  let mode_row mc =
+    Obj
+      [
+        ("mode", String (Lightweb.Zltp_mode.name mc.Lw_sim.Cost_model.mode));
+        ("servers", Number (float_of_int mc.Lw_sim.Cost_model.mc_servers));
+        ("shards", Number (float_of_int mc.Lw_sim.Cost_model.mc_shards));
+        ("vcpu_seconds", Number mc.Lw_sim.Cost_model.mc_vcpu_seconds);
+        ("request_cost_usd", Number mc.Lw_sim.Cost_model.mc_request_cost_usd);
+        ("upload_kib", Number mc.Lw_sim.Cost_model.mc_upload_kib);
+        ("download_kib", Number mc.Lw_sim.Cost_model.mc_download_kib);
+        ("latency_floor_s", Number mc.Lw_sim.Cost_model.mc_latency_floor_s);
+        ("hint_mib_per_epoch", Number mc.Lw_sim.Cost_model.mc_hint_mib_per_epoch);
+      ]
+  in
+  write_bench size ~id:"E27" "BENCH_single.json"
+    [
+      ("pages_published", Number (float_of_int (Array.length paths)));
+      ("ops", Number (float_of_int ops));
+      ( "geometry",
+        Obj
+          [
+            ( "domain_bits",
+              Number (float_of_int geometry.Lightweb.Universe.data_domain_bits) );
+            ("bucket_bytes", Number (float_of_int geometry.Lightweb.Universe.data_blob_size));
+          ] );
+      ("hint_bytes_per_epoch", Number (float_of_int hint_formula_bytes));
+      ( "pir2_get",
+        Obj
+          [
+            ("p50_ms", Number (p pir2_lat 50.));
+            ("p99_ms", Number (p pir2_lat 99.));
+            ("query_up_bytes", Number (float_of_int pir2_up));
+            ("query_down_bytes", Number (float_of_int pir2_down));
+          ] );
+      ( "single_get",
+        Obj
+          [
+            ("p50_ms", Number (p single_lat 50.));
+            ("p99_ms", Number (p single_lat 99.));
+            ("query_up_bytes", Number (float_of_int single_up));
+            ("query_down_bytes", Number (float_of_int single_down));
+            ("p50_ratio_vs_pir2", Number p50_ratio);
+          ] );
+      ("three_way_c4", List (List.map mode_row three_way));
+    ]
 
 (* ------------------------------------------------------------------ *)
+(* The experiment table and the one argv parse                         *)
+(* ------------------------------------------------------------------ *)
 
-(* `--metrics` (combinable with any mode) ends the run with a Prometheus
-   text dump of the whole lw_obs registry — after `--chaos` it shows the
-   injected-fault, retry and per-shard scan histograms with real counts. *)
-let dump_metrics_if_asked () =
-  if Array.exists (fun a -> a = "--metrics") Sys.argv then begin
+(* Every experiment in whole-run order: its id, whether it has a smoke
+   size, and its run. The smoke sizes are the `dune runtest` gates
+   (bench/dune): E12 and E19 fail on any byte difference between AES or
+   scan kernel builds, and E24-E27 drive the fleet, cluster, keyword and
+   Single paths end to end. *)
+let experiments =
+  [
+    ("E1", false, e1_server_computation);
+    ("E2", false, e2_batching);
+    ("E3", false, e3_communication);
+    ("E4", false, e4_table2);
+    ("E5", false, e5_monthly_cost);
+    ("E6", false, e6_collisions);
+    ("E7", false, e7_distributed);
+    ("E8", false, e8_mode_ablation);
+    ("E9", false, e9_projection);
+    ("E10", false, e10_traffic_analysis);
+    ("E11", false, e11_scheme_ablation);
+    ("E12", true, e12_prg_ablation);
+    ("E13", false, e13_cover_traffic);
+    ("E14", false, e14_recursive_oram);
+    ("E15", false, e15_latency);
+    ("E16", false, e16_heavy_hitters);
+    ("E17", false, e17_queue);
+    ("E19", true, e19_scan_kernels);
+    ("E20", false, e20_chaos_tail_latency);
+    ("E21", false, e21_obs_overhead);
+    ("E22", false, e22_store_updates);
+    ("E23", false, e23_full_lint);
+    ("E24", true, e24_fleet);
+    ("E25", true, e25_cluster);
+    ("E26", true, e26_keyword);
+    ("E27", true, e27_single);
+  ]
+
+let ids_where p =
+  String.concat " "
+    (List.filter_map (fun (id, smoke, _) -> if p smoke then Some id else None) experiments)
+
+let usage =
+  Printf.sprintf
+    "usage: main.exe [--fast | --smoke] [--metrics] [E<n> ...]\n\
+    \  no ids runs every experiment (with --smoke, every one that has the size)\n\
+    \  ids: %s\n\
+    \  with a smoke size: %s\n"
+    (ids_where (fun _ -> true))
+    (ids_where Fun.id)
+
+(* 64 is sysexits' EX_USAGE; an experiment's uncaught failure exits 2 *)
+let usage_error msg =
+  prerr_string (msg ^ "\n" ^ usage);
+  exit 64
+
+let () =
+  let size = ref None and metrics = ref false and ids = ref [] in
+  let set_size s =
+    if !size = None then size := Some s else usage_error "give --fast or --smoke at most once"
+  in
+  let find id = List.find_opt (fun (e, _, _) -> String.equal e id) experiments in
+  List.iter
+    (function
+      | "--fast" -> set_size Fast
+      | "--smoke" -> set_size Smoke
+      | "--metrics" -> metrics := true
+      | id when find id <> None -> ids := id :: !ids
+      | arg -> usage_error ("unknown argument: " ^ arg))
+    (List.tl (Array.to_list Sys.argv));
+  let size = Option.value !size ~default:Full in
+  let chosen =
+    if !ids = [] then List.filter (fun (_, smoke, _) -> smoke || size <> Smoke) experiments
+    else List.rev_map (fun id -> Option.get (find id)) !ids
+  in
+  List.iter
+    (fun (id, smoke, _) -> if size = Smoke && not smoke then usage_error (id ^ " has no smoke size"))
+    chosen;
+  Printf.printf "lightweb benchmark harness (%s size): %s\n"
+    (match size with Full -> "full" | Fast -> "fast" | Smoke -> "smoke")
+    (String.concat " " (List.map (fun (id, _, _) -> id) chosen));
+  if !ids = [] && size <> Smoke then begin
+    Printf.printf
+      "reproducing: §5.1 microbenchmarks, Table 2, §4 economics, §5.2 scale-up, §1 attack\n";
+    Printf.printf "\n%s\nkernel microbenchmarks (bechamel, ns/op)\n%s\n" (String.make 78 '=')
+      (String.make 78 '=');
+    try
+      List.iter
+        (fun (name, ns) -> Printf.printf "%-28s %12.1f ns %12.3f us\n" name ns (ns /. 1000.))
+        (bechamel_kernels size)
+    with e -> Printf.printf "bechamel kernels skipped: %s\n" (Printexc.to_string e)
+  end;
+  List.iter (fun (_, _, run) -> run size) chosen;
+  (* after E20 the dump shows the injected-fault, retry and per-shard
+     scan histograms with real counts *)
+  if !metrics then begin
     Printf.printf "\n%s\nmetrics dump (lw_obs, Prometheus text)\n%s\n" (String.make 78 '=')
       (String.make 78 '=');
     print_string (Lw_obs.Export.to_prometheus ())
-  end
-
-(* `--smoke` (the @bench-smoke alias, attached to `dune runtest`) runs
-   only E19 and E12 at a tiny geometry: it proves the bench harness and
-   the kernels execute, and fails on any byte difference between scan
-   kernel builds or between AES builds, without the minutes-long full
-   run. *)
-let smoke = Array.exists (fun a -> a = "--smoke") Sys.argv
-
-(* `--scan` runs only E19 and writes BENCH_scan.json *)
-let scan_only = Array.exists (fun a -> a = "--scan") Sys.argv
-
-(* `--chaos` runs only E20 and writes BENCH_chaos.json — the whole run is
-   virtual-time, so it completes in well under a second *)
-let chaos_only = Array.exists (fun a -> a = "--chaos") Sys.argv
-
-(* `--obs` runs only E21 and writes BENCH_obs.json *)
-let obs_only = Array.exists (fun a -> a = "--obs") Sys.argv
-
-(* `--store` runs only E22 and writes BENCH_store.json *)
-let store_only = Array.exists (fun a -> a = "--store") Sys.argv
-
-(* `--lint` runs only E23 and writes BENCH_lint.json *)
-let lint_only = Array.exists (fun a -> a = "--lint") Sys.argv
-
-(* `--fleet` runs only E24 and writes BENCH_fleet.json *)
-let fleet_only = Array.exists (fun a -> a = "--fleet") Sys.argv
-
-(* `--fleet-smoke` (the @fleet alias, attached to `dune runtest`) runs
-   E24 at a tiny deterministic geometry without writing JSON: the
-   sharded front-end, the domain-parallel scan and the closed-loop
-   fleet simulator all execute end to end in seconds *)
-let fleet_smoke = Array.exists (fun a -> a = "--fleet-smoke") Sys.argv
-
-(* `--cluster` runs only E25 and writes BENCH_cluster.json *)
-let cluster_only = Array.exists (fun a -> a = "--cluster") Sys.argv
-
-(* `--cluster-smoke` (the @cluster-smoke alias, part of the @bench-smoke
-   gate) runs E25 tiny — 4 shard processes, 1 rollout, 1 kill — without
-   writing JSON: it proves the real-process fleet path end to end in a
-   couple of seconds *)
-let cluster_smoke = Array.exists (fun a -> a = "--cluster-smoke") Sys.argv
-
-(* `--keyword` runs only E26 and writes BENCH_keyword.json *)
-let keyword_only = Array.exists (fun a -> a = "--keyword") Sys.argv
-
-(* `--keyword-smoke` (the @keyword-smoke alias, part of the @bench-smoke
-   gate) runs E26 tiny — the keyword-GET oracle, both latency columns and
-   one cluster-retrieval burst mix — without writing JSON *)
-let keyword_smoke = Array.exists (fun a -> a = "--keyword-smoke") Sys.argv
-
-(* `--single` runs only E27 and writes BENCH_single.json *)
-let single_only = Array.exists (fun a -> a = "--single") Sys.argv
-
-(* `--single-smoke` (the @single-smoke alias, part of the @bench-smoke
-   gate) runs E27 tiny — the Single/Pir2 deployment oracle, both latency
-   columns and the per-query wire shapes — without writing JSON *)
-let single_smoke = Array.exists (fun a -> a = "--single-smoke") Sys.argv
-
-let () =
-  if smoke then begin
-    Printf.printf "lightweb benchmark harness (--smoke: E19 and E12, tiny geometry)\n";
-    e19_scan_kernels ~write_json:false ~geometry:(6, 96, 2) ();
-    e12_prg_ablation ~smoke:true ();
-    dump_metrics_if_asked ()
-  end
-  else if scan_only then begin
-    Printf.printf "lightweb benchmark harness (--scan: E19 only)\n";
-    e19_scan_kernels ()
-  end
-  else if chaos_only then begin
-    Printf.printf "lightweb benchmark harness (--chaos: E20 only)\n";
-    e20_chaos_tail_latency ();
-    dump_metrics_if_asked ()
-  end
-  else if obs_only then begin
-    Printf.printf "lightweb benchmark harness (--obs: E21 only)\n";
-    e21_obs_overhead ();
-    dump_metrics_if_asked ()
-  end
-  else if store_only then begin
-    Printf.printf "lightweb benchmark harness (--store: E22 only)\n";
-    e22_store_updates ();
-    dump_metrics_if_asked ()
-  end
-  else if lint_only then begin
-    Printf.printf "lightweb benchmark harness (--lint: E23 only)\n";
-    e23_full_lint ();
-    dump_metrics_if_asked ()
-  end
-  else if fleet_only then begin
-    Printf.printf "lightweb benchmark harness (--fleet: E24 only)\n";
-    e24_fleet ();
-    dump_metrics_if_asked ()
-  end
-  else if fleet_smoke then begin
-    Printf.printf "lightweb benchmark harness (--fleet-smoke: E24, tiny geometry)\n";
-    e24_fleet ~write_json:false ~smoke:true ();
-    dump_metrics_if_asked ()
-  end
-  else if cluster_only then begin
-    Printf.printf "lightweb benchmark harness (--cluster: E25 only)\n";
-    e25_cluster ();
-    dump_metrics_if_asked ()
-  end
-  else if cluster_smoke then begin
-    Printf.printf "lightweb benchmark harness (--cluster-smoke: E25, tiny geometry)\n";
-    e25_cluster ~write_json:false ~smoke:true ();
-    dump_metrics_if_asked ()
-  end
-  else if keyword_only then begin
-    Printf.printf "lightweb benchmark harness (--keyword: E26 only)\n";
-    e26_keyword ();
-    dump_metrics_if_asked ()
-  end
-  else if keyword_smoke then begin
-    Printf.printf "lightweb benchmark harness (--keyword-smoke: E26, tiny geometry)\n";
-    e26_keyword ~write_json:false ~smoke:true ();
-    dump_metrics_if_asked ()
-  end
-  else if single_only then begin
-    Printf.printf "lightweb benchmark harness (--single: E27 only)\n";
-    e27_single ();
-    dump_metrics_if_asked ()
-  end
-  else if single_smoke then begin
-    Printf.printf "lightweb benchmark harness (--single-smoke: E27, tiny geometry)\n";
-    e27_single ~write_json:false ~smoke:true ();
-    dump_metrics_if_asked ()
-  end
-  else begin
-  Printf.printf "lightweb benchmark harness%s\n" (if fast then " (--fast)" else "");
-  Printf.printf
-    "reproducing: §5.1 microbenchmarks, Table 2, §4 economics, §5.2 scale-up, §1 attack\n";
-
-  Printf.printf "\n%s\nkernel microbenchmarks (bechamel, ns/op)\n%s\n" (String.make 78 '=')
-    (String.make 78 '=');
-  (try
-     List.iter
-       (fun (name, ns) -> Printf.printf "%-28s %12.1f ns %12.3f us\n" name ns (ns /. 1000.))
-       (bechamel_kernels ())
-   with e -> Printf.printf "bechamel kernels skipped: %s\n" (Printexc.to_string e));
-
-  e1_server_computation ();
-  e2_batching ();
-  e3_communication ();
-  e4_table2 ();
-  e5_monthly_cost ();
-  e6_collisions ();
-  e7_distributed ();
-  e8_mode_ablation ();
-  e9_projection ();
-  e10_traffic_analysis ();
-  e11_scheme_ablation ();
-  e12_prg_ablation ();
-  e13_cover_traffic ();
-  e14_recursive_oram ();
-  e15_latency ();
-  e16_heavy_hitters ();
-  e17_queue ();
-  e18_lint_cost ();
-  e19_scan_kernels ();
-  e20_chaos_tail_latency ();
-  e21_obs_overhead ();
-  e22_store_updates ();
-  e23_full_lint ();
-  e24_fleet ();
-  e25_cluster ();
-  e26_keyword ();
-  e27_single ();
-  dump_metrics_if_asked ();
-  Printf.printf "\nall experiments complete.\n"
-  end
+  end;
+  if !ids = [] then Printf.printf "\nall experiments complete.\n"

@@ -109,10 +109,6 @@ let check_bucket_scan ?(domain_bits = 6) ?(bucket_size = 32) ?(alphas = [ 3; 47 
       List.concat_map
         (fun alpha ->
           List.concat_map
-            (* the checker's whole job is to branch on whether the
-               key-derived trace matches the public full walk; this runs
-               in tests, never on an answer path *)
-            (* lw-lint: allow taint lines=2 *)
             (fun trace -> if trace = expected then [] else [ alpha ])
             (scan_traces ~domain_bits ~bucket_size alpha))
         alphas
@@ -429,9 +425,6 @@ let sparse_scan ~domain_bits ~bucket_size ~widths ~shard_bits ~partitions =
      failure among the views and partitions *)
   let run keys =
     let whole, tr = traced_bytes snap (fun () -> Lw_pir.Server.answer_batch server keys) in
-    (* comparing a key-derived trace against the public one is this
-       checker's purpose, as in every probe above *)
-    (* lw-lint: allow taint lines=40 *)
     if tr <> expected 0 size then Error "whole-snapshot scan"
     else
       let rec views = function

@@ -27,8 +27,6 @@ let register r ~publisher ~domain =
         Ok ()
   end
 
-let registered_owner r domain = Hashtbl.find_opt r.owners domain
-
 type cdn = {
   name : string;
   registry : registry;

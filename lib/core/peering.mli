@@ -18,7 +18,6 @@ type registry
 
 val registry : unit -> registry
 val register : registry -> publisher:string -> domain:string -> (unit, string) result
-val registered_owner : registry -> string -> string option
 
 (** {2 CDNs} *)
 

@@ -134,5 +134,3 @@ let digest s =
   let ctx = init () in
   update ctx s;
   final ctx
-
-let hexdigest s = Lw_util.Hex.encode (digest s)

@@ -16,6 +16,3 @@ val final : ctx -> string
 
 val digest : string -> string
 (** [digest s] is the one-shot SHA-256 of [s]. *)
-
-val hexdigest : string -> string
-(** [hexdigest s] is [digest s] rendered as lowercase hex. *)

@@ -66,7 +66,6 @@ let add c n =
 
 let counter_value c = Atomic.get c
 let set g v = if Atomic.get enabled_flag then Atomic.set g v
-let gauge_value g = Atomic.get g
 
 let observe h v =
   if Atomic.get enabled_flag then begin

@@ -40,7 +40,6 @@ type gauge
 
 val gauge : string -> gauge
 val set : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 (** {2 Histograms} *)
 

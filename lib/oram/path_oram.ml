@@ -38,7 +38,6 @@ type t = {
   posmap : position_map;
   stash : (int, stash_entry) Hashtbl.t;
   rng : Lw_crypto.Drbg.t;
-  mutable accesses : int;
   mutable leaf_log : int list; (* reversed *)
 }
 
@@ -58,7 +57,6 @@ let create_with_position_map ?(bucket_capacity = 4) ~capacity ~block_size posmap
     posmap;
     stash = Hashtbl.create 16;
     rng;
-    accesses = 0;
     leaf_log = [];
   }
 
@@ -71,7 +69,6 @@ let block_size t = t.block_size
 let tree_height t = t.height
 let bucket_count t = Array.length t.tree
 let stash_size t = Hashtbl.length t.stash
-let access_count t = t.accesses
 let access_log t = List.rev t.leaf_log
 let clear_access_log t = t.leaf_log <- []
 
@@ -93,7 +90,6 @@ let access t id ~mutate =
   let new_leaf = random_leaf t in
   let prior = t.posmap.get_and_set id new_leaf in
   let old_leaf = if prior >= 0 then prior else random_leaf t in
-  t.accesses <- t.accesses + 1;
   t.leaf_log <- old_leaf :: t.leaf_log;
   (* read the whole path into the stash *)
   for level = 0 to t.height do

@@ -62,8 +62,6 @@ val stash_size : t -> int
 (** Blocks currently overflowing into the private stash; stays small with
     overwhelming probability (Z = 4). *)
 
-val access_count : t -> int
-
 val access_log : t -> int list
 (** The untrusted memory's view: the leaf index of every path touched, in
     order. This is the {e complete} trace — bucket reads/writes are a fixed

@@ -272,14 +272,6 @@ let update_estimate ?(bucket_bytes = 4096) ?(block_bytes = 262144) ~churn ds =
     cow_ratio = (if naive_bytes > 0. then cow_bytes /. naive_bytes else 0.);
   }
 
-let pp_update fmt u =
-  Format.fprintf fmt
-    "churn=%.4f dirty-buckets=%.0f dirty-blocks=%.1f cow=%.1fMiB naive=%.1fMiB ratio=%.4f"
-    u.churn u.dirty_buckets u.expected_dirty_blocks
-    (u.cow_bytes /. (1024. *. 1024.))
-    (u.naive_bytes /. (1024. *. 1024.))
-    u.cow_ratio
-
 type user_profile = { pages_per_day : float; gets_per_page : int }
 
 let paper_user = { pages_per_day = 50.; gets_per_page = 5 }

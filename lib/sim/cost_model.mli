@@ -166,8 +166,6 @@ val update_estimate :
     measures the same ratio on the real engine. Raises [Invalid_argument]
     unless [0 <= churn <= 1]. *)
 
-val pp_update : Format.formatter -> update_estimate -> unit
-
 (** {2 §4 economics} *)
 
 type user_profile = { pages_per_day : float; gets_per_page : int }
