@@ -74,8 +74,9 @@ let time_median ?(reps = 5) f =
    whether the domain-parallel results mean anything (on 1 core the
    wall-clock "speedup" is noise and only the critical-path figure is
    informative), the compiler/word size pin down the codegen, the scan
-   kernel names the vector build the CPU picked for every scan, and the
-   AES build the one every DPF PRG call runs. *)
+   kernel names the vector build the CPU picked for every scan, the AES
+   build the one every DPF PRG call runs, and the ChaCha20 build the one
+   under the DRBG and the AEAD. *)
 let machine_meta () =
   Json.Obj
     [
@@ -85,6 +86,7 @@ let machine_meta () =
       ("os_type", Json.String Sys.os_type);
       ("scan_kernel", Json.String (Lw_util.Xorbuf.scan_kernel ()));
       ("aes_build", Json.String (Lw_crypto.Aes128.build ()));
+      ("chacha_build", Json.String (Lw_crypto.Chacha20.build ()));
     ]
 
 (* A full-size run writes its experiment's BENCH_*.json: the id, the
@@ -649,6 +651,81 @@ let e11_scheme_ablation size =
 (* E12: PRG ablation inside the DPF                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* E12's second part: the secure channel's primitives and the client's
+   key generation, each per operation: a ChaCha20 keystream on every
+   build (after checking they agree byte for byte), AEAD seal and open
+   at a wire frame's and a page's size, one X25519 shared secret, and
+   one [Dpf.gen] pair per domain width. *)
+let e12_channel size =
+  (* the AES cells, which run first, leave megabytes of garbage behind;
+     start from a compacted heap, so the major collector's work on that
+     garbage is not charged to these cells *)
+  Gc.compact ();
+  let smoke = size = Smoke in
+  let reps = if smoke then 1 else 5 in
+  let per ~iters f =
+    let iters = if smoke then 1 else iters in
+    time_median ~reps (fun () ->
+        for _ = 1 to iters do
+          f ()
+        done)
+    /. float_of_int iters
+  in
+  let key = Lw_crypto.Sha256.digest "e12-channel" and nonce = "e12-nonce-12" in
+  (* every ChaCha20 build gives the same bytes over every batch/tail
+     split (the @bench-smoke run fails on any difference) *)
+  let chacha_builds = Lw_crypto.Chacha20.builds () in
+  let msg = Lw_util.Det_rng.bytes (det "e12-chacha") 2200 in
+  let stream build =
+    String.concat ""
+      (List.init 70 (fun i ->
+           Lw_crypto.Chacha20.encrypt_on ~build ~key ~nonce ~counter:0xfffffff0l
+             (String.sub msg 0 (i * 31))))
+  in
+  let want = stream (List.hd chacha_builds) in
+  List.iter
+    (fun build ->
+      if not (String.equal want (stream build)) then
+        failwith
+          (Printf.sprintf "E12: ChaCha20 build %s differs from %s" build (List.hd chacha_builds)))
+    chacha_builds;
+  row "\nChaCha20 builds on this CPU: %s (picked: %s); keystreams identical\n"
+    (String.concat ", " chacha_builds) (Lw_crypto.Chacha20.build ());
+  (* 64 KiB: cache-resident, and small enough that the fresh result
+     string reuses freed heap rather than faulting in new pages *)
+  let ks_len = if smoke then 4096 else 1 lsl 16 in
+  let zeros = String.make ks_len '\x00' in
+  List.iter
+    (fun build ->
+      let t_ks =
+        per ~iters:64 (fun () -> ignore (Lw_crypto.Chacha20.encrypt_on ~build ~key ~nonce zeros))
+      in
+      row "%-34s %10.3f GB/s\n" (Printf.sprintf "chacha20 keystream, %s (%d B)" build ks_len)
+        (float_of_int ks_len /. t_ks /. 1e9))
+    chacha_builds;
+  List.iter
+    (fun len ->
+      let pt = Lw_util.Det_rng.bytes (det "e12-aead") len in
+      let sealed = Lw_crypto.Aead.seal ~key ~nonce pt in
+      let t_seal = per ~iters:20 (fun () -> ignore (Lw_crypto.Aead.seal ~key ~nonce pt)) in
+      let t_open = per ~iters:20 (fun () -> ignore (Lw_crypto.Aead.open_ ~key ~nonce sealed)) in
+      row "%-34s %10.2f us\n" (Printf.sprintf "aead seal (%d B)" len) (1e6 *. t_seal);
+      row "%-34s %10.2f us\n" (Printf.sprintf "aead open (%d B)" len) (1e6 *. t_open))
+    [ 1344; 41034 ];
+  let a = Lw_crypto.X25519.keypair (rng ()) in
+  let b = Lw_crypto.X25519.keypair (Lw_crypto.Drbg.create ~seed:"e12-peer") in
+  let t_dh =
+    per ~iters:20 (fun () ->
+        ignore (Lw_crypto.X25519.shared_secret ~secret:a.secret ~public:b.public))
+  in
+  row "%-34s %10.2f us\n" "x25519 shared secret" (1e6 *. t_dh);
+  let g = rng () in
+  List.iter
+    (fun d ->
+      let t = per ~iters:500 (fun () -> ignore (Lw_dpf.Dpf.gen ~domain_bits:d ~alpha:5 g)) in
+      row "%-34s %10.2f us\n" (Printf.sprintf "dpf gen pair d=%d" d) (1e6 *. t))
+    [ 8; 10; 12; 22 ]
+
 (* Every AES build this CPU runs must give the same bytes for a level
    call, a leaves call and plain block encryption (the @bench-smoke run
    fails on any difference); then each is timed per node, and the
@@ -726,7 +803,8 @@ let e12_prg_ablation size =
   Printf.printf
     "\n(a single expand_into pays one OCaml->C crossing per AES call; the DPF's\n\
      evaluators cross once per tree level, which the per-parent level column\n\
-     measures.)\n"
+     measures.)\n";
+  e12_channel size
 
 (* ------------------------------------------------------------------ *)
 (* E13: cover-traffic cost (closing the timing side channel)           *)

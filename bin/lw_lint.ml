@@ -6,8 +6,10 @@
    lib/ bin/ bench/. Findings present in the checked-in baseline
    (lint_baseline.txt at the repo root) are accepted and do not affect
    the exit status; everything else must be fixed or waived with an
-   in-source pragma. Exit status: 0 clean, 1 fresh findings, 2
-   usage/IO error. *)
+   in-source pragma. A baseline entry in the scan's scope that matches
+   no finding is itself a finding (stale-baseline), and so is an allow
+   pragma that suppresses nothing (unused-allow). Exit status: 0 clean,
+   1 fresh findings, 2 usage/IO error. *)
 
 module Analyzer = Lw_analysis.Analyzer
 module Report = Lw_analysis.Report
@@ -128,7 +130,13 @@ let () =
   let fresh, accepted =
     match baseline_path with
     | None -> (report.Report.findings, 0)
-    | Some f -> Baseline.apply (Baseline.load f) report.Report.findings
+    | Some f ->
+        let entries = Baseline.load f in
+        let fresh, accepted = Baseline.apply entries report.Report.findings in
+        ( fresh
+          @ Baseline.stale ~baseline_file:f ~roots:paths ~rules:o.rules entries
+              report.Report.findings,
+          accepted )
   in
   let report =
     Report.make ~baselined:accepted

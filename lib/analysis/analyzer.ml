@@ -13,6 +13,10 @@
                                               for this file (lexer rules
                                               and the taint analysis)
 
+   An allow that suppresses nothing in a scan that ran its rule, or that
+   names no rule, is itself a finding (unused-allow), so a waiver cannot
+   outlive the finding it excused.
+
    The default one-line reach of [allow] keeps suppressions next to the
    code they excuse; [lines=N] exists so a single waiver can cover one
    multi-line expression without a pragma per line, and N is capped so a
@@ -23,6 +27,7 @@ let max_allow_lines = 100
 
 type pragmas = {
   allows : (int * string, unit) Hashtbl.t; (* (line, rule) -> suppressed *)
+  sites : (int * string * int) list ref; (* each allow: pragma line, rule, reach *)
   secrets : (string, unit) Hashtbl.t;
 }
 
@@ -33,7 +38,7 @@ let words s =
   |> List.filter (fun w -> w <> "")
 
 let collect_pragmas tokens =
-  let p = { allows = Hashtbl.create 8; secrets = Hashtbl.create 8 } in
+  let p = { allows = Hashtbl.create 8; sites = ref []; secrets = Hashtbl.create 8 } in
   Array.iter
     (fun { Lexer.kind; line } ->
       match kind with
@@ -59,6 +64,7 @@ let collect_pragmas tokens =
                   in
                   List.iter
                     (fun r ->
+                      p.sites := (line, r, span) :: !(p.sites);
                       for l = line to line + span do
                         Hashtbl.replace p.allows (l, r) ()
                       done)
@@ -82,7 +88,7 @@ type file_result = {
   suppressed : int;
 }
 
-let all_analyses = [ "taint"; "race"; "balance"; "parse-error" ]
+let all_analyses = [ "taint"; "race"; "balance"; "parse-error"; "unused-allow" ]
 let analysis_names = all_analyses
 
 (* Split a combined rule/analysis selection into (lexer rules, analyses).
@@ -183,7 +189,11 @@ let scan_sources ?(rules = Rules.all) ?(analyses = all_analyses)
     @ (if enabled "parse-error" then parse_failures else [])
     @ taint_findings @ race_findings @ balance_findings
   in
-  (* per-file pragma suppression *)
+  (* An allow pragma checks out when the scan ran its rule; one that
+     names no rule at all never can. *)
+  let known r = List.exists (fun x -> x.Rules.name = r) Rules.all || List.mem r all_analyses in
+  let ran r = List.exists (fun x -> x.Rules.name = r) rules || enabled r in
+  (* per-file pragma suppression, then the allows that suppressed nothing *)
   List.map
     (fun (path, _, _, pragmas) ->
       let mine = List.filter (fun f -> f.Report.file = path) all in
@@ -192,7 +202,31 @@ let scan_sources ?(rules = Rules.all) ?(analyses = all_analyses)
           (fun f -> not (Hashtbl.mem pragmas.allows (f.Report.line, f.Report.rule)))
           mine
       in
-      (path, { findings = kept; suppressed = List.length dropped }))
+      let unused =
+        if not (enabled "unused-allow") then []
+        else
+          List.filter_map
+            (fun (line, r, span) ->
+              let used =
+                List.exists
+                  (fun f ->
+                    f.Report.rule = r && f.Report.line >= line && f.Report.line <= line + span)
+                  dropped
+              in
+              if used || (known r && not (ran r)) then None
+              else
+                Some
+                  {
+                    Report.rule = "unused-allow";
+                    file = path;
+                    line;
+                    message =
+                      (if known r then Printf.sprintf "allow %s suppresses nothing" r
+                       else Printf.sprintf "allow %s names no rule" r);
+                  })
+            (List.rev !(pragmas.sites))
+      in
+      (path, { findings = kept @ unused; suppressed = List.length dropped }))
     per_file
 
 (* Lint one already-loaded source. [path] decides which rules apply, so

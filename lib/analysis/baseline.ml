@@ -25,12 +25,12 @@ let normalize_path p =
   | Some l -> String.concat "/" l
   | None -> String.concat "/" (List.filter (fun s -> s <> "..") segs)
 
-type entry = { b_rule : string; b_file : string; b_message : string }
+type entry = { b_rule : string; b_file : string; b_message : string; b_line : int }
 
 let key_of_finding (f : Report.finding) =
   (f.rule, normalize_path f.file, f.message)
 
-let parse_line line =
+let parse_line ?(number = 0) line =
   let line = String.trim line in
   if line = "" || line.[0] = '#' then None
   else
@@ -41,6 +41,7 @@ let parse_line line =
             b_rule = rule;
             b_file = normalize_path file;
             b_message = String.concat "\t" rest;
+            b_line = number;
           }
     | _ -> None
 
@@ -51,10 +52,12 @@ let load path =
       Fun.protect
         ~finally:(fun () -> close_in_noerr ic)
         (fun () ->
-          let entries = ref [] in
+          let entries = ref [] and number = ref 0 in
           (try
              while true do
-               match parse_line (input_line ic) with
+               let line = input_line ic in
+               incr number;
+               match parse_line ~number:!number line with
                | Some e -> entries := e :: !entries
                | None -> ()
              done
@@ -73,6 +76,35 @@ let apply entries findings =
       findings
   in
   (fresh, List.length accepted)
+
+(* Entries the scan could have matched but did not: an acceptance of a
+   finding that is gone, which would otherwise silently accept its
+   return. [roots] are the scanned paths (an entry is in scope when its
+   file is one of them or lies under one) and [rules] the rule names
+   the scan ran ([None]: all of them). Each is a "stale-baseline"
+   finding at its line of [baseline_file]. *)
+let stale ~baseline_file ~roots ~rules entries findings =
+  let roots = List.map normalize_path roots in
+  let in_scope e =
+    List.exists (fun r -> e.b_file = r || String.starts_with ~prefix:(r ^ "/") e.b_file) roots
+    && match rules with None -> true | Some names -> List.mem e.b_rule names
+  in
+  let found = Hashtbl.create (List.length findings * 2 + 1) in
+  List.iter (fun f -> Hashtbl.replace found (key_of_finding f) ()) findings;
+  List.filter_map
+    (fun e ->
+      if in_scope e && not (Hashtbl.mem found (e.b_rule, e.b_file, e.b_message)) then
+        Some
+          {
+            Report.rule = "stale-baseline";
+            file = baseline_file;
+            line = e.b_line;
+            message =
+              Printf.sprintf "baseline entry matches no finding: %s %s: %s" e.b_rule e.b_file
+                e.b_message;
+          }
+      else None)
+    entries
 
 let save path findings =
   let lines =

@@ -55,7 +55,14 @@ type ctx = {
   emit : sink -> int -> line:int -> string -> unit;
   depth : int;  (* local-fn nesting level, for param-bit allocation *)
   mutated : int ref;  (* counts [:=]-style upgrades, driving loop re-evaluation *)
+  opens : string list;  (* modules of the enclosing [let open M in] / [M.( )], innermost first *)
 }
+
+(* The names a callee may denote: a bare name under local opens is
+   [M.name] for each open [M], innermost first, and then itself. *)
+let candidates ctx name =
+  if String.contains name '.' then [ name ]
+  else List.map (fun m -> m ^ "." ^ name) ctx.opens @ [ name ]
 
 let summary_key (d : Call_graph.def) =
   Printf.sprintf "%s:%d:%s" d.d_file d.d_line d.d_name
@@ -306,6 +313,8 @@ let rec eval ctx (env : env) (e : Parsetree.expression) : int =
       ignore (eval ctx env r);
       ignore (eval ctx env v);
       0
+  | Pexp_open ({ popen_expr = { pmod_desc = Pmod_ident m; _ }; _ }, e) ->
+      eval { ctx with opens = Syntax.name_of_lid m.txt :: ctx.opens } env e
   | Pexp_constraint (e, _) | Pexp_coerce (e, _, _) | Pexp_poly (e, _)
   | Pexp_open (_, e) | Pexp_lazy e | Pexp_send (e, _) ->
       eval ctx env e
@@ -500,13 +509,18 @@ and eval_apply ctx env e f args =
           0
       | _ -> eval_unknown ctx env f args)
   | Some name -> (
-      let seg = Syntax.last_seg name and l2 = Syntax.last2 name in
+      let seg = Syntax.last_seg name in
+      let names = candidates ctx name in
       (* a bare call inside the defining module (e.g. [eval_all_bits]
          within dpf.ml) also matches its qualified table entry *)
       let keys =
-        if String.contains name '.' then [ l2 ]
-        else [ l2; Call_graph.module_of_path ctx.file ^ "." ^ name ]
+        List.concat_map
+          (fun n ->
+            if String.contains n '.' then [ Syntax.last2 n ]
+            else [ Syntax.last2 n; Call_graph.module_of_path ctx.file ^ "." ^ n ])
+          names
       in
+      let lookup table = List.find_map (fun n -> List.assoc_opt (Syntax.last2 n) table) names in
       if SS.mem seg declassified_calls then begin
         List.iter (fun a -> ignore (eval ctx env a)) arg_exprs;
         0
@@ -523,7 +537,7 @@ and eval_apply ctx env e f args =
             let all = List.fold_left ( lor ) 0 taints in
             (* sink tables *)
             let check table kind what =
-              match List.assoc_opt l2 table with
+              match lookup table with
               | None -> false
               | Some ps ->
                   List.iter
@@ -539,7 +553,7 @@ and eval_apply ctx env e f args =
             let is_index = check index_sinks Index "index" in
             let is_alloc = check alloc_sinks Alloc "size" in
             (* container writes upgrade the written binding *)
-            (match List.assoc_opt l2 writer_calls with
+            (match lookup writer_calls with
             | Some cpos -> (
                 match nth_opt arg_exprs cpos with
                 | Some ce -> (
@@ -636,7 +650,8 @@ and eval_hof ctx env ~line _name positions args =
 
 (* Resolve a callee to (n_params, labels, ret_mask, const, sink_mask,
    kinds, captured, label): local let-bound functions first, then the
-   global table. Arguments bind by label where the labels are known (see
+   global table, under each enclosing local open before the bare name.
+   Arguments bind by label where the labels are known (see
    [bind_args]). *)
 and resolve_callee ctx env name :
     (int * Asttypes.arg_label list option * int * int * int * (int * sink) list * int * string)
@@ -661,7 +676,9 @@ and resolve_callee ctx env name :
   match local with
   | Some _ -> local
   | None -> (
-      match Call_graph.resolve ctx.graph ~file:ctx.file name with
+      match
+        List.find_map (fun n -> Call_graph.resolve ctx.graph ~file:ctx.file n) (candidates ctx name)
+      with
       | Some d ->
           let s = find_summary ctx d in
           Some
@@ -727,6 +744,7 @@ let compute_summaries graph (inputs : input list) =
             emit;
             depth = 0;
             mutated = ref 0;
+            opens = [];
           }
         in
         let env = Hashtbl.create 16 in
@@ -787,6 +805,7 @@ let analyze (inputs : input list) : Report.finding list =
         emit;
         depth = 0;
         mutated = ref 0;
+        opens = [];
       }
     in
     let env = Hashtbl.create 64 in

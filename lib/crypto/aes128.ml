@@ -30,6 +30,11 @@ external c_leaves :
   int -> unit = "lw_aes_leaves_byte" "lw_aes_leaves"
 [@@noalloc]
 
+external c_gen :
+  int -> Bytes.t -> Bytes.t -> int -> int -> int -> int -> Bytes.t -> Bytes.t -> Bytes.t ->
+  Bytes.t -> Bytes.t -> unit = "lw_aes_gen_byte" "lw_aes_gen"
+[@@noalloc]
+
 (* Every build, preferred first; the CPU runs those from [first] on, and
    every call runs [first]. *)
 let all_builds = c_builds ()
@@ -127,3 +132,25 @@ let mmo_leaves w ~src ~src_pos ~ts ~ts_pos ~n ~cw ~from ~count ~dst ~dst_pos =
 
 let mmo_leaves_on ~build w ~src ~src_pos ~ts ~ts_pos ~n ~cw ~from ~count ~dst ~dst_pos =
   leaves_with (build_index build) w ~src ~src_pos ~ts ~ts_pos ~n ~cw ~from ~count ~dst ~dst_pos
+
+let gen_with b w ~seeds ~alpha ~domain_bits ~levels ~alpha_lo ~root0 ~root1 ~cw_seeds ~cw_bits
+    ~leaf =
+  if domain_bits < 1 || domain_bits > 62 || levels < 0 || levels > domain_bits then
+    invalid_arg "Aes128.mmo_gen: bad domain";
+  check "mmo_gen(seeds)" 0 32 (Bytes.length seeds);
+  check "mmo_gen(root0)" 0 16 (Bytes.length root0);
+  check "mmo_gen(root1)" 0 16 (Bytes.length root1);
+  check "mmo_gen(cw_seeds)" 0 (16 * levels) (Bytes.length cw_seeds);
+  check "mmo_gen(cw_bits)" 0 levels (Bytes.length cw_bits);
+  check "mmo_gen(leaf)" 0 16 (Bytes.length leaf);
+  c_gen b w seeds alpha domain_bits levels alpha_lo root0 root1 cw_seeds cw_bits leaf
+
+let mmo_gen w ~seeds ~alpha ~domain_bits ~levels ~alpha_lo ~root0 ~root1 ~cw_seeds ~cw_bits ~leaf
+    =
+  gen_with first w ~seeds ~alpha ~domain_bits ~levels ~alpha_lo ~root0 ~root1 ~cw_seeds ~cw_bits
+    ~leaf
+
+let mmo_gen_on ~build w ~seeds ~alpha ~domain_bits ~levels ~alpha_lo ~root0 ~root1 ~cw_seeds
+    ~cw_bits ~leaf =
+  gen_with (build_index build) w ~seeds ~alpha ~domain_bits ~levels ~alpha_lo ~root0 ~root1
+    ~cw_seeds ~cw_bits ~leaf

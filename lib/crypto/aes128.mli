@@ -161,3 +161,48 @@ val mmo_leaves_on :
   dst_pos:int ->
   unit
 (** {!mmo_leaves} on the named build from {!builds}. *)
+
+val mmo_gen :
+  key ->
+  seeds:Bytes.t ->
+  alpha:int ->
+  domain_bits:int ->
+  levels:int ->
+  alpha_lo:int ->
+  root0:Bytes.t ->
+  root1:Bytes.t ->
+  cw_seeds:Bytes.t ->
+  cw_bits:Bytes.t ->
+  leaf:Bytes.t ->
+  unit
+(** Both parties' DPF key-generation tree for the point [alpha] of a
+    [domain_bits]-bit domain, in one C call. [seeds] holds the two
+    16-byte root seeds, party 0's first; their control-bit positions
+    (the low bit of byte 15) are cleared, they are copied to [root0] and
+    [root1], and they end as the two terminal seeds. For each of the
+    top [levels] levels, both seeds expand ({!mmo_hash} tweaks 1 and
+    2), the level's seed correction word lands at [16 * level] of
+    [cw_seeds] and its two correction bits at [level] of [cw_bits]
+    ([tl lor (tr lsl 1)]), and each seed steps to the child on
+    [alpha]'s path, corrected under its control bit. [leaf] gets the
+    XOR of both terminal seeds' leaf blocks (tweak 3) and the one-hot
+    of bit [alpha_lo] (no bit when [alpha_lo] is 128 or more). No
+    branch or address depends on [alpha] or the seeds. Raises
+    [Invalid_argument] on a short buffer or [levels] outside
+    [0, domain_bits]. *)
+
+val mmo_gen_on :
+  build:string ->
+  key ->
+  seeds:Bytes.t ->
+  alpha:int ->
+  domain_bits:int ->
+  levels:int ->
+  alpha_lo:int ->
+  root0:Bytes.t ->
+  root1:Bytes.t ->
+  cw_seeds:Bytes.t ->
+  cw_bits:Bytes.t ->
+  leaf:Bytes.t ->
+  unit
+(** {!mmo_gen} on the named build from {!builds}. *)

@@ -14,18 +14,24 @@
    - [lw_aes_leaves] runs the terminal MMO of n seeds, applies the leaf
      correction word under the same mask and unpacks leaf bits
      [from, from + count) of each node to 0/1 bytes.
+   - [lw_aes_gen] is the client's key generation, one call per key
+     pair: both parties' seeds walk down the tree together, each level
+     picking the child on the query index's path under a mask splatted
+     from its bit, and the terminal leaf correction builds its one-hot
+     by comparing all 128 positions with the index's low bits.
 
-   Seeds and control bits are secret. They are only ever data: loaded,
-   XORed, and turned into all-zero or all-one masks by arithmetic. No
-   table is indexed by them and nothing branches on them. The only
-   control flow is [for] loops over the public node count, so the
-   instruction stream and the memory trace are functions of the node
-   count alone. The analysis tests reject any branching keyword or
+   Seeds, control bits and the query index are secret. They are only
+   ever data: loaded, XORed, shifted by public amounts and turned into
+   all-zero or all-one masks by arithmetic. No table is indexed by them
+   and nothing branches on them. The only control flow is [for] loops
+   over the public node count or tree depth, so the instruction stream
+   and the memory trace are functions of those alone. The analysis tests reject any branching keyword or
    short-circuit operator in this file, so platform choices are made
    with [#ifdef] alone.
 
-   One body, one build per instruction set. [level_body], [leaves_body]
-   and [mmo_body] are written once and take the build's block cipher:
+   One body, one build per instruction set. [level_body], [leaves_body],
+   [gen_body] and [mmo_body] are written once and take the build's block
+   cipher:
    - "aesni": AES-NI on x86-64, eight blocks in flight;
    - "bitsliced": portable C from FIPS-197 for any other CPU. Four
      blocks at once are held as eight 64-bit bit planes for all ten
@@ -537,6 +543,95 @@ INLINE void leaves_body(enc_fn *enc, const uint8_t *rk, const uint8_t *src, cons
   }
 }
 
+/* Both parties' key generation for a point at [alpha] in a domain of
+   [d] bits, the tree running [levels] levels down. [seeds] holds the
+   two root seeds, party 0's then party 1's; their control-bit positions
+   are cleared, they are copied out as the roots, and they end as the
+   two terminal seeds. Per level both seeds expand, the child [alpha]
+   descends into (keep) and the other (lose) are picked under a mask
+   splatted from [alpha]'s bit, the seed correction word is the XOR of
+   the two lose children, and each keep child takes it under its
+   parent's control-bit mask. The 16-byte leaf correction is the XOR of
+   both terminal seeds' leaf blocks and the one-hot of [alpha_lo],
+   built by comparing all 128 positions with it arithmetically.
+
+   The seeds stay in registers as 64-bit words, low half first; byte
+   0, where the tweak goes, is the low byte of the low half and the
+   control bit, byte 15's low bit, is bit 56 of the high half. Only the
+   cipher's blocks go through memory. */
+INLINE void gen_body(enc_fn *enc, const uint8_t *rk, uint8_t *seeds, intnat alpha, intnat d,
+                     intnat levels, intnat alpha_lo, uint8_t *root0, uint8_t *root1,
+                     uint8_t *cw, uint8_t *cw_bits, uint8_t *leaf)
+{
+  const uint64_t cbit = (uint64_t)1 << 56;
+  uint8_t y[64];
+  uint64_t x[8], o[8];
+  uint64_t a0 = load64(seeds), b0 = load64(seeds + 8) & ~cbit;
+  uint64_t a1 = load64(seeds + 16), b1 = load64(seeds + 24) & ~cbit;
+  uint64_t t0 = 0, t1 = 1;
+  store64(root0, a0);
+  store64(root0 + 8, b0);
+  store64(root1, a1);
+  store64(root1 + 8, b1);
+  for (intnat l = 0; l < levels; l++) {
+    /* the MMO inputs L0 R0 L1 R1: each seed under tweaks 1 and 2 */
+    x[0] = a0 ^ 1;
+    x[1] = b0;
+    x[2] = a0 ^ 2;
+    x[3] = b0;
+    x[4] = a1 ^ 1;
+    x[5] = b1;
+    x[6] = a1 ^ 2;
+    x[7] = b1;
+    for (int i = 0; i < 8; i++)
+      store64(y + 8 * i, x[i]);
+    enc(rk, y, 4);
+    for (int i = 0; i < 8; i++)
+      o[i] = load64(y + 8 * i) ^ x[i];
+    uint64_t tl0 = (o[1] >> 56) & 1, tr0 = (o[3] >> 56) & 1;
+    uint64_t tl1 = (o[5] >> 56) & 1, tr1 = (o[7] >> 56) & 1;
+    for (int i = 1; i < 8; i += 2)
+      o[i] &= ~cbit;
+    uint64_t a = (uint64_t)(alpha >> (d - 1 - l)) & 1, m = (uint64_t)0 - a;
+    uint64_t c_lo = ((o[0] & m) | (o[2] & ~m)) ^ ((o[4] & m) | (o[6] & ~m));
+    uint64_t c_hi = ((o[1] & m) | (o[3] & ~m)) ^ ((o[5] & m) | (o[7] & ~m));
+    store64(cw + 16 * l, c_lo);
+    store64(cw + 16 * l + 8, c_hi);
+    uint64_t m0 = (uint64_t)0 - t0, m1 = (uint64_t)0 - t1;
+    a0 = ((o[0] & ~m) | (o[2] & m)) ^ (c_lo & m0);
+    b0 = ((o[1] & ~m) | (o[3] & m)) ^ (c_hi & m0);
+    a1 = ((o[4] & ~m) | (o[6] & m)) ^ (c_lo & m1);
+    b1 = ((o[5] & ~m) | (o[7] & m)) ^ (c_hi & m1);
+    uint64_t tlc = tl0 ^ tl1 ^ a ^ 1, trc = tr0 ^ tr1 ^ a;
+    cw_bits[l] = (uint8_t)(tlc | (trc << 1));
+    uint64_t kc = (tlc & ~m) | (trc & m);
+    t0 = ((tl0 & ~m) | (tr0 & m)) ^ (t0 & kc);
+    t1 = ((tl1 & ~m) | (tr1 & m)) ^ (t1 & kc);
+  }
+  store64(seeds, a0);
+  store64(seeds + 8, b0);
+  store64(seeds + 16, a1);
+  store64(seeds + 24, b1);
+  /* the leaf blocks: both terminal seeds under tweak 3 */
+  x[0] = a0 ^ 3;
+  x[1] = b0;
+  x[2] = a1 ^ 3;
+  x[3] = b1;
+  for (int i = 0; i < 4; i++)
+    store64(y + 8 * i, x[i]);
+  enc(rk, y, 2);
+  /* position [p]'s byte is 1 exactly when p ^ alpha_lo is 0, and the
+     multiply packs each 8 such bytes into the bits of one */
+  uint8_t eq[128];
+  for (int p = 0; p < 128; p++)
+    eq[p] = (uint8_t)(((uint64_t)(p ^ alpha_lo) - 1) >> 63);
+  uint64_t h[2] = { 0, 0 };
+  for (int i = 0; i < 16; i++)
+    h[i >> 3] |= ((load64(eq + 8 * i) * 0x0102040810204080ULL) >> 56) << (8 * (i & 7));
+  store64(leaf, load64(y) ^ x[0] ^ load64(y + 16) ^ x[2] ^ h[0]);
+  store64(leaf + 8, load64(y + 8) ^ x[1] ^ load64(y + 24) ^ x[3] ^ h[1]);
+}
+
 /* ------------------------------------------------------------------ */
 /* Builds and dispatch                                                 */
 /* ------------------------------------------------------------------ */
@@ -558,6 +653,13 @@ INLINE void leaves_body(enc_fn *enc, const uint8_t *rk, const uint8_t *src, cons
                                  uint8_t *dst)                                                 \
   {                                                                                            \
     leaves_body(enc_##name, rk, src, ts, n, cw, from, count, dst);                             \
+  }                                                                                            \
+  attr static void gen_##name(const uint8_t *rk, uint8_t *seeds, intnat alpha, intnat d,       \
+                              intnat levels, intnat alpha_lo, uint8_t *root0, uint8_t *root1,  \
+                              uint8_t *cw, uint8_t *cw_bits, uint8_t *leaf)                    \
+  {                                                                                            \
+    gen_body(enc_##name, rk, seeds, alpha, d, levels, alpha_lo, root0, root1, cw, cw_bits,     \
+             leaf);                                                                            \
   }
 
 #ifdef __x86_64__
@@ -573,9 +675,12 @@ struct build {
                 const uint8_t *cw, intnat cw_bits, uint8_t *dst, uint8_t *t_out);
   void (*leaves)(const uint8_t *rk, const uint8_t *src, const uint8_t *ts, intnat n,
                  const uint8_t *cw, intnat from, intnat count, uint8_t *dst);
+  void (*gen)(const uint8_t *rk, uint8_t *seeds, intnat alpha, intnat d, intnat levels,
+              intnat alpha_lo, uint8_t *root0, uint8_t *root1, uint8_t *cw, uint8_t *cw_bits,
+              uint8_t *leaf);
 };
 
-#define ROW(name) { #name, enc_##name, mmo_##name, level_##name, leaves_##name }
+#define ROW(name) { #name, enc_##name, mmo_##name, level_##name, leaves_##name, gen_##name }
 
 /* The builds in order of preference; each needs a subset of the CPU
    features of the one before it. */
@@ -672,4 +777,21 @@ value lw_aes_leaves_byte(value *argv, int argn)
   (void)argn;
   return lw_aes_leaves(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5], argv[6], argv[7],
                        argv[8], argv[9], argv[10], argv[11]);
+}
+
+value lw_aes_gen(value build, value rk, value seeds, value alpha, value d, value levels,
+                 value alpha_lo, value root0, value root1, value cw, value cw_bits, value leaf)
+{
+  builds[Long_val(build)].gen(Bytes_val(rk), Bytes_val(seeds), Long_val(alpha), Long_val(d),
+                              Long_val(levels), Long_val(alpha_lo), Bytes_val(root0),
+                              Bytes_val(root1), Bytes_val(cw), Bytes_val(cw_bits),
+                              Bytes_val(leaf));
+  return Val_unit;
+}
+
+value lw_aes_gen_byte(value *argv, int argn)
+{
+  (void)argn;
+  return lw_aes_gen(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5], argv[6], argv[7],
+                    argv[8], argv[9], argv[10], argv[11]);
 }

@@ -1,103 +1,58 @@
+(* ChaCha20 in C (channel_stubs.c): one body, one build per vector
+   width, the build picked once from CPUID. The externals read no OCaml
+   value but their arguments and allocate nothing; the build index,
+   lengths and every range are checked here first. *)
+
 let key_len = 32
 let nonce_len = 12
 let block_len = 64
 
-(* Every 32-bit word lives in the low bits of an immediate [int] (OCaml's
-   int is at least 63 bits on every supported target), so no operation
-   on the state allocates: a block runs behind every [Drbg.generate],
-   and so behind every DPF root seed a client draws. *)
-let mask32 = 0xffffffff
-let rotl x k = ((x lsl k) lor (x lsr (32 - k))) land mask32
+external c_builds : unit -> string array = "lw_chacha_builds"
+external c_first : unit -> int = "lw_chacha_first"
 
-(* The ChaCha state is 16 32-bit words:
-     0..3   constants "expa" "nd 3" "2-by" "te k"
-     4..11  key
-     12     counter
-     13..15 nonce *)
-let sigma0 = 0x61707865
-let sigma1 = 0x3320646e
-let sigma2 = 0x79622d32
-let sigma3 = 0x6b206574
+external c_xor :
+  int -> int -> string -> string -> int -> Bytes.t -> int -> Bytes.t -> int -> int -> unit
+  = "lw_chacha_xor_byte" "lw_chacha_xor"
+[@@noalloc]
 
-(* [a]..[d] are constant indices below 16 into the 16-word state. *)
-let quarter_round (st : int array) a b c d =
-  let va = (Array.unsafe_get st a + Array.unsafe_get st b) land mask32 in
-  let vd = rotl (Array.unsafe_get st d lxor va) 16 in
-  let vc = (Array.unsafe_get st c + vd) land mask32 in
-  let vb = rotl (Array.unsafe_get st b lxor vc) 12 in
-  let va = (va + vb) land mask32 in
-  let vd = rotl (vd lxor va) 8 in
-  let vc = (vc + vd) land mask32 in
-  Array.unsafe_set st a va;
-  Array.unsafe_set st b (rotl (vb lxor vc) 7);
-  Array.unsafe_set st c vc;
-  Array.unsafe_set st d vd
+(* Every build, widest first; the CPU runs those from [first] on, and
+   every call runs [first]. *)
+let all_builds = c_builds ()
+let first = c_first ()
+let build () = all_builds.(first)
+let builds () = Array.to_list (Array.sub all_builds first (Array.length all_builds - first))
 
-let double_round st =
-  quarter_round st 0 4 8 12;
-  quarter_round st 1 5 9 13;
-  quarter_round st 2 6 10 14;
-  quarter_round st 3 7 11 15;
-  quarter_round st 0 5 10 15;
-  quarter_round st 1 6 11 12;
-  quarter_round st 2 7 8 13;
-  quarter_round st 3 4 9 14
+let build_index name =
+  match Array.find_index (Ct.equal name) all_builds with
+  | Some i when i >= first -> i
+  | _ -> invalid_arg "Chacha20: build not runnable on this CPU"
 
-let load32 s off = String.get_uint16_le s off lor (String.get_uint16_le s (off + 2) lsl 16)
-
-let init_state ~key ~nonce ~counter =
-  let st = Array.make 16 0 in
-  st.(0) <- sigma0;
-  st.(1) <- sigma1;
-  st.(2) <- sigma2;
-  st.(3) <- sigma3;
-  for i = 0 to 7 do
-    st.(4 + i) <- load32 key (4 * i)
-  done;
-  st.(12) <- counter land mask32;
-  for i = 0 to 2 do
-    st.(13 + i) <- load32 nonce (4 * i)
-  done;
-  st
-
-(* One keystream block for an int counter, arguments already checked. *)
-let block_at ~rounds ~key ~nonce ~counter out =
-  let init = init_state ~key ~nonce ~counter in
-  let st = Array.copy init in
-  for _ = 1 to rounds / 2 do
-    double_round st
-  done;
-  for i = 0 to 15 do
-    let w = (st.(i) + init.(i)) land mask32 in
-    Bytes.set_uint16_le out (4 * i) (w land 0xffff);
-    Bytes.set_uint16_le out ((4 * i) + 2) (w lsr 16)
-  done
-
-let check ~rounds ~key ~nonce out =
+let check ~rounds ~key ~nonce =
   if String.length key <> key_len then invalid_arg "Chacha20.block: key must be 32 bytes";
   if String.length nonce <> nonce_len then invalid_arg "Chacha20.block: nonce must be 12 bytes";
-  if Bytes.length out < block_len then invalid_arg "Chacha20.block: output too small";
   if rounds <= 0 || rounds mod 2 <> 0 then invalid_arg "Chacha20.block: rounds must be even"
 
 (* the one conversion from the interface's [int32] *)
-let counter_of c = Int32.to_int c land mask32
+let counter_of c = Int32.to_int c land 0xffffffff
 
 let block ?(rounds = 20) ~key ~nonce ~counter out =
-  check ~rounds ~key ~nonce out;
-  block_at ~rounds ~key ~nonce ~counter:(counter_of counter) out
+  check ~rounds ~key ~nonce;
+  if Bytes.length out < block_len then invalid_arg "Chacha20.block: output too small";
+  Bytes.fill out 0 block_len '\x00';
+  c_xor first rounds key nonce (counter_of counter) out 0 out 0 block_len
+
+(* the block counter wraps at 32 bits, as RFC 8439's does *)
+let xor_in_place b ~rounds ~key ~nonce ~counter buf =
+  check ~rounds ~key ~nonce;
+  c_xor b rounds key nonce (counter_of counter) buf 0 buf 0 (Bytes.length buf);
+  Bytes.unsafe_to_string buf
 
 let encrypt ?(rounds = 20) ~key ~nonce ?(counter = 0l) msg =
-  let n = String.length msg in
-  let out = Bytes.of_string msg in
-  let ks = Bytes.create block_len in
-  let blocks = (n + block_len - 1) / block_len in
-  let counter = counter_of counter in
-  if blocks > 0 then check ~rounds ~key ~nonce ks;
-  for b = 0 to blocks - 1 do
-    (* the block counter wraps at 32 bits, as RFC 8439's does *)
-    block_at ~rounds ~key ~nonce ~counter:(counter + b) ks;
-    let off = b * block_len in
-    let len = min block_len (n - off) in
-    Lw_util.Xorbuf.xor_into ~src:ks ~src_pos:0 ~dst:out ~dst_pos:off ~len
-  done;
-  Bytes.unsafe_to_string out
+  xor_in_place first ~rounds ~key ~nonce ~counter (Bytes.of_string msg)
+
+let encrypt_on ~build ?(rounds = 20) ~key ~nonce ?(counter = 0l) msg =
+  xor_in_place (build_index build) ~rounds ~key ~nonce ~counter (Bytes.of_string msg)
+
+let keystream ~key ~nonce len =
+  if len < 0 then invalid_arg "Chacha20.keystream: negative length";
+  xor_in_place first ~rounds:20 ~key ~nonce ~counter:0l (Bytes.make len '\x00')

@@ -1,8 +1,21 @@
-type t = { mutable key : string; mutable counter : int64 }
+(* [key] is overwritten in place by each draw's ratchet, in C. *)
+type t = { key : Bytes.t; mutable counter : int }
+
+(* One draw in C (channel_stubs.c) on the given ChaCha20 build: the
+   keystream under [key] and the nonce [counter], [len] bytes into the
+   buffer at [pos], the 32 after them over [key]. It reads no OCaml value
+   but its arguments and allocates nothing; [generate_into] checks the
+   range first. *)
+external c_draw : int -> Bytes.t -> int -> Bytes.t -> int -> int -> unit
+  = "lw_chacha_drbg_byte" "lw_chacha_drbg"
+[@@noalloc]
+
+let build = Chacha20.build_index (Chacha20.build ())
 
 exception No_entropy of string
 
-let create ~seed = { key = Sha256.digest ("lightweb-drbg-v1" ^ seed); counter = 0L }
+let create ~seed =
+  { key = Bytes.of_string (Sha256.digest ("lightweb-drbg-v1" ^ seed)); counter = 0 }
 
 let entropy_len = 32
 
@@ -22,29 +35,30 @@ let system ?(source = urandom) () =
     raise (No_entropy (Printf.sprintf "entropy source returned %d of %d bytes" got entropy_len));
   create ~seed:entropy
 
-let nonce_of_counter c =
-  let b = Bytes.make Chacha20.nonce_len '\x00' in
-  Bytes.set_int64_le b 0 c;
-  Bytes.unsafe_to_string b
+(* The keystream under the nonce [counter]; one extra 32 bytes become
+   the next key: a simple ratchet. *)
+let generate_into t dst ~pos ~len =
+  if len < 0 then invalid_arg "Drbg.generate: negative length";
+  if pos < 0 || pos > Bytes.length dst - len then invalid_arg "Drbg.generate_into: range out of bounds";
+  c_draw build t.key t.counter dst pos len;
+  t.counter <- t.counter + 1
 
 let generate t n =
   if n < 0 then invalid_arg "Drbg.generate: negative length";
-  let nonce = nonce_of_counter t.counter in
-  t.counter <- Int64.add t.counter 1L;
-  (* one extra block becomes the next key: a simple ratchet *)
-  let total = n + 32 in
-  let out = Chacha20.encrypt ~key:t.key ~nonce (String.make total '\x00') in
-  t.key <- String.sub out n 32;
-  String.sub out 0 n
+  let out = Bytes.create n in
+  generate_into t out ~pos:0 ~len:n;
+  Bytes.unsafe_to_string out
 
 let uniform_int t bound =
   if bound <= 0 then invalid_arg "Drbg.uniform_int: bound must be positive";
+  let raw = Bytes.create 8 in
   let rec go () =
-    let raw = generate t 8 in
-    let v = Int64.to_int (Int64.shift_right_logical (Bytes.get_int64_le (Bytes.of_string raw) 0) 2) in
+    generate_into t raw ~pos:0 ~len:8;
+    let v = Int64.to_int (Int64.shift_right_logical (Bytes.get_int64_le raw 0) 2) in
     let r = v mod bound in
     if v - r + (bound - 1) < 0 then go () else r
   in
   go ()
 
-let reseed t entropy = t.key <- Sha256.digest (t.key ^ entropy)
+let reseed t entropy =
+  Bytes.blit_string (Sha256.digest (Bytes.to_string t.key ^ entropy)) 0 t.key 0 32

@@ -26,6 +26,11 @@ val generate : t -> int -> string
 (** [generate t n] produces [n] pseudorandom bytes and ratchets the key, so
     compromise of the current state does not reveal past output. *)
 
+val generate_into : t -> Bytes.t -> pos:int -> len:int -> unit
+(** [generate_into t dst ~pos ~len] writes the [len] bytes {!generate}
+    would return into [dst] at [pos], allocating nothing. Raises
+    [Invalid_argument] on a bad range. *)
+
 val uniform_int : t -> int -> int
 (** [uniform_int t bound] is uniform in [[0, bound)] without modulo bias.
     Requires [bound > 0]. *)

@@ -1,131 +1,12 @@
+(* Poly1305 in C (channel_stubs.c): 44/44/42-bit limbs in 64-bit words
+   with 128-bit products. *)
+
 let tag_len = 16
 
-(* 130-bit arithmetic with five 26-bit limbs in OCaml's 63-bit ints.
-   Limb products are <= 52 bits and the five-term sums stay well under 62
-   bits, so no overflow is possible. *)
-
-let load32 s off =
-  Char.code s.[off]
-  lor (Char.code s.[off + 1] lsl 8)
-  lor (Char.code s.[off + 2] lsl 16)
-  lor (Char.code s.[off + 3] lsl 24)
+external c_mac : string -> string -> Bytes.t -> unit = "lw_poly1305_mac" [@@noalloc]
 
 let mac ~key msg =
   if String.length key <> 32 then invalid_arg "Poly1305.mac: key must be 32 bytes";
-  (* r is clamped per the RFC *)
-  let r0 = load32 key 0 land 0x3ffffff in
-  let r1 = (load32 key 3 lsr 2) land 0x3ffff03 in
-  let r2 = (load32 key 6 lsr 4) land 0x3ffc0ff in
-  let r3 = (load32 key 9 lsr 6) land 0x3f03fff in
-  let r4 = (load32 key 12 lsr 8) land 0x00fffff in
-  let s1 = r1 * 5 and s2 = r2 * 5 and s3 = r3 * 5 and s4 = r4 * 5 in
-  let h0 = ref 0 and h1 = ref 0 and h2 = ref 0 and h3 = ref 0 and h4 = ref 0 in
-  let n = String.length msg in
-  let block = Bytes.make 17 '\x00' in
-  let pos = ref 0 in
-  while !pos < n do
-    let len = min 16 (n - !pos) in
-    Bytes.fill block 0 17 '\x00';
-    Bytes.blit_string msg !pos block 0 len;
-    Bytes.set block len '\x01';
-    let b = Bytes.unsafe_to_string block in
-    let t0 = load32 b 0
-    and t1 = load32 b 3
-    and t2 = load32 b 6
-    and t3 = load32 b 9
-    and t4 = load32 b 12
-    and hibit = Char.code b.[16] in
-    let m0 = !h0 + (t0 land 0x3ffffff) in
-    let m1 = !h1 + ((t1 lsr 2) land 0x3ffffff) in
-    let m2 = !h2 + ((t2 lsr 4) land 0x3ffffff) in
-    let m3 = !h3 + ((t3 lsr 6) land 0x3ffffff) in
-    let m4 = !h4 + ((t4 lsr 8) land 0xffffff) + (hibit lsl 24) in
-    let d0 = (m0 * r0) + (m1 * s4) + (m2 * s3) + (m3 * s2) + (m4 * s1) in
-    let d1 = (m0 * r1) + (m1 * r0) + (m2 * s4) + (m3 * s3) + (m4 * s2) in
-    let d2 = (m0 * r2) + (m1 * r1) + (m2 * r0) + (m3 * s4) + (m4 * s3) in
-    let d3 = (m0 * r3) + (m1 * r2) + (m2 * r1) + (m3 * r0) + (m4 * s4) in
-    let d4 = (m0 * r4) + (m1 * r3) + (m2 * r2) + (m3 * r1) + (m4 * r0) in
-    (* carry propagation *)
-    let c = d0 lsr 26 in
-    let d0 = d0 land 0x3ffffff in
-    let d1 = d1 + c in
-    let c = d1 lsr 26 in
-    let d1 = d1 land 0x3ffffff in
-    let d2 = d2 + c in
-    let c = d2 lsr 26 in
-    let d2 = d2 land 0x3ffffff in
-    let d3 = d3 + c in
-    let c = d3 lsr 26 in
-    let d3 = d3 land 0x3ffffff in
-    let d4 = d4 + c in
-    let c = d4 lsr 26 in
-    let d4 = d4 land 0x3ffffff in
-    let d0 = d0 + (c * 5) in
-    let c = d0 lsr 26 in
-    h0 := d0 land 0x3ffffff;
-    h1 := d1 + c;
-    h2 := d2;
-    h3 := d3;
-    h4 := d4;
-    pos := !pos + len
-  done;
-  (* full carry, then reduce mod 2^130-5 *)
-  let c = !h1 lsr 26 in
-  h1 := !h1 land 0x3ffffff;
-  h2 := !h2 + c;
-  let c = !h2 lsr 26 in
-  h2 := !h2 land 0x3ffffff;
-  h3 := !h3 + c;
-  let c = !h3 lsr 26 in
-  h3 := !h3 land 0x3ffffff;
-  h4 := !h4 + c;
-  let c = !h4 lsr 26 in
-  h4 := !h4 land 0x3ffffff;
-  h0 := !h0 + (c * 5);
-  let c = !h0 lsr 26 in
-  h0 := !h0 land 0x3ffffff;
-  h1 := !h1 + c;
-  (* compute h + -p and select *)
-  let g0 = !h0 + 5 in
-  let c = g0 lsr 26 in
-  let g0 = g0 land 0x3ffffff in
-  let g1 = !h1 + c in
-  let c = g1 lsr 26 in
-  let g1 = g1 land 0x3ffffff in
-  let g2 = !h2 + c in
-  let c = g2 lsr 26 in
-  let g2 = g2 land 0x3ffffff in
-  let g3 = !h3 + c in
-  let c = g3 lsr 26 in
-  let g3 = g3 land 0x3ffffff in
-  let g4 = !h4 + c - (1 lsl 26) in
-  let mask = if g4 lsr 62 land 1 = 1 then 0 else -1 in
-  (* mask = all-ones when h >= p (g4 non-negative) *)
-  let sel h g = (h land (lnot mask)) lor (g land mask) in
-  let f0 = sel !h0 g0
-  and f1 = sel !h1 g1
-  and f2 = sel !h2 g2
-  and f3 = sel !h3 g3
-  and f4 = sel !h4 (g4 land 0x3ffffff) in
-  (* serialize to 128 bits and add s (the second key half) mod 2^128 *)
-  let u0 = f0 lor (f1 lsl 26) land 0xffffffff in
-  let u1 = (f1 lsr 6) lor (f2 lsl 20) land 0xffffffff in
-  let u2 = (f2 lsr 12) lor (f3 lsl 14) land 0xffffffff in
-  let u3 = (f3 lsr 18) lor (f4 lsl 8) land 0xffffffff in
-  let k0 = load32 key 16 and k1 = load32 key 20 and k2 = load32 key 24 and k3 = load32 key 28 in
-  let t0 = u0 + k0 in
-  let t1 = u1 + k1 + (t0 lsr 32) in
-  let t2 = u2 + k2 + (t1 lsr 32) in
-  let t3 = u3 + k3 + (t2 lsr 32) in
-  let out = Bytes.create 16 in
-  let set32 off v =
-    Bytes.set out off (Char.chr (v land 0xff));
-    Bytes.set out (off + 1) (Char.chr ((v lsr 8) land 0xff));
-    Bytes.set out (off + 2) (Char.chr ((v lsr 16) land 0xff));
-    Bytes.set out (off + 3) (Char.chr ((v lsr 24) land 0xff))
-  in
-  set32 0 (t0 land 0xffffffff);
-  set32 4 (t1 land 0xffffffff);
-  set32 8 (t2 land 0xffffffff);
-  set32 12 (t3 land 0xffffffff);
-  Bytes.unsafe_to_string out
+  let tag = Bytes.create tag_len in
+  c_mac key msg tag;
+  Bytes.unsafe_to_string tag

@@ -1,145 +1,16 @@
-(* Field elements are 16 limbs of 16 bits over 2^255 - 19, following
-   TweetNaCl's representation. Limbs live in OCaml native ints (63-bit);
-   the largest intermediates (multiplication accumulators plus the 38x
-   fold) stay under 2^45, so no overflow is possible. Signed limbs appear
-   transiently after subtraction; carries use arithmetic shifts. *)
+(* The RFC 7748 ladder in C (channel_stubs.c): five 51-bit limbs with
+   128-bit products, the conditional swap a mask. *)
 
 let key_len = 32
 
-type gf = int array (* length 16 *)
-
-let gf () : gf = Array.make 16 0
-
-let _121665 : gf =
-  let o = gf () in
-  o.(0) <- 0xDB41;
-  o.(1) <- 1;
-  o
-
-let car (o : gf) =
-  for i = 0 to 15 do
-    o.(i) <- o.(i) + (1 lsl 16);
-    let c = o.(i) asr 16 in
-    if i < 15 then o.(i + 1) <- o.(i + 1) + (c - 1) else o.(0) <- o.(0) + (38 * (c - 1));
-    o.(i) <- o.(i) - (c lsl 16)
-  done
-
-(* constant-time conditional swap: b must be 0 or 1 *)
-let sel (p : gf) (q : gf) b =
-  let mask = -b in
-  for i = 0 to 15 do
-    let t = mask land (p.(i) lxor q.(i)) in
-    p.(i) <- p.(i) lxor t;
-    q.(i) <- q.(i) lxor t
-  done
-
-let add (o : gf) (a : gf) (b : gf) =
-  for i = 0 to 15 do
-    o.(i) <- a.(i) + b.(i)
-  done
-
-let sub (o : gf) (a : gf) (b : gf) =
-  for i = 0 to 15 do
-    o.(i) <- a.(i) - b.(i)
-  done
-
-let mul (o : gf) (a : gf) (b : gf) =
-  let t = Array.make 31 0 in
-  for i = 0 to 15 do
-    for j = 0 to 15 do
-      t.(i + j) <- t.(i + j) + (a.(i) * b.(j))
-    done
-  done;
-  for i = 0 to 14 do
-    t.(i) <- t.(i) + (38 * t.(i + 16))
-  done;
-  Array.blit t 0 o 0 16;
-  car o;
-  car o
-
-let square (o : gf) (a : gf) = mul o a a
-
-let inv (o : gf) (i : gf) =
-  let c = Array.copy i in
-  for a = 253 downto 0 do
-    square c c;
-    if a <> 2 && a <> 4 then mul c c i
-  done;
-  Array.blit c 0 o 0 16
-
-let unpack (n : string) : gf =
-  let o = gf () in
-  for i = 0 to 15 do
-    o.(i) <- Char.code n.[2 * i] + (Char.code n.[(2 * i) + 1] lsl 8)
-  done;
-  o.(15) <- o.(15) land 0x7fff;
-  o
-
-let pack (n : gf) : string =
-  let t = Array.copy n in
-  car t;
-  car t;
-  car t;
-  let m = gf () in
-  for _ = 0 to 1 do
-    m.(0) <- t.(0) - 0xffed;
-    for i = 1 to 14 do
-      m.(i) <- t.(i) - 0xffff - ((m.(i - 1) asr 16) land 1);
-      m.(i - 1) <- m.(i - 1) land 0xffff
-    done;
-    m.(15) <- t.(15) - 0x7fff - ((m.(14) asr 16) land 1);
-    let b = (m.(15) asr 16) land 1 in
-    m.(14) <- m.(14) land 0xffff;
-    sel t m (1 - b)
-  done;
-  let out = Bytes.create 32 in
-  for i = 0 to 15 do
-    Bytes.set out (2 * i) (Char.chr (t.(i) land 0xff));
-    Bytes.set out ((2 * i) + 1) (Char.chr ((t.(i) lsr 8) land 0xff))
-  done;
-  Bytes.unsafe_to_string out
+external c_scalarmult : string -> string -> Bytes.t -> unit = "lw_x25519" [@@noalloc]
 
 let scalarmult ~scalar ~point =
   if String.length scalar <> 32 then invalid_arg "X25519.scalarmult: scalar must be 32 bytes";
   if String.length point <> 32 then invalid_arg "X25519.scalarmult: point must be 32 bytes";
-  let z = Bytes.of_string scalar in
-  Bytes.set z 31 (Char.chr ((Char.code (Bytes.get z 31) land 127) lor 64));
-  Bytes.set z 0 (Char.chr (Char.code (Bytes.get z 0) land 248));
-  let x = unpack point in
-  let a = gf () and b = Array.copy x and c = gf () and d = gf () in
-  let e = gf () and f = gf () in
-  a.(0) <- 1;
-  d.(0) <- 1;
-  for i = 254 downto 0 do
-    let r = (Char.code (Bytes.get z (i lsr 3)) lsr (i land 7)) land 1 in
-    sel a b r;
-    sel c d r;
-    add e a c;
-    sub a a c;
-    add c b d;
-    sub b b d;
-    square d e;
-    square f a;
-    mul a c a;
-    mul c b e;
-    add e a c;
-    sub a a c;
-    square b a;
-    sub c d f;
-    mul a c _121665;
-    add a a d;
-    mul c c a;
-    mul a d f;
-    mul d b x;
-    square b e;
-    sel a b r;
-    sel c d r
-  done;
-  let c_inv = gf () in
-  inv c_inv c;
-  let out = gf () in
-  mul out a c_inv;
-  pack out
+  let out = Bytes.create 32 in
+  c_scalarmult scalar point out;
+  Bytes.unsafe_to_string out
 
 let base_point =
   let b = Bytes.make 32 '\x00' in

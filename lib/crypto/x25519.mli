@@ -1,6 +1,6 @@
-(** X25519 Diffie–Hellman (RFC 7748), a port of TweetNaCl's
-    [crypto_scalarmult] to OCaml's 63-bit native ints (16 limbs of 16
-    bits; all intermediates stay below 2^45).
+(** X25519 Diffie–Hellman (RFC 7748): the Montgomery ladder in C
+    ([channel_stubs.c]) over five 51-bit limbs, a fixed 255 steps whose
+    conditional swaps are masks.
 
     Backs {!Secure_channel}: the client of an enclave-mode ZLTP server
     encrypts to the enclave's public key, so the untrusted host relaying

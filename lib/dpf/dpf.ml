@@ -45,43 +45,17 @@ let cw_bit k level = Char.code (Bytes.get k.cw_bits (k.cw_offset + level))
 
 (* Keygen runs on the client, whose own query index [alpha] is the
    secret; it still must not branch on it, or a co-resident observer
-   times the key out of the client. lw-lint's secret-branch rule keeps
-   the per-level selects and the leaf one-hot below arithmetic. *)
-(* lw-lint: secret alpha alpha_bit alpha_lo *)
+   times the key out of the client. The tree, the per-level selects and
+   the leaf one-hot run in one C call ([Prg.gen_tree]), under the C
+   kernels' no-branch gate; lw-lint's secret-branch rule keeps the
+   OCaml around it free of branches on [alpha]. *)
+(* lw-lint: secret alpha alpha_lo *)
 
 (* The tree's seeds are secret on both sides: the two parties' seeds
    during keygen, and on the server every node's seed, its control bits
    and the leaf bits below it. They are data for the PRG, never a table
    index or a branch condition. *)
 (* lw-lint: secret seed seeds s0 s1 ts chunk *)
-
-(* [pick_int bit a b] is [a] when bit = 0, [b] when bit = 1, branch-free
-   for bit in {0,1}. *)
-let pick_int bit a b = ((1 - bit) * a) + (bit * b)
-
-(* [eq_bit a b] is 1 when a = b, else 0, without a comparison branch: the
-   top bit of [x lor (-x)] is set exactly when x <> 0. *)
-let eq_bit a b =
-  let x = a lxor b in
-  1 - (((x lor (0 - x)) lsr (Sys.int_size - 1)) land 1)
-
-(* The leaf correction word of a selection key:
-   [Convert(s0) xor Convert(s1) xor e_{alpha_lo}]. The one-hot term is
-   built by visiting all 128 bit positions and comparing each with
-   [alpha_lo] arithmetically, so neither the bytes written nor the work
-   done depend on where the point sits. *)
-let leaf_correction ~s0 ~s1 ~alpha_lo =
-  let n = Prg.terminal_len in
-  let c0 = Bytes.create n and c1 = Bytes.create n in
-  Prg.terminal_into ~src:s0 ~src_pos:0 ~dst:c0 ~dst_pos:0;
-  Prg.terminal_into ~src:s1 ~src_pos:0 ~dst:c1 ~dst_pos:0;
-  String.init n (fun i ->
-      let onehot = ref 0 in
-      for j = 0 to 7 do
-        onehot := !onehot lor (eq_bit ((8 * i) + j) alpha_lo lsl j)
-      done;
-      Char.unsafe_chr
-        (Char.code (Bytes.get c0 i) lxor Char.code (Bytes.get c1 i) lxor !onehot))
 
 let gen ?value ~domain_bits ~alpha rng =
   if domain_bits < 1 || domain_bits > max_domain_bits then
@@ -94,78 +68,23 @@ let gen ?value ~domain_bits ~alpha rng =
   let d = domain_bits in
   let term_bits = if value_len = 0 then min max_term_bits d else 0 in
   let levels = d - term_bits in
-  (* both parties' seeds side by side: s0 at 0, s1 at 16, so one PRG
-     call per level expands the pair *)
+  (* both parties' root seeds side by side, s0 at 0 and s1 at 16, in the
+     DRBG's draw order; the tree leaves the terminal seeds there *)
   let seeds = Bytes.create 32 in
-  Bytes.blit_string (Lw_crypto.Drbg.generate rng 16) 0 seeds 0 16;
-  Bytes.blit_string (Lw_crypto.Drbg.generate rng 16) 0 seeds 16 16;
-  (* seeds keep their low bit of byte 15 clear, matching PRG outputs *)
-  let clear_low pos = Bytes.set seeds pos (Char.chr (Char.code (Bytes.get seeds pos) land 0xfe)) in
-  clear_low 15;
-  clear_low 31;
-  let root0 = Bytes.sub seeds 0 16 and root1 = Bytes.sub seeds 16 16 in
-  let t0 = ref 0 and t1 = ref 1 in
-  let cw_seeds = Bytes.create (16 * levels) in
-  let cw_bits = Bytes.create levels in
-  (* uncorrected expansions: control bits 0, so the zero correction
-     word is masked out *)
-  let no_ts = Bytes.make 2 '\x00' and no_cw = Bytes.make 16 '\x00' in
-  (* c0 at 0 and c1 at 32; their control bits tl0 tr0 tl1 tr1 in [tb] *)
-  let c = Bytes.create 64 and tb = Bytes.create 4 in
-  for level = 0 to levels - 1 do
-    Prg.expand_level ~src:seeds ~src_pos:0 ~ts:no_ts ~ts_pos:0 ~n:2 ~cw:no_cw ~cw_pos:0
-      ~cw_bits:0 ~dst:c ~t_out:tb;
-    let tbit i = Char.code (Bytes.get tb i) in
-    let tl0 = tbit 0 and tr0 = tbit 1 and tl1 = tbit 2 and tr1 = tbit 3 in
-    let alpha_bit = Lw_util.Bitops.bit_msb alpha ~width:d level in
-    (* keep = the child alpha descends into; lose = the other. Both
-       halves of each expansion are read on every level and combined
-       through the splatted mask, so neither the offsets touched nor
-       the instructions executed follow the secret bit. *)
-    let m = (0 - alpha_bit) land 0xff in
-    let sel_keep c_pos i =
-      (Char.code (Bytes.get c (c_pos + i)) land lnot m)
-      lor (Char.code (Bytes.get c (c_pos + 16 + i)) land m)
-    in
-    let sel_lose c_pos i =
-      (Char.code (Bytes.get c (c_pos + i)) land m)
-      lor (Char.code (Bytes.get c (c_pos + 16 + i)) land lnot m)
-    in
-    for i = 0 to 15 do
-      Bytes.set cw_seeds ((16 * level) + i)
-        (Char.unsafe_chr (sel_lose 0 i lxor sel_lose 32 i))
-    done;
-    let tl_cw = tl0 lxor tl1 lxor alpha_bit lxor 1 in
-    let tr_cw = tr0 lxor tr1 lxor alpha_bit in
-    Bytes.set cw_bits level (Char.chr (tl_cw lor (tr_cw lsl 1)));
-    let tkeep_cw = pick_int alpha_bit tl_cw tr_cw in
-    let step s_pos c_pos t tkeep =
-      for i = 0 to 15 do
-        Bytes.set seeds (s_pos + i) (Char.unsafe_chr (sel_keep c_pos i))
-      done;
-      (* the correction is applied under a mask splatted from the
-         control bit: same XOR work whether t is 0 or 1 *)
-      Lw_util.Xorbuf.xor_into_masked
-        ~mask:((0 - (t land 1)) land 0xff)
-        ~src:cw_seeds ~src_pos:(16 * level) ~dst:seeds ~dst_pos:s_pos ~len:16;
-      tkeep lxor (t land tkeep_cw)
-    in
-    let tkeep0 = pick_int alpha_bit tl0 tr0 in
-    let tkeep1 = pick_int alpha_bit tl1 tr1 in
-    let t0' = step 0 0 !t0 tkeep0 in
-    let t1' = step 16 32 !t1 tkeep1 in
-    t0 := t0';
-    t1 := t1'
-  done;
-  let s0 = Bytes.sub seeds 0 16 and s1 = Bytes.sub seeds 16 16 in
+  Lw_crypto.Drbg.generate_into rng seeds ~pos:0 ~len:16;
+  Lw_crypto.Drbg.generate_into rng seeds ~pos:16 ~len:16;
+  let root0 = Bytes.create 16 and root1 = Bytes.create 16 in
+  let cw_seeds = Bytes.create (16 * levels) and cw_bits = Bytes.create levels in
+  let leaf = Bytes.create Prg.terminal_len in
+  Prg.gen_tree ~seeds ~alpha ~domain_bits:d ~levels
+    ~alpha_lo:(alpha land ((1 lsl term_bits) - 1))
+    ~root0 ~root1 ~cw_seeds ~cw_bits ~leaf;
   let cw_leaf =
     match value with
-    | None ->
-        let alpha_lo = alpha land ((1 lsl term_bits) - 1) in
-        leaf_correction ~s0 ~s1 ~alpha_lo
+    | None -> Bytes.unsafe_to_string leaf
     | Some v ->
-        let conv s = Prg.convert ~seed:s ~pos:0 ~len:value_len in
-        Lw_util.Xorbuf.xor (Lw_util.Xorbuf.xor v (conv s0)) (conv s1)
+        let conv pos = Prg.convert ~seed:seeds ~pos ~len:value_len in
+        Lw_util.Xorbuf.xor (Lw_util.Xorbuf.xor v (conv 0)) (conv 16)
   in
   let mk party root_seed =
     {

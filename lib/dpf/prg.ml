@@ -34,9 +34,12 @@ let expand_level ~src ~src_pos ~ts ~ts_pos ~n ~cw ~cw_pos ~cw_bits ~dst ~t_out =
 let leaves ~src ~src_pos ~ts ~ts_pos ~n ~cw ~from ~count ~dst ~dst_pos =
   Lw_crypto.Aes128.mmo_leaves aes_key ~src ~src_pos ~ts ~ts_pos ~n ~cw ~from ~count ~dst ~dst_pos
 
+let gen_tree ~seeds ~alpha ~domain_bits ~levels ~alpha_lo ~root0 ~root1 ~cw_seeds ~cw_bits ~leaf =
+  Lw_crypto.Aes128.mmo_gen aes_key ~seeds ~alpha ~domain_bits ~levels ~alpha_lo ~root0 ~root1
+    ~cw_seeds ~cw_bits ~leaf
+
 let convert ~seed ~pos ~len =
   let key = Bytes.create 32 in
   Bytes.blit seed pos key 0 16;
   Bytes.blit seed pos key 16 16;
-  Lw_crypto.Chacha20.encrypt ~rounds:20 ~key:(Bytes.unsafe_to_string key) ~nonce:convert_nonce
-    (String.make len '\x00')
+  Lw_crypto.Chacha20.keystream ~key:(Bytes.unsafe_to_string key) ~nonce:convert_nonce len

@@ -66,6 +66,23 @@ val leaves :
     at [dst_pos + count * i]. One C call
     ({!Lw_crypto.Aes128.mmo_leaves}). *)
 
+val gen_tree :
+  seeds:Bytes.t ->
+  alpha:int ->
+  domain_bits:int ->
+  levels:int ->
+  alpha_lo:int ->
+  root0:Bytes.t ->
+  root1:Bytes.t ->
+  cw_seeds:Bytes.t ->
+  cw_bits:Bytes.t ->
+  leaf:Bytes.t ->
+  unit
+(** Both parties' key-generation tree in one C call
+    ({!Lw_crypto.Aes128.mmo_gen}): the roots, the per-level correction
+    words and bits, the terminal seeds left in [seeds], and the
+    selection leaf correction word. *)
+
 val convert : seed:Bytes.t -> pos:int -> len:int -> string
 (** [convert ~seed ~pos ~len] expands the 16-byte seed at [pos] into a
     [len]-byte leaf value share (BGI16's Convert for value-carrying

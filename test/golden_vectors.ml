@@ -1,5 +1,7 @@
 (* Golden vectors for the DPF's PRG, key generation, evaluation, the PIR
-   answers and the ChaCha20/DRBG streams: every entry is a name and the
+   answers, the ChaCha20/DRBG streams and the channel primitives
+   (ChaCha20 keystreams, Poly1305 tags, AEAD seals, X25519 results):
+   every entry is a name and the
    hex of its bytes (or of their SHA-256 when they are long). [Test_prg]
    compares a fresh computation with the table recorded from an earlier
    implementation, byte for byte. *)
@@ -33,7 +35,7 @@ let prg_vectors () =
       ])
     fixed_seeds
 
-let domains = [ 1; 7; 8; 10; 12; 22 ]
+let domains = List.init 22 (fun i -> i + 1)
 let rng label = Lw_crypto.Drbg.create ~seed:("golden-" ^ label)
 let alpha_for d = 0x2a5a5 land ((1 lsl d) - 1)
 
@@ -171,6 +173,83 @@ let crypto_vectors () =
   ]
   @ blocks
 
+(* The channel primitives, recorded from their OCaml bodies: keystreams
+   over every length below 580 bytes and one of 1100 across the 32-bit
+   counter's wrap, on the named ChaCha20 build; Poly1305 tags and AEAD seals for every length 0-300;
+   X25519 on random inputs and on u-coordinates that are at least p or
+   have the top bit set, which RFC 7748 reduces and masks. *)
+let keystream_vectors ~build =
+  let key = Lw_crypto.Sha256.digest "golden-keystream" in
+  let nonce = "golden-nonc2" in
+  let zeros n = String.make n '\x00' in
+  let lengths = List.init 580 Fun.id in
+  List.concat_map
+    (fun rounds ->
+      let enc ~counter n =
+        Lw_crypto.Chacha20.encrypt_on ~build ~rounds ~key ~nonce ~counter (zeros n)
+      in
+      [
+        (Printf.sprintf "chacha.keystream.r%d.wrap" rounds, digest (enc ~counter:0xfffffffcl 1100));
+        ( Printf.sprintf "chacha.keystream.r%d.lens" rounds,
+          digest (String.concat "" (List.map (enc ~counter:7l) lengths)) );
+      ])
+    [ 8; 12; 20 ]
+
+let channel_vectors () =
+  let nonce = "golden-nonc2" in
+  let keystreams = keystream_vectors ~build:(Lw_crypto.Chacha20.build ()) in
+  let msg n = String.init n (fun i -> Char.chr (((i * 31) + n) land 0xff)) in
+  let poly_key n = Lw_crypto.Sha256.digest (Printf.sprintf "golden-poly-%d" n) in
+  let tags =
+    List.init 301 (fun n -> Lw_crypto.Poly1305.mac ~key:(poly_key n) (msg n))
+    |> String.concat ""
+  in
+  let ff_tags =
+    List.init 301 (fun n -> Lw_crypto.Poly1305.mac ~key:(String.make 32 '\xff') (String.make n '\xff'))
+    |> String.concat ""
+  in
+  let seals =
+    List.init 301 (fun n ->
+        Lw_crypto.Aead.seal ~key:(poly_key n) ~nonce ~aad:(msg (n mod 37)) (msg n))
+    |> String.concat ""
+  in
+  let rng = Lw_util.Det_rng.of_string_seed "golden-x25519" in
+  let random32 () = Lw_util.Det_rng.bytes rng 32 in
+  let randoms =
+    List.init 24 (fun _ ->
+        let scalar = random32 () in
+        Lw_crypto.X25519.scalarmult ~scalar ~point:(random32 ()))
+    |> String.concat ""
+  in
+  (* little-endian u = p + k for k = 0..18 (>= p), then u with bit 255 set *)
+  let u_of ~top k =
+    let b = Bytes.make 32 '\xff' in
+    Bytes.set b 0 (Char.chr (0xed + k));
+    Bytes.set b 31 (if top then '\xff' else '\x7f');
+    Bytes.to_string b
+  in
+  let scalar = Lw_crypto.Sha256.digest "golden-x25519-scalar" in
+  let high =
+    List.init 19 (fun k -> Lw_crypto.X25519.scalarmult ~scalar ~point:(u_of ~top:false k))
+    @ List.init 19 (fun k -> Lw_crypto.X25519.scalarmult ~scalar ~point:(u_of ~top:true k))
+    |> String.concat ""
+  in
+  let top_set =
+    let p = Bytes.of_string (Lw_crypto.Sha256.digest "golden-x25519-point") in
+    Bytes.set p 31 (Char.chr (Char.code (Bytes.get p 31) lor 0x80));
+    Lw_crypto.X25519.scalarmult ~scalar ~point:(Bytes.to_string p)
+  in
+  keystreams
+  @ [
+      ("poly1305.lens", digest tags);
+      ("poly1305.ff", digest ff_tags);
+      ("aead.seal.lens", digest seals);
+      ("x25519.random", digest randoms);
+      ("x25519.high", digest high);
+      ("x25519.top-bit", hex top_set);
+      ("x25519.p-plus-1", hex (Lw_crypto.X25519.scalarmult ~scalar ~point:(u_of ~top:false 1)));
+    ]
+
 let all () =
   prg_vectors () @ key_vectors () @ eval_vectors () @ value_vectors () @ split_vectors ()
-  @ idpf_vectors () @ server_vectors () @ crypto_vectors ()
+  @ idpf_vectors () @ server_vectors () @ crypto_vectors () @ channel_vectors ()

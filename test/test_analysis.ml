@@ -162,8 +162,10 @@ let test_rule_secret_branch_lane_kernel () =
   Alcotest.(check int) "masked lane clean (secret-branch)" 0 (count_rule "secret-branch" rules);
   Alcotest.(check int) "masked lane clean (taint)" 0 (count_rule "taint" rules)
 
-(* The C kernels (the scan kernel and the AES-MMO tree steps) handle
-   selection bits, seeds and control bits, and lw_lint does not parse C,
+(* The C kernels (the scan kernel, the AES-MMO tree steps with the
+   client's key generation, and the channel primitives) handle selection
+   bits, seeds, control bits, the query index, keys, plaintexts and
+   scalars, and lw_lint does not parse C,
    so their no-branch rule is kept here on tokens: with comments and
    literals stripped, a kernel may contain no conditional keyword, no
    ternary and no short-circuit operator. Its only control flow is [for]
@@ -250,9 +252,11 @@ let test_c_kernel_no_branch () =
     [
       Filename.concat (Filename.concat lib "util") "xorbuf_stubs.c";
       Filename.concat (Filename.concat lib "crypto") "aes_stubs.c";
+      Filename.concat (Filename.concat lib "crypto") "channel_stubs.c";
     ]
   in
-  Alcotest.(check (list string)) "the scan and AES kernels are the only C files under lib/"
+  Alcotest.(check (list string))
+    "the scan, AES and channel kernels are the only C files under lib/"
     (List.sort String.compare kernels)
     (List.sort String.compare (c_files lib));
   List.iter
@@ -308,10 +312,61 @@ let pinned_jumps =
        the nodes of the chunk, and the copy of [count] leaf bytes *)
     ("leaves_aesni", 10);
     ("leaves_bitsliced", 10);
+    (* gen_*, both parties' key generation: the tree levels (entry guard
+       and back-edge, over [levels]); in each level the XOR of the four
+       cipher outputs with their inputs and the clearing of their
+       control bits, two loops over constant counts that GCC keeps as
+       16-byte vector loops; then the one-hot's 128 position compares
+       (a vector loop) and the 16 multiplies that pack them into bits
+       (the seeds' selects and the leaf's XORs are straight-line and the
+       cipher is a call) *)
+    ("gen_aesni", 6);
+    ("gen_bitsliced", 6);
+    (* chacha_*, the keystream XOR over [len]: the 1 KiB batches
+       (guard and back-edge, over len / 1024), in each the rounds loop
+       (guard and back-edge, over [rounds]), the final add of the input
+       words and the XOR of the sixteen transposed blocks (the transpose
+       itself is unrolled); the wide tail (one pass or none, from the
+       block count), the copy of its bytes into the stack buffer (its
+       4-, 2- and 1-byte ends, 3), its rounds loop (2), final add and
+       XOR; the scalar tail (guard and back-edge, over the blocks left),
+       its rounds loop (2) and its byte loop (guard and back-edge, over
+       the block's length). The baseline splits the final add of each
+       sixteen-block pass in two (2 more). *)
+    ("chacha_avx512", 20);
+    ("chacha_baseline", 22);
+    (* drbg_ratchet, a DRBG draw's tail and ratchet at 20 rounds: its
+       blocks (guard and back-edge, over the bytes left plus 32), their
+       rounds loop (a back-edge alone, the count being a constant), and
+       the copy of the bytes left into the output (their 8-byte words,
+       guard and back-edge, the test for 8 or more and the 4-, 2- and
+       1-byte ends); lw_chacha_drbg, the draw, calls the build for its
+       whole blocks and runs straight through *)
+    ("drbg_ratchet", 9);
+    ("lw_chacha_drbg", 0);
+    (* poly_blocks: the pairs of 16-byte blocks (guard and back-edge,
+       over n / 2) and the odd block (none or one, from n's low bit) *)
+    ("poly_blocks", 3);
+    (* the AEAD calls: the padded last block of the AAD and of the
+       ciphertext (0 or 1 each, from their lengths); the tag compare is
+       unrolled *)
+    ("lw_aead_seal", 2);
+    ("lw_aead_open", 2);
+    (* lw_poly1305_mac: the padded last block (0 or 1, from the length) *)
+    ("lw_poly1305_mac", 1);
+    (* x25519: the ladder's 255 steps, the only loop (the limb loops and
+       the conditional swaps are unrolled); fe_sqn: its [n] squarings,
+       a constant at each call of the inversion chain; fe_mul and
+       fe_invert run straight through *)
+    ("x25519", 1);
+    ("fe_sqn", 1);
+    ("fe_mul", 0);
+    ("fe_invert", 0);
   ]
 
 (* Each function's conditional jumps in [objdump -d] text: every
-   [j<cc>] mnemonic but [jmp]. *)
+   [j<cc>] mnemonic but [jmp]. A function with none counts 0, so a
+   straight-line function can be pinned at 0. *)
 let conditional_jumps listing =
   let counts = Hashtbl.create 16 and current = ref "" in
   List.iter
@@ -319,7 +374,9 @@ let conditional_jumps listing =
       let n = String.length line in
       if n > 2 && String.ends_with ~suffix:">:" line then
         match String.index_opt line '<' with
-        | Some i -> current := String.sub line (i + 1) (n - i - 3)
+        | Some i ->
+            current := String.sub line (i + 1) (n - i - 3);
+            if not (Hashtbl.mem counts !current) then Hashtbl.replace counts !current 0
         | None -> ()
       else
         match String.split_on_char '\t' line with
@@ -342,16 +399,17 @@ let run_to_string cmd =
 
 let test_c_kernel_jumps_pinned () =
   Alcotest.(check (list (pair string int))) "jumps counted per function"
-    [ ("f", 2); ("g", 1) ]
+    [ ("f", 2); ("g", 1); ("h", 0) ]
     (List.sort compare
        (List.of_seq
           (Hashtbl.to_seq
              (conditional_jumps
-                "0000000000000000 <f>:\n   0:\tjne    10 <f+0x10>\n   2:\tjmp    0 <f>\n   4:\tjae    0 <f>\n0000000000000010 <g>:\n  10:\tjb     10 <g>\n  12:\tret\n"))));
+                "0000000000000000 <f>:\n   0:\tjne    10 <f+0x10>\n   2:\tjmp    0 <f>\n   4:\tjae    0 <f>\n0000000000000010 <g>:\n  10:\tjb     10 <g>\n  12:\tret\n0000000000000020 <h>:\n  20:\tret\n"))));
   let objects =
-    List.filter_map Analyzer.resolve_file [ "lib/util/xorbuf_stubs.o"; "lib/crypto/aes_stubs.o" ]
+    List.filter_map Analyzer.resolve_file
+      [ "lib/util/xorbuf_stubs.o"; "lib/crypto/aes_stubs.o"; "lib/crypto/channel_stubs.o" ]
   in
-  Alcotest.(check int) "both kernel objects built" 2 (List.length objects);
+  Alcotest.(check int) "every kernel object built" 3 (List.length objects);
   (* the object's .comment section names its compiler, "GCC: (<vendor>) 12.x.y" *)
   let gcc12 obj =
     let bytes = In_channel.with_open_bin obj In_channel.input_all in
@@ -546,13 +604,17 @@ let test_pragma_suppression () =
     Analyzer.scan_source ~path:"lib/crypto/f.ml"
       "(* lw-lint: allow key-print *)\nlet check a b = String.equal a b"
   in
-  Alcotest.(check int) "wrong rule still fires" 1 (List.length r3.Analyzer.findings);
+  let rules r = List.map (fun f -> f.Report.rule) r.Analyzer.findings in
+  (* the pragma that waived nothing is reported beside the finding *)
+  Alcotest.(check (list string)) "wrong rule still fires" [ "ct-equality"; "unused-allow" ]
+    (List.sort String.compare (rules r3));
   (* and it does not leak beyond the next line *)
   let r4 =
     Analyzer.scan_source ~path:"lib/crypto/f.ml"
       "(* lw-lint: allow ct-equality *)\n\nlet check a b = String.equal a b"
   in
-  Alcotest.(check int) "two lines below not covered" 1 (List.length r4.Analyzer.findings)
+  Alcotest.(check (list string)) "two lines below not covered" [ "ct-equality"; "unused-allow" ]
+    (List.sort String.compare (rules r4))
 
 let test_old_ct_select_is_caught () =
   (* the exact shape this PR fixed in lib/crypto/ct.ml: the mask derived
@@ -953,8 +1015,48 @@ let test_pragma_lines_span () =
     Analyzer.scan_source ~path:"lib/pir/fixture.ml"
       "(* lw-lint: allow poly-compare lines=0 *)\nlet a t k = find t k = None\n"
   in
-  Alcotest.(check int) "lines=0 covers nothing below" 1
-    (List.length r0.Analyzer.findings)
+  Alcotest.(check (list string)) "lines=0 covers nothing below" [ "poly-compare"; "unused-allow" ]
+    (List.sort String.compare (List.map (fun f -> f.Report.rule) r0.Analyzer.findings))
+
+(* An allow pragma that suppresses nothing is a finding: dirty, the
+   waived line has no finding of that rule, or the pragma names no rule;
+   clean, it suppresses a real one. A scan that did not run the rule
+   does not judge the pragma. *)
+let test_pragma_unused_allow () =
+  let rules src = findings_for ~path:"lib/crypto/fixture.ml" src in
+  let dirty = "let f a b = a + b (* lw-lint: allow ct-equality *)\n" in
+  Alcotest.(check int) "dirty: nothing to suppress" 1 (count_rule "unused-allow" (rules dirty));
+  let unknown = "let f a b = a + b (* lw-lint: allow no-such-rule *)\n" in
+  Alcotest.(check int) "dirty: names no rule" 1 (count_rule "unused-allow" (rules unknown));
+  let clean = "let check a b = String.equal a b (* lw-lint: allow ct-equality *)\n" in
+  Alcotest.(check (list string)) "clean: suppresses its finding" [] (rules clean);
+  let taint_only =
+    Analyzer.scan_source ~analyses:[ "taint"; "unused-allow" ] ~rules:[]
+      ~path:"lib/crypto/fixture.ml" dirty
+  in
+  Alcotest.(check int) "rule not run: not judged" 0 (List.length taint_only.Analyzer.findings)
+
+(* A bare callee under a local open resolves to the opened module's
+   definition, [let open M in f x] and [M.(f x)] alike: dirty, the
+   opened [branchy] branches on the secret it is handed; clean, the
+   opened [masked] does arithmetic only. *)
+let test_taint_local_open () =
+  let opened =
+    ( "lib/crypto/opened.ml",
+      "let branchy x = if x > 0 then 1 else 0\nlet masked x = (0 - (x land 1)) land 0xff\n" )
+  in
+  let taint src =
+    Analyzer.scan_sources [ opened; ("lib/crypto/fixture.ml", src) ]
+    |> List.concat_map (fun (_, r) -> List.map (fun f -> f.Report.rule) r.Analyzer.findings)
+    |> count_rule "taint"
+  in
+  let secret = "(* lw-lint: secret key *)\n" in
+  Alcotest.(check int) "dirty: let open" 1
+    (taint (secret ^ "let f key = let open Opened in branchy key\n"));
+  Alcotest.(check int) "dirty: M.( )" 1 (taint (secret ^ "let f key = Opened.(branchy key)\n"));
+  Alcotest.(check int) "clean: let open" 0
+    (taint (secret ^ "let f key = let open Opened in masked key\n"));
+  Alcotest.(check int) "clean: M.( )" 0 (taint (secret ^ "let f key = Opened.(masked key)\n"))
 
 (* ------------------------- baseline ------------------------- *)
 
@@ -984,6 +1086,42 @@ let test_baseline_matching () =
       let other = { f with message = "something else" } in
       let fresh2, _ = Baseline.apply entries [ other ] in
       Alcotest.(check int) "new message is fresh" 1 (List.length fresh2))
+
+(* A baseline entry the scan could have matched but did not is stale: a
+   dirty baseline (its finding is gone) reports one, at its line of the
+   baseline file; a clean one (its finding is still there) none, and an
+   entry outside the scanned paths or rules is not judged. *)
+let test_baseline_stale () =
+  let f =
+    {
+      Report.rule = "taint";
+      file = "lib/core/x.ml";
+      line = 42;
+      message = "secret-tainted value reaches branch condition (m)";
+    }
+  in
+  let tmp = Filename.temp_file "lw_lint_baseline" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove tmp)
+    (fun () ->
+      Baseline.save tmp [ f ];
+      let entries = Baseline.load tmp in
+      let stale ?(roots = [ "lib" ]) ?rules findings =
+        Baseline.stale ~baseline_file:tmp ~roots ~rules entries findings
+      in
+      Alcotest.(check int) "clean: the entry still matches" 0 (List.length (stale [ f ]));
+      (match stale [] with
+      | [ s ] ->
+          Alcotest.(check string) "dirty: rule" "stale-baseline" s.Report.rule;
+          Alcotest.(check string) "dirty: file" tmp s.Report.file;
+          (* three header lines, then the entry *)
+          Alcotest.(check int) "dirty: line" 4 s.Report.line
+      | l -> Alcotest.failf "dirty: expected one stale entry, got %d" (List.length l));
+      Alcotest.(check int) "outside the scanned paths" 0
+        (List.length (stale ~roots:[ "bin" ] []));
+      Alcotest.(check int) "under a scanned file's own path" 1
+        (List.length (stale ~roots:[ "../lib/core/x.ml" ] []));
+      Alcotest.(check int) "rule not run" 0 (List.length (stale ~rules:[ "race" ] [])))
 
 let test_baseline_missing_file () =
   Alcotest.(check int) "missing baseline loads empty" 0
@@ -1069,6 +1207,10 @@ let test_repo_is_clean () =
   Alcotest.(check int) "fresh findings vs baseline" 0 (List.length fresh);
   Alcotest.(check bool) "baseline entries in use" true
     (accepted >= List.length baseline);
+  Alcotest.(check int) "no stale baseline entry" 0
+    (List.length
+       (Baseline.stale ~baseline_file:"lint_baseline.txt" ~roots ~rules:None baseline
+          report.Report.findings));
   Alcotest.(check bool) "scanned a real tree" true (report.Report.files_scanned > 60)
 
 (* ------------------------- reachability gate ------------------------- *)
@@ -1086,6 +1228,8 @@ let unreached_by_design =
     ("Pacer", "constant-rate cover traffic, for the planned paced browsing session");
     ("Trace_check", "test oracle: the dynamic obliviousness checks");
     ("Faulty", "chaos harness: fault-injecting endpoints for tests and the chaos bench");
+    ( "Poly1305",
+      "the standalone RFC 8439 MAC; Aead runs the same C Poly1305 body inside its seal and open" );
   ]
 
 module SS = Set.Make (String)
@@ -1364,6 +1508,7 @@ let () =
           Alcotest.test_case "unbounded-wait" `Quick test_rule_unbounded_wait;
           Alcotest.test_case "process-hygiene" `Quick test_rule_process_hygiene;
           Alcotest.test_case "pragma suppression" `Quick test_pragma_suppression;
+          Alcotest.test_case "unused allow pragma" `Quick test_pragma_unused_allow;
           Alcotest.test_case "old Ct.select caught" `Quick test_old_ct_select_is_caught;
         ] );
       ( "analyses",
@@ -1381,6 +1526,7 @@ let () =
           Alcotest.test_case "taint: seed-indexed table" `Quick test_taint_seed_table_lookup;
           Alcotest.test_case "taint across loop iterations" `Quick
             test_taint_loop_carried_ref;
+          Alcotest.test_case "taint under a local open" `Quick test_taint_local_open;
           Alcotest.test_case "race on spawned ref" `Quick test_race_spawned_ref;
           Alcotest.test_case "race: partitioned-scan fixtures" `Quick
             test_race_partitioned_scan_fixtures;
@@ -1394,6 +1540,7 @@ let () =
         [
           Alcotest.test_case "line-free matching" `Quick test_baseline_matching;
           Alcotest.test_case "missing file" `Quick test_baseline_missing_file;
+          Alcotest.test_case "stale entries reported" `Quick test_baseline_stale;
         ] );
       ( "report",
         [ Alcotest.test_case "json shape" `Quick test_report_json_shape ] );

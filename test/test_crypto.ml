@@ -106,6 +106,39 @@ let test_chacha20_reduced_rounds () =
   Alcotest.(check string) "roundtrip8" sunscreen
     (Lw_crypto.Chacha20.encrypt ~rounds:8 ~key:rfc8439_key ~nonce ct8)
 
+(* The RFC 8439 vectors on every build the host runs, and every length
+   up to two 1 KiB batches and a wide tail against the first build:
+   every split between batches, the wide tail and the scalar blocks. *)
+let test_chacha20_every_build () =
+  let first = Lw_crypto.Chacha20.build () in
+  let msg = String.init 2200 (fun i -> Char.chr ((i * 13) land 0xff)) in
+  List.iter
+    (fun build ->
+      let enc ?rounds ~nonce ?counter m =
+        Lw_crypto.Chacha20.encrypt_on ~build ?rounds ~key:rfc8439_key ~nonce ?counter m
+      in
+      check_hex (build ^ " block")
+        "10f1e7e4d13b5915500fdd1fa32071c4c7d1f4c733c068030422aa9ac3d46c4ed2826446079faa0914c2d705d98b02a2b5129cd1de164eb9cbd083e8a2503c4e"
+        (enc ~nonce:(hex "000000090000004a00000000") ~counter:1l (String.make 64 '\x00'));
+      check_hex (build ^ " encrypt")
+        "6e2e359a2568f98041ba0728dd0d6981e97e7aec1d4360c20a27afccfd9fae0bf91b65c5524733ab8f593dabcd62b3571639d624e65152ab8f530c359f0861d807ca0dbf500d6a6156a38e088a22b65e52bc514d16ccf806818ce91ab77937365af90bbf74a35be6b40b8eedf2785e42874d"
+        (enc ~nonce:(hex "000000000000004a00000000") ~counter:1l sunscreen);
+      let nonce = "every-build!" in
+      List.iter
+        (fun rounds ->
+          for len = 0 to String.length msg do
+            if len < 300 || len mod 37 = 0 || len mod 64 = 0 then begin
+              let m = String.sub msg 0 len in
+              Alcotest.(check string)
+                (Printf.sprintf "%s r%d len %d" build rounds len)
+                (Lw_crypto.Chacha20.encrypt_on ~build:first ~rounds ~key:rfc8439_key ~nonce
+                   ~counter:0xfffffff9l m)
+                (enc ~rounds ~nonce ~counter:0xfffffff9l m)
+            end
+          done)
+        [ 8; 20 ])
+    (Lw_crypto.Chacha20.builds ())
+
 (* ------------------------- Poly1305 / AEAD ------------------------- *)
 
 let test_poly1305_rfc8439 () =
@@ -415,6 +448,7 @@ let () =
           Alcotest.test_case "rfc8439 block" `Quick test_chacha20_block;
           Alcotest.test_case "rfc8439 encrypt" `Quick test_chacha20_encrypt;
           Alcotest.test_case "reduced rounds" `Quick test_chacha20_reduced_rounds;
+          Alcotest.test_case "every build" `Quick test_chacha20_every_build;
         ] );
       ( "poly1305-aead",
         [
