@@ -6,9 +6,10 @@
    lib/ bin/ bench/. Findings present in the checked-in baseline
    (lint_baseline.txt at the repo root) are accepted and do not affect
    the exit status; everything else must be fixed or waived with an
-   in-source pragma. A baseline entry in the scan's scope that matches
-   no finding is itself a finding (stale-baseline), and so is an allow
-   pragma that suppresses nothing (unused-allow). Exit status: 0 clean,
+   in-source pragma. A baseline entry accepts at most its count of
+   findings; one in the scan's scope that matches fewer is itself a
+   finding (stale-baseline), and so is an allow pragma that suppresses
+   nothing (unused-allow). Exit status: 0 clean,
    1 fresh findings, 2 usage/IO error. *)
 
 module Analyzer = Lw_analysis.Analyzer

@@ -71,439 +71,164 @@ let check_enclave ?(capacity = 32) ?(value_size = 64) ?(fill = 10) ?(gets = 6)
   end
 
 (* ------------------------------------------------------------------ *)
-(* Linear scan over a one-epoch store (PIR mode)                       *)
+(* The PIR linear scan                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Every scan check below serves a sealed snapshot of a store filled
-   with the same fixed pseudorandom bytes. *)
-let random_snapshot ~domain_bits ~bucket_size =
-  let st = Lw_store.create ~domain_bits ~bucket_size () in
-  let w = Lw_store.writer st in
-  Lw_store.Writer.fill_random w (Lw_util.Det_rng.of_string_seed "trace-check-db");
-  Lw_store.Writer.seal w
+let ( let* ) = Result.bind
 
-(* Run [f] with the snapshot's store tracing, returning its result and
-   the buckets it touched, in order. *)
-let traced snap f =
-  Lw_store.Snapshot.set_tracing snap true;
-  let r = f () in
-  let t = Lw_store.Snapshot.access_trace snap in
-  Lw_store.Snapshot.set_tracing snap false;
-  (r, t)
+let rec each f = function
+  | [] -> Ok ()
+  | x :: rest ->
+      let* () = f x in
+      each f rest
 
-(* For each secret index, generate the DPF share pair and run both
-   servers' scans with tracing on. The masked scan must touch buckets
-   [0..size) in order for every key and both parties. *)
-let scan_traces ~domain_bits ~bucket_size alpha =
-  let snap = random_snapshot ~domain_bits ~bucket_size in
-  let server = Lw_pir.Server.of_snapshot snap in
-  let rng = Lw_crypto.Drbg.create ~seed:"trace-check-dpf" in
-  let k0, k1 = Lw_dpf.Dpf.gen ~domain_bits ~alpha rng in
-  List.map (fun k -> snd (traced snap (fun () -> Lw_pir.Server.answer server k))) [ k0; k1 ]
+(* What the second epoch of [scan_snapshot] writes to bucket [i] of a
+   rewritten block, by [i mod 5], with the length of its non-zero
+   prefix: empty, short, odd-length, the whole bucket, and a quarter
+   bucket followed by a quarter of zeros. Each fits the bucket. *)
+let record ~bucket_size i =
+  let body n = String.init n (fun j -> Char.chr (1 + (((i * 7) + j) mod 255))) in
+  match i mod 5 with
+  | 0 -> (None, 0)
+  | 1 -> (Some (body (min 5 bucket_size)), min 5 bucket_size)
+  | 2 ->
+      let n = (bucket_size / 2) lor 1 in
+      (Some (body n), n)
+  | 3 -> (Some (body bucket_size), bucket_size)
+  | _ ->
+      let n = bucket_size / 4 in
+      (Some (body n ^ String.make n '\x00'), n)
 
-let check_bucket_scan ?(domain_bits = 6) ?(bucket_size = 32) ?(alphas = [ 3; 47 ]) () =
-  if List.length alphas < 2 then err "check_bucket_scan: need at least 2 distinct keys"
-  else begin
-    let expected = List.init (1 lsl domain_bits) Fun.id in
-    let failures =
-      List.concat_map
-        (fun alpha ->
-          List.concat_map
-            (fun trace -> if trace = expected then [] else [ alpha ])
-            (scan_traces ~domain_bits ~bucket_size alpha))
-        alphas
-    in
-    (* lw-lint: allow taint *)
-    match failures with
-    | [] -> Ok ()
-    | alpha :: _ ->
-        err "bucket scan trace for alpha=%d is not the full in-order walk" alpha
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Batch scan (PIR mode)                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* The batched kernel streams the database in blocks and makes one pass
-   over each block whatever the width, so the observable per-bucket
-   trace is the same in-order walk a single answer makes. Drive
-   [answer_batch] with several distinct batches of secrets (both key
-   shares of each) and assert (1) the traces are identical across
-   batches and parties, and (2) the trace is exactly buckets [0..size)
-   in order — full coverage, one visit each, so no bucket's visit count
-   or position correlates with any query's target. *)
-let batch_scan_traces ~domain_bits ~bucket_size alphas =
-  let snap = random_snapshot ~domain_bits ~bucket_size in
-  let server = Lw_pir.Server.of_snapshot snap in
-  let rng = Lw_crypto.Drbg.create ~seed:"trace-check-dpf" in
-  let pairs = List.map (fun alpha -> Lw_dpf.Dpf.gen ~domain_bits ~alpha rng) alphas in
-  List.map
-    (fun party ->
-      let keys =
-        Array.of_list (List.map (fun (k0, k1) -> if party = 0 then k0 else k1) pairs)
-      in
-      snd (traced snap (fun () -> Lw_pir.Server.answer_batch server keys)))
-    [ 0; 1 ]
-
-let check_batch_scan ?(domain_bits = 5) ?(bucket_size = 24)
-    ?(batches = [ [ 3; 9; 17; 28; 5 ]; [ 1; 2; 30; 31; 16 ] ]) () =
-  let widths = List.sort_uniq compare (List.map List.length batches) in
-  match widths with
-  | [] -> err "check_batch_scan: need at least one batch"
-  | _ :: _ :: _ ->
-      (* the width is public: probing obliviousness compares batches
-         that differ only in their secrets *)
-      err "check_batch_scan: batches must share one width"
-  | [ width ] when width < 2 || List.length batches < 2 ->
-      err "check_batch_scan: need >= 2 batches of >= 2 queries"
-  | [ _ ] -> (
-      let traces =
-        List.concat_map (batch_scan_traces ~domain_bits ~bucket_size) batches
-      in
-      match traces with
-      | [] -> err "check_batch_scan: no traces"
-      | first :: rest ->
-          if List.exists (fun t -> t <> first) rest then
-            err "batch scan trace depends on the secret indices"
-          else begin
-            let rec first_gap i = function
-              | [] -> if i = 1 lsl domain_bits then None else Some i
-              | b :: tl -> if b <> i then Some i else first_gap (i + 1) tl
-            in
-            match first_gap 0 first with
-            | None -> Ok ()
-            | Some i -> err "batch scan trace is not the in-order walk at position %d" i
-          end)
-
-(* ------------------------------------------------------------------ *)
-(* Domain-partitioned scan (PIR mode)                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* The parallel scan splits the bucket range into 2^levels aligned
-   partitions and rebases the keys per partition. Each partition's lane
-   driver still walks its sub-range front to back, so on the serial
-   schedule ([answer_partitioned] with one worker, ascending partition
-   order) the observable trace must be exactly the full in-order walk —
-   the same shape the single-threaded scan leaves — for a lone key and
-   for a batch alike. Anything else (a skipped bucket, a partition whose
-   walk depends on a secret index) would hand a memory adversary a
-   distinguisher; with more workers the same driver runs the identical
-   per-partition code, only interleaved by the scheduler, so per-worker
-   traces inherit this shape. The shares must also stay bit-identical to
-   the serial scan. Each probe is one party's share of [alphas], run as
-   one batch. *)
-let partitioned_scan_traces ~domain_bits ~bucket_size ~partitions alphas =
-  let snap = random_snapshot ~domain_bits ~bucket_size in
-  let server = Lw_pir.Server.of_snapshot snap in
-  let rng = Lw_crypto.Drbg.create ~seed:"trace-check-dpf" in
-  let pairs =
-    Array.of_list (List.map (fun alpha -> Lw_dpf.Dpf.gen ~domain_bits ~alpha rng) alphas)
-  in
-  List.map
-    (fun keys ->
-      let serial = Lw_pir.Server.answer_batch server keys in
-      let shares, t =
-        traced snap (fun () -> Lw_pir.Server.answer_partitioned ~partitions server keys)
-      in
-      (t, Array.for_all2 String.equal shares serial))
-    [ Array.map fst pairs; Array.map snd pairs ]
-
-let check_partitioned_scan ?(domain_bits = 6) ?(bucket_size = 32)
-    ?(partition_counts = [ 2; 4; 8 ]) ?(alphas = [ 3; 47 ]) ?(batch = [ 5; 38; 60 ]) () =
-  if List.length alphas < 2 then err "check_partitioned_scan: need >= 2 distinct keys"
-  else if List.length batch < 2 then err "check_partitioned_scan: need a batch of >= 2 keys"
-  else begin
-    let expected = List.init (1 lsl domain_bits) Fun.id in
-    let describe = function
-      | [ alpha ] -> Printf.sprintf "alpha=%d" alpha
-      | batch -> Printf.sprintf "batch=[%s]" (String.concat ";" (List.map string_of_int batch))
-    in
-    let rec check = function
-      | [] -> Ok ()
-      | (partitions, input) :: rest ->
-          let probes =
-            partitioned_scan_traces ~domain_bits ~bucket_size ~partitions input
-          in
-          (* same taint-lint situation as [check_bucket_scan]: comparing a
-             key-derived trace against the public walk is this checker's
-             entire purpose *)
-          (* lw-lint: allow taint lines=10 *)
-          let bad_trace = List.exists (fun (t, _) -> t <> expected) probes in
-          let bad_share = List.exists (fun (_, ok) -> not ok) probes in
-          if bad_trace then
-            err
-              "partitioned scan trace (partitions=%d, %s) is not the full \
-               in-order walk"
-              partitions (describe input)
-          else if bad_share then
-            err "partitioned answer (partitions=%d, %s) differs from serial"
-              partitions (describe input)
-          else check rest
-    in
-    let inputs = List.map (fun a -> [ a ]) alphas @ [ batch ] in
-    check
-      (List.concat_map (fun p -> List.map (fun i -> (p, i)) inputs) partition_counts)
-  end
-
-(* ------------------------------------------------------------------ *)
-(* CoW snapshot and shard-view scans                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* The epoch engine must be invisible to a trace adversary: a scan over
-   a snapshot assembled from several copy-on-write epochs (some blocks
-   freshly copied, some shared with older epochs) has to touch exactly
-   buckets [0..size) in order, and both parties' shares must XOR to the
-   queried bucket. Each of [shard_bits] then cuts the same snapshot into
-   [2^shard_bits] range views, as a sharded front-end serves it: each
-   view answers its [Distributed.split] sub-key, its trace must be
-   exactly its own range once each in order, and the shard shares must
-   XOR to the whole-snapshot share. Small CoW blocks make the views span
-   several blocks, fill one, or sit inside one. *)
-let check_snapshot_scan ?(domain_bits = 6) ?(bucket_size = 32) ?(alphas = [ 5; 42 ])
-    ?(shard_bits = [ 1; 3; 4 ]) () =
-  let size = 1 lsl domain_bits in
-  let bucket i gen = Printf.sprintf "bucket-%d-gen%d" i gen in
-  (* epoch 1: full fill; small blocks so the domain spans many CoW blocks
-     and the second epoch leaves most of them shared *)
-  let st =
-    Lw_store.create ~block_bytes:(8 * bucket_size) ~domain_bits ~bucket_size ()
-  in
-  let w1 = Lw_store.writer st in
-  for i = 0 to size - 1 do
-    Lw_store.Writer.set w1 i (bucket i 0)
-  done;
-  ignore (Lw_store.Writer.seal w1);
-  (* epoch 2: sparse churn *)
-  let w2 = Lw_store.writer st in
-  let rec churn i =
-    if i < size then begin
-      Lw_store.Writer.set w2 i (bucket i 1);
-      churn (i + 9)
-    end
-  in
-  churn 3;
-  let snap = Lw_store.Writer.seal w2 in
-  let server = Lw_pir.Server.of_snapshot snap in
-  let rng = Lw_crypto.Drbg.create ~seed:"trace-check-snapshot" in
-  let walk base n = List.init n (fun j -> base + j) in
-  (* one party's key over each shard width: the shard views' traces and
-     the XOR of their shares against the whole-snapshot answer *)
-  let rec check_views alpha k whole = function
-    | [] -> Ok ()
-    | sb :: more ->
-        let rem = domain_bits - sb in
-        let subs = Lw_dpf.Distributed.split k ~shard_bits:sb in
-        let acc = Bytes.make bucket_size '\x00' in
-        let bad = ref None in
-        Array.iteri
-          (fun i sub ->
-            let view = Lw_store.Snapshot.sub snap ~base:(i lsl rem) ~domain_bits:rem in
-            let share, trace =
-              traced snap (fun () -> Lw_pir.Server.answer (Lw_pir.Server.of_snapshot view) sub)
-            in
-            Lw_util.Xorbuf.xor_string_into ~src:share ~src_pos:0 ~dst:acc ~dst_pos:0
-              ~len:bucket_size;
-            if trace <> walk (i lsl rem) (1 lsl rem) && !bad = None then bad := Some i)
-          subs;
-        match !bad with
-        | Some i ->
-            err "shard view %d of %d: scan trace for alpha=%d is not its own in-order range"
-              i (1 lsl sb) alpha
-        | None when not (String.equal (Bytes.unsafe_to_string acc) whole) ->
-            err "shard views (shard_bits=%d) XOR to a different share for alpha=%d" sb alpha
-        | None -> check_views alpha k whole more
-  in
-  let rec check_alphas = function
-    | [] -> Ok ()
-    | alpha :: rest -> (
-        let k0, k1 = Lw_dpf.Dpf.gen ~domain_bits ~alpha rng in
-        let s0, t0 = traced snap (fun () -> Lw_pir.Server.answer server k0) in
-        let s1, t1 = traced snap (fun () -> Lw_pir.Server.answer server k1) in
-        let expected = Lw_store.Snapshot.get snap alpha in
-        if t0 <> walk 0 size || t1 <> walk 0 size then
-          err "CoW snapshot scan trace for alpha=%d is not the full in-order walk: the epoch \
-               engine leaks"
-            alpha
-        else if not (String.equal (Lw_util.Xorbuf.xor s0 s1) expected) then
-          err "CoW snapshot shares for alpha=%d do not reconstruct the bucket" alpha
-        else
-          match check_views alpha k0 s0 shard_bits with
-          | Error _ as e -> e
-          | Ok () -> (
-              match check_views alpha k1 s1 shard_bits with
-              | Error _ as e -> e
-              | Ok () -> check_alphas rest))
-  in
-  check_alphas alphas
-
-(* ------------------------------------------------------------------ *)
-(* Extent-bounded scan over a sparse store                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Bucket [i]'s contents in [sparse_snapshot]'s second epoch and the
-   extent they give it, by [i mod 6]: empty, short, a multiple of 64 B,
-   odd-length, the whole bucket, and a value whose last 30 bytes are
-   zero (its extent stops at its last non-zero byte). Needs buckets of
-   at least [Lw_store.whole_scan_below] bytes, which are not read whole. *)
-let sparse_value ~bucket_size i =
-  let body n = String.init n (fun j -> Char.chr (1 + ((i * 7) + j) mod 255)) in
-  match i mod 6 with
-  | 0 -> None
-  | 1 -> Some (body 5)
-  | 2 -> Some (body 128)
-  | 3 -> Some (body 77)
-  | 4 -> Some (body bucket_size)
-  | _ -> Some (body 70 ^ String.make 30 '\x00')
-
-let sparse_extent ~bucket_size i =
-  match i mod 6 with 0 -> 0 | 1 -> 64 | 4 -> bucket_size | _ -> 128
-
-(* Two epochs: a full first one, then every bucket rewritten to its
-   [sparse_value] — shorter over longer, or cleared — so a stale extent
-   from the first epoch would show. Small CoW blocks make views span
-   blocks, fill one, or sit inside one. *)
-let sparse_snapshot ~domain_bits ~bucket_size =
-  let size = 1 lsl domain_bits in
+(* The store every scan check serves: a full random first epoch on
+   8-bucket CoW blocks, then a second that rewrites every other block
+   bucket by bucket with [record]s, shorter over longer or cleared. The
+   snapshot mixes shared and copied blocks, a stale extent from the
+   first epoch would show, and range views span blocks, fill one or sit
+   inside one. Also returns each bucket's extent as its contents give
+   it: the whole bucket below [Lw_store.whole_scan_below], otherwise the
+   non-zero prefix rounded up to 64 B. *)
+let scan_snapshot ~domain_bits ~bucket_size =
   let st = Lw_store.create ~block_bytes:(8 * bucket_size) ~domain_bits ~bucket_size () in
   let w1 = Lw_store.writer st in
-  Lw_store.Writer.fill_random w1 (Lw_util.Det_rng.of_string_seed "trace-check-sparse");
+  Lw_store.Writer.fill_random w1 (Lw_util.Det_rng.of_string_seed "trace-check-db");
   ignore (Lw_store.Writer.seal w1);
   let w2 = Lw_store.writer st in
-  for i = 0 to size - 1 do
-    match sparse_value ~bucket_size i with
-    | None -> Lw_store.Writer.clear w2 i
-    | Some v -> Lw_store.Writer.set w2 i v
-  done;
-  Lw_store.Writer.seal w2
-
-(* Run [f] traced; its result, the buckets it touched and the bytes it
-   read at each. *)
-let traced_bytes snap f =
-  Lw_store.Snapshot.set_tracing snap true;
-  let r = f () in
-  let t = Lw_store.Snapshot.access_trace snap and b = Lw_store.Snapshot.access_bytes snap in
-  Lw_store.Snapshot.set_tracing snap false;
-  (r, (t, b))
-
-(* The extent-bounded scan reads each bucket only up to its extent, so
-   what a memory observer sees is the bucket walk plus the bytes read at
-   each bucket. Both must be public: the in-order walk and the
-   snapshot's extent map, the same for every secret and both parties.
-   Over a sparse store (every bucket kind of [sparse_value]), for each
-   width, two batches of distinct secrets and both parties' shares run
-   (1) [answer_batch] on the whole snapshot, (2) every [Snapshot.sub]
-   view of each [shard_bits] on its [Distributed.split] sub-keys and
-   (3) [answer_partitioned] on one worker at each partition count. Every
-   trace must be the walk of its range with that range's extents; the
-   view shares must XOR to the whole share, the partitioned shares equal
-   the serial ones, and the two parties' whole shares XOR to the queried
-   buckets, so the check cannot pass on a scan that reads nothing. The
-   extent map itself must be each kind's, with only zero bytes past
-   each extent. *)
-let sparse_scan ~domain_bits ~bucket_size ~widths ~shard_bits ~partitions =
-  let size = 1 lsl domain_bits in
-  let snap = sparse_snapshot ~domain_bits ~bucket_size in
-  let extents = List.init size (Lw_store.Snapshot.extent snap) in
-  let expected base n =
-    (List.init n (fun j -> base + j), List.filteri (fun i _ -> i >= base && i < base + n) extents)
+  let extents =
+    Array.init (1 lsl domain_bits) (fun i ->
+        let nz =
+          if i / Lw_store.block_buckets st mod 2 = 1 then bucket_size
+          else
+            match record ~bucket_size i with
+            | None, nz ->
+                Lw_store.Writer.clear w2 i;
+                nz
+            | Some v, nz ->
+                Lw_store.Writer.set w2 i v;
+                nz
+        in
+        if bucket_size < Lw_store.whole_scan_below then bucket_size
+        else min bucket_size ((nz + 63) land lnot 63))
   in
-  let zero_tails =
-    List.for_all
-      (fun i ->
-        let e = Lw_store.Snapshot.extent snap i and b = Lw_store.Snapshot.get snap i in
-        Lw_util.Xorbuf.is_zero (String.sub b e (bucket_size - e)))
-      (List.init size Fun.id)
+  (Lw_store.Writer.seal w2, extents)
+
+(* A bucket is read only up to its extent, so what a memory observer of
+   a scan sees is the bucket walk and the bytes read at each bucket. Both
+   must be public: the in-order walk with the snapshot's extent map, the
+   same for every secret and both parties. At each width (one key through
+   [Server.answer], more through [answer_batch]), two batches of distinct
+   secrets, holding buckets 0 and [size - 1] between them, run for both
+   parties (1) on the whole snapshot, (2) on every [Snapshot.sub] view of
+   each [shard_bits], with the [Distributed.split] sub-keys, and (3)
+   through [answer_partitioned] on one worker, the production driver run
+   inline in ascending partition order, at each partition count. Every
+   trace must be the walk of its own range with that range's extents;
+   the views' shares must XOR to the whole share, the partitioned shares
+   equal the serial ones, and the two parties' whole shares XOR to the
+   queried buckets, so the check cannot pass on a scan that reads
+   nothing. The extent map must be the one the buckets' contents give,
+   with only zero bytes past each extent. *)
+let check_scan ?(domain_bits = 6) ?(bucket_size = 32) ?(widths = [ 1; 2; 5; 9 ])
+    ?(shard_bits = [ 1; 3; 4 ]) ?(partitions = [ 2; 4; 8 ]) () =
+  let size = 1 lsl domain_bits in
+  let snap, extents = scan_snapshot ~domain_bits ~bucket_size in
+  let traced f = Lw_store.Snapshot.traced snap f in
+  let walk base n = List.init n (fun j -> (base + j, Lw_store.Snapshot.extent snap (base + j))) in
+  let answer server keys =
+    if Array.length keys = 1 then [| Lw_pir.Server.answer server keys.(0) |]
+    else Lw_pir.Server.answer_batch server keys
   in
   let server = Lw_pir.Server.of_snapshot snap in
-  let rng = Lw_crypto.Drbg.create ~seed:"trace-check-sparse-dpf" in
-  let batch w seed = List.init w (fun q -> ((seed * 29) + (q * 13)) mod size) in
-  let probe alphas =
-    let pairs = Array.of_list (List.map (fun alpha -> Lw_dpf.Dpf.gen ~domain_bits ~alpha rng) alphas) in
-    [ Array.map fst pairs; Array.map snd pairs ]
-  in
-  (* one party's batch: its whole share and traces, or the first
-     failure among the views and partitions *)
+  (* one party's keys: their whole-snapshot shares, or the first trace or
+     share that is not what it must be *)
   let run keys =
-    let whole, tr = traced_bytes snap (fun () -> Lw_pir.Server.answer_batch server keys) in
-    if tr <> expected 0 size then Error "whole-snapshot scan"
-    else
-      let rec views = function
-        | [] -> Ok ()
-        | sb :: more ->
-            let rem = domain_bits - sb in
-            let subs = Array.map (fun k -> Lw_dpf.Distributed.split k ~shard_bits:sb) keys in
-            let accs = Array.map (fun _ -> Bytes.make bucket_size '\x00') keys in
-            let bad = ref None in
-            for v = 0 to (1 lsl sb) - 1 do
-              let view = Lw_store.Snapshot.sub snap ~base:(v lsl rem) ~domain_bits:rem in
-              let shares, tr =
-                traced_bytes snap (fun () ->
-                    Lw_pir.Server.answer_batch (Lw_pir.Server.of_snapshot view)
-                      (Array.map (fun s -> s.(v)) subs))
-              in
-              Array.iteri
-                (fun q sh ->
-                  Lw_util.Xorbuf.xor_string_into ~src:sh ~src_pos:0 ~dst:accs.(q) ~dst_pos:0
-                    ~len:bucket_size)
-                shares;
-              if tr <> expected (v lsl rem) (1 lsl rem) && !bad = None then bad := Some v
-            done;
-            match !bad with
-            | Some v -> Error (Printf.sprintf "view %d of %d" v (1 lsl sb))
-            | None
-              when not (Array.for_all2 (fun a s -> String.equal (Bytes.to_string a) s) accs whole)
-              ->
-                Error (Printf.sprintf "views of shard_bits=%d XOR to another share" sb)
-            | None -> views more
-      in
-      let rec parts = function
-        | [] -> Ok ()
-        | p :: more ->
+    let whole, tr = traced (fun () -> answer server keys) in
+    let* () =
+      if tr = walk 0 size then Ok () else err "whole-snapshot trace is not the walk"
+    in
+    let view sb =
+      let rem = domain_bits - sb in
+      let subs = Array.map (fun k -> Lw_dpf.Distributed.split k ~shard_bits:sb) keys in
+      let accs = Array.map (fun _ -> Bytes.make bucket_size '\x00') keys in
+      let* () =
+        each
+          (fun v ->
+            let part = Lw_store.Snapshot.sub snap ~base:(v lsl rem) ~domain_bits:rem in
             let shares, tr =
-              traced_bytes snap (fun () -> Lw_pir.Server.answer_partitioned ~partitions:p server keys)
+              traced (fun () ->
+                  answer (Lw_pir.Server.of_snapshot part) (Array.map (fun s -> s.(v)) subs))
             in
-            if tr <> expected 0 size then Error (Printf.sprintf "partitions=%d" p)
-            else if not (Array.for_all2 String.equal shares whole) then
-              Error (Printf.sprintf "partitions=%d shares differ from serial" p)
-            else parts more
+            Array.iteri
+              (fun q sh ->
+                Lw_util.Xorbuf.xor_string_into ~src:sh ~src_pos:0 ~dst:accs.(q) ~dst_pos:0
+                  ~len:bucket_size)
+              shares;
+            if tr = walk (v lsl rem) (1 lsl rem) then Ok ()
+            else err "view %d of %d: trace is not its own range's walk" v (1 lsl sb))
+          (List.init (1 lsl sb) Fun.id)
       in
-      match views shard_bits with
-      | Error _ as e -> e
-      | Ok () -> ( match parts partitions with Error _ as e -> e | Ok () -> Ok whole)
+      if Array.for_all2 (fun a s -> String.equal (Bytes.to_string a) s) accs whole then Ok ()
+      else err "views of shard_bits=%d XOR to another share" sb
+    in
+    let partitioned p =
+      let shares, tr =
+        traced (fun () -> Lw_pir.Server.answer_partitioned ~partitions:p server keys)
+      in
+      if tr <> walk 0 size then err "partitions=%d: trace is not the walk" p
+      else if not (Array.for_all2 String.equal shares whole) then
+        err "partitions=%d: shares differ from the serial ones" p
+      else Ok ()
+    in
+    let* () = each view shard_bits in
+    let* () = each partitioned partitions in
+    Ok whole
   in
-  let rec check_widths = function
-    | [] -> Ok ()
-    | w :: rest ->
-        let rec check_batches = function
-          | [] -> check_widths rest
-          (* both parties' shares and traces, checked as in [run] *)
-          (* lw-lint: allow taint lines=8 *)
-          | alphas :: more -> (
-              match List.map run (probe alphas) with
-              | [ Ok s0; Ok s1 ] ->
-                  let got = Array.map2 Lw_util.Xorbuf.xor s0 s1 in
-                  let want = Array.of_list (List.map (Lw_store.Snapshot.get snap) alphas) in
-                  if Array.for_all2 String.equal got want then check_batches more
-                  else err "sparse scan shares (width %d) do not reconstruct the buckets" w
-              | results ->
-                  let where =
-                    List.filter_map (function Error e -> Some e | Ok _ -> None) results
-                  in
-                  err "sparse scan trace (width %d, %s) is not the walk with the extent map" w
-                    (String.concat "; " where))
-        in
-        check_batches [ batch w 1; batch w 2 ]
+  let rng = Lw_crypto.Drbg.create ~seed:"trace-check-dpf" in
+  let probe (w, first) =
+    let alphas = List.init w (fun q -> (first + (q * 13)) mod size) in
+    let pairs = List.map (fun alpha -> Lw_dpf.Dpf.gen ~domain_bits ~alpha rng) alphas in
+    let result =
+      (* handing secret-derived keys to a scan that is then checked is
+         this checker's entire purpose *)
+      (* lw-lint: allow taint lines=2 *)
+      let* s0 = run (Array.of_list (List.map fst pairs)) in
+      let* s1 = run (Array.of_list (List.map snd pairs)) in
+      let want = Array.of_list (List.map (Lw_store.Snapshot.get snap) alphas) in
+      if Array.for_all2 String.equal (Array.map2 Lw_util.Xorbuf.xor s0 s1) want then Ok ()
+      else err "the parties' shares do not reconstruct the buckets"
+    in
+    Result.map_error
+      (Printf.sprintf "scan of %d x %d B, width %d, batch from %d: %s" size bucket_size w first)
+      result
   in
-  if not zero_tails then err "a sparse bucket holds a non-zero byte past its extent"
-  else if extents <> List.init size (sparse_extent ~bucket_size) then
-    err "sparse store's extent map is not its buckets' kinds"
-  else check_widths widths
-
-let check_sparse_scan ?(domain_bits = 6) ?(bucket_size = 600) ?(widths = [ 1; 5; 9 ])
-    ?(shard_bits = [ 1; 3 ]) ?(partitions = [ 2; 4 ]) () =
-  if bucket_size < Lw_store.whole_scan_below then
-    err "check_sparse_scan: buckets under %d B are read whole" Lw_store.whole_scan_below
-  else sparse_scan ~domain_bits ~bucket_size ~widths ~shard_bits ~partitions
+  let zero_tail i =
+    let e = extents.(i) in
+    Lw_util.Xorbuf.is_zero (String.sub (Lw_store.Snapshot.get snap i) e (bucket_size - e))
+  in
+  if Array.to_list extents <> List.init size (Lw_store.Snapshot.extent snap) then
+    err "scan store's extent map is not the one its buckets' contents give"
+  else if not (List.for_all zero_tail (List.init size Fun.id)) then
+    err "scan store holds a non-zero byte past an extent"
+  else each probe (List.concat_map (fun w -> [ (w, 0); (w, size - 1) ]) widths)
 
 (* ------------------------------------------------------------------ *)
 (* Single-server PIR scan (Single mode)                                *)
@@ -511,33 +236,14 @@ let check_sparse_scan ?(domain_bits = 6) ?(bucket_size = 600) ?(widths = [ 1; 5;
 
 (* The LWE answer path promises the same observable shape as the
    two-server XOR scan: one pass over every bucket in index order,
-   whatever column the masked query selects. Build a two-epoch CoW
-   store (so the snapshot mixes shared and copied blocks, like
-   [check_snapshot_scan]), issue queries for several distinct secret
-   indices, and assert that every scan trace is exactly the public
-   full walk — and that each query still recovers its bucket's bytes,
-   so the checker can't pass vacuously on a broken scan. *)
+   whatever column the masked query selects. Over [check_scan]'s
+   two-epoch store, issue queries for several distinct secret indices
+   and assert that every scan trace is exactly the public full walk —
+   and that each query still recovers its bucket's bytes, so the checker
+   can't pass vacuously on a broken scan. *)
 let check_spir_scan ?(domain_bits = 6) ?(bucket_size = 32) ?(indices = [ 5; 42 ]) () =
   let size = 1 lsl domain_bits in
-  let bucket i gen = Printf.sprintf "bucket-%d-gen%d" i gen in
-  let st =
-    Lw_store.create ~hash_key:"trace-check-spir" ~block_bytes:(8 * bucket_size)
-      ~domain_bits ~bucket_size ()
-  in
-  let w1 = Lw_store.writer st in
-  for i = 0 to size - 1 do
-    Lw_store.Writer.set w1 i (bucket i 0)
-  done;
-  ignore (Lw_store.Writer.seal w1);
-  let w2 = Lw_store.writer st in
-  let rec churn i =
-    if i < size then begin
-      Lw_store.Writer.set w2 i (bucket i 1);
-      churn (i + 9)
-    end
-  in
-  churn 3;
-  let snap = Lw_store.Writer.seal w2 in
+  let snap, _ = scan_snapshot ~domain_bits ~bucket_size in
   match Lw_pir.Spir.decode_hint (Lw_pir.Spir.hint_of_snapshot Lw_pir.Spir.default_params snap) with
   | Error e -> err "spir hint round trip failed: %s" e
   | Ok hint ->
@@ -548,18 +254,17 @@ let check_spir_scan ?(domain_bits = 6) ?(bucket_size = 32) ?(indices = [ 5; 42 ]
         | index :: rest -> (
             let expected_page = Lw_store.Snapshot.get snap index in
             let secret, query = Lw_pir.Spir.Client.query hint ~domain_bits ~index rng in
-            Lw_store.Snapshot.set_tracing snap true;
             (* feeding a secret-derived query into the server path (and
                branching on what comes back) is this checker's entire
                purpose, like every probe above *)
-            (* lw-lint: allow taint lines=14 *)
-            let answered = Lw_pir.Spir.answer snap query in
-            let trace = Lw_store.Snapshot.access_trace snap in
-            Lw_store.Snapshot.set_tracing snap false;
+            (* lw-lint: allow taint lines=13 *)
+            let answered, trace =
+              Lw_store.Snapshot.traced snap (fun () -> Lw_pir.Spir.answer snap query)
+            in
             match answered with
             | Error e -> err "spir answer failed for index=%d: %s" index e
             | Ok answer ->
-                if trace <> expected_trace then
+                if List.map fst trace <> expected_trace then
                   err
                     "SPIR scan trace for index=%d is not the full in-order walk: \
                      the masked query leaks"
@@ -758,29 +463,15 @@ let check_retry ?(verb = `Get_raw_index) ?(domain_bits = 6) ?(bucket_size = 32) 
 
 let retry_verbs = [ `Get_raw_index; `Get_batch; `Keyword_get; `Keyword_get_batch ]
 
+(* Every check at its defaults, the scan at buckets read whole and at
+   buckets read up to their extents, stopping at the first failure. *)
 let check_all () =
-  match check_enclave () with
-  | Error _ as e -> e
-  | Ok () -> (
-      match check_bucket_scan () with
-      | Error _ as e -> e
-      | Ok () -> (
-          match check_batch_scan () with
-          | Error _ as e -> e
-          | Ok () -> (
-              match check_partitioned_scan () with
-              | Error _ as e -> e
-              | Ok () -> (
-                  match check_snapshot_scan () with
-                  | Error _ as e -> e
-                  | Ok () -> (
-                      match check_sparse_scan () with
-                      | Error _ as e -> e
-                      | Ok () -> (
-                          match check_spir_scan () with
-                          | Error _ as e -> e
-                          | Ok () ->
-                              List.fold_left
-                                (fun acc verb ->
-                                  match acc with Error _ -> acc | Ok () -> check_retry ~verb ())
-                                (Ok ()) retry_verbs))))))
+  each
+    (fun check -> check ())
+    ([
+       (fun () -> check_enclave ());
+       (fun () -> check_scan ());
+       (fun () -> check_scan ~bucket_size:600 ());
+       (fun () -> check_spir_scan ());
+     ]
+    @ List.map (fun verb () -> check_retry ~verb ()) retry_verbs)

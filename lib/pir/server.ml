@@ -159,7 +159,7 @@ let count t n ~parallel =
 (* The partitioned driver: split every key once at [levels], then scan
    the [2^levels] partitions, each with its keys rebased at its root.
    With one worker the partitions run inline in ascending order — the
-   schedule [Trace_check.check_partitioned_scan] observes. Otherwise the
+   schedule [Trace_check.check_scan] observes. Otherwise the
    workers claim partitions through [Atomic.fetch_and_add], each into its
    own accumulators (worker 0 into [accs]), and this domain XOR-reduces
    them into [accs] once every worker has joined. *)

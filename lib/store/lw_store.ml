@@ -44,7 +44,7 @@ let whole_scan_below = 512
 
 (* The access trace, newest first: the bucket each access touched and
    the bytes it read there. *)
-type trace = { mutable on : bool; mutable rev : int list; mutable bytes_rev : int list }
+type trace = { mutable on : bool; mutable rev : (int * int) list }
 
 (* A CoW block: its buckets' bytes, their extents (native-endian 32-bit,
    one per bucket, the layout the scan kernel reads) and the extents'
@@ -134,7 +134,7 @@ let create ?(hash_key = default_hash_key) ?(keep = 2) ?(block_bytes = default_bl
       keep;
       lock = Mutex.create ();
       entries = [];
-      trace = { on = false; rev = []; bytes_rev = [] };
+      trace = { on = false; rev = [] };
     }
   in
   (* every empty block starts from one shared extent table: a writer
@@ -206,17 +206,7 @@ let unpin t snap =
           Lw_obs.Metrics.set g_pins (float_of_int (total_pins_locked t));
           if e.pins = 0 then retire_locked t)
 
-let set_tracing t on =
-  t.trace.on <- on;
-  t.trace.rev <- [];
-  t.trace.bytes_rev <- []
-
-let access_trace t = List.rev t.trace.rev
-let access_bytes t = List.rev t.trace.bytes_rev
-
-let record_access t i bytes =
-  t.trace.rev <- i :: t.trace.rev;
-  t.trace.bytes_rev <- bytes :: t.trace.bytes_rev
+let record_access t i bytes = t.trace.rev <- (i, bytes) :: t.trace.rev
 
 let get_extent blk local = Int32.to_int (Bytes.get_int32_ne blk.ext (4 * local))
 
@@ -320,9 +310,20 @@ module Snapshot = struct
       off := !off + run
     done
 
-  let set_tracing s on = set_tracing s.store on
-  let access_trace s = access_trace s.store
-  let access_bytes s = access_bytes s.store
+  (* Tracing goes off and the trace is dropped however [f] exits, so a
+     raising probe cannot leave every later read of the store growing
+     the list. *)
+  let traced s f =
+    let tr = s.store.trace in
+    tr.on <- true;
+    tr.rev <- [];
+    Fun.protect
+      ~finally:(fun () ->
+        tr.on <- false;
+        tr.rev <- [])
+      (fun () ->
+        let r = f () in
+        (r, List.rev tr.rev))
 
   (* Physical block diff: snapshots of one engine share untouched blocks,
      so two epochs differ exactly where the block pointers differ. Always

@@ -201,19 +201,16 @@ module Snapshot : sig
 
   (** {2 Tracing}
 
-      The obliviousness checker's hook: when on, every bucket a snapshot
-      or view of the store reads is recorded by its global index, in
-      access order, with the bytes read there. The trace belongs to the
-      store, so every snapshot of it shares one. Enabling or disabling
-      resets the trace. Leave it off on hot paths. *)
+      The obliviousness checker's hook ([Lw_analysis.Trace_check]). *)
 
-  val set_tracing : t -> bool -> unit
-  val access_trace : t -> int list
-
-  val access_bytes : t -> int list
-  (** The bytes each access of {!access_trace} read, in the same order: a
-      scan reads a bucket's extent, {!get} and {!xor_bucket_into_masked}
-      the whole bucket. *)
+  val traced : t -> (unit -> 'a) -> 'a * (int * int) list
+  (** [traced s f] runs [f] and returns its result with every bucket any
+      snapshot or view of [s]'s store read meanwhile, in access order, as
+      [(global index, bytes read)]: a scan reads a bucket's extent,
+      {!get} and {!xor_bucket_into_masked} the whole bucket. Tracing is
+      on only while [f] runs, and goes off however [f] exits; off, a scan
+      pays one flag test per block run. Not reentrant, and not for
+      concurrent readers of the same store. *)
 
   val diff_ranges : t -> t -> (int * int) list
   (** [diff_ranges a b] is the [(base, count)] bucket ranges (ascending,

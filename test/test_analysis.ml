@@ -1123,6 +1123,49 @@ let test_baseline_stale () =
         (List.length (stale ~roots:[ "../lib/core/x.ml" ] []));
       Alcotest.(check int) "rule not run" 0 (List.length (stale ~rules:[ "race" ] [])))
 
+(* An entry accepts at most its count of findings, and one that takes
+   fewer is stale: with count 3, a fourth finding of its key is fresh
+   (dirty) where three are all accepted (clean), and two leave the entry
+   stale (dirty) where three fill it (clean). [save] writes one entry
+   per key with its count. *)
+let test_baseline_counts () =
+  let at line =
+    {
+      Report.rule = "taint";
+      file = "lib/core/x.ml";
+      line;
+      message = "secret-tainted value reaches branch condition (argument 1 of send_msg)";
+    }
+  in
+  let findings n = List.init n (fun i -> at (10 + i)) in
+  let tmp = Filename.temp_file "lw_lint_baseline" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove tmp)
+    (fun () ->
+      Baseline.save tmp (findings 3);
+      let entries = Baseline.load tmp in
+      let lines = String.split_on_char '\n' (In_channel.with_open_text tmp In_channel.input_all) in
+      Alcotest.(check string) "save writes the count"
+        "taint\tlib/core/x.ml\t3\tsecret-tainted value reaches branch condition (argument \
+         1 of send_msg)"
+        (List.nth lines 3);
+      let fresh n = List.map (fun f -> f.Report.line) (fst (Baseline.apply entries (findings n))) in
+      Alcotest.(check (list int)) "dirty: a fourth finding is fresh" [ 13 ] (fresh 4);
+      Alcotest.(check (list int)) "clean: three are accepted" [] (fresh 3);
+      Alcotest.(check int) "clean: accepted count" 3 (snd (Baseline.apply entries (findings 3)));
+      let stale n =
+        Baseline.stale ~baseline_file:tmp ~roots:[ "lib" ] ~rules:None entries (findings n)
+      in
+      (match stale 2 with
+      | [ s ] ->
+          Alcotest.(check string) "dirty: rule" "stale-baseline" s.Report.rule;
+          Alcotest.(check int) "dirty: line" 4 s.Report.line
+      | l -> Alcotest.failf "dirty: expected one stale entry, got %d" (List.length l));
+      Alcotest.(check int) "clean: the entry is filled" 0 (List.length (stale 3));
+      (* a line without a count is no entry *)
+      Alcotest.(check bool) "countless line ignored" true
+        (Baseline.parse_line "taint\tlib/core/x.ml\tsecret-tainted value" = None))
+
 let test_baseline_missing_file () =
   Alcotest.(check int) "missing baseline loads empty" 0
     (List.length (Baseline.load "/nonexistent/lint_baseline.txt"))
@@ -1378,31 +1421,19 @@ let test_trace_enclave () =
     (Trace_check.check_enclave ~capacity:64 ~fill:20 ~gets:4
        ~keys:[ "page-0"; "page-19"; "page-3"; "ghost-a"; "ghost-b" ] ())
 
+(* Each case is one geometry of the scan gate ([Trace_check.check_scan]):
+   widths 1, 2, 5 and 9 unless named, each over two batches that hold
+   buckets 0 and size - 1, whole, through shard views and partitioned.
+   [check_all] runs it at 6 x 32 B and 6 x 600 B. *)
 let test_trace_bucket_scan () =
-  check_ok "scan defaults" (Trace_check.check_bucket_scan ());
-  check_ok "scan wider domain"
-    (Trace_check.check_bucket_scan ~domain_bits:8 ~bucket_size:64
-       ~alphas:[ 0; 17; 255 ] ())
+  check_ok "6 x 32 B" (Trace_check.check_scan ());
+  check_ok "8 x 64 B" (Trace_check.check_scan ~domain_bits:8 ~bucket_size:64 ())
 
+(* widths 8 and 9 sit either side of the 8-lane plane boundary *)
 let test_trace_batch_scan () =
-  (* one in-order visit per bucket at every width, including widths 8
-     and 9 (across the 8-lane plane boundary) *)
-  check_ok "batch defaults" (Trace_check.check_batch_scan ());
-  check_ok "batch full pack"
-    (Trace_check.check_batch_scan ~domain_bits:6 ~bucket_size:48
-       ~batches:[ [ 0; 1; 2; 3; 60; 61; 62; 63 ]; [ 7; 9; 11; 13; 17; 19; 23; 29 ] ] ());
-  check_ok "batch two packs"
-    (Trace_check.check_batch_scan ~domain_bits:6 ~bucket_size:48
-       ~batches:
-         [ [ 0; 1; 2; 3; 60; 61; 62; 63; 32 ]; [ 7; 9; 11; 13; 17; 19; 23; 29; 31 ] ]
-       ());
-  (* the checker itself must reject malformed probes *)
-  (match Trace_check.check_batch_scan ~batches:[ [ 1; 2 ]; [ 3; 4; 5 ] ] () with
-  | Ok () -> Alcotest.fail "mixed-width batches accepted"
-  | Error _ -> ());
-  match Trace_check.check_batch_scan ~batches:[ [ 1; 2 ] ] () with
-  | Ok () -> Alcotest.fail "single batch accepted"
-  | Error _ -> ()
+  check_ok "5 x 24 B" (Trace_check.check_scan ~domain_bits:5 ~bucket_size:24 ());
+  check_ok "6 x 48 B, a full pack and two packs"
+    (Trace_check.check_scan ~domain_bits:6 ~bucket_size:48 ~widths:[ 8; 9 ] ())
 
 let test_trace_retry () =
   check_ok "retry defaults" (Trace_check.check_retry ());
@@ -1425,22 +1456,14 @@ let test_trace_retry_verbs () =
     ]
 
 let test_trace_snapshot_scan () =
-  check_ok "snapshot defaults" (Trace_check.check_snapshot_scan ());
-  check_ok "snapshot other geometry"
-    (Trace_check.check_snapshot_scan ~domain_bits:7 ~bucket_size:48
-       ~alphas:[ 0; 99; 127 ] ())
+  check_ok "7 x 48 B" (Trace_check.check_scan ~domain_bits:7 ~bucket_size:48 ())
 
-(* empty, short, 64 B-multiple, odd-length and full buckets: traces are
-   the walk with the extent map at widths 1, 5 and 9, whole, through
-   views and partitioned; a bucket size past a power of two, too *)
+(* a bucket size past a power of two, read up to its extents, with views
+   of 32 and 8 buckets over blocks of 8 *)
 let test_trace_sparse_scan () =
-  check_ok "sparse defaults" (Trace_check.check_sparse_scan ());
-  check_ok "sparse other geometry"
-    (Trace_check.check_sparse_scan ~domain_bits:7 ~bucket_size:4100 ~shard_bits:[ 2; 4 ]
-       ~partitions:[ 8 ] ());
-  match Trace_check.check_sparse_scan ~bucket_size:256 () with
-  | Ok () -> Alcotest.fail "buckets read whole accepted"
-  | Error _ -> ()
+  check_ok "7 x 4100 B"
+    (Trace_check.check_scan ~domain_bits:7 ~bucket_size:4100 ~shard_bits:[ 2; 4 ]
+       ~partitions:[ 8 ] ())
 
 let test_trace_spir_scan () =
   check_ok "spir defaults" (Trace_check.check_spir_scan ());
@@ -1448,36 +1471,16 @@ let test_trace_spir_scan () =
     (Trace_check.check_spir_scan ~domain_bits:7 ~bucket_size:48
        ~indices:[ 0; 99; 127 ] ())
 
+(* partition counts that are not a power of two round up to one inside
+   [answer_partitioned]; width 3 is the batch the partitioned scan was
+   first checked with *)
 let test_trace_partitioned_scan () =
-  check_ok "partitioned defaults" (Trace_check.check_partitioned_scan ());
-  (* partitions that don't divide the domain evenly still walk in order
-     (partition count rounds up to a power of two internally) *)
-  check_ok "partitioned odd counts"
-    (Trace_check.check_partitioned_scan ~domain_bits:7 ~bucket_size:48
-       ~partition_counts:[ 3; 5; 16 ] ~alphas:[ 0; 64; 127 ] ())
+  check_ok "6 x 32 B, width 3" (Trace_check.check_scan ~widths:[ 3 ] ());
+  check_ok "7 x 48 B, partitions 3, 5 and 16"
+    (Trace_check.check_scan ~domain_bits:7 ~bucket_size:48 ~widths:[ 1; 3 ]
+       ~partitions:[ 3; 5; 16 ] ())
 
 let test_trace_check_all () = check_ok "check_all" (Trace_check.check_all ())
-
-let test_trace_scan_really_answers () =
-  (* the masked scan the checker relies on must still be a correct PIR
-     answer: XOR of the two servers' responses is the queried bucket *)
-  let domain_bits = 6 and bucket_size = 32 in
-  let st = Lw_store.create ~domain_bits ~bucket_size () in
-  let w = Lw_store.writer st in
-  Lw_store.Writer.fill_random w (Lw_util.Det_rng.of_string_seed "answer-check");
-  let snap = Lw_store.Writer.seal w in
-  let server = Lw_pir.Server.of_snapshot snap in
-  let rng = Lw_crypto.Drbg.create ~seed:"answer-check" in
-  List.iter
-    (fun alpha ->
-      let k0, k1 = Lw_dpf.Dpf.gen ~domain_bits ~alpha rng in
-      let a0 = Lw_pir.Server.answer server k0 in
-      let a1 = Lw_pir.Server.answer server k1 in
-      Alcotest.(check string)
-        (Printf.sprintf "alpha %d" alpha)
-        (Lw_store.Snapshot.get snap alpha)
-        (Lw_util.Xorbuf.xor a0 a1))
-    [ 0; 13; 63 ]
 
 let () =
   Alcotest.run "lw_analysis"
@@ -1541,6 +1544,7 @@ let () =
           Alcotest.test_case "line-free matching" `Quick test_baseline_matching;
           Alcotest.test_case "missing file" `Quick test_baseline_missing_file;
           Alcotest.test_case "stale entries reported" `Quick test_baseline_stale;
+          Alcotest.test_case "counted entries" `Quick test_baseline_counts;
         ] );
       ( "report",
         [ Alcotest.test_case "json shape" `Quick test_report_json_shape ] );
@@ -1569,6 +1573,5 @@ let () =
           Alcotest.test_case "retry wire shape" `Quick test_trace_retry;
           Alcotest.test_case "retry wire shape, every Pir2 verb" `Quick test_trace_retry_verbs;
           Alcotest.test_case "check_all" `Quick test_trace_check_all;
-          Alcotest.test_case "masked scan answers" `Quick test_trace_scan_really_answers;
         ] );
     ]
