@@ -1,8 +1,9 @@
 (* lw_lint [--json] [--rules r1,r2] [--baseline FILE | --no-baseline]
            [--write-baseline] [paths...]
 
-   Side-channel & hygiene lint over OCaml sources: the token-lexer
-   rules plus the AST analyses (taint, race, balance). Default scope is
+   Side-channel & hygiene lint over OCaml sources: the rules and the
+   AST analyses (taint, race, balance), over one compiler parse of each
+   file. Default scope is
    lib/ bin/ bench/. Findings present in the checked-in baseline
    (lint_baseline.txt at the repo root) are accepted and do not affect
    the exit status; everything else must be fixed or waived with an
@@ -10,7 +11,8 @@
    findings; one in the scan's scope that matches fewer is itself a
    finding (stale-baseline), and so is an allow pragma that suppresses
    nothing (unused-allow). Exit status: 0 clean,
-   1 fresh findings, 2 usage/IO error. *)
+   1 fresh findings, 2 usage/IO error (an unknown option, or a --rules
+   name that is neither a rule nor an analysis, among them). *)
 
 module Analyzer = Lw_analysis.Analyzer
 module Report = Lw_analysis.Report
@@ -89,6 +91,17 @@ let parse_args args =
 
 let () =
   let o = parse_args (List.tl (Array.to_list Sys.argv)) in
+  let rules, analyses =
+    match o.rules with
+    | None -> (None, None)
+    | Some names -> (
+        match Analyzer.select_names names with
+        | Ok (r, a) -> (Some r, Some a)
+        | Error unknown ->
+            Printf.eprintf "lw_lint: no rule or analysis named %s\n"
+              (String.concat ", " unknown);
+            usage ())
+  in
   let paths =
     match o.paths with
     | [] -> (
@@ -105,13 +118,6 @@ let () =
       Printf.eprintf "lw_lint: no such file or directory: %s\n" missing;
       exit 2
   | None -> ());
-  let rules, analyses =
-    match o.rules with
-    | None -> (None, None)
-    | Some names ->
-        let r, a = Analyzer.select_names names in
-        (Some r, Some a)
-  in
   let report = Analyzer.scan_paths ?rules ?analyses paths in
   let baseline_path =
     if o.no_baseline then None

@@ -1,6 +1,7 @@
-(* The lint driver: walks OCaml sources, runs the token-lexer rules and
-   the AST analyses (taint, race, balance), and honours the in-source
-   pragmas:
+(* The lint pass: parses each OCaml source once with the compiler's
+   parser, runs the rules and the AST analyses (taint, race, balance)
+   over that Parsetree, and honours the in-source pragmas, which it
+   reads from the comments the compiler's lexer sets aside:
 
      (* lw-lint: allow <rule> ... *)          suppress the named rules on
                                               the pragma's line and the
@@ -10,12 +11,13 @@
                                               N lines, for multi-line
                                               expressions
      (* lw-lint: secret <name> ... *)         flag identifiers as secret
-                                              for this file (lexer rules
+                                              for this file (the rules
                                               and the taint analysis)
 
    An allow that suppresses nothing in a scan that ran its rule, or that
    names no rule, is itself a finding (unused-allow), so a waiver cannot
-   outlive the finding it excused.
+   outlive the finding it excused. A file that does not parse yields its
+   parse-error finding and nothing else.
 
    The default one-line reach of [allow] keeps suppressions next to the
    code they excuse; [lines=N] exists so a single waiver can cover one
@@ -37,44 +39,38 @@ let words s =
   |> List.concat_map (String.split_on_char '\n')
   |> List.filter (fun w -> w <> "")
 
-let collect_pragmas tokens =
+(* [comments] are the compiler lexer's: each body without its [(*] and
+   [*)], nested comments inline, at the line the comment opens. *)
+let collect_pragmas comments =
   let p = { allows = Hashtbl.create 8; sites = ref []; secrets = Hashtbl.create 8 } in
-  Array.iter
-    (fun { Lexer.kind; line } ->
-      match kind with
-      | Lexer.Comment body -> (
-          match words (String.trim body) with
-          | first :: rest when first = pragma_prefix -> (
-              match rest with
-              | "allow" :: args ->
-                  let rules, span =
-                    List.fold_left
-                      (fun (rules, span) w ->
-                        match String.index_opt w '=' with
-                        | Some i when String.sub w 0 i = "lines" -> (
-                            let v =
-                              String.sub w (i + 1) (String.length w - i - 1)
-                            in
-                            match int_of_string_opt v with
-                            | Some n when n >= 0 ->
-                                (rules, min n max_allow_lines)
-                            | _ -> (rules, span))
-                        | _ -> (w :: rules, span))
-                      ([], 1) args
-                  in
-                  List.iter
-                    (fun r ->
-                      p.sites := (line, r, span) :: !(p.sites);
-                      for l = line to line + span do
-                        Hashtbl.replace p.allows (l, r) ()
-                      done)
-                    rules
-              | "secret" :: names ->
-                  List.iter (fun n -> Hashtbl.replace p.secrets n ()) names
-              | _ -> ())
-          | _ -> ())
+  List.iter
+    (fun (body, loc) ->
+      let line = Syntax.line loc in
+      match words (String.trim body) with
+      | first :: "allow" :: args when first = pragma_prefix ->
+          let rules, span =
+            List.fold_left
+              (fun (rules, span) w ->
+                match String.index_opt w '=' with
+                | Some i when String.sub w 0 i = "lines" -> (
+                    let v = String.sub w (i + 1) (String.length w - i - 1) in
+                    match int_of_string_opt v with
+                    | Some n when n >= 0 -> (rules, min n max_allow_lines)
+                    | _ -> (rules, span))
+                | _ -> (w :: rules, span))
+              ([], 1) args
+          in
+          List.iter
+            (fun r ->
+              p.sites := (line, r, span) :: !(p.sites);
+              for l = line to line + span do
+                Hashtbl.replace p.allows (l, r) ()
+              done)
+            rules
+      | first :: "secret" :: names when first = pragma_prefix ->
+          List.iter (fun n -> Hashtbl.replace p.secrets n ()) names
       | _ -> ())
-    tokens;
+    comments;
   p
 
 let path_segments path =
@@ -89,22 +85,31 @@ type file_result = {
 }
 
 let all_analyses = [ "taint"; "race"; "balance"; "parse-error"; "unused-allow" ]
-let analysis_names = all_analyses
 
-(* Split a combined rule/analysis selection into (lexer rules, analyses).
-   Unknown names select nothing, matching the CLI's strict filtering. *)
+let known name = List.exists (fun r -> r.Rules.name = name) Rules.all || List.mem name all_analyses
+
+(* Split a combined rule/analysis selection into (rules, analyses), or
+   name the entries that are neither. *)
 let select_names names =
-  let rules =
-    List.filter (fun r -> List.mem r.Rules.name names) Rules.all
-  in
-  let analyses = List.filter (fun a -> List.mem a names) all_analyses in
-  (rules, analyses)
+  match List.filter (fun n -> not (known n)) names with
+  | [] ->
+      Ok
+        ( List.filter (fun r -> List.mem r.Rules.name names) Rules.all,
+          List.filter (fun a -> List.mem a names) all_analyses )
+  | unknown -> Error unknown
 
 (* ------------------------------------------------------------------ *)
 (* The combined scan over already-loaded sources                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Lint a batch of sources together: lexer rules are per-file, but the
+(* One parse per file: the Parsetree (or why there is none) and the
+   pragmas, from the comments the compiler's lexer set aside on the way. *)
+let parse ~path src =
+  Lexer.init ();
+  let ast = Syntax.parse ~path src in
+  (ast, collect_pragmas (Lexer.comments ()))
+
+(* Lint a batch of sources together: the rules are per-file, but the
    taint analysis builds one call graph over the whole batch so
    summaries cross file (and library) boundaries. *)
 let scan_sources ?(rules = Rules.all) ?(analyses = all_analyses)
@@ -114,15 +119,36 @@ let scan_sources ?(rules = Rules.all) ?(analyses = all_analyses)
   let per_file =
     List.map
       (fun (path, src) ->
-        let tokens = Lexer.tokenize src in
-        let pragmas = collect_pragmas tokens in
-        (path, src, tokens, pragmas))
+        let ast, pragmas = parse ~path src in
+        (path, ast, pragmas))
       files
   in
-  (* lexer-rule findings *)
-  let lexer_findings =
+  let parsed =
+    List.filter_map
+      (fun (path, ast, pragmas) ->
+        match ast with Ok a -> Some (path, a, pragmas) | Error _ -> None)
+      per_file
+  in
+  let parse_failures =
+    if not (enabled "parse-error") then []
+    else
+      List.filter_map
+        (fun (path, ast, _) ->
+          match ast with
+          | Ok _ -> None
+          | Error msg ->
+              Some
+                {
+                  Report.rule = "parse-error";
+                  file = path;
+                  line = 1;
+                  message = "source does not parse: " ^ msg;
+                })
+        per_file
+  in
+  let rule_findings =
     List.concat_map
-      (fun (path, _, tokens, pragmas) ->
+      (fun (path, ast, pragmas) ->
         let ctx =
           {
             Rules.path;
@@ -131,31 +157,12 @@ let scan_sources ?(rules = Rules.all) ?(analyses = all_analyses)
             secrets = pragmas.secrets;
           }
         in
-        List.concat_map
-          (fun r -> if r.Rules.applies ctx then r.Rules.check ctx tokens else [])
-          rules)
-      per_file
-  in
-  (* AST analyses *)
-  let want_ast = List.exists enabled [ "taint"; "race"; "balance" ] in
-  let parsed, parse_failures =
-    if not (want_ast || enabled "parse-error") then ([], [])
-    else
-      List.fold_left
-        (fun (ok, bad) (path, src, _, pragmas) ->
-          match Syntax.parse ~path src with
-          | Ok ast -> ((path, ast, pragmas) :: ok, bad)
-          | Error msg ->
-              ( ok,
-                {
-                  Report.rule = "parse-error";
-                  file = path;
-                  line = 1;
-                  message = "source does not parse: " ^ msg;
-                }
-                :: bad ))
-        ([], []) (List.rev per_file)
-      |> fun (ok, bad) -> (List.rev ok, List.rev bad)
+        match List.filter (fun r -> r.Rules.applies ctx) rules with
+        | [] -> []
+        | applicable ->
+            let uses = Rules.uses_of ast in
+            List.concat_map (fun r -> r.Rules.check ctx uses) applicable)
+      parsed
   in
   let taint_findings =
     if not (enabled "taint") then []
@@ -185,17 +192,14 @@ let scan_sources ?(rules = Rules.all) ?(analyses = all_analyses)
         parsed
   in
   let all =
-    lexer_findings
-    @ (if enabled "parse-error" then parse_failures else [])
-    @ taint_findings @ race_findings @ balance_findings
+    rule_findings @ parse_failures @ taint_findings @ race_findings @ balance_findings
   in
   (* An allow pragma checks out when the scan ran its rule; one that
      names no rule at all never can. *)
-  let known r = List.exists (fun x -> x.Rules.name = r) Rules.all || List.mem r all_analyses in
   let ran r = List.exists (fun x -> x.Rules.name = r) rules || enabled r in
   (* per-file pragma suppression, then the allows that suppressed nothing *)
   List.map
-    (fun (path, _, _, pragmas) ->
+    (fun (path, _, pragmas) ->
       let mine = List.filter (fun f -> f.Report.file = path) all in
       let kept, dropped =
         List.partition

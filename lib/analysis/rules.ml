@@ -1,9 +1,12 @@
 (* The lint rule set. Each rule is keyed to a claim row in SECURITY.md:
    the analyzer enforces mechanically what the threat model promises in
-   prose. Rules work on the token stream from [Lexer]; none of them
-   parse types, so secret-value rules are driven by explicit per-file
-   flags: [(* lw-lint: secret name ... *)] marks identifiers whose
-   timing must not depend on control flow. *)
+   prose. Rules read the compiler's Parsetree of the file through one
+   walk, [uses]: the names the code refers to (values, record fields,
+   modules) and its applications of [=]/[<>]. None of them type the
+   code, so secret-value rules are driven by explicit per-file flags:
+   [(* lw-lint: secret name ... *)] marks identifiers whose timing must
+   not depend on control flow. Branches on those names are the taint
+   analysis's to report ([Taint]'s branch sink). *)
 
 type context = {
   path : string; (* as given on the command line / in tests *)
@@ -12,11 +15,65 @@ type context = {
   secrets : (string, unit) Hashtbl.t; (* from "lw-lint: secret" pragmas *)
 }
 
+(* A name the code refers to: a value ("String.equal"), a record field
+   with the path it is read through ("ep.Lw_net.Endpoint.recv"), or a
+   module ("Random" in [open Random]). *)
+type name_use = { name : string; line : int }
+
+(* An application of polymorphic [=]/[<>] (bare or [Stdlib.]), partial
+   ones included, with its unlabelled arguments; [line] is the
+   operator's. *)
+type equality = { operands : Parsetree.expression list; line : int }
+
+type uses = { names : name_use list; equalities : equality list }
+
+(* [e] as a dotted name, through record fields: [k.cond] is "k.cond". *)
+let rec dotted (e : Parsetree.expression) =
+  match e.pexp_desc with
+  | Pexp_ident l -> Some (Syntax.name_of_lid l.txt)
+  | Pexp_field (r, f) ->
+      Option.map (fun base -> base ^ "." ^ Syntax.name_of_lid f.txt) (dotted r)
+  | _ -> None
+
+let uses_of (str : Parsetree.structure) =
+  let names = ref [] and equalities = ref [] in
+  let use name (loc : Location.t) = names := { name; line = Syntax.line loc } :: !names in
+  let expr self (e : Parsetree.expression) =
+    (match e.pexp_desc with
+    | Pexp_ident l -> use (Syntax.name_of_lid l.txt) e.pexp_loc
+    | Pexp_field (_, f) ->
+        use (Option.value (dotted e) ~default:(Syntax.name_of_lid f.txt)) e.pexp_loc
+    | Pexp_apply (({ pexp_desc = Pexp_ident l; _ } as f), args) -> (
+        match Syntax.name_of_lid l.txt with
+        | "=" | "<>" | "Stdlib.=" | "Stdlib.<>" ->
+            equalities :=
+              {
+                operands =
+                  List.filter_map
+                    (fun (label, a) -> if label = Asttypes.Nolabel then Some a else None)
+                    args;
+                line = Syntax.line f.pexp_loc;
+              }
+              :: !equalities
+        | _ -> ())
+    | _ -> ());
+    Ast_iterator.default_iterator.expr self e
+  in
+  let module_expr self (m : Parsetree.module_expr) =
+    (match m.pmod_desc with
+    | Pmod_ident l -> use (Syntax.name_of_lid l.txt) l.loc
+    | _ -> ());
+    Ast_iterator.default_iterator.module_expr self m
+  in
+  let it = { Ast_iterator.default_iterator with expr; module_expr } in
+  it.structure it str;
+  { names = List.rev !names; equalities = List.rev !equalities }
+
 type t = {
   name : string;
   doc : string;
   applies : context -> bool;
-  check : context -> Lexer.token array -> Report.finding list;
+  check : context -> uses -> Report.finding list;
 }
 
 let has_segment ctx s = List.mem s ctx.path_segments
@@ -25,45 +82,38 @@ let in_lib ctx = has_segment ctx "lib"
 let in_sensitive ctx =
   in_lib ctx && (has_segment ctx "crypto" || has_segment ctx "dpf" || has_segment ctx "oram")
 
-(* An identifier is secret-flagged when its full dotted name or any
-   component is flagged, so [k.cond] trips a flag on [cond]. *)
+(* A name is secret-flagged when its full dotted name or any component
+   is flagged, so [k.cond] trips a flag on [cond]. *)
 let is_secret ctx name =
   Hashtbl.mem ctx.secrets name
-  || List.exists (Hashtbl.mem ctx.secrets) (Lexer.segments name)
+  || List.exists (Hashtbl.mem ctx.secrets) (String.split_on_char '.' name)
 
 let finding ctx rule line message = { Report.rule; file = ctx.path; line; message }
 
 let matches_any name ~exact ~prefixes =
   List.mem name exact || List.exists (fun p -> String.starts_with ~prefix:p name) prefixes
 
-(* Generic "these identifiers are banned here" scan. *)
-let banned_ident_check ~exact ~prefixes ~msg rule_name ctx tokens =
-  Array.to_list tokens
-  |> List.filter_map (fun { Lexer.kind; line } ->
-         match kind with
-         | Lexer.Ident name when matches_any name ~exact ~prefixes ->
-             Some (finding ctx rule_name line (msg name))
-         | _ -> None)
+(* Generic "these names are banned here" check. *)
+let banned_names ~exact ~prefixes ~msg rule_name ctx uses =
+  List.filter_map
+    (fun { name; line } ->
+      if matches_any name ~exact ~prefixes then Some (finding ctx rule_name line (msg name))
+      else None)
+    uses.names
 
-(* [let x = ...] and record fields ([{ f = ...; g = ... }], [{ r with
-   f = ... }]) are binders, not comparisons — walk back over the binding
-   head (identifiers, literals, label punctuation) to tell an [=] used
-   for binding from one used as an operator. *)
-let is_binder tokens i =
-  let rec back j =
-    if j < 0 || i - j > 40 then false
-    else
-      match tokens.(j).Lexer.kind with
-      | Lexer.Keyword ("let" | "and" | "rec" | "val" | "external" | "method"
-                      | "type" | "module" | "with") ->
-          true
-      | Lexer.Op ("{" | ";") -> true
-      | Lexer.Ident _ | Lexer.Num | Lexer.Str | Lexer.Chr | Lexer.Comment _
-      | Lexer.Op (":" | "," | "~" | "?" | "." | "*") ->
-          back (j - 1)
-      | _ -> false
+(* The [=]/[<>] applications with an operand [pick] names. A type
+   constraint on the operand, [(None : int option)], is seen through. *)
+let equality_check ~pick ~msg rule_name ctx uses =
+  let rec strip (e : Parsetree.expression) =
+    match e.pexp_desc with
+    | Pexp_constraint (e, _) | Pexp_coerce (e, _, _) -> strip e
+    | _ -> e
   in
-  back (i - 1)
+  List.filter_map
+    (fun { operands; line } ->
+      List.find_map (fun e -> pick ctx (strip e)) operands
+      |> Option.map (fun n -> finding ctx rule_name line (msg n)))
+    uses.equalities
 
 (* ------------------------------------------------------------------ *)
 (* Rule 1: constant-time comparisons in crypto/dpf/oram.               *)
@@ -83,41 +133,21 @@ let ct_equality =
        short-circuits on the first differing byte";
     applies = in_sensitive;
     check =
-      (fun ctx tokens ->
-        let named =
-          banned_ident_check ~exact:variable_time_compares ~prefixes:[]
-            ~msg:(fun name ->
-              Printf.sprintf
-                "variable-time comparison %s in a constant-time module; use Ct.equal"
-                name)
-            "ct-equality" ctx tokens
-        in
-        (* polymorphic =/<> on a secret-flagged identifier: a token-level
-           scanner cannot type arbitrary operands, but it can see a flagged
-           name right next to the operator. *)
-        let ops = ref [] in
-        Array.iteri
-          (fun i { Lexer.kind; line } ->
-            match kind with
-            | Lexer.Op ("=" | "<>") when not (is_binder tokens i) ->
-                let neighbor j =
-                  if j >= 0 && j < Array.length tokens then
-                    match tokens.(j).Lexer.kind with
-                    | Lexer.Ident n when is_secret ctx n -> Some n
-                    | _ -> None
-                  else None
-                in
-                (match (neighbor (i - 1), neighbor (i + 1)) with
-                | Some n, _ | None, Some n ->
-                    ops :=
-                      finding ctx "ct-equality" line
-                        (Printf.sprintf
-                           "polymorphic comparison on secret-flagged %S; use Ct.equal" n)
-                      :: !ops
-                | None, None -> ())
-            | _ -> ())
-          tokens;
-        named @ List.rev !ops);
+      (fun ctx uses ->
+        banned_names ~exact:variable_time_compares ~prefixes:[]
+          ~msg:(fun name ->
+            Printf.sprintf
+              "variable-time comparison %s in a constant-time module; use Ct.equal" name)
+          "ct-equality" ctx uses
+        (* polymorphic =/<> on a secret-flagged name: without types the
+           rule cannot judge arbitrary operands, but it sees a flagged
+           name handed to the operator *)
+        @ equality_check
+            ~pick:(fun ctx e ->
+              Option.bind (dotted e) (fun n -> if is_secret ctx n then Some n else None))
+            ~msg:(fun n ->
+              Printf.sprintf "polymorphic comparison on secret-flagged %S; use Ct.equal" n)
+            "ct-equality" ctx uses);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -130,10 +160,9 @@ let ct_equality =
    an abstract block) or gets expensive to deep-compare — exactly what
    happened when buckets moved behind the epoch engine. In lib/pir and
    lib/store the rule is: [Option.is_none]/[Option.is_some] for option
-   tests, typed [equal] functions otherwise. A token scanner cannot see
-   types, so it flags the two shapes that cover the bug class: a bare
-   polymorphic [compare], and [=]/[<>] with a [None]/[Some] constructor
-   on either side. *)
+   tests, typed [equal] functions otherwise. Without types the rule
+   flags the two shapes that cover the bug class: a bare polymorphic
+   [compare], and [=]/[<>] applied to a [None]/[Some] constructor. *)
 let poly_compare =
   {
     name = "poly-compare";
@@ -142,103 +171,28 @@ let poly_compare =
        None/Some: use Option.is_none/is_some or a typed equal";
     applies = (fun ctx -> in_lib ctx && (has_segment ctx "pir" || has_segment ctx "store"));
     check =
-      (fun ctx tokens ->
-        let named =
-          banned_ident_check ~exact:[ "compare"; "Stdlib.compare" ] ~prefixes:[]
-            ~msg:(fun name ->
+      (fun ctx uses ->
+        banned_names ~exact:[ "compare"; "Stdlib.compare" ] ~prefixes:[]
+          ~msg:(fun name ->
+            Printf.sprintf "polymorphic %s in a store module; use a typed compare function"
+              name)
+          "poly-compare" ctx uses
+        @ equality_check
+            ~pick:(fun _ (e : Parsetree.expression) ->
+              match e.pexp_desc with
+              | Pexp_construct (c, _) -> (
+                  match Syntax.last_seg (Syntax.name_of_lid c.txt) with
+                  | ("None" | "Some") as n -> Some n
+                  | _ -> None)
+              | _ -> None)
+            ~msg:(fun n ->
               Printf.sprintf
-                "polymorphic %s in a store module; use a typed compare function" name)
-            "poly-compare" ctx tokens
-        in
-        let out = ref [] in
-        Array.iteri
-          (fun i { Lexer.kind; line } ->
-            match kind with
-            | Lexer.Op ("=" | "<>") when not (is_binder tokens i) ->
-                let constructor j =
-                  if j >= 0 && j < Array.length tokens then
-                    match tokens.(j).Lexer.kind with
-                    | Lexer.Ident (("None" | "Some") as n) -> Some n
-                    | _ -> None
-                  else None
-                in
-                (match (constructor (i - 1), constructor (i + 1)) with
-                | Some n, _ | None, Some n ->
-                    out :=
-                      finding ctx "poly-compare" line
-                        (Printf.sprintf
-                           "polymorphic comparison against %s; use \
-                            Option.is_none/Option.is_some"
-                           n)
-                      :: !out
-                | None, None -> ())
-            | _ -> ())
-          tokens;
-        named @ List.rev !out);
+                "polymorphic comparison against %s; use Option.is_none/Option.is_some" n)
+            "poly-compare" ctx uses);
   }
 
 (* ------------------------------------------------------------------ *)
-(* Rule 2: no secret-dependent branching.                              *)
-(* ------------------------------------------------------------------ *)
-
-(* Collect the condition span of an [if]/[match] starting at index [i]:
-   tokens up to the matching [then]/[with], counting nested openers so an
-   inner if consumes its own closer. *)
-let condition_span tokens i opener closer =
-  let n = Array.length tokens in
-  let stop = min n (i + 2000) in
-  let rec go j pending acc =
-    if j >= stop then List.rev acc
-    else
-      match tokens.(j).Lexer.kind with
-      | Lexer.Keyword k when k = opener -> go (j + 1) (pending + 1) acc
-      | Lexer.Keyword k when k = closer ->
-          if pending = 1 then List.rev acc else go (j + 1) (pending - 1) acc
-      | _ -> go (j + 1) pending (tokens.(j) :: acc)
-  in
-  go (i + 1) 1 []
-
-let secret_branch =
-  {
-    name = "secret-branch";
-    doc =
-      "no if/match on secret-flagged values: branch direction is visible to a \
-       timing/trace adversary";
-    (* fires only where a file flags secrets, so it costs nothing elsewhere *)
-    applies = (fun ctx -> Hashtbl.length ctx.secrets > 0);
-    check =
-      (fun ctx tokens ->
-        let out = ref [] in
-        Array.iteri
-          (fun i { Lexer.kind; line } ->
-            let scan opener closer construct =
-              let span = condition_span tokens i opener closer in
-              let hits =
-                List.filter_map
-                  (fun t ->
-                    match t.Lexer.kind with
-                    | Lexer.Ident n when is_secret ctx n -> Some n
-                    | _ -> None)
-                  span
-              in
-              match hits with
-              | [] -> ()
-              | n :: _ ->
-                  out :=
-                    finding ctx "secret-branch" line
-                      (Printf.sprintf "%s scrutinises secret-flagged %S" construct n)
-                    :: !out
-            in
-            match kind with
-            | Lexer.Keyword "if" -> scan "if" "then" "if-condition"
-            | Lexer.Keyword "match" -> scan "match" "with" "match-scrutinee"
-            | _ -> ())
-          tokens;
-        List.rev !out);
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Rule 3: determinism in lib/.                                        *)
+(* Rule 2: determinism in lib/.                                        *)
 (* ------------------------------------------------------------------ *)
 
 let nondeterminism =
@@ -251,7 +205,7 @@ let nondeterminism =
       (fun ctx ->
         in_lib ctx && ctx.basename <> "det_rng.ml" && ctx.basename <> "drbg.ml");
     check =
-      banned_ident_check
+      banned_names
         ~exact:
           [
             "Random"; "Unix.time"; "Unix.gettimeofday"; "Sys.time"; "Unix.gmtime";
@@ -264,7 +218,7 @@ let nondeterminism =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Rule 3b: all wall-clock reads go through the observability clock.   *)
+(* Rule 2b: all wall-clock reads go through the observability clock.   *)
 (* ------------------------------------------------------------------ *)
 
 (* Stricter cousin of [nondeterminism], born with lw_obs: inside lib/
@@ -286,7 +240,7 @@ let raw_timestamp =
         in_lib ctx && not (has_segment ctx "obs")
         && ctx.basename <> "det_rng.ml" && ctx.basename <> "drbg.ml");
     check =
-      banned_ident_check
+      banned_names
         ~exact:[ "Unix.gettimeofday"; "Unix.time"; "Sys.time" ]
         ~prefixes:[]
         ~msg:(fun name ->
@@ -298,7 +252,7 @@ let raw_timestamp =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Rule 4: no printing from crypto modules.                            *)
+(* Rule 3: no printing from crypto modules.                            *)
 (* ------------------------------------------------------------------ *)
 
 let key_print =
@@ -309,7 +263,7 @@ let key_print =
        are keys and plaintext (pure sprintf is fine)";
     applies = (fun ctx -> in_lib ctx && has_segment ctx "crypto");
     check =
-      banned_ident_check
+      banned_names
         ~exact:
           [
             "Printf.printf"; "Printf.eprintf"; "Format.printf"; "Format.eprintf";
@@ -323,7 +277,7 @@ let key_print =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Rule 5: graceful degradation on server request paths.               *)
+(* Rule 4: graceful degradation on server request paths.               *)
 (* ------------------------------------------------------------------ *)
 
 let server_request_files =
@@ -337,7 +291,7 @@ let server_abort =
        one hostile query must not take the process down";
     applies = (fun ctx -> List.mem ctx.basename server_request_files);
     check =
-      banned_ident_check
+      banned_names
         ~exact:[ "failwith"; "Stdlib.failwith"; "exit"; "Stdlib.exit" ]
         ~prefixes:[]
         ~msg:(fun name ->
@@ -346,7 +300,7 @@ let server_abort =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Rule 6: no unbounded waits on protocol request paths.               *)
+(* Rule 5: no unbounded waits on protocol request paths.               *)
 (* ------------------------------------------------------------------ *)
 
 (* A request path that can block forever turns one lost message into a
@@ -364,35 +318,33 @@ let unbounded_wait =
        or an explicit waiver";
     applies = (fun ctx -> in_lib ctx && has_segment ctx "core");
     check =
-      (fun ctx tokens ->
-        Array.to_list tokens
-        |> List.filter_map (fun { Lexer.kind; line } ->
-               match kind with
-               | Lexer.Ident name
-                 when matches_any name
-                        ~exact:
-                          [ "Unix.sleep"; "Unix.sleepf"; "Thread.delay"; "Unix.select" ]
-                        ~prefixes:[] ->
-                   Some
-                     (finding ctx "unbounded-wait" line
-                        (Printf.sprintf
-                           "bare wait %s on a request path; route sleeps through Clock"
-                           name))
-               | Lexer.Ident name
-                 when (match List.rev (Lexer.segments name) with
-                      | "recv" :: _ :: _ -> true
-                      | _ -> false) ->
-                   Some
-                     (finding ctx "unbounded-wait" line
-                        (Printf.sprintf
-                           "endpoint receive %s without a visible deadline; ensure the \
-                            transport enforces one or waive explicitly"
-                           name))
-               | _ -> None));
+      (fun ctx uses ->
+        List.filter_map
+          (fun { name; line } ->
+            if
+              matches_any name
+                ~exact:[ "Unix.sleep"; "Unix.sleepf"; "Thread.delay"; "Unix.select" ]
+                ~prefixes:[]
+            then
+              Some
+                (finding ctx "unbounded-wait" line
+                   (Printf.sprintf
+                      "bare wait %s on a request path; route sleeps through Clock" name))
+            else
+              match List.rev (String.split_on_char '.' name) with
+              | "recv" :: _ :: _ ->
+                  Some
+                    (finding ctx "unbounded-wait" line
+                       (Printf.sprintf
+                          "endpoint receive %s without a visible deadline; ensure the \
+                           transport enforces one or waive explicitly"
+                          name))
+              | _ -> None)
+          uses.names);
   }
 
 (* ------------------------------------------------------------------ *)
-(* Rule 7: process management is the cluster supervisor's monopoly.    *)
+(* Rule 6: process management is the cluster supervisor's monopoly.    *)
 (* ------------------------------------------------------------------ *)
 
 (* Spawning, reaping and signalling OS processes carries the same
@@ -411,7 +363,7 @@ let process_hygiene =
        signalling so restarts and crash-loop accounting stay coherent";
     applies = (fun ctx -> not (has_segment ctx "cluster"));
     check =
-      banned_ident_check
+      banned_names
         ~exact:
           [
             "Unix.fork"; "Unix.wait"; "Unix.waitpid"; "Unix.kill"; "Unix.system";
@@ -428,8 +380,8 @@ let process_hygiene =
 
 let all =
   [
-    ct_equality; poly_compare; secret_branch; nondeterminism; raw_timestamp; key_print;
-    server_abort; unbounded_wait; process_hygiene;
+    ct_equality; poly_compare; nondeterminism; raw_timestamp; key_print; server_abort;
+    unbounded_wait; process_hygiene;
   ]
 
 let by_name name = List.find_opt (fun r -> r.name = name) all

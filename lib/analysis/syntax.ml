@@ -1,7 +1,7 @@
 (* Thin front-end over compiler-libs: parse a source file into a
-   Parsetree and expose the handful of AST helpers the analyses share.
-   The token [Lexer] stays responsible for pragmas and comments; this
-   module is only about structure. Everything here targets the 5.1
+   Parsetree and expose the handful of AST helpers the rules and the
+   analyses share. The pragmas ride the same parse ([Analyzer.parse]
+   reads the compiler lexer's comments). Everything here targets the 5.1
    Parsetree (notably [Pexp_fun] with an explicit pattern and
    [Pexp_function] carrying a case list). *)
 

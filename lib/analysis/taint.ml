@@ -12,7 +12,8 @@
    index, loop bound, allocation size); in report mode it turns
    secret-bit sinks into findings. Call sites consult summaries, so
    taint survives refactors that move a branch into a helper — the
-   exact blind spot of the v1 token rules. *)
+   exact blind spot of the v1 token rules. Its branch sink is the one
+   check for an if/match on a secret-flagged name. *)
 
 module SS = Set.Make (String)
 

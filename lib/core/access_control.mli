@@ -14,9 +14,6 @@ type master
 
 val master : seed:string -> master
 
-val epoch_key : master -> epoch:int -> string
-(** 32-byte AEAD key for an epoch; requires [epoch >= 0]. *)
-
 type subscription = { mutable epoch : int; mutable key : string }
 (** What a subscriber holds: the current epoch and its key. *)
 

@@ -10,8 +10,6 @@ val parse : string -> (t, string) result
     dot-separated LDH labels with at least two labels, each 1..63 chars,
     total ≤ 253. *)
 
-val of_parts : domain:string -> rest:string -> (t, string) result
-
 val domain : t -> string
 val rest : t -> string
 (** Either [""] or a string starting with ['/']. *)

@@ -10,7 +10,6 @@
 type size_class = Small | Medium | Large
 
 val class_name : size_class -> string
-val default_class_geometry : size_class -> Universe.geometry
 
 (** {2 Shared domain registry} *)
 
@@ -29,7 +28,9 @@ val create_cdn :
   name:string ->
   registry ->
   cdn
-(** Default classes: all three, with {!default_class_geometry}. *)
+(** Default classes: all three, small with 512 B data and 8 KiB code
+    blobs, medium with {!Universe.default_geometry}, large with 4 KiB data
+    and 32 KiB code blobs. *)
 
 val cdn_name : cdn -> string
 val universes : cdn -> (size_class * Universe.t) list

@@ -37,6 +37,3 @@ val push :
 (** Claims the domain, pushes code, pushes every page. With
     [rename_on_collision] (default true), a colliding path is retried as
     [path ^ "~N"]. *)
-
-val page_path : site -> string -> string
-(** [page_path site suffix] is the full lightweb path. *)

@@ -4,8 +4,6 @@
     identical keyword-to-bucket placement (the hash seed travels with the
     snapshot — clients that cached indices stay correct). *)
 
-val format_version : int
-
 val export : Universe.t -> Lw_json.Json.t
 
 val import : Lw_json.Json.t -> (Universe.t, string) result

@@ -13,9 +13,6 @@ val key_len : int
 val nonce_len : int
 (** 12 bytes. *)
 
-val block_len : int
-(** 64 bytes. *)
-
 val build : unit -> string
 (** The build every call runs: the first of {!builds}, picked once when
     the program loads, from CPUID alone. *)

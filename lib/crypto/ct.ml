@@ -1,7 +1,8 @@
 (* Constant-time primitives. Nothing in this module may branch on, or
    index by, the values it protects. lw-lint enforces that mechanically:
-   the flags below mark the sensitive parameters, and rules ct-equality /
-   secret-branch fail the build on any if/match/(=) over them. *)
+   the flags below mark the sensitive parameters, and the ct-equality
+   rule and the taint analysis fail the build on any (=), if/match or
+   index over them. *)
 (* lw-lint: secret cond bit mask *)
 
 let equal a b =

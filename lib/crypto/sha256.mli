@@ -8,7 +8,6 @@ type ctx
 
 val init : unit -> ctx
 val update : ctx -> string -> unit
-val update_bytes : ctx -> Bytes.t -> pos:int -> len:int -> unit
 
 val final : ctx -> string
 (** [final ctx] returns the 32-byte digest. The context must not be used

@@ -47,8 +47,8 @@ let cw_bit k level = Char.code (Bytes.get k.cw_bits (k.cw_offset + level))
    secret; it still must not branch on it, or a co-resident observer
    times the key out of the client. The tree, the per-level selects and
    the leaf one-hot run in one C call ([Prg.gen_tree]), under the C
-   kernels' no-branch gate; lw-lint's secret-branch rule keeps the
-   OCaml around it free of branches on [alpha]. *)
+   kernels' no-branch gate; lw-lint's taint analysis keeps the OCaml
+   around it free of branches on [alpha]. *)
 (* lw-lint: secret alpha alpha_lo *)
 
 (* The tree's seeds are secret on both sides: the two parties' seeds
@@ -61,7 +61,7 @@ let gen ?value ~domain_bits ~alpha rng =
   if domain_bits < 1 || domain_bits > max_domain_bits then
     invalid_arg "Dpf.gen: domain_bits out of range";
   (* domain bound check: public bounds, rejected before any use *)
-  if alpha < 0 || alpha >= 1 lsl domain_bits then (* lw-lint: allow secret-branch taint *)
+  if alpha < 0 || alpha >= 1 lsl domain_bits then (* lw-lint: allow taint *)
     invalid_arg "Dpf.gen: alpha out of domain";
   let value_len = match value with None -> 0 | Some v -> String.length v in
   if value_len > max_value_len then invalid_arg "Dpf.gen: value too long";

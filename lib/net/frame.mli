@@ -14,8 +14,6 @@ exception Malformed of string
 val decode_header : string -> int
 (** [decode_header h] parses a 4-byte header. Raises {!Malformed}. *)
 
-val header_size : int
-
 val read_fd : Unix.file_descr -> string
 (** Read one frame via [Unix.read], looping over short reads until the
     full header and payload arrive. Raises [End_of_file] only on a cleanly

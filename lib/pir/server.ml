@@ -32,7 +32,7 @@ let eval_bits t k =
 (* Every bucket is visited with identical work: the selection bit becomes
    a byte mask (0x00/0xff) arithmetically, never a branch, so the scan's
    memory trace is the full [0..size) walk no matter which key share the
-   query carries. Lint rule [secret-branch] and the dynamic checker in
+   query carries. The lint's taint analysis and the dynamic checker in
    [Lw_analysis.Trace_check] both watch this property. *)
 let mask_of_bit b = (0 - (b land 1)) land 0xff
 

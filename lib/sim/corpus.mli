@@ -37,8 +37,6 @@ val generate :
     [profile.avg_page_bytes] and shape [sigma] (default 0.7), truncated to
     [[32, 16 * avg]]. *)
 
-val sample_page_size : profile -> sigma:float -> Lw_util.Det_rng.t -> int
-
 val mean_page_size : t -> float
 val total_bytes : t -> int
 

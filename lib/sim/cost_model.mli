@@ -177,10 +177,9 @@ val monthly_user_cost : user_profile -> request_cost_usd:float -> float
 (** 30-day month: pages/day × GETs/page × 30 × system-wide request cost.
     At the paper's C4 point: 50 · 5 · 30 · $0.002 = $15/month. *)
 
-val google_fi_usd_per_gib : float
-(** $10/GiB (§5.2's willingness-to-pay comparison). *)
-
 val fi_cost : bytes:float -> float
+(** [bytes] at Google Fi's $10/GiB (§5.2's willingness-to-pay comparison). *)
+
 val nytimes_homepage_bytes : float
 (** 22.4 MiB. *)
 

@@ -1,88 +1,13 @@
 (* lw_analysis: the lint pass and the dynamic obliviousness checker.
 
-   Three layers: (1) lexer unit tests, (2) one known-bad and one
-   known-good fixture per rule (plus pragma suppression), (3) the CI
-   gate — the analyzer runs over the repo's own lib/ and must come back
-   clean, so every future PR is linted by the code it lands next to. *)
+   Three layers: (1) front-end fixtures: the rules read the compiler's
+   parse, so names in strings and comments raise nothing and findings
+   carry their lines, (2) one known-bad and one known-good fixture per
+   rule and analysis (plus pragma suppression), (3) the CI gate — the
+   analyzer runs over the repo's own lib/ and must come back clean, so
+   every future change is linted by the code it lands next to. *)
 
 open Lw_analysis
-
-(* ------------------------- lexer ------------------------- *)
-
-let kinds src =
-  Array.to_list (Lexer.tokenize src) |> List.map (fun t -> t.Lexer.kind)
-
-let test_lexer_idents_and_keywords () =
-  Alcotest.(check bool) "dotted ident joined" true
-    (List.mem (Lexer.Ident "String.equal") (kinds "let x = String.equal a b"));
-  Alcotest.(check bool) "keyword classified" true
-    (List.mem (Lexer.Keyword "match") (kinds "match x with _ -> ()"));
-  Alcotest.(check bool) "deep path joined" true
-    (List.mem (Lexer.Ident "Lw_crypto.Ct.equal") (kinds "Lw_crypto.Ct.equal a b"))
-
-let test_lexer_strings_opaque () =
-  (* identifiers inside string literals must not look like code *)
-  let ks = kinds {|let x = "String.equal if Random.int" ^ y|} in
-  Alcotest.(check bool) "no ident from string" false
-    (List.mem (Lexer.Ident "String.equal") ks);
-  Alcotest.(check bool) "string token present" true (List.mem Lexer.Str ks);
-  (* escaped quote does not terminate *)
-  let ks2 = kinds "let x = \"a\\\"b Random.int\" in x" in
-  Alcotest.(check bool) "escape handled" false (List.mem (Lexer.Ident "Random.int") ks2);
-  (* quoted-string syntax *)
-  let ks3 = kinds "let x = {|failwith inside|} in x" in
-  Alcotest.(check bool) "quoted string opaque" false
-    (List.mem (Lexer.Ident "failwith") ks3)
-
-let test_lexer_comments () =
-  let ks = kinds "(* failwith (* nested Random.int *) tail *) let x = 1" in
-  Alcotest.(check bool) "no ident from comment" false
-    (List.mem (Lexer.Ident "failwith") ks);
-  let has_comment =
-    List.exists (function Lexer.Comment _ -> true | _ -> false) ks
-  in
-  Alcotest.(check bool) "comment token kept" true has_comment;
-  (* a string inside a comment hides a close-comment sequence *)
-  let ks2 = kinds "(* \"*)\" still comment *) let y = 2" in
-  Alcotest.(check bool) "string in comment" true (List.mem (Lexer.Ident "y") ks2)
-
-let test_lexer_char_vs_tyvar () =
-  let ks = kinds "let f (x : 'a) = x <> 'x'" in
-  Alcotest.(check bool) "char literal" true (List.mem Lexer.Chr ks);
-  Alcotest.(check bool) "op survives" true (List.mem (Lexer.Op "<>") ks)
-
-let test_lexer_comment_nesting_regressions () =
-  (* a char literal holding a double quote inside a comment must not
-     open a string that swallows the comment terminator *)
-  let ks = kinds "(* '\"' *) let a = 1" in
-  Alcotest.(check bool) "char-quote in comment" true
-    (List.mem (Lexer.Ident "a") ks);
-  (* a quoted-string literal inside a comment hides a close-comment *)
-  let ks2 = kinds "(* {| *) |} *) let b = 2" in
-  Alcotest.(check bool) "quoted string in comment hides *)" true
-    (List.mem (Lexer.Ident "b") ks2);
-  Alcotest.(check bool) "commented code stays opaque" false
-    (List.mem (Lexer.Ident "hidden") (kinds "(* {| *) hidden |} *) let c = 3"));
-  (* an apostrophe used as prose (not a char literal) must not consume
-     the rest of the comment *)
-  let ks3 = kinds "(* it's the client's key *) let d = 4" in
-  Alcotest.(check bool) "prose apostrophe" true (List.mem (Lexer.Ident "d") ks3);
-  (* nested comments containing all of the above *)
-  let ks4 = kinds "(* outer (* '\"' \"*)\" *) tail *) let e = 5" in
-  Alcotest.(check bool) "nested with literals" true
-    (List.mem (Lexer.Ident "e") ks4)
-
-let test_lexer_line_numbers () =
-  let toks = Lexer.tokenize "let a = 1\nlet b =\n  Random.int 3\n" in
-  let line_of name =
-    Array.to_list toks
-    |> List.find_map (fun t ->
-           match t.Lexer.kind with
-           | Lexer.Ident n when n = name -> Some t.Lexer.line
-           | _ -> None)
-  in
-  Alcotest.(check (option int)) "line 1" (Some 1) (line_of "a");
-  Alcotest.(check (option int)) "line 3" (Some 3) (line_of "Random.int")
 
 (* ------------------------- rule fixtures ------------------------- *)
 
@@ -94,6 +19,74 @@ let findings_for ?(path = "lib/crypto/fixture.ml") src =
 
 let count_rule rule rules = List.length (List.filter (( = ) rule) rules)
 
+(* ------------------------- front end ------------------------- *)
+
+(* What the compiler's lexer makes of a source decides what the rules
+   see: a name inside a string or a comment is no code, and no literal
+   inside a comment may hide the code after it. Each fixture sits under
+   lib/core/zltp_server.ml, where server-abort (failwith), nondeterminism
+   (Random) and raw-timestamp apply. *)
+let front src = findings_for ~path:"lib/core/zltp_server.ml" src
+
+let test_lexer_idents_and_keywords () =
+  Alcotest.(check (list string)) "dotted name read whole" [ "ct-equality" ]
+    (findings_for "let x = String.equal a b");
+  Alcotest.(check (list string)) "deep path read whole" []
+    (findings_for "let x = Lw_crypto.Ct.equal a b");
+  Alcotest.(check (list string)) "a path holding Random. is not Random" []
+    (front "let x = Not_random.int 6 + Lw_util.Det_rng.int rng 6");
+  Alcotest.(check (list string)) "a module name is a name" [ "nondeterminism" ]
+    (front "let roll () = let open Random in int 6")
+
+let test_lexer_strings_opaque () =
+  Alcotest.(check (list string)) "names inside a string" []
+    (front {|let x = "failwith if Random.int" ^ y|});
+  Alcotest.(check (list string)) "behind an escaped quote" []
+    (front "let x = \"a\\\"b Random.int\" in x");
+  Alcotest.(check (list string)) "inside a quoted string" []
+    (front "let x = {|failwith inside|} in x");
+  Alcotest.(check (list string)) "the same name as code" [ "server-abort" ]
+    (front "let x = failwith \"inside\"")
+
+let test_lexer_comments () =
+  Alcotest.(check (list string)) "names inside a nested comment" []
+    (front "(* failwith (* nested Random.int *) tail *) let x = 1");
+  Alcotest.(check (list string)) "a string in a comment hides its *)" [ "server-abort" ]
+    (front "(* \"*)\" still comment *) let y = failwith \"z\"")
+
+let test_lexer_char_vs_tyvar () =
+  Alcotest.(check (list string)) "a quote character opens no string" [ "nondeterminism" ]
+    (front "let q = '\"' let r = Random.int 3");
+  Alcotest.(check (list string)) "a type variable opens no character" [ "nondeterminism" ]
+    (front "let f (x : 'a) = ignore x; Random.int 3")
+
+let test_lexer_comment_nesting_regressions () =
+  let after comment = front (comment ^ " let a = Random.int 1") in
+  Alcotest.(check (list string)) "char-quote in comment" [ "nondeterminism" ]
+    (after "(* '\"' *)");
+  Alcotest.(check (list string)) "quoted string in comment hides *)" [ "nondeterminism" ]
+    (after "(* {| *) |} *)");
+  Alcotest.(check (list string)) "commented code stays opaque" []
+    (front "(* {| *) failwith |} *) let c = 3");
+  Alcotest.(check (list string)) "prose apostrophe" [ "nondeterminism" ]
+    (after "(* it's the client's key *)");
+  Alcotest.(check (list string)) "nested with literals" [ "nondeterminism" ]
+    (after "(* outer (* '\"' \"*)\" *) tail *)")
+
+let test_lexer_line_numbers () =
+  let r =
+    Analyzer.scan_source ~path:"lib/core/zltp_server.ml" "let a = 1\nlet b =\n  Random.int 3\n"
+  in
+  Alcotest.(check (list (pair string int))) "finding at line 3" [ ("nondeterminism", 3) ]
+    (List.map (fun f -> (f.Report.rule, f.Report.line)) r.Analyzer.findings)
+
+(* The rules read the parse, so a file without one raises its
+   parse-error finding and nothing else, here not the ct-equality the
+   first line would give. *)
+let test_parse_error_alone () =
+  Alcotest.(check (list string)) "parse-error alone" [ "parse-error" ]
+    (findings_for "let check a b = String.equal a b\nlet broken = (\n")
+
 let test_rule_ct_equality () =
   let bad = "let check a b = String.equal a b" in
   Alcotest.(check int) "bad caught" 1 (count_rule "ct-equality" (findings_for bad));
@@ -103,6 +96,13 @@ let test_rule_ct_equality () =
   let bad_secret_eq = "(* lw-lint: secret tag *)\nlet ok tag exp = tag = exp" in
   Alcotest.(check int) "secret = caught" 1
     (count_rule "ct-equality" (findings_for bad_secret_eq));
+  (* the operator's operands, however written *)
+  Alcotest.(check int) "parenthesised secret caught" 1
+    (count_rule "ct-equality"
+       (findings_for "(* lw-lint: secret tag *)\nlet ok tag exp = (tag) = exp"));
+  Alcotest.(check int) "Stdlib.( = ) caught" 1
+    (count_rule "ct-equality"
+       (findings_for "(* lw-lint: secret tag *)\nlet ok tag exp = Stdlib.( = ) tag exp"));
   let good = "let check a b = Ct.equal a b" in
   Alcotest.(check int) "good clean" 0 (count_rule "ct-equality" (findings_for good));
   (* let-bindings of secret-flagged names are binders, not comparisons *)
@@ -113,28 +113,30 @@ let test_rule_ct_equality () =
   Alcotest.(check int) "out of scope" 0
     (count_rule "ct-equality" (findings_for ~path:"lib/sim/fixture.ml" bad))
 
+(* A branch on a secret-flagged name is the taint analysis's branch
+   sink: each dirty fixture gives one taint finding, at the branch. *)
+let taint_lines ?(path = "lib/crypto/fixture.ml") src =
+  (Analyzer.scan_source ~path src).Analyzer.findings
+  |> List.filter_map (fun f -> if f.Report.rule = "taint" then Some f.Report.line else None)
+
 let test_rule_secret_branch () =
   let bad = "(* lw-lint: secret cond *)\nlet sel cond a b = if cond then a else b" in
-  Alcotest.(check int) "if caught" 1 (count_rule "secret-branch" (findings_for bad));
+  Alcotest.(check (list int)) "if caught" [ 2 ] (taint_lines bad);
   let bad_match =
     "(* lw-lint: secret bit *)\nlet f bit = match bit with 0 -> 1 | _ -> 2"
   in
-  Alcotest.(check int) "match caught" 1
-    (count_rule "secret-branch" (findings_for bad_match));
+  Alcotest.(check (list int)) "match caught" [ 2 ] (taint_lines bad_match);
   (* the field path k.cond still trips the flag on cond *)
   let bad_field = "(* lw-lint: secret cond *)\nlet f k = if k.cond then 1 else 0" in
-  Alcotest.(check int) "field access caught" 1
-    (count_rule "secret-branch" (findings_for bad_field));
+  Alcotest.(check (list int)) "field access caught" [ 2 ] (taint_lines bad_field);
   let good =
     "(* lw-lint: secret cond *)\n\
      let sel cond a b = Ct.select_int (Bool.to_int cond) a b"
   in
-  Alcotest.(check int) "arithmetic select clean" 0
-    (count_rule "secret-branch" (findings_for good));
-  (* without a secret flag the rule has nothing to protect *)
+  Alcotest.(check (list int)) "arithmetic select clean" [] (taint_lines good);
+  (* without a secret flag there is nothing to protect *)
   let unflagged = "let sel cond a b = if cond then a else b" in
-  Alcotest.(check int) "unflagged silent" 0
-    (count_rule "secret-branch" (findings_for unflagged))
+  Alcotest.(check (list int)) "unflagged silent" [] (taint_lines unflagged)
 
 (* The batch kernel's shape in OCaml: a lane's selection bit must
    become a word mask arithmetically. A kernel that skips unselected
@@ -148,8 +150,7 @@ let test_rule_secret_branch_lane_kernel () =
     \  let ma = (Char.code (Bytes.unsafe_get bits p0) lsr s0) land 1 in\n\
     \  if ma = 1 then Xorbuf.xor_into ~src ~src_pos:0 ~dst ~dst_pos:0 ~len:8\n"
   in
-  Alcotest.(check int) "branch on a lane bit caught" 1
-    (count_rule "secret-branch" (findings_for ~path dirty));
+  Alcotest.(check (list int)) "branch on a lane bit caught" [ 4 ] (taint_lines ~path dirty);
   let clean =
     "(* lw-lint: secret ma *)\n\
      let lane ~bits ~p0 ~s0 ~src ~dst =\n\
@@ -158,9 +159,7 @@ let test_rule_secret_branch_lane_kernel () =
     \  let s = Bytes.get_int64_ne src 0 in\n\
     \  Bytes.set_int64_ne dst 0 (Int64.logxor (Int64.logand s ma) (Bytes.get_int64_ne dst 0))\n"
   in
-  let rules = findings_for ~path clean in
-  Alcotest.(check int) "masked lane clean (secret-branch)" 0 (count_rule "secret-branch" rules);
-  Alcotest.(check int) "masked lane clean (taint)" 0 (count_rule "taint" rules)
+  Alcotest.(check (list int)) "masked lane clean" [] (taint_lines ~path clean)
 
 (* The C kernels (the scan kernel, the AES-MMO tree steps with the
    client's key generation, and the channel primitives) handle selection
@@ -465,6 +464,14 @@ let test_rule_poly_compare () =
   let record = "let make () = { count = 0; pending = None }" in
   Alcotest.(check int) "record field clean" 0
     (count_rule "poly-compare" (findings_for ~path:"lib/pir/fixture.ml" record));
+  (* an optional argument's default is no comparison; a constrained
+     constructor still is one *)
+  Alcotest.(check int) "optional default clean" 0
+    (count_rule "poly-compare"
+       (findings_for ~path:"lib/pir/fixture.ml" "let f ?(x = None) () = x"));
+  Alcotest.(check int) "constrained None caught" 1
+    (count_rule "poly-compare"
+       (findings_for ~path:"lib/pir/fixture.ml" "let h x = x = (None : int option)"));
   (* scoped to the storage layers *)
   Alcotest.(check int) "lib/core out of scope" 0
     (count_rule "poly-compare" (findings_for ~path:"lib/core/fixture.ml" bad_opt))
@@ -625,26 +632,17 @@ let test_old_ct_select_is_caught () =
     \  let mask = if cond then 0xff else 0 in\n\
     \  ignore mask\n"
   in
-  let r = Analyzer.scan_source ~path:"lib/crypto/ct.ml" old in
-  (* both layers catch it: the lexer's same-line heuristic and the AST
-     taint analysis *)
-  match
-    List.filter (fun f -> f.Report.rule = "secret-branch") r.Analyzer.findings
-  with
-  | [ f ] ->
-      Alcotest.(check int) "on the mask line" 3 f.Report.line;
-      Alcotest.(check bool) "taint analysis agrees" true
-        (List.exists (fun f -> f.Report.rule = "taint") r.Analyzer.findings)
-  | _ -> Alcotest.fail "expected exactly one secret-branch finding"
+  Alcotest.(check (list int)) "one taint finding, on the mask line" [ 3 ]
+    (taint_lines ~path:"lib/crypto/ct.ml" old)
 
 (* --------------------- AST analysis fixtures --------------------- *)
 
 (* Each dirty fixture is paired with (1) a clean variant showing the
-   blessed idiom scans quiet and (2) an assertion that the v1 lexer
-   rules alone miss the bug — the AST analyses are not a re-skin of the
-   token heuristics, they see through refactors the lexer cannot. *)
+   blessed idiom scans quiet and, where they could, (2) an assertion
+   that the rules alone miss the bug — the analyses follow data and
+   control flow that no single name or comparison shows. *)
 
-let lexer_only_rules src ~path =
+let rule_findings src ~path =
   let r = Analyzer.scan_source ~analyses:[] ~path src in
   List.map (fun f -> f.Report.rule) r.Analyzer.findings
 
@@ -658,9 +656,6 @@ let test_taint_through_helper () =
   in
   let rules = findings_for ~path:"lib/core/fixture.ml" dirty in
   Alcotest.(check bool) "taint caught" true (count_rule "taint" rules >= 1);
-  Alcotest.(check int) "v1 lexer rules miss it" 0
-    (count_rule "secret-branch"
-       (lexer_only_rules ~path:"lib/core/fixture.ml" dirty));
   (* same helper, secret routed through data (not control) positions *)
   let clean =
     "(* lw-lint: secret key *)\n\
@@ -751,10 +746,8 @@ let test_taint_leaf_onehot () =
     \      done;\n\
     \      Char.unsafe_chr !b)\n"
   in
-  let rules = findings_for ~path:"lib/dpf/fixture.ml" clean in
-  Alcotest.(check int) "arithmetic one-hot clean (taint)" 0 (count_rule "taint" rules);
-  Alcotest.(check int) "arithmetic one-hot clean (secret-branch)" 0
-    (count_rule "secret-branch" rules)
+  Alcotest.(check int) "arithmetic one-hot clean" 0
+    (count_rule "taint" (findings_for ~path:"lib/dpf/fixture.ml" clean))
 
 let test_taint_seed_table_lookup () =
   (* the DPF's PRG seeds are named secret in prg.ml and dpf.ml: a
@@ -776,10 +769,8 @@ let test_taint_seed_table_lookup () =
     \  Lw_crypto.Aes128.mmo_level Lw_crypto.Aes128.mmo_fixed_key ~src ~src_pos:0 ~ts ~ts_pos:0\n\
     \    ~n:1 ~cw:(Bytes.make 16 '\\000') ~cw_pos:0 ~cw_bits:0 ~dst ~t_out\n"
   in
-  let rules = findings_for ~path:"lib/dpf/fixture.ml" clean in
-  Alcotest.(check int) "seeds handed to the C call clean (taint)" 0 (count_rule "taint" rules);
-  Alcotest.(check int) "seeds handed to the C call clean (secret-branch)" 0
-    (count_rule "secret-branch" rules)
+  Alcotest.(check int) "seeds handed to the C call clean" 0
+    (count_rule "taint" (findings_for ~path:"lib/dpf/fixture.ml" clean))
 
 let test_taint_spir_secret_source () =
   (* the single-server PIR client secret (and the masked query derived
@@ -831,8 +822,8 @@ let test_race_spawned_ref () =
   let path = "lib/pir/fixture.ml" in
   let rules = findings_for ~path dirty in
   Alcotest.(check bool) "race caught" true (count_rule "race" rules >= 1);
-  Alcotest.(check int) "v1 lexer rules have no race story" 0
-    (List.length (lexer_only_rules ~path dirty));
+  Alcotest.(check int) "the rules have no race story" 0
+    (List.length (rule_findings ~path dirty));
   (* Atomic is the blessed fix *)
   let clean_atomic =
     "let worker () =\n\
@@ -941,8 +932,8 @@ let test_balance_pin_lifecycle () =
   let rules = findings_for ~path leak_on_raise in
   Alcotest.(check bool) "leak-on-raise caught" true
     (count_rule "balance" rules >= 1);
-  Alcotest.(check int) "v1 lexer rules have no balance story" 0
-    (List.length (lexer_only_rules ~path leak_on_raise));
+  Alcotest.(check int) "the rules have no balance story" 0
+    (List.length (rule_findings ~path leak_on_raise));
   (* never released at all *)
   let never =
     "let read st =\n\
@@ -1260,8 +1251,8 @@ let test_repo_is_clean () =
 
 (* The system libraries (every library under lib/ but lw_repro, at
    lib/repro/) hold what the binaries link. A file names a system module
-   when a capitalised segment of one of its code identifiers is that
-   module's name; comments and strings never count. The walk starts from
+   when one of its capitalised code tokens is that module's name;
+   comments and strings never count. The walk starts from
    every .ml file under bin/, examples/ and perfbench/, and follows the
    modules each reached file names. A system module it never reaches must
    be listed here with its reason, and a listed module must be unreached. *)
@@ -1280,17 +1271,20 @@ module SS = Set.Make (String)
 let module_of_file path =
   String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
 
+(* The capitalised names in [src]'s code, from the compiler's lexer,
+   which sets comments aside and reads strings as literals. A source that
+   does not lex names what it named before the error. *)
 let named_modules src =
-  Array.fold_left
-    (fun acc { Lexer.kind; _ } ->
-      match kind with
-      | Lexer.Ident name ->
-          List.fold_left
-            (fun acc seg ->
-              if seg <> "" && seg.[0] >= 'A' && seg.[0] <= 'Z' then SS.add seg acc else acc)
-            acc (Lexer.segments name)
-      | _ -> acc)
-    SS.empty (Lexer.tokenize src)
+  let lexbuf = Lexing.from_string src in
+  Lexer.init ();
+  let rec go acc =
+    match Lexer.token lexbuf with
+    | Parser.EOF -> acc
+    | Parser.UIDENT m -> go (SS.add m acc)
+    | _ -> go acc
+    | exception Lexer.Error _ -> acc
+  in
+  go SS.empty
 
 (* [system] and [seeds] are (path, source) pairs. Returns the unreached
    system modules and the gate's complaints: unreached and unlisted, or
@@ -1494,6 +1488,7 @@ let () =
           Alcotest.test_case "comment nesting regressions" `Quick
             test_lexer_comment_nesting_regressions;
           Alcotest.test_case "line numbers" `Quick test_lexer_line_numbers;
+          Alcotest.test_case "parse-error alone" `Quick test_parse_error_alone;
         ] );
       ( "rules",
         [
