@@ -277,7 +277,7 @@ let e3_communication (_ : size) =
   row "%-8s %-22s %-26s %-14s\n" "domain" "real keys (2 servers)" "paper formula (2 keys)" "download";
   List.iter
     (fun d ->
-      let real = 2 * Lw_dpf.Dpf.serialized_size ~domain_bits:d ~value_len:0 in
+      let real = 2 * Lw_dpf.Dpf.serialized_size ~domain_bits:d in
       let paper = 2 * Lw_dpf.Dpf.paper_key_size ~domain_bits:d in
       row "%-8d %14d B %19d B (%4.1f KiB) %9d B\n" d real paper
         (float_of_int paper /. 1024.)
@@ -631,7 +631,7 @@ let e11_scheme_ablation size =
   let n = 1 lsl d in
   row "%-22s %-14s %-16s %-16s %-10s\n" "scheme" "server time" "upload" "download" "private";
   row "%-22s %9.2f ms %12d B %12d B %-10s\n" "two-server DPF" (1000. *. t_dpf)
-    (2 * Lw_dpf.Dpf.serialized_size ~domain_bits:d ~value_len:0)
+    (2 * Lw_dpf.Dpf.serialized_size ~domain_bits:d)
     (2 * bucket_size) "yes";
   row "%-22s %9.2f ms %12d B %12d B %-10s\n" "two-server bit-vector" (1000. *. t_bv)
     (2 * Lw_repro.Bitvec_pir.upload_bytes ~domain_bits:d)
@@ -642,10 +642,10 @@ let e11_scheme_ablation size =
   (* at the paper's scale the gap is decisive *)
   Printf.printf
     "\nat the paper's d=22: DPF upload %d B vs bit-vector %d B per server (%.0fx)\n"
-    (Lw_dpf.Dpf.serialized_size ~domain_bits:22 ~value_len:0)
+    (Lw_dpf.Dpf.serialized_size ~domain_bits:22)
     (Lw_repro.Bitvec_pir.upload_bytes ~domain_bits:22)
     (float_of_int (Lw_repro.Bitvec_pir.upload_bytes ~domain_bits:22)
-    /. float_of_int (Lw_dpf.Dpf.serialized_size ~domain_bits:22 ~value_len:0))
+    /. float_of_int (Lw_dpf.Dpf.serialized_size ~domain_bits:22))
 
 (* ------------------------------------------------------------------ *)
 (* E12: PRG ablation inside the DPF                                    *)

@@ -136,12 +136,12 @@ let scan_sources ?(rules = Rules.all) ?(analyses = all_analyses)
         (fun (path, ast, _) ->
           match ast with
           | Ok _ -> None
-          | Error msg ->
+          | Error (line, msg) ->
               Some
                 {
                   Report.rule = "parse-error";
                   file = path;
-                  line = 1;
+                  line;
                   message = "source does not parse: " ^ msg;
                 })
         per_file

@@ -7,14 +7,20 @@
 
 module SS = Set.Make (String)
 
+let line (l : Location.t) = l.loc_start.pos_lnum
+
+(* A source that does not parse gives the line and the text of the
+   compiler's own report, as ocamlc would print them (the exception
+   itself, at line 1, if the compiler has no report for it). *)
 let parse ~path src =
   let lexbuf = Lexing.from_string src in
   Location.init lexbuf path;
   match Parse.implementation lexbuf with
   | ast -> Ok ast
-  | exception e -> Error (Printexc.to_string e)
-
-let line (l : Location.t) = l.loc_start.pos_lnum
+  | exception e -> (
+      match Location.error_of_exn e with
+      | Some (`Ok { Location.main; _ }) -> Error (line main.loc, Format.asprintf "%t" main.txt)
+      | Some `Already_displayed | None -> Error (1, Printexc.to_string e))
 
 (* [Longident.flatten] raises on functor applications; fold them away
    instead, keeping the path part we can name. *)

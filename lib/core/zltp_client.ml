@@ -573,7 +573,7 @@ let pir2_attempt t frame indices =
           (* both replies verified to carry the queried epoch, so the XOR
              below is over bit-identical databases by construction *)
           count_queries t queries;
-          Ok (List.map2 (fun resp0 resp1 -> Lw_pir.Client.combine ~resp0 ~resp1) shares0 shares1)
+          Ok (List.map2 Lw_util.Xorbuf.xor shares0 shares1)
       | _ -> first_error r0 r1)
   | _ -> first_error sent0 sent1
 

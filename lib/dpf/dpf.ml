@@ -1,32 +1,27 @@
 type key = {
   party : int;
   domain_bits : int; (* width of the index range this key covers *)
-  value_len : int; (* 0 = selection-bit DPF *)
   root_seed : Bytes.t; (* 16 bytes *)
   root_t : int; (* control bit at the root (= party for fresh keys) *)
   cw_seeds : Bytes.t; (* full correction words, 16 bytes per level *)
   cw_bits : Bytes.t; (* 1 byte per level: tl lor (tr lsl 1) *)
   cw_offset : int; (* first level of cw_seeds/cw_bits that applies: sub-keys
                       produced by [make_subkey] share the parent arrays *)
-  term_bits : int; (* selection keys: a terminal seed yields 2^term_bits
-                      leaf bits (min 7 of the full key's domain); 0 for
-                      value keys, whose tree runs down to every leaf *)
+  term_bits : int; (* a terminal seed yields 2^term_bits leaf bits (min 7
+                      of the full key's domain) *)
   leaf_lo : int; (* first leaf bit of each terminal block this key covers:
                     nonzero only for sub-keys below the terminal level *)
-  cw_leaf : string; (* value keys: value_len bytes; selection keys: the
-                       16-byte leaf correction word *)
+  cw_leaf : string; (* the 16-byte leaf correction word *)
 }
 
 let party k = k.party
 let domain_bits k = k.domain_bits
-let value_len k = k.value_len
 
 let max_domain_bits = 30
-let max_value_len = 0xffff
 
-(* Early termination: a selection-bit key stops its tree [max_term_bits]
-   levels above the leaves, and one PRG call on each terminal seed yields
-   the [Prg.terminal_len * 8 = 128] selection bits below it. *)
+(* Early termination: a key stops its tree [max_term_bits] levels above
+   the leaves, and one PRG call on each terminal seed yields the
+   [Prg.terminal_len * 8 = 128] selection bits below it. *)
 let max_term_bits = 7
 
 let () = assert (1 lsl max_term_bits = 8 * Prg.terminal_len)
@@ -55,21 +50,19 @@ let cw_bit k level = Char.code (Bytes.get k.cw_bits (k.cw_offset + level))
    during keygen, and on the server every node's seed, its control bits
    and the leaf bits below it. They are data for the PRG, never a table
    index or a branch condition. *)
-(* lw-lint: secret seed seeds s0 s1 ts chunk *)
+(* lw-lint: secret seed seeds s0 s1 ts leaf_bytes *)
 
-let gen ?value ~domain_bits ~alpha rng =
+let gen ~domain_bits ~alpha rng =
   if domain_bits < 1 || domain_bits > max_domain_bits then
     invalid_arg "Dpf.gen: domain_bits out of range";
   (* domain bound check: public bounds, rejected before any use *)
   if alpha < 0 || alpha >= 1 lsl domain_bits then (* lw-lint: allow taint *)
     invalid_arg "Dpf.gen: alpha out of domain";
-  let value_len = match value with None -> 0 | Some v -> String.length v in
-  if value_len > max_value_len then invalid_arg "Dpf.gen: value too long";
   let d = domain_bits in
-  let term_bits = if value_len = 0 then min max_term_bits d else 0 in
+  let term_bits = min max_term_bits d in
   let levels = d - term_bits in
   (* both parties' root seeds side by side, s0 at 0 and s1 at 16, in the
-     DRBG's draw order; the tree leaves the terminal seeds there *)
+     DRBG's draw order *)
   let seeds = Bytes.create 32 in
   Lw_crypto.Drbg.generate_into rng seeds ~pos:0 ~len:16;
   Lw_crypto.Drbg.generate_into rng seeds ~pos:16 ~len:16;
@@ -79,18 +72,10 @@ let gen ?value ~domain_bits ~alpha rng =
   Prg.gen_tree ~seeds ~alpha ~domain_bits:d ~levels
     ~alpha_lo:(alpha land ((1 lsl term_bits) - 1))
     ~root0 ~root1 ~cw_seeds ~cw_bits ~leaf;
-  let cw_leaf =
-    match value with
-    | None -> Bytes.unsafe_to_string leaf
-    | Some v ->
-        let conv pos = Prg.convert ~seed:seeds ~pos ~len:value_len in
-        Lw_util.Xorbuf.xor (Lw_util.Xorbuf.xor v (conv 0)) (conv 16)
-  in
   let mk party root_seed =
     {
       party;
       domain_bits = d;
-      value_len;
       root_seed;
       root_t = party;
       cw_seeds;
@@ -98,7 +83,7 @@ let gen ?value ~domain_bits ~alpha rng =
       cw_offset = 0;
       term_bits;
       leaf_lo = 0;
-      cw_leaf;
+      cw_leaf = Bytes.unsafe_to_string leaf;
     }
   in
   (mk 0 root0, mk 1 root1)
@@ -135,26 +120,12 @@ let walk k x =
   done;
   (seed, t)
 
-(* A value key's terminal is a single leaf whose selection share is its
-   control bit. *)
 let eval_bit k x =
   let seed, t = walk k x in
-  if k.value_len > 0 then Char.code (Bytes.get t 0)
-  else begin
-    let out = Bytes.create 1 in
-    leaves k ~src:seed ~ts:t ~n:1 ~from:(k.leaf_lo + (x land ((1 lsl leaf_width k) - 1))) ~count:1
-      ~dst:out;
-    Char.code (Bytes.get out 0)
-  end
-
-let eval_value k x =
-  if k.value_len = 0 then invalid_arg "Dpf.eval_value: selection-bit key";
-  let seed, t = walk k x in
-  let share = Bytes.of_string (Prg.convert ~seed ~pos:0 ~len:k.value_len) in
-  Lw_util.Xorbuf.xor_into_masked
-    ~mask:((0 - (Char.code (Bytes.get t 0) land 1)) land 0xff)
-    ~src:(Bytes.unsafe_of_string k.cw_leaf) ~src_pos:0 ~dst:share ~dst_pos:0 ~len:k.value_len;
-  Bytes.unsafe_to_string share
+  let out = Bytes.create 1 in
+  leaves k ~src:seed ~ts:t ~n:1 ~from:(k.leaf_lo + (x land ((1 lsl leaf_width k) - 1))) ~count:1
+    ~dst:out;
+  Char.code (Bytes.get out 0)
 
 (* The 2^g descendants of one node, [g] levels below [level]: breadth
    first, one [expand] call per level, ping-ponging between the two
@@ -183,7 +154,7 @@ let node_buffers nodes =
    and a full walk makes about 3/7 of a PRG call per node, not one. *)
 let group_levels = 3
 
-let eval_depth_bufs k ~depth f =
+let eval_depth k ~depth f =
   let groups =
     Array.init ((depth + group_levels - 1) / group_levels) (fun _ ->
         node_buffers (1 lsl group_levels))
@@ -200,14 +171,6 @@ let eval_depth_bufs k ~depth f =
     end
   in
   go 0 0 (Bytes.copy k.root_seed) 0 (root_t_buf k) 0 0
-
-let eval_depth k ~depth f =
-  eval_depth_bufs k ~depth (fun index seed pos t_buf t_pos ->
-      f index (Char.code (Bytes.get t_buf t_pos)) seed pos)
-
-let eval_all_seeds k f =
-  if k.value_len = 0 then invalid_arg "Dpf.eval_all_seeds: selection-bit key";
-  eval_depth k ~depth:k.domain_bits f
 
 (* Blocked leaf-bit streaming. The traversal goes depth first down to
    the root of a chunk's subtree, [expand_down] through the [sub] levels
@@ -230,25 +193,17 @@ let eval_bits_blocked k ~block_bits f =
   let top = tree_levels k - sub in
   let nodes = 1 lsl sub in
   let seeds, ts = node_buffers nodes in
-  (* a value key's leaf bits are its last level's control bits *)
-  let leaf_bytes = if k.value_len > 0 then Bytes.empty else Bytes.create (1 lsl chunk_bits) in
+  let leaf_bytes = Bytes.create (1 lsl chunk_bits) in
   let block = 1 lsl block_bits in
   let buf = if block_bits = chunk_bits then Bytes.empty else Bytes.create block in
-  eval_depth_bufs k ~depth:top (fun node seed seed_pos t_buf t_pos ->
+  eval_depth k ~depth:top (fun node seed seed_pos t_buf t_pos ->
       let r = expand_down k ~level:top ~g:sub ~seed ~seed_pos ~t_buf ~t_pos ~seeds ~ts in
-      let chunk =
-        if k.value_len > 0 then ts.(r)
-        else begin
-          leaves k ~src:seeds.(r) ~ts:ts.(r) ~n:nodes ~from:k.leaf_lo ~count:(1 lsl w)
-            ~dst:leaf_bytes;
-          leaf_bytes
-        end
-      in
+      leaves k ~src:seeds.(r) ~ts:ts.(r) ~n:nodes ~from:k.leaf_lo ~count:(1 lsl w) ~dst:leaf_bytes;
       let base = node lsl chunk_bits in
-      if block_bits = chunk_bits then f base chunk block
+      if block_bits = chunk_bits then f base leaf_bytes block
       else
         for b = 0 to (1 lsl (chunk_bits - block_bits)) - 1 do
-          Bytes.blit chunk (b * block) buf 0 block;
+          Bytes.blit leaf_bytes (b * block) buf 0 block;
           f (base + (b * block)) buf block
         done)
 
@@ -279,7 +234,8 @@ let eval_prefixes k ~levels f =
   if levels < 0 || levels > k.domain_bits then invalid_arg "Dpf.eval_prefixes: bad level count";
   let used = min levels (tree_levels k) in
   let below = levels - used in
-  eval_depth k ~depth:used (fun node t seed pos ->
+  eval_depth k ~depth:used (fun node seed pos t_buf t_pos ->
+      let t = Char.code (Bytes.get t_buf t_pos) in
       for r = 0 to (1 lsl below) - 1 do
         f ((node lsl below) lor r) t seed pos
       done)
@@ -305,10 +261,10 @@ let make_subkey k ~prefix ~root_seed ~root_pos ~root_t ~levels =
 (* ------------------------------------------------------------------ *)
 
 (* Layout (version 2): 'D', version, party, root_t, prg tag, domain_bits,
-   term_bits, leaf_lo, value_len (u16 BE); root seed (16); per tree level
-   a 16-byte seed correction word, then one control-bit byte per level;
-   the leaf correction word (16 bytes for selection keys, value_len for
-   value keys). *)
+   term_bits, leaf_lo, a u16 BE that is 0 (the length of a value-carrying
+   key's leaf word, a key shape [deserialize] refuses); root seed (16);
+   per tree level a 16-byte seed correction word, then one control-bit
+   byte per level; the 16-byte leaf correction word. *)
 
 let magic = 'D'
 let version = 2
@@ -324,16 +280,14 @@ let decode_error_message = function
   | Unsupported_version v -> Printf.sprintf "unsupported key version %d (want %d)" v version
   | Malformed msg -> msg
 
-let serialized_size ~domain_bits ~value_len =
-  if value_len = 0 then
-    header_len + 16 + (17 * (domain_bits - min max_term_bits domain_bits)) + Prg.terminal_len
-  else header_len + 16 + (17 * domain_bits) + value_len
+let serialized_size ~domain_bits =
+  header_len + 16 + (17 * (domain_bits - min max_term_bits domain_bits)) + Prg.terminal_len
 
 let paper_key_size ~domain_bits = (128 + 2) * domain_bits
 
 let serialize k =
   let levels = tree_levels k in
-  let buf = Buffer.create (serialized_size ~domain_bits:k.domain_bits ~value_len:k.value_len) in
+  let buf = Buffer.create (serialized_size ~domain_bits:k.domain_bits) in
   Buffer.add_char buf magic;
   Buffer.add_char buf (Char.chr version);
   Buffer.add_char buf (Char.chr k.party);
@@ -342,7 +296,7 @@ let serialize k =
   Buffer.add_char buf (Char.chr k.domain_bits);
   Buffer.add_char buf (Char.chr k.term_bits);
   Buffer.add_char buf (Char.chr k.leaf_lo);
-  Buffer.add_uint16_be buf k.value_len;
+  Buffer.add_uint16_be buf 0;
   Buffer.add_subbytes buf k.root_seed 0 16;
   Buffer.add_subbytes buf k.cw_seeds (16 * k.cw_offset) (16 * levels);
   Buffer.add_subbytes buf k.cw_bits k.cw_offset levels;
@@ -363,20 +317,19 @@ let deserialize s =
     if party > 1 then err "bad party"
     else if root_t > 1 then err "bad root bit"
     else if d < 1 || d > max_domain_bits then err "bad domain_bits"
+    else if value_len <> 0 then err "value-carrying key"
     else if
-      (value_len > 0 && term_bits <> 0)
-      (* a selection key terminates 7 levels early, or at the root of a
-         domain narrower than that *)
-      || value_len = 0
-         && term_bits <> max_term_bits
-         && not (1 <= term_bits && term_bits < max_term_bits && d <= term_bits)
+      (* a key terminates 7 levels early, or at the root of a domain
+         narrower than that *)
+      term_bits <> max_term_bits
+      && not (1 <= term_bits && term_bits < max_term_bits && d <= term_bits)
     then err "bad term_bits"
     else if leaf_lo >= 1 lsl term_bits || leaf_lo land ((1 lsl width) - 1) <> 0 then
       err "bad leaf_lo"
     else if prg_tag <> aes_mmo_tag then err "unknown prg"
     else begin
       let levels = d - width in
-      if String.length s <> serialized_size ~domain_bits:d ~value_len then err "length mismatch"
+      if String.length s <> serialized_size ~domain_bits:d then err "length mismatch"
       else begin
         let pos = ref header_len in
         let take n =
@@ -396,7 +349,6 @@ let deserialize s =
             {
               party;
               domain_bits = d;
-              value_len;
               root_seed;
               root_t;
               cw_seeds;

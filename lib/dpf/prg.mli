@@ -85,5 +85,5 @@ val gen_tree :
 
 val convert : seed:Bytes.t -> pos:int -> len:int -> string
 (** [convert ~seed ~pos ~len] expands the 16-byte seed at [pos] into a
-    [len]-byte leaf value share (BGI16's Convert for value-carrying
-    DPFs), as ChaCha20 keyed by the seed. *)
+    [len]-byte value share (BGI16's Convert), as ChaCha20 keyed by the
+    seed: the per-level values of [lw_repro]'s incremental DPF. *)

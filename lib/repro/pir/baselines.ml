@@ -34,7 +34,7 @@ module Cost = struct
     | Two_server_pir ->
         {
           scheme;
-          upload_bytes = 2 * Lw_dpf.Dpf.serialized_size ~domain_bits ~value_len:0;
+          upload_bytes = 2 * Lw_dpf.Dpf.serialized_size ~domain_bits;
           download_bytes = 2 * bucket_size;
           server_buckets_touched = 2 * n;
           leaks_index = false;

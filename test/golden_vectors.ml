@@ -43,14 +43,8 @@ let key_vectors () =
   List.concat_map
     (fun d ->
       let k0, k1 = Dpf.gen ~domain_bits:d ~alpha:(alpha_for d) (rng "sel") in
-      let v0, v1 =
-        Dpf.gen ~value:"golden-value-twenty!" ~domain_bits:d ~alpha:(alpha_for d) (rng "val")
-      in
       let ser k = digest (Dpf.serialize k) in
-      [
-        (Printf.sprintf "dpf.sel.d%d" d, ser k0 ^ ser k1);
-        (Printf.sprintf "dpf.val.d%d" d, ser v0 ^ ser v1);
-      ])
+      [ (Printf.sprintf "dpf.sel.d%d" d, ser k0 ^ ser k1) ])
     domains
 
 (* every leaf bit of a key, as 0/1 bytes, through one traversal *)
@@ -83,23 +77,7 @@ let eval_vectors () =
       ("sel", 10, fun d -> Dpf.gen ~domain_bits:d ~alpha:(alpha_for d) (rng "ev-sel"));
       ("sel", 5, fun d -> Dpf.gen ~domain_bits:d ~alpha:(alpha_for d) (rng "ev-sel5"));
       ("sel", 13, fun d -> Dpf.gen ~domain_bits:d ~alpha:(alpha_for d) (rng "ev-sel13"));
-      ("val", 9, fun d -> Dpf.gen ~value:"v" ~domain_bits:d ~alpha:(alpha_for d) (rng "ev-val"));
     ]
-
-let value_vectors () =
-  let k0, k1 = Dpf.gen ~value:"golden-value-twenty!" ~domain_bits:6 ~alpha:37 (rng "vv") in
-  let shares k = String.concat "" (List.init 64 (fun x -> Dpf.eval_value k x)) in
-  let seeds k =
-    let b = Buffer.create 2048 in
-    Dpf.eval_all_seeds k (fun x t s p ->
-        Buffer.add_string b (Printf.sprintf "%d:%d:" x t);
-        Buffer.add_subbytes b s p 16);
-    Buffer.contents b
-  in
-  [
-    ("value.shares", digest (shares k0) ^ digest (shares k1));
-    ("value.seeds", digest (seeds k0) ^ digest (seeds k1));
-  ]
 
 let split_vectors () =
   let k0, _ = Dpf.gen ~domain_bits:10 ~alpha:613 (rng "split") in
@@ -251,5 +229,5 @@ let channel_vectors () =
     ]
 
 let all () =
-  prg_vectors () @ key_vectors () @ eval_vectors () @ value_vectors () @ split_vectors ()
+  prg_vectors () @ key_vectors () @ eval_vectors () @ split_vectors ()
   @ idpf_vectors () @ server_vectors () @ crypto_vectors () @ channel_vectors ()

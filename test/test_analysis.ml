@@ -82,10 +82,24 @@ let test_lexer_line_numbers () =
 
 (* The rules read the parse, so a file without one raises its
    parse-error finding and nothing else, here not the ct-equality the
-   first line would give. *)
+   first line would give. The finding carries the compiler's line and
+   text: the parser meets the end of input (line 3) still wanting the
+   operand [let broken = (] opened, and a stray [)] stops it on its own
+   line. *)
 let test_parse_error_alone () =
-  Alcotest.(check (list string)) "parse-error alone" [ "parse-error" ]
-    (findings_for "let check a b = String.equal a b\nlet broken = (\n")
+  let parse_error src =
+    let r = Analyzer.scan_source ~path:"lib/crypto/fixture.ml" src in
+    List.map (fun f -> (f.Report.rule, f.Report.line, f.Report.message)) r.Analyzer.findings
+  in
+  (match parse_error "let check a b = String.equal a b\nlet broken = (\n" with
+  | [ (rule, line, message) ] ->
+      Alcotest.(check (pair string int)) "parse-error alone, at the end of input"
+        ("parse-error", 3) (rule, line);
+      Alcotest.(check bool) ("the compiler's text, not the exception: " ^ message) true
+        (String.starts_with ~prefix:"source does not parse: Syntax error" message)
+  | fs -> Alcotest.failf "%d findings, want one parse-error" (List.length fs));
+  Alcotest.(check (list (pair string int))) "a stray paren at its line" [ ("parse-error", 2) ]
+    (List.map (fun (r, l, _) -> (r, l)) (parse_error "let a = 1\nlet b = )\nlet c = 3\n"))
 
 let test_rule_ct_equality () =
   let bad = "let check a b = String.equal a b" in
@@ -1370,6 +1384,50 @@ let test_repo_reachability () =
   Alcotest.(check (list string)) "every system module reached or listed" [] problems;
   Alcotest.(check bool) "walked a real tree" true (List.length system > 60 && List.length seeds > 5)
 
+(* ------------------------- taint tables ------------------------- *)
+
+(* The "Module.f" names an interface exports, nested modules by their
+   own name: how the taint tables name a call. *)
+let exported_vals ~file src =
+  let lexbuf = Lexing.from_string src in
+  Location.init lexbuf file;
+  let rec vals m (items : Parsetree.signature) =
+    List.concat_map
+      (fun (item : Parsetree.signature_item) ->
+        match item.psig_desc with
+        | Psig_value v -> [ m ^ "." ^ v.pval_name.txt ]
+        | Psig_module
+            { pmd_name = { txt = Some name; _ }; pmd_type = { pmty_desc = Pmty_signature s; _ }; _ }
+          ->
+            vals name s
+        | _ -> [])
+      items
+  in
+  vals (module_of_file file) (Parse.interface lexbuf)
+
+let rec mli_files_under path =
+  if Sys.is_directory path then
+    List.concat_map
+      (fun e -> mli_files_under (Filename.concat path e))
+      (Array.to_list (Sys.readdir path))
+  else if Filename.check_suffix path ".mli" then [ path ]
+  else []
+
+(* A taint source or traversal the tables name must still exist: a
+   deleted function left in them is a source nothing can call. *)
+let test_taint_tables_name_exports () =
+  let lib = Option.get (Analyzer.resolve_dir "lib") in
+  let exported =
+    SS.of_list
+      (List.concat_map
+         (fun f -> exported_vals ~file:f (Analyzer.read_file f))
+         (mli_files_under lib))
+  in
+  let named = Taint.SS.elements Taint.source_calls @ List.map fst Taint.hof_seeds in
+  Alcotest.(check (list string)) "names no interface exports" []
+    (List.filter (fun n -> not (SS.mem n exported)) named);
+  Alcotest.(check bool) "read real interfaces" true (SS.mem "Dpf.gen" exported)
+
 (* Each module moved into lw_repro keeps its old subdirectory name, so
    every path-keyed lint rule that applied at its old path still applies. *)
 let moved_to_repro =
@@ -1544,8 +1602,11 @@ let () =
       ( "report",
         [ Alcotest.test_case "json shape" `Quick test_report_json_shape ] );
       ( "ci-gate",
-        [ Alcotest.test_case "repo lints clean vs baseline" `Quick
-            test_repo_is_clean ] );
+        [
+          Alcotest.test_case "repo lints clean vs baseline" `Quick test_repo_is_clean;
+          Alcotest.test_case "taint tables name exported vals" `Quick
+            test_taint_tables_name_exports;
+        ] );
       ( "reachability",
         [
           Alcotest.test_case "clean tree" `Quick test_reach_clean;

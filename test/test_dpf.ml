@@ -24,17 +24,6 @@ let test_point_function_all_alphas () =
     done
   done
 
-let test_value_dpf () =
-  let d = 5 and value = "lightweb secret page data padded" in
-  let alpha = 19 in
-  let k0, k1 = Dpf.gen ~value ~domain_bits:d ~alpha (rng ()) in
-  for x = 0 to (1 lsl d) - 1 do
-    let got = Lw_util.Xorbuf.xor (Dpf.eval_value k0 x) (Dpf.eval_value k1 x) in
-    if x = alpha then Alcotest.(check string) "value at alpha" value got
-    else
-      Alcotest.(check bool) (Printf.sprintf "zero at %d" x) true (Lw_util.Xorbuf.is_zero got)
-  done
-
 let test_domain_edges () =
   (* depth-1 tree and both extreme alphas *)
   List.iter
@@ -60,10 +49,7 @@ let test_gen_validation () =
 let test_eval_validation () =
   let k0, _ = Dpf.gen ~domain_bits:3 ~alpha:2 (rng ()) in
   Alcotest.check_raises "x out of domain" (Invalid_argument "Dpf.eval: index out of domain")
-    (fun () -> ignore (Dpf.eval_bit k0 8));
-  Alcotest.check_raises "eval_value on bit key"
-    (Invalid_argument "Dpf.eval_value: selection-bit key") (fun () ->
-      ignore (Dpf.eval_value k0 0))
+    (fun () -> ignore (Dpf.eval_bit k0 8))
 
 (* ---------------- eval_all consistency ---------------- *)
 
@@ -83,29 +69,6 @@ let test_eval_all_visits_in_order () =
       Alcotest.(check int) "order" !expected x;
       incr expected);
   Alcotest.(check int) "count" 128 !expected
-
-let test_eval_all_seeds_value_shares () =
-  let d = 6 and value = String.init 48 (fun i -> Char.chr (i land 0xff)) in
-  let alpha = 33 in
-  let k0, k1 = Dpf.gen ~value ~domain_bits:d ~alpha (rng ()) in
-  (* reconstruct eval_value from eval_all_seeds *)
-  let shares k =
-    let out = Array.make (1 lsl d) "" in
-    Dpf.eval_all_seeds k (fun x t seed pos ->
-        let s = Prg.convert ~seed ~pos ~len:48 in
-        out.(x) <- (if t = 1 then Lw_util.Xorbuf.xor s (Dpf.eval_value k x |> fun v ->
-          (* cross-check against eval_value directly instead of reaching into cw *)
-          Lw_util.Xorbuf.xor s v) else s));
-    out
-  in
-  (* simpler: check eval_all_seeds bit/seed agrees with eval_value *)
-  ignore shares;
-  Dpf.eval_all_seeds k0 (fun x t seed pos ->
-      let s = Prg.convert ~seed ~pos ~len:48 in
-      let direct = Dpf.eval_value k0 x in
-      if t = 0 then Alcotest.(check string) "t=0 share is convert" s direct);
-  let got = Lw_util.Xorbuf.xor (Dpf.eval_value k0 alpha) (Dpf.eval_value k1 alpha) in
-  Alcotest.(check string) "value" value got
 
 let test_selected_indices_halfish () =
   let d = 10 in
@@ -166,39 +129,24 @@ let test_distributed_validation () =
   Alcotest.check_raises "full" (Invalid_argument "Distributed.split: bad shard_bits") (fun () ->
       ignore (Distributed.split k0 ~shard_bits:5))
 
-let test_distributed_value_dpf () =
-  let d = 6 and shard_bits = 2 and alpha = 45 in
-  let value = "0123456789abcdef" in
-  let k0, k1 = Dpf.gen ~value ~domain_bits:d ~alpha (rng ()) in
-  let s0 = Distributed.split k0 ~shard_bits and s1 = Distributed.split k1 ~shard_bits in
-  let rem = d - shard_bits in
-  let shard = alpha lsr rem and j = alpha land ((1 lsl rem) - 1) in
-  let got = Lw_util.Xorbuf.xor (Dpf.eval_value s0.(shard) j) (Dpf.eval_value s1.(shard) j) in
-  Alcotest.(check string) "value through shards" value got
-
 (* ---------------- serialisation ---------------- *)
 
 let test_serialize_roundtrip () =
+  let d = 12 in
+  let k0, k1 = Dpf.gen ~domain_bits:d ~alpha:1000 (rng ()) in
   List.iter
-    (fun value ->
-      let d = 12 in
-      let k0, k1 = Dpf.gen ?value ~domain_bits:d ~alpha:1000 (rng ()) in
-      List.iter
-        (fun k ->
-          let s = Dpf.serialize k in
-          Alcotest.(check int) "size formula"
-            (Dpf.serialized_size ~domain_bits:d ~value_len:(Dpf.value_len k))
-            (String.length s);
-          match Dpf.deserialize s with
-          | Error e -> Alcotest.fail (Dpf.decode_error_message e)
-          | Ok k' ->
-              Alcotest.(check int) "party" (Dpf.party k) (Dpf.party k');
-              Alcotest.(check int) "domain" (Dpf.domain_bits k) (Dpf.domain_bits k');
-              for x = 0 to 200 do
-                Alcotest.(check int) "eval agrees" (Dpf.eval_bit k x) (Dpf.eval_bit k' x)
-              done)
-        [ k0; k1 ])
-    [ None; Some "some value bytes" ]
+    (fun k ->
+      let s = Dpf.serialize k in
+      Alcotest.(check int) "size formula" (Dpf.serialized_size ~domain_bits:d) (String.length s);
+      match Dpf.deserialize s with
+      | Error e -> Alcotest.fail (Dpf.decode_error_message e)
+      | Ok k' ->
+          Alcotest.(check int) "party" (Dpf.party k) (Dpf.party k');
+          Alcotest.(check int) "domain" (Dpf.domain_bits k) (Dpf.domain_bits k');
+          for x = 0 to 200 do
+            Alcotest.(check int) "eval agrees" (Dpf.eval_bit k x) (Dpf.eval_bit k' x)
+          done)
+    [ k0; k1 ]
 
 let test_serialize_subkey_roundtrip () =
   let k0, _ = Dpf.gen ~domain_bits:8 ~alpha:200 (rng ()) in
@@ -214,6 +162,18 @@ let test_serialize_subkey_roundtrip () =
               (Dpf.eval_bit sub j) (Dpf.eval_bit sub' j)
           done)
     subs
+
+(* A version-2 key of BGI16's value-carrying shape over a [2^domain_bits]
+   domain: header (bytes 8-9 the value length, 1; term_bits 0, the tree
+   running to the leaves), root seed, 16-byte correction word and control
+   bits per level, 1-byte leaf word. *)
+let value_shaped_key ~domain_bits =
+  let d = domain_bits in
+  String.concat ""
+    [
+      "D\x02\x00\x00\x00"; String.make 1 (Char.chr d); "\x00\x00\x00\x01";
+      String.make 16 '\x5a'; String.make (16 * d) '\xa5'; String.make d '\x01'; "\x07";
+    ]
 
 let test_deserialize_rejects () =
   let k0, _ = Dpf.gen ~domain_bits:4 ~alpha:9 (rng ()) in
@@ -239,23 +199,27 @@ let test_deserialize_rejects () =
   Alcotest.(check bool) "truncated" true (is_err (Dpf.deserialize (String.sub s 0 (String.length s - 1))));
   Alcotest.(check bool) "extended" true (is_err (Dpf.deserialize (s ^ "\x00")));
   Alcotest.(check bool) "bad term_bits" true (is_err (Dpf.deserialize (mutate 6 '\x08')));
-  Alcotest.(check bool) "misaligned leaf_lo" true (is_err (Dpf.deserialize (mutate 7 '\x01')))
+  Alcotest.(check bool) "misaligned leaf_lo" true (is_err (Dpf.deserialize (mutate 7 '\x01')));
+  Alcotest.(check bool) "nonzero bytes 8-9" true (is_err (Dpf.deserialize (mutate 9 '\x01')));
+  (* a value-carrying key: a full tree (term_bits 0) and a 1-byte leaf
+     word, which would make a server walk every leaf *)
+  match Dpf.deserialize (value_shaped_key ~domain_bits:4) with
+  | Error (Dpf.Malformed _) -> ()
+  | Error e -> Alcotest.fail ("wrong error: " ^ Dpf.decode_error_message e)
+  | Ok _ -> Alcotest.fail "value-shaped key accepted"
 
 let test_key_sizes () =
   Alcotest.(check int) "paper formula d=22" 2860 (Dpf.paper_key_size ~domain_bits:22);
   (* bit-only keys stop the tree 7 levels early:
      10 + 16 + 17*(d - min 7 d) + 16 bytes *)
-  Alcotest.(check int) "real size d=22" 297 (Dpf.serialized_size ~domain_bits:22 ~value_len:0);
-  Alcotest.(check int) "real size d=12" 127 (Dpf.serialized_size ~domain_bits:12 ~value_len:0);
-  Alcotest.(check int) "real size d=5" 42 (Dpf.serialized_size ~domain_bits:5 ~value_len:0);
+  Alcotest.(check int) "real size d=22" 297 (Dpf.serialized_size ~domain_bits:22);
+  Alcotest.(check int) "real size d=12" 127 (Dpf.serialized_size ~domain_bits:12);
+  Alcotest.(check int) "real size d=5" 42 (Dpf.serialized_size ~domain_bits:5);
   for d = 1 to 30 do
     Alcotest.(check int) (Printf.sprintf "formula d=%d" d)
       (10 + 16 + (17 * (d - min 7 d)) + 16)
-      (Dpf.serialized_size ~domain_bits:d ~value_len:0)
-  done;
-  (* value keys keep the full tree *)
-  Alcotest.(check int) "value key d=6" (10 + 16 + (17 * 6) + 5)
-    (Dpf.serialized_size ~domain_bits:6 ~value_len:5)
+      (Dpf.serialized_size ~domain_bits:d)
+  done
 
 let test_rejects_version_1 () =
   let k0, _ = Dpf.gen ~domain_bits:12 ~alpha:1234 (rng ()) in
@@ -328,14 +292,6 @@ let prop_correctness =
         if v <> if x = alpha then 1 else 0 then ok := false
       done;
       !ok)
-
-let prop_value_roundtrip =
-  QCheck.Test.make ~name:"value dpf reconstructs value" ~count:40
-    QCheck.(pair (int_range 1 8) (string_of_size Gen.(1 -- 64)))
-    (fun (d, value) ->
-      let alpha = Hashtbl.hash value mod (1 lsl d) in
-      let k0, k1 = Dpf.gen ~value ~domain_bits:d ~alpha (rng ()) in
-      String.equal value (Lw_util.Xorbuf.xor (Dpf.eval_value k0 alpha) (Dpf.eval_value k1 alpha)))
 
 let prop_distributed_split =
   QCheck.Test.make ~name:"distributed split equals direct eval" ~count:30
@@ -442,7 +398,7 @@ let prop_boundary_serialize =
       let d = Dpf.domain_bits k0 in
       let roundtrip k =
         let s = Dpf.serialize k in
-        String.length s = Dpf.serialized_size ~domain_bits:(Dpf.domain_bits k) ~value_len:0
+        String.length s = Dpf.serialized_size ~domain_bits:(Dpf.domain_bits k)
         &&
         match Dpf.deserialize s with
         | Error e -> QCheck.Test.fail_report (Dpf.decode_error_message e)
@@ -457,7 +413,6 @@ let props =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_correctness;
-      prop_value_roundtrip;
       prop_distributed_split;
       prop_boundary_one_hot;
       prop_boundary_blocked;
@@ -473,7 +428,6 @@ let () =
         [
           Alcotest.test_case "point bits" `Quick test_point_function_bits;
           Alcotest.test_case "all alphas d=4" `Quick test_point_function_all_alphas;
-          Alcotest.test_case "value dpf" `Quick test_value_dpf;
           Alcotest.test_case "domain edges" `Quick test_domain_edges;
           Alcotest.test_case "gen validation" `Quick test_gen_validation;
           Alcotest.test_case "eval validation" `Quick test_eval_validation;
@@ -482,7 +436,6 @@ let () =
         [
           Alcotest.test_case "matches point eval" `Quick test_eval_all_matches_point;
           Alcotest.test_case "in-order traversal" `Quick test_eval_all_visits_in_order;
-          Alcotest.test_case "seeds give value shares" `Quick test_eval_all_seeds_value_shares;
           Alcotest.test_case "selected indices" `Quick test_selected_indices_halfish;
         ] );
       ( "distributed",
@@ -490,7 +443,6 @@ let () =
           Alcotest.test_case "share equivalence" `Quick test_distributed_equivalence;
           Alcotest.test_case "combined correctness" `Quick test_distributed_correctness_combined;
           Alcotest.test_case "validation" `Quick test_distributed_validation;
-          Alcotest.test_case "value dpf through shards" `Quick test_distributed_value_dpf;
         ] );
       ( "serialisation",
         [

@@ -40,7 +40,7 @@ let test_bitvec_query_shape () =
 let test_bitvec_upload_vs_dpf () =
   (* the whole point: DPF upload is logarithmic, bit vectors linear *)
   let bv22 = Lw_repro.Bitvec_pir.upload_bytes ~domain_bits:22 in
-  let dpf22 = Lw_dpf.Dpf.serialized_size ~domain_bits:22 ~value_len:0 in
+  let dpf22 = Lw_dpf.Dpf.serialized_size ~domain_bits:22 in
   Alcotest.(check int) "bitvec at d=22 is 512 KiB" (512 * 1024) bv22;
   Alcotest.(check bool) "dpf is ~1000x smaller" true (bv22 / dpf22 > 1000)
 

@@ -258,15 +258,25 @@ let populated_store ?(domain_bits = 8) ?(bucket_size = 256) n =
   done;
   (s, !stored)
 
+(* A GET from the primitives [Zltp_client] builds it from: the two
+   servers' DPF keys at the keyword's bucket, and the record in the XOR
+   of their answers. *)
+let query_key s ~key =
+  let keymap = Store.keymap s in
+  Lw_dpf.Dpf.gen ~domain_bits:(Keymap.domain_bits keymap) ~alpha:(Keymap.index_of_key keymap key)
+    (rng ())
+
+let fetch ~resp0 ~resp1 ~key = Record.decode_for_key ~key (Lw_util.Xorbuf.xor resp0 resp1)
+
 let test_pir_end_to_end () =
   let s, keys = populated_store 40 in
   let server0 = Server.of_snapshot (Store.snapshot s) and server1 = Server.of_snapshot (Store.snapshot s) in
   List.iter
     (fun key ->
-      let q = Client.query_key ~keymap:(Store.keymap s) ~key (rng ()) in
-      let resp0 = Server.answer server0 q.Client.key0 in
-      let resp1 = Server.answer server1 q.Client.key1 in
-      match Client.fetch q ~resp0 ~resp1 ~key with
+      let k0, k1 = query_key s ~key in
+      let resp0 = Server.answer server0 k0 in
+      let resp1 = Server.answer server1 k1 in
+      match fetch ~resp0 ~resp1 ~key with
       | Some v -> Alcotest.(check (option string)) key (Some v) (Store.find s key)
       | None -> Alcotest.fail (Printf.sprintf "PIR lookup failed for %s" key))
     keys
@@ -278,24 +288,24 @@ let test_pir_absent_key () =
   match Store.find s key with
   | Some _ -> () (* extremely unlikely collision; nothing to assert *)
   | None ->
-      let q = Client.query_key ~keymap:(Store.keymap s) ~key (rng ()) in
-      let resp0 = Server.answer server q.Client.key0 in
-      let resp1 = Server.answer server q.Client.key1 in
-      Alcotest.(check (option string)) "absent" None (Client.fetch q ~resp0 ~resp1 ~key)
+      let k0, k1 = query_key s ~key in
+      let resp0 = Server.answer server k0 in
+      let resp1 = Server.answer server k1 in
+      Alcotest.(check (option string)) "absent" None (fetch ~resp0 ~resp1 ~key)
 
 let test_pir_batch_matches_single () =
   let s, keys = populated_store 20 in
   let server = Server.of_snapshot (Store.snapshot s) in
   let queries =
     Array.of_list
-      (List.map (fun key -> Client.query_key ~keymap:(Store.keymap s) ~key (rng ())) keys)
+      (List.map (fun key -> fst (query_key s ~key)) keys)
   in
-  let batch = Server.answer_batch server (Array.map (fun q -> q.Client.key0) queries) in
+  let batch = Server.answer_batch server queries in
   Array.iteri
     (fun i q ->
       Alcotest.(check string)
         (Printf.sprintf "batch[%d]" i)
-        (Server.answer server q.Client.key0)
+        (Server.answer server q)
         batch.(i))
     queries
 
@@ -305,8 +315,8 @@ let test_pir_server_response_uniform_size () =
   let sizes =
     List.map
       (fun key ->
-        let q = Client.query_key ~keymap:(Store.keymap s) ~key (rng ()) in
-        String.length (Server.answer server q.Client.key0))
+        let k0, _ = query_key s ~key in
+        String.length (Server.answer server k0))
       keys
   in
   List.iter (fun n -> Alcotest.(check int) "uniform" 256 n) sizes
@@ -315,12 +325,10 @@ let test_pir_server_response_uniform_size () =
    key and checks its domain before any scan. A [Pir_query] or a
    [Pir_batch] with garbage key bytes or a key over the wrong domain is a
    bad request; a valid key's share is [Server.answer]'s. *)
-let test_pir_serialized_entry_point () =
+(* A ZLTP server over [s]'s store, and a session on it that has said
+   Hello in two-server PIR mode. *)
+let pir2_session s =
   let open Lightweb in
-  let s, keys = populated_store 5 in
-  let snap = Store.snapshot s in
-  let server = Server.of_snapshot snap in
-  let epoch = Lw_store.Snapshot.epoch snap in
   let zs = Zltp_server.create ~blob_size:256 (Zltp_backend.versioned (Store.engine s)) in
   let c = Zltp_server.conn zs in
   (match
@@ -329,6 +337,15 @@ let test_pir_serialized_entry_point () =
    with
   | Some (Zltp_wire.Welcome _) -> ()
   | _ -> Alcotest.fail "hello failed");
+  c
+
+let test_pir_serialized_entry_point () =
+  let open Lightweb in
+  let s, keys = populated_store 5 in
+  let snap = Store.snapshot s in
+  let server = Server.of_snapshot snap in
+  let epoch = Lw_store.Snapshot.epoch snap in
+  let c = pir2_session s in
   let send msg =
     match Zltp_server.handle_frame c (Zltp_wire.encode_client msg) with
     | None -> Alcotest.fail "no reply"
@@ -337,22 +354,20 @@ let test_pir_serialized_entry_point () =
         | Ok reply -> reply
         | Error e -> Alcotest.fail ("undecodable reply: " ^ e))
   in
-  let q = Client.query_key ~keymap:(Store.keymap s) ~key:(List.hd keys) (rng ()) in
-  let valid = Lw_dpf.Dpf.serialize q.Client.key0 in
+  let k0, _ = query_key s ~key:(List.hd keys) in
+  let valid = Lw_dpf.Dpf.serialize k0 in
   (match send (Zltp_wire.Pir_query { qid = 1; epoch; dpf_key = valid }) with
   | Zltp_wire.Answer { share; _ } ->
-      Alcotest.(check string) "same as direct" (Server.answer server q.Client.key0) share
+      Alcotest.(check string) "same as direct" (Server.answer server k0) share
   | _ -> Alcotest.fail "valid query not answered");
   (match send (Zltp_wire.Pir_batch { qid = 2; epoch; dpf_keys = [ valid; valid ] }) with
   | Zltp_wire.Batch_answer { shares; _ } ->
       Alcotest.(check (list string)) "batch same as direct"
-        (Array.to_list (Server.answer_batch server [| q.Client.key0; q.Client.key0 |]))
+        (Array.to_list (Server.answer_batch server [| k0; k0 |]))
         shares
   | _ -> Alcotest.fail "valid batch not answered");
   (* a key over the wrong domain *)
-  let wrong =
-    Lw_dpf.Dpf.serialize (Client.query_index ~domain_bits:5 ~index:0 (rng ())).Client.key0
-  in
+  let wrong = Lw_dpf.Dpf.serialize (fst (Lw_dpf.Dpf.gen ~domain_bits:5 ~alpha:0 (rng ()))) in
   List.iter
     (fun (label, bad) ->
       let rejected msg =
@@ -365,6 +380,41 @@ let test_pir_serialized_entry_point () =
       Alcotest.(check bool) ("batch rejects " ^ label) true
         (rejected (Zltp_wire.Pir_batch { qid = 4; epoch; dpf_keys = [ valid; bad ] })))
     [ ("garbage", "garbage"); ("wrong domain", wrong) ]
+
+(* A version-2 key of BGI16's value-carrying shape over a [2^domain_bits]
+   domain: header (bytes 8-9 the value length, 1; term_bits 0, the tree
+   running to the leaves), root seed, 16-byte correction word and control
+   bits per level, 1-byte leaf word. *)
+let value_shaped_key ~domain_bits =
+  let d = domain_bits in
+  String.concat ""
+    [
+      "D\x02\x00\x00\x00"; String.make 1 (Char.chr d); "\x00\x00\x00\x01";
+      String.make 16 '\x5a'; String.make (16 * d) '\xa5'; String.make d '\x01'; "\x07";
+    ]
+
+(* No client makes a value-carrying key, and evaluating one walks every
+   leaf of the tree, not one terminal node per 128 leaves: each PIR verb
+   refuses it as a bad request, with no share. *)
+let test_pir_refuses_value_key () =
+  let open Lightweb in
+  let s, keys = populated_store 5 in
+  let epoch = Lw_store.Snapshot.epoch (Store.snapshot s) in
+  let c = pir2_session s in
+  let bad = value_shaped_key ~domain_bits:(Keymap.domain_bits (Store.keymap s)) in
+  let valid = Lw_dpf.Dpf.serialize (fst (query_key s ~key:(List.hd keys))) in
+  List.iter
+    (fun (label, msg) ->
+      match Zltp_server.handle c msg with
+      | Some (Zltp_wire.Err { code; _ }) ->
+          Alcotest.(check int) label Zltp_wire.err_bad_request code
+      | _ -> Alcotest.fail (label ^ ": value-shaped key answered"))
+    [
+      ("Pir_query", Zltp_wire.Pir_query { qid = 1; epoch; dpf_key = bad });
+      ("Pir_batch", Zltp_wire.Pir_batch { qid = 2; epoch; dpf_keys = [ valid; bad ] });
+      ( "Keyword_query",
+        Zltp_wire.Keyword_query { qid = 3; epoch; dpf_key0 = bad; dpf_key1 = valid } );
+    ]
 
 let test_pir_cuckoo_end_to_end () =
   (* probing both candidate locations retrieves the record wherever
@@ -380,10 +430,10 @@ let test_pir_cuckoo_end_to_end () =
     let key = Printf.sprintf "k%d" i in
     let i0, i1 = Kw_store.candidates c key in
     let probe idx =
-      let q = Client.query_index ~domain_bits:8 ~index:idx (rng ()) in
-      let resp0 = Server.answer server q.Client.key0 in
-      let resp1 = Server.answer server q.Client.key1 in
-      Client.fetch q ~resp0 ~resp1 ~key
+      let k0, k1 = Lw_dpf.Dpf.gen ~domain_bits:8 ~alpha:idx (rng ()) in
+      let resp0 = Server.answer server k0 in
+      let resp1 = Server.answer server k1 in
+      fetch ~resp0 ~resp1 ~key
     in
     match (probe i0, probe i1) with
     | Some v, _ | _, Some v ->
@@ -406,8 +456,8 @@ let test_pir_single_server_view_independent () =
   let server = Server.of_snapshot (Store.snapshot s) in
   ignore server;
   let weight alpha =
-    let q = Client.query_index ~domain_bits:10 ~index:alpha (rng ()) in
-    List.length (Lw_dpf.Dpf.selected_indices q.Client.key0)
+    let k0, _ = Lw_dpf.Dpf.gen ~domain_bits:10 ~alpha (rng ()) in
+    List.length (Lw_dpf.Dpf.selected_indices k0)
   in
   let w1 = weight 0 and w2 = weight 1023 in
   Alcotest.(check bool) "balanced shares" true (abs (w1 - 512) < 150 && abs (w2 - 512) < 150)
@@ -438,10 +488,10 @@ let prop_pir_roundtrip =
       | Error _ -> QCheck.assume_fail ()
       | Ok () ->
           let server = Server.of_snapshot (Store.snapshot s) in
-          let q = Client.query_key ~keymap:(Store.keymap s) ~key (rng ()) in
-          let resp0 = Server.answer server q.Client.key0 in
-          let resp1 = Server.answer server q.Client.key1 in
-          Client.fetch q ~resp0 ~resp1 ~key = Some value)
+          let k0, k1 = query_key s ~key in
+          let resp0 = Server.answer server k0 in
+          let resp1 = Server.answer server k1 in
+          fetch ~resp0 ~resp1 ~key = Some value)
 
 let prop_record_roundtrip =
   QCheck.Test.make ~name:"record encode/decode roundtrip" ~count:100
@@ -724,6 +774,7 @@ let () =
           Alcotest.test_case "batch scan bytes" `Quick test_batch_scan_bytes;
           Alcotest.test_case "uniform response size" `Quick test_pir_server_response_uniform_size;
           Alcotest.test_case "serialized entry point" `Quick test_pir_serialized_entry_point;
+          Alcotest.test_case "refuses value-shaped keys" `Quick test_pir_refuses_value_key;
           Alcotest.test_case "cuckoo end-to-end" `Quick test_pir_cuckoo_end_to_end;
         ] );
       ( "privacy-baselines",

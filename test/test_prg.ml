@@ -42,92 +42,48 @@ let golden =
      "9aa4496b754d14bbef6fd2ae0a4e4deb");
     ("dpf.sel.d1",
      "377d547a670b65c581031fc74f3ca138eddaab335650f505a512a1d67d224d1850c9c071c6a8cf6f67c004d56792a586fd3dea400af15e9a2d22a47b69b7f4eb");
-    ("dpf.val.d1",
-     "4046753de178e53ad6a93f0f2555531ab24b2aac62bf99c27118b461ce27f10061f0c8546c3f00c2e289a91eca32f4424dd23bb3df19684268fc9d7c3d176d91");
     ("dpf.sel.d2",
      "bf11019b9e91bf9995d569b58d98f98f66101f49ece82dc3320cc39a4bd1511912104e4a5783eb40831c2118c8ceede839477f9eb52bef01b40733320e299e8a");
-    ("dpf.val.d2",
-     "f2b4be851a341777c5e6c496f72aa1f8b68b2b18c234373e2a9d2436fab40a9317916a6299a5e306799053b7b309adc978e8d7954617eb610574f9083ae479df");
     ("dpf.sel.d3",
      "a6efbe6c1966f6a31b5635592cfc0629eedcd67f779e07bd3ca49ffc5b45e5d87bb0d33dce7746a38ea4b04a94e8500a2f271fcfe2097b7679679e452dd0847f");
-    ("dpf.val.d3",
-     "7b9faef28c3ebb6409c813ce7b21b60e2c697fdea4ba7efed76a718032d547195eaee2d60281f8b574d9cedf50fe6370e62134774c34fa9d416eb9ce358e38cb");
     ("dpf.sel.d4",
      "bf5170e21a9fd89829a99d8bb040693b6a996f24528dc44db75eac11298b3d038dd45723cd344da5887be9c2bcefb7e0ad9141d8052a668f503ee4d95975babe");
-    ("dpf.val.d4",
-     "d2d80cf1b005a9a274a272d5419b1bea2b8392d36ce1d3a99017e4663b117850fa7468cdf51c0f9652b632e5fa996e10647737d4abc2cc7e79c9a8aaef90f389");
     ("dpf.sel.d5",
      "740f58891d55a7035fee180a50b414f592a26aa0ae87a37bb37420efb3f37ca409446744b6e302c0457c1a666c79e3e26055a43432f7d8d5f2d2b7b0c36adb66");
-    ("dpf.val.d5",
-     "cd4acd6a77200e1e5e2464c1bd3511b6c861c100ac612157fc5ac5435d6f6c6e6038c4c10553893ec4add74b05f43d214afb8cdc08302c5b0c9fc5a278ff2b51");
     ("dpf.sel.d6",
      "34f6a39976a0f4d2ce564d3dcabf5b36e68f875a0a92a08de1bb0ae7e1b6f9c1766f969a8a245584dc60a437c481fd2e5727cb803e6d7dbbea0858977f751ea3");
-    ("dpf.val.d6",
-     "baaf06f501419fcf8894151f5a79c846771fa2bde87982d5b01050a522c38162404304bd551550c98649cae5bb28287b133c3ec7f92f1ca6a29b3bb627d5ffab");
     ("dpf.sel.d7",
      "062d92252c2492fd7c75445abd5abd9edf5ca53c3e8649dd0fd0456cf37b3b7e24418617e739fc3300d261c2db3aa1e3ddfc9c29ce8dcd8170365e0fbc029a63");
-    ("dpf.val.d7",
-     "c13d89cb862612ea6c9bfeb97697c8be904733e1411771b4b0fe64788e62102444f7e6917ea49e9a0e9d3027e4196b0a759af5d49f104f44546ef88b63e31c04");
     ("dpf.sel.d8",
      "fa0c377a1997272f6b50e10f5a1ae726f0cbb4654a58d769c31578254fe06eb13fbbfe2428363fa98ba99621bfcbee479638375f6e5d4835128a7aedfbd4bc7b");
-    ("dpf.val.d8",
-     "bd9bee071e6922d40def7a83dfab06ff58c09326b5ae3a6e9fe665fcf3a62b09a85e8caf4d0dc9e601c309b396a844f19056b1725411e98426c1414a40992569");
     ("dpf.sel.d9",
      "6fd53a32ff10769f8c72a85df3b8f59e2a8c71004b283b2680cb23f603f96511d30a6662fa403c915c56345cbd022f3d4f9dc9824245a3eb97526f82b2d5b734");
-    ("dpf.val.d9",
-     "f7171c41050eaa1dc0363741134ea7269bcede1168b723ba1e6511ad34f6dd26695241af02c3880fcfaeaed4181ca6e3c70e27efc9b418a4cfa86afc65ecf478");
     ("dpf.sel.d10",
      "51781feb241b360c73d9a2a4340972b198eea6581f0d28afc34672206ecdfd824c59c1955e517aceb84e027458d06cbe0c02d5fe66ff74c65470a91ecb57f335");
-    ("dpf.val.d10",
-     "d1ecd8ef640c43ef1cb64eef3f70e296e47e701845ce127e3a67910496b64e08c0683f1234c04134610f9bdcb428d4c6b6e2e372ee69697b322468eabf7d9c26");
     ("dpf.sel.d11",
      "4231bff94875e9107cd83af6af0725a992c5d5bd02617b8bb4878fef3d3334f33f23adc582719fecfcc8d99199febc99587e882548dd665f112d1902145d0125");
-    ("dpf.val.d11",
-     "a002c8ef894ac4ebb14704a78e4969fa8d0b228ab0ee9ff4b6fd2c9fc8eb4f2fe2d22731face636c74bab0f0ac05ef82e646c6e45729ef13ebd6448557bcb616");
     ("dpf.sel.d12",
      "0939fb46933838817e660626f9327663eff9ff932b6710df6ce1574a6c55ed3fee9e3d931ee9ac1438fd688bd474a8b37662e0e4341195dfdf78ed6868adb95d");
-    ("dpf.val.d12",
-     "ef73d5f1bb8feaf2ca61f806c5f2f7e1df4c468de75fbf9aa3136016923cab00b5fe842ab7af4d8aff7bbc34f558eab63064274af1fcd99b43599c993e16a72d");
     ("dpf.sel.d13",
      "dabd43412ddcd99439e4faac2d9779cae680154ad0cd52d69edd0441434aeb1fd281cb17a721cde88bfc6f4feb20197137c1859050a273bd04497358e4ceced2");
-    ("dpf.val.d13",
-     "f11abc82b90e462caa074e98b21cb8f71751580a3f81b8ba186673621377cc75a0bdea8fa72efaa8569891ed924db681e7a9cb6ee0f97321bb38c6e08ecd33ca");
     ("dpf.sel.d14",
      "12b276e6886c192987bcc95b298ff31dd9c9f097778410e6451bf533e1f5c8326e5620dff9402bc5195d26f28e02389241a08835497b4e6982e0110768dbb846");
-    ("dpf.val.d14",
-     "f38777662be9fbe50e84c6cfeb1acf7c3f79dd6beb62a24c505bfd512713743ed3eeec71eff04a703e7be267bdef40af706c22a5e77925c69ca44c68297ae8c4");
     ("dpf.sel.d15",
      "f016d57c46b8c98953271c6b07b299d172abe3909fb89a6fd772fb3d810e69d654e3f594cf006ac8f3675b392b5395e3d9253e586b55fa04c385b6016fbedfa3");
-    ("dpf.val.d15",
-     "5a2024a1c5e5ea1ee86f86b7957893d7fd56336f49176082eb77d49f4490e6d99bdfb97681b31b8c210548a6541ec03c17fb43c613b375908babb4c40a095bc5");
     ("dpf.sel.d16",
      "df0e168e6c06ac7add03f2e5969fc746f9fe8b600eb6ea3febcc1d5dbcc64b341de23a2584b172699a6955955b1b099f7ae0c7fc2af08f86ae8259fccbaa6121");
-    ("dpf.val.d16",
-     "1daabf9895a603945dd534fd358c6da8f6bed4b584c68ffe90c3fd24052979391a9499cb1363714218cb8299f05081866b9c8abc2e0534c689a554e99e90f289");
     ("dpf.sel.d17",
      "f1847105d360a2b13d7a45ca016d93d53fe32a4e7490d087064939adc9e7ae7566535ceef854c87a7028e48ef252ad09f3d876469d2063a678371d91530e4995");
-    ("dpf.val.d17",
-     "0b258f34be18db00c955bc1ecfae82b39c0e44a9b0beec252389b0475591aefabf360d8919d57ab80d9eabec41a8a6a0fb7cb6050172a1a44d8fa564cf8965c7");
     ("dpf.sel.d18",
      "d8b418ee29dcc65ae591907fa65ee0cc73af8cdb3ea58e7e1193e5b926acaa6b47428f65c59df54809ac761c37cdb7f4fd8c3470a200fc6a1ebffd67ebc0cef3");
-    ("dpf.val.d18",
-     "04faeb57472abce708a85f83d9560c9cc08b7b062880d603885c66ed7ec4f1b979f1d382c95e2fae8d544478b1859e55c3a3555dafa5f60c589c631469ce897a");
     ("dpf.sel.d19",
      "2fda67e945cec34577e7540307aa55cd6af0e65089a1de62fd9812b41a5f6ce57736b9741d9999493ff14993cb16b15deda244ad47e61b94155b998224f020b2");
-    ("dpf.val.d19",
-     "61e5c90716bc99148cff2ede3f4e79a1f73d9f4513e67d729916481c54113be4443ffe347ee9e76e2b051eae83b6733f5e5a34663e30e3d2532f2d3e92928dba");
     ("dpf.sel.d20",
      "6410eea601345fd28fd7ab6da9bff1ad761f7304c1ca582e2b070fa1f75ff3f7e2c2f3a91a102fceabe160ddcc6f45177bacd6d359deb47f74c0826bffb03c25");
-    ("dpf.val.d20",
-     "93d9aad7e040d152f5a2fd616d18cf6cb2a14f09c7e43cfa3a56a74fa3c7e4a410e23b4a6c90a54d4c43bfac5253eb9e4607d408917116d59844bbb4b135df7d");
     ("dpf.sel.d21",
      "50228ee6ff3703822e5794ca6189ec9a7b303162a418a76acb4d2ec0348ae56aea974e29953f857c17c6bee57221d8f806635b16074aa3ee178d6b7494234cec");
-    ("dpf.val.d21",
-     "16c8d4d4eaf087f4f4e5ac825fcfdab1af0188ec8de70a6371fada17f5688bac1132caf3d6ea0b04aa23d048c0853ea45fe3978454d4455549de18ef17b193ed");
     ("dpf.sel.d22",
      "040fa6e8ff5353bb8a04b51a96211a8061c3e3d5fd0fce51cffd0361abfb72193ae3251a4cec1255792a4590e1181b946cadfee1a27f31128fd0ceb8c2f3274b");
-    ("dpf.val.d22",
-     "601b58ac73ddeebc73b5f68b5a55772309b78c662b43b68fe6737ac5749c0f3e81250d27d09f483bc13366101bda8259d0f876a97a1fc6f428a3723277326e40");
     ("eval.sel.d10.all",
      "51bde1277501bf29230ef79948869df8501223e0609d6586ac5389d10ea4d6380dcd6699b8456851cfe033dfdbe17eaed91bb75a835b24571802945632fac238");
     ("eval.sel.d10.points",
@@ -170,26 +126,6 @@ let golden =
      "33d13a59e8fff95ec11fd9e3aa41ee6cf1a3debf8d9f3d167d6d128f1d9368dd5b66ab5da77a308db545697973a7e9251bfaabfd480c6a921f0dd714da53d1a3");
     ("eval.sel.d13.blocked13",
      "33d13a59e8fff95ec11fd9e3aa41ee6cf1a3debf8d9f3d167d6d128f1d9368dd5b66ab5da77a308db545697973a7e9251bfaabfd480c6a921f0dd714da53d1a3");
-    ("eval.val.d9.all",
-     "0de0b9226f3dd73be8d733b008ed03426aac6c82e4c78a081d8495c548fb50d3f0fe475cb97646f8744a7aaa8ce469b85698d2e16e83f47c33c198880c9b26a8");
-    ("eval.val.d9.points",
-     "0001000001010001000100010001000000010000010100010001000100010000");
-    ("eval.val.d9.blocked0",
-     "0de0b9226f3dd73be8d733b008ed03426aac6c82e4c78a081d8495c548fb50d3f0fe475cb97646f8744a7aaa8ce469b85698d2e16e83f47c33c198880c9b26a8");
-    ("eval.val.d9.blocked3",
-     "0de0b9226f3dd73be8d733b008ed03426aac6c82e4c78a081d8495c548fb50d3f0fe475cb97646f8744a7aaa8ce469b85698d2e16e83f47c33c198880c9b26a8");
-    ("eval.val.d9.blocked6",
-     "0de0b9226f3dd73be8d733b008ed03426aac6c82e4c78a081d8495c548fb50d3f0fe475cb97646f8744a7aaa8ce469b85698d2e16e83f47c33c198880c9b26a8");
-    ("eval.val.d9.blocked7",
-     "0de0b9226f3dd73be8d733b008ed03426aac6c82e4c78a081d8495c548fb50d3f0fe475cb97646f8744a7aaa8ce469b85698d2e16e83f47c33c198880c9b26a8");
-    ("eval.val.d9.blocked9",
-     "0de0b9226f3dd73be8d733b008ed03426aac6c82e4c78a081d8495c548fb50d3f0fe475cb97646f8744a7aaa8ce469b85698d2e16e83f47c33c198880c9b26a8");
-    ("eval.val.d9.blocked9",
-     "0de0b9226f3dd73be8d733b008ed03426aac6c82e4c78a081d8495c548fb50d3f0fe475cb97646f8744a7aaa8ce469b85698d2e16e83f47c33c198880c9b26a8");
-    ("value.shares",
-     "bdf606fa247e9f6db160f87a3e4e6ec71f1bb83231456efac0643d505a8dd34c53fbac7e4050df22269fb7a5d8f6ea50857c501fe724abf8cbc10cd70b21a48a");
-    ("value.seeds",
-     "151cc77d15f0e2040e7b1bcefac02aa88fc1022003f37dc7eb36f2d4b4f3558e28559395861127fa7fee64152d01fb6d98958021468c078bd24cccff832c3f17");
     ("split.d10.s1",
      "616e86023e433894b347d69a6e5fe58215efca7882c60cd3e300f747941e6c38");
     ("split.d10.s3",
@@ -434,7 +370,8 @@ let test_golden_chacha_builds () =
 
 (* Key generation on every AES build: both parties' roots, correction
    words and bits, terminal seeds and leaf word byte for byte against
-   the first build, for every domain width and both key kinds. *)
+   the first build, for every domain width and both tree depths the C
+   call takes (stopping 7 levels above the leaves, and reaching them). *)
 let test_gen_every_build () =
   let rng = Lw_util.Det_rng.of_string_seed "gen-builds" in
   for d = 1 to 30 do
