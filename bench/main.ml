@@ -75,8 +75,9 @@ let time_median ?(reps = 5) f =
    wall-clock "speedup" is noise and only the critical-path figure is
    informative), the compiler/word size pin down the codegen, the scan
    kernel names the vector build the CPU picked for every scan, the AES
-   build the one every DPF PRG call runs, and the ChaCha20 build the one
-   under the DRBG and the AEAD. *)
+   build the one every DPF PRG call runs, the ChaCha20 build the one
+   under the DRBG and the AEAD, and the CRC-32 build the one under every
+   wire frame's trailer. *)
 let machine_meta () =
   Json.Obj
     [
@@ -87,6 +88,7 @@ let machine_meta () =
       ("scan_kernel", Json.String (Lw_util.Xorbuf.scan_kernel ()));
       ("aes_build", Json.String (Lw_crypto.Aes128.build ()));
       ("chacha_build", Json.String (Lw_crypto.Chacha20.build ()));
+      ("crc_build", Json.String (Lw_util.Crc32.build ()));
     ]
 
 (* A full-size run writes its experiment's BENCH_*.json: the id, the
@@ -726,6 +728,46 @@ let e12_channel size =
       row "%-34s %10.2f us\n" (Printf.sprintf "dpf gen pair d=%d" d) (1e6 *. t))
     [ 8; 10; 12; 22 ]
 
+(* E12's third part: the wire trailer's CRC-32 on every build, after
+   checking they agree on every length up to 300 at every offset 0-15
+   and on a 20,517-byte batch reply (the @bench-smoke run fails on any
+   difference); then each build's rate at a small frame's, a share's and
+   a width-5 batch reply's size. *)
+let e12_crc size =
+  let smoke = size = Smoke in
+  let builds = Lw_util.Crc32.builds () in
+  let s = Lw_util.Det_rng.bytes (det "e12-crc") (20517 + 16) in
+  let crcs build =
+    List.init 16 (fun pos ->
+        List.init 301 (fun len -> Lw_util.Crc32.update_on ~build 0l s ~pos ~len))
+    @ [ [ Lw_util.Crc32.update_on ~build 0l s ~pos:3 ~len:20517 ] ]
+  in
+  let want = crcs (List.hd builds) in
+  List.iter
+    (fun build ->
+      if not (List.equal (List.equal Int32.equal) want (crcs build)) then
+        failwith (Printf.sprintf "E12: CRC-32 build %s differs from %s" build (List.hd builds)))
+    builds;
+  row "\nCRC-32 builds on this CPU: %s (picked: %s); CRCs identical\n" (String.concat ", " builds)
+    (Lw_util.Crc32.build ());
+  let reps = if smoke then 1 else 5 in
+  List.iter
+    (fun build ->
+      List.iter
+        (fun len ->
+          let iters = max 16 ((1 lsl if smoke then 16 else 24) / len) in
+          let t =
+            time_median ~reps (fun () ->
+                for _ = 1 to iters do
+                  ignore (Lw_util.Crc32.update_on ~build 0l s ~pos:0 ~len)
+                done)
+            /. float_of_int iters
+          in
+          row "%-34s %10.3f GB/s %8.2f us\n" (Printf.sprintf "crc32, %s (%d B)" build len)
+            (float_of_int len /. t /. 1e9) (1e6 *. t))
+        [ 256; 4096; 20480 ])
+    builds
+
 (* Every AES build this CPU runs must give the same bytes for a level
    call, a leaves call and plain block encryption (the @bench-smoke run
    fails on any difference); then each is timed per node, and the
@@ -804,7 +846,8 @@ let e12_prg_ablation size =
     "\n(a single expand_into pays one OCaml->C crossing per AES call; the DPF's\n\
      evaluators cross once per tree level, which the per-parent level column\n\
      measures.)\n";
-  e12_channel size
+  e12_channel size;
+  e12_crc size
 
 (* ------------------------------------------------------------------ *)
 (* E13: cover-traffic cost (closing the timing side channel)           *)

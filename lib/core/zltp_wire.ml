@@ -59,22 +59,35 @@ let request_qid = function
 (* ---- primitive writers/readers: tag byte, u8, u32-be, length-prefixed
    strings and lists ---- *)
 
-let add_u8 buf v = Buffer.add_char buf (Char.chr (v land 0xff))
-let add_u32 buf v = Buffer.add_int32_be buf (Int32.of_int v)
+(* Each encoder runs twice over one message: a counting pass, whose
+   writer has no buffer and only advances [at], then a writing pass into
+   a buffer of exactly the counted body and the trailer. *)
+type writer = { out : Bytes.t; writing : bool; mutable at : int }
+
+let add_u8 buf v =
+  if buf.writing then Bytes.set buf.out buf.at (Char.chr (v land 0xff));
+  buf.at <- buf.at + 1
+
+let add_u32 buf v =
+  if buf.writing then Bytes.set_int32_be buf.out buf.at (Int32.of_int v);
+  buf.at <- buf.at + 4
 
 let add_str buf s =
-  add_u32 buf (String.length s);
-  Buffer.add_string buf s
+  let n = String.length s in
+  add_u32 buf n;
+  if buf.writing then Bytes.blit_string s 0 buf.out buf.at n;
+  buf.at <- buf.at + n
 
 let add_list buf xs add =
   add_u32 buf (List.length xs);
   List.iter (add buf) xs
 
-type reader = { src : string; mutable pos : int }
+(* A reader stops at [limit], where the integrity trailer starts. *)
+type reader = { src : string; mutable pos : int; limit : int }
 
 exception Decode of string
 
-let need r n = if r.pos + n > String.length r.src then raise (Decode "truncated message")
+let need r n = if r.pos + n > r.limit then raise (Decode "truncated message")
 
 let u8 r =
   need r 1;
@@ -102,7 +115,7 @@ let list r elt =
   List.init n (fun _ -> elt r)
 
 let finish r v =
-  if r.pos <> String.length r.src then raise (Decode "trailing bytes");
+  if r.pos <> r.limit then raise (Decode "trailing bytes");
   v
 
 (* Every encoded message carries a 4-byte CRC-32 trailer over its body —
@@ -112,31 +125,29 @@ let finish r v =
    CRC-32 detects every single-bit flip deterministically. *)
 let trailer_size = 4
 
-let seal body =
-  let n = String.length body in
-  let b = Bytes.create (n + trailer_size) in
-  Bytes.blit_string body 0 b 0 n;
-  Bytes.set_int32_be b n (Lw_util.Crc32.digest body);
-  Bytes.unsafe_to_string b
+let counter () = { out = Bytes.empty; writing = false; at = 0 }
 
-let unseal s =
-  let n = String.length s - trailer_size in
-  if n < 0 then raise (Decode "message shorter than integrity trailer");
-  if not (Int32.equal (String.get_int32_be s n) (Lw_util.Crc32.update 0l s ~pos:0 ~len:n)) then
-    raise (Decode "integrity check failed");
-  n
+(* A writer into a frame of [n] body bytes and the trailer. *)
+let framer n = { out = Bytes.create (n + trailer_size); writing = true; at = 0 }
+
+(* The trailer over the [n] body bytes written, computed in place; the
+   buffer becomes the frame uncopied. *)
+let seal buf n =
+  Bytes.set_int32_be buf.out n (Lw_util.Crc32.update_bytes 0l buf.out ~pos:0 ~len:n);
+  Bytes.unsafe_to_string buf.out
 
 let run_decoder f s =
-  try
-    let body_len = unseal s in
-    Ok (f { src = String.sub s 0 body_len; pos = 0 })
-  with Decode e -> Error e
+  let limit = String.length s - trailer_size in
+  if limit < 0 then Error "message shorter than integrity trailer"
+  else
+    let crc = Lw_util.Crc32.update 0l s ~pos:0 ~len:limit in
+    if not (Int32.equal (String.get_int32_be s limit) crc) then Error "integrity check failed"
+    else try Ok (f { src = s; pos = 0; limit }) with Decode e -> Error e
 
 (* ---- client messages ---- *)
 
-let encode_client msg =
-  let buf = Buffer.create 64 in
-  (match msg with
+let put_client buf msg =
+  match msg with
   | Hello { version; modes } ->
       add_u8 buf 1;
       add_u8 buf version;
@@ -176,8 +187,18 @@ let encode_client msg =
       add_u8 buf 10;
       add_u32 buf qid;
       add_u32 buf epoch;
-      add_str buf query);
-  seal (Buffer.contents buf)
+      add_str buf query
+
+let client_body_size msg =
+  let buf = counter () in
+  put_client buf msg;
+  buf.at
+
+let encode_client msg =
+  let n = client_body_size msg in
+  let buf = framer n in
+  put_client buf msg;
+  seal buf n
 
 let mode_of_tag r =
   match Zltp_mode.of_tag (u8 r) with
@@ -225,9 +246,8 @@ let decode_client s =
 
 (* ---- server messages ---- *)
 
-let encode_server msg =
-  let buf = Buffer.create 64 in
-  (match msg with
+let put_server buf msg =
+  match msg with
   | Welcome { version; mode; domain_bits; blob_size; hash_key; server_id; epoch } ->
       add_u8 buf 1;
       add_u8 buf version;
@@ -286,8 +306,18 @@ let encode_server msg =
       add_u8 buf 10;
       add_u32 buf qid;
       add_u32 buf epoch;
-      add_str buf answer);
-  seal (Buffer.contents buf)
+      add_str buf answer
+
+let server_body_size msg =
+  let buf = counter () in
+  put_server buf msg;
+  buf.at
+
+let encode_server msg =
+  let n = server_body_size msg in
+  let buf = framer n in
+  put_server buf msg;
+  seal buf n
 
 let decode_server s =
   run_decoder

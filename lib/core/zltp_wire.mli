@@ -121,6 +121,19 @@ val trailer_size : int
     corruption becomes a clean retry, never silently wrong bytes. *)
 
 val encode_client : client_msg -> string
+(** The frame: the body, written once into a buffer of exactly
+    [client_body_size msg + trailer_size] bytes, and its trailer. *)
+
 val decode_client : string -> (client_msg, string) result
+(** Checks the trailer, then reads the body in place, up to the trailer;
+    only the strings a message carries are copied out. *)
+
+val client_body_size : client_msg -> int
+(** The length of [msg]'s encoded body, without the trailer: the
+    counting pass {!encode_client} makes before it writes. *)
+
 val encode_server : server_msg -> string
 val decode_server : string -> (server_msg, string) result
+
+val server_body_size : server_msg -> int
+(** As {!client_body_size}, for {!encode_server}. *)

@@ -1,58 +1,44 @@
-(* Standard reflected CRC-32 (IEEE 802.3 polynomial 0xEDB88320), slice by
-   eight on immediate ints: eight table lookups per eight input bytes, and
-   no boxed [Int32] on the way. Not a cryptographic primitive: it
-   guarantees detection of any single-bit error and all short burst
-   errors, which is exactly the failure class an integrity trailer on a
-   simulated lossy link must catch deterministically. *)
+(* Standard reflected CRC-32 (IEEE 802.3 polynomial 0xEDB88320), in C
+   (crc32_stubs.c): carry-less-multiply folding where the CPU has
+   PCLMULQDQ, slice-by-8 tables elsewhere, the build picked once from
+   CPUID. Not a cryptographic primitive: it guarantees detection of any
+   single-bit error and all short burst errors, which is exactly the
+   failure class an integrity trailer on a simulated lossy link must
+   catch deterministically. The external reads no OCaml value but its
+   arguments and allocates nothing; the range is checked here first. *)
 
-let poly = 0xEDB88320
+external c_builds : unit -> string array = "lw_crc_builds"
+external c_first : unit -> int = "lw_crc_first"
+external c_update : int -> int -> string -> int -> int -> int = "lw_crc_update" [@@noalloc]
+external c_update_bytes : int -> int -> Bytes.t -> int -> int -> int = "lw_crc_update" [@@noalloc]
 
-(* [tables.((k * 256) + b)] is the CRC register after byte [b] and then
-   [k] zero bytes, for [k] from 0 to 7. *)
-let tables =
-  let t = Array.make (8 * 256) 0 in
-  for b = 0 to 255 do
-    let c = ref b in
-    for _ = 0 to 7 do
-      c := (!c lsr 1) lxor (poly land -(!c land 1))
-    done;
-    t.(b) <- !c
-  done;
-  for k = 1 to 7 do
-    for b = 0 to 255 do
-      let prev = t.(((k - 1) * 256) + b) in
-      t.((k * 256) + b) <- (prev lsr 8) lxor t.(prev land 0xff)
-    done
-  done;
-  t
+(* Every build, preferred first; the CPU runs those from [first] on, and
+   every call runs [first]. *)
+let all_builds = c_builds ()
+let first = c_first ()
+let build () = all_builds.(first)
+let builds () = Array.to_list (Array.sub all_builds first (Array.length all_builds - first))
 
-let[@inline] tab k b = Array.unsafe_get tables ((k * 256) + b)
+let build_index name =
+  match Array.find_index (String.equal name) all_builds with
+  | Some i when i >= first -> i
+  | _ -> invalid_arg "Crc32: build not runnable on this CPU"
 
-let update crc s ~pos ~len =
-  (* [pos > length - len] rather than [pos + len > length]: the sum can
-     wrap for huge [len], and the byte loop below reads unchecked *)
-  if pos < 0 || len < 0 || pos > String.length s - len then
-    invalid_arg "Crc32.update: range out of bounds";
-  let c = ref (lnot (Int32.to_int crc) land 0xffffffff) in
-  let words = pos + (len land lnot 7) in
-  let i = ref pos in
-  while !i < words do
-    let lo = !c lxor (Int32.to_int (String.get_int32_le s !i) land 0xffffffff) in
-    let hi = Int32.to_int (String.get_int32_le s (!i + 4)) land 0xffffffff in
-    c :=
-      tab 7 (lo land 0xff)
-      lxor tab 6 ((lo lsr 8) land 0xff)
-      lxor tab 5 ((lo lsr 16) land 0xff)
-      lxor tab 4 (lo lsr 24)
-      lxor tab 3 (hi land 0xff)
-      lxor tab 2 ((hi lsr 8) land 0xff)
-      lxor tab 1 ((hi lsr 16) land 0xff)
-      lxor tab 0 (hi lsr 24);
-    i := !i + 8
-  done;
-  for j = words to pos + len - 1 do
-    c := tab 0 ((!c lxor Char.code (String.unsafe_get s j)) land 0xff) lxor (!c lsr 8)
-  done;
-  Int32.of_int (lnot !c land 0xffffffff)
+let check pos len total =
+  (* [pos > total - len] rather than [pos + len > total]: the sum can
+     wrap for huge [len], and the C loop reads unchecked *)
+  if pos < 0 || len < 0 || pos > total - len then
+    invalid_arg "Crc32.update: range out of bounds"
+
+let run b crc s ~pos ~len =
+  check pos len (String.length s);
+  Int32.of_int (c_update b (Int32.to_int crc land 0xffffffff) s pos len)
+
+let update crc s ~pos ~len = run first crc s ~pos ~len
+let update_on ~build crc s ~pos ~len = run (build_index build) crc s ~pos ~len
+
+let update_bytes crc b ~pos ~len =
+  check pos len (Bytes.length b);
+  Int32.of_int (c_update_bytes first (Int32.to_int crc land 0xffffffff) b pos len)
 
 let digest s = update 0l s ~pos:0 ~len:(String.length s)

@@ -264,12 +264,13 @@ let test_c_kernel_no_branch () =
   let kernels =
     [
       Filename.concat (Filename.concat lib "util") "xorbuf_stubs.c";
+      Filename.concat (Filename.concat lib "util") "crc32_stubs.c";
       Filename.concat (Filename.concat lib "crypto") "aes_stubs.c";
       Filename.concat (Filename.concat lib "crypto") "channel_stubs.c";
     ]
   in
   Alcotest.(check (list string))
-    "the scan, AES and channel kernels are the only C files under lib/"
+    "the scan, CRC, AES and channel kernels are the only C files under lib/"
     (List.sort String.compare kernels)
     (List.sort String.compare (c_files lib));
   List.iter
@@ -317,6 +318,20 @@ let pinned_jumps =
        scatter (over the chunk's records) and the prefix sum (over the
        bins in use, from the top) *)
     ("extent_order", 10);
+    (* crc_pclmul, the CRC's folding build: the choice of four lanes
+       (64 bytes or more) and their fold loop (guard and back-edge, over
+       the blocks by four); the one lane's first block (when the four
+       did not run) and its fold loop (guard and back-edge, over the
+       blocks left); the reduction to the register (when a block was
+       read); the four-byte loop (guard and back-edge, over the 0-15
+       bytes past the blocks) and the gather of the last 0-3 bytes
+       (guard and back-edge) *)
+    ("crc_pclmul", 11);
+    (* crc_baseline, slice-by-8: the eight-byte loop and the byte loop,
+       guard and back-edge each, over the length; lw_crc_update, the
+       call, runs straight through to the build *)
+    ("crc_baseline", 4);
+    ("lw_crc_update", 0);
     (* level_*: chunks of parents (n / CHUNK), the seed tweaks and the
        cipher over the chunk's blocks, and the children of the chunk *)
     ("level_aesni", 10);
@@ -420,9 +435,14 @@ let test_c_kernel_jumps_pinned () =
                 "0000000000000000 <f>:\n   0:\tjne    10 <f+0x10>\n   2:\tjmp    0 <f>\n   4:\tjae    0 <f>\n0000000000000010 <g>:\n  10:\tjb     10 <g>\n  12:\tret\n0000000000000020 <h>:\n  20:\tret\n"))));
   let objects =
     List.filter_map Analyzer.resolve_file
-      [ "lib/util/xorbuf_stubs.o"; "lib/crypto/aes_stubs.o"; "lib/crypto/channel_stubs.o" ]
+      [
+        "lib/util/xorbuf_stubs.o";
+        "lib/util/crc32_stubs.o";
+        "lib/crypto/aes_stubs.o";
+        "lib/crypto/channel_stubs.o";
+      ]
   in
-  Alcotest.(check int) "every kernel object built" 3 (List.length objects);
+  Alcotest.(check int) "every kernel object built" 4 (List.length objects);
   (* the object's .comment section names its compiler, "GCC: (<vendor>) 12.x.y" *)
   let gcc12 obj =
     let bytes = In_channel.with_open_bin obj In_channel.input_all in

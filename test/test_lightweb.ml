@@ -1003,56 +1003,70 @@ let test_snapshot_rejects_malformed () =
 
 (* ---------------- wire codec properties ---------------- *)
 
+(* Strings are mostly short, and one in five is up to 16 KiB, so shares
+   reach the CRC kernel's four-lane folding and every tail length. Every
+   constructor of both message types is drawn. *)
+let gen_wire_str =
+  let open QCheck.Gen in
+  frequency
+    [ (4, string_size ~gen:char (0 -- 80)); (1, string_size ~gen:char (0 -- 16384)) ]
+
+let gen_mode = QCheck.Gen.oneofl Zltp_mode.all
+
 let gen_client_msg =
   let open QCheck.Gen in
-  let str = string_size ~gen:char (0 -- 80) in
+  let str = gen_wire_str and qid = int_bound 0xffffff and epoch = int_bound 0xffff in
   oneof
     [
       map
-        (fun (v, ms) ->
-          Zltp_wire.Hello
-            { version = v land 0xff; modes = List.map (fun b -> if b then Zltp_mode.Pir2 else Zltp_mode.Enclave) ms })
-        (pair (int_bound 255) (list_size (0 -- 4) bool));
-      map (fun (q, e, k) ->
-          Zltp_wire.Pir_query { qid = q land 0xffffff; epoch = e; dpf_key = k })
-        (triple (int_bound 0xffffff) (int_bound 0xffff) str);
-      map (fun (q, e, ks) ->
-          Zltp_wire.Pir_batch { qid = q land 0xffffff; epoch = e; dpf_keys = ks })
-        (triple (int_bound 0xffffff) (int_bound 0xffff) (list_size (0 -- 6) str));
-      map (fun q -> Zltp_wire.Sync { qid = q land 0xffffff }) (int_bound 0xffffff);
-      map (fun (q, k) -> Zltp_wire.Enclave_get { qid = q land 0xffffff; key = k })
-        (pair (int_bound 0xffffff) str);
-      map (fun q -> Zltp_wire.Health { qid = q land 0xffffff }) (int_bound 0xffffff);
+        (fun (v, modes) -> Zltp_wire.Hello { version = v land 0xff; modes })
+        (pair (int_bound 255) (list_size (0 -- 4) gen_mode));
+      map (fun (qid, epoch, dpf_key) -> Zltp_wire.Pir_query { qid; epoch; dpf_key })
+        (triple qid epoch str);
+      map (fun (qid, epoch, dpf_keys) -> Zltp_wire.Pir_batch { qid; epoch; dpf_keys })
+        (triple qid epoch (list_size (0 -- 6) str));
+      map
+        (fun (qid, epoch, dpf_key0, dpf_key1) ->
+          Zltp_wire.Keyword_query { qid; epoch; dpf_key0; dpf_key1 })
+        (quad qid epoch str str);
+      map (fun (qid, key) -> Zltp_wire.Enclave_get { qid; key }) (pair qid str);
+      map (fun (qid, epoch) -> Zltp_wire.Spir_hint_req { qid; epoch }) (pair qid epoch);
+      map (fun (qid, epoch, query) -> Zltp_wire.Spir_query { qid; epoch; query })
+        (triple qid epoch str);
+      map (fun qid -> Zltp_wire.Health { qid }) qid;
+      map (fun qid -> Zltp_wire.Sync { qid }) qid;
       return Zltp_wire.Bye;
     ]
 
 let gen_server_msg =
   let open QCheck.Gen in
-  let str = string_size ~gen:char (0 -- 80) in
+  let str = gen_wire_str and qid = int_bound 0xffffff and epoch = int_bound 0xffff in
   oneof
     [
       map
-        (fun (d, b, hk, id, e) ->
+        (fun ((d, b, hash_key, server_id), (mode, e)) ->
           Zltp_wire.Welcome
             {
               version = Zltp_wire.protocol_version;
-              mode = Zltp_mode.Pir2;
+              mode;
               domain_bits = d land 0xff;
               blob_size = b land 0xffffff;
-              hash_key = hk;
-              server_id = id;
+              hash_key;
+              server_id;
               epoch = e land 0xffffff;
             })
-        (map (fun ((d, b, hk, id), e) -> (d, b, hk, id, e))
-           (pair (quad (int_bound 255) (int_bound 1000000) str str) (int_bound 0xffffff)));
-      map (fun (q, e, s) ->
-          Zltp_wire.Answer { qid = q land 0xffffff; epoch = e; share = s })
-        (triple (int_bound 0xffffff) (int_bound 0xffff) str);
-      map (fun (q, e, ss) ->
-          Zltp_wire.Batch_answer { qid = q land 0xffffff; epoch = e; shares = ss })
-        (triple (int_bound 0xffffff) (int_bound 0xffff) (list_size (0 -- 6) str));
-      map (fun (q, v) -> Zltp_wire.Enclave_answer { qid = q land 0xffffff; value = v })
-        (pair (int_bound 0xffffff) (option str));
+        (pair (quad (int_bound 255) (int_bound 1000000) str str) (pair gen_mode (int_bound 0xffffff)));
+      map (fun (qid, epoch, share) -> Zltp_wire.Answer { qid; epoch; share })
+        (triple qid epoch str);
+      map (fun (qid, epoch, shares) -> Zltp_wire.Batch_answer { qid; epoch; shares })
+        (triple qid epoch (list_size (0 -- 6) str));
+      map
+        (fun (qid, epoch, share0, share1) -> Zltp_wire.Keyword_answer { qid; epoch; share0; share1 })
+        (quad qid epoch str str);
+      map (fun (qid, value) -> Zltp_wire.Enclave_answer { qid; value }) (pair qid (option str));
+      map (fun (qid, epoch, hint) -> Zltp_wire.Spir_hint { qid; epoch; hint }) (triple qid epoch str);
+      map (fun (qid, epoch, answer) -> Zltp_wire.Spir_answer { qid; epoch; answer })
+        (triple qid epoch str);
       map (fun (q, t, d) ->
           Zltp_wire.Health_reply
             { qid = q land 0xffffff; shards_total = t land 0xffff; shards_down = d land 0xffff;
@@ -1109,18 +1123,35 @@ let prop_server_mutation =
       let s = mutate_byte (Zltp_wire.encode_server m) pos in
       match Zltp_wire.decode_server s with Ok _ | Error _ -> true)
 
+(* every single-bit flip in the body or trailer is caught: that is the
+   CRC-32 guarantee the chaos suite's Corrupt fault relies on *)
+let flip_detected encode decode (m, bit) =
+  let s = encode m in
+  let b = Bytes.of_string s in
+  let i = bit mod (String.length s * 8) in
+  Bytes.set b (i / 8) (Char.chr (Char.code (Bytes.get b (i / 8)) lxor (1 lsl (i mod 8))));
+  Result.is_error (decode (Bytes.unsafe_to_string b))
+
 let prop_single_bit_flip_detected =
-  (* every single-bit flip in the body or trailer is caught: that is the
-     CRC-32 guarantee the chaos suite's Corrupt fault relies on *)
   QCheck.Test.make ~name:"single bit flip always detected" ~count:400
-    (QCheck.make QCheck.Gen.(pair gen_client_msg (int_bound 100000)))
-    (fun (m, bit) ->
-      let s = Zltp_wire.encode_client m in
-      let b = Bytes.of_string s in
-      let i = bit mod (String.length s * 8) in
-      Bytes.set b (i / 8)
-        (Char.chr (Char.code (Bytes.get b (i / 8)) lxor (1 lsl (i mod 8))));
-      Result.is_error (Zltp_wire.decode_client (Bytes.unsafe_to_string b)))
+    (QCheck.make QCheck.Gen.(pair gen_client_msg (int_bound 1_000_000)))
+    (flip_detected Zltp_wire.encode_client Zltp_wire.decode_client)
+
+let prop_server_bit_flip_detected =
+  QCheck.Test.make ~name:"single bit flip always detected, server messages" ~count:400
+    (QCheck.make QCheck.Gen.(pair gen_server_msg (int_bound 1_000_000)))
+    (flip_detected Zltp_wire.encode_server Zltp_wire.decode_server)
+
+(* the encoder's counting pass sizes the frame exactly: the body it
+   counts and the trailer, nothing more *)
+let prop_encoded_size =
+  QCheck.Test.make ~name:"encoding is counted body plus trailer" ~count:300
+    (QCheck.make QCheck.Gen.(pair gen_client_msg gen_server_msg))
+    (fun (c, s) ->
+      String.length (Zltp_wire.encode_client c)
+      = Zltp_wire.client_body_size c + Zltp_wire.trailer_size
+      && String.length (Zltp_wire.encode_server s)
+         = Zltp_wire.server_body_size s + Zltp_wire.trailer_size)
 
 let test_wire_huge_length_claims () =
   (* a length field claiming gigabytes must fail fast on the bounds check,
@@ -1165,6 +1196,8 @@ let wire_props =
       prop_client_mutation;
       prop_server_mutation;
       prop_single_bit_flip_detected;
+      prop_server_bit_flip_detected;
+      prop_encoded_size;
     ]
   @ [ Alcotest.test_case "huge length claims" `Quick test_wire_huge_length_claims ]
 

@@ -387,9 +387,11 @@ let test_nonzero_end () =
   done
 
 (* CRC-32 against a bit-at-a-time reference over the same reflected
-   polynomial: the known answer, every length up to 64 and lengths
-   around 4 KiB (the table loop and its byte tail), each at offsets 0-7,
-   chaining one update into the next, and ranges outside the string. *)
+   polynomial, on every build the CPU runs: the known answer, every
+   length up to 300 at offsets 0-15 (the byte tail, the one-lane fold
+   and the four-lane fold with every tail), the folding edges, lengths
+   around 4 KiB and a 20,517-byte batch reply; chaining one update into
+   the next; and ranges outside the string. *)
 let crc_reference s ~pos ~len =
   let c = ref 0xffffffff in
   for i = pos to pos + len - 1 do
@@ -403,23 +405,46 @@ let crc_reference s ~pos ~len =
 let test_crc32 () =
   let module Crc32 = Lw_util.Crc32 in
   Alcotest.(check int32) "known answer" 0xCBF43926l (Crc32.digest "123456789");
-  let s = Lw_util.Det_rng.bytes (Lw_util.Det_rng.of_string_seed "crc32") (4100 + 8) in
+  let s = Lw_util.Det_rng.bytes (Lw_util.Det_rng.of_string_seed "crc32") (20517 + 16) in
+  let builds = Crc32.builds () in
+  Alcotest.(check bool) "the picked build runs" true (List.mem (Crc32.build ()) builds);
+  Alcotest.(check bool) "baseline runs everywhere" true (List.mem "baseline" builds);
   List.iter
-    (fun len ->
-      for pos = 0 to 7 do
+    (fun build ->
+      let check ~pos ~len =
         Alcotest.(check int32)
-          (Printf.sprintf "len=%d pos=%d" len pos)
-          (crc_reference s ~pos ~len) (Crc32.update 0l s ~pos ~len)
-      done)
-    (List.init 65 Fun.id @ [ 4093; 4094; 4095; 4096; 4097; 4098; 4099; 4100 ]);
-  List.iter
-    (fun (a, b) ->
-      let a = String.sub s 0 a and b = String.sub s 100 b in
-      Alcotest.(check int32)
-        (Printf.sprintf "chain %d+%d" (String.length a) (String.length b))
-        (Crc32.digest (a ^ b))
-        (Crc32.update (Crc32.digest a) b ~pos:0 ~len:(String.length b)))
-    [ (0, 0); (0, 9); (1, 7); (3, 8); (8, 8); (13, 4000); (4000, 13) ];
+          (Printf.sprintf "%s len=%d pos=%d" build len pos)
+          (crc_reference s ~pos ~len) (Crc32.update_on ~build 0l s ~pos ~len)
+      in
+      for len = 0 to 300 do
+        for pos = 0 to 15 do
+          check ~pos ~len
+        done
+      done;
+      List.iter
+        (fun len ->
+          for pos = 0 to 7 do
+            check ~pos ~len
+          done)
+        [ 63; 64; 65; 79; 80; 127; 128; 129; 4093; 4094; 4095; 4096; 4097; 4098; 4099; 4100 ];
+      check ~pos:0 ~len:20517;
+      check ~pos:16 ~len:20517;
+      List.iter
+        (fun (a, b) ->
+          let a = String.sub s 0 a and b = String.sub s 100 b in
+          Alcotest.(check int32)
+            (Printf.sprintf "%s chain %d+%d" build (String.length a) (String.length b))
+            (Crc32.digest (a ^ b))
+            (Crc32.update_on ~build
+               (Crc32.update_on ~build 0l a ~pos:0 ~len:(String.length a))
+               b ~pos:0 ~len:(String.length b)))
+        [ (0, 0); (0, 9); (1, 7); (3, 8); (8, 8); (13, 4000); (4000, 13); (64, 65); (129, 20000) ])
+    builds;
+  Alcotest.(check int32) "bytes as string"
+    (Crc32.update 0l s ~pos:3 ~len:5000)
+    (Crc32.update_bytes 0l (Bytes.of_string s) ~pos:3 ~len:5000);
+  Alcotest.check_raises "unknown build" (Invalid_argument "Crc32: build not runnable on this CPU")
+    (fun () -> ignore (Crc32.update_on ~build:"sse9" 0l s ~pos:0 ~len:1));
   let range = Invalid_argument "Crc32.update: range out of bounds" in
   List.iter
     (fun (pos, len) ->
