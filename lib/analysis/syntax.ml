@@ -63,12 +63,17 @@ let rec pattern_vars (p : Parsetree.pattern) =
 
 (* Split a [fun a b -> body] chain into its parameter patterns (each
    parameter may bind several variables via tuples) and the innermost
-   body. *)
+   body. A [function] is one more parameter, [*match*], that the body
+   matches on: [let f a = function ...] is [let f a b = match b with ...]. *)
 let rec uncurry (e : Parsetree.expression) =
   match e.pexp_desc with
   | Pexp_fun (_, _, pat, body) ->
       let ps, b = uncurry body in
       (pattern_vars pat :: ps, b)
+  | Pexp_function cases ->
+      let loc = e.pexp_loc in
+      let arg = Ast_helper.Exp.ident ~loc { txt = Longident.Lident "*match*"; loc } in
+      ([ [ "*match*" ] ], Ast_helper.Exp.match_ ~loc arg cases)
   | Pexp_newtype (_, body) -> uncurry body
   | Pexp_constraint (e, _) -> uncurry e
   | _ -> ([], e)
@@ -77,6 +82,7 @@ let rec uncurry (e : Parsetree.expression) =
 let rec param_labels (e : Parsetree.expression) =
   match e.pexp_desc with
   | Pexp_fun (label, _, _, body) -> label :: param_labels body
+  | Pexp_function _ -> [ Asttypes.Nolabel ]
   | Pexp_newtype (_, body) | Pexp_constraint (body, _) -> param_labels body
   | _ -> []
 

@@ -263,14 +263,10 @@ let rec eval ctx (env : env) (e : Parsetree.expression) : int =
       local lor secret_of_name ctx n
   | Pexp_constant _ -> 0
   | Pexp_let (rf, vbs, body) -> eval_let ctx env rf vbs body
-  | Pexp_fun _ | Pexp_newtype _ ->
+  | Pexp_fun _ | Pexp_function _ | Pexp_newtype _ ->
       (* A bare closure value: its taint is what it captures; the body
          is still walked so captured-secret sinks inside it report. *)
       let lf = eval_fn ctx env e in
-      lf.l_cap
-  | Pexp_function cases ->
-      (* [function] is a one-parameter fun whose body matches on it. *)
-      let lf = eval_function ctx env cases in
       lf.l_cap
   | Pexp_apply (f, args) -> eval_apply ctx env e f args
   | Pexp_match (scrut, cases) ->
@@ -361,12 +357,6 @@ and eval_cases ctx env scrut_taint cases =
           acc lor eval ctx env c.pc_rhs))
     0 cases
 
-(* Summarise a closure: pass 1 walks the body under the definition
-   environment (parameters bound to nothing) to report captured-secret
-   sinks and compute the captured result taint; pass 2 re-walks it with
-   fresh per-parameter bits, recording only which parameters reach
-   sinks or the result — its emit forwards nothing, so nothing is
-   double-reported. *)
 and eval_loop_body ctx env b =
   (* Loop bodies run more than once: a [:=] late in the body can feed a
      read earlier in the next iteration.  Re-evaluate once whenever the
@@ -383,27 +373,18 @@ and eval_fn ctx env e =
     { l_params = []; l_labels = []; l_ret = 0; l_sink = 0; l_kinds = []; l_cap = eval ctx env body }
   else { (summarize_fn ctx env params body) with l_labels = Syntax.param_labels e }
 
-and eval_function ctx env cases =
-  (* one implicit parameter, matched immediately *)
-  let param = [ "*match*" ] in
-  let body_of bit =
-    (* evaluate the cases with the implicit param's taint as scrutinee *)
-    fun ctx env -> eval_cases ctx env bit cases
-  in
-  summarize_body ctx env [ param ]
-    ~n_cases:(List.length cases)
-    (fun ctx env bit -> (body_of bit) ctx env)
-
+(* Summarise a closure: pass 1 walks the body under the definition
+   environment (parameters bound to nothing) to report captured-secret
+   sinks and compute the captured result taint; pass 2 re-walks it with
+   fresh per-parameter bits, recording only which parameters reach
+   sinks or the result — its emit forwards nothing, so nothing is
+   double-reported. *)
 and summarize_fn ctx env params body =
-  summarize_body ctx env params ~n_cases:1 (fun ctx env _bit ->
-      eval ctx env body)
-
-and summarize_body ctx env params ~n_cases run =
   let zero_binds =
     List.concat_map (fun vars -> List.map (fun v -> (v, Val 0)) vars) params
   in
   (* pass 1: captured-taint report under the outer environment *)
-  let l_cap = with_binds env zero_binds (fun () -> run ctx env 0) in
+  let l_cap = with_binds env zero_binds (fun () -> eval ctx env body) in
   (* pass 2: per-parameter bits, recording summaries only *)
   let depth = ctx.depth + 1 in
   if depth > 3 then { l_params = params; l_labels = []; l_ret = 0; l_sink = 0; l_kinds = []; l_cap }
@@ -427,23 +408,12 @@ and summarize_body ctx env params ~n_cases run =
           List.map (fun v -> (v, Val (if i < 16 then 1 lsl (base + i) else 0))) vars)
         (List.mapi (fun i vars -> (i, vars)) params)
     in
-    let ret =
-      with_binds env bit_binds (fun () ->
-          run ctx' env (if n_cases > 1 then 1 lsl base else 0))
-    in
-    (* a [function] with several cases branches on its own parameter *)
-    let sinks =
-      if n_cases > 1 then begin
-        if not (List.mem_assoc 0 !kinds) then kinds := (0, Branch) :: !kinds;
-        !sink_bits lor 1
-      end
-      else !sink_bits
-    in
+    let ret = with_binds env bit_binds (fun () -> eval ctx' env body) in
     {
       l_params = params;
       l_labels = [];
       l_ret = (ret lsr base) land param_mask;
-      l_sink = sinks;
+      l_sink = !sink_bits;
       l_kinds = !kinds;
       l_cap;
     }

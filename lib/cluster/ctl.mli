@@ -50,9 +50,6 @@ type msg =
   | Scrape
   | Quit
 
-val encode : msg -> string
-val decode : string -> (msg, string) result
-
 val send : Lw_net.Endpoint.t -> msg -> unit
 (** [send ep m] — {!encode} + [ep.send]; raises like [Endpoint.send]. *)
 

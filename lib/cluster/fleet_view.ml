@@ -161,13 +161,6 @@ let sources t = t.sources
 let counter t name =
   match Hashtbl.find_opt t.counters (sanitize name) with Some r -> !r | None -> 0
 
-let counters t =
-  Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.counters []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let gauge t name =
-  Option.map ( ! ) (Hashtbl.find_opt t.gauges (sanitize name))
-
 let histogram t name =
   Hashtbl.find_opt t.hists (sanitize name)
   |> Option.map (fun acc ->

@@ -28,11 +28,6 @@ val sources : t -> int
 val counter : t -> string -> int
 (** Summed across every ingest; [0] when the series was never seen. *)
 
-val counters : t -> (string * int) list
-(** All counters, sorted by (sanitized) name. *)
-
-val gauge : t -> string -> float option
-
 val histogram : t -> string -> Lw_obs.Metrics.hist_snapshot option
 (** The merged fleet histogram: exact bucket counts/count/sum/max,
     quantiles at {!Lw_obs.Metrics.quantile}'s bucket granularity. *)

@@ -492,7 +492,6 @@ let info t =
 
 let fleet_epoch t = Lw_store.current_epoch t.master
 let activated_epoch t = t.activated
-let shard_state t id = locked t (fun () -> t.fleet.(id).st)
 
 type rollout_result =
   | Rolled_out of { epoch : int; refreshed : int }

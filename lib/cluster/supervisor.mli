@@ -137,18 +137,12 @@ val ctl_port : t -> int
 
 (** {2 Test synchronization} *)
 
-val await : ?deadline_s:float -> t -> (unit -> bool) -> bool
-(** Poll [pred] (under the supervisor's state lock) until it holds or
-    the deadline (default 10 s) passes. *)
-
 val await_states : ?deadline_s:float -> t -> int -> state list -> bool
 (** Wait for shard [id] to be in one of [states]. *)
 
 val await_fleet : ?deadline_s:float -> t -> epoch:int -> bool
 (** Wait until every non-[Degraded] shard is {!Up} with [advertised =
     epoch]. *)
-
-val shard_state : t -> int -> state
 
 val shutdown : t -> unit
 (** Quit every shard (escalating to [SIGKILL]), reap them, stop the

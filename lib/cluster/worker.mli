@@ -9,9 +9,6 @@
     ({!Shard_proc.main}) and exits; otherwise it is a no-op and the
     binary proceeds as the supervisor / CLI it normally is. *)
 
-val marker : string
-(** The argv sentinel ([Sys.argv.(1)]) that marks a worker invocation. *)
-
 val argv_for : self:string -> Spec.t -> string array
 (** The argv the supervisor passes to [Unix.create_process] to launch
     the spec as a child of executable [self]. *)

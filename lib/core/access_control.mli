@@ -35,4 +35,3 @@ val open_ : subscription -> path:string -> Lw_json.Json.t -> (Lw_json.Json.t, st
     a rotation) or a forged/mismatched ciphertext. *)
 
 val is_sealed : Lw_json.Json.t -> bool
-val sealed_epoch : Lw_json.Json.t -> int option

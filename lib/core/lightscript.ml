@@ -543,7 +543,6 @@ let parse src =
   | fns -> Ok fns
   | exception Syntax e -> Error e
 
-let function_names p = List.map fst p
 let has_function p name = List.mem_assoc name p
 
 let pp_error fmt e = Format.fprintf fmt "line %d: %s" e.line e.message

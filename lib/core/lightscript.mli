@@ -39,7 +39,6 @@ type error = { line : int; message : string }
 
 val parse : string -> (program, error) result
 
-val function_names : program -> string list
 val has_function : program -> string -> bool
 
 type effect_ = Store of string * Lw_json.Json.t

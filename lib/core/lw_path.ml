@@ -26,7 +26,4 @@ let parse s =
 
 let domain t = t.domain
 let rest t = t.rest
-let to_string t = t.domain ^ t.rest
-let equal a b = String.equal a.domain b.domain && String.equal a.rest b.rest
-let pp fmt t = Format.pp_print_string fmt (to_string t)
 let in_domain t d = String.equal t.domain d

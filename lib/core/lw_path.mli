@@ -14,10 +14,6 @@ val domain : t -> string
 val rest : t -> string
 (** Either [""] or a string starting with ['/']. *)
 
-val to_string : t -> string
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
-
 val valid_domain : string -> bool
 
 val in_domain : t -> string -> bool

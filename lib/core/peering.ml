@@ -49,7 +49,6 @@ let create_cdn ?(seed = "lightweb") ?classes ~name registry =
   { name; registry; universes; peer_list = [] }
 
 let cdn_name c = c.name
-let universes c = c.universes
 let universe c cls = List.assoc_opt cls c.universes
 let peers c = List.map (fun p -> p.name) c.peer_list
 

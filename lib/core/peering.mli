@@ -16,7 +16,6 @@ val class_name : size_class -> string
 type registry
 
 val registry : unit -> registry
-val register : registry -> publisher:string -> domain:string -> (unit, string) result
 
 (** {2 CDNs} *)
 
@@ -33,7 +32,6 @@ val create_cdn :
     and 32 KiB code blobs. *)
 
 val cdn_name : cdn -> string
-val universes : cdn -> (size_class * Universe.t) list
 val universe : cdn -> size_class -> Universe.t option
 
 val peer : cdn -> cdn -> unit

@@ -8,10 +8,6 @@ type site = {
       (** path suffixes (each starting with ['/']) to data values *)
 }
 
-val validate : site -> (unit, string) result
-(** Static checks before any upload: domain validity, code parses and
-    defines [plan]/[render], suffix shape, duplicate suffixes. *)
-
 type push_report = {
   code_pushed : bool;
   data_pushed : int;

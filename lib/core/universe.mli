@@ -74,7 +74,6 @@ val keyword_store : t -> Lw_pir.Kw_store.t
 (** The cuckoo-backed keyword index itself (tests, load accounting). *)
 
 val page_count : t -> int
-val code_count : t -> int
 
 (** {2 Direct (publisher-side) reads} *)
 

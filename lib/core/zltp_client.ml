@@ -55,7 +55,6 @@ type t = {
      a keyword GET probes — derived once at handshake *)
   mutable kw_maps : (Lw_pir.Keymap.t * Lw_pir.Keymap.t) option;
   mutable next_qid : int;
-  mutable queries : int;
   mutable retries : int;
   mutable failovers : int;
   (* epoch the next PIR query names; pinned for the whole of a page visit
@@ -79,11 +78,9 @@ let params_exn t =
 let mode t = (params_exn t).mode
 let blob_size t = (params_exn t).blob_size
 let domain_bits t = (params_exn t).domain_bits
-let queries_sent t = t.queries
 let retries t = t.retries
 let failovers t = t.failovers
 let epoch_resyncs t = t.resyncs
-let current_epoch t = t.epoch
 
 (* Page-visit epoch pinning: every fetch of one page (document, then
    subresources) names the same epoch, so a page can neither mix record
@@ -323,7 +320,6 @@ let connect_replicated ?(prefer = [ Zltp_mode.Pir2; Zltp_mode.Enclave; Zltp_mode
         keymap = None;
         kw_maps = None;
         next_qid = 1;
-        queries = 0;
         retries = 0;
         failovers = 0;
         epoch = None;
@@ -437,9 +433,7 @@ let conn_scoped_error code =
   code = Zltp_wire.err_degraded || code = Zltp_wire.err_internal
   || code = Zltp_wire.err_bad_request
 
-let count_queries t n =
-  t.queries <- t.queries + n;
-  Lw_obs.Metrics.add m_queries n
+let count_queries n = Lw_obs.Metrics.add m_queries n
 
 let ( let* ) = Result.bind
 
@@ -542,7 +536,10 @@ let pir2_attempt t frame indices =
   let epoch = query_epoch t [ s0; s1 ] in
   let gen alpha = Lw_dpf.Dpf.gen ~domain_bits:(domain_bits t) ~alpha t.rng in
   let pairs =
-    if frame = Keyword_batch then swap_pairs (List.map gen (swap_pairs indices))
+    if frame = Keyword_batch then
+      (* swap back by position, so no match ever inspects the keys *)
+      let drawn = Array.of_list (List.map gen (swap_pairs indices)) in
+      List.map (Array.get drawn) (swap_pairs (List.init (Array.length drawn) Fun.id))
     else List.map gen indices
   in
   let msg which =
@@ -572,7 +569,7 @@ let pir2_attempt t frame indices =
       | Ok shares0, Ok shares1 ->
           (* both replies verified to carry the queried epoch, so the XOR
              below is over bit-identical databases by construction *)
-          count_queries t queries;
+          count_queries queries;
           Ok (List.map2 Lw_util.Xorbuf.xor shares0 shares1)
       | _ -> first_error r0 r1)
   | _ -> first_error sent0 sent1
@@ -617,7 +614,7 @@ let single_attempt t indices =
       match Lw_pir.Spir.Client.recover hint secret answer with
       | Error e -> role_err t role (transient ("unrecoverable answer: " ^ e))
       | Ok bucket ->
-          count_queries t 1;
+          count_queries 1;
           Ok bucket
     with Invalid_argument e -> fatal e
   in
@@ -629,7 +626,7 @@ let enclave_attempt t key =
   (* enclave replies name no epoch; [s.epoch] only fills the slot *)
   let msg = Zltp_wire.Enclave_get { qid; key } in
   let* value = request t role s ~qid ~epoch:s.epoch msg Enclave_answer in
-  count_queries t 1;
+  count_queries 1;
   Ok value
 
 (* Every index-addressed fetch in either PIR mode: one attempt, retried

@@ -45,9 +45,6 @@ type policy = {
   deadline_s : float;  (** overall per-operation budget *)
 }
 
-val default_policy : policy
-(** 4 attempts, 50 ms base backoff doubling up to 1 s, 30 s deadline. *)
-
 (** {2 Replicas and connection} *)
 
 type replica
@@ -55,11 +52,6 @@ type replica
 val replica : name:string -> (unit -> (Lw_net.Endpoint.t, string) result) -> replica
 (** A dialable replica of one logical server: [dial] is called for the
     initial connection and again on every failover back to this replica. *)
-
-val of_endpoint : name:string -> Lw_net.Endpoint.t -> replica
-(** A pre-established connection as a one-shot replica: once its
-    connection fails there is nothing to re-dial, so it counts as
-    permanently down. *)
 
 val connect_replicated :
   ?prefer:Zltp_mode.t list ->
@@ -87,8 +79,6 @@ val connect :
     one; a mismatch is an [Error]. *)
 
 val mode : t -> Zltp_mode.t
-val blob_size : t -> int
-val domain_bits : t -> int
 
 (** {2 Operations} *)
 
@@ -149,12 +139,7 @@ val end_visit : t -> unit
 (** Release the visit pin; the next operation re-learns the freshest
     common epoch. *)
 
-val current_epoch : t -> int option
-(** The epoch the next query would name, if one is currently pinned. *)
-
 (** {2 Introspection} *)
-
-val queries_sent : t -> int
 
 val retries : t -> int
 (** Attempts beyond the first, summed over all operations. *)

@@ -59,9 +59,7 @@ let of_store st ~shard_bits =
   }
 
 let domain_bits t = t.domain_bits
-let shard_bits t = t.shard_bits
 let shard_count t = 1 lsl t.shard_bits
-let bucket_size t = t.bucket_size
 let shard_histograms t = Array.copy t.shard_hist
 let current t = Atomic.get t.views
 let announced_epoch t = epoch (current t)
@@ -134,8 +132,6 @@ let timed_shard t i f =
 let set_scan_domains t n =
   if n < 1 then invalid_arg "Zltp_frontend.set_scan_domains: need at least one domain";
   t.scan_domains <- n
-
-let scan_domains t = t.scan_domains
 
 (* The one answer path: split every key once into per-shard sub-keys,
    hand each shard the whole batch of its sub-keys so it runs the

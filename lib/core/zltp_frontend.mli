@@ -41,9 +41,7 @@ val announced_epoch : t -> int
     [Welcome] / [Health_reply] (also the [zltp.frontend.epoch] gauge). *)
 
 val domain_bits : t -> int
-val shard_bits : t -> int
 val shard_count : t -> int
-val bucket_size : t -> int
 
 val shard_histograms : t -> Lw_obs.Metrics.histogram array
 (** The per-shard answer-latency histograms
@@ -59,8 +57,6 @@ val shard_histograms : t -> Lw_obs.Metrics.histogram array
 val set_scan_domains : t -> int -> unit
 (** Workers each shard's scan may use; 1 (the default) is the serial
     fused kernel. Raises [Invalid_argument] when [< 1]. *)
-
-val scan_domains : t -> int
 
 (** {2 Shard health}
 

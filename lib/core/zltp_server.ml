@@ -47,10 +47,6 @@ let set_advertised_epoch t e =
   let (module B : Zltp_backend.S) = t.backend in
   B.set_advertised_epoch e
 
-let advertised_epoch t =
-  let (module B : Zltp_backend.S) = t.backend in
-  B.advertised_epoch ()
-
 let oldest_epoch t =
   let (module B : Zltp_backend.S) = t.backend in
   B.oldest_epoch ()

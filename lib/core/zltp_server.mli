@@ -33,20 +33,7 @@ val create :
 
 val backend : t -> Zltp_backend.t
 val blob_size : t -> int
-val modes : t -> Zltp_mode.t list
 val queries_served : t -> int
-
-val health : t -> int * int
-(** [(shards_total, shards_down)] — what a [Health] probe reports. A
-    monolithic backend counts as a single always-up shard. *)
-
-val current_epoch : t -> int
-(** The epoch announced in [Welcome]/[Health_reply]/[Sync_reply].
-    The unversioned enclave backend is forever at epoch 0. *)
-
-val oldest_epoch : t -> int
-(** Oldest epoch still answerable here (equals {!current_epoch} for
-    unversioned backends). *)
 
 val set_advertised_epoch : t -> int option -> unit
 (** Control-plane override of the {e announced} epoch (delegated to the
@@ -56,8 +43,6 @@ val set_advertised_epoch : t -> int option -> unit
     invisible until the cluster rollout driver flips every replica's
     announcement at once (rollout phase two), and can be flipped back on
     rollback. [None] restores the backend's own epoch. *)
-
-val advertised_epoch : t -> int option
 
 (** {2 Per-connection protocol state} *)
 

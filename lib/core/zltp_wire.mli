@@ -114,12 +114,6 @@ val err_epoch_ahead : int
 (** The queried epoch has not been published here yet (this replica is
     behind); re-sync, and prefer the other replica. *)
 
-val trailer_size : int
-(** Every encoded message ends in a [trailer_size]-byte CRC-32 over its
-    body — a stand-in for the record MAC of the TLS channel ZLTP rides in.
-    Decoding rejects a failed check as a structured error, so in-flight
-    corruption becomes a clean retry, never silently wrong bytes. *)
-
 val encode_client : client_msg -> string
 (** The frame: the body, written once into a buffer of exactly
     [client_body_size msg + trailer_size] bytes, and its trailer. *)

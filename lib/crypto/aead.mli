@@ -3,15 +3,6 @@
     Backs lightweb access control (§3.3): publishers encrypt blobs under
     rotating epoch keys so the CDN never sees protected content. *)
 
-val key_len : int
-(** 32 bytes. *)
-
-val nonce_len : int
-(** 12 bytes. *)
-
-val tag_len : int
-(** 16 bytes. *)
-
 val seal : key:string -> nonce:string -> ?aad:string -> string -> string
 (** [seal ~key ~nonce ~aad pt] is [ciphertext || tag]. *)
 

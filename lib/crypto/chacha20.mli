@@ -7,12 +7,6 @@
     every build computes the same bytes, and none indexes a table or
     branches on key or message data. *)
 
-val key_len : int
-(** 32 bytes. *)
-
-val nonce_len : int
-(** 12 bytes. *)
-
 val build : unit -> string
 (** The build every call runs: the first of {!builds}, picked once when
     the program loads, from CPUID alone. *)

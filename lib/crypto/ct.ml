@@ -25,5 +25,3 @@ let select_int bit a b =
   String.init (String.length a) (fun i ->
       Char.chr
         ((Char.code a.[i] land mask) lor (Char.code b.[i] land (lnot mask land 0xff))))
-
-let select cond a b = select_int (Bool.to_int cond) a b

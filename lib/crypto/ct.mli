@@ -12,7 +12,3 @@ val mask_of_bit : int -> int
 val select_int : int -> string -> string -> string
 (** [select_int bit a b] is [a] when the low bit of [bit] is 1 else [b],
     reading both and branching on neither. Lengths must match. *)
-
-val select : bool -> string -> string -> string
-(** [select cond a b] is [a] when [cond] else [b], via {!select_int}.
-    Lengths must match. *)

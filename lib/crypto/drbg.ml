@@ -59,6 +59,3 @@ let uniform_int t bound =
     if v - r + (bound - 1) < 0 then go () else r
   in
   go ()
-
-let reseed t entropy =
-  Bytes.blit_string (Sha256.digest (Bytes.to_string t.key ^ entropy)) 0 t.key 0 32

@@ -34,6 +34,3 @@ val generate_into : t -> Bytes.t -> pos:int -> len:int -> unit
 val uniform_int : t -> int -> int
 (** [uniform_int t bound] is uniform in [[0, bound)] without modulo bias.
     Requires [bound > 0]. *)
-
-val reseed : t -> string -> unit
-(** [reseed t entropy] mixes additional entropy into the state. *)

@@ -7,13 +7,5 @@ val hmac_sha256 : key:string -> string -> string
 (** [hmac_sha256 ~key msg] is the 32-byte MAC of [msg]. Keys of any length
     are accepted (hashed down when longer than the block size). *)
 
-val hkdf_extract : ?salt:string -> string -> string
-(** [hkdf_extract ?salt ikm] is the 32-byte pseudorandom key. The default
-    salt is 32 zero bytes, per RFC 5869. *)
-
-val hkdf_expand : prk:string -> info:string -> len:int -> string
-(** [hkdf_expand ~prk ~info ~len] derives [len] bytes
-    (len <= 255 * 32). *)
-
 val hkdf : ?salt:string -> info:string -> len:int -> string -> string
 (** [hkdf ?salt ~info ~len ikm] is extract-then-expand in one call. *)

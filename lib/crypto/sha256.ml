@@ -1,4 +1,3 @@
-let digest_len = 32
 
 (* Round constants: fractional parts of the cube roots of the first 64
    primes (FIPS 180-4 table). *)

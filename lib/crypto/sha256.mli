@@ -1,8 +1,5 @@
 (** SHA-256 (FIPS 180-4). *)
 
-val digest_len : int
-(** 32 bytes. *)
-
 type ctx
 (** A streaming hash context. *)
 

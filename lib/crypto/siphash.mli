@@ -4,10 +4,6 @@
     domain with SipHash; the key is per-universe so publishers cannot grind
     collisions offline. *)
 
-val hash : key:string -> string -> int64
-(** [hash ~key msg] with a 16-byte key. Raises [Invalid_argument] on a bad
-    key length. *)
-
 val to_domain : key:string -> domain_bits:int -> string -> int
 (** [to_domain ~key ~domain_bits msg] maps [msg] into [[0, 2^domain_bits)]
     by truncating {!hash}. [domain_bits] must be in [1..62]. *)

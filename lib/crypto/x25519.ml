@@ -1,8 +1,6 @@
 (* The RFC 7748 ladder in C (channel_stubs.c): five 51-bit limbs with
    128-bit products, the conditional swap a mask. *)
 
-let key_len = 32
-
 external c_scalarmult : string -> string -> Bytes.t -> unit = "lw_x25519" [@@noalloc]
 
 let scalarmult ~scalar ~point =

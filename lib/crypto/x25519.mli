@@ -7,15 +7,10 @@
     the bytes learns nothing — the "attested TLS channel terminating
     inside the enclave" of §2.2. *)
 
-val key_len : int
-(** 32 bytes. *)
-
 val scalarmult : scalar:string -> point:string -> string
 (** [scalarmult ~scalar ~point] is RFC 7748 X25519(k, u); both arguments
     and the result are 32-byte little-endian strings. The scalar is
     clamped internally. *)
-
-val base_point : string
 
 val public_of_secret : string -> string
 (** [scalarmult ~scalar ~point:base_point]. *)

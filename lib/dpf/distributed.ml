@@ -10,5 +10,3 @@ let split k ~shard_bits =
       | Some sub -> sub
       | None -> assert false (* eval_prefixes visits every prefix *))
     shards
-
-let global_index ~rem_bits ~shard j = (shard lsl rem_bits) lor j

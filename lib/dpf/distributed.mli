@@ -12,7 +12,3 @@ val split : Dpf.key -> shard_bits:int -> Dpf.key array
     sub-key [i] covers global indices [[i·2^r, (i+1)·2^r)] where
     [r = domain_bits k - shard_bits]. Requires
     [0 < shard_bits < domain_bits k]. *)
-
-val global_index : rem_bits:int -> shard:int -> int -> int
-(** [global_index ~rem_bits ~shard j] maps shard-local index [j] back to
-    the full-domain index; [rem_bits] is the sub-keys' domain width. *)

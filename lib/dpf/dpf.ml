@@ -213,16 +213,6 @@ let eval_all_bits k f =
         f (base + j) (Char.code (Bytes.unsafe_get buf j))
       done)
 
-(* Diagnostic only: recovering the selected support from the leaf bits
-   is inherently selection-dependent control flow, and this helper never
-   runs on the server answer path — tests and debugging use it to check
-   a key's point function. *)
-let selected_indices k =
-  let acc = ref [] in
-  (* lw-lint: allow taint *)
-  eval_all_bits k (fun x t -> if t = 1 then acc := x :: !acc);
-  List.rev !acc
-
 (* ------------------------------------------------------------------ *)
 (* Distributed-evaluation hooks                                        *)
 (* ------------------------------------------------------------------ *)

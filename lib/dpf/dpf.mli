@@ -59,10 +59,6 @@ val eval_bits_blocked : key -> block_bits:int -> (int -> Bytes.t -> int -> unit)
     bit. [block_bits] must lie in [0..domain_bits]; a block may span
     several terminal nodes or be a slice of one. *)
 
-val selected_indices : key -> int list
-(** [selected_indices k] lists the indices where this share's bit is 1 —
-    handy in tests; roughly half the domain. *)
-
 (** {2 Serialisation} *)
 
 val serialize : key -> string

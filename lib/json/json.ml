@@ -292,8 +292,6 @@ let to_string ?(pretty = false) v =
   render 0 v;
   Buffer.contents buf
 
-let pp fmt v = Format.pp_print_string fmt (to_string ~pretty:true v)
-
 (* ------------------------------------------------------------------ *)
 (* Accessors                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -306,7 +304,6 @@ let member k v =
 let member_opt k v = match v with Obj fields -> List.assoc_opt k fields | _ -> None
 
 let get_string = function String s -> s | _ -> invalid_arg "Json.get_string"
-let get_number = function Number f -> f | _ -> invalid_arg "Json.get_number"
 
 let get_int = function
   | Number f when Float.is_integer f -> int_of_float f

@@ -25,8 +25,6 @@ val to_string : ?pretty:bool -> t -> string
 (** [to_string v] renders [v] compactly; [~pretty:true] indents with two
     spaces. Output re-parses to an equal value. *)
 
-val pp : Format.formatter -> t -> unit
-
 (** {2 Accessors} — all raise [Invalid_argument] on a type mismatch. *)
 
 val member : string -> t -> t
@@ -34,7 +32,6 @@ val member : string -> t -> t
 
 val member_opt : string -> t -> t option
 val get_string : t -> string
-val get_number : t -> float
 val get_int : t -> int
 val get_bool : t -> bool
 val get_list : t -> t list

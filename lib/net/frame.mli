@@ -1,18 +1,7 @@
 (** Length-prefixed message framing shared by every ZLTP transport:
     4-byte big-endian length followed by the payload. *)
 
-val max_frame_size : int
-(** 64 MiB — larger than any code blob; a corrupt length prefix fails fast
-    instead of allocating wildly. *)
-
-val encode : string -> string
-(** [encode payload] prepends the length header. Raises [Invalid_argument]
-    beyond {!max_frame_size}. *)
-
 exception Malformed of string
-
-val decode_header : string -> int
-(** [decode_header h] parses a 4-byte header. Raises {!Malformed}. *)
 
 val read_fd : Unix.file_descr -> string
 (** Read one frame via [Unix.read], looping over short reads until the

@@ -3,48 +3,6 @@
 
 module Json = Lw_json.Json
 
-let num f = Json.Number f
-
-let json_of_hist (h : Metrics.hist_snapshot) =
-  Json.Obj
-    [
-      ("count", num (float_of_int h.count));
-      ("sum", num h.sum);
-      ("max", num h.max);
-      ("p50", num h.p50);
-      ("p95", num h.p95);
-      ("p99", num h.p99);
-      ( "buckets",
-        Json.List
-          (List.map
-             (fun (le, c) ->
-               Json.Obj
-                 [
-                   ( "le",
-                     if Float.is_finite le then num le
-                     else Json.String "+Inf" );
-                   ("count", num (float_of_int c));
-                 ])
-             h.nonzero_buckets) );
-    ]
-
-let to_json () =
-  let counters = ref [] and gauges = ref [] and hists = ref [] in
-  List.iter
-    (fun item ->
-      match item with
-      | Metrics.Counter (name, v) ->
-          counters := (name, num (float_of_int v)) :: !counters
-      | Metrics.Gauge (name, v) -> gauges := (name, num v) :: !gauges
-      | Metrics.Histogram (name, h) -> hists := (name, json_of_hist h) :: !hists)
-    (Metrics.snapshot ());
-  Json.Obj
-    [
-      ("counters", Json.Obj (List.rev !counters));
-      ("gauges", Json.Obj (List.rev !gauges));
-      ("histograms", Json.Obj (List.rev !hists));
-    ]
-
 (* Prometheus metric names: [a-zA-Z_:][a-zA-Z0-9_:]*. We map dots (and
    anything else outside the charset) to underscores. *)
 let sanitize name =

@@ -1,10 +1,5 @@
 (** Exporters for the metrics registry. *)
 
-val to_json : unit -> Lw_json.Json.t
-(** [{"counters": {...}, "gauges": {...}, "histograms": {name:
-    {count; sum; max; p50; p95; p99; buckets: [{le; count}]}}}] —
-    names sorted, empty histogram buckets elided. *)
-
 val to_prometheus : unit -> string
 (** Prometheus-style text exposition: counters and gauges as bare
     samples, histograms as summaries (quantile-labelled samples plus

@@ -177,20 +177,6 @@ let histogram name =
           Hashtbl.add registry name (H h);
           h)
 
-let reset () =
-  with_lock (fun () ->
-      Hashtbl.iter
-        (fun _ m ->
-          match m with
-          | C c -> Atomic.set c 0
-          | G g -> Atomic.set g 0.
-          | H h ->
-              Array.iter (fun b -> Atomic.set b 0) h.buckets;
-              Atomic.set h.hcount 0;
-              Atomic.set h.hsum 0.;
-              Atomic.set h.hmax 0.)
-        registry)
-
 (* ---- snapshot (for the exporters) ----------------------------------- *)
 
 type hist_snapshot = {

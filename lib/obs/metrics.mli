@@ -51,17 +51,9 @@ val observe : histogram -> float -> unit
 (** Record one sample (seconds, bytes, …; any non-negative float). *)
 
 val hist_count : histogram -> int
-val hist_sum : histogram -> float
 
 val hist_max : histogram -> float
 (** Largest observed sample; [0.] when empty. *)
-
-val quantile : histogram -> float -> float
-(** [quantile h q] for [q] in [0,1]: nearest-rank quantile estimated
-    from the buckets — the geometric midpoint of the bucket the rank
-    falls in, clamped to the observed max. Off from the exact sample
-    quantile by at most one bucket (a factor of [sqrt 2]). [0.] when
-    empty. *)
 
 val scratch_histogram : unit -> histogram
 (** A fresh histogram {e outside} the registry — an aggregation target
@@ -80,21 +72,7 @@ val merge_into : into:histogram -> histogram -> unit
 
 (** {2 Bucket geometry} (exposed for the exporters and property tests) *)
 
-val n_buckets : int
-
-val bucket_index : float -> int
-(** Bucket a sample lands in: bucket 0 is everything [<= 1e-9] s, then
-    geometric buckets with ratio [sqrt 2]; the last bucket overflows. *)
-
-val bucket_upper : int -> float
-(** Inclusive upper edge of a bucket; [infinity] for the overflow
-    bucket. *)
-
 (** {2 Registry} *)
-
-val reset : unit -> unit
-(** Zero every registered metric (handles stay valid). For tests and
-    benchmark isolation. *)
 
 type hist_snapshot = {
   count : int;

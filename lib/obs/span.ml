@@ -13,8 +13,6 @@ let clock () = Atomic.get clock_cell
 let stack_key : string list Domain.DLS.key =
   Domain.DLS.new_key (fun () -> [])
 
-let current () = List.rev (Domain.DLS.get stack_key)
-
 let with_ ~name f =
   if not (Metrics.is_enabled ()) then f ()
   else begin

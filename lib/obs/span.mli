@@ -23,6 +23,3 @@ val clock : unit -> Clock.t
     [Unix.gettimeofday]. *)
 
 val with_ : name:string -> (unit -> 'a) -> 'a
-
-val current : unit -> string list
-(** Active span names in this domain, outermost first. *)

@@ -23,7 +23,6 @@ let create ?(seed = "enclave") ~capacity ~value_size () =
   }
 
 let capacity t = Path_oram.capacity t.oram
-let count t = Hashtbl.length t.directory
 let observed_trace t = Path_oram.access_log t.oram
 let clear_trace t = Path_oram.clear_access_log t.oram
 let accesses_per_get t = Path_oram.tree_height t.oram + 1

@@ -19,9 +19,6 @@ val create : ?seed:string -> capacity:int -> value_size:int -> unit -> t
     values up to [value_size] bytes. [seed] fixes the enclave's internal
     randomness for reproducible tests. *)
 
-val capacity : t -> int
-val count : t -> int
-
 val put : t -> key:string -> value:string -> (unit, [ `Full | `Too_large ]) result
 (** Publisher-side ingest (one oblivious access). *)
 

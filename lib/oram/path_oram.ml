@@ -67,7 +67,6 @@ let create ?bucket_capacity ~capacity ~block_size rng =
 let capacity t = t.capacity
 let block_size t = t.block_size
 let tree_height t = t.height
-let bucket_count t = Array.length t.tree
 let stash_size t = Hashtbl.length t.stash
 let access_log t = List.rev t.leaf_log
 let clear_access_log t = t.leaf_log <- []

@@ -42,8 +42,6 @@ val block_size : t -> int
 val tree_height : t -> int
 (** Levels from root (0) to leaf. *)
 
-val bucket_count : t -> int
-
 val write : t -> int -> string -> unit
 (** [write t id data] stores [data] (at most [block_size] bytes,
     zero-padded) as logical block [id in \[0, capacity)]. One oblivious

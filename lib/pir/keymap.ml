@@ -5,8 +5,6 @@ let create ~hash_key ~domain_bits =
   if domain_bits < 1 || domain_bits > 62 then invalid_arg "Keymap.create: domain_bits out of range";
   { hash_key; domain_bits }
 
-let domain_bits t = t.domain_bits
-
 let index_of_key t key =
   Lw_crypto.Siphash.to_domain ~key:t.hash_key ~domain_bits:t.domain_bits key
 

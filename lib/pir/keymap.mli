@@ -11,7 +11,6 @@ type t
 val create : hash_key:string -> domain_bits:int -> t
 (** [hash_key] is the 16-byte SipHash key; [domain_bits] in [1..62]. *)
 
-val domain_bits : t -> int
 val index_of_key : t -> string -> int
 
 val derive : t -> salt:int -> t
@@ -24,9 +23,6 @@ val new_key_collision_probability : n_keys:int -> domain_bits:int -> float
 val any_collision_probability : n_keys:int -> domain_bits:int -> float
 (** Birthday bound: probability any two of [n_keys] collide,
     [1 - exp(-n(n-1)/2^(d+1))]. *)
-
-val expected_collisions : n_keys:int -> domain_bits:int -> float
-(** Expected number of colliding pairs, [n(n-1)/2^(d+1)]. *)
 
 val monte_carlo_new_key_collision :
   t -> n_keys:int -> trials:int -> Lw_util.Det_rng.t -> float

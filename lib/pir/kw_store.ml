@@ -60,8 +60,6 @@ let publish t =
       t.pending <- None;
       Lw_store.Writer.seal w
 
-let snapshot t = publish t
-
 let slot_of t key =
   let i0, i1 = candidates t key in
   let check i = Record.decode_for_key ~key (read_bucket t i) |> Option.map (fun v -> (i, v)) in

@@ -49,15 +49,11 @@ val stash_size : t -> int
     the reports that print it. *)
 
 val load_factor : t -> float
-val bucket_size : t -> int
 
 val publish : t -> Lw_store.Snapshot.t
 (** Seal the pending batch as the next epoch and return its (unpinned)
     snapshot; with no pending batch, returns the current snapshot
     without minting an epoch. *)
-
-val snapshot : t -> Lw_store.Snapshot.t
-(** Alias of {!publish}. *)
 
 val pending_mutations : t -> int
 (** Bucket writes buffered since the last {!publish}, displacement

@@ -4,8 +4,6 @@
 let overhead = 1 + 2 + 4
 let max_key_len = 0xffff
 
-let max_value_len ~bucket_size ~key = bucket_size - overhead - String.length key
-
 let encode ~bucket_size ~key ~value =
   let klen = String.length key and vlen = String.length value in
   if klen = 0 then invalid_arg "Record.encode: empty key";

@@ -8,9 +8,6 @@
 val overhead : int
 (** Bytes of framing added to [key ++ value]. *)
 
-val max_value_len : bucket_size:int -> key:string -> int
-(** Largest value that fits a bucket alongside [key]. *)
-
 val encode : bucket_size:int -> key:string -> value:string -> string
 (** [encode ~bucket_size ~key ~value] frames and zero-pads to exactly
     [bucket_size] bytes. Raises [Invalid_argument] when the record does

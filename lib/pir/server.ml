@@ -7,7 +7,6 @@
 type t = Lw_store.Snapshot.t
 
 let of_snapshot snap = snap
-let epoch = Lw_store.Snapshot.epoch
 let domain_bits = Lw_store.Snapshot.domain_bits
 let size = Lw_store.Snapshot.size
 let bucket_size = Lw_store.Snapshot.bucket_size

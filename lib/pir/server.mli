@@ -25,14 +25,6 @@ val of_snapshot : Lw_store.Snapshot.t -> t
     bytes are copied. The caller owns the pin: keep the snapshot pinned
     for as long as the server answers from it. *)
 
-val epoch : t -> int
-(** The served epoch. *)
-
-val domain_bits : t -> int
-val size : t -> int
-val bucket_size : t -> int
-val total_bytes : t -> int
-
 val eval_bits : t -> Lw_dpf.Dpf.key -> Bytes.t
 (** [eval_bits t k] is one byte (0/1) per bucket, in index order — the
     first pass of the reference path. Raises [Invalid_argument] if the
@@ -71,11 +63,6 @@ val answer_batch : ?domains:int -> t -> Lw_dpf.Dpf.key array -> string array
     Every partition is still walked in full with mask-selected XORs, so
     the union of the per-worker memory traces is the serial scan's
     trace — parallelism changes who touches a bucket, never whether. *)
-
-val parallel_cutoff_bytes : int
-(** Work-size cutoff (1 MiB): below this {!answer} and {!answer_batch}
-    stay on one domain whatever [domains] asks for, since a parallel
-    answer would be all spawn/join overhead. *)
 
 val answer_partitioned :
   ?partitions:int -> ?domains:int -> t -> Lw_dpf.Dpf.key array -> string array

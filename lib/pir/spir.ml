@@ -60,8 +60,6 @@ type hint = {
 }
 
 let hint_epoch h = h.h_epoch
-let hint_n h = h.h_n
-let hint_rows h = h.h_rows
 
 let hint_of_snapshot p snap =
   let rows = Lw_store.Snapshot.bucket_size snap in
@@ -238,8 +236,6 @@ module Hint_cache = struct
   let create ?(capacity = 4) p =
     if capacity < 1 then invalid_arg "Spir.Hint_cache.create: capacity must be >= 1";
     { p; capacity; mu = Mutex.create (); entries = [] }
-
-  let params t = t.p
 
   let get t store ~epoch =
     Mutex.lock t.mu;

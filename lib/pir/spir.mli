@@ -46,14 +46,6 @@ val max_domain_bits : int
 (** 14: largest domain for which the worst-case noise bound stays under
     [Δ/2] with ternary errors. *)
 
-val delta : int
-(** The plaintext scaling factor [2^24] ([q = 2^32], [p = 256]). *)
-
-val a_seed : hash_key:string -> epoch:int -> string
-(** The public seed both sides expand the query matrix [A] from. Derived
-    from the universe's (public) keyword hash key and the epoch, so a
-    client needs nothing beyond the [Welcome] parameters. *)
-
 val hint_bytes : params -> bucket_size:int -> int
 (** Serialized hint size for a geometry: [48 + bucket_size * n * 4] (the
     48-byte header carries the epoch, dimensions and the public [A]
@@ -73,8 +65,6 @@ val hint_of_snapshot : params -> Lw_store.Snapshot.t -> string
     once per epoch, amortized over every client and query. *)
 
 val hint_epoch : hint -> int
-val hint_n : hint -> int
-val hint_rows : hint -> int
 
 val decode_hint : string -> (hint, string) result
 (** Parse a serialized hint (header + [rows x n] u32 matrix). *)
@@ -125,8 +115,6 @@ module Hint_cache : sig
   val create : ?capacity:int -> params -> t
   (** [capacity] (default 4) bounds retained epochs; older entries are
       evicted oldest-first — mirroring the store's keep window. *)
-
-  val params : t -> params
 
   val get : t -> Lw_store.t -> epoch:int -> (string, Lw_store.pin_error) result
   (** The serialized hint for [epoch], computing (under the epoch's pin)

@@ -25,11 +25,9 @@ let create ?(hash_key = default_hash_key) ~domain_bits ~bucket_size () =
   }
 
 let engine t = t.engine
-let keymap t = t.keymap
 let count t = t.count
 let index_of t key = Keymap.index_of_key t.keymap key
 let bucket_size t = Lw_store.bucket_size t.engine
-let pending_mutations t = match t.pending with None -> 0 | Some w -> Lw_store.Writer.mutations w
 
 let writer t =
   match t.pending with
@@ -52,8 +50,6 @@ let publish t =
   | Some w ->
       t.pending <- None;
       Lw_store.Writer.seal w
-
-let snapshot t = publish t
 
 let insert t ~key ~value =
   let i = index_of t key in
@@ -78,4 +74,3 @@ let remove t key =
   | None -> false
 
 let find t key = Record.decode_for_key ~key (read_bucket t (index_of t key))
-let load_factor t = float_of_int t.count /. float_of_int (Lw_store.size t.engine)

@@ -21,7 +21,6 @@ val create : ?hash_key:string -> domain_bits:int -> bucket_size:int -> unit -> t
 val engine : t -> Lw_store.t
 (** The underlying epoch engine — what versioned ZLTP servers serve. *)
 
-val keymap : t -> Keymap.t
 val count : t -> int
 (** Number of stored keys (including uncommitted inserts). *)
 
@@ -37,18 +36,7 @@ val find : t -> string -> string option
 (** Direct (non-private) lookup — publishers and tests use this; clients
     go through PIR. Sees uncommitted writes. *)
 
-val index_of : t -> string -> int
-
 val publish : t -> Lw_store.Snapshot.t
 (** Seal the pending mutation batch as the next epoch and return the
     resulting (unpinned) snapshot; if nothing is pending, returns the
     current snapshot without minting an epoch. *)
-
-val snapshot : t -> Lw_store.Snapshot.t
-(** Alias of {!publish}: a snapshot reflecting everything inserted so
-    far. Mints a new epoch only if mutations are pending. *)
-
-val pending_mutations : t -> int
-(** Mutations buffered since the last {!publish}. *)
-
-val load_factor : t -> float

@@ -11,12 +11,6 @@ type key = {
   cw_counts : int64 array; (* one additive correction word per level *)
 }
 
-let party k = k.party
-let domain_bits k = k.domain_bits
-let value_len k ~level =
-  if level < 1 || level > k.domain_bits then invalid_arg "Idpf.value_len: level out of range";
-  String.length k.cw_values.(level - 1)
-
 (* interpret 8 pseudorandom bytes of the seed's conversion as an int64 *)
 let conv_int s =
   let bytes = Prg.convert ~seed:s ~pos:0 ~len:8 in

@@ -20,10 +20,6 @@ val gen :
 (** [values] has one entry per level (length [domain_bits]); entries may
     have different lengths but each must be non-empty. *)
 
-val party : key -> int
-val domain_bits : key -> int
-val value_len : key -> level:int -> int
-
 val eval_prefix : key -> level:int -> int -> string
 (** [eval_prefix k ~level p] is this party's share for the length-[level]
     prefix [p] ([1 <= level <= domain_bits], [0 <= p < 2^level]). The two

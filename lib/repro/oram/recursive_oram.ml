@@ -50,8 +50,6 @@ let create ?(pack = 4) ?(top_threshold = 64) ~capacity ~block_size rng =
   let data = Path_oram.create_with_position_map ~capacity ~block_size posmap rng in
   { data; maps; pack; top_entries }
 
-let capacity t = Path_oram.capacity t.data
-let block_size t = Path_oram.block_size t.data
 let levels t = 1 + List.length t.maps
 let write t id data = Path_oram.write t.data id data
 let read t id = Path_oram.read t.data id

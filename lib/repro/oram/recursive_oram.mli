@@ -24,8 +24,6 @@ val create :
     has at most [top_threshold] entries (default 64, kept in private
     memory). *)
 
-val capacity : t -> int
-val block_size : t -> int
 val levels : t -> int
 (** Number of ORAMs: 1 data ORAM + (levels-1) position-map ORAMs. *)
 

@@ -21,9 +21,3 @@ let answer snap packed =
       Lw_store.Snapshot.xor_bucket_into_masked snap i ~mask:0xff ~dst:acc
   done;
   Bytes.unsafe_to_string acc
-
-let combine ~resp0 ~resp1 = Lw_util.Xorbuf.xor resp0 resp1
-
-let fetch snap ~index rng =
-  let q = query ~domain_bits:(Lw_store.Snapshot.domain_bits snap) ~index rng in
-  combine ~resp0:(answer snap q.q0) ~resp1:(answer snap q.q1)

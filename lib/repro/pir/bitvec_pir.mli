@@ -19,9 +19,3 @@ val upload_bytes : domain_bits:int -> int
 
 val answer : Lw_store.Snapshot.t -> Bytes.t -> string
 (** XOR of the buckets selected by the packed vector. *)
-
-val combine : resp0:string -> resp1:string -> string
-
-val fetch : Lw_store.Snapshot.t -> index:int -> Lw_crypto.Drbg.t -> string
-(** Convenience: full protocol round against one snapshot playing both
-    (honest) servers. *)

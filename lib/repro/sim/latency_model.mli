@@ -33,9 +33,6 @@ type distribution = {
   max_s : float;
 }
 
-val get_latency : params -> Lw_util.Det_rng.t -> float
-(** One private-GET. *)
-
 val page_load : params -> code_fetch:bool -> Lw_util.Det_rng.t -> float
 
 val simulate :

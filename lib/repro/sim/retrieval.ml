@@ -60,8 +60,6 @@ let build ~clusters (corpus : Corpus.t) =
     corpus.Corpus.pages;
   { clusters; assignment; members = Array.map (List.sort String.compare) buckets }
 
-let clusters t = t.clusters
-
 let cluster_of t query =
   match Hashtbl.find_opt t.assignment query with
   | Some c -> c (* exact member: its recorded cluster, renames included *)

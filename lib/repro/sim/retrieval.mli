@@ -16,15 +16,6 @@ val build : clusters:int -> Lw_sim.Corpus.t -> t
 (** Assign every corpus page to one of [clusters] buckets. Raises
     [Invalid_argument] when [clusters < 1]. *)
 
-val clusters : t -> int
-
-val cluster_of : t -> string -> int
-(** The cluster a query lands in: a stored path uses its recorded
-    assignment; any other string is feature-hashed the same way. *)
-
-val members : t -> int -> string list
-(** The stored paths of one cluster, sorted (may be empty). *)
-
 val non_empty : t -> int
 (** Clusters holding at least one page. *)
 

@@ -53,12 +53,6 @@ let generate ?(sites = 50) ?(sigma = 0.7) profile ~n_pages rng =
   in
   { profile; sites = site_names; pages }
 
-let mean_page_size t =
-  Array.fold_left (fun acc p -> acc +. float_of_int (String.length p.body)) 0. t.pages
-  /. float_of_int (Array.length t.pages)
-
-let total_bytes t = Array.fold_left (fun acc p -> acc + String.length p.body) 0 t.pages
-
 let to_sites t =
   let tbl = Hashtbl.create (Array.length t.sites) in
   Array.iter

@@ -37,8 +37,5 @@ val generate :
     [profile.avg_page_bytes] and shape [sigma] (default 0.7), truncated to
     [[32, 16 * avg]]. *)
 
-val mean_page_size : t -> float
-val total_bytes : t -> int
-
 val to_sites : t -> (string * page list) list
 (** Pages grouped per site (for publishing through the real pipeline). *)

@@ -43,8 +43,6 @@ type policy =
   | Storage_driven (** shards = ⌈bytes / shard_bytes⌉ — matches Table 2's C4 row *)
   | Domain_driven (** shards = ⌈pages / 2^domain_bits⌉ — matches Table 2's Wikipedia row *)
 
-val shard_count : policy -> dataset -> shard -> int
-
 (** {2 The estimate} *)
 
 type estimate = {

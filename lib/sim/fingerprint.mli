@@ -38,7 +38,6 @@ type model
 val train : ?bucket:float -> classes:int -> (int * trace) list -> model
 (** [bucket] controls size quantisation (default: log base 1.3). *)
 
-val classify : model -> trace -> int
 val accuracy : model -> (int * trace) list -> float
 
 val chance : classes:int -> float

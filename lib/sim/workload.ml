@@ -57,11 +57,6 @@ let gets_per_day (u : Cost_model.user_profile) =
 
 let gets_per_month u = 30. *. gets_per_day u
 
-let unique_sites visits =
-  let seen = Hashtbl.create 16 in
-  List.iter (fun v -> Hashtbl.replace seen v.site ()) visits;
-  Hashtbl.length seen
-
 let code_fetches visits =
   let seen = Hashtbl.create 16 in
   List.fold_left

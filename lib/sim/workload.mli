@@ -38,10 +38,8 @@ val search_bursts : burst_k:int -> params -> Lw_util.Det_rng.t -> burst list
     per-burst indices are correlated (one site) and may repeat —
     deliberately non-independent batch traffic. *)
 
-val gets_per_day : Cost_model.user_profile -> float
 val gets_per_month : Cost_model.user_profile -> float
 
-val unique_sites : visit list -> int
 val code_fetches : visit list -> int
 (** Number of first-visits to a domain = code-blob fetches a fresh client
     would make over the session. *)

@@ -4,7 +4,7 @@
    CDF binary search of the previous implementation. The fleet simulation
    draws millions of ranks, so sampling must not scale with the catalog. *)
 
-type t = { n : int; pmf : float array; prob : float array; alias : int array }
+type t = { n : int; prob : float array; alias : int array }
 
 let create ?(exponent = 1.0) ~n () =
   if n < 1 then invalid_arg "Zipf.create: n must be positive";
@@ -38,14 +38,8 @@ let create ?(exponent = 1.0) ~n () =
         List.iter (fun i -> prob.(i) <- 1.) rest
   in
   pair ();
-  { n; pmf; prob; alias }
-
-let n t = t.n
+  { n; prob; alias }
 
 let sample t rng =
   let i = Lw_util.Det_rng.int rng t.n in
   if Lw_util.Det_rng.float rng 1.0 < t.prob.(i) then i else t.alias.(i)
-
-let probability t k =
-  if k < 0 || k >= t.n then invalid_arg "Zipf.probability: rank out of range";
-  t.pmf.(k)

@@ -214,13 +214,11 @@ module Snapshot = struct
   type nonrec t = snapshot
 
   let epoch s = s.epoch
-  let store s = s.store
   let domain_bits s = s.bits
   let size s = 1 lsl s.bits
   let bucket_size s = s.store.bucket_size
   let total_bytes s = size s * bucket_size s
   let hash_key s = s.store.hash_key
-  let index_of_key s key = index_of_key s.store key
 
   let sub s ~base ~domain_bits =
     if domain_bits < 0 || domain_bits > s.bits || base < 0 || base > size s - (1 lsl domain_bits)
@@ -367,7 +365,6 @@ module Writer = struct
 
   type nonrec t = writer
 
-  let base_epoch w = w.base_epoch
   let cow_bytes w = w.cow_bytes
   let mutations w = w.mutations
 
@@ -464,12 +461,6 @@ module Writer = struct
     check_index w i;
     let b, local = locate w i in
     Bytes.sub_string w.blocks.(b).data (local * w.store.bucket_size) w.store.bucket_size
-
-  let is_empty w i =
-    check_index w i;
-    let b, local = locate w i in
-    Lw_util.Xorbuf.is_zero_range w.blocks.(b).data ~pos:(local * w.store.bucket_size)
-      ~len:w.store.bucket_size
 
   let seal ?epoch w =
     check_open w;

@@ -88,7 +88,6 @@ val block_buckets : t -> int
 (** Buckets per CoW block (a power of two that tiles the domain). *)
 
 val block_bytes : t -> int
-val n_blocks : t -> int
 
 (** {2 Epoch lifecycle} *)
 
@@ -137,7 +136,6 @@ module Snapshot : sig
       a range view of one ({!sub}); accessors index a view from 0. *)
 
   val epoch : t -> int
-  val store : t -> store
 
   val sub : t -> base:int -> domain_bits:int -> t
   (** [sub s ~base ~domain_bits] is the zero-copy view of the
@@ -154,14 +152,12 @@ module Snapshot : sig
   val bucket_size : t -> int
   val total_bytes : t -> int
   val hash_key : t -> string
-  val index_of_key : t -> string -> int
 
   val get : t -> int -> string
   (** Bucket [i]'s bytes (zero-padded to [bucket_size]). Recorded in the
       access trace when tracing is on. Raises [Invalid_argument] outside
       [0, size). *)
 
-  val is_empty : t -> int -> bool
   val occupied : t -> int
 
   val extent : t -> int -> int
@@ -229,8 +225,6 @@ module Writer : sig
       single-owner and not thread-safe; when several race, the first to
       seal wins and the others' [seal] raises. *)
 
-  val base_epoch : t -> int
-
   val set : t -> int -> string -> unit
   (** Write bucket [i] (zero-padding to [bucket_size]) and set its
       extent from [data]'s last non-zero byte; the first write into a
@@ -247,8 +241,6 @@ module Writer : sig
 
   val get : t -> int -> string
   (** Read-your-writes view of the batch (uncommitted). *)
-
-  val is_empty : t -> int -> bool
 
   val mutations : t -> int
   val dirty_blocks : t -> int

@@ -1,27 +1,13 @@
-let rotl32 x k =
-  if k = 0 then x
-  else Int32.logor (Int32.shift_left x k) (Int32.shift_right_logical x (32 - k))
 
 let rotl64 x k =
   if k = 0 then x
   else Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
-
-let popcount x =
-  let rec go x acc = if x = 0 then acc else go (x lsr 1) (acc + (x land 1)) in
-  go x 0
 
 let log2_ceil n =
   if n < 1 then invalid_arg "Bitops.log2_ceil";
   let rec go d p = if p >= n then d else go (d + 1) (p * 2) in
   go 0 1
 
-let log2_floor n =
-  if n < 1 then invalid_arg "Bitops.log2_floor";
-  let rec go d p = if 2 * p > n then d else go (d + 1) (p * 2) in
-  go 0 1
-
-let is_power_of_two n = n > 0 && n land (n - 1) = 0
-let bit x i = (x lsr i) land 1
 let bit_msb x ~width i = (x lsr (width - 1 - i)) land 1
 
 let ceil_div a b =

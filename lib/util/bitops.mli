@@ -1,26 +1,11 @@
 (** Small integer and bit-manipulation helpers shared across the tree
     algorithms (DPF, ORAM) and the cost model. *)
 
-val rotl32 : int32 -> int -> int32
-(** [rotl32 x k] rotates the 32-bit value [x] left by [k] (0 <= k < 32). *)
-
 val rotl64 : int64 -> int -> int64
 (** [rotl64 x k] rotates the 64-bit value [x] left by [k] (0 <= k < 64). *)
 
-val popcount : int -> int
-(** [popcount x] is the number of set bits in the non-negative int [x]. *)
-
 val log2_ceil : int -> int
 (** [log2_ceil n] is the least [d] with [2^d >= n]. Requires [n >= 1]. *)
-
-val log2_floor : int -> int
-(** [log2_floor n] is the greatest [d] with [2^d <= n]. Requires [n >= 1]. *)
-
-val is_power_of_two : int -> bool
-(** [is_power_of_two n] holds iff [n] is a positive power of two. *)
-
-val bit : int -> int -> int
-(** [bit x i] is bit [i] of [x] (0 = least significant), as 0 or 1. *)
 
 val bit_msb : int -> width:int -> int -> int
 (** [bit_msb x ~width i] is bit [i] of [x] counting from the most

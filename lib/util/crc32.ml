@@ -40,5 +40,3 @@ let update_on ~build crc s ~pos ~len = run (build_index build) crc s ~pos ~len
 let update_bytes crc b ~pos ~len =
   check pos len (Bytes.length b);
   Int32.of_int (c_update_bytes first (Int32.to_int crc land 0xffffffff) b pos len)
-
-let digest s = update 0l s ~pos:0 ~len:(String.length s)

@@ -8,8 +8,6 @@
     only build elsewhere). The CPU picks the build once at load; every
     build computes the same CRC. *)
 
-val digest : string -> int32
-
 val update : int32 -> string -> pos:int -> len:int -> int32
 (** Incremental: [update 0l s ~pos:0 ~len] = [digest (String.sub s pos len)],
     and [update (digest a) b ~pos:0 ~len:(String.length b)] =

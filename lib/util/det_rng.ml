@@ -23,8 +23,6 @@ let next_int64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix64 t.state
 
-let split t = create (next_int64 t)
-
 let int t bound =
   if bound <= 0 then invalid_arg "Det_rng.int: bound must be positive";
   (* Rejection sampling over the low 62 bits avoids modulo bias. *)
@@ -40,8 +38,6 @@ let float t bound =
   let bits = Int64.shift_right_logical (next_int64 t) 11 in
   Int64.to_float bits /. 9007199254740992.0 *. bound
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
-
 let bytes t n =
   let out = Bytes.create n in
   let words = n / 8 in
@@ -56,15 +52,3 @@ let bytes t n =
     done
   end;
   Bytes.unsafe_to_string out
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
-let pick t a =
-  if Array.length a = 0 then invalid_arg "Det_rng.pick: empty array";
-  a.(int t (Array.length a))

@@ -13,26 +13,11 @@ val of_string_seed : string -> t
 (** [of_string_seed s] derives a seed from an arbitrary label, so tests can
     write [of_string_seed "dpf/eval_all"]. *)
 
-val split : t -> t
-(** [split t] derives an independent generator stream and advances [t]. *)
-
-val next_int64 : t -> int64
-(** [next_int64 t] is the next 64 raw bits. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. Requires [bound > 0]. *)
 
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
-val bool : t -> bool
-(** [bool t] is a fair coin flip. *)
-
 val bytes : t -> int -> string
 (** [bytes t n] is [n] uniformly random bytes. *)
-
-val shuffle : t -> 'a array -> unit
-(** [shuffle t a] permutes [a] in place (Fisher–Yates). *)
-
-val pick : t -> 'a array -> 'a
-(** [pick t a] is a uniformly random element. Requires [a] non-empty. *)

@@ -28,25 +28,3 @@ let decode h =
   Bytes.unsafe_to_string out
 
 let decode_opt h = try Some (decode h) with Invalid_argument _ -> None
-let pp fmt s = Format.pp_print_string fmt (encode s)
-
-let dump ?(width = 16) fmt s =
-  let n = String.length s in
-  let printable c = if c >= ' ' && c < '\x7f' then c else '.' in
-  let rec line off =
-    if off < n then begin
-      let len = min width (n - off) in
-      Format.fprintf fmt "%08x  " off;
-      for i = 0 to width - 1 do
-        if i < len then Format.fprintf fmt "%02x " (Char.code s.[off + i])
-        else Format.fprintf fmt "   "
-      done;
-      Format.fprintf fmt " |";
-      for i = 0 to len - 1 do
-        Format.pp_print_char fmt (printable s.[off + i])
-      done;
-      Format.fprintf fmt "|@.";
-      line (off + width)
-    end
-  in
-  line 0

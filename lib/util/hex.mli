@@ -3,17 +3,5 @@
 val encode : string -> string
 (** [encode s] is the lowercase hexadecimal rendering of [s]. *)
 
-val decode : string -> string
-(** [decode h] parses a hexadecimal string (upper or lower case, no
-    separators). Raises [Invalid_argument] on odd length or non-hex
-    characters. *)
-
 val decode_opt : string -> string option
 (** [decode_opt h] is [Some (decode h)], or [None] if [h] is malformed. *)
-
-val pp : Format.formatter -> string -> unit
-(** [pp fmt s] prints [s] as hex on [fmt]. *)
-
-val dump : ?width:int -> Format.formatter -> string -> unit
-(** [dump fmt s] prints a classic offset/hex/ASCII dump, [width] bytes per
-    line (default 16). *)

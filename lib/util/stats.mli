@@ -16,7 +16,6 @@ val summarize : float array -> summary
     [Invalid_argument] on an empty array. *)
 
 val mean : float array -> float
-val stddev : float array -> float
 
 val percentile : float array -> float -> float
 (** [percentile xs p] is the [p]-th percentile ([0. <= p <= 100.]) using

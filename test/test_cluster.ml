@@ -240,7 +240,7 @@ let test_crash_loop_breaker () =
   with_fleet c @@ fun sup ->
   Alcotest.(check bool) "breaker tripped" true
     (Sup.await_states ~deadline_s:20. sup 1 [ Sup.Degraded ]);
-  Alcotest.(check bool) "shard 0 unaffected" true (Sup.shard_state sup 0 = Sup.Up);
+  Alcotest.(check bool) "shard 0 unaffected" true (Sup.await_states ~deadline_s:0. sup 0 [ Sup.Up ]);
   Alcotest.(check bool) "degraded counted" true
     (counter "lw_cluster.degraded_total" > degraded0);
   let i1 = List.nth (Sup.info sup) 1 in

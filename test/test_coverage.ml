@@ -10,25 +10,6 @@ let det = Lw_util.Det_rng.of_string_seed
 
 (* ---------------- lw_util leftovers ---------------- *)
 
-let test_hex_dump_format () =
-  let out = Format.asprintf "%a" (Lw_util.Hex.dump ~width:8) "ABCDEFGH\x00\x01rest" in
-  Alcotest.(check bool) "offsets" true
-    (String.length out > 0
-    && String.sub out 0 8 = "00000000"
-    && String.index_opt out '|' <> None);
-  (* printable vs non-printable rendering *)
-  let lines = String.split_on_char '\n' out in
-  Alcotest.(check bool) "two lines of 8" true (List.length lines >= 2)
-
-let test_det_rng_pick () =
-  let r = det "pick" in
-  for _ = 1 to 50 do
-    let v = Lw_util.Det_rng.pick r [| 10; 20; 30 |] in
-    Alcotest.(check bool) "member" true (List.mem v [ 10; 20; 30 ])
-  done;
-  Alcotest.check_raises "empty" (Invalid_argument "Det_rng.pick: empty array") (fun () ->
-      ignore (Lw_util.Det_rng.pick r [||]))
-
 let test_stats_errors () =
   Alcotest.check_raises "empty summarize" (Invalid_argument "Stats.summarize: empty sample")
     (fun () -> ignore (Lw_util.Stats.summarize [||]));
@@ -36,13 +17,6 @@ let test_stats_errors () =
     (fun () -> ignore (Lw_util.Stats.percentile [| 1. |] 101.))
 
 (* ---------------- crypto corners ---------------- *)
-
-let test_drbg_reseed_diverges () =
-  let a = Lw_crypto.Drbg.create ~seed:"same" in
-  let b = Lw_crypto.Drbg.create ~seed:"same" in
-  Lw_crypto.Drbg.reseed a "extra entropy";
-  Alcotest.(check bool) "diverged" true
-    (not (String.equal (Lw_crypto.Drbg.generate a 32) (Lw_crypto.Drbg.generate b 32)))
 
 let test_chacha_validation () =
   Alcotest.check_raises "bad key" (Invalid_argument "Chacha20.block: key must be 32 bytes")
@@ -53,9 +27,8 @@ let test_chacha_validation () =
         ~counter:0l (Bytes.create 64))
 
 let test_hkdf_length_guard () =
-  let prk = Lw_crypto.Hmac.hkdf_extract "ikm" in
   Alcotest.check_raises "too long" (Invalid_argument "Hmac.hkdf_expand: bad length") (fun () ->
-      ignore (Lw_crypto.Hmac.hkdf_expand ~prk ~info:"" ~len:(255 * 32 + 1)))
+      ignore (Lw_crypto.Hmac.hkdf ~info:"" ~len:((255 * 32) + 1) "ikm"))
 
 let test_aead_short_input () =
   let key = String.make 32 'k' and nonce = String.make 12 'n' in
@@ -76,8 +49,7 @@ let test_server_stats_counter () =
   ignore (Zltp_client.get client "s.example/x");
   ignore (Zltp_client.get client "s.example/y");
   Alcotest.(check int) "server 0 counted" 2 (Zltp_server.queries_served d0);
-  Alcotest.(check int) "server 1 counted" 2 (Zltp_server.queries_served d1);
-  Alcotest.(check int) "client counted" 2 (Zltp_client.queries_sent client)
+  Alcotest.(check int) "server 1 counted" 2 (Zltp_server.queries_served d1)
 
 let test_client_get_raw_index () =
   let u = Universe.create ~name:"raw" Universe.default_geometry in
@@ -240,7 +212,10 @@ let test_browser_truncates_greedy_plan () =
 
 let test_frame_encode_bounds () =
   Alcotest.check_raises "oversized" (Invalid_argument "Frame.encode: frame too large") (fun () ->
-      ignore (Lw_net.Frame.encode (String.make (Lw_net.Frame.max_frame_size + 1) 'x')))
+      let r, w = Unix.pipe () in
+      Fun.protect
+        ~finally:(fun () -> Unix.close r; Unix.close w)
+        (fun () -> Lw_net.Frame.write_fd w (String.make ((64 * 1024 * 1024) + 1) 'x')))
 
 (* ---------------- sim corners ---------------- *)
 
@@ -276,13 +251,10 @@ let () =
     [
       ( "util",
         [
-          Alcotest.test_case "hex dump" `Quick test_hex_dump_format;
-          Alcotest.test_case "rng pick" `Quick test_det_rng_pick;
           Alcotest.test_case "stats errors" `Quick test_stats_errors;
         ] );
       ( "crypto",
         [
-          Alcotest.test_case "drbg reseed" `Quick test_drbg_reseed_diverges;
           Alcotest.test_case "chacha validation" `Quick test_chacha_validation;
           Alcotest.test_case "hkdf guard" `Quick test_hkdf_length_guard;
           Alcotest.test_case "aead short input" `Quick test_aead_short_input;

@@ -70,20 +70,28 @@ let test_eval_all_visits_in_order () =
       incr expected);
   Alcotest.(check int) "count" 128 !expected
 
+(* The indices where a share's bit is 1. *)
+let selected_indices k =
+  List.filter (fun x -> Dpf.eval_bit k x = 1) (List.init (1 lsl Dpf.domain_bits k) Fun.id)
+
 let test_selected_indices_halfish () =
   let d = 10 in
   let k0, k1 = Dpf.gen ~domain_bits:d ~alpha:77 (rng ()) in
-  let n0 = List.length (Dpf.selected_indices k0) in
-  let n1 = List.length (Dpf.selected_indices k1) in
+  let n0 = List.length (selected_indices k0) in
+  let n1 = List.length (selected_indices k1) in
   (* each share bit is pseudorandom: expect ~512 +/- 5 sigma (~80) *)
   Alcotest.(check bool) "share0 balanced" true (n0 > 384 && n0 < 640);
   Alcotest.(check bool) "share1 balanced" true (n1 > 384 && n1 < 640);
   (* the two sets differ in exactly the point alpha *)
-  let s0 = List.filter (fun x -> not (List.mem x (Dpf.selected_indices k1))) (Dpf.selected_indices k0) in
-  let s1 = List.filter (fun x -> not (List.mem x (Dpf.selected_indices k0))) (Dpf.selected_indices k1) in
+  let s0 = List.filter (fun x -> not (List.mem x (selected_indices k1))) (selected_indices k0) in
+  let s1 = List.filter (fun x -> not (List.mem x (selected_indices k0))) (selected_indices k1) in
   Alcotest.(check (list int)) "symmetric difference" [ 77 ] (List.sort compare (s0 @ s1))
 
 (* ---------------- distributed evaluation ---------------- *)
+
+(* Shard [shard]'s local index [j] in the whole domain: the shard number
+   is the top bits. *)
+let global_index ~rem_bits ~shard j = (shard lsl rem_bits) lor j
 
 let test_distributed_equivalence () =
   let d = 10 and shard_bits = 3 in
@@ -98,7 +106,7 @@ let test_distributed_equivalence () =
         (fun shard sub ->
           Alcotest.(check int) "sub domain" rem (Dpf.domain_bits sub);
           for j = 0 to (1 lsl rem) - 1 do
-            let g = Distributed.global_index ~rem_bits:rem ~shard j in
+            let g = global_index ~rem_bits:rem ~shard j in
             Alcotest.(check int)
               (Printf.sprintf "shard=%d j=%d" shard j)
               (Dpf.eval_bit k g) (Dpf.eval_bit sub j)
@@ -117,7 +125,7 @@ let test_distributed_correctness_combined () =
     (fun shard sub0 ->
       for j = 0 to (1 lsl rem) - 1 do
         if Dpf.eval_bit sub0 j lxor Dpf.eval_bit s1.(shard) j = 1 then
-          hits := Distributed.global_index ~rem_bits:rem ~shard j :: !hits
+          hits := global_index ~rem_bits:rem ~shard j :: !hits
       done)
     s0;
   Alcotest.(check (list int)) "single point" [ alpha ] !hits
@@ -305,7 +313,7 @@ let prop_distributed_split =
       Array.iteri
         (fun shard sub ->
           for j = 0 to (1 lsl rem) - 1 do
-            if Dpf.eval_bit sub j <> Dpf.eval_bit k0 (Distributed.global_index ~rem_bits:rem ~shard j)
+            if Dpf.eval_bit sub j <> Dpf.eval_bit k0 (global_index ~rem_bits:rem ~shard j)
             then ok := false
           done)
         subs;
@@ -385,7 +393,7 @@ let prop_boundary_split =
             (fun shard sub ->
               if Dpf.domain_bits sub <> rem then ok := false;
               Dpf.eval_all_bits sub (fun j b ->
-                  let x = Distributed.global_index ~rem_bits:rem ~shard j in
+                  let x = global_index ~rem_bits:rem ~shard j in
                   if b <> Char.code (Bytes.get want x) then ok := false))
             subs;
           !ok)

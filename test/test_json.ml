@@ -1,6 +1,7 @@
 open Lw_json
 
-let json_testable = Alcotest.testable Json.pp Json.equal
+let json_testable =
+  Alcotest.testable (fun fmt v -> Format.pp_print_string fmt (Json.to_string v)) Json.equal
 
 let parse_ok name input expected () =
   Alcotest.check json_testable name expected (Json.of_string input)

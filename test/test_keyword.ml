@@ -211,7 +211,7 @@ let test_accepted_paths_in_candidate_buckets () =
       (Lightweb.Universe.data_paths u);
     ignore (Lightweb.Universe.publish_updates u);
     let kw = Lightweb.Universe.keyword_store u in
-    let snap = Kw_store.snapshot kw in
+    let snap = Kw_store.publish kw in
     Alcotest.(check int) (Printf.sprintf "seed %d: stash" seed) 0 (Kw_store.stash_size kw);
     Alcotest.(check int)
       (Printf.sprintf "seed %d: keyword entries = accepted paths" seed)
@@ -268,8 +268,8 @@ let test_wire_v4_crc_rejects_corruption () =
   (match Wire.decode_client (Bytes.to_string flipped) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bit flip decoded cleanly");
-  (* truncation below the CRC trailer is also a structured error *)
-  match Wire.decode_client (String.sub enc 0 (Wire.trailer_size - 1)) with
+  (* truncation below the 4-byte CRC trailer is also a structured error *)
+  match Wire.decode_client (String.sub enc 0 3) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "truncated message decoded cleanly"
 

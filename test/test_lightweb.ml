@@ -23,8 +23,7 @@ let test_path_parse () =
 let test_path_domain_check () =
   let p = Result.get_ok (Lw_path.parse "a.com/x/y") in
   Alcotest.(check bool) "in" true (Lw_path.in_domain p "a.com");
-  Alcotest.(check bool) "out" false (Lw_path.in_domain p "b.com");
-  Alcotest.(check string) "to_string" "a.com/x/y" (Lw_path.to_string p)
+  Alcotest.(check bool) "out" false (Lw_path.in_domain p "b.com")
 
 (* ---------------- Zltp_wire codec ---------------- *)
 
@@ -220,7 +219,6 @@ let test_universe_size_limits () =
 
 let test_publisher_push_report () =
   let u = make_universe () in
-  Alcotest.(check int) "codes" 2 (Universe.code_count u);
   Alcotest.(check int) "pages" 5 (Universe.page_count u);
   Alcotest.(check bool) "data readable" true
     (Universe.data_value u "news.example/front.json" <> None)
@@ -229,7 +227,8 @@ let test_publisher_validate () =
   let bad_suffix =
     { Publisher.domain = "a.com"; code = code_for "a.com"; pages = [ ("no-slash", Json.Null) ] }
   in
-  Alcotest.(check bool) "suffix" true (Result.is_error (Publisher.validate bad_suffix));
+  let push site = Publisher.push (Universe.create ~name:"v" Universe.default_geometry) ~publisher:"p" site in
+  Alcotest.(check bool) "suffix" true (Result.is_error (push bad_suffix));
   let dup =
     {
       Publisher.domain = "a.com";
@@ -237,7 +236,7 @@ let test_publisher_validate () =
       pages = [ ("/x", Json.Null); ("/x", Json.Null) ];
     }
   in
-  Alcotest.(check bool) "duplicate" true (Result.is_error (Publisher.validate dup))
+  Alcotest.(check bool) "duplicate" true (Result.is_error (push dup))
 
 (* ---------------- ZLTP client/server ---------------- *)
 
@@ -249,7 +248,6 @@ let test_zltp_get_end_to_end () =
       (Zltp_client.connect ~rng:(rng ()) [ Zltp_server.endpoint d0; Zltp_server.endpoint d1 ])
   in
   Alcotest.(check bool) "mode" true (Zltp_client.mode client = Zltp_mode.Pir2);
-  Alcotest.(check int) "blob size" 1024 (Zltp_client.blob_size client);
   (match Zltp_client.get client "news.example/front.json" with
   | Ok (Some v) ->
       Alcotest.(check bool) "is front" true (Json.equal (Json.of_string v)
@@ -260,7 +258,7 @@ let test_zltp_get_end_to_end () =
   | Ok None -> ()
   | Ok (Some _) -> Alcotest.fail "phantom record"
   | Error e -> Alcotest.fail e);
-  Alcotest.(check int) "queries counted" 2 (Zltp_client.queries_sent client)
+  Alcotest.(check int) "queries counted" 2 (Zltp_server.queries_served d0)
 
 let test_zltp_batch_get () =
   let u = make_universe () in
@@ -445,12 +443,16 @@ let test_frontend_parallel_matches () =
     (Lw_obs.Metrics.counter_value parallel - before)
 
 (* [Zltp_server.create ~scan_domains] reaches the sharded front-end's
-   own knob. *)
+   own knob: its 1 MiB shards then scan on domains. *)
 let test_sharded_server_scan_domains () =
-  let st = random_store ~domain_bits:6 ~bucket_size:32 "knob" in
+  let st = random_store ~domain_bits:12 ~bucket_size:1024 "knob" in
   let fe = Zltp_frontend.of_store st ~shard_bits:2 in
-  ignore (Zltp_server.create ~scan_domains:2 ~blob_size:32 (Zltp_backend.sharded fe));
-  Alcotest.(check int) "front-end scan domains" 2 (Zltp_frontend.scan_domains fe);
+  ignore (Zltp_server.create ~scan_domains:2 ~blob_size:1024 (Zltp_backend.sharded fe));
+  let parallel = Lw_obs.Metrics.counter "pir.server.parallel_answers" in
+  let before = Lw_obs.Metrics.counter_value parallel in
+  ignore (Zltp_frontend.answer fe (fst (Lw_dpf.Dpf.gen ~domain_bits:12 ~alpha:5 (rng ()))));
+  Alcotest.(check int) "every shard scan ran on domains" 4
+    (Lw_obs.Metrics.counter_value parallel - before);
   Alcotest.check_raises "scan domains must be >= 1"
     (Invalid_argument "Zltp_frontend.set_scan_domains: need at least one domain")
     (fun () -> Zltp_frontend.set_scan_domains fe 0)
@@ -470,7 +472,7 @@ let test_frontend_timings () =
   Array.iteri
     (fun i h ->
       Alcotest.(check int) "one timing per shard" (before.(i) + 1) (Lw_obs.Metrics.hist_count h);
-      Alcotest.(check bool) "non-negative" true (Lw_obs.Metrics.hist_sum h >= 0.))
+      Alcotest.(check bool) "non-negative" true ((Lw_obs.Metrics.snapshot_hist h).sum >= 0.))
     hists
 
 let test_frontend_refusal () =
@@ -873,7 +875,6 @@ let test_paywall_roundtrip () =
   let sub = Access_control.subscribe m ~epoch:3 in
   let sealed = Access_control.seal m ~epoch:3 ~path:"nyt.example/premium" (Json.String "scoop") in
   Alcotest.(check bool) "sealed" true (Access_control.is_sealed sealed);
-  Alcotest.(check (option int)) "epoch" (Some 3) (Access_control.sealed_epoch sealed);
   (match Access_control.open_ sub ~path:"nyt.example/premium" sealed with
   | Ok v -> Alcotest.(check bool) "plain" true (Json.equal v (Json.String "scoop"))
   | Error e -> Alcotest.fail e);
@@ -935,16 +936,33 @@ let test_paywall_through_browser () =
 
 (* ---------------- Universe_store (persistence) ---------------- *)
 
+(* [Universe_store]'s document through a temp file: [save] then [load],
+   and [load] of a document given as text. *)
+let with_temp f =
+  let path = Filename.temp_file "lw_universe" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let load_text text =
+  with_temp (fun path ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      Universe_store.load ~path)
+
+let saved_text u =
+  with_temp (fun path ->
+      match Universe_store.save u ~path with
+      | Error e -> Alcotest.fail e
+      | Ok () -> In_channel.with_open_bin path In_channel.input_all)
+
+let reload u = load_text (saved_text u)
+
 let test_snapshot_roundtrip () =
   let u = make_universe () in
   Browser.storage_set (connect_browser u) ~domain:"news.example" "noise" Json.Null;
-  let snapshot = Universe_store.export u in
-  match Universe_store.import snapshot with
+  match reload u with
   | Error e -> Alcotest.fail e
   | Ok u' ->
       Alcotest.(check string) "name" (Universe.name u) (Universe.name u');
       Alcotest.(check int) "pages" (Universe.page_count u) (Universe.page_count u');
-      Alcotest.(check int) "codes" (Universe.code_count u) (Universe.code_count u');
       Alcotest.(check (list (pair string string))) "owners" (Universe.domains u)
         (Universe.domains u');
       (* every blob survives byte-comparable (JSON-equal) *)
@@ -967,7 +985,7 @@ let test_snapshot_preserves_hash_placement () =
   (* same seed -> same keyword->bucket placement, so a client that knows
      indices keeps working across a reload *)
   let u = make_universe () in
-  let u' = Result.get_ok (Universe_store.import (Universe_store.export u)) in
+  let u' = Result.get_ok (reload u) in
   let d0, d1 = Universe.data_servers u in
   let e0, e1 = Universe.data_servers u' in
   let fetch (s0, s1) key =
@@ -994,7 +1012,7 @@ let test_snapshot_rejects_malformed () =
   List.iter
     (fun j ->
       Alcotest.(check bool) "rejected" true
-        (Result.is_error (Universe_store.import (Json.of_string j))))
+        (Result.is_error (load_text j)))
     [
       "{}";
       {|{"format": 99, "name": "x", "seed": "s"}|};
@@ -1148,10 +1166,9 @@ let prop_encoded_size =
   QCheck.Test.make ~name:"encoding is counted body plus trailer" ~count:300
     (QCheck.make QCheck.Gen.(pair gen_client_msg gen_server_msg))
     (fun (c, s) ->
-      String.length (Zltp_wire.encode_client c)
-      = Zltp_wire.client_body_size c + Zltp_wire.trailer_size
-      && String.length (Zltp_wire.encode_server s)
-         = Zltp_wire.server_body_size s + Zltp_wire.trailer_size)
+      (* the trailer is the 4-byte CRC-32 *)
+      String.length (Zltp_wire.encode_client c) = Zltp_wire.client_body_size c + 4
+      && String.length (Zltp_wire.encode_server s) = Zltp_wire.server_body_size s + 4)
 
 let test_wire_huge_length_claims () =
   (* a length field claiming gigabytes must fail fast on the bounds check,
@@ -1161,7 +1178,7 @@ let test_wire_huge_length_claims () =
     let n = String.length body in
     let b = Bytes.create (n + 4) in
     Bytes.blit_string body 0 b 0 n;
-    Bytes.set_int32_be b n (Lw_util.Crc32.digest body);
+    Bytes.set_int32_be b n (Lw_util.Crc32.update 0l body ~pos:0 ~len:n);
     Bytes.unsafe_to_string b
   in
   let u32 v =

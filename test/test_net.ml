@@ -3,23 +3,6 @@ module Clock = Lw_obs.Clock
 
 (* ---------------- Frame ---------------- *)
 
-let test_frame_roundtrip () =
-  List.iter
-    (fun payload ->
-      let encoded = Frame.encode payload in
-      Alcotest.(check int) "header" (String.length payload + 4) (String.length encoded);
-      Alcotest.(check int) "decoded length" (String.length payload)
-        (Frame.decode_header (String.sub encoded 0 4)))
-    [ ""; "x"; String.make 1000 'p' ]
-
-let test_frame_rejects () =
-  Alcotest.(check bool) "negative length" true
-    (match Frame.decode_header "\xff\xff\xff\xff" with
-    | exception Frame.Malformed _ -> true
-    | _ -> false);
-  Alcotest.(check bool) "short header" true
-    (match Frame.decode_header "ab" with exception Frame.Malformed _ -> true | _ -> false)
-
 (* [bytes] written into a pipe whose write end is then closed, so the
    reader sees exactly those bytes followed by EOF. Payloads stay far
    below the pipe buffer, so the write never blocks. *)
@@ -28,6 +11,31 @@ let with_pipe_bytes bytes f =
   ignore (Unix.write_substring w bytes 0 (String.length bytes));
   Unix.close w;
   Fun.protect ~finally:(fun () -> Unix.close r) (fun () -> f r)
+
+(* A frame as the wire carries it: a 4-byte big-endian length, then the
+   payload. *)
+let frame payload =
+  let header = Bytes.create 4 in
+  Bytes.set_int32_be header 0 (Int32.of_int (String.length payload));
+  Bytes.to_string header ^ payload
+
+let test_frame_roundtrip () =
+  List.iter
+    (fun payload ->
+      let r, w = Unix.pipe () in
+      Frame.write_fd w payload;
+      Unix.close w;
+      let wire = In_channel.input_all (Unix.in_channel_of_descr r) in
+      Unix.close r;
+      Alcotest.(check string) "header then payload" (frame payload) wire;
+      Alcotest.(check string) "decoded" payload (with_pipe_bytes wire Frame.read_fd))
+    [ ""; "x"; String.make 1000 'p' ]
+
+let test_frame_rejects () =
+  let malformed fd = match Frame.read_fd fd with exception Frame.Malformed _ -> true | _ -> false in
+  Alcotest.(check bool) "negative length" true (with_pipe_bytes "\xff\xff\xff\xff" malformed);
+  Alcotest.(check bool) "length over the frame bound" true
+    (with_pipe_bytes "\x7f\xff\xff\xff" malformed)
 
 let test_frame_channels () =
   let r, w = Unix.pipe () in
@@ -52,7 +60,7 @@ let test_frame_mid_eof () =
   (* EOF in the middle of the 4-byte header itself *)
   Alcotest.(check bool) "header cut" true (with_pipe_bytes "\x00\x00" malformed);
   (* a complete frame followed by a truncated one: first reads fine *)
-  let mixed = Frame.encode "ok" ^ "\x00\x00\x00\x05ab" in
+  let mixed = frame "ok" ^ "\x00\x00\x00\x05ab" in
   Alcotest.(check bool) "good then cut" true
     (with_pipe_bytes mixed (fun fd ->
          let first = Frame.read_fd fd in
@@ -63,7 +71,7 @@ let test_frame_short_reads_fd () =
      frames: the read loop has to keep going across short reads *)
   let r, w = Unix.pipe () in
   let payload = String.make 300 'z' in
-  let framed = Frame.encode payload in
+  let framed = frame payload in
   let writer =
     Thread.create
       (fun () ->

@@ -12,7 +12,7 @@
      the outputs of the code before them;
    - [Drbg.system] fails closed when its entropy source does. *)
 
-let hex = Lw_util.Hex.decode
+let hex h = Option.get (Lw_util.Hex.decode_opt h)
 let to_hex = Lw_util.Hex.encode
 let aes_builds = Lw_crypto.Aes128.builds ()
 

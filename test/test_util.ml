@@ -1,11 +1,11 @@
 let test_hex_roundtrip () =
   List.iter
     (fun s ->
-      Alcotest.(check string) "roundtrip" s (Lw_util.Hex.decode (Lw_util.Hex.encode s)))
+      Alcotest.(check string) "roundtrip" s (Lw_util.Hex.decode_opt (Lw_util.Hex.encode s) |> Option.get))
     [ ""; "\x00"; "abc"; String.init 256 Char.chr ]
 
 let test_hex_decode_cases () =
-  Alcotest.(check string) "upper" "\xde\xad\xbe\xef" (Lw_util.Hex.decode "DEADBEEF");
+  Alcotest.(check (option string)) "upper" (Some "\xde\xad\xbe\xef") (Lw_util.Hex.decode_opt "DEADBEEF");
   Alcotest.(check (option string)) "odd" None (Lw_util.Hex.decode_opt "abc");
   Alcotest.(check (option string)) "bad char" None (Lw_util.Hex.decode_opt "zz");
   Alcotest.(check (option string)) "ok" (Some "\x01\x02") (Lw_util.Hex.decode_opt "0102")
@@ -404,7 +404,7 @@ let crc_reference s ~pos ~len =
 
 let test_crc32 () =
   let module Crc32 = Lw_util.Crc32 in
-  Alcotest.(check int32) "known answer" 0xCBF43926l (Crc32.digest "123456789");
+  Alcotest.(check int32) "known answer" 0xCBF43926l (Crc32.update 0l "123456789" ~pos:0 ~len:9);
   let s = Lw_util.Det_rng.bytes (Lw_util.Det_rng.of_string_seed "crc32") (20517 + 16) in
   let builds = Crc32.builds () in
   Alcotest.(check bool) "the picked build runs" true (List.mem (Crc32.build ()) builds);
@@ -434,7 +434,7 @@ let test_crc32 () =
           let a = String.sub s 0 a and b = String.sub s 100 b in
           Alcotest.(check int32)
             (Printf.sprintf "%s chain %d+%d" build (String.length a) (String.length b))
-            (Crc32.digest (a ^ b))
+            (crc_reference (a ^ b) ~pos:0 ~len:(String.length a + String.length b))
             (Crc32.update_on ~build
                (Crc32.update_on ~build 0l a ~pos:0 ~len:(String.length a))
                b ~pos:0 ~len:(String.length b)))
@@ -482,16 +482,9 @@ let test_set_lane_bits () =
         ~dst:(Bytes.make 1 '\x00') ~dst_pos:0 ~len:1 ~lane:8)
 
 let test_bitops () =
-  Alcotest.(check int32) "rotl32" 0x00000001l (Lw_util.Bitops.rotl32 0x80000000l 1);
-  Alcotest.(check int) "popcount" 3 (Lw_util.Bitops.popcount 0b1011);
   Alcotest.(check int) "log2_ceil 1" 0 (Lw_util.Bitops.log2_ceil 1);
   Alcotest.(check int) "log2_ceil 5" 3 (Lw_util.Bitops.log2_ceil 5);
   Alcotest.(check int) "log2_ceil 8" 3 (Lw_util.Bitops.log2_ceil 8);
-  Alcotest.(check int) "log2_floor 5" 2 (Lw_util.Bitops.log2_floor 5);
-  Alcotest.(check bool) "pow2 yes" true (Lw_util.Bitops.is_power_of_two 64);
-  Alcotest.(check bool) "pow2 no" false (Lw_util.Bitops.is_power_of_two 48);
-  Alcotest.(check bool) "pow2 zero" false (Lw_util.Bitops.is_power_of_two 0);
-  Alcotest.(check int) "bit" 1 (Lw_util.Bitops.bit 0b100 2);
   Alcotest.(check int) "bit_msb top" 1 (Lw_util.Bitops.bit_msb 0b100 ~width:3 0);
   Alcotest.(check int) "bit_msb bottom" 0 (Lw_util.Bitops.bit_msb 0b100 ~width:3 2);
   Alcotest.(check int) "ceil_div" 3 (Lw_util.Bitops.ceil_div 9 4);
@@ -501,14 +494,8 @@ let test_bitops () =
 let test_det_rng_determinism () =
   let a = Lw_util.Det_rng.create 42L and b = Lw_util.Det_rng.create 42L in
   for _ = 1 to 20 do
-    Alcotest.(check int64) "same" (Lw_util.Det_rng.next_int64 a) (Lw_util.Det_rng.next_int64 b)
+    Alcotest.(check string) "same" (Lw_util.Det_rng.bytes a 8) (Lw_util.Det_rng.bytes b 8)
   done
-
-let test_det_rng_split_independence () =
-  let a = Lw_util.Det_rng.create 42L in
-  let c = Lw_util.Det_rng.split a in
-  Alcotest.(check bool) "diverge" true
-    (Lw_util.Det_rng.next_int64 a <> Lw_util.Det_rng.next_int64 c)
 
 let test_det_rng_bounds () =
   let rng = Lw_util.Det_rng.of_string_seed "bounds" in
@@ -526,14 +513,6 @@ let test_det_rng_bytes () =
   List.iter
     (fun n -> Alcotest.(check int) "len" n (String.length (Lw_util.Det_rng.bytes rng n)))
     [ 0; 1; 7; 8; 9; 100 ]
-
-let test_det_rng_shuffle_permutes () =
-  let rng = Lw_util.Det_rng.of_string_seed "shuffle" in
-  let a = Array.init 100 (fun i -> i) in
-  Lw_util.Det_rng.shuffle rng a;
-  let sorted = Array.copy a in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "permutation" (Array.init 100 (fun i -> i)) sorted
 
 let test_stats_summary () =
   let s = Lw_util.Stats.summarize [| 1.; 2.; 3.; 4.; 5. |] in
@@ -627,10 +606,8 @@ let () =
       ( "det_rng",
         [
           Alcotest.test_case "determinism" `Quick test_det_rng_determinism;
-          Alcotest.test_case "split independence" `Quick test_det_rng_split_independence;
           Alcotest.test_case "bounds" `Quick test_det_rng_bounds;
           Alcotest.test_case "bytes" `Quick test_det_rng_bytes;
-          Alcotest.test_case "shuffle permutes" `Quick test_det_rng_shuffle_permutes;
         ] );
       ( "stats",
         [
