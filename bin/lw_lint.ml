@@ -2,17 +2,17 @@
            [--write-baseline] [paths...]
 
    Side-channel & hygiene lint over OCaml sources: the rules and the
-   AST analyses (taint, race, balance), over one compiler parse of each
-   file. Default scope is
-   lib/ bin/ bench/. Findings present in the checked-in baseline
-   (lint_baseline.txt at the repo root) are accepted and do not affect
-   the exit status; everything else must be fixed or waived with an
-   in-source pragma. A baseline entry accepts at most its count of
+   analyses (taint, race, balance), over the typed tree (.cmt) the build
+   wrote for each file (a file without a fresh one is a typed-tree
+   finding). Default scope is lib/ bin/ bench/. Findings present in the
+   checked-in baseline (lint_baseline.txt at the repo root) are accepted
+   and do not affect the exit status; everything else must be fixed or
+   waived with an in-source pragma. A baseline entry accepts at most its count of
    findings; one in the scan's scope that matches fewer is itself a
    finding (stale-baseline), and so is an allow pragma that suppresses
-   nothing (unused-allow). Exit status: 0 clean,
-   1 fresh findings, 2 usage/IO error (an unknown option, or a --rules
-   name that is neither a rule nor an analysis, among them). *)
+   nothing (unused-allow). Exit status: 0 clean, 1 fresh findings, 2
+   usage/IO error (an unknown option, or a --rules name that is neither
+   a rule nor an analysis, among them). *)
 
 module Analyzer = Lw_analysis.Analyzer
 module Report = Lw_analysis.Report

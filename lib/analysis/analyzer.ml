@@ -1,7 +1,7 @@
-(* The lint pass: parses each OCaml source once with the compiler's
-   parser, runs the rules and the AST analyses (taint, race, balance)
-   over that Parsetree, and honours the in-source pragmas, which it
-   reads from the comments the compiler's lexer sets aside:
+(* The lint pass: runs the rules and the analyses (taint, race,
+   balance) over the compiler's typed tree of each source ([Front]), and
+   honours the in-source pragmas, which it reads from the comments the
+   compiler's lexer set aside:
 
      (* lw-lint: allow <rule> ... *)          suppress the named rules on
                                               the pragma's line and the
@@ -16,8 +16,10 @@
 
    An allow that suppresses nothing in a scan that ran its rule, or that
    names no rule, is itself a finding (unused-allow), so a waiver cannot
-   outlive the finding it excused. A file that does not parse yields its
-   parse-error finding and nothing else.
+   outlive the finding it excused. A source without a fresh typed tree
+   (its .cmt missing or older than the source, or a fixture that does
+   not type) yields its typed-tree finding and nothing else: the scan
+   fails closed, never skips it.
 
    The default one-line reach of [allow] keeps suppressions next to the
    code they excuse; [lines=N] exists so a single waiver can cover one
@@ -45,7 +47,7 @@ let collect_pragmas comments =
   let p = { allows = Hashtbl.create 8; sites = ref []; secrets = Hashtbl.create 8 } in
   List.iter
     (fun (body, loc) ->
-      let line = Syntax.line loc in
+      let line = Front.line loc in
       match words (String.trim body) with
       | first :: "allow" :: args when first = pragma_prefix ->
           let rules, span =
@@ -84,7 +86,7 @@ type file_result = {
   suppressed : int;
 }
 
-let all_analyses = [ "taint"; "race"; "balance"; "parse-error"; "unused-allow" ]
+let all_analyses = [ "taint"; "race"; "balance"; "typed-tree"; "unused-allow" ]
 
 let known name = List.exists (fun r -> r.Rules.name = name) Rules.all || List.mem name all_analyses
 
@@ -99,143 +101,134 @@ let select_names names =
   | unknown -> Error unknown
 
 (* ------------------------------------------------------------------ *)
-(* The combined scan over already-loaded sources                       *)
+(* The combined scan over typed trees                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* One parse per file: the Parsetree (or why there is none) and the
-   pragmas, from the comments the compiler's lexer set aside on the way. *)
-let parse ~path src =
-  Lexer.init ();
-  let ast = Syntax.parse ~path src in
-  (ast, collect_pragmas (Lexer.comments ()))
+(* Each finding's scope: the structure-level definition (nested modules
+   included) whose lines hold it, else the unit itself. *)
+let place (u : Front.unit_) =
+  let defs = ref [] in
+  let rec walk (items : Typedtree.structure_item list) =
+    List.iter
+      (fun (si : Typedtree.structure_item) ->
+        match si.str_desc with
+        | Tstr_value (_, vbs) ->
+            List.iter
+              (fun (vb : Typedtree.value_binding) ->
+                match Typedtree.pat_bound_idents vb.vb_pat with
+                | x :: _ ->
+                    Option.iter (fun n -> defs := (vb.vb_loc, n) :: !defs) (u.resolve (Pident x))
+                | [] -> ())
+              vbs
+        | Tstr_module mb ->
+            Option.iter (fun s -> walk s.Typedtree.str_items) (Front.structure_of mb.mb_expr)
+        | _ -> ())
+      items
+  in
+  walk u.str.str_items;
+  let unit_name = String.concat "." (Front.demangle u.modname) in
+  fun (f : Report.finding) ->
+    let inside ((l : Location.t), _) = f.line >= Front.line l && f.line <= l.loc_end.pos_lnum in
+    { f with scope = Option.fold ~none:unit_name ~some:snd (List.find_opt inside !defs) }
 
-(* Lint a batch of sources together: the rules are per-file, but the
-   taint analysis builds one call graph over the whole batch so
-   summaries cross file (and library) boundaries. *)
-let scan_sources ?(rules = Rules.all) ?(analyses = all_analyses)
-    (files : (string * string) list) : (string * file_result) list =
-  let module SS = Set.Make (String) in
+(* Lint a batch of sources, each with its typed tree or, without one, the
+   line and why. The rules are per-file, but the taint analysis builds
+   one call graph over the whole batch so summaries cross file (and
+   library) boundaries. *)
+let scan_units ?(rules = Rules.all) ?(analyses = all_analyses) typed =
   let enabled a = List.mem a analyses in
-  let per_file =
+  let typed =
     List.map
-      (fun (path, src) ->
-        let ast, pragmas = parse ~path src in
-        (path, ast, pragmas))
-      files
+      (fun (path, t) -> (path, Result.map (fun u -> (u, collect_pragmas u.Front.comments)) t))
+      typed
   in
-  let parsed =
-    List.filter_map
-      (fun (path, ast, pragmas) ->
-        match ast with Ok a -> Some (path, a, pragmas) | Error _ -> None)
-      per_file
-  in
-  let parse_failures =
-    if not (enabled "parse-error") then []
-    else
-      List.filter_map
-        (fun (path, ast, _) ->
-          match ast with
-          | Ok _ -> None
-          | Error (line, msg) ->
-              Some
-                {
-                  Report.rule = "parse-error";
-                  file = path;
-                  line;
-                  message = "source does not parse: " ^ msg;
-                })
-        per_file
-  in
+  let units = List.filter_map (fun (_, t) -> Result.to_option t) typed in
+  let for_each f = List.concat_map (fun (u, pragmas) -> f u pragmas) units in
   let rule_findings =
-    List.concat_map
-      (fun (path, ast, pragmas) ->
+    for_each (fun u pragmas ->
         let ctx =
           {
-            Rules.path;
-            path_segments = path_segments path;
-            basename = basename path;
+            Rules.path = u.source;
+            path_segments = path_segments u.source;
+            basename = basename u.source;
             secrets = pragmas.secrets;
           }
         in
         match List.filter (fun r -> r.Rules.applies ctx) rules with
         | [] -> []
         | applicable ->
-            let uses = Rules.uses_of ast in
+            let uses = Rules.uses_of u in
             List.concat_map (fun r -> r.Rules.check ctx uses) applicable)
-      parsed
   in
   let taint_findings =
     if not (enabled "taint") then []
     else
-      Taint.analyze
-        (List.map
-           (fun (path, ast, pragmas) ->
-             {
-               Taint.i_path = path;
-               i_ast = ast;
-               i_secrets =
-                 Hashtbl.fold (fun k () s -> SS.add k s) pragmas.secrets
-                   SS.empty;
-             })
-           parsed)
+      let inputs =
+        List.map
+          (fun (u, pragmas) ->
+            {
+              Taint.i_unit = u;
+              i_secrets = Taint.SS.of_seq (Seq.map fst (Hashtbl.to_seq pragmas.secrets));
+            })
+          units
+      in
+      Taint.analyze inputs
   in
-  let race_findings =
-    if not (enabled "race") then []
-    else
-      List.concat_map (fun (path, ast, _) -> Race.analyze_file ~path ast) parsed
-  in
+  let race_findings = if enabled "race" then for_each (fun u _ -> Race.analyze_file u) else [] in
   let balance_findings =
-    if not (enabled "balance") then []
-    else
-      List.concat_map
-        (fun (path, ast, _) -> Balance.analyze_file ~path ast)
-        parsed
+    if enabled "balance" then for_each (fun u _ -> Balance.analyze_file u) else []
   in
-  let all =
-    rule_findings @ parse_failures @ taint_findings @ race_findings @ balance_findings
-  in
+  let all = rule_findings @ taint_findings @ race_findings @ balance_findings in
   (* An allow pragma checks out when the scan ran its rule; one that
      names no rule at all never can. *)
   let ran r = List.exists (fun x -> x.Rules.name = r) rules || enabled r in
   (* per-file pragma suppression, then the allows that suppressed nothing *)
+  let suppress (u : Front.unit_) pragmas =
+    let mine = List.filter (fun f -> f.Report.file = u.source) all in
+    let kept, dropped =
+      List.partition (fun f -> not (Hashtbl.mem pragmas.allows (f.Report.line, f.Report.rule))) mine
+    in
+    let unused =
+      if not (enabled "unused-allow") then []
+      else
+        List.filter_map
+          (fun (line, r, span) ->
+            let used =
+              List.exists
+                (fun f ->
+                  f.Report.rule = r && f.Report.line >= line && f.Report.line <= line + span)
+                dropped
+            in
+            if used || (known r && not (ran r)) then None
+            else
+              Some
+                (Report.finding "unused-allow" u.source line
+                   (if known r then Printf.sprintf "allow %s suppresses nothing" r
+                    else Printf.sprintf "allow %s names no rule" r)))
+          (List.rev !(pragmas.sites))
+    in
+    { findings = List.map (place u) (kept @ unused); suppressed = List.length dropped }
+  in
   List.map
-    (fun (path, _, pragmas) ->
-      let mine = List.filter (fun f -> f.Report.file = path) all in
-      let kept, dropped =
-        List.partition
-          (fun f -> not (Hashtbl.mem pragmas.allows (f.Report.line, f.Report.rule)))
-          mine
-      in
-      let unused =
-        if not (enabled "unused-allow") then []
-        else
-          List.filter_map
-            (fun (line, r, span) ->
-              let used =
-                List.exists
-                  (fun f ->
-                    f.Report.rule = r && f.Report.line >= line && f.Report.line <= line + span)
-                  dropped
-              in
-              if used || (known r && not (ran r)) then None
-              else
-                Some
-                  {
-                    Report.rule = "unused-allow";
-                    file = path;
-                    line;
-                    message =
-                      (if known r then Printf.sprintf "allow %s suppresses nothing" r
-                       else Printf.sprintf "allow %s names no rule" r);
-                  })
-            (List.rev !(pragmas.sites))
-      in
-      (path, { findings = kept @ unused; suppressed = List.length dropped }))
-    per_file
+    (fun (path, t) ->
+      match t with
+      | Ok (u, pragmas) -> (path, suppress u pragmas)
+      | Error (line, why) ->
+          let findings =
+            if enabled "typed-tree" then
+              [ Report.finding "typed-tree" path line ("no typed tree: " ^ why) ]
+            else []
+          in
+          (path, { findings; suppressed = 0 }))
+    typed
 
-(* Lint one already-loaded source. [path] decides which rules apply, so
-   tests can hand in fixture snippets under virtual paths like
-   "lib/crypto/fixture.ml". *)
+(* Lint in-memory sources: each is typed against the built libraries,
+   seeing the ones before it, so tests can hand in fixtures under virtual
+   paths like "lib/crypto/fixture.ml", which decide the rules that apply. *)
+let scan_sources ?rules ?analyses files =
+  scan_units ?rules ?analyses (Front.typed_fixtures files)
+
+(* Lint one in-memory source. *)
 let scan_source ?rules ?analyses ~path src =
   match scan_sources ?rules ?analyses [ (path, src) ] with
   | [ (_, r) ] -> r
@@ -258,13 +251,29 @@ let rec ml_files_under path =
   else if Filename.check_suffix path ".ml" then [ path ]
   else []
 
-(* Lint every .ml file under [paths] (files or directories). *)
+(* Lint every .ml file under [paths] (files or directories) through the
+   typed tree the build wrote for it. *)
 let scan_paths ?rules ?analyses paths =
   let clock = Lw_obs.Span.clock () in
   let t0 = Lw_obs.Clock.now clock in
-  let files = List.concat_map ml_files_under paths in
+  let files =
+    List.map (fun f -> (f, Front.normalize_path f)) (List.concat_map ml_files_under paths)
+  in
+  let built =
+    Front.load
+      (List.sort_uniq compare
+         (List.map (fun (_, key) -> List.hd (String.split_on_char '/' key)) files))
+  in
   let results =
-    scan_sources ?rules ?analyses (List.map (fun f -> (f, read_file f)) files)
+    scan_units ?rules ?analyses
+      (List.map
+         (fun (f, key) ->
+           ( f,
+             match List.assoc_opt key built with
+             | Some (Some digest, u) when Digest.file f = digest -> Ok { u with Front.source = f }
+             | Some _ -> Error (1, "the .cmt was built from other contents; rebuild")
+             | None -> Error (1, "no build stanza compiles this source") ))
+         files)
   in
   let elapsed = Lw_obs.Clock.now clock -. t0 in
   Report.make ~files_scanned:(List.length files)

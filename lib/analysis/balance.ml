@@ -18,241 +18,182 @@
    such in DESIGN.md. The resource home modules (lw_store.ml, tcp.ml)
    are exempt — they implement the lifecycle they'd otherwise trip. *)
 
-module SS = Set.Make (String)
+open Typedtree
 
 let acquire_calls =
   [
     ("Lw_store.pin", "epoch pin"); ("Lw_store.pin_latest", "epoch pin");
-    ("Snapshot.pin", "epoch pin"); ("Tcp.connect", "TCP connection");
+    ("Lw_net.Tcp.connect", "TCP connection");
   ]
 
-let release_names = SS.of_list [ "Lw_store.unpin"; "Snapshot.unpin" ]
-let close_segs = SS.of_list [ "close"; "shutdown"; "disconnect" ]
+(* Releases: [Lw_store.unpin], or a call or record field whose name ends
+   in one of [closes] ([Tcp.shutdown], [ep.Endpoint.close ()]). *)
+let closes = [ "unpin"; "close"; "shutdown"; "disconnect" ]
 let exempt_basenames = [ "lw_store.ml"; "tcp.ml" ]
+
+(* Calls assumed not to raise in a way that matters: pure projections,
+   and cleanups of sibling resources. *)
+let non_raising =
+  [ "Stdlib.ignore"; "Stdlib.ref"; "Stdlib.!"; "Stdlib.fst"; "Stdlib.snd"; "Stdlib.not" ]
 
 type event = Release | Handoff | Raiser of string
 
-let rec acquire_of (e : Parsetree.expression) =
-  match e.pexp_desc with
-  | Pexp_apply (f, _) -> (
-      match Syntax.head_name f with
-      | Some n -> List.assoc_opt (Syntax.last2 n) acquire_calls
-      | None -> None)
-  (* [let c = try Tcp.connect ... with ...] still binds the resource *)
-  | Pexp_try (b, _) | Pexp_constraint (b, _) | Pexp_open (_, b) ->
-      acquire_of b
-  | _ -> None
+let last name = List.hd (List.rev (String.split_on_char '.' name))
 
-let mentions x e = SS.mem x (Syntax.all_idents e)
+let rec acquire_of u (e : expression) =
+  match e.exp_desc with
+  | Texp_apply (f, _) -> Option.bind (Front.callee u f) (fun n -> List.assoc_opt n acquire_calls)
+  (* [let c = try Tcp.connect ... with ...] still binds the resource *)
+  | Texp_try (b, _) | Texp_open (_, b) -> acquire_of u b
+  | _ -> None
 
 (* [x] escapes through pure constructor context only: the variable
    itself, or tuples/constructs/records/arrays built from such. *)
-let rec escapes_into x (e : Parsetree.expression) =
-  match e.pexp_desc with
-  | Pexp_ident { txt = Longident.Lident y; _ } -> y = x
-  | Pexp_tuple es | Pexp_array es -> List.exists (escapes_into x) es
-  | Pexp_construct (_, Some a) | Pexp_variant (_, Some a) -> escapes_into x a
-  | Pexp_record (fs, base) ->
-      List.exists (fun (_, e) -> escapes_into x e) fs
-      || (match base with Some b -> escapes_into x b | None -> false)
-  | Pexp_constraint (e, _) | Pexp_open (_, e) -> escapes_into x e
-  | Pexp_lazy e -> escapes_into x e
+let rec escapes_into x (e : expression) =
+  match e.exp_desc with
+  | Texp_ident (Pident y, _, _) -> Ident.same x y
+  | Texp_tuple es | Texp_array es | Texp_construct (_, _, es) -> List.exists (escapes_into x) es
+  | Texp_variant (_, Some a) | Texp_open (_, a) | Texp_lazy a -> escapes_into x a
+  | Texp_record { fields; extended_expression; _ } ->
+      Array.exists (function _, Overridden (_, e) -> escapes_into x e | _ -> false) fields
+      || Option.fold ~none:false ~some:(escapes_into x) extended_expression
   | _ -> false
 
-let is_release_of x (e : Parsetree.expression) =
-  match e.pexp_desc with
-  | Pexp_apply (f, args) -> (
-      let arg_exprs = List.map snd args in
-      match Syntax.head_name f with
+let is_release_of u x (e : expression) =
+  match e.exp_desc with
+  | Texp_apply ({ exp_desc = Texp_field (b, _, ld); _ }, _) ->
+      (* method-style record close: [c.close ()] *)
+      List.mem ld.lbl_name closes && Front.mentions x b
+  | Texp_apply (f, args) -> (
+      match Front.callee u f with
       | Some n ->
-          (SS.mem (Syntax.last2 n) release_names
-          || Syntax.last_seg n = "unpin"
-          || SS.mem (Syntax.last_seg n) close_segs)
-          && List.exists (mentions x) arg_exprs
-      | None -> (
-          (* method-style record close: [c.close ()] *)
-          match f.pexp_desc with
-          | Pexp_field (b, lid) ->
-              SS.mem (Syntax.last_seg (Syntax.name_of_lid lid.txt)) close_segs
-              && mentions x b
-          | _ -> false))
+          List.mem (last n) closes
+          && List.exists (function _, Some a -> Front.mentions x a | _ -> false) args
+      | None -> false)
   | _ -> false
 
 (* Tail expressions of a continuation: the values the function returns
    along each path. *)
-let rec tails (e : Parsetree.expression) =
-  match e.pexp_desc with
-  | Pexp_sequence (_, b) | Pexp_let (_, _, b) -> tails b
-  | Pexp_ifthenelse (_, t, f) -> (
-      tails t @ match f with Some f -> tails f | None -> [])
-  | Pexp_match (_, cases) | Pexp_try (_, cases) ->
-      List.concat_map (fun (c : Parsetree.case) -> tails c.pc_rhs) cases
-  | Pexp_constraint (e, _) | Pexp_open (_, e) -> tails e
+let rec tails (e : expression) =
+  match e.exp_desc with
+  | Texp_sequence (_, b) | Texp_let (_, _, b) | Texp_open (_, b) -> tails b
+  | Texp_ifthenelse (_, t, f) -> tails t @ Option.fold ~none:[] ~some:tails f
+  | Texp_match (_, cases, _) -> List.concat_map (fun c -> tails c.c_rhs) cases
+  | Texp_try (_, cases) -> List.concat_map (fun c -> tails c.c_rhs) cases
   | _ -> [ e ]
 
 (* Linearize the continuation after an acquire into events, in
    syntactic order. [protected] marks regions where a raise cannot leak
    the resource (inside try-with whose body releases are still counted,
    and inside Fun.protect whose ~finally releases x). *)
-let linearize x cont =
+let linearize u x cont =
   let events = ref [] in
-  let tail_set = List.map (fun (t : Parsetree.expression) -> t.pexp_loc) (tails cont) in
+  let tail_set = List.map (fun t -> t.exp_loc) (tails cont) in
   let push ev prot line = events := (ev, prot, line) :: !events in
-  let rec walk prot (e : Parsetree.expression) =
-    let line = Syntax.line e.pexp_loc in
-    if is_release_of x e then push Release prot line
-    else if List.mem e.pexp_loc tail_set && escapes_into x e then
-      push Handoff prot line
+  let rec walk prot (e : expression) =
+    let line = Front.line e.exp_loc in
+    if is_release_of u x e then push Release prot line
+    else if List.mem e.exp_loc tail_set && escapes_into x e then push Handoff prot line
     else
-      match e.pexp_desc with
-      | Pexp_setfield (_, _, v) when escapes_into x v -> push Handoff prot line
-      | Pexp_try (b, cases) ->
+      match e.exp_desc with
+      | Texp_setfield (_, _, _, v) when escapes_into x v -> push Handoff prot line
+      | Texp_try (b, cases) ->
           walk true b;
-          List.iter (fun (c : Parsetree.case) -> walk prot c.pc_rhs) cases
-      | Pexp_match (scrut, cases)
-        when List.exists
-               (fun (c : Parsetree.case) ->
-                 match c.pc_lhs.ppat_desc with
-                 | Ppat_exception _ -> true
-                 | _ -> false)
-               cases ->
+          List.iter (fun c -> walk prot c.c_rhs) cases
+      | Texp_match (scrut, cases, _)
+        when List.exists (fun c -> Option.is_some (snd (split_pattern c.c_lhs))) cases ->
           (* [match e with ... | exception _ -> ...] shields [e] *)
           walk true scrut;
-          List.iter (fun (c : Parsetree.case) -> walk prot c.pc_rhs) cases
-      | Pexp_apply (f, args) -> (
-          let arg_exprs = List.map snd args in
-          match Syntax.head_name f with
-          | Some n when Syntax.last2 n = "Fun.protect" ->
+          List.iter (fun c -> walk prot c.c_rhs) cases
+      | Texp_apply (f, args) -> (
+          let arg_exprs = List.filter_map snd args in
+          match Front.callee u f with
+          | Some "Stdlib.Fun.protect" ->
               let finally_releases =
                 List.exists
-                  (fun (lbl, a) ->
-                    (match lbl with
-                    | Asttypes.Labelled "finally" -> true
+                  (function
+                    | Asttypes.Labelled "finally", Some a ->
+                        let rel = ref false in
+                        Front.iter_expr (fun e -> if is_release_of u x e then rel := true) a;
+                        !rel
                     | _ -> false)
-                    &&
-                    let rel = ref false in
-                    Syntax.iter_exprs
-                      (fun e -> if is_release_of x e then rel := true)
-                      a;
-                    !rel)
                   args
               in
               if finally_releases then push Release prot line;
               List.iter (walk (prot || finally_releases)) arg_exprs
-          | Some n ->
-              List.iter (walk prot) arg_exprs;
-              let seg = Syntax.last_seg n in
-              (* pure projections can't raise in a way that matters, and
-                 cleanup calls on sibling resources (close/unpin of some
-                 other handle) are assumed non-raising *)
-              if
-                not
-                  (SS.mem seg
-                     (SS.of_list
-                        [ "ignore"; "ref"; "!"; "fst"; "snd"; "not" ])
-                  || SS.mem seg close_segs || seg = "unpin")
-              then push (Raiser n) prot line
-          | None -> (
+          | name -> (
               walk prot f;
               List.iter (walk prot) arg_exprs;
-              match f.pexp_desc with
-              | Pexp_field (_, lid)
-                when SS.mem
-                       (Syntax.last_seg (Syntax.name_of_lid lid.txt))
-                       close_segs ->
-                  (* [other.close ()]: sibling cleanup, assumed non-raising *)
-                  ()
-              | _ -> push (Raiser "<computed>") prot line))
-      | Pexp_fun _ | Pexp_function _ ->
-          (* a closure mentioning x defers the work; if it releases x it
-             was already caught by is_release_of at the Fun.protect
-             site. Walk it for releases so `~finally:(fun () -> unpin)`
-             style code outside Fun.protect still counts. *)
-          let _, body = Syntax.uncurry e in
-          walk prot body
-      | _ -> List.iter (walk prot) (Syntax.shallow_children e)
+              match (name, f.exp_desc) with
+              | Some n, _ when List.mem n non_raising || List.mem (last n) closes -> ()
+              (* [other.close ()]: sibling cleanup, assumed non-raising *)
+              | None, Texp_field (_, _, ld) when List.mem ld.lbl_name closes -> ()
+              | _ -> push (Raiser (Option.value name ~default:"<computed>")) prot line))
+      | _ ->
+          (* a closure mentioning x defers the work; walk it for releases
+             so `~finally:(fun () -> unpin)` style code outside
+             Fun.protect still counts *)
+          List.iter (walk prot) (Front.children e)
   in
   walk false cont;
   List.rev !events
 
-let check_acquire ~path ~what ~line x cont findings =
-  let events = linearize x cont in
-  let has_safe =
-    List.exists (fun (ev, _, _) -> ev = Release || ev = Handoff) events
-  in
-  if not has_safe then
-    findings :=
-      {
-        Report.rule = "balance";
-        file = path;
-        line;
-        message =
-          Printf.sprintf "%s `%s` is acquired but never released or handed off"
-            what x;
-      }
-      :: !findings
-  else begin
+let check_acquire (u : Front.unit_) ~what ~line x cont findings =
+  let events = linearize u x cont in
+  let finding msg = findings := Report.finding "balance" u.source line msg :: !findings in
+  if not (List.exists (fun (ev, _, _) -> ev = Release || ev = Handoff) events) then
+    finding
+      (Printf.sprintf "%s `%s` is acquired but never released or handed off" what (Ident.name x))
+  else
     let rec scan = function
       | (Release, _, _) :: _ | (Handoff, _, _) :: _ -> ()
       | (Raiser fn, false, _) :: _ ->
-          findings :=
-            {
-              Report.rule = "balance";
-              file = path;
-              line;
-              message =
-                Printf.sprintf
-                  "%s `%s` may leak if `%s` raises before the release/handoff \
-                   (no Fun.protect or try cover)"
-                  what x fn;
-            }
-            :: !findings
+          finding
+            (Printf.sprintf
+               "%s `%s` may leak if `%s` raises before the release/handoff (no Fun.protect or try \
+                cover)"
+               what (Ident.name x) fn)
       | _ :: rest -> scan rest
       | [] -> ()
     in
     scan events
-  end
 
-let analyze_file ~path (ast : Parsetree.structure) : Report.finding list =
-  if List.mem (Filename.basename path) exempt_basenames then []
+let analyze_file (u : Front.unit_) : Report.finding list =
+  if List.mem (Filename.basename u.source) exempt_basenames then []
   else begin
     let findings = ref [] in
-    let seen = Hashtbl.create 16 in
-    let handle_let (e : Parsetree.expression) =
-      match e.pexp_desc with
-      | Pexp_let (_, vbs, cont) ->
-          List.iter
-            (fun (vb : Parsetree.value_binding) ->
-              match (vb.pvb_pat.ppat_desc, acquire_of vb.pvb_expr) with
-              | Ppat_var { txt = x; _ }, Some what ->
-                  let line = Syntax.line vb.pvb_loc in
-                  if not (Hashtbl.mem seen (x, line)) then begin
-                    Hashtbl.replace seen (x, line) ();
-                    check_acquire ~path ~what ~line x cont findings
-                  end
-              | _ -> ())
-            vbs
-      | Pexp_match (scrut, cases) when acquire_of scrut <> None ->
-          (* [match pin ... with Ok snap -> ... | Error e -> ...]: only the
-             payload of [Ok] or [Some] is the resource; an [Error]'s is
-             the refusal *)
-          let what = Option.get (acquire_of scrut) in
-          let line = Syntax.line scrut.pexp_loc in
-          List.iter
-            (fun (c : Parsetree.case) ->
-              match c.pc_lhs.ppat_desc with
-              | Ppat_construct
-                  ( { txt = Longident.(Lident ("Ok" | "Some") | Ldot (_, ("Ok" | "Some"))); _ },
-                    Some (_, { ppat_desc = Ppat_var v; _ }) ) ->
-                  let x = v.txt in
-                  if not (Hashtbl.mem seen (x, line)) then begin
-                    Hashtbl.replace seen (x, line) ();
-                    check_acquire ~path ~what ~line x c.pc_rhs findings
-                  end
-              | _ -> ())
-            cases
-      | _ -> ()
-    in
-    Syntax.iter_structure_exprs handle_let ast;
+    Front.iter_exprs
+      (fun e ->
+        match e.exp_desc with
+        | Texp_let (_, vbs, cont) ->
+            List.iter
+              (fun vb ->
+                match (vb.vb_pat.pat_desc, acquire_of u vb.vb_expr) with
+                | Tpat_var (x, _), Some what ->
+                    check_acquire u ~what ~line:(Front.line vb.vb_loc) x cont findings
+                | _ -> ())
+              vbs
+        | Texp_match (scrut, cases, _) -> (
+            (* [match pin ... with Ok snap -> ... | Error e -> ...]: only the
+               payload of [Ok] or [Some] is the resource; an [Error]'s is
+               the refusal *)
+            match acquire_of u scrut with
+            | Some what ->
+                List.iter
+                  (fun c ->
+                    match Option.map (fun p -> p.pat_desc) (fst (split_pattern c.c_lhs)) with
+                    | Some
+                        (Tpat_construct
+                          ( _,
+                            { cstr_name = "Ok" | "Some"; _ },
+                            [ { pat_desc = Tpat_var (x, _); _ } ],
+                            _ ))
+                      ->
+                        check_acquire u ~what ~line:(Front.line scrut.exp_loc) x c.c_rhs findings
+                    | _ -> ())
+                  cases
+            | None -> ())
+        | _ -> ())
+      u.str;
     List.sort_uniq compare !findings
   end

@@ -1,56 +1,39 @@
 (* Checked-in lint baseline: accepted findings that must not block CI,
-   stored one per line as `rule<TAB>path<TAB>count<TAB>message`. Entries
-   carry no line numbers — the key is (rule, normalized path, message) —
-   so the baseline survives unrelated line churn; a finding whose message
-   changes is a new finding and must be fixed or re-accepted
-   deliberately. An entry accepts at most [count] findings of its key, so
-   one more finding with the same message is fresh, not absorbed.
+   stored one per line as `rule<TAB>path<TAB>function<TAB>count`, where
+   function is the canonical path of the structure-level definition the
+   findings sit in ([Report.finding]'s scope). The key is (rule,
+   normalized path, function): no line numbers and no message, so the
+   baseline survives line churn and a flow rerouted or reworded inside
+   the same function, while the same finding moved into another function
+   is fresh and must be fixed or re-accepted deliberately. An entry
+   accepts at most [count] findings of its key, so one more finding in
+   the same function is fresh, not absorbed.
 
-   Paths are normalized to start at a known repo root (lib/, bin/,
-   bench/, test/) so the same baseline matches scans run from the
-   source tree, from dune's _build sandbox, or with ../-style
+   Paths are normalized to start at a known repo root
+   ([Front.normalize_path]) so the same baseline matches scans run from
+   the source tree, from dune's _build sandbox, or with ../-style
    prefixes. *)
 
-let roots = [ "lib"; "bin"; "bench"; "test"; "examples" ]
+let normalize_path = Front.normalize_path
 
-let normalize_path p =
-  let segs =
-    List.filter (fun s -> s <> "" && s <> ".") (String.split_on_char '/' p)
-  in
-  let rec find = function
-    | [] -> None
-    | s :: _ as l when List.mem s roots -> Some l
-    | _ :: rest -> find rest
-  in
-  match find segs with
-  | Some l -> String.concat "/" l
-  | None -> String.concat "/" (List.filter (fun s -> s <> "..") segs)
+type entry = { b_rule : string; b_file : string; b_scope : string; b_count : int; b_line : int }
 
-type entry = {
-  b_rule : string;
-  b_file : string;
-  b_count : int;
-  b_message : string;
-  b_line : int;
-}
-
-let key_of_finding (f : Report.finding) =
-  (f.rule, normalize_path f.file, f.message)
+let key_of_finding (f : Report.finding) = (f.rule, normalize_path f.file, f.scope)
 
 let parse_line ?(number = 0) line =
   let line = String.trim line in
   if line = "" || line.[0] = '#' then None
   else
     match String.split_on_char '\t' line with
-    | rule :: file :: count :: rest when rest <> [] -> (
+    | [ rule; file; scope; count ] -> (
         match int_of_string_opt count with
         | Some c when c > 0 ->
             Some
               {
                 b_rule = rule;
                 b_file = normalize_path file;
+                b_scope = scope;
                 b_count = c;
-                b_message = String.concat "\t" rest;
                 b_line = number;
               }
         | _ -> None)
@@ -85,7 +68,9 @@ let allocate entries findings =
       (fun f ->
         let key = key_of_finding f in
         match
-          List.find_opt (fun (e, n) -> (e.b_rule, e.b_file, e.b_message) = key && !n < e.b_count) taken
+          List.find_opt
+            (fun (e, n) -> (e.b_rule, e.b_file, e.b_scope) = key && !n < e.b_count)
+            taken
         with
         | Some (_, n) ->
             incr n;
@@ -118,14 +103,9 @@ let stale ~baseline_file ~roots ~rules entries findings =
     (fun (e, n) ->
       if in_scope e && !n < e.b_count then
         Some
-          {
-            Report.rule = "stale-baseline";
-            file = baseline_file;
-            line = e.b_line;
-            message =
-              Printf.sprintf "baseline entry matches %d of its %d findings: %s %s: %s" !n
-                e.b_count e.b_rule e.b_file e.b_message;
-          }
+          (Report.finding "stale-baseline" baseline_file e.b_line
+             (Printf.sprintf "baseline entry matches %d of its %d findings: %s %s %s" !n e.b_count
+                e.b_rule e.b_file e.b_scope))
       else None)
     taken
 
@@ -136,8 +116,8 @@ let save path findings =
     | [] -> []
     | k :: rest ->
         let same, others = List.partition (( = ) k) rest in
-        let rule, file, message = k in
-        Printf.sprintf "%s\t%s\t%d\t%s" rule file (1 + List.length same) message :: group others
+        let rule, file, scope = k in
+        Printf.sprintf "%s\t%s\t%s\t%d" rule file scope (1 + List.length same) :: group others
   in
   let lines = group keys in
   let oc = open_out path in
@@ -145,7 +125,7 @@ let save path findings =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
       output_string oc
-        "# lw_lint baseline: accepted findings (rule<TAB>file<TAB>count<TAB>message).\n\
+        "# lw_lint baseline: accepted findings (rule<TAB>file<TAB>function<TAB>count).\n\
          # Regenerate with `dune exec bin/lw_lint.exe -- --write-baseline`;\n\
          # review the diff — a new entry or a raised count is a deliberate acceptance.\n";
       List.iter

@@ -1,7 +1,12 @@
 (* Findings and the analyzer's report: human-readable for terminals,
    JSON (via [Lw_json]) for tooling and the bench harness. *)
 
-type finding = { rule : string; file : string; line : int; message : string }
+(* [scope] is the canonical path of the structure-level definition the
+   finding sits in (the unit's own path outside any), which the baseline
+   keys on; "" until the analyzer places it. *)
+type finding = { rule : string; file : string; line : int; message : string; scope : string }
+
+let finding rule file line message = { rule; file; line; message; scope = "" }
 
 type t = {
   files_scanned : int;
@@ -31,6 +36,7 @@ let finding_to_json f =
       ("file", Json.String f.file);
       ("line", Json.Number (float_of_int f.line));
       ("message", Json.String f.message);
+      ("scope", Json.String f.scope);
     ]
 
 let to_json t =

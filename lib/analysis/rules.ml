@@ -1,12 +1,12 @@
 (* The lint rule set. Each rule is keyed to a claim row in SECURITY.md:
    the analyzer enforces mechanically what the threat model promises in
-   prose. Rules read the compiler's Parsetree of the file through one
-   walk, [uses]: the names the code refers to (values, record fields,
-   modules) and its applications of [=]/[<>]. None of them type the
-   code, so secret-value rules are driven by explicit per-file flags:
-   [(* lw-lint: secret name ... *)] marks identifiers whose timing must
-   not depend on control flow. Branches on those names are the taint
-   analysis's to report ([Taint]'s branch sink). *)
+   prose. Rules read the compiler's typed tree of the file through one
+   walk, [uses]: the names the code refers to (values and record fields,
+   each by its canonical path, see [Front]) and its applications of
+   polymorphic [=]/[<>]. Secret-value rules are driven by explicit
+   per-file flags: [(* lw-lint: secret name ... *)] marks identifiers
+   whose timing must not depend on control flow. Branches on those names
+   are the taint analysis's to report ([Taint]'s branch sink). *)
 
 type context = {
   path : string; (* as given on the command line / in tests *)
@@ -15,58 +15,44 @@ type context = {
   secrets : (string, unit) Hashtbl.t; (* from "lw-lint: secret" pragmas *)
 }
 
-(* A name the code refers to: a value ("String.equal"), a record field
-   with the path it is read through ("ep.Lw_net.Endpoint.recv"), or a
-   module ("Random" in [open Random]). *)
+(* A name the code refers to: a value ("Stdlib.String.equal") or a
+   record field by its record type ("Lw_net.Endpoint.t.recv"). *)
 type name_use = { name : string; line : int }
 
-(* An application of polymorphic [=]/[<>] (bare or [Stdlib.]), partial
-   ones included, with its unlabelled arguments; [line] is the
-   operator's. *)
-type equality = { operands : Parsetree.expression list; line : int }
+(* An application of polymorphic [=]/[<>], partial ones included, with
+   its unlabelled arguments; [line] is the operator's. *)
+type equality = { operands : Typedtree.expression list; line : int }
 
 type uses = { names : name_use list; equalities : equality list }
 
 (* [e] as a dotted name, through record fields: [k.cond] is "k.cond". *)
-let rec dotted (e : Parsetree.expression) =
-  match e.pexp_desc with
-  | Pexp_ident l -> Some (Syntax.name_of_lid l.txt)
-  | Pexp_field (r, f) ->
-      Option.map (fun base -> base ^ "." ^ Syntax.name_of_lid f.txt) (dotted r)
+let rec dotted (e : Typedtree.expression) =
+  match e.exp_desc with
+  | Texp_ident (p, _, _) -> Some (Path.name p)
+  | Texp_field (r, _, ld) -> Option.map (fun base -> base ^ "." ^ ld.lbl_name) (dotted r)
   | _ -> None
 
-let uses_of (str : Parsetree.structure) =
+let uses_of (u : Front.unit_) =
   let names = ref [] and equalities = ref [] in
-  let use name (loc : Location.t) = names := { name; line = Syntax.line loc } :: !names in
-  let expr self (e : Parsetree.expression) =
-    (match e.pexp_desc with
-    | Pexp_ident l -> use (Syntax.name_of_lid l.txt) e.pexp_loc
-    | Pexp_field (_, f) ->
-        use (Option.value (dotted e) ~default:(Syntax.name_of_lid f.txt)) e.pexp_loc
-    | Pexp_apply (({ pexp_desc = Pexp_ident l; _ } as f), args) -> (
-        match Syntax.name_of_lid l.txt with
-        | "=" | "<>" | "Stdlib.=" | "Stdlib.<>" ->
-            equalities :=
-              {
-                operands =
-                  List.filter_map
-                    (fun (label, a) -> if label = Asttypes.Nolabel then Some a else None)
-                    args;
-                line = Syntax.line f.pexp_loc;
-              }
-              :: !equalities
-        | _ -> ())
-    | _ -> ());
-    Ast_iterator.default_iterator.expr self e
+  let use (e : Typedtree.expression) =
+    Option.iter (fun name -> names := { name; line = Front.line e.exp_loc } :: !names)
   in
-  let module_expr self (m : Parsetree.module_expr) =
-    (match m.pmod_desc with
-    | Pmod_ident l -> use (Syntax.name_of_lid l.txt) l.loc
-    | _ -> ());
-    Ast_iterator.default_iterator.module_expr self m
-  in
-  let it = { Ast_iterator.default_iterator with expr; module_expr } in
-  it.structure it str;
+  Front.iter_exprs
+    (fun e ->
+      match e.exp_desc with
+      | Texp_ident (p, _, _) -> use e (u.resolve p)
+      | Texp_field (_, _, ld) -> use e (Front.label u ld)
+      | Texp_apply (f, args)
+        when List.mem (Front.callee u f) [ Some "Stdlib.="; Some "Stdlib.<>" ] ->
+          equalities :=
+            {
+              operands =
+                List.filter_map (fun (l, a) -> if l = Asttypes.Nolabel then a else None) args;
+              line = Front.line f.exp_loc;
+            }
+            :: !equalities
+      | _ -> ())
+    u.str;
   { names = List.rev !names; equalities = List.rev !equalities }
 
 type t = {
@@ -88,7 +74,7 @@ let is_secret ctx name =
   Hashtbl.mem ctx.secrets name
   || List.exists (Hashtbl.mem ctx.secrets) (String.split_on_char '.' name)
 
-let finding ctx rule line message = { Report.rule; file = ctx.path; line; message }
+let finding ctx rule line message = Report.finding rule ctx.path line message
 
 let matches_any name ~exact ~prefixes =
   List.mem name exact || List.exists (fun p -> String.starts_with ~prefix:p name) prefixes
@@ -101,17 +87,11 @@ let banned_names ~exact ~prefixes ~msg rule_name ctx uses =
       else None)
     uses.names
 
-(* The [=]/[<>] applications with an operand [pick] names. A type
-   constraint on the operand, [(None : int option)], is seen through. *)
+(* The [=]/[<>] applications with an operand [pick] names. *)
 let equality_check ~pick ~msg rule_name ctx uses =
-  let rec strip (e : Parsetree.expression) =
-    match e.pexp_desc with
-    | Pexp_constraint (e, _) | Pexp_coerce (e, _, _) -> strip e
-    | _ -> e
-  in
   List.filter_map
     (fun { operands; line } ->
-      List.find_map (fun e -> pick ctx (strip e)) operands
+      List.find_map (fun e -> pick ctx e) operands
       |> Option.map (fun n -> finding ctx rule_name line (msg n)))
     uses.equalities
 
@@ -121,8 +101,8 @@ let equality_check ~pick ~msg rule_name ctx uses =
 
 let variable_time_compares =
   [
-    "String.equal"; "Bytes.equal"; "String.compare"; "Bytes.compare";
-    "Stdlib.compare"; "compare"; "Digest.equal"; "Digest.compare";
+    "Stdlib.String.equal"; "Stdlib.Bytes.equal"; "Stdlib.String.compare";
+    "Stdlib.Bytes.compare"; "Stdlib.compare"; "Stdlib.Digest.equal"; "Stdlib.Digest.compare";
   ]
 
 let ct_equality =
@@ -139,9 +119,7 @@ let ct_equality =
             Printf.sprintf
               "variable-time comparison %s in a constant-time module; use Ct.equal" name)
           "ct-equality" ctx uses
-        (* polymorphic =/<> on a secret-flagged name: without types the
-           rule cannot judge arbitrary operands, but it sees a flagged
-           name handed to the operator *)
+        (* polymorphic =/<> on a secret-flagged name *)
         @ equality_check
             ~pick:(fun ctx e ->
               Option.bind (dotted e) (fun n -> if is_secret ctx n then Some n else None))
@@ -160,9 +138,9 @@ let ct_equality =
    an abstract block) or gets expensive to deep-compare — exactly what
    happened when buckets moved behind the epoch engine. In lib/pir and
    lib/store the rule is: [Option.is_none]/[Option.is_some] for option
-   tests, typed [equal] functions otherwise. Without types the rule
-   flags the two shapes that cover the bug class: a bare polymorphic
-   [compare], and [=]/[<>] applied to a [None]/[Some] constructor. *)
+   tests, typed [equal] functions otherwise. The rule flags the two
+   shapes that cover the bug class: [Stdlib.compare], and [=]/[<>]
+   applied to a [None]/[Some] constructor. *)
 let poly_compare =
   {
     name = "poly-compare";
@@ -172,18 +150,15 @@ let poly_compare =
     applies = (fun ctx -> in_lib ctx && (has_segment ctx "pir" || has_segment ctx "store"));
     check =
       (fun ctx uses ->
-        banned_names ~exact:[ "compare"; "Stdlib.compare" ] ~prefixes:[]
+        banned_names ~exact:[ "Stdlib.compare" ] ~prefixes:[]
           ~msg:(fun name ->
             Printf.sprintf "polymorphic %s in a store module; use a typed compare function"
               name)
           "poly-compare" ctx uses
         @ equality_check
-            ~pick:(fun _ (e : Parsetree.expression) ->
-              match e.pexp_desc with
-              | Pexp_construct (c, _) -> (
-                  match Syntax.last_seg (Syntax.name_of_lid c.txt) with
-                  | ("None" | "Some") as n -> Some n
-                  | _ -> None)
+            ~pick:(fun _ (e : Typedtree.expression) ->
+              match e.exp_desc with
+              | Texp_construct (_, { cstr_name = ("None" | "Some") as n; _ }, _) -> Some n
               | _ -> None)
             ~msg:(fun n ->
               Printf.sprintf
@@ -208,10 +183,9 @@ let nondeterminism =
       banned_names
         ~exact:
           [
-            "Random"; "Unix.time"; "Unix.gettimeofday"; "Sys.time"; "Unix.gmtime";
-            "Unix.localtime";
+            "Unix.time"; "Unix.gettimeofday"; "Stdlib.Sys.time"; "Unix.gmtime"; "Unix.localtime";
           ]
-        ~prefixes:[ "Random."; "Stdlib.Random." ]
+        ~prefixes:[ "Stdlib.Random." ]
         ~msg:(fun name ->
           Printf.sprintf "nondeterministic source %s; route through Det_rng/Drbg" name)
         "nondeterminism";
@@ -241,7 +215,7 @@ let raw_timestamp =
         && ctx.basename <> "det_rng.ml" && ctx.basename <> "drbg.ml");
     check =
       banned_names
-        ~exact:[ "Unix.gettimeofday"; "Unix.time"; "Sys.time" ]
+        ~exact:[ "Unix.gettimeofday"; "Unix.time"; "Stdlib.Sys.time" ]
         ~prefixes:[]
         ~msg:(fun name ->
           Printf.sprintf
@@ -266,10 +240,11 @@ let key_print =
       banned_names
         ~exact:
           [
-            "Printf.printf"; "Printf.eprintf"; "Format.printf"; "Format.eprintf";
-            "print_string"; "print_endline"; "print_newline"; "print_char";
-            "print_bytes"; "print_int"; "print_float"; "prerr_string";
-            "prerr_endline"; "prerr_newline";
+            "Stdlib.Printf.printf"; "Stdlib.Printf.eprintf"; "Stdlib.Format.printf";
+            "Stdlib.Format.eprintf"; "Stdlib.print_string"; "Stdlib.print_endline";
+            "Stdlib.print_newline"; "Stdlib.print_char"; "Stdlib.print_bytes"; "Stdlib.print_int";
+            "Stdlib.print_float"; "Stdlib.prerr_string"; "Stdlib.prerr_endline";
+            "Stdlib.prerr_newline";
           ]
         ~prefixes:[]
         ~msg:(fun name -> Printf.sprintf "console output %s from a crypto module" name)
@@ -292,7 +267,7 @@ let server_abort =
     applies = (fun ctx -> List.mem ctx.basename server_request_files);
     check =
       banned_names
-        ~exact:[ "failwith"; "Stdlib.failwith"; "exit"; "Stdlib.exit" ]
+        ~exact:[ "Stdlib.failwith"; "Stdlib.exit" ]
         ~prefixes:[]
         ~msg:(fun name ->
           Printf.sprintf "%s on a server request path; return a typed error" name)
@@ -332,7 +307,7 @@ let unbounded_wait =
                       "bare wait %s on a request path; route sleeps through Clock" name))
             else
               match List.rev (String.split_on_char '.' name) with
-              | "recv" :: _ :: _ ->
+              | "recv" :: _ when String.starts_with ~prefix:"Lw_net." name ->
                   Some
                     (finding ctx "unbounded-wait" line
                        (Printf.sprintf
@@ -367,7 +342,7 @@ let process_hygiene =
         ~exact:
           [
             "Unix.fork"; "Unix.wait"; "Unix.waitpid"; "Unix.kill"; "Unix.system";
-            "Sys.command";
+            "Stdlib.Sys.command";
           ]
         ~prefixes:[ "Unix.create_process"; "Unix.execv"; "Unix.open_process" ]
         ~msg:(fun name ->

@@ -1,9 +1,11 @@
 (* lw_analysis: the lint pass and the dynamic obliviousness checker.
 
    Three layers: (1) front-end fixtures: the rules read the compiler's
-   parse, so names in strings and comments raise nothing and findings
-   carry their lines, (2) one known-bad and one known-good fixture per
-   rule and analysis (plus pragma suppression), (3) the CI gates — the
+   typed tree, so names in strings and comments raise nothing, names
+   resolve through opens and aliases, and findings carry their lines,
+   (2) one known-bad and one known-good fixture per rule and analysis
+   (plus pragma suppression), each typed against the built libraries,
+   (3) the CI gates — the
    analyzer runs over the repo's own lib/ and must come back clean, so
    every future change is linted by the code it lands next to, and the
    reachability gate reads the build's typed trees for modules and
@@ -21,38 +23,35 @@ let findings_for ?(path = "lib/crypto/fixture.ml") src =
 
 let count_rule rule rules = List.length (List.filter (( = ) rule) rules)
 
-(* The build context this executable was built in (_build/default, the
-   parent of its test/ directory): kernel objects and typed trees are
-   read there, whatever the working directory. *)
-let build_root =
-  let exe = Sys.executable_name in
-  let exe = if Filename.is_relative exe then Filename.concat (Sys.getcwd ()) exe else exe in
-  Filename.concat (Filename.dirname exe) Filename.parent_dir_name
-
-let built rel = Filename.concat build_root rel
+(* Kernel objects are read in the build context, whatever the working
+   directory. *)
+let built rel = Filename.concat Front.build_root rel
 
 (* ------------------------- front end ------------------------- *)
 
-(* What the compiler's lexer makes of a source decides what the rules
-   see: a name inside a string or a comment is no code, and no literal
-   inside a comment may hide the code after it. Each fixture sits under
-   lib/core/zltp_server.ml, where server-abort (failwith), nondeterminism
-   (Random) and raw-timestamp apply. *)
+(* What the compiler makes of a source decides what the rules see: a
+   name inside a string or a comment is no code, no literal inside a
+   comment may hide the code after it, and a name is the value the typer
+   resolved it to. Each fixture sits under lib/core/zltp_server.ml, where
+   server-abort (failwith), nondeterminism (Random) and raw-timestamp
+   apply. *)
 let front src = findings_for ~path:"lib/core/zltp_server.ml" src
 
 let test_lexer_idents_and_keywords () =
   Alcotest.(check (list string)) "dotted name read whole" [ "ct-equality" ]
-    (findings_for "let x = String.equal a b");
+    (findings_for "let x a b = String.equal a b");
   Alcotest.(check (list string)) "deep path read whole" []
-    (findings_for "let x = Lw_crypto.Ct.equal a b");
+    (findings_for "let x a b = Lw_crypto.Ct.equal a b");
   Alcotest.(check (list string)) "a path holding Random. is not Random" []
-    (front "let x = Not_random.int 6 + Lw_util.Det_rng.int rng 6");
+    (front
+       "module Not_random = struct let int n = n end\n\
+        let x rng = Not_random.int 6 + Lw_util.Det_rng.int rng 6");
   Alcotest.(check (list string)) "a module name is a name" [ "nondeterminism" ]
     (front "let roll () = let open Random in int 6")
 
 let test_lexer_strings_opaque () =
   Alcotest.(check (list string)) "names inside a string" []
-    (front {|let x = "failwith if Random.int" ^ y|});
+    (front {|let x y = "failwith if Random.int" ^ y|});
   Alcotest.(check (list string)) "behind an escaped quote" []
     (front "let x = \"a\\\"b Random.int\" in x");
   Alcotest.(check (list string)) "inside a quoted string" []
@@ -92,8 +91,21 @@ let test_lexer_line_numbers () =
   Alcotest.(check (list (pair string int))) "finding at line 3" [ ("nondeterminism", 3) ]
     (List.map (fun f -> (f.Report.rule, f.Report.line)) r.Analyzer.findings)
 
-(* The rules read the parse, so a file without one raises its
-   parse-error finding and nothing else, here not the ct-equality the
+(* A name outside the code a rule names, through a local open or a
+   module alias, is still that name: [Unix.gettimeofday] under either is
+   a raw timestamp and a nondeterministic source. *)
+let test_front_resolved_names () =
+  let both = [ "nondeterminism"; "raw-timestamp" ] in
+  let sorted src = List.sort String.compare (front src) in
+  Alcotest.(check (list string)) "under let open" both
+    (sorted "let now () = let open Unix in gettimeofday ()");
+  Alcotest.(check (list string)) "through a module alias" both
+    (sorted "module U = Unix\nlet now () = U.gettimeofday ()");
+  Alcotest.(check (list string)) "a same-named function is not it" []
+    (sorted "let gettimeofday () = 0.\nlet now () = gettimeofday ()")
+
+(* The rules read the typed tree, so a source without one raises its
+   typed-tree finding and nothing else, here not the ct-equality the
    first line would give. The finding carries the compiler's line and
    text: the parser meets the end of input (line 3) still wanting the
    operand [let broken = (] opened, and a stray [)] stops it on its own
@@ -105,12 +117,12 @@ let test_parse_error_alone () =
   in
   (match parse_error "let check a b = String.equal a b\nlet broken = (\n" with
   | [ (rule, line, message) ] ->
-      Alcotest.(check (pair string int)) "parse-error alone, at the end of input"
-        ("parse-error", 3) (rule, line);
+      Alcotest.(check (pair string int)) "typed-tree alone, at the end of input"
+        ("typed-tree", 3) (rule, line);
       Alcotest.(check bool) ("the compiler's text, not the exception: " ^ message) true
-        (String.starts_with ~prefix:"source does not parse: Syntax error" message)
-  | fs -> Alcotest.failf "%d findings, want one parse-error" (List.length fs));
-  Alcotest.(check (list (pair string int))) "a stray paren at its line" [ ("parse-error", 2) ]
+        (String.starts_with ~prefix:"no typed tree: Syntax error" message)
+  | fs -> Alcotest.failf "%d findings, want one typed-tree" (List.length fs));
+  Alcotest.(check (list (pair string int))) "a stray paren at its line" [ ("typed-tree", 2) ]
     (List.map (fun (r, l, _) -> (r, l)) (parse_error "let a = 1\nlet b = )\nlet c = 3\n"))
 
 let test_rule_ct_equality () =
@@ -129,7 +141,7 @@ let test_rule_ct_equality () =
   Alcotest.(check int) "Stdlib.( = ) caught" 1
     (count_rule "ct-equality"
        (findings_for "(* lw-lint: secret tag *)\nlet ok tag exp = Stdlib.( = ) tag exp"));
-  let good = "let check a b = Ct.equal a b" in
+  let good = "let check a b = Lw_crypto.Ct.equal a b" in
   Alcotest.(check int) "good clean" 0 (count_rule "ct-equality" (findings_for good));
   (* let-bindings of secret-flagged names are binders, not comparisons *)
   let binder = "(* lw-lint: secret mask *)\nlet f bit = let mask = bit land 1 in mask" in
@@ -153,11 +165,13 @@ let test_rule_secret_branch () =
   in
   Alcotest.(check (list int)) "match caught" [ 2 ] (taint_lines bad_match);
   (* the field path k.cond still trips the flag on cond *)
-  let bad_field = "(* lw-lint: secret cond *)\nlet f k = if k.cond then 1 else 0" in
+  let bad_field =
+    "(* lw-lint: secret cond *) type k = { cond : bool }\nlet f k = if k.cond then 1 else 0"
+  in
   Alcotest.(check (list int)) "field access caught" [ 2 ] (taint_lines bad_field);
   let good =
     "(* lw-lint: secret cond *)\n\
-     let sel cond a b = Ct.select_int (Bool.to_int cond) a b"
+     let sel cond a b = Lw_crypto.Ct.select_int (Bool.to_int cond) a b"
   in
   Alcotest.(check (list int)) "arithmetic select clean" [] (taint_lines good);
   (* without a secret flag there is nothing to protect *)
@@ -174,7 +188,7 @@ let test_rule_secret_branch_lane_kernel () =
     "(* lw-lint: secret ma *)\n\
      let lane ~bits ~p0 ~s0 ~src ~dst =\n\
     \  let ma = (Char.code (Bytes.unsafe_get bits p0) lsr s0) land 1 in\n\
-    \  if ma = 1 then Xorbuf.xor_into ~src ~src_pos:0 ~dst ~dst_pos:0 ~len:8\n"
+    \  if ma = 1 then Lw_util.Xorbuf.xor_into ~src ~src_pos:0 ~dst ~dst_pos:0 ~len:8\n"
   in
   Alcotest.(check (list int)) "branch on a lane bit caught" [ 4 ] (taint_lines ~path dirty);
   let clean =
@@ -486,19 +500,19 @@ let test_c_kernel_jumps_pinned () =
 
 let test_rule_poly_compare () =
   (* the Store.insert bug shape: option tested with polymorphic = *)
-  let bad_opt = "let fresh t key = find t key = None" in
+  let bad_opt = "let fresh t key = Hashtbl.find_opt t key = None" in
   Alcotest.(check int) "option = None caught" 1
     (count_rule "poly-compare" (findings_for ~path:"lib/pir/fixture.ml" bad_opt));
   Alcotest.(check int) "also in lib/store" 1
     (count_rule "poly-compare" (findings_for ~path:"lib/store/fixture.ml" bad_opt));
-  let bad_ne = "let stale t key = cached t key <> None" in
+  let bad_ne = "let stale t key = Hashtbl.find_opt t key <> None" in
   Alcotest.(check int) "<> None caught" 1
     (count_rule "poly-compare" (findings_for ~path:"lib/pir/fixture.ml" bad_ne));
   let bad_cmp = "let order a b = compare a b" in
   Alcotest.(check int) "bare compare caught" 1
     (count_rule "poly-compare" (findings_for ~path:"lib/store/fixture.ml" bad_cmp));
   (* the fixes the rule pushes you towards are clean *)
-  let good = "let fresh t key = Option.is_none (find t key)" in
+  let good = "let fresh t key = Option.is_none (Hashtbl.find_opt t key)" in
   Alcotest.(check int) "Option.is_none clean" 0
     (count_rule "poly-compare" (findings_for ~path:"lib/pir/fixture.ml" good));
   let good_typed = "let order a b = Int.compare a b" in
@@ -508,7 +522,9 @@ let test_rule_poly_compare () =
   let binder = "let prior = None in ignore prior" in
   Alcotest.(check int) "let binder clean" 0
     (count_rule "poly-compare" (findings_for ~path:"lib/pir/fixture.ml" binder));
-  let record = "let make () = { count = 0; pending = None }" in
+  let record =
+    "type r = { count : int; pending : int option }\nlet make () = { count = 0; pending = None }"
+  in
   Alcotest.(check int) "record field clean" 0
     (count_rule "poly-compare" (findings_for ~path:"lib/pir/fixture.ml" record));
   (* an optional argument's default is no comparison; a constrained
@@ -577,7 +593,7 @@ let test_rule_key_print () =
     (count_rule "key-print" (findings_for ~path:"lib/core/fixture.ml" bad))
 
 let test_rule_server_abort () =
-  let bad = "let handle req = if bad req then failwith \"boom\" else ok req" in
+  let bad = "let handle req = if req < 0 then failwith \"boom\" else req" in
   let path = "lib/core/zltp_server.ml" in
   Alcotest.(check int) "failwith caught" 1
     (count_rule "server-abort" (findings_for ~path bad));
@@ -614,7 +630,9 @@ let test_rule_unbounded_wait () =
 
 let test_rule_process_hygiene () =
   (* spawning/reaping/signalling processes outside lib/cluster *)
-  let bad_spawn = "let p = Unix.create_process prog argv stdin stdout stderr" in
+  let bad_spawn =
+    "let p prog argv = Unix.create_process prog argv Unix.stdin Unix.stdout Unix.stderr"
+  in
   Alcotest.(check int) "create_process caught" 1
     (count_rule "process-hygiene" (findings_for ~path:"lib/net/fixture.ml" bad_spawn));
   let bad_reap = "let rec reap () = ignore (Unix.waitpid [] (-1))" in
@@ -707,7 +725,7 @@ let test_taint_through_helper () =
   let clean =
     "(* lw-lint: secret key *)\n\
      let choose c a b = if c then a else b\n\
-     let use key = choose 0 key key\n"
+     let use key = choose true key key\n"
   in
   Alcotest.(check int) "data-position args clean" 0
     (count_rule "taint" (findings_for ~path:"lib/core/fixture.ml" clean));
@@ -715,10 +733,26 @@ let test_taint_through_helper () =
   let declass =
     "(* lw-lint: secret key *)\n\
      let choose c a b = if c then a else b\n\
-     let use key = choose (String.length key) 1 2\n"
+     let use key = choose (String.length key > 3) 1 2\n"
   in
   Alcotest.(check int) "declassified length clean" 0
     (count_rule "taint" (findings_for ~path:"lib/core/fixture.ml" declass))
+
+(* Declassification is by full path: a function of the fixture's own
+   that is merely named [length] launders nothing. *)
+let test_taint_declassified_by_path () =
+  let own =
+    "(* lw-lint: secret key *)\n\
+     let length k = k + 1\n\
+     let use key = if length key > 3 then 1 else 2\n"
+  in
+  Alcotest.(check (list int)) "a local length is no declassifier" [ 3 ]
+    (taint_lines ~path:"lib/core/fixture.ml" own);
+  let stdlib =
+    "(* lw-lint: secret key *)\nlet use key = if String.length key > 3 then 1 else 2\n"
+  in
+  Alcotest.(check (list int)) "String.length is one" []
+    (taint_lines ~path:"lib/core/fixture.ml" stdlib)
 
 let test_taint_labelled_arguments () =
   (* a call that omits an optional argument binds its positional
@@ -734,7 +768,7 @@ let test_taint_labelled_arguments () =
     >= 1);
   Alcotest.(check int) "secret in data positions clean" 0
     (count_rule "taint"
-       (findings_for ~path:"lib/core/fixture.ml" (helper ^ "let use key = choose 0 key key\n")));
+       (findings_for ~path:"lib/core/fixture.ml" (helper ^ "let use key = choose true key key\n")));
   Alcotest.(check int) "labelled arguments bind by label" 0
     (count_rule "taint"
        (findings_for ~path:"lib/core/fixture.ml"
@@ -761,7 +795,7 @@ let test_taint_dpf_source_to_index () =
   let dirty =
     "let f rng buf =\n\
     \  let k0, _ = Lw_dpf.Dpf.gen ~domain_bits:4 ~alpha:1 rng in\n\
-    \  Bytes.get buf (Stdlib.Char.code (Bytes.get k0 0))\n"
+    \  Bytes.get buf (Stdlib.Char.code (Lw_dpf.Dpf.serialize k0).[0])\n"
   in
   Alcotest.(check bool) "dpf key indexing caught" true
     (count_rule "taint" (findings_for ~path:"lib/pir/fixture.ml" dirty) >= 1)
@@ -773,7 +807,7 @@ let test_taint_partial_application () =
     "let f rng buf indices =\n\
     \  let draw = List.map (fun alpha -> Lw_dpf.Dpf.gen ~domain_bits:4 ~alpha rng) in\n\
     \  let k0, _ = List.hd (draw indices) in\n\
-    \  Bytes.get buf (Stdlib.Char.code (Bytes.get k0 0))\n"
+    \  Bytes.get buf (Stdlib.Char.code (Lw_dpf.Dpf.serialize k0).[0])\n"
   in
   Alcotest.(check bool) "partial application caught" true
     (count_rule "taint" (findings_for ~path:"lib/pir/fixture.ml" dirty) >= 1)
@@ -913,7 +947,7 @@ let test_race_partitioned_scan_fixtures () =
      XOR-reduced by the spawning domain (no shared mutable capture) *)
   let path = "lib/pir/fixture.ml" in
   let dirty =
-    "let scan_parallel part =\n\
+    "let scan_parallel part part_bytes =\n\
     \  let acc = Bytes.create 32 in\n\
     \  let doms =\n\
     \    List.init 4 (fun w ->\n\
@@ -974,7 +1008,7 @@ let test_race_partitioned_scan_fixtures () =
   let workers =
     "let scan_parallel () =\n\
     \  let acc = Bytes.create 32 in\n\
-    \  Server.run_workers 4 (fun w -> Bytes.set acc w 'x')\n"
+    \  Lw_pir.Server.run_workers 4 (fun w -> Bytes.set acc w 'x')\n"
   in
   Alcotest.(check bool) "run_workers closure caught" true
     (count_rule "race" (findings_for ~path workers) >= 1)
@@ -985,7 +1019,7 @@ let test_balance_pin_lifecycle () =
   let leak_on_raise =
     "let read st =\n\
     \  let snap = Lw_store.pin_latest st in\n\
-    \  let v = Lw_store.read_bucket st snap 0 in\n\
+    \  let v = Lw_store.Snapshot.get snap 0 in\n\
     \  Lw_store.unpin st snap;\n\
     \  v\n"
   in
@@ -998,7 +1032,7 @@ let test_balance_pin_lifecycle () =
   let never =
     "let read st =\n\
     \  let snap = Lw_store.pin_latest st in\n\
-    \  Lw_store.read_bucket st snap 0\n"
+    \  Lw_store.Snapshot.get snap 0\n"
   in
   Alcotest.(check bool) "never-released caught" true
     (count_rule "balance" (findings_for ~path never) >= 1);
@@ -1008,13 +1042,14 @@ let test_balance_pin_lifecycle () =
     \  let snap = Lw_store.pin_latest st in\n\
     \  Fun.protect\n\
     \    ~finally:(fun () -> Lw_store.unpin st snap)\n\
-    \    (fun () -> Lw_store.read_bucket st snap 0)\n"
+    \    (fun () -> Lw_store.Snapshot.get snap 0)\n"
   in
   Alcotest.(check int) "Fun.protect clean" 0
     (count_rule "balance" (findings_for ~path clean));
   (* handing the pin off into a longer-lived structure is also fine *)
   let handoff =
-    "let open_view st =\n\
+    "type view = { store : Lw_store.t; snap : Lw_store.snapshot }\n\
+     let open_view st =\n\
     \  let snap = Lw_store.pin_latest st in\n\
     \  { store = st; snap }\n"
   in
@@ -1030,7 +1065,7 @@ let test_balance_pin_result_match () =
     "let pin_store store ~epoch =\n\
     \  match Lw_store.pin store ~epoch with\n\
     \  | Ok snap -> Ok snap\n\
-    \  | Error e -> Error (pin_error_wire ~epoch e)\n"
+    \  | Error e -> Error (epoch, e)\n"
   in
   Alcotest.(check int) "error payload is not a pin" 0
     (count_rule "balance" (findings_for ~path clean));
@@ -1038,7 +1073,7 @@ let test_balance_pin_result_match () =
     "let epoch_of store ~epoch =\n\
     \  match Lw_store.pin store ~epoch with\n\
     \  | Ok snap -> Lw_store.Snapshot.epoch snap\n\
-    \  | Error e -> refusal e\n"
+    \  | Error _ -> -1\n"
   in
   let found =
     List.filter
@@ -1053,10 +1088,10 @@ let test_pragma_lines_span () =
   (* one waiver, widened to cover a multi-line expression *)
   let src =
     "(* lw-lint: allow poly-compare lines=3 *)\n\
-     let a t k = find t k = None\n\
-     let b t k = find t k = None\n\
-     let c t k = find t k = None\n\
-     let d t k = find t k = None\n"
+     let a t k = Hashtbl.find_opt t k = None\n\
+     let b t k = Hashtbl.find_opt t k = None\n\
+     let c t k = Hashtbl.find_opt t k = None\n\
+     let d t k = Hashtbl.find_opt t k = None\n"
   in
   let r = Analyzer.scan_source ~path:"lib/pir/fixture.ml" src in
   Alcotest.(check int) "lines 2-4 waived" 3 r.Analyzer.suppressed;
@@ -1064,7 +1099,7 @@ let test_pragma_lines_span () =
   (* lines=0 restricts the waiver to the pragma's own line *)
   let r0 =
     Analyzer.scan_source ~path:"lib/pir/fixture.ml"
-      "(* lw-lint: allow poly-compare lines=0 *)\nlet a t k = find t k = None\n"
+      "(* lw-lint: allow poly-compare lines=0 *)\nlet a t k = Hashtbl.find_opt t k = None\n"
   in
   Alcotest.(check (list string)) "lines=0 covers nothing below" [ "poly-compare"; "unused-allow" ]
     (List.sort String.compare (List.map (fun f -> f.Report.rule) r0.Analyzer.findings))
@@ -1111,14 +1146,12 @@ let test_taint_local_open () =
 
 (* ------------------------- baseline ------------------------- *)
 
+let finding ?(file = "lib/core/x.ml") ?(scope = "Lightweb.X.send") ?(line = 42) message =
+  { (Report.finding "taint" file line message) with scope }
+
 let test_baseline_matching () =
   let f =
-    {
-      Report.rule = "taint";
-      file = "_build/default/lib/core/x.ml";
-      line = 42;
-      message = "secret-tainted value reaches branch condition (m)";
-    }
+    finding ~file:"_build/default/lib/core/x.ml" "secret-tainted value reaches branch condition (m)"
   in
   let tmp = Filename.temp_file "lw_lint_baseline" ".txt" in
   Fun.protect
@@ -1132,25 +1165,31 @@ let test_baseline_matching () =
       let moved = { f with file = "../lib/core/x.ml"; line = 7 } in
       let fresh, accepted = Baseline.apply entries [ moved ] in
       Alcotest.(check int) "moved finding accepted" 0 (List.length fresh);
-      Alcotest.(check int) "accepted count" 1 accepted;
-      (* a different message is a new finding *)
-      let other = { f with message = "something else" } in
-      let fresh2, _ = Baseline.apply entries [ other ] in
-      Alcotest.(check int) "new message is fresh" 1 (List.length fresh2))
+      Alcotest.(check int) "accepted count" 1 accepted)
+
+(* An entry is keyed by the function its findings sit in, not by their
+   message: clean, the same flow reworded (sent through a helper) inside
+   the same function stays absorbed; dirty, the same finding moved into
+   another function is fresh. *)
+let test_baseline_keyed_by_function () =
+  let f = finding "secret-tainted value reaches branch condition (argument 1 of send_msg)" in
+  let tmp = Filename.temp_file "lw_lint_baseline" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove tmp)
+    (fun () ->
+      Baseline.save tmp [ f ];
+      let fresh g = List.length (fst (Baseline.apply (Baseline.load tmp) [ g ])) in
+      Alcotest.(check int) "clean: a changed message in the same function" 0
+        (fresh { f with message = "secret-tainted value reaches branch condition (argument 5)" });
+      Alcotest.(check int) "dirty: the same finding in another function" 1
+        (fresh { f with scope = "Lightweb.X.receive" }))
 
 (* A baseline entry the scan could have matched but did not is stale: a
    dirty baseline (its finding is gone) reports one, at its line of the
    baseline file; a clean one (its finding is still there) none, and an
    entry outside the scanned paths or rules is not judged. *)
 let test_baseline_stale () =
-  let f =
-    {
-      Report.rule = "taint";
-      file = "lib/core/x.ml";
-      line = 42;
-      message = "secret-tainted value reaches branch condition (m)";
-    }
-  in
+  let f = finding "secret-tainted value reaches branch condition (m)" in
   let tmp = Filename.temp_file "lw_lint_baseline" ".txt" in
   Fun.protect
     ~finally:(fun () -> Sys.remove tmp)
@@ -1180,14 +1219,7 @@ let test_baseline_stale () =
    stale (dirty) where three fill it (clean). [save] writes one entry
    per key with its count. *)
 let test_baseline_counts () =
-  let at line =
-    {
-      Report.rule = "taint";
-      file = "lib/core/x.ml";
-      line;
-      message = "secret-tainted value reaches branch condition (argument 1 of send_msg)";
-    }
-  in
+  let at line = finding ~line "secret-tainted value reaches branch condition (argument 1)" in
   let findings n = List.init n (fun i -> at (10 + i)) in
   let tmp = Filename.temp_file "lw_lint_baseline" ".txt" in
   Fun.protect
@@ -1196,9 +1228,7 @@ let test_baseline_counts () =
       Baseline.save tmp (findings 3);
       let entries = Baseline.load tmp in
       let lines = String.split_on_char '\n' (In_channel.with_open_text tmp In_channel.input_all) in
-      Alcotest.(check string) "save writes the count"
-        "taint\tlib/core/x.ml\t3\tsecret-tainted value reaches branch condition (argument \
-         1 of send_msg)"
+      Alcotest.(check string) "save writes the count" "taint\tlib/core/x.ml\tLightweb.X.send\t3"
         (List.nth lines 3);
       let fresh n = List.map (fun f -> f.Report.line) (fst (Baseline.apply entries (findings n))) in
       Alcotest.(check (list int)) "dirty: a fourth finding is fresh" [ 13 ] (fresh 4);
@@ -1307,12 +1337,50 @@ let test_repo_is_clean () =
           report.Report.findings));
   Alcotest.(check bool) "scanned a real tree" true (report.Report.files_scanned > 60)
 
+(* The scan fails closed: dirty, a source no build stanza compiles has no
+   typed tree, and a built path holding other contents has a stale one;
+   each is a typed-tree finding, never a silent skip. Clean, a copy of a
+   built source is linted through its tree. *)
+let test_missing_typed_tree () =
+  let dir = Filename.temp_file "lw_lint_tree" "" in
+  Sys.remove dir;
+  let files =
+    [
+      ("lib/crypto/orphan.ml", "let x = 1\n");
+      ("lib/dpf/dpf.ml", "let x = 1\n");
+      ( "lib/util/hex.ml",
+        Analyzer.read_file (Option.get (Analyzer.resolve_file "lib/util/hex.ml")) );
+    ]
+  in
+  let rec mkdirs d =
+    if not (Sys.file_exists d) then begin
+      mkdirs (Filename.dirname d);
+      Sys.mkdir d 0o755
+    end
+  in
+  List.iter
+    (fun (rel, src) ->
+      let p = Filename.concat dir rel in
+      mkdirs (Filename.dirname p);
+      Out_channel.with_open_bin p (fun oc -> output_string oc src))
+    files;
+  Fun.protect
+    ~finally:(fun () -> ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
+    (fun () ->
+      let report = Analyzer.scan_paths [ Filename.concat dir "lib" ] in
+      Alcotest.(check (list (triple string string string))) "the unbuilt and the stale source"
+        [
+          ("lib/crypto/orphan.ml", "typed-tree",
+            "no typed tree: no build stanza compiles this source");
+          ("lib/dpf/dpf.ml", "typed-tree",
+            "no typed tree: the .cmt was built from other contents; rebuild");
+        ]
+        (List.map
+           (fun f -> (Front.normalize_path f.Report.file, f.Report.rule, f.Report.message))
+           report.Report.findings);
+      Alcotest.(check int) "scanned all three" 3 report.Report.files_scanned)
+
 (* ------------------------- reachability gate ------------------------- *)
-
-module SS = Set.Make (String)
-
-let module_of_file path =
-  String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
 
 (* The vals an interface exports, each as the module path it sits under
    (the file's module first, then any nested [module M : sig]) and its
@@ -1332,7 +1400,7 @@ let exported_vals ~file src =
         | _ -> [])
       items
   in
-  vals [ module_of_file file ] (Parse.interface lexbuf)
+  vals [ Front.module_of_file file ] (Parse.interface lexbuf)
 
 let rec mli_files_under path =
   if Sys.is_directory path then
@@ -1405,130 +1473,6 @@ let unreached_by_design =
     ("Corpus.to_sites", "a synthetic corpus as sites; the integration pipeline publishes them");
   ]
 
-(* What one compilation unit's typed tree names, every name as the typer
-   resolved it (opens, includes and local module aliases already
-   applied), qualified from a compilation unit: ["Lw_store"; "Snapshot";
-   "pin"]. A [Value] is a value read; everything else (types,
-   constructors, fields, modules) is [Other]. [aliases] are the unit's
-   own module aliases ([module U = L.M], at any depth) by their qualified
-   name, which other units' paths go through. *)
-type use = Value | Other
-
-type facts = {
-  modname : string;
-  source : string;
-  aliases : (string list * string list) list;
-  uses : (use * string list) list;
-}
-
-let facts_of_structure ~modname ~source (str : Typedtree.structure) =
-  let locals = Ident.Tbl.create 16 and prefix = ref [ modname ] in
-  let aliases = ref [] and uses = ref [] in
-  (* a path local to this unit (a let-bound value, a functor parameter,
-     a nested module) names no other unit: [None] *)
-  let rec flatten : Path.t -> string list option = function
-    | Pident id -> (
-        match Ident.Tbl.find_opt locals id with
-        | Some q -> Some q
-        | None -> if Ident.global id then Some [ Ident.name id ] else None)
-    | Pdot (p, s) -> Option.map (fun q -> q @ [ s ]) (flatten p)
-    | Pextra_ty (p, _) -> flatten p
-    | Papply _ -> None
-  in
-  let use kind p = Option.iter (fun q -> uses := (kind, q) :: !uses) (flatten p) in
-  let type_use ty =
-    match Types.get_desc ty with Tconstr (p, _, _) -> use Other p | _ -> ()
-  in
-  let constructor (cd : Types.constructor_description) =
-    match cd.cstr_tag with Cstr_extension (p, _) -> use Other p | _ -> type_use cd.cstr_res
-  in
-  let rec alias_of (me : Typedtree.module_expr) =
-    match me.mod_desc with
-    | Tmod_ident (p, _) -> flatten p
-    | Tmod_constraint (me, _, _, _) -> alias_of me
-    | _ -> None
-  in
-  (* [module U = L.M] binds U to L.M's name: true when [me] is one *)
-  let alias id name me =
-    match alias_of me with
-    | Some q ->
-        Option.iter (fun id -> Ident.Tbl.replace locals id q) id;
-        Option.iter (fun n -> aliases := (!prefix @ [ n ], q) :: !aliases) name;
-        uses := (Other, q) :: !uses;
-        true
-    | None -> false
-  in
-  let open Tast_iterator in
-  let pat : type k. iterator -> k Typedtree.general_pattern -> unit =
-   fun self p ->
-    (match p.pat_desc with
-    | Tpat_construct (_, cd, _, _) -> constructor cd
-    | Tpat_record (fields, _) -> List.iter (fun (_, ld, _) -> type_use ld.Types.lbl_res) fields
-    | _ -> ());
-    default_iterator.pat self p
-  in
-  let it =
-    {
-      default_iterator with
-      pat;
-      expr =
-        (fun self e ->
-          match e.exp_desc with
-          | Texp_letmodule (id, _, _, me, body) when alias id None me -> self.expr self body
-          | desc ->
-              (match desc with
-              | Texp_ident (p, _, _) -> use Value p
-              | Texp_construct (_, cd, _) -> constructor cd
-              | Texp_field (_, _, ld) | Texp_setfield (_, _, ld, _) -> type_use ld.lbl_res
-              | Texp_record { fields; _ } ->
-                  Array.iter (fun (ld, _) -> type_use ld.Types.lbl_res) fields
-              | _ -> ());
-              default_iterator.expr self e);
-      module_binding =
-        (fun self mb ->
-          let name = mb.mb_name.txt in
-          if not (alias mb.mb_id name mb.mb_expr) then begin
-            let saved = !prefix in
-            prefix := saved @ [ Option.value name ~default:"_" ];
-            default_iterator.module_binding self mb;
-            prefix := saved
-          end);
-      module_expr =
-        (fun self me ->
-          match me.mod_desc with
-          | Tmod_ident (p, _) -> use Other p
-          | _ -> default_iterator.module_expr self me);
-      open_description = (fun _ od -> use Other (fst od.open_expr));
-      typ =
-        (fun self t ->
-          (match t.ctyp_desc with
-          | Ttyp_constr (p, _, _) -> use Other p
-          | Ttyp_package pk -> use Other pk.pack_path
-          | _ -> ());
-          default_iterator.typ self t);
-      module_type =
-        (fun self mt ->
-          (match mt.mty_desc with Tmty_ident (p, _) | Tmty_alias (p, _) -> use Other p | _ -> ());
-          default_iterator.module_type self mt);
-    }
-  in
-  it.structure it str;
-  { modname; source; aliases = !aliases; uses = !uses }
-
-(* [q] with the units' module aliases applied until none applies (the
-   compiler rejects a cycle of aliases): a library's [Lightweb.Zltp_wire]
-   is its unit [Lightweb__Zltp_wire]. *)
-let expand aliases q =
-  let rec go pre = function
-    | [] -> List.rev pre
-    | x :: rest -> (
-        let pre = x :: pre in
-        match Hashtbl.find_opt aliases (List.rev pre) with
-        | Some target -> go [] (target @ rest)
-        | None -> go pre rest)
-  in
-  go [] q
-
 (* The gate over [units], the typed trees of lib/, the seeds and
    anything else (tests, which seed nothing), with [mlis] the
    (path, source) interfaces of lib/. The system libraries (lib/ but
@@ -1539,16 +1483,18 @@ let expand aliases q =
    reach. Returns what is unreached or unread and the gate's complaints:
    found but not [listed], listed but not found, or listed but naming
    no module or val. *)
-let reachability ~units ~mlis ~listed =
-  let root u = List.hd (String.split_on_char '/' u.source) in
+let reachability ~(units : Front.unit_ list) ~mlis ~listed =
+  let root (u : Front.unit_) = List.hd (String.split_on_char '/' u.source) in
   let aliases = Hashtbl.create 256 in
-  List.iter (fun u -> List.iter (fun (a, t) -> Hashtbl.replace aliases a t) u.aliases) units;
+  List.iter (fun u -> List.iter (fun (a, t) -> Hashtbl.replace aliases a t) u.Front.aliases) units;
   (* a generated wrapper (a library's or an executable's alias module)
      only passes names on *)
-  let units = List.filter (fun u -> not (String.ends_with ~suffix:"-gen" u.source)) units in
+  let units = List.filter (fun u -> not (String.ends_with ~suffix:"-gen" u.Front.source)) units in
   let uses = Hashtbl.create 256 in
   List.iter
-    (fun u -> Hashtbl.add uses u.modname (List.map (fun (k, q) -> (k, expand aliases q)) u.uses))
+    (fun u ->
+      Hashtbl.add uses u.Front.modname
+        (List.map (fun (k, q) -> (k, Front.expand aliases q)) u.uses))
     units;
   let closure seeds =
     let reached = Hashtbl.create 64 in
@@ -1558,30 +1504,31 @@ let reachability ~units ~mlis ~listed =
         List.iter (List.iter (fun (_, q) -> visit (List.hd q))) (Hashtbl.find_all uses m)
       end
     in
-    List.iter (fun u -> if List.mem (root u) seeds then visit u.modname) units;
+    List.iter (fun (u : Front.unit_) -> if List.mem (root u) seeds then visit u.modname) units;
     reached
   in
   let binaries = [ "bin"; "examples"; "perfbench" ] in
   let by_binaries = closure binaries and by_any = closure ("bench" :: binaries) in
   let lib = List.filter (fun u -> root u = "lib") units in
-  let repro u = String.starts_with ~prefix:"lib/repro/" u.source in
-  let name u = module_of_file u.source in
+  let repro (u : Front.unit_) = String.starts_with ~prefix:"lib/repro/" u.source in
+  let name (u : Front.unit_) = Front.module_of_file u.source in
   let unreached =
     List.filter
-      (fun u -> not (Hashtbl.mem (if repro u then by_any else by_binaries) u.modname))
+      (fun u -> not (Hashtbl.mem (if repro u then by_any else by_binaries) u.Front.modname))
       lib
   in
   let read = Hashtbl.create 1024 in
   Hashtbl.iter
     (fun m () ->
       List.iter
-        (List.iter (fun (k, q) -> if k = Value && List.hd q <> m then Hashtbl.replace read q ()))
+        (List.iter (fun (k, q) ->
+             if k = Front.Value && List.hd q <> m then Hashtbl.replace read q ()))
         (Hashtbl.find_all uses m))
     by_any;
   (* each val of a reached module: its name and its qualified path *)
   let vals =
     List.concat_map
-      (fun u ->
+      (fun (u : Front.unit_) ->
         match List.assoc_opt (u.source ^ "i") mlis with
         | Some src when not (List.memq u unreached) ->
             List.map
@@ -1610,23 +1557,9 @@ let reachability ~units ~mlis ~listed =
   let found = unreached @ unread in
   (found, List.filter_map complaint (found @ List.map fst listed))
 
-(* Types each fixture (path, source) in order, each seeing the ones
-   before it as compilation units, as the compiler would. *)
-let typed_fixtures files =
-  Compmisc.init_path ();
-  let env = ref (Compmisc.initial_env ()) in
-  List.map
-    (fun (source, src) ->
-      let modname = module_of_file source in
-      let str, sg, _, _, _ =
-        Typemod.type_structure !env (Parse.implementation (Lexing.from_string src))
-      in
-      env := Env.add_module (Ident.create_persistent modname) Mp_present (Mty_signature sg) !env;
-      facts_of_structure ~modname ~source str)
-    files
-
 let gate ?(listed = []) ?(mlis = []) files =
-  reachability ~units:(typed_fixtures files) ~mlis ~listed
+  let units = List.filter_map (fun (_, u) -> Result.to_option u) (Front.typed_fixtures files) in
+  reachability ~units ~mlis ~listed
 
 let verdict = Alcotest.(check (pair (list string) (list string)))
 
@@ -1709,25 +1642,6 @@ let test_reach_stale_list () =
     ]
     problems
 
-(* Every typed tree dune wrote for lib/, the seeds and bench/ (their
-   [check] aliases build them before this test runs). *)
-let repo_units () =
-  let rec cmts path =
-    if Sys.is_directory path then
-      Sys.readdir path |> Array.to_list |> List.sort compare
-      |> List.concat_map (fun e -> cmts (Filename.concat path e))
-    else if Filename.check_suffix path ".cmt" && Filename.basename (Filename.dirname path) = "byte"
-    then [ path ]
-    else []
-  in
-  List.concat_map (fun d -> cmts (built d)) [ "lib"; "bin"; "examples"; "perfbench"; "bench" ]
-  |> List.filter_map (fun f ->
-         let cmt = Cmt_format.read_cmt f in
-         match (cmt.cmt_annots, cmt.cmt_sourcefile) with
-         | Implementation str, Some source ->
-             Some (facts_of_structure ~modname:cmt.cmt_modname ~source str)
-         | _ -> None)
-
 let test_repo_reachability () =
   let lib = Option.get (Analyzer.resolve_dir "lib") in
   let mlis =
@@ -1737,7 +1651,10 @@ let test_repo_reachability () =
         ("lib" ^ rel, Analyzer.read_file f))
       (mli_files_under lib)
   in
-  let units = repo_units () in
+  (* every typed tree dune wrote for lib/, the seeds and bench/ (their
+     [check] aliases build them before this test runs) *)
+  let dirs = [ "lib"; "bin"; "examples"; "perfbench"; "bench" ] in
+  let units = List.map (fun (_, (_, u)) -> u) (Front.load dirs) in
   let found, problems = reachability ~units ~mlis ~listed:unreached_by_design in
   Printf.printf "unreached modules and unread vals: %s\n" (String.concat " " found);
   List.iter (Printf.printf "REACH: %s\n") problems;
@@ -1746,24 +1663,26 @@ let test_repo_reachability () =
 
 (* ------------------------- taint tables ------------------------- *)
 
-(* A taint source or traversal the tables name must still exist: a
-   deleted function left in them is a source nothing can call. The
-   tables name a call "Module.f", a nested module by its own name. *)
+(* Every name the taint tables hold must still exist: a source,
+   traversal, declassifier or sink left in them after its function went
+   names nothing. Each must type, by its full path, against the built
+   libraries: a val a lib/ interface exports, or a Stdlib value. *)
 let test_taint_tables_name_exports () =
-  let lib = Option.get (Analyzer.resolve_dir "lib") in
-  let exported =
-    SS.of_list
-      (List.concat_map
-         (fun f ->
-           List.map
-             (fun (path, v) -> List.nth path (List.length path - 1) ^ "." ^ v)
-             (exported_vals ~file:f (Analyzer.read_file f)))
-         (mli_files_under lib))
+  let names =
+    Taint.SS.elements Taint.source_calls
+    @ Taint.SS.elements Taint.declassified_calls
+    @ List.concat_map (List.map fst) [ Taint.hof_seeds; Taint.index_sinks; Taint.alloc_sinks ]
+    @ List.map fst Taint.writer_calls
   in
-  let named = Taint.SS.elements Taint.source_calls @ List.map fst Taint.hof_seeds in
-  Alcotest.(check (list string)) "names no interface exports" []
-    (List.filter (fun n -> not (SS.mem n exported)) named);
-  Alcotest.(check bool) "read real interfaces" true (SS.mem "Dpf.gen" exported)
+  let types name =
+    let i = String.rindex name '.' in
+    let path, value = (String.sub name 0 i, String.sub name (i + 1) (String.length name - i - 1)) in
+    let src = Printf.sprintf "let _ = %s.( %s )" path value in
+    Result.is_ok (snd (List.hd (Front.typed_fixtures [ ("lib/core/tables.ml", src) ])))
+  in
+  Alcotest.(check (list string)) "names no exported val" []
+    (List.filter (fun n -> not (types n)) names);
+  Alcotest.(check bool) "a name nothing exports is caught" false (types "Lw_dpf.Dpf.eval_leaf")
 
 (* Each module moved into lw_repro keeps its old subdirectory name, so
    every path-keyed lint rule that applied at its old path still applies. *)
@@ -1884,6 +1803,8 @@ let () =
             test_lexer_comment_nesting_regressions;
           Alcotest.test_case "line numbers" `Quick test_lexer_line_numbers;
           Alcotest.test_case "parse-error alone" `Quick test_parse_error_alone;
+          Alcotest.test_case "names resolved through opens and aliases" `Quick
+            test_front_resolved_names;
         ] );
       ( "rules",
         [
@@ -1907,6 +1828,8 @@ let () =
       ( "analyses",
         [
           Alcotest.test_case "taint through helper" `Quick test_taint_through_helper;
+          Alcotest.test_case "taint declassifies by full path" `Quick
+            test_taint_declassified_by_path;
           Alcotest.test_case "taint binds labelled arguments" `Quick
             test_taint_labelled_arguments;
           Alcotest.test_case "taint through a function-form match" `Quick
@@ -1934,6 +1857,7 @@ let () =
       ( "baseline",
         [
           Alcotest.test_case "line-free matching" `Quick test_baseline_matching;
+          Alcotest.test_case "keyed by function" `Quick test_baseline_keyed_by_function;
           Alcotest.test_case "missing file" `Quick test_baseline_missing_file;
           Alcotest.test_case "stale entries reported" `Quick test_baseline_stale;
           Alcotest.test_case "counted entries" `Quick test_baseline_counts;
@@ -1943,6 +1867,8 @@ let () =
       ( "ci-gate",
         [
           Alcotest.test_case "repo lints clean vs baseline" `Quick test_repo_is_clean;
+          Alcotest.test_case "a source without a fresh typed tree is a finding" `Quick
+            test_missing_typed_tree;
           Alcotest.test_case "taint tables name exported vals" `Quick
             test_taint_tables_name_exports;
         ] );
