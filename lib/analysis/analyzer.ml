@@ -133,9 +133,10 @@ let place (u : Front.unit_) =
 
 (* Lint a batch of sources, each with its typed tree or, without one, the
    line and why. The rules are per-file, but the taint analysis builds
-   one call graph over the whole batch so summaries cross file (and
-   library) boundaries. *)
-let scan_units ?(rules = Rules.all) ?(analyses = all_analyses) typed =
+   one call graph over the whole batch and the [context] units (typed
+   trees that are not reported) so summaries cross file (and library)
+   boundaries whichever files are scanned. *)
+let scan_units ?(rules = Rules.all) ?(analyses = all_analyses) ?(context = []) typed =
   let enabled a = List.mem a analyses in
   let typed =
     List.map
@@ -163,16 +164,12 @@ let scan_units ?(rules = Rules.all) ?(analyses = all_analyses) typed =
   let taint_findings =
     if not (enabled "taint") then []
     else
-      let inputs =
-        List.map
-          (fun (u, pragmas) ->
-            {
-              Taint.i_unit = u;
-              i_secrets = Taint.SS.of_seq (Seq.map fst (Hashtbl.to_seq pragmas.secrets));
-            })
-          units
+      let input (u : Front.unit_) pragmas =
+        { Taint.i_unit = u; i_secrets = Taint.SS.of_seq (Seq.map fst (Hashtbl.to_seq pragmas.secrets)) }
       in
-      Taint.analyze inputs
+      Taint.analyze
+        ~context:(List.map (fun u -> input u (collect_pragmas u.Front.comments)) context)
+        (List.map (fun (u, pragmas) -> input u pragmas) units)
   in
   let race_findings = if enabled "race" then for_each (fun u _ -> Race.analyze_file u) else [] in
   let balance_findings =
@@ -224,9 +221,15 @@ let scan_units ?(rules = Rules.all) ?(analyses = all_analyses) typed =
 
 (* Lint in-memory sources: each is typed against the built libraries,
    seeing the ones before it, so tests can hand in fixtures under virtual
-   paths like "lib/crypto/fixture.ml", which decide the rules that apply. *)
-let scan_sources ?rules ?analyses files =
-  scan_units ?rules ?analyses (Front.typed_fixtures files)
+   paths like "lib/crypto/fixture.ml", which decide the rules that apply.
+   The [context] sources are typed first and lend the taint analysis
+   their summaries, as the built libraries do to [scan_paths]. *)
+let scan_sources ?rules ?analyses ?(context = []) files =
+  let typed = Front.typed_fixtures (context @ files) in
+  let context, typed = List.partition (fun (path, _) -> List.mem_assoc path context) typed in
+  scan_units ?rules ?analyses
+    ~context:(List.filter_map (fun (_, t) -> Result.to_option t) context)
+    typed
 
 (* Lint one in-memory source. *)
 let scan_source ?rules ?analyses ~path src =
@@ -252,7 +255,8 @@ let rec ml_files_under path =
   else []
 
 (* Lint every .ml file under [paths] (files or directories) through the
-   typed tree the build wrote for it. *)
+   typed tree the build wrote for it. Every built library unit the scan
+   does not cover lends the taint analysis its summaries. *)
 let scan_paths ?rules ?analyses paths =
   let clock = Lw_obs.Span.clock () in
   let t0 = Lw_obs.Clock.now clock in
@@ -262,10 +266,17 @@ let scan_paths ?rules ?analyses paths =
   let built =
     Front.load
       (List.sort_uniq compare
-         (List.map (fun (_, key) -> List.hd (String.split_on_char '/' key)) files))
+         ("lib" :: List.map (fun (_, key) -> List.hd (String.split_on_char '/' key)) files))
+  in
+  let context =
+    List.filter_map
+      (fun (source, (_, u)) ->
+        let scanned = List.exists (fun (_, key) -> String.equal key source) files in
+        if String.starts_with ~prefix:"lib/" source && not scanned then Some u else None)
+      built
   in
   let results =
-    scan_units ?rules ?analyses
+    scan_units ?rules ?analyses ~context
       (List.map
          (fun (f, key) ->
            ( f,

@@ -220,16 +220,20 @@ let rec byte_dirs dir =
     Sys.readdir dir |> Array.to_list |> List.sort compare
     |> List.concat_map (fun e -> byte_dirs (Filename.concat dir e))
 
-(* Every typed tree the build wrote under [dirs] (relative to the build
-   root), by the source path the build compiled: "lib/dpf/dpf.ml" ->
-   (digest of that source, unit). *)
-let load dirs =
-  let aliases = Hashtbl.create 256 in
+(* The typed trees the build wrote under [dirs] (relative to the build
+   root), each file with suffix [suffix]: ".cmt" or ".cmti". *)
+let cmt_files suffix dirs =
   List.concat_map (fun d -> byte_dirs (Filename.concat build_root d)) dirs
   |> List.concat_map (fun dir ->
          Sys.readdir dir |> Array.to_list |> List.sort compare
-         |> List.filter (fun f -> Filename.check_suffix f ".cmt")
+         |> List.filter (fun f -> Filename.check_suffix f suffix)
          |> List.map (Filename.concat dir))
+
+(* Every typed tree the build wrote under [dirs], by the source path the
+   build compiled: "lib/dpf/dpf.ml" -> (digest of that source, unit). *)
+let load dirs =
+  let aliases = Hashtbl.create 256 in
+  cmt_files ".cmt" dirs
   |> List.filter_map (fun file ->
          let cmt = Cmt_format.read_cmt file in
          match (cmt.cmt_annots, cmt.cmt_sourcefile) with
@@ -239,6 +243,16 @@ let load dirs =
                  ( cmt.cmt_source_digest,
                    of_structure aliases ~source ~modname:cmt.cmt_modname ~comments:cmt.cmt_comments
                      str ) )
+         | _ -> None)
+
+(* Every interface the build typed under [dirs], by its source path:
+   "lib/dpf/dpf.mli" -> its signature. *)
+let interfaces dirs =
+  cmt_files ".cmti" dirs
+  |> List.filter_map (fun file ->
+         let cmt = Cmt_format.read_cmt file in
+         match (cmt.cmt_annots, cmt.cmt_sourcefile) with
+         | Interface sg, Some source -> Some (source, sg)
          | _ -> None)
 
 (* A path as the build names its source: from the first repo root on
@@ -269,11 +283,14 @@ let include_dirs =
     (List.map (Filename.concat Config.standard_library) [ "unix"; "threads" ]
     @ byte_dirs (Filename.concat build_root "lib"))
 
-let typed_fixtures files =
+let fixture_env () =
   ignore (Warnings.parse_options false "-a");
   Clflags.include_dirs := Lazy.force include_dirs;
   Compmisc.init_path ();
-  let env = ref (Compmisc.initial_env ()) and aliases = Hashtbl.create 16 in
+  Compmisc.initial_env ()
+
+let typed_fixtures files =
+  let env = ref (fixture_env ()) and aliases = Hashtbl.create 16 in
   List.map
     (fun (source, src) ->
       let modname = module_of_file source in
@@ -293,6 +310,14 @@ let typed_fixtures files =
               (source, Error (line main.loc, Format.asprintf "%t" main.txt))
           | Some `Already_displayed | None -> (source, Error (1, Printexc.to_string e))))
     files
+
+(* An interface fixture (path, source) typed the same way, for tests
+   that stand in for the build's .cmti files; raises if it does not type. *)
+let typed_interface (source, src) =
+  let env = fixture_env () in
+  let lexbuf = Lexing.from_string src in
+  Location.init lexbuf source;
+  (source, Typemod.type_interface env (Parse.interface lexbuf))
 
 (* ------------------------------------------------------------------ *)
 (* Walking typed trees                                                 *)

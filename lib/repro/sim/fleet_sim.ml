@@ -51,20 +51,6 @@ let default =
     seed = "fleet-sim";
   }
 
-let smoke =
-  {
-    default with
-    shard_bits = 4;
-    domain_bits = 9;
-    bucket_size = 64;
-    batch_size = 4;
-    calib_batches = 2;
-    queries_per_point = 24;
-    load_fractions = [ 0.5; 1.2 ];
-    key_pool = 16;
-    seed = "fleet-smoke";
-  }
-
 type point = {
   fraction : float; (* of measured capacity *)
   offered_rps : float;

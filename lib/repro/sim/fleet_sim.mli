@@ -39,11 +39,6 @@ type params = {
 val default : params
 (** 64 shards over a 4 MiB database, batch 16, load 0.5 and 0.9. *)
 
-val smoke : params
-(** Tiny deterministic-geometry variant for the [@fleet] CI alias:
-    16 shards, 32 KiB database, 24 queries per point (one point past
-    saturation to exercise the queue-growth path). *)
-
 type point = {
   fraction : float;  (** of measured capacity *)
   offered_rps : float;

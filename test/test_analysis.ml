@@ -1144,6 +1144,38 @@ let test_taint_local_open () =
     (taint (secret ^ "let f key = let open Opened in masked key\n"));
   Alcotest.(check int) "clean: M.( )" 0 (taint (secret ^ "let f key = Opened.(masked key)\n"))
 
+(* A caller scanned alone is judged by its library callees' summaries,
+   as in a scan of both: [width] drops its secret argument, so [f]'s
+   branch is clean and the allow in [h] suppresses nothing; [branchy]
+   branches on its argument, so [g] is a finding. *)
+let test_taint_caller_alone () =
+  let callee =
+    ( "lib/core/callee.ml",
+      "let width _key n = n * 2\nlet branchy x = if x > 0 then 1 else 0\n" )
+  in
+  let caller =
+    ( "bench/caller.ml",
+      "(* lw-lint: secret key *)\n\
+       let f key = if Callee.width key 3 > 4 then 1 else 0\n\
+       let g key = Callee.branchy key\n\
+       (* lw-lint: allow taint *)\n\
+       let h key = if Callee.width key 5 > 4 then 1 else 0\n" )
+  in
+  let of_caller results =
+    List.concat_map
+      (fun (path, r) ->
+        if path = fst caller then
+          List.map (fun f -> (f.Report.rule, f.Report.line)) r.Analyzer.findings
+        else [])
+      results
+  in
+  let both = of_caller (Analyzer.scan_sources [ callee; caller ]) in
+  Alcotest.(check (list (pair string int))) "scanned with its callee"
+    [ ("taint", 3); ("unused-allow", 4) ]
+    (List.sort compare both);
+  Alcotest.(check (list (pair string int))) "scanned alone" (List.sort compare both)
+    (List.sort compare (of_caller (Analyzer.scan_sources ~context:[ callee ] [ caller ])))
+
 (* ------------------------- baseline ------------------------- *)
 
 let finding ?(file = "lib/core/x.ml") ?(scope = "Lightweb.X.send") ?(line = 42) message =
@@ -1311,7 +1343,9 @@ let test_report_json_shape () =
 
 (* The whole repo — lib/, bin/ and bench/ — must lint clean modulo the
    checked-in baseline: the delta against lint_baseline.txt is empty.
-   A fresh finding here is a fresh finding in CI. *)
+   A fresh finding here is a fresh finding in CI. bench/ scanned alone
+   gets the findings the whole scan gives it: the library units it does
+   not scan still lend the taint analysis their summaries. *)
 let test_repo_is_clean () =
   let roots = List.filter_map Analyzer.resolve_dir [ "lib"; "bin"; "bench" ] in
   if List.length roots <> 3 then
@@ -1335,7 +1369,19 @@ let test_repo_is_clean () =
     (List.length
        (Baseline.stale ~baseline_file:"lint_baseline.txt" ~roots ~rules:None baseline
           report.Report.findings));
-  Alcotest.(check bool) "scanned a real tree" true (report.Report.files_scanned > 60)
+  Alcotest.(check bool) "scanned a real tree" true (report.Report.files_scanned > 60);
+  let bench = List.nth roots 2 in
+  let of_bench fs =
+    List.filter_map
+      (fun f ->
+        if String.starts_with ~prefix:bench f.Report.file then
+          Some (Printf.sprintf "%s:%d: [%s] %s" f.Report.file f.Report.line f.Report.rule
+                  f.Report.message)
+        else None)
+      fs
+  in
+  Alcotest.(check (list string)) "bench/ scanned alone" (of_bench report.Report.findings)
+    (of_bench (Analyzer.scan_paths [ bench ]).Report.findings)
 
 (* The scan fails closed: dirty, a source no build stanza compiles has no
    typed tree, and a built path holding other contents has a stale one;
@@ -1382,33 +1428,22 @@ let test_missing_typed_tree () =
 
 (* ------------------------- reachability gate ------------------------- *)
 
-(* The vals an interface exports, each as the module path it sits under
-   (the file's module first, then any nested [module M : sig]) and its
-   name. *)
-let exported_vals ~file src =
-  let lexbuf = Lexing.from_string src in
-  Location.init lexbuf file;
-  let rec vals m (items : Parsetree.signature) =
+(* The vals an interface's typed signature exports, each as the module
+   path it sits under (the file's module first, then any nested
+   [module M : sig]) and its name. *)
+let exported_vals ~file (sg : Typedtree.signature) =
+  let rec vals m (sg : Typedtree.signature) =
     List.concat_map
-      (fun (item : Parsetree.signature_item) ->
-        match item.psig_desc with
-        | Psig_value v -> [ (m, v.pval_name.txt) ]
-        | Psig_module
-            { pmd_name = { txt = Some name; _ }; pmd_type = { pmty_desc = Pmty_signature s; _ }; _ }
-          ->
+      (fun (item : Typedtree.signature_item) ->
+        match item.sig_desc with
+        | Tsig_value v -> [ (m, v.val_name.txt) ]
+        | Tsig_module
+            { md_name = { txt = Some name; _ }; md_type = { mty_desc = Tmty_signature s; _ }; _ } ->
             vals (m @ [ name ]) s
         | _ -> [])
-      items
+      sg.sig_items
   in
-  vals [ Front.module_of_file file ] (Parse.interface lexbuf)
-
-let rec mli_files_under path =
-  if Sys.is_directory path then
-    List.concat_map
-      (fun e -> mli_files_under (Filename.concat path e))
-      (Array.to_list (Sys.readdir path))
-  else if Filename.check_suffix path ".mli" then [ path ]
-  else []
+  vals [ Front.module_of_file file ] sg
 
 (* What the gate finds and keeps on purpose, each with its reason: a
    module no seed reaches, or a val no reached file reads outside its
@@ -1434,6 +1469,8 @@ let unreached_by_design =
     ("Aes128.mmo_gen_on", "per-build hook: key generation on each AES build the CPU runs");
     ("Xorbuf.extent_order", "per-build hook: the sorted walk's counting sort, held to a model");
     (* reference code known-answer and golden tests compare against *)
+    ( "Xorbuf.xor_buckets_lanes",
+      "the whole-record kernel call, the reference the extent-lane cases hold each build to" );
     ("Aes128.expand_key", "FIPS-197 and SP 800-38A known answers key the block cipher with it");
     ("Aes128.encrypt_block", "FIPS-197 and SP 800-38A known answers: the bare block cipher");
     ("Aes128.mmo_hash", "known answers for the DPF's MMO compression, one block at a time");
@@ -1474,16 +1511,16 @@ let unreached_by_design =
   ]
 
 (* The gate over [units], the typed trees of lib/, the seeds and
-   anything else (tests, which seed nothing), with [mlis] the
-   (path, source) interfaces of lib/. The system libraries (lib/ but
-   lw_repro, at lib/repro/) must be reached from the seeds bin/,
+   anything else (tests, which seed nothing), with [interfaces] the
+   (path, typed signature) interfaces of lib/. The system libraries
+   (lib/ but lw_repro, at lib/repro/) must be reached from the seeds bin/,
    examples/ and perfbench/, and lw_repro's modules from those or
    bench/. Every val a lib/ interface exports must be read, outside its
    own module, by a seed or a module the seeds (bench/ among them)
    reach. Returns what is unreached or unread and the gate's complaints:
    found but not [listed], listed but not found, or listed but naming
    no module or val. *)
-let reachability ~(units : Front.unit_ list) ~mlis ~listed =
+let reachability ~(units : Front.unit_ list) ~interfaces ~listed =
   let root (u : Front.unit_) = List.hd (String.split_on_char '/' u.source) in
   let aliases = Hashtbl.create 256 in
   List.iter (fun u -> List.iter (fun (a, t) -> Hashtbl.replace aliases a t) u.Front.aliases) units;
@@ -1529,12 +1566,12 @@ let reachability ~(units : Front.unit_ list) ~mlis ~listed =
   let vals =
     List.concat_map
       (fun (u : Front.unit_) ->
-        match List.assoc_opt (u.source ^ "i") mlis with
-        | Some src when not (List.memq u unreached) ->
+        match List.assoc_opt (u.source ^ "i") interfaces with
+        | Some sg when not (List.memq u unreached) ->
             List.map
               (fun (path, v) ->
                 (String.concat "." (path @ [ v ]), (u.modname :: List.tl path) @ [ v ]))
-              (exported_vals ~file:(u.source ^ "i") src)
+              (exported_vals ~file:(u.source ^ "i") sg)
         | _ -> [])
       lib
   in
@@ -1559,7 +1596,7 @@ let reachability ~(units : Front.unit_ list) ~mlis ~listed =
 
 let gate ?(listed = []) ?(mlis = []) files =
   let units = List.filter_map (fun (_, u) -> Result.to_option u) (Front.typed_fixtures files) in
-  reachability ~units ~mlis ~listed
+  reachability ~units ~interfaces:(List.map Front.typed_interface mlis) ~listed
 
 let verdict = Alcotest.(check (pair (list string) (list string)))
 
@@ -1643,23 +1680,17 @@ let test_reach_stale_list () =
     problems
 
 let test_repo_reachability () =
-  let lib = Option.get (Analyzer.resolve_dir "lib") in
-  let mlis =
-    List.map
-      (fun f ->
-        let rel = String.sub f (String.length lib) (String.length f - String.length lib) in
-        ("lib" ^ rel, Analyzer.read_file f))
-      (mli_files_under lib)
-  in
-  (* every typed tree dune wrote for lib/, the seeds and bench/ (their
-     [check] aliases build them before this test runs) *)
+  (* every typed tree dune wrote for lib/, the seeds and bench/, and
+     every interface it typed under lib/ (their [check] aliases build
+     them before this test runs) *)
   let dirs = [ "lib"; "bin"; "examples"; "perfbench"; "bench" ] in
   let units = List.map (fun (_, (_, u)) -> u) (Front.load dirs) in
-  let found, problems = reachability ~units ~mlis ~listed:unreached_by_design in
+  let interfaces = Front.interfaces [ "lib" ] in
+  let found, problems = reachability ~units ~interfaces ~listed:unreached_by_design in
   Printf.printf "unreached modules and unread vals: %s\n" (String.concat " " found);
   List.iter (Printf.printf "REACH: %s\n") problems;
   Alcotest.(check (list string)) "every module reached and every val read, or listed" [] problems;
-  Alcotest.(check bool) "walked a real tree" true (List.length units > 80 && List.length mlis > 60)
+  Alcotest.(check bool) "walked a real tree" true (List.length units > 80 && List.length interfaces > 60)
 
 (* ------------------------- taint tables ------------------------- *)
 
@@ -1845,6 +1876,7 @@ let () =
           Alcotest.test_case "taint across loop iterations" `Quick
             test_taint_loop_carried_ref;
           Alcotest.test_case "taint under a local open" `Quick test_taint_local_open;
+          Alcotest.test_case "taint: a caller scanned alone" `Quick test_taint_caller_alone;
           Alcotest.test_case "race on spawned ref" `Quick test_race_spawned_ref;
           Alcotest.test_case "race: partitioned-scan fixtures" `Quick
             test_race_partitioned_scan_fixtures;

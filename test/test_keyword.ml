@@ -17,7 +17,8 @@
      reconstruct the bucket.
    - end to end: every published path resolves byte-identical via
      keyword GET and path GET, across epoch reseals, updates and
-     removals; batch keyword GETs match singles.
+     removals; batch keyword GETs match singles, and a retrieval
+     cluster fetched as one batch matches each page's path GET.
    - chaos: canned and randomized fault schedules over the keyword verb
      can slow it down, never make it lie. *)
 
@@ -446,6 +447,67 @@ let test_keyword_batch_matches_singles () =
   | Ok batched -> Alcotest.(check (list (option string))) "batch = singles" singles batched
   | Error e -> Alcotest.fail e
 
+(* A retrieval burst (E26's cluster mix): a synthetic corpus published
+   through the universe, one query's cluster of several pages fetched as
+   one keyword_get_batch, each value the path GET's for that page. *)
+let test_cluster_burst_matches_path_gets () =
+  let module Corpus = Lw_sim.Corpus in
+  let profile =
+    { Corpus.name = "burst"; total_bytes = 48. *. 160.; pages = 48.; avg_page_bytes = 160. }
+  in
+  let corpus =
+    Corpus.generate ~sites:4 ~sigma:0.4 profile ~n_pages:48
+      (Lw_util.Det_rng.of_string_seed "burst")
+  in
+  let u =
+    Lightweb.Universe.create ~name:"kw-burst"
+      { small_geometry with Lightweb.Universe.data_blob_size = 1024 }
+  in
+  Array.iter
+    (fun site ->
+      match Lightweb.Universe.claim_domain u ~publisher:"pub" ~domain:site with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e)
+    corpus.Corpus.sites;
+  let published =
+    List.filter
+      (fun (pg : Corpus.page) ->
+        Result.is_ok
+          (Lightweb.Universe.push_data u ~publisher:"pub" ~path:pg.Corpus.path
+             ~value:(Lw_json.Json.String pg.Corpus.body)))
+      (Array.to_list corpus.Corpus.pages)
+    |> List.map (fun (pg : Corpus.page) -> pg.Corpus.path)
+  in
+  ignore (Lightweb.Universe.publish_updates u);
+  let retrieval = Lw_repro.Retrieval.build ~clusters:8 corpus in
+  (* the largest cluster a query retrieves, kept to the published pages *)
+  let members =
+    List.map
+      (fun q ->
+        List.filter
+          (fun m -> List.mem m published)
+          (Lw_repro.Retrieval.retrieve retrieval ~query:q ~k:5))
+      published
+    |> List.fold_left (fun best ms -> if List.length ms > List.length best then ms else best) []
+  in
+  Alcotest.(check bool) "a cluster of several published pages" true (List.length members >= 3);
+  let data_client = connect_pair (Lightweb.Universe.data_servers u) in
+  let kw_client = connect_pair (Lightweb.Universe.keyword_servers u) in
+  Fun.protect ~finally:(fun () ->
+      Lightweb.Zltp_client.close data_client;
+      Lightweb.Zltp_client.close kw_client)
+  @@ fun () ->
+  match Lightweb.Zltp_client.keyword_get_batch kw_client members with
+  | Error e -> Alcotest.fail e
+  | Ok values ->
+      List.iter2
+        (fun m v ->
+          match Lightweb.Zltp_client.get data_client m with
+          | Ok (Some by_path) -> Alcotest.(check (option string)) m (Some by_path) v
+          | Ok None -> Alcotest.fail (m ^ ": the path GET lost it")
+          | Error e -> Alcotest.fail e)
+        members values
+
 (* ---------------- chaos over the keyword verb ---------------- *)
 
 (* Loopback ordinals (per direction, 0-based): send 0 = Health probe,
@@ -561,6 +623,8 @@ let () =
         [
           Alcotest.test_case "oracle across epochs" `Quick test_keyword_oracle_across_epochs;
           Alcotest.test_case "batch = singles" `Quick test_keyword_batch_matches_singles;
+          Alcotest.test_case "cluster burst = path GETs" `Quick
+            test_cluster_burst_matches_path_gets;
         ] );
       ( "chaos",
         [

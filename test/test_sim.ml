@@ -444,14 +444,69 @@ let props =
   List.map QCheck_alcotest.to_alcotest [ prop_zipf_in_range; prop_estimate_monotone_in_data ]
 
 (* E24's SPIR probe keys its store from the run's seed, which may have
-   any length: the smoke geometry under seeds that do not make 16 bytes
-   with the probe's suffix runs end to end. *)
+   any length: a tiny geometry (16 shards, 32 KiB database, one load
+   point past saturation) under seeds that do not make 16 bytes with the
+   probe's suffix runs end to end. *)
 let test_fleet_any_seed () =
+  let tiny =
+    {
+      Fleet_sim.default with
+      shard_bits = 4;
+      domain_bits = 9;
+      bucket_size = 64;
+      batch_size = 4;
+      calib_batches = 2;
+      queries_per_point = 24;
+      load_fractions = [ 0.5; 1.2 ];
+      key_pool = 16;
+    }
+  in
   List.iter
     (fun seed ->
-      let r = Fleet_sim.run { Fleet_sim.smoke with seed } in
+      let r = Fleet_sim.run { tiny with seed } in
       Alcotest.(check int) ("shards, seed " ^ seed) 16 r.Fleet_sim.shards)
     [ "fleet-sim"; "fleet-256"; "a-seed-longer-than-sixteen-bytes"; "" ]
+
+(* Retrieval's clusters partition the corpus: every page's cluster holds
+   it, two pages' clusters are the same or disjoint, [non_empty] counts
+   the distinct ones, and [retrieve ~k] gives at most [k] members of the
+   query's one cluster, a page or a path the corpus never held. *)
+let test_retrieval_clusters () =
+  let corpus = Corpus.generate ~sites:8 Corpus.c4 ~n_pages:200 (det "retrieval") in
+  let paths =
+    List.sort_uniq String.compare
+      (List.map (fun p -> p.Corpus.path) (Array.to_list corpus.Corpus.pages))
+  in
+  let r = Retrieval.build ~clusters:16 corpus in
+  let all = List.length paths in
+  let cluster q = Retrieval.retrieve r ~query:q ~k:all in
+  List.iter
+    (fun p -> Alcotest.(check bool) (p ^ " in its cluster") true (List.mem p (cluster p)))
+    paths;
+  let clusters = List.sort_uniq compare (List.map cluster paths) in
+  Alcotest.(check (list string)) "the clusters cover the corpus once" paths
+    (List.sort String.compare (List.concat clusters));
+  Alcotest.(check int) "non_empty" (List.length clusters) (Retrieval.non_empty r);
+  Alcotest.(check bool) "more than one cluster" true (List.length clusters > 1);
+  List.iter
+    (fun q ->
+      let whole = cluster q in
+      List.iter
+        (fun k ->
+          let got = Retrieval.retrieve r ~query:q ~k in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s k=%d: at most k members of its cluster" q k)
+            true
+            (List.length got <= k
+            && List.length got = min k (List.length whole)
+            && List.for_all (fun m -> List.mem m whole) got))
+        [ 1; 2; 3; 7 ])
+    ("nowhere.example/not/in/the/corpus" :: List.filteri (fun i _ -> i mod 17 = 0) paths);
+  Alcotest.check_raises "no clusters"
+    (Invalid_argument "Retrieval.build: clusters must be >= 1") (fun () ->
+      ignore (Retrieval.build ~clusters:0 corpus));
+  Alcotest.check_raises "k below 1" (Invalid_argument "Retrieval.retrieve: k must be >= 1")
+    (fun () -> ignore (Retrieval.retrieve r ~query:(List.hd paths) ~k:0))
 
 let () =
   Alcotest.run "lw_sim"
@@ -489,6 +544,7 @@ let () =
           Alcotest.test_case "single server blind" `Quick test_heavy_hitters_single_server_blind;
         ] );
       ("fleet-sim", [ Alcotest.test_case "any seed length" `Quick test_fleet_any_seed ]);
+      ("retrieval", [ Alcotest.test_case "clusters" `Quick test_retrieval_clusters ]);
       ( "queue-sim",
         [
           Alcotest.test_case "capacity formula" `Quick test_queue_capacity_formula;

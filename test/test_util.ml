@@ -282,6 +282,49 @@ let test_xor_extents_lanes () =
           (2, 33, 4096 + 48, fun j -> 4096 + (j mod 3 * 17));
         ])
     (Lw_util.Xorbuf.scan_kernels ());
+  (* A store walked a run at a time, as an answer calls the kernel over
+     its CoW blocks: each call's extents, bits and records start at its
+     run's first record, the bit planes keep the whole store's stride,
+     and the lanes accumulate across the runs. A share [filled] of the
+     records hold random bytes up to a random length, the rest nothing:
+     E19's mixed store (80%) and one at the reference corpus's load. *)
+  List.iter
+    (fun kernel ->
+      List.iter
+        (fun (count, run, bucket, filled) ->
+          List.iter
+            (fun lanes ->
+              let planes = (lanes + 7) / 8 in
+              let bits = Bytes.of_string (Lw_util.Det_rng.bytes rng (planes * count)) in
+              let extents = Bytes.make (4 * count) '\x00' in
+              let src = Bytes.make (count * bucket) '\x00' in
+              for j = 0 to count - 1 do
+                if Lw_util.Det_rng.int rng 100 < filled then begin
+                  let len = 1 + Lw_util.Det_rng.int rng bucket in
+                  Bytes.blit_string (Lw_util.Det_rng.bytes rng len) 0 src (j * bucket) len;
+                  Bytes.set_int32_ne extents (4 * j)
+                    (Int32.of_int (min bucket ((len + 63) land lnot 63)))
+                end
+              done;
+              let dsts =
+                Array.init lanes (fun _ -> Bytes.of_string (Lw_util.Det_rng.bytes rng bucket))
+              in
+              let expected =
+                lanes_reference ~bits ~bits_pos:0 ~stride:count ~count ~src ~src_pos:0 ~bucket
+                  ~dsts
+              in
+              for r = 0 to (count / run) - 1 do
+                let off = r * run in
+                Lw_util.Xorbuf.xor_extents_lanes_on ~kernel ~extents ~extents_pos:(4 * off) ~bits
+                  ~bits_pos:off ~stride:count ~count:run ~src ~src_pos:(off * bucket) ~bucket ~dsts
+              done;
+              Alcotest.(check (array string))
+                (Printf.sprintf "%s walk in runs of %d, lanes=%d count=%d bucket=%d" kernel run
+                   lanes count bucket)
+                (Array.map Bytes.to_string expected) (Array.map Bytes.to_string dsts))
+            [ 1; 2; 5; 8; 9; 16 ])
+        [ (256, 64, 1024, 80); (64, 16, 4096, 38) ])
+    (Lw_util.Xorbuf.scan_kernels ());
   Alcotest.check_raises "extents range"
     (Invalid_argument "Xorbuf.xor_buckets_lanes(extents): range out of bounds") (fun () ->
       Lw_util.Xorbuf.xor_extents_lanes ~extents:(Bytes.make 15 '\x00') ~extents_pos:0
