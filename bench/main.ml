@@ -938,6 +938,9 @@ let e16_heavy_hitters size =
   in
   let t1 = Unix.gettimeofday () in
   let threshold = Int64.of_int (n_clients / 20) in
+  (* [collect] branches on each prefix's count combined from both
+     servers' shares: the protocol's public output *)
+  (* lw-lint: allow taint *)
   let hitters = Heavy_hitters.collect ~domain_bits:d ~threshold contributions in
   let t2 = Unix.gettimeofday () in
   let lv = Heavy_hitters.leaves ~domain_bits:d hitters in
@@ -1826,64 +1829,50 @@ let e22_store_updates size =
 (* ------------------------------------------------------------------ *)
 (* E23: the full static pass — loading each file's typed tree (.cmt) *)
 (* and running the rules plus the taint, race and balance analyses    *)
-(* over it — over lib/ bin/ bench/, checked against the committed     *)
-(* baseline and a 10 s wall-clock budget. This is the cost every CI   *)
-(* run and every `dune build @lint` pays on top of the build.         *)
+(* over it — over the lint's scope (lib/ bin/ bench/ examples/),      *)
+(* against a 10 s wall-clock budget. This is the cost every CI run    *)
+(* and every `dune build @lint` pays on top of the build.             *)
 (* ------------------------------------------------------------------ *)
 
 let e23_full_lint size =
-  section "E23" "full typed-tree lint (load + taint + race + balance) over lib/ bin/ bench/";
-  let roots =
-    List.filter_map Lw_analysis.Analyzer.resolve_dir [ "lib"; "bin"; "bench" ]
-  in
-  if roots = [] then Printf.printf "sources not reachable from cwd; skipping.\n"
-  else begin
-    let reps = if size = Fast then 1 else 3 in
-    let best = ref None in
-    for _ = 1 to reps do
-      let r = Lw_analysis.Analyzer.scan_paths roots in
-      match !best with
-      | Some (b : Lw_analysis.Report.t) when b.elapsed_s <= r.elapsed_s -> ()
-      | _ -> best := Some r
-    done;
-    let r = Option.get !best in
-    let baseline =
-      match Lw_analysis.Analyzer.resolve_file "lint_baseline.txt" with
-      | Some f -> Lw_analysis.Baseline.load f
-      | None -> []
-    in
-    let fresh, accepted = Lw_analysis.Baseline.apply baseline r.findings in
-    let budget_ms = 10_000. in
-    let elapsed_ms = 1000. *. r.elapsed_s in
-    let within = elapsed_ms < budget_ms in
-    row "%-20s %8d (over %d root dirs)\n" "files scanned"
-      r.Lw_analysis.Report.files_scanned (List.length roots);
-    row "%-20s %8d\n" "findings" (List.length r.findings);
-    let untyped = List.filter (fun f -> f.Lw_analysis.Report.rule = "typed-tree") r.findings in
-    if untyped <> [] then
-      row "%-20s %8d (not recorded; build them first: dune build @check)\n" "no typed tree"
-        (List.length untyped);
-    row "%-20s %8d\n" "fresh vs baseline" (List.length fresh);
-    row "%-20s %8d\n" "baselined" accepted;
-    row "%-20s %8d\n" "suppressed" r.suppressed;
-    row "%-20s %8.1f ms (best of %d) — %s the %.0f s budget\n" "wall-clock"
-      elapsed_ms reps
-      (if within then "within" else "OVER")
-      (budget_ms /. 1000.);
-    let open Json in
-    if untyped = [] then
-      write_bench size ~id:"E23" "BENCH_lint.json"
-        [
-          ("files", Number (float_of_int r.files_scanned));
-          ("findings", Number (float_of_int (List.length r.findings)));
-          ("fresh", Number (float_of_int (List.length fresh)));
-          ("baselined", Number (float_of_int accepted));
-          ("suppressed", Number (float_of_int r.suppressed));
-          ("elapsed_ms", Number elapsed_ms);
-          ("budget_ms", Number budget_ms);
-          ("within_budget", Bool within);
-        ]
-  end
+  section "E23" "full typed-tree lint (load + taint + race + balance) over the lint scope";
+  match Lw_analysis.Analyzer.repo_root () with
+  | None -> Printf.printf "sources not reachable from cwd; skipping.\n"
+  | Some root ->
+      let reps = if size = Fast then 1 else 3 in
+      let best = ref None in
+      for _ = 1 to reps do
+        let r = Lw_analysis.Analyzer.scan root in
+        match !best with
+        | Some (b : Lw_analysis.Report.t) when b.elapsed_s <= r.elapsed_s -> ()
+        | _ -> best := Some r
+      done;
+      let r = Option.get !best in
+      let budget_ms = 10_000. in
+      let elapsed_ms = 1000. *. r.elapsed_s in
+      let within = elapsed_ms < budget_ms in
+      row "%-20s %8d (under %s/)\n" "files scanned" r.Lw_analysis.Report.files_scanned
+        (String.concat "/ " Lw_analysis.Analyzer.scope);
+      row "%-20s %8d\n" "findings" (List.length r.findings);
+      let untyped = List.filter (fun f -> f.Lw_analysis.Report.rule = "typed-tree") r.findings in
+      if untyped <> [] then
+        row "%-20s %8d (not recorded; build them first: dune build @check)\n" "no typed tree"
+          (List.length untyped);
+      row "%-20s %8d\n" "suppressed" r.suppressed;
+      row "%-20s %8.1f ms (best of %d) — %s the %.0f s budget\n" "wall-clock" elapsed_ms reps
+        (if within then "within" else "OVER")
+        (budget_ms /. 1000.);
+      let open Json in
+      if untyped = [] then
+        write_bench size ~id:"E23" "BENCH_lint.json"
+          [
+            ("files", Number (float_of_int r.files_scanned));
+            ("findings", Number (float_of_int (List.length r.findings)));
+            ("suppressed", Number (float_of_int r.suppressed));
+            ("elapsed_ms", Number elapsed_ms);
+            ("budget_ms", Number budget_ms);
+            ("within_budget", Bool within);
+          ]
 
 (* ------------------------------------------------------------------ *)
 (* E24: fleet-scale serving — multi-core scans + closed-loop fleet sim *)
@@ -2204,7 +2193,14 @@ let e25_cluster size =
   Printf.printf "(%d shard processes, 2^%d buckets x %d B, %d rollouts, %d reads/phase)\n\n"
     shards domain_bits bucket_size rollouts reads;
   let sup = Sup.start cfg in
-  Fun.protect ~finally:(fun () -> Sup.shutdown sup) @@ fun () ->
+  Fun.protect
+    ~finally:(fun () ->
+      Sup.shutdown sup;
+      (* every shard is reaped: its data and manifest, one flat
+         directory, can go *)
+      Array.iter (fun f -> Sys.remove (Filename.concat state_dir f)) (Sys.readdir state_dir);
+      Sys.rmdir state_dir)
+  @@ fun () ->
   let muts epoch =
     List.init n_buckets (fun i ->
         (i, String.init bucket_size (fun k -> Char.chr (((epoch * 31) + (i * 7) + k) land 0xff))))
@@ -2773,6 +2769,9 @@ let () =
     (function
       | "--fast" -> size := Fast
       | "--metrics" -> metrics := true
+      (* the guard compares ids only; taint gives E16's entry the
+         heavy-hitter counts its run prints *)
+      (* lw-lint: allow taint *)
       | id when List.mem_assoc id experiments -> ids := id :: !ids
       | arg -> usage_error ("unknown argument: " ^ arg))
     (List.tl (Array.to_list Sys.argv));

@@ -46,38 +46,43 @@ let () =
 
   (* the client: TCP -> secure channel -> ZLTP session (enclave mode) *)
   let raw = Lw_net.Tcp.connect ~host:"127.0.0.1" ~port:(Lw_net.Tcp.port tcp) () in
-  let counted, counters = Lw_net.Endpoint.with_counters raw in
-  let secured =
-    match
-      Lw_net.Secure_channel.client ~server_public:identity.Lw_crypto.X25519.public
-        ~rng:(Lw_crypto.Drbg.system ()) counted
-    with
-    | Ok ep -> ep
-    | Error e -> failwith e
-  in
-  let client =
-    match Zltp_client.connect ~prefer:[ Zltp_mode.Enclave ] [ secured ] with
-    | Ok c -> c
-    | Error e -> failwith e
-  in
-  Printf.printf "negotiated mode: %s\n" (Zltp_mode.name (Zltp_client.mode client));
-  List.iter
-    (fun a -> Printf.printf "  assumption: %s\n" a)
-    (Zltp_mode.assumptions (Zltp_client.mode client));
+  (* the client closes [raw] with its session; the cover also closes it
+     when a step before that raises *)
+  Fun.protect
+    ~finally:(fun () -> raw.Lw_net.Endpoint.close ())
+    (fun () ->
+      let counted, counters = Lw_net.Endpoint.with_counters raw in
+      let secured =
+        match
+          Lw_net.Secure_channel.client ~server_public:identity.Lw_crypto.X25519.public
+            ~rng:(Lw_crypto.Drbg.system ()) counted
+        with
+        | Ok ep -> ep
+        | Error e -> failwith e
+      in
+      let client =
+        match Zltp_client.connect ~prefer:[ Zltp_mode.Enclave ] [ secured ] with
+        | Ok c -> c
+        | Error e -> failwith e
+      in
+      Printf.printf "negotiated mode: %s\n" (Zltp_mode.name (Zltp_client.mode client));
+      List.iter
+        (fun a -> Printf.printf "  assumption: %s\n" a)
+        (Zltp_mode.assumptions (Zltp_client.mode client));
 
-  List.iter
-    (fun key ->
-      match Zltp_client.get client key with
-      | Ok (Some v) -> Printf.printf "\nGET %-18s -> %s" key v
-      | Ok None -> Printf.printf "\nGET %-18s -> (absent)" key
-      | Error e -> Printf.printf "\nGET %-18s -> error: %s" key e)
-    [ "vault.example/b"; "vault.example/a"; "vault.example/nope" ];
+      List.iter
+        (fun key ->
+          match Zltp_client.get client key with
+          | Ok (Some v) -> Printf.printf "\nGET %-18s -> %s" key v
+          | Ok None -> Printf.printf "\nGET %-18s -> (absent)" key
+          | Error e -> Printf.printf "\nGET %-18s -> error: %s" key e)
+        [ "vault.example/b"; "vault.example/a"; "vault.example/nope" ];
 
-  Printf.printf
-    "\n\nwhat the untrusted host saw: %d messages, %d bytes up / %d bytes down —\n\
-     all ciphertext. Hits and misses cost the same single ORAM path, so even the\n\
-     enclave's memory bus reveals nothing about the keys.\n"
-    counters.Lw_net.Endpoint.messages counters.Lw_net.Endpoint.sent_bytes
-    counters.Lw_net.Endpoint.recv_bytes;
-  Zltp_client.close client;
+      Printf.printf
+        "\n\nwhat the untrusted host saw: %d messages, %d bytes up / %d bytes down —\n\
+         all ciphertext. Hits and misses cost the same single ORAM path, so even the\n\
+         enclave's memory bus reveals nothing about the keys.\n"
+        counters.Lw_net.Endpoint.messages counters.Lw_net.Endpoint.sent_bytes
+        counters.Lw_net.Endpoint.recv_bytes;
+      Zltp_client.close client);
   Lw_net.Tcp.shutdown tcp

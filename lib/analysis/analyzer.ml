@@ -90,53 +90,15 @@ let all_analyses = [ "taint"; "race"; "balance"; "typed-tree"; "unused-allow" ]
 
 let known name = List.exists (fun r -> r.Rules.name = name) Rules.all || List.mem name all_analyses
 
-(* Split a combined rule/analysis selection into (rules, analyses), or
-   name the entries that are neither. *)
-let select_names names =
-  match List.filter (fun n -> not (known n)) names with
-  | [] ->
-      Ok
-        ( List.filter (fun r -> List.mem r.Rules.name names) Rules.all,
-          List.filter (fun a -> List.mem a names) all_analyses )
-  | unknown -> Error unknown
-
 (* ------------------------------------------------------------------ *)
 (* The combined scan over typed trees                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Each finding's scope: the structure-level definition (nested modules
-   included) whose lines hold it, else the unit itself. *)
-let place (u : Front.unit_) =
-  let defs = ref [] in
-  let rec walk (items : Typedtree.structure_item list) =
-    List.iter
-      (fun (si : Typedtree.structure_item) ->
-        match si.str_desc with
-        | Tstr_value (_, vbs) ->
-            List.iter
-              (fun (vb : Typedtree.value_binding) ->
-                match Typedtree.pat_bound_idents vb.vb_pat with
-                | x :: _ ->
-                    Option.iter (fun n -> defs := (vb.vb_loc, n) :: !defs) (u.resolve (Pident x))
-                | [] -> ())
-              vbs
-        | Tstr_module mb ->
-            Option.iter (fun s -> walk s.Typedtree.str_items) (Front.structure_of mb.mb_expr)
-        | _ -> ())
-      items
-  in
-  walk u.str.str_items;
-  let unit_name = String.concat "." (Front.demangle u.modname) in
-  fun (f : Report.finding) ->
-    let inside ((l : Location.t), _) = f.line >= Front.line l && f.line <= l.loc_end.pos_lnum in
-    { f with scope = Option.fold ~none:unit_name ~some:snd (List.find_opt inside !defs) }
-
 (* Lint a batch of sources, each with its typed tree or, without one, the
    line and why. The rules are per-file, but the taint analysis builds
-   one call graph over the whole batch and the [context] units (typed
-   trees that are not reported) so summaries cross file (and library)
-   boundaries whichever files are scanned. *)
-let scan_units ?(rules = Rules.all) ?(analyses = all_analyses) ?(context = []) typed =
+   one call graph over the whole batch so summaries cross file (and
+   library) boundaries. *)
+let scan_units ?(rules = Rules.all) ?(analyses = all_analyses) typed =
   let enabled a = List.mem a analyses in
   let typed =
     List.map
@@ -167,9 +129,7 @@ let scan_units ?(rules = Rules.all) ?(analyses = all_analyses) ?(context = []) t
       let input (u : Front.unit_) pragmas =
         { Taint.i_unit = u; i_secrets = Taint.SS.of_seq (Seq.map fst (Hashtbl.to_seq pragmas.secrets)) }
       in
-      Taint.analyze
-        ~context:(List.map (fun u -> input u (collect_pragmas u.Front.comments)) context)
-        (List.map (fun (u, pragmas) -> input u pragmas) units)
+      Taint.analyze (List.map (fun (u, pragmas) -> input u pragmas) units)
   in
   let race_findings = if enabled "race" then for_each (fun u _ -> Race.analyze_file u) else [] in
   let balance_findings =
@@ -204,7 +164,7 @@ let scan_units ?(rules = Rules.all) ?(analyses = all_analyses) ?(context = []) t
                     else Printf.sprintf "allow %s names no rule" r)))
           (List.rev !(pragmas.sites))
     in
-    { findings = List.map (place u) (kept @ unused); suppressed = List.length dropped }
+    { findings = kept @ unused; suppressed = List.length dropped }
   in
   List.map
     (fun (path, t) ->
@@ -221,15 +181,8 @@ let scan_units ?(rules = Rules.all) ?(analyses = all_analyses) ?(context = []) t
 
 (* Lint in-memory sources: each is typed against the built libraries,
    seeing the ones before it, so tests can hand in fixtures under virtual
-   paths like "lib/crypto/fixture.ml", which decide the rules that apply.
-   The [context] sources are typed first and lend the taint analysis
-   their summaries, as the built libraries do to [scan_paths]. *)
-let scan_sources ?rules ?analyses ?(context = []) files =
-  let typed = Front.typed_fixtures (context @ files) in
-  let context, typed = List.partition (fun (path, _) -> List.mem_assoc path context) typed in
-  scan_units ?rules ?analyses
-    ~context:(List.filter_map (fun (_, t) -> Result.to_option t) context)
-    typed
+   paths like "lib/crypto/fixture.ml", which decide the rules that apply. *)
+let scan_sources ?rules ?analyses files = scan_units ?rules ?analyses (Front.typed_fixtures files)
 
 (* Lint one in-memory source. *)
 let scan_source ?rules ?analyses ~path src =
@@ -254,29 +207,32 @@ let rec ml_files_under path =
   else if Filename.check_suffix path ".ml" then [ path ]
   else []
 
-(* Lint every .ml file under [paths] (files or directories) through the
-   typed tree the build wrote for it. Every built library unit the scan
-   does not cover lends the taint analysis its summaries. *)
-let scan_paths ?rules ?analyses paths =
+(* The lint's one scope: the repo directories whose .ml files it scans. *)
+let scope = [ "lib"; "bin"; "bench"; "examples" ]
+
+let is_dir p = Sys.file_exists p && Sys.is_directory p
+
+(* The repo root from wherever the process happens to run: the source
+   root, test/ inside _build, or the _build context root itself ("" is
+   the working directory, so findings read "lib/..."). *)
+let repo_root () =
+  List.find_opt
+    (fun root -> List.for_all (fun d -> is_dir (Filename.concat root d)) scope)
+    [ ""; ".."; "../.." ]
+
+(* Lint every .ml file under [root]'s [scope] directories through the
+   typed tree the build wrote for it. *)
+let scan root =
   let clock = Lw_obs.Span.clock () in
   let t0 = Lw_obs.Clock.now clock in
+  let dirs = List.filter (fun d -> is_dir (Filename.concat root d)) scope in
   let files =
-    List.map (fun f -> (f, Front.normalize_path f)) (List.concat_map ml_files_under paths)
+    List.concat_map (fun d -> ml_files_under (Filename.concat root d)) dirs
+    |> List.map (fun f -> (f, Front.normalize_path f))
   in
-  let built =
-    Front.load
-      (List.sort_uniq compare
-         ("lib" :: List.map (fun (_, key) -> List.hd (String.split_on_char '/' key)) files))
-  in
-  let context =
-    List.filter_map
-      (fun (source, (_, u)) ->
-        let scanned = List.exists (fun (_, key) -> String.equal key source) files in
-        if String.starts_with ~prefix:"lib/" source && not scanned then Some u else None)
-      built
-  in
+  let built = Front.load dirs in
   let results =
-    scan_units ?rules ?analyses ~context
+    scan_units
       (List.map
          (fun (f, key) ->
            ( f,
@@ -290,18 +246,4 @@ let scan_paths ?rules ?analyses paths =
   Report.make ~files_scanned:(List.length files)
     ~findings:(List.concat_map (fun (_, r) -> r.findings) results)
     ~suppressed:(List.fold_left (fun a (_, r) -> a + r.suppressed) 0 results)
-    ~elapsed_s:elapsed ()
-
-(* Resolve a repo-relative directory such as "lib" from wherever the
-   process happens to run: the source root, test/ inside _build, or the
-   _build context root itself. *)
-let resolve_dir name =
-  let candidates = [ name; Filename.concat ".." name; Filename.concat "../.." name ] in
-  List.find_opt (fun p -> Sys.file_exists p && Sys.is_directory p) candidates
-
-(* Same, for a plain file such as the checked-in lint baseline. *)
-let resolve_file name =
-  let candidates = [ name; Filename.concat ".." name; Filename.concat "../.." name ] in
-  List.find_opt
-    (fun p -> Sys.file_exists p && not (Sys.is_directory p))
-    candidates
+    ~elapsed_s:elapsed

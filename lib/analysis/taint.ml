@@ -601,11 +601,9 @@ let compute_summaries defs by_name =
 
 (* Report mode: walk each file's module-level bindings in order with a
    persistent environment, turning secret-bit sink events into
-   findings. The [context] units lend their functions' summaries to the
-   calls into them, and are not reported: scanning a caller alone gives
-   the findings a scan of it and its callees gives it. *)
-let analyze ?(context = []) (inputs : input list) : Report.finding list =
-  let defs, by_name = definitions (context @ inputs) in
+   findings. *)
+let analyze (inputs : input list) : Report.finding list =
+  let defs, by_name = definitions inputs in
   let summaries = compute_summaries defs by_name in
   let findings = ref [] in
   let analyze_file (i : input) =

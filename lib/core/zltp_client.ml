@@ -559,7 +559,12 @@ let pir2_attempt t frame indices =
     | Batch -> (Batch_answer n, n)
     | Keyword_batch -> (Batch_answer n, n / 2)
   in
+  (* [Zltp_wire.encode_client] branches on each message's public verb tag,
+     which taint joins with the message's DPF-key fields: one waiver per
+     send *)
+  (* lw-lint: allow taint *)
   let sent0 = role_err t role0 (send_msg s0.ep (msg fst)) in
+  (* lw-lint: allow taint *)
   let sent1 = role_err t role1 (send_msg s1.ep (msg snd)) in
   match (sent0, sent1) with
   | Ok (), Ok () -> (
@@ -609,6 +614,9 @@ let single_attempt t indices =
     try
       let secret, query = Lw_pir.Spir.Client.query hint ~domain_bits:(domain_bits t) ~index t.rng in
       let qid = fresh_qid t in
+      (* as in [pir2_attempt]: the encoder branches on the public verb
+         tag, which taint joins with the masked query beside it *)
+      (* lw-lint: allow taint *)
       let* () = role_err t role (send_msg s.ep (Zltp_wire.Spir_query { qid; epoch; query })) in
       let* answer = check_reply t role ~epoch Spir_answer (recv_matching s.ep ~qid) in
       match Lw_pir.Spir.Client.recover hint secret answer with

@@ -108,12 +108,13 @@ INLINE void chacha_init(uint32_t in[16], const uint8_t *key, const uint8_t *nonc
   QR(x[2], x[7], x[8], x[13]);                                                                 \
   QR(x[3], x[4], x[9], x[14])
 
-/* One keystream block for counter [in[12]] into [ks]. */
-INLINE void chacha_block(const uint32_t in[16], intnat rounds, uint8_t ks[64])
+/* One keystream block for counter [in[12]] into [ks]: ten double
+   rounds. */
+INLINE void chacha_block(const uint32_t in[16], uint8_t ks[64])
 {
   uint32_t x[16];
   memcpy(x, in, sizeof x);
-  for (intnat r = 0; r < rounds; r += 2) {
+  for (int r = 0; r < 10; r++) {
     DOUBLE_ROUND(x);
   }
   for (int i = 0; i < 16; i++)
@@ -129,7 +130,7 @@ typedef uint32_t lanes __attribute__((vector_size(64)));
    bit [b] of the word index with bit [b] of the block index between
    the words [r] and [r | 2^b]. A block's words then sit in lane order,
    which memory holds little-endian. */
-INLINE void chacha_blocks16(const uint32_t in[16], intnat rounds, const uint8_t *src, uint8_t *dst)
+INLINE void chacha_blocks16(const uint32_t in[16], const uint8_t *src, uint8_t *dst)
 {
   static const lanes swap_lo[4] = {
     { 0, 16, 2, 18, 4, 20, 6, 22, 8, 24, 10, 26, 12, 28, 14, 30 },
@@ -149,7 +150,7 @@ INLINE void chacha_blocks16(const uint32_t in[16], intnat rounds, const uint8_t 
     x[i] = (lanes){ 0 } + in[i];
   x[12] += step;
   memcpy(y, x, sizeof y);
-  for (intnat r = 0; r < rounds; r += 2) {
+  for (int r = 0; r < 10; r++) {
     DOUBLE_ROUND(y);
   }
   for (int i = 0; i < 16; i++)
@@ -179,8 +180,8 @@ INLINE intnat min_len(intnat a, intnat b) { return a - ((a - b) & -(intnat)(a > 
 
 /* dst := src ^ keystream over [len] bytes, from block [ctr]; the
    counter wraps at 32 bits. [src] and [dst] may be the same buffer. */
-INLINE void chacha_body(const uint8_t *key, const uint8_t *nonce, uint32_t ctr, intnat rounds,
-                        const uint8_t *src, uint8_t *dst, intnat len)
+INLINE void chacha_body(const uint8_t *key, const uint8_t *nonce, uint32_t ctr, const uint8_t *src,
+                        uint8_t *dst, intnat len)
 {
   uint32_t in[16];
   uint8_t ks[1024];
@@ -188,7 +189,7 @@ INLINE void chacha_body(const uint8_t *key, const uint8_t *nonce, uint32_t ctr, 
   intnat full = len / 1024;
   for (intnat b = 0; b < full; b++) {
     in[12] = ctr + (uint32_t)(16 * b);
-    chacha_blocks16(in, rounds, src + 1024 * b, dst + 1024 * b);
+    chacha_blocks16(in, src + 1024 * b, dst + 1024 * b);
   }
   intnat done = 1024 * full, rest = len - done;
   intnat blocks = (rest + 63) / 64;
@@ -197,12 +198,12 @@ INLINE void chacha_body(const uint8_t *key, const uint8_t *nonce, uint32_t ctr, 
   for (intnat t = 0; t < wide; t++) {
     memset(ks, 0, sizeof ks);
     memcpy(ks, src + done, (size_t)rest);
-    chacha_blocks16(in, rounds, ks, ks);
+    chacha_blocks16(in, ks, ks);
     memcpy(dst + done, ks, (size_t)rest);
   }
   for (intnat b = 0; b < blocks * (1 - wide); b++) {
     in[12] = ctr + (uint32_t)(16 * full + b);
-    chacha_block(in, rounds, ks);
+    chacha_block(in, ks);
     intnat n = min_len(rest - 64 * b, 64);
     for (intnat o = 0; o < n; o++)
       dst[done + 64 * b + o] = src[done + 64 * b + o] ^ ks[o];
@@ -211,9 +212,9 @@ INLINE void chacha_body(const uint8_t *key, const uint8_t *nonce, uint32_t ctr, 
 
 #define BUILD(name, attr)                                                                      \
   attr static void chacha_##name(const uint8_t *key, const uint8_t *nonce, uint32_t ctr,      \
-                                 intnat rounds, const uint8_t *src, uint8_t *dst, intnat len)  \
+                                 const uint8_t *src, uint8_t *dst, intnat len)                 \
   {                                                                                            \
-    chacha_body(key, nonce, ctr, rounds, src, dst, len);                                       \
+    chacha_body(key, nonce, ctr, src, dst, len);                                               \
   }
 
 #ifdef __x86_64__
@@ -223,8 +224,8 @@ BUILD(baseline, )
 
 struct build {
   const char *name;
-  void (*chacha)(const uint8_t *key, const uint8_t *nonce, uint32_t ctr, intnat rounds,
-                 const uint8_t *src, uint8_t *dst, intnat len);
+  void (*chacha)(const uint8_t *key, const uint8_t *nonce, uint32_t ctr, const uint8_t *src,
+                 uint8_t *dst, intnat len);
 };
 
 #define ROW(name) { #name, chacha_##name }
@@ -266,12 +267,12 @@ value lw_chacha_first(value unit)
 /* [Chacha20] and [Drbg] check the build index, the lengths and every
    range before calling in. */
 
-value lw_chacha_xor(value build, value rounds, value key, value nonce, value ctr, value src,
-                    value src_pos, value dst, value dst_pos, value len)
+value lw_chacha_xor(value build, value key, value nonce, value ctr, value src, value src_pos,
+                    value dst, value dst_pos, value len)
 {
   builds[Long_val(build)].chacha((const uint8_t *)String_val(key),
                                  (const uint8_t *)String_val(nonce), (uint32_t)Long_val(ctr),
-                                 Long_val(rounds), Bytes_val(src) + Long_val(src_pos),
+                                 Bytes_val(src) + Long_val(src_pos),
                                  Bytes_val(dst) + Long_val(dst_pos), Long_val(len));
   return Val_unit;
 }
@@ -280,7 +281,7 @@ value lw_chacha_xor_byte(value *argv, int argn)
 {
   (void)argn;
   return lw_chacha_xor(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5], argv[6], argv[7],
-                       argv[8], argv[9]);
+                       argv[8]);
 }
 
 /* A DRBG draw's last [rest] bytes and its ratchet: the blocks after
@@ -295,7 +296,7 @@ static __attribute__((noinline)) void drbg_ratchet(uint8_t *key, const uint8_t *
   chacha_init(in, key, nonce, 0);
   for (intnat b = 0; b < (rest + 32 + 63) / 64; b++) {
     in[12] = (uint32_t)(full + b);
-    chacha_block(in, 20, ks + 64 * b);
+    chacha_block(in, ks + 64 * b);
   }
   memcpy(dst, ks, (size_t)rest);
   memcpy(key, ks + rest, 32);
@@ -312,7 +313,7 @@ value lw_chacha_drbg(value build, value key, value counter, value dst, value dst
   uint8_t *k = Bytes_val(key), *d = Bytes_val(dst) + Long_val(dst_pos);
   intnat full = Long_val(len) / 64;
   memset(d, 0, (size_t)(64 * full));
-  builds[Long_val(build)].chacha(k, nonce, 0, 20, d, d, 64 * full);
+  builds[Long_val(build)].chacha(k, nonce, 0, d, d, 64 * full);
   drbg_ratchet(k, nonce, full, d + 64 * full, Long_val(len) - 64 * full);
   return Val_unit;
 }
@@ -528,7 +529,7 @@ INLINE void aead_tag(const uint8_t *otk, const uint8_t *aad, intnat aad_len, con
 INLINE void aead_otk(intnat b, const uint8_t *key, const uint8_t *nonce, uint8_t otk[64])
 {
   memset(otk, 0, 64);
-  builds[b].chacha(key, nonce, 0, 20, otk, otk, 64);
+  builds[b].chacha(key, nonce, 0, otk, otk, 64);
 }
 
 /* [dst] := the plaintext at [src] encrypted from block 1, then its tag. */
@@ -538,7 +539,7 @@ value lw_aead_seal(value build, value key, value nonce, value aad, value src, va
   const uint8_t *k = (const uint8_t *)String_val(key), *n = (const uint8_t *)String_val(nonce);
   uint8_t otk[64];
   aead_otk(b, k, n, otk);
-  builds[b].chacha(k, n, 1, 20, (const uint8_t *)String_val(src), Bytes_val(dst), len);
+  builds[b].chacha(k, n, 1, (const uint8_t *)String_val(src), Bytes_val(dst), len);
   aead_tag(otk, (const uint8_t *)String_val(aad), (intnat)caml_string_length(aad), Bytes_val(dst),
            len, Bytes_val(dst) + len);
   return Val_unit;
@@ -559,7 +560,7 @@ value lw_aead_open(value build, value key, value nonce, value aad, value src, va
 #pragma GCC unroll 16
   for (int i = 0; i < 16; i++)
     diff |= (uint32_t)(tag[i] ^ ct[len + i]);
-  builds[b].chacha(k, n, 1, 20, ct, Bytes_val(dst), len);
+  builds[b].chacha(k, n, 1, ct, Bytes_val(dst), len);
   return Val_long(((diff - 1) >> 31) & 1);
 }
 

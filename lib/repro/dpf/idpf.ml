@@ -16,9 +16,17 @@ let conv_int s =
   let bytes = Prg.convert ~seed:s ~pos:0 ~len:8 in
   String.get_int64_le bytes 0
 
+(* The client's secrets: the point [alpha] (each of its bits), both
+   parties' seeds on its path and the keep/lose masks splatted from a
+   bit. As in [Dpf], they are data for the PRG and masks, never a table
+   index or a branch condition. *)
+(* lw-lint: secret alpha alpha_bit s0 s1 root0 root1 keep lose *)
+
 let gen ~domain_bits ~alpha ~values rng =
   if domain_bits < 1 || domain_bits > 30 then invalid_arg "Idpf.gen: domain_bits out of range";
-  if alpha < 0 || alpha >= 1 lsl domain_bits then invalid_arg "Idpf.gen: alpha out of domain";
+  (* domain bound check: public bounds, rejected before any use *)
+  if alpha < 0 || alpha >= 1 lsl domain_bits then (* lw-lint: allow taint *)
+    invalid_arg "Idpf.gen: alpha out of domain";
   if Array.length values <> domain_bits then invalid_arg "Idpf.gen: need one value per level";
   Array.iter (fun v -> if String.length v = 0 then invalid_arg "Idpf.gen: empty value") values;
   let d = domain_bits in

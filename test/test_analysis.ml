@@ -6,7 +6,7 @@
    (2) one known-bad and one known-good fixture per rule and analysis
    (plus pragma suppression), each typed against the built libraries,
    (3) the CI gates — the
-   analyzer runs over the repo's own lib/ and must come back clean, so
+   analyzer runs over the repo's lint scope and must come back clean, so
    every future change is linted by the code it lands next to, and the
    reachability gate reads the build's typed trees for modules and
    interface values nothing outside the tests uses. *)
@@ -26,6 +26,13 @@ let count_rule rule rules = List.length (List.filter (( = ) rule) rules)
 (* Kernel objects are read in the build context, whatever the working
    directory. *)
 let built rel = Filename.concat Front.build_root rel
+
+(* Sources are read from the repo root, found from the working
+   directory. *)
+let repo_root () =
+  match Analyzer.repo_root () with
+  | Some root -> root
+  | None -> Alcotest.fail "could not locate the lint scope from the test runner"
 
 (* ------------------------- front end ------------------------- *)
 
@@ -282,11 +289,7 @@ let test_c_kernel_no_branch () =
   tokens "comments, literals and bit operators clean" []
     (c_branch_tokens
        "/* if (m) else\n while */ d ^= s & m; // goto ?\nconst char *t = \"if ? &&\"; c = '?';\nx = a | b;\nfor (o = 0; o < n; o++) ifx = elsewhere;");
-  let lib =
-    match Analyzer.resolve_dir "lib" with
-    | Some d -> d
-    | None -> Alcotest.fail "could not locate lib/ from the test runner"
-  in
+  let lib = Filename.concat (repo_root ()) "lib" in
   let kernels =
     [
       Filename.concat (Filename.concat lib "util") "xorbuf_stubs.c";
@@ -377,18 +380,19 @@ let pinned_jumps =
     ("gen_aesni", 6);
     ("gen_bitsliced", 6);
     (* chacha_*, the keystream XOR over [len]: the 1 KiB batches
-       (guard and back-edge, over len / 1024), in each the rounds loop
-       (guard and back-edge, over [rounds]), the final add of the input
-       words and the XOR of the sixteen transposed blocks (the transpose
-       itself is unrolled); the wide tail (one pass or none, from the
-       block count), the copy of its bytes into the stack buffer (its
-       4-, 2- and 1-byte ends, 3), its rounds loop (2), final add and
-       XOR; the scalar tail (guard and back-edge, over the blocks left),
-       its rounds loop (2) and its byte loop (guard and back-edge, over
-       the block's length). The baseline splits the final add of each
-       sixteen-block pass in two (2 more). *)
-    ("chacha_avx512", 20);
-    ("chacha_baseline", 22);
+       (guard and back-edge, over len / 1024), in each the ten double
+       rounds (a back-edge alone, the count being a constant), the final
+       add of the input words and the XOR of the sixteen transposed
+       blocks (the transpose itself is unrolled); the wide tail (one
+       pass or none, from the block count), the copy of its bytes into
+       the stack buffer (its 4-, 2- and 1-byte ends, 3), its double
+       rounds (1), final add and XOR; the scalar tail (guard and
+       back-edge, over the blocks left), its double rounds (1) and its
+       byte loop (guard and back-edge, over the block's length). The
+       baseline splits the final add of each sixteen-block pass in two
+       (2 more). *)
+    ("chacha_avx512", 17);
+    ("chacha_baseline", 19);
     (* drbg_ratchet, a DRBG draw's tail and ratchet at 20 rounds: its
        blocks (guard and back-edge, over the bytes left plus 32), their
        rounds loop (a back-edge alone, the count being a constant), and
@@ -1144,145 +1148,6 @@ let test_taint_local_open () =
     (taint (secret ^ "let f key = let open Opened in masked key\n"));
   Alcotest.(check int) "clean: M.( )" 0 (taint (secret ^ "let f key = Opened.(masked key)\n"))
 
-(* A caller scanned alone is judged by its library callees' summaries,
-   as in a scan of both: [width] drops its secret argument, so [f]'s
-   branch is clean and the allow in [h] suppresses nothing; [branchy]
-   branches on its argument, so [g] is a finding. *)
-let test_taint_caller_alone () =
-  let callee =
-    ( "lib/core/callee.ml",
-      "let width _key n = n * 2\nlet branchy x = if x > 0 then 1 else 0\n" )
-  in
-  let caller =
-    ( "bench/caller.ml",
-      "(* lw-lint: secret key *)\n\
-       let f key = if Callee.width key 3 > 4 then 1 else 0\n\
-       let g key = Callee.branchy key\n\
-       (* lw-lint: allow taint *)\n\
-       let h key = if Callee.width key 5 > 4 then 1 else 0\n" )
-  in
-  let of_caller results =
-    List.concat_map
-      (fun (path, r) ->
-        if path = fst caller then
-          List.map (fun f -> (f.Report.rule, f.Report.line)) r.Analyzer.findings
-        else [])
-      results
-  in
-  let both = of_caller (Analyzer.scan_sources [ callee; caller ]) in
-  Alcotest.(check (list (pair string int))) "scanned with its callee"
-    [ ("taint", 3); ("unused-allow", 4) ]
-    (List.sort compare both);
-  Alcotest.(check (list (pair string int))) "scanned alone" (List.sort compare both)
-    (List.sort compare (of_caller (Analyzer.scan_sources ~context:[ callee ] [ caller ])))
-
-(* ------------------------- baseline ------------------------- *)
-
-let finding ?(file = "lib/core/x.ml") ?(scope = "Lightweb.X.send") ?(line = 42) message =
-  { (Report.finding "taint" file line message) with scope }
-
-let test_baseline_matching () =
-  let f =
-    finding ~file:"_build/default/lib/core/x.ml" "secret-tainted value reaches branch condition (m)"
-  in
-  let tmp = Filename.temp_file "lw_lint_baseline" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove tmp)
-    (fun () ->
-      Baseline.save tmp [ f ];
-      let entries = Baseline.load tmp in
-      Alcotest.(check int) "one entry" 1 (List.length entries);
-      (* matching is line-free and path-normalized: the same finding
-         reported from another cwd at another line is still accepted *)
-      let moved = { f with file = "../lib/core/x.ml"; line = 7 } in
-      let fresh, accepted = Baseline.apply entries [ moved ] in
-      Alcotest.(check int) "moved finding accepted" 0 (List.length fresh);
-      Alcotest.(check int) "accepted count" 1 accepted)
-
-(* An entry is keyed by the function its findings sit in, not by their
-   message: clean, the same flow reworded (sent through a helper) inside
-   the same function stays absorbed; dirty, the same finding moved into
-   another function is fresh. *)
-let test_baseline_keyed_by_function () =
-  let f = finding "secret-tainted value reaches branch condition (argument 1 of send_msg)" in
-  let tmp = Filename.temp_file "lw_lint_baseline" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove tmp)
-    (fun () ->
-      Baseline.save tmp [ f ];
-      let fresh g = List.length (fst (Baseline.apply (Baseline.load tmp) [ g ])) in
-      Alcotest.(check int) "clean: a changed message in the same function" 0
-        (fresh { f with message = "secret-tainted value reaches branch condition (argument 5)" });
-      Alcotest.(check int) "dirty: the same finding in another function" 1
-        (fresh { f with scope = "Lightweb.X.receive" }))
-
-(* A baseline entry the scan could have matched but did not is stale: a
-   dirty baseline (its finding is gone) reports one, at its line of the
-   baseline file; a clean one (its finding is still there) none, and an
-   entry outside the scanned paths or rules is not judged. *)
-let test_baseline_stale () =
-  let f = finding "secret-tainted value reaches branch condition (m)" in
-  let tmp = Filename.temp_file "lw_lint_baseline" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove tmp)
-    (fun () ->
-      Baseline.save tmp [ f ];
-      let entries = Baseline.load tmp in
-      let stale ?(roots = [ "lib" ]) ?rules findings =
-        Baseline.stale ~baseline_file:tmp ~roots ~rules entries findings
-      in
-      Alcotest.(check int) "clean: the entry still matches" 0 (List.length (stale [ f ]));
-      (match stale [] with
-      | [ s ] ->
-          Alcotest.(check string) "dirty: rule" "stale-baseline" s.Report.rule;
-          Alcotest.(check string) "dirty: file" tmp s.Report.file;
-          (* three header lines, then the entry *)
-          Alcotest.(check int) "dirty: line" 4 s.Report.line
-      | l -> Alcotest.failf "dirty: expected one stale entry, got %d" (List.length l));
-      Alcotest.(check int) "outside the scanned paths" 0
-        (List.length (stale ~roots:[ "bin" ] []));
-      Alcotest.(check int) "under a scanned file's own path" 1
-        (List.length (stale ~roots:[ "../lib/core/x.ml" ] []));
-      Alcotest.(check int) "rule not run" 0 (List.length (stale ~rules:[ "race" ] [])))
-
-(* An entry accepts at most its count of findings, and one that takes
-   fewer is stale: with count 3, a fourth finding of its key is fresh
-   (dirty) where three are all accepted (clean), and two leave the entry
-   stale (dirty) where three fill it (clean). [save] writes one entry
-   per key with its count. *)
-let test_baseline_counts () =
-  let at line = finding ~line "secret-tainted value reaches branch condition (argument 1)" in
-  let findings n = List.init n (fun i -> at (10 + i)) in
-  let tmp = Filename.temp_file "lw_lint_baseline" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove tmp)
-    (fun () ->
-      Baseline.save tmp (findings 3);
-      let entries = Baseline.load tmp in
-      let lines = String.split_on_char '\n' (In_channel.with_open_text tmp In_channel.input_all) in
-      Alcotest.(check string) "save writes the count" "taint\tlib/core/x.ml\tLightweb.X.send\t3"
-        (List.nth lines 3);
-      let fresh n = List.map (fun f -> f.Report.line) (fst (Baseline.apply entries (findings n))) in
-      Alcotest.(check (list int)) "dirty: a fourth finding is fresh" [ 13 ] (fresh 4);
-      Alcotest.(check (list int)) "clean: three are accepted" [] (fresh 3);
-      Alcotest.(check int) "clean: accepted count" 3 (snd (Baseline.apply entries (findings 3)));
-      let stale n =
-        Baseline.stale ~baseline_file:tmp ~roots:[ "lib" ] ~rules:None entries (findings n)
-      in
-      (match stale 2 with
-      | [ s ] ->
-          Alcotest.(check string) "dirty: rule" "stale-baseline" s.Report.rule;
-          Alcotest.(check int) "dirty: line" 4 s.Report.line
-      | l -> Alcotest.failf "dirty: expected one stale entry, got %d" (List.length l));
-      Alcotest.(check int) "clean: the entry is filled" 0 (List.length (stale 3));
-      (* a line without a count is no entry *)
-      Alcotest.(check bool) "countless line ignored" true
-        (Baseline.parse_line "taint\tlib/core/x.ml\tsecret-tainted value" = None))
-
-let test_baseline_missing_file () =
-  Alcotest.(check int) "missing baseline loads empty" 0
-    (List.length (Baseline.load "/nonexistent/lint_baseline.txt"))
-
 (* --------------- QCheck: taint is monotone under wrapping --------------- *)
 
 (* Wrapping a secret-tainted expression in taint-preserving context must
@@ -1326,7 +1191,7 @@ let test_report_json_shape () =
   in
   let report =
     Report.make ~files_scanned:1 ~findings:r.Analyzer.findings
-      ~suppressed:r.Analyzer.suppressed ~elapsed_s:0.001 ()
+      ~suppressed:r.Analyzer.suppressed ~elapsed_s:0.001
   in
   let json = Lw_json.Json.of_string (Lw_json.Json.to_string (Report.to_json report)) in
   let open Lw_json.Json in
@@ -1341,47 +1206,17 @@ let test_report_json_shape () =
 
 (* ------------------------- the CI gate ------------------------- *)
 
-(* The whole repo — lib/, bin/ and bench/ — must lint clean modulo the
-   checked-in baseline: the delta against lint_baseline.txt is empty.
-   A fresh finding here is a fresh finding in CI. bench/ scanned alone
-   gets the findings the whole scan gives it: the library units it does
-   not scan still lend the taint analysis their summaries. *)
+(* The repo's whole lint scope must lint clean: every finding is fixed
+   or waived at its site. A finding here is a finding in CI. *)
 let test_repo_is_clean () =
-  let roots = List.filter_map Analyzer.resolve_dir [ "lib"; "bin"; "bench" ] in
-  if List.length roots <> 3 then
-    Alcotest.fail "could not locate lib/ bin/ bench/ from the test runner";
-  let report = Analyzer.scan_paths roots in
-  let baseline =
-    match Analyzer.resolve_file "lint_baseline.txt" with
-    | Some f -> Baseline.load f
-    | None -> []
-  in
-  let fresh, accepted = Baseline.apply baseline report.Report.findings in
+  let report = Analyzer.scan (repo_root ()) in
   List.iter
     (fun f ->
-      Printf.printf "FRESH: %s:%d: [%s] %s\n" f.Report.file f.Report.line
-        f.Report.rule f.Report.message)
-    fresh;
-  Alcotest.(check int) "fresh findings vs baseline" 0 (List.length fresh);
-  Alcotest.(check bool) "baseline entries in use" true
-    (accepted >= List.length baseline);
-  Alcotest.(check int) "no stale baseline entry" 0
-    (List.length
-       (Baseline.stale ~baseline_file:"lint_baseline.txt" ~roots ~rules:None baseline
-          report.Report.findings));
-  Alcotest.(check bool) "scanned a real tree" true (report.Report.files_scanned > 60);
-  let bench = List.nth roots 2 in
-  let of_bench fs =
-    List.filter_map
-      (fun f ->
-        if String.starts_with ~prefix:bench f.Report.file then
-          Some (Printf.sprintf "%s:%d: [%s] %s" f.Report.file f.Report.line f.Report.rule
-                  f.Report.message)
-        else None)
-      fs
-  in
-  Alcotest.(check (list string)) "bench/ scanned alone" (of_bench report.Report.findings)
-    (of_bench (Analyzer.scan_paths [ bench ]).Report.findings)
+      Printf.printf "FINDING: %s:%d: [%s] %s\n" f.Report.file f.Report.line f.Report.rule
+        f.Report.message)
+    report.Report.findings;
+  Alcotest.(check int) "findings" 0 (List.length report.Report.findings);
+  Alcotest.(check bool) "scanned a real tree" true (report.Report.files_scanned > 60)
 
 (* The scan fails closed: dirty, a source no build stanza compiles has no
    typed tree, and a built path holding other contents has a stale one;
@@ -1395,7 +1230,7 @@ let test_missing_typed_tree () =
       ("lib/crypto/orphan.ml", "let x = 1\n");
       ("lib/dpf/dpf.ml", "let x = 1\n");
       ( "lib/util/hex.ml",
-        Analyzer.read_file (Option.get (Analyzer.resolve_file "lib/util/hex.ml")) );
+        Analyzer.read_file (Filename.concat (repo_root ()) "lib/util/hex.ml") );
     ]
   in
   let rec mkdirs d =
@@ -1413,7 +1248,7 @@ let test_missing_typed_tree () =
   Fun.protect
     ~finally:(fun () -> ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
     (fun () ->
-      let report = Analyzer.scan_paths [ Filename.concat dir "lib" ] in
+      let report = Analyzer.scan dir in
       Alcotest.(check (list (triple string string string))) "the unbuilt and the stale source"
         [
           ("lib/crypto/orphan.ml", "typed-tree",
@@ -1736,7 +1571,7 @@ let test_moved_rules_apply () =
     in
     List.filter_map (fun r -> if r.Rules.applies ctx then Some r.Rules.name else None) Rules.all
   in
-  let lib = Option.get (Analyzer.resolve_dir "lib") in
+  let lib = Filename.concat (repo_root ()) "lib" in
   List.iter
     (fun rel ->
       let old_path = "lib/" ^ rel and new_path = "lib/repro/" ^ rel in
@@ -1876,7 +1711,6 @@ let () =
           Alcotest.test_case "taint across loop iterations" `Quick
             test_taint_loop_carried_ref;
           Alcotest.test_case "taint under a local open" `Quick test_taint_local_open;
-          Alcotest.test_case "taint: a caller scanned alone" `Quick test_taint_caller_alone;
           Alcotest.test_case "race on spawned ref" `Quick test_race_spawned_ref;
           Alcotest.test_case "race: partitioned-scan fixtures" `Quick
             test_race_partitioned_scan_fixtures;
@@ -1886,19 +1720,11 @@ let () =
           Alcotest.test_case "allow lines=N pragma" `Quick test_pragma_lines_span;
           QCheck_alcotest.to_alcotest prop_taint_monotone;
         ] );
-      ( "baseline",
-        [
-          Alcotest.test_case "line-free matching" `Quick test_baseline_matching;
-          Alcotest.test_case "keyed by function" `Quick test_baseline_keyed_by_function;
-          Alcotest.test_case "missing file" `Quick test_baseline_missing_file;
-          Alcotest.test_case "stale entries reported" `Quick test_baseline_stale;
-          Alcotest.test_case "counted entries" `Quick test_baseline_counts;
-        ] );
       ( "report",
         [ Alcotest.test_case "json shape" `Quick test_report_json_shape ] );
       ( "ci-gate",
         [
-          Alcotest.test_case "repo lints clean vs baseline" `Quick test_repo_is_clean;
+          Alcotest.test_case "repo lints clean" `Quick test_repo_is_clean;
           Alcotest.test_case "a source without a fresh typed tree is a finding" `Quick
             test_missing_typed_tree;
           Alcotest.test_case "taint tables name exported vals" `Quick

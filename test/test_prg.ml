@@ -158,20 +158,8 @@ let golden =
      "a9f2ced0a3582e2bd4d7db1fe38a88eac10815c92bf905221e2b70452943ba22800dfd21e88afba7a40f966cf15c2dc14ef13add1ce7e86a4608d84fd59e46682118b913aabb7704aba883907c141ea3a9dff31956bc20b6814b75024c87a76e85a128d46b56e2a12f98ee69957a4cfb1bcf66225d2d2778507485edaf184120f51862d2");
     ("chacha.encrypt",
      "69c8fde135df153aee09b10c88c0536fde0f8598adedfed837d542ba59200222");
-    ("chacha.block.r8",
-     "8af65bced016e9883ce7cfb328aeb3a55dc22261d44f6ce3c8b91d56a75882543d788b4065798568808f675fcf211bb0c8d8fcf8b6e2d5ac0d33d492d02a2a56");
-    ("chacha.block.r12",
-     "703438d4cdfb4ef7fa21f4f3b416e963f5d77339a6a5679ea445dd9a887384f13d3506210ade4263cc2e54d2f1347a1e61e99077eece96cd752da2aad7808a24");
     ("chacha.block.r20",
      "3bf7aff9a118593cc596b8b58e0ccb8d6059a147e1e2bfcc10e45bfd93c8d13c5b62b828520309e1c12a2a2cda26edcc79c0526ad2d379875c517e5108404af7");
-    ("chacha.keystream.r8.wrap",
-     "f8f9107b1f2ef896ab3301eef90e72bce44ecffb6b0f6c1ae2c5f072f0780c56");
-    ("chacha.keystream.r8.lens",
-     "74ff80c606650e5d9e03e656aaff544e15e40a0dcc3e64e5fde46b519aa39bb5");
-    ("chacha.keystream.r12.wrap",
-     "56095c84a71ddfe6d6bb4a2e9f5264e2bdb31abc740e55e728fb06e7fffe7ea7");
-    ("chacha.keystream.r12.lens",
-     "4b3828312af115114bf6592256ab3c45dbfcc4ebccd7d32c04eec4149a0b926d");
     ("chacha.keystream.r20.wrap",
      "25d0ae8516b3c73f99911c13a3b41582a9f5da1bb4961d83e5952a141ecfc4a6");
     ("chacha.keystream.r20.lens",
