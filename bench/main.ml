@@ -16,10 +16,9 @@
    collisions, E7 distributed DPF evaluation, E8 PIR vs enclave
    ablation, E9 cost projection, E10 traffic-analysis attack; E11-E17
    ablations and extensions; E19 scan kernels, E20 retry tail latency,
-   E21 observability overhead, E22 store updates, E23 lint cost, E24
-   fleet, E25 process cluster, E26 keyword GET, E27 Single mode. Paper
-   numbers are printed beside measurements; EXPERIMENTS.md records the
-   comparison. *)
+   E22 store updates, E23 lint cost, E24 fleet, E25 process cluster, E27
+   Single mode (E18, E21 and E26 are retired). Paper numbers are printed
+   beside measurements; EXPERIMENTS.md records the comparison. *)
 
 module Json = Lw_json.Json
 
@@ -455,10 +454,23 @@ let e6_collisions size =
   Printf.printf
     "\nat 45%% load (2^%d domain, %d keys):\n\
     \  single-hash store: %d publish failures (%.1f%%) -> renames\n\
-    \  cuckoo (2 probes/query): %d stored, %d publish failures\n"
+    \  cuckoo (2 probes/query): %d stored, %d publish failures, load factor %.2f\n"
     domain_bits n !rejected
     (100. *. float_of_int !rejected /. float_of_int n)
     (Lw_pir.Kw_store.count cuckoo) !full
+    (Lw_pir.Kw_store.load_factor cuckoo);
+  (* what the cuckoo verb costs at the paper's Table-2 point (C4) *)
+  let kwe =
+    Lw_sim.Cost_model.keyword_estimate
+      (Lw_sim.Cost_model.of_profile Lw_sim.Corpus.c4)
+      Lw_sim.Cost_model.paper_shard Lw_sim.Cost_model.c5_large
+  in
+  Format.printf "\nkeyword GET at the C4 point:\n%a\n" Lw_sim.Cost_model.pp_keyword kwe;
+  Format.print_flush ();
+  Printf.printf
+    "the two cuckoo probes ride one batched scan: two DPF evaluations but one\n\
+     memory pass, compute overhead %.2fx, not 2x; communication doubles exactly\n"
+    kwe.Lw_sim.Cost_model.compute_overhead
 
 (* ------------------------------------------------------------------ *)
 (* E7: distributed DPF evaluation (§5.2)                               *)
@@ -1491,149 +1503,6 @@ let e20_chaos_tail_latency size =
     @ [ entry kill ])
 
 (* ------------------------------------------------------------------ *)
-(* E21: observability overhead on the fused scan (lw_obs)              *)
-(* ------------------------------------------------------------------ *)
-
-(* The contenders are the same production kernels with metric recording
-   globally disabled vs enabled, interleaved per repetition exactly like
-   E19. With recording disabled every metric op collapses to one atomic
-   read, so the "off" side reproduces the PR 2 fused numbers
-   (BENCH_scan.json) and the on/off delta is precisely what the
-   instrumentation — two counter bumps per answer plus the per-shard
-   histogram path — costs. The budget is <2%. *)
-let e21_obs_overhead size =
-  section "E21" "observability overhead on the fused scan (lw_obs)";
-  let d, bucket_size, reps = if size = Fast then (10, 1024, 3) else (12, 8192, 5) in
-  let st = random_store ~domain_bits:d ~bucket_size "e21" in
-  let server = whole_server st in
-  let drbg = rng () in
-  let keys =
-    Array.init 8 (fun i ->
-        let alpha = (i * 53) land ((1 lsl d) - 1) in
-        let k0, k1 = Lw_dpf.Dpf.gen ~domain_bits:d ~alpha drbg in
-        if i land 1 = 0 then k0 else k1)
-  in
-  let db_mb = float_of_int (Lw_store.total_bytes st) /. 1048576. in
-  let off f () =
-    Lw_obs.Metrics.set_enabled false;
-    f ();
-    Lw_obs.Metrics.set_enabled true
-  in
-  (* the delta under test is ~ns of atomic ops against ms of scan, far
-     below single-shot jitter on shared hardware — so each timed sample
-     amortises enough answers to span tens of milliseconds, calibrated
-     per kernel, and we take more reps than E19 uses *)
-  let reps = 2 * reps - 1 in
-  let sample_target_s = if size = Fast then 0.05 else 0.08 in
-  let repeat n f () =
-    for _ = 1 to n do
-      f ()
-    done
-  in
-  let single () = ignore (Lw_pir.Server.answer server keys.(0)) in
-  let batch () = ignore (Lw_pir.Server.answer_batch server keys) in
-  (* warmup: bring the database and code paths into cache before timing *)
-  single ();
-  batch ();
-  row "geometry: 2^%d buckets x %d B = %.0f MiB, %d paired reps, ~%.0f ms samples\n\n" d
-    bucket_size db_mb reps (1000. *. sample_target_s);
-  let overhead s_off s_on = 100. *. (s_on -. s_off) /. s_off in
-  let report label w s_off s_on =
-    let mb = db_mb *. float_of_int w in
-    row "%-22s %9.2f ms off %9.2f ms on %9.0f / %-6.0f MB/s %+6.2f%%\n" label
-      (1000. *. s_off) (1000. *. s_on) (mb /. s_off) (mb /. s_on)
-      (overhead s_off s_on)
-  in
-  (* drift-robust estimator: each rep times off/on/on/off back to back
-     and yields one paired ratio, so slow throughput drift (turbo,
-     noisy neighbours) cancels within the rep; the overhead is the
-     median ratio and the on-side time is derived from it, keeping the
-     reported numbers mutually consistent *)
-  let median a =
-    let s = Array.copy a in
-    Array.sort Float.compare s;
-    let n = Array.length s in
-    if n land 1 = 1 then s.(n / 2) else 0.5 *. (s.((n / 2) - 1) +. s.(n / 2))
-  in
-  let pair one =
-    let t1 = Float.max 1e-6 (snd (time_once one)) in
-    let inner = max 3 (int_of_float (Float.ceil (sample_target_s /. t1))) in
-    let f = repeat inner one in
-    let per x = x /. float_of_int inner in
-    let offs = Array.make reps 0. and ratios = Array.make reps 0. in
-    for r = 0 to reps - 1 do
-      (* alternate ABBA / BAAB so the rep-boundary slot (GC, cache
-         refill from between-rep work) is charged to each side equally *)
-      let t () = snd (time_once f) and t_off () = snd (time_once (off f)) in
-      let o, n =
-        if r land 1 = 0 then begin
-          let o1 = t_off () in
-          let n1 = t () in
-          let n2 = t () in
-          let o2 = t_off () in
-          (o1 +. o2, n1 +. n2)
-        end
-        else begin
-          let n1 = t () in
-          let o1 = t_off () in
-          let o2 = t_off () in
-          let n2 = t () in
-          (o1 +. o2, n1 +. n2)
-        end
-      in
-      offs.(r) <- o /. 2.;
-      ratios.(r) <- n /. o
-    done;
-    let s_off = per (median offs) in
-    (s_off, s_off *. median ratios)
-  in
-  let single_off, single_on = pair single in
-  report "fused single query" 1 single_off single_on;
-  let batch_off, batch_on = pair batch in
-  report "batch scan (w=8)" 8 batch_off batch_on;
-  Lw_obs.Metrics.set_enabled true;
-  let answers =
-    Lw_obs.Metrics.counter_value (Lw_obs.Metrics.counter "pir.server.answers")
-  in
-  let scan_bytes =
-    Lw_obs.Metrics.counter_value (Lw_obs.Metrics.counter "pir.server.scan_bytes")
-  in
-  row "\nlive registry after this experiment: pir.server.answers=%d scan_bytes=%d\n"
-    answers scan_bytes;
-  let within = overhead single_off single_on <= 2.0 in
-  row "single-query overhead %+0.2f%% — %s the <2%% budget\n"
-    (overhead single_off single_on)
-    (if within then "within" else "OVER");
-  let open Json in
-  let entry w s_off s_on =
-    let mb = db_mb *. float_of_int w in
-    Obj
-      [
-        ("metrics_off_ms", Number (1000. *. s_off));
-        ("metrics_on_ms", Number (1000. *. s_on));
-        ("metrics_off_mb_s", Number (mb /. s_off));
-        ("metrics_on_mb_s", Number (mb /. s_on));
-        ("overhead_pct", Number (overhead s_off s_on));
-        ("within_2pct", Bool (overhead s_off s_on <= 2.0));
-      ]
-  in
-  write_bench size ~id:"E21" "BENCH_obs.json"
-    [
-      ("domain_bits", Number (float_of_int d));
-      ("bucket_size", Number (float_of_int bucket_size));
-      ("db_mib", Number db_mb);
-      ("reps", Number (float_of_int reps));
-      ("single", entry 1 single_off single_on);
-      ("batch8", entry 8 batch_off batch_on);
-      ("counters_after",
-       Obj
-         [
-           ("pir_server_answers", Number (float_of_int answers));
-           ("pir_server_scan_bytes", Number (float_of_int scan_bytes));
-         ]);
-    ]
-
-(* ------------------------------------------------------------------ *)
 (* E22: publisher updates while serving (epoch-versioned store)        *)
 (* ------------------------------------------------------------------ *)
 
@@ -2322,202 +2191,6 @@ let e25_cluster size =
     ]
 
 (* ------------------------------------------------------------------ *)
-
-let e26_keyword size =
-  section "E26" "keyword GET vs index GET: the wire-v4 two-probe verb, end to end";
-  let sites, n_pages, ops, clusters, k =
-    if size = Fast then (8, 160, 96, 16, 4)
-    else (12, 320, 192, 24, 5)
-  in
-  (* Deployment point: the paper's serving regime is scan-dominated
-     (§5.1: 103 ms scan vs 64 ms DPF per GiB shard), which is exactly
-     where the width-2 shared-scan kernel pays off — so the keyword
-     store is sized with large buckets over a modest domain (16 MiB
-     total, like-for-like with the data store) rather than a tiny
-     eval-dominated geometry that would under-credit the shared pass. *)
-  let geometry =
-    {
-      Lightweb.Universe.default_geometry with
-      Lightweb.Universe.data_blob_size = 16384;
-      data_domain_bits = 10;
-    }
-  in
-  (* a small-page synthetic corpus published through the real universe:
-     every page lands in both the data store (single-probe path GET) and
-     the cuckoo keyword store (two-probe keyword GET) *)
-  let profile =
-    {
-      Lw_sim.Corpus.name = "e26-synthetic";
-      total_bytes = float_of_int n_pages *. 160.;
-      pages = float_of_int n_pages;
-      avg_page_bytes = 160.;
-    }
-  in
-  let corpus = Lw_sim.Corpus.generate ~sites ~sigma:0.4 profile ~n_pages (det "e26-corpus") in
-  let u = Lightweb.Universe.create ~name:"e26" geometry in
-  Array.iter
-    (fun site ->
-      match Lightweb.Universe.claim_domain u ~publisher:"bench" ~domain:site with
-      | Ok () -> ()
-      | Error e -> failwith (Printf.sprintf "E26 claim %s: %s" site e))
-    corpus.Lw_sim.Corpus.sites;
-  let published = ref [] and skipped = ref 0 in
-  Array.iter
-    (fun (pg : Lw_sim.Corpus.page) ->
-      match
-        Lightweb.Universe.push_data u ~publisher:"bench" ~path:pg.Lw_sim.Corpus.path
-          ~value:(Json.String pg.Lw_sim.Corpus.body)
-      with
-      | Ok () -> published := pg.Lw_sim.Corpus.path :: !published
-      | Error _ -> incr skipped (* index collision at bench density: skip, count *))
-    corpus.Lw_sim.Corpus.pages;
-  ignore (Lightweb.Universe.publish_updates u);
-  let paths = Array.of_list (List.rev !published) in
-  if Array.length paths = 0 then failwith "E26: nothing published";
-  let kw_store = Lightweb.Universe.keyword_store u in
-  Printf.printf "(%d pages published, %d skipped; cuckoo load %.2f, stash %d; %d ops/path)\n\n"
-    (Array.length paths) !skipped
-    (Lw_pir.Kw_store.load_factor kw_store)
-    (Lw_pir.Kw_store.stash_size kw_store)
-    ops;
-  let connect label (s0, s1) =
-    match
-      Lightweb.Zltp_client.connect
-        [ Lightweb.Zltp_server.endpoint s0; Lightweb.Zltp_server.endpoint s1 ]
-    with
-    | Ok c -> c
-    | Error e -> failwith (Printf.sprintf "E26 connect %s: %s" label e)
-  in
-  let data_client = connect "data" (Lightweb.Universe.data_servers u) in
-  let kw_client = connect "keyword" (Lightweb.Universe.keyword_servers u) in
-  Fun.protect ~finally:(fun () ->
-      Lightweb.Zltp_client.close data_client;
-      Lightweb.Zltp_client.close kw_client)
-  @@ fun () ->
-  (* latency: the same Zipf-free round-robin mix through both verbs.
-     The two verbs are timed INTERLEAVED (index, keyword, keyword,
-     index, ...) so machine drift, GC pacing and cache warmth hit both
-     distributions equally — a back-to-back A-then-B loop biases the
-     ratio whichever way the machine wanders between the two loops. *)
-  let index_lat = Array.make ops 0.0 in
-  let kw_lat = Array.make ops 0.0 in
-  let timed f path =
-    let t0 = Unix.gettimeofday () in
-    (match f path with
-    | Ok (Some _) -> ()
-    | Ok None -> failwith (Printf.sprintf "E26: missing record for %s" path)
-    | Error e -> failwith (Printf.sprintf "E26: %s" e));
-    (Unix.gettimeofday () -. t0) *. 1000.
-  in
-  (* warm both paths before the measured window *)
-  for i = 0 to 7 do
-    let path = paths.(i mod Array.length paths) in
-    ignore (timed (Lightweb.Zltp_client.get data_client) path);
-    ignore (timed (Lightweb.Zltp_client.keyword_get kw_client) path)
-  done;
-  Gc.major ();
-  for i = 0 to ops - 1 do
-    let path = paths.(((i * 7) + 3) mod Array.length paths) in
-    if i land 1 = 0 then begin
-      index_lat.(i) <- timed (Lightweb.Zltp_client.get data_client) path;
-      kw_lat.(i) <- timed (Lightweb.Zltp_client.keyword_get kw_client) path
-    end
-    else begin
-      kw_lat.(i) <- timed (Lightweb.Zltp_client.keyword_get kw_client) path;
-      index_lat.(i) <- timed (Lightweb.Zltp_client.get data_client) path
-    end
-  done;
-  let p a q = Lw_util.Stats.percentile a q in
-  let p50_ratio = p kw_lat 50. /. Float.max (p index_lat 50.) 1e-9 in
-  row "%-24s %8.3f ms p50 %8.3f ms p99\n" "index GET (1 probe)" (p index_lat 50.)
-    (p index_lat 99.);
-  row "%-24s %8.3f ms p50 %8.3f ms p99   (p50 ratio %.2fx, budget 1.5x)\n"
-    "keyword GET (2 probes)" (p kw_lat 50.) (p kw_lat 99.) p50_ratio;
-  if p50_ratio > 1.5 then
-    Printf.printf "WARNING: keyword p50 exceeds the 1.5x single-GET budget\n";
-  (* correlated cluster retrieval: Retrieval's feature-hash buckets served
-     as one keyword_get_batch per query — the PIR-RAG traffic family *)
-  let retr = Lw_repro.Retrieval.build ~clusters corpus in
-  let bursts = 24 in
-  let burst_lat = Array.make bursts 0.0 in
-  let fetched = ref 0 in
-  for i = 0 to bursts - 1 do
-    let query = paths.((i * 13) mod Array.length paths) in
-    let members =
-      (* retrieval is over the corpus; keep only keys that survived publish *)
-      List.filter
-        (fun m -> Array.exists (String.equal m) paths)
-        (Lw_repro.Retrieval.retrieve retr ~query ~k)
-    in
-    let members = if members = [] then [ query ] else members in
-    let t0 = Unix.gettimeofday () in
-    (match Lightweb.Zltp_client.keyword_get_batch kw_client members with
-    | Ok vs ->
-        List.iter2
-          (fun m v ->
-            match v with
-            | Some _ -> incr fetched
-            | None -> failwith (Printf.sprintf "E26: cluster member %s lost" m))
-          members vs
-    | Error e -> failwith (Printf.sprintf "E26 cluster batch: %s" e));
-    burst_lat.(i) <- (Unix.gettimeofday () -. t0) *. 1000.
-  done;
-  row "%-24s %8.3f ms p50 %8.3f ms p99   (%d bursts, %d members, %d clusters used)\n"
-    (Printf.sprintf "cluster retrieve (k=%d)" k)
-    (p burst_lat 50.) (p burst_lat 99.) bursts !fetched
-    (Lw_repro.Retrieval.non_empty retr);
-  (* the cost-model keyword column at the paper's Table-2 point *)
-  let kwe =
-    Lw_sim.Cost_model.keyword_estimate
-      (Lw_sim.Cost_model.of_profile Lw_sim.Corpus.c4)
-      Lw_sim.Cost_model.paper_shard Lw_sim.Cost_model.c5_large
-  in
-  Format.printf "%a\n" Lw_sim.Cost_model.pp_keyword kwe;
-  Printf.printf
-    "\nthe two cuckoo probes ride ONE batched scan, so keyword GET pays two\n\
-     DPF evaluations but a single memory pass — compute overhead %.2fx, not 2x — and\n\
-     communication doubles exactly (the two-probe shape is query-independent).\n"
-    kwe.Lw_sim.Cost_model.compute_overhead;
-  let open Json in
-  write_bench size ~id:"E26" "BENCH_keyword.json"
-    [
-      ("pages_published", Number (float_of_int (Array.length paths)));
-      ("pages_skipped", Number (float_of_int !skipped));
-      ("cuckoo_load_factor", Number (Lw_pir.Kw_store.load_factor kw_store));
-      ("cuckoo_stash", Number (float_of_int (Lw_pir.Kw_store.stash_size kw_store)));
-      ("ops", Number (float_of_int ops));
-      ( "index_get",
-        Obj [ ("p50_ms", Number (p index_lat 50.)); ("p99_ms", Number (p index_lat 99.)) ] );
-      ( "keyword_get",
-        Obj
-          [
-            ("p50_ms", Number (p kw_lat 50.));
-            ("p99_ms", Number (p kw_lat 99.));
-            ("p50_ratio", Number p50_ratio);
-            ("meets_1_5x_budget", Bool (p50_ratio <= 1.5));
-          ] );
-      ( "cluster_retrieval",
-        Obj
-          [
-            ("bursts", Number (float_of_int bursts));
-            ("k", Number (float_of_int k));
-            ("members_fetched", Number (float_of_int !fetched));
-            ("clusters_non_empty", Number (float_of_int (Lw_repro.Retrieval.non_empty retr)));
-            ("p50_ms", Number (p burst_lat 50.));
-            ("p99_ms", Number (p burst_lat 99.));
-          ] );
-      ( "cost_model_c4",
-        Obj
-          [
-            ("kw_vcpu_seconds", Number kwe.Lw_sim.Cost_model.kw_vcpu_seconds);
-            ("kw_request_cost_usd", Number kwe.Lw_sim.Cost_model.kw_request_cost_usd);
-            ("kw_upload_kib", Number kwe.Lw_sim.Cost_model.kw_upload_kib);
-            ("kw_download_kib", Number kwe.Lw_sim.Cost_model.kw_download_kib);
-            ("compute_overhead", Number kwe.Lw_sim.Cost_model.compute_overhead);
-          ] );
-    ]
-
-(* ------------------------------------------------------------------ *)
 (* E27: single-server PIR (Single mode) vs two-server Pir2              *)
 (* ------------------------------------------------------------------ *)
 
@@ -2742,12 +2415,10 @@ let experiments =
     ("E17", e17_queue);
     ("E19", e19_scan_kernels);
     ("E20", e20_chaos_tail_latency);
-    ("E21", e21_obs_overhead);
     ("E22", e22_store_updates);
     ("E23", e23_full_lint);
     ("E24", e24_fleet);
     ("E25", e25_cluster);
-    ("E26", e26_keyword);
     ("E27", e27_single);
   ]
 

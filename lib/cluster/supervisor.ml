@@ -552,11 +552,10 @@ let publish t muts =
               reason = Printf.sprintf "shard %d failed to activate %d" s.sid target_epoch;
             })
 
-let replicas ?(roles = 2) t =
-  if roles < 1 then invalid_arg "Supervisor.replicas: roles must be >= 1";
-  List.init roles (fun r ->
+let replicas t =
+  List.init 2 (fun r ->
       Array.to_list t.fleet
-      |> List.filter (fun s -> s.sid mod roles = r)
+      |> List.filter (fun s -> s.sid mod 2 = r)
       |> List.map (fun s ->
              Lightweb.Zltp_client.replica
                ~name:(Printf.sprintf "shard-%d" s.sid)

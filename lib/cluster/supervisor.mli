@@ -106,9 +106,9 @@ val publish : t -> (int * string) list -> rollout_result
     above. Serialized with shard catch-up; never raises on shard
     failure. *)
 
-val replicas : ?roles:int -> t -> Lightweb.Zltp_client.replica list list
+val replicas : t -> Lightweb.Zltp_client.replica list list
 (** Replica lists for [Zltp_client.connect_replicated]: shard [i] backs
-    role [i mod roles] (default 2 — the two non-colluding PIR roles).
+    role [i mod 2], one of the two non-colluding PIR roles.
     Dials read the shard's current port at call time, so a replica
     re-dialed after a restart finds the new process. *)
 

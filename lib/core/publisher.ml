@@ -39,7 +39,7 @@ let validate site =
         end
   end
 
-let push ?(rename_on_collision = true) universe ~publisher site =
+let push universe ~publisher site =
   match validate site with
   | Error _ as e -> e
   | Ok () -> (
@@ -56,7 +56,7 @@ let push ?(rename_on_collision = true) universe ~publisher site =
               let rec push_page path value attempt =
                 match Universe.push_data universe ~publisher ~path ~value with
                 | Ok () -> Ok path
-                | Error e when rename_on_collision && attempt < 8 && is_collision_error e ->
+                | Error e when attempt < 8 && is_collision_error e ->
                     push_page (Printf.sprintf "%s~%d" path (attempt + 1)) value (attempt + 1)
                 | Error e -> Error e
               in

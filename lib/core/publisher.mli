@@ -25,11 +25,9 @@ type push_report = {
     in the keyword index under their final, post-rename path). *)
 
 val push :
-  ?rename_on_collision:bool ->
   Universe.t ->
   publisher:string ->
   site ->
   (push_report, string) result
-(** Claims the domain, pushes code, pushes every page. With
-    [rename_on_collision] (default true), a colliding path is retried as
-    [path ^ "~N"]. *)
+(** Claims the domain, pushes code, pushes every page. A path that
+    collides in the index is retried as [path ^ "~N"], up to 8 times. *)

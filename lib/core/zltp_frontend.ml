@@ -116,16 +116,13 @@ let combine_shares t shares =
   Bytes.unsafe_to_string acc
 
 (* Time one shard's contribution against the span clock and feed the
-   per-shard histogram; with metrics disabled this is the bare call. *)
+   per-shard histogram. *)
 let timed_shard t i f =
-  if Lw_obs.Metrics.is_enabled () then begin
-    let c = Lw_obs.Span.clock () in
-    let t0 = Lw_obs.Clock.now c in
-    let share = f () in
-    Lw_obs.Metrics.observe t.shard_hist.(i) (Lw_obs.Clock.now c -. t0);
-    share
-  end
-  else f ()
+  let c = Lw_obs.Span.clock () in
+  let t0 = Lw_obs.Clock.now c in
+  let share = f () in
+  Lw_obs.Metrics.observe t.shard_hist.(i) (Lw_obs.Clock.now c -. t0);
+  share
 
 (* ---- shard-level scan parallelism knob ---- *)
 

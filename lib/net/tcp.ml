@@ -71,11 +71,11 @@ let unregister server ep =
   server.conns <- List.filter (fun (e, _) -> e != ep) server.conns;
   Mutex.unlock server.lock
 
-let serve ?(backlog = 16) ?recv_timeout_s ~host ~port handler =
+let serve ?recv_timeout_s ~host ~port handler =
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt sock Unix.SO_REUSEADDR true;
   Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
-  Unix.listen sock backlog;
+  Unix.listen sock 16;
   let actual_port =
     match Unix.getsockname sock with
     | Unix.ADDR_INET (_, p) -> p

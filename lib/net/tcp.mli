@@ -5,7 +5,6 @@
 type server
 
 val serve :
-  ?backlog:int ->
   ?recv_timeout_s:float ->
   host:string ->
   port:int ->
@@ -14,8 +13,9 @@ val serve :
 (** [serve ~host ~port handler] binds and starts accepting in a background
     thread; [handler] runs in its own thread per connection and owns the
     endpoint (the socket closes when it returns or raises). Port 0 picks a
-    free port — read it back with {!port}. [recv_timeout_s] gives every
-    per-connection endpoint a receive deadline (see {!connect}). *)
+    free port — read it back with {!port}. The accept backlog is 16.
+    [recv_timeout_s] gives every per-connection endpoint a receive
+    deadline (see {!connect}). *)
 
 val port : server -> int
 

@@ -3,10 +3,6 @@
    path; the registry itself (name -> metric) takes a mutex only on
    first registration / snapshot. *)
 
-let enabled_flag = Atomic.make true
-let set_enabled b = Atomic.set enabled_flag b
-let is_enabled () = Atomic.get enabled_flag
-
 (* ---- histogram bucket geometry ------------------------------------- *)
 
 (* Geometric buckets: bucket 0 holds everything <= [lo]; bucket i (i >= 1)
@@ -59,21 +55,16 @@ let rec atomic_max_float cell v =
   if v > cur && not (Atomic.compare_and_set cell cur v) then
     atomic_max_float cell v
 
-let incr c = if Atomic.get enabled_flag then ignore (Atomic.fetch_and_add c 1)
-
-let add c n =
-  if Atomic.get enabled_flag then ignore (Atomic.fetch_and_add c n)
-
+let incr c = ignore (Atomic.fetch_and_add c 1)
+let add c n = ignore (Atomic.fetch_and_add c n)
 let counter_value c = Atomic.get c
-let set g v = if Atomic.get enabled_flag then Atomic.set g v
+let set g v = Atomic.set g v
 
 let observe h v =
-  if Atomic.get enabled_flag then begin
-    ignore (Atomic.fetch_and_add h.buckets.(bucket_index v) 1);
-    ignore (Atomic.fetch_and_add h.hcount 1);
-    atomic_add_float h.hsum v;
-    atomic_max_float h.hmax v
-  end
+  ignore (Atomic.fetch_and_add h.buckets.(bucket_index v) 1);
+  ignore (Atomic.fetch_and_add h.hcount 1);
+  atomic_add_float h.hsum v;
+  atomic_max_float h.hmax v
 
 let hist_count h = Atomic.get h.hcount
 let hist_sum h = Atomic.get h.hsum
@@ -92,8 +83,7 @@ let scratch_histogram = fresh_histogram
 (* Histogram merge: bucketing is deterministic, so adding [src]'s bucket
    counts into [into] yields exactly the histogram that would have
    resulted from observing both sample streams into one histogram — no
-   bucket counts are lost or re-binned. Aggregation is not gated on
-   [is_enabled]: merging reads recorded state, it doesn't record. *)
+   bucket counts are lost or re-binned. *)
 let merge_into ~into src =
   if into == src then invalid_arg "Lw_obs.Metrics.merge_into: cannot merge a histogram into itself";
   Array.iteri

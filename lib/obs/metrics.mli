@@ -12,15 +12,8 @@
       and memory stays O(1) per histogram.
 
     Metrics are registered by name on first use and live for the whole
-    process; handles are cheap to cache in module-level [let]s. All
-    mutation is gated on {!is_enabled}, so benchmarks can measure the
-    instrumented code path with recording off ([set_enabled false]). *)
-
-val set_enabled : bool -> unit
-(** Globally enable/disable recording (default: enabled). Disabling
-    makes every [incr]/[add]/[set]/[observe] a single atomic read. *)
-
-val is_enabled : unit -> bool
+    process; handles are cheap to cache in module-level [let]s. Recording
+    is always on. *)
 
 (** {2 Counters} *)
 
@@ -67,8 +60,7 @@ val merge_into : into:histogram -> histogram -> unit
     observing both sample streams into one histogram — no counts are
     lost or re-binned (the QCheck property in [test_obs] holds this
     exactly, not approximately). Safe under concurrent [observe]s on
-    either side; not gated on {!is_enabled}. Raises [Invalid_argument]
-    when [into == src]. *)
+    either side. Raises [Invalid_argument] when [into == src]. *)
 
 (** {2 Bucket geometry} (exposed for the exporters and property tests) *)
 

@@ -14,18 +14,15 @@ let stack_key : string list Domain.DLS.key =
   Domain.DLS.new_key (fun () -> [])
 
 let with_ ~name f =
-  if not (Metrics.is_enabled ()) then f ()
-  else begin
-    let c = Atomic.get clock_cell in
-    let outer = Domain.DLS.get stack_key in
-    let path = name :: outer in
-    Domain.DLS.set stack_key path;
-    let label = String.concat "." (List.rev path) in
-    let t0 = Clock.now c in
-    Fun.protect
-      ~finally:(fun () ->
-        let dt = Clock.now c -. t0 in
-        Metrics.observe (Metrics.histogram ("span." ^ label)) dt;
-        Domain.DLS.set stack_key outer)
-      f
-  end
+  let c = Atomic.get clock_cell in
+  let outer = Domain.DLS.get stack_key in
+  let path = name :: outer in
+  Domain.DLS.set stack_key path;
+  let label = String.concat "." (List.rev path) in
+  let t0 = Clock.now c in
+  Fun.protect
+    ~finally:(fun () ->
+      let dt = Clock.now c -. t0 in
+      Metrics.observe (Metrics.histogram ("span." ^ label)) dt;
+      Domain.DLS.set stack_key outer)
+    f

@@ -10,9 +10,7 @@
 
     The clock defaults to {!Clock.real}; tests and the chaos harness
     install a virtual clock with {!set_clock} so span durations are
-    deterministic (exactly the simulated seconds slept). When metrics
-    are disabled ({!Metrics.set_enabled}[ false]) spans cost one atomic
-    read and no clock calls. *)
+    deterministic (exactly the simulated seconds slept). *)
 
 val set_clock : Clock.t -> unit
 (** Install the clock used by all spans (process-wide). *)

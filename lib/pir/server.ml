@@ -60,8 +60,8 @@ let block_bits_for t =
   let rec fit b = if b >= d || (1 lsl (b + 1)) * bucket > block_bytes then b else fit (b + 1) in
   fit 0
 
-(* Registry counters: a few increments per call, so the fused scan stays
-   within the E21 overhead budget (<2%). *)
+(* Registry counters: a few atomic increments per call, nothing next to
+   the scan they count. *)
 let m_answers = Lw_obs.Metrics.counter "pir.server.answers"
 let m_batches = Lw_obs.Metrics.counter "pir.server.batch_answers"
 let m_scan_bytes = Lw_obs.Metrics.counter "pir.server.scan_bytes"

@@ -30,7 +30,7 @@ type burst = {
   burst_pages : int list; (** [burst_k] page ranks, duplicates allowed *)
 }
 (** A correlated search burst: one cluster retrieval served as [burst_k]
-    keyword fetches against a single site (see {!Retrieval}). *)
+    keyword fetches against a single site. *)
 
 val search_bursts : burst_k:int -> params -> Lw_util.Det_rng.t -> burst list
 (** One burst per visit of {!generate}: the visit's page plus

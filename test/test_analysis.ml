@@ -1326,6 +1326,7 @@ let unreached_by_design =
     ("Recursive_oram.total_stash", "the stash the churn case checks stays bounded");
     ("Heavy_hitters.server_sum", "one server's share, which the blindness case checks is no count");
     ("Span.set_clock", "the obs suite times spans on a virtual clock");
+    ("Metrics.counter_value", "the obs, pir, cluster and lightweb suites read counters with it");
     ("Server.run_workers", "the scan's one spawn site; the obs suite rigs a worker to raise");
     (* observation hooks the store, keyword and codec tests check against *)
     ("Kw_store.find", "the plaintext lookup the keyword model property compares with a Hashtbl");
@@ -1342,6 +1343,9 @@ let unreached_by_design =
     ("Universe.remove_data", "a publisher's delete, for planned takedowns; checked across epochs");
     ("Enclave.remove", "the enclave store's delete, paired with Universe.remove_data");
     ("Browser.evict_code", "code-cache eviction, for the planned code-update path");
+    ( "Zltp_client.keyword_get_batch",
+      "the keyword verb's batch frame, for the planned search-burst sessions; the modes, keyword \
+       and retry-shape suites send it" );
     ("Corpus.to_sites", "a synthetic corpus as sites; the integration pipeline publishes them");
   ]
 
@@ -1555,8 +1559,8 @@ let test_taint_tables_name_exports () =
 let moved_to_repro =
   [
     "pir/bitvec_pir.ml"; "pir/baselines.ml"; "dpf/idpf.ml"; "sim/heavy_hitters.ml";
-    "sim/fleet_sim.ml"; "sim/queue_sim.ml"; "sim/latency_model.ml"; "sim/retrieval.ml";
-    "oram/recursive_oram.ml"; "util/ascii_chart.ml";
+    "sim/fleet_sim.ml"; "sim/queue_sim.ml"; "sim/latency_model.ml"; "oram/recursive_oram.ml";
+    "util/ascii_chart.ml";
   ]
 
 let test_moved_rules_apply () =

@@ -84,13 +84,7 @@ let test_merge_validation () =
   (* merging an empty source is a no-op *)
   let empty = Lw_obs.Metrics.scratch_histogram () in
   Lw_obs.Metrics.merge_into ~into:h empty;
-  Alcotest.(check int) "count unchanged" 1 (Lw_obs.Metrics.hist_count h);
-  (* merge is not gated on is_enabled: it aggregates recorded state *)
-  Lw_obs.Metrics.set_enabled false;
-  let h2 = Lw_obs.Metrics.scratch_histogram () in
-  Lw_obs.Metrics.merge_into ~into:h2 h;
-  Lw_obs.Metrics.set_enabled true;
-  Alcotest.(check int) "merged while disabled" 1 (Lw_obs.Metrics.hist_count h2)
+  Alcotest.(check int) "count unchanged" 1 (Lw_obs.Metrics.hist_count h)
 
 let test_histogram_basics () =
   let h = Lw_obs.Metrics.histogram "test.obs.basics" in
@@ -113,15 +107,6 @@ let test_metric_kind_mismatch () =
     (Invalid_argument
        "Lw_obs.Metrics: test.obs.kind already registered with a different kind (wanted histogram)")
     (fun () -> ignore (Lw_obs.Metrics.histogram "test.obs.kind"))
-
-let test_disabled_recording () =
-  let c = Lw_obs.Metrics.counter "test.obs.disabled" in
-  Lw_obs.Metrics.set_enabled false;
-  Lw_obs.Metrics.incr c;
-  Lw_obs.Metrics.set_enabled true;
-  Alcotest.(check int) "not recorded while disabled" 0 (Lw_obs.Metrics.counter_value c);
-  Lw_obs.Metrics.incr c;
-  Alcotest.(check int) "recorded again" 1 (Lw_obs.Metrics.counter_value c)
 
 (* ---------------- Metrics: counters under domains ---------------- *)
 
@@ -333,7 +318,6 @@ let () =
           Alcotest.test_case "histogram basics" `Quick test_histogram_basics;
           Alcotest.test_case "merge validation" `Quick test_merge_validation;
           Alcotest.test_case "kind mismatch" `Quick test_metric_kind_mismatch;
-          Alcotest.test_case "disabled recording" `Quick test_disabled_recording;
           Alcotest.test_case "counters exact under domains" `Quick test_counter_exact_under_domains;
           Alcotest.test_case "counters exact under concurrent answers" `Quick
             test_counter_exact_under_concurrent_answers;

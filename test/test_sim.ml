@@ -467,47 +467,6 @@ let test_fleet_any_seed () =
       Alcotest.(check int) ("shards, seed " ^ seed) 16 r.Fleet_sim.shards)
     [ "fleet-sim"; "fleet-256"; "a-seed-longer-than-sixteen-bytes"; "" ]
 
-(* Retrieval's clusters partition the corpus: every page's cluster holds
-   it, two pages' clusters are the same or disjoint, [non_empty] counts
-   the distinct ones, and [retrieve ~k] gives at most [k] members of the
-   query's one cluster, a page or a path the corpus never held. *)
-let test_retrieval_clusters () =
-  let corpus = Corpus.generate ~sites:8 Corpus.c4 ~n_pages:200 (det "retrieval") in
-  let paths =
-    List.sort_uniq String.compare
-      (List.map (fun p -> p.Corpus.path) (Array.to_list corpus.Corpus.pages))
-  in
-  let r = Retrieval.build ~clusters:16 corpus in
-  let all = List.length paths in
-  let cluster q = Retrieval.retrieve r ~query:q ~k:all in
-  List.iter
-    (fun p -> Alcotest.(check bool) (p ^ " in its cluster") true (List.mem p (cluster p)))
-    paths;
-  let clusters = List.sort_uniq compare (List.map cluster paths) in
-  Alcotest.(check (list string)) "the clusters cover the corpus once" paths
-    (List.sort String.compare (List.concat clusters));
-  Alcotest.(check int) "non_empty" (List.length clusters) (Retrieval.non_empty r);
-  Alcotest.(check bool) "more than one cluster" true (List.length clusters > 1);
-  List.iter
-    (fun q ->
-      let whole = cluster q in
-      List.iter
-        (fun k ->
-          let got = Retrieval.retrieve r ~query:q ~k in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s k=%d: at most k members of its cluster" q k)
-            true
-            (List.length got <= k
-            && List.length got = min k (List.length whole)
-            && List.for_all (fun m -> List.mem m whole) got))
-        [ 1; 2; 3; 7 ])
-    ("nowhere.example/not/in/the/corpus" :: List.filteri (fun i _ -> i mod 17 = 0) paths);
-  Alcotest.check_raises "no clusters"
-    (Invalid_argument "Retrieval.build: clusters must be >= 1") (fun () ->
-      ignore (Retrieval.build ~clusters:0 corpus));
-  Alcotest.check_raises "k below 1" (Invalid_argument "Retrieval.retrieve: k must be >= 1")
-    (fun () -> ignore (Retrieval.retrieve r ~query:(List.hd paths) ~k:0))
-
 let () =
   Alcotest.run "lw_sim"
     [
@@ -544,7 +503,6 @@ let () =
           Alcotest.test_case "single server blind" `Quick test_heavy_hitters_single_server_blind;
         ] );
       ("fleet-sim", [ Alcotest.test_case "any seed length" `Quick test_fleet_any_seed ]);
-      ("retrieval", [ Alcotest.test_case "clusters" `Quick test_retrieval_clusters ]);
       ( "queue-sim",
         [
           Alcotest.test_case "capacity formula" `Quick test_queue_capacity_formula;
