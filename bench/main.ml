@@ -1205,8 +1205,9 @@ let e19_scan_kernels size =
           (fun w ->
             let dsts = Array.init w (fun _ -> Bytes.create bucket) in
             let run kernel () =
-              Lw_util.Xorbuf.xor_extents_lanes_on ~kernel ~extents ~extents_pos:0 ~bits ~bits_pos:0
-                ~stride:n ~count:n ~src:records ~src_pos:0 ~bucket ~dsts
+              Lw_util.Xorbuf.xor_extents_lanes_on ~kernel ~blocks:[| records |]
+                ~extents:[| extents |] ~block_bits:(Lw_util.Bitops.log2_ceil n) ~first:0 ~bits
+                ~bits_pos:0 ~stride:n ~count:n ~bucket ~dsts
             in
             let t = best_interleaved reps (Array.of_list (List.map run kernels)) in
             let cells = Array.map (fun s -> Printf.sprintf " %10.2f" (1000. *. s)) t in
@@ -1217,15 +1218,18 @@ let e19_scan_kernels size =
           sparse_widths)
       kernel_geometries
   in
-  (* The extent walk over two stores, each called in its [Lw_store]
-     blocks as an answer makes, on every build, interleaved with the
-     whole walk over the same records: the reference sparse store, and a
-     mostly-full store of mixed record lengths (2^8 x 1 KiB, 80% of
-     buckets filled, 44% of bytes up to the extents), where a walk that
-     took a tile's differing extents one record at a time was slower than
-     the whole walk. A timing repeats the walk until it has covered
-     16 MiB of buckets, so the small store's cells are not down at the
-     clock's microsecond, and reports one pass. *)
+  (* The extent walk over two stores, each held in its [Lw_store] CoW
+     blocks and called in the runs an answer hands the kernel
+     ([Lw_pir.Server.scan_block_buckets]), across those blocks, on every
+     build, interleaved with the whole walk over the same blocks and
+     runs (every extent at the bucket, a full store's walk): the
+     reference sparse store, and a mostly-full store of mixed record
+     lengths (2^8 x 1 KiB, 80% of buckets filled, 44% of bytes up to
+     the extents), where a walk that took a tile's differing extents one
+     record at a time was slower than the whole walk. A timing repeats
+     the walk until it has covered 16 MiB of buckets, so the small
+     store's cells are not down at the clock's microsecond, and reports
+     one pass. *)
   let walk_stores =
     [ ("reference sparse", d, sb, 0.385, 0.093); ("mixed, 80% filled", 8, 1024, 0.8, 0.44) ]
   in
@@ -1233,53 +1237,49 @@ let e19_scan_kernels size =
     List.concat_map
       (fun (name, bits_n, bucket, filled, byte_share) ->
         let n = 1 lsl bits_n in
-        let run = Lw_store.block_buckets (Lw_store.create ~domain_bits:bits_n ~bucket_size:bucket ()) in
-        let records = Bytes.make (n * bucket) '\x00' and extents = Bytes.make (4 * n) '\x00' in
+        let geometry = Lw_store.create ~domain_bits:bits_n ~bucket_size:bucket () in
+        let per = Lw_store.block_buckets geometry in
+        let run = Lw_pir.Server.scan_block_buckets (whole_server geometry) in
+        let block_bits = Lw_util.Bitops.log2_ceil per in
+        let blocks = Array.init (n / per) (fun _ -> Bytes.make (per * bucket) '\x00') in
+        let extents = Array.init (n / per) (fun _ -> Bytes.make (4 * per) '\x00') in
+        let whole = Bytes.create (4 * per) in
+        for j = 0 to per - 1 do
+          Bytes.set_int32_ne whole (4 * j) (Int32.of_int bucket)
+        done;
+        let wholes = Array.make (n / per) whole in
         let wrng = det ("e19-walk-" ^ name) in
         let bits = Bytes.of_string (Lw_util.Det_rng.bytes wrng (2 * n)) in
         let scanned = ref 0 in
         sparse_records ~filled ~bytes:byte_share wrng ~count:n ~bucket (fun j len ->
-            Bytes.blit_string (Lw_util.Det_rng.bytes wrng len) 0 records (j * bucket) len;
+            Bytes.blit_string (Lw_util.Det_rng.bytes wrng len) 0 blocks.(j / per)
+              (j mod per * bucket) len;
             let e = min bucket ((len + 63) land lnot 63) in
             scanned := !scanned + e;
-            Bytes.set_int32_ne extents (4 * j) (Int32.of_int e));
+            Bytes.set_int32_ne extents.(j / per) (4 * (j mod per)) (Int32.of_int e));
         let share = float_of_int !scanned /. float_of_int (n * bucket) in
-        row "\n%s store, 2^%d x %d B in runs of %d, %.1f%% of bytes up to the extents: extent \
-             walk / whole walk (ms)\n%-8s%s\n"
-          name bits_n bucket run (100. *. share) "width"
+        row "\n%s store, 2^%d x %d B in runs of %d across CoW blocks of %d, %.1f%% of bytes up \
+             to the extents: extent walk / whole walk (ms)\n%-8s%s\n"
+          name bits_n bucket run per (100. *. share) "width"
           (String.concat "" (List.map (Printf.sprintf " %19s") kernels));
         List.map
           (fun w ->
             let dsts = Array.init w (fun _ -> Bytes.create bucket) in
-            let in_runs call () =
-              for b = 0 to (n / run) - 1 do
-                call ~count:run ~off:(b * run)
-              done
-            in
             let passes = max 1 ((16 lsl 20) / (n * bucket)) in
-            let timed walk () =
+            let walk kernel extents () =
               for _ = 1 to passes do
-                walk ()
+                for r = 0 to (n / run) - 1 do
+                  Lw_util.Xorbuf.xor_extents_lanes_on ~kernel ~blocks ~extents ~block_bits
+                    ~first:(r * run) ~bits ~bits_pos:(r * run) ~stride:n ~count:run ~bucket ~dsts
+                done
               done
-            in
-            let extent_walk kernel =
-              in_runs (fun ~count ~off ->
-                  Lw_util.Xorbuf.xor_extents_lanes_on ~kernel ~extents ~extents_pos:(4 * off) ~bits
-                    ~bits_pos:off ~stride:n ~count ~src:records ~src_pos:(off * bucket) ~bucket
-                    ~dsts)
-            and whole_walk kernel =
-              in_runs (fun ~count ~off ->
-                  Lw_util.Xorbuf.xor_buckets_lanes_on ~kernel ~bits ~bits_pos:off ~stride:n ~count
-                    ~src:records ~src_pos:(off * bucket) ~bucket ~dsts)
             in
             let t =
               Array.map
                 (fun s -> s /. float_of_int passes)
                 (best_interleaved reps
                    (Array.of_list
-                      (List.concat_map
-                         (fun k -> [ timed (extent_walk k); timed (whole_walk k) ])
-                         kernels)))
+                      (List.concat_map (fun k -> [ walk k extents; walk k wholes ]) kernels)))
             in
             row "%-8d%s\n" w
               (String.concat ""
@@ -1287,7 +1287,7 @@ let e19_scan_kernels size =
                     (fun i _ ->
                       Printf.sprintf " %8.4f / %8.4f" (1000. *. t.(2 * i)) (1000. *. t.((2 * i) + 1)))
                     kernels));
-            (name, n, bucket, share, w, t))
+            (name, n, bucket, run, per, share, w, t))
           sparse_widths)
       walk_stores
   in
@@ -1355,11 +1355,13 @@ let e19_scan_kernels size =
       ( "extent_walks",
         List
           (List.map
-             (fun (name, n, bucket, share, w, t) ->
+             (fun (name, n, bucket, run, per, share, w, t) ->
                Obj
                  (("store", String name)
                  :: ("bucket_size", Number (float_of_int bucket))
                  :: ("records", Number (float_of_int n))
+                 :: ("run", Number (float_of_int run))
+                 :: ("cow_block", Number (float_of_int per))
                  :: ("scanned_share", Number share)
                  :: ("width", Number (float_of_int w))
                  :: List.concat

@@ -47,18 +47,29 @@ let scan t bits =
 (* The fused, blocked kernel — the only production scan path           *)
 (* ------------------------------------------------------------------ *)
 
-(* Cache budget for one streamed block of database: big enough to
-   amortise per-block overheads, small enough that a single answer's
-   block of DPF leaf bytes is still in cache when the kernel reads it.
-   Matches [Lw_store]'s CoW block budget, so a fused-scan block never
-   spans more than two CoW blocks of a snapshot. *)
+(* One streamed block of the fused scan: a block's DPF leaf bytes are
+   produced, and its buckets scanned, in one kernel call. A block holds
+   the buckets that fit [block_bytes], which amortises the traversal's
+   and the call's fixed costs over small buckets (a 256 KiB store of
+   256 B buckets is one call), and never fewer than the kernel's sort
+   chunk ([Xorbuf.sort_chunk] buckets, 2 MiB of 4 KiB buckets), so that
+   the sorted walk tiles whole chunks; or the whole range, when that is
+   smaller. The scan block and the store's 256 KiB CoW block are
+   separate quantities: one call may span many CoW blocks, and the
+   kernel addresses each bucket as its block plus its offset. *)
 let block_bytes = 1 lsl 18
 
 let block_bits_for t =
   let bucket = bucket_size t in
   let d = domain_bits t in
-  let rec fit b = if b >= d || (1 lsl (b + 1)) * bucket > block_bytes then b else fit (b + 1) in
+  let rec fit b =
+    if b >= d || ((1 lsl (b + 1)) * bucket > block_bytes && 1 lsl b >= Lw_util.Xorbuf.sort_chunk)
+    then b
+    else fit (b + 1)
+  in
   fit 0
+
+let scan_block_buckets t = 1 lsl block_bits_for t
 
 (* Registry counters: a few atomic increments per call, nothing next to
    the scan they count. *)

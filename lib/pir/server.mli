@@ -35,6 +35,13 @@ val scan : t -> Bytes.t -> string
     accumulator of [bucket_size] bytes — the second pass of the reference
     path (scalar per-bucket masked kernel). *)
 
+val scan_block_buckets : t -> int
+(** The buckets one call of the scan kernel covers, a fused block: those
+    that fit 256 KiB, at least {!Lw_util.Xorbuf.sort_chunk}, and at most
+    the whole database. Every answer path scans a database (or a
+    partition of it) in runs of this many buckets, whatever CoW blocks
+    of the store they span. *)
+
 val answer : ?domains:int -> t -> Lw_dpf.Dpf.key -> string
 (** One private-GET response share through the fused lane driver.
     [domains] (default 1) is the worker count the scan may use: above 1,

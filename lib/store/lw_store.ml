@@ -7,11 +7,14 @@
    they like, while a [Writer] batches mutations copy-on-write and
    publishes them as epoch [e+1] with one atomic [seal].
 
-   Storage is an array of fixed-size blocks (a power-of-two run of
-   buckets sized to the Xorbuf streaming-block budget). Sealing shares
+   Storage is an array of fixed-size copy-on-write blocks (a
+   power-of-two run of buckets within a 256 KiB budget). Sealing shares
    every block the writer did not touch with the previous epoch, so an
    epoch that changed 1% of the buckets costs ~1% of a full copy — the
-   block arrays differ only where publishers actually wrote.
+   block arrays differ only where publishers actually wrote. The CoW
+   block is the unit of copying only: a scan hands the kernel a run of
+   any length, which it addresses as block plus offset across as many
+   blocks as the run spans.
 
    Each bucket also has an extent: the offset just past its last
    non-zero byte, rounded up to 64 B (the scan kernel's column) and
@@ -28,9 +31,11 @@
    dropped) once nobody pins it and it has aged out of the small keep
    window that lets briefly-behind clients still be answered. *)
 
-(* Block budget mirrors the fused scan kernel's streaming block
-   ([Lw_pir.Server.block_bytes]): CoW granularity and scan granularity
-   describe the same slice of the database. *)
+(* The CoW block budget: a write copies its whole block, so a smaller
+   block copies less per churned bucket and a larger one shares less.
+   It does not bound a scan: [Lw_pir.Server]'s scan run is its own
+   quantity (512 buckets or more), and one kernel call crosses as many
+   CoW blocks as the run spans. *)
 let default_block_bytes = 1 lsl 18
 let max_domain_bits = 26
 let default_hash_key = String.sub (Lw_crypto.Sha256.digest "lw-pir-store-default") 0 16
@@ -54,8 +59,18 @@ type block = { data : Bytes.t; ext : Bytes.t; mutable scanned : int }
 
 (* A snapshot is a window onto one epoch's blocks: the whole domain, or a
    range view ([Snapshot.sub]) that starts [base] buckets in and spans
-   [2^bits] buckets. Views share the parent's blocks and copy nothing. *)
-type snapshot = { epoch : int; blocks : block array; store : t; base : int; bits : int }
+   [2^bits] buckets. Views share the parent's blocks and copy nothing.
+   [block_data] and [block_ext] are the blocks' bytes and extent
+   tables, in block order, as the scan kernel takes them. *)
+type snapshot = {
+  epoch : int;
+  blocks : block array;
+  block_data : Bytes.t array;
+  block_ext : Bytes.t array;
+  store : t;
+  base : int;
+  bits : int;
+}
 
 and entry = { snap : snapshot; mutable pins : int }
 
@@ -107,6 +122,17 @@ let uniform_extents bits e =
   done;
   ext
 
+let snapshot_of t epoch blocks =
+  {
+    epoch;
+    blocks;
+    block_data = Array.map (fun (b : block) -> b.data) blocks;
+    block_ext = Array.map (fun (b : block) -> b.ext) blocks;
+    store = t;
+    base = 0;
+    bits = t.domain_bits;
+  }
+
 let create ?(hash_key = default_hash_key) ?(keep = 2) ?(block_bytes = default_block_bytes)
     ?(initial_epoch = 0) ~domain_bits ~bucket_size () =
   if domain_bits < 1 || domain_bits > max_domain_bits then
@@ -148,8 +174,7 @@ let create ?(hash_key = default_hash_key) ?(keep = 2) ?(block_bytes = default_bl
           scanned = extent_of t 0 lsl block_bits;
         })
   in
-  let snap = { epoch = initial_epoch; blocks; store = t; base = 0; bits = domain_bits } in
-  t.entries <- [ { snap; pins = 0 } ];
+  t.entries <- [ { snap = snapshot_of t initial_epoch blocks; pins = 0 } ];
   t
 
 let current_entry t = match t.entries with e :: _ -> e | [] -> assert false
@@ -280,33 +305,24 @@ module Snapshot = struct
     Lw_util.Xorbuf.xor_into_masked ~mask ~src:s.blocks.(b).data
       ~src_pos:(local * s.store.bucket_size) ~dst ~dst_pos:0 ~len:s.store.bucket_size
 
-  (* Block entry: the requested [base, base+count) run may span several
-     CoW blocks (or sit inside one, for a small view); split it into
-     per-block runs and hand each, with its extents, to the Xorbuf
-     kernel. Tracing stays bucket-granular, once per bucket in order
+  (* Block entry: one kernel call for the requested [base, base+count)
+     run, whether it sits inside one CoW block (a small view) or spans
+     several; the kernel addresses each bucket as its block plus its
+     offset. Tracing stays bucket-granular, once per bucket in order
      with the bytes its extent lets the kernel read, so the
      obliviousness checker observes the access sequence the kernel
      really performs. *)
   let xor_block_into_lanes s ~base ~count ~bits ~bits_pos ~stride ~dsts =
     if count < 0 || base < 0 || base > size s - count then
       invalid_arg "Lw_store.Snapshot: block out of range";
-    let bucket = s.store.bucket_size in
-    let bb = 1 lsl s.store.block_bits in
-    let off = ref 0 in
-    while !off < count do
-      let i = s.base + base + !off in
-      let b = i lsr s.store.block_bits and local = i land (bb - 1) in
-      let run = min (count - !off) (bb - local) in
-      let blk = s.blocks.(b) in
-      if s.store.trace.on then
-        for j = 0 to run - 1 do
-          record_access s.store (i + j) (get_extent blk (local + j))
-        done;
-      Lw_util.Xorbuf.xor_extents_lanes ~extents:blk.ext ~extents_pos:(4 * local) ~bits
-        ~bits_pos:(bits_pos + !off) ~stride ~count:run ~src:blk.data ~src_pos:(local * bucket)
-        ~bucket ~dsts;
-      off := !off + run
-    done
+    if s.store.trace.on then
+      for i = base to base + count - 1 do
+        let b, local = locate s i in
+        record_access s.store (s.base + i) (get_extent s.blocks.(b) local)
+      done;
+    Lw_util.Xorbuf.xor_extents_lanes ~blocks:s.block_data ~extents:s.block_ext
+      ~block_bits:s.store.block_bits ~first:(s.base + base) ~bits ~bits_pos ~stride ~count
+      ~bucket:s.store.bucket_size ~dsts
 
   (* Tracing goes off and the trace is dropped however [f] exits, so a
      raising probe cannot leave every later read of the store growing
@@ -475,7 +491,7 @@ module Writer = struct
         w.sealed <- true;
         (* the writer's block array becomes the new epoch verbatim:
            untouched slots still point at the previous epoch's blocks *)
-        let snap = { epoch = next; blocks = w.blocks; store = t; base = 0; bits = t.domain_bits } in
+        let snap = snapshot_of t next w.blocks in
         t.entries <- { snap; pins = 0 } :: t.entries;
         retire_locked t;
         Lw_obs.Metrics.incr m_sealed;

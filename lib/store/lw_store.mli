@@ -12,11 +12,13 @@
       current epoch and publishes them atomically as epoch [e+1] via
       {!Writer.seal}.
 
-    Storage is an array of fixed-size blocks (power-of-two runs of
-    buckets sized to the [Xorbuf] streaming-block budget, 256 KiB by
-    default). Sealing shares every untouched block with the previous
-    epoch, so a 1%-churn epoch costs ~1% of a full database copy — the
-    property bench E22 measures.
+    Storage is an array of fixed-size copy-on-write blocks (power-of-two
+    runs of buckets within a 256 KiB budget by default). Sealing shares
+    every untouched block with the previous epoch, so a 1%-churn epoch
+    costs ~1% of a full database copy — the property bench E22
+    measures. The CoW block is the unit of copying, not of scanning:
+    {!Snapshot.xor_block_into_lanes} scans a run of any length in one
+    kernel call, across every block it spans.
 
     Every bucket has an {e extent}: the offset just past its last
     non-zero byte, rounded up to 64 B and capped at [bucket_size]; an
@@ -61,7 +63,8 @@ val create :
 (** Epoch 0 is the empty (all-zero) database. [hash_key] is the 16-byte
     SipHash keyword key ({!index_of_key}); [keep] (default 2, min 1) is
     how many most-recent epochs survive without pins; [block_bytes]
-    (default [2^18]) bounds the CoW block size.
+    (default [2^18]) bounds the CoW block size, which sets what a write
+    copies and nothing about how a scan walks the blocks.
 
     [initial_epoch] (default 0, must be [>= 0]) numbers the initial
     empty epoch: a restarted fleet member that persisted a manifest at
@@ -189,10 +192,13 @@ module Snapshot : sig
     stride:int ->
     dsts:Bytes.t array ->
     unit
-  (** Scan block entry ({!Lw_util.Xorbuf.xor_extents_lanes}) for single
-      answers (one lane) and batches alike: each bucket is read up to
-      its extent. The run may span CoW block boundaries and is split
-      internally. Each bucket is traced once, with its extent as the
+  (** Scan block entry for single answers (one lane) and batches alike:
+      one {!Lw_util.Xorbuf.xor_extents_lanes} call over the run's
+      buckets, each read up to its extent. The run may start anywhere
+      and span any number of CoW blocks; the kernel addresses each
+      bucket as its block plus its offset, so its tiles cross block
+      edges and its sort takes the run's records as they come, whatever
+      the blocks. Each bucket is traced once, with its extent as the
       bytes read. *)
 
   (** {2 Tracing}
@@ -205,7 +211,7 @@ module Snapshot : sig
       [(global index, bytes read)]: a scan reads a bucket's extent,
       {!get} and {!xor_bucket_into_masked} the whole bucket. Tracing is
       on only while [f] runs, and goes off however [f] exits; off, a scan
-      pays one flag test per block run. Not reentrant, and not for
+      pays one flag test per call. Not reentrant, and not for
       concurrent readers of the same store. *)
 
   val diff_ranges : t -> t -> (int * int) list

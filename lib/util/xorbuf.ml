@@ -52,23 +52,26 @@ let xor_into_masked ~mask ~src ~src_pos ~dst ~dst_pos ~len =
     Bytes.unsafe_set dst (dst_pos + i) (Char.unsafe_chr ((s land mask) lxor d))
   done
 
-(* The batch kernel, in C (xorbuf_stubs.c), compiled once per vector
-   width. It reads no OCaml value but the arguments and allocates
-   nothing; the build index and every range are checked here first. *)
+(* The lane kernel, in C (xorbuf_stubs.c), compiled once per vector
+   width: one entry for a run of records across blocks, of which a
+   single buffer is the one-block case. It reads no OCaml value but the
+   arguments and allocates nothing; the build index and every range are
+   checked here first. *)
 external xor_lanes :
   int ->
   Bytes.t ->
   int ->
   int ->
   int ->
-  Bytes.t ->
+  Bytes.t array ->
+  int ->
+  Bytes.t array ->
   int ->
   int ->
-  Bytes.t ->
   int ->
   int ->
   Bytes.t array ->
-  unit = "lw_xor_buckets_lanes_byte" "lw_xor_buckets_lanes"
+  unit = "lw_xor_lanes_byte" "lw_xor_lanes"
 [@@noalloc]
 
 external extent_order_into : Bytes.t -> int -> int -> int -> Bytes.t -> int = "lw_extent_order"
@@ -77,59 +80,80 @@ external extent_order_into : Bytes.t -> int -> int -> int -> Bytes.t -> int = "l
 external kernel_builds : unit -> string array = "lw_scan_builds"
 external first_build : unit -> int = "lw_scan_first"
 
-(* Every build, widest first; the CPU runs those from [first] on, and
-   every scan runs [first]. *)
+(* Every build, widest first; the CPU runs those from [picked] on, and
+   every scan runs [picked]. *)
 let builds = kernel_builds ()
-let first = first_build ()
-let scan_kernel () = builds.(first)
-let scan_kernels () = Array.to_list (Array.sub builds first (Array.length builds - first))
+let picked = first_build ()
+let scan_kernel () = builds.(picked)
+let scan_kernels () = Array.to_list (Array.sub builds picked (Array.length builds - picked))
+let sort_chunk = 512
 
-(* Whole records: every record reads one shared entry (step 0) that the
-   kernel caps at the bucket; it reads a tile's extents in pairs, so the
-   entry is eight bytes. *)
-let whole = Bytes.make 8 '\xff'
+(* Whole records: every record of the one block reads one shared entry
+   (step 0) that the kernel caps at the bucket. *)
+let whole = [| Bytes.make 4 '\xff' |]
 
-let lanes_on build ~ext ~ext_pos ~ext_step ~bits ~bits_pos ~stride ~count ~src ~src_pos ~bucket
-    ~dsts =
+(* A single buffer's block size: more records than any buffer holds, so
+   a run from record 0 stays in block 0. *)
+let one_block = Sys.int_size - 2
+
+let geometry_error () = invalid_arg "Xorbuf.xor_buckets_lanes: bad geometry"
+let range_error what = invalid_arg ("Xorbuf.xor_buckets_lanes(" ^ what ^ "): range out of bounds")
+
+(* [records] entries of [size] bytes from [pos] fit in [b]; the
+   division keeps [records * size] from wrapping round. *)
+let check_records what b ~pos ~records ~size =
+  let len = Bytes.length b in
+  if pos < 0 || pos > len || (size > 0 && records > (len - pos) / size) then range_error what
+
+let lanes_on build ~blocks ~src_pos ~exts ~ext_step ~shift ~first ~bits ~bits_pos ~stride
+    ~count ~bucket ~dsts =
   let lanes = Array.length dsts in
-  if bucket <= 0 || count < 0 || stride < count || lanes = 0 then
-    invalid_arg "Xorbuf.xor_buckets_lanes: bad geometry";
+  if bucket <= 0 || count < 0 || stride < count || lanes = 0 then geometry_error ();
+  if shift < 0 || shift > one_block || first < 0 || first > max_int - count then
+    geometry_error ();
   let planes = (lanes + 7) / 8 in
-  (* the divisions keep [(planes - 1) * stride] and [count * bucket]
-     from wrapping round to a small length that passes the range check *)
-  if stride > 0 && planes - 1 > Bytes.length bits / stride then
-    invalid_arg "Xorbuf.xor_buckets_lanes(bits): range out of bounds";
+  (* the division keeps [(planes - 1) * stride] from wrapping round to a
+     small length that passes the range check *)
+  if stride > 0 && planes - 1 > Bytes.length bits / stride then range_error "bits";
   check_bounds "xor_buckets_lanes(bits)" bits_pos (((planes - 1) * stride) + count)
     (Bytes.length bits);
-  if count > Bytes.length src / bucket then
-    invalid_arg "Xorbuf.xor_buckets_lanes(src): range out of bounds";
-  check_bounds "xor_buckets_lanes(src)" src_pos (count * bucket) (Bytes.length src);
+  (* the run's share of each block it spans: its records, and its
+     extent entries (one shared entry at step 0) *)
+  let mask = (1 lsl shift) - 1 in
+  let j = ref 0 in
+  while !j < count do
+    let g = first + !j in
+    let b = g lsr shift and local = g land mask in
+    let n = min (count - !j) (mask + 1 - local) in
+    if b >= Array.length blocks || b >= Array.length exts then range_error "blocks";
+    check_records "src" blocks.(b) ~pos:src_pos ~records:(local + n) ~size:bucket;
+    check_records "extents" exts.(b) ~pos:0
+      ~records:(if ext_step = 0 then 1 else local + n)
+      ~size:(max ext_step 4);
+    j := !j + n
+  done;
   Array.iter (fun d -> check_bounds "xor_buckets_lanes(dst)" 0 bucket (Bytes.length d)) dsts;
-  check_bounds "xor_buckets_lanes(extents)" ext_pos (ext_step * count) (Bytes.length ext);
-  xor_lanes build bits bits_pos stride count src src_pos bucket ext ext_pos ext_step dsts
+  xor_lanes build bits bits_pos stride count blocks src_pos exts ext_step shift first bucket dsts
 
 let build_of kernel =
   match Array.find_index (String.equal kernel) builds with
-  | Some build when build >= first -> build
+  | Some build when build >= picked -> build
   | _ -> invalid_arg "Xorbuf.xor_buckets_lanes_on: kernel not runnable on this CPU"
 
-let xor_buckets_lanes ~bits ~bits_pos ~stride ~count ~src ~src_pos ~bucket ~dsts =
-  lanes_on first ~ext:whole ~ext_pos:0 ~ext_step:0 ~bits ~bits_pos ~stride ~count ~src ~src_pos
-    ~bucket ~dsts
+let buckets_on build ~bits ~bits_pos ~stride ~count ~src ~src_pos ~bucket ~dsts =
+  lanes_on build ~blocks:[| src |] ~src_pos ~exts:whole ~ext_step:0 ~shift:one_block
+    ~first:0 ~bits ~bits_pos ~stride ~count ~bucket ~dsts
 
-let xor_buckets_lanes_on ~kernel ~bits ~bits_pos ~stride ~count ~src ~src_pos ~bucket ~dsts =
-  lanes_on (build_of kernel) ~ext:whole ~ext_pos:0 ~ext_step:0 ~bits ~bits_pos ~stride ~count
-    ~src ~src_pos ~bucket ~dsts
+let xor_buckets_lanes = buckets_on picked
+let xor_buckets_lanes_on ~kernel = buckets_on (build_of kernel)
 
-let xor_extents_lanes ~extents ~extents_pos ~bits ~bits_pos ~stride ~count ~src ~src_pos ~bucket
+let extents_on build ~blocks ~extents ~block_bits ~first ~bits ~bits_pos ~stride ~count ~bucket
     ~dsts =
-  lanes_on first ~ext:extents ~ext_pos:extents_pos ~ext_step:4 ~bits ~bits_pos ~stride ~count
-    ~src ~src_pos ~bucket ~dsts
+  lanes_on build ~blocks ~src_pos:0 ~exts:extents ~ext_step:4 ~shift:block_bits ~first
+    ~bits ~bits_pos ~stride ~count ~bucket ~dsts
 
-let xor_extents_lanes_on ~kernel ~extents ~extents_pos ~bits ~bits_pos ~stride ~count ~src
-    ~src_pos ~bucket ~dsts =
-  lanes_on (build_of kernel) ~ext:extents ~ext_pos:extents_pos ~ext_step:4 ~bits ~bits_pos
-    ~stride ~count ~src ~src_pos ~bucket ~dsts
+let xor_extents_lanes = extents_on picked
+let xor_extents_lanes_on ~kernel = extents_on (build_of kernel)
 
 let extent_order ~extents ~extents_pos ~count ~bucket =
   if bucket <= 0 || count < 0 then invalid_arg "Xorbuf.extent_order: bad geometry";

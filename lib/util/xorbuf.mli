@@ -32,14 +32,14 @@ val xor_buckets_lanes :
   dsts:Bytes.t array ->
   unit
 (** [xor_buckets_lanes ~bits ~bits_pos ~stride ~count ~src ~src_pos
-    ~bucket ~dsts] is the scan kernel over whole records: for each lane
-    [q] and record [j < count], XOR the [bucket]-byte record at
-    [src_pos + j*bucket] into [dsts.(q)] under the mask splatted from
-    bit [q land 7] of [bits.[bits_pos + (q lsr 3) * stride + j]] —
-    eight lanes packed per selection byte, one [stride]-byte plane per
-    eight lanes. A single answer is the one-lane call with its 0/1
-    selection bytes as plane 0. It is {!xor_extents_lanes} with every
-    record's extent at [bucket].
+    ~bucket ~dsts] is the scan kernel over whole records in one buffer:
+    for each lane [q] and record [j < count], XOR the [bucket]-byte
+    record at [src_pos + j*bucket] into [dsts.(q)] under the mask
+    splatted from bit [q land 7] of [bits.[bits_pos + (q lsr 3) * stride
+    + j]] — eight lanes packed per selection byte, one [stride]-byte
+    plane per eight lanes. A single answer is the one-lane call with its
+    0/1 selection bytes as plane 0. It is {!xor_extents_lanes}'s C entry
+    with [src] as the one block and every record's extent at [bucket].
 
     After the range checks it runs the C kernel build {!scan_kernel},
     which makes one pass over the records in tiles of the build's depth
@@ -55,43 +55,61 @@ val xor_buckets_lanes :
     out-of-bounds range. *)
 
 val xor_extents_lanes :
-  extents:Bytes.t ->
-  extents_pos:int ->
+  blocks:Bytes.t array ->
+  extents:Bytes.t array ->
+  block_bits:int ->
+  first:int ->
   bits:Bytes.t ->
   bits_pos:int ->
   stride:int ->
   count:int ->
-  src:Bytes.t ->
-  src_pos:int ->
   bucket:int ->
   dsts:Bytes.t array ->
   unit
-(** {!xor_buckets_lanes}, reading record [j] only up to its extent: the
-    native-endian unsigned 32-bit entry at [extents_pos + 4*j] of
-    [extents], capped at [bucket] in the kernel. Every byte of a record
-    at or past its extent must be zero: the kernel skips those bytes,
-    and with that promise the answer is {!xor_buckets_lanes}'s. It is
-    the PIR answer path's kernel ([Lw_store.Snapshot.xor_block_into_lanes]),
-    where a record's extent is the offset past its last non-zero byte
-    rounded up to 64 B.
+(** The PIR answer path's kernel ([Lw_store.Snapshot.xor_block_into_lanes]):
+    {!xor_buckets_lanes} over a run of [count] records held in blocks of
+    [2^block_bits] records, as a store's copy-on-write blocks hold them,
+    each record read only up to its extent. Record [j] of the run is
+    record [first + j] of the blocks: record [l] of [blocks.(b)] (at
+    byte [l * bucket]), where [b] and [l] are [(first + j) lsr
+    block_bits] and [(first + j) land (2^block_bits - 1)]. Its extent is
+    the native-endian unsigned 32-bit entry at [4 * l] of
+    [extents.(b)], capped at [bucket] in the kernel, and its selection
+    bits are at [bits_pos + j] of each plane, as in
+    {!xor_buckets_lanes}. Every byte of a record at or past its extent
+    must be zero: the kernel skips those bytes, and with that promise
+    the answer is the whole records'. A record's extent in a store is
+    the offset past its last non-zero byte rounded up to 64 B.
 
-    When every extent of the call is one value, the records go in
-    {!xor_buckets_lanes}'s stride walk, and no extent is read per tile,
-    so a run of whole records is exactly that walk. Otherwise the call
-    visits its records in {!extent_order}: a stable order by extent,
-    longest first, without the empty ones, a function of the public
-    extent map alone. The sorted records go in tiles of the build's
-    depth, each row addressed by its own index, and a tile goes through
-    the registers up to the least of its rows' extents, rounded down to
-    whole columns below the bucket; each row's columns past that go one
-    record at a time under the same masks. A row's selection bits are gathered
-    by its public index and become masks only through arithmetic. Every
-    record is still read exactly up to its extent, so the bytes read,
-    and with them the memory trace and the time, are a function of the
-    geometry, the lane count and the extents. The extents are public:
-    they describe the database, which each server holds in the clear,
-    and never a query. Raises as {!xor_buckets_lanes} does, and on an
-    [extents] range out of bounds. *)
+    The run is one kernel call whatever blocks it spans, and a tile may
+    take rows from several blocks. When every extent of the run is one
+    value, the records go in {!xor_buckets_lanes}'s stride walk, a
+    block's share of the run at a time, with one tile across each block
+    edge whose rows are addressed one by one, and no extent is read per
+    tile, so a run of whole records in one block is exactly that walk.
+    Otherwise the call visits its records in {!extent_order} of the
+    run's extents: a stable order by extent, longest first, without the
+    empty ones, taken {!sort_chunk} records of the run at a time, a
+    function of the public extent map alone. The sorted records go in
+    tiles of the build's depth, each row addressed by its own index, and
+    a tile goes through the registers up to the least of its rows'
+    extents, rounded down to whole columns below the bucket; each row's
+    columns past that go one record at a time under the same masks. A
+    row's selection bits are gathered by its public index and become
+    masks only through arithmetic. Every record is still read exactly
+    up to its extent, so the bytes read, and with them the memory trace
+    and the time, are a function of the geometry, the lane count and the
+    extents. The extents are public: they describe the database, which
+    each server holds in the clear, and never a query. Raises as
+    {!xor_buckets_lanes} does, on a [block_bits] outside
+    [0, Sys.int_size - 2] or a negative [first], and when a block or
+    extent table the run reaches is missing or too short. *)
+
+val sort_chunk : int
+(** 512: how many records of a run {!xor_extents_lanes} sorts at a time
+    ({!extent_order}'s chunk). A run shorter than that is sorted, and
+    tiled, on its own, so a caller that cuts a scan into runs of fewer
+    records leaves more rows to the one-record paths. *)
 
 val scan_kernel : unit -> string
 (** The build of the C scan kernel every {!xor_buckets_lanes} and
@@ -123,14 +141,14 @@ val xor_buckets_lanes_on :
 
 val xor_extents_lanes_on :
   kernel:string ->
-  extents:Bytes.t ->
-  extents_pos:int ->
+  blocks:Bytes.t array ->
+  extents:Bytes.t array ->
+  block_bits:int ->
+  first:int ->
   bits:Bytes.t ->
   bits_pos:int ->
   stride:int ->
   count:int ->
-  src:Bytes.t ->
-  src_pos:int ->
   bucket:int ->
   dsts:Bytes.t array ->
   unit

@@ -322,25 +322,30 @@ let contains s sub =
    every loop is over public bounds. *)
 let pinned_jumps =
   [
-    (* xor_lanes_*: the run's extent AND/OR (vector loop and tail, over
-       the entry count); the stride walk's tile loop and leftover loop
-       (over [count] when the extents are one value); in each of their
-       two inlined tiles, the lane groups (lanes / 8), the mask loop
-       (lanes in the group), and the column loop (whole columns below
-       the bound), its lane loop and the byte loop with its lane loop,
-       once for the group and once for a lone lane *)
-    ("xor_lanes_avx512", 46);
-    ("xor_lanes_avx2", 46);
-    ("xor_lanes_baseline", 46);
+    (* xor_lanes_*: the run's extent AND/OR, over the blocks the run
+       spans (a block's share of [count] at a time) and in each the
+       vector loop and tail over that share's entries; the stride walk
+       (over [count] when the extents are one value): the blocks it
+       spans, in each the tiles inside the block and the one tile across
+       its edge (none or one), then the records left at the end as tiles
+       of one; in each of those three inlined tiles, the lane groups
+       (lanes / 8), the mask loop (lanes in the group), and the column
+       loop (whole columns below the bound), its lane loop and the byte
+       loop with its lane loop, once for the group and once for a lone
+       lane (the tile across an edge addresses its rows unrolled) *)
+    ("xor_lanes_avx512", 68);
+    ("xor_lanes_avx2", 68);
+    ("xor_lanes_baseline", 68);
     (* sorted_*, the sorted walk: its chunks (over [count] by 512), and
-       in each chunk the sorted tiles and the leftover rows (over the
-       records with a non-zero extent); in each of their two inlined
-       tiles the same loops as above; in a sorted tile, also its rows
-       (the tile depth) with their own column, lane and byte loops (from
-       the tile's bound up to each row's extent) *)
-    ("sorted_avx512", 51);
-    ("sorted_avx2", 51);
-    ("sorted_baseline", 51);
+       in each chunk the gather of its records' extent entries from their
+       blocks (over the chunk's records), the sorted tiles and the
+       leftover rows (over the records with a non-zero extent); in each
+       of their two inlined tiles the same loops as above; in a sorted
+       tile, also its rows (the tile depth) with their own column, lane
+       and byte loops (from the tile's bound up to each row's extent) *)
+    ("sorted_avx512", 54);
+    ("sorted_avx2", 54);
+    ("sorted_baseline", 54);
     (* extent_order, the sorted walk's counting sort, one function for
        every build: the bin width (halving the bucket's columns until
        they fit), clearing the bins in use, the histogram and the
@@ -1305,7 +1310,8 @@ let unreached_by_design =
     ("Xorbuf.extent_order", "per-build hook: the sorted walk's counting sort, held to a model");
     (* reference code known-answer and golden tests compare against *)
     ( "Xorbuf.xor_buckets_lanes",
-      "the whole-record kernel call, the reference the extent-lane cases hold each build to" );
+      "the one-buffer whole-record case of the lane kernel's C entry, whose range checks the \
+       lane-kernel cases pin" );
     ("Aes128.expand_key", "FIPS-197 and SP 800-38A known answers key the block cipher with it");
     ("Aes128.encrypt_block", "FIPS-197 and SP 800-38A known answers: the bare block cipher");
     ("Aes128.mmo_hash", "known answers for the DPF's MMO compression, one block at a time");

@@ -709,6 +709,58 @@ let test_batch_scan_bytes () =
       ("small buckets", small, Lw_store.Snapshot.total_bytes small);
     ]
 
+(* The answer paths at browse's reference geometry, 2^12 x 4 KiB in the
+   store's 256 KiB CoW blocks (64 buckets each), against the two-pass
+   reference: a scan run covers 512 buckets, so each kernel call crosses
+   eight CoW blocks, and its sorted walk sees whole chunks. About 39% of
+   buckets hold a record whose length is log-normal (median about 590 B,
+   capped at the bucket), as the browse corpus's pages are; the rest are
+   empty. Partitioned answers run partitions of 2^11 and 2^9 buckets. *)
+let test_browse_geometry_matches_reference () =
+  let domain_bits = 12 and bucket_size = 4096 in
+  let g = det "browse-geometry" in
+  let gaussian () =
+    let u = (float_of_int (1 + Lw_util.Det_rng.int g 1_000_000)) /. 1_000_001. in
+    let v = float_of_int (Lw_util.Det_rng.int g 1_000_000) /. 1_000_000. in
+    sqrt (-2. *. log u) *. cos (2. *. Float.pi *. v)
+  in
+  let filled = ref [] in
+  let snap =
+    sealed ~domain_bits ~bucket_size (fun w ->
+        for i = 0 to (1 lsl domain_bits) - 1 do
+          if Lw_util.Det_rng.int g 100 < 39 then begin
+            let len = min bucket_size (max 1 (int_of_float (exp (6.38 +. gaussian ())))) in
+            Lw_store.Writer.set w i (Lw_util.Det_rng.bytes g len);
+            filled := i :: !filled
+          end
+        done)
+  in
+  let filled = Array.of_list !filled in
+  let server = Server.of_snapshot snap in
+  Alcotest.(check bool) "a scan run crosses CoW blocks" true
+    (Server.scan_block_buckets server = 512);
+  let drbg = rng () in
+  List.iter
+    (fun width ->
+      let keys =
+        Array.init width (fun i ->
+            (* every other key selects a record, the rest any bucket *)
+            let alpha =
+              if i land 2 = 0 then filled.(i * 97 mod Array.length filled)
+              else ((i * 613) + 5) land ((1 lsl domain_bits) - 1)
+            in
+            let k0, k1 = Lw_dpf.Dpf.gen ~domain_bits ~alpha drbg in
+            if i land 1 = 0 then k0 else k1)
+      in
+      let expected = Array.map (reference_answer server) keys in
+      let check name got =
+        Alcotest.(check (array string)) (Printf.sprintf "%s width %d" name width) expected got
+      in
+      check "batch" (Server.answer_batch server keys);
+      check "partitioned in 2" (Server.answer_partitioned ~partitions:2 server keys);
+      check "partitioned in 8" (Server.answer_partitioned ~partitions:8 server keys))
+    [ 1; 5; 16 ]
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -762,6 +814,8 @@ let () =
           Alcotest.test_case "absent key" `Quick test_pir_absent_key;
           Alcotest.test_case "batch matches single" `Quick test_pir_batch_matches_single;
           Alcotest.test_case "batch scan bytes" `Quick test_batch_scan_bytes;
+          Alcotest.test_case "browse geometry = two-pass reference" `Quick
+            test_browse_geometry_matches_reference;
           Alcotest.test_case "uniform response size" `Quick test_pir_server_response_uniform_size;
           Alcotest.test_case "serialized entry point" `Quick test_pir_serialized_entry_point;
           Alcotest.test_case "refuses value-shaped keys" `Quick test_pir_refuses_value_key;

@@ -670,6 +670,60 @@ let test_view_bounds () =
   | Error _ -> Alcotest.fail "pin failed");
   Store.unpin st snap
 
+(* One block call across CoW blocks: a view that starts mid-block (CoW
+   blocks of four 512 B buckets, the view from bucket 6) and runs over
+   it that start mid-block and span one to five blocks. Each run, at
+   widths 1, 5 and 9, equals the per-bucket masked reference, and the
+   trace holds each bucket of the run once, in index order, with its
+   extent. Records have random lengths, some past a column and some
+   empty, so the kernel takes its sorted walk. *)
+let test_block_call_across_cow_blocks () =
+  let bucket = 512 in
+  let st = Store.create ~block_bytes:(4 * bucket) ~domain_bits:6 ~bucket_size:bucket () in
+  let g = Lw_util.Det_rng.of_string_seed "block-call" in
+  let w = Store.writer st in
+  for i = 0 to 63 do
+    match Lw_util.Det_rng.int g 4 with
+    | 0 -> ()
+    | _ -> Writer.set w i (Lw_util.Det_rng.bytes g (1 + Lw_util.Det_rng.int g bucket))
+  done;
+  ignore (Writer.seal w);
+  let snap = Store.pin_latest st in
+  Alcotest.(check int) "buckets per CoW block" 4 (Store.block_buckets st);
+  let view = Snapshot.sub snap ~base:6 ~domain_bits:4 in
+  List.iter
+    (fun (base, count) ->
+      List.iter
+        (fun lanes ->
+          let planes = (lanes + 7) / 8 in
+          let bits = Bytes.of_string (Lw_util.Det_rng.bytes g (planes * count)) in
+          let dsts = Array.init lanes (fun _ -> Bytes.of_string (Lw_util.Det_rng.bytes g bucket)) in
+          let expected =
+            Array.mapi
+              (fun q d ->
+                let acc = Bytes.copy d in
+                for j = 0 to count - 1 do
+                  let bit = Char.code (Bytes.get bits (((q lsr 3) * count) + j)) lsr (q land 7) in
+                  Snapshot.xor_bucket_into_masked view (base + j) ~mask:(-(bit land 1)) ~dst:acc
+                done;
+                Bytes.to_string acc)
+              dsts
+          in
+          let (), trace =
+            Snapshot.traced view (fun () ->
+                Snapshot.xor_block_into_lanes view ~base ~count ~bits ~bits_pos:0 ~stride:count
+                  ~dsts)
+          in
+          let label = Printf.sprintf "run of %d from %d, lanes=%d" count base lanes in
+          Alcotest.(check (array string)) label expected (Array.map Bytes.to_string dsts);
+          Alcotest.(check (list (pair int int)))
+            (label ^ ": traced once each, in order, with its extent")
+            (List.init count (fun j -> (6 + base + j, Snapshot.extent view (base + j))))
+            trace)
+        [ 1; 5; 9 ])
+    [ (0, 16); (1, 14); (3, 9); (5, 2); (2, 1); (0, 0) ];
+  Store.unpin st snap
+
 (* ---------------- client page-visit pinning ---------------- *)
 
 let visit_domain_bits = 6
@@ -771,6 +825,8 @@ let () =
       ( "views",
         [
           Alcotest.test_case "bounds and whole-snapshot calls" `Quick test_view_bounds;
+          Alcotest.test_case "block call across CoW blocks" `Quick
+            test_block_call_across_cow_blocks;
           QCheck_alcotest.to_alcotest prop_views_match_snapshot;
         ] );
       ( "client",

@@ -196,32 +196,55 @@ let test_xor_buckets_lanes () =
 
 (* The extent-bounded kernel on every build against the whole-record
    reference: each record is random up to its extent and zero past it,
-   so skipping the tail must change nothing. Extents are 0, whole
-   columns, odd lengths, the bucket and past it (capped); runs whose
-   extents are all one value take the uniform walk, the rest mix
-   extents inside a tile or between tiles. Buckets, counts and widths cross the same
-   vector, tile and plane boundaries as the lane cases above. *)
-let check_extents_lanes rng ~kernel ~lanes ~count ~bucket ~pick =
-  let stride = count + (lanes mod 2) in
-  let planes = (lanes + 7) / 8 in
-  let bits = Bytes.of_string (Lw_util.Det_rng.bytes rng ((planes * stride) + 1)) in
-  let extents = Bytes.create ((4 * count) + 4) in
-  let src = Bytes.make ((count * bucket) + 3) '\x00' in
+   so skipping the tail must change nothing. The records sit in blocks
+   of [2^block_bits] records, as a store's CoW blocks hold them, and the
+   run starts at record [first] of the blocks; the reference reads the
+   same records side by side. [one] is a single buffer (the one-block
+   case). Extents are 0, whole columns, odd lengths, the bucket and past
+   it (capped); runs whose extents are all one value take the uniform
+   walk, the rest mix extents inside a tile or between tiles. Buckets,
+   counts and widths cross the same vector, tile and plane boundaries as
+   the lane cases above. *)
+let one = Sys.int_size - 2
+
+let run_blocks rng ~count ~bucket ~block_bits ~first ~pick =
+  let per = 1 lsl block_bits in
+  let n_blocks = max 1 ((first + count + per - 1) / per) in
+  (* a block holds the records the run reaches, up to [per] *)
+  let held b = max 0 (min per (first + count - (b * per))) in
+  let blocks = Array.init n_blocks (fun b -> Bytes.make (held b * bucket) '\x00') in
+  let extents = Array.init n_blocks (fun b -> Bytes.make (4 * held b) '\x00') in
+  let side_by_side = Bytes.make (count * bucket) '\x00' in
   for j = 0 to count - 1 do
-    let e = pick j in
-    Bytes.set_int32_ne extents (4 + (4 * j)) (Int32.of_int e);
-    let len = min e bucket in
-    Bytes.blit_string (Lw_util.Det_rng.bytes rng len) 0 src (3 + (j * bucket)) len
+    let e = pick j and g = first + j in
+    let b = g / per and l = g mod per in
+    Bytes.set_int32_ne extents.(b) (4 * l) (Int32.of_int e);
+    let bytes = Lw_util.Det_rng.bytes rng (min e bucket) in
+    Bytes.blit_string bytes 0 side_by_side (j * bucket) (String.length bytes);
+    Bytes.blit_string bytes 0 blocks.(b) (l * bucket) (String.length bytes)
   done;
+  (blocks, extents, side_by_side)
+
+let check_extents_lanes rng ~kernel ~lanes ~count ~bucket ~pick ~block_bits ~first =
+  let stride = count + (lanes mod 2) and bits_pos = lanes mod 3 in
+  let planes = (lanes + 7) / 8 in
+  let bits = Bytes.of_string (Lw_util.Det_rng.bytes rng (bits_pos + (planes * stride) + 1)) in
+  let blocks, extents, src = run_blocks rng ~count ~bucket ~block_bits ~first ~pick in
   let dsts = Array.init lanes (fun _ -> Bytes.of_string (Lw_util.Det_rng.bytes rng bucket)) in
-  let expected =
-    lanes_reference ~bits ~bits_pos:0 ~stride ~count ~src ~src_pos:3 ~bucket ~dsts
-  in
-  Lw_util.Xorbuf.xor_extents_lanes_on ~kernel ~extents ~extents_pos:4 ~bits ~bits_pos:0 ~stride
-    ~count ~src ~src_pos:3 ~bucket ~dsts;
+  let expected = lanes_reference ~bits ~bits_pos ~stride ~count ~src ~src_pos:0 ~bucket ~dsts in
+  Lw_util.Xorbuf.xor_extents_lanes_on ~kernel ~blocks ~extents ~block_bits ~first ~bits ~bits_pos
+    ~stride ~count ~bucket ~dsts;
   Alcotest.(check (array string))
-    (Printf.sprintf "%s extents lanes=%d count=%d bucket=%d" kernel lanes count bucket)
+    (Printf.sprintf "%s extents lanes=%d count=%d bucket=%d blocks of %s from %d" kernel lanes
+       count bucket
+       (if block_bits = one then "all" else string_of_int (1 lsl block_bits))
+       first)
     (Array.map Bytes.to_string expected) (Array.map Bytes.to_string dsts)
+
+(* Block layouts, as (log2 records per block, the run's first record):
+   one buffer from its start and from inside it, and blocks of 1, 4 and
+   64 records with runs that start mid-block. *)
+let layouts = [ (one, 0); (one, 2); (0, 5); (2, 3); (6, 37) ]
 
 let test_xor_extents_lanes () =
   let rng = Lw_util.Det_rng.of_string_seed "extents-lanes" in
@@ -240,96 +263,140 @@ let test_xor_extents_lanes () =
   List.iter
     (fun kernel ->
       List.iter
-        (fun bucket ->
+        (fun (block_bits, first) ->
           List.iter
-            (fun count ->
+            (fun bucket ->
               List.iter
-                (fun lanes ->
+                (fun count ->
                   List.iter
-                    (fun pick -> check_extents_lanes rng ~kernel ~lanes ~count ~bucket ~pick)
-                    [
-                      mixed bucket;
-                      (fun _ -> 64);
-                      (fun _ -> 0);
-                      (fun _ -> bucket);
-                      (* a first tile of one odd extent, in a run of another *)
-                      (fun j -> if j < 8 then 100 else 37);
-                    ])
-                [ 1; 2; 5; 8; 9; 16; 17 ])
-            [ 0; 1; 3; 4; 7; 8; 9; 16; 17; 64 ])
-        [ 1; 63; 64; 65; 200; 513; 1024 + 64; 4096 + 48 ])
+                    (fun lanes ->
+                      List.iter
+                        (fun pick ->
+                          check_extents_lanes rng ~kernel ~lanes ~count ~bucket ~pick ~block_bits
+                            ~first)
+                        [
+                          mixed bucket;
+                          (fun _ -> 64);
+                          (fun _ -> 0);
+                          (fun _ -> bucket);
+                          (* a first tile of one odd extent, in a run of another *)
+                          (fun j -> if j < 8 then 100 else 37);
+                        ])
+                    [ 1; 2; 5; 8; 9; 16; 17 ])
+                [ 0; 1; 3; 4; 7; 8; 9; 16; 17; 64 ])
+            [ 1; 63; 64; 65; 200; 513; 1024 + 64; 4096 + 48 ])
+        layouts)
     (Lw_util.Xorbuf.scan_kernels ());
   (* The sorted walk's edges: runs past a chunk of 512 records, a bucket
-     whose columns the sort bins sixteen at a time, runs of one extent
+     whose columns the sort bins sixteen at a time (in blocks of one
+     record, each of its tiles spans eight blocks), runs of one extent
      among others (the stable order keeps them in index order), and odd
-     extents that share a bin. *)
+     extents that share a bin; each in every layout. *)
   let big = 65536 + 48 in
   List.iter
     (fun kernel ->
       List.iter
-        (fun (lanes, count, bucket, pick) ->
-          check_extents_lanes rng ~kernel ~lanes ~count ~bucket ~pick)
-        [
-          (5, 513, 200, mixed 200);
-          (1, 513, 1024 + 64, mixed (1024 + 64));
-          (9, 1100, 513, mixed 513);
-          (16, 1100, 64, mixed 64);
-          (5, 40, big, mixed big);
-          (1, 19, big, fun j -> 64 * (1 + (j * 5 mod 17)) + (j land 1));
-          (5, 64, 1024, fun j -> [| 0; 512; 1024; 512; 512; 1024 |].(j mod 6));
-          (9, 70, 1024, fun j -> if j < 20 then 256 else if j < 50 then 0 else 256);
-          (5, 48, 4096, fun j -> 64 + 1 + (j * 13 mod 63));
-          (2, 33, 4096 + 48, fun j -> 4096 + (j mod 3 * 17));
-        ])
-    (Lw_util.Xorbuf.scan_kernels ());
-  (* A store walked a run at a time, as an answer calls the kernel over
-     its CoW blocks: each call's extents, bits and records start at its
-     run's first record, the bit planes keep the whole store's stride,
-     and the lanes accumulate across the runs. A share [filled] of the
-     records hold random bytes up to a random length, the rest nothing:
-     E19's mixed store (80%) and one at the reference corpus's load. *)
-  List.iter
-    (fun kernel ->
-      List.iter
-        (fun (count, run, bucket, filled) ->
+        (fun (block_bits, first) ->
           List.iter
-            (fun lanes ->
-              let planes = (lanes + 7) / 8 in
-              let bits = Bytes.of_string (Lw_util.Det_rng.bytes rng (planes * count)) in
-              let extents = Bytes.make (4 * count) '\x00' in
-              let src = Bytes.make (count * bucket) '\x00' in
-              for j = 0 to count - 1 do
-                if Lw_util.Det_rng.int rng 100 < filled then begin
-                  let len = 1 + Lw_util.Det_rng.int rng bucket in
-                  Bytes.blit_string (Lw_util.Det_rng.bytes rng len) 0 src (j * bucket) len;
-                  Bytes.set_int32_ne extents (4 * j)
-                    (Int32.of_int (min bucket ((len + 63) land lnot 63)))
-                end
-              done;
-              let dsts =
-                Array.init lanes (fun _ -> Bytes.of_string (Lw_util.Det_rng.bytes rng bucket))
-              in
-              let expected =
-                lanes_reference ~bits ~bits_pos:0 ~stride:count ~count ~src ~src_pos:0 ~bucket
+            (fun (lanes, count, bucket, pick) ->
+              check_extents_lanes rng ~kernel ~lanes ~count ~bucket ~pick ~block_bits ~first)
+            [
+              (5, 513, 200, mixed 200);
+              (1, 513, 1024 + 64, mixed (1024 + 64));
+              (17, 513, 4096, mixed 4096);
+              (9, 1100, 513, mixed 513);
+              (16, 1100, 64, mixed 64);
+              (2, 1100, 4096, fun j -> if j mod 3 = 0 then 0 else 64 * (1 + (j mod 64)));
+              (5, 40, big, mixed big);
+              (8, 16, big, mixed big);
+              (1, 19, big, fun j -> 64 * (1 + (j * 5 mod 17)) + (j land 1));
+              (5, 64, 1024, fun j -> [| 0; 512; 1024; 512; 512; 1024 |].(j mod 6));
+              (9, 70, 1024, fun j -> if j < 20 then 256 else if j < 50 then 0 else 256);
+              (5, 48, 4096, fun j -> 64 + 1 + (j * 13 mod 63));
+              (2, 33, 4096 + 48, fun j -> 4096 + (j mod 3 * 17));
+            ])
+        layouts)
+    (Lw_util.Xorbuf.scan_kernels ());
+  (* A store walked a run at a time, as an answer calls the kernel: the
+     records in CoW blocks of [2^block_bits], runs of [run] records that
+     cross them (the last one shorter), each run's bits at its first
+     record, the bit planes keeping the whole store's stride, and the
+     lanes accumulating across the runs. A share [filled] of the records
+     hold random bytes up to a random length, the rest nothing: E19's
+     mixed store (80%, 1 KiB) and one at the reference corpus's load
+     (38%, 4 KiB), each in its 256 KiB CoW blocks. *)
+  List.iter
+    (fun (count, block_bits, run, bucket, filled) ->
+      List.iter
+        (fun lanes ->
+          let planes = (lanes + 7) / 8 in
+          let bits = Bytes.of_string (Lw_util.Det_rng.bytes rng (planes * count)) in
+          let lengths =
+            Array.init count (fun _ ->
+                if Lw_util.Det_rng.int rng 100 < filled then 1 + Lw_util.Det_rng.int rng bucket
+                else 0)
+          in
+          let blocks, extents, src =
+            run_blocks rng ~count ~bucket ~block_bits ~first:0 ~pick:(fun j -> lengths.(j))
+          in
+          (* the store's extents: rounded up to the column *)
+          Array.iteri
+            (fun j len ->
+              let b = j lsr block_bits and l = j land ((1 lsl block_bits) - 1) in
+              Bytes.set_int32_ne extents.(b) (4 * l)
+                (Int32.of_int (min bucket ((len + 63) land lnot 63))))
+            lengths;
+          let dsts0 =
+            Array.init lanes (fun _ -> Bytes.of_string (Lw_util.Det_rng.bytes rng bucket))
+          in
+          let expected =
+            lanes_reference ~bits ~bits_pos:0 ~stride:count ~count ~src ~src_pos:0 ~bucket
+              ~dsts:dsts0
+          in
+          List.iter
+            (fun kernel ->
+              let dsts = Array.map Bytes.copy dsts0 in
+              for r = 0 to ((count + run - 1) / run) - 1 do
+                let first = r * run in
+                Lw_util.Xorbuf.xor_extents_lanes_on ~kernel ~blocks ~extents ~block_bits ~first
+                  ~bits ~bits_pos:first ~stride:count ~count:(min run (count - first)) ~bucket
                   ~dsts
-              in
-              for r = 0 to (count / run) - 1 do
-                let off = r * run in
-                Lw_util.Xorbuf.xor_extents_lanes_on ~kernel ~extents ~extents_pos:(4 * off) ~bits
-                  ~bits_pos:off ~stride:count ~count:run ~src ~src_pos:(off * bucket) ~bucket ~dsts
               done;
               Alcotest.(check (array string))
-                (Printf.sprintf "%s walk in runs of %d, lanes=%d count=%d bucket=%d" kernel run
-                   lanes count bucket)
+                (Printf.sprintf "%s walk in runs of %d over blocks of %d, lanes=%d count=%d \
+                                 bucket=%d"
+                   kernel run (1 lsl block_bits) lanes count bucket)
                 (Array.map Bytes.to_string expected) (Array.map Bytes.to_string dsts))
-            [ 1; 2; 5; 8; 9; 16 ])
-        [ (256, 64, 1024, 80); (64, 16, 4096, 38) ])
-    (Lw_util.Xorbuf.scan_kernels ());
-  Alcotest.check_raises "extents range"
-    (Invalid_argument "Xorbuf.xor_buckets_lanes(extents): range out of bounds") (fun () ->
-      Lw_util.Xorbuf.xor_extents_lanes ~extents:(Bytes.make 15 '\x00') ~extents_pos:0
-        ~bits:(Bytes.make 4 '\x00') ~bits_pos:0 ~stride:4 ~count:4 ~src:(Bytes.make 32 '\x00')
-        ~src_pos:0 ~bucket:8 ~dsts:[| Bytes.make 8 '\x00' |])
+            (Lw_util.Xorbuf.scan_kernels ()))
+        [ 1; 2; 5; 8; 9; 16; 17 ])
+    [ (1100, 8, 512, 1024, 80); (1024, 6, 512, 4096, 38) ];
+  let call ?(blocks = [| Bytes.make 32 '\x00' |]) ?(extents = [| Bytes.make 16 '\x00' |])
+      ?(block_bits = 2) ?(first = 0) ?(count = 4) () =
+    Lw_util.Xorbuf.xor_extents_lanes ~blocks ~extents ~block_bits ~first
+      ~bits:(Bytes.make 8 '\x00') ~bits_pos:0 ~stride:count ~count ~bucket:8
+      ~dsts:[| Bytes.make 8 '\x00' |]
+  in
+  let range what =
+    Invalid_argument ("Xorbuf.xor_buckets_lanes(" ^ what ^ "): range out of bounds")
+  in
+  call ();
+  Alcotest.check_raises "extents range" (range "extents") (fun () ->
+      call ~extents:[| Bytes.make 15 '\x00' |] ());
+  Alcotest.check_raises "a block the run reaches is missing" (range "blocks") (fun () ->
+      call ~first:1 ());
+  Alcotest.check_raises "its extent table is missing" (range "blocks") (fun () ->
+      call ~blocks:[| Bytes.make 32 '\x00'; Bytes.make 32 '\x00' |] ~first:2 ());
+  Alcotest.check_raises "a short block" (range "src") (fun () ->
+      call ~blocks:[| Bytes.make 32 '\x00'; Bytes.make 8 '\x00' |]
+        ~extents:[| Bytes.make 16 '\x00'; Bytes.make 16 '\x00' |] ~first:2 ());
+  call ~blocks:[| Bytes.make 32 '\x00'; Bytes.make 16 '\x00' |]
+    ~extents:[| Bytes.make 16 '\x00'; Bytes.make 8 '\x00' |] ~first:2 ();
+  let geometry = Invalid_argument "Xorbuf.xor_buckets_lanes: bad geometry" in
+  Alcotest.check_raises "negative first" geometry (fun () -> call ~first:(-1) ());
+  Alcotest.check_raises "negative block bits" geometry (fun () -> call ~block_bits:(-1) ());
+  Alcotest.check_raises "block bits past the word" geometry (fun () ->
+      call ~block_bits:(one + 1) ());
+  Alcotest.check_raises "first past the integers" geometry (fun () -> call ~first:max_int ())
 
 (* The sorted walk's visit order against a model: per chunk of 512
    records, a stable sort of the non-zero extents by key, descending,
