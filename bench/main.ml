@@ -101,54 +101,6 @@ let write_bench size ~id file fields =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel kernels                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_kernels size =
-  let open Bechamel in
-  let open Toolkit in
-  let seed16 = Bytes.of_string (String.sub (Lw_crypto.Sha256.digest "kernel") 0 16) in
-  let out32 = Bytes.create 32 in
-  let drbg = rng () in
-  let dpf22_0, _ = Lw_dpf.Dpf.gen ~domain_bits:22 ~alpha:123456 drbg in
-  let small_store = random_store ~domain_bits:10 ~bucket_size:4096 "kern-db" in
-  let small_server = whole_server small_store in
-  let dpf10_0, _ = Lw_dpf.Dpf.gen ~domain_bits:10 ~alpha:77 drbg in
-  let tests =
-    [
-      Test.make ~name:"prg.aes-mmo.expand"
-        (Staged.stage (fun () ->
-             ignore
-               (Lw_dpf.Prg.expand_into ~src:seed16 ~src_pos:0 ~dst:out32 ~dst_pos:0)));
-      Test.make ~name:"dpf.gen.d22"
-        (Staged.stage (fun () -> ignore (Lw_dpf.Dpf.gen ~domain_bits:22 ~alpha:1 drbg)));
-      Test.make ~name:"dpf.eval_point.d22"
-        (Staged.stage (fun () -> ignore (Lw_dpf.Dpf.eval_bit dpf22_0 987654)));
-      Test.make ~name:"dpf.eval_all.d10"
-        (Staged.stage (fun () -> Lw_dpf.Dpf.eval_all_bits dpf10_0 (fun _ _ -> ())));
-      Test.make ~name:"pir.answer.d10x4KiB"
-        (Staged.stage (fun () -> ignore (Lw_pir.Server.answer small_server dpf10_0)));
-    ]
-  in
-  let grouped = Test.make_grouped ~name:"kernels" ~fmt:"%s %s" tests in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |] in
-  let instances = Instance.[ monotonic_clock ] in
-  let quota = if size = Fast then 0.25 else 1.0 in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~stabilize:false () in
-  let raw = Benchmark.all cfg instances grouped in
-  let results =
-    Analyze.merge ols instances (List.map (fun i -> Analyze.all ols i raw) instances)
-  in
-  let clock = Hashtbl.find results (Measure.label Instance.monotonic_clock) in
-  Hashtbl.fold
-    (fun name ols_result acc ->
-      match Analyze.OLS.estimates ols_result with
-      | Some (ns :: _) -> (name, ns) :: acc
-      | _ -> acc)
-    clock []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-(* ------------------------------------------------------------------ *)
 (* E1: server computation (§5.1)                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -770,7 +722,8 @@ let e12_prg_ablation size =
         (per (blocks build)))
     builds;
   let d = if size = Fast then 10 else 12 in
-  row "\n%-12s %-16s %-18s %-16s\n" "prg" "expand (1 node)" "eval_all 2^\u{2009}d" "keygen d=22";
+  row "\n%-12s %-16s %-18s %-16s %-16s\n" "prg" "expand (1 node)" "eval_all 2^\u{2009}d"
+    "eval_bit d=22" "keygen d=22";
   let seed = Bytes.of_string (String.sub (Lw_crypto.Sha256.digest "e12") 0 16) in
   let out = Bytes.create 32 in
   let t_expand =
@@ -782,11 +735,19 @@ let e12_prg_ablation size =
   in
   let key, _ = Lw_dpf.Dpf.gen ~domain_bits:d ~alpha:7 (rng ()) in
   let t_eval = time_median ~reps:3 (fun () -> Lw_dpf.Dpf.eval_all_bits key (fun _ _ -> ())) in
+  let key22, _ = Lw_dpf.Dpf.gen ~domain_bits:22 ~alpha:123456 (rng ()) in
+  let t_point =
+    time_median (fun () ->
+        for x = 1 to 1000 do
+          ignore (Lw_dpf.Dpf.eval_bit key22 (x * 4093))
+        done)
+    /. 1000.
+  in
   let t_gen =
     time_median ~reps:3 (fun () -> ignore (Lw_dpf.Dpf.gen ~domain_bits:22 ~alpha:1 (rng ())))
   in
-  row "%-12s %11.0f ns %13.3f ms %12.3f ms\n" "aes-mmo" (1e9 *. t_expand) (1000. *. t_eval)
-    (1000. *. t_gen);
+  row "%-12s %11.0f ns %13.3f ms %13.0f ns %12.3f ms\n" "aes-mmo" (1e9 *. t_expand)
+    (1000. *. t_eval) (1e9 *. t_point) (1000. *. t_gen);
   Printf.printf
     "\n(a single expand_into pays one OCaml->C crossing per AES call; the DPF's\n\
      evaluators cross once per tree level, which the per-parent level column\n\
@@ -2455,17 +2416,9 @@ let () =
   Printf.printf "lightweb benchmark harness (%s size): %s\n"
     (match size with Full -> "full" | Fast -> "fast")
     (String.concat " " (List.map fst chosen));
-  if !ids = [] then begin
+  if !ids = [] then
     Printf.printf
       "reproducing: §5.1 microbenchmarks, Table 2, §4 economics, §5.2 scale-up, §1 attack\n";
-    Printf.printf "\n%s\nkernel microbenchmarks (bechamel, ns/op)\n%s\n" (String.make 78 '=')
-      (String.make 78 '=');
-    try
-      List.iter
-        (fun (name, ns) -> Printf.printf "%-28s %12.1f ns %12.3f us\n" name ns (ns /. 1000.))
-        (bechamel_kernels size)
-    with e -> Printf.printf "bechamel kernels skipped: %s\n" (Printexc.to_string e)
-  end;
   List.iter (fun (_, run) -> run size) chosen;
   (* after E20 the dump shows the injected-fault, retry and per-shard
      scan histograms with real counts *)

@@ -6,7 +6,10 @@
    Spawns the fleet (this same executable re-execed per shard), seeds a
    deterministic corpus, drives K live epoch rollouts while a PIR client
    keeps reading, optionally SIGKILLs a shard mid-run to show recovery,
-   and prints the merged fleet metrics before shutting down. *)
+   and prints the merged fleet metrics before shutting down. Without
+   --state-dir the shards' state goes to $TMPDIR/lw_cluster-<pid>, which
+   is removed on exit. An unknown argument or a non-integer value prints
+   the usage and exits 64 before any process is spawned. *)
 
 let () = Lw_cluster.Worker.run_if_worker ()
 
@@ -17,22 +20,6 @@ let usage () =
     "usage: lw_cluster run [--shards N] [--domain-bits B] [--bucket-size S]\n\
     \                      [--rollouts K] [--churn N] [--chaos] [--state-dir DIR]";
   exit 64
-
-let int_flag argv name default =
-  let v = ref default in
-  Array.iteri
-    (fun i a -> if a = name && i + 1 < Array.length argv then v := int_of_string argv.(i + 1))
-    argv;
-  !v
-
-let str_flag argv name default =
-  let v = ref default in
-  Array.iteri
-    (fun i a -> if a = name && i + 1 < Array.length argv then v := argv.(i + 1))
-    argv;
-  !v
-
-let has_flag argv name = Array.exists (( = ) name) argv
 
 let bucket_value rng size =
   (* printable deterministic payloads so wire captures stay readable *)
@@ -49,16 +36,34 @@ let print_fleet sup =
     (Sup.info sup)
 
 let run argv =
-  let shards = int_flag argv "--shards" 4 in
-  let domain_bits = int_flag argv "--domain-bits" 8 in
-  let bucket_size = int_flag argv "--bucket-size" 512 in
-  let rollouts = int_flag argv "--rollouts" 3 in
-  let churn = int_flag argv "--churn" 16 in
-  let chaos = has_flag argv "--chaos" in
+  let shards = ref 4 and domain_bits = ref 8 and bucket_size = ref 512 in
+  let rollouts = ref 3 and churn = ref 16 and chaos = ref false and given_dir = ref "" in
+  (* argv.(1) is "run"; the flags follow it *)
+  (try
+     Arg.parse_argv ~current:(ref 1) argv
+       [
+         ("--shards", Arg.Set_int shards, "");
+         ("--domain-bits", Arg.Set_int domain_bits, "");
+         ("--bucket-size", Arg.Set_int bucket_size, "");
+         ("--rollouts", Arg.Set_int rollouts, "");
+         ("--churn", Arg.Set_int churn, "");
+         ("--chaos", Arg.Set chaos, "");
+         ("--state-dir", Arg.Set_string given_dir, "");
+       ]
+       (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
+       ""
+   with
+  | Arg.Bad msg ->
+      prerr_endline (List.hd (String.split_on_char '\n' msg));
+      usage ()
+  | Arg.Help _ -> usage ());
+  let shards = !shards and domain_bits = !domain_bits and bucket_size = !bucket_size in
+  let rollouts = !rollouts and churn = !churn and chaos = !chaos in
   let state_dir =
-    str_flag argv "--state-dir"
-      (Filename.concat (Filename.get_temp_dir_name ())
-         (Printf.sprintf "lw_cluster-%d" (Unix.getpid ())))
+    if !given_dir <> "" then !given_dir
+    else
+      Filename.concat (Filename.get_temp_dir_name ())
+        (Printf.sprintf "lw_cluster-%d" (Unix.getpid ()))
   in
   let cfg =
     { (Sup.default_config ~state_dir ()) with shards; domain_bits; bucket_size }
@@ -66,6 +71,16 @@ let run argv =
   Printf.printf "lw_cluster: %d shards, 2^%d buckets x %dB, state in %s\n%!" shards
     domain_bits bucket_size state_dir;
   let sup = Sup.start cfg in
+  Fun.protect
+    ~finally:(fun () ->
+      Sup.shutdown sup;
+      (* every shard is reaped: a state directory of this run's own, one
+         flat directory of data and manifests, can go *)
+      if !given_dir = "" then begin
+        Array.iter (fun f -> Sys.remove (Filename.concat state_dir f)) (Sys.readdir state_dir);
+        Sys.rmdir state_dir
+      end)
+  @@ fun () ->
   print_fleet sup;
   let rng = Lw_util.Det_rng.of_string_seed "lw_cluster/cli" in
   let n = 1 lsl domain_bits in
@@ -121,11 +136,11 @@ let run argv =
   | Some h when h.Lw_obs.Metrics.count > 0 ->
       Printf.printf "  mttr: count=%d p50=%.3fs max=%.3fs\n" h.count h.p50 h.max
   | _ -> ());
-  (match client with Some c -> Lightweb.Zltp_client.close c | None -> ());
-  Sup.shutdown sup;
-  Printf.printf "done.\n%!"
+  match client with Some c -> Lightweb.Zltp_client.close c | None -> ()
 
 let () =
   match Array.to_list Sys.argv with
-  | _ :: "run" :: _ -> run Sys.argv
+  | _ :: "run" :: _ ->
+      run Sys.argv;
+      Printf.printf "done.\n%!"
   | _ -> usage ()

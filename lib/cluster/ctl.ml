@@ -1,9 +1,11 @@
 (* Control-plane codec: JSON over the shared Frame transport. Bucket
-   data travels hex-encoded; everything else is small scalars. The
-   control plane moves publisher churn, not query traffic, so the 2x
-   hex overhead buys printable wire captures at no cost that matters. *)
+   data travels hex-encoded; a scrape reply carries the metrics snapshot
+   as data; everything else is small scalars. The control plane moves
+   publisher churn, not query traffic, so the 2x hex overhead buys
+   printable wire captures at no cost that matters. *)
 
 module Json = Lw_json.Json
+module Metrics = Lw_obs.Metrics
 
 type range = { base : int; count : int; data : string }
 
@@ -17,11 +19,9 @@ type msg =
     }
   | Ack of { epoch : int }
   | Ctl_err of { message : string }
-  | Status_reply of { epoch : int; advertised : int; queries : int }
-  | Scrape_reply of { text : string }
+  | Scrape_reply of { metrics : Metrics.snapshot_item list }
   | Refresh of { base_epoch : int; target_epoch : int; ranges : range list }
   | Activate of { epoch : int }
-  | Status
   | Scrape
   | Quit
 
@@ -34,6 +34,46 @@ let json_of_range r =
       ("count", num r.count);
       ("data", Json.String (Lw_util.Hex.encode r.data));
     ]
+
+(* One snapshot item. A histogram travels as its totals and its nonzero
+   buckets keyed by index (the top bucket's upper edge is +inf, which
+   JSON cannot write); the receiver recomputes its quantiles. *)
+let json_of_item item =
+  let fields kind name rest =
+    Json.Obj (("kind", Json.String kind) :: ("name", Json.String name) :: rest)
+  in
+  match item with
+  | Metrics.Counter (name, v) -> fields "counter" name [ ("value", num v) ]
+  | Metrics.Gauge (name, v) -> fields "gauge" name [ ("value", Json.Number v) ]
+  | Metrics.Histogram (name, h) ->
+      fields "histogram" name
+        [
+          ("count", num h.count);
+          ("sum", Json.Number h.sum);
+          ("max", Json.Number h.max);
+          ( "buckets",
+            Json.List (List.map (fun (i, c) -> Json.List [ num i; num c ]) h.nonzero_buckets) );
+        ]
+
+let item_of_json j =
+  let name = Json.get_string (Json.member "name" j) in
+  let int k = Json.get_int (Json.member k j) in
+  let float k =
+    match Json.member k j with Json.Number f -> f | _ -> failwith (k ^ " is not a number")
+  in
+  let bucket = function
+    | Json.List [ i; c ] -> (Json.get_int i, Json.get_int c)
+    | _ -> failwith "bucket is not an [index, count] pair"
+  in
+  match Json.get_string (Json.member "kind" j) with
+  | "counter" -> Metrics.Counter (name, int "value")
+  | "gauge" -> Metrics.Gauge (name, float "value")
+  | "histogram" ->
+      let h = Metrics.scratch_histogram () in
+      Metrics.merge_buckets ~into:h ~count:(int "count") ~sum:(float "sum") ~max:(float "max")
+        (List.map bucket (Json.get_list (Json.member "buckets" j)));
+      Metrics.Histogram (name, Metrics.snapshot_hist h)
+  | kind -> failwith ("unknown metric kind: " ^ kind)
 
 let to_json = function
   | Register { shard_id; pid; zltp_port; epoch; advertised } ->
@@ -49,16 +89,9 @@ let to_json = function
   | Ack { epoch } -> Json.Obj [ ("t", Json.String "ack"); ("epoch", num epoch) ]
   | Ctl_err { message } ->
       Json.Obj [ ("t", Json.String "err"); ("message", Json.String message) ]
-  | Status_reply { epoch; advertised; queries } ->
+  | Scrape_reply { metrics } ->
       Json.Obj
-        [
-          ("t", Json.String "status_reply");
-          ("epoch", num epoch);
-          ("advertised", num advertised);
-          ("queries", num queries);
-        ]
-  | Scrape_reply { text } ->
-      Json.Obj [ ("t", Json.String "scrape_reply"); ("text", Json.String text) ]
+        [ ("t", Json.String "scrape_reply"); ("metrics", Json.List (List.map json_of_item metrics)) ]
   | Refresh { base_epoch; target_epoch; ranges } ->
       Json.Obj
         [
@@ -68,7 +101,6 @@ let to_json = function
           ("ranges", Json.List (List.map json_of_range ranges));
         ]
   | Activate { epoch } -> Json.Obj [ ("t", Json.String "activate"); ("epoch", num epoch) ]
-  | Status -> Json.Obj [ ("t", Json.String "status") ]
   | Scrape -> Json.Obj [ ("t", Json.String "scrape") ]
   | Quit -> Json.Obj [ ("t", Json.String "quit") ]
 
@@ -96,10 +128,8 @@ let of_json j =
         }
   | "ack" -> Ack { epoch = int "epoch" }
   | "err" -> Ctl_err { message = Json.get_string (Json.member "message" j) }
-  | "status_reply" ->
-      Status_reply
-        { epoch = int "epoch"; advertised = int "advertised"; queries = int "queries" }
-  | "scrape_reply" -> Scrape_reply { text = Json.get_string (Json.member "text" j) }
+  | "scrape_reply" ->
+      Scrape_reply { metrics = List.map item_of_json (Json.get_list (Json.member "metrics" j)) }
   | "refresh" ->
       Refresh
         {
@@ -108,7 +138,6 @@ let of_json j =
           ranges = List.map range_of_json (Json.get_list (Json.member "ranges" j));
         }
   | "activate" -> Activate { epoch = int "epoch" }
-  | "status" -> Status
   | "scrape" -> Scrape
   | "quit" -> Quit
   | tag -> failwith ("unknown control message: " ^ tag)

@@ -14,9 +14,9 @@
     nothing a ZLTP traffic observer would not already know.
 
     Framing rides the same {!Lw_net.Frame} transport as ZLTP; payloads
-    are JSON (bucket data hex-encoded), so the control plane favours
-    debuggability over throughput — the data it moves is bounded by
-    publisher churn, not query traffic. *)
+    are JSON (bucket data hex-encoded, a metrics snapshot as data), so
+    the control plane favours debuggability over throughput — the data
+    it moves is bounded by publisher churn, not query traffic. *)
 
 type range = {
   base : int;  (** first bucket index of the run *)
@@ -35,8 +35,10 @@ type msg =
     }
   | Ack of { epoch : int }  (** command done; [epoch] = shard's sealed epoch *)
   | Ctl_err of { message : string }
-  | Status_reply of { epoch : int; advertised : int; queries : int }
-  | Scrape_reply of { text : string }  (** Prometheus text exposition *)
+  | Scrape_reply of { metrics : Lw_obs.Metrics.snapshot_item list }
+      (** the shard's {!Lw_obs.Metrics.snapshot}: counters, gauges, and
+          each histogram's count, sum, max and bucket counts by index
+          (its quantiles are recomputed from them on receipt) *)
   (* supervisor -> shard *)
   | Refresh of {
       base_epoch : int;
@@ -46,7 +48,6 @@ type msg =
       ranges : range list;
     }
   | Activate of { epoch : int }  (** announce [epoch] to clients from now on *)
-  | Status
   | Scrape
   | Quit
 

@@ -1,33 +1,28 @@
-(** Fleet-wide metric aggregation from Prometheus text expositions.
+(** Fleet-wide metric totals from per-process snapshots.
 
     The supervisor scrapes every shard process over the control channel
-    ([Ctl.Scrape]) and {!ingest}s each exposition here. Counters and
-    histogram bucket counts add exactly across processes — histograms
-    are reconstructed from the full-precision cumulative
-    [_bucket{le="..."}] samples {!Lw_obs.Export.to_prometheus} emits and
-    folded together with {!Lw_obs.Metrics.merge_into}, so the fleet view
-    has exactly the bucket counts a single process observing every
-    sample would have. Histogram [sum]/[max] are carried exactly from
-    the scraped [_sum]/[_max] samples (the reconstruction alone would
-    only bound them to a bucket). Gauges are last-ingest-wins.
-
-    Lookup names may be dotted ([lw_cluster.shard.refreshes_total]) or
-    already sanitized — both resolve to the same series. *)
+    ([Ctl.Scrape], answered with the shard's {!Lw_obs.Metrics.snapshot})
+    and {!add}s each reply here, its own snapshot too. Counters add
+    exactly. Histograms add bucket counts by index, count and sum, and
+    take the largest max, as {!Lw_obs.Metrics.merge_into} does, so the
+    fleet histogram is exactly the one a single process observing every
+    sample would hold. Gauges are one process's reading and are not
+    folded. *)
 
 type t
 
 val create : unit -> t
 
-val ingest : t -> string -> unit
-(** Fold one process's exposition text into the view. Unrecognized lines
-    are skipped; a malformed sample line raises [Failure]. *)
+val add : t -> Lw_obs.Metrics.snapshot_item list -> unit
+(** Fold one process's snapshot into the view. *)
 
 val sources : t -> int
-(** Number of successful {!ingest}s. *)
+(** Number of {!add}s. *)
 
 val counter : t -> string -> int
-(** Summed across every ingest; [0] when the series was never seen. *)
+(** Summed across every source; [0] when the series was never seen. *)
 
 val histogram : t -> string -> Lw_obs.Metrics.hist_snapshot option
-(** The merged fleet histogram: exact bucket counts/count/sum/max,
-    quantiles at {!Lw_obs.Metrics.quantile}'s bucket granularity. *)
+(** The merged fleet histogram: exact bucket counts, count, sum and
+    max; quantiles to one bucket, as {!Lw_obs.Metrics.snapshot_hist}
+    estimates them. *)

@@ -8,6 +8,9 @@ let m_activations = Metrics.counter "lw_cluster.shard.activations_total"
 let m_warm_restarts = Metrics.counter "lw_cluster.shard.warm_restarts_total"
 let m_refresh_buckets = Metrics.counter "lw_cluster.shard.refresh_buckets_total"
 
+(* the shard store's keep window: epochs a client may still pin *)
+let keep = 3
+
 let snapshot_bytes snap =
   let n = Lw_store.Snapshot.size snap in
   let buf = Buffer.create (Lw_store.Snapshot.total_bytes snap) in
@@ -29,7 +32,7 @@ let build_store (spec : Spec.t) =
          && m.Manifest.bucket_size = spec.bucket_size
          && m.Manifest.epoch > 0 ->
       let store =
-        Lw_store.create ~keep:spec.keep ~initial_epoch:(m.Manifest.epoch - 1)
+        Lw_store.create ~keep ~initial_epoch:(m.Manifest.epoch - 1)
           ~domain_bits:spec.domain_bits ~bucket_size:spec.bucket_size ()
       in
       let w = Lw_store.writer store in
@@ -42,7 +45,7 @@ let build_store (spec : Spec.t) =
       Metrics.incr m_warm_restarts;
       (store, min m.Manifest.advertised m.Manifest.epoch)
   | _ ->
-      ( Lw_store.create ~keep:spec.keep ~domain_bits:spec.domain_bits
+      ( Lw_store.create ~keep ~domain_bits:spec.domain_bits
           ~bucket_size:spec.bucket_size (),
         0 )
 
@@ -161,21 +164,11 @@ let main (spec : Spec.t) =
               persist spec store ~advertised:epoch;
               reply (Ctl.Ack { epoch = Lw_store.current_epoch store })
             end
-        | Ok Ctl.Status ->
-            reply
-              (Ctl.Status_reply
-                 {
-                   epoch = Lw_store.current_epoch store;
-                   advertised = !advertised;
-                   queries = Lightweb.Zltp_server.queries_served server;
-                 })
-        | Ok Ctl.Scrape ->
-            reply (Ctl.Scrape_reply { text = Lw_obs.Export.to_prometheus () })
+        | Ok Ctl.Scrape -> reply (Ctl.Scrape_reply { metrics = Metrics.snapshot () })
         | Ok Ctl.Quit ->
             reply (Ctl.Ack { epoch = Lw_store.current_epoch store });
             running := false
-        | Ok (Ctl.Register _ | Ctl.Ack _ | Ctl.Ctl_err _ | Ctl.Status_reply _ | Ctl.Scrape_reply _)
-          ->
+        | Ok (Ctl.Register _ | Ctl.Ack _ | Ctl.Ctl_err _ | Ctl.Scrape_reply _) ->
             reply (Ctl.Ctl_err { message = "unexpected control message" })
       done);
   Lw_net.Tcp.shutdown data_srv;

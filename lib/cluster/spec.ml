@@ -10,7 +10,6 @@ type t = {
   ctl_port : int;
   domain_bits : int;
   bucket_size : int;
-  keep : int;
   state_dir : string;
   sabotage : sabotage;
 }
@@ -25,7 +24,6 @@ let encode s =
          ("ctl_port", num s.ctl_port);
          ("domain_bits", num s.domain_bits);
          ("bucket_size", num s.bucket_size);
-         ("keep", num s.keep);
          ("state_dir", Json.String s.state_dir);
          ("die_after_register", Json.Bool s.sabotage.die_after_register);
          ( "die_on_refresh",
@@ -45,7 +43,6 @@ let decode raw =
           ctl_port = int "ctl_port";
           domain_bits = int "domain_bits";
           bucket_size = int "bucket_size";
-          keep = int "keep";
           state_dir = str "state_dir";
           sabotage =
             {

@@ -19,7 +19,6 @@ type t = {
   ctl_port : int;  (** supervisor's control-plane listener *)
   domain_bits : int;
   bucket_size : int;
-  keep : int;  (** store keep-window for the shard's engine *)
   state_dir : string;  (** where the warm-restart manifest lives *)
   sabotage : sabotage;
 }

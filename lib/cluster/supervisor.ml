@@ -31,12 +31,18 @@ let m_deaths = Metrics.counter "lw_cluster.deaths_total"
 let m_mttr = Metrics.histogram "lw_cluster.mttr_seconds"
 let m_rollout_time = Metrics.histogram "lw_cluster.rollout_seconds"
 
+(* The master's keep window bounds how far behind a restarted shard can
+   be and still catch up by diff; the crash-loop breaker counts deaths
+   within a sliding window; start waits this long for the fleet to
+   settle. *)
+let master_keep = 8
+let crash_loop_window_s = 10.
+let start_deadline_s = 15.
+
 type config = {
   shards : int;
   domain_bits : int;
   bucket_size : int;
-  keep : int;
-  master_keep : int;
   state_dir : string;
   host : string;
   self : string;
@@ -45,9 +51,7 @@ type config = {
   health_timeout_s : float;
   restart_backoff_s : float;
   restart_backoff_max_s : float;
-  crash_loop_window_s : float;
   crash_loop_max : int;
-  start_deadline_s : float;
   sabotage : int -> Spec.sabotage;
 }
 
@@ -56,8 +60,6 @@ let default_config ~state_dir () =
     shards = 4;
     domain_bits = 8;
     bucket_size = 1024;
-    keep = 3;
-    master_keep = 8;
     state_dir;
     host = "127.0.0.1";
     self = Sys.executable_name;
@@ -66,9 +68,7 @@ let default_config ~state_dir () =
     health_timeout_s = 1.;
     restart_backoff_s = 0.1;
     restart_backoff_max_s = 1.;
-    crash_loop_window_s = 10.;
     crash_loop_max = 5;
-    start_deadline_s = 15.;
     sabotage = (fun _ -> Spec.no_sabotage);
   }
 
@@ -243,7 +243,6 @@ let spawn t id =
       ctl_port = Tcp.port t.ctl_srv;
       domain_bits = t.cfg.domain_bits;
       bucket_size = t.cfg.bucket_size;
-      keep = t.cfg.keep;
       state_dir = t.cfg.state_dir;
       sabotage = t.cfg.sabotage id;
     }
@@ -288,7 +287,7 @@ and handle_death t s =
           s.crash_times <-
             tdead
             :: List.filter
-                 (fun tc -> tdead -. tc <= t.cfg.crash_loop_window_s)
+                 (fun tc -> tdead -. tc <= crash_loop_window_s)
                  s.crash_times;
           let recent = List.length s.crash_times in
           if recent >= t.cfg.crash_loop_max then begin
@@ -575,12 +574,11 @@ let replicas t =
 
 let scrape t =
   let view = Fleet_view.create () in
-  Fleet_view.ingest view (Lw_obs.Export.to_prometheus ());
+  Fleet_view.add view (Metrics.snapshot ());
   Array.iter
     (fun s ->
       match rpc t s Ctl.Scrape with
-      | Ok (Ctl.Scrape_reply { text }) -> (
-          try Fleet_view.ingest view text with Failure _ -> ())
+      | Ok (Ctl.Scrape_reply { metrics }) -> Fleet_view.add view metrics
       | Ok _ | Error _ -> ())
     t.fleet;
   view
@@ -664,12 +662,13 @@ let shutdown t =
 let start cfg =
   if cfg.shards < 1 then invalid_arg "Supervisor.start: shards must be >= 1";
   if cfg.crash_loop_max < 1 then invalid_arg "Supervisor.start: crash_loop_max >= 1";
+  if cfg.health_period_s <= 0. then invalid_arg "Supervisor.start: health_period_s > 0";
   (* a write into a SIGKILLed shard's socket must surface as EPIPE ->
      Endpoint.Closed, not take the supervisor down with SIGPIPE *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   (try Unix.mkdir cfg.state_dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let master =
-    Lw_store.create ~keep:(max cfg.master_keep 2) ~domain_bits:cfg.domain_bits
+    Lw_store.create ~keep:master_keep ~domain_bits:cfg.domain_bits
       ~bucket_size:cfg.bucket_size ()
   in
   let fleet =
@@ -716,9 +715,8 @@ let start cfg =
           s.spid <- spawn t s.sid;
           s.st <- Starting))
     fleet;
-  t.threads <- [ Thread.create reaper t ];
-  if cfg.health_period_s > 0. then t.threads <- Thread.create prober t :: t.threads;
+  t.threads <- [ Thread.create reaper t; Thread.create prober t ];
   ignore
-    (await ~deadline_s:cfg.start_deadline_s t (fun () ->
+    (await ~deadline_s:start_deadline_s t (fun () ->
          Array.for_all (fun s -> s.st = Up || s.st = Degraded) t.fleet));
   t

@@ -28,8 +28,8 @@
     {b Warm restart.} A restarted shard re-registers carrying the epoch
     from its persisted manifest; the supervisor catches it up with an
     incremental diff when that epoch is still live in the master's keep
-    window (a full push otherwise) and re-activates it at the fleet's
-    advertised epoch. Mean time to recovery (process death →
+    window of 8 epochs (a full push otherwise) and re-activates it at the
+    fleet's advertised epoch. Mean time to recovery (process death →
     caught-up-and-activated) lands in the [lw_cluster.mttr_seconds]
     histogram. *)
 
@@ -37,21 +37,17 @@ type config = {
   shards : int;  (** shard processes (>= 1; >= 2 for a PIR client) *)
   domain_bits : int;
   bucket_size : int;
-  keep : int;  (** per-shard store keep window *)
-  master_keep : int;  (** master keep window — bounds incremental catch-up depth *)
   state_dir : string;  (** manifests live here; created if missing *)
   host : string;
   self : string;  (** executable to re-exec as workers *)
   ctl_timeout_s : float;  (** control-RPC reply deadline *)
-  health_period_s : float;  (** data-port Health probe cadence; [<= 0.] disables *)
+  health_period_s : float;  (** data-port Health probe cadence (> 0) *)
   health_timeout_s : float;  (** probe dial/reply deadline *)
   restart_backoff_s : float;  (** base restart delay (doubles per recent crash) *)
   restart_backoff_max_s : float;
-  crash_loop_window_s : float;
   crash_loop_max : int;
-      (** crashes within the window that trip the breaker: the shard is
-          marked {!Degraded} and never restarted again *)
-  start_deadline_s : float;  (** how long {!start} waits for the fleet to settle *)
+      (** crashes within 10 s that trip the breaker: the shard is marked
+          {!Degraded} and never restarted again *)
   sabotage : int -> Spec.sabotage;  (** per-shard fault injection (tests) *)
 }
 
@@ -83,10 +79,9 @@ type shard_info = {
 type t
 
 val start : config -> t
-(** Spawn the fleet and wait (up to [start_deadline_s]) for every shard
-    to reach {!Up} or {!Degraded}. Raises [Invalid_argument] on a bad
-    config; never raises on shard failure — that is what the states are
-    for. *)
+(** Spawn the fleet and wait (up to 15 s) for every shard to reach {!Up}
+    or {!Degraded}. Raises [Invalid_argument] on a bad config; never
+    raises on shard failure — that is what the states are for. *)
 
 val info : t -> shard_info list
 val fleet_epoch : t -> int  (** master store's sealed epoch *)
@@ -113,8 +108,8 @@ val replicas : t -> Lightweb.Zltp_client.replica list list
     re-dialed after a restart finds the new process. *)
 
 val scrape : t -> Fleet_view.t
-(** Scrape every reachable shard's Prometheus exposition over the
-    control channel, plus this process's own, merged per
+(** Scrape every reachable shard's metrics snapshot over the control
+    channel and fold them, with this process's own, into a
     {!Fleet_view}. *)
 
 (** {2 Chaos hooks} — aimed at shard [id]; no-ops when it has no pid. *)

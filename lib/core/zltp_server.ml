@@ -7,7 +7,6 @@ type t = {
   blob_size : int;
   hash_key : string;
   server_id : string;
-  mutable queries : int;
 }
 
 let default_hash_key = String.sub (Lw_crypto.Sha256.digest "lw-pir-store-default") 0 16
@@ -18,11 +17,10 @@ let create ?(server_id = "zltp-server") ?(hash_key = default_hash_key) ?(scan_do
   if scan_domains < 1 then invalid_arg "Zltp_server.create: scan_domains must be >= 1";
   let (module B : Zltp_backend.S) = backend in
   B.set_scan_domains scan_domains;
-  { backend; blob_size; hash_key; server_id; queries = 0 }
+  { backend; blob_size; hash_key; server_id }
 
 let backend t = t.backend
 let blob_size t = t.blob_size
-let queries_served t = t.queries
 
 (* Everything below goes through the BACKEND signature: this file knows
    the verb set, never which backend answers it. *)
@@ -169,10 +167,9 @@ let dispatch c msg =
   | Zltp_wire.Pir_query { qid; epoch; dpf_key } -> (
       match answer_pir t ~epoch dpf_key with
       | Ok share ->
-          t.queries <- t.queries + 1;
           (* note: nothing about the query is loggable beyond its
              existence — the server never has the request key *)
-          Log.debug (fun m -> m "%s: private-GET #%d answered" t.server_id t.queries);
+          Log.debug (fun m -> m "%s: private-GET answered" t.server_id);
           Some (Zltp_wire.Answer { qid; epoch; share })
       | Error (code, e) ->
           Log.info (fun m -> m "%s: rejected query: %s" t.server_id e);
@@ -180,7 +177,6 @@ let dispatch c msg =
   | Zltp_wire.Pir_batch { qid; epoch; dpf_keys } -> (
       match answer_pir_batch t ~epoch dpf_keys with
       | Ok shares ->
-          t.queries <- t.queries + List.length shares;
           Log.debug (fun m ->
               m "%s: private-GET batch of %d answered" t.server_id (List.length shares));
           Some (Zltp_wire.Batch_answer { qid; epoch; shares })
@@ -194,8 +190,7 @@ let dispatch c msg =
          degraded refusal as any other PIR batch *)
       match answer_pir_batch t ~epoch [ dpf_key0; dpf_key1 ] with
       | Ok [ share0; share1 ] ->
-          t.queries <- t.queries + 1;
-          Log.debug (fun m -> m "%s: keyword-GET #%d answered" t.server_id t.queries);
+          Log.debug (fun m -> m "%s: keyword-GET answered" t.server_id);
           Some (Zltp_wire.Keyword_answer { qid; epoch; share0; share1 })
       | Ok _ -> err ~qid Zltp_wire.err_internal "keyword answer arity"
       | Error (code, e) ->
@@ -212,17 +207,14 @@ let dispatch c msg =
   | Zltp_wire.Spir_query { qid; epoch; query } -> (
       match answer_spir t ~epoch query with
       | Ok answer ->
-          t.queries <- t.queries + 1;
-          Log.debug (fun m -> m "%s: private-GET #%d answered" t.server_id t.queries);
+          Log.debug (fun m -> m "%s: SPIR private-GET answered" t.server_id);
           Some (Zltp_wire.Spir_answer { qid; epoch; answer })
       | Error (code, e) ->
           Log.info (fun m -> m "%s: rejected SPIR query: %s" t.server_id e);
           err ~qid code e)
   | Zltp_wire.Enclave_get { qid; key } -> (
       match enclave_get t key with
-      | Ok value ->
-          t.queries <- t.queries + 1;
-          Some (Zltp_wire.Enclave_answer { qid; value })
+      | Ok value -> Some (Zltp_wire.Enclave_answer { qid; value })
       | Error (code, e) -> err ~qid code e)
 
 (* A session speaks exactly one verb family after Hello: each verb names

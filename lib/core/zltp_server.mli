@@ -33,7 +33,6 @@ val create :
 
 val backend : t -> Zltp_backend.t
 val blob_size : t -> int
-val queries_served : t -> int
 
 val set_advertised_epoch : t -> int option -> unit
 (** Control-plane override of the {e announced} epoch (delegated to the

@@ -1,7 +1,5 @@
-(* Exporters over Metrics.snapshot: JSON for programmatic consumers and
-   a Prometheus-style text exposition for humans / scrapers. *)
-
-module Json = Lw_json.Json
+(* A Prometheus-style text exposition of Metrics.snapshot, for humans
+   and text scrapers. Programs read Metrics.snapshot itself. *)
 
 (* Prometheus metric names: [a-zA-Z_:][a-zA-Z0-9_:]*. We map dots (and
    anything else outside the charset) to underscores. *)
@@ -38,20 +36,6 @@ let to_prometheus () =
           line "%s{quantile=\"0.5\"} %s" n (fmt_float h.p50);
           line "%s{quantile=\"0.95\"} %s" n (fmt_float h.p95);
           line "%s{quantile=\"0.99\"} %s" n (fmt_float h.p99);
-          (* cumulative Prometheus-histogram bucket samples, full
-             precision on the edges: a fleet scraper can reconstruct the
-             exact bucket counts from the text exposition and re-merge
-             them with Metrics.merge_into — the quantile samples above
-             could never be merged exactly *)
-          let cum = ref 0 in
-          List.iter
-            (fun (le, c) ->
-              if Float.is_finite le then begin
-                cum := !cum + c;
-                line "%s_bucket{le=\"%.17g\"} %d" n le !cum
-              end)
-            h.nonzero_buckets;
-          line "%s_bucket{le=\"+Inf\"} %d" n h.count;
           line "%s_max %s" n (fmt_float h.max);
           line "%s_sum %s" n (fmt_float h.sum);
           line "%s_count %d" n h.count)

@@ -21,11 +21,6 @@ let bucket_index v =
     let i = 1 + int_of_float (Float.floor (log (v /. bucket_lo) /. log_gamma)) in
     if i >= n_buckets then n_buckets - 1 else i
 
-(* Inclusive upper edge of bucket [i]; the overflow bucket reports +inf. *)
-let bucket_upper i =
-  if i >= n_buckets - 1 then Float.infinity
-  else bucket_lo *. (bucket_gamma ** float_of_int i)
-
 (* Representative value reported for a quantile landing in bucket [i]:
    the geometric midpoint of the bucket's edges. *)
 let bucket_mid i =
@@ -80,6 +75,13 @@ let fresh_histogram () =
 
 let scratch_histogram = fresh_histogram
 
+let add_totals into ~count ~sum ~max =
+  if count > 0 then begin
+    ignore (Atomic.fetch_and_add into.hcount count);
+    atomic_add_float into.hsum sum;
+    atomic_max_float into.hmax max
+  end
+
 (* Histogram merge: bucketing is deterministic, so adding [src]'s bucket
    counts into [into] yields exactly the histogram that would have
    resulted from observing both sample streams into one histogram — no
@@ -91,12 +93,16 @@ let merge_into ~into src =
       let c = Atomic.get b in
       if c > 0 then ignore (Atomic.fetch_and_add into.buckets.(i) c))
     src.buckets;
-  let c = Atomic.get src.hcount in
-  if c > 0 then begin
-    ignore (Atomic.fetch_and_add into.hcount c);
-    atomic_add_float into.hsum (Atomic.get src.hsum);
-    atomic_max_float into.hmax (Atomic.get src.hmax)
-  end
+  add_totals into ~count:(Atomic.get src.hcount) ~sum:(Atomic.get src.hsum)
+    ~max:(Atomic.get src.hmax)
+
+(* The same addition from another process's bucket counts, keyed by
+   bucket index: O(listed buckets), no sample is replayed. *)
+let merge_buckets ~into ~count ~sum ~max buckets =
+  if List.exists (fun (i, c) -> i < 0 || i >= n_buckets || c < 0) buckets then
+    invalid_arg "Lw_obs.Metrics.merge_buckets: bad bucket";
+  List.iter (fun (i, c) -> ignore (Atomic.fetch_and_add into.buckets.(i) c)) buckets;
+  add_totals into ~count ~sum ~max
 
 (* Nearest-rank quantile from the buckets. The estimate is the geometric
    midpoint of the bucket the rank falls in, clamped to the observed max
@@ -176,8 +182,8 @@ type hist_snapshot = {
   p50 : float;
   p95 : float;
   p99 : float;
-  nonzero_buckets : (float * int) list;
-      (* (inclusive upper edge, count), ascending, empty buckets elided *)
+  nonzero_buckets : (int * int) list;
+      (* (bucket index, count), ascending, empty buckets elided *)
 }
 
 type snapshot_item =
@@ -189,7 +195,7 @@ let snapshot_hist h =
   let nonzero = ref [] in
   for i = n_buckets - 1 downto 0 do
     let c = Atomic.get h.buckets.(i) in
-    if c > 0 then nonzero := (bucket_upper i, c) :: !nonzero
+    if c > 0 then nonzero := (i, c) :: !nonzero
   done;
   {
     count = hist_count h;

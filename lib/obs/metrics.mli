@@ -62,7 +62,14 @@ val merge_into : into:histogram -> histogram -> unit
     exactly, not approximately). Safe under concurrent [observe]s on
     either side. Raises [Invalid_argument] when [into == src]. *)
 
-(** {2 Bucket geometry} (exposed for the exporters and property tests) *)
+val merge_buckets :
+  into:histogram -> count:int -> sum:float -> max:float -> (int * int) list -> unit
+(** [merge_buckets ~into ~count ~sum ~max buckets] adds another
+    histogram's totals and its [(bucket index, count)] pairs (a
+    {!hist_snapshot}'s [nonzero_buckets]) into [into]: what
+    {!merge_into} adds, from data that crossed a process boundary. Raises
+    [Invalid_argument], adding nothing, on an index outside the bucket
+    range or a negative count. *)
 
 (** {2 Registry} *)
 
@@ -73,8 +80,11 @@ type hist_snapshot = {
   p50 : float;
   p95 : float;
   p99 : float;
-  nonzero_buckets : (float * int) list;
-      (** (inclusive upper edge, count), ascending; empty buckets elided *)
+  nonzero_buckets : (int * int) list;
+      (** (bucket index, count), ascending; empty buckets elided. Bucket
+          [i >= 1] holds the samples in (1e-9·√2{^ i-1}, 1e-9·√2{^ i}],
+          bucket 0 everything up to 1e-9, and the top bucket everything
+          above its lower edge. *)
 }
 
 val snapshot_hist : histogram -> hist_snapshot

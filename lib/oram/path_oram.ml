@@ -28,10 +28,12 @@ let array_position_map n =
 
 type stash_entry = { mutable s_leaf : int; s_data : Bytes.t }
 
+(* Z, the blocks one tree bucket holds *)
+let bucket_capacity = 4
+
 type t = {
   capacity : int;
   block_size : int;
-  bucket_capacity : int;
   height : int; (* root level 0 .. leaf level height *)
   leaves : int;
   tree : block list array; (* per bucket, at most bucket_capacity blocks *)
@@ -41,16 +43,14 @@ type t = {
   mutable leaf_log : int list; (* reversed *)
 }
 
-let create_with_position_map ?(bucket_capacity = 4) ~capacity ~block_size posmap rng =
+let create_with_position_map ~capacity ~block_size posmap rng =
   if capacity < 1 then invalid_arg "Path_oram.create: capacity must be positive";
   if block_size < 1 then invalid_arg "Path_oram.create: block_size must be positive";
-  if bucket_capacity < 2 then invalid_arg "Path_oram.create: bucket_capacity too small";
   let height = Lw_util.Bitops.log2_ceil (max capacity 2) in
   let leaves = 1 lsl height in
   {
     capacity;
     block_size;
-    bucket_capacity;
     height;
     leaves;
     tree = Array.make ((2 * leaves) - 1) [];
@@ -60,9 +60,8 @@ let create_with_position_map ?(bucket_capacity = 4) ~capacity ~block_size posmap
     leaf_log = [];
   }
 
-let create ?bucket_capacity ~capacity ~block_size rng =
-  create_with_position_map ?bucket_capacity ~capacity ~block_size (array_position_map capacity)
-    rng
+let create ~capacity ~block_size rng =
+  create_with_position_map ~capacity ~block_size (array_position_map capacity) rng
 
 let capacity t = t.capacity
 let block_size t = t.block_size
@@ -117,7 +116,7 @@ let access t id ~mutate =
     let count = ref 0 in
     Hashtbl.iter
       (fun bid entry ->
-        if !count < t.bucket_capacity && node_at t ~leaf:entry.s_leaf ~level = node then begin
+        if !count < bucket_capacity && node_at t ~leaf:entry.s_leaf ~level = node then begin
           placed := { id = bid; leaf = entry.s_leaf; data = entry.s_data } :: !placed;
           incr count
         end)

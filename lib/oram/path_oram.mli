@@ -23,19 +23,13 @@ type position_map = { get_and_set : int -> int -> int }
 val array_position_map : int -> position_map
 (** The default in-enclave array of [n] positions. *)
 
-val create :
-  ?bucket_capacity:int -> capacity:int -> block_size:int -> Lw_crypto.Drbg.t -> t
+val create : capacity:int -> block_size:int -> Lw_crypto.Drbg.t -> t
 (** [create ~capacity ~block_size rng] holds up to [capacity] logical
-    blocks of [block_size] bytes. [bucket_capacity] is Z (default 4).
-    The tree has [2^ceil(log2 (max capacity 2))] leaves. *)
+    blocks of [block_size] bytes, Z = 4 blocks per tree bucket. The tree
+    has [2^ceil(log2 (max capacity 2))] leaves. *)
 
 val create_with_position_map :
-  ?bucket_capacity:int ->
-  capacity:int ->
-  block_size:int ->
-  position_map ->
-  Lw_crypto.Drbg.t ->
-  t
+  capacity:int -> block_size:int -> position_map -> Lw_crypto.Drbg.t -> t
 
 val capacity : t -> int
 val block_size : t -> int

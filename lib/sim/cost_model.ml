@@ -145,8 +145,7 @@ type mode_cost = {
 }
 
 let three_way ?(policy = Storage_driven) ?(bucket_bytes = 4096) ?(batch = 16)
-    ?(single_slowdown = 8.) ?(spir_n = Lw_pir.Spir.default_params.Lw_pir.Spir.n) ?(oram_z = 4) ds
-    shard inst =
+    ?(single_slowdown = 8.) ds shard inst =
   (* Bytes/second the measured shard streams its data at (XOR scan). *)
   let scan_rate = shard.shard_bytes /. Float.max 1e-9 shard.scan_seconds in
   let fleet_cost ~servers ~shards ~request_seconds ~upload_bytes ~download_bytes
@@ -200,20 +199,20 @@ let three_way ?(policy = Storage_driven) ?(bucket_bytes = 4096) ?(batch = 16)
     let hint_bytes_per_epoch =
       fshards
       *. float_of_int
-           (Lw_pir.Spir.hint_bytes { Lw_pir.Spir.n = spir_n } ~bucket_size:bucket_bytes)
+           (Lw_pir.Spir.hint_bytes Lw_pir.Spir.default_params ~bucket_size:bucket_bytes)
     in
     fleet_cost ~servers:1 ~shards ~request_seconds ~upload_bytes ~download_bytes
       ~hint_bytes_per_epoch Lightweb.Zltp_mode.Single
   in
   let enclave =
     (* One trusted machine per shard; a GET is a tree-ORAM path — about
-       2·⌈log2 pages⌉ node reads of Z buckets each — at the measured scan
+       2·⌈log2 pages⌉ node reads of Z = 4 buckets each — at the measured scan
        rate, on the one shard holding the index (the enclave hides which
        bucket within the shard; shard routing rides the same frontend
        fan-out as the other modes). Communication is a fixed-size
        encrypted request up and one encrypted bucket down. *)
     let shards = shard_count policy ds shard in
-    let path_nodes = 2 * max 1 shard.domain_bits * oram_z in
+    let path_nodes = 2 * max 1 shard.domain_bits * 4 in
     let path_bytes = float_of_int (path_nodes * bucket_bytes) in
     let request_seconds = path_bytes /. scan_rate in
     let mc =

@@ -123,8 +123,6 @@ val three_way :
   ?bucket_bytes:int ->
   ?batch:int ->
   ?single_slowdown:float ->
-  ?spir_n:int ->
-  ?oram_z:int ->
   dataset ->
   shard ->
   instance ->
@@ -136,7 +134,7 @@ val three_way :
     answer down), and a request is one multiply-accumulate pass modeled
     as the measured XOR scan slowed by [single_slowdown] (default 8;
     {!Fleet_sim} seeds it from the measured SPIR/XOR ratio). [Enclave]
-    pays a tree-ORAM path — [2·domain_bits·oram_z] bucket reads at the
+    pays a tree-ORAM path — [2·domain_bits·Z] bucket reads (Z = 4) at the
     scan rate — on the one shard holding the index, with fixed-size
     encrypted communication. *)
 

@@ -27,8 +27,11 @@ let traditional_trace ~sites ~site rng =
       let s = size_scale *. exp (0.8 *. gaussian rng) in
       max 64 (int_of_float s))
 
-let lightweb_trace ?(fetches_per_page = 5) ?(data_exchange_bytes = 13927)
-    ?(code_exchange_bytes = 2 * 1024 * 1024) ~code_fetch _rng =
+(* one data exchange and the code exchange, as an observer sizes them *)
+let data_exchange_bytes = 13927
+let code_exchange_bytes = 2 * 1024 * 1024
+
+let lightweb_trace ?(fetches_per_page = 5) ~code_fetch _rng =
   (if code_fetch then [ code_exchange_bytes ] else [])
   @ List.init fetches_per_page (fun _ -> data_exchange_bytes)
 

@@ -24,10 +24,10 @@ val traditional_trace : sites:int -> site:int -> Lw_util.Det_rng.t -> trace
     function of the site id, so train and test traces share them. *)
 
 val lightweb_trace :
-  ?fetches_per_page:int -> ?data_exchange_bytes:int -> ?code_exchange_bytes:int ->
-  code_fetch:bool -> Lw_util.Det_rng.t -> trace
-(** Defaults match the paper's geometry: 5 fetches of 13.6 KiB-shaped
-    exchanges, 1 MiB-shaped code fetch on a cold cache. The RNG is unused
+  ?fetches_per_page:int -> code_fetch:bool -> Lw_util.Det_rng.t -> trace
+(** The paper's geometry: [fetches_per_page] (default 5) data exchanges
+    of 13,927 bytes, plus one 2 MiB code exchange when [code_fetch] (a
+    cold cache). The RNG is unused
     (the trace is constant given the flags) but kept for interface
     symmetry. *)
 

@@ -332,6 +332,71 @@ let test_warm_restart_catchup () =
 
 (* ------------------------- fleet metrics ------------------------- *)
 
+(* The scrape path without processes: three hand-built snapshots cross
+   the control codec (an in-memory pipe) and fold into a Fleet_view,
+   which must hold exactly what Metrics.merge_into makes of the same
+   histograms. The samples reach the top bucket (upper edge +inf), one
+   counter and one histogram come from one source only, and one
+   histogram is empty. *)
+let test_fleet_view_fold () =
+  let hist samples =
+    let h = Metrics.scratch_histogram () in
+    List.iter (Metrics.observe h) samples;
+    h
+  in
+  let lat = [| hist [ 1e-12; 0.001; 0.002 ]; hist [ 0.003; 5e5; 2e7 ]; hist [ 0.5; 1e9 ] |] in
+  let only_one = hist [ 0.25 ] in
+  let source i =
+    [
+      Metrics.Counter ("c.shared", 10 * (i + 1));
+      Metrics.Histogram ("h.lat", Metrics.snapshot_hist lat.(i));
+      Metrics.Histogram ("h.empty", Metrics.snapshot_hist (hist []));
+    ]
+    @
+    if i = 1 then
+      [ Metrics.Counter ("c.only_one", 7); Metrics.Histogram ("h.only_one", Metrics.snapshot_hist only_one) ]
+    else []
+  in
+  let tx, rx = Lw_net.Endpoint.pipe () in
+  let view = Fleet_view.create () in
+  for i = 0 to 2 do
+    Lw_cluster.Ctl.send tx (Lw_cluster.Ctl.Scrape_reply { metrics = source i });
+    match Lw_cluster.Ctl.recv rx with
+    | Ok (Lw_cluster.Ctl.Scrape_reply { metrics }) -> Fleet_view.add view metrics
+    | Ok _ -> Alcotest.fail "scrape reply decoded as another message"
+    | Error e -> Alcotest.failf "scrape reply did not decode: %s" e
+  done;
+  Alcotest.(check int) "three sources" 3 (Fleet_view.sources view);
+  Alcotest.(check int) "shared counter summed" 60 (Fleet_view.counter view "c.shared");
+  Alcotest.(check int) "one source's counter" 7 (Fleet_view.counter view "c.only_one");
+  Alcotest.(check int) "unseen counter" 0 (Fleet_view.counter view "c.never");
+  Alcotest.(check bool) "unseen histogram" true (Fleet_view.histogram view "h.never" = None);
+  let same label (want : Metrics.hist_snapshot) =
+    match Fleet_view.histogram view label with
+    | None -> Alcotest.failf "%s: not in the view" label
+    | Some got ->
+        Alcotest.(check (list (pair int int)))
+          (label ^ " bucket counts") want.nonzero_buckets got.nonzero_buckets;
+        Alcotest.(check int) (label ^ " count") want.count got.count;
+        Alcotest.(check (float 0.)) (label ^ " sum") want.sum got.sum;
+        Alcotest.(check (float 0.)) (label ^ " max") want.max got.max;
+        Alcotest.(check (float 0.)) (label ^ " p99") want.p99 got.p99
+  in
+  let merged = Metrics.scratch_histogram () in
+  Array.iter (Metrics.merge_into ~into:merged) lat;
+  let want = Metrics.snapshot_hist merged in
+  let top = fst (List.hd (Metrics.snapshot_hist (hist [ 1e12 ])).nonzero_buckets) in
+  Alcotest.(check (option int)) "three samples in the top bucket" (Some 3)
+    (List.assoc_opt top want.nonzero_buckets);
+  same "h.lat" want;
+  same "h.only_one" (Metrics.snapshot_hist only_one);
+  same "h.empty" (Metrics.snapshot_hist (hist []));
+  (* a bucket index far past the top bucket is a bad frame, not a crash *)
+  tx.Lw_net.Endpoint.send
+    {|{"t":"scrape_reply","metrics":[{"kind":"histogram","name":"h","count":1,"sum":1,"max":1,"buckets":[[1000,1]]}]}|};
+  Alcotest.(check bool) "out-of-range bucket refused" true
+    (Result.is_error (Lw_cluster.Ctl.recv rx))
+
 let test_fleet_scrape_merges () =
   with_fleet (cfg "scrape") @@ fun sup ->
   let e1, _ = publish_ok sup in
@@ -369,6 +434,7 @@ let () =
         [
           Alcotest.test_case "spawn + live rollouts" `Quick test_fleet_rollout;
           Alcotest.test_case "fleet scrape merges" `Quick test_fleet_scrape_merges;
+          Alcotest.test_case "fleet view fold = merge_into" `Quick test_fleet_view_fold;
         ] );
       ( "chaos",
         [

@@ -257,8 +257,7 @@ let test_zltp_get_end_to_end () =
   (match Zltp_client.get client "news.example/does-not-exist" with
   | Ok None -> ()
   | Ok (Some _) -> Alcotest.fail "phantom record"
-  | Error e -> Alcotest.fail e);
-  Alcotest.(check int) "queries counted" 2 (Zltp_server.queries_served d0)
+  | Error e -> Alcotest.fail e)
 
 let test_zltp_batch_get () =
   let u = make_universe () in
