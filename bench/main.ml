@@ -1707,91 +1707,17 @@ let e23_full_lint size =
           ]
 
 (* ------------------------------------------------------------------ *)
-(* E24: fleet-scale serving — multi-core scans + closed-loop fleet sim *)
+(* E24: fleet-scale serving — closed-loop fleet sim                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Two claims, measured. (1) Scan scaling: partitioning one shard's fused
-   scan across OCaml domains shrinks the critical path — the slowest partition, each answered on its own
-   sub-view with its sub-key — shrinks near-linearly.
-   The wall clock only follows where the machine actually has cores, so
-   both are reported and the JSON carries the core count; compare
-   wall-clock numbers across checkouts only with matching "machine"
-   stanzas. (2) Fleet behaviour: [Fleet_sim] stands up a real sharded
-   frontend, replays a Zipf page mix as a Poisson stream, and reports
-   measured p50/p99 sojourn vs offered load next to the three models the
-   repo already has (Queue_sim's fitted service law, Latency_model's
-   straggler tail, Cost_model's Table-2 arithmetic). *)
+(* Fleet behaviour: [Fleet_sim] stands up a real sharded frontend,
+   replays a Zipf page mix as a Poisson stream, and reports measured
+   p50/p99 sojourn vs offered load next to the three models the repo
+   already has (Queue_sim's fitted service law, Latency_model's straggler
+   tail, Cost_model's Table-2 arithmetic). Wall-clock numbers compare
+   across checkouts only with matching "machine" stanzas. *)
 let e24_fleet size =
-  section "E24" "fleet-scale serving: domain-parallel scan + closed-loop shard fleet";
-  let cores = Domain.recommended_domain_count () in
-  (* ---- part 1: domain-partitioned scan scaling on one shard -------- *)
-  let d, bucket_size, reps =
-    if size = Fast then (11, 512, 3) else (12, 1024, 5)
-  in
-  let st = random_store ~domain_bits:d ~bucket_size "e24-st" in
-  let server = whole_server st in
-  let key, _ = Lw_dpf.Dpf.gen ~domain_bits:d ~alpha:(1 lsl (d - 1)) (rng ()) in
-  let db_mb = float_of_int (Lw_store.total_bytes st) /. 1048576. in
-  let serial_s = time_median ~reps (fun () -> ignore (Lw_pir.Server.answer server key)) in
-  row "scan shard: 2^%d buckets x %d B = %.2f MiB; %d core(s) on this machine\n" d
-    bucket_size db_mb cores;
-  row "serial fused answer: %.2f ms (%.0f MB/s)\n\n" (1000. *. serial_s) (db_mb /. serial_s);
-  row "%-8s %12s %14s %16s %18s\n" "domains" "wall" "wall speedup" "crit-path"
-    "crit-path speedup";
-  let scaling_rows =
-    List.map
-      (fun nd ->
-        let run_wall () =
-          if nd = 1 then Lw_pir.Server.answer server key
-          else (Lw_pir.Server.answer_partitioned ~partitions:nd ~domains:nd server [| key |]).(0)
-        in
-        let wall_s = time_median ~reps (fun () -> ignore (run_wall ())) in
-        (* critical path = slowest partition of an [nd]-way split, each
-           answered on its own sub-view with its sub-key: the wall clock a
-           machine with [nd] free cores would show, minus spawn/join
-           overhead *)
-        let cp_s =
-          if nd = 1 then serial_s
-          else begin
-            let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2) in
-            let levels = log2 nd in
-            let rem = d - levels in
-            let snap = Lw_store.current st in
-            let parts =
-              Array.mapi
-                (fun p sub ->
-                  ( Lw_pir.Server.of_snapshot
-                      (Lw_store.Snapshot.sub snap ~base:(p lsl rem) ~domain_bits:rem),
-                    sub ))
-                (Lw_dpf.Distributed.split key ~shard_bits:levels)
-            in
-            let best = ref infinity in
-            for _ = 1 to reps do
-              let slowest =
-                Array.fold_left
-                  (fun m (view, sub) ->
-                    Float.max m (snd (time_once (fun () -> Lw_pir.Server.answer view sub))))
-                  0. parts
-              in
-              (* a time, though taint joins it with the answer [time_once]
-                 returns beside it *)
-              (* lw-lint: allow taint *)
-              if slowest < !best then best := slowest
-            done;
-            !best
-          end
-        in
-        row "%-8d %9.2f ms %13.2fx %13.2f ms %17.2fx\n" nd (1000. *. wall_s)
-          (serial_s /. wall_s) (1000. *. cp_s) (serial_s /. cp_s);
-        (nd, wall_s, cp_s))
-      [ 1; 2; 4; 8 ]
-  in
-  let cp8_speedup =
-    (* lw-lint: allow taint lines=1 *)
-    match List.rev scaling_rows with (_, _, cp8) :: _ -> serial_s /. cp8 | [] -> 0.
-  in
-  row "\ncritical-path speedup at 8 domains: %.2fx (target >= 3x)\n" cp8_speedup;
-  (* ---- part 2: closed-loop fleet simulation ------------------------ *)
+  section "E24" "fleet-scale serving: closed-loop shard fleet";
   let open Lw_repro in
   let fleets =
     if size = Fast then [ ("64-shard", Fleet_sim.default) ]
@@ -1862,20 +1788,6 @@ let e24_fleet size =
      the batch, beating the Table-2 batch x request floor; the Little's-law column\n\
      (L = λW vs time-average N) is a bookkeeping cross-check on the event loop.\n";
   let open Json in
-  let scaling_json =
-    List
-      (List.map
-         (fun (nd, wall_s, cp_s) ->
-           Obj
-             [
-               ("domains", Number (float_of_int nd));
-               ("wall_ms", Number (1000. *. wall_s));
-               ("wall_speedup", Number (serial_s /. wall_s));
-               ("critical_path_ms", Number (1000. *. cp_s));
-               ("critical_path_speedup", Number (serial_s /. cp_s));
-             ])
-         scaling_rows)
-  in
   let point_json (pt : Fleet_sim.point) =
     Obj
       [
@@ -1902,7 +1814,6 @@ let e24_fleet size =
       [
         ("label", String label);
         ("shards", Number (float_of_int r.Fleet_sim.shards));
-        ("scan_domains", Number (float_of_int p.Fleet_sim.scan_domains));
         ("batch_size", Number (float_of_int p.Fleet_sim.batch_size));
         ("db_bytes", Number (float_of_int r.Fleet_sim.db_bytes));
         ("service_batch_mean_ms", Number (1000. *. r.Fleet_sim.service_batch_mean_s));
@@ -1967,24 +1878,8 @@ let e24_fleet size =
                r.Fleet_sim.three_way) );
       ]
   in
-  (* the critical-path cells time each sub-key's answer, as the waivers
-     above say; writing a measurement out branches on it *)
-  (* lw-lint: allow taint *)
   write_bench size ~id:"E24" "BENCH_fleet.json"
-    [
-      ( "scan_scaling",
-        Obj
-          [
-            ("domain_bits", Number (float_of_int d));
-            ("bucket_size", Number (float_of_int bucket_size));
-            ("db_mib", Number db_mb);
-            ("serial_fused_ms", Number (1000. *. serial_s));
-            ("rows", scaling_json);
-            ("critical_path_speedup_at_8", Number cp8_speedup);
-            ("meets_3x_target", Bool (cp8_speedup >= 3.0));
-          ] );
-      ("fleets", List (List.map fleet_json results));
-    ]
+    [ ("fleets", List (List.map fleet_json results)) ]
 
 (* ------------------------------------------------------------------ *)
 (* E25: supervised multi-process fleet                                 *)

@@ -1,14 +1,13 @@
 (* Race lint: mutable state captured by a closure passed to
-   [Domain.spawn] must be guarded. The ROADMAP's next frontier is
-   Domain-parallel shard scans; this analysis stands guard so shared
-   scan state grown for that work is either [Atomic], under a [Mutex],
-   or flagged.
+   [Domain.spawn] must be guarded. Nothing in lib/ spawns a domain
+   today (every scan runs on the calling domain); this analysis stands
+   guard so shared state grown for a future worker pool is either
+   [Atomic], under a [Mutex], or flagged.
 
    Shape: collect the file's let-bound mutable carriers (refs, arrays,
    bytes, hash tables, buffers — classified by the RHS constructor) and
-   the file's let-bound closures, then for every [Domain.spawn f] (or
-   [Server.run_workers n f], the serving path's worker entry) resolve [f]
-   to a body and walk it. Any read/write of a captured
+   the file's let-bound closures, then for every [Domain.spawn f] resolve
+   [f] to a body and walk it. Any read/write of a captured
    mutable binding that is not under a [Mutex.protect]
    region (or between [Mutex.lock]/[unlock] in a sequence) is a
    finding. [Atomic.t] and [Mutex.t] bindings are never carriers.
@@ -159,16 +158,14 @@ let analyze_file (u : Front.unit_) : Report.finding list =
     | Texp_ident (Pident x, _, _) -> Ident.Tbl.find_opt closures x
     | _ -> None
   in
-  (* Spawn entries and the argument holding the closure they run on
-     other domains: [Domain.spawn f], and the serving path's worker entry
-     [Server.run_workers n f]. *)
+  (* [Domain.spawn f]: the closure [f] runs on another domain. *)
   Front.iter_exprs
     (fun e ->
       match e.exp_desc with
       | Texp_apply (f, args) -> (
           let arg = match List.rev (List.filter_map snd args) with a :: _ -> Some a | [] -> None in
           match Front.callee u f with
-          | Some ("Stdlib.Domain.spawn" | "Lw_pir.Server.run_workers") ->
+          | Some "Stdlib.Domain.spawn" ->
               Option.iter check_spawned_body (Option.bind arg spawned_body)
           | _ -> ())
       | _ -> ())

@@ -137,18 +137,16 @@ let scan_snapshot ~domain_bits ~bucket_size =
    same for every secret and both parties. At each width (one key through
    [Server.answer], more through [answer_batch]), two batches of distinct
    secrets, holding buckets 0 and [size - 1] between them, run for both
-   parties (1) on the whole snapshot, (2) on every [Snapshot.sub] view of
-   each [shard_bits], with the [Distributed.split] sub-keys, and (3)
-   through [answer_partitioned] on one worker, the production driver run
-   inline in ascending partition order, at each partition count. Every
-   trace must be the walk of its own range with that range's extents;
-   the views' shares must XOR to the whole share, the partitioned shares
-   equal the serial ones, and the two parties' whole shares XOR to the
+   parties (1) on the whole snapshot and (2) on every [Snapshot.sub] view
+   of each [shard_bits], with the [Distributed.split] sub-keys, as a
+   sharded front-end serves them. Every trace must be the walk of its own
+   range with that range's extents; the views' shares must XOR to the
+   whole share, and the two parties' whole shares XOR to the
    queried buckets, so the check cannot pass on a scan that reads
    nothing. The extent map must be the one the buckets' contents give,
    with only zero bytes past each extent. *)
 let check_scan ?(domain_bits = 6) ?(bucket_size = 32) ?(widths = [ 1; 2; 5; 9 ])
-    ?(shard_bits = [ 1; 3; 4 ]) ?(partitions = [ 2; 4; 8 ]) () =
+    ?(shard_bits = [ 1; 3; 4 ]) () =
   let size = 1 lsl domain_bits in
   let snap, extents = scan_snapshot ~domain_bits ~bucket_size in
   let traced f = Lw_store.Snapshot.traced snap f in
@@ -189,17 +187,7 @@ let check_scan ?(domain_bits = 6) ?(bucket_size = 32) ?(widths = [ 1; 2; 5; 9 ])
       if Array.for_all2 (fun a s -> String.equal (Bytes.to_string a) s) accs whole then Ok ()
       else err "views of shard_bits=%d XOR to another share" sb
     in
-    let partitioned p =
-      let shares, tr =
-        traced (fun () -> Lw_pir.Server.answer_partitioned ~partitions:p server keys)
-      in
-      if tr <> walk 0 size then err "partitions=%d: trace is not the walk" p
-      else if not (Array.for_all2 String.equal shares whole) then
-        err "partitions=%d: shares differ from the serial ones" p
-      else Ok ()
-    in
     let* () = each view shard_bits in
-    let* () = each partitioned partitions in
     Ok whole
   in
   let rng = Lw_crypto.Drbg.create ~seed:"trace-check-dpf" in

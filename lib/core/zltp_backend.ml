@@ -55,7 +55,6 @@ let advertised () =
 
 let versioned store : t =
   let set_adv, get_adv, current = advertised () in
-  let domains = ref 1 in
   (module struct
     type view = Lw_store.snapshot
 
@@ -67,16 +66,15 @@ let versioned store : t =
     let oldest_epoch () = Lw_store.oldest_epoch store
     let set_advertised_epoch = set_adv
     let advertised_epoch = get_adv
-    let set_scan_domains d = domains := d
+    let set_scan_domains _ = ()
 
     let pin = pin_store store
 
     let unpin snap = Lw_store.unpin store snap
-    let answer snap k =
-      Ok (Lw_pir.Server.answer ~domains:!domains (Lw_pir.Server.of_snapshot snap) k)
+    let answer snap k = Ok (Lw_pir.Server.answer (Lw_pir.Server.of_snapshot snap) k)
 
     let answer_batch snap keys =
-      Ok (Lw_pir.Server.answer_batch ~domains:!domains (Lw_pir.Server.of_snapshot snap) keys)
+      Ok (Lw_pir.Server.answer_batch (Lw_pir.Server.of_snapshot snap) keys)
 
     let spir_hint _ = wrong_mode "spir_hint" kind
     let spir_answer _ _ = wrong_mode "spir_answer" kind
@@ -96,7 +94,7 @@ let sharded fe : t =
     let oldest_epoch () = Zltp_frontend.announced_epoch fe
     let set_advertised_epoch = set_adv
     let advertised_epoch = get_adv
-    let set_scan_domains d = Zltp_frontend.set_scan_domains fe d
+    let set_scan_domains _ = ()
 
     (* The view set read here is the one every answer on this pin scans,
        whatever refreshes happen meanwhile. *)
@@ -160,7 +158,7 @@ let single ?cache store : t =
     let oldest_epoch () = Lw_store.oldest_epoch store
     let set_advertised_epoch = set_adv
     let advertised_epoch = get_adv
-    let set_scan_domains _ = () (* the SPIR scan kernel is serial by design *)
+    let set_scan_domains _ = ()
 
     let pin = pin_store store
 

@@ -53,10 +53,10 @@ module type S = sig
   val advertised_epoch : unit -> int option
 
   val set_scan_domains : int -> unit
-  (** Workers each scan may use ([Lw_pir.Server.answer ~domains]); the
-      sharded backend sets its front-end's knob
-      ({!Zltp_frontend.set_scan_domains}). Backends without a PIR scan
-      kernel ignore it. *)
+  (** Ignored by every backend: each scan runs on the calling domain,
+      and a request's domain is cut only by the sharded front-end's key
+      split. Kept in the signature because perfbench's tracing wrapper
+      re-exports every value of [S]. *)
 
   val pin : epoch:int -> (view, int * string) result
   (** Pin the named epoch. An epoch this replica no longer / does not

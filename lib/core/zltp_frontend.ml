@@ -15,9 +15,6 @@ type t = {
   shard_hist : Lw_obs.Metrics.histogram array;
       (* per-shard answer latency; shared by name across front-ends of the
          same width, which is what an operator wants from a process dump *)
-  mutable scan_domains : int;
-      (* workers each shard's scan may use (Server.answer_batch ~domains);
-         1 = the serial fused kernel *)
 }
 
 let m_answers = Lw_obs.Metrics.counter "zltp.frontend.answers"
@@ -55,7 +52,6 @@ let of_store st ~shard_bits =
     views = Atomic.make views;
     down = Array.make (1 lsl shard_bits) false;
     shard_hist = Array.init (1 lsl shard_bits) shard_histogram;
-    scan_domains = 1;
   }
 
 let domain_bits t = t.domain_bits
@@ -124,12 +120,6 @@ let timed_shard t i f =
   Lw_obs.Metrics.observe t.shard_hist.(i) (Lw_obs.Clock.now c -. t0);
   share
 
-(* ---- shard-level scan parallelism knob ---- *)
-
-let set_scan_domains t n =
-  if n < 1 then invalid_arg "Zltp_frontend.set_scan_domains: need at least one domain";
-  t.scan_domains <- n
-
 (* The one answer path: split every key once into per-shard sub-keys,
    hand each shard the whole batch of its sub-keys so it runs the
    batch scan kernel — one streamed traversal of the shard's slice for
@@ -148,8 +138,7 @@ let answer_batch_views t vs keys =
         let by_shard =
           Array.init (shard_count t) (fun s ->
               timed_shard t s (fun () ->
-                  Lw_pir.Server.answer_batch ~domains:t.scan_domains vs.shards.(s)
-                    (Array.map (fun sub -> sub.(s)) subs)))
+                  Lw_pir.Server.answer_batch vs.shards.(s) (Array.map (fun sub -> sub.(s)) subs)))
         in
         Lw_obs.Metrics.add (if n = 1 then m_answers else m_batch_queries) n;
         Array.init n (fun q -> combine_shares t (Array.map (fun shares -> shares.(q)) by_shard)))

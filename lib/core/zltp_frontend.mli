@@ -48,16 +48,6 @@ val shard_histograms : t -> Lw_obs.Metrics.histogram array
     ([zltp.frontend.shardNN.answer_seconds]), indexed by shard — what
     {!Lw_obs.Metrics.merge_into} folds into one fleet-wide view. *)
 
-(** {2 Scan parallelism}
-
-    Per-shard scans can run on OCaml domains ([Lw_pir.Server.answer_batch
-    ~domains]); {!Lw_pir.Server.parallel_cutoff_bytes} keeps small
-    shards on the serial kernel regardless. *)
-
-val set_scan_domains : t -> int -> unit
-(** Workers each shard's scan may use; 1 (the default) is the serial
-    fused kernel. Raises [Invalid_argument] when [< 1]. *)
-
 (** {2 Shard health}
 
     An answer share is the XOR over {e every} shard's contribution, so a

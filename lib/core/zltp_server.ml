@@ -11,12 +11,8 @@ type t = {
 
 let default_hash_key = String.sub (Lw_crypto.Sha256.digest "lw-pir-store-default") 0 16
 
-let create ?(server_id = "zltp-server") ?(hash_key = default_hash_key) ?(scan_domains = 1)
-    ~blob_size backend =
+let create ?(server_id = "zltp-server") ?(hash_key = default_hash_key) ~blob_size backend =
   if blob_size < 1 then invalid_arg "Zltp_server.create: blob_size must be positive";
-  if scan_domains < 1 then invalid_arg "Zltp_server.create: scan_domains must be >= 1";
-  let (module B : Zltp_backend.S) = backend in
-  B.set_scan_domains scan_domains;
   { backend; blob_size; hash_key; server_id }
 
 let backend t = t.backend

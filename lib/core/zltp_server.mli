@@ -18,18 +18,11 @@ type t
 val create :
   ?server_id:string ->
   ?hash_key:string ->
-  ?scan_domains:int ->
   blob_size:int ->
   Zltp_backend.t ->
   t
 (** [hash_key] is the public keyword-hash key announced in [Welcome]; it
-    must match the store the backend was populated from.
-
-    [scan_domains] (default 1) is forwarded to the backend
-    ({!Zltp_backend.S.set_scan_domains}): versioned and sharded backends
-    answer through the domain-partitioned scan
-    ([Lw_pir.Server.answer ~domains]); backends with no PIR scan kernel
-    ignore it. *)
+    must match the store the backend was populated from. *)
 
 val backend : t -> Zltp_backend.t
 val blob_size : t -> int

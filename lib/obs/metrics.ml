@@ -18,7 +18,8 @@ let log_gamma = log bucket_gamma
 let bucket_index v =
   if not (Float.is_finite v) || v <= bucket_lo then 0
   else
-    let i = 1 + int_of_float (Float.floor (log (v /. bucket_lo) /. log_gamma)) in
+    (* [log (v /. bucket_lo)] would overflow to +inf above ~1.8e299 *)
+    let i = 1 + int_of_float (Float.floor ((log v -. log bucket_lo) /. log_gamma)) in
     if i >= n_buckets then n_buckets - 1 else i
 
 (* Representative value reported for a quantile landing in bucket [i]:

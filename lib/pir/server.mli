@@ -9,8 +9,10 @@
     data. It runs the one C scan kernel,
     {!Lw_util.Xorbuf.xor_extents_lanes}, which reads each bucket up to
     its extent ({!Lw_store}); a single answer is a batch of one, the
-    kernel's one-lane call. {!answer}, {!answer_batch} and
-    {!answer_partitioned} are its three entry points.
+    kernel's one-lane call. {!answer} and {!answer_batch} are its two
+    entry points, and both scan the whole database on the calling
+    domain: a request's domain is cut only by a sharded front-end
+    ([Lightweb.Zltp_frontend]), never inside one server.
 
     {!eval_bits} and {!scan} remain the seed's two-pass reference
     implementation: benchmarks (E1, E7, E19) time its phases separately
@@ -38,18 +40,14 @@ val scan : t -> Bytes.t -> string
 val scan_block_buckets : t -> int
 (** The buckets one call of the scan kernel covers, a fused block: those
     that fit 256 KiB, at least {!Lw_util.Xorbuf.sort_chunk}, and at most
-    the whole database. Every answer path scans a database (or a
-    partition of it) in runs of this many buckets, whatever CoW blocks
+    the whole database. Every answer scans a database (or a shard's
+    view of one) in runs of this many buckets, whatever CoW blocks
     of the store they span. *)
 
-val answer : ?domains:int -> t -> Lw_dpf.Dpf.key -> string
-(** One private-GET response share through the fused lane driver.
-    [domains] (default 1) is the worker count the scan may use: above 1,
-    and once the database reaches {!parallel_cutoff_bytes}, the scan is
-    partitioned as in {!answer_partitioned} and run on that many OCaml
-    domains; the share is byte-identical either way. *)
+val answer : t -> Lw_dpf.Dpf.key -> string
+(** One private-GET response share through the fused lane driver. *)
 
-val answer_batch : ?domains:int -> t -> Lw_dpf.Dpf.key array -> string array
+val answer_batch : t -> Lw_dpf.Dpf.key array -> string array
 (** All responses from one streamed traversal of the data. A batch of
     one is {!answer}. Wider batches evaluate each key blockwise into
     packed selection bits ([ceil(k/8) * size] bytes of scratch), then
@@ -58,33 +56,4 @@ val answer_batch : ?domains:int -> t -> Lw_dpf.Dpf.key array -> string array
     accumulators, so [pir.server.scan_bytes] grows by the bytes up to
     the extents ({!Lw_store.Snapshot.scan_bytes}) once per call,
     whatever the width. Width 2 is the keyword verb's
-    two-probe shape. [domains] is as for {!answer}. *)
-
-(** {2 Domain-partitioned scan}
-
-    The bucket domain splits into [2^levels] aligned sub-ranges; each
-    partition rebases the client keys at its sub-range's internal tree
-    node ({!Lw_dpf.Dpf.make_subkey}) and runs the same lane driver over
-    the remaining bits, so no worker pays a full-domain DPF evaluation.
-    The partial accumulators XOR-reduce to exactly the serial answer.
-    Every partition is still walked in full with mask-selected XORs, so
-    the union of the per-worker memory traces is the serial scan's
-    trace — parallelism changes who touches a bucket, never whether. *)
-
-val answer_partitioned :
-  ?partitions:int -> ?domains:int -> t -> Lw_dpf.Dpf.key array -> string array
-(** {!answer_batch} through the partitioned driver, with no work-size
-    cutoff. [partitions] (default 2) rounds up to a power of two, clamped
-    below the domain size. With [domains] at 1 (the default) the
-    partitions run inline in ascending order: the schedule the
-    obliviousness trace checker drives. With more, that many workers
-    (at most one per partition) claim partitions on OCaml domains, each
-    into its own accumulators; all are joined before any worker failure
-    is re-raised. Byte-identical to {!answer_batch} either way. *)
-
-val run_workers : int -> (int -> unit) -> unit
-(** [run_workers n work] runs [work 0] ... [work (n - 1)], each on its own
-    OCaml domain, and joins every domain before re-raising the first
-    failure, so a raising worker can neither leak the others nor let a
-    partial result escape. The serving path's one spawn site: the
-    partitioned driver runs its workers here. *)
+    two-probe shape. *)

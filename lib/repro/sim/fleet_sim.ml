@@ -26,7 +26,6 @@ type params = {
   load_fractions : float list; (* offered load as fraction of capacity *)
   batch_window_s : float option; (* None: one calibrated batch service *)
   page_exponent : float;
-  scan_domains : int; (* per-shard scan workers (Zltp_frontend.set_scan_domains) *)
   key_pool : int; (* distinct pre-generated queries, cycled *)
   burst_k : int; (* 1 = independent visits; >1 = correlated search bursts *)
   straggler_sigma : float; (* Latency_model tail dispersion *)
@@ -44,7 +43,6 @@ let default =
     load_fractions = [ 0.5; 0.9 ];
     batch_window_s = None;
     page_exponent = 1.0;
-    scan_domains = 1;
     key_pool = 96;
     burst_k = 1;
     straggler_sigma = 0.25;
@@ -80,7 +78,6 @@ type model_line = {
 
 type result = {
   shards : int;
-  domains : int;
   db_bytes : int;
   service_batch_mean_s : float;
   service_batch_p99_s : float;
@@ -244,7 +241,6 @@ let run ?(progress = fun (_ : string) -> ()) p =
   Lw_store.Writer.fill_random w rng;
   let snap = Lw_store.Writer.seal w in
   let fe = Lightweb.Zltp_frontend.of_store store ~shard_bits:p.shard_bits in
-  Lightweb.Zltp_frontend.set_scan_domains fe p.scan_domains;
   let shards = Lightweb.Zltp_frontend.shard_count fe in
   let db_bytes = (1 lsl p.domain_bits) * p.bucket_size in
   progress (Printf.sprintf "fleet: %d shards, %d KiB database" shards (db_bytes / 1024));
@@ -436,7 +432,6 @@ let run ?(progress = fun (_ : string) -> ()) p =
   in
   {
     shards;
-    domains = p.scan_domains;
     db_bytes;
     service_batch_mean_s;
     service_batch_p99_s = bstats.Lw_util.Stats.p99;

@@ -25,7 +25,6 @@ type params = {
   load_fractions : float list;  (** offered load as fraction of measured capacity *)
   batch_window_s : float option;  (** [None]: one calibrated batch service time *)
   page_exponent : float;
-  scan_domains : int;  (** per-shard scan workers ({!Lightweb.Zltp_frontend.set_scan_domains}) *)
   key_pool : int;  (** distinct pre-generated queries, cycled *)
   burst_k : int;
       (** [1]: independent Zipf visits (the historical mix). [> 1]: the
@@ -71,7 +70,6 @@ type model_line = {
 
 type result = {
   shards : int;
-  domains : int;
   db_bytes : int;
   service_batch_mean_s : float;
   service_batch_p99_s : float;

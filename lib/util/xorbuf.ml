@@ -14,9 +14,10 @@ let check_bounds name pos len total =
 
 (* The 64-bit inner loop reads/writes unaligned native-endian words; the
    scalar tail handles the last [len mod 8] bytes. *)
-let xor_into ~src ~src_pos ~dst ~dst_pos ~len =
-  check_bounds "xor_into(src)" src_pos len (Bytes.length src);
-  check_bounds "xor_into(dst)" dst_pos len (Bytes.length dst);
+let xor_string_into ~src ~src_pos ~dst ~dst_pos ~len =
+  let src = Bytes.unsafe_of_string src in
+  check_bounds "xor_string_into(src)" src_pos len (Bytes.length src);
+  check_bounds "xor_string_into(dst)" dst_pos len (Bytes.length dst);
   let words = len / 8 in
   for i = 0 to words - 1 do
     let s = unsafe_get64 src (src_pos + (8 * i)) in
@@ -29,7 +30,7 @@ let xor_into ~src ~src_pos ~dst ~dst_pos ~len =
     Bytes.unsafe_set dst (dst_pos + i) (Char.unsafe_chr (s lxor d))
   done
 
-(* Like [xor_into], but every source byte is ANDed with [mask] first.
+(* Like [xor_string_into], but every source byte is ANDed with [mask] first.
    With mask 0xff this is a plain XOR; with mask 0x00 it degenerates to a
    read-modify-write of [dst] with itself — same memory traffic, no data
    change. That makes a selective XOR scan constant-trace: the caller
@@ -183,9 +184,6 @@ let set_lane_bits ~src ~src_pos ~dst ~dst_pos ~len ~lane =
     let d = Char.code (Bytes.unsafe_get dst (dst_pos + i)) in
     Bytes.unsafe_set dst (dst_pos + i) (Char.unsafe_chr (d lor (b lsl lane)))
   done
-
-let xor_string_into ~src ~src_pos ~dst ~dst_pos ~len =
-  xor_into ~src:(Bytes.unsafe_of_string src) ~src_pos ~dst ~dst_pos ~len
 
 let xor a b =
   let n = String.length a in

@@ -8,16 +8,16 @@
     kernel {!xor_buckets_lanes} is benchmarked (E19) and property-tested
     against. *)
 
-val xor_into : src:Bytes.t -> src_pos:int -> dst:Bytes.t -> dst_pos:int -> len:int -> unit
-(** [xor_into ~src ~src_pos ~dst ~dst_pos ~len] XORs [len] bytes of [src]
-    (from [src_pos]) into [dst] (at [dst_pos]). Bounds are checked once up
+val xor_string_into : src:string -> src_pos:int -> dst:Bytes.t -> dst_pos:int -> len:int -> unit
+(** [xor_string_into ~src ~src_pos ~dst ~dst_pos ~len] XORs [len] bytes
+    of [src] (from [src_pos]) into [dst] (at [dst_pos]). Bounds are checked once up
     front; raises [Invalid_argument] when a range is out of bounds
     (including [pos + len] overflowing the integer range). *)
 
 val xor_into_masked :
   mask:int -> src:Bytes.t -> src_pos:int -> dst:Bytes.t -> dst_pos:int -> len:int -> unit
-(** Like {!xor_into}, but each source byte is ANDed with [mask land 0xff]
-    first. Mask [0x00] still performs the full read-modify-write of [dst],
+(** Like {!xor_string_into} from a [Bytes.t], but each source byte is
+    ANDed with [mask land 0xff] first. Mask [0x00] still performs the full read-modify-write of [dst],
     so selecting buckets by mask (instead of skipping them with a branch)
     keeps a scan's memory trace independent of the selection bits. *)
 
@@ -176,9 +176,6 @@ val set_lane_bits :
     matching [dst] byte: it packs one lane's 0/1 selection bytes into
     the layout {!xor_buckets_lanes} reads. Raises [Invalid_argument] on
     a lane outside 0–7 or an out-of-bounds range. *)
-
-val xor_string_into : src:string -> src_pos:int -> dst:Bytes.t -> dst_pos:int -> len:int -> unit
-(** Same as {!xor_into} with an immutable source. *)
 
 val xor : string -> string -> string
 (** [xor a b] is the bytewise XOR of two equal-length strings. Raises

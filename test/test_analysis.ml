@@ -195,7 +195,7 @@ let test_rule_secret_branch_lane_kernel () =
     "(* lw-lint: secret ma *)\n\
      let lane ~bits ~p0 ~s0 ~src ~dst =\n\
     \  let ma = (Char.code (Bytes.unsafe_get bits p0) lsr s0) land 1 in\n\
-    \  if ma = 1 then Lw_util.Xorbuf.xor_into ~src ~src_pos:0 ~dst ~dst_pos:0 ~len:8\n"
+    \  if ma = 1 then Lw_util.Xorbuf.xor_string_into ~src ~src_pos:0 ~dst ~dst_pos:0 ~len:8\n"
   in
   Alcotest.(check (list int)) "branch on a lane bit caught" [ 4 ] (taint_lines ~path dirty);
   let clean =
@@ -950,7 +950,7 @@ let test_race_spawned_ref () =
     (count_rule "race" (findings_for ~path clean_mutex))
 
 let test_race_partitioned_scan_fixtures () =
-  (* the two shapes the domain-parallel scan chooses between: a shared
+  (* the two shapes a domain-parallel scan would choose between: a shared
      Bytes accumulator XORed by every worker (a data race the lint must
      flag), vs per-worker buffers handed back through Domain.join and
      XOR-reduced by the spawning domain (no shared mutable capture) *)
@@ -987,9 +987,9 @@ let test_race_partitioned_scan_fixtures () =
   in
   Alcotest.(check int) "per-worker buffers + join reduce clean" 0
     (count_rule "race" (findings_for ~path clean));
-  (* the production pattern: per-worker accumulators are picked out of a
-     shared array by index — over-approximated as a race by design, so
-     it must carry an explicit pragma (as lib/pir/server.ml does) *)
+  (* per-worker accumulators picked out of a shared array by index are
+     over-approximated as a race by design, so the pattern must carry an
+     explicit pragma *)
   let pragma =
     "let scan_parallel () =\n\
     \  let accs = Array.init 4 (fun _ -> Bytes.create 32) in\n\
@@ -1012,15 +1012,7 @@ let test_race_partitioned_scan_fixtures () =
     \  List.iter Domain.join doms\n"
   in
   Alcotest.(check bool) "spawned partial application caught" true
-    (count_rule "race" (findings_for ~path partial) >= 1);
-  (* the serving path's worker entry runs its closure on other domains *)
-  let workers =
-    "let scan_parallel () =\n\
-    \  let acc = Bytes.create 32 in\n\
-    \  Lw_pir.Server.run_workers 4 (fun w -> Bytes.set acc w 'x')\n"
-  in
-  Alcotest.(check bool) "run_workers closure caught" true
-    (count_rule "race" (findings_for ~path workers) >= 1)
+    (count_rule "race" (findings_for ~path partial) >= 1)
 
 let test_balance_pin_lifecycle () =
   let path = "lib/core/fixture.ml" in
@@ -1333,7 +1325,6 @@ let unreached_by_design =
     ("Heavy_hitters.server_sum", "one server's share, which the blindness case checks is no count");
     ("Span.set_clock", "the obs suite times spans on a virtual clock");
     ("Metrics.counter_value", "the obs, pir, cluster and lightweb suites read counters with it");
-    ("Server.run_workers", "the scan's one spawn site; the obs suite rigs a worker to raise");
     (* observation hooks the store, keyword and codec tests check against *)
     ("Kw_store.find", "the plaintext lookup the keyword model property compares with a Hashtbl");
     ("Kw_store.candidates", "the two cuckoo buckets the displacement cases aim keys at");
@@ -1607,7 +1598,7 @@ let test_trace_enclave () =
 
 (* Each case is one geometry of the scan gate ([Trace_check.check_scan]):
    widths 1, 2, 5 and 9 unless named, each over two batches that hold
-   buckets 0 and size - 1, whole, through shard views and partitioned.
+   buckets 0 and size - 1, whole and through shard views.
    [check_all] runs it at 6 x 32 B and 6 x 600 B. *)
 let test_trace_bucket_scan () =
   check_ok "6 x 32 B" (Trace_check.check_scan ());
@@ -1646,23 +1637,13 @@ let test_trace_snapshot_scan () =
    of 32 and 8 buckets over blocks of 8 *)
 let test_trace_sparse_scan () =
   check_ok "7 x 4100 B"
-    (Trace_check.check_scan ~domain_bits:7 ~bucket_size:4100 ~shard_bits:[ 2; 4 ]
-       ~partitions:[ 8 ] ())
+    (Trace_check.check_scan ~domain_bits:7 ~bucket_size:4100 ~shard_bits:[ 2; 4 ] ())
 
 let test_trace_spir_scan () =
   check_ok "spir defaults" (Trace_check.check_spir_scan ());
   check_ok "spir other geometry"
     (Trace_check.check_spir_scan ~domain_bits:7 ~bucket_size:48
        ~indices:[ 0; 99; 127 ] ())
-
-(* partition counts that are not a power of two round up to one inside
-   [answer_partitioned]; width 3 is the batch the partitioned scan was
-   first checked with *)
-let test_trace_partitioned_scan () =
-  check_ok "6 x 32 B, width 3" (Trace_check.check_scan ~widths:[ 3 ] ());
-  check_ok "7 x 48 B, partitions 3, 5 and 16"
-    (Trace_check.check_scan ~domain_bits:7 ~bucket_size:48 ~widths:[ 1; 3 ]
-       ~partitions:[ 3; 5; 16 ] ())
 
 let test_trace_check_all () = check_ok "check_all" (Trace_check.check_all ())
 
@@ -1763,8 +1744,6 @@ let () =
           Alcotest.test_case "CoW snapshot scan traces" `Quick test_trace_snapshot_scan;
           Alcotest.test_case "sparse extent scan traces" `Quick test_trace_sparse_scan;
           Alcotest.test_case "SPIR scan traces" `Quick test_trace_spir_scan;
-          Alcotest.test_case "partitioned scan traces" `Quick
-            test_trace_partitioned_scan;
           Alcotest.test_case "retry wire shape" `Quick test_trace_retry;
           Alcotest.test_case "retry wire shape, every Pir2 verb" `Quick test_trace_retry_verbs;
           Alcotest.test_case "check_all" `Quick test_trace_check_all;

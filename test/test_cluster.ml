@@ -73,7 +73,15 @@ let counter name = Metrics.counter_value (Metrics.counter name)
 
 let with_fleet c f =
   let sup = Sup.start c in
-  Fun.protect ~finally:(fun () -> Sup.shutdown sup) (fun () -> f sup)
+  Fun.protect
+    ~finally:(fun () ->
+      Sup.shutdown sup;
+      (* every shard is reaped: its data and manifest, one flat
+         directory, can go *)
+      let dir = c.Sup.state_dir in
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f sup)
 
 let connect sup =
   match Zc.connect_replicated (Sup.replicas sup) with

@@ -421,41 +421,6 @@ let test_frontend_bucket_routing () =
   Alcotest.(check string) "read 0" "first" (String.sub (read 0) 0 5);
   Alcotest.(check string) "read 63" "last" (String.sub (read 63) 0 4)
 
-(* Shards of 2^10 x 1 KiB reach [Server.parallel_cutoff_bytes], so with
-   [scan_domains] above 1 every shard scan really runs partitioned on
-   domains. *)
-let test_frontend_parallel_matches () =
-  let st = random_store ~domain_bits:12 ~bucket_size:1024 "par" in
-  let flat = whole_server st in
-  let fe = Zltp_frontend.of_store st ~shard_bits:2 in
-  Zltp_frontend.set_scan_domains fe 3;
-  let parallel = Lw_obs.Metrics.counter "pir.server.parallel_answers" in
-  let before = Lw_obs.Metrics.counter_value parallel in
-  let keys =
-    Array.init 3 (fun i -> fst (Lw_dpf.Dpf.gen ~domain_bits:12 ~alpha:(77 + (901 * i)) (rng ())))
-  in
-  Alcotest.(check string) "parallel = sequential" (Lw_pir.Server.answer flat keys.(0))
-    (Zltp_frontend.answer fe keys.(0));
-  Alcotest.(check (array string)) "parallel batch = sequential"
-    (Lw_pir.Server.answer_batch flat keys) (Zltp_frontend.answer_batch fe keys);
-  Alcotest.(check int) "every shard scan ran on domains" 8
-    (Lw_obs.Metrics.counter_value parallel - before)
-
-(* [Zltp_server.create ~scan_domains] reaches the sharded front-end's
-   own knob: its 1 MiB shards then scan on domains. *)
-let test_sharded_server_scan_domains () =
-  let st = random_store ~domain_bits:12 ~bucket_size:1024 "knob" in
-  let fe = Zltp_frontend.of_store st ~shard_bits:2 in
-  ignore (Zltp_server.create ~scan_domains:2 ~blob_size:1024 (Zltp_backend.sharded fe));
-  let parallel = Lw_obs.Metrics.counter "pir.server.parallel_answers" in
-  let before = Lw_obs.Metrics.counter_value parallel in
-  ignore (Zltp_frontend.answer fe (fst (Lw_dpf.Dpf.gen ~domain_bits:12 ~alpha:5 (rng ()))));
-  Alcotest.(check int) "every shard scan ran on domains" 4
-    (Lw_obs.Metrics.counter_value parallel - before);
-  Alcotest.check_raises "scan domains must be >= 1"
-    (Invalid_argument "Zltp_frontend.set_scan_domains: need at least one domain")
-    (fun () -> Zltp_frontend.set_scan_domains fe 0)
-
 let empty_frontend ~domain_bits ~shard_bits ~bucket_size =
   Zltp_frontend.of_store (Lw_store.create ~domain_bits ~bucket_size ()) ~shard_bits
 
@@ -499,28 +464,26 @@ let test_frontend_refusal () =
       Alcotest.(check string) "recovers" (Zltp_frontend.answer fe k0) share
   | Error e -> Alcotest.fail ("recovered front-end refused: " ^ e)
 
-(* Domain-parallel front-end answers vs the serial [Lw_pir.Server] over
-   the whole epoch: same database, same keys => bit-identical shares,
-   across shard counts 4/16/64 and scan-domain counts 1/2/4/8. *)
+(* Sharded front-end answers vs one [Lw_pir.Server] over the whole
+   epoch: same database, same keys => bit-identical shares, across shard
+   counts 4/16/64. *)
 let frontend_geometry =
   QCheck.make
-    ~print:(fun (sb, nd, alphas) ->
-      Printf.sprintf "shard_bits=%d domains=%d alphas=[%s]" sb nd
+    ~print:(fun (sb, alphas) ->
+      Printf.sprintf "shard_bits=%d alphas=[%s]" sb
         (String.concat ";" (List.map string_of_int alphas)))
     QCheck.Gen.(
       oneofl [ 2; 4; 6 ] >>= fun shard_bits ->
-      oneofl [ 1; 2; 4; 8 ] >>= fun domains ->
       list_size (int_range 1 9) (int_range 0 255) >>= fun alphas ->
-      return (shard_bits, domains, alphas))
+      return (shard_bits, alphas))
 
 let prop_frontend_matches_serial =
-  QCheck.Test.make ~name:"shards + scan domains = serial" ~count:30 frontend_geometry
-    (fun (shard_bits, domains, alphas) ->
+  QCheck.Test.make ~name:"shards = serial" ~count:30 frontend_geometry
+    (fun (shard_bits, alphas) ->
       let domain_bits = 8 in
       let st = random_store ~domain_bits ~bucket_size:48 "frontend-prop" in
       let flat = whole_server st in
       let fe = Zltp_frontend.of_store st ~shard_bits in
-      Zltp_frontend.set_scan_domains fe domains;
       List.for_all
         (fun alpha ->
           let k0, k1 = Lw_dpf.Dpf.gen ~domain_bits ~alpha (rng ()) in
@@ -1309,9 +1272,7 @@ let () =
         [
           Alcotest.test_case "sharded = flat" `Quick test_frontend_matches_flat;
           Alcotest.test_case "bucket routing" `Quick test_frontend_bucket_routing;
-          Alcotest.test_case "parallel = sequential" `Quick test_frontend_parallel_matches;
           Alcotest.test_case "timings" `Quick test_frontend_timings;
-          Alcotest.test_case "sharded server scan domains" `Quick test_sharded_server_scan_domains;
           Alcotest.test_case "frontend refusal" `Quick test_frontend_refusal;
           QCheck_alcotest.to_alcotest prop_frontend_matches_serial;
         ] );

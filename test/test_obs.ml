@@ -100,6 +100,14 @@ let test_histogram_basics () =
   (* the estimate never exceeds the observed max *)
   Alcotest.(check bool) "p99 <= max" true (s.p99 <= 0.5)
 
+(* Finite samples too large for any real bucket land in the top one
+   (index 95 of 96), not in bucket 1. *)
+let test_histogram_huge_samples () =
+  let h = Lw_obs.Metrics.histogram "test.obs.huge" in
+  List.iter (Lw_obs.Metrics.observe h) [ Float.max_float; 1e300 ];
+  Alcotest.(check (list (pair int int))) "top bucket" [ (95, 2) ]
+    (Lw_obs.Metrics.snapshot_hist h).nonzero_buckets
+
 let test_metric_kind_mismatch () =
   ignore (Lw_obs.Metrics.counter "test.obs.kind");
   Alcotest.check_raises "histogram under a counter name"
@@ -131,9 +139,6 @@ let random_store seed =
   st
 
 let random_server seed = Lw_pir.Server.of_snapshot (Lw_store.current (random_store seed))
-
-(* A 4-shard front-end over one random sealed epoch. *)
-let random_frontend seed = Zltp_frontend.of_store (random_store seed) ~shard_bits:2
 
 let test_counter_exact_under_concurrent_answers () =
   let server = random_server "obs-par" in
@@ -212,56 +217,6 @@ let test_exporters () =
     (has "test_obs_export_hist{quantile=\"0.5\"}");
   Alcotest.(check bool) "prom count line" true (has "test_obs_export_hist_count 1")
 
-(* ---------------- parallel scan: failure handling ---------------- *)
-
-exception Rigged of int
-
-(* [Server.run_workers] is the one spawn site of the serving path: the
-   partitioned scan runs its workers there. *)
-let test_parallel_rigged_shard_raises () =
-  let server = random_server "obs-rig" in
-  let k0, _ = Lw_dpf.Dpf.gen ~domain_bits:8 ~alpha:9 (rng ()) in
-  let expected = Lw_pir.Server.answer server k0 in
-  let finished = Atomic.make 0 in
-  (* a worker rigged to raise must surface the exception, not a partial
-     XOR, and only after every other worker has finished *)
-  (match
-     Lw_pir.Server.run_workers 3 (fun w ->
-         if w = 1 then raise (Rigged w);
-         ignore (Lw_pir.Server.answer server k0);
-         Atomic.incr finished)
-   with
-  | () -> Alcotest.fail "rigged worker did not raise"
-  | exception Rigged 1 -> ()
-  | exception e -> Alcotest.fail ("unexpected exception: " ^ Printexc.to_string e));
-  Alcotest.(check int) "every other worker joined before the raise" 2 (Atomic.get finished);
-  (* all domains were joined: the partitioned scan stays fully usable and
-     correct afterwards, repeatedly *)
-  for _ = 1 to 3 do
-    Alcotest.(check string) "subsequent parallel answer correct" expected
-      (Lw_pir.Server.answer_partitioned ~partitions:4 ~domains:3 server [| k0 |]).(0)
-  done
-
-(* Every answer feeds each shard's latency histogram once, whatever the
-   scan parallelism. *)
-let test_parallel_timed_spans () =
-  let fe = random_frontend "obs-spans" in
-  Zltp_frontend.set_scan_domains fe 2;
-  let k0, _ = Lw_dpf.Dpf.gen ~domain_bits:8 ~alpha:5 (rng ()) in
-  let hists = Zltp_frontend.shard_histograms fe in
-  let before = Array.map Lw_obs.Metrics.hist_count hists in
-  let share = Zltp_frontend.answer fe k0 in
-  Alcotest.(check string) "share matches the whole database"
-    (Lw_pir.Server.answer (random_server "obs-spans") k0)
-    share;
-  Alcotest.(check int) "one histogram per shard" 4 (Array.length hists);
-  Array.iteri
-    (fun i h ->
-      Alcotest.(check int) "one observation per shard" (before.(i) + 1)
-        (Lw_obs.Metrics.hist_count h);
-      Alcotest.(check bool) "span non-negative" true (Lw_obs.Metrics.hist_max h >= 0.))
-    hists
-
 (* ---------------- Pacer: drops, drain, exact pairing ---------------- *)
 
 let test_pacer_final_slot_and_beyond_horizon () =
@@ -315,6 +270,7 @@ let () =
       ( "metrics",
         [
           Alcotest.test_case "histogram basics" `Quick test_histogram_basics;
+          Alcotest.test_case "huge samples in the top bucket" `Quick test_histogram_huge_samples;
           Alcotest.test_case "merge validation" `Quick test_merge_validation;
           Alcotest.test_case "kind mismatch" `Quick test_metric_kind_mismatch;
           Alcotest.test_case "counters exact under domains" `Quick test_counter_exact_under_domains;
@@ -327,11 +283,6 @@ let () =
           Alcotest.test_case "records on raise" `Quick test_span_records_on_raise;
         ] );
       ("export", [ Alcotest.test_case "json + prometheus" `Quick test_exporters ]);
-      ( "frontend-parallel",
-        [
-          Alcotest.test_case "rigged shard raises cleanly" `Quick test_parallel_rigged_shard_raises;
-          Alcotest.test_case "per-shard spans" `Quick test_parallel_timed_spans;
-        ] );
       ( "pacer-regressions",
         [
           Alcotest.test_case "final slot + beyond horizon" `Quick

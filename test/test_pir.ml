@@ -597,71 +597,11 @@ let prop_snapshot_batch_matches_naive =
       Lw_store.unpin store snap;
       ok)
 
-(* The partitioned driver must be bit-identical to the serial kernels
-   whatever the worker count: counts below, at and above the machine's
-   core count, worker counts exceeding the partition count, and
-   geometries the work-size cutoff would keep serial in [answer ~domains]
-   ([answer_partitioned] applies no cutoff). With one worker the same
-   driver runs its partitions inline, the deterministic schedule, so it
-   rides the same property. Domain >= 2 bits: below that there is
-   nothing to partition. *)
-
-let parallel_geometry =
-  QCheck.make
-    ~print:(fun (d, b, nd, alphas) ->
-      Printf.sprintf "domain_bits=%d bucket=%d domains=%d alphas=[%s]" d b nd
-        (String.concat ";" (List.map string_of_int alphas)))
-    QCheck.Gen.(
-      int_range 2 9 >>= fun d ->
-      int_range 1 80 >>= fun b ->
-      oneofl [ 1; 2; 4; 8 ] >>= fun nd ->
-      list_size (int_range 1 17) (int_range 0 ((1 lsl d) - 1)) >>= fun alphas ->
-      return (d, b, nd, alphas))
-
-let prop_domains_matches_serial =
-  QCheck.Test.make ~name:"partitioned (domains/inline) = serial answer" ~count:40
-    parallel_geometry
-    (fun (domain_bits, bucket_size, nd, alphas) ->
-      let server = random_server ~domain_bits ~bucket_size "domains-prop" in
-      let drbg = rng () in
-      List.for_all
-        (fun alpha ->
-          let k0, k1 = Lw_dpf.Dpf.gen ~domain_bits ~alpha drbg in
-          List.for_all
-            (fun k ->
-              let serial = Server.answer server k in
-              String.equal serial
-                (Server.answer_partitioned ~partitions:nd ~domains:nd server [| k |]).(0)
-              && String.equal serial (Server.answer_partitioned ~partitions:nd server [| k |]).(0)
-              && String.equal serial (Server.answer ~domains:nd server k))
-            [ k0; k1 ])
-        alphas)
-
-let prop_batch_domains_matches_batch =
-  QCheck.Test.make ~name:"partitioned batch (domains) = answer_batch" ~count:30
-    parallel_geometry
-    (fun (domain_bits, bucket_size, nd, alphas) ->
-      let server = random_server ~domain_bits ~bucket_size "batch-domains-prop" in
-      let drbg = rng () in
-      let keys =
-        Array.of_list
-          (List.mapi
-             (fun i alpha ->
-               let k0, k1 = Lw_dpf.Dpf.gen ~domain_bits ~alpha drbg in
-               if i land 1 = 0 then k0 else k1)
-             alphas)
-      in
-      let serial = Server.answer_batch server keys in
-      let parallel = Server.answer_partitioned ~partitions:nd ~domains:nd server keys in
-      Array.length parallel = Array.length serial
-      && Array.for_all2 String.equal parallel serial)
-
 (* [pir.server.scan_bytes] counts the database bytes a call streams from
    memory: one traversal per batch, whatever its width (the later lane
-   groups re-read cache-resident blocks), serial or partitioned, each
-   bucket up to its extent — the whole store when every bucket is full
-   or the buckets are under [Lw_store.whole_scan_below], the extents'
-   sum when it is sparse. *)
+   groups re-read cache-resident blocks), each bucket up to its extent —
+   the whole store when every bucket is full or the buckets are under
+   [Lw_store.whole_scan_below], the extents' sum when it is sparse. *)
 let test_batch_scan_bytes () =
   let full =
     sealed ~domain_bits:6 ~bucket_size:40 (fun w -> Lw_store.Writer.fill_random w (det "scan-bytes"))
@@ -699,9 +639,7 @@ let test_batch_scan_bytes () =
               expected
               (Lw_obs.Metrics.counter_value scan_bytes - before)
           in
-          delta "serial" (fun () -> Server.answer_batch server keys);
-          delta "domains" (fun () ->
-              Server.answer_partitioned ~partitions:2 ~domains:2 server keys))
+          delta "batch" (fun () -> Server.answer_batch server keys))
         [ 5; 9 ])
     [
       ("full", full, Lw_store.Snapshot.total_bytes full);
@@ -715,7 +653,9 @@ let test_batch_scan_bytes () =
    eight CoW blocks, and its sorted walk sees whole chunks. About 39% of
    buckets hold a record whose length is log-normal (median about 590 B,
    capped at the bucket), as the browse corpus's pages are; the rest are
-   empty. Partitioned answers run partitions of 2^11 and 2^9 buckets. *)
+   empty. A sharded front-end's views at [shard_bits] 1 and 3 hold 2^11
+   and 2^9 buckets each, so their scan runs cross CoW blocks too; their
+   [Distributed.split] sub-keys' shares XOR to the whole answer. *)
 let test_browse_geometry_matches_reference () =
   let domain_bits = 12 and bucket_size = 4096 in
   let g = det "browse-geometry" in
@@ -757,8 +697,25 @@ let test_browse_geometry_matches_reference () =
         Alcotest.(check (array string)) (Printf.sprintf "%s width %d" name width) expected got
       in
       check "batch" (Server.answer_batch server keys);
-      check "partitioned in 2" (Server.answer_partitioned ~partitions:2 server keys);
-      check "partitioned in 8" (Server.answer_partitioned ~partitions:8 server keys))
+      List.iter
+        (fun shard_bits ->
+          let rem = domain_bits - shard_bits in
+          let subs = Array.map (fun k -> Lw_dpf.Distributed.split k ~shard_bits) keys in
+          let accs = Array.map (fun _ -> Bytes.make bucket_size '\x00') keys in
+          for v = 0 to (1 lsl shard_bits) - 1 do
+            let view =
+              Server.of_snapshot (Lw_store.Snapshot.sub snap ~base:(v lsl rem) ~domain_bits:rem)
+            in
+            Array.iteri
+              (fun q share ->
+                Lw_util.Xorbuf.xor_string_into ~src:share ~src_pos:0 ~dst:accs.(q) ~dst_pos:0
+                  ~len:bucket_size)
+              (Server.answer_batch view (Array.map (fun s -> s.(v)) subs))
+          done;
+          check
+            (Printf.sprintf "shard views at shard_bits %d" shard_bits)
+            (Array.map Bytes.to_string accs))
+        [ 1; 3 ])
     [ 1; 5; 16 ]
 
 let props =
@@ -770,8 +727,6 @@ let props =
       prop_fused_matches_reference;
       prop_batch_matches_naive;
       prop_snapshot_batch_matches_naive;
-      prop_domains_matches_serial;
-      prop_batch_domains_matches_batch;
     ]
 
 let () =

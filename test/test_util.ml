@@ -20,37 +20,37 @@ let test_xor_into_offsets () =
   (* exercise the word loop + tail across alignments *)
   List.iter
     (fun (len, spos, dpos) ->
-      let src = Bytes.init 64 (fun i -> Char.chr (i land 0xff)) in
+      let src = String.init 64 (fun i -> Char.chr (i land 0xff)) in
       let dst = Bytes.make 64 '\x55' in
       let expected =
         Bytes.init 64 (fun i ->
             if i >= dpos && i < dpos + len then
-              Char.chr (0x55 lxor Char.code (Bytes.get src (spos + i - dpos)))
+              Char.chr (0x55 lxor Char.code src.[spos + i - dpos])
             else '\x55')
       in
-      Lw_util.Xorbuf.xor_into ~src ~src_pos:spos ~dst ~dst_pos:dpos ~len;
+      Lw_util.Xorbuf.xor_string_into ~src ~src_pos:spos ~dst ~dst_pos:dpos ~len;
       Alcotest.(check string)
         (Printf.sprintf "len=%d s=%d d=%d" len spos dpos)
         (Bytes.to_string expected) (Bytes.to_string dst))
     [ (0, 0, 0); (1, 0, 0); (7, 3, 5); (8, 1, 2); (9, 0, 0); (16, 8, 8); (33, 7, 13) ]
 
 let test_xor_bounds () =
-  let b = Bytes.make 8 '\x00' in
+  let b = String.make 8 '\x00' in
   Alcotest.check_raises "src overflow"
-    (Invalid_argument "Xorbuf.xor_into(src): range out of bounds") (fun () ->
-      Lw_util.Xorbuf.xor_into ~src:b ~src_pos:4 ~dst:(Bytes.make 32 '\x00') ~dst_pos:0 ~len:8)
+    (Invalid_argument "Xorbuf.xor_string_into(src): range out of bounds") (fun () ->
+      Lw_util.Xorbuf.xor_string_into ~src:b ~src_pos:4 ~dst:(Bytes.make 32 '\x00') ~dst_pos:0 ~len:8)
 
 let test_xor_bounds_overflow () =
   (* pos + len overflowing the native int must still be rejected: the
      check is [pos > total - len], never the wrappable sum *)
-  let b = Bytes.make 8 '\x00' in
+  let b = String.make 8 '\x00' in
   let dst = Bytes.make 8 '\x00' in
   List.iter
     (fun (spos, len) ->
       Alcotest.check_raises
         (Printf.sprintf "pos=%d len=%d" spos len)
-        (Invalid_argument "Xorbuf.xor_into(src): range out of bounds")
-        (fun () -> Lw_util.Xorbuf.xor_into ~src:b ~src_pos:spos ~dst ~dst_pos:0 ~len))
+        (Invalid_argument "Xorbuf.xor_string_into(src): range out of bounds")
+        (fun () -> Lw_util.Xorbuf.xor_string_into ~src:b ~src_pos:spos ~dst ~dst_pos:0 ~len))
     [ (1, max_int); (max_int, 8); (4, max_int - 2); (0, -1); (-1, 4) ]
 
 let test_is_zero () =
