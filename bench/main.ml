@@ -7,17 +7,18 @@
 
    With no ids it runs every experiment (a few minutes at full size);
    ids run just those, in the order given. --fast shrinks every
-   geometry. Only full-size runs write BENCH_*.json. --metrics ends the
-   run with a Prometheus dump of the lw_obs registry. An unknown
-   argument prints the usage and exits 64 before anything runs.
+   geometry. --metrics ends the run with a Prometheus dump of the lw_obs
+   registry. An unknown argument prints the usage and exits 64 before
+   anything runs. Results go to stdout only, under a header line naming
+   the machine they were measured on.
 
    Experiment ids follow DESIGN.md §3: E1 server computation, E2
    batching, E3 communication, E4 Table 2, E5 monthly user cost, E6
    collisions, E7 distributed DPF evaluation, E8 PIR vs enclave
    ablation, E9 cost projection, E10 traffic-analysis attack; E11-E17
    ablations and extensions; E19 scan kernels, E20 retry tail latency,
-   E22 store updates, E23 lint cost, E24 fleet, E25 process cluster, E27
-   Single mode (E18, E21 and E26 are retired). Paper numbers are printed
+   E22 store updates, E24 fleet, E25 process cluster, E27 Single mode
+   (E18, E21, E23 and E26 are retired). Paper numbers are printed
    beside measurements; EXPERIMENTS.md records the comparison. *)
 
 module Json = Lw_json.Json
@@ -64,41 +65,6 @@ let time_median ?(reps = 5) f =
   Array.iter (fun s -> assert (Float.is_finite s)) samples;
   Array.sort Float.compare samples;
   samples.(reps / 2)
-
-(* Every BENCH_*.json embeds the machine it was produced on, so numbers
-   from different checkouts are never compared blind: core count decides
-   whether the domain-parallel results mean anything (on 1 core the
-   wall-clock "speedup" is noise and only the critical-path figure is
-   informative), the compiler/word size pin down the codegen, the scan
-   kernel names the vector build the CPU picked for every scan, the AES
-   build the one every DPF PRG call runs, the ChaCha20 build the one
-   under the DRBG and the AEAD, and the CRC-32 build the one under every
-   wire frame's trailer. *)
-let machine_meta () =
-  Json.Obj
-    [
-      ("cores", Json.Number (float_of_int (Domain.recommended_domain_count ())));
-      ("ocaml_version", Json.String Sys.ocaml_version);
-      ("word_size", Json.Number (float_of_int Sys.word_size));
-      ("os_type", Json.String Sys.os_type);
-      ("scan_kernel", Json.String (Lw_util.Xorbuf.scan_kernel ()));
-      ("aes_build", Json.String (Lw_crypto.Aes128.build ()));
-      ("chacha_build", Json.String (Lw_crypto.Chacha20.build ()));
-      ("crc_build", Json.String (Lw_util.Crc32.build ()));
-    ]
-
-(* A full-size run writes its experiment's BENCH_*.json: the id, the
-   machine, then the experiment's own fields. The reduced sizes write
-   nothing, so every committed file holds full-size numbers. *)
-let write_bench size ~id file fields =
-  if size = Full then begin
-    let j = Json.Obj (("experiment", Json.String id) :: ("machine", machine_meta ()) :: fields) in
-    let oc = open_out file in
-    output_string oc (Json.to_string ~pretty:true j);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "wrote %s\n" file
-  end
 
 (* ------------------------------------------------------------------ *)
 (* E1: server computation (§5.1)                                       *)
@@ -1040,24 +1006,21 @@ let e19_scan_kernels size =
      the batched scan *)
   row "\n%-8s %-14s %-14s %-14s %-18s %-10s %-10s\n" "width" "naive loop" "k singles" "batched"
     "effective rate" "speedup" "x single";
-  let batch_rows =
-    List.map
-      (fun w ->
-        let ks = Array.sub keys 0 w in
-        let t =
-          best_interleaved reps
-            [| (fun () -> Array.iter two_pass ks);
-               (fun () -> Array.iter (fun k -> ignore (Lw_pir.Server.answer server k)) ks);
-               (fun () -> ignore (Lw_pir.Server.answer_batch server ks)) |]
-        in
-        let naive_s = t.(0) and singles_s = t.(1) and batched_s = t.(2) in
-        let eff = db_mb *. float_of_int w /. batched_s in
-        row "%-8d %9.2f ms %9.2f ms %9.2f ms %12.0f MB/s %8.2fx %8.2fx\n" w (1000. *. naive_s)
-          (1000. *. singles_s) (1000. *. batched_s) eff (naive_s /. batched_s)
-          (batched_s *. float_of_int w /. singles_s);
-        (w, naive_s, singles_s, batched_s, eff))
-      widths
-  in
+  List.iter
+    (fun w ->
+      let ks = Array.sub keys 0 w in
+      let t =
+        best_interleaved reps
+          [| (fun () -> Array.iter two_pass ks);
+             (fun () -> Array.iter (fun k -> ignore (Lw_pir.Server.answer server k)) ks);
+             (fun () -> ignore (Lw_pir.Server.answer_batch server ks)) |]
+      in
+      let naive_s = t.(0) and singles_s = t.(1) and batched_s = t.(2) in
+      let eff = db_mb *. float_of_int w /. batched_s in
+      row "%-8d %9.2f ms %9.2f ms %9.2f ms %12.0f MB/s %8.2fx %8.2fx\n" w (1000. *. naive_s)
+        (1000. *. singles_s) (1000. *. batched_s) eff (naive_s /. batched_s)
+        (batched_s *. float_of_int w /. singles_s))
+    widths;
   Printf.printf
     "\nthe fused kernel streams each database block as its DPF leaf bits are produced\n\
      (no full-domain bits buffer); single and batched answers run one C kernel that\n\
@@ -1092,19 +1055,16 @@ let e19_scan_kernels size =
     (100. *. float_of_int (Lw_store.Snapshot.occupied (Lw_store.current sparse_st))
     /. float_of_int (1 lsl d))
     (100. *. scanned) "width" "full" "sparse" "sparse/full";
-  let sparse_rows =
-    List.map
-      (fun w ->
-        let ks = Array.sub keys 0 w in
-        let t =
-          best_interleaved reps
-            [| (fun () -> ignore (Lw_pir.Server.answer_batch full_server ks));
-               (fun () -> ignore (Lw_pir.Server.answer_batch sparse_server ks)) |]
-        in
-        row "%-8d %9.2f ms %9.2f ms %9.2fx\n" w (1000. *. t.(0)) (1000. *. t.(1)) (t.(1) /. t.(0));
-        (w, t.(0), t.(1)))
-      widths
-  in
+  List.iter
+    (fun w ->
+      let ks = Array.sub keys 0 w in
+      let t =
+        best_interleaved reps
+          [| (fun () -> ignore (Lw_pir.Server.answer_batch full_server ks));
+             (fun () -> ignore (Lw_pir.Server.answer_batch sparse_server ks)) |]
+      in
+      row "%-8d %9.2f ms %9.2f ms %9.2fx\n" w (1000. *. t.(0)) (1000. *. t.(1)) (t.(1) /. t.(0)))
+    widths;
 
   (* The bare kernel on every build this CPU runs: one call over all
      records per width and bucket size, builds interleaved. The bucket
@@ -1118,67 +1078,57 @@ let e19_scan_kernels size =
   in
   let max_records = List.fold_left (fun a (n, _) -> max a n) 0 kernel_geometries in
   let bits = Bytes.of_string (Lw_util.Det_rng.bytes (det "e19-bits") (2 * max_records)) in
-  let build_rows =
-    List.concat_map
-      (fun (n, bucket) ->
-        let records =
-          Bytes.of_string (Lw_util.Det_rng.bytes (det "e19-records") (n * bucket))
-        in
-        row "\nkernel builds, one call over all %d records of %d B (ms)\n%-8s%s %15s\n" n bucket
-          "width"
-          (String.concat "" (List.map (Printf.sprintf " %10s") kernels))
-          "baseline/picked";
-        List.init 16 (fun i ->
-            let w = i + 1 in
-            let dsts = Array.init w (fun _ -> Bytes.create bucket) in
-            let run kernel () =
-              Lw_util.Xorbuf.xor_buckets_lanes_on ~kernel ~bits ~bits_pos:0 ~stride:n ~count:n
-                ~src:records ~src_pos:0 ~bucket ~dsts
-            in
-            let t = best_interleaved reps (Array.of_list (List.map run kernels)) in
-            let cells = Array.map (fun s -> Printf.sprintf " %10.2f" (1000. *. s)) t in
-            row "%-8d%s %14.2fx\n" w
-              (String.concat "" (Array.to_list cells))
-              (t.(Array.length t - 1) /. t.(0));
-            (n, bucket, w, t)))
-      kernel_geometries
+  (* one row of per-build times, with the baseline build over the picked one *)
+  let build_row w t =
+    row "%-8d%s %14.2fx\n" w
+      (String.concat "" (Array.to_list (Array.map (fun s -> Printf.sprintf " %10.2f" (1000. *. s)) t)))
+      (t.(Array.length t - 1) /. t.(0))
   in
+  List.iter
+    (fun (n, bucket) ->
+      let records = Bytes.of_string (Lw_util.Det_rng.bytes (det "e19-records") (n * bucket)) in
+      row "\nkernel builds, one call over all %d records of %d B (ms)\n%-8s%s %15s\n" n bucket
+        "width"
+        (String.concat "" (List.map (Printf.sprintf " %10s") kernels))
+        "baseline/picked";
+      for w = 1 to 16 do
+        let dsts = Array.init w (fun _ -> Bytes.create bucket) in
+        let run kernel () =
+          Lw_util.Xorbuf.xor_buckets_lanes_on ~kernel ~bits ~bits_pos:0 ~stride:n ~count:n
+            ~src:records ~src_pos:0 ~bucket ~dsts
+        in
+        build_row w (best_interleaved reps (Array.of_list (List.map run kernels)))
+      done)
+    kernel_geometries;
   (* The bare kernel on the same geometries with sparse records at the
      reference load and their extents, every build interleaved. *)
   let sparse_widths = [ 1; 2; 5; 8; 9; 16 ] in
-  let sparse_build_rows =
-    List.concat_map
-      (fun (n, bucket) ->
-        let records = Bytes.make (n * bucket) '\x00' and extents = Bytes.make (4 * n) '\x00' in
-        let krng = det "e19-sparse-records" in
-        let filled = ref 0 in
-        sparse_records krng ~count:n ~bucket (fun j len ->
-            Bytes.blit_string (Lw_util.Det_rng.bytes krng len) 0 records (j * bucket) len;
-            let e = min bucket ((len + 63) land lnot 63) in
-            filled := !filled + e;
-            Bytes.set_int32_ne extents (4 * j) (Int32.of_int e));
-        row "\nsparse records (%.1f%% of bytes up to the extents), one call over %d records of %d B (ms)\n%-8s%s %15s\n"
-          (100. *. float_of_int !filled /. float_of_int (n * bucket))
-          n bucket "width"
-          (String.concat "" (List.map (Printf.sprintf " %10s") kernels))
-          "baseline/picked";
-        List.map
-          (fun w ->
-            let dsts = Array.init w (fun _ -> Bytes.create bucket) in
-            let run kernel () =
-              Lw_util.Xorbuf.xor_extents_lanes_on ~kernel ~blocks:[| records |]
-                ~extents:[| extents |] ~block_bits:(Lw_util.Bitops.log2_ceil n) ~first:0 ~bits
-                ~bits_pos:0 ~stride:n ~count:n ~bucket ~dsts
-            in
-            let t = best_interleaved reps (Array.of_list (List.map run kernels)) in
-            let cells = Array.map (fun s -> Printf.sprintf " %10.2f" (1000. *. s)) t in
-            row "%-8d%s %14.2fx\n" w
-              (String.concat "" (Array.to_list cells))
-              (t.(Array.length t - 1) /. t.(0));
-            (n, bucket, w, t))
-          sparse_widths)
-      kernel_geometries
-  in
+  List.iter
+    (fun (n, bucket) ->
+      let records = Bytes.make (n * bucket) '\x00' and extents = Bytes.make (4 * n) '\x00' in
+      let krng = det "e19-sparse-records" in
+      let filled = ref 0 in
+      sparse_records krng ~count:n ~bucket (fun j len ->
+          Bytes.blit_string (Lw_util.Det_rng.bytes krng len) 0 records (j * bucket) len;
+          let e = min bucket ((len + 63) land lnot 63) in
+          filled := !filled + e;
+          Bytes.set_int32_ne extents (4 * j) (Int32.of_int e));
+      row "\nsparse records (%.1f%% of bytes up to the extents), one call over %d records of %d B (ms)\n%-8s%s %15s\n"
+        (100. *. float_of_int !filled /. float_of_int (n * bucket))
+        n bucket "width"
+        (String.concat "" (List.map (Printf.sprintf " %10s") kernels))
+        "baseline/picked";
+      List.iter
+        (fun w ->
+          let dsts = Array.init w (fun _ -> Bytes.create bucket) in
+          let run kernel () =
+            Lw_util.Xorbuf.xor_extents_lanes_on ~kernel ~blocks:[| records |]
+              ~extents:[| extents |] ~block_bits:(Lw_util.Bitops.log2_ceil n) ~first:0 ~bits
+              ~bits_pos:0 ~stride:n ~count:n ~bucket ~dsts
+          in
+          build_row w (best_interleaved reps (Array.of_list (List.map run kernels))))
+        sparse_widths)
+    kernel_geometries;
   (* The extent walk over two stores, each held in its [Lw_store] CoW
      blocks and called in the runs an answer hands the kernel
      ([Lw_pir.Server.scan_block_buckets]), across those blocks, on every
@@ -1194,147 +1144,61 @@ let e19_scan_kernels size =
   let walk_stores =
     [ ("reference sparse", d, sb, 0.385, 0.093); ("mixed, 80% filled", 8, 1024, 0.8, 0.44) ]
   in
-  let walk_rows =
-    List.concat_map
-      (fun (name, bits_n, bucket, filled, byte_share) ->
-        let n = 1 lsl bits_n in
-        let geometry = Lw_store.create ~domain_bits:bits_n ~bucket_size:bucket () in
-        let per = Lw_store.block_buckets geometry in
-        let run = Lw_pir.Server.scan_block_buckets (whole_server geometry) in
-        let block_bits = Lw_util.Bitops.log2_ceil per in
-        let blocks = Array.init (n / per) (fun _ -> Bytes.make (per * bucket) '\x00') in
-        let extents = Array.init (n / per) (fun _ -> Bytes.make (4 * per) '\x00') in
-        let whole = Bytes.create (4 * per) in
-        for j = 0 to per - 1 do
-          Bytes.set_int32_ne whole (4 * j) (Int32.of_int bucket)
-        done;
-        let wholes = Array.make (n / per) whole in
-        let wrng = det ("e19-walk-" ^ name) in
-        let bits = Bytes.of_string (Lw_util.Det_rng.bytes wrng (2 * n)) in
-        let scanned = ref 0 in
-        sparse_records ~filled ~bytes:byte_share wrng ~count:n ~bucket (fun j len ->
-            Bytes.blit_string (Lw_util.Det_rng.bytes wrng len) 0 blocks.(j / per)
-              (j mod per * bucket) len;
-            let e = min bucket ((len + 63) land lnot 63) in
-            scanned := !scanned + e;
-            Bytes.set_int32_ne extents.(j / per) (4 * (j mod per)) (Int32.of_int e));
-        let share = float_of_int !scanned /. float_of_int (n * bucket) in
-        row "\n%s store, 2^%d x %d B in runs of %d across CoW blocks of %d, %.1f%% of bytes up \
-             to the extents: extent walk / whole walk (ms)\n%-8s%s\n"
-          name bits_n bucket run per (100. *. share) "width"
-          (String.concat "" (List.map (Printf.sprintf " %19s") kernels));
-        List.map
-          (fun w ->
-            let dsts = Array.init w (fun _ -> Bytes.create bucket) in
-            let passes = max 1 ((16 lsl 20) / (n * bucket)) in
-            let walk kernel extents () =
-              for _ = 1 to passes do
-                for r = 0 to (n / run) - 1 do
-                  Lw_util.Xorbuf.xor_extents_lanes_on ~kernel ~blocks ~extents ~block_bits
-                    ~first:(r * run) ~bits ~bits_pos:(r * run) ~stride:n ~count:run ~bucket ~dsts
-                done
+  List.iter
+    (fun (name, bits_n, bucket, filled, byte_share) ->
+      let n = 1 lsl bits_n in
+      let geometry = Lw_store.create ~domain_bits:bits_n ~bucket_size:bucket () in
+      let per = Lw_store.block_buckets geometry in
+      let run = Lw_pir.Server.scan_block_buckets (whole_server geometry) in
+      let block_bits = Lw_util.Bitops.log2_ceil per in
+      let blocks = Array.init (n / per) (fun _ -> Bytes.make (per * bucket) '\x00') in
+      let extents = Array.init (n / per) (fun _ -> Bytes.make (4 * per) '\x00') in
+      let whole = Bytes.create (4 * per) in
+      for j = 0 to per - 1 do
+        Bytes.set_int32_ne whole (4 * j) (Int32.of_int bucket)
+      done;
+      let wholes = Array.make (n / per) whole in
+      let wrng = det ("e19-walk-" ^ name) in
+      let bits = Bytes.of_string (Lw_util.Det_rng.bytes wrng (2 * n)) in
+      let scanned = ref 0 in
+      sparse_records ~filled ~bytes:byte_share wrng ~count:n ~bucket (fun j len ->
+          Bytes.blit_string (Lw_util.Det_rng.bytes wrng len) 0 blocks.(j / per)
+            (j mod per * bucket) len;
+          let e = min bucket ((len + 63) land lnot 63) in
+          scanned := !scanned + e;
+          Bytes.set_int32_ne extents.(j / per) (4 * (j mod per)) (Int32.of_int e));
+      let share = float_of_int !scanned /. float_of_int (n * bucket) in
+      row "\n%s store, 2^%d x %d B in runs of %d across CoW blocks of %d, %.1f%% of bytes up \
+           to the extents: extent walk / whole walk (ms)\n%-8s%s\n"
+        name bits_n bucket run per (100. *. share) "width"
+        (String.concat "" (List.map (Printf.sprintf " %19s") kernels));
+      List.iter
+        (fun w ->
+          let dsts = Array.init w (fun _ -> Bytes.create bucket) in
+          let passes = max 1 ((16 lsl 20) / (n * bucket)) in
+          let walk kernel extents () =
+            for _ = 1 to passes do
+              for r = 0 to (n / run) - 1 do
+                Lw_util.Xorbuf.xor_extents_lanes_on ~kernel ~blocks ~extents ~block_bits
+                  ~first:(r * run) ~bits ~bits_pos:(r * run) ~stride:n ~count:run ~bucket ~dsts
               done
-            in
-            let t =
-              Array.map
-                (fun s -> s /. float_of_int passes)
-                (best_interleaved reps
-                   (Array.of_list
-                      (List.concat_map (fun k -> [ walk k extents; walk k wholes ]) kernels)))
-            in
-            row "%-8d%s\n" w
-              (String.concat ""
-                 (List.mapi
-                    (fun i _ ->
-                      Printf.sprintf " %8.4f / %8.4f" (1000. *. t.(2 * i)) (1000. *. t.((2 * i) + 1)))
-                    kernels));
-            (name, n, bucket, run, per, share, w, t))
-          sparse_widths)
-      walk_stores
-  in
-  let open Json in
-  let build_cells rows =
-    List
-      (List.map
-         (fun (n, bucket, w, t) ->
-           Obj
-             (("bucket_size", Number (float_of_int bucket))
-             :: ("records", Number (float_of_int n))
-             :: ("width", Number (float_of_int w))
-             :: List.mapi (fun j k -> (k ^ "_ms", Number (1000. *. t.(j)))) kernels))
-         rows)
-  in
-  write_bench size ~id:"E19" "BENCH_scan.json"
-    [
-      ("domain_bits", Number (float_of_int d));
-      ("bucket_size", Number (float_of_int bucket_size));
-      ("db_mib", Number db_mb);
-      ("reps", Number (float_of_int reps));
-      ( "single",
-        Obj
-          [
-            ("two_pass_ms", Number (1000. *. old_s));
-            ("fused_ms", Number (1000. *. fused_s));
-            ("two_pass_mb_s", Number (db_mb /. old_s));
-            ("fused_mb_s", Number (db_mb /. fused_s));
-            ("fused_speedup", Number (old_s /. fused_s));
-          ] );
-      ( "batch",
-        List
-          (List.map
-             (fun (w, naive_s, singles_s, batched_s, eff) ->
-               Obj
-                 [
-                   ("width", Number (float_of_int w));
-                   ("naive_ms", Number (1000. *. naive_s));
-                   ("k_singles_ms", Number (1000. *. singles_s));
-                   ("batched_ms", Number (1000. *. batched_s));
-                   ("effective_mb_s", Number eff);
-                   ("speedup", Number (naive_s /. batched_s));
-                   ("x_single", Number (batched_s *. float_of_int w /. singles_s));
-                 ])
-             batch_rows) );
-      ( "sparse_store",
-        Obj
-          [
-            ("bucket_size", Number (float_of_int sb));
-            ("scanned_share", Number scanned);
-            ( "batch",
-              List
-                (List.map
-                   (fun (w, full_s, sparse_s) ->
-                     Obj
-                       [
-                         ("width", Number (float_of_int w));
-                         ("full_ms", Number (1000. *. full_s));
-                         ("sparse_ms", Number (1000. *. sparse_s));
-                       ])
-                   sparse_rows) );
-          ] );
-      ("kernel_builds", build_cells build_rows);
-      ("sparse_kernel_builds", build_cells sparse_build_rows);
-      ( "extent_walks",
-        List
-          (List.map
-             (fun (name, n, bucket, run, per, share, w, t) ->
-               Obj
-                 (("store", String name)
-                 :: ("bucket_size", Number (float_of_int bucket))
-                 :: ("records", Number (float_of_int n))
-                 :: ("run", Number (float_of_int run))
-                 :: ("cow_block", Number (float_of_int per))
-                 :: ("scanned_share", Number share)
-                 :: ("width", Number (float_of_int w))
-                 :: List.concat
-                      (List.mapi
-                         (fun j k ->
-                           [
-                             (k ^ "_extent_ms", Number (1000. *. t.(2 * j)));
-                             (k ^ "_whole_ms", Number (1000. *. t.((2 * j) + 1)));
-                           ])
-                         kernels)))
-             walk_rows) );
-    ]
+            done
+          in
+          let t =
+            Array.map
+              (fun s -> s /. float_of_int passes)
+              (best_interleaved reps
+                 (Array.of_list
+                    (List.concat_map (fun k -> [ walk k extents; walk k wholes ]) kernels)))
+          in
+          row "%-8d%s\n" w
+            (String.concat ""
+               (List.mapi
+                  (fun i _ ->
+                    Printf.sprintf " %8.4f / %8.4f" (1000. *. t.(2 * i)) (1000. *. t.((2 * i) + 1)))
+                  kernels)))
+        sparse_widths)
+    walk_stores
 
 (* ------------------------------------------------------------------ *)
 (* E20: retry-induced tail latency under fault injection (PR3)          *)
@@ -1428,42 +1292,18 @@ let e20_chaos_tail_latency size =
         Array.iter (fun x -> assert (Float.is_finite x)) lat;
         let p q = Lw_util.Stats.percentile lat q in
         row "%-12s %6.1f%% faults %8.1f ms p50 %8.1f ms p99 %5d retries %3d failovers %3d errors\n"
-          label (100. *. rate) (p 50.) (p 99.) retries failovers !errors;
-        ( label,
-          rate,
-          [
-            ("rate", Json.Number rate);
-            ("ops", Json.Number (float_of_int ops));
-            ("p50_ms", Json.Number (p 50.));
-            ("p99_ms", Json.Number (p 99.));
-            ("mean_ms", Json.Number (Lw_util.Stats.mean lat));
-            ("retries", Json.Number (float_of_int retries));
-            ("failovers", Json.Number (float_of_int failovers));
-            ("errors", Json.Number (float_of_int !errors));
-          ] )
+          label (100. *. rate) (p 50.) (p 99.) retries failovers !errors
   in
   Printf.printf "(%d ops/run, rtt %.0f ms, recv timeout %.0f ms, virtual time)\n\n" ops
     (1000. *. rtt_s) (1000. *. timeout_s);
-  let r0 = run_world ~label:"fault-0pct" ~rate:0.0 ~dead_first:false in
-  let r1 = run_world ~label:"fault-1pct" ~rate:0.01 ~dead_first:false in
-  let r5 = run_world ~label:"fault-5pct" ~rate:0.05 ~dead_first:false in
-  let rates = [ r0; r1; r5 ] in
-  let kill = run_world ~label:"kill-replica" ~rate:0.01 ~dead_first:true in
+  run_world ~label:"fault-0pct" ~rate:0.0 ~dead_first:false;
+  run_world ~label:"fault-1pct" ~rate:0.01 ~dead_first:false;
+  run_world ~label:"fault-5pct" ~rate:0.05 ~dead_first:false;
+  run_world ~label:"kill-replica" ~rate:0.01 ~dead_first:true;
   Printf.printf
     "\nfault-free p99 is one RTT; each injected fault adds a timeout plus backoff, so\n\
      the p99/p50 gap is the paper's tail-latency cost of self-healing. kill-replica\n\
-     shows failover past a dead replica completing every operation.\n";
-  let open Json in
-  let entry (label, _, fields) = (label, Obj fields) in
-  write_bench size ~id:"E20" "BENCH_chaos.json"
-    ([
-       ("ops_per_run", Number (float_of_int ops));
-       ("rtt_ms", Number (1000. *. rtt_s));
-       ("recv_timeout_ms", Number (1000. *. timeout_s));
-       ("attempts", Number (float_of_int policy.Lightweb.Zltp_client.attempts));
-     ]
-    @ List.map entry rates
-    @ [ entry kill ])
+     shows failover past a dead replica completing every operation.\n"
 
 (* ------------------------------------------------------------------ *)
 (* E22: publisher updates while serving (epoch-versioned store)        *)
@@ -1539,12 +1379,11 @@ let e22_store_updates size =
           (100. *. ratio)
           (100. *. model.Lw_sim.Cost_model.cow_ratio)
           (1000. *. seal_s);
-        (churn, n_mut, dirty, cow, ratio, model.Lw_sim.Cost_model.cow_ratio, seal_s))
+        (churn, ratio))
       [ 0.001; 0.01; 0.1 ]
   in
   let ratio_at_1pct =
-    List.find_map (fun (c, _, _, _, r, _, _) -> if c = 0.01 then Some r else None) churn_rows
-    |> Option.value ~default:1.
+    List.assoc_opt 0.01 churn_rows |> Option.value ~default:1.
   in
   let cow_ok = ratio_at_1pct < 0.05 in
   row "\n1%% churn seals %.2f%% of the database — %s the <5%% budget\n"
@@ -1619,92 +1458,7 @@ let e22_store_updates size =
   row "p99 under updates is %.2fx baseline — %s the 1.5x budget\n" p99_ratio
     (if lat_ok then "within" else "OVER");
   row "epochs now live: [%s] (keep window + pins)\n"
-    (String.concat "; " (List.map string_of_int (Lw_store.live_epochs st)));
-  let open Json in
-  write_bench size ~id:"E22" "BENCH_store.json"
-    [
-      ("domain_bits", Number (float_of_int domain_bits));
-      ("bucket_size", Number (float_of_int bucket_size));
-      ("db_mib", Number db_mb);
-      ("block_bytes", Number (float_of_int (Lw_store.block_bytes st)));
-      ( "churn",
-        List
-          (List.map
-             (fun (churn, n_mut, dirty, cow, ratio, model_ratio, seal_s) ->
-               Obj
-                 [
-                   ("churn", Number churn);
-                   ("mutations", Number (float_of_int n_mut));
-                   ("dirty_blocks", Number (float_of_int dirty));
-                   ("cow_bytes", Number (float_of_int cow));
-                   ("cow_ratio", Number ratio);
-                   ("model_ratio", Number model_ratio);
-                   ("seal_ms", Number (1000. *. seal_s));
-                 ])
-             churn_rows) );
-      ("cow_ratio_at_1pct", Number ratio_at_1pct);
-      ("cow_within_5pct", Bool cow_ok);
-      ( "serving",
-        Obj
-          [
-            ("answers", Number (float_of_int answers));
-            ("baseline_p50_ms", Number base_p50);
-            ("baseline_p99_ms", Number base_p99);
-            ("updating_p50_ms", Number upd_p50);
-            ("updating_p99_ms", Number upd_p99);
-            ("epochs_sealed", Number (float_of_int sealed));
-            ("p99_ratio", Number p99_ratio);
-            ("within_1_5x", Bool lat_ok);
-          ] );
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* E23: the full static pass — loading each file's typed tree (.cmt) *)
-(* and running the rules plus the taint, race and balance analyses    *)
-(* over it — over the lint's scope (lib/ bin/ bench/ examples/),      *)
-(* against a 10 s wall-clock budget. This is the cost every CI run    *)
-(* and every `dune build @lint` pays on top of the build.             *)
-(* ------------------------------------------------------------------ *)
-
-let e23_full_lint size =
-  section "E23" "full typed-tree lint (load + taint + race + balance) over the lint scope";
-  match Lw_analysis.Analyzer.repo_root () with
-  | None -> Printf.printf "sources not reachable from cwd; skipping.\n"
-  | Some root ->
-      let reps = if size = Fast then 1 else 3 in
-      let best = ref None in
-      for _ = 1 to reps do
-        let r = Lw_analysis.Analyzer.scan root in
-        match !best with
-        | Some (b : Lw_analysis.Report.t) when b.elapsed_s <= r.elapsed_s -> ()
-        | _ -> best := Some r
-      done;
-      let r = Option.get !best in
-      let budget_ms = 10_000. in
-      let elapsed_ms = 1000. *. r.elapsed_s in
-      let within = elapsed_ms < budget_ms in
-      row "%-20s %8d (under %s/)\n" "files scanned" r.Lw_analysis.Report.files_scanned
-        (String.concat "/ " Lw_analysis.Analyzer.scope);
-      row "%-20s %8d\n" "findings" (List.length r.findings);
-      let untyped = List.filter (fun f -> f.Lw_analysis.Report.rule = "typed-tree") r.findings in
-      if untyped <> [] then
-        row "%-20s %8d (not recorded; build them first: dune build @check)\n" "no typed tree"
-          (List.length untyped);
-      row "%-20s %8d\n" "suppressed" r.suppressed;
-      row "%-20s %8.1f ms (best of %d) — %s the %.0f s budget\n" "wall-clock" elapsed_ms reps
-        (if within then "within" else "OVER")
-        (budget_ms /. 1000.);
-      let open Json in
-      if untyped = [] then
-        write_bench size ~id:"E23" "BENCH_lint.json"
-          [
-            ("files", Number (float_of_int r.files_scanned));
-            ("findings", Number (float_of_int (List.length r.findings)));
-            ("suppressed", Number (float_of_int r.suppressed));
-            ("elapsed_ms", Number elapsed_ms);
-            ("budget_ms", Number budget_ms);
-            ("within_budget", Bool within);
-          ]
+    (String.concat "; " (List.map string_of_int (Lw_store.live_epochs st)))
 
 (* ------------------------------------------------------------------ *)
 (* E24: fleet-scale serving — closed-loop fleet sim                    *)
@@ -1715,7 +1469,7 @@ let e23_full_lint size =
    p50/p99 sojourn vs offered load next to the three models the repo
    already has (Queue_sim's fitted service law, Latency_model's straggler
    tail, Cost_model's Table-2 arithmetic). Wall-clock numbers compare
-   across checkouts only with matching "machine" stanzas. *)
+   across checkouts only on the same machine line (the run's header). *)
 let e24_fleet size =
   section "E24" "fleet-scale serving: closed-loop shard fleet";
   let open Lw_repro in
@@ -1727,159 +1481,63 @@ let e24_fleet size =
         ("256-shard", { Fleet_sim.default with shard_bits = 8; seed = "fleet-256" });
       ]
   in
-  let results =
-    List.map
-      (fun (label, (p : Fleet_sim.params)) ->
-        row "\nfleet %s: closed loop, batch %d, load points [%s]\n" label
-          p.Fleet_sim.batch_size
-          (String.concat "; "
-             (List.map (Printf.sprintf "%.2f") p.Fleet_sim.load_fractions));
-        let r = Fleet_sim.run ~progress:(fun s -> row "  %s\n" s) p in
-        row "  %d shards, %.2f MiB total database\n" r.Fleet_sim.shards
-          (float_of_int r.Fleet_sim.db_bytes /. 1048576.);
-        row "  batch service: mean %.2f ms, p99 %.2f ms -> capacity %.1f req/s\n"
-          (1000. *. r.Fleet_sim.service_batch_mean_s)
-          (1000. *. r.Fleet_sim.service_batch_p99_s)
-          r.Fleet_sim.capacity_rps;
-        row "  single key: %.2f ms\n" (1000. *. r.Fleet_sim.direct_single_s);
-        row "  %-6s %10s %10s %10s %6s %7s %12s %12s\n" "load" "offered/s" "p50"
-          "p99" "util" "L=λW" "qmodel p50" "qmodel p95";
-        List.iter
-          (fun (pt : Fleet_sim.point) ->
-            row "  %-6.2f %10.1f %7.2f ms %7.2f ms %5.0f%% %7.2f %9.2f ms %9.2f ms\n"
-              pt.Fleet_sim.fraction pt.Fleet_sim.offered_rps
-              (1000. *. pt.Fleet_sim.p50_s)
-              (1000. *. pt.Fleet_sim.p99_s)
-              (100. *. pt.Fleet_sim.utilization)
-              pt.Fleet_sim.littles_lambda_w
-              (1000. *. pt.Fleet_sim.queue_model_p50_s)
-              (1000. *. pt.Fleet_sim.queue_model_p95_s))
-          r.Fleet_sim.points;
-        let m = r.Fleet_sim.model in
-        row
-          "  Table-2 check: model %d shards, %.2f ms/request, floor %.2f ms/batch,\n\
-          \    $%.6f/request; measured batch %.2f ms -> floor ratio %.2f\n"
-          m.Fleet_sim.model_shards
-          (1000. *. m.Fleet_sim.model_request_s)
-          (1000. *. m.Fleet_sim.model_latency_floor_s)
-          m.Fleet_sim.model_request_cost_usd
-          (1000. *. m.Fleet_sim.measured_batch_service_s)
-          m.Fleet_sim.floor_ratio;
-        let tm = r.Fleet_sim.tail_model in
-        row "  straggler tail model (sigma %.2f): p50 %.2f ms, p99 %.2f ms\n"
-          p.Fleet_sim.straggler_sigma
-          (1000. *. tm.Latency_model.p50_s)
-          (1000. *. tm.Latency_model.p99_s);
-        row
-          "  SPIR probe: hint %.2f ms/epoch, answer %.2f ms -> mul-acc/XOR ratio %.1fx;\n\
-          \    three-way at this geometry (Single seeded from the measured ratio):\n"
-          (1000. *. r.Fleet_sim.spir_hint_s)
-          (1000. *. r.Fleet_sim.spir_answer_s)
-          r.Fleet_sim.spir_scan_ratio;
-        List.iter
-          (fun mc -> Format.printf "    %a\n" Lw_sim.Cost_model.pp_mode_cost mc)
-          r.Fleet_sim.three_way;
-        Format.print_flush ();
-        (label, p, r))
-      fleets
-  in
+  List.iter
+    (fun (label, (p : Fleet_sim.params)) ->
+      row "\nfleet %s: closed loop, batch %d, load points [%s]\n" label
+        p.Fleet_sim.batch_size
+        (String.concat "; "
+           (List.map (Printf.sprintf "%.2f") p.Fleet_sim.load_fractions));
+      let r = Fleet_sim.run ~progress:(fun s -> row "  %s\n" s) p in
+      row "  %d shards, %.2f MiB total database\n" r.Fleet_sim.shards
+        (float_of_int r.Fleet_sim.db_bytes /. 1048576.);
+      row "  batch service: mean %.2f ms, p99 %.2f ms -> capacity %.1f req/s\n"
+        (1000. *. r.Fleet_sim.service_batch_mean_s)
+        (1000. *. r.Fleet_sim.service_batch_p99_s)
+        r.Fleet_sim.capacity_rps;
+      row "  single key: %.2f ms\n" (1000. *. r.Fleet_sim.direct_single_s);
+      row "  %-6s %10s %10s %10s %6s %7s %12s %12s\n" "load" "offered/s" "p50"
+        "p99" "util" "L=λW" "qmodel p50" "qmodel p95";
+      List.iter
+        (fun (pt : Fleet_sim.point) ->
+          row "  %-6.2f %10.1f %7.2f ms %7.2f ms %5.0f%% %7.2f %9.2f ms %9.2f ms\n"
+            pt.Fleet_sim.fraction pt.Fleet_sim.offered_rps
+            (1000. *. pt.Fleet_sim.p50_s)
+            (1000. *. pt.Fleet_sim.p99_s)
+            (100. *. pt.Fleet_sim.utilization)
+            pt.Fleet_sim.littles_lambda_w
+            (1000. *. pt.Fleet_sim.queue_model_p50_s)
+            (1000. *. pt.Fleet_sim.queue_model_p95_s))
+        r.Fleet_sim.points;
+      let m = r.Fleet_sim.model in
+      row
+        "  Table-2 check: model %d shards, %.2f ms/request, floor %.2f ms/batch,\n\
+        \    $%.6f/request; measured batch %.2f ms -> floor ratio %.2f\n"
+        m.Fleet_sim.model_shards
+        (1000. *. m.Fleet_sim.model_request_s)
+        (1000. *. m.Fleet_sim.model_latency_floor_s)
+        m.Fleet_sim.model_request_cost_usd
+        (1000. *. m.Fleet_sim.measured_batch_service_s)
+        m.Fleet_sim.floor_ratio;
+      let tm = r.Fleet_sim.tail_model in
+      row "  straggler tail model (sigma %.2f): p50 %.2f ms, p99 %.2f ms\n"
+        p.Fleet_sim.straggler_sigma
+        (1000. *. tm.Latency_model.p50_s)
+        (1000. *. tm.Latency_model.p99_s);
+      row
+        "  SPIR probe: hint %.2f ms/epoch, answer %.2f ms -> mul-acc/XOR ratio %.1fx;\n\
+        \    three-way at this geometry (Single seeded from the measured ratio):\n"
+        (1000. *. r.Fleet_sim.spir_hint_s)
+        (1000. *. r.Fleet_sim.spir_answer_s)
+        r.Fleet_sim.spir_scan_ratio;
+      List.iter
+        (fun mc -> Format.printf "    %a\n" Lw_sim.Cost_model.pp_mode_cost mc)
+        r.Fleet_sim.three_way;
+      Format.print_flush ())
+    fleets;
   Printf.printf
     "\na floor ratio < 1 means the batch scan kernel amortises the scan across\n\
      the batch, beating the Table-2 batch x request floor; the Little's-law column\n\
-     (L = λW vs time-average N) is a bookkeeping cross-check on the event loop.\n";
-  let open Json in
-  let point_json (pt : Fleet_sim.point) =
-    Obj
-      [
-        ("load_fraction", Number pt.Fleet_sim.fraction);
-        ("offered_rps", Number pt.Fleet_sim.offered_rps);
-        ("offered", Number (float_of_int pt.Fleet_sim.offered));
-        ("served", Number (float_of_int pt.Fleet_sim.served));
-        ("mean_sojourn_ms", Number (1000. *. pt.Fleet_sim.mean_sojourn_s));
-        ("p50_ms", Number (1000. *. pt.Fleet_sim.p50_s));
-        ("p99_ms", Number (1000. *. pt.Fleet_sim.p99_s));
-        ("mean_batch_fill", Number pt.Fleet_sim.mean_batch_fill);
-        ("utilization", Number pt.Fleet_sim.utilization);
-        ("mean_in_system", Number pt.Fleet_sim.mean_in_system);
-        ("littles_lambda_w", Number pt.Fleet_sim.littles_lambda_w);
-        ("queue_model_p50_ms", Number (1000. *. pt.Fleet_sim.queue_model_p50_s));
-        ("queue_model_p95_ms", Number (1000. *. pt.Fleet_sim.queue_model_p95_s));
-      ]
-  in
-  let fleet_json (label, (p : Fleet_sim.params), (r : Fleet_sim.result)) =
-    let m = r.Fleet_sim.model in
-    let h = r.Fleet_sim.fleet_hist in
-    let tm = r.Fleet_sim.tail_model in
-    Obj
-      [
-        ("label", String label);
-        ("shards", Number (float_of_int r.Fleet_sim.shards));
-        ("batch_size", Number (float_of_int p.Fleet_sim.batch_size));
-        ("db_bytes", Number (float_of_int r.Fleet_sim.db_bytes));
-        ("service_batch_mean_ms", Number (1000. *. r.Fleet_sim.service_batch_mean_s));
-        ("service_batch_p99_ms", Number (1000. *. r.Fleet_sim.service_batch_p99_s));
-        ("fitted_scan_ms", Number (1000. *. r.Fleet_sim.fitted_scan_s));
-        ("fitted_per_request_ms", Number (1000. *. r.Fleet_sim.fitted_per_request_s));
-        ("capacity_rps", Number r.Fleet_sim.capacity_rps);
-        ("direct_single_ms", Number (1000. *. r.Fleet_sim.direct_single_s));
-        ("points", List (List.map point_json r.Fleet_sim.points));
-        ( "shard_hist",
-          Obj
-            [
-              ("count", Number (float_of_int h.Lw_obs.Metrics.count));
-              ("p50_ms", Number (1000. *. h.Lw_obs.Metrics.p50));
-              ("p95_ms", Number (1000. *. h.Lw_obs.Metrics.p95));
-              ("p99_ms", Number (1000. *. h.Lw_obs.Metrics.p99));
-              ("max_ms", Number (1000. *. h.Lw_obs.Metrics.max));
-            ] );
-        ( "tail_model",
-          Obj
-            [
-              ("p50_ms", Number (1000. *. tm.Latency_model.p50_s));
-              ("p99_ms", Number (1000. *. tm.Latency_model.p99_s));
-            ] );
-        ( "cost_model",
-          Obj
-            [
-              ("model_shards", Number (float_of_int m.Fleet_sim.model_shards));
-              ("model_request_ms", Number (1000. *. m.Fleet_sim.model_request_s));
-              ( "model_latency_floor_ms",
-                Number (1000. *. m.Fleet_sim.model_latency_floor_s) );
-              ("model_vcpu_s", Number m.Fleet_sim.model_vcpu_s);
-              ("model_request_cost_usd", Number m.Fleet_sim.model_request_cost_usd);
-              ( "measured_batch_service_ms",
-                Number (1000. *. m.Fleet_sim.measured_batch_service_s) );
-              ("measured_capacity_rps", Number m.Fleet_sim.measured_capacity_rps);
-              ("floor_ratio", Number m.Fleet_sim.floor_ratio);
-            ] );
-        ( "spir_probe",
-          Obj
-            [
-              ("hint_ms", Number (1000. *. r.Fleet_sim.spir_hint_s));
-              ("answer_ms", Number (1000. *. r.Fleet_sim.spir_answer_s));
-              ("scan_ratio", Number r.Fleet_sim.spir_scan_ratio);
-            ] );
-        ( "three_way",
-          List
-            (List.map
-               (fun mc ->
-                 Obj
-                   [
-                     ("mode", String (Lightweb.Zltp_mode.name mc.Lw_sim.Cost_model.mode));
-                     ("servers", Number (float_of_int mc.Lw_sim.Cost_model.mc_servers));
-                     ("shards", Number (float_of_int mc.Lw_sim.Cost_model.mc_shards));
-                     ("vcpu_seconds", Number mc.Lw_sim.Cost_model.mc_vcpu_seconds);
-                     ("request_cost_usd", Number mc.Lw_sim.Cost_model.mc_request_cost_usd);
-                     ("upload_kib", Number mc.Lw_sim.Cost_model.mc_upload_kib);
-                     ("download_kib", Number mc.Lw_sim.Cost_model.mc_download_kib);
-                     ("latency_floor_s", Number mc.Lw_sim.Cost_model.mc_latency_floor_s);
-                     ("hint_mib_per_epoch", Number mc.Lw_sim.Cost_model.mc_hint_mib_per_epoch);
-                   ])
-               r.Fleet_sim.three_way) );
-      ]
-  in
-  write_bench size ~id:"E24" "BENCH_fleet.json"
-    [ ("fleets", List (List.map fleet_json results)) ]
+     (L = λW vs time-average N) is a bookkeeping cross-check on the event loop.\n"
 
 (* ------------------------------------------------------------------ *)
 (* E25: supervised multi-process fleet                                 *)
@@ -2003,50 +1661,7 @@ let e25_cluster size =
     "\nlive rollouts cost at most a modest p99 inflation (epoch pinning keeps in-flight\n\
      queries on the old snapshot), and a SIGKILLed shard rejoins from its manifest and\n\
      diff catch-up well inside the 2 s recovery budget.\n";
-  if mttr_s >= 2.0 then Printf.printf "WARNING: MTTR %.2f s exceeds the 2 s budget\n" mttr_s;
-  let open Json in
-  write_bench size ~id:"E25" "BENCH_cluster.json"
-    [
-      ("shards", Number (float_of_int shards));
-      ("domain_bits", Number (float_of_int domain_bits));
-      ("bucket_size", Number (float_of_int bucket_size));
-      ("rollouts", Number (float_of_int rollouts));
-      ("reads_per_phase", Number (float_of_int reads));
-      ( "quiet",
-        Obj [ ("p50_ms", Number (p quiet 50.)); ("p99_ms", Number (p quiet 99.)) ] );
-      ( "during_rollout",
-        Obj
-          [
-            ("p50_ms", Number (p busy 50.));
-            ("p99_ms", Number (p busy 99.));
-            ("p99_inflation", Number inflation);
-          ] );
-      ( "kill_recovery",
-        Obj
-          [
-            ("mttr_s", Number mttr_s);
-            ("wall_to_convergence_s", Number recovery_wall_s);
-            ("meets_2s_budget", Bool (mttr_s < 2.0));
-          ] );
-      ( "fleet_totals",
-        Obj
-          [
-            ( "restarts",
-              Number
-                (float_of_int (Lw_cluster.Fleet_view.counter view "lw_cluster.restarts_total"))
-            );
-            ( "rollouts",
-              Number
-                (float_of_int (Lw_cluster.Fleet_view.counter view "lw_cluster.rollouts_total"))
-            );
-            ( "shard_refreshes",
-              Number
-                (float_of_int
-                   (Lw_cluster.Fleet_view.counter view "lw_cluster.shard.refreshes_total")) );
-            ("processes_scraped", Number (float_of_int (Lw_cluster.Fleet_view.sources view)));
-          ] );
-      ("client_failovers", Number (float_of_int (Lightweb.Zltp_client.failovers client)));
-    ]
+  if mttr_s >= 2.0 then Printf.printf "WARNING: MTTR %.2f s exceeds the 2 s budget\n" mttr_s
 
 (* ------------------------------------------------------------------ *)
 (* E27: single-server PIR (Single mode) vs two-server Pir2              *)
@@ -2199,53 +1814,7 @@ let e27_single size =
   Format.print_flush ();
   Printf.printf
     "\none cryptographic assumption (decision-LWE), one server, no client state beyond a\n\
-     public per-epoch hint — paid for in upload bytes and a mul-acc (not XOR) scan.\n";
-  let open Json in
-  let mode_row mc =
-    Obj
-      [
-        ("mode", String (Lightweb.Zltp_mode.name mc.Lw_sim.Cost_model.mode));
-        ("servers", Number (float_of_int mc.Lw_sim.Cost_model.mc_servers));
-        ("shards", Number (float_of_int mc.Lw_sim.Cost_model.mc_shards));
-        ("vcpu_seconds", Number mc.Lw_sim.Cost_model.mc_vcpu_seconds);
-        ("request_cost_usd", Number mc.Lw_sim.Cost_model.mc_request_cost_usd);
-        ("upload_kib", Number mc.Lw_sim.Cost_model.mc_upload_kib);
-        ("download_kib", Number mc.Lw_sim.Cost_model.mc_download_kib);
-        ("latency_floor_s", Number mc.Lw_sim.Cost_model.mc_latency_floor_s);
-        ("hint_mib_per_epoch", Number mc.Lw_sim.Cost_model.mc_hint_mib_per_epoch);
-      ]
-  in
-  write_bench size ~id:"E27" "BENCH_single.json"
-    [
-      ("pages_published", Number (float_of_int (Array.length paths)));
-      ("ops", Number (float_of_int ops));
-      ( "geometry",
-        Obj
-          [
-            ( "domain_bits",
-              Number (float_of_int geometry.Lightweb.Universe.data_domain_bits) );
-            ("bucket_bytes", Number (float_of_int geometry.Lightweb.Universe.data_blob_size));
-          ] );
-      ("hint_bytes_per_epoch", Number (float_of_int hint_formula_bytes));
-      ( "pir2_get",
-        Obj
-          [
-            ("p50_ms", Number (p pir2_lat 50.));
-            ("p99_ms", Number (p pir2_lat 99.));
-            ("query_up_bytes", Number (float_of_int pir2_up));
-            ("query_down_bytes", Number (float_of_int pir2_down));
-          ] );
-      ( "single_get",
-        Obj
-          [
-            ("p50_ms", Number (p single_lat 50.));
-            ("p99_ms", Number (p single_lat 99.));
-            ("query_up_bytes", Number (float_of_int single_up));
-            ("query_down_bytes", Number (float_of_int single_down));
-            ("p50_ratio_vs_pir2", Number p50_ratio);
-          ] );
-      ("three_way_c4", List (List.map mode_row three_way));
-    ]
+     public per-epoch hint — paid for in upload bytes and a mul-acc (not XOR) scan.\n"
 
 (* ------------------------------------------------------------------ *)
 (* The experiment table and the one argv parse                         *)
@@ -2274,7 +1843,6 @@ let experiments =
     ("E19", e19_scan_kernels);
     ("E20", e20_chaos_tail_latency);
     ("E22", e22_store_updates);
-    ("E23", e23_full_lint);
     ("E24", e24_fleet);
     ("E25", e25_cluster);
     ("E27", e27_single);
@@ -2311,6 +1879,14 @@ let () =
   Printf.printf "lightweb benchmark harness (%s size): %s\n"
     (match size with Full -> "full" | Fast -> "fast")
     (String.concat " " (List.map fst chosen));
+  (* The machine the numbers come from: the core count decides whether
+     the multi-domain results mean anything, and the builds name the C
+     code the CPU picked for the scan, the DPF's AES, the DRBG and
+     channel's ChaCha20, and the wire trailer's CRC-32. *)
+  Printf.printf "machine: %d cores, OCaml %s, scan %s, AES %s, ChaCha20 %s, CRC-32 %s\n"
+    (Domain.recommended_domain_count ())
+    Sys.ocaml_version (Lw_util.Xorbuf.scan_kernel ()) (Lw_crypto.Aes128.build ())
+    (Lw_crypto.Chacha20.build ()) (Lw_util.Crc32.build ());
   if !ids = [] then
     Printf.printf
       "reproducing: §5.1 microbenchmarks, Table 2, §4 economics, §5.2 scale-up, §1 attack\n";

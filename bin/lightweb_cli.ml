@@ -79,39 +79,47 @@ let do_serve sites_dir snapshot port shard_bits verbose =
   | Error e ->
       Printf.eprintf "error: %s\n" e;
       1
-  | Ok universe ->
-      begin
-        let c0, c1 = Universe.code_servers universe in
-        let d0, d1 =
-          match shard_bits with
-          | None -> Universe.data_servers universe
-          | Some sb ->
-              Printf.printf "data plane sharded across %d shards per logical server\n" (1 lsl sb);
-              Universe.sharded_data_servers universe ~shard_bits:sb
-        in
-        let spawn p server =
-          Lw_net.Tcp.serve ~host:"127.0.0.1" ~port:p (fun ep ->
-              if verbose then Printf.printf "connection on port %d\n%!" p;
-              Zltp_server.serve server ep)
-        in
-        let servers =
-          [ spawn port c0; spawn (port + 1) c1; spawn (port + 2) d0; spawn (port + 3) d1 ]
-        in
-        List.iter (fun (k, v) -> Printf.printf "  %-18s %d\n" k v) (Universe.stats universe);
-        Printf.printf
-          "serving: code servers on %d,%d; data servers on %d,%d (ctrl-c to stop)\n%!" port
-          (port + 1) (port + 2) (port + 3);
-        (* block forever *)
-        let forever = Mutex.create () and never = Condition.create () in
-        Mutex.lock forever;
-        (try
-           while true do
-             Condition.wait never forever
-           done
-         with Sys.Break -> ());
-        List.iter Lw_net.Tcp.shutdown servers;
-        0
-      end
+  | Ok universe -> (
+      let domain_bits = (Universe.geometry universe).Universe.data_domain_bits in
+      match shard_bits with
+      | Some sb when sb < 1 || sb >= domain_bits ->
+          Printf.eprintf "error: --shard-bits %d must be in [1, %d) for a 2^%d data domain\n" sb
+            domain_bits domain_bits;
+          1
+      | _ ->
+          let c0, c1 = Universe.code_servers universe in
+          let d0, d1 =
+            match shard_bits with
+            | None -> Universe.data_servers universe
+            | Some sb ->
+                Printf.printf "data plane sharded across %d shards per logical server\n" (1 lsl sb);
+                Universe.sharded_data_servers universe ~shard_bits:sb
+          in
+          let spawn p server =
+            Lw_net.Tcp.serve ~host:"127.0.0.1" ~port:p (fun ep ->
+                if verbose then Printf.printf "connection on port %d\n%!" p;
+                Zltp_server.serve server ep)
+          in
+          (* SIGINT or SIGTERM ends the wait below. The handler only sets a
+             flag: a thread blocked in [Condition.wait] never runs an OCaml
+             signal handler, so the main thread wakes on a short sleep to
+             read it. *)
+          let stop = Atomic.make false in
+          List.iter
+            (fun sg -> Sys.set_signal sg (Sys.Signal_handle (fun _ -> Atomic.set stop true)))
+            [ Sys.sigint; Sys.sigterm ];
+          let servers =
+            [ spawn port c0; spawn (port + 1) c1; spawn (port + 2) d0; spawn (port + 3) d1 ]
+          in
+          List.iter (fun (k, v) -> Printf.printf "  %-18s %d\n" k v) (Universe.stats universe);
+          Printf.printf
+            "serving: code servers on %d,%d; data servers on %d,%d (ctrl-c to stop)\n%!" port
+            (port + 1) (port + 2) (port + 3);
+          while not (Atomic.get stop) do
+            Thread.delay 0.1
+          done;
+          List.iter Lw_net.Tcp.shutdown servers;
+          0)
 
 (* ---------------- browse ---------------- *)
 
